@@ -234,9 +234,9 @@ func main() {
 		fmt.Printf("  forward   %8.3f ms\n", ms(timing.Forward))
 		fmt.Printf("  halo      %8.3f ms  (exposed %.3f ms — comm not hidden by compute)\n",
 			ms(timing.Halo), ms(timing.HaloExposed))
-		fmt.Printf("  loss      %8.3f ms\n", ms(timing.Loss))
+		fmt.Printf("  loss      %8.3f ms  (local sum; its reduction rides in the allreduce)\n", ms(timing.Loss))
 		fmt.Printf("  backward  %8.3f ms\n", ms(timing.Backward))
-		fmt.Printf("  allreduce %8.3f ms\n", ms(timing.AllReduce))
+		fmt.Printf("  allreduce %8.3f ms  (gradients + loss sum, one collective)\n", ms(timing.AllReduce))
 		fmt.Printf("  optimizer %8.3f ms\n", ms(timing.Optimizer))
 		fmt.Printf("  total     %8.3f ms\n", ms(timing.Total()))
 	}

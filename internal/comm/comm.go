@@ -31,7 +31,6 @@ type Tag int
 // Reserved tags for the collective algorithms and halo exchange.
 const (
 	TagReduce Tag = iota + 1
-	TagBcast
 	TagGather
 	TagAllToAll
 	TagHaloForward
@@ -282,6 +281,10 @@ type Comm struct {
 	rank  int
 	size  int
 	Stats Stats
+	// scratch is the accumulator of the reducing collectives on a rank that
+	// cannot accumulate in place (see reduce), grown once to the largest
+	// buffer reduced.
+	scratch []float64
 }
 
 // NewComm wraps a transport endpoint in a rank handle.
@@ -362,99 +365,120 @@ func (c *Comm) RecvInts(src int, tag Tag) []int64 {
 	return c.t.RecvInts(src, tag)
 }
 
-// Barrier blocks until every rank has entered it. Implemented as a
-// gather-release through rank 0.
-func (c *Comm) Barrier() {
-	const tag = TagSetup
-	if c.Size() == 1 {
+// folds reports whether this rank combines the contributions of a
+// collective itself. At two ranks both do: a direct swap costs the same two
+// messages as gathering on rank 0 and releasing, with one of them on the
+// critical path instead of both in sequence. Beyond two, every-rank-folds
+// would need R(R-1) messages against the gather's 2(R-1) and measures
+// slower on both fabrics, so only rank 0 folds and the others take its
+// result.
+func (c *Comm) folds() bool { return c.rank == 0 || c.size == 2 }
+
+// exchange is the one wire pattern under Barrier, AllReduceSum,
+// AllReduceMax and AllGather. A folding rank (see folds) visits all Size()
+// contributions in ascending source order — its own, local, at position
+// Rank() without touching the fabric — handing each to fold, which must
+// leave the collective's result in out; every folding rank thus combines
+// the same values in the same order, the order a reduction built on this
+// owes its determinism to. Each payload is folded before the next receive,
+// inside the transport's ownership window, and a contribution whose length
+// differs from local's panics. The other ranks send local to rank 0 and
+// copy its result into out.
+func (c *Comm) exchange(op string, tag Tag, local, out []float64, fold func(src int, contrib []float64)) {
+	if !c.folds() {
+		c.Send(0, tag, local)
+		copy(out, c.Recv(0, tag))
 		return
 	}
-	if c.rank == 0 {
-		for src := 1; src < c.Size(); src++ {
-			c.Recv(src, tag)
+	if c.size == 2 {
+		c.Send(1-c.rank, tag, local)
+	}
+	for src := 0; src < c.size; src++ {
+		contrib := local
+		if src != c.rank {
+			contrib = c.Recv(src, tag)
+			if len(contrib) != len(local) {
+				panic(fmt.Sprintf("comm: %s length mismatch %d vs %d", op, len(contrib), len(local)))
+			}
 		}
-		for dst := 1; dst < c.Size(); dst++ {
-			c.Send(dst, tag, nil)
+		fold(src, contrib)
+	}
+	if c.size > 2 {
+		for dst := 1; dst < c.size; dst++ {
+			c.Send(dst, tag, out)
 		}
-	} else {
-		c.Send(0, tag, nil)
-		c.Recv(0, tag)
 	}
 }
 
-// AllReduceSum sums buf element-wise across all ranks; on return every
-// rank holds the identical total. The reduction is performed on rank 0 in
-// ascending rank order, making the result deterministic and independent of
-// goroutine scheduling (and of the transport carrying the messages).
-func (c *Comm) AllReduceSum(buf []float64) {
+// reduce combines every rank's buf as c0 ∘ c1 ∘ … ∘ c(R-1) and leaves the
+// result in buf on every rank. Rank 0's buffer is the first term, so it
+// accumulates in place; a folding rank further along needs its buffer
+// intact until its turn and accumulates in the grow-once scratch.
+func (c *Comm) reduce(op string, buf []float64, combine func(acc, contrib []float64)) {
 	c.Stats.AllReduces++
-	if c.Size() == 1 {
+	if c.size == 1 {
 		return
 	}
-	if c.rank == 0 {
-		for src := 1; src < c.Size(); src++ {
-			contrib := c.Recv(src, TagReduce)
-			if len(contrib) != len(buf) {
-				panic(fmt.Sprintf("comm: AllReduceSum length mismatch %d vs %d", len(contrib), len(buf)))
-			}
-			for i, v := range contrib {
-				buf[i] += v
-			}
+	own := c.folds() && c.rank != 0
+	acc := buf
+	if own {
+		if cap(c.scratch) < len(buf) {
+			c.scratch = make([]float64, len(buf))
 		}
-		for dst := 1; dst < c.Size(); dst++ {
-			c.Send(dst, TagBcast, buf)
-		}
-	} else {
-		c.Send(0, TagReduce, buf)
-		copy(buf, c.Recv(0, TagBcast))
+		acc = c.scratch[:len(buf)]
 	}
+	c.exchange(op, TagReduce, buf, acc, func(src int, contrib []float64) {
+		switch {
+		case src != 0:
+			combine(acc, contrib)
+		case own:
+			copy(acc, contrib)
+		}
+	})
+	if own {
+		copy(buf, acc)
+	}
+}
+
+// Barrier blocks until every rank has entered it: a rank leaves once it
+// has heard, directly or through rank 0, from every other rank.
+func (c *Comm) Barrier() {
+	c.exchange("Barrier", TagSetup, nil, nil, func(int, []float64) {})
+}
+
+// AllReduceSum sums buf element-wise across all ranks; on return every
+// rank holds the identical total. The contributions are accumulated in
+// ascending rank order, c0 + c1 + … + c(R-1), wherever the accumulation
+// runs (see folds), making the result deterministic and independent of
+// goroutine scheduling, of the rank count's wire pattern, and of the
+// transport carrying the messages.
+func (c *Comm) AllReduceSum(buf []float64) {
+	c.reduce("AllReduceSum", buf, func(acc, contrib []float64) {
+		for i, v := range contrib {
+			acc[i] += v
+		}
+	})
 }
 
 // AllReduceMax computes the element-wise maximum across ranks.
 func (c *Comm) AllReduceMax(buf []float64) {
-	c.Stats.AllReduces++
-	if c.Size() == 1 {
-		return
-	}
-	if c.rank == 0 {
-		for src := 1; src < c.Size(); src++ {
-			contrib := c.Recv(src, TagReduce)
-			for i, v := range contrib {
-				if v > buf[i] {
-					buf[i] = v
-				}
+	c.reduce("AllReduceMax", buf, func(acc, contrib []float64) {
+		for i, v := range contrib {
+			if v > acc[i] {
+				acc[i] = v
 			}
 		}
-		for dst := 1; dst < c.Size(); dst++ {
-			c.Send(dst, TagBcast, buf)
-		}
-	} else {
-		c.Send(0, TagReduce, buf)
-		copy(buf, c.Recv(0, TagBcast))
-	}
+	})
 }
 
 // AllGather concatenates each rank's (equal-length) contribution in rank
 // order and returns the result on every rank.
 func (c *Comm) AllGather(local []float64) []float64 {
 	n := len(local)
-	out := make([]float64, n*c.Size())
-	if c.Size() == 1 {
-		copy(out, local)
-		return out
-	}
-	if c.rank == 0 {
-		copy(out[:n], local)
-		for src := 1; src < c.Size(); src++ {
-			copy(out[src*n:(src+1)*n], c.Recv(src, TagGather))
-		}
-		for dst := 1; dst < c.Size(); dst++ {
-			c.Send(dst, TagBcast, out)
-		}
-	} else {
-		c.Send(0, TagGather, local)
-		copy(out, c.Recv(0, TagBcast))
-	}
+	out := make([]float64, n*c.size)
+	c.exchange("AllGather", TagGather, local, out, func(src int, contrib []float64) {
+		copy(out[src*n:], contrib)
+	})
 	return out
 }
 

@@ -70,12 +70,6 @@ func TestSocketCollectivesMatchInProcessBitwise(t *testing.T) {
 
 				gathered := c.AllGather([]float64{float64(c.Rank()) / 3, rng.Float64()})
 
-				ring := make([]float64, 64)
-				for i := range ring {
-					ring[i] = rng.NormFloat64() / 7
-				}
-				c.AllReduceSumRing(ring)
-
 				send := make([][]float64, c.Size())
 				for dst := 0; dst < c.Size(); dst++ {
 					buf := make([]float64, 5)
@@ -94,7 +88,6 @@ func TestSocketCollectivesMatchInProcessBitwise(t *testing.T) {
 				out = append(out, sum...)
 				out = append(out, mx...)
 				out = append(out, gathered...)
-				out = append(out, ring...)
 				out = append(out, a2a...)
 				return out, nil
 			}

@@ -17,56 +17,100 @@ import (
 // which equals the unpartitioned node count N. Evaluated on R ranks it
 // recovers the R=1 MSE loss of Eq. 5 exactly.
 //
-// The forward pass performs one AllReduce (N_eff is precomputed in the
-// RankContext); the backward pass needs none — the reduction is linear, so
-// each rank's output gradient is purely local.
+// Forward is a local degree-scaled sum followed by one AllReduce and the
+// normalization (N_eff is precomputed in the RankContext). The backward
+// pass needs neither — the reduction is linear, so each rank's output
+// gradient is purely local — which is what lets Trainer.Step skip the
+// standalone reduction and carry the local sums in the tail of its
+// gradient AllReduce instead. A single sample is a batch of one: the
+// batched step shares every line below with the single-sample one.
 type ConsistentMSE struct {
-	// diff caches Y-Ŷ for the backward pass; diff and dy are reused
-	// across steps (resized lazily), so steady-state loss evaluation
-	// allocates nothing.
-	diff   *tensor.Matrix
-	dy     *tensor.Matrix
-	sumBuf [1]float64
-	rc     *RankContext
+	// diff caches Y-Ŷ for the backward pass; diff, dy, sums and losses are
+	// reused across steps (resized lazily), so steady-state loss
+	// evaluation allocates nothing.
+	diff *tensor.Matrix
+	dy   *tensor.Matrix
+	rc   *RankContext
 
-	// batched-training state (trainbatch.go): per-sample loss sums are
-	// AllReduced as one vector; lastBatch keys BackwardBatched's row-block
-	// degree indexing.
-	sums      []float64
-	losses    []float64
-	lastBatch int
+	// batch is the sample count of the most recent forward; it keys
+	// Backward's row-block degree indexing.
+	batch  int
+	sums   []float64
+	losses []float64
+	one    [1]*tensor.Matrix // Forward's batch of one
 }
 
 // Forward returns the consistent loss. y and target are
 // NumLocal×F_y node attribute matrices; all ranks must call collectively.
 func (l *ConsistentMSE) Forward(rc *RankContext, y, target *tensor.Matrix) float64 {
-	if y.Rows != target.Rows || y.Cols != target.Cols {
-		panic(fmt.Sprintf("gnn: loss shapes %dx%d vs %dx%d", y.Rows, y.Cols, target.Rows, target.Cols))
-	}
-	if y.Rows != rc.Graph.NumLocal() {
-		panic(fmt.Sprintf("gnn: loss rows %d, want %d local nodes", y.Rows, rc.Graph.NumLocal()))
+	sums := l.localSums(rc, y, l.single(target))
+	rc.Comm.AllReduceSum(sums)
+	return l.normalise(sums)[0]
+}
+
+// single wraps one target as a batch of one without allocating.
+func (l *ConsistentMSE) single(target *tensor.Matrix) []*tensor.Matrix {
+	l.one[0] = target
+	return l.one[:]
+}
+
+// localSums is the rank-local half of the forward pass over a stacked
+// prediction: y is (batch·N_local)×F, targets the batch per-sample
+// targets. It caches Y-Ŷ for the backward pass and returns the unreduced
+// per-sample sums S_r in a buffer owned by the loss. Per sample the
+// summation runs row-major over that sample's block, whatever the batch
+// size, so B sums reduced as one vector (element-wise, ascending rank
+// order) are bitwise the B scalar reductions.
+func (l *ConsistentMSE) localSums(rc *RankContext, y *tensor.Matrix, targets []*tensor.Matrix) []float64 {
+	batch := len(targets)
+	per := rc.Graph.NumLocal()
+	if y.Rows != batch*per {
+		panic(fmt.Sprintf("gnn: loss rows %d, want %d·%d local nodes", y.Rows, batch, per))
 	}
 	l.rc = rc
+	l.batch = batch
 	if l.diff == nil || l.diff.Rows != y.Rows || l.diff.Cols != y.Cols {
 		l.diff = tensor.New(y.Rows, y.Cols)
 	}
-	var s float64
-	for i := 0; i < y.Rows; i++ {
-		inv := 1 / rc.Graph.NodeDegree[i]
-		yr, tr, dr := y.Row(i), target.Row(i), l.diff.Row(i)
-		for j := range yr {
-			d := yr[j] - tr[j]
-			dr[j] = d
-			s += inv * d * d
-		}
+	if cap(l.sums) < batch {
+		l.sums = make([]float64, batch)
+		l.losses = make([]float64, batch)
 	}
-	l.sumBuf[0] = s
-	rc.Comm.AllReduceSum(l.sumBuf[:])
-	return l.sumBuf[0] / (rc.Neff * float64(y.Cols))
+	sums := l.sums[:batch]
+	for b, target := range targets {
+		if target.Rows != per || target.Cols != y.Cols {
+			panic(fmt.Sprintf("gnn: loss target %dx%d, want %dx%d",
+				target.Rows, target.Cols, per, y.Cols))
+		}
+		var s float64
+		for i := 0; i < per; i++ {
+			inv := 1 / rc.Graph.NodeDegree[i]
+			yr, tr, dr := y.Row(b*per+i), target.Row(i), l.diff.Row(b*per+i)
+			for j := range yr {
+				d := yr[j] - tr[j]
+				dr[j] = d
+				s += inv * d * d
+			}
+		}
+		sums[b] = s
+	}
+	return sums
 }
 
-// Backward returns dL/dY for the most recent Forward. The returned matrix
-// is owned by the loss and valid until the next Backward call.
+// normalise turns the AllReduced per-sample sums of the most recent
+// localSums into losses, in a buffer owned by the loss.
+func (l *ConsistentMSE) normalise(sums []float64) []float64 {
+	losses := l.losses[:len(sums)]
+	for b, s := range sums {
+		losses[b] = s / (l.rc.Neff * float64(l.diff.Cols))
+	}
+	return losses
+}
+
+// Backward returns dL/dY for the most recent forward pass, stacked like
+// its prediction: each sample block's gradient depends on that sample
+// alone. The matrix is owned by the loss and valid until the next Backward
+// call.
 func (l *ConsistentMSE) Backward() *tensor.Matrix {
 	if l.diff == nil {
 		panic("gnn: ConsistentMSE.Backward before Forward")
@@ -75,9 +119,10 @@ func (l *ConsistentMSE) Backward() *tensor.Matrix {
 		l.dy = tensor.New(l.diff.Rows, l.diff.Cols)
 	}
 	dy := l.dy
+	per := dy.Rows / l.batch
 	scale := 2 / (l.rc.Neff * float64(l.diff.Cols))
 	for i := 0; i < dy.Rows; i++ {
-		inv := scale / l.rc.Graph.NodeDegree[i]
+		inv := scale / l.rc.Graph.NodeDegree[i%per]
 		src, dst := l.diff.Row(i), dy.Row(i)
 		for j, v := range src {
 			dst[j] = inv * v

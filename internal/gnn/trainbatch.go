@@ -325,82 +325,10 @@ func (m *Model) backwardBatched(dy *tensor.Matrix, batch int) {
 	m.NodeEncoder.BackwardBatched(dhx, batch)
 }
 
-// ForwardBatched computes the per-sample consistent losses of a stacked
-// prediction: y is (batch·N_local)×F, targets the batch per-sample
-// targets. Per sample the row-major summation order matches Forward on
-// that sample, and all batch partial sums cross the wire in ONE vector
-// AllReduce (element-wise, ascending rank order — bitwise the batch
-// scalar reductions). Returns the per-sample losses in a buffer owned by
-// the loss, valid until the next call. All ranks call collectively.
-func (l *ConsistentMSE) ForwardBatched(rc *RankContext, y *tensor.Matrix, targets []*tensor.Matrix, batch int) []float64 {
-	if batch != len(targets) {
-		panic(fmt.Sprintf("gnn: batched loss with %d targets, batch %d", len(targets), batch))
-	}
-	per := rc.Graph.NumLocal()
-	if y.Rows != batch*per {
-		panic(fmt.Sprintf("gnn: batched loss rows %d, want %d·%d", y.Rows, batch, per))
-	}
-	l.rc = rc
-	l.lastBatch = batch
-	if l.diff == nil || l.diff.Rows != y.Rows || l.diff.Cols != y.Cols {
-		l.diff = tensor.New(y.Rows, y.Cols)
-	}
-	if cap(l.sums) < batch {
-		l.sums = make([]float64, batch)
-		l.losses = make([]float64, batch)
-	}
-	sums, losses := l.sums[:batch], l.losses[:batch]
-	for b, target := range targets {
-		if target.Rows != per || target.Cols != y.Cols {
-			panic(fmt.Sprintf("gnn: batched loss target %dx%d, want %dx%d",
-				target.Rows, target.Cols, per, y.Cols))
-		}
-		var s float64
-		for i := 0; i < per; i++ {
-			inv := 1 / rc.Graph.NodeDegree[i]
-			yr, tr, dr := y.Row(b*per+i), target.Row(i), l.diff.Row(b*per+i)
-			for j := range yr {
-				d := yr[j] - tr[j]
-				dr[j] = d
-				s += inv * d * d
-			}
-		}
-		sums[b] = s
-	}
-	rc.Comm.AllReduceSum(sums)
-	for b, s := range sums {
-		losses[b] = s / (rc.Neff * float64(y.Cols))
-	}
-	return losses
-}
-
-// BackwardBatched returns the stacked dL/dY for the most recent
-// ForwardBatched: each sample block's gradient is exactly Backward's on
-// that sample. The matrix is owned by the loss, valid until the next
-// backward call.
-func (l *ConsistentMSE) BackwardBatched() *tensor.Matrix {
-	if l.diff == nil {
-		panic("gnn: ConsistentMSE.BackwardBatched before ForwardBatched")
-	}
-	if l.dy == nil || l.dy.Rows != l.diff.Rows || l.dy.Cols != l.diff.Cols {
-		l.dy = tensor.New(l.diff.Rows, l.diff.Cols)
-	}
-	dy := l.dy
-	per := dy.Rows / l.lastBatch
-	scale := 2 / (l.rc.Neff * float64(l.diff.Cols))
-	for i := 0; i < dy.Rows; i++ {
-		inv := scale / l.rc.Graph.NodeDegree[i%per]
-		src, dst := l.diff.Row(i), dy.Row(i)
-		for j, v := range src {
-			dst[j] = inv * v
-		}
-	}
-	return dy
-}
-
 // StepBatch executes one training iteration over len(xs) stacked samples:
-// one fused forward, one row-block backward, one gradient AllReduce, one
-// clip, ONE optimizer step (and hence one Param.Bump — the pack caches
+// one fused forward, one row-block backward, one AllReduce (the gradients
+// with the B local loss sums in the buffer's tail), one clip, ONE
+// optimizer step (and hence one Param.Bump — the pack caches
 // invalidate once per step, not once per sample). The accumulated
 // gradient is bitwise-equal to the sequential oracle that runs ZeroGrads
 // once and then Forward/Loss/Backward per sample before the same single
@@ -446,15 +374,15 @@ func (t *Trainer) StepBatch(rc *RankContext, xs, targets []*tensor.Matrix) []flo
 	if t.Timing != nil {
 		lap(&t.Timing.Forward)
 	}
-	losses := t.Loss.ForwardBatched(rc, y, targets, batch)
+	sums := t.Loss.localSums(rc, y, targets)
 	if t.Timing != nil {
 		lap(&t.Timing.Loss)
 	}
-	t.Model.backwardBatched(t.Loss.BackwardBatched(), batch)
+	t.Model.backwardBatched(t.Loss.Backward(), batch)
 	if t.Timing != nil {
 		lap(&t.Timing.Backward)
 	}
-	t.gradBuf = nn.AllReduceGradients(rc.Comm, t.Model.Params(), t.gradBuf)
+	losses := t.Loss.normalise(t.reduceGrads(rc, sums))
 	if t.Timing != nil {
 		lap(&t.Timing.AllReduce)
 	}

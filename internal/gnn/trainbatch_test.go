@@ -65,7 +65,10 @@ func oracleAccumulate(rc *RankContext, ref *Model, loss *ConsistentMSE,
 // consecutive optimizer steps (the second exercising the batched arena
 // replay after the recording pass) and returns the total number of
 // differing bit patterns across per-sample losses, accumulated gradients,
-// and updated parameters.
+// and updated parameters. The per-sample losses are the fused step's: the
+// oracle reduces each with a standalone ConsistentMSE.Forward, the step
+// carries the local sums in its gradient AllReduce — which must therefore
+// be the step's only collective, whatever the batch size.
 func stepBatchOracleDiff(rc *RankContext, cfg Config, batch int) (int, error) {
 	mdl, err := NewModel(cfg)
 	if err != nil {
@@ -83,7 +86,11 @@ func stepBatchOracleDiff(rc *RankContext, cfg Config, batch int) (int, error) {
 	diff := 0
 	for pass := 0; pass < 2; pass++ {
 		want := oracleAccumulate(rc, ref, &refLoss, refOpt, xs, ts)
+		before := rc.Comm.Stats.AllReduces
 		got := tr.StepBatch(rc, xs, ts)
+		if n := rc.Comm.Stats.AllReduces - before; n != 1 {
+			return 0, fmt.Errorf("StepBatch(B=%d) made %d AllReduces, want 1", batch, n)
+		}
 		diff += floatBitDiff(want, got)
 		diff += floatBitDiff(nn.FlattenGrads(ref.Params(), nil), nn.FlattenGrads(mdl.Params(), nil))
 		diff += paramBitDiff(ref, mdl)
@@ -94,7 +101,8 @@ func stepBatchOracleDiff(rc *RankContext, cfg Config, batch int) (int, error) {
 // TestStepBatchBitwiseOracleSweep is the tentpole's headline gate: the
 // row-block batched training step must be bitwise-equal to the sequential
 // B-step accumulation oracle across {1,2,4 ranks} × {channel, socket} ×
-// {sync, overlap} × {1,4 threads} — losses, gradients, and parameters.
+// {sync, overlap} × {1,4 threads} × {B = 1 (which is Trainer.Step), 2, 3,
+// 4} — losses, gradients, and parameters, in one collective per step.
 func TestStepBatchBitwiseOracleSweep(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
@@ -131,7 +139,15 @@ func TestStepBatchBitwiseOracleSweep(t *testing.T) {
 							if err != nil {
 								return 0, err
 							}
-							return stepBatchOracleDiff(rc, cfg, 3)
+							diff := 0
+							for _, batch := range []int{1, 2, 3, 4} {
+								d, err := stepBatchOracleDiff(rc, cfg, batch)
+								if err != nil {
+									return 0, err
+								}
+								diff += d
+							}
+							return diff, nil
 						}
 						var res []int
 						if sockets {

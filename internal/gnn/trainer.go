@@ -8,12 +8,12 @@ import (
 )
 
 // Trainer runs distributed-data-parallel training of a consistent GNN:
-// every rank holds identical parameters, computes the consistent loss and
-// its local gradient contribution, and gradients are summed across ranks
-// with a deterministic AllReduce before the (identical) optimizer step.
-// Because both loss and gradients satisfy the consistency equations, the
-// optimization trajectory is invariant to the partitioning (paper Fig. 6,
-// right).
+// every rank holds identical parameters, computes its local share of the
+// consistent loss and its local gradient contribution, and both are
+// summed across ranks by one deterministic AllReduce per step before the
+// (identical) optimizer step. Because both loss and gradients satisfy the
+// consistency equations, the optimization trajectory is invariant to the
+// partitioning (paper Fig. 6, right).
 type Trainer struct {
 	Model *Model
 	Opt   nn.Optimizer
@@ -52,7 +52,10 @@ type Trainer struct {
 // HaloExposed is the subset of Halo spent blocked on messages that had
 // not yet arrived — the communication cost the rank failed to hide. With
 // the synchronous exchange, HaloExposed ≈ the transfer time; the
-// overlapped pipeline (Config.Overlap) shrinks it toward zero.
+// overlapped pipeline (Config.Overlap) shrinks it toward zero. Loss is the
+// rank-local degree-scaled sum only: a step makes no standalone loss
+// reduction, the sum rides in the gradient buffer and its wire time is
+// booked under AllReduce.
 type StepTiming struct {
 	Forward, Halo, HaloExposed, Loss, Backward, AllReduce, Optimizer time.Duration
 	Steps                                                            int
@@ -75,8 +78,9 @@ func NewTrainer(m *Model, opt nn.Optimizer) *Trainer {
 	return &Trainer{Model: m, Opt: opt, Batch: m.Config.TrainBatch}
 }
 
-// Step executes one training iteration (forward, loss, backward, gradient
-// AllReduce, optimizer update) and returns the consistent loss value.
+// Step executes one training iteration (forward, local loss sum,
+// backward, one AllReduce carrying gradients and loss sum, optimizer
+// update) and returns the consistent loss value.
 // All ranks must call Step collectively with their own x and target.
 func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 	mark := time.Now()
@@ -109,7 +113,7 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 	if t.Timing != nil {
 		lap(&t.Timing.Forward)
 	}
-	loss := t.Loss.Forward(rc, y, target)
+	sums := t.Loss.localSums(rc, y, t.Loss.single(target))
 	if t.Timing != nil {
 		lap(&t.Timing.Loss)
 	}
@@ -117,7 +121,7 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 	if t.Timing != nil {
 		lap(&t.Timing.Backward)
 	}
-	t.gradBuf = nn.AllReduceGradients(rc.Comm, t.Model.Params(), t.gradBuf)
+	loss := t.Loss.normalise(t.reduceGrads(rc, sums))[0]
 	if t.Timing != nil {
 		lap(&t.Timing.AllReduce)
 	}
@@ -139,6 +143,16 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 	}
 	t.step++
 	return loss
+}
+
+// reduceGrads is the step's one collective: the gradients are summed
+// across ranks in place with the local loss sums riding in the tail of the
+// same buffer (ConsistentMSE.Forward is the standalone-reduction oracle
+// for the tail's bits). Returns the reduced sums, valid until the next
+// step.
+func (t *Trainer) reduceGrads(rc *RankContext, sums []float64) (reduced []float64) {
+	t.gradBuf, reduced = nn.AllReduceGradientsWith(rc.Comm, t.Model.Params(), t.gradBuf, sums)
+	return reduced
 }
 
 // Evaluate computes the consistent loss without touching gradients or

@@ -177,8 +177,19 @@ func (a *Adam) Restore(vectors [][]float64, step int) error {
 // (already globally normalized by N_eff), the correct combination is a
 // *sum* of the per-rank partial derivatives, not an average.
 func AllReduceGradients(c *comm.Comm, params []*Param, buf []float64) []float64 {
-	buf = FlattenGrads(params, buf)
+	buf, _ = AllReduceGradientsWith(c, params, buf, nil)
+	return buf
+}
+
+// AllReduceGradientsWith is AllReduceGradients with extra per-rank values
+// riding in the tail of the same collective: the gradients and tail are
+// summed across ranks as one buffer. The element-wise, rank-ordered sum
+// gives each tail slot the bits a standalone AllReduceSum of tail would.
+// It returns the (possibly grown) buffer for reuse and the reduced tail,
+// a view into it valid until the buffer's next use.
+func AllReduceGradientsWith(c *comm.Comm, params []*Param, buf, tail []float64) (grown, reduced []float64) {
+	buf = append(FlattenGrads(params, buf), tail...)
 	c.AllReduceSum(buf)
 	UnflattenGrads(params, buf)
-	return buf
+	return buf, buf[len(buf)-len(tail):]
 }
