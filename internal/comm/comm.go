@@ -31,7 +31,6 @@ type Tag int
 // Reserved tags for the collective algorithms and halo exchange.
 const (
 	TagReduce Tag = iota + 1
-	TagGather
 	TagAllToAll
 	TagHaloForward
 	TagHaloAdjoint
@@ -374,8 +373,8 @@ func (c *Comm) RecvInts(src int, tag Tag) []int64 {
 // result.
 func (c *Comm) folds() bool { return c.rank == 0 || c.size == 2 }
 
-// exchange is the one wire pattern under Barrier, AllReduceSum,
-// AllReduceMax and AllGather. A folding rank (see folds) visits all Size()
+// exchange is the one wire pattern under Barrier, AllReduceSum and
+// AllReduceMax. A folding rank (see folds) visits all Size()
 // contributions in ascending source order — its own, local, at position
 // Rank() without touching the fabric — handing each to fold, which must
 // leave the collective's result in out; every folding rank thus combines
@@ -469,17 +468,6 @@ func (c *Comm) AllReduceMax(buf []float64) {
 			}
 		}
 	})
-}
-
-// AllGather concatenates each rank's (equal-length) contribution in rank
-// order and returns the result on every rank.
-func (c *Comm) AllGather(local []float64) []float64 {
-	n := len(local)
-	out := make([]float64, n*c.size)
-	c.exchange("AllGather", TagGather, local, out, func(src int, contrib []float64) {
-		copy(out[src*n:], contrib)
-	})
-	return out
 }
 
 // AllToAll sends send[j] to rank j and returns recv where recv[i] is the

@@ -154,23 +154,6 @@ func TestAllReduceMax(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	results, err := RunCollect(4, func(c *Comm) ([]float64, error) {
-		return c.AllGather([]float64{float64(c.Rank()) * 10, 1}), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 1, 10, 1, 20, 1, 30, 1}
-	for r, got := range results {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("rank %d: AllGather = %v", r, got)
-			}
-		}
-	}
-}
-
 func TestAllToAllFull(t *testing.T) {
 	size := 4
 	results, err := RunCollect(size, func(c *Comm) ([][]float64, error) {

@@ -14,7 +14,7 @@ import (
 //     Unix-domain or TCP sockets with length-prefixed binary frames and
 //     may live in separate OS processes.
 //
-// Because every collective (Barrier, AllReduce*, AllGather, AllToAll) is
+// Because every collective (Barrier, AllReduce*, AllToAll) is
 // implemented in Comm purely in terms of Send/Recv, the deterministic
 // rank-ordered reduction semantics — and hence the paper's bitwise
 // consistency property — are transport-independent. The cross-transport

@@ -19,11 +19,12 @@ import (
 // training:
 //
 //   - no gradient accumulators are touched and no backward workspaces are
-//     ever recorded, so the engine's arena holds the forward activations
-//     only (roughly half the training epoch's slots);
-//   - the compiled layer twins (nn.InferMLP) skip every store whose sole
-//     consumer is a backward pass: Linear input caches, LayerNorm's xhat
-//     matrix and invStd column;
+//     ever recorded, so the engine's arena holds forward activations only;
+//   - the compiled MLP blocks (nn.InferMLP) skip every store whose sole
+//     consumer is a backward pass — Linear input caches, LayerNorm's xhat
+//     matrix and invStd column, and with them every activation between a
+//     block's layers: a block is evaluated a row panel at a time as one
+//     parallel region, and only its output is materialised at full height;
 //   - with the default static edge features (EdgeFeatures4) the edge
 //     encoder's input does not depend on the node snapshot, so its output
 //     is encoded ONCE per (graph, parameters) binding and reused by every
@@ -244,12 +245,13 @@ func (e *Inference) Refresh() error {
 }
 
 // Session returns an independent engine over this compile's immutable
-// state: the parameter twins, the pre-packed weight panels, and the
-// static-edge cache are shared (one compile referenced by S sessions);
-// the arena, output double-buffer, binding state, and batched-serving
-// scaffolding are fresh. Sessions may predict concurrently — each from
-// its own collective group — and their results are bitwise-identical to
-// the source engine's, sample for sample.
+// state: the compiled MLP blocks (parameter twins and pre-packed weight
+// panels, shared by pointer — an evaluation keeps no state in them) and
+// the static-edge cache are shared, one compile referenced by S sessions;
+// the arena, output double-buffer, binding state, message-passing task
+// scaffolding, and batched-serving scaffolding are fresh. Sessions may
+// predict concurrently — each from its own collective group — and their
+// results are bitwise-identical to the source engine's, sample for sample.
 //
 // Engines that carry per-session-incompatible state refuse: the Float32
 // twin snapshots its own packed operands (compile one engine per
@@ -270,9 +272,9 @@ func (e *Inference) Session() (*Inference, error) {
 		Config:  e.Config,
 		arena:   tensor.NewArena(),
 		shared:  e.shared,
-		nodeEnc: e.nodeEnc.Session(),
-		edgeEnc: e.edgeEnc.Session(),
-		dec:     e.dec.Session(),
+		nodeEnc: e.nodeEnc,
+		edgeEnc: e.edgeEnc,
+		dec:     e.dec,
 		root:    root,
 	}
 	for _, p := range e.procs {
@@ -281,8 +283,8 @@ func (e *Inference) Session() (*Inference, error) {
 			return nil, fmt.Errorf("gnn: processor %T serves through mutable training state; compile one engine per session", p)
 		}
 		s.procs = append(s.procs, &inferNMP{
-			edgeMLP:    l.edgeMLP.Session(),
-			nodeMLP:    l.nodeMLP.Session(),
+			edgeMLP:    l.edgeMLP,
+			nodeMLP:    l.nodeMLP,
 			disableDeg: l.disableDeg,
 			overlap:    l.overlap,
 		})

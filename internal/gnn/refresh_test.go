@@ -34,6 +34,14 @@ func TestRefreshRefusedWhileSessionsLive(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// A view holds the compiled blocks themselves, not copies of their
+		// panel pointers: whatever a Refresh re-packs, no view is left on
+		// the old panels (tensor's TestRepackAfterTierToggleReachesEveryHolder).
+		if ses.nodeEnc != eng.nodeEnc || ses.edgeEnc != eng.edgeEnc || ses.dec != eng.dec ||
+			ses.procs[0].(*inferNMP).edgeMLP != eng.procs[0].(*inferNMP).edgeMLP ||
+			ses.procs[0].(*inferNMP).nodeMLP != eng.procs[0].(*inferNMP).nodeMLP {
+			return fmt.Errorf("session view copied a compiled block instead of sharing it")
+		}
 		x := waveField(rc.Graph)
 		want := ses.Predict(rc, x).Clone()
 

@@ -1,0 +1,166 @@
+package nn
+
+import (
+	"fmt"
+
+	"meshgnn/internal/parallel"
+	"meshgnn/internal/tensor"
+)
+
+// panelRows is the height of the row panels a block is evaluated in: a
+// panel goes through every layer of the block before the next panel
+// starts, so a layer reads what the previous one just wrote while it is
+// still in cache (two 64×32 float64 scratch panels are 32 KiB). A multiple
+// of 4, the row tile of the packed GEMM microkernels. Any height yields
+// the same bits — every layer is a row map whose per-row operation
+// sequence is fixed; 32, 64 and 128 measure within 3 % of each other, and
+// the smaller panels split a 512-row node block over more threads.
+const panelRows = 64
+
+// panels returns the number of row panels covering rows.
+func panels(rows int) int { return (rows + panelRows - 1) / panelRows }
+
+// rowLayer is a Layer that is a pure row map with row-reduced parameter
+// gradients, split into the pieces a chain schedules: a serial bind on
+// the caller (shape checks, arena requests, weight packing), the row-range
+// bodies that run inside the chain's region, and the layer's parameter
+// reductions.
+type rowLayer interface {
+	Layer
+	// bindForward acquires the output (and backward caches) for input x
+	// and returns the output. owned reports that x is the chain's own
+	// temporary, which the layer may overwrite.
+	bindForward(x *tensor.Matrix, owned bool) *tensor.Matrix
+	// forwardRows computes rows [lo, hi) of the bound output.
+	forwardRows(lo, hi int)
+	// bindBackward acquires the input gradient for output gradient dy,
+	// keeping dy for the reductions; owned as in bindForward.
+	bindBackward(dy *tensor.Matrix, owned bool) *tensor.Matrix
+	// backwardRows computes rows [lo, hi) of the bound input gradient.
+	backwardRows(lo, hi int)
+	// reductions appends the layer's parameter-gradient reductions over a
+	// block of rows rows, each with the chunk grain the layer has always
+	// reduced with. reduceBody and reduceMerge address them by position
+	// (which) and take absolute row numbers.
+	reductions(rs []parallel.Reduction, rows int) []parallel.Reduction
+	reduceBody(which, lo, hi int, acc []float64)
+	reduceMerge(which int, acc []float64, last bool)
+}
+
+// chain evaluates a sequence of row layers as a fused block: the forward
+// pass is ONE parallel region over row panels, the backward pass two —
+// the input-gradient chain (again a row map, panel by panel in reverse
+// layer order, leaving each layer's output gradient in place) and then
+// every parameter reduction of the block together (parallel.ReduceAll).
+// A region costs a worker wake (see package parallel, "region
+// granularity") and one layer over a few thousand rows is tens of
+// microseconds: dispatched per layer, the workers arrive after the caller
+// has done the work.
+//
+// Nothing here changes a bit relative to evaluating layer by layer. The
+// forward and input-gradient passes are row maps; each reduction keeps
+// its own chunk grain, runs per sample block, and merges in ascending
+// chunk order.
+type chain struct {
+	layers []rowLayer
+	rows   int
+
+	// The block's reductions, (sample block, layer, which) by index.
+	rs   []parallel.Reduction
+	refs []redRef
+}
+
+// redRef locates one reduction of the block: which reduction of which
+// layer, over the sample block starting at row off.
+type redRef struct {
+	l     rowLayer
+	which int
+	off   int
+}
+
+func newChain(layers ...rowLayer) *chain { return &chain{layers: layers} }
+
+type (
+	chainForward  chain
+	chainBackward chain
+)
+
+func (c *chain) forward(x *tensor.Matrix) *tensor.Matrix {
+	c.rows = x.Rows
+	owned := false
+	for _, l := range c.layers {
+		x = l.bindForward(x, owned)
+		// A layer's output is the chain's to overwrite unless the layer's
+		// own backward reads it back, as an ELU's does.
+		_, readsBack := l.(*ELU)
+		owned = !readsBack
+	}
+	parallel.ForTask(panels(c.rows), 1, (*chainForward)(c))
+	return x
+}
+
+// Run carries panels [lo, hi) through every layer.
+func (c *chainForward) Run(lo, hi int) {
+	for p := lo; p < hi; p++ {
+		r0, r1 := p*panelRows, min((p+1)*panelRows, c.rows)
+		for _, l := range c.layers {
+			l.forwardRows(r0, r1)
+		}
+	}
+}
+
+// backward propagates dy, batch vertically stacked sample gradients,
+// through the block. The input gradient is a row map over the full stack;
+// the parameter reductions — whose fixed chunk schedule derives from the
+// row count — run per sample block in ascending order, so each block's
+// reduction geometry, and hence every accumulated bit, matches the
+// sequential per-sample oracle exactly.
+func (c *chain) backward(dy *tensor.Matrix, batch int) *tensor.Matrix {
+	if dy.Rows%batch != 0 {
+		panic(fmt.Sprintf("nn: batched backward rows %d not divisible by batch %d", dy.Rows, batch))
+	}
+	c.rows = dy.Rows
+	owned := false
+	for i := len(c.layers) - 1; i >= 0; i-- {
+		dy = c.layers[i].bindBackward(dy, owned)
+		owned = true
+	}
+	parallel.ForTask(panels(c.rows), 1, (*chainBackward)(c))
+
+	per := c.rows / batch
+	c.rs, c.refs = c.rs[:0], c.refs[:0]
+	for b := 0; b < batch; b++ {
+		for _, l := range c.layers {
+			n := len(c.rs)
+			c.rs = l.reductions(c.rs, per)
+			for which := range c.rs[n:] {
+				c.refs = append(c.refs, redRef{l: l, which: which, off: b * per})
+			}
+		}
+	}
+	parallel.ReduceAll(c.rs, c)
+	return dy
+}
+
+// Run carries panels [lo, hi) of the output gradient back through every
+// layer.
+func (c *chainBackward) Run(lo, hi int) {
+	for p := lo; p < hi; p++ {
+		r0, r1 := p*panelRows, min((p+1)*panelRows, c.rows)
+		for i := len(c.layers) - 1; i >= 0; i-- {
+			c.layers[i].backwardRows(r0, r1)
+		}
+	}
+}
+
+// Body implements parallel.MultiReducer.
+func (c *chain) Body(k, lo, hi int, acc []float64) {
+	r := c.refs[k]
+	r.l.reduceBody(r.which, r.off+lo, r.off+hi, acc)
+}
+
+// Merge implements parallel.MultiReducer.
+func (c *chain) Merge(k int, acc []float64, last bool) {
+	r := c.refs[k]
+	r.l.reduceMerge(r.which, acc, last)
+}

@@ -1,0 +1,307 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"meshgnn/internal/parallel"
+	"meshgnn/internal/tensor"
+)
+
+// layerAtATime is the evaluation order the fused block replaced, kept as
+// the reference it must match bit for bit: one layer after another, each
+// over all rows at once, every intermediate materialised at full height —
+// whole-matrix kernels (tensor.MatMul, tensor.MatMulATB, tensor.MatMul32)
+// where they exist, one reduction per parameter tensor per sample block
+// with the layer's own grain, weight partials summed into a zeroed scratch
+// before they reach the gradient.
+type layerAtATime struct {
+	y      *tensor.Matrix
+	linIn  []*tensor.Matrix // each Linear's cached input
+	eluOut []*tensor.Matrix // each ELU's cached output
+	xhat   *tensor.Matrix
+	invStd []float64
+	dx     *tensor.Matrix
+	grads  []*tensor.Matrix // in Params() order, accumulated onto the initial G
+}
+
+func refForward(m *MLP, x *tensor.Matrix) *layerAtATime {
+	ref := &layerAtATime{}
+	for _, l := range m.block.layers {
+		switch t := l.(type) {
+		case *Linear:
+			ref.linIn = append(ref.linIn, x)
+			y := tensor.New(x.Rows, t.Out)
+			tensor.MatMul(y, x, t.Weight.W)
+			tensor.AddRowVectorRows(y, t.Bias.W.Data, 0, y.Rows)
+			x = y
+		case *ELU:
+			y := tensor.New(x.Rows, x.Cols)
+			eluRange(y.Data, x.Data, 0, len(x.Data))
+			ref.eluOut = append(ref.eluOut, y)
+			x = y
+		case *LayerNorm:
+			y := tensor.New(x.Rows, x.Cols)
+			ref.xhat = tensor.New(x.Rows, x.Cols)
+			ref.invStd = make([]float64, x.Rows)
+			n := float64(t.Dim)
+			for i := 0; i < x.Rows; i++ {
+				row := x.Row(i)
+				var mu, varsum float64
+				for _, v := range row {
+					mu += v
+				}
+				mu /= n
+				for _, v := range row {
+					varsum += (v - mu) * (v - mu)
+				}
+				inv := 1 / math.Sqrt(varsum/n+Epsilon)
+				ref.invStd[i] = inv
+				for j, v := range row {
+					xh := (v - mu) * inv
+					ref.xhat.Row(i)[j] = xh
+					y.Row(i)[j] = xh*t.Gain.W.Data[j] + t.Shift.W.Data[j]
+				}
+			}
+			x = y
+		}
+	}
+	ref.y = x
+	return ref
+}
+
+// refBackward continues refForward with the backward pass over batch
+// stacked sample blocks, accumulating onto clones of the current G.
+func (ref *layerAtATime) refBackward(m *MLP, dy *tensor.Matrix, batch int) {
+	per := dy.Rows / batch
+	grad := map[*Param]*tensor.Matrix{}
+	for _, p := range m.Params() {
+		g := p.G.Clone()
+		grad[p] = g
+		ref.grads = append(ref.grads, g)
+	}
+	li, ei := len(ref.linIn), len(ref.eluOut)
+	for k := len(m.block.layers) - 1; k >= 0; k-- {
+		switch t := m.block.layers[k].(type) {
+		case *LayerNorm:
+			dx := tensor.New(dy.Rows, dy.Cols)
+			dim, n := t.Dim, float64(t.Dim)
+			gGain, gShift := grad[t.Gain].Data, grad[t.Shift].Data
+			for b := 0; b < batch; b++ {
+				off := b * per
+				cur := dy
+				parallel.Reduce(per, 256, 2*dim, func(lo, hi int, acc []float64) {
+					for i := off + lo; i < off+hi; i++ {
+						dyr, xh := cur.Row(i), ref.xhat.Row(i)
+						var sum1, sum2 float64
+						for j, g := range dyr {
+							acc[j] += g * xh[j]
+							acc[dim+j] += g
+							dxh := g * t.Gain.W.Data[j]
+							sum1 += dxh
+							sum2 += dxh * xh[j]
+						}
+						for j, g := range dyr {
+							dxh := g * t.Gain.W.Data[j]
+							dx.Row(i)[j] = ref.invStd[i] / n * (n*dxh - sum1 - xh[j]*sum2)
+						}
+					}
+				}, func(acc []float64) {
+					for j := 0; j < dim; j++ {
+						gGain[j] += acc[j]
+						gShift[j] += acc[dim+j]
+					}
+				})
+			}
+			dy = dx
+		case *Linear:
+			li--
+			x := ref.linIn[li]
+			dw := tensor.New(t.In, t.Out)
+			gB := grad[t.Bias].Data
+			for b := 0; b < batch; b++ {
+				xb, dyb := x.RowBlock(b*per, (b+1)*per), dy.RowBlock(b*per, (b+1)*per)
+				tensor.MatMulATB(dw, xb, dyb)
+				tensor.AddScaled(grad[t.Weight], 1, dw)
+				parallel.Reduce(per, tensor.ReduceGrain(t.Out), t.Out, func(lo, hi int, acc []float64) {
+					tensor.ColSumsAcc(acc, dyb, lo, hi)
+				}, func(acc []float64) {
+					for j, v := range acc {
+						gB[j] += v
+					}
+				})
+			}
+			dx := tensor.New(dy.Rows, t.In)
+			if tensor.ShouldPackABT(t.Out, t.In) {
+				tensor.MatMulPackedRows(dx, dy, tensor.PackBT(t.Weight.W), 0, dy.Rows)
+			} else {
+				tensor.MatMulABTRows(dx, dy, t.Weight.W, 0, dy.Rows)
+			}
+			dy = dx
+		case *ELU:
+			ei--
+			y := ref.eluOut[ei]
+			dx := tensor.New(dy.Rows, dy.Cols)
+			for i, g := range dy.Data {
+				if v := y.Data[i]; v > 0 {
+					dx.Data[i] = g
+				} else {
+					dx.Data[i] = g * (v + 1)
+				}
+			}
+			dy = dx
+		}
+	}
+	ref.dx = dy
+}
+
+// refForward32 evaluates the compiled float32 block layer by layer at full
+// height.
+func refForward32(im *InferMLP32, x *tensor.Matrix32) *tensor.Matrix32 {
+	for _, l := range im.layers {
+		var y *tensor.Matrix32
+		switch t := l.(type) {
+		case *linear32:
+			y = tensor.New32(x.Rows, t.out)
+			tensor.MatMul32(y, x, t.w)
+			tensor.AddRowVector32Rows(y, t.b, 0, y.Rows)
+		case elu32:
+			y = tensor.New32(x.Rows, x.Cols)
+			tensor.EluRange32(y.Data, x.Data, 0, len(x.Data))
+		case *ln32:
+			y = tensor.New32(x.Rows, x.Cols)
+			t.inferRows(y, x, x.Rows) // rows are independent: one full-height panel
+		}
+		x = y
+	}
+	return x
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %v, want %v (bitwise)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestBlockMatchesLayerAtATime: the fused block — training forward with
+// its backward caches, the two-region backward with per-block reductions,
+// and both compiled evaluators — is bitwise the layer-at-a-time evaluation,
+// for row counts either side of the panel height, widths either side of
+// the packed-GEMM threshold, with and without the norm, at every thread
+// count, for 1, 2 and 4 stacked sample blocks.
+func TestBlockMatchesLayerAtATime(t *testing.T) {
+	defer parallel.Configure(0, true)
+	rowCounts := []int{1, 3, panelRows - 1, panelRows, panelRows + 1, 127, 128, 129, 515}
+	if !testing.Short() && !raceEnabled {
+		rowCounts = append(rowCounts, 3072) // the benchmark's edge count
+	}
+	shapes := [][3]int{{12, 8, 8}, {96, 32, 32}, {7, 40, 3}} // in, hidden, out
+	for _, rows := range rowCounts {
+		for _, sh := range shapes {
+			for _, norm := range []bool{true, false} {
+				for _, batch := range []int{1, 2, 4} {
+					name := fmt.Sprintf("rows%d/%dx%dx%d/norm=%v/B%d", rows, sh[0], sh[1], sh[2], norm, batch)
+					t.Run(name, func(t *testing.T) { checkBlock(t, rows, sh, norm, batch) })
+				}
+			}
+		}
+	}
+}
+
+func checkBlock(t *testing.T, per int, sh [3]int, norm bool, batch int) {
+	rng := rand.New(rand.NewSource(int64(per*31 + sh[1]*7 + batch)))
+	m := NewMLP("t", sh[0], sh[1], sh[2], 2, norm, rng)
+	arena := tensor.NewArena()
+	m.SetArena(arena)
+	for _, p := range m.Params() {
+		for i := range p.W.Data {
+			p.W.Data[i] += 0.1 * rng.NormFloat64()
+		}
+		p.Bump()
+	}
+	rows := per * batch
+	x, dy := randInput(rng, rows, sh[0]), randInput(rng, rows, sh[2])
+	g0 := make([]*tensor.Matrix, len(m.Params()))
+	for i, p := range m.Params() {
+		g0[i] = randInput(rng, p.G.Rows, p.G.Cols)
+	}
+	resetGrads := func() {
+		for i, p := range m.Params() {
+			p.G.CopyFrom(g0[i])
+		}
+	}
+
+	parallel.Configure(1, true)
+	resetGrads()
+	ref := refForward(m, x)
+	ref.refBackward(m, dy, batch)
+	im, im32 := m.Compile(), m.Compile32()
+	x32 := tensor.Demote32(x)
+	want32 := refForward32(im32, x32)
+
+	for _, threads := range []int{1, 2, 3, 8} {
+		parallel.Configure(threads, true)
+		what := func(s string) string { return fmt.Sprintf("threads=%d %s", threads, s) }
+		resetGrads()
+		arena.Reset()
+		y := m.Forward(x)
+		sameBits(t, what("forward output"), y.Data, ref.y.Data)
+		li, ei := 0, 0
+		for _, l := range m.block.layers {
+			switch c := l.(type) {
+			case *Linear:
+				sameBits(t, what(fmt.Sprintf("linear %d input cache", li)), c.x.Data, ref.linIn[li].Data)
+				li++
+			case *ELU:
+				sameBits(t, what(fmt.Sprintf("elu %d output cache", ei)), c.y.Data, ref.eluOut[ei].Data)
+				ei++
+			case *LayerNorm:
+				sameBits(t, what("xhat cache"), c.xhat.Data, ref.xhat.Data)
+				sameBits(t, what("invStd cache"), c.invStd, ref.invStd)
+			}
+		}
+		dx := m.BackwardBatched(dy, batch)
+		sameBits(t, what("input gradient"), dx.Data, ref.dx.Data)
+		for i, p := range m.Params() {
+			sameBits(t, what("gradient "+p.Name), p.G.Data, ref.grads[i].Data)
+		}
+
+		sameBits(t, what("InferForward"), im.InferForward(nil, x).Data, ref.y.Data)
+		got32 := im32.InferForward32(nil, x32)
+		for i, v := range want32.Data {
+			if math.Float32bits(got32.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("%s: element %d is %v, want %v (bitwise)", what("InferForward32"), i, got32.Data[i], v)
+			}
+		}
+	}
+}
+
+// TestStandaloneLayersAreChainsOfOne: a layer's own Forward/Backward and
+// the same layer inside a block agree — including an ELU on caller-owned
+// input, which must not activate in place.
+func TestStandaloneLayersAreChainsOfOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	x := randInput(rng, 130, 6)
+	keep := x.Clone()
+	e := &ELU{}
+	y := e.Forward(x)
+	sameBits(t, "ELU input left intact", x.Data, keep.Data)
+	if &y.Data[0] == &x.Data[0] {
+		t.Fatal("standalone ELU activated the caller's input in place")
+	}
+	dy := randInput(rng, 130, 6)
+	keepDy := dy.Clone()
+	dx := e.Backward(dy)
+	sameBits(t, "ELU output gradient left intact", dy.Data, keepDy.Data)
+	if &dx.Data[0] == &dy.Data[0] {
+		t.Fatal("standalone ELU overwrote the caller's gradient")
+	}
+}

@@ -4,23 +4,19 @@ import (
 	"math"
 	"testing"
 
-	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
 func BenchmarkELU32(b *testing.B) {
-	parallel.Configure(1, true)
-	defer parallel.Configure(0, true)
 	const n = 1 << 20
 	x := tensor.New32(1024, n/1024)
 	for i := range x.Data {
 		x.Data[i] = float32(math.Sin(float64(i))) * 2
 	}
 	y := tensor.New32(1024, n/1024)
-	task := elu32Task{x: x, y: y}
 	b.SetBytes(n * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		task.Run(0, n)
+		elu32{}.inferRows(y, x, x.Rows)
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
@@ -19,22 +20,30 @@ import (
 // updates after Compile32 are NOT visible through the twin; recompile
 // after further training.
 
-// InferLayer32 is the float32 counterpart of InferLayer.
-type InferLayer32 interface {
-	InferForward32(a *tensor.Arena32, x *tensor.Matrix32) *tensor.Matrix32
-}
-
 // InferMLP32 is a forward-only float32 MLP compiled from a trained MLP.
+// Like InferMLP it is immutable parameter state only and evaluates as one
+// parallel region over row panels.
 type InferMLP32 struct {
 	In, Out int
-	layers  []InferLayer32
+	layers  []inferLayer32
+	// width is the widest intermediate activation, the scratch panel width.
+	width int
+}
+
+// inferLayer32 is the float32 counterpart of inferLayer.
+type inferLayer32 interface {
+	outWidth(in int) int
+	inPlace() bool
+	inferRows(dst, src *tensor.Matrix32, rows int)
 }
 
 // Compile32 builds the float32 serving twin of the block, down-converting
 // (and, where profitable, pre-packing) its parameters once.
 func (m *MLP) Compile32() *InferMLP32 {
 	out := &InferMLP32{In: m.In, Out: m.Out}
-	for _, l := range m.layers {
+	w := m.In
+	for i, l := range m.block.layers {
+		var il inferLayer32
 		switch t := l.(type) {
 		case *Linear:
 			li := &linear32{in: t.In, out: t.Out, w: tensor.Demote32(t.Weight.W)}
@@ -42,29 +51,92 @@ func (m *MLP) Compile32() *InferMLP32 {
 			if tensor.ShouldPack32(t.In, t.Out) {
 				li.pb = tensor.PackB32(li.w)
 			}
-			out.layers = append(out.layers, li)
+			il = li
 		case *ELU:
-			out.layers = append(out.layers, &elu32{})
+			il = elu32{}
 		case *LayerNorm:
-			out.layers = append(out.layers, &ln32{
+			il = &ln32{
 				dim:   t.Dim,
 				gain:  tensor.Demote32(t.Gain.W).Data,
 				shift: tensor.Demote32(t.Shift.W).Data,
-			})
+			}
 		default:
 			panic(fmt.Sprintf("nn: cannot compile layer %T for f32 inference", l))
+		}
+		out.layers = append(out.layers, il)
+		w = il.outWidth(w)
+		if i < len(m.block.layers)-1 {
+			out.width = max(out.width, w)
 		}
 	}
 	return out
 }
 
-// InferForward32 evaluates the block in float32, drawing every activation
-// from a (nil allocates).
+// inferRun32 and inferScratch32 are the float32 twins of inferRun and
+// inferScratch.
+type inferRun32 struct {
+	m    *InferMLP32
+	x, y *tensor.Matrix32
+}
+
+type inferScratch32 struct {
+	buf     [2][]float32
+	pp      [2]tensor.Matrix32
+	in, out tensor.Matrix32
+}
+
+var (
+	inferRun32Pool     = sync.Pool{New: func() any { return new(inferRun32) }}
+	inferScratch32Pool = sync.Pool{New: func() any { return new(inferScratch32) }}
+)
+
+// InferForward32 evaluates the block in float32 as ONE parallel region
+// over row panels (see InferMLP.InferForward), drawing the result from a
+// (nil allocates).
 func (m *InferMLP32) InferForward32(a *tensor.Arena32, x *tensor.Matrix32) *tensor.Matrix32 {
-	for _, l := range m.layers {
-		x = l.InferForward32(a, x)
+	if x.Cols != m.In {
+		panic(fmt.Sprintf("nn: f32 inference MLP input width %d, want %d", x.Cols, m.In))
 	}
-	return x
+	y := a.Get(x.Rows, m.Out)
+	r := inferRun32Pool.Get().(*inferRun32)
+	r.m, r.x, r.y = m, x, y
+	parallel.ForTask(panels(x.Rows), 1, r)
+	*r = inferRun32{}
+	inferRun32Pool.Put(r)
+	return y
+}
+
+// Run evaluates panels [lo, hi).
+func (r *inferRun32) Run(lo, hi int) {
+	m := r.m
+	s := inferScratch32Pool.Get().(*inferScratch32)
+	if need := panelRows * m.width; cap(s.buf[0]) < need {
+		s.buf[0], s.buf[1] = make([]float32, need), make([]float32, need)
+	}
+	last := len(m.layers) - 1
+	for p := lo; p < hi; p++ {
+		r0, r1 := p*panelRows, min((p+1)*panelRows, r.x.Rows)
+		rows := r1 - r0
+		r.x.SliceRows(&s.in, r0, r1)
+		r.y.SliceRows(&s.out, r0, r1)
+		src, w, k := &s.in, m.In, 0
+		for i, l := range m.layers {
+			w = l.outWidth(w)
+			dst := src
+			switch {
+			case i == last:
+				dst = &s.out
+			case !l.inPlace() || src == &s.in:
+				dst = &s.pp[k]
+				dst.Rows, dst.Cols, dst.Data = rows, w, s.buf[k][:rows*w]
+				k ^= 1
+			}
+			l.inferRows(dst, src, rows)
+			src = dst
+		}
+	}
+	s.in, s.out = tensor.Matrix32{}, tensor.Matrix32{}
+	inferScratch32Pool.Put(s)
 }
 
 // linear32 is y = x·W + b over snapshotted float32 parameters. When the
@@ -77,60 +149,55 @@ type linear32 struct {
 	pb      *tensor.PackedB32
 }
 
-func (l *linear32) InferForward32(a *tensor.Arena32, x *tensor.Matrix32) *tensor.Matrix32 {
-	if x.Cols != l.in {
-		panic(fmt.Sprintf("nn: f32 inference Linear input width %d, want %d", x.Cols, l.in))
-	}
-	y := a.Get(x.Rows, l.out)
+func (l *linear32) outWidth(int) int { return l.out }
+func (l *linear32) inPlace() bool    { return false }
+
+func (l *linear32) inferRows(dst, src *tensor.Matrix32, rows int) {
 	if l.pb != nil {
-		tensor.MatMul32Packed(y, x, l.pb)
+		tensor.MatMul32PackedRows(dst, src, l.pb, 0, rows)
 	} else {
-		tensor.MatMul32(y, x, l.w)
+		tensor.MatMul32Rows(dst, src, l.w, 0, rows)
 	}
-	tensor.AddRowVector32(y, l.b)
-	return y
+	tensor.AddRowVector32Rows(dst, l.b, 0, rows)
 }
 
-// elu32Task mirrors eluForwardTask: y = v for v > 0, exp(v)-1 otherwise.
-// The map lives in the tensor kernel tier (tensor.EluRange32): the
-// float64 math.Exp round-trip dominated the whole f32 inference step
-// (~60% of the profile), so the exponential runs as a single-precision
-// polynomial, vectorized with AVX2 where available. Every path rounds
-// each element identically, so parallel chunk boundaries stay invisible.
-type elu32Task struct {
-	x, y *tensor.Matrix32
+// elu32 is y = v for v > 0, exp(v)-1 otherwise, in place on the
+// evaluator's scratch. The map lives in the tensor kernel tier
+// (tensor.EluRange32): the float64 math.Exp round-trip dominated the
+// whole f32 inference step (~60% of the profile), so the exponential runs
+// as a single-precision polynomial, vectorized with AVX2 where available.
+// Every path rounds each element identically, so panel and chunk
+// boundaries stay invisible.
+type elu32 struct{}
+
+func (elu32) outWidth(in int) int { return in }
+func (elu32) inPlace() bool       { return true }
+
+func (elu32) inferRows(dst, src *tensor.Matrix32, rows int) {
+	tensor.EluRange32(dst.Data, src.Data, 0, rows*src.Cols)
 }
 
-func (t *elu32Task) Run(lo, hi int) {
-	tensor.EluRange32(t.y.Data, t.x.Data, lo, hi)
+// ln32 is the forward-only float32 LayerNorm over snapshotted gain/shift.
+// It normalizes rows like lnInfer with the moment sums accumulated in
+// float64: the mean/variance reductions are where f32 accumulation would
+// visibly drift at the row widths this system uses, and the two extra
+// conversions per value are free next to the divide.
+type ln32 struct {
+	dim         int
+	gain, shift []float32
 }
 
-type elu32 struct {
-	fwd elu32Task
-}
+func (ln *ln32) outWidth(in int) int { return in }
+func (ln *ln32) inPlace() bool       { return false }
 
-func (e *elu32) InferForward32(a *tensor.Arena32, x *tensor.Matrix32) *tensor.Matrix32 {
-	y := a.Get(x.Rows, x.Cols)
-	e.fwd.x, e.fwd.y = x, y
-	parallel.ForTask(len(x.Data), 4096, &e.fwd)
-	return y
-}
-
-// ln32Task normalizes rows like lnInferTask with the moment sums
-// accumulated in float64: the mean/variance reductions are where f32
-// accumulation would visibly drift at the row widths this system uses,
-// and the two extra conversions per value are free next to the divide.
-type ln32Task struct {
-	ln   *ln32
-	x, y *tensor.Matrix32
-}
-
-func (t *ln32Task) Run(lo, hi int) {
-	ln := t.ln
+func (ln *ln32) inferRows(dst, src *tensor.Matrix32, rows int) {
+	if src.Cols != ln.dim {
+		panic(fmt.Sprintf("nn: f32 inference LayerNorm width %d, want %d", src.Cols, ln.dim))
+	}
 	n := float64(ln.dim)
 	gain, shift := ln.gain, ln.shift
-	for i := lo; i < hi; i++ {
-		row := t.x.Row(i)
+	for i := 0; i < rows; i++ {
+		row := src.Row(i)
 		var mu float64
 		for _, v := range row {
 			mu += float64(v)
@@ -142,27 +209,10 @@ func (t *ln32Task) Run(lo, hi int) {
 			varsum += d * d
 		}
 		inv := 1 / math.Sqrt(varsum/n+Epsilon)
-		out := t.y.Row(i)
+		out := dst.Row(i)
 		for j, v := range row {
 			xh := (float64(v) - mu) * inv
 			out[j] = float32(xh)*gain[j] + shift[j]
 		}
 	}
-}
-
-// ln32 is the forward-only float32 LayerNorm over snapshotted gain/shift.
-type ln32 struct {
-	dim         int
-	gain, shift []float32
-	fwd         ln32Task
-}
-
-func (ln *ln32) InferForward32(a *tensor.Arena32, x *tensor.Matrix32) *tensor.Matrix32 {
-	if x.Cols != ln.dim {
-		panic(fmt.Sprintf("nn: f32 inference LayerNorm width %d, want %d", x.Cols, ln.dim))
-	}
-	y := a.Get(x.Rows, x.Cols)
-	ln.fwd.ln, ln.fwd.x, ln.fwd.y = ln, x, y
-	parallel.ForTask(x.Rows, 256, &ln.fwd)
-	return y
 }

@@ -63,6 +63,11 @@ func (p *Param) Count() int { return p.W.Rows * p.W.Cols }
 //
 // Returned activations and gradients may be arena-owned (see ArenaUser):
 // they remain valid until the owning model begins its next forward pass.
+//
+// Linear, ELU and LayerNorm are row maps, and a chain of them (chain.go)
+// is evaluated a row panel at a time through every layer as ONE parallel
+// region — the block is the unit of dispatch, not the layer. Their own
+// Forward/Backward methods run them as a chain of one.
 type Layer interface {
 	Forward(x *tensor.Matrix) *tensor.Matrix
 	Backward(dy *tensor.Matrix) *tensor.Matrix
@@ -82,21 +87,41 @@ type Linear struct {
 	Bias    *Param // 1×Out
 
 	arena *tensor.Arena
-	x     *tensor.Matrix // cached input
-	dw    *tensor.Matrix // scratch for the weight-gradient GEMM
-	// bx/bdy are persistent row-block headers for the batched backward's
-	// per-sample parameter-gradient reductions (tensor.SliceRows rewrites
-	// them in place, so block iteration allocates nothing).
-	bx, bdy tensor.Matrix
+	x, y  *tensor.Matrix // cached input; output being written
+	dy    *tensor.Matrix // output gradient, kept for the parameter reductions
+	dx    *tensor.Matrix
+	dw    *tensor.Matrix // scratch for the weight-gradient reduction
 
 	// pw caches the packed-GEMM panels of Weight.W for the training
-	// forward, keyed by the parameter version: without it every Forward
-	// above the packed threshold re-packs the identical panels into
-	// pooled scratch. An epoch of forwards between optimizer steps now
-	// packs once; Step's Bump invalidates. Bitwise-invisible — the
-	// packed kernels consume identical panels either way.
-	pw    *tensor.PackedB
-	pwVer uint64
+	// forward, pwT those of its transpose for the backward's dx = dy·Wᵀ.
+	pw, pwT packCache
+}
+
+// packCache holds the packed panels of a weight matrix, keyed by the
+// parameter version: without it every pass above the packed threshold
+// re-packs the identical panels. An epoch of passes between optimizer
+// steps packs once; Step's Bump invalidates. Bitwise-invisible — the
+// packed kernels consume identical panels either way.
+type packCache struct {
+	pb  *tensor.PackedB
+	ver uint64
+}
+
+// panels returns the cached panels of w (of its transpose when trans),
+// re-packing after a parameter update or a kernel-tier toggle.
+func (c *packCache) panels(w *Param, trans bool) *tensor.PackedB {
+	switch {
+	case c.pb == nil || c.pb.NR != tensor.PackWidth():
+		if trans {
+			c.pb = tensor.PackBT(w.W)
+		} else {
+			c.pb = tensor.PackB(w.W)
+		}
+	case c.ver != w.Version():
+		c.pb.Repack(w.W)
+	}
+	c.ver = w.Version()
+	return c.pb
 }
 
 // NewLinear creates a linear layer with Glorot-uniform weights drawn from
@@ -120,95 +145,158 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 func (l *Linear) SetArena(a *tensor.Arena) { l.arena = a }
 
 // Forward implements Layer.
-func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
-	if x.Cols != l.In {
-		panic(fmt.Sprintf("nn: Linear %s input width %d, want %d", l.Weight.Name, x.Cols, l.In))
-	}
-	l.x = x
-	y := l.arena.Get(x.Rows, l.Out)
-	if tensor.ShouldPack(l.In, l.Out) {
-		if l.pw == nil || l.pw.NR != tensor.PackWidth() {
-			l.pw = tensor.PackB(l.Weight.W)
-			l.pwVer = l.Weight.Version()
-		} else if l.pwVer != l.Weight.Version() {
-			l.pw.Repack(l.Weight.W)
-			l.pwVer = l.Weight.Version()
-		}
-		tensor.MatMulPacked(y, x, l.pw) // fully overwrites y
-	} else {
-		tensor.MatMul(y, x, l.Weight.W) // fully overwrites y
-	}
-	tensor.AddRowVector(y, l.Bias.W.Data)
-	return y
-}
+func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix { return newChain(l).forward(x) }
 
 // Backward implements Layer. Parameter gradients accumulate (+=) so a
 // layer applied to several batches within one iteration sums their
 // contributions; ZeroGrads resets them between iterations.
-func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix { return newChain(l).backward(dy, 1) }
+
+func (l *Linear) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
+	if x.Cols != l.In {
+		panic(fmt.Sprintf("nn: Linear %s input width %d, want %d", l.Weight.Name, x.Cols, l.In))
+	}
+	l.x = x
+	l.y = l.arena.Get(x.Rows, l.Out)
+	if tensor.ShouldPack(l.In, l.Out) {
+		l.pw.panels(l.Weight, false)
+	}
+	return l.y
+}
+
+func (l *Linear) forwardRows(lo, hi int) {
+	if tensor.ShouldPack(l.In, l.Out) {
+		tensor.MatMulPackedRows(l.y, l.x, l.pw.pb, lo, hi) // fully overwrites the rows
+	} else {
+		tensor.MatMulRows(l.y, l.x, l.Weight.W, lo, hi)
+	}
+	tensor.AddRowVectorRows(l.y, l.Bias.W.Data, lo, hi)
+}
+
+func (l *Linear) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
 	if l.dw == nil {
 		// The weight-gradient scratch persists across steps (it has a
 		// fixed parameter shape), so it lives outside the arena.
 		l.dw = tensor.New(l.In, l.Out)
 	}
-	tensor.MatMulATB(l.dw, l.x, dy)
-	tensor.AddScaled(l.Weight.G, 1, l.dw)
-	tensor.ColSums(l.Bias.G.Data, dy)
-	dx := l.arena.Get(dy.Rows, l.In)
-	tensor.MatMulABT(dx, dy, l.Weight.W) // fully overwrites dx
-	return dx
+	l.dy = dy
+	l.dx = l.arena.Get(dy.Rows, l.In)
+	if tensor.ShouldPackABT(l.Out, l.In) {
+		l.pwT.panels(l.Weight, true)
+	}
+	return l.dx
 }
 
-// BackwardBatched is the row-block backward: dy is batch vertically
-// stacked sample gradients ((batch·n)×Out). The input gradient is a pure
-// row map, so it runs over the full stack in one GEMM sweep; the
-// parameter-gradient reductions — whose fixed chunk schedule derives from
-// the row count — run per sample block in ascending order, so each
-// block's reduction geometry, and hence every accumulated bit, matches
-// the sequential per-sample oracle exactly. batch == 1 is Backward.
-func (l *Linear) BackwardBatched(dy *tensor.Matrix, batch int) *tensor.Matrix {
-	if dy.Rows%batch != 0 {
-		panic(fmt.Sprintf("nn: batched backward rows %d not divisible by batch %d", dy.Rows, batch))
+func (l *Linear) backwardRows(lo, hi int) {
+	if tensor.ShouldPackABT(l.Out, l.In) {
+		tensor.MatMulPackedRows(l.dx, l.dy, l.pwT.pb, lo, hi)
+	} else {
+		tensor.MatMulABTRows(l.dx, l.dy, l.Weight.W, lo, hi)
 	}
-	if l.dw == nil {
-		l.dw = tensor.New(l.In, l.Out)
+}
+
+// The two parameter reductions of a Linear, per sample block: the weight
+// gradient xᵀ·dy and the bias gradient (column sums of dy).
+const (
+	redWeight = iota
+	redBias
+)
+
+func (l *Linear) reductions(rs []parallel.Reduction, rows int) []parallel.Reduction {
+	return append(rs,
+		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.In * l.Out), AccLen: l.In * l.Out},
+		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.Out), AccLen: l.Out})
+}
+
+func (l *Linear) reduceBody(which, lo, hi int, acc []float64) {
+	if which == redWeight {
+		tensor.MatMulATBAcc(acc, l.x, l.dy, lo, hi)
+	} else {
+		tensor.ColSumsAcc(acc, l.dy, lo, hi)
 	}
-	per := dy.Rows / batch
-	for b := 0; b < batch; b++ {
-		l.x.SliceRows(&l.bx, b*per, (b+1)*per)
-		dy.SliceRows(&l.bdy, b*per, (b+1)*per)
-		tensor.MatMulATB(l.dw, &l.bx, &l.bdy)
-		tensor.AddScaled(l.Weight.G, 1, l.dw)
-		tensor.ColSums(l.Bias.G.Data, &l.bdy)
+}
+
+// reduceMerge folds chunk partials in the order the kernels it replaces
+// did: weight partials sum into the zeroed dw scratch, which is added to
+// the gradient once the block's last chunk is in; bias partials add to
+// the gradient directly.
+func (l *Linear) reduceMerge(which int, acc []float64, last bool) {
+	if which == redBias {
+		for j, v := range acc {
+			l.Bias.G.Data[j] += v
+		}
+		return
 	}
-	dx := l.arena.Get(dy.Rows, l.In)
-	tensor.MatMulABT(dx, dy, l.Weight.W) // fully overwrites dx
-	return dx
+	for i, v := range acc {
+		l.dw.Data[i] += v
+	}
+	if last {
+		g := l.Weight.G.Data
+		for i, v := range l.dw.Data {
+			g[i] += v
+		}
+		l.dw.Zero()
+	}
 }
 
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// eluForwardTask is the bound ELU forward body (reused, no closure).
-type eluForwardTask struct{ x, y *tensor.Matrix }
+// ELU applies the exponential linear unit element-wise with alpha = 1.
+type ELU struct {
+	arena  *tensor.Arena
+	x, y   *tensor.Matrix
+	dy, dx *tensor.Matrix
+}
 
-func (t *eluForwardTask) Run(lo, hi int) {
-	xd, yd := t.x.Data, t.y.Data
+// SetArena implements ArenaUser.
+func (e *ELU) SetArena(a *tensor.Arena) { e.arena = a }
+
+// Forward implements Layer.
+func (e *ELU) Forward(x *tensor.Matrix) *tensor.Matrix { return newChain(e).forward(x) }
+
+// Backward implements Layer.
+func (e *ELU) Backward(dy *tensor.Matrix) *tensor.Matrix { return newChain(e).backward(dy, 1) }
+
+// bindForward activates in place when the input is the chain's own
+// temporary (a Linear output nobody else reads): the pre-activation has no
+// consumer, in the forward pass or the backward.
+func (e *ELU) bindForward(x *tensor.Matrix, owned bool) *tensor.Matrix {
+	e.x, e.y = x, x
+	if !owned {
+		e.y = e.arena.Get(x.Rows, x.Cols)
+	}
+	return e.y
+}
+
+func (e *ELU) forwardRows(lo, hi int) {
+	c := e.x.Cols
+	eluRange(e.y.Data, e.x.Data, lo*c, hi*c)
+}
+
+// eluRange writes y[i] = ELU(x[i]) for i in [lo, hi); x and y may alias.
+func eluRange(y, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		if v := xd[i]; v > 0 {
-			yd[i] = v
+		if v := x[i]; v > 0 {
+			y[i] = v
 		} else {
-			yd[i] = math.Exp(v) - 1
+			y[i] = math.Exp(v) - 1
 		}
 	}
 }
 
-// eluBackwardTask is the bound ELU backward body.
-type eluBackwardTask struct{ y, dy, dx *tensor.Matrix }
+func (e *ELU) bindBackward(dy *tensor.Matrix, owned bool) *tensor.Matrix {
+	e.dy, e.dx = dy, dy
+	if !owned {
+		e.dx = e.arena.Get(dy.Rows, dy.Cols)
+	}
+	return e.dx
+}
 
-func (t *eluBackwardTask) Run(lo, hi int) {
-	yd, dyd, dxd := t.y.Data, t.dy.Data, t.dx.Data
-	for i := lo; i < hi; i++ {
+func (e *ELU) backwardRows(lo, hi int) {
+	c := e.dy.Cols
+	yd, dyd, dxd := e.y.Data, e.dy.Data, e.dx.Data
+	for i := lo * c; i < hi*c; i++ {
 		g := dyd[i]
 		if y := yd[i]; y > 0 {
 			dxd[i] = g
@@ -218,122 +306,12 @@ func (t *eluBackwardTask) Run(lo, hi int) {
 	}
 }
 
-// ELU applies the exponential linear unit element-wise with alpha = 1.
-type ELU struct {
-	y     *tensor.Matrix
-	arena *tensor.Arena
-	fwd   eluForwardTask
-	bwd   eluBackwardTask
-}
-
-// SetArena implements ArenaUser.
-func (e *ELU) SetArena(a *tensor.Arena) { e.arena = a }
-
-// Forward implements Layer. Element-wise, so the parallel partition over
-// the flat storage cannot change any result bit.
-func (e *ELU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	y := e.arena.Get(x.Rows, x.Cols)
-	e.fwd.x, e.fwd.y = x, y
-	parallel.ForTask(len(x.Data), 4096, &e.fwd)
-	e.y = y
-	return y
-}
-
-// Backward implements Layer.
-func (e *ELU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := e.arena.Get(dy.Rows, dy.Cols)
-	e.bwd.y, e.bwd.dy, e.bwd.dx = e.y, dy, dx
-	parallel.ForTask(len(dy.Data), 4096, &e.bwd)
-	return dx
-}
+func (e *ELU) reductions(rs []parallel.Reduction, _ int) []parallel.Reduction { return rs }
+func (e *ELU) reduceBody(int, int, int, []float64)                            {}
+func (e *ELU) reduceMerge(int, []float64, bool)                               {}
 
 // Params implements Layer.
 func (e *ELU) Params() []*Param { return nil }
-
-// lnForwardTask is the bound LayerNorm forward body: each row normalizes
-// independently (a pure row partition).
-type lnForwardTask struct {
-	ln   *LayerNorm
-	x, y *tensor.Matrix
-}
-
-func (t *lnForwardTask) Run(lo, hi int) {
-	ln := t.ln
-	n := float64(ln.Dim)
-	for i := lo; i < hi; i++ {
-		row := t.x.Row(i)
-		var mu float64
-		for _, v := range row {
-			mu += v
-		}
-		mu /= n
-		var varsum float64
-		for _, v := range row {
-			d := v - mu
-			varsum += d * d
-		}
-		inv := 1 / math.Sqrt(varsum/n+Epsilon)
-		ln.invStd[i] = inv
-		xh := ln.xhat.Row(i)
-		out := t.y.Row(i)
-		for j, v := range row {
-			xh[j] = (v - mu) * inv
-			out[j] = xh[j]*ln.Gain.W.Data[j] + ln.Shift.W.Data[j]
-		}
-	}
-}
-
-// lnBackwardTask is the bound LayerNorm backward reduction: the input
-// gradient is a pure row partition; the gain/shift gradients reduce over
-// all rows into per-chunk partials merged in fixed order.
-type lnBackwardTask struct {
-	ln     *LayerNorm
-	dy, dx *tensor.Matrix
-	// off shifts the row window: the batched backward reduces one sample
-	// block at a time (rows [off, off+n) of the stacked matrices) with the
-	// block-local chunk schedule of the unbatched pass. 0 for Backward.
-	off int
-}
-
-func (t *lnBackwardTask) Body(lo, hi int, acc []float64) {
-	ln := t.ln
-	dim := ln.Dim
-	n := float64(dim)
-	dGain, dShift := acc[:dim], acc[dim:]
-	for p := lo; p < hi; p++ {
-		i := t.off + p
-		dyr := t.dy.Row(i)
-		xh := ln.xhat.Row(i)
-		// Parameter gradient partials.
-		for j, g := range dyr {
-			dGain[j] += g * xh[j]
-			dShift[j] += g
-		}
-		// Input gradient:
-		// dx = invStd/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)).
-		var sum1, sum2 float64
-		for j, g := range dyr {
-			dxh := g * ln.Gain.W.Data[j]
-			sum1 += dxh
-			sum2 += dxh * xh[j]
-		}
-		inv := ln.invStd[i]
-		out := t.dx.Row(i)
-		for j, g := range dyr {
-			dxh := g * ln.Gain.W.Data[j]
-			out[j] = inv / n * (n*dxh - sum1 - xh[j]*sum2)
-		}
-	}
-}
-
-func (t *lnBackwardTask) Merge(acc []float64) {
-	ln := t.ln
-	dim := ln.Dim
-	for j := 0; j < dim; j++ {
-		ln.Gain.G.Data[j] += acc[j]
-		ln.Shift.G.Data[j] += acc[dim+j]
-	}
-}
 
 // LayerNorm normalizes each row to zero mean and unit variance, then
 // applies a learned affine transform.
@@ -343,10 +321,10 @@ type LayerNorm struct {
 	Shift *Param // 1×Dim
 
 	arena  *tensor.Arena
+	x, y   *tensor.Matrix
 	xhat   *tensor.Matrix
 	invStd []float64
-	fwd    lnForwardTask
-	bwd    lnBackwardTask
+	dy, dx *tensor.Matrix
 }
 
 // Epsilon guards the variance in LayerNorm, matching the PyTorch
@@ -370,11 +348,19 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 func (ln *LayerNorm) SetArena(a *tensor.Arena) { ln.arena = a }
 
 // Forward implements Layer.
-func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
+func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix { return newChain(ln).forward(x) }
+
+// Backward implements Layer.
+func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	return newChain(ln).backward(dy, 1)
+}
+
+func (ln *LayerNorm) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	if x.Cols != ln.Dim {
 		panic(fmt.Sprintf("nn: LayerNorm %s width %d, want %d", ln.Gain.Name, x.Cols, ln.Dim))
 	}
-	y := ln.arena.Get(x.Rows, x.Cols)
+	ln.x = x
+	ln.y = ln.arena.Get(x.Rows, x.Cols)
 	ln.xhat = ln.arena.Get(x.Rows, x.Cols)
 	if ln.arena != nil {
 		// A 1-column arena matrix backs the per-row inverse stddev cache.
@@ -384,36 +370,89 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 	} else {
 		ln.invStd = ln.invStd[:x.Rows]
 	}
-	ln.fwd.ln, ln.fwd.x, ln.fwd.y = ln, x, y
-	parallel.ForTask(x.Rows, 256, &ln.fwd)
-	return y
+	return ln.y
 }
 
-// Backward implements Layer.
-func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := ln.arena.Get(dy.Rows, dy.Cols)
-	ln.bwd.ln, ln.bwd.dy, ln.bwd.dx, ln.bwd.off = ln, dy, dx, 0
-	parallel.ReduceWith(dy.Rows, 256, 2*ln.Dim, &ln.bwd)
-	return dx
+// forwardRows normalizes each row independently, caching xhat and the
+// inverse standard deviation for the backward pass.
+func (ln *LayerNorm) forwardRows(lo, hi int) {
+	n := float64(ln.Dim)
+	gain, shift := ln.Gain.W.Data, ln.Shift.W.Data
+	for i := lo; i < hi; i++ {
+		row := ln.x.Row(i)
+		var mu float64
+		for _, v := range row {
+			mu += v
+		}
+		mu /= n
+		var varsum float64
+		for _, v := range row {
+			d := v - mu
+			varsum += d * d
+		}
+		inv := 1 / math.Sqrt(varsum/n+Epsilon)
+		ln.invStd[i] = inv
+		xh := ln.xhat.Row(i)
+		out := ln.y.Row(i)
+		for j, v := range row {
+			xh[j] = (v - mu) * inv
+			out[j] = xh[j]*gain[j] + shift[j]
+		}
+	}
 }
 
-// BackwardBatched is the row-block backward over batch stacked samples.
-// The input gradient is per-row (any partition yields the same bits); the
-// gain/shift reduction runs one sample block at a time in ascending order,
-// reproducing the unbatched pass's chunk geometry — and therefore its
-// accumulated bits — per sample. batch == 1 is Backward.
-func (ln *LayerNorm) BackwardBatched(dy *tensor.Matrix, batch int) *tensor.Matrix {
-	if dy.Rows%batch != 0 {
-		panic(fmt.Sprintf("nn: batched backward rows %d not divisible by batch %d", dy.Rows, batch))
+func (ln *LayerNorm) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
+	ln.dy = dy
+	ln.dx = ln.arena.Get(dy.Rows, dy.Cols)
+	return ln.dx
+}
+
+// backwardRows is the input gradient, a pure row map:
+// dx = invStd/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)).
+func (ln *LayerNorm) backwardRows(lo, hi int) {
+	n := float64(ln.Dim)
+	gain := ln.Gain.W.Data
+	for i := lo; i < hi; i++ {
+		dyr := ln.dy.Row(i)
+		xh := ln.xhat.Row(i)
+		var sum1, sum2 float64
+		for j, g := range dyr {
+			dxh := g * gain[j]
+			sum1 += dxh
+			sum2 += dxh * xh[j]
+		}
+		inv := ln.invStd[i]
+		out := ln.dx.Row(i)
+		for j, g := range dyr {
+			dxh := g * gain[j]
+			out[j] = inv / n * (n*dxh - sum1 - xh[j]*sum2)
+		}
 	}
-	dx := ln.arena.Get(dy.Rows, dy.Cols)
-	ln.bwd.ln, ln.bwd.dy, ln.bwd.dx = ln, dy, dx
-	per := dy.Rows / batch
-	for b := 0; b < batch; b++ {
-		ln.bwd.off = b * per
-		parallel.ReduceWith(per, 256, 2*ln.Dim, &ln.bwd)
+}
+
+// reductions: the gain and shift gradients reduce over the rows together,
+// one 2·Dim accumulator per chunk of 256 rows.
+func (ln *LayerNorm) reductions(rs []parallel.Reduction, rows int) []parallel.Reduction {
+	return append(rs, parallel.Reduction{N: rows, Grain: 256, AccLen: 2 * ln.Dim})
+}
+
+func (ln *LayerNorm) reduceBody(_, lo, hi int, acc []float64) {
+	dGain, dShift := acc[:ln.Dim], acc[ln.Dim:]
+	for i := lo; i < hi; i++ {
+		xh := ln.xhat.Row(i)
+		for j, g := range ln.dy.Row(i) {
+			dGain[j] += g * xh[j]
+			dShift[j] += g
+		}
 	}
-	return dx
+}
+
+func (ln *LayerNorm) reduceMerge(_ int, acc []float64, _ bool) {
+	dim := ln.Dim
+	for j := 0; j < dim; j++ {
+		ln.Gain.G.Data[j] += acc[j]
+		ln.Shift.G.Data[j] += acc[dim+j]
+	}
 }
 
 // Params implements Layer.

@@ -18,7 +18,7 @@ import (
 // exactly (3,979 small / 91,459 large).
 type MLP struct {
 	In, Hidden, Out int
-	layers          []Layer
+	block           chain
 }
 
 // NewMLP constructs the block. hidden is h (the number of H→H inner
@@ -28,15 +28,15 @@ func NewMLP(name string, in, hiddenDim, out, hidden int, norm bool, rng *rand.Ra
 		panic(fmt.Sprintf("nn: negative hidden layer count %d", hidden))
 	}
 	m := &MLP{In: in, Hidden: hiddenDim, Out: out}
-	m.layers = append(m.layers, NewLinear(fmt.Sprintf("%s.lin0", name), in, hiddenDim, rng), &ELU{})
+	ls := []rowLayer{NewLinear(fmt.Sprintf("%s.lin0", name), in, hiddenDim, rng), &ELU{}}
 	for i := 0; i < hidden; i++ {
-		m.layers = append(m.layers,
-			NewLinear(fmt.Sprintf("%s.lin%d", name, i+1), hiddenDim, hiddenDim, rng), &ELU{})
+		ls = append(ls, NewLinear(fmt.Sprintf("%s.lin%d", name, i+1), hiddenDim, hiddenDim, rng), &ELU{})
 	}
-	m.layers = append(m.layers, NewLinear(fmt.Sprintf("%s.out", name), hiddenDim, out, rng))
+	ls = append(ls, NewLinear(fmt.Sprintf("%s.out", name), hiddenDim, out, rng))
 	if norm {
-		m.layers = append(m.layers, NewLayerNorm(fmt.Sprintf("%s.norm", name), out))
+		ls = append(ls, NewLayerNorm(fmt.Sprintf("%s.norm", name), out))
 	}
+	m.block.layers = ls
 	return m
 }
 
@@ -44,56 +44,33 @@ func NewMLP(name string, in, hiddenDim, out, hidden int, norm bool, rng *rand.Ra
 // gradients from a, so steady-state forward/backward passes allocate
 // nothing.
 func (m *MLP) SetArena(a *tensor.Arena) {
-	for _, l := range m.layers {
-		if au, ok := l.(ArenaUser); ok {
-			au.SetArena(a)
-		}
+	for _, l := range m.block.layers {
+		l.(ArenaUser).SetArena(a)
 	}
 }
 
-// Forward implements Layer.
-func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for _, l := range m.layers {
-		x = l.Forward(x)
-	}
-	return x
-}
+// Forward implements Layer: one parallel region carries each row panel
+// through every layer of the block (see chain), writing the backward
+// caches as it goes. Each ELU activates its Linear's output in place.
+func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix { return m.block.forward(x) }
 
-// Backward implements Layer.
-func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		dy = m.layers[i].Backward(dy)
-	}
-	return dy
-}
-
-// BatchBackward is implemented by layers whose backward distinguishes the
-// row-block (batched) layout: parameter-gradient reductions run per
-// sample block so accumulation is bitwise the sequential per-sample
-// oracle. Pure row maps (ELU) need no batched variant.
-type BatchBackward interface {
-	BackwardBatched(dy *tensor.Matrix, batch int) *tensor.Matrix
-}
+// Backward implements Layer: one region for the input gradient through
+// all layers, one for every parameter-gradient reduction of the block.
+func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix { return m.block.backward(dy, 1) }
 
 // BackwardBatched propagates a stacked gradient of batch samples through
-// the block: layers with block-sensitive parameter reductions (Linear,
-// LayerNorm) take the batched path; element-wise layers run stacked
-// unchanged. Forward must have been called on the matching stacked input.
+// the block: the parameter-gradient reductions run per sample block so
+// accumulation is bitwise the sequential per-sample oracle; the input
+// gradient, a pure row map, runs stacked. Forward must have been called
+// on the matching stacked input. batch == 1 is Backward.
 func (m *MLP) BackwardBatched(dy *tensor.Matrix, batch int) *tensor.Matrix {
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		if bb, ok := m.layers[i].(BatchBackward); ok {
-			dy = bb.BackwardBatched(dy, batch)
-		} else {
-			dy = m.layers[i].Backward(dy)
-		}
-	}
-	return dy
+	return m.block.backward(dy, batch)
 }
 
 // Params implements Layer.
 func (m *MLP) Params() []*Param {
 	var out []*Param
-	for _, l := range m.layers {
+	for _, l := range m.block.layers {
 		out = append(out, l.Params()...)
 	}
 	return out

@@ -13,7 +13,7 @@ import (
 func linearRef(l *Linear, x *tensor.Matrix) *tensor.Matrix {
 	want := tensor.New(x.Rows, l.Out)
 	tensor.MatMul(want, x, l.Weight.W)
-	tensor.AddRowVector(want, l.Bias.W.Data)
+	tensor.AddRowVectorRows(want, l.Bias.W.Data, 0, want.Rows)
 	return want
 }
 
@@ -42,14 +42,14 @@ func TestLinearPackedForwardParity(t *testing.T) {
 	}
 	y := l.Forward(x).Clone()
 	bitsEqual(t, y, linearRef(l, x), "packed forward")
-	if l.pw == nil {
+	if l.pw.pb == nil {
 		t.Fatal("forward above the packed threshold cached no panels")
 	}
-	pw := l.pw
+	pw := l.pw.pb
 	for i := 0; i < 3; i++ {
 		l.Forward(x)
 	}
-	if l.pw != pw {
+	if l.pw.pb != pw {
 		t.Fatal("repeated forwards with unchanged parameters rebuilt the panel cache")
 	}
 }
@@ -99,7 +99,7 @@ func TestLinearBelowThresholdSkipsPack(t *testing.T) {
 	}
 	y := l.Forward(x).Clone()
 	bitsEqual(t, y, linearRef(l, x), "small forward")
-	if l.pw != nil {
+	if l.pw.pb != nil {
 		t.Fatal("below-threshold layer cached packed panels")
 	}
 }

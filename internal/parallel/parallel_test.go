@@ -365,3 +365,152 @@ func TestClampPolicy(t *testing.T) {
 		t.Errorf("SetThreads(%d) left Threads() = %d", ncpu+3, got)
 	}
 }
+
+// dotsReducer is a MultiReducer of k independent column-weighted sums:
+// reduction k sums data[k][i]*(i%7) over its rows into one accumulator
+// slot per column, recording the merge sequence it sees.
+type dotsReducer struct {
+	data   [][]float64
+	cols   []int
+	totals [][]float64
+	merges []int // reduction index of each Merge call, in call order
+	lasts  []int // reductions whose final chunk was flagged, in call order
+}
+
+func (r *dotsReducer) Body(k, lo, hi int, acc []float64) {
+	c := r.cols[k]
+	for i := lo; i < hi; i++ {
+		for j := 0; j < c; j++ {
+			acc[j] += r.data[k][i*c+j] * float64(i%7)
+		}
+	}
+}
+
+func (r *dotsReducer) Merge(k int, acc []float64, last bool) {
+	for j, v := range acc {
+		r.totals[k][j] += v
+	}
+	r.merges = append(r.merges, k)
+	if last {
+		r.lasts = append(r.lasts, k)
+	}
+}
+
+// one adapts reduction k of a dotsReducer to the single-reduction form.
+type one struct {
+	r *dotsReducer
+	k int
+}
+
+func (o one) Body(lo, hi int, acc []float64) { o.r.Body(o.k, lo, hi, acc) }
+func (o one) Merge(acc []float64)            { o.r.Merge(o.k, acc, false) }
+
+// TestReduceAllMatchesReduceWith: fusing several reductions into one
+// region changes no bit of any of them, for any thread count — each keeps
+// the chunk schedule and ascending merge order ReduceWith gives it — and
+// the merges arrive reduction by reduction with the final chunk flagged.
+func TestReduceAllMatchesReduceWith(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	rs := []Reduction{{N: 1000, Grain: 64, AccLen: 3}, {N: 0, Grain: 8, AccLen: 2},
+		{N: 77, Grain: 100, AccLen: 5}, {N: 513, Grain: 7, AccLen: 1}, {N: 64, Grain: 64, AccLen: 4}}
+	fresh := func() *dotsReducer {
+		r := &dotsReducer{}
+		for _, s := range rs {
+			r.cols = append(r.cols, s.AccLen)
+			r.totals = append(r.totals, make([]float64, s.AccLen))
+		}
+		return r
+	}
+	data := make([][]float64, len(rs))
+	for k, s := range rs {
+		data[k] = make([]float64, s.N*s.AccLen)
+		for i := range data[k] {
+			data[k][i] = rng.NormFloat64()
+		}
+	}
+	want := fresh()
+	want.data = data
+	withThreads(t, 1, func() {
+		for k, s := range rs {
+			ReduceWith(s.N, s.Grain, s.AccLen, one{want, k})
+		}
+	})
+	for _, threads := range []int{1, 2, 3, 8} {
+		got := fresh()
+		got.data = data
+		withThreads(t, threads, func() { ReduceAll(rs, got) })
+		for k := range rs {
+			for j, v := range want.totals[k] {
+				if got.totals[k][j] != v {
+					t.Fatalf("threads=%d reduction %d col %d: %x != %x", threads, k, j, got.totals[k][j], v)
+				}
+			}
+		}
+		if len(got.merges) != len(want.merges) {
+			t.Fatalf("threads=%d: %d merges, want %d", threads, len(got.merges), len(want.merges))
+		}
+		for i, k := range want.merges {
+			if got.merges[i] != k {
+				t.Fatalf("threads=%d: merge %d belongs to reduction %d, want %d", threads, i, got.merges[i], k)
+			}
+		}
+		if wantLasts := []int{0, 2, 3, 4}; len(got.lasts) != len(wantLasts) {
+			t.Fatalf("threads=%d: final chunks flagged for %v, want %v", threads, got.lasts, wantLasts)
+		} else {
+			for i, k := range wantLasts {
+				if got.lasts[i] != k {
+					t.Fatalf("threads=%d: final chunks flagged for %v, want %v", threads, got.lasts, wantLasts)
+				}
+			}
+		}
+	}
+}
+
+// TestStatsCountRegionsAndChunks: an inline region counts as inline, a
+// dispatched one as dispatched with every chunk credited to the caller or
+// a worker by the time the region returns.
+func TestStatsCountRegionsAndChunks(t *testing.T) {
+	task := &countTask{visits: make([]int32, 4096)}
+	withThreads(t, 1, func() {
+		before := Stats()
+		ForTask(len(task.visits), 16, task)
+		after := Stats()
+		if after.Inline-before.Inline != 1 || after.Dispatched != before.Dispatched {
+			t.Errorf("threads=1: inline +%d dispatched +%d, want +1 +0",
+				after.Inline-before.Inline, after.Dispatched-before.Dispatched)
+		}
+	})
+	withThreads(t, 2, func() {
+		before := Stats()
+		ForTask(len(task.visits), 16, task) // chunk = 4096/(4·2) = 512: 8 chunks
+		ForTask(8, 16, task)                // one chunk: inline
+		after := Stats()
+		if after.Dispatched-before.Dispatched != 1 || after.Inline-before.Inline != 1 {
+			t.Errorf("threads=2: dispatched +%d inline +%d, want +1 +1",
+				after.Dispatched-before.Dispatched, after.Inline-before.Inline)
+		}
+		chunks := after.CallerChunks - before.CallerChunks + after.WorkerChunks - before.WorkerChunks
+		if chunks != 8 {
+			t.Errorf("threads=2: %d chunks credited, want 8", chunks)
+		}
+	})
+}
+
+// TestReduceAllZeroAlloc: the fused reduction dispatches without
+// allocating in steady state, like the primitives it fuses.
+func TestReduceAllZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	rs := []Reduction{{N: 4096, Grain: 64, AccLen: 8}, {N: 512, Grain: 16, AccLen: 2}}
+	r := &dotsReducer{cols: []int{8, 2}, totals: [][]float64{make([]float64, 8), make([]float64, 2)},
+		data: [][]float64{make([]float64, 4096*8), make([]float64, 512*2)}}
+	r.merges = make([]int, 0, 1<<16)
+	withThreads(t, 1, func() {
+		run := func() { r.merges = r.merges[:0]; ReduceAll(rs, r) }
+		run()
+		if n := testing.AllocsPerRun(20, run); n != 0 {
+			t.Errorf("threads=1 ReduceAll allocates %v times", n)
+		}
+	})
+}

@@ -47,9 +47,9 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 
 	assertZeroAlloc(t, "MatMul", func() { MatMul(y, a, w) })
 	assertZeroAlloc(t, "MatMulATB", func() { MatMulATB(dw, a, dy) })
-	assertZeroAlloc(t, "MatMulABT", func() { MatMulABT(dx, dy, w) })
-	assertZeroAlloc(t, "AddRowVector", func() { AddRowVector(y, bias) })
-	assertZeroAlloc(t, "ColSums", func() { ColSums(bias, dy) })
+	assertZeroAlloc(t, "MatMulABTRows", func() { MatMulABTRows(dx, dy, w, 0, rows) })
+	assertZeroAlloc(t, "AddRowVectorRows", func() { AddRowVectorRows(y, bias, 0, rows) })
+	assertZeroAlloc(t, "ColSumsAcc", func() { ColSumsAcc(bias, dy, 0, rows) })
 	assertZeroAlloc(t, "Add", func() { Add(y, y, y) })
 	assertZeroAlloc(t, "AddScaled", func() { AddScaled(y, 1, dy) })
 	assertZeroAlloc(t, "AddScaledView", func() { AddScaledView(dx, 1, a.View(0, in)) })

@@ -90,17 +90,19 @@ func matMul32Packed(dst, a *Matrix32, pb *PackedB32) {
 	packedMM32Pool.Put(t)
 }
 
-// MatMul32Packed computes dst = a·B from a pre-packed f32 operand
-// (PackB32): the compile-time-packed weight path of the serving twin.
-// Requires the SIMD tier; callers hold a PackedB32 only when SIMDEnabled
-// reported true at pack time.
-func MatMul32Packed(dst, a *Matrix32, pb *PackedB32) {
-	if a.Cols != pb.K || dst.Rows != a.Rows || dst.Cols != pb.N {
-		panic(fmt.Sprintf("tensor: MatMul32Packed shape mismatch (%dx%d)·packed(%dx%d)->(%dx%d)",
+// MatMul32PackedRows computes rows [lo, hi) of dst = a·B from a pre-packed
+// f32 operand (PackB32): the compile-time-packed weight path of the
+// serving twin. Requires the SIMD tier; callers hold a PackedB32 only when
+// ShouldPack32 reported true at pack time. dst and a are indexed by the
+// same row numbers and may be row-block headers.
+func MatMul32PackedRows(dst, a *Matrix32, pb *PackedB32, lo, hi int) {
+	if a.Cols != pb.K || dst.Cols != pb.N {
+		panic(fmt.Sprintf("tensor: MatMul32PackedRows shape mismatch (%dx%d)·packed(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
 	}
 	if !simdGEMM {
-		panic("tensor: MatMul32Packed requires the SIMD kernel tier")
+		panic("tensor: MatMul32PackedRows requires the SIMD kernel tier")
 	}
-	matMul32Packed(dst, a, pb)
+	t := packedMM32Task{dst: dst, a: a, pb: pb}
+	t.Run(lo, hi)
 }

@@ -25,13 +25,9 @@ func ncPanels(kcLen, nr int) int {
 }
 
 // packedMMTask computes dst[lo:hi] = a[lo:hi]·B from a packed B operand.
-// plainTail selects the MatMulABT tail accumulation order (plain
-// ascending k) over the MatMul one (rank-4 grouped) so each caller's
-// remainder columns keep the bits of its legacy kernel.
 type packedMMTask struct {
-	dst, a    *Matrix
-	pb        *PackedB
-	plainTail bool
+	dst, a *Matrix
+	pb     *PackedB
 }
 
 func (t *packedMMTask) Run(lo, hi int) {
@@ -201,7 +197,8 @@ func (t *packedMMTask) goRow1(i, np, kc0, kcLen int, accF bool) {
 
 // scalarTail computes the N mod NR remainder columns from the packed
 // column strips, over the full K extent, with the owning kernel's legacy
-// accumulation order.
+// accumulation order: plain ascending k for a transposed operand (the
+// a·bᵀ kernel's), rank-4 grouped otherwise (MatMul's).
 func (t *packedMMTask) scalarTail(lo, hi int) {
 	pb := t.pb
 	k, n, nr := pb.K, pb.N, pb.NR
@@ -213,7 +210,7 @@ func (t *packedMMTask) scalarTail(lo, hi int) {
 		for jt := 0; jt < n-j0; jt++ {
 			strip := pb.tail[jt*k : (jt+1)*k]
 			var s float64
-			if t.plainTail {
+			if pb.trans {
 				for kk, av := range arow {
 					s += av * strip[kk]
 				}
@@ -234,57 +231,47 @@ func (t *packedMMTask) scalarTail(lo, hi int) {
 
 var packedMMPool = sync.Pool{New: func() any { return new(packedMMTask) }}
 
-// matMulPacked runs dst = a·B through the packed tier, packing the B
-// operand (b itself, or bᵀ when transposed) into pooled scratch first.
-func matMulPacked(dst, a, b *Matrix, transposed bool) {
-	n := b.Cols
-	if transposed {
-		n = b.Rows
-	}
-	pb := getPackScratch(a.Cols, n, packNR())
-	if transposed {
-		pb.packFromT(b)
-	} else {
-		pb.packFrom(b)
-	}
+// matMulPacked runs dst = a·b through the packed tier, packing b into
+// pooled scratch first.
+func matMulPacked(dst, a, b *Matrix) {
+	pb := getPackScratch(a.Cols, b.Cols, packNR())
+	pb.packFrom(b)
 	t := packedMMPool.Get().(*packedMMTask)
-	t.dst, t.a, t.pb, t.plainTail = dst, a, pb, transposed
-	parallel.ForTask(a.Rows, forGrain(a.Cols*n), t)
+	t.dst, t.a, t.pb = dst, a, pb
+	parallel.ForTask(a.Rows, forGrain(a.Cols*b.Cols), t)
 	*t = packedMMTask{}
 	packedMMPool.Put(t)
 	putPackScratch(pb)
 }
 
-// MatMulPacked computes dst = a·B from a pre-packed B operand (PackB /
-// PackBWith): the pack-once form for weights reused across many calls.
-// The result is bitwise-identical to MatMul on the unpacked operand when
-// the packed tier would engage for its shape; for smaller shapes it still
-// runs the packed kernels (the caller opted in by packing).
-func MatMulPacked(dst, a *Matrix, pb *PackedB) {
-	if a.Cols != pb.K || dst.Rows != a.Rows || dst.Cols != pb.N {
-		panic(fmt.Sprintf("tensor: MatMulPacked shape mismatch (%dx%d)·packed(%dx%d)->(%dx%d)",
+// MatMulPackedRows computes rows [lo, hi) of dst = a·B from a pre-packed B
+// operand (PackB, PackBT): the pack-once form for weights reused across
+// many calls and row ranges. The result is bitwise-identical to MatMul on
+// the unpacked operand when the packed tier would engage for its shape
+// (ShouldPack; ShouldPackABT for a transposed operand); for smaller shapes
+// it still runs the packed kernels (the caller opted in by packing). dst
+// and a are indexed by the same row numbers and may be row-block headers.
+func MatMulPackedRows(dst, a *Matrix, pb *PackedB, lo, hi int) {
+	if a.Cols != pb.K || dst.Cols != pb.N {
+		panic(fmt.Sprintf("tensor: MatMulPackedRows shape mismatch (%dx%d)·packed(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
 	}
 	if pb.NR != packNR() {
-		panic(fmt.Sprintf("tensor: MatMulPacked panel width %d, kernel tier wants %d (re-pack after a tier change)",
+		panic(fmt.Sprintf("tensor: MatMulPackedRows panel width %d, kernel tier wants %d (re-pack after a tier change)",
 			pb.NR, packNR()))
 	}
-	t := packedMMPool.Get().(*packedMMTask)
-	t.dst, t.a, t.pb, t.plainTail = dst, a, pb, false
-	parallel.ForTask(a.Rows, forGrain(a.Cols*pb.N), t)
-	*t = packedMMTask{}
-	packedMMPool.Put(t)
+	t := packedMMTask{dst: dst, a: a, pb: pb}
+	t.Run(lo, hi)
 }
 
-// bodySIMD is the packed-tier body of the MatMulATB reduction: the same
+// matMulATBAccSIMD is the packed-tier body of the MatMulATB reduction: the same
 // 4×8 microkernel walking DOWN the chunk's rows via strides (a columns
 // become tile rows, raw b rows are already panel-shaped). The chunk
 // schedule, accumulator layout, and merge order of the surrounding
 // ReduceWith are untouched, so determinism across thread counts is
 // inherited; within a chunk every a-column meets the identical per-column
 // sequence whether it lands in a 4-wide or 1-wide tile.
-func (t *matMulATBTask) bodySIMD(lo, hi int, acc []float64) {
-	a, b := t.a, t.b
+func matMulATBAccSIMD(acc []float64, a, b *Matrix, lo, hi int) {
 	in, n := a.Cols, b.Cols
 	kc := int64(hi - lo)
 	ad, bd := a.Data, b.Data

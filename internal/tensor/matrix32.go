@@ -32,6 +32,16 @@ func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols]
 // Zero sets every entry of m to zero.
 func (m *Matrix32) Zero() { clear(m.Data) }
 
+// SliceRows points dst at rows [r0, r1) of m, like Matrix.SliceRows.
+func (m *Matrix32) SliceRows(dst *Matrix32, r0, r1 int) {
+	if r0 < 0 || r1 < r0 || r1 > m.Rows {
+		panic(fmt.Sprintf("tensor: SliceRows [%d,%d) outside 0..%d", r0, r1, m.Rows))
+	}
+	dst.Rows = r1 - r0
+	dst.Cols = m.Cols
+	dst.Data = m.Data[r0*m.Cols : r1*m.Cols : r1*m.Cols]
+}
+
 // String renders the shape for debugging.
 func (m *Matrix32) String() string { return fmt.Sprintf("Matrix32(%dx%d)", m.Rows, m.Cols) }
 

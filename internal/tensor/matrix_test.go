@@ -149,7 +149,7 @@ func TestMatMulABT(t *testing.T) {
 		m, k, n := 1+rng.Intn(10), 1+rng.Intn(10), 1+rng.Intn(10)
 		a, b := randMat(rng, m, k), randMat(rng, n, k)
 		got := New(m, n)
-		MatMulABT(got, a, b)
+		matMulABT(got, a, b)
 		bt := New(k, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < k; j++ {
@@ -174,7 +174,7 @@ func TestMatMulShapePanics(t *testing.T) {
 
 func TestAddRowVectorAndColSums(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	AddRowVector(m, []float64{10, 20, 30})
+	addRowVector(m, []float64{10, 20, 30})
 	want := []float64{11, 22, 33, 14, 25, 36}
 	for i, v := range want {
 		if m.Data[i] != v {
@@ -182,7 +182,7 @@ func TestAddRowVectorAndColSums(t *testing.T) {
 		}
 	}
 	sums := make([]float64, 3)
-	ColSums(sums, m)
+	colSums(sums, m)
 	if sums[0] != 25 || sums[1] != 47 || sums[2] != 69 {
 		t.Fatalf("ColSums = %v", sums)
 	}
@@ -291,7 +291,7 @@ func TestGEMMAdjointIdentities(t *testing.T) {
 		atc := New(k, n)
 		MatMulATB(atc, a, c)
 		cbt := New(m, k)
-		MatMulABT(cbt, c, b)
+		matMulABT(cbt, c, b)
 		l1 := Dot(ab, c)
 		l2 := Dot(b, atc)
 		l3 := Dot(a, cbt)

@@ -8,21 +8,29 @@ import (
 	"meshgnn/internal/parallel"
 )
 
-// Kernel parallelization. Every kernel below runs on the intra-rank worker
-// pool (internal/parallel). Kernels whose iterations write disjoint output
-// rows or elements (the GEMMs over output rows, gathers, element-wise
-// maps) use parallel.ForTask and are bitwise-identical to their serial
-// forms for any thread count. Kernels that reduce many input rows into one
-// output (MatMulATB, ColSums) use parallel.ReduceWith, whose fixed chunk
-// schedule and in-order partial merge keep them bitwise-reproducible
-// across thread counts in deterministic mode.
+// Kernel parallelization. The kernels come in two forms. A whole-matrix
+// kernel (MatMul, MatMulATB, GatherRows, AddScaled, …) is one region on the
+// intra-rank worker pool (internal/parallel): those whose iterations write
+// disjoint output rows or elements use parallel.ForTask and are
+// bitwise-identical to their serial forms for any thread count; those that
+// reduce many input rows into one output (MatMulATB) use
+// parallel.ReduceWith, whose fixed chunk schedule and in-order partial
+// merge keep them bitwise-reproducible across thread counts in
+// deterministic mode. A row-range body (MatMulRows, MatMulPackedRows,
+// MatMulABTRows, AddRowVectorRows, the *Acc reduction bodies) is the serial
+// work of rows [lo, hi) and dispatches nothing: a region costs a worker
+// wake (see package parallel, "region granularity"), so internal/nn
+// composes the bodies of a whole MLP block into one region of its own
+// instead of paying one per kernel. A row's bits never depend on which
+// range it was computed in, so the two forms agree bitwise.
 //
 // Allocation discipline. Every kernel takes its destination as an argument
 // (the "*Into" convention — MatMul, GatherRows, and friends have always
-// been Into-style) and binds its arguments to a pooled task struct rather
-// than a closure, so a kernel call performs no heap allocation in steady
-// state. Matrix-returning conveniences (HCat, SplitCols, Clone) remain as
-// thin allocating wrappers over the Into kernels for cold call sites.
+// been Into-style); the whole-matrix kernels bind their arguments to a
+// pooled task struct rather than a closure, so a kernel call performs no
+// heap allocation in steady state. Matrix-returning conveniences (HCat,
+// SplitCols, Clone) remain as thin allocating wrappers over the Into
+// kernels for cold call sites.
 
 // forGrain returns a For grain targeting ~16k flops per chunk so chunk
 // dispatch overhead stays negligible for narrow rows.
@@ -37,10 +45,12 @@ func forGrain(workPerItem int) int {
 	return g
 }
 
-// reduceGrain returns a Reduce grain from the problem shape only (never
-// the thread count), as the deterministic schedule requires: ~256k flops
-// per partial, at least 64 rows.
-func reduceGrain(workPerItem int) int {
+// ReduceGrain returns the Reduce grain of a row reduction costing
+// workPerItem flops per row — in·n for MatMulATB, the column count for a
+// column sum — from the problem shape only (never the thread count), as
+// the deterministic schedule requires: ~256k flops per partial, at least
+// 64 rows.
+func ReduceGrain(workPerItem int) int {
 	if workPerItem < 1 {
 		workPerItem = 1
 	}
@@ -55,8 +65,17 @@ func reduceGrain(workPerItem int) int {
 
 type matMulTask struct{ dst, a, b *Matrix }
 
-func (t *matMulTask) Run(lo, hi int) {
-	a, b, dst := t.a, t.b, t.dst
+func (t *matMulTask) Run(lo, hi int) { MatMulRows(t.dst, t.a, t.b, lo, hi) }
+
+// MatMulRows computes rows [lo, hi) of dst = a·b with the unpacked kernel —
+// the one MatMul runs below the packed-tier threshold (!ShouldPack), so a
+// caller tiling a product over row ranges itself must route shapes above
+// the threshold through MatMulPackedRows to keep MatMul's bits.
+func MatMulRows(dst, a, b *Matrix, lo, hi int) {
+	if a.Cols != b.Rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulRows shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
 	n := b.Cols
 	ka := a.Cols
 	for i := lo; i < hi; i++ {
@@ -117,7 +136,7 @@ func MatMul(dst, a, b *Matrix) {
 	// one, and the SIMD kernels are bitwise-reproducible across thread
 	// counts (per-row FMA order fixed by shape alone).
 	if usePacked(a.Cols, b.Cols) {
-		matMulPacked(dst, a, b, false)
+		matMulPacked(dst, a, b)
 		return
 	}
 	t := matMulPool.Get().(*matMulTask)
@@ -129,14 +148,20 @@ func MatMul(dst, a, b *Matrix) {
 
 type matMulATBTask struct{ dst, a, b *Matrix }
 
-func (t *matMulATBTask) Body(lo, hi int, acc []float64) {
-	a, b := t.a, t.b
+func (t *matMulATBTask) Body(lo, hi int, acc []float64) { MatMulATBAcc(acc, t.a, t.b, lo, hi) }
+
+// MatMulATBAcc accumulates the contribution of rows [lo, hi) to aᵀ·b into
+// acc (a.Cols×b.Cols, row-major): the chunk body of MatMulATB's reduction.
+// A caller reproducing MatMulATB's bits chunks the rows by
+// ReduceGrain(a.Cols·b.Cols) and merges zeroed per-chunk accumulators in
+// ascending order.
+func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 	in, n := a.Cols, b.Cols
 	// Packed tier: same chunk schedule and merge order, SIMD tile sweep
 	// inside the chunk (gemm_packed.go). Gated on the reduction shape
 	// (in·n) only, so engagement is independent of the row partition.
 	if simdGEMM && n >= 8 && usePacked(in, n) {
-		t.bodySIMD(lo, hi, acc)
+		matMulATBAccSIMD(acc, a, b, lo, hi)
 		return
 	}
 	// Rank-4 blocking over input rows: four (a-row, b-row) pairs stream
@@ -202,15 +227,22 @@ func MatMulATB(dst, a, b *Matrix) {
 	in, n := a.Cols, b.Cols
 	t := matMulATBPool.Get().(*matMulATBTask)
 	t.dst, t.a, t.b = dst, a, b
-	parallel.ReduceWith(a.Rows, reduceGrain(in*n), in*n, t)
+	parallel.ReduceWith(a.Rows, ReduceGrain(in*n), in*n, t)
 	*t = matMulATBTask{}
 	matMulATBPool.Put(t)
 }
 
-type matMulABTTask struct{ dst, a, b *Matrix }
-
-func (t *matMulABTTask) Run(lo, hi int) {
-	a, b, dst := t.a, t.b, t.dst
+// MatMulABTRows computes rows [lo, hi) of dst = a·bᵀ, the input-gradient
+// product dx = dy·Wᵀ, with the unpacked kernel. dst must be a.Rows×b.Rows.
+// Where ShouldPackABT(a.Cols, b.Rows) holds the product belongs to the
+// packed tier instead — PackBT(b) once, MatMulPackedRows per row range —
+// whose FMA kernels round differently; callers choose by that predicate
+// alone, which never involves the row count.
+func MatMulABTRows(dst, a, b *Matrix, lo, hi int) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulABTRows shape mismatch (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
 	kb := b.Cols
 	// Four dot products per pass share one streaming read of the a row;
 	// each accumulator sums in plain k order, so every output is bitwise
@@ -244,95 +276,33 @@ func (t *matMulABTTask) Run(lo, hi int) {
 	}
 }
 
-var matMulABTPool = sync.Pool{New: func() any { return new(matMulABTTask) }}
-
-// MatMulABT computes dst = a·bᵀ, used for input gradients (dx = dy·Wᵀ).
-// dst must be a.Rows×b.Rows. Partitioned over dst rows.
-func MatMulABT(dst, a, b *Matrix) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulABT shape mismatch (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	// Packed tier: bᵀ packs into the same panel layout (pack.go), so the
-	// identical microkernel serves this form. SIMD-only — the pure-Go
-	// packed kernels match MatMul's grouped bits, not this kernel's plain
-	// per-k bits, so without SIMD the legacy kernel stays authoritative.
-	if simdGEMM && usePacked(a.Cols, b.Rows) {
-		matMulPacked(dst, a, b, true)
-		return
-	}
-	t := matMulABTPool.Get().(*matMulABTTask)
-	t.dst, t.a, t.b = dst, a, b
-	parallel.ForTask(a.Rows, forGrain(a.Cols*b.Rows), t)
-	*t = matMulABTTask{}
-	matMulABTPool.Put(t)
-}
-
 // --- Row/column kernels --------------------------------------------------
 
-type addRowVectorTask struct {
-	m *Matrix
-	v []float64
-}
-
-func (t *addRowVectorTask) Run(lo, hi int) {
+// AddRowVectorRows adds the length-Cols vector v to rows [lo, hi) of m in
+// place (the bias add of a linear layer).
+func AddRowVectorRows(m *Matrix, v []float64, lo, hi int) {
+	if len(v) != m.Cols {
+		panic("tensor: AddRowVectorRows length mismatch")
+	}
 	for i := lo; i < hi; i++ {
-		row := t.m.Row(i)
-		for j, bv := range t.v {
+		row := m.Row(i)
+		for j, bv := range v {
 			row[j] += bv
 		}
 	}
 }
 
-var addRowVectorPool = sync.Pool{New: func() any { return new(addRowVectorTask) }}
-
-// AddRowVector adds the length-Cols vector v to every row of m in place.
-func AddRowVector(m *Matrix, v []float64) {
-	if len(v) != m.Cols {
-		panic("tensor: AddRowVector length mismatch")
-	}
-	t := addRowVectorPool.Get().(*addRowVectorTask)
-	t.m, t.v = m, v
-	parallel.ForTask(m.Rows, forGrain(m.Cols), t)
-	*t = addRowVectorTask{}
-	addRowVectorPool.Put(t)
-}
-
-type colSumsTask struct {
-	dst []float64
-	m   *Matrix
-}
-
-func (t *colSumsTask) Body(lo, hi int, acc []float64) {
-	cols := t.m.Cols
+// ColSumsAcc accumulates the column sums of rows [lo, hi) of m into acc:
+// the chunk body of a bias-gradient reduction, chunked by
+// ReduceGrain(m.Cols).
+func ColSumsAcc(acc []float64, m *Matrix, lo, hi int) {
+	cols := m.Cols
 	for i := lo; i < hi; i++ {
-		row := t.m.Data[i*cols : (i+1)*cols]
+		row := m.Data[i*cols : (i+1)*cols]
 		for j, v := range row {
 			acc[j] += v
 		}
 	}
-}
-
-func (t *colSumsTask) Merge(acc []float64) {
-	for j, v := range acc {
-		t.dst[j] += v
-	}
-}
-
-var colSumsPool = sync.Pool{New: func() any { return new(colSumsTask) }}
-
-// ColSums accumulates the column sums of m into dst (dst += sum over rows),
-// used for bias gradients. A reduction over rows: chunk partials merge in
-// fixed order.
-func ColSums(dst []float64, m *Matrix) {
-	if len(dst) != m.Cols {
-		panic("tensor: ColSums length mismatch")
-	}
-	t := colSumsPool.Get().(*colSumsTask)
-	t.dst, t.m = dst, m
-	parallel.ReduceWith(m.Rows, reduceGrain(m.Cols), m.Cols, t)
-	*t = colSumsTask{}
-	colSumsPool.Put(t)
 }
 
 // --- Element-wise kernels ------------------------------------------------
@@ -762,7 +732,7 @@ var frobeniusPool = sync.Pool{New: func() any { return new(frobeniusTask) }}
 func Frobenius(m *Matrix) float64 {
 	t := frobeniusPool.Get().(*frobeniusTask)
 	t.m, t.s = m, 0
-	parallel.ReduceWith(len(m.Data), reduceGrain(2), 1, t)
+	parallel.ReduceWith(len(m.Data), ReduceGrain(2), 1, t)
 	s := t.s
 	*t = frobeniusTask{}
 	frobeniusPool.Put(t)
@@ -792,7 +762,7 @@ func Dot(a, b *Matrix) float64 {
 	}
 	t := dotPool.Get().(*dotTask)
 	t.a, t.b, t.s = a, b, 0
-	parallel.ReduceWith(len(a.Data), reduceGrain(2), 1, t)
+	parallel.ReduceWith(len(a.Data), ReduceGrain(2), 1, t)
 	s := t.s
 	*t = dotTask{}
 	dotPool.Put(t)

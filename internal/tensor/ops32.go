@@ -10,16 +10,24 @@ import (
 // float32 kernels for the forward-only serving twin. The set is
 // deliberately the forward closure only — GEMM, bias add, residual add,
 // concatenation — with no gradient-side counterparts; training stays in
-// float64. Like the f64 kernels, every op partitions disjoint output rows
-// over parallel.ForTask with a fixed per-row accumulation order, so f32
-// serving results are bitwise-reproducible across thread counts too (the
-// tolerance gate against the f64 oracle bounds the precision loss, not
-// run-to-run noise).
+// float64. Like the f64 kernels, every op works on disjoint output rows
+// with a fixed per-row accumulation order — as one parallel.ForTask region
+// or, for the *Rows bodies, as the serial work of a row range inside the
+// caller's region — so f32 serving results are bitwise-reproducible across
+// thread counts too (the tolerance gate against the f64 oracle bounds the
+// precision loss, not run-to-run noise).
 
 type matMul32Task struct{ dst, a, b *Matrix32 }
 
-func (t *matMul32Task) Run(lo, hi int) {
-	a, b, dst := t.a, t.b, t.dst
+func (t *matMul32Task) Run(lo, hi int) { MatMul32Rows(t.dst, t.a, t.b, lo, hi) }
+
+// MatMul32Rows computes rows [lo, hi) of dst = a·b with the scalar f32
+// kernel — the one MatMul32 runs where ShouldPack32 is false.
+func MatMul32Rows(dst, a, b *Matrix32, lo, hi int) {
+	if a.Cols != b.Rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMul32Rows shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
 	n := b.Cols
 	ka := a.Cols
 	for i := lo; i < hi; i++ {
@@ -71,32 +79,18 @@ func MatMul32(dst, a, b *Matrix32) {
 	matMul32Pool.Put(t)
 }
 
-type addRowVector32Task struct {
-	m *Matrix32
-	v []float32
-}
-
-func (t *addRowVector32Task) Run(lo, hi int) {
+// AddRowVector32Rows adds the length-Cols vector v to rows [lo, hi) of m
+// in place.
+func AddRowVector32Rows(m *Matrix32, v []float32, lo, hi int) {
+	if len(v) != m.Cols {
+		panic("tensor: AddRowVector32Rows length mismatch")
+	}
 	for i := lo; i < hi; i++ {
-		row := t.m.Row(i)
-		for j, bv := range t.v {
+		row := m.Row(i)
+		for j, bv := range v {
 			row[j] += bv
 		}
 	}
-}
-
-var addRowVector32Pool = sync.Pool{New: func() any { return new(addRowVector32Task) }}
-
-// AddRowVector32 adds the length-Cols vector v to every row of m in place.
-func AddRowVector32(m *Matrix32, v []float32) {
-	if len(v) != m.Cols {
-		panic("tensor: AddRowVector32 length mismatch")
-	}
-	t := addRowVector32Pool.Get().(*addRowVector32Task)
-	t.m, t.v = m, v
-	parallel.ForTask(m.Rows, forGrain(m.Cols), t)
-	*t = addRowVector32Task{}
-	addRowVector32Pool.Put(t)
 }
 
 type addScaled32Task struct {

@@ -13,7 +13,7 @@ import (
 // sequence per k step regardless of N or the operand's leading dimension.
 // The N mod NR remainder columns are packed as K-long contiguous column
 // strips consumed by a scalar tail loop. PackBT routes the transpose of
-// an N×K row-major matrix through the same layout, which is how MatMulABT
+// an N×K row-major matrix through the same layout, which is how a·bᵀ
 // reuses the identical microkernel; for MatMulATB the packed layout
 // degenerates to the natural row-major layout of B (every row IS an
 // N-wide k-step), so that path streams B directly.
@@ -26,10 +26,11 @@ import (
 // compile time); the in-driver pack path re-packs per call, which for the
 // shapes in this system costs under 0.1% of the multiply's flops.
 //
-// Blocking. Mc is the parallel.ForTask row chunk (shape-derived grain,
-// split freely across workers). Kc (packKc) bounds the inner-dimension
-// extent per kernel pass, with the accumulate flag resuming the same
-// per-element summation order across blocks. Nc bounds the packed-panel
+// Blocking. Mc is the caller's row range — MatMul's parallel.ForTask
+// chunk, or a row panel of an nn block — split freely across workers. Kc
+// (packKc) bounds the inner-dimension extent per kernel pass, with the
+// accumulate flag resuming the same per-element summation order across
+// blocks. Nc bounds the packed-panel
 // bytes live per (kc, nc) block (packNcBudget) so the streamed panel
 // group stays cache-resident.
 //
@@ -114,16 +115,23 @@ func ShouldPack32(k, n int) bool { return usePacked32(k, n) }
 
 // ShouldPack is the f64 twin of ShouldPack32: it reports whether MatMul
 // itself would route a (·,k)·(k,n) product through the packed tier.
-// Pre-packing a weight matrix (PackB) and calling MatMulPacked is then
+// Pre-packing a weight matrix (PackB) and calling MatMulPackedRows is then
 // bitwise-identical to MatMul on the unpacked operand — the caching
 // predicate the compiled serving twins and the training-side epoch pack
 // cache share. Below the threshold the legacy kernels win (and have
 // golden files against their bits), so callers must not pre-pack.
 func ShouldPack(k, n int) bool { return usePacked(k, n) }
 
+// ShouldPackABT reports whether an a·bᵀ product with inner dimension k and
+// output width n (b is n×k) goes through the packed tier: PackBT(b) once,
+// MatMulPackedRows per row range. SIMD-only — the pure-Go packed kernels
+// keep MatMul's rank-4 grouped bits, not MatMulABTRows' plain per-k bits,
+// so without SIMD the unpacked kernel stays authoritative.
+func ShouldPackABT(k, n int) bool { return simdGEMM && usePacked(k, n) }
+
 // PackWidth reports the current f64 panel width NR. A PackedB whose NR
 // differs (packed before a kernel-tier toggle) must be re-packed before
-// the next MatMulPacked; long-lived caches validate against this.
+// the next MatMulPackedRows; long-lived caches validate against this.
 func PackWidth() int { return packNR() }
 
 // PackedB is a B operand packed for the f64 GEMM tier: full NR-wide
@@ -132,6 +140,9 @@ type PackedB struct {
 	K, N, NR int
 	panels   []float64 // (N/NR) panels of K×NR, k-major
 	tail     []float64 // (N mod NR) column strips of K
+	// trans marks an operand packed from its transpose (PackBT); it selects
+	// the remainder columns' accumulation order (see scalarTail).
+	trans bool
 }
 
 func (p *PackedB) sizeFor(k, n, nr int) {
@@ -169,7 +180,7 @@ func (p *PackedB) packFrom(b *Matrix) {
 }
 
 // packFromT fills the panels from the TRANSPOSE of an N×K row-major
-// source (the MatMulABT operand): packed column j is source row j.
+// source (the a·bᵀ operand): packed column j is source row j.
 func (p *PackedB) packFromT(b *Matrix) {
 	k, n, nr := p.K, p.N, p.NR
 	np := n / nr
@@ -187,7 +198,7 @@ func (p *PackedB) packFromT(b *Matrix) {
 	}
 }
 
-// PackB packs b (K×N) for reuse across MatMulPacked calls — the
+// PackB packs b (K×N) for reuse across MatMulPackedRows calls — the
 // pack-once form for weight matrices that are multiplied many times
 // (serving engines pack at compile time). The panel width is the current
 // kernel tier's, so a PackedB must not outlive a kernel-tier toggle.
@@ -195,6 +206,17 @@ func PackB(b *Matrix) *PackedB {
 	p := &PackedB{}
 	p.sizeFor(b.Rows, b.Cols, packNR())
 	p.packFrom(b)
+	return p
+}
+
+// PackBT packs the TRANSPOSE of b (N×K row-major) as the K×N operand of
+// dst = a·bᵀ — the input-gradient product, whose weight matrix is then
+// packed once per parameter version instead of once per call. Callers
+// pack only where ShouldPackABT(K, N) holds.
+func PackBT(b *Matrix) *PackedB {
+	p := &PackedB{trans: true}
+	p.sizeFor(b.Cols, b.Rows, packNR())
+	p.packFromT(b)
 	return p
 }
 
@@ -218,22 +240,21 @@ func PackBWith(ar *Arena, b *Matrix) *PackedB {
 	return p
 }
 
-// Usable reports whether this packed operand may stand in for its source
-// matrix in MatMul: the packed tier still engages for its shape (so the
-// bits match the unpacked path) and the panel width still matches the
-// kernel tier (so MatMulPacked accepts it). Safe on a nil receiver —
-// callers keep one `if pb.Usable()` branch on their hot path.
-func (p *PackedB) Usable() bool {
-	return p != nil && usePacked(p.K, p.N) && p.NR == packNR()
-}
-
 // Repack refreshes the packed contents from b, which must have the shape
-// the PackedB was built for.
+// of the matrix the PackedB was built from.
 func (p *PackedB) Repack(b *Matrix) {
-	if b.Rows != p.K || b.Cols != p.N {
-		panic(fmt.Sprintf("tensor: Repack shape %dx%d, packed for %dx%d", b.Rows, b.Cols, p.K, p.N))
+	k, n := b.Rows, b.Cols
+	if p.trans {
+		k, n = n, k
 	}
-	p.packFrom(b)
+	if k != p.K || n != p.N {
+		panic(fmt.Sprintf("tensor: Repack shape %dx%d, packed for %dx%d", k, n, p.K, p.N))
+	}
+	if p.trans {
+		p.packFromT(b)
+	} else {
+		p.packFrom(b)
+	}
 }
 
 // packScratch pools per-call pack buffers (activation-side operands and
@@ -289,7 +310,7 @@ func (p *PackedB32) packFrom(b *Matrix32) {
 	}
 }
 
-// PackB32 packs b (K×N) for reuse across MatMul32Packed calls — the
+// PackB32 packs b (K×N) for reuse across MatMul32PackedRows calls — the
 // compile-time pack for the float32 serving twin's weights.
 func PackB32(b *Matrix32) *PackedB32 {
 	p := &PackedB32{}

@@ -119,9 +119,9 @@ func TestPackedMatMulMatchesNaive(t *testing.T) {
 		if usePacked(k, n) {
 			pb := PackB(b)
 			dst2 := New(m, n)
-			MatMulPacked(dst2, a, pb)
+			MatMulPackedRows(dst2, a, pb, 0, m)
 			if !dst2.Equal(dst) {
-				t.Errorf("MatMulPacked %dx%dx%d not bitwise MatMul", m, k, n)
+				t.Errorf("MatMulPackedRows %dx%dx%d not bitwise MatMul", m, k, n)
 			}
 		}
 	}
@@ -173,7 +173,7 @@ func TestPackedKcBlocking(t *testing.T) {
 			want := naiveMatMul(a, b)
 			dst := New(m, n)
 			pb := PackB(b)
-			MatMulPacked(dst, a, pb) // forced through the tier, any shape
+			MatMulPackedRows(dst, a, pb, 0, m) // forced through the tier, any shape
 			if rel := maxRel(dst, want); rel > 1e-12 {
 				t.Errorf("simd=%v Kc=16 %dx%dx%d rel %g", simd, m, k, n, rel)
 			}
@@ -191,7 +191,7 @@ func TestPackedEmptyShapes(t *testing.T) {
 		MatMul(dst, a, b) // must not panic
 		pb := PackB(b)
 		dst2 := New(m, n)
-		MatMulPacked(dst2, a, pb)
+		MatMulPackedRows(dst2, a, pb, 0, m)
 	}
 }
 
@@ -246,7 +246,7 @@ func TestPackedMatMulABTMatchesNaive(t *testing.T) {
 		b := randomMatrix(rng, n, k)
 		want := naiveMatMulABT(a, b)
 		dst := New(m, n)
-		MatMulABT(dst, a, b)
+		matMulABT(dst, a, b)
 		if rel := maxRel(dst, want); rel > 1e-12 {
 			t.Errorf("MatMulABT %v rel %g", sh, rel)
 		}
@@ -294,7 +294,7 @@ func TestPackBWithArenaReplays(t *testing.T) {
 	}
 	a := randomMatrix(rng, 9, 96)
 	dst, dst2 := New(9, 32), New(9, 32)
-	MatMulPacked(dst, a, pb2)
+	MatMulPackedRows(dst, a, pb2, 0, 9)
 	MatMul(dst2, a, b)
 	if !dst.Equal(dst2) {
 		t.Error("arena-packed product differs from per-call pack")
@@ -317,7 +317,8 @@ func TestPackedZeroAllocSteadyState(t *testing.T) {
 	assertZeroAlloc(t, "MatMul(packed)", func() { MatMul(dst, a, b) })
 	w := randomMatrix(rng, 33, 96)
 	dabt := New(64, 33)
-	assertZeroAlloc(t, "MatMulABT(packed)", func() { MatMulABT(dabt, a, w) })
+	pbt := PackBT(w)
+	assertZeroAlloc(t, "MatMulPackedRows(PackBT)", func() { MatMulPackedRows(dabt, a, pbt, 0, 64) })
 	datb := New(96, 32)
 	bb := randomMatrix(rng, 64, 32)
 	assertZeroAlloc(t, "MatMulATB(packed)", func() { MatMulATB(datb, a, bb) })
@@ -356,7 +357,7 @@ func TestMatMul32PackedMatchesScalar(t *testing.T) {
 		b32, _ := randomMatrix32(rng, k, n)
 		packed := New32(m, n)
 		pb := PackB32(b32)
-		MatMul32Packed(packed, a32, pb)
+		MatMul32PackedRows(packed, a32, pb, 0, m)
 
 		scalar := New32(m, n)
 		prev := setPackedGEMM(false)

@@ -53,11 +53,6 @@ func TestKernelsBitwiseAcrossThreads(t *testing.T) {
 			MatMulATB(dst, a, c)
 			return dst
 		},
-		"MatMulABT": func() *Matrix {
-			dst := New(n, n)
-			MatMulABT(dst, a, d)
-			return dst
-		},
 		"Add": func() *Matrix {
 			dst := New(n, in)
 			Add(dst, a, d)
@@ -71,16 +66,6 @@ func TestKernelsBitwiseAcrossThreads(t *testing.T) {
 		"Scale": func() *Matrix {
 			dst := a.Clone()
 			Scale(dst, 1.0/3.0)
-			return dst
-		},
-		"AddRowVector": func() *Matrix {
-			dst := a.Clone()
-			AddRowVector(dst, d.Row(0))
-			return dst
-		},
-		"ColSums": func() *Matrix {
-			dst := New(1, in)
-			ColSums(dst.Data, a)
 			return dst
 		},
 		"HCat": func() *Matrix { return HCat(a, d, c) },
@@ -227,7 +212,6 @@ func TestKernelsEmptyInputs(t *testing.T) {
 	GatherRows(New(0, 5), empty, nil)
 	ScatterAddRows(New(3, 5), New(0, 5), nil)
 	ScatterAddRowsGrouped(New(0, 5), empty, []int{0}, nil)
-	ColSums(make([]float64, 5), empty)
 	if Dot(empty, empty) != 0 {
 		t.Error("Dot over empty matrices should be 0")
 	}

@@ -1,0 +1,135 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Whole-matrix forms of the row-range bodies, composed the way a caller
+// that owns the parallel region composes them (internal/nn): one range for
+// the row maps, ReduceGrain chunks merged in ascending order for the
+// reductions.
+
+func matMulABT(dst, a, b *Matrix) {
+	if dst.Rows != a.Rows {
+		panic("tensor: matMulABT row mismatch")
+	}
+	if ShouldPackABT(a.Cols, b.Rows) {
+		MatMulPackedRows(dst, a, PackBT(b), 0, a.Rows)
+		return
+	}
+	MatMulABTRows(dst, a, b, 0, a.Rows)
+}
+
+func addRowVector(m *Matrix, v []float64) { AddRowVectorRows(m, v, 0, m.Rows) }
+
+func colSums(dst []float64, m *Matrix) {
+	grain := ReduceGrain(m.Cols)
+	acc := make([]float64, m.Cols)
+	for lo := 0; lo < m.Rows; lo += grain {
+		clear(acc)
+		ColSumsAcc(acc, m, lo, min(lo+grain, m.Rows))
+		for j, v := range acc {
+			dst[j] += v
+		}
+	}
+}
+
+// TestRowBodiesIgnoreRangeBoundaries: a row's bits never depend on which
+// [lo, hi) range computed it — the property that lets a caller tile the
+// bodies into panels of its own — and MatMulATBAcc chunked by ReduceGrain
+// is MatMulATB.
+func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const rows = 139
+	cuts := []int{0, 1, 4, 5, 64, 67, 128, rows}
+	for _, sh := range [][2]int{{96, 32}, {32, 32}, {12, 7}, {33, 37}} {
+		in, out := sh[0], sh[1]
+		x := randomMatrix(rng, rows, in)
+		w := randomMatrix(rng, in, out)
+		dy := randomMatrix(rng, rows, out)
+		bias := randomMatrix(rng, 1, out).Data
+
+		bodies := map[string]func(dst *Matrix, lo, hi int){
+			"MatMulRows": func(dst *Matrix, lo, hi int) { MatMulRows(dst, x, w, lo, hi) },
+			"MatMulPackedRows": func() func(*Matrix, int, int) {
+				pb := PackB(w)
+				return func(dst *Matrix, lo, hi int) { MatMulPackedRows(dst, x, pb, lo, hi) }
+			}(),
+			"AddRowVectorRows": func(dst *Matrix, lo, hi int) {
+				copy(dst.Data[lo*out:hi*out], dy.Data[lo*out:hi*out])
+				AddRowVectorRows(dst, bias, lo, hi)
+			},
+		}
+		for name, body := range bodies {
+			whole, pieces := New(rows, out), New(rows, out)
+			body(whole, 0, rows)
+			for i := 0; i+1 < len(cuts); i++ {
+				body(pieces, cuts[i], cuts[i+1])
+			}
+			if !whole.Equal(pieces) {
+				t.Errorf("%s %dx%d: row ranges change bits", name, in, out)
+			}
+		}
+
+		// dx = dy·wᵀ, unpacked and (where the tier engages) packed.
+		whole, pieces := New(rows, in), New(rows, in)
+		MatMulABTRows(whole, dy, w, 0, rows)
+		for i := 0; i+1 < len(cuts); i++ {
+			MatMulABTRows(pieces, dy, w, cuts[i], cuts[i+1])
+		}
+		if !whole.Equal(pieces) {
+			t.Errorf("MatMulABTRows %dx%d: row ranges change bits", in, out)
+		}
+		if ShouldPackABT(out, in) {
+			pbt := PackBT(w)
+			MatMulPackedRows(whole, dy, pbt, 0, rows)
+			for i := 0; i+1 < len(cuts); i++ {
+				MatMulPackedRows(pieces, dy, pbt, cuts[i], cuts[i+1])
+			}
+			if !whole.Equal(pieces) {
+				t.Errorf("MatMulPackedRows(PackBT) %dx%d: row ranges change bits", in, out)
+			}
+		}
+
+		// The reduction body, chunked as documented, is MatMulATB.
+		want, got := New(in, out), New(in, out)
+		MatMulATB(want, x, dy)
+		grain := ReduceGrain(in * out)
+		acc := make([]float64, in*out)
+		for lo := 0; lo < rows; lo += grain {
+			clear(acc)
+			MatMulATBAcc(acc, x, dy, lo, min(lo+grain, rows))
+			for i, v := range acc {
+				got.Data[i] += v
+			}
+		}
+		for i := range want.Data {
+			if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
+				t.Fatalf("MatMulATBAcc %dx%d: chunked body differs from MatMulATB at %d", in, out, i)
+			}
+		}
+	}
+}
+
+// TestRepackTransposed: Repack on a PackBT operand re-packs the transpose.
+func TestRepackTransposed(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	w := randomMatrix(rng, 96, 32) // dx = dy·wᵀ: K = 32, N = 96
+	dy := randomMatrix(rng, 9, 32)
+	pbt := PackBT(w)
+	for i := range w.Data {
+		w.Data[i] = rng.NormFloat64()
+	}
+	pbt.Repack(w)
+	got, want := New(9, 96), New(9, 96)
+	MatMulPackedRows(got, dy, pbt, 0, 9)
+	MatMulPackedRows(want, dy, PackBT(w), 0, 9)
+	if !got.Equal(want) {
+		t.Error("Repack of a transposed operand differs from a fresh PackBT")
+	}
+	if rel := maxRel(got, naiveMatMulABT(dy, w)); rel > 1e-12 {
+		t.Errorf("repacked a·bᵀ diverges from naive: rel %g", rel)
+	}
+}
