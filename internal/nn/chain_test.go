@@ -39,7 +39,13 @@ func refForward(m *MLP, x *tensor.Matrix) *layerAtATime {
 			x = y
 		case *ELU:
 			y := tensor.New(x.Rows, x.Cols)
-			eluRange(y.Data, x.Data, 0, len(x.Data))
+			for i, v := range x.Data { // the scalar definition, not tensor.EluRange
+				if v > 0 {
+					y.Data[i] = v
+				} else {
+					y.Data[i] = math.Exp(v) - 1
+				}
+			}
 			ref.eluOut = append(ref.eluOut, y)
 			x = y
 		case *LayerNorm:

@@ -215,7 +215,7 @@ func (eluInfer) outWidth(in int) int { return in }
 func (eluInfer) inPlace() bool       { return true }
 
 func (eluInfer) inferRows(dst, src *tensor.Matrix, rows int) {
-	eluRange(dst.Data, src.Data, 0, rows*src.Cols)
+	tensor.EluRange(dst.Data, src.Data, 0, rows*src.Cols)
 }
 
 // lnInfer is the forward-only LayerNorm over aliased gain/shift. It

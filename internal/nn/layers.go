@@ -271,18 +271,7 @@ func (e *ELU) bindForward(x *tensor.Matrix, owned bool) *tensor.Matrix {
 
 func (e *ELU) forwardRows(lo, hi int) {
 	c := e.x.Cols
-	eluRange(e.y.Data, e.x.Data, lo*c, hi*c)
-}
-
-// eluRange writes y[i] = ELU(x[i]) for i in [lo, hi); x and y may alias.
-func eluRange(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if v := x[i]; v > 0 {
-			y[i] = v
-		} else {
-			y[i] = math.Exp(v) - 1
-		}
-	}
+	tensor.EluRange(e.y.Data, e.x.Data, lo*c, hi*c)
 }
 
 func (e *ELU) bindBackward(dy *tensor.Matrix, owned bool) *tensor.Matrix {
@@ -295,15 +284,7 @@ func (e *ELU) bindBackward(dy *tensor.Matrix, owned bool) *tensor.Matrix {
 
 func (e *ELU) backwardRows(lo, hi int) {
 	c := e.dy.Cols
-	yd, dyd, dxd := e.y.Data, e.dy.Data, e.dx.Data
-	for i := lo * c; i < hi*c; i++ {
-		g := dyd[i]
-		if y := yd[i]; y > 0 {
-			dxd[i] = g
-		} else {
-			dxd[i] = g * (y + 1) // d/dx (e^x - 1) = e^x = y + 1
-		}
-	}
+	tensor.EluGradRange(e.dx.Data, e.dy.Data, e.y.Data, lo*c, hi*c)
 }
 
 func (e *ELU) reductions(rs []parallel.Reduction, _ int) []parallel.Reduction { return rs }

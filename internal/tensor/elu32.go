@@ -16,13 +16,16 @@ import "math"
 // of thread count and SIMD availability — with no engagement-threshold
 // bookkeeping at all.
 
+// simdELU gates the elementwise kernels of both precisions; the float64
+// exponential has a further condition of its own (simdELU64 in elu64.go).
 var simdELU = detectSIMD()
 
-// setSIMDELU forces the pure-Go ELU path when off (test hook); enabling
-// requires hardware support. Returns the previous setting.
+// setSIMDELU forces the pure-Go elementwise paths when off (test hook);
+// enabling requires hardware support. Returns the previous setting.
 func setSIMDELU(on bool) bool {
 	prev := simdELU
 	simdELU = on && detectSIMD()
+	simdELU64 = on && elu64Exact
 	return prev
 }
 

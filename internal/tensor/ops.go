@@ -286,9 +286,25 @@ func AddRowVectorRows(m *Matrix, v []float64, lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		row := m.Row(i)
-		for j, bv := range v {
-			row[j] += bv
+		j := 0
+		if simdELU {
+			// The float64 elementwise tier (elu64.go): four lanes of the
+			// same addition; the kernel stops at a block holding a NaN.
+			for len(v)-j >= 4 {
+				j += int(addBlock64(int64((len(v)-j)&^3), &row[j], &v[j]))
+				if len(v)-j >= 4 {
+					addScalar(row, v, j, j+4)
+					j += 4
+				}
+			}
 		}
+		addScalar(row, v, j, len(v))
+	}
+}
+
+func addScalar(dst, v []float64, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		dst[j] += v[j]
 	}
 }
 

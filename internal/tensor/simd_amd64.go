@@ -21,6 +21,19 @@ func sgemmTile1(kc int64, a0 *float32, astride int64, bp *float32, bstride int64
 //go:noescape
 func eluBlock32(n int64, x, y *float32)
 
+// The float64 elementwise kernels (elu64_amd64.s). n is a positive
+// multiple of 4; each returns how many leading elements it finished,
+// stopping at the first 4-block it cannot do bit-exactly.
+
+//go:noescape
+func eluBlock64(n int64, x, y *float64) (done int64)
+
+//go:noescape
+func eluGradBlock64(n int64, y, dy, dx *float64) (done int64)
+
+//go:noescape
+func addBlock64(n int64, dst, v *float64) (done int64)
+
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)

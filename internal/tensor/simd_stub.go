@@ -27,3 +27,15 @@ func sgemmTile1(kc int64, a0 *float32, astride int64, bp *float32, bstride int64
 func eluBlock32(n int64, x, y *float32) {
 	panic("tensor: SIMD kernel called without hardware support")
 }
+
+func eluBlock64(n int64, x, y *float64) (done int64) {
+	panic("tensor: SIMD kernel called without hardware support")
+}
+
+func eluGradBlock64(n int64, y, dy, dx *float64) (done int64) {
+	panic("tensor: SIMD kernel called without hardware support")
+}
+
+func addBlock64(n int64, dst, v *float64) (done int64) {
+	panic("tensor: SIMD kernel called without hardware support")
+}
