@@ -255,7 +255,7 @@ func runHaloForward(t *testing.T, mode ExchangeMode) ([]*tensor.Matrix, []Stats)
 			local.Set(i, 1, float64(c.Rank()*10+i)+0.5)
 		}
 		halo := tensor.New(2, 2)
-		ex.Forward(c, local, halo)
+		ex.Exchange(c, Forward, local, halo, 1)
 		return result{halo: halo, stats: c.Stats}, nil
 	})
 	if err != nil {
@@ -311,9 +311,9 @@ func TestHaloAdjointProperty(t *testing.T) {
 				y.Data[i] = rng.NormFloat64()
 			}
 			fx := tensor.New(2, 2)
-			ex.Forward(c, x, fx)
+			ex.Exchange(c, Forward, x, fx, 1)
 			fty := tensor.New(3, 2)
-			ex.Adjoint(c, y, fty)
+			ex.Exchange(c, Adjoint, y, fty, 1)
 			return [2]float64{tensor.Dot(fx, y), tensor.Dot(x, fty)}, nil
 		})
 		if err != nil {
@@ -345,7 +345,7 @@ func TestHaloAdjointAccumulates(t *testing.T) {
 		for i := range srcGrad.Data {
 			srcGrad.Data[i] = 100
 		}
-		ex.Adjoint(c, haloGrad, srcGrad)
+		ex.Exchange(c, Adjoint, haloGrad, srcGrad, 1)
 		return srcGrad, nil
 	})
 	if err != nil {
@@ -386,7 +386,7 @@ func TestHaloTrafficCounters(t *testing.T) {
 			}
 			local := tensor.New(1, 3)
 			halo := tensor.New(len(plan.Neighbors), 3)
-			ex.Forward(c, local, halo)
+			ex.Exchange(c, Forward, local, halo, 1)
 			s := c.Stats
 			s.MessagesSent -= base.MessagesSent
 			s.FloatsSent -= base.FloatsSent
@@ -481,12 +481,12 @@ func TestExchangerReusesBuffers(t *testing.T) {
 		}
 		local := tensor.New(3, 4)
 		halo := tensor.New(2, 4)
-		ex.Forward(c, local, halo) // warm the buffers
+		ex.Exchange(c, Forward, local, halo, 1) // warm the buffers
 		if ex.packBuf == nil || cap(ex.packBuf[0]) == 0 {
 			t.Error("pack buffer not retained")
 		}
 		first := &ex.packBuf[0][0]
-		ex.Forward(c, local, halo)
+		ex.Exchange(c, Forward, local, halo, 1)
 		if &ex.packBuf[0][0] != first {
 			t.Error("pack buffer reallocated on second exchange")
 		}

@@ -120,22 +120,38 @@ func ParseExchangeMode(s string) (ExchangeMode, error) {
 	return 0, fmt.Errorf("comm: unknown exchange mode %q", s)
 }
 
+// Direction says which way a halo exchange moves rows.
+type Direction int
+
+const (
+	// Forward fills dst's halo rows (RecvIdx) with the neighbors' local
+	// rows (their SendIdx) of src.
+	Forward Direction = iota
+	// Adjoint is Forward's exact transpose, its reverse-mode derivative:
+	// halo-row gradients (gathered from src at RecvIdx) flow back to the
+	// ranks that produced the values and accumulate into dst's local-row
+	// gradients at SendIdx. Together the two make the consistent NMP layer
+	// differentiable end-to-end (the paper's Eq. 3).
+	Adjoint
+)
+
 // Exchanger executes differentiable halo exchanges under one of the four
-// modes. Forward populates halo rows from neighboring ranks' local rows;
-// Adjoint is the reverse-mode derivative: halo-row gradients flow back to
-// the ranks that produced the values and accumulate into their local-row
-// gradients. Together they make the consistent NMP layer differentiable
-// end-to-end (the paper's Eq. 3).
+// modes. There is one exchange, parameterised by direction and batch:
+// Start packs and posts every send and receive on the transports'
+// nonblocking requests, Finish waits for the receives (in ascending
+// neighbor order, so the adjoint's scatter-add accumulation order — and
+// hence every output bit — is independent of arrival order) and unpacks.
+// Exchange is the synchronous composition Start-then-Finish; the phased
+// NMP pipeline calls the halves and runs interior compute between them.
 //
-// Each direction is split into Start/Finish halves built on the
-// transports' nonblocking requests: Start packs and posts every send and
-// receive, Finish waits for the receives (in ascending neighbor order, so
-// the adjoint's scatter-add accumulation order — and hence every output
-// bit — is independent of arrival order) and unpacks. Forward and Adjoint
-// are the synchronous compositions Start-then-Finish; the phased NMP
-// pipeline calls the halves directly and runs interior compute between
-// them. Request slots and staging buffers are recycled across exchanges,
-// so a steady-state exchange allocates nothing on either transport.
+// src and dst are stacks of batch equal row blocks (batch 1 is the plain
+// exchange). Each neighbor receives a single frame carrying all batch
+// samples' shared rows packed sample-major, so the message count — and
+// hence the latency cost — is batch-invariant; only the frames grow.
+// Sample b moves exactly as a batch-1 exchange of its block would, bit
+// for bit. Request slots and staging buffers are recycled across
+// exchanges, so a steady-state exchange allocates nothing on either
+// transport.
 //
 // Failure semantics: the exchanger adds no failure handling of its own.
 // A dead peer or an expired receive deadline (Comm.SetRecvTimeout)
@@ -170,7 +186,7 @@ type Exchanger struct {
 	// pendDst and pendAdjoint carry the scatter target between Start and
 	// Finish; inflight guards against mismatched Start/Finish pairs.
 	// pendBatch/pendDstStride carry the row-block batching of the
-	// in-flight exchange (1/0 for the unbatched paths).
+	// in-flight exchange.
 	pendDst       *tensor.Matrix
 	pendAdjoint   bool
 	pendCols      int
@@ -198,108 +214,11 @@ func NewExchanger(mode ExchangeMode, plan *HaloPlan) (*Exchanger, error) {
 	return &Exchanger{Mode: mode, Plan: plan}, nil
 }
 
-// Forward fills the halo matrix rows (RecvIdx) with the neighbors' local
-// rows (their SendIdx) of src. src holds local rows; halo holds halo rows.
-// With NoExchange it is a no-op, leaving halo untouched.
-func (e *Exchanger) Forward(c *Comm, src, halo *tensor.Matrix) {
-	e.StartForward(c, src, halo)
-	e.FinishForward(c)
+// Exchange is the synchronous exchange: Start, then Finish.
+func (e *Exchanger) Exchange(c *Comm, dir Direction, src, dst *tensor.Matrix, batch int) {
+	e.Start(c, dir, src, dst, batch)
+	e.Finish(c)
 }
-
-// Adjoint scatters the halo-row gradients (gathered from haloGrad at
-// RecvIdx) back into the neighbors' local-row gradients (accumulated into
-// srcGrad at SendIdx). It is the exact transpose of Forward.
-func (e *Exchanger) Adjoint(c *Comm, haloGrad, srcGrad *tensor.Matrix) {
-	e.StartAdjoint(c, haloGrad, srcGrad)
-	e.FinishAdjoint(c)
-}
-
-// StartForward packs this rank's shared rows of src and puts the halo
-// payloads on the wire: every send and every receive is posted
-// nonblocking, and the call returns while the messages fly. The caller
-// must not modify the packed rows' source of truth (src's SendIdx rows)
-// concurrently — though sends complete eagerly on the shipped transports,
-// the contract keeps future transports free to defer the copy. halo must
-// stay untouched until FinishForward scatters into it.
-func (e *Exchanger) StartForward(c *Comm, src, halo *tensor.Matrix) {
-	e.start(c, src, halo, false, 1)
-}
-
-// ForwardBatched exchanges batch vertically stacked samples in one round
-// of messages: src is batch row-blocks of local rows (batch·N_local rows)
-// and halo batch row-blocks of halo rows (batch·N_halo). Each neighbor
-// receives a single frame carrying all batch samples' shared rows packed
-// sample-major, so the message count — and hence the latency cost — is
-// batch-invariant; only the frame widths grow. Sample b of src fills
-// sample b of halo exactly as batch separate Forward calls would, bit for
-// bit. batch == 1 is identical to Forward.
-func (e *Exchanger) ForwardBatched(c *Comm, src, halo *tensor.Matrix, batch int) {
-	e.StartForwardBatched(c, src, halo, batch)
-	e.FinishForward(c)
-}
-
-// StartForwardBatched posts the batched forward exchange (see
-// ForwardBatched); FinishForward completes it.
-func (e *Exchanger) StartForwardBatched(c *Comm, src, halo *tensor.Matrix, batch int) {
-	if batch < 1 {
-		panic(fmt.Sprintf("comm: batched exchange with batch %d", batch))
-	}
-	if src.Rows%batch != 0 || halo.Rows%batch != 0 {
-		panic(fmt.Sprintf("comm: batched exchange rows %d/%d not divisible by batch %d",
-			src.Rows, halo.Rows, batch))
-	}
-	e.start(c, src, halo, false, batch)
-}
-
-// FinishForward waits for the posted receives (ascending neighbor order)
-// and fills halo's RecvIdx rows. Every StartForward must be matched by
-// exactly one FinishForward before the next exchange starts.
-func (e *Exchanger) FinishForward(c *Comm) { e.finish(c) }
-
-// StartAdjoint posts the reverse-direction exchange: halo-row gradients
-// (gathered from haloGrad at RecvIdx) travel back toward the ranks whose
-// aggregates produced them. srcGrad's shared rows must not be read as
-// final until FinishAdjoint has accumulated the incoming contributions.
-func (e *Exchanger) StartAdjoint(c *Comm, haloGrad, srcGrad *tensor.Matrix) {
-	e.start(c, haloGrad, srcGrad, true, 1)
-}
-
-// FinishAdjoint waits for the posted receives and scatter-adds them into
-// srcGrad at SendIdx rows, in ascending neighbor order — the same
-// accumulation order as the synchronous exchange, so overlapping changes
-// no output bit.
-func (e *Exchanger) FinishAdjoint(c *Comm) { e.finish(c) }
-
-// AdjointBatched runs the reverse exchange for batch vertically stacked
-// samples in one round of messages: haloGrad is batch row-blocks of halo
-// rows and srcGrad batch row-blocks of local rows. Each neighbor receives
-// a single frame carrying all batch samples' halo-row gradients packed
-// sample-major, and every srcGrad row accumulates its incoming
-// contributions in the same ascending-neighbor order as batch separate
-// Adjoint calls would — sample b's gradient is bitwise that of the
-// unbatched adjoint. batch == 1 is identical to Adjoint.
-func (e *Exchanger) AdjointBatched(c *Comm, haloGrad, srcGrad *tensor.Matrix, batch int) {
-	e.StartAdjointBatched(c, haloGrad, srcGrad, batch)
-	e.FinishAdjointBatched(c)
-}
-
-// StartAdjointBatched posts the batched adjoint exchange (see
-// AdjointBatched); FinishAdjointBatched completes it.
-func (e *Exchanger) StartAdjointBatched(c *Comm, haloGrad, srcGrad *tensor.Matrix, batch int) {
-	if batch < 1 {
-		panic(fmt.Sprintf("comm: batched exchange with batch %d", batch))
-	}
-	if haloGrad.Rows%batch != 0 || srcGrad.Rows%batch != 0 {
-		panic(fmt.Sprintf("comm: batched exchange rows %d/%d not divisible by batch %d",
-			haloGrad.Rows, srcGrad.Rows, batch))
-	}
-	e.start(c, haloGrad, srcGrad, true, batch)
-}
-
-// FinishAdjointBatched waits for the posted batched adjoint receives and
-// scatter-adds each sample block's contributions into srcGrad, ascending
-// neighbor order within each destination row.
-func (e *Exchanger) FinishAdjointBatched(c *Comm) { e.finish(c) }
 
 // pack gathers the rows of a listed in idx into the k-th staging buffer,
 // sample-major: all of sample 0's rows, then sample 1's, each sample
@@ -348,13 +267,25 @@ func (e *Exchanger) unpack(buf []float64, idx []int) {
 	}
 }
 
-// start implements both directions. In the forward direction we gather
-// SendIdx rows from a and (at Finish) write received buffers into b at
-// RecvIdx rows. In the adjoint direction we gather RecvIdx rows from a
-// and scatter-add received buffers into b at SendIdx rows. batch > 1
-// treats a and b as stacks of batch equal row-blocks and moves every
-// sample's shared rows in the same messages.
-func (e *Exchanger) start(c *Comm, a, b *tensor.Matrix, adjoint bool, batch int) {
+// Start puts the exchange on the wire and returns while the messages fly:
+// Forward gathers SendIdx rows of src and (at Finish) writes the received
+// buffers into dst at RecvIdx rows; Adjoint gathers RecvIdx rows of src and
+// scatter-adds the received buffers into dst at SendIdx rows. The caller
+// must not modify the gathered rows of src concurrently — sends complete
+// eagerly on the shipped transports, but the contract keeps future
+// transports free to defer the copy — and must leave dst's scattered rows
+// alone (Forward) or not read them as final (Adjoint) until Finish. With
+// NoExchange nothing moves and dst is left untouched. Every Start must be
+// matched by exactly one Finish before the next exchange starts.
+func (e *Exchanger) Start(c *Comm, dir Direction, a, b *tensor.Matrix, batch int) {
+	if batch < 1 {
+		panic(fmt.Sprintf("comm: halo exchange with batch %d", batch))
+	}
+	if a.Rows%batch != 0 || b.Rows%batch != 0 {
+		panic(fmt.Sprintf("comm: halo exchange rows %d/%d not divisible by batch %d",
+			a.Rows, b.Rows, batch))
+	}
+	adjoint := dir == Adjoint
 	if e.inflight {
 		panic("comm: halo exchange already in flight (missing Finish)")
 	}
@@ -458,11 +389,13 @@ func (e *Exchanger) start(c *Comm, a, b *tensor.Matrix, adjoint bool, batch int)
 	}
 }
 
-// finish waits for the in-flight exchange's receives in slot order and
-// scatters them into the pending target. The wall time spent blocked on
-// not-yet-arrived messages accumulates into Stats.HaloExposedSeconds —
-// the exposed communication cost the overlap pipeline exists to hide.
-func (e *Exchanger) finish(c *Comm) {
+// Finish waits for the in-flight exchange's receives in slot order and
+// scatters them into the pending target — the same accumulation order as
+// the synchronous exchange, so overlapping changes no output bit. The wall
+// time spent blocked on not-yet-arrived messages accumulates into
+// Stats.HaloExposedSeconds — the exposed communication cost the overlap
+// pipeline exists to hide.
+func (e *Exchanger) Finish(c *Comm) {
 	if !e.inflight {
 		panic("comm: halo Finish without a matching Start")
 	}

@@ -7,11 +7,11 @@ import (
 	"meshgnn/internal/tensor"
 )
 
-// TestHaloForwardBatchedParity checks the batched exchange's contract on
+// TestHaloExchangeBatchParity checks the batched exchange's contract on
 // every mode: sample b of the stacked halo must be bitwise-identical to a
-// separate unbatched Forward of sample b, and the whole batch must ride
+// separate batch-1 exchange of sample b, and the whole batch must ride
 // on the same number of messages as a single unbatched exchange.
-func TestHaloForwardBatchedParity(t *testing.T) {
+func TestHaloExchangeBatchParity(t *testing.T) {
 	const batch = 3
 	for _, mode := range []ExchangeMode{NoExchange, AllToAllMode, NeighborAllToAll, SendRecvMode} {
 		type result struct {
@@ -34,16 +34,16 @@ func TestHaloForwardBatchedParity(t *testing.T) {
 			}
 			halo := tensor.New(batch*2, 2)
 			before := c.Stats.MessagesSent
-			ex.ForwardBatched(c, src, halo, batch)
+			ex.Exchange(c, Forward, src, halo, batch)
 			batchedMsgs := c.Stats.MessagesSent - before
 
-			// Sequential reference: one unbatched Forward per sample.
+			// Sequential reference: one batch-1 exchange per sample.
 			seq := make([]*tensor.Matrix, batch)
 			var seqMsgs int64
 			for b := 0; b < batch; b++ {
 				seq[b] = tensor.New(2, 2)
 				before = c.Stats.MessagesSent
-				ex.Forward(c, src.RowBlock(b*3, (b+1)*3), seq[b])
+				ex.Exchange(c, Forward, src.RowBlock(b*3, (b+1)*3), seq[b], 1)
 				seqMsgs = c.Stats.MessagesSent - before
 			}
 			return result{batched: halo, seq: seq, msgs: [2]int64{batchedMsgs, seqMsgs}}, nil
@@ -67,36 +67,32 @@ func TestHaloForwardBatchedParity(t *testing.T) {
 	}
 }
 
-// Batch 1 must take exactly the unbatched path, and malformed batch
-// shapes must be rejected before anything hits the wire.
-func TestHaloForwardBatchedValidation(t *testing.T) {
+// Malformed batch shapes must be rejected before anything hits the wire,
+// in either direction and in every mode (NoExchange included): the one
+// Start makes the check the batched variants alone used to make.
+func TestHaloExchangeBatchValidation(t *testing.T) {
 	_, err := RunCollect(2, func(c *Comm) (struct{}, error) {
 		plan := twoRankPlan(c.Rank())
 		FinalizePlan(c, plan)
-		ex, err := NewExchanger(SendRecvMode, plan)
-		if err != nil {
-			return struct{}{}, err
-		}
-		src := tensor.New(3, 2)
-		for i := range src.Data {
-			src.Data[i] = float64(c.Rank()*100 + i)
-		}
-		halo := tensor.New(2, 2)
-		ex.ForwardBatched(c, src, halo, 1)
-		want := tensor.New(2, 2)
-		ex.Forward(c, src, want)
-		if !halo.Equal(want) {
-			return struct{}{}, errTest
-		}
-		for _, bad := range []struct{ rows, batch int }{{3, 2}, {3, 0}} {
-			panicked := false
-			func() {
-				defer func() { panicked = recover() != nil }()
-				ex.StartForwardBatched(c, tensor.New(bad.rows, 2), tensor.New(2, 2), bad.batch)
-			}()
-			if !panicked {
-				return struct{}{}, errTest
+		for _, mode := range []ExchangeMode{NoExchange, SendRecvMode} {
+			ex, err := NewExchanger(mode, plan)
+			if err != nil {
+				return struct{}{}, err
 			}
+			for _, dir := range []Direction{Forward, Adjoint} {
+				for _, bad := range []struct{ rows, batch int }{{3, 2}, {3, 0}, {3, -1}} {
+					panicked := false
+					func() {
+						defer func() { panicked = recover() != nil }()
+						ex.Start(c, dir, tensor.New(bad.rows, 2), tensor.New(2, 2), bad.batch)
+					}()
+					if !panicked {
+						return struct{}{}, errTest
+					}
+				}
+			}
+			// A rejected Start leaves nothing in flight.
+			ex.Exchange(c, Forward, tensor.New(3, 2), tensor.New(2, 2), 1)
 		}
 		return struct{}{}, nil
 	})

@@ -190,23 +190,23 @@ func TestOverlappedExchange(t *testing.T) {
 					halo := tensor.New(2, 2)
 					interior := 0.0
 					if split {
-						ex.StartForward(c, src, halo)
+						ex.Start(c, Forward, src, halo, 1)
 						for i := 0; i < 1000; i++ { // "interior compute"
 							interior += math.Sqrt(float64(i))
 						}
-						ex.FinishForward(c)
+						ex.Finish(c)
 					} else {
-						ex.Forward(c, src, halo)
+						ex.Exchange(c, Forward, src, halo, 1)
 					}
 					grad := tensor.New(3, 2)
 					if split {
-						ex.StartAdjoint(c, halo, grad)
+						ex.Start(c, Adjoint, halo, grad, 1)
 						for i := 0; i < 1000; i++ {
 							interior += math.Sqrt(float64(i))
 						}
-						ex.FinishAdjoint(c)
+						ex.Finish(c)
 					} else {
-						ex.Adjoint(c, halo, grad)
+						ex.Exchange(c, Adjoint, halo, grad, 1)
 					}
 					_ = interior
 					return append(append([]float64{}, halo.Data...), grad.Data...), nil
@@ -250,8 +250,8 @@ func TestExchangerStartWithoutFinishPanics(t *testing.T) {
 		}
 		src := tensor.New(1, 1)
 		halo := tensor.New(1, 1)
-		ex.StartForward(c, src, halo)
-		ex.StartForward(c, src, halo) // must panic: Finish is missing
+		ex.Start(c, Forward, src, halo, 1)
+		ex.Start(c, Forward, src, halo, 1) // must panic: Finish is missing
 		return nil
 	})
 	if err == nil {

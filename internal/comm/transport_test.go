@@ -306,9 +306,9 @@ func TestSocketHaloExchange(t *testing.T) {
 					src.Data[i] = float64(c.Rank()*100+i) + 0.125
 				}
 				halo := tensor.New(2, 2)
-				ex.Forward(c, src, halo)
+				ex.Exchange(c, Forward, src, halo, 1)
 				grad := tensor.New(3, 2)
-				ex.Adjoint(c, halo, grad)
+				ex.Exchange(c, Adjoint, halo, grad, 1)
 				return append(append([]float64{}, halo.Data...), grad.Data...), nil
 			}
 			inproc, sockets := runBoth(t, 2, script)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"meshgnn/internal/comm"
 	"meshgnn/internal/nn"
 	"meshgnn/internal/tensor"
 )
@@ -90,7 +91,7 @@ func (l *AttentionLayer) Forward(rc *RankContext, x, e *tensor.Matrix) (xOut, eO
 	for i := range haloMax.Data {
 		haloMax.Data[i] = math.Inf(-1)
 	}
-	rc.Ex.Forward(rc.Comm, maxs, haloMax)
+	rc.Ex.Exchange(rc.Comm, comm.Forward, maxs, haloMax, 1)
 	for hr, owner := range g.HaloOwner {
 		if haloMax.Data[hr] > maxs.Data[owner] {
 			maxs.Data[owner] = haloMax.Data[hr]
@@ -119,7 +120,7 @@ func (l *AttentionLayer) Forward(rc *RankContext, x, e *tensor.Matrix) (xOut, eO
 		dst[h] += z
 	}
 	haloPacked := tensor.New(g.NumHalo(), h+1)
-	rc.Ex.Forward(rc.Comm, packed, haloPacked)
+	rc.Ex.Exchange(rc.Comm, comm.Forward, packed, haloPacked, 1)
 	for hr, owner := range g.HaloOwner {
 		dst := packed.Row(owner)
 		for c, v := range haloPacked.Row(hr) {
@@ -189,7 +190,7 @@ func (l *AttentionLayer) Backward(dxOut, deOut *tensor.Matrix) (dx, de *tensor.M
 	for hr, owner := range g.HaloOwner {
 		copy(dHalo.Row(hr), dPacked.Row(owner))
 	}
-	rc.Ex.Adjoint(rc.Comm, dHalo, dPacked)
+	rc.Ex.Exchange(rc.Comm, comm.Adjoint, dHalo, dPacked, 1)
 
 	// Per-edge gradients: num_c = Σ z v_c, den = Σ z.
 	dVals := deOut.Clone() // direct edge-output path

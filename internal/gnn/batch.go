@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"meshgnn/internal/graph"
-	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -12,15 +11,11 @@ import (
 // evaluated as a single stacked problem. Node features concatenate
 // vertically into a (B·N_local)×F matrix — batch as a leading row-block
 // dimension, not a loop — and likewise edge features, aggregates, and
-// halo staging. Because every kernel in the forward path is row-wise
-// (GEMM dispatch and per-row FMA order depend on the reduction shape
-// only; LayerNorm/ELU are per-row maps; the CSR aggregation walks each
-// receiver's edges in canonical order regardless of which stacked block
-// the row lives in), sample b of the stacked result is bitwise-identical
-// to an unbatched Predict of sample b. Batching buys amortization — one
-// GEMM sweep per layer, one kernel-dispatch round, one halo frame per
-// neighbor carrying all B samples (comm.Exchanger.ForwardBatched) — and
-// changes no bit.
+// halo staging, through the same processors Predict drives at batch 1
+// (nmp.go: every kernel is row-wise, so sample b of the stacked result is
+// bitwise-identical to an unbatched Predict of sample b). Batching buys
+// amortization — one GEMM sweep per layer, one kernel-dispatch round, one
+// halo frame per neighbor carrying all B samples — and changes no bit.
 //
 // The batched path keeps its own arena (the record/replay sequence has
 // different shapes than the unbatched epoch's), its own double-buffered
@@ -43,22 +38,15 @@ type inferBatch struct {
 	// the per-(graph,params) cache of the unbatched engine, stamped B
 	// times so the stacked residual add sees per-sample copies.
 	staticHeB *tensor.Matrix
-	procs     []batchProcessor
-	eiT       batchEdgeInputsTask
-	// seq marks configurations with no stacked twin (attention layers,
-	// the float32 engine): PredictBatch then runs the unbatched engine
-	// per sample, still honoring the batched API and output contract.
+	// seq marks configurations that cannot stack (attention layers, the
+	// float32 engine): PredictBatch then runs the unbatched engine per
+	// sample, still honoring the batched API and output contract.
 	seq bool
 
 	lastGraph *graph.Local
 	lastB     int
 	lastRows  int
 	lastCols  int
-}
-
-// batchProcessor is the stacked counterpart of inferProcessor.
-type batchProcessor interface {
-	InferForwardBatched(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix)
 }
 
 // PredictBatch evaluates B snapshots of this rank's sub-graph in one
@@ -81,7 +69,7 @@ func (e *Inference) PredictBatch(rc *RankContext, xs []*tensor.Matrix) []*tensor
 	}
 	b := e.bindBatch(rc, batch, xs[0].Rows, xs[0].Cols)
 	if b.seq {
-		// No stacked twin: run the unbatched engine per sample, copying
+		// Cannot stack: run the unbatched engine per sample, copying
 		// each result into the stacked output so the buffer-lifetime
 		// contract still holds.
 		out := b.ensureOut(batch*xs[0].Rows, e.Config.OutputNodeFeatures, batch)
@@ -133,8 +121,9 @@ func (e *Inference) RolloutBatch(rc *RankContext, x0s []*tensor.Matrix, steps in
 }
 
 // bindBatch (re)binds the batched state to a (graph, B, shape) tuple,
-// mirroring the unbatched bind: clear the arena, re-tile the static-edge
-// cache, and rebuild the stacked processors.
+// mirroring the unbatched bind: clear the arena and re-tile the
+// static-edge encoding from the compile's per-graph cache (a rebind
+// encodes nothing bind or an earlier bindBatch already has).
 func (e *Inference) bindBatch(rc *RankContext, batch, rows, cols int) *inferBatch {
 	b := e.batch
 	if b == nil {
@@ -147,24 +136,17 @@ func (e *Inference) bindBatch(rc *RankContext, batch, rows, cols int) *inferBatc
 	b.arena.Clear()
 	b.lastGraph, b.lastB, b.lastRows, b.lastCols = rc.Graph, batch, rows, cols
 	b.staticHeB = nil
-	b.procs = b.procs[:0]
 	b.seq = e.f32 != nil
-	if !b.seq {
-		for _, p := range e.procs {
-			nmp, ok := p.(*inferNMP)
-			if !ok {
-				b.seq = true
-				break
-			}
-			b.procs = append(b.procs, &batchNMP{src: nmp})
+	for _, p := range e.procs {
+		if _, ok := p.(*inferNMP); !ok {
+			b.seq = true
 		}
 	}
 	if b.seq {
-		b.procs = b.procs[:0]
 		return b
 	}
 	if e.Config.EdgeMode == EdgeFeatures4 {
-		one := e.edgeEnc.InferForward(nil, rc.StaticEdge)
+		one := e.shared.staticFor(rc.Graph, rc.StaticEdge, e.edgeEnc)
 		b.staticHeB = tensor.New(batch*one.Rows, one.Cols)
 		tensor.TileRowsInto(b.staticHeB, one, batch)
 	}
@@ -199,229 +181,12 @@ func (e *Inference) predictStacked(rc *RankContext, b *inferBatch, batch int) {
 	hx := e.nodeEnc.InferForward(a, b.xb)
 	he := b.staticHeB
 	if he == nil {
-		// EdgeFeatures7: assemble the stacked 7-column edge attributes
-		// (relative node features per sample, shared static geometry).
-		ne := rc.Graph.NumEdges()
-		var ei *tensor.Matrix
-		if b.xb.Cols >= 3 {
-			ei = a.Get(batch*ne, 7)
-		} else {
-			ei = a.GetZeroed(batch*ne, 7)
-		}
-		b.eiT = batchEdgeInputsTask{rc: rc, x: b.xb, out: ei}
-		parallel.ForTask(batch*ne, 512, &b.eiT)
-		he = e.edgeEnc.InferForward(a, ei)
+		he = e.edgeEnc.InferForward(a, rc.edgeInputs7(b.xb, a, batch))
 	}
-	for _, p := range b.procs {
-		hx, he = p.InferForwardBatched(rc, a, hx, he, batch)
+	for _, p := range e.procs {
+		hx, he = p.forward(rc, a, hx, he, batch)
 	}
 	y := e.dec.InferForward(a, hx)
 	out := b.ensureOut(y.Rows, y.Cols, batch)
 	tensor.CloneInto(out, y)
-}
-
-// batchNMP is the stacked twin of inferNMP: the same compiled MLPs (it
-// aliases the unbatched twin, so SetOverlap and parameter updates flow
-// through), the same aggregation/absorb orders per row — only the task
-// index spaces carry the extra leading batch dimension.
-type batchNMP struct {
-	src *inferNMP
-
-	edgeInT batchEdgeInTask
-	aggT    batchAggTask
-	absorbT batchAbsorbTask
-	hcatT   batchHCatTask
-}
-
-func (l *batchNMP) InferForwardBatched(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix) {
-	s := l.src
-	g := rc.Graph
-	h := x.Cols
-	nl, ne, nh := g.NumLocal(), g.NumEdges(), g.NumHalo()
-	nb := g.NumBoundary
-
-	// (4a) stacked edge update with residual.
-	edgeIn := a.Get(batch*ne, 3*h)
-	l.edgeInT = batchEdgeInTask{g: g, x: x, e: e, out: edgeIn, h: h}
-	parallel.ForTask(batch*ne, edgeGrain(h), &l.edgeInT)
-	eOut = s.edgeMLP.InferForward(a, edgeIn)
-	tensor.AddScaled(eOut, 1, e)
-
-	// (4b)–(4d) over the stacked blocks; one batched halo exchange moves
-	// every sample's boundary aggregates.
-	agg := a.GetZeroed(batch*nl, h)
-	halo := a.GetZeroed(batch*nh, h)
-	nodeIn := a.Get(batch*nl, 2*h)
-
-	if s.overlap {
-		l.aggT = batchAggTask{g: g, eOut: eOut, agg: agg,
-			disableDeg: s.disableDeg, nodes: g.NodeOrder[:nb]}
-		parallel.ForTask(batch*nb, edgeGrain(h), &l.aggT)
-		rc.Ex.StartForwardBatched(rc.Comm, agg, halo, batch)
-
-		l.aggT.nodes = g.NodeOrder[nb:]
-		parallel.ForTask(batch*(nl-nb), edgeGrain(h), &l.aggT)
-		l.hcatT = batchHCatTask{agg: agg, x: x, out: nodeIn, h: h,
-			nodes: g.NodeOrder[nb:], nl: nl}
-		parallel.ForTask(batch*(nl-nb), edgeGrain(h), &l.hcatT)
-
-		rc.Ex.FinishForward(rc.Comm)
-		l.absorbT = batchAbsorbTask{g: g, agg: agg, halo: halo, nodes: g.NodeOrder[:nb]}
-		parallel.ForTask(batch*nb, edgeGrain(h), &l.absorbT)
-		l.hcatT.nodes = g.NodeOrder[:nb]
-		parallel.ForTask(batch*nb, edgeGrain(h), &l.hcatT)
-	} else {
-		l.aggT = batchAggTask{g: g, eOut: eOut, agg: agg, disableDeg: s.disableDeg}
-		parallel.ForTask(batch*nl, edgeGrain(h), &l.aggT)
-		rc.Ex.ForwardBatched(rc.Comm, agg, halo, batch)
-		l.absorbT = batchAbsorbTask{g: g, agg: agg, halo: halo}
-		parallel.ForTask(batch*nl, edgeGrain(h), &l.absorbT)
-		tensor.HCatInto(nodeIn, agg, x)
-	}
-
-	// (4e) stacked node update with residual.
-	xOut = s.nodeMLP.InferForward(a, nodeIn)
-	tensor.AddScaled(xOut, 1, x)
-	return xOut, eOut
-}
-
-// batchEdgeInTask assembles stacked (x_i ‖ x_j ‖ e_ij) rows: global index
-// q decomposes into (sample b, edge k) and the gathers offset into sample
-// b's row blocks. Each row is written once, identically to the unbatched
-// task on that sample.
-type batchEdgeInTask struct {
-	g         *graph.Local
-	x, e, out *tensor.Matrix
-	h         int
-}
-
-func (t *batchEdgeInTask) Run(lo, hi int) {
-	h := t.h
-	nl, ne := t.g.NumLocal(), t.g.NumEdges()
-	for q := lo; q < hi; q++ {
-		b, k := q/ne, q%ne
-		ed := t.g.Edges[k]
-		xo := b * nl
-		row := t.out.Row(q)
-		copy(row[:h], t.x.Row(xo+ed[1]))    // x_i (receiver)
-		copy(row[h:2*h], t.x.Row(xo+ed[0])) // x_j (sender)
-		copy(row[2*h:], t.e.Row(q))         // e_ij
-	}
-}
-
-// batchAggTask is the stacked receiver aggregation: index p decomposes
-// into (sample b, position) over the node list (or all local rows), and
-// each receiver row walks its incoming edges in the canonical CSR order —
-// the per-row summation sequence of the unbatched sweep, for any batch
-// size and thread count.
-type batchAggTask struct {
-	g          *graph.Local
-	eOut, agg  *tensor.Matrix
-	disableDeg bool
-	nodes      []int
-}
-
-func (t *batchAggTask) Run(lo, hi int) {
-	g := t.g
-	nl, ne := g.NumLocal(), g.NumEdges()
-	count := nl
-	if t.nodes != nil {
-		count = len(t.nodes)
-	}
-	for p := lo; p < hi; p++ {
-		b, q := p/count, p%count
-		i := q
-		if t.nodes != nil {
-			i = t.nodes[q]
-		}
-		dst := t.agg.Row(b*nl + i)
-		eo := b * ne
-		for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
-			src := t.eOut.Row(eo + k)
-			inv := 1.0
-			if !t.disableDeg {
-				inv = 1 / g.EdgeDegree[k]
-			}
-			for j, v := range src {
-				dst[j] += inv * v
-			}
-		}
-	}
-}
-
-// batchAbsorbTask is the stacked synchronization: owners absorb their
-// halo copies within their own sample block, contributions in ascending
-// halo-row order exactly like the unbatched sweep.
-type batchAbsorbTask struct {
-	g         *graph.Local
-	agg, halo *tensor.Matrix
-	nodes     []int
-}
-
-func (t *batchAbsorbTask) Run(lo, hi int) {
-	g := t.g
-	nl, nh := g.NumLocal(), g.NumHalo()
-	count := nl
-	if t.nodes != nil {
-		count = len(t.nodes)
-	}
-	for p := lo; p < hi; p++ {
-		b, q := p/count, p%count
-		i := q
-		if t.nodes != nil {
-			i = t.nodes[q]
-		}
-		dst := t.agg.Row(b*nl + i)
-		ho := b * nh
-		for k := g.HaloStart[i]; k < g.HaloStart[i+1]; k++ {
-			src := t.halo.Row(ho + g.HaloPerm[k])
-			for j, v := range src {
-				dst[j] += v
-			}
-		}
-	}
-}
-
-// batchHCatTask assembles stacked node-MLP input rows (a* ‖ x) for the
-// listed nodes of every sample block.
-type batchHCatTask struct {
-	agg, x, out *tensor.Matrix
-	h           int
-	nodes       []int
-	nl          int
-}
-
-func (t *batchHCatTask) Run(lo, hi int) {
-	count := len(t.nodes)
-	for p := lo; p < hi; p++ {
-		b, q := p/count, p%count
-		r := b*t.nl + t.nodes[q]
-		row := t.out.Row(r)
-		copy(row[:t.h], t.agg.Row(r))
-		copy(row[t.h:], t.x.Row(r))
-	}
-}
-
-// batchEdgeInputsTask is the stacked EdgeFeatures7 assembly: per sample,
-// the first three columns are the relative node features x_dst − x_src;
-// the static geometry columns are shared across the batch.
-type batchEdgeInputsTask struct {
-	rc     *RankContext
-	x, out *tensor.Matrix
-}
-
-func (t *batchEdgeInputsTask) Run(lo, hi int) {
-	g := t.rc.Graph
-	nl, ne := g.NumLocal(), g.NumEdges()
-	for q := lo; q < hi; q++ {
-		b, k := q/ne, q%ne
-		ed := g.Edges[k]
-		xo := b * nl
-		row := t.out.Row(q)
-		xs, xd := t.x.Row(xo+ed[0]), t.x.Row(xo+ed[1])
-		for j := 0; j < 3 && j < len(xs); j++ {
-			row[j] = xd[j] - xs[j]
-		}
-		copy(row[3:], t.rc.StaticEdge.Row(k))
-	}
 }

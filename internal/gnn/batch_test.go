@@ -243,7 +243,9 @@ func TestRolloutBatchMatchesSequentialRollout(t *testing.T) {
 
 // TestPredictBatchRebind exercises batch-size changes on one engine: the
 // batched arena must re-record cleanly and stay bitwise-correct through
-// B=3 → B=2 → B=3.
+// B=2 → B=3 → B=2, a rebind must tile the static-edge encoding from the
+// compile's cache instead of encoding the edge set again, and
+// WorkspaceFootprint must count the batched arena.
 func TestPredictBatchRebind(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
@@ -270,7 +272,23 @@ func TestPredictBatchRebind(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, batch := range []int{3, 2, 3} {
+		xs := batchInputs(rc.Graph, 2)
+		eng.Predict(rc, xs[0])
+		single := eng.WorkspaceFootprint()
+		eng.PredictBatch(rc, xs)
+		both := eng.WorkspaceFootprint()
+		if both <= single {
+			return fmt.Errorf("footprint %d after the first PredictBatch, %d before: the batched arena is not counted", both, single)
+		}
+		eng.PredictBatch(rc, xs)
+		if got := eng.WorkspaceFootprint(); got != both {
+			return fmt.Errorf("footprint moved %d -> %d on a steady-state PredictBatch", both, got)
+		}
+		// The static edges are encoded by now (EdgeFeatures4: once per
+		// graph, into the compile's cache). Take the encoder away: a
+		// rebind that encodes anything dereferences nil.
+		eng.edgeEnc = nil
+		for _, batch := range []int{2, 3, 2} {
 			if d := batchParity(rc, eng, batchInputs(rc.Graph, batch)); d != 0 {
 				return fmt.Errorf("B=%d after rebind: %d values differ bitwise", batch, d)
 			}

@@ -55,18 +55,24 @@ func NewRankContext(c *comm.Comm, box *mesh.Box, l *graph.Local, mode comm.Excha
 	}, nil
 }
 
-// edgeInputsTask assembles the 7-column edge attributes; bound to the
-// rank context and reused so the per-step assembly allocates nothing.
+// edgeInputsTask assembles the 7-column edge attributes of batch stacked
+// snapshots: per sample the relative node features, then the static
+// geometry columns every sample shares. Bound to the rank context and
+// reused so the per-step assembly allocates nothing.
 type edgeInputsTask struct {
 	rc     *RankContext
 	x, out *tensor.Matrix
 }
 
-func (t *edgeInputsTask) Run(lo, hi int) {
+func (t *edgeInputsTask) Run(lo, hi int) { runBlocks(t, t.rc.Graph.NumEdges(), lo, hi) }
+
+func (t *edgeInputsTask) block(b, lo, hi int) {
+	g := t.rc.Graph
+	xo, eo := b*g.NumLocal(), b*g.NumEdges()
 	for k := lo; k < hi; k++ {
-		e := t.rc.Graph.Edges[k]
-		row := t.out.Row(k)
-		xs, xd := t.x.Row(e[0]), t.x.Row(e[1])
+		e := g.Edges[k]
+		row := t.out.Row(eo + k)
+		xs, xd := t.x.Row(xo+e[0]), t.x.Row(xo+e[1])
 		for j := 0; j < 3 && j < len(xs); j++ {
 			row[j] = xd[j] - xs[j]
 		}
@@ -87,31 +93,32 @@ func (rc *RankContext) TransportKind() comm.TransportKind {
 // node features under the configured mode. For EdgeFeatures7 the first
 // three columns are the relative input node features x_dst - x_src (the
 // paper's "relative node features"); the remaining four are the static
-// geometry columns.
+// geometry columns. EdgeFeatures4 returns the precomputed static matrix.
 func (rc *RankContext) EdgeInputs(mode EdgeFeatureMode, x *tensor.Matrix) *tensor.Matrix {
-	return rc.EdgeInputsInto(mode, x, nil)
-}
-
-// EdgeInputsInto is EdgeInputs drawing the 7-column assembly from a
-// workspace arena (nil falls back to allocating). EdgeFeatures4 returns
-// the precomputed static matrix either way.
-func (rc *RankContext) EdgeInputsInto(mode EdgeFeatureMode, x *tensor.Matrix, a *tensor.Arena) *tensor.Matrix {
 	switch mode {
 	case EdgeFeatures4:
 		return rc.StaticEdge
 	case EdgeFeatures7:
-		// Inputs narrower than 3 columns leave part of the relative-
-		// feature block untouched, which must read as zero; full-width
-		// inputs overwrite every column, so the clear is skipped.
-		var out *tensor.Matrix
-		if x.Cols >= 3 {
-			out = a.Get(rc.Graph.NumEdges(), 7)
-		} else {
-			out = a.GetZeroed(rc.Graph.NumEdges(), 7)
-		}
-		rc.eiTask = edgeInputsTask{rc: rc, x: x, out: out}
-		parallel.ForTask(rc.Graph.NumEdges(), 512, &rc.eiTask)
-		return out
+		return rc.edgeInputs7(x, nil, 1)
 	}
 	panic(fmt.Sprintf("gnn: unsupported edge mode %d", mode))
+}
+
+// edgeInputs7 assembles the EdgeFeatures7 attributes of batch stacked
+// snapshots x ((batch·N_local) rows) into a (batch·N_edges)×7 workspace
+// drawn from a (nil allocates).
+func (rc *RankContext) edgeInputs7(x *tensor.Matrix, a *tensor.Arena, batch int) *tensor.Matrix {
+	// Inputs narrower than 3 columns leave part of the relative-feature
+	// block untouched, which must read as zero; full-width inputs
+	// overwrite every column, so the clear is skipped.
+	ne := rc.Graph.NumEdges()
+	var out *tensor.Matrix
+	if x.Cols >= 3 {
+		out = a.Get(batch*ne, int(EdgeFeatures7))
+	} else {
+		out = a.GetZeroed(batch*ne, int(EdgeFeatures7))
+	}
+	rc.eiTask = edgeInputsTask{rc: rc, x: x, out: out}
+	parallel.ForTask(batch*ne, 512, &rc.eiTask)
+	return out
 }

@@ -65,57 +65,40 @@ func (t *Trainer) Fit(rc *RankContext, ds *Dataset, opts FitOptions) []float64 {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
 		var sum float64
-		if t.Batch > 1 {
-			// Batched epochs: consecutive runs of Batch samples from the
-			// same shuffled order train as one StepBatch each (a short
-			// tail falls back to per-sample steps). The sample stream and
-			// the per-visit noise stream are identical to Batch == 1 —
-			// only the optimizer-step boundaries move.
-			for start := 0; start < len(order); start += t.Batch {
-				end := start + t.Batch
-				if end > len(order) {
-					end = len(order)
+		// Consecutive runs of Batch samples from the shuffled order train
+		// as one StepBatch each (a short tail falls back to per-sample
+		// steps, sparing the arena a re-record). The sample stream and the
+		// per-visit noise stream do not depend on Batch — only the
+		// optimizer-step boundaries move.
+		batch := max(t.Batch, 1)
+		for start := 0; start < len(order); start += batch {
+			end := min(start+batch, len(order))
+			xs, ts := t.xsBuf[:0], t.tsBuf[:0]
+			for step := start; step < end; step++ {
+				idx := order[step]
+				x := ds.Inputs[idx]
+				if opts.NoiseSigma > 0 {
+					// Key the stream by (epoch, step) so each visit draws
+					// fresh — but partition-invariant — noise.
+					noisy := x.Clone()
+					n := NoiseField(rc.Graph, x.Cols, opts.NoiseSigma,
+						opts.NoiseSeed^uint64(e)<<32^uint64(step))
+					tensor.AddScaled(noisy, 1, n)
+					x = noisy
 				}
-				xs, ts := t.xsBuf[:0], t.tsBuf[:0]
-				for step := start; step < end; step++ {
-					idx := order[step]
-					x := ds.Inputs[idx]
-					if opts.NoiseSigma > 0 {
-						noisy := x.Clone()
-						n := NoiseField(rc.Graph, x.Cols, opts.NoiseSigma,
-							opts.NoiseSeed^uint64(e)<<32^uint64(step))
-						tensor.AddScaled(noisy, 1, n)
-						x = noisy
-					}
-					xs = append(xs, x)
-					ts = append(ts, ds.Targets[idx])
+				xs = append(xs, x)
+				ts = append(ts, ds.Targets[idx])
+			}
+			t.xsBuf, t.tsBuf = xs, ts
+			if len(xs) < batch {
+				for i := range xs {
+					sum += t.Step(rc, xs[i], ts[i])
 				}
-				t.xsBuf, t.tsBuf = xs, ts
-				if len(xs) < t.Batch {
-					for i := range xs {
-						sum += t.Step(rc, xs[i], ts[i])
-					}
-				} else {
-					for _, l := range t.StepBatch(rc, xs, ts) {
-						sum += l
-					}
+			} else {
+				for _, l := range t.StepBatch(rc, xs, ts) {
+					sum += l
 				}
 			}
-			losses = append(losses, sum/float64(ds.Len()))
-			continue
-		}
-		for step, idx := range order {
-			x := ds.Inputs[idx]
-			if opts.NoiseSigma > 0 {
-				// Key the stream by (epoch, step) so each visit draws
-				// fresh — but partition-invariant — noise.
-				noisy := x.Clone()
-				n := NoiseField(rc.Graph, x.Cols, opts.NoiseSigma,
-					opts.NoiseSeed^uint64(e)<<32^uint64(step))
-				tensor.AddScaled(noisy, 1, n)
-				x = noisy
-			}
-			sum += t.Step(rc, x, ds.Targets[idx])
 		}
 		losses = append(losses, sum/float64(ds.Len()))
 	}

@@ -9,7 +9,6 @@ import (
 
 	"meshgnn/internal/graph"
 	"meshgnn/internal/nn"
-	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -31,11 +30,12 @@ import (
 //     subsequent Predict — an entire MLP forward over the edge set drops
 //     out of the per-request path.
 //
-// The fused epoch keeps the persistent preprocessed inputs of the
-// training path — the bound edge-input assembly task, the exchanger's
-// halo request tables, the boundary/interior graph split — and reuses the
-// overlapped Start/Finish exchange halves, so Config.Overlap hides halo
-// transfers behind interior compute in pure-forward mode too.
+// The message-passing layers are not a serving copy of the training
+// ones: they are the one Eq. 4 schedule and its tasks (nmp.go) driven
+// through a serving adapter, so the boundary/interior split point, the
+// exchanger's Start/Finish halves and the batch argument are the
+// training path's own, and Config.Overlap hides halo transfers behind
+// interior compute in pure-forward mode too.
 //
 // The engine shares parameter storage with its source model (compiling
 // copies nothing, and checkpoints written from the model after compiling
@@ -123,9 +123,10 @@ func (s *inferShared) reset() {
 	s.mu.Unlock()
 }
 
-// inferProcessor is the forward-only counterpart of ProcessorLayer.
+// inferProcessor is the forward-only counterpart of ProcessorLayer: one
+// processor layer applied to batch stacked samples on workspaces from a.
 type inferProcessor interface {
-	InferForward(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix)
+	forward(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix)
 	setOverlap(on bool)
 }
 
@@ -307,11 +308,15 @@ func (e *Inference) Release() {
 
 // WorkspaceFootprint reports the engine's arena storage in float64s — the
 // steady-state per-request workspace (compare Model.WorkspaceFootprint,
-// which also carries the backward epoch). For a Float32 engine the f32
+// which also carries the backward epoch): the Predict arena plus, once
+// PredictBatch has run, the batched one. For a Float32 engine the f32
 // activation arena is counted at half a float64 per element, alongside
 // the f64 staging arena.
 func (e *Inference) WorkspaceFootprint() int {
 	n := e.arena.Footprint()
+	if e.batch != nil {
+		n += e.batch.arena.Footprint()
+	}
 	if e.f32 != nil {
 		n += (e.f32.arena.Footprint() + 1) / 2
 	}
@@ -342,10 +347,10 @@ func (e *Inference) Predict(rc *RankContext, x *tensor.Matrix) *tensor.Matrix {
 	hx := e.nodeEnc.InferForward(e.arena, x)
 	he := e.staticHe
 	if he == nil {
-		he = e.edgeEnc.InferForward(e.arena, rc.EdgeInputsInto(e.Config.EdgeMode, x, e.arena))
+		he = e.edgeEnc.InferForward(e.arena, rc.edgeInputs7(x, e.arena, 1))
 	}
 	for _, p := range e.procs {
-		hx, he = p.InferForward(rc, e.arena, hx, he)
+		hx, he = p.forward(rc, e.arena, hx, he, 1)
 	}
 	y := e.dec.InferForward(e.arena, hx)
 	e.outIdx = 1 - e.outIdx
@@ -369,11 +374,7 @@ func (e *Inference) bind(rc *RankContext, x *tensor.Matrix) {
 	e.lastGraph, e.lastRows, e.lastCols = rc.Graph, x.Rows, x.Cols
 	e.staticHe = nil
 	if e.Config.EdgeMode == EdgeFeatures4 {
-		if e.shared != nil {
-			e.staticHe = e.shared.staticFor(rc.Graph, rc.StaticEdge, e.edgeEnc)
-		} else {
-			e.staticHe = e.edgeEnc.InferForward(nil, rc.StaticEdge)
-		}
+		e.staticHe = e.shared.staticFor(rc.Graph, rc.StaticEdge, e.edgeEnc)
 	}
 }
 
@@ -396,20 +397,16 @@ func (e *Inference) Rollout(rc *RankContext, x0 *tensor.Matrix, steps int) []*te
 	return out
 }
 
-// inferNMP is the forward half of the consistent NMP layer (Eq. 4),
-// compiled for serving: the same bound tasks, the same per-row
-// aggregation and absorb orders, the same synchronous/phased scheduling —
-// only the backward caches (edgeIn, nodeIn, haloRows, rc) are gone and
-// the MLPs are forward-only twins.
+// inferNMP is the float64 serving adapter of the Eq. 4 schedule (nmp.go):
+// forward-only compiled MLPs, no backward caches, workspaces from whichever
+// arena the engine hands the call — Predict's or PredictBatch's.
 type inferNMP struct {
+	direct64
 	edgeMLP, nodeMLP *nn.InferMLP
 	disableDeg       bool
 	overlap          bool
 
-	edgeInT nmpEdgeInTask
-	aggT    nmpAggTask
-	absorbT nmpAbsorbTask
-	hcatT   nmpHCatTask
+	fwd nmpTasks[float64]
 }
 
 func newInferNMP(l *NMPLayer, overlap bool) *inferNMP {
@@ -423,53 +420,17 @@ func newInferNMP(l *NMPLayer, overlap bool) *inferNMP {
 
 func (l *inferNMP) setOverlap(on bool) { l.overlap = on }
 
-func (l *inferNMP) InferForward(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix) {
-	g := rc.Graph
-	h := x.Cols
+func (l *inferNMP) runEdge(in *tensor.Matrix) *tensor.Matrix {
+	return l.edgeMLP.InferForward(l.arena, in)
+}
 
-	// (4a) edge update with residual.
-	edgeIn := a.Get(g.NumEdges(), 3*h)
-	l.edgeInT = nmpEdgeInTask{g: g, x: x, e: e, out: edgeIn, h: h}
-	parallel.ForTask(g.NumEdges(), edgeGrain(h), &l.edgeInT)
-	eOut = l.edgeMLP.InferForward(a, edgeIn)
-	tensor.AddScaled(eOut, 1, e)
+func (l *inferNMP) runNode(in *tensor.Matrix) *tensor.Matrix {
+	return l.nodeMLP.InferForward(l.arena, in)
+}
 
-	// (4b)–(4d): aggregation, halo swap, synchronization — the exact
-	// schedule of NMPLayer.Forward, including the phased split.
-	agg := a.GetZeroed(g.NumLocal(), h)
-	halo := a.GetZeroed(g.NumHalo(), h)
-	nodeIn := a.Get(g.NumLocal(), 2*h)
-
-	if l.overlap {
-		l.aggT = nmpAggTask{g: g, eOut: eOut, agg: agg,
-			disableDeg: l.disableDeg, nodes: g.NodeOrder[:g.NumBoundary]}
-		parallel.ForTask(g.NumBoundary, edgeGrain(h), &l.aggT)
-		rc.Ex.StartForward(rc.Comm, agg, halo)
-
-		l.aggT.nodes = g.NodeOrder[g.NumBoundary:]
-		parallel.ForTask(g.NumLocal()-g.NumBoundary, edgeGrain(h), &l.aggT)
-		l.hcatT = nmpHCatTask{agg: agg, x: x, out: nodeIn, h: h,
-			nodes: g.NodeOrder[g.NumBoundary:]}
-		parallel.ForTask(g.NumLocal()-g.NumBoundary, edgeGrain(h), &l.hcatT)
-
-		rc.Ex.FinishForward(rc.Comm)
-		l.absorbT = nmpAbsorbTask{g: g, agg: agg, halo: halo, nodes: g.NodeOrder[:g.NumBoundary]}
-		parallel.ForTask(g.NumBoundary, edgeGrain(h), &l.absorbT)
-		l.hcatT.nodes = g.NodeOrder[:g.NumBoundary]
-		parallel.ForTask(g.NumBoundary, edgeGrain(h), &l.hcatT)
-	} else {
-		l.aggT = nmpAggTask{g: g, eOut: eOut, agg: agg, disableDeg: l.disableDeg}
-		parallel.ForTask(g.NumLocal(), edgeGrain(h), &l.aggT)
-		rc.Ex.Forward(rc.Comm, agg, halo)
-		l.absorbT = nmpAbsorbTask{g: g, agg: agg, halo: halo}
-		parallel.ForTask(g.NumLocal(), edgeGrain(h), &l.absorbT)
-		tensor.HCatInto(nodeIn, agg, x)
-	}
-
-	// (4e) node update with residual.
-	xOut = l.nodeMLP.InferForward(a, nodeIn)
-	tensor.AddScaled(xOut, 1, x)
-	return xOut, eOut
+func (l *inferNMP) forward(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix) {
+	l.arena = a
+	return forwardNMP(l, &l.fwd, rc, x, e, batch, l.overlap, l.disableDeg)
 }
 
 // attentionFallback serves an attention processor through the training
@@ -481,7 +442,7 @@ type attentionFallback struct {
 	l *AttentionLayer
 }
 
-func (f *attentionFallback) InferForward(rc *RankContext, _ *tensor.Arena, x, e *tensor.Matrix) (*tensor.Matrix, *tensor.Matrix) {
+func (f *attentionFallback) forward(rc *RankContext, _ *tensor.Arena, x, e *tensor.Matrix, _ int) (*tensor.Matrix, *tensor.Matrix) {
 	return f.l.Forward(rc, x, e)
 }
 

@@ -1,14 +1,16 @@
 package gnn
 
 import (
-	"meshgnn/internal/graph"
 	"meshgnn/internal/nn"
-	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
-// Float32 serving engine (Config.Precision == Float32). The structure is
-// the float64 engine's, compiled over single-precision twins:
+// Float32 serving engine (Config.Precision == Float32). float32 is an
+// element type of the one Eq. 4 schedule (nmp.go), not a second engine
+// design: the processors are forwardNMP and its tasks instantiated at
+// float32, and this file holds only what the float32 user supplies —
+// single-precision MLP twins, a float32 arena, and the staging that takes
+// aggregates to the float64 wire and back:
 //
 //   - parameters down-convert ONCE at NewInference (nn.Compile32), with
 //     every weight above the packed-GEMM threshold pre-packed so serving
@@ -18,10 +20,9 @@ import (
 //     GEMM-bound serving path moves half the memory traffic);
 //   - the halo exchange stages through two persistent float64 matrices,
 //     because the transport layer's element type is float64: aggregates
-//     promote before the swap and halo payloads demote after. The
-//     promote/demote pair touches only boundary/halo rows' worth of
-//     traffic per layer and keeps the exchange plans, transports, and
-//     overlap scheduling byte-identical to the training path.
+//     promote before the swap and halo payloads demote after, which keeps
+//     the exchange plans, transports, and the overlap split point those of
+//     the float64 users.
 //
 // Predict keeps its float64 signature — inputs demote into a persistent
 // buffer, outputs promote into the engine's double-buffered float64
@@ -33,7 +34,7 @@ import (
 // per-row accumulation order, and the exchange semantics are unchanged.
 type engine32 struct {
 	nodeEnc, edgeEnc, dec *nn.InferMLP32
-	procs                 []*inferNMP32
+	procs                 []*inferNMPf32
 
 	arena      *tensor.Arena32
 	staticHe32 *tensor.Matrix32 // cached f32 edge encoding (EdgeFeatures4)
@@ -57,7 +58,14 @@ func compile32(m *Model) *engine32 {
 	for _, l := range m.Layers {
 		// Validate rejects Attention+Float32, so every processor is an
 		// NMPLayer here.
-		f.procs = append(f.procs, newInferNMP32(l.(*NMPLayer), m.Config.Overlap))
+		nmp := l.(*NMPLayer)
+		f.procs = append(f.procs, &inferNMPf32{
+			f:          f,
+			edgeMLP:    nmp.EdgeMLP.Compile32(),
+			nodeMLP:    nmp.NodeMLP.Compile32(),
+			disableDeg: nmp.DisableDegreeScaling,
+			overlap:    m.Config.Overlap || nmp.Overlap,
+		})
 	}
 	return f
 }
@@ -86,13 +94,13 @@ func (e *Inference) predict32(rc *RankContext, x *tensor.Matrix) *tensor.Matrix 
 	he := f.staticHe32
 	if he == nil {
 		e.arena.Reset()
-		ein64 := rc.EdgeInputsInto(e.Config.EdgeMode, x, e.arena)
+		ein64 := rc.edgeInputs7(x, e.arena, 1)
 		ein := f.arena.Get(ein64.Rows, ein64.Cols)
 		tensor.DemoteInto32(ein, ein64)
 		he = f.edgeEnc.InferForward32(f.arena, ein)
 	}
 	for _, p := range f.procs {
-		hx, he = p.InferForward32(rc, f, hx, he)
+		hx, he = forwardNMP(p, &p.fwd, rc, hx, he, 1, p.overlap, p.disableDeg)
 	}
 	y := f.dec.InferForward32(f.arena, hx)
 	e.outIdx = 1 - e.outIdx
@@ -105,175 +113,47 @@ func (e *Inference) predict32(rc *RankContext, x *tensor.Matrix) *tensor.Matrix 
 	return out
 }
 
-// inferNMP32 is the float32 twin of inferNMP: the same Eq. 4 schedule
-// (including the phased overlap split) over f32 tasks and MLPs, with the
-// halo swap staging through the engine's f64 matrices.
-type inferNMP32 struct {
+// inferNMPf32 is the float32 serving adapter of the Eq. 4 schedule:
+// single-precision MLPs, workspaces from the engine's float32 arena, and
+// the halo swap staged through the engine's float64 matrices.
+type inferNMPf32 struct {
+	f                *engine32
 	edgeMLP, nodeMLP *nn.InferMLP32
 	disableDeg       bool
 	overlap          bool
 
-	edgeInT nmpEdgeInTask32
-	aggT    nmpAggTask32
-	absorbT nmpAbsorbTask32
-	hcatT   nmpHCatTask32
+	fwd nmpTasks[float32]
 }
 
-func newInferNMP32(l *NMPLayer, overlap bool) *inferNMP32 {
-	return &inferNMP32{
-		edgeMLP:    l.EdgeMLP.Compile32(),
-		nodeMLP:    l.NodeMLP.Compile32(),
-		disableDeg: l.DisableDegreeScaling,
-		overlap:    overlap || l.Overlap,
+func (l *inferNMPf32) setOverlap(on bool) { l.overlap = on }
+
+func (l *inferNMPf32) get(rows, cols int, zeroed bool) *tensor.Matrix32 {
+	if zeroed {
+		return l.f.arena.GetZeroed(rows, cols)
 	}
+	return l.f.arena.Get(rows, cols)
 }
 
-func (l *inferNMP32) setOverlap(on bool) { l.overlap = on }
-
-func (l *inferNMP32) InferForward32(rc *RankContext, f *engine32, x, e *tensor.Matrix32) (xOut, eOut *tensor.Matrix32) {
-	g := rc.Graph
-	h := x.Cols
-	a := f.arena
-
-	// (4a) edge update with residual.
-	edgeIn := a.Get(g.NumEdges(), 3*h)
-	l.edgeInT = nmpEdgeInTask32{g: g, x: x, e: e, out: edgeIn, h: h}
-	parallel.ForTask(g.NumEdges(), edgeGrain(h), &l.edgeInT)
-	eOut = l.edgeMLP.InferForward32(a, edgeIn)
-	tensor.AddScaled32(eOut, 1, e)
-
-	// (4b)–(4d) with the f64 exchange staging: promote the aggregates the
-	// plan will send, swap, demote the arrivals, absorb.
-	agg := a.GetZeroed(g.NumLocal(), h)
-	halo := a.GetZeroed(g.NumHalo(), h)
-	nodeIn := a.Get(g.NumLocal(), 2*h)
-
-	if l.overlap {
-		l.aggT = nmpAggTask32{g: g, eOut: eOut, agg: agg,
-			disableDeg: l.disableDeg, nodes: g.NodeOrder[:g.NumBoundary]}
-		parallel.ForTask(g.NumBoundary, edgeGrain(h), &l.aggT)
-		// The exchanger packs boundary rows only, and those are final
-		// here — interior rows of the promoted staging are stale zeros the
-		// plan never reads.
-		tensor.PromoteInto64(f.aggStage, agg)
-		rc.Ex.StartForward(rc.Comm, f.aggStage, f.haloStage)
-
-		l.aggT.nodes = g.NodeOrder[g.NumBoundary:]
-		parallel.ForTask(g.NumLocal()-g.NumBoundary, edgeGrain(h), &l.aggT)
-		l.hcatT = nmpHCatTask32{agg: agg, x: x, out: nodeIn, h: h,
-			nodes: g.NodeOrder[g.NumBoundary:]}
-		parallel.ForTask(g.NumLocal()-g.NumBoundary, edgeGrain(h), &l.hcatT)
-
-		rc.Ex.FinishForward(rc.Comm)
-		tensor.DemoteInto32(halo, f.haloStage)
-		l.absorbT = nmpAbsorbTask32{g: g, agg: agg, halo: halo, nodes: g.NodeOrder[:g.NumBoundary]}
-		parallel.ForTask(g.NumBoundary, edgeGrain(h), &l.absorbT)
-		l.hcatT.nodes = g.NodeOrder[:g.NumBoundary]
-		parallel.ForTask(g.NumBoundary, edgeGrain(h), &l.hcatT)
-	} else {
-		l.aggT = nmpAggTask32{g: g, eOut: eOut, agg: agg, disableDeg: l.disableDeg}
-		parallel.ForTask(g.NumLocal(), edgeGrain(h), &l.aggT)
-		tensor.PromoteInto64(f.aggStage, agg)
-		rc.Ex.Forward(rc.Comm, f.aggStage, f.haloStage)
-		tensor.DemoteInto32(halo, f.haloStage)
-		l.absorbT = nmpAbsorbTask32{g: g, agg: agg, halo: halo}
-		parallel.ForTask(g.NumLocal(), edgeGrain(h), &l.absorbT)
-		tensor.HCatInto32(nodeIn, agg, x)
-	}
-
-	// (4e) node update with residual.
-	xOut = l.nodeMLP.InferForward32(a, nodeIn)
-	tensor.AddScaled32(xOut, 1, x)
-	return xOut, eOut
+func (*inferNMPf32) view(m *tensor.Matrix32) rowsOf[float32] {
+	return rowsOf[float32]{m.Data, m.Cols}
 }
 
-// nmpEdgeInTask32 assembles (x_i ‖ x_j ‖ e_ij) rows — nmpEdgeInTask over
-// float32 storage.
-type nmpEdgeInTask32 struct {
-	g         *graph.Local
-	x, e, out *tensor.Matrix32
-	h         int
+func (l *inferNMPf32) runEdge(in *tensor.Matrix32) *tensor.Matrix32 {
+	return l.edgeMLP.InferForward32(l.f.arena, in)
 }
 
-func (t *nmpEdgeInTask32) Run(lo, hi int) {
-	h := t.h
-	for k := lo; k < hi; k++ {
-		ed := t.g.Edges[k]
-		row := t.out.Row(k)
-		copy(row[:h], t.x.Row(ed[1]))
-		copy(row[h:2*h], t.x.Row(ed[0]))
-		copy(row[2*h:], t.e.Row(k))
-	}
+func (l *inferNMPf32) runNode(in *tensor.Matrix32) *tensor.Matrix32 {
+	return l.nodeMLP.InferForward32(l.f.arena, in)
 }
 
-// nmpAggTask32 is the degree-scaled receiver aggregation with the 1/d
-// factor rounded to float32 once per edge; the per-row edge order is the
-// canonical CSR sweep, so bits are thread-count-invariant.
-type nmpAggTask32 struct {
-	g          *graph.Local
-	eOut, agg  *tensor.Matrix32
-	disableDeg bool
-	nodes      []int
+func (*inferNMPf32) addInto(dst, src *tensor.Matrix32) { tensor.AddScaled32(dst, 1, src) }
+
+// toWire promotes the aggregates into the float64 staging. The exchanger
+// packs boundary rows only; under the phased split the interior rows of
+// the promoted copy are stale, and the plan never reads them.
+func (l *inferNMPf32) toWire(agg, _ *tensor.Matrix32) (src, dst *tensor.Matrix) {
+	tensor.PromoteInto64(l.f.aggStage, agg)
+	return l.f.aggStage, l.f.haloStage
 }
 
-func (t *nmpAggTask32) Run(lo, hi int) {
-	g := t.g
-	for p := lo; p < hi; p++ {
-		i := p
-		if t.nodes != nil {
-			i = t.nodes[p]
-		}
-		dst := t.agg.Row(i)
-		for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
-			src := t.eOut.Row(k)
-			inv := float32(1)
-			if !t.disableDeg {
-				inv = float32(1 / g.EdgeDegree[k])
-			}
-			for j, v := range src {
-				dst[j] += inv * v
-			}
-		}
-	}
-}
-
-// nmpAbsorbTask32 is the owner-grouped halo synchronization (4d) over
-// float32 rows.
-type nmpAbsorbTask32 struct {
-	g         *graph.Local
-	agg, halo *tensor.Matrix32
-	nodes     []int
-}
-
-func (t *nmpAbsorbTask32) Run(lo, hi int) {
-	g := t.g
-	for p := lo; p < hi; p++ {
-		i := p
-		if t.nodes != nil {
-			i = t.nodes[p]
-		}
-		dst := t.agg.Row(i)
-		for q := g.HaloStart[i]; q < g.HaloStart[i+1]; q++ {
-			src := t.halo.Row(g.HaloPerm[q])
-			for j, v := range src {
-				dst[j] += v
-			}
-		}
-	}
-}
-
-// nmpHCatTask32 assembles (a* ‖ x) rows for the listed nodes.
-type nmpHCatTask32 struct {
-	agg, x, out *tensor.Matrix32
-	h           int
-	nodes       []int
-}
-
-func (t *nmpHCatTask32) Run(lo, hi int) {
-	for p := lo; p < hi; p++ {
-		i := t.nodes[p]
-		row := t.out.Row(i)
-		copy(row[:t.h], t.agg.Row(i))
-		copy(row[t.h:], t.x.Row(i))
-	}
-}
+func (l *inferNMPf32) fromWire(halo *tensor.Matrix32) { tensor.DemoteInto32(halo, l.f.haloStage) }

@@ -28,6 +28,19 @@ import (
 // valid until the next Forward call. When the evaluated sub-graph or
 // batch shape changes, the arena is cleared and re-recorded on the next
 // pass.
+//
+// Batches. A forward/backward pass runs over B same-mesh samples stacked
+// as row blocks of one (B·N)×F matrix; Forward's single sample is the
+// batch of one. Pure row maps (input-gradient GEMMs, ELU, per-row
+// LayerNorm dx, gathers and owner-partitioned scatters) run over the full
+// stack, while every reduction whose fixed chunk schedule derives from
+// the row count — the weight/bias/gain/shift gradients and the per-sample
+// loss sums — runs one sample block at a time in ascending sample order.
+// Each block then reproduces the exact reduction geometry of a pass over
+// that sample alone, so the accumulated B-sample gradient is
+// bitwise-equal to the sequential accumulation (ZeroGrads once, then B
+// single-sample Forward/Loss/Backward passes) for any thread count, rank
+// count, transport, and overlap mode.
 type Model struct {
 	Config Config
 
@@ -37,7 +50,6 @@ type Model struct {
 	Decoder     *nn.MLP
 
 	params []*nn.Param
-	lastNe int // edge count of the most recent Forward, for Backward
 
 	arena *tensor.Arena
 	// outs double-buffers the persistent prediction: each Forward writes
@@ -48,16 +60,17 @@ type Model struct {
 	// being produced.
 	outs      [2]*tensor.Matrix
 	outIdx    int
-	lastGraph *graph.Local // arena shape signature
-	lastRows  int
-	lastCols  int
-	lastBatch int // 1 for Forward; the stacked B for forwardBatched
+	lastGraph *graph.Local // arena shape signature; Backward reads it too
+	lastBatch int
 
-	// batched-training state (trainbatch.go): the persistent stacked input
-	// and the batch-tiled static-edge attributes (EdgeFeatures4).
+	// xb is the persistent stacked input the samples are copied into (the
+	// node encoder caches it for its backward); staticEdgeB the batch-tiled
+	// static-edge attributes (EdgeFeatures4), stacked like every other
+	// activation because the edge encoder's backward slices its cached
+	// input per block. one is Forward's batch of one.
 	xb          *tensor.Matrix
 	staticEdgeB *tensor.Matrix
-	beiT        batchEdgeInputsTask
+	one         [1]*tensor.Matrix
 }
 
 // ProcessorLayer is the contract shared by the consistent NMP layer and
@@ -153,25 +166,8 @@ func (m *Model) NumParams() int { return nn.CountParams(m.params) }
 // does. All ranks must call Forward collectively (the NMP layers
 // synchronize halos).
 func (m *Model) Forward(rc *RankContext, x *tensor.Matrix) *tensor.Matrix {
-	if x.Rows != rc.Graph.NumLocal() || x.Cols != m.Config.InputNodeFeatures {
-		panic(fmt.Sprintf("gnn: input %dx%d, want %dx%d",
-			x.Rows, x.Cols, rc.Graph.NumLocal(), m.Config.InputNodeFeatures))
-	}
-	// A new forward pass begins the next workspace epoch: rewind the
-	// arena (replaying the recorded buffers), or re-record from scratch
-	// when the computation changed shape.
-	if rc.Graph != m.lastGraph || x.Rows != m.lastRows || x.Cols != m.lastCols || m.lastBatch != 1 {
-		m.arena.Clear()
-		m.lastGraph, m.lastRows, m.lastCols, m.lastBatch = rc.Graph, x.Rows, x.Cols, 1
-	}
-	m.arena.Reset()
-	hx := m.NodeEncoder.Forward(x)
-	he := m.EdgeEncoder.Forward(rc.EdgeInputsInto(m.Config.EdgeMode, x, m.arena))
-	m.lastNe = rc.Graph.NumEdges()
-	for _, l := range m.Layers {
-		hx, he = l.Forward(rc, hx, he)
-	}
-	y := m.Decoder.Forward(hx)
+	m.one[0] = x
+	y := m.forward(rc, m.one[:])
 	// The prediction escapes the step (losses, rollouts, assembly hold
 	// it), so it is copied out of the arena into a persistent buffer —
 	// alternating between two so the previously returned prediction stays
@@ -186,22 +182,77 @@ func (m *Model) Forward(rc *RankContext, x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// Backward propagates the output gradient dy through the model,
-// accumulating parameter gradients. Gradients with respect to the raw
-// inputs are not returned: inputs are data, and the edge-feature
-// dependence on x (EdgeFeatures7 mode) is likewise treated as constant.
-// All ranks must call Backward collectively, after the matching Forward
-// (the workspace epoch spans the forward and backward pass).
+// forward evaluates the GNN on len(xs) stacked snapshots of this rank's
+// sub-graph, returning the (batch·N_local)×OutputNodeFeatures stacked
+// prediction. The result is arena-owned: valid until the next forward pass
+// begins (it only needs to survive into the loss and the matching
+// Backward). All ranks must call collectively with the same batch size.
+func (m *Model) forward(rc *RankContext, xs []*tensor.Matrix) *tensor.Matrix {
+	batch := len(xs)
+	if batch == 0 {
+		panic("gnn: forward with an empty batch")
+	}
+	rows, cols := rc.Graph.NumLocal(), m.Config.InputNodeFeatures
+	for _, x := range xs {
+		if x.Rows != rows || x.Cols != cols {
+			panic(fmt.Sprintf("gnn: input %dx%d, want %dx%d", x.Rows, x.Cols, rows, cols))
+		}
+	}
+	// A new forward pass begins the next workspace epoch: rewind the
+	// arena (replaying the recorded buffers), or re-record from scratch
+	// when the computation changed shape.
+	if rc.Graph != m.lastGraph || batch != m.lastBatch {
+		m.arena.Clear()
+		m.lastGraph, m.lastBatch = rc.Graph, batch
+		m.xb = tensor.New(batch*rows, cols)
+		m.staticEdgeB = nil
+		if m.Config.EdgeMode == EdgeFeatures4 {
+			m.staticEdgeB = tensor.New(batch*rc.StaticEdge.Rows, rc.StaticEdge.Cols)
+			tensor.TileRowsInto(m.staticEdgeB, rc.StaticEdge, batch)
+		}
+	}
+	n := rows * cols
+	for i, x := range xs {
+		copy(m.xb.Data[i*n:(i+1)*n], x.Data)
+	}
+
+	m.arena.Reset()
+	hx := m.NodeEncoder.Forward(m.xb)
+	ei := m.staticEdgeB
+	if ei == nil {
+		ei = rc.edgeInputs7(m.xb, m.arena, batch)
+	}
+	he := m.EdgeEncoder.Forward(ei)
+	for _, l := range m.Layers {
+		if nmp, ok := l.(*NMPLayer); ok {
+			hx, he = nmp.forward(rc, hx, he, batch)
+		} else if batch == 1 {
+			hx, he = l.Forward(rc, hx, he)
+		} else {
+			panic(fmt.Sprintf("gnn: batched training requires NMP processor layers, have %T", l))
+		}
+	}
+	return m.Decoder.Forward(hx)
+}
+
+// Backward propagates the output gradient dy — stacked like the most
+// recent forward pass's prediction — through the model, accumulating
+// parameter gradients. Gradients with respect to the raw inputs are not
+// returned: inputs are data, and the edge-feature dependence on x
+// (EdgeFeatures7 mode) is likewise treated as constant. All ranks must
+// call Backward collectively, after the matching forward (the workspace
+// epoch spans the forward and backward pass).
 func (m *Model) Backward(dy *tensor.Matrix) {
-	dhx := m.Decoder.Backward(dy)
+	batch := m.lastBatch
+	dhx := m.Decoder.BackwardBatched(dy, batch)
 	// The last layer's edge gradient starts at zero (edge features are
 	// discarded after message passing, per the paper's decoder).
-	dhe := m.arena.GetZeroed(m.lastNe, m.Config.HiddenDim)
+	dhe := m.arena.GetZeroed(batch*m.lastGraph.NumEdges(), m.Config.HiddenDim)
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		dhx, dhe = m.Layers[i].Backward(dhx, dhe)
 	}
-	m.EdgeEncoder.Backward(dhe)
-	m.NodeEncoder.Backward(dhx)
+	m.EdgeEncoder.BackwardBatched(dhe, batch)
+	m.NodeEncoder.BackwardBatched(dhx, batch)
 }
 
 // ZeroGrads clears all parameter gradients.

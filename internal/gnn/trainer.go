@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"time"
 
 	"meshgnn/internal/nn"
@@ -42,6 +43,7 @@ type Trainer struct {
 	batchLoss []float64
 	xsBuf     []*tensor.Matrix
 	tsBuf     []*tensor.Matrix
+	x1, t1    [1]*tensor.Matrix // Step's batch of one
 }
 
 // StepTiming is the accumulated per-phase breakdown of training steps:
@@ -78,11 +80,28 @@ func NewTrainer(m *Model, opt nn.Optimizer) *Trainer {
 	return &Trainer{Model: m, Opt: opt, Batch: m.Config.TrainBatch}
 }
 
-// Step executes one training iteration (forward, local loss sum,
-// backward, one AllReduce carrying gradients and loss sum, optimizer
-// update) and returns the consistent loss value.
-// All ranks must call Step collectively with their own x and target.
+// Step executes one training iteration on one sample — StepBatch's batch
+// of one — and returns the consistent loss value. All ranks must call
+// Step collectively with their own x and target.
 func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
+	t.x1[0], t.t1[0] = x, target
+	return t.StepBatch(rc, t.x1[:], t.t1[:])[0]
+}
+
+// StepBatch executes one training iteration over len(xs) stacked samples:
+// one fused forward, the local loss sums, one row-block backward, one
+// AllReduce (the gradients with the B local loss sums in the buffer's
+// tail), one clip, ONE optimizer step (and hence one Param.Bump — the pack
+// caches invalidate once per step, not once per sample). The accumulated
+// gradient is bitwise-equal to the sequential oracle that runs ZeroGrads
+// once and then Forward/Loss/Backward per sample before the same single
+// AllReduce + clip + optimizer step. Returns the per-sample consistent
+// losses in a trainer-owned buffer, valid until the next step. All ranks
+// must call StepBatch collectively with the same batch size.
+func (t *Trainer) StepBatch(rc *RankContext, xs, targets []*tensor.Matrix) []float64 {
+	if len(xs) == 0 || len(xs) != len(targets) {
+		panic(fmt.Sprintf("gnn: StepBatch with %d inputs, %d targets", len(xs), len(targets)))
+	}
 	mark := time.Now()
 	var haloBase, exposedBase float64
 	if t.Timing != nil {
@@ -109,11 +128,11 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 		}
 	}
 	t.Model.ZeroGrads()
-	y := t.Model.Forward(rc, x)
+	y := t.Model.forward(rc, xs)
 	if t.Timing != nil {
 		lap(&t.Timing.Forward)
 	}
-	sums := t.Loss.localSums(rc, y, t.Loss.single(target))
+	sums := t.Loss.localSums(rc, y, targets)
 	if t.Timing != nil {
 		lap(&t.Timing.Loss)
 	}
@@ -121,7 +140,7 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 	if t.Timing != nil {
 		lap(&t.Timing.Backward)
 	}
-	loss := t.Loss.normalise(t.reduceGrads(rc, sums))[0]
+	losses := t.Loss.normalise(t.reduceGrads(rc, sums))
 	if t.Timing != nil {
 		lap(&t.Timing.AllReduce)
 	}
@@ -142,7 +161,8 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 		t.Timing.Steps++
 	}
 	t.step++
-	return loss
+	t.batchLoss = append(t.batchLoss[:0], losses...)
+	return t.batchLoss
 }
 
 // reduceGrads is the step's one collective: the gradients are summed

@@ -116,7 +116,7 @@ func (d *Diffusion) aggregate(u *tensor.Matrix, f func(k int, du float64) float6
 		agg.Data[e[1]] += f(k, du)
 	}
 	halo := tensor.New(g.NumHalo(), 1)
-	d.ex.Forward(d.c, agg, halo)
+	d.ex.Exchange(d.c, comm.Forward, agg, halo, 1)
 	for hr, owner := range g.HaloOwner {
 		agg.Data[owner] += halo.Data[hr]
 	}

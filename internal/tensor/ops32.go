@@ -146,43 +146,3 @@ func CloneInto32(dst, src *Matrix32) {
 	*t = cloneInto32Task{}
 	cloneInto32Pool.Put(t)
 }
-
-type hcat32Task struct {
-	dst *Matrix32
-	ms  []*Matrix32
-}
-
-func (t *hcat32Task) Run(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		drow := t.dst.Row(i)
-		off := 0
-		for _, m := range t.ms {
-			copy(drow[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-}
-
-var hcat32Pool = sync.Pool{New: func() any { return new(hcat32Task) }}
-
-// HCatInto32 concatenates the given matrices horizontally into dst.
-func HCatInto32(dst *Matrix32, ms ...*Matrix32) {
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != dst.Rows {
-			panic("tensor: HCatInto32 row mismatch")
-		}
-		cols += m.Cols
-	}
-	if cols != dst.Cols {
-		panic(fmt.Sprintf("tensor: HCatInto32 columns %d, want %d", dst.Cols, cols))
-	}
-	t := hcat32Pool.Get().(*hcat32Task)
-	t.dst = dst
-	t.ms = append(t.ms[:0], ms...)
-	parallel.ForTask(dst.Rows, forGrain(dst.Cols), t)
-	t.dst = nil
-	clear(t.ms)
-	t.ms = t.ms[:0]
-	hcat32Pool.Put(t)
-}
