@@ -78,7 +78,10 @@ func TestNMPLayerZeroAllocSteadyState(t *testing.T) {
 // TestTrainStepZeroAllocSteadyState is the acceptance assertion: after a
 // warm-up step, a full training step (forward, consistent loss, backward,
 // gradient AllReduce, optimizer) performs zero heap allocations in the
-// tensor/nn/gnn hot path at R=1.
+// tensor/nn/gnn hot path at R=1. So does a cycle that alternates a
+// StepBatch of three with a Step — an epoch of Fit with a short tail: the
+// re-bind between them is an arena re-record over kept slabs and headers,
+// and the static-edge tile and the loss buffers are grow-only.
 func TestTrainStepZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -111,6 +114,15 @@ func TestTrainStepZeroAllocSteadyState(t *testing.T) {
 				tr.Step(rc, x, x)
 				if n := testing.AllocsPerRun(5, func() { tr.Step(rc, x, x) }); n != 0 {
 					t.Errorf("train step allocates %v times in steady state", n)
+				}
+				xs := batchInputs(rc.Graph, 3)
+				cycle := func() {
+					tr.StepBatch(rc, xs, xs)
+					tr.Step(rc, x, x)
+				}
+				cycle()
+				if n := testing.AllocsPerRun(5, cycle); n != 0 {
+					t.Errorf("an alternating StepBatch(3)/Step cycle allocates %v times", n)
 				}
 				return nil
 			})

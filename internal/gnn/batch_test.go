@@ -61,10 +61,32 @@ func batchParity(rc *RankContext, eng *Inference, xs []*tensor.Matrix) int {
 	return diff
 }
 
-// TestPredictBatchBitwiseParitySweep is the tentpole's headline gate:
+// precisions is the element-type axis of the stacked-pass sweeps: the
+// float32 engine stacks like the float64 one, and its stacked answer must
+// equal its own per-sample answer bit for bit (it is the float64 engine it
+// only approximates).
+var precisions = []Precision{Float64, Float32}
+
+func precName(p Precision) string {
+	if p == Float32 {
+		return "f32"
+	}
+	return "f64"
+}
+
+// precisionConfig is tinyConfig at Float64 and, at Float32, f32Config —
+// widened so the processor GEMMs run the packed tier.
+func precisionConfig(p Precision) Config {
+	if p == Float32 {
+		return f32Config()
+	}
+	return tinyConfig()
+}
+
+// TestPredictBatchBitwiseParitySweep is the stacked pass's headline gate:
 // per-sample PredictBatch output must be bitwise-identical to sequential
-// Predict across {1,2,4 ranks} × {channel, socket} × {sync, overlap} ×
-// {B=1,3,8}.
+// Predict across {Float64, Float32} × {1,2,4 ranks} × {channel, socket} ×
+// {sync, overlap} × {B=1,3,8}.
 func TestPredictBatchBitwiseParitySweep(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
@@ -82,48 +104,50 @@ func TestPredictBatchBitwiseParitySweep(t *testing.T) {
 		for _, sockets := range []bool{false, true} {
 			for _, overlap := range []bool{false, true} {
 				for _, batch := range []int{1, 3, 8} {
-					transport := "channel"
-					if sockets {
-						transport = "socket"
-					}
-					pipeline := "sync"
-					if overlap {
-						pipeline = "overlap"
-					}
-					name := fmt.Sprintf("R%d/%s/%s/B%d", ranks, transport, pipeline, batch)
-					t.Run(name, func(t *testing.T) {
-						cfg := tinyConfig()
-						cfg.Overlap = overlap
-						body := func(c *comm.Comm) (int, error) {
-							rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
-							if err != nil {
-								return 0, err
-							}
-							model, err := NewModel(cfg)
-							if err != nil {
-								return 0, err
-							}
-							eng, err := NewInference(model)
-							if err != nil {
-								return 0, err
-							}
-							return batchParity(rc, eng, batchInputs(rc.Graph, batch)), nil
-						}
-						var res []int
+					for _, prec := range precisions {
+						transport := "channel"
 						if sockets {
-							res, err = comm.RunSocketsCollect(ranks, body)
-						} else {
-							res, err = comm.RunCollect(ranks, body)
+							transport = "socket"
 						}
-						if err != nil {
-							t.Fatal(err)
+						pipeline := "sync"
+						if overlap {
+							pipeline = "overlap"
 						}
-						for r, d := range res {
-							if d != 0 {
-								t.Errorf("rank %d: %d batched prediction values differ bitwise from sequential Predict", r, d)
+						name := fmt.Sprintf("%s/R%d/%s/%s/B%d", precName(prec), ranks, transport, pipeline, batch)
+						t.Run(name, func(t *testing.T) {
+							cfg := precisionConfig(prec)
+							cfg.Overlap = overlap
+							body := func(c *comm.Comm) (int, error) {
+								rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+								if err != nil {
+									return 0, err
+								}
+								model, err := NewModel(cfg)
+								if err != nil {
+									return 0, err
+								}
+								eng, err := NewInference(model)
+								if err != nil {
+									return 0, err
+								}
+								return batchParity(rc, eng, batchInputs(rc.Graph, batch)), nil
 							}
-						}
-					})
+							var res []int
+							if sockets {
+								res, err = comm.RunSocketsCollect(ranks, body)
+							} else {
+								res, err = comm.RunCollect(ranks, body)
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							for r, d := range res {
+								if d != 0 {
+									t.Errorf("rank %d: %d batched prediction values differ bitwise from sequential Predict", r, d)
+								}
+							}
+						})
+					}
 				}
 			}
 		}
@@ -131,8 +155,9 @@ func TestPredictBatchBitwiseParitySweep(t *testing.T) {
 }
 
 // TestPredictBatchAllExchangeModes covers the four halo exchange modes
-// and both edge-feature modes with a thread sweep: the batched frames
-// must not change a bit under any packing/collective spelling.
+// and both edge-feature modes at both precisions with a thread sweep: the
+// batched frames must not change a bit under any packing/collective
+// spelling.
 func TestPredictBatchAllExchangeModes(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
@@ -150,42 +175,44 @@ func TestPredictBatchAllExchangeModes(t *testing.T) {
 	for _, mode := range []comm.ExchangeMode{comm.NoExchange, comm.AllToAllMode, comm.NeighborAllToAll, comm.SendRecvMode} {
 		for _, edgeMode := range []EdgeFeatureMode{EdgeFeatures4, EdgeFeatures7} {
 			for _, threads := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%v/edge%d/t%d", mode, edgeMode, threads), func(t *testing.T) {
-					parallel.Configure(threads, true)
-					cfg := tinyConfig()
-					cfg.EdgeMode = edgeMode
-					res, err := comm.RunCollect(2, func(c *comm.Comm) (int, error) {
-						rc, err := NewRankContext(c, box, locals[c.Rank()], mode)
+				for _, prec := range precisions {
+					t.Run(fmt.Sprintf("%s/%v/edge%d/t%d", precName(prec), mode, edgeMode, threads), func(t *testing.T) {
+						parallel.Configure(threads, true)
+						cfg := precisionConfig(prec)
+						cfg.EdgeMode = edgeMode
+						res, err := comm.RunCollect(2, func(c *comm.Comm) (int, error) {
+							rc, err := NewRankContext(c, box, locals[c.Rank()], mode)
+							if err != nil {
+								return 0, err
+							}
+							model, err := NewModel(cfg)
+							if err != nil {
+								return 0, err
+							}
+							eng, err := NewInference(model)
+							if err != nil {
+								return 0, err
+							}
+							return batchParity(rc, eng, batchInputs(rc.Graph, 3)), nil
+						})
 						if err != nil {
-							return 0, err
+							t.Fatal(err)
 						}
-						model, err := NewModel(cfg)
-						if err != nil {
-							return 0, err
+						for r, d := range res {
+							if d != 0 {
+								t.Errorf("rank %d: %d values differ bitwise", r, d)
+							}
 						}
-						eng, err := NewInference(model)
-						if err != nil {
-							return 0, err
-						}
-						return batchParity(rc, eng, batchInputs(rc.Graph, 3)), nil
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for r, d := range res {
-						if d != 0 {
-							t.Errorf("rank %d: %d values differ bitwise", r, d)
-						}
-					}
-				})
+				}
 			}
 		}
 	}
 }
 
 // TestRolloutBatchMatchesSequentialRollout checks the autoregressive
-// batched path: per-sample trajectories bitwise-equal to e.Rollout, and
-// every trajectory entry an independent copy.
+// batched path at both precisions: per-sample trajectories bitwise-equal
+// to e.Rollout, and every trajectory entry an independent copy.
 func TestRolloutBatchMatchesSequentialRollout(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
@@ -200,52 +227,135 @@ func TestRolloutBatchMatchesSequentialRollout(t *testing.T) {
 		t.Fatal(err)
 	}
 	const batch, steps = 3, 3
-	err = comm.Run(2, func(c *comm.Comm) error {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
-		if err != nil {
-			return err
-		}
-		model, err := NewModel(tinyConfig())
-		if err != nil {
-			return err
-		}
-		eng, err := NewInference(model)
-		if err != nil {
-			return err
-		}
-		xs := batchInputs(rc.Graph, batch)
-		seq := make([][]*tensor.Matrix, batch)
-		for i, x := range xs {
-			seq[i] = eng.Rollout(rc, x, steps)
-		}
-		trajs := eng.RolloutBatch(rc, xs, steps)
-		for i := range xs {
-			if len(trajs[i]) != steps+1 {
-				return fmt.Errorf("sample %d: trajectory length %d, want %d", i, len(trajs[i]), steps+1)
+	for _, prec := range precisions {
+		err = comm.Run(2, func(c *comm.Comm) error {
+			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+			if err != nil {
+				return err
 			}
-			for s := range trajs[i] {
-				if d := bitDiff(seq[i][s], trajs[i][s]); d != 0 {
-					return fmt.Errorf("sample %d step %d: %d values differ bitwise", i, s, d)
+			model, err := NewModel(precisionConfig(prec))
+			if err != nil {
+				return err
+			}
+			eng, err := NewInference(model)
+			if err != nil {
+				return err
+			}
+			xs := batchInputs(rc.Graph, batch)
+			seq := make([][]*tensor.Matrix, batch)
+			for i, x := range xs {
+				seq[i] = eng.Rollout(rc, x, steps)
+			}
+			trajs := eng.RolloutBatch(rc, xs, steps)
+			for i := range xs {
+				if len(trajs[i]) != steps+1 {
+					return fmt.Errorf("sample %d: trajectory length %d, want %d", i, len(trajs[i]), steps+1)
+				}
+				for s := range trajs[i] {
+					if d := bitDiff(seq[i][s], trajs[i][s]); d != 0 {
+						return fmt.Errorf("sample %d step %d: %d values differ bitwise", i, s, d)
+					}
 				}
 			}
+			// Independence: scribbling on one entry must not reach any other.
+			trajs[0][1].Data[0] = 1e300
+			if trajs[1][1].Data[0] == 1e300 || trajs[0][2].Data[0] == 1e300 {
+				return fmt.Errorf("trajectory entries alias each other")
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", precName(prec), err)
 		}
-		// Independence: scribbling on one entry must not reach any other.
-		trajs[0][1].Data[0] = 1e300
-		if trajs[1][1].Data[0] == 1e300 || trajs[0][2].Data[0] == 1e300 {
-			return fmt.Errorf("trajectory entries alias each other")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestPredictBatchRebind exercises batch-size changes on one engine: the
-// batched arena must re-record cleanly and stay bitwise-correct through
-// B=2 → B=3 → B=2, a rebind must tile the static-edge encoding from the
-// compile's cache instead of encoding the edge set again, and
-// WorkspaceFootprint must count the batched arena.
+// nilEdgeEncoder takes the compiled edge encoder away from the engine's
+// core: from here on, anything that encodes the static edges again — where
+// it should view the copies it has — dereferences nil.
+func nilEdgeEncoder(e *Inference) {
+	if e.p32 != nil {
+		e.p32.core.edgeEnc = nil
+	} else {
+		e.p64.core.edgeEnc = nil
+	}
+}
+
+// rebindCheck drives one engine through B = 1 → 8 → 3 → 1 → 8 with the
+// edge encoder taken away after the first bind. Every step must match a
+// standalone engine's per-sample Predict bitwise (Predict is PredictBatch
+// of one, so step B = 1 goes through Predict); a change of batch size must
+// tile the static-edge encoding from the copies the session holds instead
+// of encoding the edge set again; and after the first B = 8 the arenas
+// hold the largest shape, so WorkspaceFootprint must not move again. With
+// strict (one rank, one thread) a steady cycle of {Predict,
+// PredictBatch(8), PredictBatch(3)} — the batch size changes on every call
+// — must then allocate nothing: Clear keeps slabs and headers, and the
+// tile, the wire staging and the output buffers are grow-only.
+func rebindCheck(rc *RankContext, cfg Config, strict bool) error {
+	model, err := NewModel(cfg)
+	if err != nil {
+		return err
+	}
+	eng, err := NewInference(model)
+	if err != nil {
+		return err
+	}
+	ref, err := NewInference(model)
+	if err != nil {
+		return err
+	}
+	all := batchInputs(rc.Graph, 8)
+	want := make([]*tensor.Matrix, len(all))
+	for i, x := range all {
+		want[i] = ref.Predict(rc, x).Clone()
+	}
+	serve := func(batch int) []*tensor.Matrix {
+		if batch == 1 {
+			return []*tensor.Matrix{eng.Predict(rc, all[0])}
+		}
+		return eng.PredictBatch(rc, all[:batch])
+	}
+	foot := 0
+	for step, batch := range []int{1, 8, 3, 1, 8} {
+		for pass := 0; pass < 2; pass++ { // the second pass replays the record
+			for i, y := range serve(batch) {
+				if d := bitDiff(want[i], y); d != 0 {
+					return fmt.Errorf("step %d (B=%d) sample %d: %d values differ bitwise from a standalone Predict", step, batch, i, d)
+				}
+			}
+		}
+		switch got := eng.WorkspaceFootprint(); {
+		case step == 0:
+			nilEdgeEncoder(eng)
+		case step == 1:
+			foot = got
+		case got != foot:
+			return fmt.Errorf("step %d (B=%d): footprint %d, was %d after the first B=8", step, batch, got, foot)
+		}
+	}
+	if !strict {
+		return nil
+	}
+	cycle := func() {
+		eng.Predict(rc, all[0])
+		eng.PredictBatch(rc, all)
+		eng.PredictBatch(rc, all[:3])
+	}
+	cycle() // both output buffers have now held every size
+	cycle()
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		return fmt.Errorf("a steady {Predict, PredictBatch(8), PredictBatch(3)} cycle allocates %v times", n)
+	}
+	if got := eng.WorkspaceFootprint(); got != foot {
+		return fmt.Errorf("footprint %d after the cycles, was %d after the first B=8", got, foot)
+	}
+	return nil
+}
+
+// TestPredictBatchRebind: see rebindCheck. Two ranks over a real exchange
+// put the batch-sized wire staging under the batch-size changes; the
+// single-rank, single-thread run adds the strict allocation gate.
 func TestPredictBatchRebind(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
@@ -259,97 +369,32 @@ func TestPredictBatchRebind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = comm.Run(2, func(c *comm.Comm) error {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
-		if err != nil {
-			return err
-		}
-		model, err := NewModel(tinyConfig())
-		if err != nil {
-			return err
-		}
-		eng, err := NewInference(model)
-		if err != nil {
-			return err
-		}
-		xs := batchInputs(rc.Graph, 2)
-		eng.Predict(rc, xs[0])
-		single := eng.WorkspaceFootprint()
-		eng.PredictBatch(rc, xs)
-		both := eng.WorkspaceFootprint()
-		if both <= single {
-			return fmt.Errorf("footprint %d after the first PredictBatch, %d before: the batched arena is not counted", both, single)
-		}
-		eng.PredictBatch(rc, xs)
-		if got := eng.WorkspaceFootprint(); got != both {
-			return fmt.Errorf("footprint moved %d -> %d on a steady-state PredictBatch", both, got)
-		}
-		// The static edges are encoded by now (EdgeFeatures4: once per
-		// graph, into the compile's cache). Take the encoder away: a
-		// rebind that encodes anything dereferences nil.
-		eng.edgeEnc = nil
-		for _, batch := range []int{2, 3, 2} {
-			if d := batchParity(rc, eng, batchInputs(rc.Graph, batch)); d != 0 {
-				return fmt.Errorf("B=%d after rebind: %d values differ bitwise", batch, d)
+	single, err := graph.BuildSingle(box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prec := range precisions {
+		t.Run(precName(prec)+"/R2", func(t *testing.T) {
+			err := comm.Run(2, func(c *comm.Comm) error {
+				rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+				if err != nil {
+					return err
+				}
+				return rebindCheck(rc, precisionConfig(prec), false)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPredictBatchSequentialFallback checks the configurations without a
-// stacked twin (attention processors, the float32 engine): PredictBatch
-// must still honor the API and match per-sample Predict bitwise.
-func TestPredictBatchSequentialFallback(t *testing.T) {
-	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := partition.NewCartesian(box, 1, partition.Slabs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	locals, err := graph.BuildAll(box, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, variant := range []string{"attention", "float32"} {
-		t.Run(variant, func(t *testing.T) {
-			cfg := tinyConfig()
-			switch variant {
-			case "attention":
-				cfg.Attention = true
-			case "float32":
-				cfg.Precision = Float32
-			}
+		})
+		t.Run(precName(prec)+"/R1", func(t *testing.T) {
+			parallel.Configure(1, true)
+			defer parallel.Configure(0, true)
 			err := comm.Run(1, func(c *comm.Comm) error {
-				rc, err := NewRankContext(c, box, locals[0], comm.NoExchange)
+				rc, err := NewRankContext(c, box, single, comm.NoExchange)
 				if err != nil {
 					return err
 				}
-				model, err := NewModel(cfg)
-				if err != nil {
-					return err
-				}
-				eng, err := NewInference(model)
-				if err != nil {
-					return err
-				}
-				xs := batchInputs(rc.Graph, 3)
-				seq := make([]*tensor.Matrix, len(xs))
-				for i, x := range xs {
-					seq[i] = eng.Predict(rc, x).Clone()
-				}
-				outs := eng.PredictBatch(rc, xs)
-				for i := range xs {
-					if d := bitDiff(seq[i], outs[i]); d != 0 {
-						return fmt.Errorf("sample %d: %d values differ bitwise (fallback)", i, d)
-					}
-				}
-				return nil
+				return rebindCheck(rc, precisionConfig(prec), !raceEnabled)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -358,12 +403,44 @@ func TestPredictBatchSequentialFallback(t *testing.T) {
 	}
 }
 
+// TestPredictBatchSequentialFallback checks the one configuration that
+// cannot stack — attention processors serve through the training layer,
+// one sample at a time: PredictBatch must still honor the API and match
+// per-sample Predict bitwise.
+func TestPredictBatchSequentialFallback(t *testing.T) {
+	box, l := allocSetup(t)
+	err := comm.Run(1, func(c *comm.Comm) error {
+		rc, err := NewRankContext(c, box, l, comm.NoExchange)
+		if err != nil {
+			return err
+		}
+		cfg := tinyConfig()
+		cfg.Attention = true
+		model, err := NewModel(cfg)
+		if err != nil {
+			return err
+		}
+		eng, err := NewInference(model)
+		if err != nil {
+			return err
+		}
+		if d := batchParity(rc, eng, batchInputs(rc.Graph, 3)); d != 0 {
+			return fmt.Errorf("%d values differ bitwise (fallback)", d)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPredictBatchOutputLifetimeContract pins the documented double-buffer
-// lifetime: a PredictBatch result stays bitwise-intact through exactly ONE
-// subsequent engine call, consecutive calls hand out distinct backing
-// buffers, and RolloutBatch trajectories (steps >= 3, so the internal
-// buffer flips several times within one call) are independent clones that
-// survive arbitrary later calls.
+// lifetime, which Predict and PredictBatch share because they share the
+// buffers: a result stays bitwise-intact through exactly ONE subsequent
+// engine call of EITHER kind and any batch size, consecutive calls hand
+// out distinct backing buffers, and RolloutBatch trajectories (steps >= 3,
+// so the internal buffer flips several times within one call) are
+// independent clones that survive arbitrary later calls.
 func TestPredictBatchOutputLifetimeContract(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
@@ -390,38 +467,52 @@ func TestPredictBatchOutputLifetimeContract(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		all := batchInputs(rc.Graph, 6)
-		xs1, xs2 := all[:3], all[3:]
-
-		out1 := eng.PredictBatch(rc, xs1)
-		keep := make([]*tensor.Matrix, len(out1))
-		for i, o := range out1 {
-			keep[i] = o.Clone()
+		all := batchInputs(rc.Graph, 8)
+		// Every ordered pair of call kinds, growing and shrinking batches
+		// included: the first call's results must survive the second.
+		calls := []struct {
+			name string
+			run  func() []*tensor.Matrix
+		}{
+			{"Predict", func() []*tensor.Matrix { return []*tensor.Matrix{eng.Predict(rc, all[7])} }},
+			{"PredictBatch(3)", func() []*tensor.Matrix { return eng.PredictBatch(rc, all[:3]) }},
+			{"PredictBatch(5)", func() []*tensor.Matrix { return eng.PredictBatch(rc, all[3:]) }},
 		}
-		out2 := eng.PredictBatch(rc, xs2) // the ONE subsequent call
-		for i := range out1 {
-			if d := bitDiff(keep[i], out1[i]); d != 0 {
-				return fmt.Errorf("sample %d: %d values clobbered by one subsequent call", i, d)
-			}
-			// Distinct backing: the second call must not hand back the
-			// buffer the first call's results still live in.
-			if &out1[i].Data[0] == &out2[i].Data[0] {
-				return fmt.Errorf("sample %d: consecutive PredictBatch calls alias one buffer", i)
+		for _, first := range calls {
+			for _, second := range calls {
+				out1 := first.run()
+				keep := make([]*tensor.Matrix, len(out1))
+				for i, o := range out1 {
+					keep[i] = o.Clone()
+				}
+				out2 := second.run() // the ONE subsequent call
+				for i := range out1 {
+					if d := bitDiff(keep[i], out1[i]); d != 0 {
+						return fmt.Errorf("%s then %s: sample %d: %d values clobbered by one subsequent call",
+							first.name, second.name, i, d)
+					}
+				}
+				// Distinct backing: the second call must not hand back the
+				// buffer the first call's results still live in.
+				if &out1[0].Data[0] == &out2[0].Data[0] {
+					return fmt.Errorf("%s then %s: consecutive calls alias one buffer", first.name, second.name)
+				}
 			}
 		}
 
 		// RolloutBatch trajectories are clones: unaffected by any number of
 		// subsequent engine calls (each of its >= 3 internal steps already
 		// recycled the double buffer while the trajectory was accumulating).
-		trajs := eng.RolloutBatch(rc, xs1, 3)
+		trajs := eng.RolloutBatch(rc, all[:3], 3)
 		ref := make([][]*tensor.Matrix, len(trajs))
 		for i := range trajs {
 			for _, m := range trajs[i] {
 				ref[i] = append(ref[i], m.Clone())
 			}
 		}
-		eng.PredictBatch(rc, xs2)
-		eng.PredictBatch(rc, xs1)
+		for _, call := range calls {
+			call.run()
+		}
 		for i := range trajs {
 			for s := range trajs[i] {
 				if d := bitDiff(ref[i][s], trajs[i][s]); d != 0 {

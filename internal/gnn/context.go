@@ -55,24 +55,26 @@ func NewRankContext(c *comm.Comm, box *mesh.Box, l *graph.Local, mode comm.Excha
 	}, nil
 }
 
-// edgeInputsTask assembles the 7-column edge attributes of batch stacked
-// snapshots: per sample the relative node features, then the static
-// geometry columns every sample shares. Bound to the rank context and
-// reused so the per-step assembly allocates nothing.
+// edgeInputsTask assembles the 7-column edge attributes of a batch of
+// snapshots, block b of the stacked output from sample b: the relative
+// node features, then the static geometry columns every sample shares.
+// Bound to the rank context and reused so the per-step assembly allocates
+// nothing.
 type edgeInputsTask struct {
-	rc     *RankContext
-	x, out *tensor.Matrix
+	rc  *RankContext
+	xs  []*tensor.Matrix
+	out *tensor.Matrix
 }
 
 func (t *edgeInputsTask) Run(lo, hi int) { runBlocks(t, t.rc.Graph.NumEdges(), lo, hi) }
 
 func (t *edgeInputsTask) block(b, lo, hi int) {
-	g := t.rc.Graph
-	xo, eo := b*g.NumLocal(), b*g.NumEdges()
+	g, x := t.rc.Graph, t.xs[b]
+	eo := b * g.NumEdges()
 	for k := lo; k < hi; k++ {
 		e := g.Edges[k]
 		row := t.out.Row(eo + k)
-		xs, xd := t.x.Row(xo+e[0]), t.x.Row(xo+e[1])
+		xs, xd := x.Row(e[0]), x.Row(e[1])
 		for j := 0; j < 3 && j < len(xs); j++ {
 			row[j] = xd[j] - xs[j]
 		}
@@ -99,26 +101,27 @@ func (rc *RankContext) EdgeInputs(mode EdgeFeatureMode, x *tensor.Matrix) *tenso
 	case EdgeFeatures4:
 		return rc.StaticEdge
 	case EdgeFeatures7:
-		return rc.edgeInputs7(x, nil, 1)
+		return rc.edgeInputs7([]*tensor.Matrix{x}, nil)
 	}
 	panic(fmt.Sprintf("gnn: unsupported edge mode %d", mode))
 }
 
-// edgeInputs7 assembles the EdgeFeatures7 attributes of batch stacked
-// snapshots x ((batch·N_local) rows) into a (batch·N_edges)×7 workspace
-// drawn from a (nil allocates).
-func (rc *RankContext) edgeInputs7(x *tensor.Matrix, a *tensor.Arena, batch int) *tensor.Matrix {
+// edgeInputs7 assembles the EdgeFeatures7 attributes of the snapshots xs
+// (N_local rows each) into a (len(xs)·N_edges)×7 workspace drawn from a
+// (nil allocates). The samples are read where they are, so a float32 user
+// needs no float64 stack of them.
+func (rc *RankContext) edgeInputs7(xs []*tensor.Matrix, a *tensor.Arena) *tensor.Matrix {
 	// Inputs narrower than 3 columns leave part of the relative-feature
 	// block untouched, which must read as zero; full-width inputs
 	// overwrite every column, so the clear is skipped.
-	ne := rc.Graph.NumEdges()
+	batch, ne := len(xs), rc.Graph.NumEdges()
 	var out *tensor.Matrix
-	if x.Cols >= 3 {
+	if xs[0].Cols >= 3 {
 		out = a.Get(batch*ne, int(EdgeFeatures7))
 	} else {
 		out = a.GetZeroed(batch*ne, int(EdgeFeatures7))
 	}
-	rc.eiTask = edgeInputsTask{rc: rc, x: x, out: out}
+	rc.eiTask = edgeInputsTask{rc: rc, xs: xs, out: out}
 	parallel.ForTask(batch*ne, 512, &rc.eiTask)
 	return out
 }

@@ -66,10 +66,13 @@ func (t *Trainer) Fit(rc *RankContext, ds *Dataset, opts FitOptions) []float64 {
 		}
 		var sum float64
 		// Consecutive runs of Batch samples from the shuffled order train
-		// as one StepBatch each (a short tail falls back to per-sample
-		// steps, sparing the arena a re-record). The sample stream and the
-		// per-visit noise stream do not depend on Batch — only the
-		// optimizer-step boundaries move.
+		// as one StepBatch each. A short tail trains as per-sample steps —
+		// one optimizer step per leftover sample, which the goldens pin —
+		// and Step is StepBatch of one, so the tail re-binds the model
+		// twice an epoch: an arena re-record over kept slabs and headers
+		// and a prefix of the static-edge tile, allocating nothing. The
+		// sample stream and the per-visit noise stream do not depend on
+		// Batch — only the optimizer-step boundaries move.
 		batch := max(t.Batch, 1)
 		for start := 0; start < len(order); start += batch {
 			end := min(start+batch, len(order))

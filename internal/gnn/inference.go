@@ -14,69 +14,82 @@ import (
 
 // Inference is a forward-only serving engine compiled from a trained
 // Model. It evaluates the same encode→NMP→decode computation — bitwise,
-// prediction for prediction — but strips everything that exists only for
-// training:
+// prediction for prediction, at Float64 — but strips everything that
+// exists only for training: no gradient accumulators, no backward
+// workspaces, no activation between the layers of an MLP block (nn.InferMLP
+// carries a row panel through a block as one parallel region), and with
+// the default static edge features (EdgeFeatures4) no edge encoder on the
+// request path: its output does not depend on the node snapshot, so it is
+// encoded once per (graph, parameters) and reused.
 //
-//   - no gradient accumulators are touched and no backward workspaces are
-//     ever recorded, so the engine's arena holds forward activations only;
-//   - the compiled MLP blocks (nn.InferMLP) skip every store whose sole
-//     consumer is a backward pass — Linear input caches, LayerNorm's xhat
-//     matrix and invStd column, and with them every activation between a
-//     block's layers: a block is evaluated a row panel at a time as one
-//     parallel region, and only its output is materialised at full height;
-//   - with the default static edge features (EdgeFeatures4) the edge
-//     encoder's input does not depend on the node snapshot, so its output
-//     is encoded ONCE per (graph, parameters) binding and reused by every
-//     subsequent Predict — an entire MLP forward over the edge set drops
-//     out of the per-request path.
+// One pass. There is one engine-level forward, runPass: stage the B
+// samples in → node encoder → static-edge encoding (tiled) or edge encoder
+// → processors → decoder → stage out. B is len(xs): Predict is PredictBatch
+// of one and Rollout is RolloutBatch of one, as Model.Forward is forward of
+// one. The samples stack vertically into a (B·N_local)×F matrix — batch as
+// a leading row-block dimension, not a loop — and every kernel is
+// row-wise, so sample b of a stacked pass is bitwise a pass over sample b
+// alone; stacking buys one GEMM sweep per layer, one dispatch round and
+// one halo frame per neighbor for all B samples, and changes no bit. The
+// processors are not a serving copy of the training ones either: they are
+// the one Eq. 4 schedule (nmp.go) driven through a serving adapter, so
+// Config.Overlap hides halo transfers behind interior compute here too.
 //
-// The message-passing layers are not a serving copy of the training
-// ones: they are the one Eq. 4 schedule and its tasks (nmp.go) driven
-// through a serving adapter, so the boundary/interior split point, the
-// exchanger's Start/Finish halves and the batch argument are the
-// training path's own, and Config.Overlap hides halo transfers behind
-// interior compute in pure-forward mode too.
+// Two element types. Config.Precision picks what the pass computes in;
+// what the element type supplies is an enginePass (pass64, pass32 below).
+// Float64 aliases the model's parameters and is bitwise Model.Forward.
+// Float32 snapshots them in single precision at compile and approximates
+// the float64 engine to a tolerance (gated in the parity tests), while
+// staying bitwise-reproducible across thread counts, transports, overlap
+// settings and batch sizes: inputs demote on the way in, predictions
+// promote on the way out, and the halo swap stages through float64 because
+// that is the wire's element type, so exchange plans, transports and the
+// overlap split point are those of the float64 users.
 //
-// The engine shares parameter storage with its source model (compiling
-// copies nothing, and checkpoints written from the model after compiling
-// are byte-identical). If the source model trains on, call Refresh to
-// invalidate the cached static-edge encoding; predictions otherwise keep
-// serving the parameters as of the last binding.
+// Core and session. A compile produces an inferCore — the MLP twins with
+// their pre-packed weight panels and the per-graph static-edge cache —
+// which is immutable while serving and shared by pointer. Everything an
+// evaluation writes is session state: one workspace arena per element
+// type, the float32 wire staging, the static-edge tile, the output double
+// buffer, and one binding keyed on the rank graph. NewInference returns a
+// core with its first session; Session adds another over the same core, at
+// either precision.
+//
+// Grow-only binding. Within a graph a change of batch size is an
+// arena.Clear — the next pass re-records over the slabs and headers the
+// arena already has — and nothing else: the static-edge tile, the wire
+// staging, the output buffers and their per-sample headers are sized by
+// the largest batch seen and a smaller batch views their prefix. Once the
+// largest batch has been served, no batch size allocates and
+// WorkspaceFootprint no longer moves, whatever order traffic arrives in.
+//
+// The float64 engine shares parameter storage with its source model
+// (compiling copies nothing, and checkpoints written from the model after
+// compiling are byte-identical). If the source model trains on, call
+// Refresh to invalidate the cached static-edge encoding; predictions
+// otherwise keep serving the parameters as of the last binding.
 //
 // Like the model, an engine is single-goroutine (per rank) and Predict is
 // collective across ranks.
 type Inference struct {
 	Config Config
 
-	nodeEnc, edgeEnc, dec *nn.InferMLP
-	procs                 []inferProcessor
+	// Exactly one pass is present, by Config.Precision. Each points at the
+	// core it was compiled with (or, for a Session view, shares).
+	p64 *pass64
+	p32 *pass32
 
-	// f32 is the single-precision serving twin, present only when
-	// Config.Precision == Float32 (see inference32.go); the float64
-	// compiled twins above are then absent and Predict dispatches to it.
-	f32 *engine32
+	// The binding: the rank graph and batch size the arenas are recorded
+	// for.
+	graph *graph.Local
+	batch int
 
-	arena *tensor.Arena
-	// outs double-buffers the persistent prediction exactly like
-	// Model.Forward: the returned matrix stays valid through one
-	// subsequent Predict call.
-	outs     [2]*tensor.Matrix
-	outIdx   int
-	staticHe *tensor.Matrix // cached edge encoding (EdgeFeatures4 only)
-
-	// shared is the compile's cross-session state: the static-edge
-	// encodings, computed once per rank graph and referenced read-only by
-	// every Session view (nil on Float32 engines, which keep their own
-	// f32 cache).
-	shared *inferShared
-
-	lastGraph *graph.Local
-	lastRows  int
-	lastCols  int
-
-	// batch is the block-diagonal batched serving state (see batch.go),
-	// created on the first PredictBatch.
-	batch *inferBatch
+	// outs double-buffers the stacked prediction exactly like
+	// Model.Forward: each call writes the buffer the previous call did not
+	// return.
+	outs   [2]stackedOut
+	outIdx int
+	one    [1]*tensor.Matrix // Predict's batch of one
 
 	// live counts outstanding Session views of this compile (root engines
 	// only): Session increments, Release decrements. Refresh refuses while
@@ -90,44 +103,83 @@ type Inference struct {
 	released bool
 }
 
-// inferShared is the explicitly immutable-after-fill portion of a
-// compile that serving sessions reference concurrently: one static-edge
-// encoding per bound rank graph. Entries are computed once, under the
-// lock, into ordinary (non-arena) storage, and only read afterwards —
-// the kernels are deterministic, so whichever session fills an entry
-// writes the bytes every session would have computed.
-type inferShared struct {
+// inferCore is what a compile produces and every session of it shares: the
+// forward-only MLP twins of one precision (P; parameter views and
+// pre-packed panels — an evaluation keeps no state in them) and the
+// static-edge encodings, one per bound rank graph (M). Entries of the cache
+// are computed once, under the lock, into ordinary (non-arena) storage,
+// and only read afterwards — the kernels are deterministic, so whichever
+// session fills an entry writes the bytes every session would have
+// computed.
+type inferCore[P, M any] struct {
+	nodeEnc, edgeEnc, dec P
+	layers                []coreLayer[P]
+	// attention marks a core with an attention processor: it serves one
+	// sample at a time and refuses Session (see coreLayer.att).
+	attention bool
+
 	mu     sync.Mutex
-	static map[*graph.Local]*tensor.Matrix
+	static map[*graph.Local]M
+}
+
+// coreLayer is one compiled processor: the two MLP twins of an NMP layer
+// or, on a float64 core compiled from an attention model, the training
+// layer itself — the attention processor has no forward-only twin yet, so
+// the engine calls its Forward (own allocations, synchronous exchanges,
+// and it writes the layer's backward caches: an engine must not run
+// between a model's Forward and Backward when they share attention
+// layers).
+type coreLayer[P any] struct {
+	edgeMLP, nodeMLP P
+	disableDeg       bool
+	att              *AttentionLayer
+}
+
+func compileCore[P, M any](m *Model, compile func(*nn.MLP) P) (*inferCore[P, M], error) {
+	c := &inferCore[P, M]{
+		nodeEnc: compile(m.NodeEncoder),
+		edgeEnc: compile(m.EdgeEncoder),
+		dec:     compile(m.Decoder),
+	}
+	for _, l := range m.Layers {
+		switch t := l.(type) {
+		case *NMPLayer:
+			c.layers = append(c.layers, coreLayer[P]{
+				edgeMLP:    compile(t.EdgeMLP),
+				nodeMLP:    compile(t.NodeMLP),
+				disableDeg: t.DisableDegreeScaling,
+			})
+		case *AttentionLayer:
+			// Validate rejects Attention+Float32, so P is *nn.InferMLP here.
+			c.layers = append(c.layers, coreLayer[P]{att: t})
+			c.attention = true
+		default:
+			return nil, fmt.Errorf("gnn: cannot compile processor %T for inference", l)
+		}
+	}
+	return c, nil
 }
 
 // staticFor returns the cached static-edge encoding for g, computing it
-// through enc on a miss. Reset (via Refresh) empties the cache.
-func (s *inferShared) staticFor(g *graph.Local, se *tensor.Matrix, enc *nn.InferMLP) *tensor.Matrix {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if he, ok := s.static[g]; ok {
+// through encode on a miss. resetStatic (via Refresh) empties the cache.
+func (c *inferCore[P, M]) staticFor(g *graph.Local, encode func() M) M {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if he, ok := c.static[g]; ok {
 		return he
 	}
-	he := enc.InferForward(nil, se)
-	if s.static == nil {
-		s.static = make(map[*graph.Local]*tensor.Matrix)
+	he := encode()
+	if c.static == nil {
+		c.static = make(map[*graph.Local]M)
 	}
-	s.static[g] = he
+	c.static[g] = he
 	return he
 }
 
-func (s *inferShared) reset() {
-	s.mu.Lock()
-	s.static = nil
-	s.mu.Unlock()
-}
-
-// inferProcessor is the forward-only counterpart of ProcessorLayer: one
-// processor layer applied to batch stacked samples on workspaces from a.
-type inferProcessor interface {
-	forward(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix)
-	setOverlap(on bool)
+func (c *inferCore[P, M]) resetStatic() {
+	c.mu.Lock()
+	c.static = nil
+	c.mu.Unlock()
 }
 
 // NewInference compiles a forward-only engine from the model. With the
@@ -136,37 +188,27 @@ type inferProcessor interface {
 // above the packed-GEMM threshold are packed once at compile; after
 // further training, Refresh re-packs them (bitwise-invisible either
 // way). With Config.Precision == Float32 it instead SNAPSHOTS the
-// parameters in single precision; post-compile updates are not visible —
-// rebuild the engine after further training.
+// parameters in single precision (nn.Compile32, weights above the
+// threshold pre-packed); post-compile updates are not visible — rebuild
+// the engine after further training.
 func NewInference(m *Model) (*Inference, error) {
 	if err := m.Config.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Inference{
-		Config: m.Config,
-		arena:  tensor.NewArena(),
-	}
+	e := &Inference{Config: m.Config}
 	if m.Config.Precision == Float32 {
-		e.f32 = compile32(m)
+		core, err := compileCore[*nn.InferMLP32, *tensor.Matrix32](m, (*nn.MLP).Compile32)
+		if err != nil {
+			return nil, err
+		}
+		e.p32 = newPass32(core)
 		return e, nil
 	}
-	e.shared = &inferShared{}
-	e.nodeEnc = m.NodeEncoder.Compile()
-	e.edgeEnc = m.EdgeEncoder.Compile()
-	e.dec = m.Decoder.Compile()
-	for _, l := range m.Layers {
-		switch t := l.(type) {
-		case *NMPLayer:
-			e.procs = append(e.procs, newInferNMP(t, m.Config.Overlap))
-		case *AttentionLayer:
-			// The attention processor has no forward-only twin yet; the
-			// engine falls back to the training layer's Forward (own
-			// allocations, synchronous exchanges — see ROADMAP).
-			e.procs = append(e.procs, &attentionFallback{l: t})
-		default:
-			return nil, fmt.Errorf("gnn: cannot compile processor %T for inference", l)
-		}
+	core, err := compileCore[*nn.InferMLP, *tensor.Matrix](m, (*nn.MLP).Compile)
+	if err != nil {
+		return nil, err
 	}
+	e.p64 = newPass64(core)
 	return e, nil
 }
 
@@ -182,18 +224,9 @@ func LoadInference(r io.Reader) (*Inference, error) {
 }
 
 // SetOverlap toggles the phased halo pipeline for subsequent predictions
-// (bitwise-invisible, like Model.SetOverlap).
-func (e *Inference) SetOverlap(on bool) {
-	e.Config.Overlap = on
-	for _, p := range e.procs {
-		p.setOverlap(on)
-	}
-	if e.f32 != nil {
-		for _, p := range e.f32.procs {
-			p.setOverlap(on)
-		}
-	}
-}
+// (bitwise-invisible, like Model.SetOverlap). It is session state: a view
+// and its root may disagree.
+func (e *Inference) SetOverlap(on bool) { e.Config.Overlap = on }
 
 // ErrLiveSessions is returned by Refresh while Session views of the
 // compile are outstanding: refreshing would empty the shared static-edge
@@ -205,7 +238,8 @@ var ErrLiveSessions = errors.New("gnn: refresh with outstanding session views")
 // Refresh invalidates the cached per-(graph, parameters) preprocessing —
 // the static-edge encodings and the pre-packed weight panels. Call it
 // after the source model's parameters change — e.g. between in-situ
-// training bursts — so the next Predict re-binds and re-packs.
+// training bursts — so the next Predict re-binds and re-packs. (A Float32
+// core is a snapshot: Refresh re-encodes from the same parameters.)
 //
 // Refresh must not race concurrent predictions. The caches and panels a
 // compile shares with its Session views are refreshed in place, so while
@@ -219,76 +253,53 @@ func (e *Inference) Refresh() error {
 	if n := e.live.Load(); n != 0 {
 		return fmt.Errorf("%w: %d outstanding", ErrLiveSessions, n)
 	}
-	e.lastGraph = nil
-	e.staticHe = nil
-	if e.shared != nil {
-		e.shared.reset()
+	e.graph = nil
+	if e.p32 != nil {
+		e.p32.core.resetStatic()
+		return nil
 	}
-	if e.f32 != nil {
-		e.f32.staticHe32 = nil
-	}
-	if e.nodeEnc != nil {
-		e.nodeEnc.Repack()
-		e.edgeEnc.Repack()
-		e.dec.Repack()
-		for _, p := range e.procs {
-			if l, ok := p.(*inferNMP); ok {
-				l.edgeMLP.Repack()
-				l.nodeMLP.Repack()
-			}
+	c := e.p64.core
+	c.resetStatic()
+	c.nodeEnc.Repack()
+	c.edgeEnc.Repack()
+	c.dec.Repack()
+	for _, l := range c.layers {
+		if l.att == nil {
+			l.edgeMLP.Repack()
+			l.nodeMLP.Repack()
 		}
-	}
-	if e.batch != nil {
-		e.batch.lastGraph = nil
-		e.batch.staticHeB = nil
 	}
 	return nil
 }
 
-// Session returns an independent engine over this compile's immutable
-// state: the compiled MLP blocks (parameter twins and pre-packed weight
-// panels, shared by pointer — an evaluation keeps no state in them) and
-// the static-edge cache are shared, one compile referenced by S sessions;
-// the arena, output double-buffer, binding state, message-passing task
-// scaffolding, and batched-serving scaffolding are fresh. Sessions may
-// predict concurrently — each from its own collective group — and their
-// results are bitwise-identical to the source engine's, sample for sample.
+// Session returns an independent engine over this compile's core: the MLP
+// twins (parameter views and pre-packed weight panels, shared by pointer)
+// and the static-edge cache are shared, one compile referenced by S
+// sessions of either precision; the arenas, wire staging, static-edge
+// tile, output double-buffer, binding and message-passing task scaffolding
+// are fresh. Sessions may predict concurrently — each from its own
+// collective group — and their results are bitwise-identical to the
+// source engine's, sample for sample.
 //
-// Engines that carry per-session-incompatible state refuse: the Float32
-// twin snapshots its own packed operands (compile one engine per
-// session) and the attention fallback serves through the mutable
-// training layer.
+// One kind of core refuses: an attention processor serves through the
+// mutable training layer and writes its backward caches on every call, so
+// two sessions over it would race — compile one engine per session.
 //
 // A view holds a reference on the compile: Refresh on the root refuses
 // (ErrLiveSessions) until every view is Released.
 func (e *Inference) Session() (*Inference, error) {
-	if e.f32 != nil {
-		return nil, fmt.Errorf("gnn: Float32 engines share no compiled core; compile one engine per session")
-	}
 	root := e
 	if e.root != nil {
 		root = e.root
 	}
-	s := &Inference{
-		Config:  e.Config,
-		arena:   tensor.NewArena(),
-		shared:  e.shared,
-		nodeEnc: e.nodeEnc,
-		edgeEnc: e.edgeEnc,
-		dec:     e.dec,
-		root:    root,
-	}
-	for _, p := range e.procs {
-		l, ok := p.(*inferNMP)
-		if !ok {
-			return nil, fmt.Errorf("gnn: processor %T serves through mutable training state; compile one engine per session", p)
-		}
-		s.procs = append(s.procs, &inferNMP{
-			edgeMLP:    l.edgeMLP,
-			nodeMLP:    l.nodeMLP,
-			disableDeg: l.disableDeg,
-			overlap:    l.overlap,
-		})
+	s := &Inference{Config: e.Config, root: root}
+	switch {
+	case e.p32 != nil:
+		s.p32 = newPass32(e.p32.core)
+	case e.p64.core.attention:
+		return nil, fmt.Errorf("gnn: attention processors serve through mutable training state; compile one engine per session")
+	default:
+		s.p64 = newPass64(e.p64.core)
 	}
 	root.live.Add(1)
 	return s, nil
@@ -306,144 +317,361 @@ func (e *Inference) Release() {
 	e.root.live.Add(-1)
 }
 
-// WorkspaceFootprint reports the engine's arena storage in float64s — the
+// WorkspaceFootprint reports the session's arena storage in float64s — the
 // steady-state per-request workspace (compare Model.WorkspaceFootprint,
-// which also carries the backward epoch): the Predict arena plus, once
-// PredictBatch has run, the batched one. For a Float32 engine the f32
-// activation arena is counted at half a float64 per element, alongside
-// the f64 staging arena.
+// which also carries the backward epoch). For a Float32 engine the
+// activation arena is counted at half a float64 per element, alongside the
+// float64 staging arena. Arenas keep their slabs, so the figure stops moving
+// once the largest batch has been served.
 func (e *Inference) WorkspaceFootprint() int {
-	n := e.arena.Footprint()
-	if e.batch != nil {
-		n += e.batch.arena.Footprint()
+	if e.p32 != nil {
+		return e.p32.stage.Footprint() + (e.p32.arena.Footprint()+1)/2
 	}
-	if e.f32 != nil {
-		n += (e.f32.arena.Footprint() + 1) / 2
-	}
-	return n
+	return e.p64.arena.Footprint()
 }
 
 // Predict evaluates the engine on this rank's sub-graph: x is the
 // NumLocal×InputNodeFeatures node snapshot, the result the
-// NumLocal×OutputNodeFeatures prediction, bitwise-equal to
-// Model.Forward on the source model. The returned matrix is engine-owned
-// and stays valid through ONE subsequent Predict (the same pushforward
-// contract as Model.Forward). All ranks must call Predict collectively.
+// NumLocal×OutputNodeFeatures prediction, bitwise-equal to Model.Forward
+// on the source model (Float64). It is PredictBatch of one and shares its
+// output-lifetime contract. All ranks must call Predict collectively.
 func (e *Inference) Predict(rc *RankContext, x *tensor.Matrix) *tensor.Matrix {
-	if x.Rows != rc.Graph.NumLocal() || x.Cols != e.Config.InputNodeFeatures {
-		panic(fmt.Sprintf("gnn: inference input %dx%d, want %dx%d",
-			x.Rows, x.Cols, rc.Graph.NumLocal(), e.Config.InputNodeFeatures))
-	}
-	if e.f32 != nil {
-		if rc.Graph != e.lastGraph || x.Rows != e.lastRows || x.Cols != e.lastCols {
-			e.bind32(rc, x)
-		}
-		return e.predict32(rc, x)
-	}
-	if rc.Graph != e.lastGraph || x.Rows != e.lastRows || x.Cols != e.lastCols {
-		e.bind(rc, x)
-	}
-	e.arena.Reset()
-	hx := e.nodeEnc.InferForward(e.arena, x)
-	he := e.staticHe
-	if he == nil {
-		he = e.edgeEnc.InferForward(e.arena, rc.edgeInputs7(x, e.arena, 1))
-	}
-	for _, p := range e.procs {
-		hx, he = p.forward(rc, e.arena, hx, he, 1)
-	}
-	y := e.dec.InferForward(e.arena, hx)
-	e.outIdx = 1 - e.outIdx
-	out := e.outs[e.outIdx]
-	if out == nil || out.Rows != y.Rows || out.Cols != y.Cols {
-		out = tensor.New(y.Rows, y.Cols)
-		e.outs[e.outIdx] = out
-	}
-	tensor.CloneInto(out, y)
-	return out
+	e.one[0] = x
+	return e.PredictBatch(rc, e.one[:])[0]
 }
 
-// bind re-records the engine against a new (graph, shape) pair: the arena
-// is cleared and, for static edge features, the edge encoder runs once
-// into persistent storage (outside the arena, so the per-request replay
-// sequence never contains it). The encoding is bitwise what a per-request
-// evaluation would produce — the kernels are deterministic — so caching
-// is invisible to the results.
-func (e *Inference) bind(rc *RankContext, x *tensor.Matrix) {
-	e.arena.Clear()
-	e.lastGraph, e.lastRows, e.lastCols = rc.Graph, x.Rows, x.Cols
-	e.staticHe = nil
-	if e.Config.EdgeMode == EdgeFeatures4 {
-		e.staticHe = e.shared.staticFor(rc.Graph, rc.StaticEdge, e.edgeEnc)
+// PredictBatch evaluates B snapshots of this rank's sub-graph in one
+// stacked pass. Each xs[i] is a NumLocal×InputNodeFeatures snapshot; the
+// returned slice holds one NumLocal×OutputNodeFeatures prediction per
+// sample, bitwise-identical to e.Predict(rc, xs[i]) run on its own, at
+// either precision. All ranks must call collectively with the same batch
+// size.
+//
+// Output lifetime: the returned matrices (and the slice) are engine-owned
+// row blocks of one of two stacked buffers, and stay valid through ONE
+// subsequent Predict, PredictBatch, Rollout or RolloutBatch step on this
+// engine, of any batch size — the pushforward contract of Model.Forward.
+// Clone what must live longer, as the rollouts do.
+func (e *Inference) PredictBatch(rc *RankContext, xs []*tensor.Matrix) []*tensor.Matrix {
+	batch := len(xs)
+	if batch == 0 {
+		panic("gnn: PredictBatch with an empty batch")
 	}
+	per := rc.Graph.NumLocal()
+	for _, x := range xs {
+		if x.Rows != per || x.Cols != e.Config.InputNodeFeatures {
+			panic(fmt.Sprintf("gnn: inference input %dx%d, want %dx%d",
+				x.Rows, x.Cols, per, e.Config.InputNodeFeatures))
+		}
+	}
+	e.outIdx = 1 - e.outIdx
+	out := &e.outs[e.outIdx]
+	out.size(batch, per, e.Config.OutputNodeFeatures)
+	if batch > 1 && e.p64 != nil && e.p64.core.attention {
+		// The attention processor cannot stack: one pass per sample, each
+		// landing in its block of the stacked output.
+		for i := range xs {
+			e.pass(rc, xs[i:i+1], out.hdrs[i])
+		}
+	} else {
+		e.pass(rc, xs, &out.all)
+	}
+	return out.hdrs[:batch]
 }
 
 // Rollout applies the engine autoregressively, state_{n+1} = G(state_n),
 // returning the trajectory including the initial state (steps+1
 // matrices, each an independent copy) — bitwise-equal to gnn.Rollout on
-// the source model. All ranks must call collectively.
+// the source model. It is RolloutBatch of one. All ranks must call
+// collectively.
 func (e *Inference) Rollout(rc *RankContext, x0 *tensor.Matrix, steps int) []*tensor.Matrix {
+	return e.RolloutBatch(rc, []*tensor.Matrix{x0}, steps)[0]
+}
+
+// RolloutBatch applies the engine autoregressively to B initial states,
+// returning one trajectory per sample (steps+1 independent matrices each,
+// including the initial state) — per sample bitwise-equal to e.Rollout.
+// All ranks must call collectively.
+func (e *Inference) RolloutBatch(rc *RankContext, x0s []*tensor.Matrix, steps int) [][]*tensor.Matrix {
 	if e.Config.InputNodeFeatures != e.Config.OutputNodeFeatures {
 		panic(fmt.Sprintf("gnn: rollout needs matching widths, have %d -> %d",
 			e.Config.InputNodeFeatures, e.Config.OutputNodeFeatures))
 	}
-	out := make([]*tensor.Matrix, 0, steps+1)
-	state := x0.Clone()
-	out = append(out, state)
+	if len(x0s) == 0 {
+		panic("gnn: RolloutBatch with an empty batch")
+	}
+	trajs := make([][]*tensor.Matrix, len(x0s))
+	cur := make([]*tensor.Matrix, len(x0s))
+	for i, x0 := range x0s {
+		cur[i] = x0.Clone()
+		trajs[i] = append(make([]*tensor.Matrix, 0, steps+1), cur[i])
+	}
 	for s := 0; s < steps; s++ {
-		state = e.Predict(rc, state).Clone()
-		out = append(out, state)
+		for i, y := range e.PredictBatch(rc, cur) {
+			cur[i] = y.Clone()
+			trajs[i] = append(trajs[i], cur[i])
+		}
 	}
-	return out
+	return trajs
 }
 
-// inferNMP is the float64 serving adapter of the Eq. 4 schedule (nmp.go):
-// forward-only compiled MLPs, no backward caches, workspaces from whichever
-// arena the engine hands the call — Predict's or PredictBatch's.
-type inferNMP struct {
+// stackedOut is one half of the output double buffer: grow-only storage
+// for the largest stacked prediction seen, and one header per sample.
+type stackedOut struct {
+	all  tensor.Matrix    // the current batch, stacked
+	hdrs []*tensor.Matrix // hdrs[i] is sample i's row block of the storage
+}
+
+// size shapes the buffer for batch samples of per rows. Sample i sits at
+// the same offset whatever the batch, so headers survive every change of
+// batch size that does not move the storage.
+func (o *stackedOut) size(batch, per, cols int) {
+	if cap(o.all.Data) < batch*per*cols || (len(o.hdrs) > 0 && o.hdrs[0].Rows != per) {
+		o.hdrs = o.hdrs[:0] // the storage is about to move, or the graph changed
+	}
+	o.all.Resize(batch*per, cols)
+	for i := len(o.hdrs); i < batch; i++ {
+		o.hdrs = append(o.hdrs, o.all.RowBlock(i*per, (i+1)*per))
+	}
+}
+
+// enginePass is what an element type supplies to the one engine pass. M is
+// its matrix handle, opaque to the pass. Implementations are persistent
+// structs behind a pointer, so driving the pass through one allocates
+// nothing.
+type enginePass[M any] interface {
+	// bind re-records the session for a (graph, batch) pair: clear the
+	// arenas and, for static edge features, view batch copies of the
+	// graph's cached encoding (fetched, and on a miss computed, when the
+	// graph is new).
+	bind(rc *RankContext, batch int, static, newGraph bool)
+	// begin rewinds the arenas for the next pass.
+	begin()
+	// encodeNodes stages the samples in — stacked, in the element type —
+	// and lifts them to hidden node features.
+	encodeNodes(xs []*tensor.Matrix) M
+	// encodeEdges returns the stacked hidden edge features: the static tile,
+	// or the edge encoder over the samples' EdgeFeatures7 attributes.
+	encodeEdges(rc *RankContext, xs []*tensor.Matrix, static bool) M
+	// process applies processor layer i.
+	process(rc *RankContext, i int, x, e M, batch int, overlap bool) (xOut, eOut M)
+	// decodeInto decodes x and stages the float64 prediction out into dst.
+	decodeInto(dst *tensor.Matrix, x M)
+}
+
+// pass dispatches the one engine pass on the session's element type.
+func (e *Inference) pass(rc *RankContext, xs []*tensor.Matrix, dst *tensor.Matrix) {
+	if e.p32 != nil {
+		runPass(e, e.p32, rc, xs, dst)
+	} else {
+		runPass(e, e.p64, rc, xs, dst)
+	}
+}
+
+// runPass is the engine's one forward: the len(xs) samples, stacked,
+// through encode → Eq. 4 × M → decode into dst ((len(xs)·N_local) rows).
+func runPass[M any](e *Inference, u enginePass[M], rc *RankContext, xs []*tensor.Matrix, dst *tensor.Matrix) {
+	batch := len(xs)
+	// With static edge features the edge encoder's input does not depend
+	// on the snapshot: its output is a per-graph constant of the core,
+	// bitwise what a per-request evaluation would produce, so caching it
+	// is invisible to the results.
+	static := e.Config.EdgeMode == EdgeFeatures4
+	if rc.Graph != e.graph || batch != e.batch {
+		u.bind(rc, batch, static, rc.Graph != e.graph)
+		e.graph, e.batch = rc.Graph, batch
+	}
+	u.begin()
+	hx := u.encodeNodes(xs)
+	he := u.encodeEdges(rc, xs, static)
+	for i := 0; i < e.Config.MessagePassingLayers; i++ {
+		hx, he = u.process(rc, i, hx, he, batch, e.Config.Overlap)
+	}
+	u.decodeInto(dst, hx)
+}
+
+// pass64 is a float64 session: the nmpUser of the Eq. 4 schedule (direct64:
+// workspaces from the arena, aggregates on the wire as they are) and the
+// enginePass around it.
+type pass64 struct {
 	direct64
-	edgeMLP, nodeMLP *nn.InferMLP
-	disableDeg       bool
-	overlap          bool
+	core  *inferCore[*nn.InferMLP, *tensor.Matrix]
+	layer *coreLayer[*nn.InferMLP] // the processor forwardNMP is running
+	fwd   nmpTasks[float64]
 
-	fwd nmpTasks[float64]
+	he      *tensor.Matrix // the bound graph's static-edge encoding (core-owned)
+	tile    rowTile[float64]
+	staticB tensor.Matrix // header over the current batch's copies of he
 }
 
-func newInferNMP(l *NMPLayer, overlap bool) *inferNMP {
-	return &inferNMP{
-		edgeMLP:    l.EdgeMLP.Compile(),
-		nodeMLP:    l.NodeMLP.Compile(),
-		disableDeg: l.DisableDegreeScaling,
-		overlap:    overlap || l.Overlap,
+func newPass64(core *inferCore[*nn.InferMLP, *tensor.Matrix]) *pass64 {
+	return &pass64{direct64: direct64{arena: tensor.NewArena()}, core: core}
+}
+
+func (u *pass64) bind(rc *RankContext, batch int, static, newGraph bool) {
+	u.arena.Clear()
+	if !static {
+		return
 	}
+	if newGraph {
+		u.tile.drop()
+		// Encoded outside the arena, so the per-request replay sequence
+		// never contains it.
+		u.he = u.core.staticFor(rc.Graph, func() *tensor.Matrix {
+			return u.core.edgeEnc.InferForward(nil, rc.StaticEdge)
+		})
+	}
+	u.staticB = tensor.Matrix{Rows: batch * u.he.Rows, Cols: u.he.Cols, Data: u.tile.of(u.he.Data, batch)}
 }
 
-func (l *inferNMP) setOverlap(on bool) { l.overlap = on }
+func (u *pass64) begin() { u.arena.Reset() }
 
-func (l *inferNMP) runEdge(in *tensor.Matrix) *tensor.Matrix {
-	return l.edgeMLP.InferForward(l.arena, in)
+func (u *pass64) encodeNodes(xs []*tensor.Matrix) *tensor.Matrix {
+	n := len(xs[0].Data)
+	x := u.arena.Get(len(xs)*xs[0].Rows, xs[0].Cols)
+	for i, s := range xs {
+		copy(x.Data[i*n:(i+1)*n], s.Data)
+	}
+	return u.core.nodeEnc.InferForward(u.arena, x)
 }
 
-func (l *inferNMP) runNode(in *tensor.Matrix) *tensor.Matrix {
-	return l.nodeMLP.InferForward(l.arena, in)
+func (u *pass64) encodeEdges(rc *RankContext, xs []*tensor.Matrix, static bool) *tensor.Matrix {
+	if static {
+		return &u.staticB
+	}
+	return u.core.edgeEnc.InferForward(u.arena, rc.edgeInputs7(xs, u.arena))
 }
 
-func (l *inferNMP) forward(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix) {
-	l.arena = a
-	return forwardNMP(l, &l.fwd, rc, x, e, batch, l.overlap, l.disableDeg)
+func (u *pass64) process(rc *RankContext, i int, x, e *tensor.Matrix, batch int, overlap bool) (xOut, eOut *tensor.Matrix) {
+	u.layer = &u.core.layers[i]
+	if att := u.layer.att; att != nil {
+		return att.Forward(rc, x, e) // one sample: PredictBatch never stacks an attention core
+	}
+	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap, u.layer.disableDeg)
 }
 
-// attentionFallback serves an attention processor through the training
-// layer's own Forward. It allocates per call (the attention layer keeps
-// its own buffers) and writes the layer's backward caches — harmless for
-// prediction, but an engine must not run between a model's Forward and
-// Backward when they share attention layers.
-type attentionFallback struct {
-	l *AttentionLayer
+func (u *pass64) runEdge(in *tensor.Matrix) *tensor.Matrix {
+	return u.layer.edgeMLP.InferForward(u.arena, in)
 }
 
-func (f *attentionFallback) forward(rc *RankContext, _ *tensor.Arena, x, e *tensor.Matrix, _ int) (*tensor.Matrix, *tensor.Matrix) {
-	return f.l.Forward(rc, x, e)
+func (u *pass64) runNode(in *tensor.Matrix) *tensor.Matrix {
+	return u.layer.nodeMLP.InferForward(u.arena, in)
 }
 
-func (f *attentionFallback) setOverlap(bool) {}
+func (u *pass64) decodeInto(dst, x *tensor.Matrix) {
+	tensor.CloneInto(dst, u.core.dec.InferForward(u.arena, x))
+}
+
+// pass32 is a float32 session: activations in a float32 arena (half the
+// bytes, half the memory traffic on the GEMM-bound path), and float64
+// staging for everything that meets a float64 interface — the
+// EdgeFeatures7 assembly (stage arena) and the halo wire (aggStage,
+// haloStage, sized by the batch like every other stacked matrix).
+type pass32 struct {
+	core  *inferCore[*nn.InferMLP32, *tensor.Matrix32]
+	layer *coreLayer[*nn.InferMLP32]
+	fwd   nmpTasks[float32]
+
+	arena *tensor.Arena32
+	stage *tensor.Arena
+	blk   tensor.Matrix32 // header over one sample's block of the stacked input
+
+	// haloStage is only ever written by the exchanger, so a NoExchange run
+	// demotes exact zeros into the float32 halo buffer — the same
+	// "contributes nothing" contract as the float64 path's zeroed halo
+	// workspace. A new graph starts it from fresh (zeroed) storage.
+	aggStage, haloStage tensor.Matrix
+
+	he      *tensor.Matrix32
+	tile    rowTile[float32]
+	staticB tensor.Matrix32
+}
+
+func newPass32(core *inferCore[*nn.InferMLP32, *tensor.Matrix32]) *pass32 {
+	return &pass32{core: core, arena: tensor.NewArena32(), stage: tensor.NewArena()}
+}
+
+func (u *pass32) bind(rc *RankContext, batch int, static, newGraph bool) {
+	u.arena.Clear()
+	u.stage.Clear()
+	g, h := rc.Graph, u.core.nodeEnc.Out
+	if newGraph {
+		u.haloStage = tensor.Matrix{}
+	}
+	u.aggStage.Resize(batch*g.NumLocal(), h)
+	u.haloStage.Resize(batch*g.NumHalo(), h)
+	if !static {
+		return
+	}
+	if newGraph {
+		u.tile.drop()
+		u.he = u.core.staticFor(g, func() *tensor.Matrix32 {
+			return u.core.edgeEnc.InferForward32(nil, tensor.Demote32(rc.StaticEdge))
+		})
+	}
+	u.staticB = tensor.Matrix32{Rows: batch * u.he.Rows, Cols: u.he.Cols, Data: u.tile.of(u.he.Data, batch)}
+}
+
+func (u *pass32) begin() {
+	u.arena.Reset()
+	u.stage.Reset()
+}
+
+func (u *pass32) encodeNodes(xs []*tensor.Matrix) *tensor.Matrix32 {
+	per := xs[0].Rows
+	x := u.arena.Get(len(xs)*per, xs[0].Cols)
+	for i, s := range xs {
+		x.SliceRows(&u.blk, i*per, (i+1)*per)
+		tensor.DemoteInto32(&u.blk, s)
+	}
+	return u.core.nodeEnc.InferForward32(u.arena, x)
+}
+
+func (u *pass32) encodeEdges(rc *RankContext, xs []*tensor.Matrix, static bool) *tensor.Matrix32 {
+	if static {
+		return &u.staticB
+	}
+	// Assembled in float64 from the float64 samples, then demoted: the
+	// attributes are differences of inputs, rounded once.
+	ein64 := rc.edgeInputs7(xs, u.stage)
+	ein := u.arena.Get(ein64.Rows, ein64.Cols)
+	tensor.DemoteInto32(ein, ein64)
+	return u.core.edgeEnc.InferForward32(u.arena, ein)
+}
+
+func (u *pass32) process(rc *RankContext, i int, x, e *tensor.Matrix32, batch int, overlap bool) (xOut, eOut *tensor.Matrix32) {
+	u.layer = &u.core.layers[i]
+	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap, u.layer.disableDeg)
+}
+
+func (u *pass32) decodeInto(dst *tensor.Matrix, x *tensor.Matrix32) {
+	tensor.PromoteInto64(dst, u.core.dec.InferForward32(u.arena, x))
+}
+
+func (u *pass32) get(rows, cols int, zeroed bool) *tensor.Matrix32 {
+	if zeroed {
+		return u.arena.GetZeroed(rows, cols)
+	}
+	return u.arena.Get(rows, cols)
+}
+
+func (*pass32) view(m *tensor.Matrix32) rowsOf[float32] { return rowsOf[float32]{m.Data, m.Cols} }
+func (*pass32) addInto(dst, src *tensor.Matrix32)       { tensor.AddScaled32(dst, 1, src) }
+
+func (u *pass32) runEdge(in *tensor.Matrix32) *tensor.Matrix32 {
+	return u.layer.edgeMLP.InferForward32(u.arena, in)
+}
+
+func (u *pass32) runNode(in *tensor.Matrix32) *tensor.Matrix32 {
+	return u.layer.nodeMLP.InferForward32(u.arena, in)
+}
+
+// toWire promotes the aggregates into the float64 staging. The exchanger
+// packs boundary rows only; under the phased split the interior rows of
+// the promoted copy are stale, and the plan never reads them.
+func (u *pass32) toWire(agg, _ *tensor.Matrix32) (src, dst *tensor.Matrix) {
+	tensor.PromoteInto64(&u.aggStage, agg)
+	return &u.aggStage, &u.haloStage
+}
+
+func (u *pass32) fromWire(halo *tensor.Matrix32) { tensor.DemoteInto32(halo, &u.haloStage) }

@@ -26,10 +26,10 @@ import (
 // batched step shares every line below with the single-sample one.
 type ConsistentMSE struct {
 	// diff caches Y-Ŷ for the backward pass; diff, dy, sums and losses are
-	// reused across steps (resized lazily), so steady-state loss
-	// evaluation allocates nothing.
-	diff *tensor.Matrix
-	dy   *tensor.Matrix
+	// grow-only buffers reused across steps, so loss evaluation allocates
+	// nothing once the largest batch has been seen.
+	diff tensor.Matrix
+	dy   tensor.Matrix
 	rc   *RankContext
 
 	// batch is the sample count of the most recent forward; it keys
@@ -69,9 +69,7 @@ func (l *ConsistentMSE) localSums(rc *RankContext, y *tensor.Matrix, targets []*
 	}
 	l.rc = rc
 	l.batch = batch
-	if l.diff == nil || l.diff.Rows != y.Rows || l.diff.Cols != y.Cols {
-		l.diff = tensor.New(y.Rows, y.Cols)
-	}
+	l.diff.Resize(y.Rows, y.Cols)
 	if cap(l.sums) < batch {
 		l.sums = make([]float64, batch)
 		l.losses = make([]float64, batch)
@@ -112,13 +110,11 @@ func (l *ConsistentMSE) normalise(sums []float64) []float64 {
 // alone. The matrix is owned by the loss and valid until the next Backward
 // call.
 func (l *ConsistentMSE) Backward() *tensor.Matrix {
-	if l.diff == nil {
+	if l.rc == nil {
 		panic("gnn: ConsistentMSE.Backward before Forward")
 	}
-	if l.dy == nil || l.dy.Rows != l.diff.Rows || l.dy.Cols != l.diff.Cols {
-		l.dy = tensor.New(l.diff.Rows, l.diff.Cols)
-	}
-	dy := l.dy
+	dy := &l.dy
+	dy.Resize(l.diff.Rows, l.diff.Cols)
 	per := dy.Rows / l.batch
 	scale := 2 / (l.rc.Neff * float64(l.diff.Cols))
 	for i := 0; i < dy.Rows; i++ {

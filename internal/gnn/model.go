@@ -26,8 +26,10 @@ import (
 // pass performs no heap allocation in the tensor/nn/gnn kernels. The
 // returned prediction is copied into a model-owned buffer that stays
 // valid until the next Forward call. When the evaluated sub-graph or
-// batch shape changes, the arena is cleared and re-recorded on the next
-// pass.
+// batch size changes, the arena is cleared and re-recorded on the next
+// pass over the slabs and headers it already has, and the static-edge
+// tile keeps every copy it holds — so alternating batch sizes (Fit's short
+// tail) allocates nothing once the largest has been seen.
 //
 // Batches. A forward/backward pass runs over B same-mesh samples stacked
 // as row blocks of one (B·N)×F matrix; Forward's single sample is the
@@ -63,15 +65,44 @@ type Model struct {
 	lastGraph *graph.Local // arena shape signature; Backward reads it too
 	lastBatch int
 
-	// xb is the persistent stacked input the samples are copied into (the
-	// node encoder caches it for its backward); staticEdgeB the batch-tiled
-	// static-edge attributes (EdgeFeatures4), stacked like every other
-	// activation because the edge encoder's backward slices its cached
-	// input per block. one is Forward's batch of one.
-	xb          *tensor.Matrix
-	staticEdgeB *tensor.Matrix
+	// staticEdge is the batch-tiled static-edge attributes (EdgeFeatures4),
+	// stacked like every other activation because the edge encoder's
+	// backward slices its cached input per block; staticEdgeB is the header
+	// over the current batch's copies. one is Forward's batch of one.
+	staticEdge  rowTile[float64]
+	staticEdgeB tensor.Matrix
 	one         [1]*tensor.Matrix
 }
+
+// rowTile is a grow-only stack of copies of one row block — the static-edge
+// attributes (training) or their encoding (serving, either precision),
+// which every sample of a batch shares. It keeps as many copies as the
+// largest batch asked for so far and a smaller batch is a prefix of them,
+// so a change of batch size copies only what is not there yet and, below
+// the largest, nothing.
+type rowTile[T elem] struct {
+	data []T
+	n    int // copies present
+}
+
+// of returns batch stacked copies of src (src itself for a batch of one).
+// Every call between two drops must pass the same src.
+func (t *rowTile[T]) of(src []T, batch int) []T {
+	if batch == 1 {
+		return src
+	}
+	n := len(src)
+	if cap(t.data) < batch*n {
+		t.data, t.n = make([]T, batch*n), 0
+	}
+	for ; t.n < batch; t.n++ {
+		copy(t.data[t.n*n:(t.n+1)*n], src)
+	}
+	return t.data[:batch*n]
+}
+
+// drop forgets the copies: the source changed.
+func (t *rowTile[T]) drop() { t.n = 0 }
 
 // ProcessorLayer is the contract shared by the consistent NMP layer and
 // the consistent attention layer: a collective forward over (node, edge)
@@ -202,25 +233,29 @@ func (m *Model) forward(rc *RankContext, xs []*tensor.Matrix) *tensor.Matrix {
 	// arena (replaying the recorded buffers), or re-record from scratch
 	// when the computation changed shape.
 	if rc.Graph != m.lastGraph || batch != m.lastBatch {
+		if rc.Graph != m.lastGraph {
+			m.staticEdge.drop()
+		}
 		m.arena.Clear()
 		m.lastGraph, m.lastBatch = rc.Graph, batch
-		m.xb = tensor.New(batch*rows, cols)
-		m.staticEdgeB = nil
-		if m.Config.EdgeMode == EdgeFeatures4 {
-			m.staticEdgeB = tensor.New(batch*rc.StaticEdge.Rows, rc.StaticEdge.Cols)
-			tensor.TileRowsInto(m.staticEdgeB, rc.StaticEdge, batch)
+		if se := rc.StaticEdge; m.Config.EdgeMode == EdgeFeatures4 {
+			m.staticEdgeB = tensor.Matrix{Rows: batch * se.Rows, Cols: se.Cols, Data: m.staticEdge.of(se.Data, batch)}
 		}
 	}
+	m.arena.Reset()
+	// The stacked input is the epoch's first workspace (the node encoder
+	// caches it for its backward).
+	xb := m.arena.Get(batch*rows, cols)
 	n := rows * cols
 	for i, x := range xs {
-		copy(m.xb.Data[i*n:(i+1)*n], x.Data)
+		copy(xb.Data[i*n:(i+1)*n], x.Data)
 	}
-
-	m.arena.Reset()
-	hx := m.NodeEncoder.Forward(m.xb)
-	ei := m.staticEdgeB
-	if ei == nil {
-		ei = rc.edgeInputs7(m.xb, m.arena, batch)
+	hx := m.NodeEncoder.Forward(xb)
+	var ei *tensor.Matrix
+	if m.Config.EdgeMode == EdgeFeatures4 {
+		ei = &m.staticEdgeB
+	} else {
+		ei = rc.edgeInputs7(xs, m.arena)
 	}
 	he := m.EdgeEncoder.Forward(ei)
 	for _, l := range m.Layers {

@@ -24,9 +24,9 @@ import (
 // are supplied by an nmpUser adapter — which MLP flavour runs, where the
 // workspaces come from, and how aggregates reach the float64 wire:
 //
-//	train    *NMPLayer     nn.MLP (keeps backward caches)  tensor.Arena    direct
-//	infer64  *inferNMP     nn.InferMLP                     tensor.Arena    direct
-//	infer32  *inferNMPf32  nn.InferMLP32                   tensor.Arena32  promote → stage → demote
+//	train    *NMPLayer  nn.MLP (keeps backward caches)  tensor.Arena    direct
+//	infer64  *pass64    nn.InferMLP                     tensor.Arena    direct
+//	infer32  *pass32    nn.InferMLP32                   tensor.Arena32  promote → stage → demote
 //
 // Everything else is shared. The schedule takes the batch as an argument:
 // x is (batch·N_local)×H and e is (batch·N_edges)×H, batch vertically

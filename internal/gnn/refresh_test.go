@@ -8,7 +8,9 @@ import (
 	"meshgnn/internal/comm"
 )
 
-// TestRefreshRefusedWhileSessionsLive pins the serving-refresh hazard fix:
+// TestRefreshRefusedWhileSessionsLive pins the serving-refresh hazard fix
+// at both precisions (a Float32 engine has Session views since the core/
+// session split, so it has the hazard too):
 // Refresh repacks the weight panels and empties the static-edge cache IN
 // PLACE under every Session view of the compile, so while any view is
 // outstanding it must refuse with ErrLiveSessions instead of corrupting
@@ -16,13 +18,19 @@ import (
 // concurrently with the refused Refresh calls — the refusal path must not
 // touch shared compile state.
 func TestRefreshRefusedWhileSessionsLive(t *testing.T) {
+	for _, prec := range precisions {
+		t.Run(precName(prec), func(t *testing.T) { refreshRefused(t, precisionConfig(prec)) })
+	}
+}
+
+func refreshRefused(t *testing.T, cfg Config) {
 	box, l := allocSetup(t)
 	err := comm.Run(1, func(c *comm.Comm) error {
 		rc, err := NewRankContext(c, box, l, comm.NoExchange)
 		if err != nil {
 			return err
 		}
-		model, err := NewModel(tinyConfig())
+		model, err := NewModel(cfg)
 		if err != nil {
 			return err
 		}
@@ -34,13 +42,11 @@ func TestRefreshRefusedWhileSessionsLive(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// A view holds the compiled blocks themselves, not copies of their
+		// A view holds the core itself, not copies of its blocks or their
 		// panel pointers: whatever a Refresh re-packs, no view is left on
 		// the old panels (tensor's TestRepackAfterTierToggleReachesEveryHolder).
-		if ses.nodeEnc != eng.nodeEnc || ses.edgeEnc != eng.edgeEnc || ses.dec != eng.dec ||
-			ses.procs[0].(*inferNMP).edgeMLP != eng.procs[0].(*inferNMP).edgeMLP ||
-			ses.procs[0].(*inferNMP).nodeMLP != eng.procs[0].(*inferNMP).nodeMLP {
-			return fmt.Errorf("session view copied a compiled block instead of sharing it")
+		if (eng.p64 != nil && ses.p64.core != eng.p64.core) || (eng.p32 != nil && ses.p32.core != eng.p32.core) {
+			return fmt.Errorf("session view copied the compiled core instead of sharing it")
 		}
 		x := waveField(rc.Graph)
 		want := ses.Predict(rc, x).Clone()
@@ -104,5 +110,50 @@ func TestRefreshRefusedWhileSessionsLive(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionRefusesAttention pins the one Session refusal that stays, and
+// why. A core compiled from an attention model has no forward-only twin of
+// its processors: it serves through the training layers themselves, whose
+// Forward allocates per call and writes the layer's backward caches (the
+// attention weights, the packed aggregates). Two sessions over that core
+// would write those caches concurrently, so Session must refuse — a server
+// compiles one engine per rank instead — and must leave no reference
+// behind: Refresh on the refused root still succeeds. Every NMP core, of
+// either precision, is immutable while serving and does share (the Float32
+// refusal is gone: TestRefreshRefusedWhileSessionsLive/f32 takes views).
+func TestSessionRefusesAttention(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Attention = true
+	model, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewInference(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ses, err := eng.Session(); err == nil {
+		ses.Release()
+		t.Fatal("Session() over an attention core succeeded; its sessions would share the training layers' backward caches")
+	}
+	if err := eng.Refresh(); err != nil {
+		t.Fatalf("Refresh after a refused Session: %v (the refusal leaked a reference)", err)
+	}
+	for _, prec := range precisions {
+		model, err := NewModel(precisionConfig(prec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewInference(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ses, err := eng.Session()
+		if err != nil {
+			t.Fatalf("%s: Session() over an NMP core refused: %v", precName(prec), err)
+		}
+		ses.Release()
 	}
 }

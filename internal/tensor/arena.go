@@ -23,10 +23,12 @@ import "fmt"
 //   - Between two Resets the request sequence must match the recorded one
 //     shape-for-shape; a mismatch panics (it indicates two computations
 //     are sharing one arena, which would silently alias buffers).
-//   - Clear forgets the recorded sequence but keeps the slabs, for when
-//     the computation legitimately changes shape (new graph, new batch
-//     size). Matrices handed out before Clear alias memory that will be
-//     reissued — the owner must not use them afterwards.
+//   - Clear forgets the recorded sequence but keeps the slabs and the
+//     matrix headers, for when the computation legitimately changes shape
+//     (new graph, new batch size): the next pass re-records over them, so
+//     once the slabs hold the largest shape seen a change of shape
+//     allocates nothing. Matrices handed out before Clear are re-pointed
+//     at memory that is reissued — the owner must not use them afterwards.
 //   - An Arena is not safe for concurrent use; in the SPMD runtime each
 //     rank's model owns its own arena.
 //
@@ -37,8 +39,11 @@ type Arena struct {
 	slabs [][]float64
 	slab  int // slab currently being carved
 	off   int // carve offset within slabs[slab]
-	mats  []*Matrix
-	next  int // replay cursor into mats
+	// mats[:live] is the recorded sequence; the headers past it were kept
+	// by Clear for the next record.
+	mats []*Matrix
+	live int
+	next int // replay cursor into the record
 }
 
 // minSlabFloats is the smallest slab the arena allocates (512 KiB). Growth
@@ -63,7 +68,7 @@ func (a *Arena) Get(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: arena negative dimensions %dx%d", rows, cols))
 	}
-	if a.next < len(a.mats) {
+	if a.next < a.live {
 		m := a.mats[a.next]
 		if m.Rows != rows || m.Cols != cols {
 			panic(fmt.Sprintf(
@@ -75,9 +80,16 @@ func (a *Arena) Get(rows, cols int) *Matrix {
 		a.next++
 		return m
 	}
-	m := &Matrix{Rows: rows, Cols: cols, Data: a.carve(rows * cols)}
-	a.mats = append(a.mats, m)
-	a.next = len(a.mats)
+	var m *Matrix
+	if a.live < len(a.mats) {
+		m = a.mats[a.live]
+	} else {
+		m = new(Matrix)
+		a.mats = append(a.mats, m)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, a.carve(rows*cols)
+	a.live++
+	a.next = a.live
 	return m
 }
 
@@ -129,17 +141,18 @@ func (a *Arena) carve(need int) []float64 {
 func (a *Arena) Reset() { a.next = 0 }
 
 // Clear drops the recorded request sequence and rewinds the bump pointer,
-// keeping the slabs as raw capacity. Use it when the computation changes
-// shape; all previously issued matrices become invalid.
+// keeping the slabs as raw capacity and the headers for the next record.
+// Use it when the computation changes shape; all previously issued
+// matrices become invalid.
 func (a *Arena) Clear() {
-	a.mats = a.mats[:0]
+	a.live = 0
 	a.next = 0
 	a.slab = 0
 	a.off = 0
 }
 
 // Slots returns the number of recorded workspace matrices.
-func (a *Arena) Slots() int { return len(a.mats) }
+func (a *Arena) Slots() int { return a.live }
 
 // Footprint returns the total slab storage in floats.
 func (a *Arena) Footprint() int {

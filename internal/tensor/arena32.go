@@ -14,6 +14,7 @@ type Arena32 struct {
 	slab  int
 	off   int
 	mats  []*Matrix32
+	live  int
 	next  int
 }
 
@@ -30,7 +31,7 @@ func (a *Arena32) Get(rows, cols int) *Matrix32 {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: arena32 negative dimensions %dx%d", rows, cols))
 	}
-	if a.next < len(a.mats) {
+	if a.next < a.live {
 		m := a.mats[a.next]
 		if m.Rows != rows || m.Cols != cols {
 			panic(fmt.Sprintf(
@@ -40,9 +41,16 @@ func (a *Arena32) Get(rows, cols int) *Matrix32 {
 		a.next++
 		return m
 	}
-	m := &Matrix32{Rows: rows, Cols: cols, Data: a.carve(rows * cols)}
-	a.mats = append(a.mats, m)
-	a.next = len(a.mats)
+	var m *Matrix32
+	if a.live < len(a.mats) {
+		m = a.mats[a.live]
+	} else {
+		m = new(Matrix32)
+		a.mats = append(a.mats, m)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, a.carve(rows*cols)
+	a.live++
+	a.next = a.live
 	return m
 }
 
@@ -85,16 +93,16 @@ func (a *Arena32) carve(need int) []float32 {
 // Reset rewinds the arena for the next pass.
 func (a *Arena32) Reset() { a.next = 0 }
 
-// Clear drops the recorded request sequence, keeping slabs as capacity.
+// Clear drops the recorded request sequence, keeping slabs and headers.
 func (a *Arena32) Clear() {
-	a.mats = a.mats[:0]
+	a.live = 0
 	a.next = 0
 	a.slab = 0
 	a.off = 0
 }
 
 // Slots returns the number of recorded workspace matrices.
-func (a *Arena32) Slots() int { return len(a.mats) }
+func (a *Arena32) Slots() int { return a.live }
 
 // Footprint returns the total slab storage in float32s.
 func (a *Arena32) Footprint() int {

@@ -130,3 +130,39 @@ func TestArenaZeroAllocReplay(t *testing.T) {
 		t.Fatalf("replayed epoch allocates %v times", n)
 	}
 }
+
+// TestArenaZeroAllocRerecord: Clear keeps the headers as well as the
+// slabs, so alternating between two recorded shapes — a serving engine
+// whose batch size changes on every call — allocates nothing once the
+// larger one has been seen, on either element type. The shape check
+// between Resets is untouched by it.
+func TestArenaZeroAllocRerecord(t *testing.T) {
+	a, a32 := NewArena(), NewArena32()
+	record := func(rows int) {
+		a.Clear()
+		a.Get(rows, 16)
+		a.GetZeroed(rows, 4)
+		a32.Clear()
+		a32.Get(rows, 16)
+		a32.GetZeroed(rows, 4)
+	}
+	record(64)
+	foot, foot32 := a.Footprint(), a32.Footprint()
+	if n := testing.AllocsPerRun(20, func() { record(8); record(64) }); n != 0 {
+		t.Fatalf("re-recording over kept slabs and headers allocates %v times", n)
+	}
+	if a.Footprint() != foot || a32.Footprint() != foot32 {
+		t.Fatalf("footprint moved %d/%d -> %d/%d re-recording shapes no larger than the first",
+			foot, foot32, a.Footprint(), a32.Footprint())
+	}
+	if a.Slots() != 2 || a32.Slots() != 2 {
+		t.Fatalf("Slots() = %d/%d after a two-request record, want 2", a.Slots(), a32.Slots())
+	}
+	a.Reset()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected the shape-mismatch panic on a replay after a re-record")
+		}
+	}()
+	a.Get(8, 16)
+}

@@ -103,20 +103,18 @@ func (m *Matrix) RowBlock(r0, r1 int) *Matrix {
 	return out
 }
 
-// TileRowsInto writes reps vertically stacked copies of src into dst:
-// dst must be (reps·src.Rows)×src.Cols. Each copy is bit-exact, so a
-// tiled per-sample constant (e.g. the static-edge encoding shared by
-// every sample of a batch) is indistinguishable from reps independent
-// evaluations.
-func TileRowsInto(dst, src *Matrix, reps int) {
-	if dst.Rows != reps*src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: TileRowsInto %dx%d into %dx%d (reps=%d)",
-			src.Rows, src.Cols, dst.Rows, dst.Cols, reps))
+// Resize reshapes m to rows×cols over its own storage, which only ever
+// grows: a shape that fits the capacity views its prefix (contents kept),
+// a larger one reallocates zeroed. A persistent buffer sized this way
+// settles at the largest shape it has been asked for, and every later
+// change of shape — the serving engine's batch size — allocates nothing.
+func (m *Matrix) Resize(rows, cols int) {
+	if n := rows * cols; cap(m.Data) < n {
+		m.Data = make([]float64, n)
+	} else {
+		m.Data = m.Data[:n]
 	}
-	n := len(src.Data)
-	for b := 0; b < reps; b++ {
-		copy(dst.Data[b*n:(b+1)*n], src.Data)
-	}
+	m.Rows, m.Cols = rows, cols
 }
 
 // CopyFrom copies src into m; dimensions must match.

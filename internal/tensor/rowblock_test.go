@@ -55,26 +55,35 @@ func TestSliceRowsBounds(t *testing.T) {
 	}
 }
 
-func TestTileRowsInto(t *testing.T) {
-	src := New(2, 3)
-	for i := range src.Data {
-		src.Data[i] = float64(i + 1)
+// TestResizeGrowOnly pins the grow-only contract of Resize: a shape within the capacity views the prefix of the same storage
+// with its contents intact, a larger one reallocates zeroed, and once the
+// largest shape has been seen no change of shape allocates.
+func TestResizeGrowOnly(t *testing.T) {
+	var m Matrix
+	m.Resize(4, 3)
+	for i := range m.Data {
+		m.Data[i] = float64(i + 1)
 	}
-	dst := New(6, 3)
-	TileRowsInto(dst, src, 3)
-	for b := 0; b < 3; b++ {
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 3; j++ {
-				if dst.At(b*2+i, j) != src.At(i, j) {
-					t.Fatalf("tile %d row %d col %d: %v != %v", b, i, j, dst.At(b*2+i, j), src.At(i, j))
-				}
-			}
-		}
+	base := &m.Data[0]
+	m.Resize(2, 3)
+	if m.Rows != 2 || m.Cols != 3 || len(m.Data) != 6 || &m.Data[0] != base || m.Data[5] != 6 {
+		t.Fatalf("shrink did not view the prefix: %v len %d", &m, len(m.Data))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("TileRowsInto shape mismatch did not panic")
-		}
-	}()
-	TileRowsInto(dst, src, 2)
+	m.Resize(4, 3)
+	if &m.Data[0] != base || m.Data[11] != 12 {
+		t.Fatal("regrowing within the capacity lost the storage or its contents")
+	}
+	m.Resize(5, 3)
+	if &m.Data[0] == base || m.Data[0] != 0 {
+		t.Fatal("growing past the capacity must reallocate zeroed")
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		m.Resize(1, 3)
+		m.Resize(5, 3)
+	}); n != 0 {
+		t.Errorf("Resize within the capacity allocates %v times", n)
+	}
 }

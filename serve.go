@@ -24,23 +24,23 @@ import (
 // runs S independent serving sessions — each a full collective group with
 // its own rank goroutines, fabric, halo exchangers, admission queue, and
 // coalescing dispatcher — behind one front door. All sessions reference
-// ONE compiled engine core (the parameter twins, pre-packed weight
-// panels, and static-edge cache are immutable after compile; only the
-// per-session arenas and task scaffolding are private), so S sessions
-// cost one compile plus S working sets. Each submitted request is routed
-// to the least-loaded live session; up to S requests evaluate
-// concurrently, and every result is bitwise-identical to the
-// single-session engine's.
+// ONE compiled engine core, at either precision (the parameter twins,
+// pre-packed weight panels, and static-edge cache are immutable after
+// compile; only the per-session arenas, staging, output buffers and task
+// scaffolding are private), so S sessions cost one compile plus S working
+// sets. Each submitted request is routed to the least-loaded live session;
+// up to S requests evaluate concurrently, and every result is
+// bitwise-identical to the single-session engine's.
 //
 // Requests enter a session's bounded admission queue and its dispatcher
 // serializes them into collective evaluations; with ServeOptions.MaxBatch
-// > 1 the dispatcher coalesces queued compatible requests into one fused
-// block-diagonal evaluation (PredictBatch), so B concurrent submitters
-// share a single GEMM sweep per layer and a single halo frame per
-// neighbor. Batching is an amortization, never a semantic: each member's
-// result is bitwise-identical to an unbatched evaluation, and each member
-// keeps its own deadline — a member abandoned by its submitter is dropped
-// from the result without poisoning cohabitants.
+// > 1 the dispatcher coalesces queued compatible requests into one
+// stacked evaluation (PredictBatch; a lone request is a batch of one), so B
+// concurrent submitters share a single GEMM sweep per layer and a single
+// halo frame per neighbor. Batching is an amortization, never a semantic:
+// each member's result is bitwise-identical to an unbatched evaluation,
+// and each member keeps its own deadline — a member abandoned by its
+// submitter is dropped from the result without poisoning cohabitants.
 //
 // Failure contract: every rank-side failure is caught per request — a
 // panicking rank recovers, records a classified error on the request, and
@@ -66,10 +66,10 @@ type Server struct {
 	maxBatch   int
 	window     time.Duration
 
-	// core is the shared compiled engine all sessions reference (nil when
-	// the model compiles no shareable core — Float32 twin, attention
-	// fallback — in which case every rank compiles privately from the
-	// snapshot).
+	// core is the shared compiled engine all sessions reference. Nil for
+	// attention models, the one kind without a shareable core (their
+	// processors serve through mutable training layers): every rank then
+	// compiles privately from the snapshot.
 	core     *gnn.Inference
 	snapshot [][]float64
 	cfg      Config
@@ -343,14 +343,15 @@ func (s *System) Serve(kind TransportKind, mode ExchangeMode, model *Model) (*Se
 
 // ServeWith starts persistent serving ranks over the given transport and
 // exchange mode. The model's parameters are snapshotted and compiled ONCE
-// before ServeWith returns — one immutable engine core (parameter twins,
-// pre-packed weight panels, static-edge cache) referenced by every rank
-// of every session — so the caller's model stays free for further
-// training and S sessions cost one compile. Supported transports are
-// InProcess and Sockets (goroutine ranks — request matrices cross no
-// process boundary); Processes ranks cannot receive in-memory requests,
-// so drive the engine directly inside RunOn for that case (as cmd/serve
-// -procs does).
+// before ServeWith returns — one immutable engine core (parameter twins of
+// the configured precision, pre-packed weight panels, static-edge cache)
+// referenced by every rank of every session — so the caller's model stays
+// free for further training and S sessions cost one compile. (Attention
+// models have no shareable core; their ranks compile one engine each when
+// they start.) Supported transports are InProcess and Sockets (goroutine
+// ranks — request matrices cross no process boundary); Processes ranks
+// cannot receive in-memory requests, so drive the engine directly inside
+// RunOn for that case (as cmd/serve -procs does).
 //
 // Close the server to release the rank goroutines of every session.
 func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, opts ServeOptions) (*Server, error) {
@@ -394,27 +395,11 @@ func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, 
 		snapshot:   snapshot,
 		cfg:        model.Config,
 	}
-	// Compile the shared core once: an immutable model copy holding the
-	// snapshot, compiled into one engine whose Session views every rank
-	// of every session serves from. Models without a shareable core
-	// (Float32 twin, attention fallback) leave core nil and each rank
-	// compiles privately — same results, S compiles.
-	coreMdl, err := gnn.NewModel(model.Config)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range coreMdl.Params() {
-		copy(p.W.Data, snapshot[i])
-		p.Bump()
-	}
-	core, err := gnn.NewInference(coreMdl)
-	if err != nil {
-		return nil, err
-	}
-	// Probe whether this compile supports Session views; the probe view is
-	// released immediately so it never pins the core's refresh refusal.
-	if probe, err := core.Session(); err == nil {
-		probe.Release()
+	if !model.Config.Attention {
+		core, err := srv.compile()
+		if err != nil {
+			return nil, err
+		}
 		srv.core = core
 	}
 	for i := 0; i < nsess; i++ {
@@ -443,13 +428,9 @@ func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, 
 	return srv, nil
 }
 
-// engine produces one rank's serving engine: a cheap Session view of the
-// shared compiled core when one exists, else a private compile from the
-// parameter snapshot.
-func (srv *Server) engine() (*gnn.Inference, error) {
-	if srv.core != nil {
-		return srv.core.Session()
-	}
+// compile builds an engine from the parameter snapshot: an immutable model
+// copy holding it, compiled.
+func (srv *Server) compile() (*gnn.Inference, error) {
 	mdl, err := gnn.NewModel(srv.cfg)
 	if err != nil {
 		return nil, err
@@ -459,6 +440,16 @@ func (srv *Server) engine() (*gnn.Inference, error) {
 		p.Bump()
 	}
 	return gnn.NewInference(mdl)
+}
+
+// engine produces one rank's serving engine: a Session of the shared core
+// — fresh arenas, staging and output buffers over the one compile — or,
+// for attention models, a private compile.
+func (srv *Server) engine() (*gnn.Inference, error) {
+	if srv.core != nil {
+		return srv.core.Session()
+	}
+	return srv.compile()
 }
 
 // run hosts the session's rank world until it exits, recording the
@@ -596,8 +587,8 @@ func (ses *serveSession) deliver(b *serveBatch) {
 	}
 }
 
-// serveRank is one rank's serving loop: take a session view of the
-// compiled core (or compile privately), then evaluate dispatched batches
+// serveRank is one rank's serving loop: take a session of the compiled
+// core (attention: compile privately), then evaluate dispatched batches
 // until the channel closes or an evaluation fails. A failed evaluation is
 // terminal for the session (its collective fabric is desynchronized
 // mid-pattern), but it is caught per request: the error lands on every
@@ -620,10 +611,11 @@ func (ses *serveSession) serveRank(r *Rank) error {
 
 // serveBatchOn evaluates one batch on one rank under panic recovery and
 // the effective receive deadline, and always finishes every member's slot
-// — no submitter ever waits on a rank that already failed. Multi-member
-// batches run through the engine's block-diagonal entry points; the
-// bitwise contract (PredictBatch ≡ per-sample Predict) keeps results
-// independent of how requests happened to coalesce.
+// — no submitter ever waits on a rank that already failed. There are two
+// evaluations, a prediction and a rollout, each over however many members
+// coalesced: a lone request is a batch of one through the same stacked
+// pass, and the bitwise contract (PredictBatch ≡ per-sample Predict) keeps
+// results independent of how requests happened to coalesce.
 func (ses *serveSession) serveBatchOn(r *Rank, eng *gnn.Inference, b *serveBatch) (err error) {
 	srv := ses.srv
 	id := r.ID()
@@ -639,23 +631,14 @@ func (ses *serveSession) serveBatchOn(r *Rank, eng *gnn.Inference, b *serveBatch
 		}
 	}()
 	r.Ctx.Comm.SetRecvTimeout(b.bound)
-	if len(b.members) == 1 {
-		req := b.members[0]
-		if b.steps > 0 {
-			req.trajs[id] = eng.Rollout(r.Ctx, req.inputs[id], b.steps)
-		} else {
-			// The engine recycles its prediction buffer after one further
-			// call; responses escape the server, so each gets its own copy.
-			req.outs[id] = eng.Predict(r.Ctx, req.inputs[id]).Clone()
-		}
-		return nil
-	}
 	if b.steps > 0 {
 		trajs := eng.RolloutBatch(r.Ctx, b.ins[id], b.steps)
 		for m, req := range b.members {
 			req.trajs[id] = trajs[m]
 		}
 	} else {
+		// The engine recycles its prediction buffers after one further
+		// call; responses escape the server, so each gets its own copy.
 		outs := eng.PredictBatch(r.Ctx, b.ins[id])
 		for m, req := range b.members {
 			req.outs[id] = outs[m].Clone()

@@ -8,8 +8,9 @@ import (
 )
 
 // sessionServeSystem builds the 2-rank serving fixture with a
-// configurable pipeline (sync or overlapped halo exchange).
-func sessionServeSystem(t *testing.T, overlap bool) (*System, *Model, []*Matrix) {
+// configurable pipeline (sync or overlapped halo exchange) and serving
+// precision.
+func sessionServeSystem(t *testing.T, overlap bool, prec Precision) (*System, *Model, []*Matrix) {
 	t.Helper()
 	m, err := NewMesh(3, 3, 3, 2, FullyPeriodic)
 	if err != nil {
@@ -21,6 +22,7 @@ func sessionServeSystem(t *testing.T, overlap bool) (*System, *Model, []*Matrix)
 	}
 	cfg := SmallConfig()
 	cfg.Overlap = overlap
+	cfg.Precision = prec
 	model, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,22 +35,55 @@ func sessionServeSystem(t *testing.T, overlap bool) (*System, *Model, []*Matrix)
 	return sys, model, inputs
 }
 
+// refStandalone is the reference a served answer must equal bitwise: at
+// Float64 a direct collective Model.Forward, at Float32 — which only
+// approximates that — the Predict of a standalone float32 engine compiled
+// on each rank.
+func refStandalone(t *testing.T, sys *System, cfg Config, inputs []*Matrix) []*Matrix {
+	t.Helper()
+	if cfg.Precision != Float32 {
+		return refForward(t, sys, inputs)
+	}
+	want, err := RunCollect(sys, NeighborAllToAll, func(r *Rank) (*Matrix, error) {
+		m, err := NewModel(cfg)
+		if err != nil {
+			return nil, err
+		}
+		eng, err := NewInference(m)
+		if err != nil {
+			return nil, err
+		}
+		return eng.Predict(r.Ctx, inputs[r.ID()]).Clone(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestServeSessionsBitwiseParity checks the multi-session contract on
-// every transport × pipeline combination: S sessions serving concurrent
-// Predict and Rollout requests over one shared immutable compiled engine
-// must answer bit-for-bit what a sequential single-session server
-// answers. The sessions are independent collective groups, so this is
-// the test that would catch a shared mutable buffer (arena, task state,
-// static-edge cache write) leaking across sessions.
+// every precision × transport × pipeline combination: S sessions serving
+// concurrent Predict and Rollout requests over one shared immutable
+// compiled engine core must answer bit-for-bit what a standalone engine
+// (and a sequential single-session server) answers. The sessions are
+// independent collective groups, so this is the test that would catch a
+// shared mutable buffer (arena, wire staging, task state, static-edge
+// cache write) leaking across sessions.
 func TestServeSessionsBitwiseParity(t *testing.T) {
+	for _, prec := range []Precision{Float64, Float32} {
+		serveSessionsParity(t, prec)
+	}
+}
+
+func serveSessionsParity(t *testing.T, prec Precision) {
 	const sessions = 3
 	const steps = 2
 	for _, kind := range []TransportKind{InProcess, Sockets} {
 		for _, overlap := range []bool{false, true} {
-			sys, model, inputs := sessionServeSystem(t, overlap)
+			sys, model, inputs := sessionServeSystem(t, overlap, prec)
 			alt := perturbed(inputs, 0.25)
-			want := refForward(t, sys, inputs)
-			wantAlt := refForward(t, sys, alt)
+			want := refStandalone(t, sys, model.Config, inputs)
+			wantAlt := refStandalone(t, sys, model.Config, alt)
 
 			// Sequential single-session reference for the rollout.
 			ref, err := sys.Serve(InProcess, NeighborAllToAll, model)
@@ -69,6 +104,9 @@ func TestServeSessionsBitwiseParity(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if srv.core == nil {
+				t.Fatalf("precision %d: no shared core; every rank of every session would compile its own engine", prec)
 			}
 			if got := srv.Sessions(); got != sessions {
 				t.Fatalf("Sessions() = %d, want %d", got, sessions)
@@ -97,8 +135,8 @@ func TestServeSessionsBitwiseParity(t *testing.T) {
 						}
 						for r := range exp {
 							if !bitEqual(outs[r], exp[r]) {
-								t.Errorf("%v overlap=%v client %d: rank %d diverged bitwise from the sequential reference",
-									kind, overlap, cl, r)
+								t.Errorf("precision %d %v overlap=%v client %d: rank %d diverged bitwise from the standalone reference",
+									prec, kind, overlap, cl, r)
 								return
 							}
 						}
@@ -117,7 +155,7 @@ func TestServeSessionsBitwiseParity(t *testing.T) {
 					for r := range trajs {
 						for s := range trajs[r] {
 							if !bitEqual(trajs[r][s], wantTraj[r][s]) {
-								t.Errorf("%v overlap=%v: rollout rank %d step %d diverged bitwise", kind, overlap, r, s)
+								t.Errorf("precision %d %v overlap=%v: rollout rank %d step %d diverged bitwise", prec, kind, overlap, r, s)
 								return
 							}
 						}
@@ -127,10 +165,10 @@ func TestServeSessionsBitwiseParity(t *testing.T) {
 			wg.Wait()
 			close(errs)
 			for err := range errs {
-				t.Fatalf("%v overlap=%v: %v", kind, overlap, err)
+				t.Fatalf("precision %d %v overlap=%v: %v", prec, kind, overlap, err)
 			}
 			if err := srv.Close(); err != nil {
-				t.Fatalf("%v overlap=%v close: %v", kind, overlap, err)
+				t.Fatalf("precision %d %v overlap=%v close: %v", prec, kind, overlap, err)
 			}
 		}
 	}
