@@ -311,3 +311,43 @@ func TestStandaloneLayersAreChainsOfOne(t *testing.T) {
 		t.Fatal("standalone ELU overwrote the caller's gradient")
 	}
 }
+
+// TestLayerNormInterleaveMatchesOneRow: the LayerNorm row maps carry
+// lnRows rows' reductions at a time; against the one-row-at-a-time
+// reference above, every row count up to 3·lnRows+1 (each number of rows
+// left over, after zero to three full groups) and widths {1, 8, 16, 32, 33} —
+// either side of lnInterleaveMin, below which the passes are one row at a
+// time — give the same forward output and caches, the same inference
+// output, the same input gradient and the same gain and shift gradients,
+// bit for bit.
+func TestLayerNormInterleaveMatchesOneRow(t *testing.T) {
+	defer parallel.Configure(0, true)
+	parallel.Configure(1, true)
+	for _, width := range []int{1, 8, lnInterleaveMin, 32, 33} {
+		for rows := 1; rows <= 3*lnRows+1; rows++ {
+			rng := rand.New(rand.NewSource(int64(100*width + rows)))
+			ln := NewLayerNorm("ln", width)
+			for j := range ln.Gain.W.Data {
+				ln.Gain.W.Data[j] = 1 + 0.3*rng.NormFloat64()
+				ln.Shift.W.Data[j] = 0.3 * rng.NormFloat64()
+			}
+			m := &MLP{In: width, Out: width, block: chain{layers: []rowLayer{ln}}}
+			x, dy := randInput(rng, rows, width), randInput(rng, rows, width)
+			for _, p := range m.Params() {
+				p.G.CopyFrom(randInput(rng, p.G.Rows, p.G.Cols))
+			}
+			ref := refForward(m, x)
+			ref.refBackward(m, dy, 1)
+
+			what := func(s string) string { return fmt.Sprintf("rows=%d width=%d %s", rows, width, s) }
+			sameBits(t, what("forward output"), m.Forward(x).Data, ref.y.Data)
+			sameBits(t, what("xhat cache"), ln.xhat.Data, ref.xhat.Data)
+			sameBits(t, what("invStd cache"), ln.invStd, ref.invStd)
+			sameBits(t, what("InferForward"), m.Compile().InferForward(nil, x).Data, ref.y.Data)
+			sameBits(t, what("input gradient"), m.Backward(dy).Data, ref.dx.Data)
+			for i, p := range m.Params() {
+				sameBits(t, what("gradient "+p.Name), p.G.Data, ref.grads[i].Data)
+			}
+		}
+	}
+}

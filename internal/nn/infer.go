@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"meshgnn/internal/parallel"
@@ -201,10 +200,10 @@ func (l *linearInfer) checkTier() {
 
 func (l *linearInfer) inferRows(dst, src *tensor.Matrix, rows int) {
 	if l.pb != nil {
-		tensor.MatMulPackedRows(dst, src, l.pb, 0, rows)
-	} else {
-		tensor.MatMulRows(dst, src, l.w, 0, rows)
+		tensor.MatMulPackedBiasRows(dst, src, l.pb, l.b.Data, 0, rows)
+		return
 	}
+	tensor.MatMulRows(dst, src, l.w, 0, rows)
 	tensor.AddRowVectorRows(dst, l.b.Data, 0, rows)
 }
 
@@ -222,7 +221,9 @@ func (eluInfer) inferRows(dst, src *tensor.Matrix, rows int) {
 // normalizes rows exactly like LayerNorm.forwardRows but writes only the
 // output: the xhat matrix and the invStd column exist solely for the
 // backward pass, so the inference twin drops both stores. The per-value
-// arithmetic — (v-mu)*inv rounded, then *gain + shift — is unchanged.
+// arithmetic — (v-mu)*inv rounded, then *gain + shift — is unchanged, and
+// the row statistics are LayerNorm's own (rowStats4 / rowStats, lnRows rows'
+// reductions interleaved: see layers.go for why that moves no bit).
 type lnInfer struct {
 	dim         int
 	gain, shift *tensor.Matrix
@@ -235,25 +236,23 @@ func (ln *lnInfer) inferRows(dst, src *tensor.Matrix, rows int) {
 	if src.Cols != ln.dim {
 		panic(fmt.Sprintf("nn: inference LayerNorm width %d, want %d", src.Cols, ln.dim))
 	}
-	n := float64(ln.dim)
-	gain, shift := ln.gain.Data, ln.shift.Data
-	for i := 0; i < rows; i++ {
-		row := src.Row(i)
-		var mu float64
-		for _, v := range row {
-			mu += v
+	i := 0
+	for end := lnGroupEnd(0, rows, ln.dim); i < end; i += lnRows {
+		mu, inv := rowStats4(src, i)
+		for r := range mu {
+			ln.normalizeRow(dst.Row(i+r), src.Row(i+r), mu[r], inv[r])
 		}
-		mu /= n
-		var varsum float64
-		for _, v := range row {
-			d := v - mu
-			varsum += d * d
-		}
-		inv := 1 / math.Sqrt(varsum/n+Epsilon)
-		out := dst.Row(i)
-		for j, v := range row {
-			xh := (v - mu) * inv
-			out[j] = xh*gain[j] + shift[j]
-		}
+	}
+	for ; i < rows; i++ {
+		mu, inv := rowStats(src.Row(i))
+		ln.normalizeRow(dst.Row(i), src.Row(i), mu, inv)
+	}
+}
+
+func (ln *lnInfer) normalizeRow(out, row []float64, mu, inv float64) {
+	gain, shift, out := ln.gain.Data[:len(row)], ln.shift.Data[:len(row)], out[:len(row)]
+	for j, v := range row {
+		xh := (v - mu) * inv
+		out[j] = xh*gain[j] + shift[j]
 	}
 }

@@ -16,25 +16,12 @@ import "math"
 // of thread count and SIMD availability — with no engagement-threshold
 // bookkeeping at all.
 
-// simdELU gates the elementwise kernels of both precisions; the float64
-// exponential has a further condition of its own (simdELU64 in elu64.go).
-var simdELU = detectSIMD()
-
-// setSIMDELU forces the pure-Go elementwise paths when off (test hook);
-// enabling requires hardware support. Returns the previous setting.
-func setSIMDELU(on bool) bool {
-	prev := simdELU
-	simdELU = on && detectSIMD()
-	simdELU64 = on && elu64Exact
-	return prev
-}
-
 // EluRange32 writes y[i] = ELU(x[i]) for i in [lo, hi). x and y may
 // alias. The exponential is evaluated entirely in single precision
 // (~2-3 ulp) — below the serving twin's representation error.
 func EluRange32(y, x []float32, lo, hi int) {
 	i := lo
-	if simdELU {
+	if tier >= tierAVX2 {
 		if n := (hi - i) &^ 15; n > 0 {
 			eluBlock32(int64(n), &x[i], &y[i])
 			i += n

@@ -1,4 +1,5 @@
-// AVX2 kernel for the float32 ELU map (elu32.go).
+// AVX2 kernels for the float32 elementwise tier: the ELU map (elu32.go)
+// and, at the end of the file, the bias add (ops32.go).
 //
 // eluBlock32 processes 16 elements per iteration as two 8-lane ymm
 // groups whose serial dependency chains interleave in the pipeline.
@@ -230,4 +231,35 @@ eloop:
 	JNZ  eloop
 
 	VZEROUPPER
+	RET
+
+// func addBlock32(n int64, dst, v *float32) (done int64)
+//
+// dst[i] += v[i], eight lanes at a time: the float32 twin of addBlock64
+// (elu64_amd64.s) on the same contract. n is a positive multiple of 8; it
+// stops at a block where dst or v is NaN, because with two NaN operands
+// the payload x86 propagates depends on the operand order, which the Go
+// compiler picks for the scalar loop.
+TEXT ·addBlock32(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ v+16(FP), SI
+	XORQ AX, AX
+
+add32:
+	VMOVUPS   (DI)(AX*4), Y0
+	VMOVUPS   (SI)(AX*4), Y1
+	VCMPPS    $3, Y1, Y0, Y2
+	VMOVMSKPS Y2, DX
+	TESTQ     DX, DX
+	JNZ       add32done
+	VADDPS    Y1, Y0, Y0
+	VMOVUPS   Y0, (DI)(AX*4)
+	ADDQ      $8, AX
+	SUBQ      $8, CX
+	JNZ       add32
+
+add32done:
+	VZEROUPPER
+	MOVQ AX, done+24(FP)
 	RET

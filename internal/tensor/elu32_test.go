@@ -106,8 +106,8 @@ func TestEluRange32LockstepAcrossPaths(t *testing.T) {
 			eluScalarRef(want, x, lo, n)
 
 			run := func(simd bool) []float32 {
-				prev := setSIMDELU(simd)
-				defer setSIMDELU(prev)
+				prev := setKernelTier(simdTier(simd))
+				defer setKernelTier(prev)
 				y := make([]float32, n)
 				EluRange32(y, x, lo, n)
 				return y
@@ -134,10 +134,10 @@ func TestEluRange32SpecialValues(t *testing.T) {
 	x := []float32{0, float32(math.Copysign(0, -1)), -1000, -87.4, -1e-30, 1e-30,
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0} // pad to one full SIMD block
 	for _, simd := range []bool{false, true} {
-		prev := setSIMDELU(simd)
+		prev := setKernelTier(simdTier(simd))
 		y := make([]float32, len(x))
 		EluRange32(y, x, 0, len(x))
-		setSIMDELU(prev)
+		setKernelTier(prev)
 		if math.Float32bits(y[0]) != 0 {
 			t.Fatalf("simd=%v: ELU(+0) bits %x, want +0", simd, math.Float32bits(y[0]))
 		}
@@ -165,9 +165,9 @@ func BenchmarkEluRange32(b *testing.B) {
 		simd bool
 	}{{"simd", true}, {"go", false}} {
 		b.Run(bc.name, func(b *testing.B) {
-			prev := setSIMDELU(bc.simd)
-			defer setSIMDELU(prev)
-			if bc.simd && !simdELU {
+			prev := setKernelTier(simdTier(bc.simd))
+			defer setKernelTier(prev)
+			if bc.simd && !SIMDEnabled() {
 				b.Skip("no AVX2")
 			}
 			b.SetBytes(n * 4)

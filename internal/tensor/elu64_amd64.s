@@ -1,7 +1,9 @@
-// AVX2+FMA kernels for the float64 elementwise tier (elu64.go, ops.go).
+// AVX2+FMA and AVX-512F kernels for the float64 elementwise tier
+// (elu64.go, ops.go): each of the three maps twice, four lanes in ymm
+// and — the x8 twins at the end of the file — eight lanes in zmm.
 //
-// All three share one contract: n is a positive multiple of 4, the
-// kernel walks 4-lane blocks from the front, and it STOPS at the first
+// All share one contract: n is a positive multiple of the lane count, the
+// kernel walks lane-wide blocks from the front, and it STOPS at the first
 // block whose scalar result it cannot reproduce bit for bit, returning
 // the number of elements it finished. The Go caller does that block with
 // the scalar loop and re-enters. What makes a block undoable is stated
@@ -209,6 +211,173 @@ add4:
 	JNZ       add4
 
 adddone:
+	VZEROUPPER
+	MOVQ AX, done+24(FP)
+	RET
+
+// --- AVX-512F: the same three maps on eight lanes --------------------------
+
+// ELU8 is ELU4 on eight zmm lanes, instruction for instruction; where
+// AVX-512 spells a step differently the operation is unchanged:
+//
+//	ELU4 (ymm)                 here (zmm)
+//	VCVTPD2DQY ymm -> xmm      VCVTPD2DQ zmm -> ymm   (MXCSR rounding both)
+//	VCVTDQ2PD  xmm -> ymm      VCVTDQ2PD ymm -> zmm
+//	VPADDD / VPMOVZXDQ xmm     the same on ymm -> zmm
+//	VCMPPD -> ymm, VBLENDVPD   VCMPPD -> opmask, VBLENDMPD
+//
+// and every constant is a register, broadcast by the caller from the same
+// literals: Z16 0, Z17 LOG2E, Z18 LN2U, Z19 LN2L, Z20 1/16, Z21-Z26 C8-C3,
+// Z27 0.5, Z28 1, Z29 2, Y15 the exponent bias 0x3ff in eight dwords. m is
+// a scratch opmask.
+#define ELU8(v, t, k, kx, r, m) \
+	VMULPD       Z17, v, t; \
+	VCVTPD2DQ    t, kx; \
+	VCVTDQ2PD    kx, t; \
+	VMOVAPD      v, r; \
+	VFNMADD231PD Z18, t, r; \
+	VFNMADD231PD Z19, t, r; \
+	VMULPD       Z20, r, r; \
+	VMOVAPD      Z21, t; \
+	VFMADD213PD  Z22, r, t; \
+	VFMADD213PD  Z23, r, t; \
+	VFMADD213PD  Z24, r, t; \
+	VFMADD213PD  Z25, r, t; \
+	VFMADD213PD  Z26, r, t; \
+	VFMADD213PD  Z27, r, t; \
+	VFMADD213PD  Z28, r, t; \
+	VMULPD       t, r, r; \
+	VADDPD       Z29, r, t; \
+	VMULPD       t, r, r; \
+	VADDPD       Z29, r, t; \
+	VMULPD       t, r, r; \
+	VADDPD       Z29, r, t; \
+	VMULPD       t, r, r; \
+	VADDPD       Z29, r, t; \
+	VFMADD213PD  Z28, t, r; \
+	VPADDD       Y15, kx, kx; \
+	VPMOVZXDQ    kx, k; \
+	VPSLLQ       $52, k, k; \
+	VMULPD       k, r, r; \
+	VSUBPD       Z28, r, r; \
+	VCMPPD       $0x1e, Z16, v, m; \
+	VBLENDMPD    v, r, m, r
+
+// func eluBlock64x8(n int64, x, y *float64) (done int64)
+//
+// eluBlock64 with 8-lane blocks: the same stop rule (a block holding a
+// NaN, -Inf or v < -700), sixteen elements per iteration while they last.
+TEXT ·eluBlock64x8(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	XORQ AX, AX // elements done
+
+	VPXORQ       Z16, Z16, Z16
+	VBROADCASTSD exp64Log2e<>(SB), Z17
+	VBROADCASTSD exp64Ln2U<>(SB), Z18
+	VBROADCASTSD exp64Ln2L<>(SB), Z19
+	VBROADCASTSD exp64Sixteenth<>(SB), Z20
+	VBROADCASTSD exp64C8<>(SB), Z21
+	VBROADCASTSD exp64C7<>(SB), Z22
+	VBROADCASTSD exp64C6<>(SB), Z23
+	VBROADCASTSD exp64C5<>(SB), Z24
+	VBROADCASTSD exp64C4<>(SB), Z25
+	VBROADCASTSD exp64C3<>(SB), Z26
+	VBROADCASTSD exp64Half<>(SB), Z27
+	VBROADCASTSD exp64One<>(SB), Z28
+	VBROADCASTSD exp64Two<>(SB), Z29
+	VBROADCASTSD exp64Floor<>(SB), Z30
+	VPBROADCASTD exp64Bias<>(SB), Y15
+
+	CMPQ CX, $16
+	JLT  elux8
+
+elux16:
+	VMOVUPD  (SI)(AX*8), Z0
+	VMOVUPD  64(SI)(AX*8), Z1
+	VCMPPD   $0x19, Z30, Z0, K1 // not (v >= -700): below the floor, or NaN
+	VCMPPD   $0x19, Z30, Z1, K2
+	KORTESTW K1, K2
+	JNZ      elux8 // one of the two blocks is slow; find out which below
+	ELU8(Z0, Z2, Z4, Y4, Z6, K3)
+	ELU8(Z1, Z3, Z5, Y5, Z7, K4)
+	VMOVUPD  Z6, (DI)(AX*8)
+	VMOVUPD  Z7, 64(DI)(AX*8)
+	ADDQ     $16, AX
+	SUBQ     $16, CX
+	CMPQ     CX, $16
+	JGE      elux16
+
+elux8:
+	TESTQ    CX, CX
+	JZ       eluxdone
+	VMOVUPD  (SI)(AX*8), Z0
+	VCMPPD   $0x19, Z30, Z0, K1
+	KORTESTW K1, K1
+	JNZ      eluxdone
+	ELU8(Z0, Z2, Z4, Y4, Z6, K3)
+	VMOVUPD  Z6, (DI)(AX*8)
+	ADDQ     $8, AX
+	SUBQ     $8, CX
+	JMP      elux8
+
+eluxdone:
+	VZEROUPPER
+	MOVQ AX, done+24(FP)
+	RET
+
+// func eluGradBlock64x8(n int64, y, dy, dx *float64) (done int64)
+TEXT ·eluGradBlock64x8(SB), NOSPLIT, $0-40
+	MOVQ n+0(FP), CX
+	MOVQ y+8(FP), SI
+	MOVQ dy+16(FP), BX
+	MOVQ dx+24(FP), DI
+	XORQ AX, AX
+
+	VPXORQ       Z16, Z16, Z16
+	VBROADCASTSD exp64One<>(SB), Z28
+
+gradx8:
+	VMOVUPD   (SI)(AX*8), Z0
+	VMOVUPD   (BX)(AX*8), Z1
+	VCMPPD    $3, Z1, Z0, K1 // unordered: either is NaN
+	KORTESTW  K1, K1
+	JNZ       gradxdone
+	VADDPD    Z28, Z0, Z2
+	VMULPD    Z2, Z1, Z2
+	VCMPPD    $0x1e, Z16, Z0, K2 // y > 0
+	VBLENDMPD Z1, Z2, K2, Z2
+	VMOVUPD   Z2, (DI)(AX*8)
+	ADDQ      $8, AX
+	SUBQ      $8, CX
+	JNZ       gradx8
+
+gradxdone:
+	VZEROUPPER
+	MOVQ AX, done+32(FP)
+	RET
+
+// func addBlock64x8(n int64, dst, v *float64) (done int64)
+TEXT ·addBlock64x8(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ v+16(FP), SI
+	XORQ AX, AX
+
+addx8:
+	VMOVUPD  (DI)(AX*8), Z0
+	VMOVUPD  (SI)(AX*8), Z1
+	VCMPPD   $3, Z1, Z0, K1
+	KORTESTW K1, K1
+	JNZ      addxdone
+	VADDPD   Z1, Z0, Z0
+	VMOVUPD  Z0, (DI)(AX*8)
+	ADDQ     $8, AX
+	SUBQ     $8, CX
+	JNZ      addx8
+
+addxdone:
 	VZEROUPPER
 	MOVQ AX, done+24(FP)
 	RET

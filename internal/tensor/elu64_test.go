@@ -67,9 +67,9 @@ func sameBits(t *testing.T, what string, got, want, in []float64, lo, hi int) {
 // kernel block, a block the kernel declined, the scalar tail, or no
 // kernel at all — its bits are those of the scalar definition.
 func TestElu64MatchesMathExp(t *testing.T) {
-	t.Logf("kernel engaged: %v", simdELU64)
 	x := elu64Inputs()
 	n := len(x)
+	t.Logf("kernel engaged: %v (%d lanes; exact per rung: %v)", eluLanes(n) > 0, eluLanes(n), elu64Exact)
 	if n < 2_000_000 {
 		t.Fatalf("sweep has only %d values", n)
 	}
@@ -77,8 +77,7 @@ func TestElu64MatchesMathExp(t *testing.T) {
 	for i, v := range x {
 		want[i] = eluRef(v)
 	}
-	for _, simd := range []bool{true, false} {
-		prev := setSIMDELU(simd)
+	atEachTier(t, func(t *testing.T) {
 		y := make([]float64, n)
 		EluRange(y, x, 0, n)
 		sameBits(t, "whole sweep", y, want, x, 0, n)
@@ -86,6 +85,14 @@ func TestElu64MatchesMathExp(t *testing.T) {
 		alias := append([]float64(nil), x...)
 		EluRange(alias, alias, 0, n)
 		sameBits(t, "x aliasing y", alias, want, x, 0, n)
+
+		// Lengths either side of zmmMinElems, where the avx512 rung
+		// changes between its 4-lane and 8-lane kernels.
+		for _, m := range []int{1, 7, 8, 9, 100, zmmMinElems - 1, zmmMinElems, zmmMinElems + 1} {
+			clear(y[:m+4])
+			EluRange(y, x, 3, 3+m)
+			sameBits(t, "short range", y, want, x, 3, 3+m)
+		}
 
 		// Every misalignment of both ends, over a stretch that holds
 		// slow blocks (the -750·U values) as well as fast ones.
@@ -103,8 +110,7 @@ func TestElu64MatchesMathExp(t *testing.T) {
 				}
 			}
 		}
-		setSIMDELU(prev)
-	}
+	})
 }
 
 // TestElu64SelfDisablesWithoutMathFMA: GODEBUG=cpu.fma=off moves math.Exp
@@ -112,8 +118,8 @@ func TestElu64MatchesMathExp(t *testing.T) {
 // still reports the CPUID truth. The init-time probe must notice and
 // leave the kernel off, so the sweep above passes in such a process.
 func TestElu64SelfDisablesWithoutMathFMA(t *testing.T) {
-	if !elu64Exact {
-		t.Skip("no float64 ELU kernel on this machine: nothing to disable")
+	if !elu64Exact[cpuTier] {
+		t.Skipf("no float64 ELU kernel on this machine's top rung (%v): nothing to disable", cpuTier)
 	}
 	godebug := "cpu.fma=off"
 	if prev := os.Getenv("GODEBUG"); prev != "" {
@@ -157,8 +163,7 @@ func TestEluGradMatchesScalar(t *testing.T) {
 	}
 	want := make([]float64, n)
 	eluGradScalar(want, g, y, 0, n)
-	for _, simd := range []bool{true, false} {
-		prev := setSIMDELU(simd)
+	atEachTier(t, func(t *testing.T) {
 		dx := make([]float64, n)
 		EluGradRange(dx, g, y, 0, n)
 		sameBits(t, "whole sweep", dx, want, y, 0, n)
@@ -167,7 +172,7 @@ func TestEluGradMatchesScalar(t *testing.T) {
 		EluGradRange(alias, alias, y, 0, n)
 		sameBits(t, "dx aliasing g", alias, want, y, 0, n)
 
-		const span = 1024
+		const span = 4096 // long enough for the 8-lane kernel (zmmMinElems)
 		for lo := 0; lo <= 9; lo++ {
 			for cut := 0; cut <= 9; cut++ {
 				hi := span - cut
@@ -181,8 +186,7 @@ func TestEluGradMatchesScalar(t *testing.T) {
 				}
 			}
 		}
-		setSIMDELU(prev)
-	}
+	})
 }
 
 func BenchmarkEluRange64(b *testing.B) {
@@ -192,16 +196,12 @@ func BenchmarkEluRange64(b *testing.B) {
 	for i := range x {
 		x[i] = math.Sin(float64(i)) * 2
 	}
-	for _, bc := range []struct {
-		name string
-		simd bool
-	}{{"simd", true}, {"go", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			prev := setSIMDELU(bc.simd)
-			defer setSIMDELU(prev)
-			if bc.simd && !simdELU64 {
-				b.Skip("no AVX2+FMA kernel")
+	for k := tierAVX512; k >= tierGo; k-- {
+		b.Run(k.String(), func(b *testing.B) {
+			if k > tierGo && !elu64Exact[k] {
+				b.Skipf("rung %v: no exact kernel on this machine (top rung %v)", k, cpuTier)
 			}
+			defer setKernelTier(setKernelTier(k))
 			b.SetBytes(n * 8)
 			for i := 0; i < b.N; i++ {
 				EluRange(y, x, 0, n)

@@ -100,7 +100,7 @@ func MatMul32PackedRows(dst, a *Matrix32, pb *PackedB32, lo, hi int) {
 		panic(fmt.Sprintf("tensor: MatMul32PackedRows shape mismatch (%dx%d)·packed(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
 	}
-	if !simdGEMM {
+	if tier < tierAVX2 {
 		panic("tensor: MatMul32PackedRows requires the SIMD kernel tier")
 	}
 	t := packedMM32Task{dst: dst, a: a, pb: pb}

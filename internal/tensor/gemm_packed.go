@@ -24,68 +24,148 @@ func ncPanels(kcLen, nr int) int {
 	return g
 }
 
-// packedMMTask computes dst[lo:hi] = a[lo:hi]·B from a packed B operand.
+// packedMMTask computes dst[lo:hi] = a[lo:hi]·B (+ bias, when set) from a
+// packed B operand.
 type packedMMTask struct {
 	dst, a *Matrix
 	pb     *PackedB
+	bias   []float64
 }
 
 func (t *packedMMTask) Run(lo, hi int) {
+	fused := 0 // leading columns whose bias the tiles already added
 	if t.pb.NR == 8 {
-		t.runSIMD(lo, hi)
+		fused = t.runSIMD(lo, hi)
 	} else {
 		t.runGo(lo, hi)
 	}
 	if t.pb.N%t.pb.NR != 0 {
 		t.scalarTail(lo, hi)
 	}
+	if t.bias != nil && fused < t.pb.N {
+		for i := lo; i < hi; i++ {
+			addScalar(t.dst.Row(i), t.bias, fused, t.pb.N)
+		}
+	}
 }
 
-// runSIMD sweeps the AVX2 4×8 microkernel over the chunk's rows. Rows are
-// tiled on GLOBAL multiples of 4 (head/tail rows use the 1×8 kernel,
-// whose per-row operation sequence is identical), so a row's bits never
-// depend on where chunk boundaries fall.
-func (t *packedMMTask) runSIMD(lo, hi int) {
+// tileGrid is one Kc block of a GEMM as the microkernels see it (see
+// simd_amd64.s): tile row r of A starts at a[r·lda] and steps astride per
+// k, 8-column panel p of B starts at b[p·panelStride] and steps bstride
+// per k, and C row r is c[r·ldc:], with panel p at columns [8p, 8p+8) —
+// all in elements. MatMul and MatMulABT (rows of a, packed panels) and
+// MatMulATB (columns of a, raw rows of b) differ only in these numbers.
+type tileGrid struct {
+	kc, acc                   int64
+	a, b, c                   []float64
+	lda, astride              int
+	panelStride, bstride, ldc int
+	bias                      []float64 // per column of c; nil for none
+}
+
+// sweep covers rows [r0, r1) × panels [p0, p1) with the tallest tiles of
+// the current rung that fit: 8-row tiles (two panels wide) on GLOBAL
+// multiples of 8 where the rung has them, then 4-row tiles on multiples of
+// 4, then single rows; the odd last panel of an 8-row tile is two 4-row
+// tiles. Every tile performs the same per-element sequence, so the cover
+// chosen — and with it r0, r1 and the rung — never shows in a bit.
+func (g *tileGrid) sweep(r0, r1, p0, p1 int) {
+	tall := 4
+	if tier >= tierAVX512 {
+		tall = 8
+	}
+	for r, mr := r0, 0; r < r1; r += mr {
+		switch {
+		case tall == 8 && r&7 == 0 && r+8 <= r1:
+			mr = 8
+		case r&3 == 0 && r+4 <= r1:
+			mr = 4
+		default:
+			mr = 1
+		}
+		for p, w := p0, 0; p < p1; p += w {
+			h := mr
+			w = 1
+			if mr == 8 {
+				if p+2 <= p1 {
+					w = 2
+				} else {
+					h = 4
+				}
+			}
+			for rr := r; rr < r+mr; rr += h {
+				g.tile(h, rr, p)
+			}
+		}
+	}
+}
+
+// tile runs the h-row tile at row r, panel p: dgemmTile8 spans panels p
+// and p+1, the others panel p alone.
+func (g *tileGrid) tile(h, r, p int) {
+	a := &g.a[r*g.lda]
+	b := &g.b[p*g.panelStride]
+	c := &g.c[r*g.ldc+p*8]
+	var bias *float64
+	if g.bias != nil {
+		bias = &g.bias[p*8]
+	}
+	lda, astride := int64(g.lda*8), int64(g.astride*8)
+	panelStride, bstride, ldc := int64(g.panelStride*8), int64(g.bstride*8), int64(g.ldc*8)
+	switch h {
+	case 8:
+		dgemmTile8(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+	case 4:
+		dgemmTile4(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+	default:
+		dgemmTile1(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+	}
+}
+
+// runSIMD sweeps the FMA tiles over the chunk's rows, Kc block by Kc
+// block and, within one, panel group by panel group. The bias rides the
+// last Kc block as the tiles' epilogue unless it holds a NaN: then the
+// single add could meet two NaN operands, where the payload x86 keeps
+// depends on the operand order, so the tiles store the plain sums and the
+// caller adds with the scalar loop, as AddRowVectorRows would. Returns how
+// many leading columns got their bias here.
+func (t *packedMMTask) runSIMD(lo, hi int) (fused int) {
 	pb := t.pb
 	k, n := pb.K, pb.N
 	np := n / 8
 	ka, dn := t.a.Cols, t.dst.Cols
-	ad, dd := t.a.Data, t.dst.Data
-	for kc0 := 0; kc0 < k; kc0 += packKc {
-		kcLen := min(packKc, k-kc0)
-		var accF int64
-		if kc0 > 0 {
-			accF = 1
-		}
-		kc := int64(kcLen)
-		for p0 := 0; p0 < np; p0 += ncPanels(kcLen, 8) {
-			p1 := min(p0+ncPanels(kcLen, 8), np)
-			i := lo
-			for ; i < hi && i&3 != 0; i++ {
-				a0 := &ad[i*ka+kc0]
-				for p := p0; p < p1; p++ {
-					dgemmTile1(kc, a0, 8, &pb.panels[(p*k+kc0)*8], 64, &dd[i*dn+p*8], accF)
-				}
-			}
-			for ; i+4 <= hi; i += 4 {
-				a0 := &ad[i*ka+kc0]
-				a1 := &ad[(i+1)*ka+kc0]
-				a2 := &ad[(i+2)*ka+kc0]
-				a3 := &ad[(i+3)*ka+kc0]
-				for p := p0; p < p1; p++ {
-					bpp := &pb.panels[(p*k+kc0)*8]
-					dgemmTile4(kc, a0, a1, a2, a3, 8, bpp, 64,
-						&dd[i*dn+p*8], &dd[(i+1)*dn+p*8], &dd[(i+2)*dn+p*8], &dd[(i+3)*dn+p*8], accF)
-				}
-			}
-			for ; i < hi; i++ {
-				a0 := &ad[i*ka+kc0]
-				for p := p0; p < p1; p++ {
-					dgemmTile1(kc, a0, 8, &pb.panels[(p*k+kc0)*8], 64, &dd[i*dn+p*8], accF)
-				}
-			}
+	bias := t.bias
+	for _, v := range bias {
+		if v != v {
+			bias = nil
+			break
 		}
 	}
+	if np == 0 || lo >= hi {
+		return 0
+	}
+	for kc0 := 0; kc0 < k; kc0 += packKc {
+		kcLen := min(packKc, k-kc0)
+		g := tileGrid{
+			kc: int64(kcLen),
+			a:  t.a.Data[kc0:], lda: ka, astride: 1,
+			b: pb.panels[kc0*8:], panelStride: k * 8, bstride: 8,
+			c: t.dst.Data, ldc: dn,
+		}
+		if kc0 > 0 {
+			g.acc = 1
+		}
+		if kc0+kcLen == k {
+			g.bias = bias
+		}
+		for p0 := 0; p0 < np; p0 += ncPanels(kcLen, 8) {
+			g.sweep(lo, hi, p0, min(p0+ncPanels(kcLen, 8), np))
+		}
+	}
+	if bias != nil && k > 0 {
+		fused = np * 8
+	}
+	return fused
 }
 
 // runGo sweeps the pure-Go 2×4 packed microkernel, which keeps the legacy
@@ -252,44 +332,46 @@ func matMulPacked(dst, a, b *Matrix) {
 // it still runs the packed kernels (the caller opted in by packing). dst
 // and a are indexed by the same row numbers and may be row-block headers.
 func MatMulPackedRows(dst, a *Matrix, pb *PackedB, lo, hi int) {
-	if a.Cols != pb.K || dst.Cols != pb.N {
-		panic(fmt.Sprintf("tensor: MatMulPackedRows shape mismatch (%dx%d)·packed(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
+	MatMulPackedBiasRows(dst, a, pb, nil, lo, hi)
+}
+
+// MatMulPackedBiasRows computes rows [lo, hi) of dst = a·B + bias, the
+// linear layer in one pass: bitwise MatMulPackedRows followed by
+// AddRowVectorRows(dst, bias, lo, hi) — each element is the finished sum
+// plus its column's bias, rounded once — with the add done on the tile
+// while it is still in registers. A nil bias adds nothing.
+func MatMulPackedBiasRows(dst, a *Matrix, pb *PackedB, bias []float64, lo, hi int) {
+	if a.Cols != pb.K || dst.Cols != pb.N || (bias != nil && len(bias) != pb.N) {
+		panic(fmt.Sprintf("tensor: MatMulPackedRows shape mismatch (%dx%d)·packed(%dx%d)+bias(%d)->(%dx%d)",
+			a.Rows, a.Cols, pb.K, pb.N, len(bias), dst.Rows, dst.Cols))
 	}
 	if pb.NR != packNR() {
 		panic(fmt.Sprintf("tensor: MatMulPackedRows panel width %d, kernel tier wants %d (re-pack after a tier change)",
 			pb.NR, packNR()))
 	}
-	t := packedMMTask{dst: dst, a: a, pb: pb}
+	t := packedMMTask{dst: dst, a: a, pb: pb, bias: bias}
 	t.Run(lo, hi)
 }
 
-// matMulATBAccSIMD is the packed-tier body of the MatMulATB reduction: the same
-// 4×8 microkernel walking DOWN the chunk's rows via strides (a columns
-// become tile rows, raw b rows are already panel-shaped). The chunk
-// schedule, accumulator layout, and merge order of the surrounding
-// ReduceWith are untouched, so determinism across thread counts is
-// inherited; within a chunk every a-column meets the identical per-column
-// sequence whether it lands in a 4-wide or 1-wide tile.
+// matMulATBAccSIMD is the packed-tier body of the MatMulATB reduction: the
+// same tiles walking DOWN the chunk's rows via strides (a columns become
+// tile rows, raw b rows are already panel-shaped). The chunk schedule,
+// accumulator layout, and merge order of the surrounding ReduceWith are
+// untouched, so determinism across thread counts is inherited; within a
+// chunk every a-column meets the identical per-column sequence whatever
+// tile it lands in.
 func matMulATBAccSIMD(acc []float64, a, b *Matrix, lo, hi int) {
 	in, n := a.Cols, b.Cols
-	kc := int64(hi - lo)
 	ad, bd := a.Data, b.Data
-	astr, bstr := int64(in*8), int64(n*8)
 	np8 := (n / 8) * 8
-	i := 0
-	for ; i+4 <= in; i += 4 {
-		for p := 0; p < np8; p += 8 {
-			dgemmTile4(kc,
-				&ad[lo*in+i], &ad[lo*in+i+1], &ad[lo*in+i+2], &ad[lo*in+i+3], astr,
-				&bd[lo*n+p], bstr,
-				&acc[i*n+p], &acc[(i+1)*n+p], &acc[(i+2)*n+p], &acc[(i+3)*n+p], 0)
+	if hi > lo {
+		g := tileGrid{
+			kc: int64(hi - lo),
+			a:  ad[lo*in:], lda: 1, astride: in,
+			b: bd[lo*n:], panelStride: 8, bstride: n,
+			c: acc, ldc: n,
 		}
-	}
-	for ; i < in; i++ {
-		for p := 0; p < np8; p += 8 {
-			dgemmTile1(kc, &ad[lo*in+i], astr, &bd[lo*n+p], bstr, &acc[i*n+p], 0)
-		}
+		g.sweep(0, in, 0, n/8)
 	}
 	if np8 < n {
 		for r := lo; r < hi; r++ {

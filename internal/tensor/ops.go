@@ -160,7 +160,7 @@ func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 	// Packed tier: same chunk schedule and merge order, SIMD tile sweep
 	// inside the chunk (gemm_packed.go). Gated on the reduction shape
 	// (in·n) only, so engagement is independent of the row partition.
-	if simdGEMM && n >= 8 && usePacked(in, n) {
+	if tier >= tierAVX2 && n >= 8 && usePacked(in, n) {
 		matMulATBAccSIMD(acc, a, b, lo, hi)
 		return
 	}
@@ -279,45 +279,85 @@ func MatMulABTRows(dst, a, b *Matrix, lo, hi int) {
 // --- Row/column kernels --------------------------------------------------
 
 // AddRowVectorRows adds the length-Cols vector v to rows [lo, hi) of m in
-// place (the bias add of a linear layer).
+// place: the bias add of a linear layer below the packed threshold (above
+// it the add is the GEMM tile's epilogue, MatMulPackedBiasRows).
 func AddRowVectorRows(m *Matrix, v []float64, lo, hi int) {
 	if len(v) != m.Cols {
 		panic("tensor: AddRowVectorRows length mismatch")
 	}
+	cols := m.Cols
+	w := vecLanes((hi - lo) * cols)
 	for i := lo; i < hi; i++ {
-		row := m.Row(i)
+		row := m.Data[i*cols : (i+1)*cols]
 		j := 0
-		if simdELU {
-			// The float64 elementwise tier (elu64.go): four lanes of the
-			// same addition; the kernel stops at a block holding a NaN.
-			for len(v)-j >= 4 {
-				j += int(addBlock64(int64((len(v)-j)&^3), &row[j], &v[j]))
-				if len(v)-j >= 4 {
-					addScalar(row, v, j, j+4)
-					j += 4
+		if w > 0 {
+			// The add kernel of the elementwise tier (elu64.go): w lanes of
+			// the same addition; it hands back a block holding a NaN.
+			for cols-j >= w {
+				// Called per row: the two kernels are named here, not behind
+				// a helper, to spare narrow rows a second call.
+				if n := int64((cols - j) &^ (w - 1)); w == 8 {
+					j += int(addBlock64x8(n, &row[j], &v[j]))
+				} else {
+					j += int(addBlock64(n, &row[j], &v[j]))
+				}
+				if cols-j >= w {
+					addScalar(row, v, j, j+w)
+					j += w
 				}
 			}
 		}
-		addScalar(row, v, j, len(v))
+		addScalar(row, v, j, cols)
 	}
 }
 
-func addScalar(dst, v []float64, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		dst[j] += v[j]
-	}
-}
+// colSumKernelMin is the narrowest row ColSumsAcc hands to the add kernel.
+// The kernel costs a call per row and a store-to-load round trip through
+// acc; 32 columns (four to eight vector adds) amortize that, 8 do not:
+// over 256 rows the kernel takes twice the scalar loop's time at 8 columns
+// and about three quarters of it at 32. The path never shows in a bit.
+const colSumKernelMin = 32
 
 // ColSumsAcc accumulates the column sums of rows [lo, hi) of m into acc:
 // the chunk body of a bias-gradient reduction, chunked by
-// ReduceGrain(m.Cols).
+// ReduceGrain(m.Cols). Wide rows go row by row through the add kernel, so
+// every column still sums its rows in ascending order; a block the kernel
+// hands back (a NaN operand) and the column tail go to colSumScalar, the
+// loop narrow rows and the pure-Go rung run throughout.
 func ColSumsAcc(acc []float64, m *Matrix, lo, hi int) {
 	cols := m.Cols
+	w := vecLanes((hi - lo) * cols)
+	if w == 0 || cols < colSumKernelMin {
+		for i := lo; i < hi; i++ {
+			colSumScalar(acc, m.Data[i*cols:(i+1)*cols])
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		row := m.Data[i*cols : (i+1)*cols]
-		for j, v := range row {
-			acc[j] += v
+		j := 0
+		for cols-j >= w {
+			if n := int64((cols - j) &^ (w - 1)); w == 8 {
+				j += int(addBlock64x8(n, &acc[j], &row[j]))
+			} else {
+				j += int(addBlock64(n, &acc[j], &row[j]))
+			}
+			if cols-j >= w {
+				colSumScalar(acc[j:], row[j:j+w])
+				j += w
+			}
 		}
+		colSumScalar(acc[j:], row[j:])
+	}
+}
+
+// colSumScalar is acc[j] += row[j] spelled as ColSumsAcc's scalar loop
+// has always been: where two NaNs meet, the payload that survives follows
+// the operand order the compiler picks for this spelling, which is not
+// the one it picks for addScalar's.
+func colSumScalar(acc, row []float64) {
+	for j, v := range row {
+		acc[j] += v
 	}
 }
 

@@ -80,16 +80,33 @@ func MatMul32(dst, a, b *Matrix32) {
 }
 
 // AddRowVector32Rows adds the length-Cols vector v to rows [lo, hi) of m
-// in place.
+// in place. On the SIMD rungs the body is addBlock32, eight lanes of the
+// same addition on addBlock64's terms: a block where a NaN meets anything
+// is handed back and done by the scalar loop.
 func AddRowVector32Rows(m *Matrix32, v []float32, lo, hi int) {
 	if len(v) != m.Cols {
 		panic("tensor: AddRowVector32Rows length mismatch")
 	}
+	simd := tier >= tierAVX2
 	for i := lo; i < hi; i++ {
 		row := m.Row(i)
-		for j, bv := range v {
-			row[j] += bv
+		j := 0
+		if simd {
+			for len(v)-j >= 8 {
+				j += int(addBlock32(int64((len(v)-j)&^7), &row[j], &v[j]))
+				if len(v)-j >= 8 {
+					addScalar32(row, v, j, j+8)
+					j += 8
+				}
+			}
 		}
+		addScalar32(row, v, j, len(v))
+	}
+}
+
+func addScalar32(dst, v []float32, lo, hi int) {
+	for j := lo; j < hi; j++ {
+		dst[j] += v[j]
 	}
 }
 

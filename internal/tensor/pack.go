@@ -20,8 +20,8 @@ import (
 //
 // The A operand is deliberately NOT packed in the drivers: it is the
 // row-major streaming operand, each row is read with unit stride, and a
-// 4-row tile's slice of A (4·K floats) stays L1-resident across its panel
-// sweep, so a pack pass would only add traffic. PackB/PackBWith exist for
+// tile's slice of A (4·K or 8·K floats) stays L1-resident across its
+// panel sweep, so a pack pass would only add traffic. PackB/PackBWith exist for
 // weight matrices reused across calls (serving engines pack once at
 // compile time); the in-driver pack path re-packs per call, which for the
 // shapes in this system costs under 0.1% of the multiply's flops.
@@ -37,14 +37,23 @@ import (
 // Determinism. The tier engages on a threshold over K·N ONLY — never the
 // row count — so the kernel a given row meets is independent of how rows
 // are partitioned across ranks, chunks, or threads. Within the tier,
-// every row-remainder kernel performs the exact per-row operation
-// sequence of the full tile (the 1-row SIMD kernel mirrors the 4-row
-// kernel's rows; the pure-Go 1-row kernel mirrors the 2-row kernel's),
-// so a row's bits never depend on which tile computed it. The pure-Go
-// packed kernels keep the legacy rank-4 grouped expression and are
-// bitwise-identical to the legacy kernels on finite data; the SIMD
-// kernels use fused multiply-add and round differently — identically for
-// every thread count and partitioning.
+// every tile performs the exact per-element operation sequence of every
+// other tile of its kind (the SIMD tiles — 8 rows × 2 panels in zmm, 4 × 1
+// and 1 × 1 in ymm — are all ascending-k fused multiply-adds into the
+// element's own lane; the pure-Go 1-row kernel mirrors the 2-row
+// kernel's), so a row's bits never depend on which tile computed it, and
+// the drivers cover a row range with whatever mix of tiles fits
+// (tileGrid.sweep). The pure-Go packed kernels keep the legacy rank-4
+// grouped expression and are bitwise-identical to the legacy kernels on
+// finite data; the SIMD tiles use fused multiply-add and round differently
+// — identically for every thread count, partitioning and SIMD rung.
+//
+// Rungs. Which kernels run is one ordered value, kernelTier below: pure
+// Go, AVX2+FMA, or AVX-512F beneath the float64 kernels, detected from
+// CPUID and XCR0 (detectSIMD) and lowered only by tests. The panel width
+// NR is 4 on the pure-Go rung and 8 on both SIMD rungs, so a PackedB
+// outlives a toggle between the SIMD rungs and must be re-packed only
+// across the pure-Go boundary (PackWidth, Repack).
 
 const (
 	// packMinKN engages the packed tier when K*N >= packMinKN. Small
@@ -61,13 +70,46 @@ const (
 // the split; a var so tests can shrink it to exercise block remainders.
 var packKc = 2048
 
+// kernelTier is the rung of the assembly kernels in use, ordered: a rung
+// runs everything the rungs below it run, only wider.
+//
+//	tierGo      pure Go everywhere: the packed kernels keep the legacy
+//	            rank-4 grouped expression, NR = 4; no float32 packed tier.
+//	tierAVX2    AVX2+FMA: 4×8 float64 GEMM tiles (NR = 8), the float32
+//	            tiles, 4-lane float64 and 8/16-lane float32 elementwise
+//	            kernels.
+//	tierAVX512  AVX-512F under the float64 kernels: an 8-row × 2-panel zmm
+//	            GEMM tile over the same NR = 8 panels (heads, tails and an
+//	            odd last panel fall to the AVX2 tiles) and 8-lane
+//	            elementwise kernels for calls of zmmMinElems elements or
+//	            more (elu64.go). The float32 kernels are the AVX2 ones.
+//
+// The two SIMD rungs are bit-for-bit equal: an output element sees the
+// same ascending-k fused multiply-adds and every exponential is
+// math.archExp's instruction sequence on either, so a PackedB, a golden
+// file and a checkpoint move between them freely. tierGo rounds
+// differently (no FMA) and packs narrower panels.
+type kernelTier int
+
+const (
+	tierGo kernelTier = iota
+	tierAVX2
+	tierAVX512
+)
+
+func (t kernelTier) String() string { return [...]string{"go", "avx2", "avx512"}[t] }
+
 var (
-	simdGEMM   = detectSIMD()
+	// cpuTier is the highest rung the CPU and OS support, from CPUID and
+	// XCR0 alone; tier is the rung in use, which only tests move.
+	cpuTier    = detectSIMD()
+	tier       = cpuTier
 	packedGEMM = true
 )
 
-// SIMDEnabled reports whether the AVX2+FMA microkernels are in use.
-func SIMDEnabled() bool { return simdGEMM }
+// SIMDEnabled reports whether the assembly kernels are in use (either
+// SIMD rung).
+func SIMDEnabled() bool { return tier >= tierAVX2 }
 
 // setPackedGEMM toggles the packed tier entirely (test hook); returns the
 // previous setting.
@@ -77,18 +119,20 @@ func setPackedGEMM(on bool) bool {
 	return prev
 }
 
-// setSIMDGEMM forces the pure-Go packed kernels when off (test hook);
-// enabling requires hardware support. Returns the previous setting.
-func setSIMDGEMM(on bool) bool {
-	prev := simdGEMM
-	simdGEMM = on && detectSIMD()
+// setKernelTier lowers the kernel tier to t (test hook). It can only
+// lower: a request above what the CPU supports lands on cpuTier, which is
+// also how a test restores the value it was handed back. Returns the
+// previous tier.
+func setKernelTier(t kernelTier) kernelTier {
+	prev := tier
+	tier = min(t, cpuTier)
 	return prev
 }
 
-// packNR is the f64 panel width: 8 columns (two ymm vectors) for the
-// SIMD kernels, 4 for the pure-Go rank-4 kernels.
+// packNR is the f64 panel width: 8 columns for both SIMD rungs (one zmm
+// vector, or two ymm), 4 for the pure-Go rank-4 kernels.
 func packNR() int {
-	if simdGEMM {
+	if tier >= tierAVX2 {
 		return 8
 	}
 	return 4
@@ -103,7 +147,7 @@ func usePacked(k, n int) bool {
 }
 
 func usePacked32(k, n int) bool {
-	return packedGEMM && simdGEMM && k > 0 && k*n >= packMinKN
+	return packedGEMM && tier >= tierAVX2 && k > 0 && k*n >= packMinKN
 }
 
 // ShouldPack32 reports whether the f32 packed tier would engage for a
@@ -127,11 +171,12 @@ func ShouldPack(k, n int) bool { return usePacked(k, n) }
 // MatMulPackedRows per row range. SIMD-only — the pure-Go packed kernels
 // keep MatMul's rank-4 grouped bits, not MatMulABTRows' plain per-k bits,
 // so without SIMD the unpacked kernel stays authoritative.
-func ShouldPackABT(k, n int) bool { return simdGEMM && usePacked(k, n) }
+func ShouldPackABT(k, n int) bool { return tier >= tierAVX2 && usePacked(k, n) }
 
 // PackWidth reports the current f64 panel width NR. A PackedB whose NR
-// differs (packed before a kernel-tier toggle) must be re-packed before
-// the next MatMulPackedRows; long-lived caches validate against this.
+// differs (packed on the other side of the pure-Go boundary: both SIMD
+// rungs pack 8 columns) must be re-packed before the next
+// MatMulPackedRows; long-lived caches validate against this.
 func PackWidth() int { return packNR() }
 
 // PackedB is a B operand packed for the f64 GEMM tier: full NR-wide
@@ -201,7 +246,7 @@ func (p *PackedB) packFromT(b *Matrix) {
 // PackB packs b (K×N) for reuse across MatMulPackedRows calls — the
 // pack-once form for weight matrices that are multiplied many times
 // (serving engines pack at compile time). The panel width is the current
-// kernel tier's, so a PackedB must not outlive a kernel-tier toggle.
+// kernel tier's, so a PackedB must not outlive a toggle that changes it.
 func PackB(b *Matrix) *PackedB {
 	p := &PackedB{}
 	p.sizeFor(b.Rows, b.Cols, packNR())

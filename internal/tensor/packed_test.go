@@ -132,8 +132,7 @@ func TestPackedMatMulMatchesNaive(t *testing.T) {
 // output (same rank-4 grouped expression), so non-AVX2 platforms keep
 // every golden file.
 func TestPackedPureGoBitwiseLegacy(t *testing.T) {
-	prevSIMD := setSIMDGEMM(false)
-	defer setSIMDGEMM(prevSIMD)
+	defer setKernelTier(setKernelTier(tierGo))
 	rng := rand.New(rand.NewSource(11))
 	for _, sh := range packedShapes {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -164,8 +163,7 @@ func TestPackedKcBlocking(t *testing.T) {
 	defer func() { packKc = prevKc }()
 
 	rng := rand.New(rand.NewSource(13))
-	for _, simd := range []bool{true, false} {
-		prev := setSIMDGEMM(simd)
+	atEachTier(t, func(t *testing.T) {
 		for _, sh := range packedShapes {
 			m, k, n := sh[0], sh[1], sh[2]
 			a := randomMatrix(rng, m, k)
@@ -175,11 +173,10 @@ func TestPackedKcBlocking(t *testing.T) {
 			pb := PackB(b)
 			MatMulPackedRows(dst, a, pb, 0, m) // forced through the tier, any shape
 			if rel := maxRel(dst, want); rel > 1e-12 {
-				t.Errorf("simd=%v Kc=16 %dx%dx%d rel %g", simd, m, k, n, rel)
+				t.Errorf("Kc=16 %dx%dx%d rel %g", m, k, n, rel)
 			}
 		}
-		setSIMDGEMM(prev)
-	}
+	})
 }
 
 func TestPackedEmptyShapes(t *testing.T) {

@@ -114,49 +114,62 @@ func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
 	t.Run("AddRowVectorRowsMatchesScalar", addRowVectorRowsMatchesScalar)
 }
 
-// addRowVectorRowsMatchesScalar: the bias add's AVX2 body, its column
-// tail and the blocks it hands back (NaN meeting NaN, where the payload
-// that survives depends on operand order) are the scalar loop's bits, for
-// any row range, with the kernel on or off.
+// addRowVectorRowsMatchesScalar: the add map's vector bodies (4 and 8
+// lanes), its column tail and the blocks it hands back (NaN meeting NaN,
+// where the payload that survives depends on operand order) are the
+// scalar loop's bits, for any row range, on every rung — as the bias add
+// and as the column-sum reduction.
 func addRowVectorRowsMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	const rows = 67
-	cuts := []int{0, 1, 4, 5, 64, rows}
-	value := func() float64 {
-		if rng.Intn(12) == 0 {
-			return math.Float64frombits(0x7ff8000000000000 | rng.Uint64()>>13)
+	atEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(75)) // the same data on every rung
+		const rows = 67
+		cuts := []int{0, 1, 4, 5, 64, rows}
+		value := func() float64 {
+			if rng.Intn(12) == 0 {
+				return math.Float64frombits(0x7ff8000000000000 | rng.Uint64()>>13)
+			}
+			return rng.NormFloat64()
 		}
-		return rng.NormFloat64()
-	}
-	for _, cols := range []int{1, 3, 4, 8, 32, 33, 96} {
-		src, bias := New(rows, cols), make([]float64, cols)
-		for i := range src.Data {
-			src.Data[i] = value()
-		}
-		for j := range bias {
-			bias[j] = value()
-		}
-		want := src.Clone()
-		for i := 0; i < rows; i++ {
-			addScalar(want.Row(i), bias, 0, cols)
-		}
-		for _, simd := range []bool{true, false} {
-			prev := setSIMDELU(simd)
+		for _, cols := range []int{1, 3, 4, 8, 12, 32, 33, 96} {
+			src, bias := New(rows, cols), make([]float64, cols)
+			for i := range src.Data {
+				src.Data[i] = value()
+			}
+			for j := range bias {
+				bias[j] = value()
+			}
+			want := src.Clone()
+			for i := 0; i < rows; i++ {
+				addScalar(want.Row(i), bias, 0, cols)
+			}
 			whole, pieces := src.Clone(), src.Clone()
 			AddRowVectorRows(whole, bias, 0, rows)
 			for i := 0; i+1 < len(cuts); i++ {
 				AddRowVectorRows(pieces, bias, cuts[i], cuts[i+1])
 			}
-			setSIMDELU(prev)
 			for i := range want.Data {
 				w := math.Float64bits(want.Data[i])
 				if math.Float64bits(whole.Data[i]) != w || math.Float64bits(pieces.Data[i]) != w {
-					t.Fatalf("cols=%d simd=%v: element %d is %#x whole, %#x in pieces, want %#x", cols, simd, i,
+					t.Fatalf("cols=%d: element %d is %#x whole, %#x in pieces, want %#x", cols, i,
 						math.Float64bits(whole.Data[i]), math.Float64bits(pieces.Data[i]), w)
 				}
 			}
+			// The bias-gradient reduction goes through the same kernel,
+			// against the scalar loop ColSumsAcc has always been: every
+			// column sums its rows in ascending order, NaNs included.
+			got, ref := make([]float64, cols), make([]float64, cols)
+			ColSumsAcc(got, src, 1, rows)
+			for i := 1; i < rows; i++ {
+				for j, v := range src.Row(i) {
+					ref[j] += v
+				}
+			}
+			if j := bitsEqual(got, ref); j >= 0 {
+				t.Fatalf("cols=%d: ColSumsAcc column %d is %#x, want %#x", cols, j,
+					math.Float64bits(got[j]), math.Float64bits(ref[j]))
+			}
 		}
-	}
+	})
 }
 
 // TestRepackTransposed: Repack on a PackBT operand re-packs the transpose.

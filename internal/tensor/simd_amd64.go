@@ -1,16 +1,21 @@
 package tensor
 
-// CPU feature detection and declarations for the AVX2+FMA microkernels in
-// simd_amd64.s. The packed GEMM tier uses the assembly kernels only when
-// the CPU reports AVX2, FMA, and OS support for ymm state (OSXSAVE +
-// XCR0[2:1] == 11b); otherwise it falls through to the pure-Go packed
-// microkernels, which are bitwise-identical to the legacy kernels.
+// CPU feature detection and declarations for the assembly kernels in
+// simd_amd64.s, elu64_amd64.s and elu32_amd64.s. detectSIMD reads CPUID
+// and XCR0 alone and reports the highest rung of the kernel tier
+// (pack.go) the machine can run.
+
+// The float64 GEMM tiles share one signature (see simd_amd64.s): strides
+// in bytes, bias nil for no epilogue, acc != 0 to resume an accumulation.
 
 //go:noescape
-func dgemmTile4(kc int64, a0, a1, a2, a3 *float64, astride int64, bp *float64, bstride int64, c0, c1, c2, c3 *float64, acc int64)
+func dgemmTile8(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
 
 //go:noescape
-func dgemmTile1(kc int64, a0 *float64, astride int64, bp *float64, bstride int64, c0 *float64, acc int64)
+func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
+
+//go:noescape
+func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
 
 //go:noescape
 func sgemmTile4(kc int64, a0, a1, a2, a3 *float32, astride int64, bp *float32, bstride int64, c0, c1, c2, c3 *float32, acc int64)
@@ -21,9 +26,11 @@ func sgemmTile1(kc int64, a0 *float32, astride int64, bp *float32, bstride int64
 //go:noescape
 func eluBlock32(n int64, x, y *float32)
 
-// The float64 elementwise kernels (elu64_amd64.s). n is a positive
-// multiple of 4; each returns how many leading elements it finished,
-// stopping at the first 4-block it cannot do bit-exactly.
+// The stop-and-fall-back elementwise kernels (elu64_amd64.s,
+// elu32_amd64.s). n is a positive multiple of the kernel's lane count (4
+// for the float64 AVX2 kernels, 8 for their x8 AVX-512 twins and for
+// addBlock32); each returns how many leading elements it finished,
+// stopping at the first block it cannot do bit-exactly.
 
 //go:noescape
 func eluBlock64(n int64, x, y *float64) (done int64)
@@ -34,14 +41,30 @@ func eluGradBlock64(n int64, y, dy, dx *float64) (done int64)
 //go:noescape
 func addBlock64(n int64, dst, v *float64) (done int64)
 
+//go:noescape
+func eluBlock64x8(n int64, x, y *float64) (done int64)
+
+//go:noescape
+func eluGradBlock64x8(n int64, y, dy, dx *float64) (done int64)
+
+//go:noescape
+func addBlock64x8(n int64, dst, v *float64) (done int64)
+
+//go:noescape
+func addBlock32(n int64, dst, v *float32) (done int64)
+
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
 
-func detectSIMD() bool {
+// detectSIMD reports the highest kernel rung the CPU and the OS support:
+// tierAVX2 needs AVX2, FMA and OS-managed ymm state (OSXSAVE, XCR0[2:1]);
+// tierAVX512 needs AVX-512F (CPUID 7.0:EBX[16]) and OS-managed opmask and
+// zmm state (XCR0[7:5]) on top.
+func detectSIMD() kernelTier {
 	maxID, _, _, _ := cpuidRaw(0, 0)
 	if maxID < 7 {
-		return false
+		return tierGo
 	}
 	_, _, ecx1, _ := cpuidRaw(1, 0)
 	const (
@@ -50,14 +73,23 @@ func detectSIMD() bool {
 		avxBit     = 1 << 28
 	)
 	if ecx1&fmaBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false
+		return tierGo
 	}
 	// OS must save/restore both xmm and ymm state.
 	xcr0, _ := xgetbv0()
 	if xcr0&0x6 != 0x6 {
-		return false
+		return tierGo
 	}
 	_, ebx7, _, _ := cpuidRaw(7, 0)
-	const avx2Bit = 1 << 5
-	return ebx7&avx2Bit != 0
+	const (
+		avx2Bit    = 1 << 5
+		avx512fBit = 1 << 16
+	)
+	if ebx7&avx2Bit == 0 {
+		return tierGo
+	}
+	if ebx7&avx512fBit == 0 || xcr0&0xe0 != 0xe0 {
+		return tierAVX2
+	}
+	return tierAVX512
 }

@@ -1,39 +1,222 @@
-// AVX2+FMA microkernels for the packed cache-blocked GEMM tier.
+// FMA microkernels for the packed cache-blocked GEMM tier: one float64
+// tile contract on two rungs (AVX-512F zmm, AVX2 ymm) and the float32
+// AVX2 tiles.
 //
-// All kernels share one shape: a strided MRx(NR) register tile of C
-// accumulated over kc inner-dimension steps. Per step the kernel loads
-// one NR-wide vector pair from the packed B panel (advancing bstride
-// bytes), broadcasts one A element per tile row (advancing astride
-// bytes), and issues MR*2 fused multiply-adds. The per-element summation
-// order is plain ascending k with fused rounding — a function of the
-// element's row, column panel, and the Kc split alone, never of the row
-// tile it was computed in, the chunk boundaries, or the thread count.
+// The float64 tiles all compute "rows × panels" of one shape: a register
+// tile of C, MR rows by one or two adjacent 8-column panels, accumulated
+// over kc inner-dimension steps. Per step a tile loads one 8-wide vector
+// per panel (panel q at bp + q*panelStride, advancing bstride bytes),
+// broadcasts one A element per tile row (row r at a + r*lda, advancing
+// astride bytes) and issues one fused multiply-add per (row, panel). Row
+// r of C is at c + r*ldc; the panels' columns are adjacent there.
 //
-// The strides make one kernel serve all three GEMM forms:
-//   MatMul    dst = a·b    a rows (astride 8), packed B panel (bstride 64)
-//   MatMulABT dst = a·bᵀ   a rows (astride 8), transposed-packed panel
-//   MatMulATB dst = aᵀ·b   a columns (astride = 8*lda), raw b rows
-//                          (bstride = 8*ldb) — packing degenerates to
-//                          the natural layout
+//   dgemmTile8   8 rows × 2 panels   16 zmm accumulators   AVX-512F
+//   dgemmTile4   4 rows × 1 panel     8 ymm accumulators   AVX2
+//   dgemmTile1   1 row  × 1 panel     2 ymm accumulators   AVX2
+//
+// Whatever the tile, an output element sees the same sequence: plain
+// ascending-k fused multiply-adds into its own lane, then (bias != nil)
+// one rounded add of its column's bias. So an element's bits are a
+// function of its row, its column panel and the Kc split alone — never of
+// the tile that held it, the rung, the chunk boundaries or the thread
+// count — and the drivers are free to cover a row range with the tallest
+// tiles that fit and finish heads, tails and an odd last panel with the
+// narrower ones.
+//
+// The strides make one tile serve all three GEMM forms:
+//   MatMul    dst = a·b    a rows (lda = 8·K, astride 8), packed B panels
+//                          (panelStride = 64·K, bstride 64)
+//   MatMulABT dst = a·bᵀ   the same, on transposed-packed panels
+//   MatMulATB dst = aᵀ·b   a columns (lda 8, astride = 8·lda of a), raw b
+//                          rows (panelStride 64, bstride = 8·ldb) —
+//                          packing degenerates to the natural layout
 //
 // acc != 0 loads the existing C tile instead of zeroing it, which is how
 // Kc blocks beyond the first resume the accumulation without changing
-// the per-element order.
+// the per-element order. bias != nil adds bias[0:8·panels) to every tile
+// row before the store: the linear layer's bias add as the epilogue of
+// the last Kc block. The caller passes a bias only when it holds no NaN —
+// then sum + b has at most one NaN operand and x86 returns the same bits
+// whichever way round a scalar loop would have written the add.
 
 #include "textflag.h"
 
-// func dgemmTile4(kc int64, a0, a1, a2, a3 *float64, astride int64, bp *float64, bstride int64, c0, c1, c2, c3 *float64, acc int64)
-TEXT ·dgemmTile4(SB), NOSPLIT, $0-104
+// func dgemmTile8(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
+TEXT ·dgemmTile8(SB), NOSPLIT, $0-88
 	MOVQ kc+0(FP), AX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ astride+40(FP), R12
-	MOVQ bp+48(FP), BX
-	MOVQ bstride+56(FP), R13
-	MOVQ acc+96(FP), DX
+	MOVQ a+8(FP), R8
+	MOVQ lda+16(FP), R9
+	MOVQ astride+24(FP), CX
+	MOVQ bp+32(FP), BX
+	MOVQ panelStride+40(FP), SI
+	MOVQ bstride+48(FP), R13
+	MOVQ ldc+64(FP), DI
+	ADDQ BX, SI               // second panel
+	LEAQ (R9)(R9*2), R10      // 3·lda
+	LEAQ (R9)(R9*4), R11      // 5·lda
+	LEAQ (R10)(R9*4), R12     // 7·lda
 
+	MOVQ  acc+80(FP), DX
+	TESTQ DX, DX
+	JNZ   load8
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	JMP    body8
+
+load8:
+	MOVQ    c+56(FP), DX
+	VMOVUPD (DX), Z0
+	VMOVUPD 64(DX), Z1
+	ADDQ    DI, DX
+	VMOVUPD (DX), Z2
+	VMOVUPD 64(DX), Z3
+	ADDQ    DI, DX
+	VMOVUPD (DX), Z4
+	VMOVUPD 64(DX), Z5
+	ADDQ    DI, DX
+	VMOVUPD (DX), Z6
+	VMOVUPD 64(DX), Z7
+	ADDQ    DI, DX
+	VMOVUPD (DX), Z8
+	VMOVUPD 64(DX), Z9
+	ADDQ    DI, DX
+	VMOVUPD (DX), Z10
+	VMOVUPD 64(DX), Z11
+	ADDQ    DI, DX
+	VMOVUPD (DX), Z12
+	VMOVUPD 64(DX), Z13
+	ADDQ    DI, DX
+	VMOVUPD (DX), Z14
+	VMOVUPD 64(DX), Z15
+
+body8:
+	TESTQ AX, AX
+	JZ    bias8
+
+loop8:
+	VMOVUPD (BX), Z16
+	VMOVUPD (SI), Z17
+
+	VBROADCASTSD (R8), Z18
+	VFMADD231PD  Z16, Z18, Z0
+	VFMADD231PD  Z17, Z18, Z1
+
+	VBROADCASTSD (R8)(R9*1), Z19
+	VFMADD231PD  Z16, Z19, Z2
+	VFMADD231PD  Z17, Z19, Z3
+
+	VBROADCASTSD (R8)(R9*2), Z20
+	VFMADD231PD  Z16, Z20, Z4
+	VFMADD231PD  Z17, Z20, Z5
+
+	VBROADCASTSD (R8)(R10*1), Z21
+	VFMADD231PD  Z16, Z21, Z6
+	VFMADD231PD  Z17, Z21, Z7
+
+	VBROADCASTSD (R8)(R9*4), Z22
+	VFMADD231PD  Z16, Z22, Z8
+	VFMADD231PD  Z17, Z22, Z9
+
+	VBROADCASTSD (R8)(R11*1), Z23
+	VFMADD231PD  Z16, Z23, Z10
+	VFMADD231PD  Z17, Z23, Z11
+
+	VBROADCASTSD (R8)(R10*2), Z24
+	VFMADD231PD  Z16, Z24, Z12
+	VFMADD231PD  Z17, Z24, Z13
+
+	VBROADCASTSD (R8)(R12*1), Z25
+	VFMADD231PD  Z16, Z25, Z14
+	VFMADD231PD  Z17, Z25, Z15
+
+	ADDQ R13, BX
+	ADDQ R13, SI
+	ADDQ CX, R8
+	DECQ AX
+	JNZ  loop8
+
+bias8:
+	MOVQ  bias+72(FP), DX
+	TESTQ DX, DX
+	JZ    store8
+	VMOVUPD (DX), Z16
+	VMOVUPD 64(DX), Z17
+	VADDPD  Z16, Z0, Z0
+	VADDPD  Z17, Z1, Z1
+	VADDPD  Z16, Z2, Z2
+	VADDPD  Z17, Z3, Z3
+	VADDPD  Z16, Z4, Z4
+	VADDPD  Z17, Z5, Z5
+	VADDPD  Z16, Z6, Z6
+	VADDPD  Z17, Z7, Z7
+	VADDPD  Z16, Z8, Z8
+	VADDPD  Z17, Z9, Z9
+	VADDPD  Z16, Z10, Z10
+	VADDPD  Z17, Z11, Z11
+	VADDPD  Z16, Z12, Z12
+	VADDPD  Z17, Z13, Z13
+	VADDPD  Z16, Z14, Z14
+	VADDPD  Z17, Z15, Z15
+
+store8:
+	MOVQ    c+56(FP), DX
+	VMOVUPD Z0, (DX)
+	VMOVUPD Z1, 64(DX)
+	ADDQ    DI, DX
+	VMOVUPD Z2, (DX)
+	VMOVUPD Z3, 64(DX)
+	ADDQ    DI, DX
+	VMOVUPD Z4, (DX)
+	VMOVUPD Z5, 64(DX)
+	ADDQ    DI, DX
+	VMOVUPD Z6, (DX)
+	VMOVUPD Z7, 64(DX)
+	ADDQ    DI, DX
+	VMOVUPD Z8, (DX)
+	VMOVUPD Z9, 64(DX)
+	ADDQ    DI, DX
+	VMOVUPD Z10, (DX)
+	VMOVUPD Z11, 64(DX)
+	ADDQ    DI, DX
+	VMOVUPD Z12, (DX)
+	VMOVUPD Z13, 64(DX)
+	ADDQ    DI, DX
+	VMOVUPD Z14, (DX)
+	VMOVUPD Z15, 64(DX)
+	VZEROUPPER
+	RET
+
+// func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
+//
+// The AVX2 rung's full tile, and on the AVX-512 rung the tile for four-row
+// heads and tails and for an odd last panel. One panel: panelStride is
+// not read.
+TEXT ·dgemmTile4(SB), NOSPLIT, $0-88
+	MOVQ kc+0(FP), AX
+	MOVQ a+8(FP), R8
+	MOVQ lda+16(FP), R9
+	MOVQ astride+24(FP), CX
+	MOVQ bp+32(FP), BX
+	MOVQ bstride+48(FP), R13
+	MOVQ ldc+64(FP), DI
+	LEAQ (R9)(R9*2), R10 // 3·lda
+
+	MOVQ  acc+80(FP), DX
 	TESTQ DX, DX
 	JNZ   load4
 
@@ -48,80 +231,92 @@ TEXT ·dgemmTile4(SB), NOSPLIT, $0-104
 	JMP    body4
 
 load4:
-	MOVQ c0+64(FP), CX
-	VMOVUPD (CX), Y0
-	VMOVUPD 32(CX), Y1
-	MOVQ c1+72(FP), CX
-	VMOVUPD (CX), Y2
-	VMOVUPD 32(CX), Y3
-	MOVQ c2+80(FP), CX
-	VMOVUPD (CX), Y4
-	VMOVUPD 32(CX), Y5
-	MOVQ c3+88(FP), CX
-	VMOVUPD (CX), Y6
-	VMOVUPD 32(CX), Y7
+	MOVQ    c+56(FP), DX
+	VMOVUPD (DX), Y0
+	VMOVUPD 32(DX), Y1
+	ADDQ    DI, DX
+	VMOVUPD (DX), Y2
+	VMOVUPD 32(DX), Y3
+	ADDQ    DI, DX
+	VMOVUPD (DX), Y4
+	VMOVUPD 32(DX), Y5
+	ADDQ    DI, DX
+	VMOVUPD (DX), Y6
+	VMOVUPD 32(DX), Y7
 
 body4:
 	TESTQ AX, AX
-	JZ    done4
+	JZ    bias4
 
 loop4:
 	VMOVUPD (BX), Y8
 	VMOVUPD 32(BX), Y9
 
 	VBROADCASTSD (R8), Y10
-	VFMADD231PD Y8, Y10, Y0
-	VFMADD231PD Y9, Y10, Y1
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
 
-	VBROADCASTSD (R9), Y11
-	VFMADD231PD Y8, Y11, Y2
-	VFMADD231PD Y9, Y11, Y3
+	VBROADCASTSD (R8)(R9*1), Y11
+	VFMADD231PD  Y8, Y11, Y2
+	VFMADD231PD  Y9, Y11, Y3
 
-	VBROADCASTSD (R10), Y12
-	VFMADD231PD Y8, Y12, Y4
-	VFMADD231PD Y9, Y12, Y5
+	VBROADCASTSD (R8)(R9*2), Y12
+	VFMADD231PD  Y8, Y12, Y4
+	VFMADD231PD  Y9, Y12, Y5
 
-	VBROADCASTSD (R11), Y13
-	VFMADD231PD Y8, Y13, Y6
-	VFMADD231PD Y9, Y13, Y7
+	VBROADCASTSD (R8)(R10*1), Y13
+	VFMADD231PD  Y8, Y13, Y6
+	VFMADD231PD  Y9, Y13, Y7
 
 	ADDQ R13, BX
-	ADDQ R12, R8
-	ADDQ R12, R9
-	ADDQ R12, R10
-	ADDQ R12, R11
+	ADDQ CX, R8
 	DECQ AX
 	JNZ  loop4
 
-done4:
-	MOVQ c0+64(FP), CX
-	VMOVUPD Y0, (CX)
-	VMOVUPD Y1, 32(CX)
-	MOVQ c1+72(FP), CX
-	VMOVUPD Y2, (CX)
-	VMOVUPD Y3, 32(CX)
-	MOVQ c2+80(FP), CX
-	VMOVUPD Y4, (CX)
-	VMOVUPD Y5, 32(CX)
-	MOVQ c3+88(FP), CX
-	VMOVUPD Y6, (CX)
-	VMOVUPD Y7, 32(CX)
+bias4:
+	MOVQ  bias+72(FP), DX
+	TESTQ DX, DX
+	JZ    store4
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	VADDPD  Y8, Y0, Y0
+	VADDPD  Y9, Y1, Y1
+	VADDPD  Y8, Y2, Y2
+	VADDPD  Y9, Y3, Y3
+	VADDPD  Y8, Y4, Y4
+	VADDPD  Y9, Y5, Y5
+	VADDPD  Y8, Y6, Y6
+	VADDPD  Y9, Y7, Y7
+
+store4:
+	MOVQ    c+56(FP), DX
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	ADDQ    DI, DX
+	VMOVUPD Y2, (DX)
+	VMOVUPD Y3, 32(DX)
+	ADDQ    DI, DX
+	VMOVUPD Y4, (DX)
+	VMOVUPD Y5, 32(DX)
+	ADDQ    DI, DX
+	VMOVUPD Y6, (DX)
+	VMOVUPD Y7, 32(DX)
 	VZEROUPPER
 	RET
 
-// func dgemmTile1(kc int64, a0 *float64, astride int64, bp *float64, bstride int64, c0 *float64, acc int64)
+// func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
 //
-// Single-row variant with the exact per-element operation sequence of
-// dgemmTile4's rows, so a row's bits are identical whether it lands in a
-// full tile or a remainder row.
-TEXT ·dgemmTile1(SB), NOSPLIT, $0-56
+// One row, one panel (lda, panelStride and ldc are not read): the rows
+// left over when a range is not a multiple of four.
+TEXT ·dgemmTile1(SB), NOSPLIT, $0-88
 	MOVQ kc+0(FP), AX
-	MOVQ a0+8(FP), R8
-	MOVQ astride+16(FP), R12
-	MOVQ bp+24(FP), BX
-	MOVQ bstride+32(FP), R13
-	MOVQ acc+48(FP), DX
+	MOVQ a+8(FP), R8
+	MOVQ astride+24(FP), CX
+	MOVQ bp+32(FP), BX
+	MOVQ bstride+48(FP), R13
+	MOVQ c+56(FP), DI
 
+	MOVQ  acc+80(FP), DX
 	TESTQ DX, DX
 	JNZ   load1
 
@@ -130,29 +325,34 @@ TEXT ·dgemmTile1(SB), NOSPLIT, $0-56
 	JMP    body1
 
 load1:
-	MOVQ c0+40(FP), CX
-	VMOVUPD (CX), Y0
-	VMOVUPD 32(CX), Y1
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
 
 body1:
 	TESTQ AX, AX
-	JZ    done1
+	JZ    bias1
 
 loop1:
-	VMOVUPD (BX), Y8
-	VMOVUPD 32(BX), Y9
+	VMOVUPD      (BX), Y8
+	VMOVUPD      32(BX), Y9
 	VBROADCASTSD (R8), Y10
-	VFMADD231PD Y8, Y10, Y0
-	VFMADD231PD Y9, Y10, Y1
-	ADDQ R13, BX
-	ADDQ R12, R8
-	DECQ AX
-	JNZ  loop1
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
+	ADDQ         R13, BX
+	ADDQ         CX, R8
+	DECQ         AX
+	JNZ          loop1
 
-done1:
-	MOVQ c0+40(FP), CX
-	VMOVUPD Y0, (CX)
-	VMOVUPD Y1, 32(CX)
+bias1:
+	MOVQ  bias+72(FP), DX
+	TESTQ DX, DX
+	JZ    store1
+	VADDPD (DX), Y0, Y0
+	VADDPD 32(DX), Y1, Y1
+
+store1:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
 	VZEROUPPER
 	RET
 

@@ -11,9 +11,11 @@ import (
 
 // TestRepackAfterTierToggleReachesEveryHolder: a compiled block is held by
 // pointer — by the engine that compiled it and by every serving session —
-// so re-packing it after a kernel-tier toggle (the panel width changes with
-// the tier) leaves no holder on panels of the old width. When sessions
-// copied the panel pointers, a live one kept the stale panels.
+// so re-packing it after a kernel-tier toggle that changes the panel width
+// (pure Go packs 4 columns, both SIMD rungs 8) leaves no holder on panels
+// of the old width. When sessions copied the panel pointers, a live one
+// kept the stale panels. Between the two SIMD rungs the width does not
+// change and neither does a bit, so that toggle needs no re-pack at all.
 func TestRepackAfterTierToggleReachesEveryHolder(t *testing.T) {
 	if !tensor.SIMDEnabled() {
 		t.Skip("one kernel tier only: nothing to toggle")
@@ -26,30 +28,46 @@ func TestRepackAfterTierToggleReachesEveryHolder(t *testing.T) {
 	}
 	compiled := m.Compile()
 	session := compiled // what gnn.Inference.Session holds
-	agree := func(when string) {
+	agree := func(when string, want *tensor.Matrix) {
 		t.Helper()
-		want, got := m.Forward(x), session.InferForward(nil, x)
+		got := session.InferForward(nil, x)
 		for i := range want.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("%s: value %d is %v, want %v (bitwise)", when, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
-	agree("as compiled")
+	asCompiled := m.Forward(x).Clone()
+	agree("as compiled", asCompiled)
 
-	for _, simd := range []bool{false, true} {
-		prev := tensor.SetSIMDGEMM(simd)
-		defer tensor.SetSIMDGEMM(prev)
+	if tensor.CPUTier() >= tensor.TierAVX512 {
+		// avx512 -> avx2 and back: same panels, no Repack, same bits as the
+		// top rung produced.
+		prev := tensor.SetKernelTier(tensor.TierAVX2)
+		if tensor.PackWidth() != 8 {
+			t.Errorf("panel width %d on the avx2 rung, want 8", tensor.PackWidth())
+		}
+		agree("lowered to avx2 without a re-pack", asCompiled)
+		agree("training forward on avx2", m.Forward(x))
+		tensor.SetKernelTier(prev)
+		agree("back on avx512 without a re-pack", asCompiled)
+	} else {
+		t.Logf("avx512 <-> avx2 toggle not run: this CPU's top rung is %v", tensor.CPUTier())
+	}
+
+	for _, k := range []tensor.KernelTier{tensor.TierGo, tensor.CPUTier()} {
+		prev := tensor.SetKernelTier(k)
+		defer tensor.SetKernelTier(prev)
 		func() {
 			// Stale panels must refuse, not answer in the other tier's bits.
 			defer func() {
 				if recover() == nil {
-					t.Errorf("simd=%v: evaluation on panels of the other tier's width did not panic", simd)
+					t.Errorf("tier %v: evaluation on panels of the other width did not panic", k)
 				}
 			}()
 			session.InferForward(nil, x)
 		}()
 		compiled.Repack()
-		agree("after toggle and Repack")
+		agree("after toggle and Repack", m.Forward(x))
 	}
 }
