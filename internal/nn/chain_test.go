@@ -178,11 +178,38 @@ func refForward32(im *InferMLP32, x *tensor.Matrix32) *tensor.Matrix32 {
 			tensor.EluRange32(y.Data, x.Data, 0, len(x.Data))
 		case *ln32:
 			y = tensor.New32(x.Rows, x.Cols)
-			t.inferRows(y, x, x.Rows) // rows are independent: one full-height panel
+			for i := 0; i < x.Rows; i++ {
+				lnOneRow32(y.Row(i), x.Row(i), t.gain, t.shift)
+			}
 		}
 		x = y
 	}
 	return x
+}
+
+// lnOneRow32 is the float32 LayerNorm of one row written out from its
+// definition — float64 sums in ascending column order, the square rounded
+// before it is added, the normalised value rounded to float32 before the
+// unfused gain and shift — sharing no code with infer32.go or the tensor
+// kernel behind it.
+func lnOneRow32(out, row, gain, shift []float32) {
+	var sum float64
+	for j := 0; j < len(row); j++ {
+		sum = sum + float64(row[j])
+	}
+	mean := sum / float64(len(row))
+	var sq float64
+	for j := 0; j < len(row); j++ {
+		dev := float64(row[j]) - mean
+		prod := dev * dev
+		sq = sq + prod
+	}
+	scale := 1 / math.Sqrt(sq/float64(len(row))+Epsilon)
+	for j := 0; j < len(row); j++ {
+		hat := float32((float64(row[j]) - mean) * scale)
+		prod := hat * gain[j]
+		out[j] = prod + shift[j]
+	}
 }
 
 func sameBits(t *testing.T, what string, got, want []float64) {
@@ -347,6 +374,73 @@ func TestLayerNormInterleaveMatchesOneRow(t *testing.T) {
 			sameBits(t, what("input gradient"), m.Backward(dy).Data, ref.dx.Data)
 			for i, p := range m.Params() {
 				sameBits(t, what("gradient "+p.Name), p.G.Data, ref.grads[i].Data)
+			}
+		}
+	}
+}
+
+// TestLayerNorm32MatchesOneRow holds the compiled float32 LayerNorm, on
+// the rung this machine runs, to the one-row scalar loop above: rows 1…19
+// (zero to two groups of the kernel's eight rows and every remainder) and
+// the same behind whole groups of filler rows, so that the call is large
+// enough for the vector kernel whatever the width; widths either side of
+// its 8-column blocks; and in every case one row of ±0, of huge or of tiny
+// magnitudes, or holding a NaN, an infinity or both — whose neighbours in
+// the group must come out as if it were ordinary. (The walk over every
+// rung, in place and with NaN parameters, is internal/tensor's
+// TestLayerNorm32RowsMatchesOneRow.)
+func TestLayerNorm32MatchesOneRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	nan := func() float32 { return math.Float32frombits(0x7fc00000 | rng.Uint32()>>10) }
+	for _, width := range []int{1, 8, 16, 32, 33, 96} {
+		ln := &ln32{dim: width, gain: make([]float32, width), shift: make([]float32, width)}
+		for j := range ln.gain {
+			ln.gain[j] = float32(1 + 0.3*rng.NormFloat64())
+			ln.shift[j] = float32(0.3 * rng.NormFloat64())
+		}
+		for rows := 1; rows <= 19; rows++ {
+			for _, filler := range []int{0, 2 * panelRows} {
+				for _, plant := range []string{"", "zeros", "huge", "tiny", "NaN", "Inf", "NaN+Inf"} {
+					n := rows + filler
+					x := tensor.New32(n, width)
+					for i := range x.Data {
+						x.Data[i] = float32(rng.NormFloat64())
+					}
+					victim := x.Row(rng.Intn(rows))
+					switch plant {
+					case "zeros":
+						for j := range victim {
+							victim[j] = float32(math.Copysign(0, float64(rng.Intn(2))-0.5))
+						}
+					case "huge":
+						for j := range victim {
+							victim[j] *= 1e37
+						}
+					case "tiny":
+						for j := range victim {
+							victim[j] *= 1e-42
+						}
+					case "NaN":
+						victim[rng.Intn(width)] = nan()
+					case "Inf":
+						victim[rng.Intn(width)] = float32(math.Inf(1 - 2*rng.Intn(2)))
+					case "NaN+Inf":
+						victim[rng.Intn(width)] = nan()
+						victim[rng.Intn(width)] = float32(math.Inf(-1))
+						victim[rng.Intn(width)] = nan()
+					}
+					want, got := tensor.New32(n, width), tensor.New32(n, width)
+					for i := 0; i < n; i++ {
+						lnOneRow32(want.Row(i), x.Row(i), ln.gain, ln.shift)
+					}
+					ln.inferRows(got, x, n)
+					for i, v := range want.Data {
+						if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+							t.Fatalf("rows=%d (+%d) width=%d %s: element %d (row %d) is %#x, want %#x",
+								rows, filler, width, plant, i, i/width, math.Float32bits(got.Data[i]), math.Float32bits(v))
+						}
+					}
+				}
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"meshgnn/internal/parallel"
@@ -141,7 +140,8 @@ func (r *inferRun32) Run(lo, hi int) {
 
 // linear32 is y = x·W + b over snapshotted float32 parameters. When the
 // weight shape clears the packed-tier threshold on SIMD hardware, pb
-// holds the compile-time-packed operand and the GEMM skips packing.
+// holds the compile-time-packed operand, the GEMM skips packing and the
+// bias add is its tiles' epilogue.
 type linear32 struct {
 	in, out int
 	w       *tensor.Matrix32
@@ -154,10 +154,10 @@ func (l *linear32) inPlace() bool    { return false }
 
 func (l *linear32) inferRows(dst, src *tensor.Matrix32, rows int) {
 	if l.pb != nil {
-		tensor.MatMul32PackedRows(dst, src, l.pb, 0, rows)
-	} else {
-		tensor.MatMul32Rows(dst, src, l.w, 0, rows)
+		tensor.MatMul32PackedBiasRows(dst, src, l.pb, l.b, 0, rows)
+		return
 	}
+	tensor.MatMul32Rows(dst, src, l.w, 0, rows)
 	tensor.AddRowVector32Rows(dst, l.b, 0, rows)
 }
 
@@ -165,7 +165,7 @@ func (l *linear32) inferRows(dst, src *tensor.Matrix32, rows int) {
 // evaluator's scratch. The map lives in the tensor kernel tier
 // (tensor.EluRange32): the float64 math.Exp round-trip dominated the
 // whole f32 inference step (~60% of the profile), so the exponential runs
-// as a single-precision polynomial, vectorized with AVX2 where available.
+// as a single-precision polynomial, vectorized on the SIMD rungs.
 // Every path rounds each element identically, so panel and chunk
 // boundaries stay invisible.
 type elu32 struct{}
@@ -180,8 +180,11 @@ func (elu32) inferRows(dst, src *tensor.Matrix32, rows int) {
 // ln32 is the forward-only float32 LayerNorm over snapshotted gain/shift.
 // It normalizes rows like lnInfer with the moment sums accumulated in
 // float64: the mean/variance reductions are where f32 accumulation would
-// visibly drift at the row widths this system uses, and the two extra
-// conversions per value are free next to the divide.
+// visibly drift at the row widths this system uses. The definition and its
+// kernel are tensor.LayerNorm32Rows: the kernel puts eight ROWS in the
+// vector lanes, so each row's two sums keep their ascending column order
+// and every lane performs its row's scalar operations — no bit depends on
+// which rows share a group, the panel boundaries or the rung.
 type ln32 struct {
 	dim         int
 	gain, shift []float32
@@ -194,25 +197,5 @@ func (ln *ln32) inferRows(dst, src *tensor.Matrix32, rows int) {
 	if src.Cols != ln.dim {
 		panic(fmt.Sprintf("nn: f32 inference LayerNorm width %d, want %d", src.Cols, ln.dim))
 	}
-	n := float64(ln.dim)
-	gain, shift := ln.gain, ln.shift
-	for i := 0; i < rows; i++ {
-		row := src.Row(i)
-		var mu float64
-		for _, v := range row {
-			mu += float64(v)
-		}
-		mu /= n
-		var varsum float64
-		for _, v := range row {
-			d := float64(v) - mu
-			varsum += d * d
-		}
-		inv := 1 / math.Sqrt(varsum/n+Epsilon)
-		out := dst.Row(i)
-		for j, v := range row {
-			xh := (float64(v) - mu) * inv
-			out[j] = float32(xh)*gain[j] + shift[j]
-		}
-	}
+	tensor.LayerNorm32Rows(dst, src, ln.gain, ln.shift, Epsilon, 0, rows)
 }

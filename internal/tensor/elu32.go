@@ -4,17 +4,21 @@ import "math"
 
 // Float32 ELU kernel tier. EluRange32 is the elementwise
 // y = v (v > 0), exp(v)-1 (v <= 0) map the f32 serving twin spends most
-// of its time in; like the packed GEMM tier it dispatches to an AVX2
-// assembly kernel when the CPU supports it and falls back to pure Go.
+// of its time in. An element lands in one of four blocks (elu32_amd64.s
+// holds the two assembly ones):
+//
+//	eluBlock32x16   32 elements, two 16-lane zmm chains   avx512, calls of zmmMinElems or more
+//	eluBlock32      16 elements, two 8-lane ymm chains    avx2 and up
+//	expM1Neg4        4 elements, interleaved in Go        any rung
+//	expM1Neg         1 element, the definition            any rung
 //
 // Unlike the GEMM kernels, every path here is BITWISE-IDENTICAL per
 // element: the assembly uses unfused VMULPS/VADDPS in exactly the scalar
 // expM1Neg operation sequence (the Go compiler does not fuse a*b+c on
-// amd64), so an element rounds the same whether it lands in a 16-wide
-// assembly block, the 4-wide interleaved Go block, or the scalar tail.
-// That keeps the result independent of chunk boundaries — and therefore
-// of thread count and SIMD availability — with no engagement-threshold
-// bookkeeping at all.
+// amd64), so an element rounds the same in all four. That keeps the
+// result independent of chunk boundaries — and therefore of thread count,
+// SIMD rung and which calls clear zmmMinElems — with no bookkeeping at
+// all.
 
 // EluRange32 writes y[i] = ELU(x[i]) for i in [lo, hi). x and y may
 // alias. The exponential is evaluated entirely in single precision
@@ -22,6 +26,12 @@ import "math"
 func EluRange32(y, x []float32, lo, hi int) {
 	i := lo
 	if tier >= tierAVX2 {
+		if elemTier(hi-lo) == tierAVX512 {
+			if n := (hi - i) &^ 31; n > 0 {
+				eluBlock32x16(int64(n), &x[i], &y[i])
+				i += n
+			}
+		}
 		if n := (hi - i) &^ 15; n > 0 {
 			eluBlock32(int64(n), &x[i], &y[i])
 			i += n
@@ -86,9 +96,9 @@ const (
 // field, so the whole path is branch-free — a pure per-element function,
 // leaving thread/rank bitwise determinism untouched.
 //
-// This is the reference operation sequence: expM1Neg4 below and the
-// eluBlock32 assembly kernel replay it exactly, lane by lane, so all
-// three produce identical bits. Keep them in lockstep when changing any.
+// This is the reference operation sequence: expM1Neg4 below and the two
+// assembly blocks replay it exactly, lane by lane, so all four produce
+// identical bits. Keep them in lockstep when changing any.
 func expM1Neg(v float32) float32 {
 	if v < expUnder {
 		v = expUnder

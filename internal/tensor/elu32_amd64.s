@@ -1,14 +1,17 @@
-// AVX2 kernels for the float32 elementwise tier: the ELU map (elu32.go)
-// and, at the end of the file, the bias add (ops32.go).
+// AVX2 and AVX-512F kernels for the float32 elementwise tier: the ELU map
+// (elu32.go) twice — eluBlock32, 16 elements per iteration as two 8-lane
+// ymm chains, and eluBlock32x16, 32 per iteration as two 16-lane zmm
+// chains — and, at the end of the file, the add kernels behind the bias
+// and residual adds (ops32.go), 8 and 16 lanes.
 //
-// eluBlock32 processes 16 elements per iteration as two 8-lane ymm
-// groups whose serial dependency chains interleave in the pipeline.
-// Every arithmetic step is an UNFUSED VMULPS/VADDPS/VSUBPS in exactly
-// the order of the scalar expM1Neg reference (the Go compiler emits the
-// same unfused sequence on amd64), the underflow clamp is a compare +
-// blend replaying the scalar branch, and the floor and 2^k construction
-// are the same integer-domain tricks — so each lane's bits are
-// identical to the pure-Go path and chunk boundaries stay invisible.
+// In both ELU blocks the two groups' serial dependency chains interleave
+// in the pipeline, every arithmetic step is an UNFUSED multiply, add or
+// subtract in exactly the order of the scalar expM1Neg reference (the Go
+// compiler emits the same unfused sequence on amd64), the underflow clamp
+// is a compare + blend replaying the scalar branch, and the floor and 2^k
+// construction are the same integer-domain tricks — so each lane's bits
+// are identical to the pure-Go path, on either rung, and chunk boundaries
+// stay invisible.
 
 #include "textflag.h"
 
@@ -233,6 +236,93 @@ eloop:
 	VZEROUPPER
 	RET
 
+// ELU16 is one 8-lane group of eluBlock32 on sixteen zmm lanes, step for
+// step; where AVX-512F spells a step differently the operation is
+// unchanged: VANDPS (AVX-512DQ in zmm) -> VPANDD, VCMPPS -> opmask and
+// VBLENDVPS -> VBLENDMPS. Every constant is a register, broadcast by the
+// caller from the literals eluBlock32 reads: Z12 0, Z13 expUnder, Z14 the
+// abs mask, Z15 0.5, Z16 1/ln2, Z17 16384.5, Z18 16384 (int), Z19/Z20 ln2
+// hi/lo, Z21-Z26 c5-c0, Z27 1, Z28 127 (int). v holds the input (kept for
+// the final blend), w min(v, 0) then r, k the integer part then 2^k, f
+// float(k), s scratch then the result, z the polynomial; m is a scratch
+// opmask.
+#define ELU16(v, w, k, f, s, z, m) \
+	VPANDD     Z14, v, w; \
+	VSUBPS     w, v, w; \
+	VMULPS     Z15, w, w; \
+	VCMPPS     $1, Z13, w, m; \
+	VBLENDMPS  Z13, w, m, w; \
+	VMULPS     Z16, w, k; \
+	VADDPS     Z17, k, k; \
+	VCVTTPS2DQ k, k; \
+	VPSUBD     Z18, k, k; \
+	VCVTDQ2PS  k, f; \
+	VMULPS     Z19, f, s; \
+	VSUBPS     s, w, w; \
+	VMULPS     Z20, f, s; \
+	VSUBPS     s, w, w; \
+	VMULPS     w, Z21, z; \
+	VADDPS     Z22, z, z; \
+	VMULPS     w, z, z; \
+	VADDPS     Z23, z, z; \
+	VMULPS     w, z, z; \
+	VADDPS     Z24, z, z; \
+	VMULPS     w, z, z; \
+	VADDPS     Z25, z, z; \
+	VMULPS     w, z, z; \
+	VADDPS     Z26, z, z; \
+	VMULPS     w, z, s; \
+	VMULPS     w, s, s; \
+	VADDPS     w, s, s; \
+	VPADDD     Z28, k, k; \
+	VPSLLD     $23, k, k; \
+	VMULPS     k, s, s; \
+	VSUBPS     Z27, k, k; \
+	VADDPS     k, s, s; \
+	VCMPPS     $14, Z12, v, m; \
+	VBLENDMPS  v, s, m, s
+
+// func eluBlock32x16(n int64, x, y *float32)
+//
+// n must be a positive multiple of 32.
+TEXT ·eluBlock32x16(SB), NOSPLIT, $0-24
+	MOVQ n+0(FP), AX
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+
+	VPXORD       Z12, Z12, Z12
+	VBROADCASTSS eluUnder<>(SB), Z13
+	VPBROADCASTD eluAbs<>(SB), Z14
+	VBROADCASTSS eluHalf<>(SB), Z15
+	VBROADCASTSS eluInvLn2<>(SB), Z16
+	VBROADCASTSS eluBias<>(SB), Z17
+	VPBROADCASTD eluI16384<>(SB), Z18
+	VBROADCASTSS eluLn2Hi<>(SB), Z19
+	VBROADCASTSS eluLn2Lo<>(SB), Z20
+	VBROADCASTSS eluC5<>(SB), Z21
+	VBROADCASTSS eluC4<>(SB), Z22
+	VBROADCASTSS eluC3<>(SB), Z23
+	VBROADCASTSS eluC2<>(SB), Z24
+	VBROADCASTSS eluC1<>(SB), Z25
+	VBROADCASTSS eluC0<>(SB), Z26
+	VBROADCASTSS eluOne<>(SB), Z27
+	VPBROADCASTD eluI127<>(SB), Z28
+
+elux32:
+	VMOVUPS (SI), Z0
+	VMOVUPS 64(SI), Z1
+	ELU16(Z0, Z2, Z4, Z6, Z8, Z10, K1)
+	ELU16(Z1, Z3, Z5, Z7, Z9, Z11, K2)
+	VMOVUPS Z8, (DI)
+	VMOVUPS Z9, 64(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, AX
+	JNZ     elux32
+
+	VZEROUPPER
+	RET
+
 // func addBlock32(n int64, dst, v *float32) (done int64)
 //
 // dst[i] += v[i], eight lanes at a time: the float32 twin of addBlock64
@@ -260,6 +350,32 @@ add32:
 	JNZ       add32
 
 add32done:
+	VZEROUPPER
+	MOVQ AX, done+24(FP)
+	RET
+
+// func addBlock32x16(n int64, dst, v *float32) (done int64)
+//
+// addBlock32 on sixteen zmm lanes; n is a positive multiple of 16.
+TEXT ·addBlock32x16(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), CX
+	MOVQ dst+8(FP), DI
+	MOVQ v+16(FP), SI
+	XORQ AX, AX
+
+add32x16:
+	VMOVUPS  (DI)(AX*4), Z0
+	VMOVUPS  (SI)(AX*4), Z1
+	VCMPPS   $3, Z1, Z0, K1
+	KORTESTW K1, K1
+	JNZ      add32x16done
+	VADDPS   Z1, Z0, Z0
+	VMOVUPS  Z0, (DI)(AX*4)
+	ADDQ     $16, AX
+	SUBQ     $16, CX
+	JNZ      add32x16
+
+add32x16done:
 	VZEROUPPER
 	MOVQ AX, done+24(FP)
 	RET

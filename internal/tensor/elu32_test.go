@@ -72,16 +72,16 @@ func eluScalarRef(y, x []float32, lo, hi int) {
 	}
 }
 
-// TestEluRange32LockstepAcrossPaths runs EluRange32 with and without the
-// assembly kernel over random mixed-sign data at awkward lengths and
-// offsets and demands bitwise equality with the scalar reference. This
-// is the determinism contract: the 16-wide AVX2 block, the 4-wide Go
-// block, and the scalar tail all round every element identically, so
-// results cannot depend on chunk boundaries, thread count, or SIMD
-// availability.
+// TestEluRange32LockstepAcrossPaths runs EluRange32 on every rung over
+// random mixed-sign data at lengths and offsets either side of the 16- and
+// 32-element blocks and of zmmMinElems, out of place and with x aliasing
+// y, and demands bitwise equality with the scalar reference and no write
+// outside [lo, hi). This is the determinism contract: the 32-element zmm
+// block, the 16-element ymm block, the 4-wide Go block and the scalar
+// tail all round every element identically, so results cannot depend on
+// chunk boundaries, thread count or rung.
 func TestEluRange32LockstepAcrossPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	fill := func(x []float32) {
+	fill := func(rng *rand.Rand, x []float32) {
 		for i := range x {
 			switch rng.Intn(4) {
 			case 0:
@@ -95,62 +95,70 @@ func TestEluRange32LockstepAcrossPaths(t *testing.T) {
 			}
 		}
 	}
-	for _, n := range []int{1, 3, 4, 15, 16, 17, 31, 32, 33, 100, 1024, 4097} {
-		for _, lo := range []int{0, 1, 5} {
-			if lo >= n {
-				continue
-			}
-			x := make([]float32, n)
-			fill(x)
-			want := make([]float32, n)
-			eluScalarRef(want, x, lo, n)
+	const canary = float32(-12345.5)
+	atEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for _, n := range []int{1, 3, 4, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100,
+			zmmMinElems - 1, zmmMinElems, zmmMinElems + 1, zmmMinElems + 31, zmmMinElems + 33, 4097} {
+			for _, lo := range []int{0, 1, 5} {
+				for _, hi := range []int{n, n - 3} {
+					if lo >= hi {
+						continue
+					}
+					x := make([]float32, n)
+					fill(rng, x)
+					want := make([]float32, n)
+					for i := range want {
+						want[i] = canary
+					}
+					eluScalarRef(want, x, lo, hi)
 
-			run := func(simd bool) []float32 {
-				prev := setKernelTier(simdTier(simd))
-				defer setKernelTier(prev)
-				y := make([]float32, n)
-				EluRange32(y, x, lo, n)
-				return y
-			}
-			for _, simd := range []bool{false, true} {
-				got := run(simd)
-				for i := lo; i < n; i++ {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("n=%d lo=%d simd=%v elem %d input %g: got %x want %x",
-							n, lo, simd, i, x[i],
-							math.Float32bits(got[i]), math.Float32bits(want[i]))
+					y := make([]float32, n)
+					for i := range y {
+						y[i] = canary
+					}
+					EluRange32(y, x, lo, hi)
+					if i := bitsEqual(y, want); i >= 0 {
+						t.Fatalf("n=%d [%d, %d) elem %d input %g: got %#x want %#x", n, lo, hi, i, x[i], bitsOf(y[i]), bitsOf(want[i]))
+					}
+					copy(want[:lo], x[:lo])
+					copy(want[hi:], x[hi:])
+					EluRange32(x, x, lo, hi)
+					if i := bitsEqual(x, want); i >= 0 {
+						t.Fatalf("n=%d [%d, %d) in place, elem %d: got %#x want %#x", n, lo, hi, i, bitsOf(x[i]), bitsOf(want[i]))
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
-// TestEluRange32SpecialValues pins the edge bits: zeros map to +0 on
-// every path (the polynomial normalizes -0's sign identically in Go and
-// assembly), deeply negative inputs saturate to exactly -1, and tiny
-// positives pass through as the identity.
+// TestEluRange32SpecialValues pins the edge bits on every rung, in a call
+// short enough for the ymm block and one long enough for the zmm block:
+// zeros map to +0 on every path (the polynomial normalizes -0's sign
+// identically in Go and assembly), deeply negative inputs saturate to
+// exactly -1, and tiny positives pass through as the identity.
 func TestEluRange32SpecialValues(t *testing.T) {
-	x := []float32{0, float32(math.Copysign(0, -1)), -1000, -87.4, -1e-30, 1e-30,
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 0} // pad to one full SIMD block
-	for _, simd := range []bool{false, true} {
-		prev := setKernelTier(simdTier(simd))
-		y := make([]float32, len(x))
-		EluRange32(y, x, 0, len(x))
-		setKernelTier(prev)
-		if math.Float32bits(y[0]) != 0 {
-			t.Fatalf("simd=%v: ELU(+0) bits %x, want +0", simd, math.Float32bits(y[0]))
+	atEachTier(t, func(t *testing.T) {
+		for _, n := range []int{16, zmmMinElems + 32} {
+			x := make([]float32, n) // zeros pad the six values to whole blocks
+			copy(x, []float32{0, float32(math.Copysign(0, -1)), -1000, -87.4, -1e-30, 1e-30})
+			y := make([]float32, n)
+			EluRange32(y, x, 0, n)
+			if math.Float32bits(y[0]) != 0 {
+				t.Fatalf("n=%d: ELU(+0) bits %x, want +0", n, math.Float32bits(y[0]))
+			}
+			if math.Float32bits(y[1]) != 0 {
+				t.Fatalf("n=%d: ELU(-0) bits %x, want +0", n, math.Float32bits(y[1]))
+			}
+			if y[2] != -1 {
+				t.Fatalf("n=%d: ELU(-1000) = %v, want -1", n, y[2])
+			}
+			if y[5] != x[5] {
+				t.Fatalf("n=%d: ELU(+1e-30) = %v, want identity", n, y[5])
+			}
 		}
-		if math.Float32bits(y[1]) != 0 {
-			t.Fatalf("simd=%v: ELU(-0) bits %x, want +0", simd, math.Float32bits(y[1]))
-		}
-		if y[2] != -1 {
-			t.Fatalf("simd=%v: ELU(-1000) = %v, want -1", simd, y[2])
-		}
-		if y[5] != x[5] {
-			t.Fatalf("simd=%v: ELU(+1e-30) = %v, want identity", simd, y[5])
-		}
-	}
+	})
 }
 
 func BenchmarkEluRange32(b *testing.B) {
@@ -160,20 +168,17 @@ func BenchmarkEluRange32(b *testing.B) {
 	for i := range x {
 		x[i] = float32(math.Sin(float64(i))) * 2
 	}
-	for _, bc := range []struct {
-		name string
-		simd bool
-	}{{"simd", true}, {"go", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			prev := setKernelTier(simdTier(bc.simd))
-			defer setKernelTier(prev)
-			if bc.simd && !SIMDEnabled() {
-				b.Skip("no AVX2")
+	for k := tierAVX512; k >= tierGo; k-- {
+		b.Run(k.String(), func(b *testing.B) {
+			if k > cpuTier {
+				b.Skipf("rung %v not run: this CPU's top rung is %v", k, cpuTier)
 			}
+			defer setKernelTier(setKernelTier(k))
 			b.SetBytes(n * 4)
 			for i := 0; i < b.N; i++ {
 				EluRange32(y, x, 0, n)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
 		})
 	}
 }

@@ -7,75 +7,55 @@ import (
 	"meshgnn/internal/parallel"
 )
 
-// Packed GEMM driver (f32): the serving twin of gemm_packed.go, built on
-// the 4×16 / 1×16 AVX2 sgemm microkernels. SIMD-only — without AVX2 the
-// f32 ops stay on their scalar kernels, so this driver never runs there.
+// Packed GEMM driver (f32): the serving twin of gemm_packed.go, on the
+// same tile grid (sweepPacked) with the s-tiles. SIMD-only — without AVX2
+// the f32 ops stay on their scalar kernels, so this driver never runs
+// there.
 
+// packedMM32Task computes dst[lo:hi] = a[lo:hi]·B (+ bias, when set) from
+// a packed B operand.
 type packedMM32Task struct {
 	dst, a *Matrix32
 	pb     *PackedB32
+	bias   []float32
 }
 
 func (t *packedMM32Task) Run(lo, hi int) {
 	pb := t.pb
-	k, n := pb.K, pb.N
-	np := n / 16
-	ka, dn := t.a.Cols, t.dst.Cols
-	ad, dd := t.a.Data, t.dst.Data
-	for kc0 := 0; kc0 < k; kc0 += packKc {
-		kcLen := min(packKc, k-kc0)
-		var accF int64
-		if kc0 > 0 {
-			accF = 1
-		}
-		kc := int64(kcLen)
-		// Each f32 panel is 64 bytes per k step, like the f64 one, so the
-		// same Nc budget applies per panel.
-		for p0 := 0; p0 < np; p0 += ncPanels(kcLen, 16) {
-			p1 := min(p0+ncPanels(kcLen, 16), np)
-			i := lo
-			for ; i < hi && i&3 != 0; i++ {
-				a0 := &ad[i*ka+kc0]
-				for p := p0; p < p1; p++ {
-					sgemmTile1(kc, a0, 4, &pb.panels[(p*k+kc0)*16], 64, &dd[i*dn+p*16], accF)
-				}
-			}
-			for ; i+4 <= hi; i += 4 {
-				a0 := &ad[i*ka+kc0]
-				a1 := &ad[(i+1)*ka+kc0]
-				a2 := &ad[(i+2)*ka+kc0]
-				a3 := &ad[(i+3)*ka+kc0]
-				for p := p0; p < p1; p++ {
-					bpp := &pb.panels[(p*k+kc0)*16]
-					sgemmTile4(kc, a0, a1, a2, a3, 4, bpp, 64,
-						&dd[i*dn+p*16], &dd[(i+1)*dn+p*16], &dd[(i+2)*dn+p*16], &dd[(i+3)*dn+p*16], accF)
-				}
-			}
-			for ; i < hi; i++ {
-				a0 := &ad[i*ka+kc0]
-				for p := p0; p < p1; p++ {
-					sgemmTile1(kc, a0, 4, &pb.panels[(p*k+kc0)*16], 64, &dd[i*dn+p*16], accF)
-				}
-			}
+	fused := sweepPacked(t.dst.Data, t.dst.Cols, t.a.Data, t.a.Cols, pb.panels, pb.K, pb.N, t.bias, lo, hi)
+	if pb.N%packNR32 != 0 {
+		t.scalarTail(lo, hi)
+	}
+	if t.bias != nil && fused < pb.N {
+		for i := lo; i < hi; i++ {
+			addScalar32(t.dst.Row(i), t.bias, fused, pb.N)
 		}
 	}
-	if n%16 != 0 {
-		j0 := np * 16
-		for i := lo; i < hi; i++ {
-			arow := ad[i*ka : i*ka+k]
-			for jt := 0; jt < n-j0; jt++ {
-				strip := pb.tail[jt*k : (jt+1)*k]
-				var s float32
-				kk := 0
-				for ; kk+4 <= k; kk += 4 {
-					s += arow[kk]*strip[kk] + arow[kk+1]*strip[kk+1] +
-						arow[kk+2]*strip[kk+2] + arow[kk+3]*strip[kk+3]
-				}
-				for ; kk < k; kk++ {
-					s += arow[kk] * strip[kk]
-				}
-				dd[i*dn+j0+jt] = s
+}
+
+// scalarTail computes the N mod 16 remainder columns from the packed
+// column strips, over the full K extent, in the scalar kernel's rank-4
+// grouped order.
+func (t *packedMM32Task) scalarTail(lo, hi int) {
+	pb := t.pb
+	k, n := pb.K, pb.N
+	j0 := n / packNR32 * packNR32
+	ka, dn := t.a.Cols, t.dst.Cols
+	ad, dd := t.a.Data, t.dst.Data
+	for i := lo; i < hi; i++ {
+		arow := ad[i*ka : i*ka+k]
+		for jt := 0; jt < n-j0; jt++ {
+			strip := pb.tail[jt*k : (jt+1)*k]
+			var s float32
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				s += arow[kk]*strip[kk] + arow[kk+1]*strip[kk+1] +
+					arow[kk+2]*strip[kk+2] + arow[kk+3]*strip[kk+3]
 			}
+			for ; kk < k; kk++ {
+				s += arow[kk] * strip[kk]
+			}
+			dd[i*dn+j0+jt] = s
 		}
 	}
 }
@@ -96,13 +76,22 @@ func matMul32Packed(dst, a *Matrix32, pb *PackedB32) {
 // ShouldPack32 reported true at pack time. dst and a are indexed by the
 // same row numbers and may be row-block headers.
 func MatMul32PackedRows(dst, a *Matrix32, pb *PackedB32, lo, hi int) {
-	if a.Cols != pb.K || dst.Cols != pb.N {
-		panic(fmt.Sprintf("tensor: MatMul32PackedRows shape mismatch (%dx%d)·packed(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
+	MatMul32PackedBiasRows(dst, a, pb, nil, lo, hi)
+}
+
+// MatMul32PackedBiasRows computes rows [lo, hi) of dst = a·B + bias, the
+// float32 linear layer in one pass: bitwise MatMul32PackedRows followed by
+// AddRowVector32Rows(dst, bias, lo, hi), with the add done on the tile
+// while it is still in registers (see MatMulPackedBiasRows). A nil bias
+// adds nothing.
+func MatMul32PackedBiasRows(dst, a *Matrix32, pb *PackedB32, bias []float32, lo, hi int) {
+	if a.Cols != pb.K || dst.Cols != pb.N || (bias != nil && len(bias) != pb.N) {
+		panic(fmt.Sprintf("tensor: MatMul32PackedRows shape mismatch (%dx%d)·packed(%dx%d)+bias(%d)->(%dx%d)",
+			a.Rows, a.Cols, pb.K, pb.N, len(bias), dst.Rows, dst.Cols))
 	}
 	if tier < tierAVX2 {
 		panic("tensor: MatMul32PackedRows requires the SIMD kernel tier")
 	}
-	t := packedMM32Task{dst: dst, a: a, pb: pb}
+	t := packedMM32Task{dst: dst, a: a, pb: pb, bias: bias}
 	t.Run(lo, hi)
 }

@@ -3,17 +3,24 @@ package tensor
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"meshgnn/internal/parallel"
 )
 
-// Packed GEMM drivers (f64). See pack.go for the tier's layout, blocking,
+// Packed GEMM drivers: the float64 ones, and the tile grid and panel sweep
+// both element types share. See pack.go for the tier's layout, blocking,
 // and determinism contract.
 
-// ncPanels bounds how many NR-wide panels are streamed per (kc, nc)
-// block so the live panel group stays within packNcBudget bytes.
-func ncPanels(kcLen, nr int) int {
-	per := kcLen * nr * 8
+// panelBytes is what one k step of one packed panel occupies on the SIMD
+// rungs, whatever the element type: 8 float64 or 16 float32 lanes.
+const panelBytes = 64
+
+// ncPanels bounds how many panels of bytesPerK bytes per k step are
+// streamed per (kc, nc) block so the live panel group stays within
+// packNcBudget bytes.
+func ncPanels(kcLen, bytesPerK int) int {
+	per := kcLen * bytesPerK
 	if per <= 0 {
 		return 1
 	}
@@ -35,7 +42,7 @@ type packedMMTask struct {
 func (t *packedMMTask) Run(lo, hi int) {
 	fused := 0 // leading columns whose bias the tiles already added
 	if t.pb.NR == 8 {
-		fused = t.runSIMD(lo, hi)
+		fused = sweepPacked(t.dst.Data, t.dst.Cols, t.a.Data, t.a.Cols, t.pb.panels, t.pb.K, t.pb.N, t.bias, lo, hi)
 	} else {
 		t.runGo(lo, hi)
 	}
@@ -49,18 +56,23 @@ func (t *packedMMTask) Run(lo, hi int) {
 	}
 }
 
+// float is the element type of a GEMM tile: the d-tiles' or the s-tiles'.
+type float interface{ float32 | float64 }
+
 // tileGrid is one Kc block of a GEMM as the microkernels see it (see
 // simd_amd64.s): tile row r of A starts at a[r·lda] and steps astride per
-// k, 8-column panel p of B starts at b[p·panelStride] and steps bstride
-// per k, and C row r is c[r·ldc:], with panel p at columns [8p, 8p+8) —
-// all in elements. MatMul and MatMulABT (rows of a, packed panels) and
-// MatMulATB (columns of a, raw rows of b) differ only in these numbers.
-type tileGrid struct {
+// k, 64-byte panel p of B (8 float64 or 16 float32 columns) starts at
+// b[p·panelStride] and steps bstride per k, and C row r is c[r·ldc:], with
+// panel p at columns [p·lanes, (p+1)·lanes) — all in elements. MatMul,
+// MatMul32 and MatMulABT (rows of a, packed panels) and MatMulATB (columns
+// of a, raw rows of b) differ only in these numbers; the element type
+// picks the d- or the s-tiles and the lanes per panel, nothing else.
+type tileGrid[T float] struct {
 	kc, acc                   int64
-	a, b, c                   []float64
+	a, b, c                   []T
 	lda, astride              int
 	panelStride, bstride, ldc int
-	bias                      []float64 // per column of c; nil for none
+	bias                      []T // per column of c; nil for none
 }
 
 // sweep covers rows [r0, r1) × panels [p0, p1) with the tallest tiles of
@@ -69,7 +81,7 @@ type tileGrid struct {
 // 4, then single rows; the odd last panel of an 8-row tile is two 4-row
 // tiles. Every tile performs the same per-element sequence, so the cover
 // chosen — and with it r0, r1 and the rung — never shows in a bit.
-func (g *tileGrid) sweep(r0, r1, p0, p1 int) {
+func (g *tileGrid[T]) sweep(r0, r1, p0, p1 int) {
 	tall := 4
 	if tier >= tierAVX512 {
 		tall = 8
@@ -100,57 +112,84 @@ func (g *tileGrid) sweep(r0, r1, p0, p1 int) {
 	}
 }
 
-// tile runs the h-row tile at row r, panel p: dgemmTile8 spans panels p
-// and p+1, the others panel p alone.
-func (g *tileGrid) tile(h, r, p int) {
-	a := &g.a[r*g.lda]
-	b := &g.b[p*g.panelStride]
-	c := &g.c[r*g.ldc+p*8]
-	var bias *float64
+// tile runs the h-row tile at row r, panel p: the 8-row tile spans panels
+// p and p+1, the others panel p alone. The element size is a constant of
+// each instantiation, so the branch on it compiles away.
+func (g *tileGrid[T]) tile(h, r, p int) {
+	var e T
+	size := int(unsafe.Sizeof(e))
+	lanes := panelBytes / size
+	a := unsafe.Pointer(&g.a[r*g.lda])
+	b := unsafe.Pointer(&g.b[p*g.panelStride])
+	c := unsafe.Pointer(&g.c[r*g.ldc+p*lanes])
+	var bias unsafe.Pointer
 	if g.bias != nil {
-		bias = &g.bias[p*8]
+		bias = unsafe.Pointer(&g.bias[p*lanes])
 	}
-	lda, astride := int64(g.lda*8), int64(g.astride*8)
-	panelStride, bstride, ldc := int64(g.panelStride*8), int64(g.bstride*8), int64(g.ldc*8)
-	switch h {
-	case 8:
-		dgemmTile8(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
-	case 4:
-		dgemmTile4(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
-	default:
-		dgemmTile1(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+	lda, astride := int64(g.lda*size), int64(g.astride*size)
+	panelStride, bstride, ldc := int64(g.panelStride*size), int64(g.bstride*size), int64(g.ldc*size)
+	if size == 8 {
+		a, b, c, bias := (*float64)(a), (*float64)(b), (*float64)(c), (*float64)(bias)
+		switch h {
+		case 8:
+			dgemmTile8(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+		case 4:
+			dgemmTile4(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+		default:
+			dgemmTile1(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+		}
+	} else {
+		a, b, c, bias := (*float32)(a), (*float32)(b), (*float32)(c), (*float32)(bias)
+		switch h {
+		case 8:
+			sgemmTile8(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+		case 4:
+			sgemmTile4(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+		default:
+			sgemmTile1(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+		}
 	}
 }
 
-// runSIMD sweeps the FMA tiles over the chunk's rows, Kc block by Kc
-// block and, within one, panel group by panel group. The bias rides the
-// last Kc block as the tiles' epilogue unless it holds a NaN: then the
-// single add could meet two NaN operands, where the payload x86 keeps
-// depends on the operand order, so the tiles store the plain sums and the
-// caller adds with the scalar loop, as AddRowVectorRows would. Returns how
-// many leading columns got their bias here.
-func (t *packedMMTask) runSIMD(lo, hi int) (fused int) {
-	pb := t.pb
-	k, n := pb.K, pb.N
-	np := n / 8
-	ka, dn := t.a.Cols, t.dst.Cols
-	bias := t.bias
-	for _, v := range bias {
-		if v != v {
-			bias = nil
-			break
+// hasNaN reports whether v holds a NaN: what keeps a bias, a gain or a
+// shift out of the vector kernels, whose single add or multiply could then
+// meet two NaN operands.
+func hasNaN[T float](v []T) bool {
+	for _, x := range v {
+		if x != x {
+			return true
 		}
+	}
+	return false
+}
+
+// sweepPacked computes rows [lo, hi) of the full panels of c = a·B (+
+// bias) from k-major packed panels (K × lanes each, N/lanes of them): the
+// FMA tiles swept Kc block by Kc block and, within one, panel group by
+// panel group — the one driver loop of MatMul, MatMulABT and MatMul32. The
+// bias rides the last Kc block as the tiles' epilogue unless it holds a
+// NaN: then the single add could meet two NaN operands, where the payload
+// x86 keeps depends on the operand order, so the tiles store the plain
+// sums and the caller adds with the scalar loop, as AddRowVectorRows
+// would. Returns how many leading columns got their bias here; the N mod
+// lanes tail columns are the caller's.
+func sweepPacked[T float](c []T, ldc int, a []T, lda int, panels []T, k, n int, bias []T, lo, hi int) (fused int) {
+	var e T
+	lanes := panelBytes / int(unsafe.Sizeof(e))
+	np := n / lanes
+	if hasNaN(bias) {
+		bias = nil
 	}
 	if np == 0 || lo >= hi {
 		return 0
 	}
 	for kc0 := 0; kc0 < k; kc0 += packKc {
 		kcLen := min(packKc, k-kc0)
-		g := tileGrid{
+		g := tileGrid[T]{
 			kc: int64(kcLen),
-			a:  t.a.Data[kc0:], lda: ka, astride: 1,
-			b: pb.panels[kc0*8:], panelStride: k * 8, bstride: 8,
-			c: t.dst.Data, ldc: dn,
+			a:  a[kc0:], lda: lda, astride: 1,
+			b: panels[kc0*lanes:], panelStride: k * lanes, bstride: lanes,
+			c: c, ldc: ldc,
 		}
 		if kc0 > 0 {
 			g.acc = 1
@@ -158,12 +197,13 @@ func (t *packedMMTask) runSIMD(lo, hi int) (fused int) {
 		if kc0+kcLen == k {
 			g.bias = bias
 		}
-		for p0 := 0; p0 < np; p0 += ncPanels(kcLen, 8) {
-			g.sweep(lo, hi, p0, min(p0+ncPanels(kcLen, 8), np))
+		group := ncPanels(kcLen, panelBytes)
+		for p0 := 0; p0 < np; p0 += group {
+			g.sweep(lo, hi, p0, min(p0+group, np))
 		}
 	}
 	if bias != nil && k > 0 {
-		fused = np * 8
+		fused = np * lanes
 	}
 	return fused
 }
@@ -365,7 +405,7 @@ func matMulATBAccSIMD(acc []float64, a, b *Matrix, lo, hi int) {
 	ad, bd := a.Data, b.Data
 	np8 := (n / 8) * 8
 	if hi > lo {
-		g := tileGrid{
+		g := tileGrid[float64]{
 			kc: int64(hi - lo),
 			a:  ad[lo*in:], lda: 1, astride: in,
 			b: bd[lo*n:], panelStride: 8, bstride: n,

@@ -80,28 +80,44 @@ func MatMul32(dst, a, b *Matrix32) {
 }
 
 // AddRowVector32Rows adds the length-Cols vector v to rows [lo, hi) of m
-// in place. On the SIMD rungs the body is addBlock32, eight lanes of the
-// same addition on addBlock64's terms: a block where a NaN meets anything
-// is handed back and done by the scalar loop.
+// in place: the bias add of a linear layer below the packed threshold
+// (above it the add is the GEMM tile's epilogue, MatMul32PackedBiasRows).
 func AddRowVector32Rows(m *Matrix32, v []float32, lo, hi int) {
 	if len(v) != m.Cols {
 		panic("tensor: AddRowVector32Rows length mismatch")
 	}
-	simd := tier >= tierAVX2
+	w := vecLanes32((hi - lo) * m.Cols)
 	for i := lo; i < hi; i++ {
-		row := m.Row(i)
-		j := 0
-		if simd {
-			for len(v)-j >= 8 {
-				j += int(addBlock32(int64((len(v)-j)&^7), &row[j], &v[j]))
-				if len(v)-j >= 8 {
-					addScalar32(row, v, j, j+8)
-					j += 8
-				}
+		add32(m.Row(i), v, w)
+	}
+}
+
+// vecLanes32 is the block width of the float32 add kernel for a call over
+// n elements: twice the float64 one's lanes on either SIMD rung, 0 for
+// none.
+func vecLanes32(n int) int { return 2 * vecLanes(n) }
+
+// add32 is dst[j] += v[j] over two slices of one length. With w > 0 the
+// body is the w-lane add kernel (addBlock32, addBlock32x16) on addBlock64's
+// terms: a block where a NaN meets anything is handed back and done by the
+// scalar loop, so neither w nor where a caller cut the slices shows in a
+// bit.
+func add32(dst, v []float32, w int) {
+	j := 0
+	if w > 0 {
+		for len(v)-j >= w {
+			if n := int64((len(v) - j) &^ (w - 1)); w == 16 {
+				j += int(addBlock32x16(n, &dst[j], &v[j]))
+			} else {
+				j += int(addBlock32(n, &dst[j], &v[j]))
+			}
+			if len(v)-j >= w {
+				addScalar32(dst, v, j, j+w)
+				j += w
 			}
 		}
-		addScalar32(row, v, j, len(v))
 	}
+	addScalar32(dst, v, j, len(v))
 }
 
 func addScalar32(dst, v []float32, lo, hi int) {
@@ -116,16 +132,15 @@ type addScaled32Task struct {
 }
 
 func (t *addScaled32Task) Run(lo, hi int) {
-	d, s := t.dst.Data, t.src.Data
+	d, s := t.dst.Data[lo:hi], t.src.Data[lo:hi]
 	if t.alpha == 1 {
-		for i := lo; i < hi; i++ {
-			d[i] += s[i]
-		}
+		// The residual add of every message-passing layer.
+		add32(d, s, vecLanes32(len(t.dst.Data)))
 		return
 	}
 	alpha := t.alpha
-	for i := lo; i < hi; i++ {
-		d[i] += alpha * s[i]
+	for i, v := range s {
+		d[i] += alpha * v
 	}
 }
 

@@ -49,46 +49,53 @@ import (
 // — identically for every thread count, partitioning and SIMD rung.
 //
 // Rungs. Which kernels run is one ordered value, kernelTier below: pure
-// Go, AVX2+FMA, or AVX-512F beneath the float64 kernels, detected from
-// CPUID and XCR0 (detectSIMD) and lowered only by tests. The panel width
-// NR is 4 on the pure-Go rung and 8 on both SIMD rungs, so a PackedB
-// outlives a toggle between the SIMD rungs and must be re-packed only
-// across the pure-Go boundary (PackWidth, Repack).
+// Go, AVX2+FMA, or AVX-512F, detected from CPUID and XCR0 (detectSIMD) and
+// lowered only by tests. The f64 panel width NR is 4 on the pure-Go rung
+// and 8 on both SIMD rungs, so a PackedB outlives a toggle between the
+// SIMD rungs and must be re-packed only across the pure-Go boundary
+// (PackWidth, Repack); a PackedB32 exists on the SIMD rungs only and is
+// 16 wide on both.
 
 const (
 	// packMinKN engages the packed tier when K*N >= packMinKN. Small
 	// shapes (the SmallConfig model, scalar heads) stay on the legacy
 	// kernels, whose bits they have golden files against.
 	packMinKN = 1024
+)
+
+// Vars so tests can shrink them to exercise block remainders and panel
+// groups; nothing else writes them.
+var (
+	// packKc is the Kc inner-dimension block. It is a multiple of 4 so the
+	// pure-Go kernels' rank-4 group boundaries are identical with and
+	// without the split.
+	packKc = 2048
 	// packNcBudget caps the packed-panel bytes streamed per (kc, nc)
 	// block at roughly the L2 working set alongside A tiles and C rows.
 	packNcBudget = 192 << 10
 )
-
-// packKc is the Kc inner-dimension block. It is a multiple of 4 so the
-// pure-Go kernels' rank-4 group boundaries are identical with and without
-// the split; a var so tests can shrink it to exercise block remainders.
-var packKc = 2048
 
 // kernelTier is the rung of the assembly kernels in use, ordered: a rung
 // runs everything the rungs below it run, only wider.
 //
 //	tierGo      pure Go everywhere: the packed kernels keep the legacy
 //	            rank-4 grouped expression, NR = 4; no float32 packed tier.
-//	tierAVX2    AVX2+FMA: 4×8 float64 GEMM tiles (NR = 8), the float32
-//	            tiles, 4-lane float64 and 8/16-lane float32 elementwise
-//	            kernels.
-//	tierAVX512  AVX-512F under the float64 kernels: an 8-row × 2-panel zmm
-//	            GEMM tile over the same NR = 8 panels (heads, tails and an
-//	            odd last panel fall to the AVX2 tiles) and 8-lane
-//	            elementwise kernels for calls of zmmMinElems elements or
-//	            more (elu64.go). The float32 kernels are the AVX2 ones.
+//	tierAVX2    AVX2+FMA: 4-row × 1-panel GEMM tiles over 64-byte panels
+//	            (NR = 8 float64 or 16 float32 columns), 4-lane float64 and
+//	            8-lane float32 elementwise kernels.
+//	tierAVX512  AVX-512F under both element types: an 8-row × 2-panel zmm
+//	            GEMM tile over the same panels (heads, tails and an odd
+//	            last panel fall to the AVX2 tiles) and, for calls of
+//	            zmmMinElems elements or more (elu64.go), elementwise
+//	            kernels of twice the lanes plus the float32 LayerNorm
+//	            kernel (layernorm32.go).
 //
 // The two SIMD rungs are bit-for-bit equal: an output element sees the
-// same ascending-k fused multiply-adds and every exponential is
-// math.archExp's instruction sequence on either, so a PackedB, a golden
-// file and a checkpoint move between them freely. tierGo rounds
-// differently (no FMA) and packs narrower panels.
+// same ascending-k fused multiply-adds, every float64 exponential is
+// math.archExp's instruction sequence and every float32 one expM1Neg's on
+// either, so a PackedB, a PackedB32, a golden file and a checkpoint move
+// between them freely. tierGo rounds differently (no FMA) and packs
+// narrower panels.
 type kernelTier int
 
 const (
@@ -138,7 +145,8 @@ func packNR() int {
 	return 4
 }
 
-// packNR32 is the f32 panel width (16 lanes). The f32 tier is SIMD-only;
+// packNR32 is the f32 panel width: 16 columns, the same 64 bytes per k
+// step as the f64 panel, on both SIMD rungs. The f32 tier is SIMD-only;
 // without AVX2 the f32 ops use their scalar kernels unpacked.
 const packNR32 = 16
 

@@ -5,8 +5,8 @@ package tensor
 // and XCR0 alone and reports the highest rung of the kernel tier
 // (pack.go) the machine can run.
 
-// The float64 GEMM tiles share one signature (see simd_amd64.s): strides
-// in bytes, bias nil for no epilogue, acc != 0 to resume an accumulation.
+// The GEMM tiles share one signature (see simd_amd64.s): strides in bytes,
+// bias nil for no epilogue, acc != 0 to resume an accumulation.
 
 //go:noescape
 func dgemmTile8(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
@@ -18,19 +18,30 @@ func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStri
 func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
 
 //go:noescape
-func sgemmTile4(kc int64, a0, a1, a2, a3 *float32, astride int64, bp *float32, bstride int64, c0, c1, c2, c3 *float32, acc int64)
+func sgemmTile8(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
 
 //go:noescape
-func sgemmTile1(kc int64, a0 *float32, astride int64, bp *float32, bstride int64, c0 *float32, acc int64)
+func sgemmTile4(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
+
+//go:noescape
+func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
+
+// The float32 ELU blocks (elu32_amd64.s): n is a positive multiple of 16
+// for the ymm block, of 32 for the zmm one. Every input is done exactly,
+// so neither stops.
 
 //go:noescape
 func eluBlock32(n int64, x, y *float32)
 
+//go:noescape
+func eluBlock32x16(n int64, x, y *float32)
+
 // The stop-and-fall-back elementwise kernels (elu64_amd64.s,
 // elu32_amd64.s). n is a positive multiple of the kernel's lane count (4
 // for the float64 AVX2 kernels, 8 for their x8 AVX-512 twins and for
-// addBlock32); each returns how many leading elements it finished,
-// stopping at the first block it cannot do bit-exactly.
+// addBlock32, 16 for addBlock32x16); each returns how many leading
+// elements it finished, stopping at the first block it cannot do
+// bit-exactly.
 
 //go:noescape
 func eluBlock64(n int64, x, y *float64) (done int64)
@@ -52,6 +63,16 @@ func addBlock64x8(n int64, dst, v *float64) (done int64)
 
 //go:noescape
 func addBlock32(n int64, dst, v *float32) (done int64)
+
+//go:noescape
+func addBlock32x16(n int64, dst, v *float32) (done int64)
+
+// lnBlock32x8 is the float32 LayerNorm of groups × 8 contiguous rows
+// (ln32_amd64.s); it returns how many leading groups it finished, stopping
+// at one that holds a NaN or an infinity.
+//
+//go:noescape
+func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64) (done int64)
 
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

@@ -22,15 +22,20 @@ func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStri
 	panic(noSIMD)
 }
 
-func sgemmTile4(kc int64, a0, a1, a2, a3 *float32, astride int64, bp *float32, bstride int64, c0, c1, c2, c3 *float32, acc int64) {
+func sgemmTile8(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64) {
 	panic(noSIMD)
 }
 
-func sgemmTile1(kc int64, a0 *float32, astride int64, bp *float32, bstride int64, c0 *float32, acc int64) {
+func sgemmTile4(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64) {
 	panic(noSIMD)
 }
 
-func eluBlock32(n int64, x, y *float32) { panic(noSIMD) }
+func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64) {
+	panic(noSIMD)
+}
+
+func eluBlock32(n int64, x, y *float32)    { panic(noSIMD) }
+func eluBlock32x16(n int64, x, y *float32) { panic(noSIMD) }
 
 func eluBlock64(n int64, x, y *float64) (done int64)            { panic(noSIMD) }
 func eluGradBlock64(n int64, y, dy, dx *float64) (done int64)   { panic(noSIMD) }
@@ -39,3 +44,8 @@ func eluBlock64x8(n int64, x, y *float64) (done int64)          { panic(noSIMD) 
 func eluGradBlock64x8(n int64, y, dy, dx *float64) (done int64) { panic(noSIMD) }
 func addBlock64x8(n int64, dst, v *float64) (done int64)        { panic(noSIMD) }
 func addBlock32(n int64, dst, v *float32) (done int64)          { panic(noSIMD) }
+func addBlock32x16(n int64, dst, v *float32) (done int64)       { panic(noSIMD) }
+
+func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64) (done int64) {
+	panic(noSIMD)
+}

@@ -22,19 +22,9 @@ func atEachTier(t *testing.T, body func(t *testing.T)) {
 	}
 }
 
-// simdTier is the rung for "assembly kernels on" (the CPU's top rung) or
-// off, for the float32 tests, whose kernels are the same on both SIMD
-// rungs.
-func simdTier(on bool) kernelTier {
-	if on {
-		return cpuTier
-	}
-	return tierGo
-}
-
 // TestKernelTier reports the rung this machine runs (-v) and pins the
-// hook's contract: it lowers, it never raises past the CPU, and the panel
-// width is 8 on both SIMD rungs.
+// hook's contract: it lowers, it never raises past the CPU, and the
+// float64 panel width is 8 on both SIMD rungs.
 func TestKernelTier(t *testing.T) {
 	t.Logf("kernel tier: %v (CPU supports %v); float64 ELU kernel exact per rung: %v", tier, cpuTier, elu64Exact)
 	if tier != cpuTier {
@@ -62,8 +52,8 @@ func TestKernelTier(t *testing.T) {
 // TestLoweredToAVX2 re-runs, with the tier lowered to avx2, the tests of
 // this package that run on whatever rung is current: on an AVX-512 machine
 // every one of them otherwise meets the AVX2 tiles only at heads, tails
-// and odd panels. (The sweeps that walk the rungs themselves need no
-// second run.)
+// and odd panels — float64 and float32 alike. (The sweeps that walk the
+// rungs themselves need no second run.)
 func TestLoweredToAVX2(t *testing.T) {
 	if cpuTier < tierAVX512 {
 		t.Skipf("this CPU's top rung is %v: every other test already runs there", cpuTier)
@@ -82,6 +72,9 @@ func TestLoweredToAVX2(t *testing.T) {
 		{"PackedZeroAllocSteadyState", TestPackedZeroAllocSteadyState},
 		{"RowBodiesIgnoreRangeBoundaries", TestRowBodiesIgnoreRangeBoundaries},
 		{"RepackTransposed", TestRepackTransposed},
+		{"MatMul32MatchesF64Oracle", TestMatMul32MatchesF64Oracle},
+		{"MatMul32PackedMatchesScalar", TestMatMul32PackedMatchesScalar},
+		{"MatMul32BitwiseAcrossThreads", TestMatMul32BitwiseAcrossThreads},
 	} {
 		t.Run(tc.name, tc.f)
 	}
@@ -89,24 +82,39 @@ func TestLoweredToAVX2(t *testing.T) {
 
 // sweepValue draws an ordinary value, or (one time in nanEvery, when
 // nanEvery > 0) a quiet NaN with a random payload.
-func sweepValue(rng *rand.Rand, nanEvery int) float64 {
+func sweepValue[T float](rng *rand.Rand, nanEvery int) T {
 	if nanEvery > 0 && rng.Intn(nanEvery) == 0 {
-		return math.Float64frombits(0x7ff8000000000000 | rng.Uint64()>>13)
+		// A conversion to the value's own type keeps the payload.
+		var e T
+		if _, single := any(e).(float32); single {
+			return T(math.Float32frombits(0x7fc00000 | rng.Uint32()>>10))
+		}
+		return T(math.Float64frombits(0x7ff8000000000000 | rng.Uint64()>>13))
 	}
-	return rng.NormFloat64()
+	return T(rng.NormFloat64())
 }
 
-func sweepMatrix(rng *rand.Rand, rows, cols, nanEvery int) *Matrix {
-	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = sweepValue(rng, nanEvery)
+func sweepSlice[T float](rng *rand.Rand, n, nanEvery int) []T {
+	v := make([]T, n)
+	for i := range v {
+		v[i] = sweepValue[T](rng, nanEvery)
 	}
-	return m
+	return v
 }
 
-func bitsEqual(a, b []float64) int {
+// bitsOf is v's bit pattern, whichever float it is.
+func bitsOf[T float](v T) uint64 {
+	if v, single := any(v).(float32); single {
+		return uint64(math.Float32bits(v))
+	}
+	return math.Float64bits(float64(v))
+}
+
+// bitsEqual returns the first index where a and b differ in a bit, -1 for
+// none.
+func bitsEqual[T float](a, b []T) int {
 	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+		if bitsOf(a[i]) != bitsOf(b[i]) {
 			return i
 		}
 	}
@@ -114,65 +122,97 @@ func bitsEqual(a, b []float64) int {
 }
 
 // gemmOperands are the inputs of every product the tiles serve for one
-// shape. run computes them on the current rung over the row ranges given
-// (the bodies are row-range kernels): MatMul through pre-packed panels, the
-// same with the bias epilogue, MatMulABT through PackBT, MatMulATBAcc over
-// the rows as one reduction chunk — and the epilogue's definition, the
-// plain product followed by AddRowVectorRows.
-type gemmOperands struct {
-	x, w, wT, dy *Matrix // x rows×k, w k×n, wT n×k (for x·wTᵀ), dy rows×n
-	bias         []float64
+// shape in one element type. run computes, on the current rung and over
+// the row ranges given (the bodies are row-range kernels), each form by
+// name; among them "bias" — the product with the bias epilogue — and
+// "definition" — the plain packed product followed by the row-vector add,
+// which the epilogue must equal bit for bit.
+type gemmOperands[T float] struct {
+	rows, k, n int
+	x, w       []T // x rows×k, w k×n
+	wT, dy     []T // wT n×k (for x·wTᵀ), dy rows×n: the float64 forms only
+	bias       []T
 }
 
-func (o *gemmOperands) run(ranges [][2]int) map[string][]float64 {
-	rows, k, n := o.x.Rows, o.x.Cols, o.w.Cols
-	out := map[string][]float64{}
+func newGemmOperands[T float](rng *rand.Rand, rows, k, n, nanEvery int, nanBias bool) *gemmOperands[T] {
+	biasNaNEvery := 0
+	if nanBias {
+		biasNaNEvery = 5
+	}
+	return &gemmOperands[T]{
+		rows: rows, k: k, n: n,
+		x:    sweepSlice[T](rng, rows*k, nanEvery),
+		w:    sweepSlice[T](rng, k*n, 0),
+		wT:   sweepSlice[T](rng, n*k, 0),
+		dy:   sweepSlice[T](rng, rows*n, nanEvery),
+		bias: sweepSlice[T](rng, n, biasNaNEvery),
+	}
+}
+
+// run64: MatMul through pre-packed panels, the same with the bias
+// epilogue, MatMulABT through PackBT, MatMulATBAcc over the rows as one
+// reduction chunk.
+func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
+	rows, k, n := o.rows, o.k, o.n
+	x, w, wT, dy := FromSlice(rows, k, o.x), FromSlice(k, n, o.w), FromSlice(n, k, o.wT), FromSlice(rows, n, o.dy)
 	mm, mb, abt := New(rows, n), New(rows, n), New(rows, n)
-	pb, pbt := PackB(o.w), PackBT(o.wT)
+	pb, pbt := PackB(w), PackBT(wT)
 	for _, r := range ranges {
-		MatMulPackedRows(mm, o.x, pb, r[0], r[1])
-		MatMulPackedBiasRows(mb, o.x, pb, o.bias, r[0], r[1])
-		MatMulPackedRows(abt, o.x, pbt, r[0], r[1])
+		MatMulPackedRows(mm, x, pb, r[0], r[1])
+		MatMulPackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
+		MatMulPackedRows(abt, x, pbt, r[0], r[1])
 	}
-	out["MatMul"], out["MatMulBias"], out["MatMulABT"] = mm.Data, mb.Data, abt.Data
 	acc := make([]float64, k*n)
-	MatMulATBAcc(acc, o.x, o.dy, 0, rows)
-	out["MatMulATBAcc"] = acc
-	ref := mm.Clone()
+	MatMulATBAcc(acc, x, dy, 0, rows)
+	def := mm.Clone()
 	for _, r := range ranges {
-		AddRowVectorRows(ref, o.bias, r[0], r[1])
+		AddRowVectorRows(def, o.bias, r[0], r[1])
 	}
-	out["MatMul+AddRowVectorRows"] = ref.Data
-	return out
+	return map[string][]float64{"MatMul": mm.Data, "bias": mb.Data, "MatMulABT": abt.Data, "MatMulATBAcc": acc, "definition": def.Data}
 }
 
-// TestKernelRungsBitwise is the premise of the AVX-512 rung, shown rather
-// than assumed: for every GEMM form the tile serves, avx512 == avx2 bit
-// for bit, on every row count 1…70 (tile heads and tails), on 64-row
-// panels at odd offsets, on even and odd panel counts and a scalar column
-// tail, on K from 1 to 96 and with packKc shrunk so that K spans several
-// accumulate passes; and on every rung the bias epilogue equals the plain
-// product followed by AddRowVectorRows, NaNs in the sums and in the bias
-// included. (The pure-Go rung rounds differently — no FMA — so it is held
-// to its own definition here and to the legacy kernels, bitwise, by
-// TestPackedPureGoBitwiseLegacy.)
-func TestKernelRungsBitwise(t *testing.T) {
-	if cpuTier < tierAVX2 {
-		t.Skipf("rungs avx2 and avx512 not run: this CPU's top rung is %v", cpuTier)
+// run32: MatMul32 (whole matrix, packing per call where the shape clears
+// the threshold), MatMul32PackedRows through pre-packed panels and the
+// same with the bias epilogue.
+func run32(o *gemmOperands[float32], ranges [][2]int) map[string][]float32 {
+	rows, k, n := o.rows, o.k, o.n
+	x, w := &Matrix32{Rows: rows, Cols: k, Data: o.x}, &Matrix32{Rows: k, Cols: n, Data: o.w}
+	whole, mm, mb := New32(rows, n), New32(rows, n), New32(rows, n)
+	MatMul32(whole, x, w)
+	pb := PackB32(w)
+	for _, r := range ranges {
+		MatMul32PackedRows(mm, x, pb, r[0], r[1])
+		MatMul32PackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
 	}
+	def := New32(rows, n)
+	copy(def.Data, mm.Data)
+	for _, r := range ranges {
+		AddRowVector32Rows(def, o.bias, r[0], r[1])
+	}
+	return map[string][]float32{"MatMul32": whole.Data, "MatMul32PackedRows": mm.Data, "bias": mb.Data, "definition": def.Data}
+}
+
+// sweepRungs is the premise of the AVX-512 rung for one element type,
+// shown rather than assumed: for every GEMM form run computes, avx512 ==
+// avx2 bit for bit, on every row count 1…70 (tile heads and tails), on
+// 64-row panels at odd offsets, on even and odd panel counts and a scalar
+// column tail, on K from 1 to 96 and with packKc shrunk so that K spans
+// several accumulate passes; and on every rung from lowest up the bias
+// epilogue equals its definition, NaNs in the sums and in the bias
+// included.
+func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func(*gemmOperands[T], [][2]int) map[string][]T) {
 	rng := rand.New(rand.NewSource(512))
-	type result = map[string][]float64
-	check := func(t *testing.T, what string, o *gemmOperands, ranges [][2]int) {
+	check := func(t *testing.T, what string, o *gemmOperands[T], ranges [][2]int) {
 		t.Helper()
-		byTier := map[kernelTier]result{}
-		for k := tierGo; k <= cpuTier; k++ {
+		byTier := map[kernelTier]map[string][]T{}
+		for k := lowest; k <= cpuTier; k++ {
 			prev := setKernelTier(k)
-			byTier[k] = o.run(ranges)
+			r := run(o, ranges)
 			setKernelTier(prev)
-			r := byTier[k]
-			if i := bitsEqual(r["MatMulBias"], r["MatMul+AddRowVectorRows"]); i >= 0 {
-				t.Fatalf("%s, rung %v: bias epilogue differs from MatMul then AddRowVectorRows at element %d: %#x vs %#x",
-					what, k, i, math.Float64bits(r["MatMulBias"][i]), math.Float64bits(r["MatMul+AddRowVectorRows"][i]))
+			byTier[k] = r
+			if i := bitsEqual(r["bias"], r["definition"]); i >= 0 {
+				t.Fatalf("%s, rung %v: bias epilogue differs from the product then the row-vector add at element %d: %#x vs %#x",
+					what, k, i, bitsOf(r["bias"][i]), bitsOf(r["definition"][i]))
 			}
 		}
 		if cpuTier < tierAVX512 {
@@ -181,28 +221,13 @@ func TestKernelRungsBitwise(t *testing.T) {
 		for form, want := range byTier[tierAVX2] {
 			if i := bitsEqual(byTier[tierAVX512][form], want); i >= 0 {
 				t.Fatalf("%s: %s differs between avx512 and avx2 at element %d: %#x vs %#x",
-					what, form, i, math.Float64bits(byTier[tierAVX512][form][i]), math.Float64bits(want[i]))
+					what, form, i, bitsOf(byTier[tierAVX512][form][i]), bitsOf(want[i]))
 			}
 		}
 	}
-	operands := func(rows, k, n, nanEvery int, nanBias bool) *gemmOperands {
-		o := &gemmOperands{
-			x:  sweepMatrix(rng, rows, k, nanEvery),
-			w:  sweepMatrix(rng, k, n, 0),
-			wT: sweepMatrix(rng, n, k, 0),
-			dy: sweepMatrix(rng, rows, n, nanEvery),
-		}
-		biasNaNEvery := 0
-		if nanBias {
-			biasNaNEvery = 5
-		}
-		o.bias = make([]float64, n)
-		for j := range o.bias {
-			o.bias[j] = sweepValue(rng, biasNaNEvery)
-		}
-		return o
+	operands := func(rows, k, n, nanEvery int, nanBias bool) *gemmOperands[T] {
+		return newGemmOperands[T](rng, rows, k, n, nanEvery, nanBias)
 	}
-	widths := []int{8, 16, 24, 32, 40, 37}
 	depths := []int{1, 3, 32, 96}
 
 	t.Run("rows1to70", func(t *testing.T) {
@@ -225,7 +250,7 @@ func TestKernelRungsBitwise(t *testing.T) {
 		for _, off := range []int{1, 3, 7} {
 			rows := off + 2*64 + 5
 			ranges := [][2]int{{0, off}, {off, off + 64}, {off + 64, off + 128}, {off + 128, rows}}
-			for _, n := range []int{32, 24, 37} {
+			for _, n := range widths[len(widths)-3:] {
 				check(t, fmt.Sprintf("offset %d, width %d", off, n), operands(rows, 32, n, 0, false), ranges)
 			}
 		}
@@ -249,48 +274,229 @@ func TestKernelRungsBitwise(t *testing.T) {
 	})
 }
 
-// TestAddRowVector32RowsMatchesScalar: the float32 bias add's 8-lane body,
-// its column tail and the blocks it hands back are the scalar loop's bits,
-// kernel on or off.
-func TestAddRowVector32RowsMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	const rows = 9
-	value := func() float32 {
-		if rng.Intn(12) == 0 {
-			return math.Float32frombits(0x7fc00000 | rng.Uint32()>>10)
-		}
-		return float32(rng.NormFloat64())
+// TestKernelRungsBitwise runs sweepRungs for both element types. (The
+// pure-Go rung rounds float64 differently — no FMA — so it is held to its
+// own definition here and to the legacy kernels, bitwise, by
+// TestPackedPureGoBitwiseLegacy; it has no float32 packed tier at all.)
+func TestKernelRungsBitwise(t *testing.T) {
+	if cpuTier < tierAVX2 {
+		t.Skipf("rungs avx2 and avx512 not run: this CPU's top rung is %v", cpuTier)
 	}
-	for _, cols := range []int{1, 7, 8, 9, 16, 32, 33, 96} {
-		src, bias := New32(rows, cols), make([]float32, cols)
-		for i := range src.Data {
-			src.Data[i] = value()
-		}
-		for j := range bias {
-			bias[j] = value()
-		}
-		want := New32(rows, cols)
-		copy(want.Data, src.Data)
-		for i := 0; i < rows; i++ {
-			addScalar32(want.Row(i), bias, 0, cols)
-		}
-		for _, simd := range []bool{true, false} {
-			if simd && cpuTier < tierAVX2 {
-				t.Logf("cols=%d: SIMD body not run: this CPU's top rung is %v", cols, cpuTier)
+	t.Run("float64", func(t *testing.T) { sweepRungs(t, tierGo, []int{8, 16, 24, 32, 40, 37}, run64) })
+	t.Run("float32", func(t *testing.T) { sweepRungs(t, tierAVX2, []int{16, 32, 48, 64, 37}, run32) })
+}
+
+// TestPanelGroupSplitInvisible: with the Nc budget shrunk to two panels
+// per group (and packKc with it, so every group is resumed across Kc
+// blocks), a product is the bits it is with every panel in one group — for
+// both element types, which stream the same bytes per panel and so split
+// at the same panel counts.
+func TestPanelGroupSplitInvisible(t *testing.T) {
+	if cpuTier < tierAVX2 {
+		t.Skipf("no SIMD tiles to sweep: this CPU's top rung is %v", cpuTier)
+	}
+	if g32, g64 := ncPanels(96, 16*4), ncPanels(96, 8*8); g32 != g64 || g64 != packNcBudget/(96*panelBytes) {
+		t.Fatalf("a 96-deep block streams %d float32 and %d float64 panels per group, want %d for both",
+			g32, g64, packNcBudget/(96*panelBytes))
+	}
+	rng := rand.New(rand.NewSource(64))
+	split := func(body func()) {
+		prevKc, prevNc := packKc, packNcBudget
+		packKc, packNcBudget = 16, 2*16*panelBytes
+		defer func() { packKc, packNcBudget = prevKc, prevNc }()
+		body()
+	}
+	atEachTier(t, func(t *testing.T) {
+		for _, n := range []int{64, 80, 77} {
+			o64 := newGemmOperands[float64](rng, 21, 40, n, 0, false)
+			whole64 := run64(o64, [][2]int{{0, 21}})
+			split(func() {
+				for form, got := range run64(o64, [][2]int{{0, 21}}) {
+					if i := bitsEqual(got, whole64[form]); i >= 0 {
+						t.Fatalf("float64 %s, width %d: the panel-group split shows at element %d", form, n, i)
+					}
+				}
+			})
+			if tier < tierAVX2 {
 				continue
 			}
-			prev := setKernelTier(simdTier(simd))
-			got := New32(rows, cols)
-			copy(got.Data, src.Data)
-			AddRowVector32Rows(got, bias, 0, 4)
-			AddRowVector32Rows(got, bias, 4, rows)
-			setKernelTier(prev)
-			for i := range want.Data {
-				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("cols=%d simd=%v: element %d is %#x, want %#x", cols, simd, i,
-						math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+			o32 := newGemmOperands[float32](rng, 21, 40, n, 0, false)
+			whole32 := run32(o32, [][2]int{{0, 21}})
+			split(func() {
+				for form, got := range run32(o32, [][2]int{{0, 21}}) {
+					if i := bitsEqual(got, whole32[form]); i >= 0 {
+						t.Fatalf("float32 %s, width %d: the panel-group split shows at element %d", form, n, i)
+					}
+				}
+			})
+		}
+	})
+}
+
+// TestAddRowVector32RowsMatchesScalar: the float32 add kernels' 8- and
+// 16-lane bodies, their tails and the blocks they hand back are the scalar
+// loop's bits on every rung — behind the bias add (AddRowVector32Rows, by
+// row ranges) and behind the residual add (AddScaled32 with alpha 1, whole
+// and by odd element ranges, as a parallel chunk would cut it). One value
+// in twelve is a NaN with a random payload, so NaN meets NaN in both
+// operand orders.
+func TestAddRowVector32RowsMatchesScalar(t *testing.T) {
+	const rows = 40 // rows [4, 40) × 32 columns clear zmmMinElems, rows [0, 4) do not
+	atEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(32))
+		for _, cols := range []int{1, 7, 8, 9, 16, 32, 33, 96} {
+			src := &Matrix32{Rows: rows, Cols: cols, Data: sweepSlice[float32](rng, rows*cols, 12)}
+			bias := sweepSlice[float32](rng, cols, 12)
+			other := &Matrix32{Rows: rows, Cols: cols, Data: sweepSlice[float32](rng, rows*cols, 12)}
+			wantBias, wantSum := New32(rows, cols), New32(rows, cols)
+			copy(wantBias.Data, src.Data)
+			copy(wantSum.Data, src.Data)
+			for i := 0; i < rows; i++ {
+				addScalar32(wantBias.Row(i), bias, 0, cols)
+			}
+			addScalar32(wantSum.Data, other.Data, 0, rows*cols)
+			{
+				same := func(what string, got, want *Matrix32) {
+					t.Helper()
+					if i := bitsEqual(got.Data, want.Data); i >= 0 {
+						t.Fatalf("cols=%d %s: element %d is %#x, want %#x", cols, what, i, bitsOf(got.Data[i]), bitsOf(want.Data[i]))
+					}
+				}
+				got := New32(rows, cols)
+				copy(got.Data, src.Data)
+				AddRowVector32Rows(got, bias, 0, 4)
+				AddRowVector32Rows(got, bias, 4, rows)
+				same("AddRowVector32Rows", got, wantBias)
+
+				copy(got.Data, src.Data)
+				AddScaled32(got, 1, other)
+				same("AddScaled32", got, wantSum)
+
+				copy(got.Data, src.Data)
+				task := addScaled32Task{dst: got, src: other, alpha: 1}
+				for _, cut := range [][2]int{{0, 1}, {1, 3}, {3, 20}, {20, 37}, {37, rows * cols}} {
+					task.Run(min(cut[0], rows*cols), min(cut[1], rows*cols))
+				}
+				same("AddScaled32 by odd ranges", got, wantSum)
+			}
+		}
+	})
+}
+
+// lnOneRow is LayerNorm32Rows' definition written out again, sharing no
+// code with layernorm32.go.
+func lnOneRow(out, row, gain, shift []float32, eps float64) {
+	var sum float64
+	for j := 0; j < len(row); j++ {
+		sum = sum + float64(row[j])
+	}
+	mean := sum / float64(len(row))
+	var sq float64
+	for j := 0; j < len(row); j++ {
+		dev := float64(row[j]) - mean
+		prod := dev * dev
+		sq = sq + prod
+	}
+	scale := 1 / math.Sqrt(sq/float64(len(row))+eps)
+	for j := 0; j < len(row); j++ {
+		hat := float32((float64(row[j]) - mean) * scale)
+		prod := hat * gain[j]
+		out[j] = prod + shift[j]
+	}
+}
+
+// TestLayerNorm32RowsMatchesOneRow holds LayerNorm32Rows to the one-row
+// scalar loop, bit for bit and on every rung: rows 1…19 (zero to two
+// groups of eight and every remainder) × widths either side of the
+// kernel's 8-column blocks, from row offsets that are not multiples of 8,
+// in place and out of place, on ordinary data, on rows whose sum is all
+// cancellation (so the order of the adds shows in the float32 output) and
+// on rows of ±0, huge and tiny magnitudes — and with a NaN, an infinity or both planted in ONE
+// row of a group, whose other rows must come out as if it were not there.
+// NaNs in gain and shift take the whole call off the kernel.
+func TestLayerNorm32RowsMatchesOneRow(t *testing.T) {
+	const eps = 1e-5
+	negZero := float32(math.Copysign(0, -1))
+	atEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(19))
+		for _, cols := range []int{1, 8, 16, 32, 33, 96} {
+			for rows := 1; rows <= 19; rows++ {
+				for _, plant := range []string{"", "cancel", "zeros", "huge", "tiny", "NaN", "Inf", "NaN+Inf", "NaN gain+shift"} {
+					// The kernel engages on calls of zmmMinElems elements, so
+					// narrow cases are followed by whole groups of filler rows
+					// until the call clears it: n ≡ rows (mod 8).
+					const lo = 3
+					n := rows
+					for n*cols < zmmMinElems {
+						n += 8
+					}
+					total := lo + n + 2
+					src := &Matrix32{Rows: total, Cols: cols, Data: sweepSlice[float32](rng, total*cols, 0)}
+					gain, shift := sweepSlice[float32](rng, cols, 0), sweepSlice[float32](rng, cols, 0)
+					victim := lo + rng.Intn(rows)
+					vrow := src.Row(victim)
+					switch plant {
+					case "cancel":
+						// Every row holds values across sixteen decades and
+						// their negatives in another order: the exact sum is
+						// zero, the computed one is what the roundings leave,
+						// so two columns added the other way round show in
+						// the float32 output of the row's small elements
+						// (about one row in fifty) — with no shift to absorb
+						// them.
+						clear(shift)
+						for i := lo; i < lo+n; i++ {
+							row, half := src.Row(i), cols/2
+							for j := 0; j < half; j++ {
+								row[j] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8)))
+							}
+							for j, k := range rng.Perm(half) {
+								row[half+j] = -row[k]
+							}
+						}
+					case "zeros":
+						for j := range vrow {
+							vrow[j] = []float32{0, negZero}[rng.Intn(2)]
+						}
+					case "huge":
+						for j := range vrow {
+							vrow[j] *= 1e37
+						}
+					case "tiny":
+						for j := range vrow {
+							vrow[j] *= 1e-42
+						}
+					case "NaN":
+						vrow[rng.Intn(cols)] = sweepValue[float32](rng, 1)
+					case "Inf":
+						vrow[rng.Intn(cols)] = float32(math.Inf(1 - 2*rng.Intn(2)))
+					case "NaN+Inf":
+						vrow[rng.Intn(cols)] = sweepValue[float32](rng, 1)
+						vrow[rng.Intn(cols)] = float32(math.Inf(-1))
+						vrow[rng.Intn(cols)] = sweepValue[float32](rng, 1)
+					case "NaN gain+shift":
+						j := rng.Intn(cols)
+						gain[j], shift[j] = sweepValue[float32](rng, 1), sweepValue[float32](rng, 1)
+					}
+					want := New32(total, cols)
+					copy(want.Data, src.Data)
+					for i := lo; i < lo+n; i++ {
+						lnOneRow(want.Row(i), src.Row(i), gain, shift, eps)
+					}
+					what := fmt.Sprintf("rows=%d (of %d) cols=%d %s", rows, n, cols, plant)
+
+					got := New32(total, cols) // rows outside [lo, lo+n) must stay as they were
+					copy(got.Data, src.Data)
+					LayerNorm32Rows(got, src, gain, shift, eps, lo, lo+n)
+					if i := bitsEqual(got.Data, want.Data); i >= 0 {
+						t.Fatalf("%s: element %d (row %d, victim row %d) is %#x, want %#x", what, i, i/cols, victim, bitsOf(got.Data[i]), bitsOf(want.Data[i]))
+					}
+					LayerNorm32Rows(src, src, gain, shift, eps, lo, lo+n)
+					if i := bitsEqual(src.Data, want.Data); i >= 0 {
+						t.Fatalf("%s, in place: element %d is %#x, want %#x", what, i, bitsOf(src.Data[i]), bitsOf(want.Data[i]))
+					}
 				}
 			}
 		}
-	}
+	})
 }

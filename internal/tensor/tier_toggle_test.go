@@ -15,7 +15,9 @@ import (
 // (pure Go packs 4 columns, both SIMD rungs 8) leaves no holder on panels
 // of the old width. When sessions copied the panel pointers, a live one
 // kept the stale panels. Between the two SIMD rungs the width does not
-// change and neither does a bit, so that toggle needs no re-pack at all.
+// change and neither does a bit, so that toggle needs no re-pack at all —
+// of the float64 block or of its float32 twin, whose panels are 16 wide on
+// both.
 func TestRepackAfterTierToggleReachesEveryHolder(t *testing.T) {
 	if !tensor.SIMDEnabled() {
 		t.Skip("one kernel tier only: nothing to toggle")
@@ -40,6 +42,18 @@ func TestRepackAfterTierToggleReachesEveryHolder(t *testing.T) {
 	asCompiled := m.Forward(x).Clone()
 	agree("as compiled", asCompiled)
 
+	compiled32, x32 := m.Compile32(), tensor.Demote32(x)
+	asCompiled32 := compiled32.InferForward32(nil, x32)
+	agree32 := func(when string) {
+		t.Helper()
+		got := compiled32.InferForward32(nil, x32)
+		for i, want := range asCompiled32.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want) {
+				t.Fatalf("float32 twin, %s: value %d is %v, want %v (bitwise)", when, i, got.Data[i], want)
+			}
+		}
+	}
+
 	if tensor.CPUTier() >= tensor.TierAVX512 {
 		// avx512 -> avx2 and back: same panels, no Repack, same bits as the
 		// top rung produced.
@@ -49,8 +63,10 @@ func TestRepackAfterTierToggleReachesEveryHolder(t *testing.T) {
 		}
 		agree("lowered to avx2 without a re-pack", asCompiled)
 		agree("training forward on avx2", m.Forward(x))
+		agree32("lowered to avx2 without a re-pack")
 		tensor.SetKernelTier(prev)
 		agree("back on avx512 without a re-pack", asCompiled)
+		agree32("back on avx512 without a re-pack")
 	} else {
 		t.Logf("avx512 <-> avx2 toggle not run: this CPU's top rung is %v", tensor.CPUTier())
 	}
