@@ -72,10 +72,10 @@ type Config struct {
 	Attention bool
 	// Overlap selects the phased NMP pipeline: each layer aggregates its
 	// boundary (shared) rows first, puts the halo payloads on the wire,
-	// and computes the interior aggregation and node-input assembly while
-	// the messages fly, absorbing the arrivals afterwards in the same
-	// owner-grouped deterministic order as the synchronous path. Results
-	// are bitwise identical to Overlap=false on every transport and
+	// and computes the interior aggregation while the messages fly,
+	// absorbing the arrivals afterwards (at the head of the node stage) in
+	// the same owner-grouped deterministic order as the synchronous path.
+	// Results are bitwise identical to Overlap=false on every transport and
 	// exchange mode — overlap is a scheduling property, not an arithmetic
 	// one. Attention layers keep their synchronous exchanges (the knob is
 	// a no-op for Attention=true).

@@ -1,6 +1,8 @@
 package gnn
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"meshgnn/internal/comm"
@@ -8,19 +10,31 @@ import (
 	"meshgnn/internal/mesh"
 	"meshgnn/internal/nn"
 	"meshgnn/internal/parallel"
+	"meshgnn/internal/partition"
+	"meshgnn/internal/tensor"
 )
 
 // TestParallelDispatchBudget pins how many parallel regions one evaluation
 // and one training step hand to the worker pool, on the benchmark's
 // compute-bound shape (LargeConfig, 512 nodes, 3 072 edges, 2 threads). A
 // dispatched region costs a worker wake of 100–200 µs on a small host
-// (package parallel, "region granularity"), so the MLP block is the unit of
+// (package parallel, "region granularity"), so a layer stage is the unit of
 // dispatch: per-kernel regions — 191 per Predict and 468 per Step before
-// the blocks were fused — must not creep back. The budgets are the measured
-// counts, so neither can a single one: 34 per Predict at either precision
-// (the synchronous split's empty during-exchange spans dispatch nothing),
-// 81 per Step (85 until the synchronous backward folded the upstream edge
-// gradient into its gather, as the phased one always did).
+// the MLP blocks were fused, 34 and 81 while the gathers, concatenations
+// and residual adds around the blocks were still regions of their own —
+// must not creep back. The budgets are the measured counts, so neither can
+// a single one: a Predict is node encoder + 4 × (edge stage, aggregate,
+// node stage) + decoder = 14 at either precision (the synchronous split's
+// empty during-exchange span dispatches nothing); a Step is 15 forward
+// (it also encodes the edges), then per layer two chains with their two
+// reductions and the scatter, and two regions for each of the three
+// encoder/decoder blocks: 15 + 4 × 5 + 6 = 41.
+//
+// The engine's arenas are part of the same budget: a forward-only pass
+// holds no (B·N_edges)×3H edge input and no (B·N_local)×2H node input —
+// they exist one row panel at a time in the evaluator's scratch — so its
+// footprint stays below half of what it was when they were workspaces
+// (2 129 920 float64s at float64, 1 064 960 at float32, B = 1).
 func TestParallelDispatchBudget(t *testing.T) {
 	parallel.Configure(2, true)
 	defer parallel.Configure(0, true)
@@ -49,7 +63,7 @@ func TestParallelDispatchBudget(t *testing.T) {
 			return err
 		}
 		x := waveField(rc.Graph)
-		for _, prec := range []Precision{Float64, Float32} {
+		for prec, footBefore := range map[Precision]int{Float64: 2129920, Float32: 1064960} {
 			cfg := LargeConfig()
 			cfg.Precision = prec
 			model, err := NewModel(cfg)
@@ -60,8 +74,12 @@ func TestParallelDispatchBudget(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if n := dispatched(func() { eng.Predict(rc, x) }); n > 34 {
-				t.Errorf("%v Predict dispatches %d regions, budget 34", prec, n)
+			if n := dispatched(func() { eng.Predict(rc, x) }); n > 14 {
+				t.Errorf("%v Predict dispatches %d regions, budget 14", prec, n)
+			}
+			if foot := eng.WorkspaceFootprint(); 2*foot >= footBefore {
+				t.Errorf("%v engine holds %d float64s of workspace, want below half of %d: an edge- or node-input matrix is back",
+					prec, foot, footBefore)
 			}
 		}
 		model, err := NewModel(LargeConfig())
@@ -69,12 +87,83 @@ func TestParallelDispatchBudget(t *testing.T) {
 			return err
 		}
 		tr := NewTrainer(model, nn.NewAdam(1e-3))
-		if n := dispatched(func() { tr.Step(rc, x, x) }); n > 81 {
-			t.Errorf("Step dispatches %d regions, budget 81", n)
+		if n := dispatched(func() { tr.Step(rc, x, x) }); n > 41 {
+			t.Errorf("Step dispatches %d regions, budget 41", n)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParallelDispatchBudgetPerSplit pins the regions of one message-passing layer —
+// every ForTask/ReduceAll with work to do, dispatched or inline — on two
+// ranks, for both split points. Forward: edge stage, aggregate, node stage,
+// plus the during-exchange aggregate only under the phased split (an empty
+// span dispatches nothing). Backward: the node chain and its reductions,
+// the halo-gradient gather, the edge chain and its reductions, the scatter,
+// plus the during-exchange edge gather only under the phased split. The
+// counters are process-wide, so the two ranks bracket the layer with
+// barriers and the expected count is both ranks' regions.
+func TestParallelDispatchBudgetPerSplit(t *testing.T) {
+	parallel.SetOversubscribe(true)
+	parallel.Configure(2, true)
+	defer parallel.Configure(0, true)
+	const h, ranks = 8, 2
+	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.NewCartesian(box, ranks, partition.Slabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals, err := graph.BuildAll(box, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		overlap  bool
+		fwd, bwd uint64 // per rank
+	}{{false, 3, 6}, {true, 4, 7}} {
+		var fwd, bwd uint64
+		err := comm.Run(ranks, func(c *comm.Comm) error {
+			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+			if err != nil {
+				return err
+			}
+			g := rc.Graph
+			if g.NumBoundary == 0 || g.NumBoundary == g.NumLocal() {
+				return fmt.Errorf("rank %d has %d boundary rows of %d: the split has an empty side", c.Rank(), g.NumBoundary, g.NumLocal())
+			}
+			layer := NewNMPLayer("t", h, 1, rand.New(rand.NewSource(5)))
+			layer.Overlap = tc.overlap
+			x, e := tensor.New(g.NumLocal(), h), tensor.New(g.NumEdges(), h)
+			regions := func(op func()) uint64 {
+				c.Barrier()
+				before := parallel.Stats()
+				c.Barrier()
+				op()
+				c.Barrier()
+				after := parallel.Stats()
+				c.Barrier()
+				return after.Dispatched + after.Inline - before.Dispatched - before.Inline
+			}
+			var xOut, eOut *tensor.Matrix
+			f := regions(func() { xOut, eOut = layer.Forward(rc, x, e) })
+			b := regions(func() { layer.Backward(xOut, eOut) })
+			if c.Rank() == 0 {
+				fwd, bwd = f, b
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fwd != ranks*tc.fwd || bwd != ranks*tc.bwd {
+			t.Errorf("overlap=%v: %d forward and %d backward regions over %d ranks, want %d and %d",
+				tc.overlap, fwd, bwd, ranks, ranks*tc.fwd, ranks*tc.bwd)
+		}
 	}
 }

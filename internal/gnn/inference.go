@@ -16,9 +16,14 @@ import (
 // Model. It evaluates the same encode→NMP→decode computation — bitwise,
 // prediction for prediction, at Float64 — but strips everything that
 // exists only for training: no gradient accumulators, no backward
-// workspaces, no activation between the layers of an MLP block (nn.InferMLP
-// carries a row panel through a block as one parallel region), and with
-// the default static edge features (EdgeFeatures4) no edge encoder on the
+// workspaces, no activation between the layers of an MLP block — and that
+// includes the block's input wherever something assembles it: the
+// (x_i ‖ x_j ‖ e_ij) edge inputs and (a* ‖ x) node inputs of a processor
+// exist one row panel at a time, gathered by the head of the panel loop
+// into the evaluator's scratch (nn.InferMLP carries a row panel from that
+// head through the block to a residual-add tail as one parallel region),
+// never as (B·N_edges)×3H and (B·N_local)×2H workspaces — and with the
+// default static edge features (EdgeFeatures4) no edge encoder on the
 // request path: its output does not depend on the node snapshot, so it is
 // encoded once per (graph, parameters) and reused.
 //
@@ -550,12 +555,12 @@ func (u *pass64) process(rc *RankContext, i int, x, e *tensor.Matrix, batch int,
 	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap, u.layer.disableDeg)
 }
 
-func (u *pass64) runEdge(in *tensor.Matrix) *tensor.Matrix {
-	return u.layer.edgeMLP.InferForward(u.arena, in)
+func (u *pass64) runEdge(rows int, head, tail nn.RowMap[float64]) *tensor.Matrix {
+	return u.layer.edgeMLP.InferRows(u.arena, rows, head, tail)
 }
 
-func (u *pass64) runNode(in *tensor.Matrix) *tensor.Matrix {
-	return u.layer.nodeMLP.InferForward(u.arena, in)
+func (u *pass64) runNode(rows int, head, tail nn.RowMap[float64]) *tensor.Matrix {
+	return u.layer.nodeMLP.InferRows(u.arena, rows, head, tail)
 }
 
 func (u *pass64) decodeInto(dst, x *tensor.Matrix) {
@@ -656,21 +661,28 @@ func (u *pass32) get(rows, cols int, zeroed bool) *tensor.Matrix32 {
 }
 
 func (*pass32) view(m *tensor.Matrix32) rowsOf[float32] { return rowsOf[float32]{m.Data, m.Cols} }
-func (*pass32) addInto(dst, src *tensor.Matrix32)       { tensor.AddScaled32(dst, 1, src) }
 
-func (u *pass32) runEdge(in *tensor.Matrix32) *tensor.Matrix32 {
-	return u.layer.edgeMLP.InferForward32(u.arena, in)
+func (u *pass32) runEdge(rows int, head, tail nn.RowMap[float32]) *tensor.Matrix32 {
+	return u.layer.edgeMLP.InferRows32(u.arena, rows, head, tail)
 }
 
-func (u *pass32) runNode(in *tensor.Matrix32) *tensor.Matrix32 {
-	return u.layer.nodeMLP.InferForward32(u.arena, in)
+func (u *pass32) runNode(rows int, head, tail nn.RowMap[float32]) *tensor.Matrix32 {
+	return u.layer.nodeMLP.InferRows32(u.arena, rows, head, tail)
 }
 
-// toWire promotes the aggregates into the float64 staging. The exchanger
-// packs boundary rows only; under the phased split the interior rows of
-// the promoted copy are stale, and the plan never reads them.
-func (u *pass32) toWire(agg, _ *tensor.Matrix32) (src, dst *tensor.Matrix) {
-	tensor.PromoteInto64(&u.aggStage, agg)
+// toWire promotes into the float64 staging the aggregate rows the exchanger
+// can pack: the boundary prefix of each sample block (the plan sends
+// nothing else, and on a rank without neighbours the prefix is empty). The
+// other rows of the staging are never written and never read.
+func (u *pass32) toWire(g *graph.Local, agg, _ *tensor.Matrix32) (src, dst *tensor.Matrix) {
+	for off := 0; off < agg.Rows; off += g.NumLocal() {
+		for _, i := range g.NodeOrder[:g.NumBoundary] {
+			dst := u.aggStage.Row(off + i)
+			for j, v := range agg.Row(off + i) {
+				dst[j] = float64(v)
+			}
+		}
+	}
 	return &u.aggStage, &u.haloStage
 }
 

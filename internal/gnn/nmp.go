@@ -19,10 +19,10 @@ import (
 //	node update      x_i  ← x_i + MLP(a*_i, x_i)                  (4e)
 //
 // is written once in this file: forwardNMP is the one forward schedule,
-// NMPLayer.Backward the one backward schedule, and the seven tasks below
-// the only hot loops. Three things differ between the layer's users and
-// are supplied by an nmpUser adapter — which MLP flavour runs, where the
-// workspaces come from, and how aggregates reach the float64 wire:
+// NMPLayer.Backward the one backward schedule, and the tasks below the only
+// hot loops. Three things differ between the layer's users and are supplied
+// by an nmpUser adapter — which MLP flavour runs, where the workspaces come
+// from, and how aggregates reach the float64 wire:
 //
 //	train    *NMPLayer  nn.MLP (keeps backward caches)  tensor.Arena    direct
 //	infer64  *pass64    nn.InferMLP                     tensor.Arena    direct
@@ -42,17 +42,43 @@ import (
 // Residual connections wrap both MLPs, matching the encode-process-decode
 // processors of the MeshGraphNets lineage the paper builds on.
 //
-// All hot loops run on the intra-rank worker pool through reusable bound
-// tasks (no per-call closures). The edge update (4a) and the aggregation
-// adjoint partition cleanly over edges; the aggregation (4b), the halo
-// synchronization (4d), and the edge-input adjoint scatter partition over
-// *receiver* (resp. sender, owner) rows through the graph's CSR indexes,
-// so no two workers ever accumulate into the same row — scatter-adds need
-// neither atomics nor locks, and every output bit is independent of the
-// thread count.
+// A layer is three regions. Aggregation (edges → nodes) and the halo
+// exchange are the only true barriers of Eq. 4, so the forward pass is
+//
+//	edge stage   [gather (x_i ‖ x_j ‖ e_ij) → edge MLP → + e_ij]      one region
+//	aggregate    (4b) over the rows the plan sends → Start            one region
+//	             (4b) over the rest → Finish                          (phased split only)
+//	node stage   [absorb halo copies, (a* ‖ x) → node MLP → + x]      one region
+//
+// and the gather, the concatenation and the two residual adds are not
+// loops of their own: they are the head and the tail (nn.RowMap) of the
+// MLP block's row panels, run by whichever thread carries the panel
+// through the block, on rows that are in its cache. Which loops are what:
+//
+//	regions      aggTask; backward: dHaloTask, dEOutTask over the
+//	             during-exchange span, scatterTask
+//	heads        edgeInTask (4a gather), nodeInTask (4d absorb + 4e concat);
+//	             backward: dEOutTask over the edges gathered after Finish
+//	tails        residualTask (+ e, + x); backward: nodeGradTask (dAgg and
+//	             dx from the node-MLP input gradient), edgeGradTask (de)
+//
+// A head or tail has to be a row map — rows [r0, r1) computed from inputs
+// no other panel of the same region writes — because panels run in any
+// order on any thread; that is what makes fusing it a change of schedule
+// and not of arithmetic: every row still sees its own operation sequence.
+// The forward-only users never hold the N_edges×3H and N_local×2H inputs
+// at all (a panel of them lives in the evaluator's scratch); the training
+// layer keeps them, because its parameter reductions read them back.
+//
+// The region tasks and the heads that gather across rows partition over
+// edges or over *receiver* (resp. sender, owner) rows through the graph's
+// CSR indexes, so no two workers ever accumulate into the same row —
+// scatter-adds need neither atomics nor locks, and every output bit is
+// independent of the thread count. All of them are reusable bound structs
+// (no per-call closures).
 //
 // Overlap is a split point, not a second schedule. The exchange of (4c)
-// is always Start … Finish; what varies is which rows are computed before
+// is always Start … Finish; what varies is which rows are aggregated before
 // Start and which between Start and Finish. Synchronous: every row before,
 // nothing between. Phased: the boundary prefix of the graph's
 // boundary-first permutation (everything the plan sends) before, the
@@ -101,15 +127,16 @@ func splitNodes(g *graph.Local, overlap bool) (before, during span) {
 	return span{n: g.NumLocal()}, span{}
 }
 
-// splitEdges is the backward split point: the edges whose receivers no
+// edgesDuring is the backward split point: the edges whose receivers no
 // incoming gradient can touch are gathered while the adjoint exchange
-// flies, the boundary-receiver edges after it.
-func splitEdges(g *graph.Local, overlap bool) (during, after span) {
+// flies; the rest — the boundary-receiver edges, or every edge when
+// synchronous — after it, as the head of the edge-MLP chain.
+func edgesDuring(g *graph.Local, overlap bool) span {
 	if overlap {
 		nbe := g.NumBoundaryEdges
-		return span{g.EdgeOrder[nbe:], g.NumEdges() - nbe}, span{g.EdgeOrder[:nbe], nbe}
+		return span{g.EdgeOrder[nbe:], g.NumEdges() - nbe}
 	}
-	return span{}, span{n: g.NumEdges()}
+	return span{}
 }
 
 // edgeGrain bounds chunk dispatch overhead for per-edge loops of width h.
@@ -125,38 +152,59 @@ func edgeGrain(h int) int {
 // an n-long per-sample one; block runs positions [lo, hi) of sample b.
 type blockRunner interface{ block(b, lo, hi int) }
 
+// splitBlock cuts the flat range [lo, hi) at the first sample-block
+// boundary: positions [q, q+m) of sample b.
+func splitBlock(n, lo, hi int) (b, q, m int) {
+	b, q = lo/n, lo%n
+	return b, q, min(n-q, hi-lo)
+}
+
 // runBlocks walks the flat range [lo, hi) one sample block at a time, so
 // the (b, q) = (p / n, p % n) decomposition is paid per block, not per
 // row: a batch of one never divides inside its row loop.
 func runBlocks(t blockRunner, n, lo, hi int) {
 	for lo < hi {
-		b, q := lo/n, lo%n
-		m := min(n-q, hi-lo)
+		b, q, m := splitBlock(n, lo, hi)
 		t.block(b, q, q+m)
 		lo += m
 	}
 }
 
-// edgeInTask assembles the (x_i ‖ x_j ‖ e_ij) edge-input rows (4a); each
-// row is written once, gathering within its own sample block.
+// edgeInTask is the head of the edge stage (4a): it assembles the
+// (x_i ‖ x_j ‖ e_ij) input rows of one panel of edges, gathering within
+// each row's own sample block. Its panel argument is per call and its own
+// state read-only, so it walks the sample blocks itself (splitBlock)
+// instead of through runBlocks.
 type edgeInTask[T elem] struct {
-	g         *graph.Local
-	x, e, out rowsOf[T]
-	h         int
+	g    *graph.Local
+	x, e rowsOf[T]
 }
 
-func (t *edgeInTask[T]) Run(lo, hi int) { runBlocks(t, t.g.NumEdges(), lo, hi) }
-
-func (t *edgeInTask[T]) block(b, lo, hi int) {
-	h := t.h
-	xo, eo := b*t.g.NumLocal(), b*t.g.NumEdges()
-	for k := lo; k < hi; k++ {
-		ed := t.g.Edges[k]
-		row := t.out.row(eo + k)
-		copy(row[:h], t.x.row(xo+ed[1]))    // x_i (receiver)
-		copy(row[h:2*h], t.x.row(xo+ed[0])) // x_j (sender)
-		copy(row[2*h:], t.e.row(eo+k))      // e_ij
+func (t *edgeInTask[T]) Rows(p []T, r0, r1 int) {
+	g, h := t.g, t.x.cols
+	out := rowsOf[T]{p, 3 * h}
+	for lo := r0; lo < r1; {
+		b, q, m := splitBlock(g.NumEdges(), lo, r1)
+		xo := b * g.NumLocal()
+		for k := q; k < q+m; k++ {
+			ed := g.Edges[k]
+			r := lo + k - q
+			row := out.row(r - r0)
+			copy(row[:h], t.x.row(xo+ed[1]))    // x_i (receiver)
+			copy(row[h:2*h], t.x.row(xo+ed[0])) // x_j (sender)
+			copy(row[2*h:], t.e.row(r))         // e_ij
+		}
+		lo += m
 	}
+}
+
+// residualTask is the tail of both stages, the residual connection: the
+// block's output rows += the stage's input rows (e_ij, x_i).
+type residualTask[T elem] struct{ src rowsOf[T] }
+
+func (t *residualTask[T]) Rows(p []T, r0, r1 int) {
+	c := t.src.cols
+	tensor.AddTo(p, t.src.data[r0*c:r1*c])
 }
 
 // aggTask is the degree-scaled receiver aggregation (4b): each worker owns
@@ -192,51 +240,38 @@ func (t *aggTask[T]) block(b, lo, hi int) {
 	}
 }
 
-// absorbTask is the synchronization step (4d): owners absorb their halo
-// copies through the owner-grouped halo CSR, each owner row written by
-// exactly one worker, contributions applied in ascending halo-row order
-// (the serial sweep's order). Interior rows own no halo copies (Validate
-// enforces it), so restricting the sweep to the boundary prefix drops only
-// no-ops.
-type absorbTask[T elem] struct {
-	g         *graph.Local
-	agg, halo rowsOf[T]
-	rows      span
+// nodeInTask is the head of the node stage: the synchronization step (4d)
+// and the (a* ‖ x) concatenation of (4e) for one panel of node rows. Each
+// owner row absorbs its halo copies through the owner-grouped halo CSR, in
+// ascending halo-row order (the serial sweep's order), straight into the
+// a* half of its input row — the aggregate matrix is only read, so a row's
+// sum a_i + copy + copy … is the one an in-place absorb would compute. A
+// row that owns no halo copy (every interior row: Validate enforces it)
+// absorbs nothing, so the head needs no span.
+type nodeInTask[T elem] struct {
+	g            *graph.Local
+	agg, halo, x rowsOf[T]
 }
 
-func (t *absorbTask[T]) Run(lo, hi int) { runBlocks(t, t.rows.n, lo, hi) }
-
-func (t *absorbTask[T]) block(b, lo, hi int) {
-	g := t.g
-	xo, ho := b*g.NumLocal(), b*g.NumHalo()
-	for q := lo; q < hi; q++ {
-		i := t.rows.at(q)
-		dst := t.agg.row(xo + i)
-		for p := g.HaloStart[i]; p < g.HaloStart[i+1]; p++ {
-			src := t.halo.row(ho + g.HaloPerm[p])
-			for j, v := range src {
-				dst[j] += v
+func (t *nodeInTask[T]) Rows(p []T, r0, r1 int) {
+	g, h := t.g, t.x.cols
+	out := rowsOf[T]{p, 2 * h}
+	for lo := r0; lo < r1; {
+		b, q, m := splitBlock(g.NumLocal(), lo, r1)
+		ho := b * g.NumHalo()
+		for i := q; i < q+m; i++ {
+			r := lo + i - q
+			row := out.row(r - r0)
+			dst := row[:h]
+			copy(dst, t.agg.row(r))
+			for c := g.HaloStart[i]; c < g.HaloStart[i+1]; c++ {
+				for j, v := range t.halo.row(ho + g.HaloPerm[c]) {
+					dst[j] += v
+				}
 			}
+			copy(row[h:], t.x.row(r))
 		}
-	}
-}
-
-// hcatTask assembles node-MLP input rows (a* ‖ x) (4e) for a span of every
-// sample block.
-type hcatTask[T elem] struct {
-	agg, x, out rowsOf[T]
-	h, nl       int
-	rows        span
-}
-
-func (t *hcatTask[T]) Run(lo, hi int) { runBlocks(t, t.rows.n, lo, hi) }
-
-func (t *hcatTask[T]) block(b, lo, hi int) {
-	for q := lo; q < hi; q++ {
-		r := b*t.nl + t.rows.at(q)
-		row := t.out.row(r)
-		copy(row[:t.h], t.agg.row(r))
-		copy(row[t.h:], t.x.row(r))
+		lo += m
 	}
 }
 
@@ -248,15 +283,15 @@ type nmpUser[T elem, M any] interface {
 	// get draws a rows×cols workspace, cleared if zeroed.
 	get(rows, cols int, zeroed bool) M
 	view(m M) rowsOf[T]
-	// runEdge and runNode evaluate the layer's two MLPs.
-	runEdge(in M) M
-	runNode(in M) M
-	// addInto is the residual connection dst += src.
-	addInto(dst, src M)
+	// runEdge and runNode evaluate the layer's two MLPs over rows rows as
+	// one region each: head fills the block's input a panel at a time and
+	// tail finishes each panel of the returned output.
+	runEdge(rows int, head, tail nn.RowMap[T]) M
+	runNode(rows int, head, tail nn.RowMap[T]) M
 	// toWire returns the float64 matrices the halo exchange gathers the
-	// aggregates from and scatters the halo copies into; fromWire lands
-	// what arrived in halo.
-	toWire(agg, halo M) (src, dst *tensor.Matrix)
+	// aggregates of g's stacked samples from and scatters the halo copies
+	// into; fromWire lands what arrived in halo.
+	toWire(g *graph.Local, agg, halo M) (src, dst *tensor.Matrix)
 	fromWire(halo M)
 }
 
@@ -264,8 +299,8 @@ type nmpUser[T elem, M any] interface {
 type nmpTasks[T elem] struct {
 	edgeInT edgeInTask[T]
 	aggT    aggTask[T]
-	absorbT absorbTask[T]
-	hcatT   hcatTask[T]
+	nodeInT nodeInTask[T]
+	resT    residualTask[T]
 }
 
 // forwardNMP applies Eq. 4 to batch stacked samples: x is
@@ -274,49 +309,37 @@ type nmpTasks[T elem] struct {
 func forwardNMP[T elem, M any](u nmpUser[T, M], t *nmpTasks[T], rc *RankContext,
 	x, e M, batch int, overlap, disableDeg bool) (xOut, eOut M) {
 	g := rc.Graph
-	xv := u.view(x)
+	xv, ev := u.view(x), u.view(e)
 	h := xv.cols
 	nl, ne := g.NumLocal(), g.NumEdges()
 	grain := edgeGrain(h)
 
-	// (4a) edge update with residual.
-	edgeIn := u.get(batch*ne, 3*h, false)
-	t.edgeInT = edgeInTask[T]{g: g, x: xv, e: u.view(e), out: u.view(edgeIn), h: h}
-	parallel.ForTask(batch*ne, grain, &t.edgeInT)
-	eOut = u.runEdge(edgeIn)
-	u.addInto(eOut, e)
+	// (4a) edge stage: gather → edge MLP → residual.
+	t.edgeInT = edgeInTask[T]{g: g, x: xv, e: ev}
+	t.resT = residualTask[T]{src: ev}
+	eOut = u.runEdge(batch*ne, &t.edgeInT, &t.resT)
 
-	// (4b)–(4d): degree-scaled receiver aggregation, halo swap, and
-	// owner-grouped synchronization. The halo staging buffer is zeroed
-	// because NoExchange leaves it untouched (and must then contribute
-	// exactly nothing in 4d).
+	// (4b)–(4c): degree-scaled receiver aggregation and halo swap. The halo
+	// staging buffer is zeroed because NoExchange leaves it untouched (and
+	// must then contribute exactly nothing in 4d).
 	agg := u.get(batch*nl, h, true)
 	halo := u.get(batch*g.NumHalo(), h, true)
-	nodeIn := u.get(batch*nl, 2*h, false)
-	av := u.view(agg)
 	before, during := splitNodes(g, overlap)
-
-	t.aggT = aggTask[T]{g: g, eOut: u.view(eOut), agg: av, disableDeg: disableDeg, rows: before}
+	t.aggT = aggTask[T]{g: g, eOut: u.view(eOut), agg: u.view(agg), disableDeg: disableDeg, rows: before}
 	parallel.ForTask(batch*before.n, grain, &t.aggT)
 	// The plan sends boundary rows only, and those are final here.
-	src, dst := u.toWire(agg, halo)
+	src, dst := u.toWire(g, agg, halo)
 	rc.Ex.Start(rc.Comm, comm.Forward, src, dst, batch)
-
 	t.aggT.rows = during
 	parallel.ForTask(batch*during.n, grain, &t.aggT)
-	t.hcatT = hcatTask[T]{agg: av, x: xv, out: u.view(nodeIn), h: h, nl: nl, rows: during}
-	parallel.ForTask(batch*during.n, grain, &t.hcatT)
-
 	rc.Ex.Finish(rc.Comm)
 	u.fromWire(halo)
-	t.absorbT = absorbTask[T]{g: g, agg: av, halo: u.view(halo), rows: before}
-	parallel.ForTask(batch*before.n, grain, &t.absorbT)
-	t.hcatT.rows = before
-	parallel.ForTask(batch*before.n, grain, &t.hcatT)
 
-	// (4e) node update with residual.
-	xOut = u.runNode(nodeIn)
-	u.addInto(xOut, x)
+	// (4d)–(4e) node stage: absorb halo copies, concatenate → node MLP →
+	// residual, over all rows in storage order.
+	t.nodeInT = nodeInTask[T]{g: g, agg: u.view(agg), halo: u.view(halo), x: xv}
+	t.resT = residualTask[T]{src: xv}
+	xOut = u.runNode(batch*nl, &t.nodeInT, &t.resT)
 	return xOut, eOut
 }
 
@@ -332,9 +355,8 @@ func (d *direct64) get(rows, cols int, zeroed bool) *tensor.Matrix {
 }
 
 func (*direct64) view(m *tensor.Matrix) rowsOf[float64] { return rowsOf[float64]{m.Data, m.Cols} }
-func (*direct64) addInto(dst, src *tensor.Matrix)       { tensor.AddScaled(dst, 1, src) }
 func (*direct64) fromWire(*tensor.Matrix)               {}
-func (*direct64) toWire(agg, halo *tensor.Matrix) (src, dst *tensor.Matrix) {
+func (*direct64) toWire(_ *graph.Local, agg, halo *tensor.Matrix) (src, dst *tensor.Matrix) {
 	return agg, halo
 }
 
@@ -365,11 +387,13 @@ type NMPLayer struct {
 	rc    *RankContext
 	batch int
 
-	// bound parallel-region tasks, reused across steps
-	fwd    nmpTasks[float64]
-	dHaloT dHaloTask
-	dEOutT dEOutTask
-	scatT  scatterTask
+	// bound tasks, reused across steps
+	fwd       nmpTasks[float64]
+	nodeGradT nodeGradTask
+	dHaloT    dHaloTask
+	dEOutT    dEOutTask
+	edgeGradT edgeGradTask
+	scatT     scatterTask
 }
 
 // NewNMPLayer builds the layer's MLPs.
@@ -388,8 +412,13 @@ func (l *NMPLayer) SetArena(a *tensor.Arena) {
 	l.NodeMLP.SetArena(a)
 }
 
-func (l *NMPLayer) runEdge(in *tensor.Matrix) *tensor.Matrix { return l.EdgeMLP.Forward(in) }
-func (l *NMPLayer) runNode(in *tensor.Matrix) *tensor.Matrix { return l.NodeMLP.Forward(in) }
+func (l *NMPLayer) runEdge(rows int, head, tail nn.RowMap[float64]) *tensor.Matrix {
+	return l.EdgeMLP.ForwardRows(rows, head, tail)
+}
+
+func (l *NMPLayer) runNode(rows int, head, tail nn.RowMap[float64]) *tensor.Matrix {
+	return l.NodeMLP.ForwardRows(rows, head, tail)
+}
 
 // Forward applies the layer to one sample: x (Nlocal×H) and e (Ne×H) are
 // the hidden node and edge features; the returned pair are the updated
@@ -421,15 +450,14 @@ func (l *NMPLayer) Backward(dxOut, deOut *tensor.Matrix) (dx, de *tensor.Matrix)
 	grain := edgeGrain(h)
 
 	// (4e) node update backward; residual passes dxOut straight through.
-	// The concatenated input gradient splits into column views instead of
-	// copies: the aggregate half is materialized (the adjoint exchange
-	// scatter-adds into it), the x half is consumed in place.
-	dNodeIn := l.NodeMLP.BackwardBatched(dxOut, batch)
+	// The input-gradient chain's tail splits each panel of the
+	// concatenated input gradient as it completes: the aggregate half is
+	// materialized (the adjoint exchange scatter-adds into it), the x half
+	// joins dxOut in dx.
 	dAgg := l.arena.Get(batch*nl, h)
-	tensor.CopyViewInto(dAgg, dNodeIn.View(0, h))
 	dx = l.arena.Get(batch*nl, h)
-	tensor.CloneInto(dx, dxOut)
-	tensor.AddScaledView(dx, 1, dNodeIn.View(h, h))
+	l.nodeGradT = nodeGradTask{dxOut: dxOut, dAgg: dAgg, dx: dx}
+	l.NodeMLP.BackwardRows(dxOut, batch, nil, &l.nodeGradT)
 
 	// (4d) synchronization backward: each halo row's gradient is its
 	// owner's aggregate gradient; the local aggregate keeps dAgg.
@@ -441,28 +469,28 @@ func (l *NMPLayer) Backward(dxOut, deOut *tensor.Matrix) (dx, de *tensor.Matrix)
 	// neighbors' local aggregate gradients — boundary rows only, so the
 	// gather for interior-receiver edges can run while they fly. (4b)
 	// aggregation backward: de_k = dAgg[dst_k] / d_k plus the direct deOut
-	// path, every edge row written exactly once.
+	// path, every edge row written exactly once — the during-exchange span
+	// as a region inside the window, the rest as the head of the edge-MLP
+	// input-gradient chain, which reads them next.
 	dEOut := l.arena.Get(batch*ne, h)
-	during, after := splitEdges(g, l.Overlap)
+	during := edgesDuring(g, l.Overlap)
 	rc.Ex.Start(rc.Comm, comm.Adjoint, dHalo, dAgg, batch)
 	l.dEOutT = dEOutTask{g: g, dAgg: dAgg, deOut: deOut, dOut: dEOut,
 		disableDeg: l.DisableDegreeScaling, edges: during}
 	parallel.ForTask(batch*during.n, grain, &l.dEOutT)
 	rc.Ex.Finish(rc.Comm)
-	l.dEOutT.edges = after
-	parallel.ForTask(batch*after.n, grain, &l.dEOutT)
+	l.dEOutT.edges, l.dEOutT.boundaryOnly = span{n: ne}, l.Overlap
 
-	// (4a) edge update backward; residual passes dEOut to de.
-	dEdgeIn := l.EdgeMLP.BackwardBatched(dEOut, batch)
+	// (4a) edge update backward; residual passes dEOut to de (the chain's
+	// tail).
 	de = l.arena.Get(batch*ne, h)
-	tensor.CloneInto(de, dEOut)
-	tensor.AddScaledView(de, 1, dEdgeIn.View(2*h, h))
+	l.edgeGradT = edgeGradTask{dEOut: dEOut, de: de}
+	dEdgeIn := l.EdgeMLP.BackwardRows(dEOut, batch, &l.dEOutT, &l.edgeGradT)
 	// The receiver-side gradient scatters along the (dst,src)-sorted
 	// edges directly; the sender-side gradient scatters through the
-	// sender-grouped permutation. Both partition by destination row.
-	l.scatT = scatterTask{g: g, dst: dx, src: dEdgeIn.View(0, h), start: g.RecvStart}
-	parallel.ForTask(batch*nl, grain, &l.scatT)
-	l.scatT.src, l.scatT.start, l.scatT.order = dEdgeIn.View(h, h), g.SendStart, g.SendPerm
+	// sender-grouped permutation. Both partition by destination row, so
+	// one region walks each row's receiver span and then its sender span.
+	l.scatT = scatterTask{g: g, dst: dx, dEdgeIn: dEdgeIn}
 	parallel.ForTask(batch*nl, grain, &l.scatT)
 	return dx, de
 }
@@ -489,25 +517,72 @@ func (t *dHaloTask) block(b, lo, hi int) {
 	}
 }
 
+// nodeGradTask is the tail of the node-MLP input-gradient chain: a panel of
+// the (a* ‖ x) input gradient splits into the aggregate gradient (copied
+// out: the adjoint exchange accumulates into it) and the x half, which
+// joins the residual's dxOut in dx — dx = dxOut, then += the x half.
+type nodeGradTask struct{ dxOut, dAgg, dx *tensor.Matrix }
+
+func (t *nodeGradTask) Rows(p []float64, r0, r1 int) {
+	h := t.dx.Cols
+	for r := r0; r < r1; r++ {
+		d := p[(r-r0)*2*h : (r-r0+1)*2*h]
+		copy(t.dAgg.Row(r), d[:h])
+		dst := t.dx.Row(r)
+		copy(dst, t.dxOut.Row(r))
+		for j, v := range d[h:] {
+			dst[j] += v
+		}
+	}
+}
+
+// edgeGradTask is the tail of the edge-MLP input-gradient chain: de = dEOut
+// (the residual), then += the e_ij third of the (x_i ‖ x_j ‖ e_ij) input
+// gradient; the other two thirds wait for scatterTask.
+type edgeGradTask struct{ dEOut, de *tensor.Matrix }
+
+func (t *edgeGradTask) Rows(p []float64, r0, r1 int) {
+	h := t.de.Cols
+	for r := r0; r < r1; r++ {
+		dst := t.de.Row(r)
+		copy(dst, t.dEOut.Row(r))
+		for j, v := range p[(r-r0)*3*h+2*h : (r-r0+1)*3*h] {
+			dst[j] += v
+		}
+	}
+}
+
 // dEOutTask is the aggregation backward (4b adjoint) over a span of every
 // sample block's edges: de_k = dAgg[dst_k] / d_k, a pure gather, then the
 // upstream deOut gradient (it also flows directly into eOut) folded in —
-// two separately rounded steps per element.
+// two separately rounded steps per element. It runs as a region over the
+// edges gathered inside the adjoint exchange window, and as the head of
+// the edge-MLP input-gradient chain over the rest: there the span is every
+// edge of the panel, and boundaryOnly (the phased split) leaves out the
+// interior-receiver edges the window already wrote.
 type dEOutTask struct {
 	g                 *graph.Local
 	dAgg, deOut, dOut *tensor.Matrix
 	disableDeg        bool
 	edges             span
+	boundaryOnly      bool
 }
 
 func (t *dEOutTask) Run(lo, hi int) { runBlocks(t, t.edges.n, lo, hi) }
+
+// Rows implements nn.RowMap: the panel is rows [r0, r1) of dOut itself.
+func (t *dEOutTask) Rows(_ []float64, r0, r1 int) { runBlocks(t, t.edges.n, r0, r1) }
 
 func (t *dEOutTask) block(b, lo, hi int) {
 	g := t.g
 	xo, eo := b*g.NumLocal(), b*g.NumEdges()
 	for q := lo; q < hi; q++ {
 		k := t.edges.at(q)
-		src := t.dAgg.Row(xo + g.Edges[k][1])
+		recv := g.Edges[k][1]
+		if t.boundaryOnly && g.NodeDegree[recv] <= 1 {
+			continue
+		}
+		src := t.dAgg.Row(xo + recv)
 		dst := t.dOut.Row(eo + k)
 		inv := 1.0
 		if !t.disableDeg {
@@ -523,29 +598,32 @@ func (t *dEOutTask) block(b, lo, hi int) {
 }
 
 // scatterTask is the edge-input adjoint scatter: each destination node row
-// walks its CSR edge span in ascending order within its own sample block,
-// so no two workers touch one row and every accumulation order is that of
-// a serial sweep over the sample.
+// adds the x_i third of the edge-input gradient over its receiver span
+// (the (dst,src)-sorted edges directly) and then the x_j third over its
+// sender span (through the sender-grouped permutation), each in ascending
+// order within its own sample block, so no two workers touch one row and
+// every accumulation order is that of a serial receiver sweep followed by
+// a serial sender sweep.
 type scatterTask struct {
-	g     *graph.Local
-	dst   *tensor.Matrix // (batch·N_local)×h
-	src   tensor.View    // (batch·N_edges) rows
-	start []int          // CSR over local nodes
-	order []int          // nil (canonical) or the sender-grouped permutation
+	g       *graph.Local
+	dst     *tensor.Matrix // (batch·N_local)×h
+	dEdgeIn *tensor.Matrix // (batch·N_edges)×3h
 }
 
 func (t *scatterTask) Run(lo, hi int) { runBlocks(t, t.g.NumLocal(), lo, hi) }
 
 func (t *scatterTask) block(b, lo, hi int) {
-	xo, eo := b*t.g.NumLocal(), b*t.g.NumEdges()
+	g, h := t.g, t.dst.Cols
+	xo, eo := b*g.NumLocal(), b*g.NumEdges()
 	for i := lo; i < hi; i++ {
 		dst := t.dst.Row(xo + i)
-		for p := t.start[i]; p < t.start[i+1]; p++ {
-			k := p
-			if t.order != nil {
-				k = t.order[p]
+		for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
+			for j, v := range t.dEdgeIn.Row(eo + k)[:h] {
+				dst[j] += v
 			}
-			for j, v := range t.src.Row(eo + k) {
+		}
+		for p := g.SendStart[i]; p < g.SendStart[i+1]; p++ {
+			for j, v := range t.dEdgeIn.Row(eo + g.SendPerm[p])[h : 2*h] {
 				dst[j] += v
 			}
 		}

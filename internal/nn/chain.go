@@ -20,6 +20,26 @@ const panelRows = 64
 // panels returns the number of row panels covering rows.
 func panels(rows int) int { return (rows + panelRows - 1) / panelRows }
 
+// elem is the element type of a block's activations.
+type elem interface{ float32 | float64 }
+
+// RowMap is a caller-supplied stage at the head or the tail of a block's
+// panel loop — what would otherwise be a matrix and a parallel region of
+// its own either side of the block. Rows is handed p, rows [r0, r1) of the
+// block's input or output, contiguous and row-major. A head fills p: the
+// forward input rows (a gather or a concatenation the block then consumes
+// while it is in cache, never materialised at full height by the
+// forward-only evaluators), or the output-gradient rows of a backward
+// pass. A tail finishes p, the rows the block just produced: it may
+// update them in place (a residual add) or scatter them elsewhere. A
+// RowMap must be a row map in the chain's sense — rows [r0, r1) depend on
+// nothing another panel writes — because panels run concurrently and in
+// any order; its state is shared by all of them, so Rows must not write
+// it.
+type RowMap[T elem] interface {
+	Rows(p []T, r0, r1 int)
+}
+
 // rowLayer is a Layer that is a pure row map with row-reduced parameter
 // gradients, split into the pieces a chain schedules: a serial bind on
 // the caller (shape checks, arena requests, weight packing), the row-range
@@ -57,6 +77,14 @@ type rowLayer interface {
 // microseconds: dispatched per layer, the workers arrive after the caller
 // has done the work.
 //
+// Either pass takes an optional head and tail (RowMap), run on each panel
+// before its first layer and after its last, inside the same region. The
+// matrices they address stay at full height here — the forward head fills
+// the block's cached input and the backward head the output gradient,
+// which the parameter reductions read back — so what a head or tail saves
+// a training pass is its region and the second trip through memory, not
+// the matrix.
+//
 // Nothing here changes a bit relative to evaluating layer by layer. The
 // forward and input-gradient passes are row maps; each reduction keeps
 // its own chunk grain, runs per sample block, and merges in ascending
@@ -64,6 +92,11 @@ type rowLayer interface {
 type chain struct {
 	layers []rowLayer
 	rows   int
+
+	// The pass in flight: its head and tail, and the full-height matrices
+	// they are handed rows of (the pass's first input and last output).
+	head, tail RowMap[float64]
+	in, out    *tensor.Matrix
 
 	// The block's reductions, (sample block, layer, which) by index.
 	rs   []parallel.Reduction
@@ -85,8 +118,10 @@ type (
 	chainBackward chain
 )
 
-func (c *chain) forward(x *tensor.Matrix) *tensor.Matrix {
-	c.rows = x.Rows
+// forward evaluates the block on x. With a head, x is the full-height
+// input the head fills panel by panel.
+func (c *chain) forward(x *tensor.Matrix, head, tail RowMap[float64]) *tensor.Matrix {
+	c.rows, c.in = x.Rows, x
 	owned := false
 	for _, l := range c.layers {
 		x = l.bindForward(x, owned)
@@ -95,17 +130,41 @@ func (c *chain) forward(x *tensor.Matrix) *tensor.Matrix {
 		_, readsBack := l.(*ELU)
 		owned = !readsBack
 	}
-	parallel.ForTask(panels(c.rows), 1, (*chainForward)(c))
+	c.run((*chainForward)(c), x, head, tail)
 	return x
 }
 
-// Run carries panels [lo, hi) through every layer.
+// run dispatches one pass over the row panels as a region, out being the
+// matrix its last layer writes.
+func (c *chain) run(pass parallel.Task, out *tensor.Matrix, head, tail RowMap[float64]) {
+	c.out, c.head, c.tail = out, head, tail
+	parallel.ForTask(panels(c.rows), 1, pass)
+	c.in, c.out, c.head, c.tail = nil, nil, nil, nil
+}
+
+// headRows and tailRows hand rows [r0, r1) of the pass's first input and
+// last output to its head and tail, if any.
+func (c *chain) headRows(r0, r1 int) {
+	if c.head != nil {
+		c.head.Rows(c.in.Data[r0*c.in.Cols:r1*c.in.Cols], r0, r1)
+	}
+}
+
+func (c *chain) tailRows(r0, r1 int) {
+	if c.tail != nil {
+		c.tail.Rows(c.out.Data[r0*c.out.Cols:r1*c.out.Cols], r0, r1)
+	}
+}
+
+// Run carries panels [lo, hi) through the head, every layer and the tail.
 func (c *chainForward) Run(lo, hi int) {
 	for p := lo; p < hi; p++ {
 		r0, r1 := p*panelRows, min((p+1)*panelRows, c.rows)
+		(*chain)(c).headRows(r0, r1)
 		for _, l := range c.layers {
 			l.forwardRows(r0, r1)
 		}
+		(*chain)(c).tailRows(r0, r1)
 	}
 }
 
@@ -114,18 +173,20 @@ func (c *chainForward) Run(lo, hi int) {
 // the parameter reductions — whose fixed chunk schedule derives from the
 // row count — run per sample block in ascending order, so each block's
 // reduction geometry, and hence every accumulated bit, matches the
-// sequential per-sample oracle exactly.
-func (c *chain) backward(dy *tensor.Matrix, batch int) *tensor.Matrix {
+// sequential per-sample oracle exactly. A head fills rows of dy (all of
+// them, or those the caller has not already written) before the panel's
+// layers read them; a tail is handed the input-gradient rows.
+func (c *chain) backward(dy *tensor.Matrix, batch int, head, tail RowMap[float64]) *tensor.Matrix {
 	if dy.Rows%batch != 0 {
 		panic(fmt.Sprintf("nn: batched backward rows %d not divisible by batch %d", dy.Rows, batch))
 	}
-	c.rows = dy.Rows
+	c.rows, c.in = dy.Rows, dy
 	owned := false
 	for i := len(c.layers) - 1; i >= 0; i-- {
 		dy = c.layers[i].bindBackward(dy, owned)
 		owned = true
 	}
-	parallel.ForTask(panels(c.rows), 1, (*chainBackward)(c))
+	c.run((*chainBackward)(c), dy, head, tail)
 
 	per := c.rows / batch
 	c.rs, c.refs = c.rs[:0], c.refs[:0]
@@ -142,14 +203,16 @@ func (c *chain) backward(dy *tensor.Matrix, batch int) *tensor.Matrix {
 	return dy
 }
 
-// Run carries panels [lo, hi) of the output gradient back through every
-// layer.
+// Run carries panels [lo, hi) of the output gradient through the head,
+// back through every layer, and through the tail.
 func (c *chainBackward) Run(lo, hi int) {
 	for p := lo; p < hi; p++ {
 		r0, r1 := p*panelRows, min((p+1)*panelRows, c.rows)
+		(*chain)(c).headRows(r0, r1)
 		for i := len(c.layers) - 1; i >= 0; i-- {
 			c.layers[i].backwardRows(r0, r1)
 		}
+		(*chain)(c).tailRows(r0, r1)
 	}
 }
 

@@ -229,7 +229,9 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // and both compiled evaluators — is bitwise the layer-at-a-time evaluation,
 // for row counts either side of the panel height, widths either side of
 // the packed-GEMM threshold, with and without the norm, at every thread
-// count, for 1, 2 and 4 stacked sample blocks.
+// count, for 1, 2 and 4 stacked sample blocks; and the same block with a
+// gather head and a residual tail in its panel loop is bitwise
+// materialise-then-block-then-add (the headtail subtests).
 func TestBlockMatchesLayerAtATime(t *testing.T) {
 	defer parallel.Configure(0, true)
 	rowCounts := []int{1, 3, panelRows - 1, panelRows, panelRows + 1, 127, 128, 129, 515}
@@ -237,6 +239,18 @@ func TestBlockMatchesLayerAtATime(t *testing.T) {
 		rowCounts = append(rowCounts, 3072) // the benchmark's edge count
 	}
 	shapes := [][3]int{{12, 8, 8}, {96, 32, 32}, {7, 40, 3}} // in, hidden, out
+	headTailRows := []int{1, panelRows - 1, panelRows, panelRows + 1, 200}
+	if !testing.Short() && !raceEnabled {
+		headTailRows = append(headTailRows, 3072)
+	}
+	for _, rows := range headTailRows {
+		for _, sh := range shapes[:2] {
+			for _, batch := range []int{1, 3} {
+				name := fmt.Sprintf("headtail/rows%d/%dx%dx%d/B%d", rows, sh[0], sh[1], sh[2], batch)
+				t.Run(name, func(t *testing.T) { checkBlockHeadTail(t, rows, sh, batch) })
+			}
+		}
+	}
 	for _, rows := range rowCounts {
 		for _, sh := range shapes {
 			for _, norm := range []bool{true, false} {
@@ -312,6 +326,146 @@ func checkBlock(t *testing.T, per int, sh [3]int, norm bool, batch int) {
 		for i, v := range want32.Data {
 			if math.Float32bits(got32.Data[i]) != math.Float32bits(v) {
 				t.Fatalf("%s: element %d is %v, want %v (bitwise)", what("InferForward32"), i, got32.Data[i], v)
+			}
+		}
+	}
+}
+
+// gatherRows is a test head: row r of the block's input is row idx[r] of
+// src.
+type gatherRows[T elem] struct {
+	src  []T
+	cols int
+	idx  []int
+}
+
+func (g *gatherRows[T]) Rows(p []T, r0, r1 int) {
+	for r := r0; r < r1; r++ {
+		copy(p[(r-r0)*g.cols:(r-r0+1)*g.cols], g.src[g.idx[r]*g.cols:(g.idx[r]+1)*g.cols])
+	}
+}
+
+// addRows is a test tail: dst rows = the block's rows + src rows, where
+// dst is the panel itself (a residual add in place) when nil.
+type addRows[T elem] struct {
+	src, dst []T
+	cols     int
+}
+
+func (a *addRows[T]) Rows(p []T, r0, r1 int) {
+	dst := p
+	if a.dst != nil {
+		dst = a.dst[r0*a.cols : r1*a.cols]
+	}
+	for i, v := range p {
+		dst[i] = v + a.src[r0*a.cols+i]
+	}
+}
+
+// checkBlockHeadTail: a block whose input is gathered by a head and whose
+// output is finished by a residual tail — training forward and backward
+// (where the head fills the output gradient and the tail reads the input
+// gradient) and both compiled evaluators — against the same block on the
+// materialised input with the add applied afterwards.
+func checkBlockHeadTail(t *testing.T, per int, sh [3]int, batch int) {
+	rng := rand.New(rand.NewSource(int64(per*17 + sh[1]*5 + batch)))
+	m := NewMLP("t", sh[0], sh[1], sh[2], 2, true, rng)
+	arena := tensor.NewArena()
+	m.SetArena(arena)
+	for _, p := range m.Params() {
+		for i := range p.W.Data {
+			p.W.Data[i] += 0.1 * rng.NormFloat64()
+		}
+		p.Bump()
+	}
+	rows := per * batch
+	perm := func() []int {
+		idx := make([]int, rows)
+		for i := range idx {
+			idx[i] = rng.Intn(rows)
+		}
+		return idx
+	}
+	// Forward: x[r] = src[idx[r]], y = block(x) + res. Backward: dy[r] =
+	// dsrc[didx[r]], and the tail leaves dx + dres in dsum.
+	src, res, idx := randInput(rng, rows, sh[0]), randInput(rng, rows, sh[2]), perm()
+	dsrc, dres, didx := randInput(rng, rows, sh[2]), randInput(rng, rows, sh[0]), perm()
+	x, dy := tensor.New(rows, sh[0]), tensor.New(rows, sh[2])
+	for r := 0; r < rows; r++ {
+		copy(x.Row(r), src.Row(idx[r]))
+		copy(dy.Row(r), dsrc.Row(didx[r]))
+	}
+	g0 := make([]*tensor.Matrix, len(m.Params()))
+	for i, p := range m.Params() {
+		g0[i] = randInput(rng, p.G.Rows, p.G.Cols)
+	}
+	resetGrads := func() {
+		for i, p := range m.Params() {
+			p.G.CopyFrom(g0[i])
+		}
+	}
+
+	parallel.Configure(1, true)
+	resetGrads()
+	ref := refForward(m, x)
+	ref.refBackward(m, dy, batch)
+	wantY, wantSum := ref.y.Clone(), ref.dx.Clone()
+	for i, v := range res.Data {
+		wantY.Data[i] += v
+	}
+	for i, v := range dres.Data {
+		wantSum.Data[i] += v
+	}
+	im, im32 := m.Compile(), m.Compile32()
+	src32, res32 := tensor.Demote32(src), tensor.Demote32(res)
+	want32 := refForward32(im32, tensor.Demote32(x))
+	for i, v := range res32.Data {
+		want32.Data[i] += v
+	}
+
+	head := &gatherRows[float64]{src: src.Data, cols: sh[0], idx: idx}
+	tail := &addRows[float64]{src: res.Data, cols: sh[2]}
+	dsum := tensor.New(rows, sh[0])
+	dhead := &gatherRows[float64]{src: dsrc.Data, cols: sh[2], idx: didx}
+	dtail := &addRows[float64]{src: dres.Data, dst: dsum.Data, cols: sh[0]}
+	for _, threads := range []int{1, 2, 4} {
+		parallel.Configure(threads, true)
+		what := func(s string) string { return fmt.Sprintf("threads=%d %s", threads, s) }
+		resetGrads()
+		arena.Reset()
+		y := m.ForwardRows(rows, head, tail)
+		sameBits(t, what("forward output"), y.Data, wantY.Data)
+		li, ei := 0, 0
+		for _, l := range m.block.layers {
+			switch c := l.(type) {
+			case *Linear:
+				sameBits(t, what(fmt.Sprintf("linear %d input cache", li)), c.x.Data, ref.linIn[li].Data)
+				li++
+			case *ELU:
+				sameBits(t, what(fmt.Sprintf("elu %d output cache", ei)), c.y.Data, ref.eluOut[ei].Data)
+				ei++
+			case *LayerNorm:
+				sameBits(t, what("xhat cache"), c.xhat.Data, ref.xhat.Data)
+				sameBits(t, what("invStd cache"), c.invStd, ref.invStd)
+			}
+		}
+		dyFill := tensor.New(rows, sh[2]) // the head writes every row
+		dsum.Zero()
+		dx := m.BackwardRows(dyFill, batch, dhead, dtail)
+		sameBits(t, what("head-filled output gradient"), dyFill.Data, dy.Data)
+		sameBits(t, what("input gradient"), dx.Data, ref.dx.Data)
+		sameBits(t, what("tail of the input gradient"), dsum.Data, wantSum.Data)
+		for i, p := range m.Params() {
+			sameBits(t, what("gradient "+p.Name), p.G.Data, ref.grads[i].Data)
+		}
+
+		sameBits(t, what("InferRows"), im.InferRows(nil, rows, head, tail).Data, wantY.Data)
+		got32 := im32.InferRows32(nil, rows,
+			&gatherRows[float32]{src: src32.Data, cols: sh[0], idx: idx},
+			&addRows[float32]{src: res32.Data, cols: sh[2]})
+		for i, v := range want32.Data {
+			if math.Float32bits(got32.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("%s: element %d is %v, want %v (bitwise)", what("InferRows32"), i, got32.Data[i], v)
 			}
 		}
 	}
@@ -433,7 +587,7 @@ func TestLayerNorm32MatchesOneRow(t *testing.T) {
 					for i := 0; i < n; i++ {
 						lnOneRow32(want.Row(i), x.Row(i), ln.gain, ln.shift)
 					}
-					ln.inferRows(got, x, n)
+					ln.inferRows(panel[float32]{n, width, got.Data}, panel[float32]{n, width, x.Data})
 					for i, v := range want.Data {
 						if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
 							t.Fatalf("rows=%d (+%d) width=%d %s: element %d (row %d) is %#x, want %#x",

@@ -17,6 +17,6 @@ func BenchmarkELU32(b *testing.B) {
 	b.SetBytes(n * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		elu32{}.inferRows(y, x, x.Rows)
+		elu32{}.inferRows(panel[float32]{y.Rows, y.Cols, y.Data}, panel[float32]{x.Rows, x.Cols, x.Data})
 	}
 }

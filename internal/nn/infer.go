@@ -17,34 +17,161 @@ import (
 // skips every store whose only consumer is a Backward that will never
 // run — which, evaluated a row panel at a time, is every intermediate
 // activation: only the block's output is ever materialised at full
-// height. The output comes from the arena passed per call, so one engine
+// height, and with a head (RowMap) producing the input a panel at a time
+// not even the block's input is. The output comes from the arena passed
+// per call, so one engine
 // epoch can span encode, message passing, and decode while a nil arena
 // yields an ordinary allocation (used for one-time precomputations that
 // must outlive the epoch).
 
-// InferMLP is a forward-only MLP compiled from a trained MLP.
+// compiled is a forward-only block of element type T: the layer list, the
+// block's widths and the panel driver. Both compiled twins (InferMLP,
+// InferMLP32) embed it; what differs between them is how a layer's
+// parameters are held and which kernels its rows go through.
 //
-// A compiled block is parameter views only — weight/bias/gain/shift
-// aliases and the pre-packed GEMM panels — immutable during serving. An
+// A compiled block is parameter views only, immutable during serving. An
 // evaluation keeps its state (the bound input and output, the per-chunk
 // scratch panels) in pooled objects of its own, so any number of
-// goroutines may evaluate one InferMLP concurrently: S serving sessions
-// share one compile by pointer.
-type InferMLP struct {
+// goroutines may evaluate one block concurrently: S serving sessions share
+// one compile by pointer.
+type compiled[T elem] struct {
 	In, Out int
-	layers  []inferLayer
-	lins    []*linearInfer // the layers holding packed panels
+	layers  []inferLayer[T]
 	// width is the widest intermediate activation, the scratch panel width.
 	width int
+	pools *inferPools
 }
 
 // inferLayer is one layer of a compiled block: a row map from a panel to a
-// panel. dst and src hold the same rows, rows of them; inPlace layers are
-// handed dst == src when the source is the evaluator's own scratch.
-type inferLayer interface {
+// panel of the same rows; inPlace layers are handed dst == src when the
+// source is the evaluator's own scratch.
+type inferLayer[T elem] interface {
 	outWidth(in int) int
 	inPlace() bool
-	inferRows(dst, src *tensor.Matrix, rows int)
+	inferRows(dst, src panel[T])
+}
+
+// panel is a few rows of a block's activations, row-major: a value header,
+// so a layer that needs a tensor matrix for its kernel builds one on its
+// own stack.
+type panel[T elem] struct {
+	rows, cols int
+	data       []T
+}
+
+func mat64(p panel[float64]) tensor.Matrix {
+	return tensor.Matrix{Rows: p.rows, Cols: p.cols, Data: p.data}
+}
+
+func mat32(p panel[float32]) tensor.Matrix32 {
+	return tensor.Matrix32{Rows: p.rows, Cols: p.cols, Data: p.data}
+}
+
+// setLayers installs the block's layers and derives the scratch width.
+func (c *compiled[T]) setLayers(ls []inferLayer[T]) {
+	c.layers = ls
+	w := c.In
+	for _, l := range ls[:len(ls)-1] {
+		w = l.outWidth(w)
+		c.width = max(c.width, w)
+	}
+}
+
+// inferRun is one evaluation in flight: the region's task. x is the
+// full-height input, nil when a head produces it.
+type inferRun[T elem] struct {
+	c          *compiled[T]
+	rows       int
+	x, y       []T
+	head, tail RowMap[T]
+}
+
+// inferScratch is the working state of one chunk of an evaluation: the
+// panel a head fills, and the two scratch panels intermediate activations
+// ping-pong between. Pooled, so concurrent evaluations (sessions,
+// goroutine ranks) never share one, and sized by shape alone: panelRows ×
+// the widest input and the widest intermediate of the blocks evaluated,
+// per participating thread.
+type inferScratch[T elem] struct {
+	in  []T
+	buf [2][]T
+}
+
+// inferPools recycles the runs and scratch of one element type.
+type inferPools struct{ run, scratch sync.Pool }
+
+var pools64, pools32 inferPools
+
+// eval evaluates rows rows of the block into y as ONE parallel region:
+// each chunk carries its row panels through the head, every layer and the
+// tail, intermediate activations living in per-chunk scratch panels. With
+// a head the input exists one panel at a time, in that scratch, and x is
+// nil; a block without head or tail reads x and writes y and nothing else.
+func (c *compiled[T]) eval(rows int, x, y []T, head, tail RowMap[T]) {
+	r, _ := c.pools.run.Get().(*inferRun[T])
+	if r == nil {
+		r = new(inferRun[T])
+	}
+	*r = inferRun[T]{c: c, rows: rows, x: x, y: y, head: head, tail: tail}
+	parallel.ForTask(panels(rows), 1, r)
+	*r = inferRun[T]{}
+	c.pools.run.Put(r)
+}
+
+// Run evaluates panels [lo, hi).
+func (r *inferRun[T]) Run(lo, hi int) {
+	c := r.c
+	s, _ := c.pools.scratch.Get().(*inferScratch[T])
+	if s == nil {
+		s = new(inferScratch[T])
+	}
+	if need := panelRows * c.width; cap(s.buf[0]) < need {
+		s.buf[0], s.buf[1] = make([]T, need), make([]T, need)
+	}
+	if need := panelRows * c.In; r.head != nil && cap(s.in) < need {
+		s.in = make([]T, need)
+	}
+	last := len(c.layers) - 1
+	for p := lo; p < hi; p++ {
+		r0, r1 := p*panelRows, min((p+1)*panelRows, r.rows)
+		rows := r1 - r0
+		src := panel[T]{rows: rows, cols: c.In}
+		// The caller's input is read-only; a head's panel is scratch like
+		// any other.
+		owned := r.head != nil
+		if owned {
+			src.data = s.in[:rows*c.In]
+			r.head.Rows(src.data, r0, r1)
+		} else {
+			src.data = r.x[r0*c.In : r1*c.In]
+		}
+		out := panel[T]{rows: rows, cols: c.Out, data: r.y[r0*c.Out : r1*c.Out]}
+		w, k := c.In, 0
+		for i, l := range c.layers {
+			w = l.outWidth(w)
+			dst := src
+			switch {
+			case i == last:
+				dst = out
+			case !l.inPlace() || !owned:
+				dst = panel[T]{rows: rows, cols: w, data: s.buf[k][:rows*w]}
+				k ^= 1
+			}
+			l.inferRows(dst, src)
+			src, owned = dst, true
+		}
+		if r.tail != nil {
+			r.tail.Rows(out.data, r0, r1)
+		}
+	}
+	c.pools.scratch.Put(s)
+}
+
+// InferMLP is a forward-only MLP compiled from a trained MLP, evaluated in
+// float64 over aliased parameters.
+type InferMLP struct {
+	compiled[float64]
+	lins []*linearInfer // the layers holding packed panels
 }
 
 // Compile builds the forward-only twin of the block. The twin aliases
@@ -54,10 +181,9 @@ type inferLayer interface {
 // the identical panels per call); after further training of the source
 // block, Repack refreshes them.
 func (m *MLP) Compile() *InferMLP {
-	out := &InferMLP{In: m.In, Out: m.Out}
-	w := m.In
-	for i, l := range m.block.layers {
-		var il inferLayer
+	out := &InferMLP{compiled: compiled[float64]{In: m.In, Out: m.Out, pools: &pools64}}
+	var ls []inferLayer[float64]
+	for _, l := range m.block.layers {
 		switch t := l.(type) {
 		case *Linear:
 			li := &linearInfer{in: t.In, out: t.Out, w: t.Weight.W, b: t.Bias.W}
@@ -65,20 +191,16 @@ func (m *MLP) Compile() *InferMLP {
 				li.pb = tensor.PackB(t.Weight.W)
 			}
 			out.lins = append(out.lins, li)
-			il = li
+			ls = append(ls, li)
 		case *ELU:
-			il = eluInfer{}
+			ls = append(ls, eluInfer{})
 		case *LayerNorm:
-			il = &lnInfer{dim: t.Dim, gain: t.Gain.W, shift: t.Shift.W}
+			ls = append(ls, &lnInfer{dim: t.Dim, gain: t.Gain.W, shift: t.Shift.W})
 		default:
 			panic(fmt.Sprintf("nn: cannot compile layer %T for inference", l))
 		}
-		out.layers = append(out.layers, il)
-		w = il.outWidth(w)
-		if i < len(m.block.layers)-1 {
-			out.width = max(out.width, w)
-		}
 	}
+	out.setLayers(ls)
 	return out
 }
 
@@ -101,80 +223,31 @@ func (m *InferMLP) Repack() {
 	}
 }
 
-// inferRun is one InferForward in flight: the region's task.
-type inferRun struct {
-	m    *InferMLP
-	x, y *tensor.Matrix
-}
-
-// inferScratch is the working state of one chunk of an evaluation: the
-// two scratch panels intermediate activations ping-pong between, and the
-// headers addressing the current panel of the input, the output and the
-// scratch. Pooled, so concurrent evaluations (sessions, goroutine ranks)
-// never share one, and sized by shape alone: panelRows × the widest
-// intermediate of the widest block evaluated, per participating thread.
-type inferScratch struct {
-	buf     [2][]float64
-	pp      [2]tensor.Matrix
-	in, out tensor.Matrix
-}
-
-var (
-	inferRunPool     = sync.Pool{New: func() any { return new(inferRun) }}
-	inferScratchPool = sync.Pool{New: func() any { return new(inferScratch) }}
-)
-
-// InferForward evaluates the block as ONE parallel region: each chunk
-// carries its row panels through every layer, intermediate activations
-// living in two per-chunk scratch panels; only the result is drawn from a
-// (nil allocates). Bitwise-equal to the training Forward.
+// InferForward evaluates the block on x as ONE parallel region (see
+// compiled.eval); only the result is drawn from a (nil allocates).
+// Bitwise-equal to the training Forward.
 func (m *InferMLP) InferForward(a *tensor.Arena, x *tensor.Matrix) *tensor.Matrix {
 	if x.Cols != m.In {
 		panic(fmt.Sprintf("nn: inference MLP input width %d, want %d", x.Cols, m.In))
 	}
+	return m.infer(a, x.Rows, x.Data, nil, nil)
+}
+
+// InferRows is InferForward on an input that is never assembled: head
+// fills each rows×In panel of it in the evaluator's scratch, and tail, if
+// any, finishes each panel of the output in place. Bitwise InferForward on
+// the assembled input followed by the tail over all rows.
+func (m *InferMLP) InferRows(a *tensor.Arena, rows int, head, tail RowMap[float64]) *tensor.Matrix {
+	return m.infer(a, rows, nil, head, tail)
+}
+
+func (m *InferMLP) infer(a *tensor.Arena, rows int, x []float64, head, tail RowMap[float64]) *tensor.Matrix {
 	for _, l := range m.lins {
 		l.checkTier()
 	}
-	y := a.Get(x.Rows, m.Out)
-	r := inferRunPool.Get().(*inferRun)
-	r.m, r.x, r.y = m, x, y
-	parallel.ForTask(panels(x.Rows), 1, r)
-	*r = inferRun{}
-	inferRunPool.Put(r)
+	y := a.Get(rows, m.Out)
+	m.eval(rows, x, y.Data, head, tail)
 	return y
-}
-
-// Run evaluates panels [lo, hi).
-func (r *inferRun) Run(lo, hi int) {
-	m := r.m
-	s := inferScratchPool.Get().(*inferScratch)
-	if need := panelRows * m.width; cap(s.buf[0]) < need {
-		s.buf[0], s.buf[1] = make([]float64, need), make([]float64, need)
-	}
-	last := len(m.layers) - 1
-	for p := lo; p < hi; p++ {
-		r0, r1 := p*panelRows, min((p+1)*panelRows, r.x.Rows)
-		rows := r1 - r0
-		r.x.SliceRows(&s.in, r0, r1)
-		r.y.SliceRows(&s.out, r0, r1)
-		src, w, k := &s.in, m.In, 0
-		for i, l := range m.layers {
-			w = l.outWidth(w)
-			dst := src
-			switch {
-			case i == last:
-				dst = &s.out
-			case !l.inPlace() || src == &s.in:
-				dst = &s.pp[k]
-				dst.Rows, dst.Cols, dst.Data = rows, w, s.buf[k][:rows*w]
-				k ^= 1
-			}
-			l.inferRows(dst, src, rows)
-			src = dst
-		}
-	}
-	s.in, s.out = tensor.Matrix{}, tensor.Matrix{}
-	inferScratchPool.Put(s)
 }
 
 // linearInfer is y = x·W + b over aliased parameters, without the input
@@ -198,13 +271,14 @@ func (l *linearInfer) checkTier() {
 	}
 }
 
-func (l *linearInfer) inferRows(dst, src *tensor.Matrix, rows int) {
+func (l *linearInfer) inferRows(dst, src panel[float64]) {
+	d, s := mat64(dst), mat64(src)
 	if l.pb != nil {
-		tensor.MatMulPackedBiasRows(dst, src, l.pb, l.b.Data, 0, rows)
+		tensor.MatMulPackedBiasRows(&d, &s, l.pb, l.b.Data, 0, s.Rows)
 		return
 	}
-	tensor.MatMulRows(dst, src, l.w, 0, rows)
-	tensor.AddRowVectorRows(dst, l.b.Data, 0, rows)
+	tensor.MatMulRows(&d, &s, l.w, 0, s.Rows)
+	tensor.AddRowVectorRows(&d, l.b.Data, 0, s.Rows)
 }
 
 // eluInfer applies the ELU, in place on the evaluator's scratch.
@@ -213,8 +287,8 @@ type eluInfer struct{}
 func (eluInfer) outWidth(in int) int { return in }
 func (eluInfer) inPlace() bool       { return true }
 
-func (eluInfer) inferRows(dst, src *tensor.Matrix, rows int) {
-	tensor.EluRange(dst.Data, src.Data, 0, rows*src.Cols)
+func (eluInfer) inferRows(dst, src panel[float64]) {
+	tensor.EluRange(dst.data, src.data, 0, len(src.data))
 }
 
 // lnInfer is the forward-only LayerNorm over aliased gain/shift. It
@@ -232,18 +306,19 @@ type lnInfer struct {
 func (ln *lnInfer) outWidth(in int) int { return in }
 func (ln *lnInfer) inPlace() bool       { return false }
 
-func (ln *lnInfer) inferRows(dst, src *tensor.Matrix, rows int) {
-	if src.Cols != ln.dim {
-		panic(fmt.Sprintf("nn: inference LayerNorm width %d, want %d", src.Cols, ln.dim))
+func (ln *lnInfer) inferRows(dstp, srcp panel[float64]) {
+	if srcp.cols != ln.dim {
+		panic(fmt.Sprintf("nn: inference LayerNorm width %d, want %d", srcp.cols, ln.dim))
 	}
+	dst, src := mat64(dstp), mat64(srcp)
 	i := 0
-	for end := lnGroupEnd(0, rows, ln.dim); i < end; i += lnRows {
-		mu, inv := rowStats4(src, i)
+	for end := lnGroupEnd(0, src.Rows, ln.dim); i < end; i += lnRows {
+		mu, inv := rowStats4(&src, i)
 		for r := range mu {
 			ln.normalizeRow(dst.Row(i+r), src.Row(i+r), mu[r], inv[r])
 		}
 	}
-	for ; i < rows; i++ {
+	for ; i < src.Rows; i++ {
 		mu, inv := rowStats(src.Row(i))
 		ln.normalizeRow(dst.Row(i), src.Row(i), mu, inv)
 	}

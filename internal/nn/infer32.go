@@ -2,9 +2,7 @@ package nn
 
 import (
 	"fmt"
-	"sync"
 
-	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -20,29 +18,18 @@ import (
 // after further training.
 
 // InferMLP32 is a forward-only float32 MLP compiled from a trained MLP.
-// Like InferMLP it is immutable parameter state only and evaluates as one
-// parallel region over row panels.
+// Like InferMLP it is immutable parameter state only, and the same panel
+// driver (compiled) evaluates it as one parallel region over row panels.
 type InferMLP32 struct {
-	In, Out int
-	layers  []inferLayer32
-	// width is the widest intermediate activation, the scratch panel width.
-	width int
-}
-
-// inferLayer32 is the float32 counterpart of inferLayer.
-type inferLayer32 interface {
-	outWidth(in int) int
-	inPlace() bool
-	inferRows(dst, src *tensor.Matrix32, rows int)
+	compiled[float32]
 }
 
 // Compile32 builds the float32 serving twin of the block, down-converting
 // (and, where profitable, pre-packing) its parameters once.
 func (m *MLP) Compile32() *InferMLP32 {
-	out := &InferMLP32{In: m.In, Out: m.Out}
-	w := m.In
-	for i, l := range m.block.layers {
-		var il inferLayer32
+	out := &InferMLP32{compiled[float32]{In: m.In, Out: m.Out, pools: &pools32}}
+	var ls []inferLayer[float32]
+	for _, l := range m.block.layers {
 		switch t := l.(type) {
 		case *Linear:
 			li := &linear32{in: t.In, out: t.Out, w: tensor.Demote32(t.Weight.W)}
@@ -50,92 +37,41 @@ func (m *MLP) Compile32() *InferMLP32 {
 			if tensor.ShouldPack32(t.In, t.Out) {
 				li.pb = tensor.PackB32(li.w)
 			}
-			il = li
+			ls = append(ls, li)
 		case *ELU:
-			il = elu32{}
+			ls = append(ls, elu32{})
 		case *LayerNorm:
-			il = &ln32{
+			ls = append(ls, &ln32{
 				dim:   t.Dim,
 				gain:  tensor.Demote32(t.Gain.W).Data,
 				shift: tensor.Demote32(t.Shift.W).Data,
-			}
+			})
 		default:
 			panic(fmt.Sprintf("nn: cannot compile layer %T for f32 inference", l))
 		}
-		out.layers = append(out.layers, il)
-		w = il.outWidth(w)
-		if i < len(m.block.layers)-1 {
-			out.width = max(out.width, w)
-		}
 	}
+	out.setLayers(ls)
 	return out
 }
 
-// inferRun32 and inferScratch32 are the float32 twins of inferRun and
-// inferScratch.
-type inferRun32 struct {
-	m    *InferMLP32
-	x, y *tensor.Matrix32
-}
-
-type inferScratch32 struct {
-	buf     [2][]float32
-	pp      [2]tensor.Matrix32
-	in, out tensor.Matrix32
-}
-
-var (
-	inferRun32Pool     = sync.Pool{New: func() any { return new(inferRun32) }}
-	inferScratch32Pool = sync.Pool{New: func() any { return new(inferScratch32) }}
-)
-
 // InferForward32 evaluates the block in float32 as ONE parallel region
-// over row panels (see InferMLP.InferForward), drawing the result from a
-// (nil allocates).
+// over row panels (see compiled.eval), drawing the result from a (nil
+// allocates).
 func (m *InferMLP32) InferForward32(a *tensor.Arena32, x *tensor.Matrix32) *tensor.Matrix32 {
 	if x.Cols != m.In {
 		panic(fmt.Sprintf("nn: f32 inference MLP input width %d, want %d", x.Cols, m.In))
 	}
 	y := a.Get(x.Rows, m.Out)
-	r := inferRun32Pool.Get().(*inferRun32)
-	r.m, r.x, r.y = m, x, y
-	parallel.ForTask(panels(x.Rows), 1, r)
-	*r = inferRun32{}
-	inferRun32Pool.Put(r)
+	m.eval(x.Rows, x.Data, y.Data, nil, nil)
 	return y
 }
 
-// Run evaluates panels [lo, hi).
-func (r *inferRun32) Run(lo, hi int) {
-	m := r.m
-	s := inferScratch32Pool.Get().(*inferScratch32)
-	if need := panelRows * m.width; cap(s.buf[0]) < need {
-		s.buf[0], s.buf[1] = make([]float32, need), make([]float32, need)
-	}
-	last := len(m.layers) - 1
-	for p := lo; p < hi; p++ {
-		r0, r1 := p*panelRows, min((p+1)*panelRows, r.x.Rows)
-		rows := r1 - r0
-		r.x.SliceRows(&s.in, r0, r1)
-		r.y.SliceRows(&s.out, r0, r1)
-		src, w, k := &s.in, m.In, 0
-		for i, l := range m.layers {
-			w = l.outWidth(w)
-			dst := src
-			switch {
-			case i == last:
-				dst = &s.out
-			case !l.inPlace() || src == &s.in:
-				dst = &s.pp[k]
-				dst.Rows, dst.Cols, dst.Data = rows, w, s.buf[k][:rows*w]
-				k ^= 1
-			}
-			l.inferRows(dst, src, rows)
-			src = dst
-		}
-	}
-	s.in, s.out = tensor.Matrix32{}, tensor.Matrix32{}
-	inferScratch32Pool.Put(s)
+// InferRows32 is InferForward32 on an input that is never assembled (see
+// InferMLP.InferRows).
+func (m *InferMLP32) InferRows32(a *tensor.Arena32, rows int, head, tail RowMap[float32]) *tensor.Matrix32 {
+	y := a.Get(rows, m.Out)
+	m.eval(rows, nil, y.Data, head, tail)
+	return y
 }
 
 // linear32 is y = x·W + b over snapshotted float32 parameters. When the
@@ -152,13 +88,14 @@ type linear32 struct {
 func (l *linear32) outWidth(int) int { return l.out }
 func (l *linear32) inPlace() bool    { return false }
 
-func (l *linear32) inferRows(dst, src *tensor.Matrix32, rows int) {
+func (l *linear32) inferRows(dst, src panel[float32]) {
+	d, s := mat32(dst), mat32(src)
 	if l.pb != nil {
-		tensor.MatMul32PackedBiasRows(dst, src, l.pb, l.b, 0, rows)
+		tensor.MatMul32PackedBiasRows(&d, &s, l.pb, l.b, 0, s.Rows)
 		return
 	}
-	tensor.MatMul32Rows(dst, src, l.w, 0, rows)
-	tensor.AddRowVector32Rows(dst, l.b, 0, rows)
+	tensor.MatMul32Rows(&d, &s, l.w, 0, s.Rows)
+	tensor.AddRowVector32Rows(&d, l.b, 0, s.Rows)
 }
 
 // elu32 is y = v for v > 0, exp(v)-1 otherwise, in place on the
@@ -173,8 +110,8 @@ type elu32 struct{}
 func (elu32) outWidth(in int) int { return in }
 func (elu32) inPlace() bool       { return true }
 
-func (elu32) inferRows(dst, src *tensor.Matrix32, rows int) {
-	tensor.EluRange32(dst.Data, src.Data, 0, rows*src.Cols)
+func (elu32) inferRows(dst, src panel[float32]) {
+	tensor.EluRange32(dst.data, src.data, 0, len(src.data))
 }
 
 // ln32 is the forward-only float32 LayerNorm over snapshotted gain/shift.
@@ -193,9 +130,10 @@ type ln32 struct {
 func (ln *ln32) outWidth(in int) int { return in }
 func (ln *ln32) inPlace() bool       { return false }
 
-func (ln *ln32) inferRows(dst, src *tensor.Matrix32, rows int) {
-	if src.Cols != ln.dim {
-		panic(fmt.Sprintf("nn: f32 inference LayerNorm width %d, want %d", src.Cols, ln.dim))
+func (ln *ln32) inferRows(dst, src panel[float32]) {
+	if src.cols != ln.dim {
+		panic(fmt.Sprintf("nn: f32 inference LayerNorm width %d, want %d", src.cols, ln.dim))
 	}
-	tensor.LayerNorm32Rows(dst, src, ln.gain, ln.shift, Epsilon, 0, rows)
+	d, s := mat32(dst), mat32(src)
+	tensor.LayerNorm32Rows(&d, &s, ln.gain, ln.shift, Epsilon, 0, s.Rows)
 }

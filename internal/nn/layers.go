@@ -145,12 +145,14 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 func (l *Linear) SetArena(a *tensor.Arena) { l.arena = a }
 
 // Forward implements Layer.
-func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix { return newChain(l).forward(x) }
+func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix { return newChain(l).forward(x, nil, nil) }
 
 // Backward implements Layer. Parameter gradients accumulate (+=) so a
 // layer applied to several batches within one iteration sums their
 // contributions; ZeroGrads resets them between iterations.
-func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix { return newChain(l).backward(dy, 1) }
+func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	return newChain(l).backward(dy, 1, nil, nil)
+}
 
 func (l *Linear) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	if x.Cols != l.In {
@@ -254,10 +256,12 @@ type ELU struct {
 func (e *ELU) SetArena(a *tensor.Arena) { e.arena = a }
 
 // Forward implements Layer.
-func (e *ELU) Forward(x *tensor.Matrix) *tensor.Matrix { return newChain(e).forward(x) }
+func (e *ELU) Forward(x *tensor.Matrix) *tensor.Matrix { return newChain(e).forward(x, nil, nil) }
 
 // Backward implements Layer.
-func (e *ELU) Backward(dy *tensor.Matrix) *tensor.Matrix { return newChain(e).backward(dy, 1) }
+func (e *ELU) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	return newChain(e).backward(dy, 1, nil, nil)
+}
 
 // bindForward activates in place when the input is the chain's own
 // temporary (a Linear output nobody else reads): the pre-activation has no
@@ -330,11 +334,13 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 func (ln *LayerNorm) SetArena(a *tensor.Arena) { ln.arena = a }
 
 // Forward implements Layer.
-func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix { return newChain(ln).forward(x) }
+func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
+	return newChain(ln).forward(x, nil, nil)
+}
 
 // Backward implements Layer.
 func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	return newChain(ln).backward(dy, 1)
+	return newChain(ln).backward(dy, 1, nil, nil)
 }
 
 func (ln *LayerNorm) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {

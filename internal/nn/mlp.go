@@ -19,6 +19,7 @@ import (
 type MLP struct {
 	In, Hidden, Out int
 	block           chain
+	arena           *tensor.Arena
 }
 
 // NewMLP constructs the block. hidden is h (the number of H→H inner
@@ -44,6 +45,7 @@ func NewMLP(name string, in, hiddenDim, out, hidden int, norm bool, rng *rand.Ra
 // gradients from a, so steady-state forward/backward passes allocate
 // nothing.
 func (m *MLP) SetArena(a *tensor.Arena) {
+	m.arena = a
 	for _, l := range m.block.layers {
 		l.(ArenaUser).SetArena(a)
 	}
@@ -52,11 +54,20 @@ func (m *MLP) SetArena(a *tensor.Arena) {
 // Forward implements Layer: one parallel region carries each row panel
 // through every layer of the block (see chain), writing the backward
 // caches as it goes. Each ELU activates its Linear's output in place.
-func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix { return m.block.forward(x) }
+func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix { return m.block.forward(x, nil, nil) }
+
+// ForwardRows is Forward on an input nobody has assembled yet: head fills
+// the rows×In input panel by panel inside the block's one region (into the
+// full-height workspace the block caches for its backward), and tail, if
+// any, finishes each panel of the output in place. Bitwise Forward on the
+// assembled input followed by the tail over all rows.
+func (m *MLP) ForwardRows(rows int, head, tail RowMap[float64]) *tensor.Matrix {
+	return m.block.forward(m.arena.Get(rows, m.In), head, tail)
+}
 
 // Backward implements Layer: one region for the input gradient through
 // all layers, one for every parameter-gradient reduction of the block.
-func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix { return m.block.backward(dy, 1) }
+func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix { return m.BackwardRows(dy, 1, nil, nil) }
 
 // BackwardBatched propagates a stacked gradient of batch samples through
 // the block: the parameter-gradient reductions run per sample block so
@@ -64,7 +75,16 @@ func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix { return m.block.backwa
 // gradient, a pure row map, runs stacked. Forward must have been called
 // on the matching stacked input. batch == 1 is Backward.
 func (m *MLP) BackwardBatched(dy *tensor.Matrix, batch int) *tensor.Matrix {
-	return m.block.backward(dy, batch)
+	return m.BackwardRows(dy, batch, nil, nil)
+}
+
+// BackwardRows is BackwardBatched with a head and a tail in the
+// input-gradient region: head (optional) writes rows of dy — those the
+// caller has not filled already — before the panel's layers read them,
+// and tail (optional) is handed each panel of the returned input gradient
+// as soon as it is complete.
+func (m *MLP) BackwardRows(dy *tensor.Matrix, batch int, head, tail RowMap[float64]) *tensor.Matrix {
+	return m.block.backward(dy, batch, head, tail)
 }
 
 // Params implements Layer.

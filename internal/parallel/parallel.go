@@ -41,16 +41,23 @@
 // 2 threads against 160 µs serial; 8 × 100 µs takes 519 µs against 400
 // ideal). A region much shorter than that is run by the caller alone,
 // which then still waits for whatever chunk the late worker did claim. So
-// the rule for callers is: dispatch per block of work, not per kernel. A
-// region should carry hundreds of microseconds — internal/nn evaluates a
+// the rule for callers is: dispatch per layer stage, not per kernel. A
+// region should carry hundreds of microseconds. internal/nn evaluates a
 // whole MLP block (every Linear, ELU and LayerNorm of it, a row panel at a
 // time) as one ForTask and all of a block's parameter-gradient reductions
-// as one ReduceAll, instead of one region per kernel call, which cut a
-// LargeConfig prediction from 191 dispatched regions to 34 and a training
-// step from 468 to 85. Stats counts dispatched and inline regions and who
-// ran the chunks; a caller share of the chunks near 1 is the sign of
-// regions that are too small. The engine never spins waiting for work or
-// for completion: an idle worker costs a parked goroutine, nothing else.
+// as one ReduceAll, and lets its caller put a row map at the head and the
+// tail of the panel loop; internal/gnn uses that to make the gather or
+// concatenation that feeds a block and the residual add that follows it
+// part of the block's region, so a message-passing layer is three regions
+// (edge stage, aggregation, node stage) with the halo exchange between the
+// last two. A LargeConfig prediction went from 191 dispatched regions (one
+// per kernel call) to 34 (one per block and per loop around it) to 14, a
+// training step from 468 to 81 to 41; internal/gnn's
+// TestParallelDispatchBudget pins both. Stats counts dispatched and inline
+// regions and who ran the chunks; a caller share of the chunks near 1 is
+// the sign of regions that are too small. The engine never spins waiting
+// for work or for completion: an idle worker costs a parked goroutine,
+// nothing else.
 //
 // The pool is process-wide and shared by all goroutine ranks: concurrent
 // For/Reduce calls from different ranks interleave their chunks over the

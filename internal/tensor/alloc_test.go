@@ -52,7 +52,9 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	assertZeroAlloc(t, "ColSumsAcc", func() { ColSumsAcc(bias, dy, 0, rows) })
 	assertZeroAlloc(t, "Add", func() { Add(y, y, y) })
 	assertZeroAlloc(t, "AddScaled", func() { AddScaled(y, 1, dy) })
-	assertZeroAlloc(t, "AddScaledView", func() { AddScaledView(dx, 1, a.View(0, in)) })
+	assertZeroAlloc(t, "AddTo", func() { AddTo(y.Data, dy.Data) })
+	y32, dy32 := Demote32(y), Demote32(dy)
+	assertZeroAlloc(t, "AddTo float32", func() { AddTo(y32.Data, dy32.Data) })
 	assertZeroAlloc(t, "Scale", func() { Scale(y, 1.0000001) })
 	assertZeroAlloc(t, "CloneInto", func() { CloneInto(dx, a) })
 	assertZeroAlloc(t, "CopyViewInto", func() { CopyViewInto(dx, a.View(0, in)) })

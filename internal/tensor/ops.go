@@ -427,42 +427,41 @@ func AddScaled(dst *Matrix, alpha float64, src *Matrix) {
 	addScaledPool.Put(t)
 }
 
-type addScaledViewTask struct {
-	dst   *Matrix
-	src   View
-	alpha float64
+// AddTo computes dst[i] += src[i] over two slices of one length: the
+// residual add as a row-range body, for callers that fold it into a region
+// of their own (a row panel of an MLP block) instead of dispatching
+// AddScaled over the whole matrix. It runs on the add kernels of the
+// elementwise tier, which hand back any block where a NaN meets anything,
+// so the bits are the scalar loop's wherever a caller cuts the slices.
+func AddTo[T float32 | float64](dst, src []T) {
+	if len(dst) != len(src) {
+		panic("tensor: AddTo length mismatch")
+	}
+	switch d := any(dst).(type) {
+	case []float32:
+		add32(d, any(src).([]float32), vecLanes32(len(d)))
+	case []float64:
+		add64(d, any(src).([]float64), vecLanes(len(d)))
+	}
 }
 
-func (t *addScaledViewTask) Run(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		drow := t.dst.Row(i)
-		srow := t.src.Row(i)
-		if t.alpha == 1 {
-			for j, v := range srow {
-				drow[j] += v
+// add64 is add32 for float64 (addBlock64, addBlock64x8).
+func add64(dst, v []float64, w int) {
+	j := 0
+	if w > 0 {
+		for len(v)-j >= w {
+			if n := int64((len(v) - j) &^ (w - 1)); w == 8 {
+				j += int(addBlock64x8(n, &dst[j], &v[j]))
+			} else {
+				j += int(addBlock64(n, &dst[j], &v[j]))
 			}
-			continue
-		}
-		for j, v := range srow {
-			drow[j] += t.alpha * v
+			if len(v)-j >= w {
+				addScalar(dst, v, j, j+w)
+				j += w
+			}
 		}
 	}
-}
-
-var addScaledViewPool = sync.Pool{New: func() any { return new(addScaledViewTask) }}
-
-// AddScaledView computes dst += alpha*src where src is a column view:
-// the gradient-splitting counterpart of AddScaled that consumes one
-// column block of a wide matrix without copying it out first.
-func AddScaledView(dst *Matrix, alpha float64, src View) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: AddScaledView shape mismatch")
-	}
-	t := addScaledViewPool.Get().(*addScaledViewTask)
-	t.dst, t.src, t.alpha = dst, src, alpha
-	parallel.ForTask(dst.Rows, forGrain(dst.Cols), t)
-	*t = addScaledViewTask{}
-	addScaledViewPool.Put(t)
+	addScalar(dst, v, j, len(v))
 }
 
 type scaleTask struct {

@@ -126,38 +126,6 @@ func addScalar32(dst, v []float32, lo, hi int) {
 	}
 }
 
-type addScaled32Task struct {
-	dst, src *Matrix32
-	alpha    float32
-}
-
-func (t *addScaled32Task) Run(lo, hi int) {
-	d, s := t.dst.Data[lo:hi], t.src.Data[lo:hi]
-	if t.alpha == 1 {
-		// The residual add of every message-passing layer.
-		add32(d, s, vecLanes32(len(t.dst.Data)))
-		return
-	}
-	alpha := t.alpha
-	for i, v := range s {
-		d[i] += alpha * v
-	}
-}
-
-var addScaled32Pool = sync.Pool{New: func() any { return new(addScaled32Task) }}
-
-// AddScaled32 computes dst += alpha*src element-wise.
-func AddScaled32(dst *Matrix32, alpha float32, src *Matrix32) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: AddScaled32 shape mismatch")
-	}
-	t := addScaled32Pool.Get().(*addScaled32Task)
-	t.dst, t.src, t.alpha = dst, src, alpha
-	parallel.ForTask(len(dst.Data), elemGrain, t)
-	*t = addScaled32Task{}
-	addScaled32Pool.Put(t)
-}
-
 type cloneInto32Task struct{ dst, src *Matrix32 }
 
 func (t *cloneInto32Task) Run(lo, hi int) {

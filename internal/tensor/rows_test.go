@@ -117,8 +117,9 @@ func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
 // addRowVectorRowsMatchesScalar: the add map's vector bodies (4 and 8
 // lanes), its column tail and the blocks it hands back (NaN meeting NaN,
 // where the payload that survives depends on operand order) are the
-// scalar loop's bits, for any row range, on every rung — as the bias add
-// and as the column-sum reduction.
+// scalar loop's bits, for any row range, on every rung — as the bias add,
+// as the column-sum reduction and as the residual add (AddTo, whole and cut
+// at the same rows).
 func addRowVectorRowsMatchesScalar(t *testing.T) {
 	atEachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(75)) // the same data on every rung
@@ -153,6 +154,28 @@ func addRowVectorRowsMatchesScalar(t *testing.T) {
 					t.Fatalf("cols=%d: element %d is %#x whole, %#x in pieces, want %#x", cols, i,
 						math.Float64bits(whole.Data[i]), math.Float64bits(pieces.Data[i]), w)
 				}
+			}
+			// The residual add of a row panel: src += other, whole and by
+			// row ranges.
+			other := New(rows, cols)
+			for i := range other.Data {
+				other.Data[i] = value()
+			}
+			sum := src.Clone()
+			addScalar(sum.Data, other.Data, 0, rows*cols)
+			whole, pieces = src.Clone(), src.Clone()
+			AddTo(whole.Data, other.Data)
+			for i := 0; i+1 < len(cuts); i++ {
+				lo, hi := cuts[i]*cols, cuts[i+1]*cols
+				AddTo(pieces.Data[lo:hi], other.Data[lo:hi])
+			}
+			if i := bitsEqual(whole.Data, sum.Data); i >= 0 {
+				t.Fatalf("cols=%d: AddTo element %d is %#x, want %#x", cols, i,
+					math.Float64bits(whole.Data[i]), math.Float64bits(sum.Data[i]))
+			}
+			if i := bitsEqual(pieces.Data, sum.Data); i >= 0 {
+				t.Fatalf("cols=%d: AddTo in pieces, element %d is %#x, want %#x", cols, i,
+					math.Float64bits(pieces.Data[i]), math.Float64bits(sum.Data[i]))
 			}
 			// The bias-gradient reduction goes through the same kernel,
 			// against the scalar loop ColSumsAcc has always been: every

@@ -336,8 +336,8 @@ func TestPanelGroupSplitInvisible(t *testing.T) {
 // TestAddRowVector32RowsMatchesScalar: the float32 add kernels' 8- and
 // 16-lane bodies, their tails and the blocks they hand back are the scalar
 // loop's bits on every rung — behind the bias add (AddRowVector32Rows, by
-// row ranges) and behind the residual add (AddScaled32 with alpha 1, whole
-// and by odd element ranges, as a parallel chunk would cut it). One value
+// row ranges) and behind the residual add (AddTo, whole and by odd element
+// ranges, as a row panel would cut it). One value
 // in twelve is a NaN with a random payload, so NaN meets NaN in both
 // operand orders.
 func TestAddRowVector32RowsMatchesScalar(t *testing.T) {
@@ -369,15 +369,15 @@ func TestAddRowVector32RowsMatchesScalar(t *testing.T) {
 				same("AddRowVector32Rows", got, wantBias)
 
 				copy(got.Data, src.Data)
-				AddScaled32(got, 1, other)
-				same("AddScaled32", got, wantSum)
+				AddTo(got.Data, other.Data)
+				same("AddTo", got, wantSum)
 
 				copy(got.Data, src.Data)
-				task := addScaled32Task{dst: got, src: other, alpha: 1}
 				for _, cut := range [][2]int{{0, 1}, {1, 3}, {3, 20}, {20, 37}, {37, rows * cols}} {
-					task.Run(min(cut[0], rows*cols), min(cut[1], rows*cols))
+					lo, hi := min(cut[0], rows*cols), min(cut[1], rows*cols)
+					AddTo(got.Data[lo:hi], other.Data[lo:hi])
 				}
-				same("AddScaled32 by odd ranges", got, wantSum)
+				same("AddTo by odd ranges", got, wantSum)
 			}
 		}
 	})
