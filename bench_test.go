@@ -8,16 +8,12 @@
 package meshgnn
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"meshgnn/internal/comm"
 	"meshgnn/internal/experiments"
 	"meshgnn/internal/gnn"
-	"meshgnn/internal/parallel"
 	"meshgnn/internal/perfmodel"
-	"meshgnn/internal/tensor"
 )
 
 // BenchmarkTable1_ModelConfigs regenerates Table I: it constructs both
@@ -161,176 +157,6 @@ func BenchmarkFig8_RelativeThroughput(b *testing.B) {
 		if na2aAt64 < 0.9 || a2aAt2048 > 0.5 {
 			b.Fatalf("Fig. 8 shape broken: N-A2A@64 %.3f, A2A@2048 %.3f", na2aAt64, a2aAt2048)
 		}
-	}
-}
-
-// --- Intra-rank parallel engine benches ----------------------------------
-//
-// Serial-vs-parallel comparisons for the hot kernels, establishing the
-// perf trajectory of the worker-pool engine. The thread counts bracket
-// CI-class hardware (1 = the old serial path, 4 = the acceptance target,
-// 0 = all of GOMAXPROCS). Deterministic mode is on throughout, so every
-// thread count computes bitwise-identical results.
-
-// benchThreads are the engine settings each kernel bench sweeps.
-var benchThreads = []int{1, 2, 4, 0}
-
-func threadLabel(n int) string {
-	if n == 0 {
-		return "threads=max"
-	}
-	return fmt.Sprintf("threads=%d", n)
-}
-
-// BenchmarkParallel_MatMul times the forward GEMM at the large-model edge
-// shape: 49k edge rows through a 96→32 linear layer (the EdgeMLP input
-// layer of an 8³-element p=3 sub-graph).
-func BenchmarkParallel_MatMul(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(1))
-	const rows, in, out = 49152, 96, 32
-	a := tensor.New(rows, in)
-	w := tensor.New(in, out)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64()
-	}
-	dst := tensor.New(rows, out)
-	for _, threads := range benchThreads {
-		b.Run(threadLabel(threads), func(b *testing.B) {
-			b.ReportAllocs()
-			parallel.Configure(threads, true)
-			defer parallel.Configure(0, true)
-			b.SetBytes(int64(8 * rows * in))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMul(dst, a, w)
-			}
-		})
-	}
-}
-
-// BenchmarkParallel_MatMulATB times the weight-gradient GEMM (dW = xᵀ·dy),
-// the deterministic chunked reduction, at the same shape.
-func BenchmarkParallel_MatMulATB(b *testing.B) {
-	b.ReportAllocs()
-	rng := rand.New(rand.NewSource(2))
-	const rows, in, out = 49152, 96, 32
-	x := tensor.New(rows, in)
-	dy := tensor.New(rows, out)
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	for i := range dy.Data {
-		dy.Data[i] = rng.NormFloat64()
-	}
-	dw := tensor.New(in, out)
-	for _, threads := range benchThreads {
-		b.Run(threadLabel(threads), func(b *testing.B) {
-			b.ReportAllocs()
-			parallel.Configure(threads, true)
-			defer parallel.Configure(0, true)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulATB(dw, x, dy)
-			}
-		})
-	}
-}
-
-// BenchmarkParallel_NMPLayer times one full consistent NMP layer
-// Forward+Backward (edge MLP, degree-scaled aggregation, node MLP, and
-// the CSR-grouped adjoint scatters) on a real 8³-element p=3 sub-graph at
-// the large model's hidden width — the per-layer unit of the paper's
-// training step.
-func BenchmarkParallel_NMPLayer(b *testing.B) {
-	b.ReportAllocs()
-	m, err := NewMesh(8, 8, 8, 3, FullyPeriodic)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := NewSystem(m, 1, Slabs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const hidden = 32
-	for _, threads := range benchThreads {
-		b.Run(threadLabel(threads), func(b *testing.B) {
-			b.ReportAllocs()
-			parallel.Configure(threads, true)
-			defer parallel.Configure(0, true)
-			err := sys.Run(NoExchange, func(r *Rank) error {
-				rng := rand.New(rand.NewSource(3))
-				layer := gnn.NewNMPLayer("bench", hidden, 2, rng)
-				x := tensor.New(r.Graph.NumLocal(), hidden)
-				e := tensor.New(r.Graph.NumEdges(), hidden)
-				for i := range x.Data {
-					x.Data[i] = rng.NormFloat64()
-				}
-				for i := range e.Data {
-					e.Data[i] = rng.NormFloat64()
-				}
-				arena := tensor.NewArena()
-				layer.SetArena(arena)
-				step := func() {
-					arena.Reset()
-					xo, eo := layer.Forward(r.Ctx, x, e)
-					_, _ = layer.Backward(xo, eo)
-				}
-				step() // warm-up: record the workspace arena
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					step()
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkParallel_TrainStep times the end-to-end training step (encode,
-// M NMP layers, decode, consistent loss, backward, AllReduce, Adam) for
-// the large model on a single-rank 6³-element p=3 sub-graph — the
-// throughput quantity of the paper's Fig. 7, now as a function of
-// intra-rank threads.
-func BenchmarkParallel_TrainStep(b *testing.B) {
-	b.ReportAllocs()
-	m, err := NewMesh(6, 6, 6, 3, FullyPeriodic)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := NewSystem(m, 1, Slabs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, threads := range benchThreads {
-		b.Run(threadLabel(threads), func(b *testing.B) {
-			b.ReportAllocs()
-			parallel.Configure(threads, true)
-			defer parallel.Configure(0, true)
-			err := sys.Run(NoExchange, func(r *Rank) error {
-				model, err := NewModel(LargeConfig())
-				if err != nil {
-					return err
-				}
-				trainer := NewTrainer(model, NewSGD(0.01))
-				x := r.Sample(TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
-				trainer.Step(r.Ctx, x, x) // warm-up: record the arena
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					trainer.Step(r.Ctx, x, x)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
 	}
 }
 

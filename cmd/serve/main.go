@@ -16,23 +16,11 @@
 // so one fused block-diagonal evaluation serves the whole cohort; the
 // batched answers are checked bitwise against the sequential ones.
 //
-// With -loadgen the command instead runs an open-loop load generator
-// against a multi-session server on the socket fabric: Poisson arrivals
-// at each offered rate in -rates, swept across the session counts in
-// -sessions, with the -warmup prefix discarded and every request under a
-// deadline so overload sheds load instead of piling up. Latencies come
-// from a fixed-size reservoir (exact max, sampled quantiles); -linkdelay
-// adds an emulated wire latency per transport send, the regime where
-// independent sessions overlap their halo round-trips. -o then writes
-// the loadgen report instead of the serving point.
-//
 // Usage:
 //
 //	serve [-elems 6] [-p 2] [-ranks 2 | -procs 2] [-mode na2a] [-model small]
 //	      [-requests 50] [-rollout 10] [-batch 4] [-overlap] [-f32] [-threads N]
 //	      [-o point.json]
-//	serve -loadgen [-sessions 1,4] [-rates 50,100,200,400] [-loaddur 2s]
-//	      [-warmup 300ms] [-deadline 2s] [-linkdelay 500us] [-o load.json]
 //
 // With -f32 the engine is the single-precision serving twin: the bitwise
 // parity check is replaced by a relative-error gate against the float64
@@ -77,14 +65,6 @@ func main() {
 		f32      = flag.Bool("f32", false, "serve the float32 engine twin (tolerance-gated vs the float64 oracle)")
 		threads  = flag.Int("threads", 0, "intra-rank worker threads per kernel (0 = GOMAXPROCS, 1 = serial)")
 		out      = flag.String("o", "", "also write the measured serving point as JSON to this path")
-
-		loadgen   = flag.Bool("loadgen", false, "run the open-loop load generator instead of the serving measurement")
-		sessList  = flag.String("sessions", "1,4", "loadgen: comma-separated session counts to sweep")
-		rateList  = flag.String("rates", "50,100,200,400", "loadgen: comma-separated offered rates (req/s)")
-		loadDur   = flag.Duration("loaddur", 2*time.Second, "loadgen: measured duration per point (after warm-up)")
-		warmup    = flag.Duration("warmup", 300*time.Millisecond, "loadgen: warm-up prefix discarded from each point")
-		deadline  = flag.Duration("deadline", 2*time.Second, "loadgen: per-request deadline (overload sheds instead of piling up)")
-		linkDelay = flag.Duration("linkdelay", 500*time.Microsecond, "loadgen: emulated wire latency per transport send (0 = none)")
 	)
 	flag.Parse()
 	if *threads < 0 {
@@ -105,26 +85,6 @@ func main() {
 	cfg.Overlap = *overlap
 	if *f32 {
 		cfg.Precision = meshgnn.Float32
-	}
-
-	if *loadgen {
-		sessions, err := parseIntList(*sessList)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rates, err := parseRateList(*rateList)
-		if err != nil {
-			log.Fatal(err)
-		}
-		lc := loadgenConfig{
-			sessions: sessions, rates: rates,
-			duration: *loadDur, warmup: *warmup, deadline: *deadline,
-			linkDelay: *linkDelay, out: *out,
-		}
-		if err := runLoadgen(lc, *ranks, mode, cfg, *elems, *p); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	nRanks := *ranks

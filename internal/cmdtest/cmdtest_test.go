@@ -2,7 +2,8 @@
 // compiled with the local toolchain and run on a tiny mesh, including the
 // -procs multi-process launcher path and the cross-transport consistency
 // harness (the CI assertion behind the paper's consistency claim holding
-// across the process boundary).
+// across the process boundary). It also vets and tests the benchmark
+// module, which go test ./... does not otherwise reach.
 package cmdtest
 
 import (
@@ -271,50 +272,18 @@ func TestServeWritesPoint(t *testing.T) {
 			t.Fatalf("serving point missing %q:\n%s", want, data)
 		}
 	}
-}
-
-// TestServeLoadgenAccounting runs the open-loop load generator and checks
-// its shedding arithmetic is exact: every point must report a non-empty
-// Poisson schedule with Scheduled == Warmup + Requests + Dropped — the
-// generator may never silently discard offered arrivals (the bug this
-// pins: terminating on the wall clock after a late sleep wake-up dropped
-// the tail of the schedule without accounting for it).
-func TestServeLoadgenAccounting(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "loadgen.json")
-	out := runCmd(t, "serve", "-loadgen", "-elems", "2", "-p", "1", "-ranks", "1",
-		"-sessions", "1", "-rates", "100,400", "-loaddur", "400ms",
-		"-warmup", "100ms", "-deadline", "1s", "-linkdelay", "0", "-o", path)
-	if !strings.Contains(out, "report written") {
-		t.Fatalf("no loadgen report confirmation:\n%s", out)
+	// Every request's latency is kept, so the profile is ordered exactly.
+	var pt struct {
+		Mean float64 `json:"latency_mean_ns"`
+		P50  float64 `json:"latency_p50_ns"`
+		P99  float64 `json:"latency_p99_ns"`
+		Max  float64 `json:"latency_max_ns"`
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(data, &pt); err != nil {
+		t.Fatalf("parsing serving point: %v\n%s", err, data)
 	}
-	var rep struct {
-		Points []struct {
-			OfferedReqSec float64 `json:"offered_req_per_sec"`
-			Scheduled     int64   `json:"scheduled"`
-			Warmup        int64   `json:"warmup"`
-			Requests      int64   `json:"requests"`
-			Dropped       int64   `json:"dropped"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("parsing loadgen report: %v\n%s", err, data)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("expected 2 loadgen points, got %d:\n%s", len(rep.Points), data)
-	}
-	for _, pt := range rep.Points {
-		if pt.Scheduled <= 0 {
-			t.Errorf("rate %v: empty Poisson schedule (scheduled=%d)", pt.OfferedReqSec, pt.Scheduled)
-		}
-		if got := pt.Warmup + pt.Requests + pt.Dropped; got != pt.Scheduled {
-			t.Errorf("rate %v: accounting violated: scheduled %d != warmup %d + requests %d + dropped %d",
-				pt.OfferedReqSec, pt.Scheduled, pt.Warmup, pt.Requests, pt.Dropped)
-		}
+	if !(0 < pt.P50 && pt.P50 <= pt.P99 && pt.P99 <= pt.Max && pt.Mean <= pt.Max) {
+		t.Fatalf("latency profile out of order: mean %v p50 %v p99 %v max %v", pt.Mean, pt.P50, pt.P99, pt.Max)
 	}
 }
 
@@ -337,5 +306,19 @@ func TestMeshinfoSmoke(t *testing.T) {
 	out := runCmd(t, "meshinfo", "-ex", "2", "-ey", "2", "-ez", "2", "-p", "1", "-ranks", "2")
 	if len(strings.TrimSpace(out)) == 0 {
 		t.Fatal("meshinfo produced no output")
+	}
+}
+
+// TestBenchmarkModule vets and tests the repository benchmark, a Go module
+// of its own under benchmark/ that compiles against meshgnn/internal/...:
+// a library change that breaks its build or its bitwise gates fails here.
+func TestBenchmarkModule(t *testing.T) {
+	dir := filepath.Join(moduleRoot(), "benchmark")
+	for _, args := range [][]string{{"vet", "."}, {"test", "-short", "-count=1", "."}} {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s in benchmark/: %v\n%s", strings.Join(args, " "), err, out)
+		}
 	}
 }

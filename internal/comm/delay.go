@@ -15,8 +15,8 @@ import "time"
 // latency-hiding machinery — overlapped exchanges, coalesced batches,
 // concurrent serving sessions — exists to fill. Wrapping a world in
 // LinkDelay makes the single-host fabric latency-bound on purpose, so
-// saturation studies (cmd/serve -loadgen, the concurrent_serving bench
-// tier) measure how much of the emulated wire time the layer under test
+// saturation studies (the benchmark's train_halo and serve_* workloads)
+// measure how much of the emulated wire time the layer under test
 // can hide, reproducibly on any machine.
 //
 // The stall is modeled on the sending side (the endpoint blocks while

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"meshgnn/internal/comm"
@@ -15,7 +16,7 @@ import (
 
 // ServingPoint is one measured serving point: the training forward vs
 // compiled-engine step comparison plus the request-level latency profile,
-// as reported by cmd/serve and cmd/bench's inference tier.
+// as reported by cmd/serve.
 type ServingPoint struct {
 	Model    string `json:"model"`
 	Ranks    int    `json:"ranks"`
@@ -34,8 +35,7 @@ type ServingPoint struct {
 
 	// Request-level serving statistics over the engine (rank-0 wall
 	// clock; requests are collective, so this is the system latency).
-	// Quantiles come from a fixed-size reservoir (LatencyRecorder); the
-	// max is exact at any stream length.
+	// Every request is kept, so the quantiles and the max are exact.
 	ThroughputReqSec float64 `json:"throughput_req_per_sec"`
 	LatencyMeanNs    float64 `json:"latency_mean_ns"`
 	LatencyP50Ns     float64 `json:"latency_p50_ns"`
@@ -171,15 +171,16 @@ func MeasureInferenceRank(c *comm.Comm, box *mesh.Box, l *graph.Local, mode comm
 	c.Barrier()
 	pt.TrainForwardNs = float64(time.Since(start).Nanoseconds()) / float64(requests)
 
-	// Engine serving: per-request latency profile into a flat-memory
-	// reservoir recorder — the request count no longer sizes anything.
-	rec := NewLatencyRecorder(DefaultLatencySamples)
+	// Engine serving, timed per request.
+	lat := make([]float64, requests)
+	var sum float64
 	c.Barrier()
 	start = time.Now()
-	for i := 0; i < requests; i++ {
+	for i := range lat {
 		t0 := time.Now()
 		eng.Predict(rc, x)
-		rec.Record(float64(time.Since(t0).Nanoseconds()))
+		lat[i] = float64(time.Since(t0).Nanoseconds())
+		sum += lat[i]
 	}
 	c.Barrier()
 	elapsed := time.Since(start)
@@ -188,10 +189,11 @@ func MeasureInferenceRank(c *comm.Comm, box *mesh.Box, l *graph.Local, mode comm
 		pt.Speedup = pt.TrainForwardNs / pt.InferNs
 		pt.ThroughputReqSec = 1e9 / pt.InferNs
 	}
-	pt.LatencyMeanNs = rec.Mean()
-	pt.LatencyP50Ns = rec.Quantile(50)
-	pt.LatencyP99Ns = rec.Quantile(99)
-	pt.LatencyMaxNs = rec.Max()
+	sort.Float64s(lat)
+	pt.LatencyMeanNs = sum / float64(requests)
+	pt.LatencyP50Ns = percentile(lat, 50)
+	pt.LatencyP99Ns = percentile(lat, 99)
+	pt.LatencyMaxNs = lat[len(lat)-1]
 
 	if rolloutSteps > 0 && cfg.InputNodeFeatures == cfg.OutputNodeFeatures {
 		c.Barrier()

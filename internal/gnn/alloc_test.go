@@ -253,7 +253,8 @@ func TestTrainStepZeroAllocMultiRank(t *testing.T) {
 				debug.SetGCPercent(gcPercent)
 				c.Send(1, comm.TagUser, []float64{0})
 				// Strictly-zero is asserted by the single-rank gates
-				// (TestTrainStepZeroAllocSteadyState, cmd/bench); here two
+				// (TestTrainStepZeroAllocSteadyState,
+				// TestStepBatchSteadyStateZeroAlloc); here two
 				// rank goroutines interleave on shared cores, and an
 				// unlucky preemption mid-kernel can make the measured
 				// window the first to see a transient concurrent demand

@@ -17,9 +17,9 @@ func TestCompile32MatchesOracle(t *testing.T) {
 		in, hidden, out, depth int
 		norm                   bool
 	}{
-		{12, 96, 32, 2, true},  // packed-tier shapes
-		{7, 24, 8, 1, false},   // below threshold: scalar f32 kernels
-		{33, 64, 17, 0, true},  // odd widths, tail columns
+		{12, 96, 32, 2, true}, // packed-tier shapes
+		{7, 24, 8, 1, false},  // below threshold: scalar f32 kernels
+		{33, 64, 17, 0, true}, // odd widths, tail columns
 	} {
 		m := NewMLP("m", sh.in, sh.hidden, sh.out, sh.depth, sh.norm, rng)
 		f64 := m.Compile()

@@ -326,18 +326,11 @@ var (
 // (each rank also executes chunks itself), rather than R×threads.
 //
 // Requests beyond runtime.NumCPU() are clamped to the core count unless
-// SetOversubscribe(true) was called first: the kernels are compute-bound,
-// so extra workers only time-slice against each other — slower, identical
-// bits.
+// a model was built with Config.Oversubscribe set: the kernels are
+// compute-bound, so extra workers only time-slice against each other —
+// slower, identical bits.
 func SetParallelism(threads int, deterministic bool) {
 	parallel.Configure(parallel.Clamp(threads), deterministic)
-}
-
-// SetOversubscribe lifts the runtime.NumCPU() clamp applied by
-// SetParallelism and Config.Threads (default off). Enable it only to
-// measure oversubscription itself; it never changes numerical results.
-func SetOversubscribe(on bool) {
-	parallel.SetOversubscribe(on)
 }
 
 // Parallelism reports the engine's current (threads, deterministic)
