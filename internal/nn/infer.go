@@ -277,8 +277,7 @@ func (l *linearInfer) inferRows(dst, src panel[float64]) {
 		tensor.MatMulPackedBiasRows(&d, &s, l.pb, l.b.Data, 0, s.Rows)
 		return
 	}
-	tensor.MatMulRows(&d, &s, l.w, 0, s.Rows)
-	tensor.AddRowVectorRows(&d, l.b.Data, 0, s.Rows)
+	tensor.MatMulBiasRows(&d, &s, l.w, l.b.Data, 0, s.Rows)
 }
 
 // eluInfer applies the ELU, in place on the evaluator's scratch.

@@ -172,8 +172,7 @@ func (l *Linear) forwardRows(lo, hi int) {
 		tensor.MatMulPackedBiasRows(l.y, l.x, l.pw.pb, l.Bias.W.Data, lo, hi)
 		return
 	}
-	tensor.MatMulRows(l.y, l.x, l.Weight.W, lo, hi)
-	tensor.AddRowVectorRows(l.y, l.Bias.W.Data, lo, hi)
+	tensor.MatMulBiasRows(l.y, l.x, l.Weight.W, l.Bias.W.Data, lo, hi)
 }
 
 func (l *Linear) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {

@@ -46,6 +46,7 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	bias := make([]float64, out)
 
 	assertZeroAlloc(t, "MatMul", func() { MatMul(y, a, w) })
+	assertZeroAlloc(t, "MatMulBiasRows", func() { MatMulBiasRows(y, a, w, bias, 0, rows) })
 	assertZeroAlloc(t, "MatMulATB", func() { MatMulATB(dw, a, dy) })
 	assertZeroAlloc(t, "MatMulABTRows", func() { MatMulABTRows(dx, dy, w, 0, rows) })
 	assertZeroAlloc(t, "AddRowVectorRows", func() { AddRowVectorRows(y, bias, 0, rows) })

@@ -7,7 +7,7 @@ import "math"
 // of its time in. An element lands in one of four blocks (elu32_amd64.s
 // holds the two assembly ones):
 //
-//	eluBlock32x16   32 elements, two 16-lane zmm chains   avx512, calls of zmmMinElems or more
+//	eluBlock32x16   32 elements, two 16-lane zmm chains   avx512
 //	eluBlock32      16 elements, two 8-lane ymm chains    avx2 and up
 //	expM1Neg4        4 elements, interleaved in Go        any rung
 //	expM1Neg         1 element, the definition            any rung
@@ -16,9 +16,8 @@ import "math"
 // element: the assembly uses unfused VMULPS/VADDPS in exactly the scalar
 // expM1Neg operation sequence (the Go compiler does not fuse a*b+c on
 // amd64), so an element rounds the same in all four. That keeps the
-// result independent of chunk boundaries — and therefore of thread count,
-// SIMD rung and which calls clear zmmMinElems — with no bookkeeping at
-// all.
+// result independent of chunk boundaries — and therefore of thread count
+// and SIMD rung — with no bookkeeping at all.
 
 // EluRange32 writes y[i] = ELU(x[i]) for i in [lo, hi). x and y may
 // alias. The exponential is evaluated entirely in single precision
@@ -26,7 +25,7 @@ import "math"
 func EluRange32(y, x []float32, lo, hi int) {
 	i := lo
 	if tier >= tierAVX2 {
-		if elemTier(hi-lo) == tierAVX512 {
+		if tier == tierAVX512 {
 			if n := (hi - i) &^ 31; n > 0 {
 				eluBlock32x16(int64(n), &x[i], &y[i])
 				i += n

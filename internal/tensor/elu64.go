@@ -11,7 +11,7 @@ import "math"
 // here the scalar is the reference and the kernel the replica: EluRange's
 // assembly is math.Exp's own amd64 instruction sequence (see
 // elu64_amd64.s), not a polynomial of ours, on four ymm lanes (tierAVX2)
-// or eight zmm lanes (tierAVX512, for calls of at least zmmMinElems). The 8-lane replica replays the same
+// or eight zmm lanes (tierAVX512). The 8-lane replica replays the same
 // sequence with the AVX-512 spellings of the conversions and the blend and
 // its constants held in registers; nothing about the arithmetic differs.
 //
@@ -39,36 +39,13 @@ var elu64Exact = [...]bool{
 // kernels, 0 for none.
 var tierLanes = [...]int{tierGo: 0, tierAVX2: 4, tierAVX512: 8}
 
-// zmmMinElems is the smallest elementwise call (elements covered by one
-// EluRange, EluGradRange, AddRowVectorRows or ColSumsAcc) that takes the
-// 8-lane kernels on the avx512 rung; a shorter one takes the 4-lane
-// kernels there too. A call is a row panel of one layer, so this is the
-// layer's width: 64 rows × 32 columns clear it, 64 × 8 do not. The narrow
-// layers are the ones whose GEMMs stay on the scalar kernels (packMinKN),
-// and a few 512-bit instructions between long scalar stretches cost more
-// than they save: with them the benchmark's SmallConfig workloads
-// (train_halo, serve_*) ran 2-6 % slower than with ymm kernels, while the
-// wide layers, where the zmm GEMM tile runs either side of the call, are
-// where the 8-lane ELU earns its 1.7×. The choice never shows in a bit.
-const zmmMinElems = 1024
+// vecLanes is the block width of the add and ELU′ kernels.
+func vecLanes() int { return tierLanes[tier] }
 
-// elemTier is the rung an elementwise call over n elements runs on.
-func elemTier(n int) kernelTier {
-	if tier == tierAVX512 && n < zmmMinElems {
-		return tierAVX2
-	}
-	return tier
-}
-
-// vecLanes is the block width of the add and ELU′ kernels for a call over
-// n elements.
-func vecLanes(n int) int { return tierLanes[elemTier(n)] }
-
-// eluLanes is the block width of the exponential kernel for a call over n
-// elements: the widest one at or below the call's rung that passed its
-// probe, 0 for none.
-func eluLanes(n int) int {
-	for t := elemTier(n); t > tierGo; t-- {
+// eluLanes is the block width of the exponential kernel: the widest one at
+// or below the current rung that passed its probe, 0 for none.
+func eluLanes() int {
+	for t := tier; t > tierGo; t-- {
 		if elu64Exact[t] {
 			return tierLanes[t]
 		}
@@ -122,7 +99,7 @@ func elu64Probe(lanes int) bool {
 // math.Exp(x[i]) - 1, for i in [lo, hi). x and y may alias.
 func EluRange(y, x []float64, lo, hi int) {
 	i := lo
-	if w := eluLanes(hi - lo); w > 0 {
+	if w := eluLanes(); w > 0 {
 		for hi-i >= w {
 			i += int(eluBlock(w, int64((hi-i)&^(w-1)), &x[i], &y[i]))
 			if hi-i >= w { // the kernel stopped at this block
@@ -149,7 +126,7 @@ func eluScalar(y, x []float64, lo, hi int) {
 // d/dx (e^x - 1) = e^x = y + 1. dx and g may alias.
 func EluGradRange(dx, g, y []float64, lo, hi int) {
 	i := lo
-	if w := vecLanes(hi - lo); w > 0 {
+	if w := vecLanes(); w > 0 {
 		for hi-i >= w {
 			i += int(eluGradBlock(w, int64((hi-i)&^(w-1)), &y[i], &g[i], &dx[i]))
 			if hi-i >= w {

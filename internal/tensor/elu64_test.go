@@ -69,7 +69,7 @@ func sameBits(t *testing.T, what string, got, want, in []float64, lo, hi int) {
 func TestElu64MatchesMathExp(t *testing.T) {
 	x := elu64Inputs()
 	n := len(x)
-	t.Logf("kernel engaged: %v (%d lanes; exact per rung: %v)", eluLanes(n) > 0, eluLanes(n), elu64Exact)
+	t.Logf("kernel engaged: %v (%d lanes; exact per rung: %v)", eluLanes() > 0, eluLanes(), elu64Exact)
 	if n < 2_000_000 {
 		t.Fatalf("sweep has only %d values", n)
 	}
@@ -86,9 +86,9 @@ func TestElu64MatchesMathExp(t *testing.T) {
 		EluRange(alias, alias, 0, n)
 		sameBits(t, "x aliasing y", alias, want, x, 0, n)
 
-		// Lengths either side of zmmMinElems, where the avx512 rung
-		// changes between its 4-lane and 8-lane kernels.
-		for _, m := range []int{1, 7, 8, 9, 100, zmmMinElems - 1, zmmMinElems, zmmMinElems + 1} {
+		// Lengths either side of the kernels' blocks: 4 and 8 lanes, and
+		// the two-chain iterations of 8 and 16 elements.
+		for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100} {
 			clear(y[:m+4])
 			EluRange(y, x, 3, 3+m)
 			sameBits(t, "short range", y, want, x, 3, 3+m)
@@ -172,7 +172,7 @@ func TestEluGradMatchesScalar(t *testing.T) {
 		EluGradRange(alias, alias, y, 0, n)
 		sameBits(t, "dx aliasing g", alias, want, y, 0, n)
 
-		const span = 4096 // long enough for the 8-lane kernel (zmmMinElems)
+		const span = 4096
 		for lo := 0; lo <= 9; lo++ {
 			for cut := 0; cut <= 9; cut++ {
 				hi := span - cut

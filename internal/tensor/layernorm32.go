@@ -11,9 +11,9 @@ import "math"
 //
 // with the moment sums in float64, where float32 accumulation would
 // visibly drift at the row widths this system uses. layerNorm32Row is
-// that definition. On the avx512 rung, calls of zmmMinElems elements or
-// more hand whole groups of eight rows to lnBlock32x8 (ln32_amd64.s),
-// which keeps each row's two ordered sums by putting rows, not columns,
+// that definition. On the avx512 rung whole groups of eight rows go to
+// lnBlock32x8 (ln32_amd64.s), which keeps each row's two ordered sums by
+// putting rows, not columns,
 // in the vector lanes: a lane performs exactly its row's scalar sequence
 // of correctly rounded operations, so which rows share a group — and
 // with it lo, hi, the rung and the thread count — never shows in a bit.
@@ -27,7 +27,7 @@ func LayerNorm32Rows(dst, src *Matrix32, gain, shift []float32, eps float64, lo,
 		panic("tensor: LayerNorm32Rows width mismatch")
 	}
 	i := lo
-	if cols > 0 && elemTier((hi-lo)*cols) == tierAVX512 && !hasNaN(gain) && !hasNaN(shift) {
+	if cols > 0 && tier == tierAVX512 && !hasNaN(gain) && !hasNaN(shift) {
 		for hi-i >= 8 {
 			i += 8 * int(lnBlock32x8(int64((hi-i)/8), int64(cols), &src.Data[i*cols], &dst.Data[i*cols], &gain[0], &shift[0], eps))
 			if hi-i >= 8 { // the kernel stopped at this group

@@ -16,7 +16,7 @@ import (
 // reduce many input rows into one output (MatMulATB) use
 // parallel.ReduceWith, whose fixed chunk schedule and in-order partial
 // merge keep them bitwise-reproducible across thread counts in
-// deterministic mode. A row-range body (MatMulRows, MatMulPackedRows,
+// deterministic mode. A row-range body (MatMulBiasRows, MatMulPackedRows,
 // MatMulABTRows, AddRowVectorRows, the *Acc reduction bodies) is the serial
 // work of rows [lo, hi) and dispatches nothing: a region costs a worker
 // wake (see package parallel, "region granularity"), so internal/nn
@@ -65,17 +65,66 @@ func ReduceGrain(workPerItem int) int {
 
 type matMulTask struct{ dst, a, b *Matrix }
 
-func (t *matMulTask) Run(lo, hi int) { MatMulRows(t.dst, t.a, t.b, lo, hi) }
+func (t *matMulTask) Run(lo, hi int) { MatMulBiasRows(t.dst, t.a, t.b, nil, lo, hi) }
 
-// MatMulRows computes rows [lo, hi) of dst = a·b with the unpacked kernel —
-// the one MatMul runs below the packed-tier threshold (!ShouldPack), so a
-// caller tiling a product over row ranges itself must route shapes above
-// the threshold through MatMulPackedRows to keep MatMul's bits.
-func MatMulRows(dst, a, b *Matrix, lo, hi int) {
-	if a.Cols != b.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulRows shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+// MatMulBiasRows computes rows [lo, hi) of dst = a·b + bias (a nil bias
+// adds nothing): the unpacked linear layer, which MatMul and the layers of
+// internal/nn run where !ShouldPack. On every rung and for every input its
+// bits are matMulRows followed by AddRowVectorRows(dst, bias, lo, hi) —
+// the contract MatMulPackedBiasRows states for the packed tier, whose FMA
+// tiles round differently, so a caller tiling a product over row ranges
+// itself routes the shape by ShouldPack to keep MatMul's bits. On the SIMD
+// rungs product and add are one assembly pass (gemmrows_amd64.s) that
+// replays the scalar expression with each row's accumulators in
+// registers; a row whose result holds a NaN is redone by the scalar
+// loops, whose operand order picks the payload that survives.
+func MatMulBiasRows(dst, a, b *Matrix, bias []float64, lo, hi int) {
+	k, n := a.Cols, b.Cols
+	if k != b.Rows || dst.Cols != n || (bias != nil && len(bias) != n) {
+		panic(fmt.Sprintf("tensor: MatMulBiasRows shape mismatch (%dx%d)·(%dx%d)+bias(%d)->(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, len(bias), dst.Rows, dst.Cols))
 	}
+	if tier < tierAVX2 || k == 0 || n == 0 || lo >= hi {
+		matMulBiasScalar(dst, a, b, bias, lo, hi)
+		return
+	}
+	// The kernel indexes raw memory: hold it to the slices' bounds first.
+	if lo < 0 || hi*k > len(a.Data) || hi*n > len(dst.Data) || k*n > len(b.Data) {
+		panic(fmt.Sprintf("tensor: MatMulBiasRows rows [%d, %d) outside (%dx%d)·(%dx%d)->(%dx%d)",
+			lo, hi, a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	var bp *float64
+	if bias != nil {
+		bp = &bias[0]
+	}
+	for i := lo; i < hi; i++ {
+		i += int(gemmRows(int64(hi-i), int64(k), int64(n), &a.Data[i*k], &b.Data[0], &dst.Data[i*n], bp))
+		if i < hi { // the kernel stopped at this row: it holds a NaN
+			matMulBiasScalar(dst, a, b, bias, i, i+1)
+		}
+	}
+}
+
+// gemmRows is the current SIMD rung's MatMulBiasRows kernel.
+func gemmRows(rows, k, n int64, a, b, c, bias *float64) (done int64) {
+	if tier >= tierAVX512 {
+		return gemmRows64x8(rows, k, n, a, b, c, bias)
+	}
+	return gemmRows64(rows, k, n, a, b, c, bias)
+}
+
+// matMulBiasScalar is MatMulBiasRows' definition: the pure-Go rung's
+// kernel, and the NaN fallback of the SIMD ones.
+func matMulBiasScalar(dst, a, b *Matrix, bias []float64, lo, hi int) {
+	matMulRows(dst, a, b, lo, hi)
+	if bias != nil {
+		AddRowVectorRows(dst, bias, lo, hi)
+	}
+}
+
+// matMulRows computes rows [lo, hi) of dst = a·b with the legacy
+// register-blocked loops: the definition MatMulBiasRows replays.
+func matMulRows(dst, a, b *Matrix, lo, hi int) {
 	n := b.Cols
 	ka := a.Cols
 	for i := lo; i < hi; i++ {
@@ -279,14 +328,13 @@ func MatMulABTRows(dst, a, b *Matrix, lo, hi int) {
 // --- Row/column kernels --------------------------------------------------
 
 // AddRowVectorRows adds the length-Cols vector v to rows [lo, hi) of m in
-// place: the bias add of a linear layer below the packed threshold (above
-// it the add is the GEMM tile's epilogue, MatMulPackedBiasRows).
+// place: the bias add of MatMulBiasRows' definition.
 func AddRowVectorRows(m *Matrix, v []float64, lo, hi int) {
 	if len(v) != m.Cols {
 		panic("tensor: AddRowVectorRows length mismatch")
 	}
 	cols := m.Cols
-	w := vecLanes((hi - lo) * cols)
+	w := vecLanes()
 	for i := lo; i < hi; i++ {
 		row := m.Data[i*cols : (i+1)*cols]
 		j := 0
@@ -326,7 +374,7 @@ const colSumKernelMin = 32
 // loop narrow rows and the pure-Go rung run throughout.
 func ColSumsAcc(acc []float64, m *Matrix, lo, hi int) {
 	cols := m.Cols
-	w := vecLanes((hi - lo) * cols)
+	w := vecLanes()
 	if w == 0 || cols < colSumKernelMin {
 		for i := lo; i < hi; i++ {
 			colSumScalar(acc, m.Data[i*cols:(i+1)*cols])
@@ -439,9 +487,9 @@ func AddTo[T float32 | float64](dst, src []T) {
 	}
 	switch d := any(dst).(type) {
 	case []float32:
-		add32(d, any(src).([]float32), vecLanes32(len(d)))
+		add32(d, any(src).([]float32), vecLanes32())
 	case []float64:
-		add64(d, any(src).([]float64), vecLanes(len(d)))
+		add64(d, any(src).([]float64), vecLanes())
 	}
 }
 

@@ -86,16 +86,15 @@ func AddRowVector32Rows(m *Matrix32, v []float32, lo, hi int) {
 	if len(v) != m.Cols {
 		panic("tensor: AddRowVector32Rows length mismatch")
 	}
-	w := vecLanes32((hi - lo) * m.Cols)
+	w := vecLanes32()
 	for i := lo; i < hi; i++ {
 		add32(m.Row(i), v, w)
 	}
 }
 
-// vecLanes32 is the block width of the float32 add kernel for a call over
-// n elements: twice the float64 one's lanes on either SIMD rung, 0 for
-// none.
-func vecLanes32(n int) int { return 2 * vecLanes(n) }
+// vecLanes32 is the block width of the float32 add kernel: twice the
+// float64 one's lanes on either SIMD rung, 0 for none.
+func vecLanes32() int { return 2 * vecLanes() }
 
 // add32 is dst[j] += v[j] over two slices of one length. With w > 0 the
 // body is the w-lane add kernel (addBlock32, addBlock32x16) on addBlock64's

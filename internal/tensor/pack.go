@@ -58,8 +58,10 @@ import (
 
 const (
 	// packMinKN engages the packed tier when K*N >= packMinKN. Small
-	// shapes (the SmallConfig model, scalar heads) stay on the legacy
-	// kernels, whose bits they have golden files against.
+	// shapes (the SmallConfig model, scalar heads) keep the legacy rank-4
+	// grouped expression, whose bits they have golden files against:
+	// MatMulBiasRows (ops.go), which on the SIMD rungs replays it without
+	// FMA in an unpacked assembly kernel.
 	packMinKN = 1024
 )
 
@@ -81,17 +83,19 @@ var (
 //	tierGo      pure Go everywhere: the packed kernels keep the legacy
 //	            rank-4 grouped expression, NR = 4; no float32 packed tier.
 //	tierAVX2    AVX2+FMA: 4-row × 1-panel GEMM tiles over 64-byte panels
-//	            (NR = 8 float64 or 16 float32 columns), 4-lane float64 and
+//	            (NR = 8 float64 or 16 float32 columns), the unpacked
+//	            float64 GEMM on two ymm per 8 columns, 4-lane float64 and
 //	            8-lane float32 elementwise kernels.
 //	tierAVX512  AVX-512F under both element types: an 8-row × 2-panel zmm
 //	            GEMM tile over the same panels (heads, tails and an odd
-//	            last panel fall to the AVX2 tiles) and, for calls of
-//	            zmmMinElems elements or more (elu64.go), elementwise
-//	            kernels of twice the lanes plus the float32 LayerNorm
-//	            kernel (layernorm32.go).
+//	            last panel fall to the AVX2 tiles), the unpacked float64
+//	            GEMM on one zmm per 8 columns, elementwise kernels of
+//	            twice the lanes and the float32 LayerNorm kernel
+//	            (layernorm32.go).
 //
 // The two SIMD rungs are bit-for-bit equal: an output element sees the
-// same ascending-k fused multiply-adds, every float64 exponential is
+// same ascending-k fused multiply-adds (below packMinKN, all three rungs
+// see the legacy unfused expression), every float64 exponential is
 // math.archExp's instruction sequence and every float32 one expM1Neg's on
 // either, so a PackedB, a PackedB32, a golden file and a checkpoint move
 // between them freely. tierGo rounds differently (no FMA) and packs

@@ -52,7 +52,7 @@ func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
 		bias := randomMatrix(rng, 1, out).Data
 
 		bodies := map[string]func(dst *Matrix, lo, hi int){
-			"MatMulRows": func(dst *Matrix, lo, hi int) { MatMulRows(dst, x, w, lo, hi) },
+			"MatMulBiasRows": func(dst *Matrix, lo, hi int) { MatMulBiasRows(dst, x, w, bias, lo, hi) },
 			"MatMulPackedRows": func() func(*Matrix, int, int) {
 				pb := PackB(w)
 				return func(dst *Matrix, lo, hi int) { MatMulPackedRows(dst, x, pb, lo, hi) }

@@ -1,7 +1,8 @@
 package tensor
 
 // CPU feature detection and declarations for the assembly kernels in
-// simd_amd64.s, elu64_amd64.s and elu32_amd64.s. detectSIMD reads CPUID
+// simd_amd64.s, gemmrows_amd64.s, elu64_amd64.s, elu32_amd64.s and
+// ln32_amd64.s. detectSIMD reads CPUID
 // and XCR0 alone and reports the highest rung of the kernel tier
 // (pack.go) the machine can run.
 
@@ -25,6 +26,17 @@ func sgemmTile4(kc int64, a *float32, lda, astride int64, bp *float32, panelStri
 
 //go:noescape
 func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
+
+// The unpacked GEMM with its bias add (gemmrows_amd64.s): rows of c = a·b
+// + bias (bias nil for none), eight output columns per block — one zmm
+// on avx512 (x8), two ymm on avx2. Each returns how many leading rows it
+// finished, stopping at the first row whose result holds a NaN.
+
+//go:noescape
+func gemmRows64(rows, k, n int64, a, b, c, bias *float64) (done int64)
+
+//go:noescape
+func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) (done int64)
 
 // The float32 ELU blocks (elu32_amd64.s): n is a positive multiple of 16
 // for the ymm block, of 32 for the zmm one. Every input is done exactly,

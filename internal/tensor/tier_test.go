@@ -151,16 +151,17 @@ func newGemmOperands[T float](rng *rand.Rand, rows, k, n, nanEvery int, nanBias 
 
 // run64: MatMul through pre-packed panels, the same with the bias
 // epilogue, MatMulABT through PackBT, MatMulATBAcc over the rows as one
-// reduction chunk.
+// reduction chunk, and the unpacked linear layer (MatMulBiasRows).
 func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
 	rows, k, n := o.rows, o.k, o.n
 	x, w, wT, dy := FromSlice(rows, k, o.x), FromSlice(k, n, o.w), FromSlice(n, k, o.wT), FromSlice(rows, n, o.dy)
-	mm, mb, abt := New(rows, n), New(rows, n), New(rows, n)
+	mm, mb, abt, lin := New(rows, n), New(rows, n), New(rows, n), New(rows, n)
 	pb, pbt := PackB(w), PackBT(wT)
 	for _, r := range ranges {
 		MatMulPackedRows(mm, x, pb, r[0], r[1])
 		MatMulPackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
 		MatMulPackedRows(abt, x, pbt, r[0], r[1])
+		MatMulBiasRows(lin, x, w, o.bias, r[0], r[1])
 	}
 	acc := make([]float64, k*n)
 	MatMulATBAcc(acc, x, dy, 0, rows)
@@ -168,7 +169,8 @@ func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
 	for _, r := range ranges {
 		AddRowVectorRows(def, o.bias, r[0], r[1])
 	}
-	return map[string][]float64{"MatMul": mm.Data, "bias": mb.Data, "MatMulABT": abt.Data, "MatMulATBAcc": acc, "definition": def.Data}
+	return map[string][]float64{"MatMul": mm.Data, "bias": mb.Data, "MatMulABT": abt.Data, "MatMulATBAcc": acc, "definition": def.Data,
+		"MatMulBiasRows": lin.Data}
 }
 
 // run32: MatMul32 (whole matrix, packing per call where the shape clears
@@ -286,6 +288,180 @@ func TestKernelRungsBitwise(t *testing.T) {
 	t.Run("float32", func(t *testing.T) { sweepRungs(t, tierAVX2, []int{16, 32, 48, 64, 37}, run32) })
 }
 
+// TestMatMulBiasRowsBitwise holds the unpacked linear layer to its
+// definition — matMulRows, then AddRowVectorRows — bit for bit on every
+// rung, the pure-Go one included: over every row count 0…70 and 64-row
+// panels at odd offsets, widths either side of the kernels' 4-lane and
+// 8-column blocks, depths either side of their groups of four, with and
+// without a bias; on plain data and on data planted with what the
+// kernels' arithmetic must not get wrong — aligned groups of four zero a
+// values (skipped, never 0·b), signed zeros, ±Inf in a and b (so 0·Inf
+// meets both a skipped and a computed group), and NaNs with random
+// payloads in a, in b and in the bias, alone and together. The
+// definition is computed on the pure-Go rung once per case. On the SIMD
+// rungs the kernel alone must stop at exactly the rows whose definition
+// holds a NaN, the rows its caller hands to the scalar loops.
+func TestMatMulBiasRowsBitwise(t *testing.T) {
+	widths := []int{1, 3, 4, 5, 8, 13, 16, 32}
+	depths := []int{1, 3, 4, 7, 8, 16, 24}
+	plants := []string{"plain", "zeros", "Inf", "NaN in a", "NaN in b", "NaN in bias", "everything"}
+	negZero := math.Copysign(0, -1)
+	type linCase struct {
+		what    string
+		a, b    *Matrix
+		bias    []float64
+		rows    int
+		ranges  [][2]int
+		wantOut *Matrix
+	}
+	rng := rand.New(rand.NewSource(1024))
+	newCase := func(rows, k, n int, plant string, withBias bool, ranges [][2]int) linCase {
+		if k*n >= packMinKN {
+			t.Fatalf("%dx%d is not under packMinKN", k, n)
+		}
+		value := func(inf, nan bool) float64 {
+			switch r := rng.Intn(64); {
+			case r < 4 && plant != "plain":
+				return []float64{0, negZero}[r&1]
+			case r == 4 && inf:
+				return math.Inf(1 - 2*rng.Intn(2))
+			case r == 5 && nan:
+				return sweepValue[float64](rng, 1)
+			}
+			return rng.NormFloat64()
+		}
+		everything := plant == "everything"
+		infs := plant == "Inf" || everything
+		a, b := New(rows, k), New(k, n)
+		for i := range a.Data {
+			a.Data[i] = value(infs, plant == "NaN in a" || everything)
+		}
+		for i := range b.Data {
+			b.Data[i] = value(infs, false)
+		}
+		if plant != "plain" {
+			// Aligned groups of four zeros of either sign in a third of the
+			// rows, and a few single zeros in the k tail.
+			for i := 0; i < rows; i++ {
+				row := a.Row(i)
+				for g := 0; g+4 <= k; g += 4 {
+					if rng.Intn(3) == 0 {
+						for j := g; j < g+4; j++ {
+							row[j] = []float64{0, negZero}[rng.Intn(2)]
+						}
+					}
+				}
+			}
+		}
+		if plant == "NaN in b" || everything {
+			// One NaN in b: every row meets it unless its group is zero.
+			b.Data[rng.Intn(len(b.Data))] = sweepValue[float64](rng, 1)
+		}
+		var bias []float64
+		if withBias {
+			bias = make([]float64, n)
+			for j := range bias {
+				bias[j] = value(infs, false)
+			}
+			if plant == "NaN in bias" || everything {
+				bias[rng.Intn(n)] = sweepValue[float64](rng, 1)
+			}
+		}
+		want := New(rows, n)
+		prev := setKernelTier(tierGo)
+		matMulRows(want, a, b, 0, rows)
+		if bias != nil {
+			AddRowVectorRows(want, bias, 0, rows)
+		}
+		setKernelTier(prev)
+		return linCase{
+			what: fmt.Sprintf("%dx%d·%d %s, bias %v, ranges %v", rows, k, n, plant, withBias, ranges),
+			a:    a, b: b, bias: bias, rows: rows, ranges: ranges, wantOut: want,
+		}
+	}
+
+	var cases []linCase
+	for rows := 0; rows <= 70; rows++ {
+		n, k := widths[rows%len(widths)], depths[rows%len(depths)]
+		cases = append(cases, newCase(rows, k, n, plants[rows%len(plants)], rows%2 == 0, [][2]int{{0, rows}}))
+	}
+	for _, n := range widths {
+		for _, k := range depths {
+			for p, plant := range plants {
+				cases = append(cases, newCase(67, k, n, plant, (n+k+p)%3 != 0, [][2]int{{0, 67}}))
+			}
+		}
+	}
+	for _, off := range []int{1, 3, 7} {
+		rows := off + 2*64 + 5
+		ranges := [][2]int{{0, off}, {off, off + 64}, {off + 64, off + 128}, {off + 128, rows}}
+		for _, n := range []int{5, 8, 13, 32} {
+			cases = append(cases, newCase(rows, 24, n, plants[(off+n)%len(plants)], true, ranges))
+		}
+	}
+
+	atEachTier(t, func(t *testing.T) {
+		for _, c := range cases {
+			got := New(c.rows, c.b.Cols)
+			for i := range got.Data {
+				got.Data[i] = math.NaN() // every element must be written
+			}
+			for _, r := range c.ranges {
+				MatMulBiasRows(got, c.a, c.b, c.bias, r[0], r[1])
+			}
+			if i := bitsEqual(got.Data, c.wantOut.Data); i >= 0 {
+				t.Fatalf("%s: element %d (row %d) is %#x, want %#x", c.what, i, i/c.b.Cols,
+					math.Float64bits(got.Data[i]), math.Float64bits(c.wantOut.Data[i]))
+			}
+			if tier < tierAVX2 {
+				continue
+			}
+			// The scalar fallback would hide a kernel that stops too often
+			// (one that adds 0·Inf where a group is all zeros, say), so the
+			// kernel is also called alone: it must stop at exactly the rows
+			// whose definition holds a NaN.
+			k, n := c.a.Cols, c.b.Cols
+			var bp *float64
+			if c.bias != nil {
+				bp = &c.bias[0]
+			}
+			stops := make([]bool, c.rows)
+			for i := 0; i < c.rows; i++ {
+				i += int(gemmRows(int64(c.rows-i), int64(k), int64(n), &c.a.Data[i*k], &c.b.Data[0], &got.Data[i*n], bp))
+				if i < c.rows {
+					stops[i] = true
+				}
+			}
+			for i, stopped := range stops {
+				if nan := hasNaN(c.wantOut.Row(i)); stopped != nan {
+					t.Fatalf("%s: row %d: the kernel stopped: %v; its definition holds a NaN: %v", c.what, i, stopped, nan)
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkMatMulBiasRows times the unpacked linear layer per rung on a
+// 64-row panel of SmallConfig's widest GEMM (24 → 8) and of its 8 → 8 ones.
+func BenchmarkMatMulBiasRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	for _, k := range []int{24, 8} {
+		x, w := randomMatrix(rng, 64, k), randomMatrix(rng, k, 8)
+		bias, y := randomMatrix(rng, 1, 8).Data, New(64, 8)
+		for r := tierAVX512; r >= tierGo; r-- {
+			b.Run(fmt.Sprintf("%dx%d·8/%v", 64, k, r), func(b *testing.B) {
+				if r > cpuTier {
+					b.Skipf("rung %v not run: this CPU's top rung is %v", r, cpuTier)
+				}
+				defer setKernelTier(setKernelTier(r))
+				for i := 0; i < b.N; i++ {
+					MatMulBiasRows(y, x, w, bias, 0, 64)
+				}
+			})
+		}
+	}
+}
+
 // TestPanelGroupSplitInvisible: with the Nc budget shrunk to two panels
 // per group (and packKc with it, so every group is resumed across Kc
 // blocks), a product is the bits it is with every panel in one group — for
@@ -341,7 +517,7 @@ func TestPanelGroupSplitInvisible(t *testing.T) {
 // in twelve is a NaN with a random payload, so NaN meets NaN in both
 // operand orders.
 func TestAddRowVector32RowsMatchesScalar(t *testing.T) {
-	const rows = 40 // rows [4, 40) × 32 columns clear zmmMinElems, rows [0, 4) do not
+	const rows = 40 // added in two calls, cut at row 4
 	atEachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(32))
 		for _, cols := range []int{1, 7, 8, 9, 16, 32, 33, 96} {
@@ -422,15 +598,8 @@ func TestLayerNorm32RowsMatchesOneRow(t *testing.T) {
 		for _, cols := range []int{1, 8, 16, 32, 33, 96} {
 			for rows := 1; rows <= 19; rows++ {
 				for _, plant := range []string{"", "cancel", "zeros", "huge", "tiny", "NaN", "Inf", "NaN+Inf", "NaN gain+shift"} {
-					// The kernel engages on calls of zmmMinElems elements, so
-					// narrow cases are followed by whole groups of filler rows
-					// until the call clears it: n ≡ rows (mod 8).
 					const lo = 3
-					n := rows
-					for n*cols < zmmMinElems {
-						n += 8
-					}
-					total := lo + n + 2
+					total := lo + rows + 2
 					src := &Matrix32{Rows: total, Cols: cols, Data: sweepSlice[float32](rng, total*cols, 0)}
 					gain, shift := sweepSlice[float32](rng, cols, 0), sweepSlice[float32](rng, cols, 0)
 					victim := lo + rng.Intn(rows)
@@ -445,7 +614,7 @@ func TestLayerNorm32RowsMatchesOneRow(t *testing.T) {
 						// (about one row in fifty) — with no shift to absorb
 						// them.
 						clear(shift)
-						for i := lo; i < lo+n; i++ {
+						for i := lo; i < lo+rows; i++ {
 							row, half := src.Row(i), cols/2
 							for j := 0; j < half; j++ {
 								row[j] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8)))
@@ -480,18 +649,18 @@ func TestLayerNorm32RowsMatchesOneRow(t *testing.T) {
 					}
 					want := New32(total, cols)
 					copy(want.Data, src.Data)
-					for i := lo; i < lo+n; i++ {
+					for i := lo; i < lo+rows; i++ {
 						lnOneRow(want.Row(i), src.Row(i), gain, shift, eps)
 					}
-					what := fmt.Sprintf("rows=%d (of %d) cols=%d %s", rows, n, cols, plant)
+					what := fmt.Sprintf("rows=%d cols=%d %s", rows, cols, plant)
 
-					got := New32(total, cols) // rows outside [lo, lo+n) must stay as they were
+					got := New32(total, cols) // rows outside [lo, lo+rows) must stay as they were
 					copy(got.Data, src.Data)
-					LayerNorm32Rows(got, src, gain, shift, eps, lo, lo+n)
+					LayerNorm32Rows(got, src, gain, shift, eps, lo, lo+rows)
 					if i := bitsEqual(got.Data, want.Data); i >= 0 {
 						t.Fatalf("%s: element %d (row %d, victim row %d) is %#x, want %#x", what, i, i/cols, victim, bitsOf(got.Data[i]), bitsOf(want.Data[i]))
 					}
-					LayerNorm32Rows(src, src, gain, shift, eps, lo, lo+n)
+					LayerNorm32Rows(src, src, gain, shift, eps, lo, lo+rows)
 					if i := bitsEqual(src.Data, want.Data); i >= 0 {
 						t.Fatalf("%s, in place: element %d is %#x, want %#x", what, i, bitsOf(src.Data[i]), bitsOf(want.Data[i]))
 					}
