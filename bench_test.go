@@ -226,7 +226,7 @@ func BenchmarkAblation_DegreeScaling(b *testing.B) {
 						return err
 					}
 					for _, l := range model.Layers {
-						l.(*gnn.NMPLayer).DisableDegreeScaling = !scaled
+						l.DisableDegreeScaling = !scaled
 					}
 					x := r.Sample(TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
 					model.Forward(r.Ctx, x)
@@ -259,49 +259,6 @@ func BenchmarkAblation_ModelSize(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				err := sys.Run(NoExchange, func(r *Rank) error {
-					model, err := NewModel(cfg)
-					if err != nil {
-						return err
-					}
-					trainer := NewTrainer(model, NewSGD(0.01))
-					x := r.Sample(TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
-					trainer.Step(r.Ctx, x, x)
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_AttentionVsNMP compares the consistent attention
-// processor (two exchanges forward, packed softmax sync) against the
-// plain NMP processor at equal hidden width on the same distributed
-// graph — the cost of the paper's Sec. II-B generalization.
-func BenchmarkAblation_AttentionVsNMP(b *testing.B) {
-	b.ReportAllocs()
-	for _, attention := range []bool{false, true} {
-		name := "nmp"
-		if attention {
-			name = "attention"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			m, err := NewMesh(6, 6, 3, 2, FullyPeriodic)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys, err := NewSystem(m, 4, Blocks)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := SmallConfig()
-			cfg.Attention = attention
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := sys.Run(NeighborAllToAll, func(r *Rank) error {
 					model, err := NewModel(cfg)
 					if err != nil {
 						return err

@@ -46,14 +46,13 @@ func main() {
 		t0       = flag.Float64("t0", 0, "input snapshot time")
 		t1       = flag.Float64("t1", 0.05, "target snapshot time")
 		verify   = flag.Bool("verify", false, "verify Eq. 2 consistency against an R=1 run before training")
-		attn     = flag.Bool("attention", false, "use consistent attention layers instead of NMP")
 		noise    = flag.Float64("noise", 0, "partition-consistent input noise sigma")
 		saveTo   = flag.String("save", "", "write the trained model checkpoint to this path")
 		loadFrom = flag.String("load", "", "initialize the model from this checkpoint")
 		threads  = flag.Int("threads", 0, "intra-rank worker threads per kernel (0 = GOMAXPROCS, 1 = serial)")
 		det      = flag.Bool("deterministic", true, "fixed-schedule reductions: results bitwise-identical for any -threads")
-		overlap  = flag.Bool("overlap", false, "phased NMP pipeline: overlap halo communication with interior compute (bitwise-identical results; no-op with -attention)")
-		batchSz  = flag.Int("train-batch", 1, "samples per optimizer step, stacked as row blocks (gradient bitwise-equal to sequential accumulation; requires NMP)")
+		overlap  = flag.Bool("overlap", false, "phased NMP pipeline: overlap halo communication with interior compute (bitwise-identical results)")
+		batchSz  = flag.Int("train-batch", 1, "samples per optimizer step, stacked as row blocks (gradient bitwise-equal to sequential accumulation)")
 	)
 	flag.Parse()
 
@@ -62,9 +61,6 @@ func main() {
 	}
 	if *batchSz < 0 {
 		log.Fatalf("-train-batch must be >= 0, got %d", *batchSz)
-	}
-	if *attn && *batchSz > 1 {
-		log.Fatal("-train-batch > 1 requires the NMP processor (drop -attention)")
 	}
 	if *procs < 0 {
 		log.Fatalf("-procs must be >= 0, got %d", *procs)
@@ -93,7 +89,6 @@ func main() {
 	if *model == "large" {
 		cfg = meshgnn.LargeConfig()
 	}
-	cfg.Attention = *attn
 	cfg.Overlap = *overlap
 	cfg.TrainBatch = *batchSz
 	// Parallelism is configured once, above, via SetParallelism; the

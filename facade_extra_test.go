@@ -30,26 +30,6 @@ func TestNewSystemRCB(t *testing.T) {
 	}
 }
 
-func TestAttentionThroughFacade(t *testing.T) {
-	m, err := NewMesh(4, 2, 2, 1, NonPeriodic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem(m, 4, Blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := SmallConfig()
-	cfg.Attention = true
-	diff, err := VerifyConsistency(sys, cfg, NeighborAllToAll, TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff > 1e-11 {
-		t.Fatalf("attention model inconsistent: %g", diff)
-	}
-}
-
 func TestDiffusionThroughFacade(t *testing.T) {
 	m, err := NewMesh(4, 4, 2, 2, FullyPeriodic)
 	if err != nil {

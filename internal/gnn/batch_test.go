@@ -3,6 +3,7 @@ package gnn
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"meshgnn/internal/comm"
@@ -403,20 +404,29 @@ func TestPredictBatchRebind(t *testing.T) {
 	}
 }
 
-// TestPredictBatchSequentialFallback checks the one configuration that
-// cannot stack — attention processors serve through the training layer,
-// one sample at a time: PredictBatch must still honor the API and match
-// per-sample Predict bitwise.
-func TestPredictBatchSequentialFallback(t *testing.T) {
+// TestPredictBatchRefusesForeignMesh pins the same-mesh rule of a batch.
+// A batch is B row blocks of the one graph bound through one RankContext:
+// splitBlock and runBlocks cut the stack at one per-sample length n, and
+// every gather, scatter and halo frame indexes block b at b·n. A member
+// snapshot of another mesh would need per-block graph offsets in every
+// task, so PredictBatch and the training forward refuse it with a panic
+// instead of evaluating it against the wrong graph.
+func TestPredictBatchRefusesForeignMesh(t *testing.T) {
 	box, l := allocSetup(t)
-	err := comm.Run(1, func(c *comm.Comm) error {
+	other, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := graph.BuildSingle(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = comm.Run(1, func(c *comm.Comm) error {
 		rc, err := NewRankContext(c, box, l, comm.NoExchange)
 		if err != nil {
 			return err
 		}
-		cfg := tinyConfig()
-		cfg.Attention = true
-		model, err := NewModel(cfg)
+		model, err := NewModel(tinyConfig())
 		if err != nil {
 			return err
 		}
@@ -424,14 +434,34 @@ func TestPredictBatchSequentialFallback(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if d := batchParity(rc, eng, batchInputs(rc.Graph, 3)); d != 0 {
-			return fmt.Errorf("%d values differ bitwise (fallback)", d)
+		xs := batchInputs(rc.Graph, 3)
+		xs[1] = waveField(foreign)
+		if xs[1].Rows == rc.Graph.NumLocal() {
+			return fmt.Errorf("foreign mesh has the bound graph's %d rows", xs[1].Rows)
+		}
+		if msg := panicMessage(func() { eng.PredictBatch(rc, xs) }); !strings.Contains(msg, "inference input") {
+			return fmt.Errorf("PredictBatch with a foreign-mesh member: panic %q, want an inference input panic", msg)
+		}
+		if msg := panicMessage(func() { model.forward(rc, xs) }); !strings.Contains(msg, "gnn: input") {
+			return fmt.Errorf("Model.forward with a foreign-mesh member: panic %q, want an input panic", msg)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// panicMessage runs f and returns what it panicked with, formatted ("" if
+// it returned).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if p := recover(); p != nil {
+			msg = fmt.Sprint(p)
+		}
+	}()
+	f()
+	return ""
 }
 
 // TestPredictBatchOutputLifetimeContract pins the documented double-buffer

@@ -65,11 +65,6 @@ type Config struct {
 	MLPHiddenLayers int
 	// EdgeMode selects the raw edge-feature width.
 	EdgeMode EdgeFeatureMode
-	// Attention swaps the degree-scaled sum aggregation for a
-	// consistent edge-softmax attention aggregation in every processor
-	// layer (the generalization the paper sketches at the end of
-	// Sec. II-B).
-	Attention bool
 	// Overlap selects the phased NMP pipeline: each layer aggregates its
 	// boundary (shared) rows first, puts the halo payloads on the wire,
 	// and computes the interior aggregation while the messages fly,
@@ -77,8 +72,7 @@ type Config struct {
 	// the same owner-grouped deterministic order as the synchronous path.
 	// Results are bitwise identical to Overlap=false on every transport and
 	// exchange mode — overlap is a scheduling property, not an arithmetic
-	// one. Attention layers keep their synchronous exchanges (the knob is
-	// a no-op for Attention=true).
+	// one.
 	Overlap bool
 	// Seed drives the deterministic parameter initialization; every
 	// rank constructing the same Config holds identical parameters.
@@ -108,8 +102,8 @@ type Config struct {
 	// epochs accordingly). The accumulated B-sample gradient is
 	// bitwise-equal to B sequential accumulation passes — batching buys
 	// amortization (one AllReduce, one optimizer step, one pack-cache
-	// invalidation per B samples), not different arithmetic. Requires the
-	// NMP processor (no attention). 0 and 1 train per sample.
+	// invalidation per B samples), not different arithmetic. 0 and 1 train
+	// per sample.
 	TrainBatch int
 	// NonDeterministic relaxes the engine's fixed-schedule reductions:
 	// chunking may then depend on the thread count, which is marginally
@@ -168,19 +162,11 @@ func (c Config) Validate() error {
 	case c.TrainBatch < 0:
 		return fmt.Errorf("gnn: TrainBatch must be >= 0, got %d", c.TrainBatch)
 	}
-	if c.Attention && c.TrainBatch > 1 {
-		return fmt.Errorf("gnn: batched training requires non-attention processors " +
-			"(the attention layer has no row-block backward)")
-	}
 	if c.EdgeMode != EdgeFeatures4 && c.EdgeMode != EdgeFeatures7 {
 		return fmt.Errorf("gnn: unsupported EdgeMode %d", c.EdgeMode)
 	}
 	if c.Precision != Float64 && c.Precision != Float32 {
 		return fmt.Errorf("gnn: unsupported Precision %d", c.Precision)
-	}
-	if c.Attention && c.Precision == Float32 {
-		return fmt.Errorf("gnn: Float32 serving requires non-attention processors " +
-			"(the attention engine path serves through the float64 training layer)")
 	}
 	return nil
 }
@@ -199,10 +185,6 @@ func (c Config) ParamCount() int {
 	total := mlp(c.InputNodeFeatures, h, true) // node encoder
 	total += mlp(int(c.EdgeMode), h, true)     // edge encoder
 	total += c.MessagePassingLayers * (mlp(3*h, h, true) + mlp(2*h, h, true))
-	if c.Attention {
-		// Each attention layer adds a scalar score MLP.
-		total += c.MessagePassingLayers * mlp(3*h, 1, false)
-	}
 	total += mlp(h, c.OutputNodeFeatures, false) // decoder
 	return total
 }

@@ -295,7 +295,7 @@ func TestUnscaledAggregationBreaksConsistency(t *testing.T) {
 			return 0, err
 		}
 		for _, l := range model.Layers {
-			l.(*NMPLayer).DisableDegreeScaling = true
+			l.DisableDegreeScaling = true
 		}
 		x := waveField(rc.Graph)
 		y := model.Forward(rc, x)

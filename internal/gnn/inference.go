@@ -119,50 +119,32 @@ type Inference struct {
 type inferCore[P, M any] struct {
 	nodeEnc, edgeEnc, dec P
 	layers                []coreLayer[P]
-	// attention marks a core with an attention processor: it serves one
-	// sample at a time and refuses Session (see coreLayer.att).
-	attention bool
 
 	mu     sync.Mutex
 	static map[*graph.Local]M
 }
 
-// coreLayer is one compiled processor: the two MLP twins of an NMP layer
-// or, on a float64 core compiled from an attention model, the training
-// layer itself — the attention processor has no forward-only twin yet, so
-// the engine calls its Forward (own allocations, synchronous exchanges,
-// and it writes the layer's backward caches: an engine must not run
-// between a model's Forward and Backward when they share attention
-// layers).
+// coreLayer is one compiled NMP layer: the forward-only twins of its edge
+// and node MLPs.
 type coreLayer[P any] struct {
 	edgeMLP, nodeMLP P
 	disableDeg       bool
-	att              *AttentionLayer
 }
 
-func compileCore[P, M any](m *Model, compile func(*nn.MLP) P) (*inferCore[P, M], error) {
+func compileCore[P, M any](m *Model, compile func(*nn.MLP) P) *inferCore[P, M] {
 	c := &inferCore[P, M]{
 		nodeEnc: compile(m.NodeEncoder),
 		edgeEnc: compile(m.EdgeEncoder),
 		dec:     compile(m.Decoder),
 	}
 	for _, l := range m.Layers {
-		switch t := l.(type) {
-		case *NMPLayer:
-			c.layers = append(c.layers, coreLayer[P]{
-				edgeMLP:    compile(t.EdgeMLP),
-				nodeMLP:    compile(t.NodeMLP),
-				disableDeg: t.DisableDegreeScaling,
-			})
-		case *AttentionLayer:
-			// Validate rejects Attention+Float32, so P is *nn.InferMLP here.
-			c.layers = append(c.layers, coreLayer[P]{att: t})
-			c.attention = true
-		default:
-			return nil, fmt.Errorf("gnn: cannot compile processor %T for inference", l)
-		}
+		c.layers = append(c.layers, coreLayer[P]{
+			edgeMLP:    compile(l.EdgeMLP),
+			nodeMLP:    compile(l.NodeMLP),
+			disableDeg: l.DisableDegreeScaling,
+		})
 	}
-	return c, nil
+	return c
 }
 
 // staticFor returns the cached static-edge encoding for g, computing it
@@ -202,18 +184,10 @@ func NewInference(m *Model) (*Inference, error) {
 	}
 	e := &Inference{Config: m.Config}
 	if m.Config.Precision == Float32 {
-		core, err := compileCore[*nn.InferMLP32, *tensor.Matrix32](m, (*nn.MLP).Compile32)
-		if err != nil {
-			return nil, err
-		}
-		e.p32 = newPass32(core)
-		return e, nil
+		e.p32 = newPass32(compileCore[*nn.InferMLP32, *tensor.Matrix32](m, (*nn.MLP).Compile32))
+	} else {
+		e.p64 = newPass64(compileCore[*nn.InferMLP, *tensor.Matrix](m, (*nn.MLP).Compile))
 	}
-	core, err := compileCore[*nn.InferMLP, *tensor.Matrix](m, (*nn.MLP).Compile)
-	if err != nil {
-		return nil, err
-	}
-	e.p64 = newPass64(core)
 	return e, nil
 }
 
@@ -269,10 +243,8 @@ func (e *Inference) Refresh() error {
 	c.edgeEnc.Repack()
 	c.dec.Repack()
 	for _, l := range c.layers {
-		if l.att == nil {
-			l.edgeMLP.Repack()
-			l.nodeMLP.Repack()
-		}
+		l.edgeMLP.Repack()
+		l.nodeMLP.Repack()
 	}
 	return nil
 }
@@ -284,30 +256,25 @@ func (e *Inference) Refresh() error {
 // tile, output double-buffer, binding and message-passing task scaffolding
 // are fresh. Sessions may predict concurrently — each from its own
 // collective group — and their results are bitwise-identical to the
-// source engine's, sample for sample.
-//
-// One kind of core refuses: an attention processor serves through the
-// mutable training layer and writes its backward caches on every call, so
-// two sessions over it would race — compile one engine per session.
+// source engine's, sample for sample. Every core is shareable: an
+// evaluation writes nothing in it but the static-edge cache, under its
+// lock.
 //
 // A view holds a reference on the compile: Refresh on the root refuses
 // (ErrLiveSessions) until every view is Released.
-func (e *Inference) Session() (*Inference, error) {
+func (e *Inference) Session() *Inference {
 	root := e
 	if e.root != nil {
 		root = e.root
 	}
 	s := &Inference{Config: e.Config, root: root}
-	switch {
-	case e.p32 != nil:
+	if e.p32 != nil {
 		s.p32 = newPass32(e.p32.core)
-	case e.p64.core.attention:
-		return nil, fmt.Errorf("gnn: attention processors serve through mutable training state; compile one engine per session")
-	default:
+	} else {
 		s.p64 = newPass64(e.p64.core)
 	}
 	root.live.Add(1)
-	return s, nil
+	return s
 }
 
 // Release returns a Session view's reference on its compile; after the
@@ -372,15 +339,7 @@ func (e *Inference) PredictBatch(rc *RankContext, xs []*tensor.Matrix) []*tensor
 	e.outIdx = 1 - e.outIdx
 	out := &e.outs[e.outIdx]
 	out.size(batch, per, e.Config.OutputNodeFeatures)
-	if batch > 1 && e.p64 != nil && e.p64.core.attention {
-		// The attention processor cannot stack: one pass per sample, each
-		// landing in its block of the stacked output.
-		for i := range xs {
-			e.pass(rc, xs[i:i+1], out.hdrs[i])
-		}
-	} else {
-		e.pass(rc, xs, &out.all)
-	}
+	e.pass(rc, xs, &out.all)
 	return out.hdrs[:batch]
 }
 
@@ -549,9 +508,6 @@ func (u *pass64) encodeEdges(rc *RankContext, xs []*tensor.Matrix, static bool) 
 
 func (u *pass64) process(rc *RankContext, i int, x, e *tensor.Matrix, batch int, overlap bool) (xOut, eOut *tensor.Matrix) {
 	u.layer = &u.core.layers[i]
-	if att := u.layer.att; att != nil {
-		return att.Forward(rc, x, e) // one sample: PredictBatch never stacks an attention core
-	}
 	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap, u.layer.disableDeg)
 }
 

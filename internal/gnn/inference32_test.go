@@ -222,17 +222,3 @@ func TestInferenceF32RolloutTolerance(t *testing.T) {
 		}
 	}
 }
-
-// TestInferenceF32RejectsAttention documents the validation rule: the
-// attention engine path serves through the float64 training layer, so an
-// attention config cannot request Float32.
-func TestInferenceF32RejectsAttention(t *testing.T) {
-	cfg := f32Config()
-	cfg.Attention = true
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Attention+Float32 config validated")
-	}
-	if _, err := NewModel(cfg); err == nil {
-		t.Fatal("NewModel accepted Attention+Float32")
-	}
-}

@@ -427,42 +427,6 @@ func TestInferenceCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInferenceAttentionFallbackParity covers the attention fallback:
-// engines compiled from attention models serve through the training
-// layer's Forward and must still match Model.Forward bitwise (the
-// compiled encoders/decoder and the cached static-edge encoding wrap
-// around the fallback).
-func TestInferenceAttentionFallbackParity(t *testing.T) {
-	box, l := allocSetup(t)
-	err := comm.Run(1, func(c *comm.Comm) error {
-		rc, err := NewRankContext(c, box, l, comm.NoExchange)
-		if err != nil {
-			return err
-		}
-		cfg := tinyConfig()
-		cfg.Attention = true
-		model, err := NewModel(cfg)
-		if err != nil {
-			return err
-		}
-		eng, err := NewInference(model)
-		if err != nil {
-			return err
-		}
-		diff, err := inferenceParity(rc, model, eng, waveField(rc.Graph))
-		if err != nil {
-			return err
-		}
-		if diff != 0 {
-			t.Errorf("attention fallback: %d prediction values differ bitwise from Model.Forward", diff)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestInferenceRefreshTracksTraining pins the Refresh contract: the
 // engine aliases the source model's parameters, so after further training
 // a Refresh re-binds the cached static-edge encoding and predictions

@@ -48,7 +48,7 @@ type Model struct {
 
 	NodeEncoder *nn.MLP
 	EdgeEncoder *nn.MLP
-	Layers      []ProcessorLayer
+	Layers      []*NMPLayer
 	Decoder     *nn.MLP
 
 	params []*nn.Param
@@ -104,15 +104,6 @@ func (t *rowTile[T]) of(src []T, batch int) []T {
 // drop forgets the copies: the source changed.
 func (t *rowTile[T]) drop() { t.n = 0 }
 
-// ProcessorLayer is the contract shared by the consistent NMP layer and
-// the consistent attention layer: a collective forward over (node, edge)
-// hidden features and its reverse-mode backward.
-type ProcessorLayer interface {
-	Forward(rc *RankContext, x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix)
-	Backward(dxOut, deOut *tensor.Matrix) (dx, de *tensor.Matrix)
-	Params() []*nn.Param
-}
-
 // NewModel builds a model from the configuration with deterministic
 // initialization.
 func NewModel(cfg Config) (*Model, error) {
@@ -133,13 +124,9 @@ func NewModel(cfg Config) (*Model, error) {
 	m.NodeEncoder = nn.NewMLP("enc.node", cfg.InputNodeFeatures, h, h, cfg.MLPHiddenLayers, true, rng)
 	m.EdgeEncoder = nn.NewMLP("enc.edge", int(cfg.EdgeMode), h, h, cfg.MLPHiddenLayers, true, rng)
 	for i := 0; i < cfg.MessagePassingLayers; i++ {
-		if cfg.Attention {
-			m.Layers = append(m.Layers, NewAttentionLayer(fmt.Sprintf("att%d", i), h, cfg.MLPHiddenLayers, rng))
-		} else {
-			l := NewNMPLayer(fmt.Sprintf("nmp%d", i), h, cfg.MLPHiddenLayers, rng)
-			l.Overlap = cfg.Overlap
-			m.Layers = append(m.Layers, l)
-		}
+		l := NewNMPLayer(fmt.Sprintf("nmp%d", i), h, cfg.MLPHiddenLayers, rng)
+		l.Overlap = cfg.Overlap
+		m.Layers = append(m.Layers, l)
 	}
 	m.Decoder = nn.NewMLP("dec.node", h, h, cfg.OutputNodeFeatures, cfg.MLPHiddenLayers, false, rng)
 
@@ -154,16 +141,13 @@ func NewModel(cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("gnn: built %d parameters, formula says %d", got, cfg.ParamCount())
 	}
 
-	// One workspace arena feeds every layer that supports it (the
-	// attention processor keeps its own allocations for now).
+	// One workspace arena feeds every layer.
 	m.arena = tensor.NewArena()
 	m.NodeEncoder.SetArena(m.arena)
 	m.EdgeEncoder.SetArena(m.arena)
 	m.Decoder.SetArena(m.arena)
 	for _, l := range m.Layers {
-		if au, ok := l.(nn.ArenaUser); ok {
-			au.SetArena(m.arena)
-		}
+		l.SetArena(m.arena)
 	}
 	return m, nil
 }
@@ -171,14 +155,11 @@ func NewModel(cfg Config) (*Model, error) {
 // SetOverlap toggles the phased (overlapped) NMP pipeline at runtime, for
 // models whose Config predates the knob (e.g. loaded checkpoints).
 // Results are bitwise-identical either way — overlap is a scheduling
-// property — so flipping it between steps is safe. Attention layers keep
-// their synchronous exchanges and are unaffected.
+// property — so flipping it between steps is safe.
 func (m *Model) SetOverlap(on bool) {
 	m.Config.Overlap = on
 	for _, l := range m.Layers {
-		if nmp, ok := l.(*NMPLayer); ok {
-			nmp.Overlap = on
-		}
+		l.Overlap = on
 	}
 }
 
@@ -259,13 +240,7 @@ func (m *Model) forward(rc *RankContext, xs []*tensor.Matrix) *tensor.Matrix {
 	}
 	he := m.EdgeEncoder.Forward(ei)
 	for _, l := range m.Layers {
-		if nmp, ok := l.(*NMPLayer); ok {
-			hx, he = nmp.forward(rc, hx, he, batch)
-		} else if batch == 1 {
-			hx, he = l.Forward(rc, hx, he)
-		} else {
-			panic(fmt.Sprintf("gnn: batched training requires NMP processor layers, have %T", l))
-		}
+		hx, he = l.forward(rc, hx, he, batch)
 	}
 	return m.Decoder.Forward(hx)
 }

@@ -97,34 +97,6 @@ func TestTrainingBitwiseDeterministicAcrossThreads(t *testing.T) {
 	}
 }
 
-// TestAttentionBitwiseDeterministicAcrossThreads extends the contract to
-// the consistent attention processor, whose softmax normalization syncs
-// across ranks.
-func TestAttentionBitwiseDeterministicAcrossThreads(t *testing.T) {
-	defer parallel.Configure(0, true)
-	box, err := mesh.NewBox(4, 2, 2, 2, [3]bool{false, false, false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyConfig()
-	cfg.Attention = true
-
-	parallel.Configure(1, true)
-	refLosses, refY, _ := trainRun(t, box, 2, 2, cfg)
-
-	parallel.Configure(4, true)
-	losses, y, _ := trainRun(t, box, 2, 2, cfg)
-	for s := range refLosses {
-		if losses[s] != refLosses[s] {
-			t.Fatalf("attention: step %d loss differs across thread counts", s)
-		}
-	}
-	if !y.Equal(refY) {
-		t.Fatalf("attention: final output differs across thread counts (max |Δ| = %g)",
-			y.MaxAbsDiff(refY))
-	}
-}
-
 // TestConfigThreadsKnob verifies the Config wiring: NewModel applies a
 // positive Threads value to the engine — clamped to the core count unless
 // Oversubscribe is set — and rejects a negative one.

@@ -38,10 +38,7 @@ func refreshRefused(t *testing.T, cfg Config) {
 		if err != nil {
 			return err
 		}
-		ses, err := eng.Session()
-		if err != nil {
-			return err
-		}
+		ses := eng.Session()
 		// A view holds the core itself, not copies of its blocks or their
 		// panel pointers: whatever a Refresh re-packs, no view is left on
 		// the old panels (tensor's TestRepackAfterTierToggleReachesEveryHolder).
@@ -83,10 +80,7 @@ func refreshRefused(t *testing.T, cfg Config) {
 			return fmt.Errorf("Refresh on a session view: err = %v, want ErrLiveSessions", err)
 		}
 		// A second view keeps the root pinned after the first releases.
-		ses2, err := eng.Session()
-		if err != nil {
-			return err
-		}
+		ses2 := eng.Session()
 		ses.Release()
 		ses.Release() // double release is a no-op, not a count underflow
 		if err := eng.Refresh(); !errors.Is(err, ErrLiveSessions) {
@@ -98,10 +92,7 @@ func refreshRefused(t *testing.T, cfg Config) {
 		}
 		// The refreshed compile still serves, bitwise as before (the
 		// parameters did not change), through a fresh view.
-		ses3, err := eng.Session()
-		if err != nil {
-			return err
-		}
+		ses3 := eng.Session()
 		defer ses3.Release()
 		if d := bitDiff(want, ses3.Predict(rc, x)); d != 0 {
 			return fmt.Errorf("post-refresh session prediction differs in %d values", d)
@@ -110,50 +101,5 @@ func refreshRefused(t *testing.T, cfg Config) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSessionRefusesAttention pins the one Session refusal that stays, and
-// why. A core compiled from an attention model has no forward-only twin of
-// its processors: it serves through the training layers themselves, whose
-// Forward allocates per call and writes the layer's backward caches (the
-// attention weights, the packed aggregates). Two sessions over that core
-// would write those caches concurrently, so Session must refuse — a server
-// compiles one engine per rank instead — and must leave no reference
-// behind: Refresh on the refused root still succeeds. Every NMP core, of
-// either precision, is immutable while serving and does share (the Float32
-// refusal is gone: TestRefreshRefusedWhileSessionsLive/f32 takes views).
-func TestSessionRefusesAttention(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Attention = true
-	model, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewInference(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ses, err := eng.Session(); err == nil {
-		ses.Release()
-		t.Fatal("Session() over an attention core succeeded; its sessions would share the training layers' backward caches")
-	}
-	if err := eng.Refresh(); err != nil {
-		t.Fatalf("Refresh after a refused Session: %v (the refusal leaked a reference)", err)
-	}
-	for _, prec := range precisions {
-		model, err := NewModel(precisionConfig(prec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := NewInference(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ses, err := eng.Session()
-		if err != nil {
-			t.Fatalf("%s: Session() over an NMP core refused: %v", precName(prec), err)
-		}
-		ses.Release()
 	}
 }

@@ -2,13 +2,17 @@ package gnn
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"meshgnn/internal/comm"
 	"meshgnn/internal/graph"
 	"meshgnn/internal/mesh"
+	"meshgnn/internal/nn"
 	"meshgnn/internal/partition"
 )
 
@@ -50,26 +54,74 @@ func TestLoadModelCorruptStream(t *testing.T) {
 	}
 }
 
-func TestSaveLoadAttentionModel(t *testing.T) {
+// TestLoadModelRejectsAttentionCheckpoint guards checkpoints written when
+// the model could swap its NMP processors for attention layers. gob drops
+// the Config.Attention field the library no longer has, so the stored
+// configuration decodes as an NMP model; the tensor list — each layer's
+// value, score and node MLPs — must then fail the count/name check rather
+// than load into the wrong architecture.
+func TestLoadModelRejectsAttentionCheckpoint(t *testing.T) {
+	type attentionConfig struct {
+		Name                 string
+		InputNodeFeatures    int
+		OutputNodeFeatures   int
+		HiddenDim            int
+		MessagePassingLayers int
+		MLPHiddenLayers      int
+		EdgeMode             EdgeFeatureMode
+		Attention            bool
+		Seed                 int64
+	}
 	cfg := tinyConfig()
-	cfg.Attention = true
-	m1, err := NewModel(cfg)
-	if err != nil {
-		t.Fatal(err)
+	h, k := cfg.HiddenDim, cfg.MLPHiddenLayers
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	mlps := []*nn.MLP{
+		nn.NewMLP("enc.node", cfg.InputNodeFeatures, h, h, k, true, rng),
+		nn.NewMLP("enc.edge", int(cfg.EdgeMode), h, h, k, true, rng),
+	}
+	for i := 0; i < cfg.MessagePassingLayers; i++ {
+		name := fmt.Sprintf("att%d", i)
+		mlps = append(mlps,
+			nn.NewMLP(name+".value", 3*h, h, h, k, true, rng),
+			nn.NewMLP(name+".score", 3*h, h, 1, k, false, rng),
+			nn.NewMLP(name+".node", 2*h, h, h, k, true, rng))
+	}
+	mlps = append(mlps, nn.NewMLP("dec.node", h, h, cfg.OutputNodeFeatures, k, false, rng))
+	var params []savedParam
+	for _, m := range mlps {
+		for _, p := range m.Params() {
+			params = append(params, savedParam{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols, Data: p.W.Data})
+		}
+	}
+	checkpoint := struct {
+		FormatVersion int
+		Config        attentionConfig
+		Params        []savedParam
+	}{
+		FormatVersion: formatVersion,
+		Config: attentionConfig{
+			Name:                 cfg.Name,
+			InputNodeFeatures:    cfg.InputNodeFeatures,
+			OutputNodeFeatures:   cfg.OutputNodeFeatures,
+			HiddenDim:            h,
+			MessagePassingLayers: cfg.MessagePassingLayers,
+			MLPHiddenLayers:      k,
+			EdgeMode:             cfg.EdgeMode,
+			Attention:            true,
+			Seed:                 cfg.Seed,
+		},
+		Params: params,
 	}
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, m1); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(checkpoint); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
+	m, err := LoadModel(&buf)
+	if err == nil {
+		t.Fatalf("LoadModel accepted an attention checkpoint as a %d-layer NMP model", len(m.Layers))
 	}
-	if !m2.Config.Attention {
-		t.Fatal("attention flag lost")
-	}
-	if m2.NumParams() != m1.NumParams() {
-		t.Fatal("parameter count changed")
+	if !strings.Contains(err.Error(), "tensor") {
+		t.Fatalf("LoadModel failed before the tensor check: %v", err)
 	}
 }
 

@@ -66,13 +66,9 @@ type Server struct {
 	maxBatch   int
 	window     time.Duration
 
-	// core is the shared compiled engine all sessions reference. Nil for
-	// attention models, the one kind without a shareable core (their
-	// processors serve through mutable training layers): every rank then
-	// compiles privately from the snapshot.
-	core     *gnn.Inference
-	snapshot [][]float64
-	cfg      Config
+	// core is the shared compiled engine all sessions reference; every
+	// rank of every session serves a Session of it.
+	core *gnn.Inference
 
 	sessions  []*serveSession
 	closeOnce sync.Once
@@ -346,23 +342,33 @@ func (s *System) Serve(kind TransportKind, mode ExchangeMode, model *Model) (*Se
 // before ServeWith returns — one immutable engine core (parameter twins of
 // the configured precision, pre-packed weight panels, static-edge cache)
 // referenced by every rank of every session — so the caller's model stays
-// free for further training and S sessions cost one compile. (Attention
-// models have no shareable core; their ranks compile one engine each when
-// they start.) Supported transports are InProcess and Sockets (goroutine
-// ranks — request matrices cross no process boundary); Processes ranks
-// cannot receive in-memory requests, so drive the engine directly inside
-// RunOn for that case (as cmd/serve -procs does).
+// free for further training and S sessions cost one compile. Supported
+// transports are InProcess and Sockets (goroutine ranks — request matrices
+// cross no process boundary); Processes ranks cannot receive in-memory
+// requests, so drive the engine directly inside RunOn for that case (as
+// cmd/serve -procs does).
 //
 // Close the server to release the rank goroutines of every session.
 func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, opts ServeOptions) (*Server, error) {
 	if kind == Processes {
 		return nil, fmt.Errorf("meshgnn: Serve needs in-memory requests; run the engine inside RunOn for process ranks")
 	}
-	// Snapshot synchronously: the rank goroutines start after ServeWith
-	// returns, and the caller may immediately resume training the model.
-	snapshot := make([][]float64, len(model.Params()))
-	for i, p := range model.Params() {
-		snapshot[i] = append([]float64(nil), p.W.Data...)
+	// Snapshot and compile synchronously: the rank goroutines start after
+	// ServeWith returns, and the caller may immediately resume training the
+	// model. The engine compiles from an immutable copy holding the
+	// snapshot.
+	snapshot, err := gnn.NewModel(model.Config)
+	if err != nil {
+		return nil, err
+	}
+	src := model.Params()
+	for i, p := range snapshot.Params() {
+		copy(p.W.Data, src[i].W.Data)
+		p.Bump()
+	}
+	core, err := gnn.NewInference(snapshot)
+	if err != nil {
+		return nil, err
 	}
 	maxBatch := opts.MaxBatch
 	if maxBatch < 1 {
@@ -392,15 +398,7 @@ func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, 
 		recvTime:   opts.recvTimeout(),
 		maxBatch:   maxBatch,
 		window:     window,
-		snapshot:   snapshot,
-		cfg:        model.Config,
-	}
-	if !model.Config.Attention {
-		core, err := srv.compile()
-		if err != nil {
-			return nil, err
-		}
-		srv.core = core
+		core:       core,
 	}
 	for i := 0; i < nsess; i++ {
 		ses := &serveSession{
@@ -426,30 +424,6 @@ func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, 
 		go ses.run(kind, mode, wrap)
 	}
 	return srv, nil
-}
-
-// compile builds an engine from the parameter snapshot: an immutable model
-// copy holding it, compiled.
-func (srv *Server) compile() (*gnn.Inference, error) {
-	mdl, err := gnn.NewModel(srv.cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range mdl.Params() {
-		copy(p.W.Data, srv.snapshot[i])
-		p.Bump()
-	}
-	return gnn.NewInference(mdl)
-}
-
-// engine produces one rank's serving engine: a Session of the shared core
-// — fresh arenas, staging and output buffers over the one compile — or,
-// for attention models, a private compile.
-func (srv *Server) engine() (*gnn.Inference, error) {
-	if srv.core != nil {
-		return srv.core.Session()
-	}
-	return srv.compile()
 }
 
 // run hosts the session's rank world until it exits, recording the
@@ -588,17 +562,15 @@ func (ses *serveSession) deliver(b *serveBatch) {
 }
 
 // serveRank is one rank's serving loop: take a session of the compiled
-// core (attention: compile privately), then evaluate dispatched batches
-// until the channel closes or an evaluation fails. A failed evaluation is
-// terminal for the session (its collective fabric is desynchronized
-// mid-pattern), but it is caught per request: the error lands on every
-// batch member and in the session's fatal state, never as a crashed
-// process — and sibling sessions keep serving.
+// core — fresh arenas, staging and output buffers over the one compile —
+// then evaluate dispatched batches until the channel closes or an
+// evaluation fails. A failed evaluation is terminal for the session (its
+// collective fabric is desynchronized mid-pattern), but it is caught per
+// request: the error lands on every batch member and in the session's
+// fatal state, never as a crashed process — and sibling sessions keep
+// serving.
 func (ses *serveSession) serveRank(r *Rank) error {
-	eng, err := ses.srv.engine()
-	if err != nil {
-		return err
-	}
+	eng := ses.srv.core.Session()
 	defer eng.Release()
 	id := r.ID()
 	for b := range ses.batches[id] {
