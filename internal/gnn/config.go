@@ -79,19 +79,16 @@ type Config struct {
 	Seed int64
 	// Threads, when positive, pins the process-wide intra-rank worker
 	// count used by the parallel compute kernels (tensor GEMMs, NMP
-	// gather/scatter, MLP forward/backward). 0 leaves the engine at its
-	// current setting (GOMAXPROCS by default) entirely untouched,
-	// including NonDeterministic below. The knob is process-wide because
-	// the worker pool is shared across goroutine ranks; NewModel applies
-	// it. Callers that want to configure the engine without building a
-	// model use parallel.Configure (meshgnn.SetParallelism) directly.
+	// gather/scatter, MLP forward/backward), capped at runtime.NumCPU()
+	// (the kernels are compute-bound, so extra workers only time-slice),
+	// and selects the deterministic fixed-schedule reductions. 0 leaves
+	// the engine at its current setting (GOMAXPROCS and deterministic by
+	// default) entirely untouched. The knob is process-wide because the
+	// worker pool is shared across goroutine ranks; NewModel applies it.
+	// Callers that want to configure the engine without building a model —
+	// or want the relaxed, thread-count-dependent reductions — use
+	// meshgnn.SetParallelism (parallel.Configure) directly.
 	Threads int
-	// Oversubscribe lifts the runtime.NumCPU() clamp on Threads (only
-	// consulted when Threads != 0). By default a request beyond the core
-	// count is capped: the kernels are compute-bound, so extra workers
-	// only time-slice against each other — slower, identical bits. Set
-	// true to benchmark oversubscription deliberately.
-	Oversubscribe bool
 	// Precision selects the serving engine's numeric representation
 	// (NewInference only; Float64 keeps bitwise train/infer parity,
 	// Float32 compiles the tolerance-gated single-precision twin).
@@ -105,13 +102,6 @@ type Config struct {
 	// invalidation per B samples), not different arithmetic. 0 and 1 train
 	// per sample.
 	TrainBatch int
-	// NonDeterministic relaxes the engine's fixed-schedule reductions:
-	// chunking may then depend on the thread count, which is marginally
-	// faster but no longer bitwise reproducible across different Threads
-	// settings. Only consulted when Threads != 0 — with Threads == 0 the
-	// whole engine configuration is left alone. Leave false (the
-	// default) for the consistency and partition-invariance guarantees.
-	NonDeterministic bool
 }
 
 // SmallConfig returns the paper's "small" model: N_H=8, M=4, 2 MLP hidden

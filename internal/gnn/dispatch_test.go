@@ -107,7 +107,6 @@ func TestParallelDispatchBudget(t *testing.T) {
 // counters are process-wide, so the two ranks bracket the layer with
 // barriers and the expected count is both ranks' regions.
 func TestParallelDispatchBudgetPerSplit(t *testing.T) {
-	parallel.SetOversubscribe(true)
 	parallel.Configure(2, true)
 	defer parallel.Configure(0, true)
 	const h, ranks = 8, 2

@@ -1,11 +1,9 @@
 package gnn
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"meshgnn/internal/graph"
 	"meshgnn/internal/nn"
@@ -42,9 +40,9 @@ import (
 //
 // Two element types. Config.Precision picks what the pass computes in;
 // what the element type supplies is an enginePass (pass64, pass32 below).
-// Float64 aliases the model's parameters and is bitwise Model.Forward.
-// Float32 snapshots them in single precision at compile and approximates
-// the float64 engine to a tolerance (gated in the parity tests), while
+// Float64 copies the model's parameters and is bitwise Model.Forward on
+// them. Float32 demotes them to single precision and approximates the
+// float64 engine to a tolerance (gated in the parity tests), while
 // staying bitwise-reproducible across thread counts, transports, overlap
 // settings and batch sizes: inputs demote on the way in, predictions
 // promote on the way out, and the halo swap stages through float64 because
@@ -53,8 +51,11 @@ import (
 //
 // Core and session. A compile produces an inferCore — the MLP twins with
 // their pre-packed weight panels and the per-graph static-edge cache —
-// which is immutable while serving and shared by pointer. Everything an
-// evaluation writes is session state: one workspace arena per element
+// which is a snapshot of the model's parameters at compile, immutable
+// (but for the cache, filled under its lock) and shared by pointer. The
+// source model may train on, even while the engine serves, and nothing
+// here sees it; to serve new parameters, compile a new engine. Everything
+// an evaluation writes is session state: one workspace arena per element
 // type, the float32 wire staging, the static-edge tile, the output double
 // buffer, and one binding keyed on the rank graph. NewInference returns a
 // core with its first session; Session adds another over the same core, at
@@ -67,12 +68,6 @@ import (
 // the largest batch seen and a smaller batch views their prefix. Once the
 // largest batch has been served, no batch size allocates and
 // WorkspaceFootprint no longer moves, whatever order traffic arrives in.
-//
-// The float64 engine shares parameter storage with its source model
-// (compiling copies nothing, and checkpoints written from the model after
-// compiling are byte-identical). If the source model trains on, call
-// Refresh to invalidate the cached static-edge encoding; predictions
-// otherwise keep serving the parameters as of the last binding.
 //
 // Like the model, an engine is single-goroutine (per rank) and Predict is
 // collective across ranks.
@@ -95,22 +90,11 @@ type Inference struct {
 	outs   [2]stackedOut
 	outIdx int
 	one    [1]*tensor.Matrix // Predict's batch of one
-
-	// live counts outstanding Session views of this compile (root engines
-	// only): Session increments, Release decrements. Refresh refuses while
-	// any view is live — it would repack the shared panels and empty the
-	// shared static-edge cache under sibling sessions mid-Predict.
-	live atomic.Int64
-	// root points a Session view at the compile it shares; nil on roots.
-	root *Inference
-	// released marks a view whose Release already ran (owner-goroutine
-	// state, like the rest of the engine).
-	released bool
 }
 
 // inferCore is what a compile produces and every session of it shares: the
-// forward-only MLP twins of one precision (P; parameter views and
-// pre-packed panels — an evaluation keeps no state in them) and the
+// forward-only MLP twins of one precision (P; their own parameter copies
+// and pre-packed panels — an evaluation keeps no state in them) and the
 // static-edge encodings, one per bound rank graph (M). Entries of the cache
 // are computed once, under the lock, into ordinary (non-arena) storage,
 // and only read afterwards — the kernels are deterministic, so whichever
@@ -148,7 +132,7 @@ func compileCore[P, M any](m *Model, compile func(*nn.MLP) P) *inferCore[P, M] {
 }
 
 // staticFor returns the cached static-edge encoding for g, computing it
-// through encode on a miss. resetStatic (via Refresh) empties the cache.
+// through encode on a miss.
 func (c *inferCore[P, M]) staticFor(g *graph.Local, encode func() M) M {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -163,21 +147,12 @@ func (c *inferCore[P, M]) staticFor(g *graph.Local, encode func() M) M {
 	return he
 }
 
-func (c *inferCore[P, M]) resetStatic() {
-	c.mu.Lock()
-	c.static = nil
-	c.mu.Unlock()
-}
-
-// NewInference compiles a forward-only engine from the model. With the
-// default Float64 precision the engine aliases the model's parameters —
-// it copies nothing and never writes them — except that weight matrices
-// above the packed-GEMM threshold are packed once at compile; after
-// further training, Refresh re-packs them (bitwise-invisible either
-// way). With Config.Precision == Float32 it instead SNAPSHOTS the
-// parameters in single precision (nn.Compile32, weights above the
-// threshold pre-packed); post-compile updates are not visible — rebuild
-// the engine after further training.
+// NewInference compiles a forward-only engine from the model: a snapshot
+// of its parameters, at Config.Precision — copied as they are at the
+// default Float64 (nn.Compile), demoted to single precision at Float32
+// (nn.Compile32) — with weight matrices above the packed-GEMM threshold
+// packed once. The model is only read, and updates to it after the call
+// are not visible to the engine; compile again to serve them.
 func NewInference(m *Model) (*Inference, error) {
 	if err := m.Config.Validate(); err != nil {
 		return nil, err
@@ -192,8 +167,7 @@ func NewInference(m *Model) (*Inference, error) {
 }
 
 // LoadInference reads a model checkpoint (SaveModel format) and compiles
-// an engine from it. The restored model is retained only through the
-// shared parameter storage.
+// an engine from it. The restored model is not retained.
 func LoadInference(r io.Reader) (*Inference, error) {
 	m, err := LoadModel(r)
 	if err != nil {
@@ -202,91 +176,23 @@ func LoadInference(r io.Reader) (*Inference, error) {
 	return NewInference(m)
 }
 
-// SetOverlap toggles the phased halo pipeline for subsequent predictions
-// (bitwise-invisible, like Model.SetOverlap). It is session state: a view
-// and its root may disagree.
-func (e *Inference) SetOverlap(on bool) { e.Config.Overlap = on }
-
-// ErrLiveSessions is returned by Refresh while Session views of the
-// compile are outstanding: refreshing would empty the shared static-edge
-// cache and repack the shared weight panels in place under sibling
-// sessions that may be mid-Predict. Release every view (or close the
-// server holding them) first.
-var ErrLiveSessions = errors.New("gnn: refresh with outstanding session views")
-
-// Refresh invalidates the cached per-(graph, parameters) preprocessing —
-// the static-edge encodings and the pre-packed weight panels. Call it
-// after the source model's parameters change — e.g. between in-situ
-// training bursts — so the next Predict re-binds and re-packs. (A Float32
-// core is a snapshot: Refresh re-encodes from the same parameters.)
-//
-// Refresh must not race concurrent predictions. The caches and panels a
-// compile shares with its Session views are refreshed in place, so while
-// any view is outstanding Refresh refuses with ErrLiveSessions (and a
-// Session view never refreshes — release it and refresh the root).
-// Release every view, then Refresh succeeds.
-func (e *Inference) Refresh() error {
-	if e.root != nil {
-		return fmt.Errorf("%w: Refresh called on a session view; release it and refresh the root compile", ErrLiveSessions)
-	}
-	if n := e.live.Load(); n != 0 {
-		return fmt.Errorf("%w: %d outstanding", ErrLiveSessions, n)
-	}
-	e.graph = nil
-	if e.p32 != nil {
-		e.p32.core.resetStatic()
-		return nil
-	}
-	c := e.p64.core
-	c.resetStatic()
-	c.nodeEnc.Repack()
-	c.edgeEnc.Repack()
-	c.dec.Repack()
-	for _, l := range c.layers {
-		l.edgeMLP.Repack()
-		l.nodeMLP.Repack()
-	}
-	return nil
-}
-
-// Session returns an independent engine over this compile's core: the MLP
-// twins (parameter views and pre-packed weight panels, shared by pointer)
-// and the static-edge cache are shared, one compile referenced by S
-// sessions of either precision; the arenas, wire staging, static-edge
-// tile, output double-buffer, binding and message-passing task scaffolding
-// are fresh. Sessions may predict concurrently — each from its own
-// collective group — and their results are bitwise-identical to the
-// source engine's, sample for sample. Every core is shareable: an
-// evaluation writes nothing in it but the static-edge cache, under its
-// lock.
-//
-// A view holds a reference on the compile: Refresh on the root refuses
-// (ErrLiveSessions) until every view is Released.
+// Session returns a new pass over the same core: the MLP twins (their
+// parameters and pre-packed weight panels) and the static-edge cache are
+// shared by pointer, one compile referenced by S sessions of either
+// precision; the arenas, wire staging, static-edge tile, output
+// double-buffer, binding and message-passing task scaffolding are fresh.
+// Sessions may predict concurrently — each from its own collective group
+// — and their results are bitwise-identical to the source engine's,
+// sample for sample: an evaluation writes nothing in the core but the
+// static-edge cache, under its lock.
 func (e *Inference) Session() *Inference {
-	root := e
-	if e.root != nil {
-		root = e.root
-	}
-	s := &Inference{Config: e.Config, root: root}
+	s := &Inference{Config: e.Config}
 	if e.p32 != nil {
 		s.p32 = newPass32(e.p32.core)
 	} else {
 		s.p64 = newPass64(e.p64.core)
 	}
-	root.live.Add(1)
 	return s
-}
-
-// Release returns a Session view's reference on its compile; after the
-// last view of a compile releases, Refresh on the root succeeds again.
-// Releasing a root engine (or a view twice) is a no-op, so callers can
-// defer Release on whatever engine they serve with.
-func (e *Inference) Release() {
-	if e.root == nil || e.released {
-		return
-	}
-	e.released = true
-	e.root.live.Add(-1)
 }
 
 // WorkspaceFootprint reports the session's arena storage in float64s — the

@@ -339,7 +339,9 @@ func TestInferenceRolloutBitwiseMatchesModel(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		model, err := NewModel(tinyConfig())
+		cfg := tinyConfig()
+		cfg.Overlap = true
+		model, err := NewModel(cfg)
 		if err != nil {
 			return err
 		}
@@ -347,7 +349,7 @@ func TestInferenceRolloutBitwiseMatchesModel(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		eng.SetOverlap(true)
+		model.SetOverlap(false)
 		x0 := waveField(rc.Graph)
 		want := Rollout(model, rc, x0, steps)
 		got := eng.Rollout(rc, x0, steps)
@@ -427,10 +429,10 @@ func TestInferenceCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInferenceRefreshTracksTraining pins the Refresh contract: the
-// engine aliases the source model's parameters, so after further training
-// a Refresh re-binds the cached static-edge encoding and predictions
-// match the updated model bitwise again.
+// TestInferenceRefreshTracksTraining pins how a served engine follows
+// training: an engine is a snapshot, so refreshing it is compiling a new
+// one, and after every further training step a fresh NewInference —
+// static-edge encoding bound anew — predicts the updated model bitwise.
 func TestInferenceRefreshTracksTraining(t *testing.T) {
 	box, l := allocSetup(t)
 	err := comm.Run(1, func(c *comm.Comm) error {
@@ -450,17 +452,116 @@ func TestInferenceRefreshTracksTraining(t *testing.T) {
 		eng.Predict(rc, x) // bind against the initial parameters
 
 		tr := NewTrainer(model, nn.NewSGD(0.05))
-		for i := 0; i < 2; i++ {
+		for step := 0; step < 2; step++ {
 			tr.Step(rc, x, x)
+			if eng, err = NewInference(model); err != nil {
+				return err
+			}
+			yWant := model.Forward(rc, x).Clone()
+			yGot := eng.Predict(rc, x)
+			for i := range yWant.Data {
+				if math.Float64bits(yWant.Data[i]) != math.Float64bits(yGot.Data[i]) {
+					return fmt.Errorf("step %d, value %d after recompiling: model %v != engine %v", step, i, yWant.Data[i], yGot.Data[i])
+				}
+			}
 		}
-		if err := eng.Refresh(); err != nil {
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInferenceIsASnapshot pins the compile contract at both precisions: an
+// engine is a snapshot of the model's parameters as compiled, so training
+// the source model afterwards — even while a session of the engine serves —
+// moves no bit the engine or any Session of it predicts, and serving the
+// new parameters takes a fresh NewInference, which at Float64 is bitwise
+// the updated Model.Forward. The width H = 32 gives the core both kinds of
+// linear layer (the 32×32 weights are pre-packed at compile, the 3→32
+// ones are read where they lie), and the default static edge features give
+// it a cached edge encoding: all three must be copies, not views. Under
+// -race the session predicts concurrently with the trainer's steps.
+func TestInferenceIsASnapshot(t *testing.T) {
+	for _, prec := range precisions {
+		t.Run(precName(prec), func(t *testing.T) { snapshotContract(t, prec) })
+	}
+}
+
+func snapshotContract(t *testing.T, prec Precision) {
+	box, l := allocSetup(t)
+	cfg := tinyConfig()
+	cfg.HiddenDim = 32
+	cfg.Precision = prec
+	err := comm.Run(1, func(c *comm.Comm) error {
+		rc, err := NewRankContext(c, box, l, comm.NoExchange)
+		if err != nil {
 			return err
 		}
-		yWant := model.Forward(rc, x).Clone()
-		yGot := eng.Predict(rc, x)
-		for i := range yWant.Data {
-			if math.Float64bits(yWant.Data[i]) != math.Float64bits(yGot.Data[i]) {
-				t.Fatalf("value %d after refresh: model %v != engine %v", i, yWant.Data[i], yGot.Data[i])
+		// The session serves on a context of its own: an exchanger is
+		// single-goroutine state, and without halos the session never
+		// touches the communicator the trainer reduces over.
+		rcServe, err := NewRankContext(c, box, l, comm.NoExchange)
+		if err != nil {
+			return err
+		}
+		model, err := NewModel(cfg)
+		if err != nil {
+			return err
+		}
+		eng, err := NewInference(model)
+		if err != nil {
+			return err
+		}
+		x := waveField(l)
+		want := eng.Predict(rc, x).Clone() // binds, and caches the static edges
+		ses := eng.Session()
+		if d := bitDiff(want, ses.Predict(rcServe, x)); d != 0 {
+			return fmt.Errorf("fresh session differs from its engine in %d values", d)
+		}
+
+		started, stop := make(chan struct{}), make(chan struct{})
+		served := make(chan int)
+		go func() {
+			close(started)
+			worst := 0
+			for {
+				select {
+				case <-stop:
+					served <- worst
+					return
+				default:
+				}
+				worst = max(worst, bitDiff(want, ses.Predict(rcServe, x)))
+			}
+		}()
+		<-started
+		tr := NewTrainer(model, nn.NewSGD(0.05))
+		for i := 0; i < 3; i++ {
+			tr.Step(rc, x, x)
+		}
+		close(stop)
+		if d := <-served; d != 0 {
+			return fmt.Errorf("session predicting while the model trained differs in %d values", d)
+		}
+
+		if d := bitDiff(want, eng.Predict(rc, x)); d != 0 {
+			return fmt.Errorf("engine after training its source differs in %d values", d)
+		}
+		if d := bitDiff(want, ses.Predict(rcServe, x)); d != 0 {
+			return fmt.Errorf("session after training its source differs in %d values", d)
+		}
+		fresh, err := NewInference(model)
+		if err != nil {
+			return err
+		}
+		got := fresh.Predict(rc, x)
+		if bitDiff(want, got) == 0 {
+			return fmt.Errorf("training moved no prediction bit: the test proves nothing")
+		}
+		if prec == Float64 {
+			if d := bitDiff(model.Forward(rc, x), got); d != 0 {
+				return fmt.Errorf("recompiled engine differs from the trained Model.Forward in %d values", d)
 			}
 		}
 		return nil

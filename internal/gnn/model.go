@@ -114,9 +114,8 @@ func NewModel(cfg Config) (*Model, error) {
 		// The intra-rank engine is process-wide (the worker pool is
 		// shared by all goroutine ranks), so the knob configures it
 		// globally rather than per model. The request is clamped to the
-		// core count unless the config opts into oversubscription.
-		parallel.SetOversubscribe(cfg.Oversubscribe)
-		parallel.Configure(parallel.Clamp(cfg.Threads), !cfg.NonDeterministic)
+		// core count.
+		parallel.Configure(parallel.Clamp(cfg.Threads), true)
 	}
 	rng := cfg.newRNG()
 	h := cfg.HiddenDim

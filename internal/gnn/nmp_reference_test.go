@@ -264,7 +264,6 @@ func TestNMPLayerMatchesSerialReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 4} {
-			parallel.SetOversubscribe(true)
 			parallel.Configure(threads, true)
 			for _, overlap := range []bool{false, true} {
 				for _, batch := range []int{1, 3} {

@@ -98,34 +98,31 @@ func TestTrainingBitwiseDeterministicAcrossThreads(t *testing.T) {
 }
 
 // TestConfigThreadsKnob verifies the Config wiring: NewModel applies a
-// positive Threads value to the engine — clamped to the core count unless
-// Oversubscribe is set — and rejects a negative one.
+// positive Threads value to the engine — clamped to the core count, with
+// the fixed-schedule reductions — leaves the engine alone at 0, and
+// rejects a negative value.
 func TestConfigThreadsKnob(t *testing.T) {
-	defer func() {
-		parallel.SetOversubscribe(false)
-		parallel.Configure(0, true)
-	}()
+	defer parallel.Configure(0, true)
+	parallel.Configure(1, false)
 	cfg := tinyConfig()
 	cfg.Threads = 3
 	if _, err := NewModel(cfg); err != nil {
 		t.Fatal(err)
 	}
-	want := 3
-	if ncpu := runtime.NumCPU(); want > ncpu {
-		want = ncpu
-	}
+	want := min(3, runtime.NumCPU())
 	if got := parallel.Threads(); got != want {
 		t.Fatalf("NewModel left Threads() = %d, want %d (clamped from 3)", got, want)
 	}
-	cfg.Oversubscribe = true
+	if !parallel.Deterministic() {
+		t.Fatal("NewModel with Threads > 0 should select the deterministic reductions")
+	}
+	parallel.Configure(1, false)
+	cfg.Threads = 0
 	if _, err := NewModel(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got := parallel.Threads(); got != 3 {
-		t.Fatalf("oversubscribed NewModel left Threads() = %d, want 3", got)
-	}
-	if !parallel.Deterministic() {
-		t.Fatal("NewModel should keep deterministic mode on by default")
+	if got, det := parallel.Threads(), parallel.Deterministic(); got != 1 || det {
+		t.Fatalf("NewModel with Threads = 0 changed the engine to (%d, %v), want (1, false)", got, det)
 	}
 	cfg.Threads = -1
 	if err := cfg.Validate(); err == nil {

@@ -9,27 +9,27 @@ import (
 )
 
 // Forward-only evaluators compiled from trained layers. A compiled twin
-// shares the source layer's parameter storage (no copies — later
-// optimizer updates are visible through it) but carries none of the
-// training machinery: no input caches, no xhat/invStd stores, no
-// gradient scratch. Its arithmetic is operation-for-operation identical
-// to the training Forward, so predictions are bitwise-equal; it just
-// skips every store whose only consumer is a Backward that will never
-// run — which, evaluated a row panel at a time, is every intermediate
+// is a snapshot: it owns copies of the source layer's parameters (later
+// optimizer updates are not visible through it; compile again to serve
+// them) and carries none of the training machinery: no input caches, no
+// xhat/invStd stores, no gradient scratch. Its arithmetic is
+// operation-for-operation identical to the training Forward, so
+// predictions are bitwise-equal to the source as compiled; it just skips
+// every store whose only consumer is a Backward that will never run —
+// which, evaluated a row panel at a time, is every intermediate
 // activation: only the block's output is ever materialised at full
 // height, and with a head (RowMap) producing the input a panel at a time
 // not even the block's input is. The output comes from the arena passed
-// per call, so one engine
-// epoch can span encode, message passing, and decode while a nil arena
-// yields an ordinary allocation (used for one-time precomputations that
-// must outlive the epoch).
+// per call, so one engine epoch can span encode, message passing, and
+// decode while a nil arena yields an ordinary allocation (used for
+// one-time precomputations that must outlive the epoch).
 
 // compiled is a forward-only block of element type T: the layer list, the
 // block's widths and the panel driver. Both compiled twins (InferMLP,
 // InferMLP32) embed it; what differs between them is how a layer's
 // parameters are held and which kernels its rows go through.
 //
-// A compiled block is parameter views only, immutable during serving. An
+// A compiled block is parameters it owns only, immutable once built. An
 // evaluation keeps its state (the bound input and output, the per-chunk
 // scratch panels) in pooled objects of its own, so any number of
 // goroutines may evaluate one block concurrently: S serving sessions share
@@ -168,59 +168,40 @@ func (r *inferRun[T]) Run(lo, hi int) {
 }
 
 // InferMLP is a forward-only MLP compiled from a trained MLP, evaluated in
-// float64 over aliased parameters.
+// float64 over its own copy of the parameters.
 type InferMLP struct {
 	compiled[float64]
-	lins []*linearInfer // the layers holding packed panels
+	lins []*linearInfer // the linear layers, whose panels checkTier guards
 }
 
-// Compile builds the forward-only twin of the block. The twin aliases
-// the block's parameters; it holds no arena — callers pass one per
-// forward (nil allocates). Weight matrices above the packed-GEMM
+// Compile builds the forward-only twin of the block from a copy of its
+// parameters (the bits they hold now; training the source afterwards
+// changes nothing here — compile again). It holds no arena — callers pass
+// one per forward (nil allocates). Weight matrices above the packed-GEMM
 // threshold are packed ONCE here (bitwise-invisible — MatMul would pack
-// the identical panels per call); after further training of the source
-// block, Repack refreshes them.
+// the identical panels per call).
 func (m *MLP) Compile() *InferMLP {
 	out := &InferMLP{compiled: compiled[float64]{In: m.In, Out: m.Out, pools: &pools64}}
 	var ls []inferLayer[float64]
 	for _, l := range m.block.layers {
 		switch t := l.(type) {
 		case *Linear:
-			li := &linearInfer{in: t.In, out: t.Out, w: t.Weight.W, b: t.Bias.W}
+			li := &linearInfer{in: t.In, out: t.Out, w: t.Weight.W.Clone(), b: t.Bias.W.Clone()}
 			if tensor.ShouldPack(t.In, t.Out) {
-				li.pb = tensor.PackB(t.Weight.W)
+				li.pb = tensor.PackB(li.w)
 			}
 			out.lins = append(out.lins, li)
 			ls = append(ls, li)
 		case *ELU:
 			ls = append(ls, eluInfer{})
 		case *LayerNorm:
-			ls = append(ls, &lnInfer{dim: t.Dim, gain: t.Gain.W, shift: t.Shift.W})
+			ls = append(ls, &lnInfer{dim: t.Dim, gain: t.Gain.W.Clone(), shift: t.Shift.W.Clone()})
 		default:
 			panic(fmt.Sprintf("nn: cannot compile layer %T for inference", l))
 		}
 	}
 	out.setLayers(ls)
 	return out
-}
-
-// Repack refreshes the pre-packed weight panels from the aliased
-// parameter storage — call after the source block trained on, or after a
-// kernel-tier toggle (it re-packs at the new panel width). Every holder
-// of the block sees the refreshed panels — there are no per-session
-// copies to go stale — so Repack must not race evaluations (it is a
-// rebind-time operation, like gnn.Inference.Refresh).
-func (m *InferMLP) Repack() {
-	for _, t := range m.lins {
-		switch {
-		case !tensor.ShouldPack(t.in, t.out):
-			t.pb = nil
-		case t.pb != nil && t.pb.NR == tensor.PackWidth():
-			t.pb.Repack(t.w)
-		default:
-			t.pb = tensor.PackB(t.w)
-		}
-	}
 }
 
 // InferForward evaluates the block on x as ONE parallel region (see
@@ -250,7 +231,7 @@ func (m *InferMLP) infer(a *tensor.Arena, rows int, x []float64, head, tail RowM
 	return y
 }
 
-// linearInfer is y = x·W + b over aliased parameters, without the input
+// linearInfer is y = x·W + b over copied parameters, without the input
 // cache Linear keeps for its backward. Above the packed-GEMM threshold
 // the weight panels are packed once at compile (pb) instead of per call.
 type linearInfer struct {
@@ -267,7 +248,7 @@ func (l *linearInfer) inPlace() bool    { return false }
 // MatMul's. It runs on the caller, before the region is dispatched.
 func (l *linearInfer) checkTier() {
 	if (l.pb != nil) != tensor.ShouldPack(l.in, l.out) || (l.pb != nil && l.pb.NR != tensor.PackWidth()) {
-		panic("nn: compiled weight panels predate a kernel-tier change; call Repack")
+		panic("nn: compiled weight panels predate a kernel-tier change; compile again")
 	}
 }
 
@@ -290,7 +271,7 @@ func (eluInfer) inferRows(dst, src panel[float64]) {
 	tensor.EluRange(dst.data, src.data, 0, len(src.data))
 }
 
-// lnInfer is the forward-only LayerNorm over aliased gain/shift. It
+// lnInfer is the forward-only LayerNorm over copied gain/shift. It
 // normalizes rows exactly like LayerNorm.forwardRows but writes only the
 // output: the xhat matrix and the invStd column exist solely for the
 // backward pass, so the inference twin drops both stores. The per-value

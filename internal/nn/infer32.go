@@ -6,16 +6,15 @@ import (
 	"meshgnn/internal/tensor"
 )
 
-// Float32 serving twins. Where Compile builds a forward-only evaluator
-// that aliases the trained float64 parameters (bitwise train/infer
-// parity), Compile32 SNAPSHOTS them: every weight, bias, gain and shift
-// is down-converted to float32 once at compile time, and weight matrices
-// above the packed-tier threshold are pre-packed (tensor.PackB32) so the
-// serving GEMMs skip the per-call pack pass entirely. The twin is a
+// Float32 serving twins. Both compiles are snapshots: where Compile copies
+// the trained float64 parameters as they are (bitwise train/infer
+// parity), Compile32 down-converts every weight, bias, gain and shift to
+// float32 once at compile time, and weight matrices above the
+// packed-tier threshold are pre-packed (tensor.PackB32) so the serving
+// GEMMs skip the per-call pack pass entirely. The twin is a
 // tolerance-gated approximation of the float64 oracle, not a bitwise
-// peer — callers that need exact parity stay on InferMLP. Parameter
-// updates after Compile32 are NOT visible through the twin; recompile
-// after further training.
+// peer — callers that need exact parity stay on InferMLP. Like InferMLP,
+// it does not see parameter updates made after it was compiled.
 
 // InferMLP32 is a forward-only float32 MLP compiled from a trained MLP.
 // Like InferMLP it is immutable parameter state only, and the same panel

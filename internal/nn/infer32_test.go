@@ -67,26 +67,35 @@ func TestCompile32ArenaReplay(t *testing.T) {
 	}
 }
 
-// TestCompile32Snapshot documents the down-conversion semantics: unlike
-// Compile (which aliases parameters), Compile32 snapshots them, so a
-// post-compile optimizer step must NOT leak into the twin.
+// TestCompile32Snapshot documents the compile semantics: Compile32, like
+// Compile, snapshots the parameters, so a post-compile update to any of
+// them (weights, biases, LayerNorm gain and shift) must NOT leak into the
+// compiled block. The widths reach the packed tier, whose panels are the
+// copy most easily left shared.
 func TestCompile32Snapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := NewMLP("m", 4, 8, 4, 0, false, rng)
-	f32 := m.Compile32()
-	x := tensor.New32(3, 4)
+	m := NewMLP("m", 12, 96, 32, 2, true, rng)
+	f64, f32 := m.Compile(), m.Compile32()
+	x := tensor.New(3, 12)
 	for i := range x.Data {
-		x.Data[i] = float32(rng.NormFloat64())
+		x.Data[i] = rng.NormFloat64()
 	}
-	before := f32.InferForward32(nil, x)
+	before64 := f64.InferForward(nil, x).Clone()
+	before32 := f32.InferForward32(nil, tensor.Demote32(x))
 	for _, p := range m.Params() {
 		for i := range p.W.Data {
 			p.W.Data[i] += 1
 		}
 	}
-	after := f32.InferForward32(nil, x)
-	for i := range before.Data {
-		if before.Data[i] != after.Data[i] {
+	after64 := f64.InferForward(nil, x)
+	after32 := f32.InferForward32(nil, tensor.Demote32(x))
+	for i := range before64.Data {
+		if before64.Data[i] != after64.Data[i] {
+			t.Fatal("Compile block observed a post-compile parameter update")
+		}
+	}
+	for i := range before32.Data {
+		if before32.Data[i] != after32.Data[i] {
 			t.Fatal("Compile32 twin observed a post-compile parameter update")
 		}
 	}

@@ -206,9 +206,9 @@ func loadThreads() int {
 //
 // SetThreads applies the requested count verbatim. User-facing entry
 // points (meshgnn.SetParallelism, gnn.Config.Threads) first pass their
-// request through Clamp, which caps it at runtime.NumCPU() unless
-// oversubscription was opted into — the engine-level setter stays exact
-// so determinism tests can sweep thread counts past the core count.
+// request through Clamp, which caps it at runtime.NumCPU() — the
+// engine-level setter stays exact so determinism tests can sweep thread
+// counts past the core count.
 func SetThreads(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -220,26 +220,16 @@ func SetThreads(n int) {
 // Threads returns the current participant bound.
 func Threads() int { return loadThreads() }
 
-// oversubscribe lifts the NumCPU clamp in Clamp.
-var oversubscribe atomic.Bool
-
-// SetOversubscribe allows user-facing thread requests beyond
-// runtime.NumCPU() (default false). The kernels are compute-bound, so
-// workers beyond the core count only time-slice against each other — on a
-// 1-CPU box, requesting 8 threads more than doubles the training step
-// time while producing identical bits (determinism is schedule-fixed, not
-// thread-fixed). Callers benchmarking oversubscription itself opt in.
-func SetOversubscribe(on bool) { oversubscribe.Store(on) }
-
-// Oversubscribe reports whether the NumCPU clamp is lifted.
-func Oversubscribe() bool { return oversubscribe.Load() }
-
 // Clamp returns the effective thread count for a user request: n itself
-// when oversubscription is enabled or n is within the core count,
-// runtime.NumCPU() otherwise. n <= 0 passes through (it means "reset to
-// GOMAXPROCS", which the runtime already bounds sensibly).
+// when it is within the core count, runtime.NumCPU() otherwise. The
+// kernels are compute-bound, so workers beyond the core count only
+// time-slice against each other — on a 1-CPU box, 8 threads more than
+// double the training step time while producing identical bits
+// (determinism is schedule-fixed, not thread-fixed). n <= 0 passes
+// through (it means "reset to GOMAXPROCS", which the runtime already
+// bounds sensibly).
 func Clamp(n int) int {
-	if n <= 0 || oversubscribe.Load() {
+	if n <= 0 {
 		return n
 	}
 	if ncpu := runtime.NumCPU(); n > ncpu {

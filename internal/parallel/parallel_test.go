@@ -333,14 +333,11 @@ func TestTaskDispatchZeroAlloc(t *testing.T) {
 }
 
 // TestClampPolicy pins the user-facing thread policy: requests beyond the
-// core count cap at runtime.NumCPU() unless oversubscription is opted
-// into, requests within it (and the 0 "reset" sentinel) pass through, and
-// SetThreads itself stays exact so determinism sweeps can exceed cores.
+// core count cap at runtime.NumCPU(), requests within it (and the 0
+// "reset" sentinel) pass through, and SetThreads itself stays exact so
+// determinism sweeps can exceed cores.
 func TestClampPolicy(t *testing.T) {
-	defer func() {
-		SetOversubscribe(false)
-		Configure(0, true)
-	}()
+	defer Configure(0, true)
 	ncpu := runtime.NumCPU()
 	if got := Clamp(ncpu + 7); got != ncpu {
 		t.Errorf("Clamp(%d) = %d, want %d", ncpu+7, got, ncpu)
@@ -351,14 +348,6 @@ func TestClampPolicy(t *testing.T) {
 	if got := Clamp(0); got != 0 {
 		t.Errorf("Clamp(0) = %d, want passthrough 0", got)
 	}
-	SetOversubscribe(true)
-	if !Oversubscribe() {
-		t.Fatal("SetOversubscribe(true) not observed")
-	}
-	if got := Clamp(ncpu + 7); got != ncpu+7 {
-		t.Errorf("oversubscribed Clamp(%d) = %d, want passthrough", ncpu+7, got)
-	}
-	SetOversubscribe(false)
 	// The engine-level setter is exact regardless of the policy.
 	SetThreads(ncpu + 3)
 	if got := Threads(); got != ncpu+3 {

@@ -376,14 +376,6 @@ func PackB32(b *Matrix32) *PackedB32 {
 	return p
 }
 
-// Repack32 refreshes the packed contents from b.
-func (p *PackedB32) Repack(b *Matrix32) {
-	if b.Rows != p.K || b.Cols != p.N {
-		panic(fmt.Sprintf("tensor: Repack32 shape %dx%d, packed for %dx%d", b.Rows, b.Cols, p.K, p.N))
-	}
-	p.packFrom(b)
-}
-
 var packScratch32 = sync.Pool{New: func() any { return new(PackedB32) }}
 
 func getPackScratch32(k, n, nr int) *PackedB32 {

@@ -1,6 +1,7 @@
 package tensor_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,16 +10,15 @@ import (
 	"meshgnn/internal/tensor"
 )
 
-// TestRepackAfterTierToggleReachesEveryHolder: a compiled block is held by
-// pointer — by the engine that compiled it and by every serving session —
-// so re-packing it after a kernel-tier toggle that changes the panel width
-// (pure Go packs 4 columns, both SIMD rungs 8) leaves no holder on panels
-// of the old width. When sessions copied the panel pointers, a live one
-// kept the stale panels. Between the two SIMD rungs the width does not
-// change and neither does a bit, so that toggle needs no re-pack at all —
-// of the float64 block or of its float32 twin, whose panels are 16 wide on
-// both.
-func TestRepackAfterTierToggleReachesEveryHolder(t *testing.T) {
+// TestCompiledPanelsAcrossTierToggle: a compiled block packs its weight
+// panels once, at the width of the kernel tier it was compiled on. Between
+// the two SIMD rungs the width does not change and neither does a bit, so
+// that toggle needs no recompile — of the float64 block or of its float32
+// twin, whose panels are 16 wide on both. A toggle that changes the width
+// (pure Go packs 4 columns, both SIMD rungs 8) leaves the compile stale: it
+// must refuse rather than answer in the other tier's bits, and a fresh
+// Compile on the new tier must be bitwise the training forward there.
+func TestCompiledPanelsAcrossTierToggle(t *testing.T) {
 	if !tensor.SIMDEnabled() {
 		t.Skip("one kernel tier only: nothing to toggle")
 	}
@@ -29,10 +29,9 @@ func TestRepackAfterTierToggleReachesEveryHolder(t *testing.T) {
 		x.Data[i] = rng.NormFloat64()
 	}
 	compiled := m.Compile()
-	session := compiled // what gnn.Inference.Session holds
 	agree := func(when string, want *tensor.Matrix) {
 		t.Helper()
-		got := session.InferForward(nil, x)
+		got := compiled.InferForward(nil, x)
 		for i := range want.Data {
 			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 				t.Fatalf("%s: value %d is %v, want %v (bitwise)", when, i, got.Data[i], want.Data[i])
@@ -55,18 +54,18 @@ func TestRepackAfterTierToggleReachesEveryHolder(t *testing.T) {
 	}
 
 	if tensor.CPUTier() >= tensor.TierAVX512 {
-		// avx512 -> avx2 and back: same panels, no Repack, same bits as the
-		// top rung produced.
+		// avx512 -> avx2 and back: same panels, no recompile, same bits as
+		// the top rung produced.
 		prev := tensor.SetKernelTier(tensor.TierAVX2)
 		if tensor.PackWidth() != 8 {
 			t.Errorf("panel width %d on the avx2 rung, want 8", tensor.PackWidth())
 		}
-		agree("lowered to avx2 without a re-pack", asCompiled)
+		agree("lowered to avx2 without a recompile", asCompiled)
 		agree("training forward on avx2", m.Forward(x))
-		agree32("lowered to avx2 without a re-pack")
+		agree32("lowered to avx2 without a recompile")
 		tensor.SetKernelTier(prev)
-		agree("back on avx512 without a re-pack", asCompiled)
-		agree32("back on avx512 without a re-pack")
+		agree("back on avx512 without a recompile", asCompiled)
+		agree32("back on avx512 without a recompile")
 	} else {
 		t.Logf("avx512 <-> avx2 toggle not run: this CPU's top rung is %v", tensor.CPUTier())
 	}
@@ -81,9 +80,9 @@ func TestRepackAfterTierToggleReachesEveryHolder(t *testing.T) {
 					t.Errorf("tier %v: evaluation on panels of the other width did not panic", k)
 				}
 			}()
-			session.InferForward(nil, x)
+			compiled.InferForward(nil, x)
 		}()
-		compiled.Repack()
-		agree("after toggle and Repack", m.Forward(x))
+		compiled = m.Compile()
+		agree(fmt.Sprintf("fresh compile on tier %v", k), m.Forward(x))
 	}
 }

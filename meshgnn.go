@@ -130,12 +130,13 @@ type (
 	// Metrics holds consistent evaluation statistics (MSE, MAE, ...).
 	Metrics = gnn.Metrics
 	// Inference is the forward-only serving engine compiled from a
-	// trained Model: no gradient or backward buffers, a fused
-	// encode→NMP→decode arena epoch with persistent preprocessed inputs,
-	// and overlapped halo exchange in pure-forward mode. At the default
-	// Float64 precision predictions are bitwise-equal to Model.Forward;
-	// with Config.Precision = Float32 the engine serves the
-	// tolerance-gated single-precision twin instead.
+	// trained Model: a snapshot of its parameters, no gradient or
+	// backward buffers, a fused encode→NMP→decode arena epoch with
+	// persistent preprocessed inputs, and overlapped halo exchange in
+	// pure-forward mode. At the default Float64 precision predictions are
+	// bitwise-equal to Model.Forward as of the compile; with
+	// Config.Precision = Float32 the engine serves the tolerance-gated
+	// single-precision twin instead.
 	Inference = gnn.Inference
 	// Precision selects the serving engine's numeric representation
 	// (Config.Precision; training always runs float64).
@@ -164,9 +165,6 @@ var (
 	ErrCorruptFrame = comm.ErrCorruptFrame
 	// ErrFault marks a failure manufactured by fault injection.
 	ErrFault = comm.ErrFault
-	// ErrLiveSessions marks an Inference.Refresh refused because session
-	// views are still outstanding (or the receiver is itself a view).
-	ErrLiveSessions = gnn.ErrLiveSessions
 )
 
 // Injectable fault kinds (FaultEvent.Kind).
@@ -296,7 +294,7 @@ var (
 	// output in worker ranks.
 	IsWorker = comm.IsWorker
 	// NewInference compiles a forward-only serving engine from a model
-	// (parameters are aliased, not copied).
+	// (a snapshot: later training of the model is not visible to it).
 	NewInference = gnn.NewInference
 	// LoadInference reads a SaveModel checkpoint and compiles a serving
 	// engine from it.
@@ -320,15 +318,17 @@ var (
 // threads bounds the workers each kernel may use (<= 0 resets to
 // GOMAXPROCS; 1 runs every kernel inline), and deterministic selects the
 // fixed-schedule reductions that make results bitwise-identical for any
-// thread count. Intra-rank workers compose with goroutine ranks: the
+// thread count. false is the only way to the relaxed reductions (chunking
+// may follow the thread count: marginally faster, no longer reproducible
+// across thread counts); Config.Threads always selects the fixed
+// schedule. Intra-rank workers compose with goroutine ranks: the
 // pool workers are shared, so R ranks running kernels concurrently add
 // at most threads-1 pool goroutines on top of the R rank goroutines
 // (each rank also executes chunks itself), rather than R×threads.
 //
-// Requests beyond runtime.NumCPU() are clamped to the core count unless
-// a model was built with Config.Oversubscribe set: the kernels are
-// compute-bound, so extra workers only time-slice against each other —
-// slower, identical bits.
+// Requests beyond runtime.NumCPU() are clamped to the core count: the
+// kernels are compute-bound, so extra workers only time-slice against
+// each other — slower, identical bits.
 func SetParallelism(threads int, deterministic bool) {
 	parallel.Configure(parallel.Clamp(threads), deterministic)
 }

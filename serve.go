@@ -130,10 +130,6 @@ type ServeOptions struct {
 	// a 200µs default when MaxBatch > 1; negative disables the window
 	// (only requests already queued coalesce).
 	BatchWindow time.Duration
-	// QueueDepth bounds each session's admission queue; a submitter
-	// finding it full blocks (under its own deadline) until the
-	// dispatcher drains a slot. <= 0 means 2*MaxBatch.
-	QueueDepth int
 	// Sessions is the number of independent serving sessions behind the
 	// front door — S full collective groups referencing one compiled
 	// engine core, with requests routed to the least-loaded live session.
@@ -338,11 +334,14 @@ func (s *System) Serve(kind TransportKind, mode ExchangeMode, model *Model) (*Se
 }
 
 // ServeWith starts persistent serving ranks over the given transport and
-// exchange mode. The model's parameters are snapshotted and compiled ONCE
-// before ServeWith returns — one immutable engine core (parameter twins of
+// exchange mode. The model is compiled ONCE before ServeWith returns —
+// NewInference, a snapshot: one immutable engine core (parameter copies of
 // the configured precision, pre-packed weight panels, static-edge cache)
 // referenced by every rank of every session — so the caller's model stays
-// free for further training and S sessions cost one compile. Supported
+// free for further training and S sessions cost one compile. Each
+// session's admission queue holds 2*MaxBatch requests; a submitter finding
+// it full blocks (under its own deadline) until the dispatcher drains a
+// slot. Supported
 // transports are InProcess and Sockets (goroutine ranks — request matrices
 // cross no process boundary); Processes ranks cannot receive in-memory
 // requests, so drive the engine directly inside RunOn for that case (as
@@ -353,20 +352,9 @@ func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, 
 	if kind == Processes {
 		return nil, fmt.Errorf("meshgnn: Serve needs in-memory requests; run the engine inside RunOn for process ranks")
 	}
-	// Snapshot and compile synchronously: the rank goroutines start after
-	// ServeWith returns, and the caller may immediately resume training the
-	// model. The engine compiles from an immutable copy holding the
-	// snapshot.
-	snapshot, err := gnn.NewModel(model.Config)
-	if err != nil {
-		return nil, err
-	}
-	src := model.Params()
-	for i, p := range snapshot.Params() {
-		copy(p.W.Data, src[i].W.Data)
-		p.Bump()
-	}
-	core, err := gnn.NewInference(snapshot)
+	// Compile synchronously: the rank goroutines start after ServeWith
+	// returns, and the caller may immediately resume training the model.
+	core, err := gnn.NewInference(model)
 	if err != nil {
 		return nil, err
 	}
@@ -380,10 +368,6 @@ func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, 
 	}
 	if window < 0 {
 		window = 0
-	}
-	depth := opts.QueueDepth
-	if depth <= 0 {
-		depth = 2 * maxBatch
 	}
 	nsess := opts.Sessions
 	if nsess < 1 {
@@ -404,7 +388,7 @@ func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, 
 		ses := &serveSession{
 			srv:      srv,
 			id:       i,
-			queue:    make(chan *serveReq, depth),
+			queue:    make(chan *serveReq, 2*maxBatch),
 			dispDone: make(chan struct{}),
 			batches:  make([]chan *serveBatch, s.Ranks),
 			fatal:    make(chan struct{}),
@@ -571,7 +555,6 @@ func (ses *serveSession) deliver(b *serveBatch) {
 // serving.
 func (ses *serveSession) serveRank(r *Rank) error {
 	eng := ses.srv.core.Session()
-	defer eng.Release()
 	id := r.ID()
 	for b := range ses.batches[id] {
 		if err := ses.serveBatchOn(r, eng, b); err != nil {

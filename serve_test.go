@@ -84,6 +84,31 @@ func TestServePredictMatchesModelForward(t *testing.T) {
 	}
 }
 
+// TestServeWithLeavesParallelismAlone: serving compiles the caller's model
+// and configures nothing process-wide. NewModel applies Config.Threads and
+// the deterministic reductions to the shared worker pool, so building a
+// model from the caller's Config inside ServeWith would undo the caller's
+// SetParallelism.
+func TestServeWithLeavesParallelismAlone(t *testing.T) {
+	defer SetParallelism(0, true)
+	sys, _, _ := serveSystem(t)
+	cfg := SmallConfig()
+	cfg.Threads = 1
+	model, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetParallelism(1, false)
+	srv, err := sys.ServeWith(InProcess, NeighborAllToAll, model, ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if threads, det := Parallelism(); threads != 1 || det {
+		t.Fatalf("after ServeWith Parallelism() = (%d, %v), want the caller's (1, false)", threads, det)
+	}
+}
+
 // TestServeRollout checks multi-step rollout requests: trajectory length,
 // initial-state passthrough, and agreement with the one-shot Predict on
 // the first step.
