@@ -45,7 +45,11 @@ const (
 	// and only the halo exchange stages through float64 (the transport
 	// layer's element type). Predictions approximate the float64 engine
 	// to a tolerance instead of bitwise — see the f32 parity tests — and
-	// remain bitwise-reproducible across thread counts and transports.
+	// remain bitwise-reproducible across thread counts, transports and
+	// batch sizes. Like the packed GEMM, the float32 arithmetic is defined
+	// per "SIMD or not": on the AVX2 and AVX-512 rungs the GEMM tiles and
+	// the ELU's exponential use fused multiply-adds and agree bit for bit
+	// with each other; the pure-Go rung rounds without them.
 	Float32
 )
 

@@ -42,23 +42,26 @@ import (
 // Residual connections wrap both MLPs, matching the encode-process-decode
 // processors of the MeshGraphNets lineage the paper builds on.
 //
-// A layer is three regions. Aggregation (edges → nodes) and the halo
-// exchange are the only true barriers of Eq. 4, so the forward pass is
+// A layer is at most three regions. Aggregation (edges → nodes) and the
+// halo exchange are the only true barriers of Eq. 4, so the forward pass is
 //
-//	edge stage   [gather (x_i ‖ x_j ‖ e_ij) → edge MLP → + e_ij]      one region
-//	aggregate    (4b) over the rows the plan sends → Start            one region
-//	             (4b) over the rest → Finish                          (phased split only)
-//	node stage   [absorb halo copies, (a* ‖ x) → node MLP → + x]      one region
+//	edge stage   [gather (x_i ‖ x_j ‖ e_ij) → edge MLP → + e_ij]   one region
+//	aggregate    (4b) over the rows the plan sends → Start         one region, none on one rank
+//	             (4b) over the interior rows → Finish              phased split only
+//	node stage   [absorb halo copies; (4b) over the interior rows  one region
+//	             when synchronous; (a* ‖ x) → node MLP → + x]
 //
-// and the gather, the concatenation and the two residual adds are not
-// loops of their own: they are the head and the tail (nn.RowMap) of the
-// MLP block's row panels, run by whichever thread carries the panel
-// through the block, on rows that are in its cache. Which loops are what:
+// and the gather, the concatenation, the interior aggregate of the
+// synchronous split and the two residual adds are not loops of their own:
+// they are the head and the tail (nn.RowMap) of the MLP block's row
+// panels, run by whichever thread carries the panel through the block, on
+// rows that are in its cache. Which loops are what:
 //
 //	regions      aggTask; backward: dHaloTask, dEOutTask over the
 //	             during-exchange span, scatterTask
-//	heads        edgeInTask (4a gather), nodeInTask (4d absorb + 4e concat);
-//	             backward: dEOutTask over the edges gathered after Finish
+//	heads        edgeInTask (4a gather), nodeInTask (4d absorb, 4b of the
+//	             interior rows when synchronous, 4e concat); backward:
+//	             dEOutTask over the edges gathered after Finish
 //	tails        residualTask (+ e, + x); backward: nodeGradTask (dAgg and
 //	             dx from the node-MLP input gradient), edgeGradTask (de)
 //
@@ -78,15 +81,18 @@ import (
 // (no per-call closures).
 //
 // Overlap is a split point, not a second schedule. The exchange of (4c)
-// is always Start … Finish; what varies is which rows are aggregated before
-// Start and which between Start and Finish. Synchronous: every row before,
-// nothing between. Phased: the boundary prefix of the graph's
-// boundary-first permutation (everything the plan sends) before, the
-// interior — rows no message can touch — between, hiding the transfer
-// behind it. A span that is empty dispatches nothing. Each row is computed
-// exactly once with the same per-row order either way, so losses,
-// gradients and trained parameters are bitwise unchanged for any
-// transport and thread count.
+// is always Start … Finish, and the boundary prefix of the graph's
+// boundary-first permutation (everything the plan sends) is aggregated
+// before Start; what varies is where the interior rows — rows no message
+// can touch — are aggregated. Phased: between Start and Finish, hiding the
+// transfer behind them. Synchronous: after Finish, by the node stage's
+// head, straight into the panel the node MLP reads — an interior row owns
+// no halo copy, so its a* is its aggregate and it needs no row of the
+// aggregate matrix. A span that is empty dispatches nothing: on one rank
+// the prefix is empty, and a synchronous layer is two regions. Each row
+// is computed exactly once by the one per-row function (aggRow), so
+// losses, gradients and trained parameters are bitwise unchanged for any
+// split, transport and thread count.
 
 // elem is the element type of an activation matrix.
 type elem interface{ float32 | float64 }
@@ -118,13 +124,16 @@ func (s span) at(q int) int {
 }
 
 // splitNodes is the forward split point: the rows aggregated before the
-// exchange starts, and those computed while it flies.
+// exchange starts — the boundary prefix, everything the plan sends — and
+// the interior rows aggregated while it flies: all of them when phased,
+// none when synchronous, where the node stage's head sums them instead.
 func splitNodes(g *graph.Local, overlap bool) (before, during span) {
+	nb := g.NumBoundary
+	before = span{g.NodeOrder[:nb], nb}
 	if overlap {
-		nb := g.NumBoundary
-		return span{g.NodeOrder[:nb], nb}, span{g.NodeOrder[nb:], g.NumLocal() - nb}
+		during = span{g.NodeOrder[nb:], g.NumLocal() - nb}
 	}
-	return span{n: g.NumLocal()}, span{}
+	return before, during
 }
 
 // edgesDuring is the backward split point: the edges whose receivers no
@@ -207,11 +216,28 @@ func (t *residualTask[T]) Rows(p []T, r0, r1 int) {
 	tensor.AddTo(p, t.src.data[r0*c:r1*c])
 }
 
-// aggTask is the degree-scaled receiver aggregation (4b): each worker owns
-// a span of receiver rows and walks their incoming edges in canonical CSR
-// order — the per-row summation order of a serial edge sweep, for any
-// thread count, batch and split. The 1/d factor is rounded to T once per
-// edge.
+// aggRow is the degree-scaled receiver aggregation (4b) of one row: dst =
+// Σ_k e_k / d_k over row i's incoming edges, summed from +0 in canonical
+// CSR order — the per-row summation order of a serial edge sweep — with
+// the 1/d factor rounded to T once per edge. eo is the edge offset of the
+// row's sample block. Both loops that aggregate call it, so a row's bits
+// do not depend on which one it lands in.
+func aggRow[T elem](dst []T, g *graph.Local, eOut rowsOf[T], eo, i int, disableDeg bool) {
+	clear(dst)
+	for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
+		inv := T(1)
+		if !disableDeg {
+			inv = T(1 / g.EdgeDegree[k])
+		}
+		for j, v := range eOut.row(eo + k) {
+			dst[j] += inv * v
+		}
+	}
+}
+
+// aggTask is the aggregation region: each worker owns a span of receiver
+// rows and aggregates them (aggRow) into the aggregate matrix, so the
+// result is the same for any thread count, batch and split.
 type aggTask[T elem] struct {
 	g          *graph.Local
 	eOut, agg  rowsOf[T]
@@ -226,17 +252,7 @@ func (t *aggTask[T]) block(b, lo, hi int) {
 	xo, eo := b*g.NumLocal(), b*g.NumEdges()
 	for q := lo; q < hi; q++ {
 		i := t.rows.at(q)
-		dst := t.agg.row(xo + i)
-		for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
-			src := t.eOut.row(eo + k)
-			inv := T(1)
-			if !t.disableDeg {
-				inv = T(1 / g.EdgeDegree[k])
-			}
-			for j, v := range src {
-				dst[j] += inv * v
-			}
-		}
+		aggRow(t.agg.row(xo+i), g, t.eOut, eo, i, t.disableDeg)
 	}
 }
 
@@ -247,10 +263,16 @@ func (t *aggTask[T]) block(b, lo, hi int) {
 // a* half of its input row — the aggregate matrix is only read, so a row's
 // sum a_i + copy + copy … is the one an in-place absorb would compute. A
 // row that owns no halo copy (every interior row: Validate enforces it)
-// absorbs nothing, so the head needs no span.
+// absorbs nothing. Under the synchronous split no region aggregated the
+// interior rows (aggInterior), so the head does: it sums an interior row's
+// incoming edges (aggRow) straight into the a* half — the row has nothing
+// else to add, so its a* is the sum the region would have stored.
 type nodeInTask[T elem] struct {
 	g            *graph.Local
+	eOut         rowsOf[T]
 	agg, halo, x rowsOf[T]
+	disableDeg   bool
+	aggInterior  bool
 }
 
 func (t *nodeInTask[T]) Rows(p []T, r0, r1 int) {
@@ -258,15 +280,19 @@ func (t *nodeInTask[T]) Rows(p []T, r0, r1 int) {
 	out := rowsOf[T]{p, 2 * h}
 	for lo := r0; lo < r1; {
 		b, q, m := splitBlock(g.NumLocal(), lo, r1)
-		ho := b * g.NumHalo()
+		ho, eo := b*g.NumHalo(), b*g.NumEdges()
 		for i := q; i < q+m; i++ {
 			r := lo + i - q
 			row := out.row(r - r0)
 			dst := row[:h]
-			copy(dst, t.agg.row(r))
-			for c := g.HaloStart[i]; c < g.HaloStart[i+1]; c++ {
-				for j, v := range t.halo.row(ho + g.HaloPerm[c]) {
-					dst[j] += v
+			if t.aggInterior && g.NodeDegree[i] <= 1 {
+				aggRow(dst, g, t.eOut, eo, i, t.disableDeg)
+			} else {
+				copy(dst, t.agg.row(r))
+				for c := g.HaloStart[i]; c < g.HaloStart[i+1]; c++ {
+					for j, v := range t.halo.row(ho + g.HaloPerm[c]) {
+						dst[j] += v
+					}
 				}
 			}
 			copy(row[h:], t.x.row(r))
@@ -319,13 +345,15 @@ func forwardNMP[T elem, M any](u nmpUser[T, M], t *nmpTasks[T], rc *RankContext,
 	t.resT = residualTask[T]{src: ev}
 	eOut = u.runEdge(batch*ne, &t.edgeInT, &t.resT)
 
-	// (4b)–(4c): degree-scaled receiver aggregation and halo swap. The halo
-	// staging buffer is zeroed because NoExchange leaves it untouched (and
-	// must then contribute exactly nothing in 4d).
-	agg := u.get(batch*nl, h, true)
+	// (4b)–(4c): degree-scaled receiver aggregation and halo swap. Every
+	// aggregate row is written by aggRow before it is read, so the matrix
+	// is not cleared; the halo staging buffer is zeroed because NoExchange
+	// leaves it untouched (and must then contribute exactly nothing in 4d).
+	agg := u.get(batch*nl, h, false)
 	halo := u.get(batch*g.NumHalo(), h, true)
 	before, during := splitNodes(g, overlap)
-	t.aggT = aggTask[T]{g: g, eOut: u.view(eOut), agg: u.view(agg), disableDeg: disableDeg, rows: before}
+	eOutV := u.view(eOut)
+	t.aggT = aggTask[T]{g: g, eOut: eOutV, agg: u.view(agg), disableDeg: disableDeg, rows: before}
 	parallel.ForTask(batch*before.n, grain, &t.aggT)
 	// The plan sends boundary rows only, and those are final here.
 	src, dst := u.toWire(g, agg, halo)
@@ -335,9 +363,11 @@ func forwardNMP[T elem, M any](u nmpUser[T, M], t *nmpTasks[T], rc *RankContext,
 	rc.Ex.Finish(rc.Comm)
 	u.fromWire(halo)
 
-	// (4d)–(4e) node stage: absorb halo copies, concatenate → node MLP →
-	// residual, over all rows in storage order.
-	t.nodeInT = nodeInTask[T]{g: g, agg: u.view(agg), halo: u.view(halo), x: xv}
+	// (4d)–(4e) node stage: absorb halo copies (synchronous split: aggregate
+	// the interior rows), concatenate → node MLP → residual, over all rows
+	// in storage order.
+	t.nodeInT = nodeInTask[T]{g: g, eOut: eOutV, agg: u.view(agg), halo: u.view(halo), x: xv,
+		disableDeg: disableDeg, aggInterior: !overlap}
 	t.resT = residualTask[T]{src: xv}
 	xOut = u.runNode(batch*nl, &t.nodeInT, &t.resT)
 	return xOut, eOut

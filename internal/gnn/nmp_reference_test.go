@@ -236,10 +236,15 @@ func sliceBitDiff[T elem](a, b []T) int {
 // input gradients and accumulated parameter gradients of the training
 // layer, and the outputs of both serving adapters at SmallConfig width and
 // at LargeConfig width (packed tiles engaged) — bitwise against the serial
-// reference, over batch × split point × threads × ranks. The other sweeps
-// compare the layer with itself at other settings; this one compares it
-// with something that shares none of its schedule: no head, no tail, no
-// task, every input a full-height matrix.
+// reference, over batch (1–4) × split point × threads (1, 2, 4) × ranks.
+// The other sweeps compare the layer with itself at other settings; this
+// one compares it with something that shares none of its schedule: no
+// head, no tail, no task, every input a full-height matrix. That includes
+// where a row's aggregate (4b) is summed — by the region before the
+// exchange (the boundary prefix), by the region inside it (the interior,
+// phased), or by the node stage's head straight into the node MLP's input
+// panel (the interior, synchronous; every row on one rank) — which the
+// reference does in one edge sweep into a full-height matrix.
 func TestNMPLayerMatchesSerialReference(t *testing.T) {
 	defer parallel.Configure(0, true)
 	const h = 6
@@ -263,10 +268,10 @@ func TestNMPLayerMatchesSerialReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, threads := range []int{1, 4} {
+		for _, threads := range []int{1, 2, 4} {
 			parallel.Configure(threads, true)
 			for _, overlap := range []bool{false, true} {
-				for _, batch := range []int{1, 3} {
+				for batch := 1; batch <= 4; batch++ {
 					name := fmt.Sprintf("R%d/T%d/overlap=%v/B%d", ranks, threads, overlap, batch)
 					err := comm.Run(ranks, func(c *comm.Comm) error {
 						rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)

@@ -172,14 +172,14 @@ func refForward32(im *InferMLP32, x *tensor.Matrix32) *tensor.Matrix32 {
 		case *linear32:
 			y = tensor.New32(x.Rows, t.out)
 			tensor.MatMul32(y, x, t.w)
-			tensor.AddRowVector32Rows(y, t.b, 0, y.Rows)
+			tensor.AddRowVector32Rows(y, t.b.Data(), 0, y.Rows)
 		case elu32:
 			y = tensor.New32(x.Rows, x.Cols)
 			tensor.EluRange32(y.Data, x.Data, 0, len(x.Data))
 		case *ln32:
 			y = tensor.New32(x.Rows, x.Cols)
 			for i := 0; i < x.Rows; i++ {
-				lnOneRow32(y.Row(i), x.Row(i), t.gain, t.shift)
+				lnOneRow32(y.Row(i), x.Row(i), t.gain.Data(), t.shift.Data())
 			}
 		}
 		x = y
@@ -547,11 +547,12 @@ func TestLayerNorm32MatchesOneRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	nan := func() float32 { return math.Float32frombits(0x7fc00000 | rng.Uint32()>>10) }
 	for _, width := range []int{1, 8, 16, 32, 33, 96} {
-		ln := &ln32{dim: width, gain: make([]float32, width), shift: make([]float32, width)}
-		for j := range ln.gain {
-			ln.gain[j] = float32(1 + 0.3*rng.NormFloat64())
-			ln.shift[j] = float32(0.3 * rng.NormFloat64())
+		gain, shift := make([]float32, width), make([]float32, width)
+		for j := range gain {
+			gain[j] = float32(1 + 0.3*rng.NormFloat64())
+			shift[j] = float32(0.3 * rng.NormFloat64())
 		}
+		ln := &ln32{dim: width, gain: tensor.Check(gain), shift: tensor.Check(shift)}
 		for rows := 1; rows <= 19; rows++ {
 			for _, filler := range []int{0, 2 * panelRows} {
 				for _, plant := range []string{"", "zeros", "huge", "tiny", "NaN", "Inf", "NaN+Inf"} {
@@ -585,7 +586,7 @@ func TestLayerNorm32MatchesOneRow(t *testing.T) {
 					}
 					want, got := tensor.New32(n, width), tensor.New32(n, width)
 					for i := 0; i < n; i++ {
-						lnOneRow32(want.Row(i), x.Row(i), ln.gain, ln.shift)
+						lnOneRow32(want.Row(i), x.Row(i), gain, shift)
 					}
 					ln.inferRows(panel[float32]{n, width, got.Data}, panel[float32]{n, width, x.Data})
 					for i, v := range want.Data {

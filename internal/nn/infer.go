@@ -186,7 +186,7 @@ func (m *MLP) Compile() *InferMLP {
 	for _, l := range m.block.layers {
 		switch t := l.(type) {
 		case *Linear:
-			li := &linearInfer{in: t.In, out: t.Out, w: t.Weight.W.Clone(), b: t.Bias.W.Clone()}
+			li := &linearInfer{in: t.In, out: t.Out, w: t.Weight.W.Clone(), b: tensor.Check(t.Bias.W.Clone().Data)}
 			if tensor.ShouldPack(t.In, t.Out) {
 				li.pb = tensor.PackB(li.w)
 			}
@@ -233,10 +233,12 @@ func (m *InferMLP) infer(a *tensor.Arena, rows int, x []float64, head, tail RowM
 
 // linearInfer is y = x·W + b over copied parameters, without the input
 // cache Linear keeps for its backward. Above the packed-GEMM threshold
-// the weight panels are packed once at compile (pb) instead of per call.
+// the weight panels are packed once at compile (pb) instead of per call,
+// and the bias's NaN scan is done once with them.
 type linearInfer struct {
 	in, out int
-	w, b    *tensor.Matrix
+	w       *tensor.Matrix
+	b       tensor.Checked[float64]
 	pb      *tensor.PackedB // compile-time packed W, nil below threshold
 }
 
@@ -255,10 +257,10 @@ func (l *linearInfer) checkTier() {
 func (l *linearInfer) inferRows(dst, src panel[float64]) {
 	d, s := mat64(dst), mat64(src)
 	if l.pb != nil {
-		tensor.MatMulPackedBiasRows(&d, &s, l.pb, l.b.Data, 0, s.Rows)
+		tensor.MatMulPackedBiasRows(&d, &s, l.pb, l.b, 0, s.Rows)
 		return
 	}
-	tensor.MatMulBiasRows(&d, &s, l.w, l.b.Data, 0, s.Rows)
+	tensor.MatMulBiasRows(&d, &s, l.w, l.b.Data(), 0, s.Rows)
 }
 
 // eluInfer applies the ELU, in place on the evaluator's scratch.

@@ -169,7 +169,7 @@ func (l *Linear) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 func (l *Linear) forwardRows(lo, hi int) {
 	if tensor.ShouldPack(l.In, l.Out) {
 		// Fully overwrites the rows; the bias add is the GEMM's epilogue.
-		tensor.MatMulPackedBiasRows(l.y, l.x, l.pw.pb, l.Bias.W.Data, lo, hi)
+		tensor.MatMulPackedBiasRows(l.y, l.x, l.pw.pb, tensor.Check(l.Bias.W.Data), lo, hi)
 		return
 	}
 	tensor.MatMulBiasRows(l.y, l.x, l.Weight.W, l.Bias.W.Data, lo, hi)

@@ -48,11 +48,13 @@
 // as one ReduceAll, and lets its caller put a row map at the head and the
 // tail of the panel loop; internal/gnn uses that to make the gather or
 // concatenation that feeds a block and the residual add that follows it
-// part of the block's region, so a message-passing layer is three regions
-// (edge stage, aggregation, node stage) with the halo exchange between the
-// last two. A LargeConfig prediction went from 191 dispatched regions (one
-// per kernel call) to 34 (one per block and per loop around it) to 14, a
-// training step from 468 to 81 to 41; internal/gnn's
+// part of the block's region, so a message-passing layer is at most three
+// regions (edge stage, aggregation of the rows the halo exchange sends,
+// node stage) with the exchange between the last two; the node stage's
+// head aggregates the other rows, so on one rank a layer is two. A
+// LargeConfig prediction went from 191 dispatched regions (one per kernel
+// call) to 34 (one per block and per loop around it) to 14 to 10, a
+// training step from 468 to 81 to 41 to 37; internal/gnn's
 // TestParallelDispatchBudget pins both. Stats counts dispatched and inline
 // regions and who ran the chunks; a caller share of the chunks near 1 is
 // the sign of regions that are too small. The engine never spins waiting

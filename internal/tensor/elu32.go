@@ -4,38 +4,43 @@ import "math"
 
 // Float32 ELU kernel tier. EluRange32 is the elementwise
 // y = v (v > 0), exp(v)-1 (v <= 0) map the f32 serving twin spends most
-// of its time in. An element lands in one of four blocks (elu32_amd64.s
-// holds the two assembly ones):
+// of its time in. Like the float32 GEMM tiles beside it, it has one
+// definition on the SIMD rungs and another on the go rung:
 //
-//	eluBlock32x16   32 elements, two 16-lane zmm chains   avx512
-//	eluBlock32      16 elements, two 8-lane ymm chains    avx2 and up
-//	expM1Neg4        4 elements, interleaved in Go        any rung
-//	expM1Neg         1 element, the definition            any rung
+//	eluBlock32x16   zmm, 32 elements a loop, masked tail   avx512
+//	eluBlock32      ymm, 16 elements a loop, masked tail   avx2
+//	expM1Neg4       4 elements, interleaved in Go          go
+//	expM1Neg        1 element, the go rung's definition    go
 //
-// Unlike the GEMM kernels, every path here is BITWISE-IDENTICAL per
-// element: the assembly uses unfused VMULPS/VADDPS in exactly the scalar
-// expM1Neg operation sequence (the Go compiler does not fuse a*b+c on
-// amd64), so an element rounds the same in all four. That keeps the
-// result independent of chunk boundaries — and therefore of thread count
-// and SIMD rung — with no bookkeeping at all.
+// The SIMD rungs evaluate the exponential with fused multiply-adds — the
+// reduction r = w − k·ln2 by two fused negated multiply-adds, the
+// polynomial by fused Horner steps, exp(r)−1 = fma(P, r², r) — with k
+// rounded to nearest even, and then 2^k·(exp(r)−1) + (2^k − 1) as a
+// rounded product and a rounded add (elu32_amd64.s has the sequence). The
+// two SIMD kernels are bit-for-bit equal, and each takes every element of
+// the range itself, its tail through masked lanes, so neither chunk
+// boundaries nor the thread count show in a bit. The go rung has no FMA:
+// expM1Neg4 and expM1Neg replay the unfused sequence below and agree with
+// each other element for element. The two sides round differently, as the
+// packed GEMM's do (pack.go); both are within 2 ulp of exp(v)−1.
 
 // EluRange32 writes y[i] = ELU(x[i]) for i in [lo, hi). x and y may
-// alias. The exponential is evaluated entirely in single precision
-// (~2-3 ulp) — below the serving twin's representation error.
+// alias. The exponential is evaluated entirely in single precision — below
+// the serving twin's representation error.
 func EluRange32(y, x []float32, lo, hi int) {
-	i := lo
-	if tier >= tierAVX2 {
-		if tier == tierAVX512 {
-			if n := (hi - i) &^ 31; n > 0 {
-				eluBlock32x16(int64(n), &x[i], &y[i])
-				i += n
-			}
-		}
-		if n := (hi - i) &^ 15; n > 0 {
-			eluBlock32(int64(n), &x[i], &y[i])
-			i += n
-		}
+	if hi <= lo {
+		return
 	}
+	if tier >= tierAVX2 {
+		_, _ = x[hi-1], y[hi-1] // the kernels read and write up to hi unchecked
+		if tier == tierAVX512 {
+			eluBlock32x16(int64(hi-lo), &x[lo], &y[lo])
+		} else {
+			eluBlock32(int64(hi-lo), &x[lo], &y[lo])
+		}
+		return
+	}
+	i := lo
 	// Four elements per iteration: the polynomial is a serial dependency
 	// chain, so one lane is latency-bound — four independent chains let
 	// the CPU pipeline them. The exponential is evaluated unconditionally
@@ -95,9 +100,9 @@ const (
 // field, so the whole path is branch-free — a pure per-element function,
 // leaving thread/rank bitwise determinism untouched.
 //
-// This is the reference operation sequence: expM1Neg4 below and the two
-// assembly blocks replay it exactly, lane by lane, so all four produce
-// identical bits. Keep them in lockstep when changing any.
+// This is the go rung's definition: expM1Neg4 below replays it exactly,
+// lane by lane, so the two produce identical bits. Keep them in lockstep
+// when changing either.
 func expM1Neg(v float32) float32 {
 	if v < expUnder {
 		v = expUnder

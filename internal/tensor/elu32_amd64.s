@@ -1,31 +1,23 @@
 // AVX2 and AVX-512F kernels for the float32 elementwise tier: the ELU map
-// (elu32.go) twice — eluBlock32, 16 elements per iteration as two 8-lane
-// ymm chains, and eluBlock32x16, 32 per iteration as two 16-lane zmm
-// chains — and, at the end of the file, the add kernels behind the bias
-// and residual adds (ops32.go), 8 and 16 lanes.
+// (elu32.go) twice — eluBlock32 on ymm, eluBlock32x16 on zmm — and, at the
+// end of the file, the add kernels behind the bias and residual adds
+// (ops32.go), 8 and 16 lanes.
 //
-// In both ELU blocks the two groups' serial dependency chains interleave
-// in the pipeline, every arithmetic step is an UNFUSED multiply, add or
-// subtract in exactly the order of the scalar expM1Neg reference (the Go
-// compiler emits the same unfused sequence on amd64), the underflow clamp
-// is a compare + blend replaying the scalar branch, and the floor and 2^k
-// construction are the same integer-domain tricks — so each lane's bits
-// are identical to the pure-Go path, on either rung, and chunk boundaries
-// stay invisible.
+// Both ELU kernels evaluate one sequence per lane, the SIMD rungs'
+// definition of the float32 ELU (elu32.go): w = max(v, expUnder),
+// k = roundeven(w/ln2), r = w − k·ln2 by two fused negated multiply-adds
+// over the hi/lo split, the polynomial by fused Horner steps,
+// pm1 = fma(z, r², r), and 2^k·pm1 + (2^k − 1) as a rounded product and a
+// rounded add; lanes with v > 0 or v NaN select v. The avx512 kernel scales
+// by VSCALEFPS and the avx2 one multiplies by 2^k built in the exponent
+// field: the clamp keeps k ≥ −126, where 2^k is a normal float32 and both
+// are the one rounding of pm1·2^k, so the two rungs agree bit for bit.
+// Each kernel takes any n ≥ 1 and finishes it: the elements past the last
+// whole group go through masked lanes (VMASKMOVPS on avx2, an opmask on
+// avx512) in the same sequence, so where a range starts or ends never
+// shows in a bit.
 
 #include "textflag.h"
-
-DATA eluHalf<>+0(SB)/8, $0x3f0000003f000000
-DATA eluHalf<>+8(SB)/8, $0x3f0000003f000000
-DATA eluHalf<>+16(SB)/8, $0x3f0000003f000000
-DATA eluHalf<>+24(SB)/8, $0x3f0000003f000000
-GLOBL eluHalf<>(SB), RODATA|NOPTR, $32
-
-DATA eluAbs<>+0(SB)/8, $0x7fffffff7fffffff
-DATA eluAbs<>+8(SB)/8, $0x7fffffff7fffffff
-DATA eluAbs<>+16(SB)/8, $0x7fffffff7fffffff
-DATA eluAbs<>+24(SB)/8, $0x7fffffff7fffffff
-GLOBL eluAbs<>(SB), RODATA|NOPTR, $32
 
 // expUnder = -87.33654f
 DATA eluUnder<>+0(SB)/8, $0xc2aeac4fc2aeac4f
@@ -40,19 +32,6 @@ DATA eluInvLn2<>+8(SB)/8, $0x3fb8aa3b3fb8aa3b
 DATA eluInvLn2<>+16(SB)/8, $0x3fb8aa3b3fb8aa3b
 DATA eluInvLn2<>+24(SB)/8, $0x3fb8aa3b3fb8aa3b
 GLOBL eluInvLn2<>(SB), RODATA|NOPTR, $32
-
-// 16384.5: the add-large-bias floor
-DATA eluBias<>+0(SB)/8, $0x4680010046800100
-DATA eluBias<>+8(SB)/8, $0x4680010046800100
-DATA eluBias<>+16(SB)/8, $0x4680010046800100
-DATA eluBias<>+24(SB)/8, $0x4680010046800100
-GLOBL eluBias<>(SB), RODATA|NOPTR, $32
-
-DATA eluI16384<>+0(SB)/8, $0x0000400000004000
-DATA eluI16384<>+8(SB)/8, $0x0000400000004000
-DATA eluI16384<>+16(SB)/8, $0x0000400000004000
-DATA eluI16384<>+24(SB)/8, $0x0000400000004000
-GLOBL eluI16384<>(SB), RODATA|NOPTR, $32
 
 // ln2 hi/lo split
 DATA eluLn2Hi<>+0(SB)/8, $0x3f3180003f318000
@@ -116,187 +95,138 @@ DATA eluI127<>+16(SB)/8, $0x0000007f0000007f
 DATA eluI127<>+24(SB)/8, $0x0000007f0000007f
 GLOBL eluI127<>(SB), RODATA|NOPTR, $32
 
+// lane numbers 0-7, for the avx2 tail mask
+DATA eluIota<>+0(SB)/8, $0x0000000100000000
+DATA eluIota<>+8(SB)/8, $0x0000000300000002
+DATA eluIota<>+16(SB)/8, $0x0000000500000004
+DATA eluIota<>+24(SB)/8, $0x0000000700000006
+GLOBL eluIota<>(SB), RODATA|NOPTR, $32
+
+// ELU8 is the sequence on one ymm of eight lanes: v holds the input (kept
+// for the final blend), w max(v, expUnder) then r, f float k then 2^k bits
+// then 2^k − 1, z the polynomial then the result, s r² then the select
+// mask. Constants: Y10 0, Y11 expUnder, Y12 1/ln2, Y13/Y14 ln2 hi/lo, Y15
+// 1, each broadcast by the caller; c5-c0 and 127 are read from memory.
+#define ELU8(v, w, f, z, s) \
+	VMAXPS       v, Y11, w; \
+	VMULPS       Y12, w, f; \
+	VROUNDPS     $8, f, f; \
+	VFNMADD231PS Y13, f, w; \
+	VFNMADD231PS Y14, f, w; \
+	VMOVUPS      eluC5<>(SB), z; \
+	VFMADD213PS  eluC4<>(SB), w, z; \
+	VFMADD213PS  eluC3<>(SB), w, z; \
+	VFMADD213PS  eluC2<>(SB), w, z; \
+	VFMADD213PS  eluC1<>(SB), w, z; \
+	VFMADD213PS  eluC0<>(SB), w, z; \
+	VMULPS       w, w, s; \
+	VFMADD213PS  w, s, z; \
+	VCVTTPS2DQ   f, f; \
+	VPADDD       eluI127<>(SB), f, f; \
+	VPSLLD       $23, f, f; \
+	VMULPS       f, z, z; \
+	VSUBPS       Y15, f, f; \
+	VADDPS       f, z, z; \
+	VCMPPS       $6, Y10, v, s; \
+	VBLENDVPS    s, v, z, z
+
 // func eluBlock32(n int64, x, y *float32)
 //
-// n must be a positive multiple of 16. Register plan per 8-lane group
-// (a: even Y regs, b: odd): Y0/Y1 input v (live to the final blend),
-// Y2/Y3 w then r, Y4/Y5 k then the 2^k bits, Y6/Y7 fk then the select
-// mask, Y8/Y9 scratch then the result, Y10/Y11 the polynomial. Y12-Y15
-// hold the four constants touched more than once per group.
+// n ≥ 1: sixteen elements per iteration as two ELU8 chains, then one
+// chain of eight, then the remaining 1-7 through VMASKMOVPS.
 TEXT ·eluBlock32(SB), NOSPLIT, $0-24
 	MOVQ n+0(FP), AX
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DI
 
-	VXORPS  Y12, Y12, Y12
-	VMOVUPS eluUnder<>(SB), Y13
-	VMOVUPS eluAbs<>(SB), Y14
-	VMOVUPS eluHalf<>(SB), Y15
+	VXORPS       Y10, Y10, Y10
+	VBROADCASTSS eluUnder<>(SB), Y11
+	VBROADCASTSS eluInvLn2<>(SB), Y12
+	VBROADCASTSS eluLn2Hi<>(SB), Y13
+	VBROADCASTSS eluLn2Lo<>(SB), Y14
+	VBROADCASTSS eluOne<>(SB), Y15
 
-eloop:
+	CMPQ AX, $16
+	JLT  e8
+
+e16:
 	VMOVUPS (SI), Y0
 	VMOVUPS 32(SI), Y1
+	ELU8(Y0, Y2, Y4, Y6, Y8)
+	ELU8(Y1, Y3, Y5, Y7, Y9)
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $16, AX
+	CMPQ    AX, $16
+	JGE     e16
 
-	// w = 0.5*(v - |v|) = min(v, 0), bit-exact with minZero32
-	VANDPS Y14, Y0, Y2
-	VANDPS Y14, Y1, Y3
-	VSUBPS Y2, Y0, Y2
-	VSUBPS Y3, Y1, Y3
-	VMULPS Y15, Y2, Y2
-	VMULPS Y15, Y3, Y3
+e8:
+	CMPQ AX, $8
+	JLT  etail
+	VMOVUPS (SI), Y0
+	ELU8(Y0, Y2, Y4, Y6, Y8)
+	VMOVUPS Y6, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, AX
 
-	// if w < expUnder { w = expUnder }
-	VCMPPS    $1, Y13, Y2, Y6
-	VCMPPS    $1, Y13, Y3, Y7
-	VBLENDVPS Y6, Y13, Y2, Y2
-	VBLENDVPS Y7, Y13, Y3, Y3
+etail:
+	TESTQ AX, AX
+	JZ    edone
+	// Y1 = lane < AX: the masked load zeroes the other lanes, the masked
+	// store leaves them alone.
+	MOVQ         AX, X1
+	VPBROADCASTD X1, Y1
+	VMOVDQU      eluIota<>(SB), Y3
+	VPCMPGTD     Y3, Y1, Y1
+	VMASKMOVPS   (SI), Y1, Y0
+	ELU8(Y0, Y2, Y4, Y6, Y8)
+	VMASKMOVPS   Y6, Y1, (DI)
 
-	// k = int32(w/ln2 + 16384.5) - 16384 (truncation of a positive value)
-	VMULPS     eluInvLn2<>(SB), Y2, Y4
-	VMULPS     eluInvLn2<>(SB), Y3, Y5
-	VADDPS     eluBias<>(SB), Y4, Y4
-	VADDPS     eluBias<>(SB), Y5, Y5
-	VCVTTPS2DQ Y4, Y4
-	VCVTTPS2DQ Y5, Y5
-	VPSUBD     eluI16384<>(SB), Y4, Y4
-	VPSUBD     eluI16384<>(SB), Y5, Y5
-	VCVTDQ2PS  Y4, Y6
-	VCVTDQ2PS  Y5, Y7
-
-	// r = w - fk*ln2hi; r -= fk*ln2lo
-	VMULPS eluLn2Hi<>(SB), Y6, Y8
-	VMULPS eluLn2Hi<>(SB), Y7, Y9
-	VSUBPS Y8, Y2, Y2
-	VSUBPS Y9, Y3, Y3
-	VMULPS eluLn2Lo<>(SB), Y6, Y8
-	VMULPS eluLn2Lo<>(SB), Y7, Y9
-	VSUBPS Y8, Y2, Y2
-	VSUBPS Y9, Y3, Y3
-
-	// z = ((((c5*r + c4)*r + c3)*r + c2)*r + c1)*r + c0
-	VMOVUPS eluC5<>(SB), Y10
-	VMOVUPS eluC5<>(SB), Y11
-	VMULPS  Y2, Y10, Y10
-	VMULPS  Y3, Y11, Y11
-	VADDPS  eluC4<>(SB), Y10, Y10
-	VADDPS  eluC4<>(SB), Y11, Y11
-	VMULPS  Y2, Y10, Y10
-	VMULPS  Y3, Y11, Y11
-	VADDPS  eluC3<>(SB), Y10, Y10
-	VADDPS  eluC3<>(SB), Y11, Y11
-	VMULPS  Y2, Y10, Y10
-	VMULPS  Y3, Y11, Y11
-	VADDPS  eluC2<>(SB), Y10, Y10
-	VADDPS  eluC2<>(SB), Y11, Y11
-	VMULPS  Y2, Y10, Y10
-	VMULPS  Y3, Y11, Y11
-	VADDPS  eluC1<>(SB), Y10, Y10
-	VADDPS  eluC1<>(SB), Y11, Y11
-	VMULPS  Y2, Y10, Y10
-	VMULPS  Y3, Y11, Y11
-	VADDPS  eluC0<>(SB), Y10, Y10
-	VADDPS  eluC0<>(SB), Y11, Y11
-
-	// pm1 = (z*r)*r + r
-	VMULPS Y2, Y10, Y8
-	VMULPS Y3, Y11, Y9
-	VMULPS Y2, Y8, Y8
-	VMULPS Y3, Y9, Y9
-	VADDPS Y2, Y8, Y8
-	VADDPS Y3, Y9, Y9
-
-	// scale = float32frombits((k+127) << 23)
-	VPADDD eluI127<>(SB), Y4, Y4
-	VPADDD eluI127<>(SB), Y5, Y5
-	VPSLLD $23, Y4, Y4
-	VPSLLD $23, Y5, Y5
-
-	// e = scale*pm1 + (scale - 1)
-	VMULPS Y4, Y8, Y8
-	VMULPS Y5, Y9, Y9
-	VSUBPS eluOne<>(SB), Y4, Y4
-	VSUBPS eluOne<>(SB), Y5, Y5
-	VADDPS Y4, Y8, Y8
-	VADDPS Y5, Y9, Y9
-
-	// positive lanes select the identity: e = v > 0 ? v : e
-	VCMPPS    $14, Y12, Y0, Y6
-	VCMPPS    $14, Y12, Y1, Y7
-	VBLENDVPS Y6, Y0, Y8, Y8
-	VBLENDVPS Y7, Y1, Y9, Y9
-
-	VMOVUPS Y8, (DI)
-	VMOVUPS Y9, 32(DI)
-
-	ADDQ $64, SI
-	ADDQ $64, DI
-	SUBQ $16, AX
-	JNZ  eloop
-
+edone:
 	VZEROUPPER
 	RET
 
-// ELU16 is one 8-lane group of eluBlock32 on sixteen zmm lanes, step for
-// step; where AVX-512F spells a step differently the operation is
-// unchanged: VANDPS (AVX-512DQ in zmm) -> VPANDD, VCMPPS -> opmask and
-// VBLENDVPS -> VBLENDMPS. Every constant is a register, broadcast by the
-// caller from the literals eluBlock32 reads: Z12 0, Z13 expUnder, Z14 the
-// abs mask, Z15 0.5, Z16 1/ln2, Z17 16384.5, Z18 16384 (int), Z19/Z20 ln2
-// hi/lo, Z21-Z26 c5-c0, Z27 1, Z28 127 (int). v holds the input (kept for
-// the final blend), w min(v, 0) then r, k the integer part then 2^k, f
-// float(k), s scratch then the result, z the polynomial; m is a scratch
-// opmask.
-#define ELU16(v, w, k, f, s, z, m) \
-	VPANDD     Z14, v, w; \
-	VSUBPS     w, v, w; \
-	VMULPS     Z15, w, w; \
-	VCMPPS     $1, Z13, w, m; \
-	VBLENDMPS  Z13, w, m, w; \
-	VMULPS     Z16, w, k; \
-	VADDPS     Z17, k, k; \
-	VCVTTPS2DQ k, k; \
-	VPSUBD     Z18, k, k; \
-	VCVTDQ2PS  k, f; \
-	VMULPS     Z19, f, s; \
-	VSUBPS     s, w, w; \
-	VMULPS     Z20, f, s; \
-	VSUBPS     s, w, w; \
-	VMULPS     w, Z21, z; \
-	VADDPS     Z22, z, z; \
-	VMULPS     w, z, z; \
-	VADDPS     Z23, z, z; \
-	VMULPS     w, z, z; \
-	VADDPS     Z24, z, z; \
-	VMULPS     w, z, z; \
-	VADDPS     Z25, z, z; \
-	VMULPS     w, z, z; \
-	VADDPS     Z26, z, z; \
-	VMULPS     w, z, s; \
-	VMULPS     w, s, s; \
-	VADDPS     w, s, s; \
-	VPADDD     Z28, k, k; \
-	VPSLLD     $23, k, k; \
-	VMULPS     k, s, s; \
-	VSUBPS     Z27, k, k; \
-	VADDPS     k, s, s; \
-	VCMPPS     $14, Z12, v, m; \
-	VBLENDMPS  v, s, m, s
+// ELU16 is ELU8 on sixteen zmm lanes, with 2^k applied by VSCALEFPS: z
+// becomes pm1·2^f and s 2^f − 1 (1·2^f, less 1), where ELU8 builds 2^k in
+// the exponent field. m is a scratch opmask. Constants, broadcast by the
+// caller: Z16 0, Z17 expUnder, Z18 1/ln2, Z19/Z20 ln2 hi/lo, Z21-Z26
+// c5-c0, Z27 1.
+#define ELU16(v, w, f, z, s, m) \
+	VMAXPS       v, Z17, w; \
+	VMULPS       Z18, w, f; \
+	VRNDSCALEPS  $8, f, f; \
+	VFNMADD231PS Z19, f, w; \
+	VFNMADD231PS Z20, f, w; \
+	VMOVAPS      Z21, z; \
+	VFMADD213PS  Z22, w, z; \
+	VFMADD213PS  Z23, w, z; \
+	VFMADD213PS  Z24, w, z; \
+	VFMADD213PS  Z25, w, z; \
+	VFMADD213PS  Z26, w, z; \
+	VMULPS       w, w, s; \
+	VFMADD213PS  w, s, z; \
+	VSCALEFPS    f, z, z; \
+	VSCALEFPS    f, Z27, s; \
+	VSUBPS       Z27, s, s; \
+	VADDPS       s, z, z; \
+	VCMPPS       $6, Z16, v, m; \
+	VBLENDMPS    v, z, m, z
 
 // func eluBlock32x16(n int64, x, y *float32)
 //
-// n must be a positive multiple of 32.
+// n ≥ 1: thirty-two elements per iteration as two ELU16 chains, then one
+// chain of sixteen, then the remaining 1-15 under an opmask.
 TEXT ·eluBlock32x16(SB), NOSPLIT, $0-24
 	MOVQ n+0(FP), AX
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DI
 
-	VPXORD       Z12, Z12, Z12
-	VBROADCASTSS eluUnder<>(SB), Z13
-	VPBROADCASTD eluAbs<>(SB), Z14
-	VBROADCASTSS eluHalf<>(SB), Z15
-	VBROADCASTSS eluInvLn2<>(SB), Z16
-	VBROADCASTSS eluBias<>(SB), Z17
-	VPBROADCASTD eluI16384<>(SB), Z18
+	VPXORD       Z16, Z16, Z16
+	VBROADCASTSS eluUnder<>(SB), Z17
+	VBROADCASTSS eluInvLn2<>(SB), Z18
 	VBROADCASTSS eluLn2Hi<>(SB), Z19
 	VBROADCASTSS eluLn2Lo<>(SB), Z20
 	VBROADCASTSS eluC5<>(SB), Z21
@@ -306,20 +236,48 @@ TEXT ·eluBlock32x16(SB), NOSPLIT, $0-24
 	VBROADCASTSS eluC1<>(SB), Z25
 	VBROADCASTSS eluC0<>(SB), Z26
 	VBROADCASTSS eluOne<>(SB), Z27
-	VPBROADCASTD eluI127<>(SB), Z28
 
-elux32:
+	CMPQ AX, $32
+	JLT  z16
+
+z32:
 	VMOVUPS (SI), Z0
 	VMOVUPS 64(SI), Z1
-	ELU16(Z0, Z2, Z4, Z6, Z8, Z10, K1)
-	ELU16(Z1, Z3, Z5, Z7, Z9, Z11, K2)
-	VMOVUPS Z8, (DI)
-	VMOVUPS Z9, 64(DI)
+	ELU16(Z0, Z2, Z4, Z6, Z8, K1)
+	ELU16(Z1, Z3, Z5, Z7, Z9, K2)
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z7, 64(DI)
 	ADDQ    $128, SI
 	ADDQ    $128, DI
 	SUBQ    $32, AX
-	JNZ     elux32
+	CMPQ    AX, $32
+	JGE     z32
 
+z16:
+	CMPQ AX, $16
+	JLT  ztail
+	VMOVUPS (SI), Z0
+	ELU16(Z0, Z2, Z4, Z6, Z8, K1)
+	VMOVUPS Z6, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $16, AX
+
+ztail:
+	TESTQ AX, AX
+	JZ    zdone
+	// K3 = the low AX lanes: the masked load zeroes the others, the masked
+	// store leaves them alone.
+	MOVQ    AX, CX
+	MOVL    $1, BX
+	SHLL    CX, BX
+	DECL    BX
+	KMOVW   BX, K3
+	VMOVUPS.Z (SI), K3, Z0
+	ELU16(Z0, Z2, Z4, Z6, Z8, K1)
+	VMOVUPS Z6, K3, (DI)
+
+zdone:
 	VZEROUPPER
 	RET
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -117,9 +119,22 @@ func TestElu64MatchesMathExp(t *testing.T) {
 // to its non-FMA sequence, which rounds differently, while detectSIMD
 // still reports the CPUID truth. The init-time probe must notice and
 // leave the kernel off, so the sweep above passes in such a process.
+// Built with GOAMD64=v3 or above, FMA is the baseline: math.Exp has only
+// its FMA sequence, the runtime knows no "fma" feature to turn off, and
+// there is nothing to disable.
 func TestElu64SelfDisablesWithoutMathFMA(t *testing.T) {
 	if !elu64Exact[cpuTier] {
 		t.Skipf("no float64 ELU kernel on this machine's top rung (%v): nothing to disable", cpuTier)
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key != "GOAMD64" {
+				continue
+			}
+			if level, err := strconv.Atoi(strings.TrimPrefix(s.Value, "v")); err == nil && level >= 3 {
+				t.Skipf("built with GOAMD64=%s: FMA is the baseline, math.Exp has one arithmetic and cpu.fma cannot be turned off", s.Value)
+			}
+		}
 	}
 	godebug := "cpu.fma=off"
 	if prev := os.Getenv("GODEBUG"); prev != "" {

@@ -38,9 +38,9 @@ func gemmRows64(rows, k, n int64, a, b, c, bias *float64) (done int64)
 //go:noescape
 func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) (done int64)
 
-// The float32 ELU blocks (elu32_amd64.s): n is a positive multiple of 16
-// for the ymm block, of 32 for the zmm one. Every input is done exactly,
-// so neither stops.
+// The float32 ELU kernels (elu32_amd64.s): any n >= 1, the elements past
+// the last whole group through masked lanes. Every input is done, so
+// neither stops.
 
 //go:noescape
 func eluBlock32(n int64, x, y *float32)

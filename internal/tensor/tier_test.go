@@ -159,7 +159,7 @@ func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
 	pb, pbt := PackB(w), PackBT(wT)
 	for _, r := range ranges {
 		MatMulPackedRows(mm, x, pb, r[0], r[1])
-		MatMulPackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
+		MatMulPackedBiasRows(mb, x, pb, Check(o.bias), r[0], r[1])
 		MatMulPackedRows(abt, x, pbt, r[0], r[1])
 		MatMulBiasRows(lin, x, w, o.bias, r[0], r[1])
 	}
@@ -184,7 +184,7 @@ func run32(o *gemmOperands[float32], ranges [][2]int) map[string][]float32 {
 	pb := PackB32(w)
 	for _, r := range ranges {
 		MatMul32PackedRows(mm, x, pb, r[0], r[1])
-		MatMul32PackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
+		MatMul32PackedBiasRows(mb, x, pb, Check(o.bias), r[0], r[1])
 	}
 	def := New32(rows, n)
 	copy(def.Data, mm.Data)
@@ -656,11 +656,11 @@ func TestLayerNorm32RowsMatchesOneRow(t *testing.T) {
 
 					got := New32(total, cols) // rows outside [lo, lo+rows) must stay as they were
 					copy(got.Data, src.Data)
-					LayerNorm32Rows(got, src, gain, shift, eps, lo, lo+rows)
+					LayerNorm32Rows(got, src, Check(gain), Check(shift), eps, lo, lo+rows)
 					if i := bitsEqual(got.Data, want.Data); i >= 0 {
 						t.Fatalf("%s: element %d (row %d, victim row %d) is %#x, want %#x", what, i, i/cols, victim, bitsOf(got.Data[i]), bitsOf(want.Data[i]))
 					}
-					LayerNorm32Rows(src, src, gain, shift, eps, lo, lo+rows)
+					LayerNorm32Rows(src, src, Check(gain), Check(shift), eps, lo, lo+rows)
 					if i := bitsEqual(src.Data, want.Data); i >= 0 {
 						t.Fatalf("%s, in place: element %d is %#x, want %#x", what, i, bitsOf(src.Data[i]), bitsOf(want.Data[i]))
 					}
