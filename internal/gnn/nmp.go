@@ -59,9 +59,11 @@ import (
 //
 //	regions      aggTask; backward: dHaloTask, dEOutTask over the
 //	             during-exchange span, scatterTask
-//	heads        edgeInTask (4a gather), nodeInTask (4d absorb, 4b of the
-//	             interior rows when synchronous, 4e concat); backward:
-//	             dEOutTask over the edges gathered after Finish
+//	heads        edgeInTask (4a gather: a tensor.GatherEdgeRows kernel
+//	             call per sample block of the panel), nodeInTask (4d
+//	             absorb, 4b of the interior rows when synchronous, 4e
+//	             concat); backward: dEOutTask over the edges gathered
+//	             after Finish
 //	tails        residualTask (+ e, + x); backward: nodeGradTask (dAgg and
 //	             dx from the node-MLP input gradient), edgeGradTask (de)
 //
@@ -181,7 +183,8 @@ func runBlocks(t blockRunner, n, lo, hi int) {
 
 // edgeInTask is the head of the edge stage (4a): it assembles the
 // (x_i ‖ x_j ‖ e_ij) input rows of one panel of edges, gathering within
-// each row's own sample block. Its panel argument is per call and its own
+// each row's own sample block — one tensor.GatherEdgeRows kernel call per
+// block segment of the panel. Its panel argument is per call and its own
 // state read-only, so it walks the sample blocks itself (splitBlock)
 // instead of through runBlocks.
 type edgeInTask[T elem] struct {
@@ -191,18 +194,11 @@ type edgeInTask[T elem] struct {
 
 func (t *edgeInTask[T]) Rows(p []T, r0, r1 int) {
 	g, h := t.g, t.x.cols
-	out := rowsOf[T]{p, 3 * h}
+	nl := g.NumLocal()
 	for lo := r0; lo < r1; {
 		b, q, m := splitBlock(g.NumEdges(), lo, r1)
-		xo := b * g.NumLocal()
-		for k := q; k < q+m; k++ {
-			ed := g.Edges[k]
-			r := lo + k - q
-			row := out.row(r - r0)
-			copy(row[:h], t.x.row(xo+ed[1]))    // x_i (receiver)
-			copy(row[h:2*h], t.x.row(xo+ed[0])) // x_j (sender)
-			copy(row[2*h:], t.e.row(r))         // e_ij
-		}
+		tensor.GatherEdgeRows(p[3*h*(lo-r0):3*h*(lo-r0+m)], t.x.data[b*nl*h:(b+1)*nl*h],
+			t.e.data[lo*h:(lo+m)*h], g.Edges[q:q+m], h)
 		lo += m
 	}
 }

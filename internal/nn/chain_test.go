@@ -61,14 +61,14 @@ func refForward(m *MLP, x *tensor.Matrix) *layerAtATime {
 				}
 				mu /= n
 				for _, v := range row {
-					varsum += (v - mu) * (v - mu)
+					varsum += float64((v - mu) * (v - mu))
 				}
 				inv := 1 / math.Sqrt(varsum/n+Epsilon)
 				ref.invStd[i] = inv
 				for j, v := range row {
 					xh := (v - mu) * inv
 					ref.xhat.Row(i)[j] = xh
-					y.Row(i)[j] = xh*t.Gain.W.Data[j] + t.Shift.W.Data[j]
+					y.Row(i)[j] = float64(xh*t.Gain.W.Data[j]) + t.Shift.W.Data[j]
 				}
 			}
 			x = y
@@ -493,19 +493,21 @@ func TestStandaloneLayersAreChainsOfOne(t *testing.T) {
 	}
 }
 
-// TestLayerNormInterleaveMatchesOneRow: the LayerNorm row maps carry
-// lnRows rows' reductions at a time; against the one-row-at-a-time
-// reference above, every row count up to 3·lnRows+1 (each number of rows
-// left over, after zero to three full groups) and widths {1, 8, 16, 32, 33} —
-// either side of lnInterleaveMin, below which the passes are one row at a
-// time — give the same forward output and caches, the same inference
-// output, the same input gradient and the same gain and shift gradients,
-// bit for bit.
+// TestLayerNormInterleaveMatchesOneRow: the float64 LayerNorm forward
+// hands whole groups of eight rows to the tensor kernel (avx512), then
+// carries lnRows rows' reductions at a time, then one; the backward
+// passes carry lnRows. Against the one-row-at-a-time reference above,
+// every row count up to 2·8+lnRows+1 (zero to two kernel groups, each
+// followed by every number of lnRows groups and rows left over) and
+// widths {1, 8, 16, 32, 33} — either side of lnInterleaveMin, below which
+// the passes are one row at a time — give the same forward output and
+// caches, the same inference output, the same input gradient and the same
+// gain and shift gradients, bit for bit.
 func TestLayerNormInterleaveMatchesOneRow(t *testing.T) {
 	defer parallel.Configure(0, true)
 	parallel.Configure(1, true)
 	for _, width := range []int{1, 8, lnInterleaveMin, 32, 33} {
-		for rows := 1; rows <= 3*lnRows+1; rows++ {
+		for rows := 1; rows <= 2*8+lnRows+1; rows++ {
 			rng := rand.New(rand.NewSource(int64(100*width + rows)))
 			ln := NewLayerNorm("ln", width)
 			for j := range ln.Gain.W.Data {

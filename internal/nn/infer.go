@@ -195,7 +195,7 @@ func (m *MLP) Compile() *InferMLP {
 		case *ELU:
 			ls = append(ls, eluInfer{})
 		case *LayerNorm:
-			ls = append(ls, &lnInfer{dim: t.Dim, gain: t.Gain.W.Clone(), shift: t.Shift.W.Clone()})
+			ls = append(ls, &lnInfer{dim: t.Dim, gain: tensor.Check(t.Gain.W.Clone().Data), shift: tensor.Check(t.Shift.W.Clone().Data)})
 		default:
 			panic(fmt.Sprintf("nn: cannot compile layer %T for inference", l))
 		}
@@ -273,16 +273,14 @@ func (eluInfer) inferRows(dst, src panel[float64]) {
 	tensor.EluRange(dst.data, src.data, 0, len(src.data))
 }
 
-// lnInfer is the forward-only LayerNorm over copied gain/shift. It
-// normalizes rows exactly like LayerNorm.forwardRows but writes only the
+// lnInfer is the forward-only LayerNorm over copied gain/shift, scanned
+// for NaN at compile. It normalizes rows exactly like
+// LayerNorm.forwardRows — the same layerNormRows — but writes only the
 // output: the xhat matrix and the invStd column exist solely for the
-// backward pass, so the inference twin drops both stores. The per-value
-// arithmetic — (v-mu)*inv rounded, then *gain + shift — is unchanged, and
-// the row statistics are LayerNorm's own (rowStats4 / rowStats, lnRows rows'
-// reductions interleaved: see layers.go for why that moves no bit).
+// backward pass, so the inference twin passes nil for both.
 type lnInfer struct {
 	dim         int
-	gain, shift *tensor.Matrix
+	gain, shift tensor.Checked[float64]
 }
 
 func (ln *lnInfer) outWidth(in int) int { return in }
@@ -293,23 +291,5 @@ func (ln *lnInfer) inferRows(dstp, srcp panel[float64]) {
 		panic(fmt.Sprintf("nn: inference LayerNorm width %d, want %d", srcp.cols, ln.dim))
 	}
 	dst, src := mat64(dstp), mat64(srcp)
-	i := 0
-	for end := lnGroupEnd(0, src.Rows, ln.dim); i < end; i += lnRows {
-		mu, inv := rowStats4(&src, i)
-		for r := range mu {
-			ln.normalizeRow(dst.Row(i+r), src.Row(i+r), mu[r], inv[r])
-		}
-	}
-	for ; i < src.Rows; i++ {
-		mu, inv := rowStats(src.Row(i))
-		ln.normalizeRow(dst.Row(i), src.Row(i), mu, inv)
-	}
-}
-
-func (ln *lnInfer) normalizeRow(out, row []float64, mu, inv float64) {
-	gain, shift, out := ln.gain.Data[:len(row)], ln.shift.Data[:len(row)], out[:len(row)]
-	for j, v := range row {
-		xh := (v - mu) * inv
-		out[j] = xh*gain[j] + shift[j]
-	}
+	layerNormRows(&dst, nil, nil, &src, ln.gain, ln.shift, 0, src.Rows)
 }

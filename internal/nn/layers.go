@@ -372,7 +372,10 @@ func (ln *LayerNorm) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // chain that short is over before the next row's loads arrive, the
 // out-of-order core overlaps consecutive rows by itself, and the four-row
 // set-up is pure cost (64 rows, in place: 22 % slower at 8 columns, level
-// at 12, 5 % faster at 16, 27 % at 32, 46 % at 96).
+// at 12, 5 % faster at 16, 27 % at 32, 46 % at 96). The gate rules the
+// backward pass and reduction on every rung, and the forward pass on the
+// rungs below avx512 and for the rows the kernel leaves: the fewer than
+// eight at a range's end and the groups it hands back (layerNormRows).
 const (
 	lnRows          = 4
 	lnInterleaveMin = 16
@@ -397,7 +400,7 @@ func rowStats(row []float64) (mu, inv float64) {
 	var varsum float64
 	for _, v := range row {
 		d := v - mu
-		varsum += d * d
+		varsum += float64(d * d)
 	}
 	return mu, 1 / math.Sqrt(varsum/n+Epsilon)
 }
@@ -425,13 +428,13 @@ func rowStats4(x *tensor.Matrix, i int) (mu, inv [lnRows]float64) {
 	var s0, s1, s2, s3 float64
 	for j, v := range r0 {
 		d0 := v - m0
-		s0 += d0 * d0
+		s0 += float64(d0 * d0)
 		d1 := r1[j] - m1
-		s1 += d1 * d1
+		s1 += float64(d1 * d1)
 		d2 := r2[j] - m2
-		s2 += d2 * d2
+		s2 += float64(d2 * d2)
 		d3 := r3[j] - m3
-		s3 += d3 * d3
+		s3 += float64(d3 * d3)
 	}
 	mu = [lnRows]float64{m0, m1, m2, m3}
 	inv = [lnRows]float64{
@@ -441,31 +444,69 @@ func rowStats4(x *tensor.Matrix, i int) (mu, inv [lnRows]float64) {
 	return mu, inv
 }
 
-// forwardRows normalizes each row independently, caching xhat and the
-// inverse standard deviation for the backward pass.
-func (ln *LayerNorm) forwardRows(lo, hi int) {
-	i := lo
-	for end := lnGroupEnd(lo, hi, ln.Dim); i < end; i += lnRows {
-		mu, inv := rowStats4(ln.x, i)
-		for r := range mu {
-			ln.normalizeRow(i+r, mu[r], inv[r])
+// layerNormRows is the float64 LayerNorm forward over rows [lo, hi) of x,
+// the one LayerNorm (which keeps the xhat and invStd caches) and lnInfer
+// (which passes nil for both) share. The explicit conversions round each
+// product before its add, so no build can fuse the sequence the kernel is
+// held to.
+//
+// Whole groups of eight rows go to tensor.LayerNormRows (avx512 only; it
+// does none elsewhere): a group it hands back, one holding a NaN or an
+// infinity, goes through the loops below and the kernel resumes after it.
+// The rows it leaves go lnRows at a time, then one: each row's own
+// operation sequence either way, so no bit depends on the rung or on which
+// rows share a group.
+func layerNormRows(y, xhat *tensor.Matrix, invStd []float64, x *tensor.Matrix, gain, shift tensor.Checked[float64], lo, hi int) {
+	for {
+		i, stopped := tensor.LayerNormRows(y, xhat, invStd, x, gain, shift, Epsilon, lo, hi)
+		if !stopped {
+			layerNormLoops(y, xhat, invStd, x, gain, shift, i, hi)
+			return
 		}
-	}
-	for ; i < hi; i++ {
-		mu, inv := rowStats(ln.x.Row(i))
-		ln.normalizeRow(i, mu, inv)
+		layerNormLoops(y, xhat, invStd, x, gain, shift, i, i+8)
+		lo = i + 8
 	}
 }
 
-func (ln *LayerNorm) normalizeRow(i int, mu, inv float64) {
-	row := ln.x.Row(i)
-	gain, shift := ln.Gain.W.Data[:len(row)], ln.Shift.W.Data[:len(row)]
-	xh, out := ln.xhat.Row(i)[:len(row)], ln.y.Row(i)[:len(row)]
-	ln.invStd[i] = inv
+// layerNormLoops is layerNormRows' scalar definition over rows [i, hi).
+func layerNormLoops(y, xhat *tensor.Matrix, invStd []float64, x *tensor.Matrix, gain, shift tensor.Checked[float64], i, hi int) {
+	for end := lnGroupEnd(i, hi, x.Cols); i < end; i += lnRows {
+		mu, inv := rowStats4(x, i)
+		for r := range mu {
+			normalizeRow(y, xhat, invStd, x, gain.Data(), shift.Data(), i+r, mu[r], inv[r])
+		}
+	}
+	for ; i < hi; i++ {
+		mu, inv := rowStats(x.Row(i))
+		normalizeRow(y, xhat, invStd, x, gain.Data(), shift.Data(), i, mu, inv)
+	}
+}
+
+// normalizeRow writes row i of y from the row's statistics, and of the
+// caches where xhat is not nil.
+func normalizeRow(y, xhat *tensor.Matrix, invStd []float64, x *tensor.Matrix, gain, shift []float64, i int, mu, inv float64) {
+	row := x.Row(i)
+	gain, shift, out := gain[:len(row)], shift[:len(row)], y.Row(i)[:len(row)]
+	if xhat == nil {
+		for j, v := range row {
+			xh := (v - mu) * inv
+			out[j] = float64(xh*gain[j]) + shift[j]
+		}
+		return
+	}
+	invStd[i] = inv
+	xh := xhat.Row(i)[:len(row)]
 	for j, v := range row {
 		xh[j] = (v - mu) * inv
-		out[j] = xh[j]*gain[j] + shift[j]
+		out[j] = float64(xh[j]*gain[j]) + shift[j]
 	}
+}
+
+// forwardRows normalizes each row independently, caching xhat and the
+// inverse standard deviation for the backward pass. gain and shift are
+// scanned for NaN per call, as Linear scans its bias.
+func (ln *LayerNorm) forwardRows(lo, hi int) {
+	layerNormRows(ln.y, ln.xhat, ln.invStd, ln.x, tensor.Check(ln.Gain.W.Data), tensor.Check(ln.Shift.W.Data), lo, hi)
 }
 
 func (ln *LayerNorm) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {

@@ -11,12 +11,14 @@ import "math"
 //
 // with the moment sums in float64, where float32 accumulation would
 // visibly drift at the row widths this system uses. layerNorm32Row is
-// that definition. On the avx512 rung whole groups of eight rows go to
-// lnBlock32x8 (ln32_amd64.s), which keeps each row's two ordered sums by
-// putting rows, not columns,
-// in the vector lanes: a lane performs exactly its row's scalar sequence
-// of correctly rounded operations, so which rows share a group — and
-// with it lo, hi, the rung and the thread count — never shows in a bit.
+// that definition; its explicit conversions round each product before
+// its add, so no build can fuse the sequence the kernel is held to. On
+// the avx512 rung whole groups of eight rows go to lnBlock32x8
+// (ln32_amd64.s), which keeps each row's two ordered sums by putting
+// rows, not columns, in the vector lanes: a lane performs exactly its
+// row's scalar sequence of correctly rounded operations, so which rows
+// share a group — and with it lo, hi, the rung and the thread count —
+// never shows in a bit.
 // The kernel hands back a group holding a NaN or an infinity, and is not
 // used at all when gain or shift holds a NaN (which their Check decided
 // once): only there could two NaN operands meet, where the payload x86
@@ -54,11 +56,11 @@ func layerNorm32Row(out, row, gain, shift []float32, eps float64) {
 	var varsum float64
 	for _, v := range row {
 		d := float64(v) - mu
-		varsum += d * d
+		varsum += float64(d * d)
 	}
 	inv := 1 / math.Sqrt(varsum/n+eps)
 	for j, v := range row {
 		xh := (float64(v) - mu) * inv
-		out[j] = float32(xh)*gain[j] + shift[j]
+		out[j] = float32(float32(xh)*gain[j]) + shift[j]
 	}
 }

@@ -1,21 +1,24 @@
-// AVX-512F kernel for the float32 LayerNorm of the serving twin
-// (layernorm32.go).
+// AVX-512F kernels for the LayerNorm of both element types: the float32
+// serving twin's (layernorm32.go) and the float64 one of training and
+// float64 serving (layernorm64.go).
 //
 // A row's two reductions are serial by definition — float64 sums in
 // ascending column order — so the lanes hold ROWS, not columns: eight rows
 // per zmm of float64, and per column one VADDPD (pass 1) or VSUBPD,
 // VMULPD, VADDPD (pass 2) that is, in each lane, that row's scalar step.
 // The column vectors come from an in-register transpose: eight columns of
-// the eight rows are converted to float64 row by row (eight zmm) and
-// turned with 24 shuffles, which move bits and round nothing; the cols mod
-// 8 columns left over are fetched one at a time by a strided gather (per
-// column the gather measured 6 cycles against the transpose's 3: 44 ns a
-// row against 25 at 32 columns, where the scalar loop takes 94). Lane r never meets another row's data, so
-// a row's sums are the scalar loop's bits whatever group it lands in. The
-// statistics (÷n, +eps, sqrt, 1/x) are the same correctly rounded IEEE
-// operations eight at a time, and the third pass runs along each row,
-// eight columns per step: float32 -> float64, −μ, ·inv, -> float32, ·gain,
-// +shift, every one unfused as the Go compiler emits them on amd64.
+// the eight rows are loaded as float64 row by row (eight zmm; float32 is
+// converted on the way) and turned with 24 shuffles, which move bits and
+// round nothing. The cols mod 8 columns left over are fetched one at a
+// time by a strided gather. Per column the gather measured 6 cycles
+// against the transpose's 3: 44 ns a row against 25 at 32 float32
+// columns, where the scalar loop takes 94. Lane r never meets another
+// row's data, so a row's sums are the scalar loop's bits whatever group
+// it lands in. The statistics (÷n, +eps, sqrt, 1/x) are the same
+// correctly rounded IEEE operations eight at a time, and the third pass
+// runs along each row, eight columns per step, every operation unfused as
+// the scalar definition spells it: for float32, -> float64, −μ, ·inv,
+// -> float32, ·gain, +shift; for float64, −μ, ·inv, ·gain, +shift.
 
 #include "textflag.h"
 
@@ -32,20 +35,11 @@ GLOBL lnIota<>(SB), RODATA|NOPTR, $32
 DATA lnOne<>+0(SB)/8, $1.0
 GLOBL lnOne<>(SB), RODATA|NOPTR, $8
 
-// COLS8 loads columns (R10)…+7 of the group's eight rows — rows 0-3 at
-// R10 + {0, 1, 2, 3}·R13 with 3·R13 in R14, rows 4-7 the same from DX — as
-// float64 and transposes them: column c comes out in Z(19+c), one row per
-// lane. Stage 1 interleaves row pairs within 128-bit lanes, stages 2 and 3
-// are a 4×4 transpose of those lanes, even and odd columns apart.
-#define COLS8 \
-	VCVTPS2PD  (R10), Z6; \
-	VCVTPS2PD  (R10)(R13*1), Z7; \
-	VCVTPS2PD  (R10)(R13*2), Z8; \
-	VCVTPS2PD  (R10)(R14*1), Z9; \
-	VCVTPS2PD  (DX), Z10; \
-	VCVTPS2PD  (DX)(R13*1), Z11; \
-	VCVTPS2PD  (DX)(R13*2), Z12; \
-	VCVTPS2PD  (DX)(R14*1), Z13; \
+// TRANSPOSE8 turns the eight rows in Z6…Z13 (eight float64 columns each)
+// into eight columns: column c comes out in Z(19+c), one row per lane.
+// Stage 1 interleaves row pairs within 128-bit lanes, stages 2 and 3 are a
+// 4×4 transpose of those lanes, even and odd columns apart.
+#define TRANSPOSE8 \
 	VUNPCKLPD  Z7, Z6, Z19; \
 	VUNPCKHPD  Z7, Z6, Z20; \
 	VUNPCKLPD  Z9, Z8, Z21; \
@@ -69,9 +63,47 @@ GLOBL lnOne<>(SB), RODATA|NOPTR, $8
 	VSHUFF64X2 $0x88, Z9, Z7, Z23; \
 	VSHUFF64X2 $0x88, Z13, Z11, Z24; \
 	VSHUFF64X2 $0xdd, Z9, Z7, Z25; \
-	VSHUFF64X2 $0xdd, Z13, Z11, Z26; \
-	ADDQ       $32, R10; \
-	ADDQ       $32, DX
+	VSHUFF64X2 $0xdd, Z13, Z11, Z26
+
+// COLS8 and COLS8D load columns (R10)…+7 of the group's eight rows — rows
+// 0-3 at R10 + {0, 1, 2, 3}·R13 with 3·R13 in R14, rows 4-7 the same from
+// DX — as float64 (COLS8 converting float32) and transpose them.
+#define COLS8 \
+	VCVTPS2PD (R10), Z6; \
+	VCVTPS2PD (R10)(R13*1), Z7; \
+	VCVTPS2PD (R10)(R13*2), Z8; \
+	VCVTPS2PD (R10)(R14*1), Z9; \
+	VCVTPS2PD (DX), Z10; \
+	VCVTPS2PD (DX)(R13*1), Z11; \
+	VCVTPS2PD (DX)(R13*2), Z12; \
+	VCVTPS2PD (DX)(R14*1), Z13; \
+	TRANSPOSE8; \
+	ADDQ      $32, R10; \
+	ADDQ      $32, DX
+
+#define COLS8D \
+	VMOVUPD (R10), Z6; \
+	VMOVUPD (R10)(R13*1), Z7; \
+	VMOVUPD (R10)(R13*2), Z8; \
+	VMOVUPD (R10)(R14*1), Z9; \
+	VMOVUPD (DX), Z10; \
+	VMOVUPD (DX)(R13*1), Z11; \
+	VMOVUPD (DX)(R13*2), Z12; \
+	VMOVUPD (DX)(R14*1), Z13; \
+	TRANSPOSE8; \
+	ADDQ    $64, R10; \
+	ADDQ    $64, DX
+
+// SUM8 is eight columns of pass 1: Z0 += column c, c ascending.
+#define SUM8 \
+	VADDPD Z19, Z0, Z0; \
+	VADDPD Z20, Z0, Z0; \
+	VADDPD Z21, Z0, Z0; \
+	VADDPD Z22, Z0, Z0; \
+	VADDPD Z23, Z0, Z0; \
+	VADDPD Z24, Z0, Z0; \
+	VADDPD Z25, Z0, Z0; \
+	VADDPD Z26, Z0, Z0
 
 // SQUARE is one column of pass 2: Z3 += (c − μ)², the product rounded
 // before the add.
@@ -80,12 +112,28 @@ GLOBL lnOne<>(SB), RODATA|NOPTR, $8
 	VMULPD c, c, c; \
 	VADDPD c, Z3, Z3
 
-// GATHERCOL loads column (R10) of the group's eight rows as eight float64
-// lanes of Z1. The AVX2 gather consumes its mask, so it is rebuilt.
+// SQUARE8 is eight columns of pass 2, c ascending.
+#define SQUARE8 \
+	SQUARE(Z19); \
+	SQUARE(Z20); \
+	SQUARE(Z21); \
+	SQUARE(Z22); \
+	SQUARE(Z23); \
+	SQUARE(Z24); \
+	SQUARE(Z25); \
+	SQUARE(Z26)
+
+// GATHERCOL and GATHERCOLD load column (R10) of the group's eight rows
+// as eight float64 lanes of Z1, Y15 holding each row's element offset.
+// A gather consumes its mask, so it is rebuilt.
 #define GATHERCOL \
 	VPCMPEQD   Y2, Y2, Y2; \
 	VGATHERDPS Y2, (R10)(Y15*4), Y1; \
 	VCVTPS2PD  Y1, Z1
+
+#define GATHERCOLD \
+	KXNORW     K3, K3, K3; \
+	VGATHERDPD (R10)(Y15*8), K3, Z1
 
 // NORMALIZE8 is out = float32((v − μ)·inv)·gain + shift on the eight
 // columns converted into Z1; g and s are their gain and shift.
@@ -145,14 +193,7 @@ lngroup:
 
 lnsum8:
 	COLS8
-	VADDPD Z19, Z0, Z0
-	VADDPD Z20, Z0, Z0
-	VADDPD Z21, Z0, Z0
-	VADDPD Z22, Z0, Z0
-	VADDPD Z23, Z0, Z0
-	VADDPD Z24, Z0, Z0
-	VADDPD Z25, Z0, Z0
-	VADDPD Z26, Z0, Z0
+	SUM8
 	ADDQ   $8, CX
 	CMPQ   CX, R11
 	JLT    lnsum8
@@ -187,14 +228,7 @@ lnmean:
 
 lnsq8:
 	COLS8
-	SQUARE(Z19)
-	SQUARE(Z20)
-	SQUARE(Z21)
-	SQUARE(Z22)
-	SQUARE(Z23)
-	SQUARE(Z24)
-	SQUARE(Z25)
-	SQUARE(Z26)
+	SQUARE8
 	ADDQ $8, CX
 	CMPQ CX, R11
 	JLT  lnsq8
@@ -262,4 +296,183 @@ lnnext:
 lndone:
 	VZEROUPPER
 	MOVQ R12, done+56(FP)
+	RET
+
+// func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64) (done int64)
+//
+// The float64 LayerNorm of groups × 8 consecutive rows of cols columns,
+// rows contiguous in src, dst and xhat (dst may alias src). xhat, if not
+// nil, receives each row's (v − μ)·inv and invStd, if not nil, each row's
+// inv. The stop rule is lnBlock32x8's: it returns at the first group where
+// a row's sum is not finite, having written nothing of it, and gain and
+// shift must hold no NaN. There is no conversion, so per column the loads
+// of pass 1 and 2 are whole zmm and pass 3 is −μ, ·inv, ·gain, +shift.
+TEXT ·lnBlock64x8(SB), NOSPLIT, $0-80
+	MOVQ groups+0(FP), AX
+	MOVQ cols+8(FP), BX
+	MOVQ src+16(FP), SI
+	MOVQ dst+24(FP), DI
+	MOVQ xhat+32(FP), R12
+	MOVQ invStd+40(FP), R15
+	MOVQ gain+48(FP), R8
+	MOVQ shift+56(FP), R9
+
+	MOVQ         BX, X14
+	VPBROADCASTD X14, Y14
+	VPMULLD      lnIota<>(SB), Y14, Y15 // row r of a group starts r·cols elements in
+	VCVTSI2SDQ   BX, X0, X0
+	VBROADCASTSD X0, Z16                // n = float64(cols)
+	VBROADCASTSD eps+64(FP), Z17
+	VBROADCASTSD lnOne<>(SB), Z18
+
+	MOVQ  BX, R13
+	SHLQ  $3, R13        // row stride in bytes
+	LEAQ  (R13)(R13*2), R14
+	MOVQ  BX, R11
+	ANDQ  $-8, R11 // columns in whole blocks of 8
+	MOVQ  BX, CX
+	ANDQ  $7, CX
+	MOVQ  $1, DX
+	SHLQ  CX, DX
+	DECQ  DX
+	KMOVW DX, K2 // the cols mod 8 tail columns
+
+dgroup:
+	// μ: sum ascending over the columns, then ÷ n
+	VPXORQ Z0, Z0, Z0
+	MOVQ   SI, R10
+	LEAQ   (SI)(R13*4), DX
+	XORQ   CX, CX
+	TESTQ  R11, R11
+	JZ     dsumtail
+
+dsum8:
+	COLS8D
+	SUM8
+	ADDQ $8, CX
+	CMPQ CX, R11
+	JLT  dsum8
+
+dsumtail:
+	CMPQ CX, BX
+	JGE  dmean
+
+dsum1:
+	GATHERCOLD
+	VADDPD Z1, Z0, Z0
+	ADDQ   $8, R10
+	INCQ   CX
+	CMPQ   CX, BX
+	JLT    dsum1
+
+dmean:
+	VSUBPD   Z0, Z0, Z1 // 0 where the sum is finite, NaN elsewhere
+	VCMPPD   $3, Z1, Z1, K1
+	KORTESTW K1, K1
+	JNZ      ddone
+	VDIVPD   Z16, Z0, Z0
+
+	// Σ (v − μ)²
+	VPXORQ Z3, Z3, Z3
+	MOVQ   SI, R10
+	LEAQ   (SI)(R13*4), DX
+	XORQ   CX, CX
+	TESTQ  R11, R11
+	JZ     dsqtail
+
+dsq8:
+	COLS8D
+	SQUARE8
+	ADDQ $8, CX
+	CMPQ CX, R11
+	JLT  dsq8
+
+dsqtail:
+	CMPQ CX, BX
+	JGE  dstats
+
+dsq1:
+	GATHERCOLD
+	SQUARE(Z1)
+	ADDQ $8, R10
+	INCQ CX
+	CMPQ CX, BX
+	JLT  dsq1
+
+dstats:
+	// inv = 1 / sqrt(Σ/n + eps)
+	VDIVPD  Z16, Z3, Z3
+	VADDPD  Z17, Z3, Z3
+	VSQRTPD Z3, Z3
+	VDIVPD  Z3, Z18, Z3
+	TESTQ   R15, R15
+	JZ      drows
+	VMOVUPD Z3, (R15)
+	ADDQ    $64, R15
+
+drows:
+	XORQ DX, DX // row of the group
+
+drow:
+	// lane DX of μ and inv, broadcast
+	VPBROADCASTQ DX, Z28
+	VPERMPD      Z0, Z28, Z4
+	VPERMPD      Z3, Z28, Z5
+	XORQ         CX, CX // column
+	TESTQ        R11, R11
+	JZ           dtail
+
+dcol8:
+	VMOVUPD (SI)(CX*8), Z1
+	VSUBPD  Z4, Z1, Z1
+	VMULPD  Z5, Z1, Z1
+	TESTQ   R12, R12
+	JZ      dout8
+	VMOVUPD Z1, (R12)(CX*8)
+
+dout8:
+	VMULPD  (R8)(CX*8), Z1, Z1
+	VADDPD  (R9)(CX*8), Z1, Z1
+	VMOVUPD Z1, (DI)(CX*8)
+	ADDQ    $8, CX
+	CMPQ    CX, R11
+	JLT     dcol8
+
+dtail:
+	CMPQ      CX, BX
+	JGE       dnext
+	VMOVUPD.Z (SI)(CX*8), K2, Z1
+	VMOVUPD.Z (R8)(CX*8), K2, Z6
+	VMOVUPD.Z (R9)(CX*8), K2, Z7
+	VSUBPD    Z4, Z1, Z1
+	VMULPD    Z5, Z1, Z1
+	TESTQ     R12, R12
+	JZ        douttail
+	VMOVUPD   Z1, K2, (R12)(CX*8)
+
+douttail:
+	VMULPD  Z6, Z1, Z1
+	VADDPD  Z7, Z1, Z1
+	VMOVUPD Z1, K2, (DI)(CX*8)
+
+dnext:
+	ADDQ  R13, SI
+	ADDQ  R13, DI
+	TESTQ R12, R12
+	JZ    dnextrow
+	ADDQ  R13, R12
+
+dnextrow:
+	INCQ DX
+	CMPQ DX, $8
+	JLT  drow
+
+	DECQ AX
+	JNZ  dgroup
+
+ddone:
+	MOVQ groups+0(FP), R10
+	SUBQ AX, R10 // groups finished
+	VZEROUPPER
+	MOVQ R10, done+72(FP)
 	RET

@@ -1,8 +1,10 @@
 package tensor
 
+import "unsafe"
+
 // CPU feature detection and declarations for the assembly kernels in
-// simd_amd64.s, gemmrows_amd64.s, elu64_amd64.s, elu32_amd64.s and
-// ln32_amd64.s. detectSIMD reads CPUID
+// simd_amd64.s, gemmrows_amd64.s, elu64_amd64.s, elu32_amd64.s,
+// ln32_amd64.s and gather_amd64.s. detectSIMD reads CPUID
 // and XCR0 alone and reports the highest rung of the kernel tier
 // (pack.go) the machine can run.
 
@@ -79,12 +81,28 @@ func addBlock32(n int64, dst, v *float32) (done int64)
 //go:noescape
 func addBlock32x16(n int64, dst, v *float32) (done int64)
 
-// lnBlock32x8 is the float32 LayerNorm of groups × 8 contiguous rows
-// (ln32_amd64.s); it returns how many leading groups it finished, stopping
-// at one that holds a NaN or an infinity.
+// lnBlock32x8 and lnBlock64x8 are the LayerNorm of groups × 8 contiguous
+// rows (ln32_amd64.s) for each element type; each returns how many leading
+// groups it finished, stopping at one that holds a NaN or an infinity.
+// lnBlock64x8 also writes the backward pass's caches, xhat and invStd,
+// where they are not nil.
 //
 //go:noescape
 func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64) (done int64)
+
+//go:noescape
+func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64) (done int64)
+
+// edgeRowsCopy (avx2) and edgeRowsCopyx16 (avx512) are the edge-row
+// gather of GatherEdgeRows (gather_amd64.s), rowBytes a multiple of 4;
+// each returns how many leading edges it copied, stopping at one whose
+// indexes are not below nx.
+//
+//go:noescape
+func edgeRowsCopy(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64)
+
+//go:noescape
+func edgeRowsCopyx16(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64)
 
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "unsafe"
+
 // Non-amd64 builds never select the assembly kernels: detectSIMD reports
 // tierGo, so the stubs below are unreachable. They exist to keep the
 // drivers building on every platform.
@@ -50,5 +52,17 @@ func addBlock32(n int64, dst, v *float32) (done int64)          { panic(noSIMD) 
 func addBlock32x16(n int64, dst, v *float32) (done int64)       { panic(noSIMD) }
 
 func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64) (done int64) {
+	panic(noSIMD)
+}
+
+func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64) (done int64) {
+	panic(noSIMD)
+}
+
+func edgeRowsCopy(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64) {
+	panic(noSIMD)
+}
+
+func edgeRowsCopyx16(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64) {
 	panic(noSIMD)
 }
