@@ -86,6 +86,12 @@ func goldenRun(t *testing.T, overlap, sockets bool) []float64 {
 // and commit the new golden alongside the kernel change. The golden
 // records amd64/go1.24 arithmetic; a legitimately differing platform
 // (e.g. FMA contraction on another architecture) should regenerate too.
+// The last regrouping redefined the input gradient dx = dy·Wᵀ as
+// MatMul(dy, Wᵀ), the forward's rank-4 grouped sums with zero groups
+// skipped, where it had summed each output in plain k order: step 1 kept
+// its bits (a forward and a loss), steps 2–12 moved by at most 8.9e-16
+// relative. The same file holds on every kernel rung
+// (internal/tensor's TestTrainingBitwiseOnEveryRung).
 //
 // The same golden must hold with the overlapped pipeline on either
 // transport — overlap is bitwise-invisible — which the (overlap,

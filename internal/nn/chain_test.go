@@ -139,12 +139,9 @@ func (ref *layerAtATime) refBackward(m *MLP, dy *tensor.Matrix, batch int) {
 					}
 				})
 			}
-			dx := tensor.New(dy.Rows, t.In)
-			if tensor.ShouldPackABT(t.Out, t.In) {
-				tensor.MatMulPackedRows(dx, dy, tensor.PackBT(t.Weight.W), 0, dy.Rows)
-			} else {
-				tensor.MatMulABTRows(dx, dy, t.Weight.W, 0, dy.Rows)
-			}
+			dx, wT := tensor.New(dy.Rows, t.In), tensor.New(t.Out, t.In)
+			tensor.TransposeInto(wT, t.Weight.W)
+			tensor.MatMul(dx, dy, wT)
 			dy = dx
 		case *ELU:
 			ei--

@@ -91,6 +91,7 @@ type Linear struct {
 	dy    *tensor.Matrix // output gradient, kept for the parameter reductions
 	dx    *tensor.Matrix
 	dw    *tensor.Matrix // scratch for the weight-gradient reduction
+	wT    *tensor.Matrix // Weightᵀ, the unpacked input gradient's operand
 
 	// pw caches the packed-GEMM panels of Weight.W for the training
 	// forward, pwT those of its transpose for the backward's dx = dy·Wᵀ.
@@ -177,24 +178,30 @@ func (l *Linear) forwardRows(lo, hi int) {
 
 func (l *Linear) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
 	if l.dw == nil {
-		// The weight-gradient scratch persists across steps (it has a
-		// fixed parameter shape), so it lives outside the arena.
+		// The weight-gradient scratch and the transpose persist across
+		// steps (they have fixed parameter shapes), so they live outside
+		// the arena.
 		l.dw = tensor.New(l.In, l.Out)
+		l.wT = tensor.New(l.Out, l.In)
 	}
 	l.dy = dy
 	l.dx = l.arena.Get(dy.Rows, l.In)
-	if tensor.ShouldPackABT(l.Out, l.In) {
+	if tensor.ShouldPack(l.Out, l.In) {
 		l.pwT.panels(l.Weight, true)
+	} else {
+		tensor.TransposeInto(l.wT, l.Weight.W)
 	}
 	return l.dx
 }
 
+// backwardRows computes rows [lo, hi) of dx = dy·Wᵀ, which is by
+// definition MatMul(dy, Wᵀ): the forward's kernels, on the transpose.
 func (l *Linear) backwardRows(lo, hi int) {
-	if tensor.ShouldPackABT(l.Out, l.In) {
+	if tensor.ShouldPack(l.Out, l.In) {
 		tensor.MatMulPackedRows(l.dx, l.dy, l.pwT.pb, lo, hi)
-	} else {
-		tensor.MatMulABTRows(l.dx, l.dy, l.Weight.W, lo, hi)
+		return
 	}
+	tensor.MatMulBiasRows(l.dx, l.dy, l.wT, nil, lo, hi)
 }
 
 // The two parameter reductions of a Linear, per sample block: the weight

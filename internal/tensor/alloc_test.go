@@ -48,7 +48,7 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	assertZeroAlloc(t, "MatMul", func() { MatMul(y, a, w) })
 	assertZeroAlloc(t, "MatMulBiasRows", func() { MatMulBiasRows(y, a, w, bias, 0, rows) })
 	assertZeroAlloc(t, "MatMulATB", func() { MatMulATB(dw, a, dy) })
-	assertZeroAlloc(t, "MatMulABTRows", func() { MatMulABTRows(dx, dy, w, 0, rows) })
+	assertZeroAlloc(t, "MatMulATBAcc", func() { MatMulATBAcc(dw.Data, a, dy, 0, rows) })
 	assertZeroAlloc(t, "AddRowVectorRows", func() { AddRowVectorRows(y, bias, 0, rows) })
 	assertZeroAlloc(t, "ColSumsAcc", func() { ColSumsAcc(bias, dy, 0, rows) })
 	assertZeroAlloc(t, "Add", func() { Add(y, y, y) })

@@ -1,0 +1,200 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// TestMatMulATBAccBitwise holds the weight gradient's chunk body under the
+// packed threshold to its definition, the scalar loop matMulATBScalar, bit
+// for bit on every rung: x widths in and dy widths n from {1, 3, 4, 7, 8,
+// 9, 16, 24, 32} with in·n < 1024 (blocks of eight columns and their
+// masked tails), chunks of 0…70 rows and of 1 365 (the ReduceGrain of
+// SmallConfig's 24×8 weight), all from odd first rows, into an acc that
+// enters holding values, −0 among them; on plain data and on data planted
+// with aligned groups of four zero x values (skipped, never 0·dy), signed
+// zeros, ±Inf, and NaN payloads in x, in dy and in the entry acc. Nothing
+// outside acc is written. On the
+// SIMD rungs the kernel alone must stop at exactly the first block whose
+// definition holds a NaN: the scalar fallback would hide a kernel that
+// stops too often. A shape that does not match, and rows outside the
+// operands, panic before a kernel reads memory.
+func TestMatMulATBAccBitwise(t *testing.T) {
+	sizes := []int{1, 3, 4, 7, 8, 9, 16, 24, 32}
+	plants := []string{"plain", "zeros", "Inf", "NaN in x", "NaN in dy", "NaN in acc", "everything"}
+	negZero := math.Copysign(0, -1)
+	type atbCase struct {
+		what        string
+		x, dy       *Matrix
+		lo, hi      int
+		entry, want []float64
+	}
+	rng := rand.New(rand.NewSource(1365))
+	newCase := func(rows, in, n int, plant string) atbCase {
+		if in*n >= packMinKN {
+			t.Fatalf("%dx%d is not under packMinKN", in, n)
+		}
+		everything := plant == "everything"
+		infs := plant == "Inf" || everything
+		value := func(nan bool) float64 {
+			switch r := rng.Intn(64); {
+			case r < 4 && plant != "plain":
+				return []float64{0, negZero}[r&1]
+			case r == 4 && infs:
+				return math.Inf(1 - 2*rng.Intn(2))
+			case r == 5 && nan:
+				return sweepValue[float64](rng, 1)
+			}
+			return rng.NormFloat64()
+		}
+		lo := 1 + 2*rng.Intn(3)
+		x, dy := New(lo+rows+2, in), New(lo+rows+2, n)
+		for i := range x.Data {
+			x.Data[i] = value(plant == "NaN in x" || everything)
+		}
+		for i := range dy.Data {
+			dy.Data[i] = value(plant == "NaN in dy" || everything)
+		}
+		if plant != "plain" {
+			// Aligned groups of four zero x values of either sign down a
+			// third of the columns; the groups start at lo.
+			for r := lo; r+4 <= lo+rows; r += 4 {
+				for i := 0; i < in; i++ {
+					if rng.Intn(3) == 0 {
+						for q := r; q < r+4; q++ {
+							x.Row(q)[i] = []float64{0, negZero}[rng.Intn(2)]
+						}
+					}
+				}
+			}
+		}
+		entry := make([]float64, in*n)
+		for i := range entry {
+			entry[i] = value(plant == "NaN in acc" || everything)
+		}
+		want := slices.Clone(entry)
+		matMulATBScalar(want, x, dy, lo, lo+rows)
+		return atbCase{
+			what: fmt.Sprintf("%d rows from %d, %dx%d, %s", rows, lo, in, n, plant),
+			x:    x, dy: dy, lo: lo, hi: lo + rows, entry: entry, want: want,
+		}
+	}
+	var shapes [][2]int
+	for _, in := range sizes {
+		for _, n := range sizes {
+			if in*n < packMinKN {
+				shapes = append(shapes, [2]int{in, n})
+			}
+		}
+	}
+	var cases []atbCase
+	for rows := 0; rows <= 70; rows++ {
+		sh := shapes[(7*rows)%len(shapes)]
+		cases = append(cases, newCase(rows, sh[0], sh[1], plants[rows%len(plants)]))
+	}
+	for p, sh := range shapes {
+		for _, plant := range []string{plants[p%len(plants)], "zeros"} {
+			cases = append(cases, newCase(21+p%4, sh[0], sh[1], plant))
+		}
+	}
+	for p, sh := range [][2]int{{24, 8}, {16, 8}, {8, 8}, {32, 3}, {3, 32}} {
+		cases = append(cases, newCase(1365, sh[0], sh[1], plants[p%3]))
+	}
+
+	const guard, sentinel = 8, 0x7ff8dead0000beef
+	atEachTier(t, func(t *testing.T) {
+		for _, c := range cases {
+			in, n := c.x.Cols, c.dy.Cols
+			buf := make([]float64, guard+in*n+guard)
+			for i := range buf {
+				buf[i] = math.Float64frombits(sentinel)
+			}
+			acc := buf[guard : guard+in*n]
+			copy(acc, c.entry)
+			MatMulATBAcc(acc, c.x, c.dy, c.lo, c.hi)
+			if i := bitsEqual(acc, c.want); i >= 0 {
+				t.Fatalf("%s: element %d (row %d) is %#x, want %#x", c.what, i, i/n,
+					math.Float64bits(acc[i]), math.Float64bits(c.want[i]))
+			}
+			for i, v := range buf {
+				if (i < guard || i >= guard+in*n) && math.Float64bits(v) != sentinel {
+					t.Fatalf("%s: %v written outside acc, at %d", c.what, v, i-guard)
+				}
+			}
+			if tier < tierAVX2 || c.lo == c.hi {
+				continue
+			}
+			stop := in * n // the first block, row-major, whose definition holds a NaN
+			for e, v := range c.want {
+				if v != v {
+					stop = e - e%n%8
+					break
+				}
+			}
+			copy(acc, c.entry)
+			if done := int(gemmATB64(int64(c.hi-c.lo), int64(in), int64(n), &c.x.Data[c.lo*in], &c.dy.Data[c.lo*n], &acc[0])); done != stop {
+				t.Fatalf("%s: the kernel alone finished %d elements; the first block whose definition holds a NaN starts at %d",
+					c.what, done, stop)
+			}
+		}
+	})
+
+	t.Run("panics", func(t *testing.T) {
+		x, dy := New(10, 3), New(10, 8)
+		for what, call := range map[string]func(){
+			"acc too short":     func() { MatMulATBAcc(make([]float64, 23), x, dy, 0, 10) },
+			"acc too long":      func() { MatMulATBAcc(make([]float64, 25), x, dy, 0, 10) },
+			"row counts differ": func() { MatMulATBAcc(make([]float64, 24), x, New(9, 8), 0, 9) },
+			"lo < 0":            func() { MatMulATBAcc(make([]float64, 24), x, dy, -1, 10) },
+			"hi past the rows":  func() { MatMulATBAcc(make([]float64, 24), x, dy, 0, 11) },
+			"lo > hi":           func() { MatMulATBAcc(make([]float64, 24), x, dy, 5, 4) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: MatMulATBAcc did not panic", what)
+					}
+				}()
+				call()
+			}()
+		}
+	})
+}
+
+// BenchmarkSmallBackward times SmallConfig's backward GEMMs per rung on a
+// 64-row panel: the input gradient dy·Wᵀ — MatMulBiasRows on the
+// transpose, no bias — of its 8 → 24, 8 → 16 and 8 → 8 layers, and the
+// weight gradient's chunk body MatMulATBAcc for its 24×8, 16×8 and 8×8
+// weights and LargeConfig's 32×3 decoder and 3×32 encoder.
+func BenchmarkSmallBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(39))
+	type form struct {
+		name string
+		run  func()
+	}
+	var forms []form
+	for _, in := range []int{24, 16, 8} {
+		dy, wT, dx := randomMatrix(rng, 64, 8), randomMatrix(rng, 8, in), New(64, in)
+		forms = append(forms, form{fmt.Sprintf("ABT8to%d", in), func() { MatMulBiasRows(dx, dy, wT, nil, 0, 64) }})
+	}
+	for _, sh := range [][2]int{{24, 8}, {16, 8}, {8, 8}, {32, 3}, {3, 32}} {
+		x, dy, acc := randomMatrix(rng, 64, sh[0]), randomMatrix(rng, 64, sh[1]), make([]float64, sh[0]*sh[1])
+		forms = append(forms, form{fmt.Sprintf("ATB%dx%d", sh[0], sh[1]), func() { MatMulATBAcc(acc, x, dy, 0, 64) }})
+	}
+	for _, f := range forms {
+		for r := tierAVX512; r >= tierGo; r-- {
+			b.Run(fmt.Sprintf("%s/%v", f.name, r), func(b *testing.B) {
+				if r > cpuTier {
+					b.Skipf("rung %v not run: this CPU's top rung is %v", r, cpuTier)
+				}
+				defer setKernelTier(setKernelTier(r))
+				for i := 0; i < b.N; i++ {
+					f.run()
+				}
+			})
+		}
+	}
+}

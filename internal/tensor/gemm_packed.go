@@ -334,9 +334,9 @@ func (t *packedMMTask) goRow1(i, np, kc0, kcLen int, accF bool) {
 }
 
 // scalarTail computes the N mod NR remainder columns from the packed
-// column strips, over the full K extent, with the owning kernel's legacy
-// accumulation order: plain ascending k for a transposed operand (the
-// a·bᵀ kernel's), rank-4 grouped otherwise (MatMul's).
+// column strips, over the full K extent, in MatMul's legacy rank-4 grouped
+// order — for a transposed operand too, so that PackBT panels give
+// MatMul's bits on the transpose.
 func (t *packedMMTask) scalarTail(lo, hi int) {
 	pb := t.pb
 	k, n, nr := pb.K, pb.N, pb.NR
@@ -348,19 +348,13 @@ func (t *packedMMTask) scalarTail(lo, hi int) {
 		for jt := 0; jt < n-j0; jt++ {
 			strip := pb.tail[jt*k : (jt+1)*k]
 			var s float64
-			if pb.trans {
-				for kk, av := range arow {
-					s += av * strip[kk]
-				}
-			} else {
-				kk := 0
-				for ; kk+4 <= k; kk += 4 {
-					s += arow[kk]*strip[kk] + arow[kk+1]*strip[kk+1] +
-						arow[kk+2]*strip[kk+2] + arow[kk+3]*strip[kk+3]
-				}
-				for ; kk < k; kk++ {
-					s += arow[kk] * strip[kk]
-				}
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				s += float64(arow[kk]*strip[kk]) + float64(arow[kk+1]*strip[kk+1]) +
+					float64(arow[kk+2]*strip[kk+2]) + float64(arow[kk+3]*strip[kk+3])
+			}
+			for ; kk < k; kk++ {
+				s += float64(arow[kk] * strip[kk])
 			}
 			dd[i*dn+j0+jt] = s
 		}
@@ -385,8 +379,8 @@ func matMulPacked(dst, a, b *Matrix) {
 // MatMulPackedRows computes rows [lo, hi) of dst = a·B from a pre-packed B
 // operand (PackB, PackBT): the pack-once form for weights reused across
 // many calls and row ranges. The result is bitwise-identical to MatMul on
-// the unpacked operand when the packed tier would engage for its shape
-// (ShouldPack; ShouldPackABT for a transposed operand); for smaller shapes
+// the unpacked operand — on its transpose, for a PackBT operand — when the
+// packed tier would engage for its shape (ShouldPack); for smaller shapes
 // it still runs the packed kernels (the caller opted in by packing). dst
 // and a are indexed by the same row numbers and may be row-block headers.
 func MatMulPackedRows(dst, a *Matrix, pb *PackedB, lo, hi int) {

@@ -294,20 +294,20 @@ zdone:
 	VMULPD     Y4, lo, lo; \
 	VMULPD     Y4, hi, hi
 
-// YGROUP adds t of the group at R11 / R12 to Y0:Y1.
-#define YGROUP(MUL) \
-	VBROADCASTSD (R11), Y4; \
+// YGROUP adds t of the group at R12 to Y0:Y1, its four a values at a0…a3.
+#define YGROUP(MUL, a0, a1, a2, a3) \
+	VBROADCASTSD a0, Y4; \
 	MUL((R12), Y2, Y3); \
-	VBROADCASTSD 8(R11), Y4; \
+	VBROADCASTSD a1, Y4; \
 	MUL((R12)(R10*1), Y5, Y6); \
 	VADDPD       Y5, Y2, Y2; \
 	VADDPD       Y6, Y3, Y3; \
 	LEAQ         (R12)(R10*2), R14; \
-	VBROADCASTSD 16(R11), Y4; \
+	VBROADCASTSD a2, Y4; \
 	MUL((R14), Y5, Y6); \
 	VADDPD       Y5, Y2, Y2; \
 	VADDPD       Y6, Y3, Y3; \
-	VBROADCASTSD 24(R11), Y4; \
+	VBROADCASTSD a3, Y4; \
 	MUL((R14)(R10*1), Y5, Y6); \
 	VADDPD       Y5, Y2, Y2; \
 	VADDPD       Y6, Y3, Y3; \
@@ -374,7 +374,7 @@ yblock:
 
 ygroup:
 	ZEROGROUP(ygroupskip)
-	YGROUP(YMUL)
+	YGROUP(YMUL, (R11), 8(R11), 16(R11), 24(R11))
 
 ygroupskip:
 	ADDQ $32, R11
@@ -421,7 +421,7 @@ ypartial:
 
 ymgroup:
 	ZEROGROUP(ymgroupskip)
-	YGROUP(YMULM)
+	YGROUP(YMULM, (R11), 8(R11), 16(R11), 24(R11))
 
 ymgroupskip:
 	ADDQ $32, R11
@@ -470,4 +470,176 @@ ydone:
 	MOVQ rows+0(FP), AX
 	SUBQ R8, AX
 	MOVQ AX, done+56(FP)
+	RET
+
+// The weight gradient's chunk body under the packed tier's threshold
+// (MatMulATBAcc, ops.go), on both SIMD rungs: acc (in×n) += xᵀ·dy over a
+// chunk of rows, gemmRows64 with the operands' roles turned. Row i of acc
+// is column i of x, read down the chunk (x's row stride is in·8 bytes),
+// and dy takes b's place, so a block is again eight columns in lanes, its
+// accumulators in registers for the whole chunk. acc is loaded, not
+// cleared, and per element the scalar loop (matMulATBScalar) is replayed
+// in its order, with no FMA:
+//
+//	per group of four rows, unless x[r..r+3][i] are all ±0 (ZEROGROUPX):
+//	    t = ((x0·dy0 + x1·dy1) + x2·dy2) + x3·dy3;  acc = acc + t
+//	per remaining row, unless x[r][i] == ±0:
+//	    acc = acc + x·dy
+//
+// A block whose result holds a NaN is not stored: the kernel stops there
+// and returns how many leading elements of acc (row-major) it finished,
+// and the Go caller redoes the chunk with the scalar loop from the entry
+// acc it saved. x is rows×in, dy rows×n, acc in×n, all row-major and
+// dense; rows, in, n ≥ 1.
+//
+// Register use: R8 rows of acc left, R9 rows, R10 n·8, AX in·8, DX 3·in·8,
+// SI column i of x, DI row i of acc, BX dy, CX the block's byte offset,
+// R11 x[r][i], R12 dy[r][block], R13 loop count, R14 scratch.
+
+// ZEROGROUPX jumps to skip when the four x values down the column at R11
+// are all ±0: OR-ed together, with the sign bit shifted out, nothing is
+// left.
+#define ZEROGROUPX(skip) \
+	MOVQ (R11), R14; \
+	ORQ  (R11)(AX*1), R14; \
+	ORQ  (R11)(AX*2), R14; \
+	ORQ  (R11)(DX*1), R14; \
+	SHLQ $1, R14; \
+	JZ   skip
+
+// func gemmATB64(rows, in, n int64, x, dy, acc *float64) (done int64)
+//
+// One row of acc at a time, as gemmRows64: full blocks take unmasked loads
+// and stores, the last, partial block the lane masks Y13:Y14. Both rungs
+// run this one: on a 2-vCPU AVX-512F Xeon guest a zmm twin that paired
+// rows ran a 64 × 24 · 64 × 8 chunk 1.8 times as fast, and the train_halo
+// benchmark no faster (7 of 10 pairs, +0.7 %).
+TEXT ·gemmATB64(SB), NOSPLIT, $0-56
+	MOVQ rows+0(FP), R9
+	MOVQ in+8(FP), R8
+	MOVQ n+16(FP), R10
+	MOVQ x+24(FP), SI
+	MOVQ dy+32(FP), BX
+	MOVQ acc+40(FP), DI
+
+	MOVQ     R10, CX
+	ANDQ     $7, CX
+	MOVQ     $8, R14
+	SUBQ     CX, R14
+	LEAQ     gemmLaneMask<>(SB), R13
+	VMOVUPD  (R13)(R14*8), Y13
+	VMOVUPD  32(R13)(R14*8), Y14
+	VPCMPEQQ Y12, Y12, Y12
+	MOVQ     R8, AX
+	SHLQ     $3, AX
+	LEAQ     (AX)(AX*2), DX
+	SHLQ     $3, R10
+
+brow:
+	XORQ  CX, CX
+	TESTQ R8, R8
+	JZ    bdone
+
+bblock:
+	MOVQ SI, R11
+	LEAQ (BX)(CX*1), R12
+	MOVQ R10, R14
+	SUBQ CX, R14
+	CMPQ R14, $64
+	JLT  bpartial
+	VMOVUPD (DI)(CX*1), Y0
+	VMOVUPD 32(DI)(CX*1), Y1
+	MOVQ R9, R13
+	SHRQ $2, R13
+	JZ   bones
+
+bgroup:
+	ZEROGROUPX(bgroupskip)
+	YGROUP(YMUL, (R11), (R11)(AX*1), (R11)(AX*2), (R11)(DX*1))
+
+bgroupskip:
+	LEAQ (R11)(AX*4), R11
+	LEAQ (R12)(R10*4), R12
+	DECQ R13
+	JNZ  bgroup
+
+bones:
+	MOVQ R9, R13
+	ANDQ $3, R13
+	JZ   bstore
+
+bone:
+	ZEROONE((R11), boneskip)
+	YONE(YMUL)
+
+boneskip:
+	ADDQ AX, R11
+	ADDQ R10, R12
+	DECQ R13
+	JNZ  bone
+
+bstore:
+	YNAN(Y12, Y12)
+	TESTL   R14, R14
+	JNZ     bdone
+	VMOVUPD Y0, (DI)(CX*1)
+	VMOVUPD Y1, 32(DI)(CX*1)
+	ADDQ    $64, CX
+	CMPQ    CX, R10
+	JLT     bblock
+	JMP     bnext
+
+bpartial:
+	VMASKMOVPD (DI)(CX*1), Y13, Y0
+	VMASKMOVPD 32(DI)(CX*1), Y14, Y1
+	MOVQ       R9, R13
+	SHRQ       $2, R13
+	JZ         bmones
+
+bmgroup:
+	ZEROGROUPX(bmgroupskip)
+	YGROUP(YMULM, (R11), (R11)(AX*1), (R11)(AX*2), (R11)(DX*1))
+
+bmgroupskip:
+	LEAQ (R11)(AX*4), R11
+	LEAQ (R12)(R10*4), R12
+	DECQ R13
+	JNZ  bmgroup
+
+bmones:
+	MOVQ R9, R13
+	ANDQ $3, R13
+	JZ   bmstore
+
+bmone:
+	ZEROONE((R11), bmoneskip)
+	YONE(YMULM)
+
+bmoneskip:
+	ADDQ AX, R11
+	ADDQ R10, R12
+	DECQ R13
+	JNZ  bmone
+
+bmstore:
+	YNAN(Y13, Y14)
+	TESTL      R14, R14
+	JNZ        bdone
+	VMASKMOVPD Y0, Y13, (DI)(CX*1)
+	VMASKMOVPD Y1, Y14, 32(DI)(CX*1)
+
+bnext:
+	ADDQ R10, DI
+	ADDQ $8, SI
+	DECQ R8
+	JMP  brow
+
+bdone:
+	VZEROUPPER
+	MOVQ  in+8(FP), AX
+	SUBQ  R8, AX
+	IMULQ n+16(FP), AX
+	SHRQ  $3, CX
+	ADDQ  CX, AX
+	MOVQ  AX, done+48(FP)
 	RET

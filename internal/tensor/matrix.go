@@ -126,6 +126,20 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
+// TransposeInto writes srcᵀ into dst, which must be src.Cols×src.Rows and
+// must not alias src.
+func TransposeInto(dst, src *Matrix) {
+	if dst.Rows != src.Cols || dst.Cols != src.Rows {
+		panic(fmt.Sprintf("tensor: TransposeInto shape %dx%d, want %dx%d",
+			dst.Rows, dst.Cols, src.Cols, src.Rows))
+	}
+	for i := 0; i < src.Rows; i++ {
+		for j, v := range src.Row(i) {
+			dst.Data[j*dst.Cols+i] = v
+		}
+	}
+}
+
 // Equal reports whether m and other have identical shape and entries.
 func (m *Matrix) Equal(other *Matrix) bool {
 	if m.Rows != other.Rows || m.Cols != other.Cols {

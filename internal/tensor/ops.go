@@ -17,7 +17,7 @@ import (
 // parallel.ReduceWith, whose fixed chunk schedule and in-order partial
 // merge keep them bitwise-reproducible across thread counts in
 // deterministic mode. A row-range body (MatMulBiasRows, MatMulPackedRows,
-// MatMulABTRows, AddRowVectorRows, the *Acc reduction bodies) is the serial
+// AddRowVectorRows, the *Acc reduction bodies) is the serial
 // work of rows [lo, hi) and dispatches nothing: a region costs a worker
 // wake (see package parallel, "region granularity"), so internal/nn
 // composes the bodies of a whole MLP block into one region of its own
@@ -150,7 +150,7 @@ func matMulRows(dst, a, b *Matrix, lo, hi int) {
 			b2 := b.Data[(k+2)*n : (k+3)*n]
 			b3 := b.Data[(k+3)*n : (k+4)*n]
 			for j, bv := range b0 {
-				drow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				drow[j] += float64(a0*bv) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
 			}
 		}
 		for ; k < ka; k++ {
@@ -160,7 +160,7 @@ func matMulRows(dst, a, b *Matrix, lo, hi int) {
 			}
 			brow := b.Data[k*n : (k+1)*n]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -203,9 +203,22 @@ func (t *matMulATBTask) Body(lo, hi int, acc []float64) { MatMulATBAcc(acc, t.a,
 // acc (a.Cols×b.Cols, row-major): the chunk body of MatMulATB's reduction.
 // A caller reproducing MatMulATB's bits chunks the rows by
 // ReduceGrain(a.Cols·b.Cols) and merges zeroed per-chunk accumulators in
-// ascending order.
+// ascending order. Under the packed tier's threshold the bits are
+// matMulATBScalar's on every rung, whatever acc holds on entry: on both
+// SIMD rungs an assembly kernel (gemmATB64) replays that loop with each
+// block of acc in registers, and a chunk whose result holds a NaN is
+// redone by the loop from the saved entry acc.
 func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 	in, n := a.Cols, b.Cols
+	if a.Rows != b.Rows || len(acc) != in*n {
+		panic(fmt.Sprintf("tensor: MatMulATBAcc shape mismatch (%dx%d)ᵀ·(%dx%d)->acc(%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, len(acc)))
+	}
+	// The kernels index raw memory: hold them to the slices' bounds first.
+	if lo < 0 || lo > hi || hi > a.Rows || hi*in > len(a.Data) || hi*n > len(b.Data) {
+		panic(fmt.Sprintf("tensor: MatMulATBAcc rows [%d, %d) outside (%dx%d)ᵀ·(%dx%d)",
+			lo, hi, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
 	// Packed tier: same chunk schedule and merge order, SIMD tile sweep
 	// inside the chunk (gemm_packed.go). Gated on the reduction shape
 	// (in·n) only, so engagement is independent of the row partition.
@@ -213,6 +226,24 @@ func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 		matMulATBAccSIMD(acc, a, b, lo, hi)
 		return
 	}
+	if tier < tierAVX2 || in*n == 0 || in*n >= packMinKN || lo == hi {
+		matMulATBScalar(acc, a, b, lo, hi)
+		return
+	}
+	// The kernel stores no block whose result holds a NaN and stops there;
+	// the loop's operand order picks the payload that survives.
+	var entry [packMinKN]float64
+	copy(entry[:], acc)
+	if int(gemmATB64(int64(hi-lo), int64(in), int64(n), &a.Data[lo*in], &b.Data[lo*n], &acc[0])) < in*n {
+		copy(acc, entry[:])
+		matMulATBScalar(acc, a, b, lo, hi)
+	}
+}
+
+// matMulATBScalar is MatMulATBAcc's definition below the packed tier: the
+// pure-Go rung's kernel, and the NaN fallback of the SIMD ones.
+func matMulATBScalar(acc []float64, a, b *Matrix, lo, hi int) {
+	in, n := a.Cols, b.Cols
 	// Rank-4 blocking over input rows: four (a-row, b-row) pairs stream
 	// against the accumulator per pass, quartering the accumulator
 	// traffic. The chunk schedule is unchanged, so the summation tree is
@@ -236,7 +267,7 @@ func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 			}
 			accRow := acc[i*n : (i+1)*n]
 			for j, bv := range b0 {
-				accRow[j] += v0*bv + v1*b1[j] + v2*b2[j] + v3*b3[j]
+				accRow[j] += float64(v0*bv) + float64(v1*b1[j]) + float64(v2*b2[j]) + float64(v3*b3[j])
 			}
 		}
 	}
@@ -249,7 +280,7 @@ func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 			}
 			accRow := acc[i*n : (i+1)*n]
 			for j, bv := range brow {
-				accRow[j] += av * bv
+				accRow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -279,50 +310,6 @@ func MatMulATB(dst, a, b *Matrix) {
 	parallel.ReduceWith(a.Rows, ReduceGrain(in*n), in*n, t)
 	*t = matMulATBTask{}
 	matMulATBPool.Put(t)
-}
-
-// MatMulABTRows computes rows [lo, hi) of dst = a·bᵀ, the input-gradient
-// product dx = dy·Wᵀ, with the unpacked kernel. dst must be a.Rows×b.Rows.
-// Where ShouldPackABT(a.Cols, b.Rows) holds the product belongs to the
-// packed tier instead — PackBT(b) once, MatMulPackedRows per row range —
-// whose FMA kernels round differently; callers choose by that predicate
-// alone, which never involves the row count.
-func MatMulABTRows(dst, a, b *Matrix, lo, hi int) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulABTRows shape mismatch (%dx%d)·(%dx%d)ᵀ->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	kb := b.Cols
-	// Four dot products per pass share one streaming read of the a row;
-	// each accumulator sums in plain k order, so every output is bitwise
-	// the one the unblocked loop produces.
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0 := b.Data[j*kb : (j+1)*kb]
-			b1 := b.Data[(j+1)*kb : (j+2)*kb]
-			b2 := b.Data[(j+2)*kb : (j+3)*kb]
-			b3 := b.Data[(j+3)*kb : (j+4)*kb]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Data[j*kb : (j+1)*kb]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			drow[j] = s
-		}
-	}
 }
 
 // --- Row/column kernels --------------------------------------------------

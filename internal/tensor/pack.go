@@ -176,15 +176,11 @@ func ShouldPack32(k, n int) bool { return usePacked32(k, n) }
 // bitwise-identical to MatMul on the unpacked operand — the caching
 // predicate the compiled serving twins and the training-side epoch pack
 // cache share. Below the threshold the legacy kernels win (and have
-// golden files against their bits), so callers must not pre-pack.
+// golden files against their bits), so callers must not pre-pack. The same
+// predicate routes an a·bᵀ product (b n×k, the input gradient dy·Wᵀ): it is
+// by definition MatMul(a, bᵀ), which PackBT(b) panels give where ShouldPack
+// holds and MatMulBiasRows on the transpose gives where it does not.
 func ShouldPack(k, n int) bool { return usePacked(k, n) }
-
-// ShouldPackABT reports whether an a·bᵀ product with inner dimension k and
-// output width n (b is n×k) goes through the packed tier: PackBT(b) once,
-// MatMulPackedRows per row range. SIMD-only — the pure-Go packed kernels
-// keep MatMul's rank-4 grouped bits, not MatMulABTRows' plain per-k bits,
-// so without SIMD the unpacked kernel stays authoritative.
-func ShouldPackABT(k, n int) bool { return tier >= tierAVX2 && usePacked(k, n) }
 
 // PackWidth reports the current f64 panel width NR. A PackedB whose NR
 // differs (packed on the other side of the pure-Go boundary: both SIMD
@@ -198,8 +194,8 @@ type PackedB struct {
 	K, N, NR int
 	panels   []float64 // (N/NR) panels of K×NR, k-major
 	tail     []float64 // (N mod NR) column strips of K
-	// trans marks an operand packed from its transpose (PackBT); it selects
-	// the remainder columns' accumulation order (see scalarTail).
+	// trans marks an operand packed from its transpose (PackBT), which
+	// Repack packs the same way.
 	trans bool
 }
 
@@ -270,7 +266,8 @@ func PackB(b *Matrix) *PackedB {
 // PackBT packs the TRANSPOSE of b (N×K row-major) as the K×N operand of
 // dst = a·bᵀ — the input-gradient product, whose weight matrix is then
 // packed once per parameter version instead of once per call. Callers
-// pack only where ShouldPackABT(K, N) holds.
+// pack only where ShouldPack(K, N) holds; MatMulPackedRows on the panels is
+// then bitwise MatMul(a, bᵀ).
 func PackBT(b *Matrix) *PackedB {
 	p := &PackedB{trans: true}
 	p.sizeFor(b.Cols, b.Rows, packNR())

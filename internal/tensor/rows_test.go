@@ -11,15 +11,24 @@ import (
 // the row maps, ReduceGrain chunks merged in ascending order for the
 // reductions.
 
+// matMulABT is dst = a·bᵀ the way internal/nn's Linear computes its input
+// gradient: through the transpose's packed panels where ShouldPack holds,
+// else the unpacked layer on the transpose itself.
 func matMulABT(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows {
 		panic("tensor: matMulABT row mismatch")
 	}
-	if ShouldPackABT(a.Cols, b.Rows) {
+	if ShouldPack(a.Cols, b.Rows) {
 		MatMulPackedRows(dst, a, PackBT(b), 0, a.Rows)
 		return
 	}
-	MatMulABTRows(dst, a, b, 0, a.Rows)
+	MatMulBiasRows(dst, a, transposed(b), nil, 0, a.Rows)
+}
+
+func transposed(m *Matrix) *Matrix {
+	t := New(m.Cols, m.Rows)
+	TransposeInto(t, m)
+	return t
 }
 
 func addRowVector(m *Matrix, v []float64) { AddRowVectorRows(m, v, 0, m.Rows) }
@@ -73,24 +82,22 @@ func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
 			}
 		}
 
-		// dx = dy·wᵀ, unpacked and (where the tier engages) packed.
+		// dx = dy·wᵀ is MatMul(dy, wᵀ): by row ranges, through the
+		// transpose's packed panels where the tier engages, else the
+		// unpacked layer on the transpose.
+		wT := transposed(w)
 		whole, pieces := New(rows, in), New(rows, in)
-		MatMulABTRows(whole, dy, w, 0, rows)
+		MatMul(whole, dy, wT)
+		pbt := PackBT(w)
 		for i := 0; i+1 < len(cuts); i++ {
-			MatMulABTRows(pieces, dy, w, cuts[i], cuts[i+1])
+			if ShouldPack(out, in) {
+				MatMulPackedRows(pieces, dy, pbt, cuts[i], cuts[i+1])
+			} else {
+				MatMulBiasRows(pieces, dy, wT, nil, cuts[i], cuts[i+1])
+			}
 		}
 		if !whole.Equal(pieces) {
-			t.Errorf("MatMulABTRows %dx%d: row ranges change bits", in, out)
-		}
-		if ShouldPackABT(out, in) {
-			pbt := PackBT(w)
-			MatMulPackedRows(whole, dy, pbt, 0, rows)
-			for i := 0; i+1 < len(cuts); i++ {
-				MatMulPackedRows(pieces, dy, pbt, cuts[i], cuts[i+1])
-			}
-			if !whole.Equal(pieces) {
-				t.Errorf("MatMulPackedRows(PackBT) %dx%d: row ranges change bits", in, out)
-			}
+			t.Errorf("dy·wᵀ %dx%d: by row ranges it is not MatMul(dy, wᵀ)", in, out)
 		}
 
 		// The reduction body, chunked as documented, is MatMulATB.
@@ -112,6 +119,30 @@ func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
 		}
 	}
 	t.Run("AddRowVectorRowsMatchesScalar", addRowVectorRowsMatchesScalar)
+	t.Run("PackBTIsMatMulOfTranspose", packBTIsMatMulOfTranspose)
+}
+
+// packBTIsMatMulOfTranspose: on every rung, the transpose's packed panels
+// give MatMul(a, bᵀ)'s bits, the N mod NR tail columns included — what lets
+// internal/nn route its input gradient by ShouldPack alone.
+func packBTIsMatMulOfTranspose(t *testing.T) {
+	atEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(77))
+		for _, sh := range [][2]int{{96, 32}, {33, 37}, {37, 33}, {130, 9}} {
+			in, out := sh[0], sh[1] // w is in×out; dy·wᵀ is 23×in
+			if !ShouldPack(out, in) {
+				t.Fatalf("%dx%d does not engage the packed tier", out, in)
+			}
+			w, dy := randomMatrix(rng, in, out), randomMatrix(rng, 23, out)
+			want, got := New(23, in), New(23, in)
+			MatMul(want, dy, transposed(w))
+			MatMulPackedRows(got, dy, PackBT(w), 0, 23)
+			if i := bitsEqual(got.Data, want.Data); i >= 0 {
+				t.Fatalf("w %dx%d: element %d (column %d) is %#x through PackBT, %#x through MatMul",
+					in, out, i, i%in, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+			}
+		}
+	})
 }
 
 // addRowVectorRowsMatchesScalar: the add map's vector bodies (4 and 8

@@ -40,6 +40,15 @@ func gemmRows64(rows, k, n int64, a, b, c, bias *float64) (done int64)
 //go:noescape
 func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) (done int64)
 
+// gemmATB64 is the weight gradient's chunk body on both SIMD rungs
+// (gemmrows_amd64.s): acc (in×n) += xᵀ·dy over rows rows of x and dy,
+// eight columns of acc per block in two ymm. It returns how many leading
+// elements of acc it finished, stopping at the first block whose result
+// holds a NaN, which it does not store.
+//
+//go:noescape
+func gemmATB64(rows, in, n int64, x, dy, acc *float64) (done int64)
+
 // The float32 ELU kernels (elu32_amd64.s): any n >= 1, the elements past
 // the last whole group through masked lanes. Every input is done, so
 // neither stops.

@@ -39,6 +39,8 @@ func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStri
 func gemmRows64(rows, k, n int64, a, b, c, bias *float64) (done int64)   { panic(noSIMD) }
 func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) (done int64) { panic(noSIMD) }
 
+func gemmATB64(rows, in, n int64, x, dy, acc *float64) (done int64) { panic(noSIMD) }
+
 func eluBlock32(n int64, x, y *float32)    { panic(noSIMD) }
 func eluBlock32x16(n int64, x, y *float32) { panic(noSIMD) }
 
