@@ -86,12 +86,14 @@ func goldenRun(t *testing.T, overlap, sockets bool) []float64 {
 // and commit the new golden alongside the kernel change. The golden
 // records amd64/go1.24 arithmetic; a legitimately differing platform
 // (e.g. FMA contraction on another architecture) should regenerate too.
-// The last regrouping redefined the input gradient dx = dy·Wᵀ as
-// MatMul(dy, Wᵀ), the forward's rank-4 grouped sums with zero groups
-// skipped, where it had summed each output in plain k order: step 1 kept
-// its bits (a forward and a loss), steps 2–12 moved by at most 8.9e-16
-// relative. The same file holds on every kernel rung
-// (internal/tensor's TestTrainingBitwiseOnEveryRung).
+// The last change redefined the float64 ELU's exponential: e^v − 1 is
+// tensor.Elu's own fused multiply-add sequence (within 1 ulp of
+// math.Expm1) where it had been math.Exp(v) − 1. The forward moves, so
+// step 1 moved too (6.5e-16 relative); over the 12 steps the largest
+// change was 3.5e-15 relative (step 10). The same file holds on every
+// kernel rung (internal/tensor's TestTrainingBitwiseOnEveryRung) and,
+// since no step of the ELU depends on the architecture, needs no
+// regeneration for it.
 //
 // The same golden must hold with the overlapped pipeline on either
 // transport — overlap is bitwise-invisible — which the (overlap,

@@ -215,15 +215,16 @@ func (t *residualTask[T]) Rows(p []T, r0, r1 int) {
 // aggRow is the degree-scaled receiver aggregation (4b) of one row: dst =
 // Σ_k e_k / d_k over row i's incoming edges, summed from +0 in canonical
 // CSR order — the per-row summation order of a serial edge sweep — with
-// the 1/d factor rounded to T once per edge. eo is the edge offset of the
-// row's sample block. Both loops that aggregate call it, so a row's bits
-// do not depend on which one it lands in.
+// the 1/d factor (g.InvEdgeDegree, divided once at build) rounded to T
+// once per edge. eo is the edge offset of the row's sample block. Both
+// loops that aggregate call it, so a row's bits do not depend on which one
+// it lands in.
 func aggRow[T elem](dst []T, g *graph.Local, eOut rowsOf[T], eo, i int, disableDeg bool) {
 	clear(dst)
 	for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
 		inv := T(1)
 		if !disableDeg {
-			inv = T(1 / g.EdgeDegree[k])
+			inv = T(g.InvEdgeDegree[k])
 		}
 		for j, v := range eOut.row(eo + k) {
 			dst[j] += inv * v
@@ -612,7 +613,7 @@ func (t *dEOutTask) block(b, lo, hi int) {
 		dst := t.dOut.Row(eo + k)
 		inv := 1.0
 		if !t.disableDeg {
-			inv = 1 / g.EdgeDegree[k]
+			inv = g.InvEdgeDegree[k]
 		}
 		for j, v := range src {
 			dst[j] = inv * v

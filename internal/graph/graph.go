@@ -45,6 +45,9 @@ type Local struct {
 	// sub-graph contains this edge (1 for interior edges, 2 on shared
 	// faces, more along shared element lines/corners).
 	EdgeDegree []float64
+	// InvEdgeDegree[k] is 1/EdgeDegree[k], the weight the aggregation
+	// (4b) and its adjoint scale Edges[k] by, divided once at build.
+	InvEdgeDegree []float64
 	// NodeDegree[i] is d_i: the number of ranks owning local node i.
 	NodeDegree []float64
 	// Plan is the halo exchange pattern; halo rows are indexed
@@ -205,6 +208,7 @@ func BuildAll(box *mesh.Box, part partition.Partition) ([]*Local, error) {
 			return l.Edges[i][0] < l.Edges[j][0]
 		})
 		l.EdgeDegree = make([]float64, len(l.Edges))
+		l.InvEdgeDegree = make([]float64, len(l.Edges))
 		for k, e := range l.Edges {
 			key := makeEdgeKey(re.gids[e[0]], re.gids[e[1]])
 			deg := edgeOwners[key]
@@ -212,6 +216,7 @@ func BuildAll(box *mesh.Box, part partition.Partition) ([]*Local, error) {
 				return nil, fmt.Errorf("graph: rank %d edge %v missing from owner map", rank, e)
 			}
 			l.EdgeDegree[k] = float64(deg)
+			l.InvEdgeDegree[k] = 1 / float64(deg)
 		}
 
 		// Node degrees.

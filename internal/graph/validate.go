@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -32,6 +33,9 @@ func (l *Local) Validate() error {
 	if len(l.EdgeDegree) != len(l.Edges) {
 		return fmt.Errorf("graph: %d edge degrees for %d edges", len(l.EdgeDegree), len(l.Edges))
 	}
+	if len(l.InvEdgeDegree) != len(l.Edges) {
+		return fmt.Errorf("graph: %d inverse edge degrees for %d edges", len(l.InvEdgeDegree), len(l.Edges))
+	}
 	seen := make(map[[2]int]bool, len(l.Edges))
 	for k, e := range l.Edges {
 		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
@@ -46,6 +50,9 @@ func (l *Local) Validate() error {
 		seen[e] = true
 		if l.EdgeDegree[k] < 1 {
 			return fmt.Errorf("graph: edge %d degree %v < 1", k, l.EdgeDegree[k])
+		}
+		if math.Float64bits(l.InvEdgeDegree[k]) != math.Float64bits(1/l.EdgeDegree[k]) {
+			return fmt.Errorf("graph: edge %d inverse degree %v is not 1/%v", k, l.InvEdgeDegree[k], l.EdgeDegree[k])
 		}
 	}
 	for e := range seen {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -118,6 +119,7 @@ func TestValidateDetectsMissingReverseEdge(t *testing.T) {
 	corrupt(t, "reverse", func(l *Local) {
 		l.Edges = l.Edges[:len(l.Edges)-1]
 		l.EdgeDegree = l.EdgeDegree[:len(l.EdgeDegree)-1]
+		l.InvEdgeDegree = l.InvEdgeDegree[:len(l.InvEdgeDegree)-1]
 	})
 }
 
@@ -126,11 +128,25 @@ func TestValidateDetectsEdgeWeightGap(t *testing.T) {
 		// Inflate one shared edge's degree so its total weight < 1.
 		for k, d := range l.EdgeDegree {
 			if d == 2 {
-				l.EdgeDegree[k] = 4
+				l.EdgeDegree[k], l.InvEdgeDegree[k] = 4, 0.25
 				return
 			}
 		}
 		t.Fatal("no shared edge found")
+	})
+}
+
+// TestValidateDetectsStaleInverseEdgeDegree: the inverse degrees the
+// aggregation reads must be exactly 1/EdgeDegree, in length and bits.
+func TestValidateDetectsStaleInverseEdgeDegree(t *testing.T) {
+	corrupt(t, "inverse degree", func(l *Local) {
+		l.InvEdgeDegree[3] = 1 / (l.EdgeDegree[3] + 1)
+	})
+	corrupt(t, "inverse edge degrees", func(l *Local) {
+		l.InvEdgeDegree = l.InvEdgeDegree[1:]
+	})
+	corrupt(t, "inverse degree", func(l *Local) {
+		l.InvEdgeDegree[0] = math.Nextafter(l.InvEdgeDegree[0], 0)
 	})
 }
 

@@ -40,11 +40,7 @@ func refForward(m *MLP, x *tensor.Matrix) *layerAtATime {
 		case *ELU:
 			y := tensor.New(x.Rows, x.Cols)
 			for i, v := range x.Data { // the scalar definition, not tensor.EluRange
-				if v > 0 {
-					y.Data[i] = v
-				} else {
-					y.Data[i] = math.Exp(v) - 1
-				}
+				y.Data[i] = tensor.Elu(v)
 			}
 			ref.eluOut = append(ref.eluOut, y)
 			x = y

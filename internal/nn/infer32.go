@@ -99,9 +99,9 @@ func (l *linear32) inferRows(dst, src panel[float32]) {
 
 // elu32 is y = v for v > 0, exp(v)-1 otherwise, in place on the
 // evaluator's scratch. The map lives in the tensor kernel tier
-// (tensor.EluRange32): the float64 math.Exp round-trip dominated the
-// whole f32 inference step (~60% of the profile), so the exponential runs
-// as a single-precision polynomial, vectorized on the SIMD rungs.
+// (tensor.EluRange32): a round trip through a float64 exponential would
+// dominate the whole f32 inference step, so the exponential runs as a
+// single-precision polynomial, vectorized on the SIMD rungs.
 // Every path rounds each element identically, so panel and chunk
 // boundaries stay invisible.
 type elu32 struct{}

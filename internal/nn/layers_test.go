@@ -97,7 +97,7 @@ func TestELUForward(t *testing.T) {
 	e := &ELU{}
 	x := tensor.FromSlice(1, 3, []float64{-1, 0, 2})
 	y := e.Forward(x)
-	if math.Abs(y.Data[0]-(math.Exp(-1)-1)) > 1e-12 || y.Data[1] != 0 || y.Data[2] != 2 {
+	if y.Data[0] != tensor.Elu(-1) || math.Abs(y.Data[0]-math.Expm1(-1)) > 1e-15 || y.Data[1] != 0 || y.Data[2] != 2 {
 		t.Fatalf("ELU = %v", y.Data)
 	}
 }

@@ -4,64 +4,96 @@ import "math"
 
 // Float64 elementwise tier: the ELU forward and derivative maps every MLP
 // block runs between its GEMMs (training, both float64 inference engines,
-// serving), plus the add kernel behind AddRowVectorRows and
-// ColSumsAcc in ops.go. Like the f32 tier in elu32.go, every path is
-// BITWISE-IDENTICAL per element, so results do not depend on chunk
-// boundaries, thread count or which rung of the kernel tier runs — but
-// here the scalar is the reference and the kernel the replica: EluRange's
-// assembly is math.Exp's own amd64 instruction sequence (see
-// elu64_amd64.s), not a polynomial of ours, on four ymm lanes (tierAVX2)
-// or eight zmm lanes (tierAVX512). The 8-lane replica replays the same
-// sequence with the AVX-512 spellings of the conversions and the blend and
-// its constants held in registers; nothing about the arithmetic differs.
+// serving), plus the add kernel behind AddRowVectorRows and ColSumsAcc in
+// ops.go. Every path is BITWISE-IDENTICAL per element, so results do not
+// depend on chunk boundaries, thread count, which rung of the kernel tier
+// runs, or the architecture.
 //
-// The kernels stop at any block they cannot reproduce exactly (NaN, -Inf
-// or v < -700 for the exponential; NaN operands for the other two) and
-// the scalar loop does that block, so the only inputs that take the slow
-// road are ones a healthy model never produces.
+// The float64 ELU has one definition, Elu below: a fixed sequence of fused
+// multiply-adds (math.FMA) and single correctly rounded IEEE operations,
+// so it has the same bits wherever it runs. The go rung calls it per
+// element; the SIMD kernels (elu64_amd64.s) replay it instruction for
+// instruction on four ymm lanes (eluBlock64, tierAVX2) or eight zmm lanes
+// (eluBlock64x8, tierAVX512), four independent vectors per iteration and
+// the last partial vector through masked lanes. Every input is theirs —
+// NaN and ±Inf included — so EluRange is one kernel call per range.
+//
+// The ELU′ and add kernels are plain IEEE adds and multiplies; they stop
+// at a block holding a NaN operand (whose payload x86 would propagate in
+// an order the Go compiler picks) and the scalar loop does that block.
 
-// elu64Exact records, once at init and per rung, that the rung's
-// exponential kernel may be used: the CPU has it and it agrees with
-// math.Exp on elu64Probe. The second half is not a formality. math.Exp
-// takes its FMA path on internal/cpu's word (which GODEBUG=cpu.fma=off
-// overrides) while detectSIMD reads CPUID itself, and a future toolchain
-// may change archExp; either would make kernel and fallback disagree
-// silently. A rung whose probe fails loses only this kernel — EluRange
-// drops to the next exact rung below, the GEMM tiles and the other two
-// elementwise maps (plain IEEE adds and multiplies) are unaffected.
-var elu64Exact = [...]bool{
-	tierGo:     false,
-	tierAVX2:   cpuTier >= tierAVX2 && elu64Probe(tierLanes[tierAVX2]),
-	tierAVX512: cpuTier >= tierAVX512 && elu64Probe(tierLanes[tierAVX512]),
+// The constants of Elu; elu64_amd64.s holds the same bits.
+const (
+	// eluClamp bounds the reduction: below about −37.43, exp(v) − 1
+	// rounds to −1, which the sequence returns for every v ≤ eluClamp,
+	// and 2^t stays a normal number.
+	eluClamp = -40.0
+	eluLog2e = 1.4426950408889634 // 1/ln 2
+	// eluShifter is 1.5·2⁵²: fma(w, log2e, shifter) rounds w·log2e to the
+	// nearest integer t in the low bits of its significand.
+	eluShifter = 0x1.8p52
+	// ln 2 = eluLn2Hi + eluLn2Lo; eluLn2Hi has 32 significant bits, so
+	// t·eluLn2Hi is exact and w − t·eluLn2Hi cancels without error.
+	eluLn2Hi = 6.93147180369123816490e-01
+	eluLn2Lo = 1.90821492927058770002e-10
+)
+
+// eluQ are the coefficients of q(r) = (e^r − 1 − r)/r², lowest first: the
+// Taylor series 1/(j+2)!, which makes r + r²·q(r) the degree-13 Taylor
+// polynomial of e^r − 1. On |r| ≤ ln2/2 its truncation error is below a
+// tenth of an ulp of the result.
+var eluQ = [12]float64{
+	1.0 / 2, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720, 1.0 / 5040,
+	1.0 / 40320, 1.0 / 362880, 1.0 / 3628800, 1.0 / 39916800,
+	1.0 / 479001600, 1.0 / 6227020800,
 }
 
-// tierLanes is the block width of each rung's float64 elementwise
+// Elu is the float64 ELU: v for v > 0 (and for NaN, bit for bit), else
+// e^v − 1 by
+//
+//	w  = max(v, eluClamp)
+//	kd = fma(w, log2e, shifter); t = kd − shifter      t = round(w/ln2)
+//	r  = fma(−t, ln2Lo, fma(−t, ln2Hi, w))             w − t·ln2
+//	e  = fma(q(r), r·r, r)                             e^r − 1, q by Horner in fma
+//	s  = 2^t, built from kd's low bits in the exponent field
+//	     fma(s, e, s − 1)                              2^t·e^r − 1
+//
+// Every step is one math.FMA or one rounded IEEE operation, so the result
+// is the same on every kernel rung and every GOARCH. It is within 1 ulp of
+// math.Expm1 on (eluClamp, 0] with no cancellation near 0 (a negative
+// subnormal returns itself), exactly −1 at and below eluClamp and for
+// −Inf, and +0 for ±0.
+func Elu(v float64) float64 {
+	if !(v <= 0) {
+		return v
+	}
+	w := max(v, eluClamp)
+	kd := math.FMA(w, eluLog2e, eluShifter)
+	t := kd - eluShifter
+	r := math.FMA(-t, eluLn2Hi, w)
+	r = math.FMA(-t, eluLn2Lo, r)
+	q := eluQ[11]
+	for j := 10; j >= 0; j-- {
+		q = math.FMA(q, r, eluQ[j])
+	}
+	// The float64 conversions round r·r and s − 1 on their own: no
+	// compiler may fuse them into a neighbouring operation.
+	e := math.FMA(q, float64(r*r), r)
+	// kd's significand ends in t (two's complement); shifted into the
+	// exponent field with the bias added, it is 2^t.
+	s := math.Float64frombits((math.Float64bits(kd) + 1023) << 52)
+	return math.FMA(s, e, float64(s-1))
+}
+
+// tierLanes is the block width of each rung's float64 ELU′ and add
 // kernels, 0 for none.
 var tierLanes = [...]int{tierGo: 0, tierAVX2: 4, tierAVX512: 8}
 
 // vecLanes is the block width of the add and ELU′ kernels.
 func vecLanes() int { return tierLanes[tier] }
 
-// eluLanes is the block width of the exponential kernel: the widest one at
-// or below the current rung that passed its probe, 0 for none.
-func eluLanes() int {
-	for t := tier; t > tierGo; t-- {
-		if elu64Exact[t] {
-			return tierLanes[t]
-		}
-	}
-	return 0
-}
-
-// The kernels by block width w (4 or 8); n is a multiple of w.
-
-func eluBlock(w int, n int64, x, y *float64) int64 {
-	if w == 8 {
-		return eluBlock64x8(n, x, y)
-	}
-	return eluBlock64(n, x, y)
-}
-
+// eluGradBlock is the ELU′ kernel by block width w (4 or 8); n is a
+// multiple of w.
 func eluGradBlock(w int, n int64, y, dy, dx *float64) int64 {
 	if w == 8 {
 		return eluGradBlock64x8(n, y, dy, dx)
@@ -69,55 +101,22 @@ func eluGradBlock(w int, n int64, y, dy, dx *float64) int64 {
 	return eluGradBlock64(n, y, dy, dx)
 }
 
-// elu64Probe compares the lanes-wide kernel with math.Exp on 512
-// negatives: 384 evenly spaced over (-3, 0], where exp(v)-1 keeps the low
-// bits of exp(v) (the non-FMA archExp differs from the FMA one on about 1
-// in 15 of those), and 128 over (-700, 0], the rest of the range the
-// kernel computes itself. Below about -37 every exp(v)-1 rounds to -1, so
-// there a difference in exp could not reach an ELU output anyway.
-func elu64Probe(lanes int) bool {
-	var x, y [512]float64
-	for i := range x {
-		if i < 384 {
-			x[i] = -3 * (float64(i) + 0.5) / 384
-		} else {
-			x[i] = -700 * (float64(i-384) + 0.5) / 128
-		}
-	}
-	if eluBlock(lanes, int64(len(x)), &x[0], &y[0]) != int64(len(x)) {
-		return false
-	}
-	for i, v := range x {
-		if math.Float64bits(y[i]) != math.Float64bits(math.Exp(v)-1) {
-			return false
-		}
-	}
-	return true
-}
-
-// EluRange writes y[i] = ELU(x[i]) = x[i] if x[i] > 0, else
-// math.Exp(x[i]) - 1, for i in [lo, hi). x and y may alias.
+// EluRange writes y[i] = Elu(x[i]) for i in [lo, hi). x and y may alias.
 func EluRange(y, x []float64, lo, hi int) {
-	i := lo
-	if w := eluLanes(); w > 0 {
-		for hi-i >= w {
-			i += int(eluBlock(w, int64((hi-i)&^(w-1)), &x[i], &y[i]))
-			if hi-i >= w { // the kernel stopped at this block
-				eluScalar(y, x, i, i+w)
-				i += w
-			}
-		}
+	if hi <= lo {
+		return
 	}
-	eluScalar(y, x, i, hi)
-}
-
-func eluScalar(y, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if v := x[i]; v > 0 {
-			y[i] = v
+	if tier >= tierAVX2 {
+		_, _ = x[hi-1], y[hi-1] // the kernels read and write up to hi unchecked
+		if tier == tierAVX512 {
+			eluBlock64x8(int64(hi-lo), &x[lo], &y[lo])
 		} else {
-			y[i] = math.Exp(v) - 1
+			eluBlock64(int64(hi-lo), &x[lo], &y[lo])
 		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		y[i] = Elu(x[i])
 	}
 }
 

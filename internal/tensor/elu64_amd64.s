@@ -2,12 +2,14 @@
 // (elu64.go, ops.go): each of the three maps twice, four lanes in ymm
 // and — the x8 twins at the end of the file — eight lanes in zmm.
 //
-// All share one contract: n is a positive multiple of the lane count, the
-// kernel walks lane-wide blocks from the front, and it STOPS at the first
-// block whose scalar result it cannot reproduce bit for bit, returning
-// the number of elements it finished. The Go caller does that block with
-// the scalar loop and re-enters. What makes a block undoable is stated
-// at each kernel; in every case it is data no healthy run contains.
+// The ELU kernels replay Elu (elu64.go) and take any n >= 1: every input
+// is theirs, the elements past the last whole vector through masked
+// lanes. The ELU′ and add kernels share another contract: n is a positive
+// multiple of the lane count, the kernel walks lane-wide blocks from the
+// front, and it STOPS at the first block whose scalar result it cannot
+// reproduce bit for bit (a NaN operand), returning the number of elements
+// it finished. The Go caller does that block with the scalar loop and
+// re-enters.
 
 #include "textflag.h"
 
@@ -18,136 +20,257 @@
 	DATA name<>+24(SB)/8, v; \
 	GLOBL name<>(SB), RODATA|NOPTR, $32
 
-// The constants of $GOROOT/src/math/exp_amd64.s, same decimal literals,
-// so the assembler rounds them to the same doubles.
-BCAST4(exp64Log2e, $1.4426950408889634073599246810018920)
-BCAST4(exp64Ln2U, $0.69314718055966295651160180568695068359375)
-BCAST4(exp64Ln2L, $0.28235290563031577122588448175013436025525412068e-12)
-BCAST4(exp64Sixteenth, $0.0625)
-BCAST4(exp64Half, $0.5)
-BCAST4(exp64One, $1.0)
-BCAST4(exp64Two, $2.0)
-BCAST4(exp64C3, $1.6666666666666666667e-1)
-BCAST4(exp64C4, $4.1666666666666666667e-2)
-BCAST4(exp64C5, $8.3333333333333333333e-3)
-BCAST4(exp64C6, $1.3888888888888888889e-3)
-BCAST4(exp64C7, $1.9841269841269841270e-4)
-BCAST4(exp64C8, $2.4801587301587301587e-5)
-// Below this the exponent k+1023 can reach the denormal branch of
-// archExp's ldexp, which the kernel does not replay.
-BCAST4(exp64Floor, $-700.0)
+// Elu's constants, bit for bit (elu64.go).
+BCAST4(eluClamp, $0xc044000000000000)   // -40
+BCAST4(eluLog2e, $0x3ff71547652b82fe)   // 1/ln 2
+BCAST4(eluShifter, $0x4338000000000000) // 1.5·2⁵²
+BCAST4(eluLn2Hi, $0x3fe62e42fee00000)
+BCAST4(eluLn2Lo, $0x3dea39ef35793c76)
+BCAST4(eluQ0, $0x3fe0000000000000)      // 1/2!
+BCAST4(eluQ1, $0x3fc5555555555555)      // 1/3!
+BCAST4(eluQ2, $0x3fa5555555555555)
+BCAST4(eluQ3, $0x3f81111111111111)
+BCAST4(eluQ4, $0x3f56c16c16c16c17)
+BCAST4(eluQ5, $0x3f2a01a01a01a01a)
+BCAST4(eluQ6, $0x3efa01a01a01a01a)
+BCAST4(eluQ7, $0x3ec71de3a556c734)
+BCAST4(eluQ8, $0x3e927e4fb7789f5c)
+BCAST4(eluQ9, $0x3e5ae64567f544e4)
+BCAST4(eluQ10, $0x3e21eed8eff8d898)
+BCAST4(eluQ11, $0x3de6124613a86d09)     // 1/13!
+BCAST4(eluBias, $1023)                  // the exponent bias, an integer
+BCAST4(one64, $0x3ff0000000000000)
+BCAST4(zero64, $0)
 
-DATA exp64Bias<>+0(SB)/8, $0x000003ff000003ff
-DATA exp64Bias<>+8(SB)/8, $0x000003ff000003ff
-GLOBL exp64Bias<>(SB), RODATA|NOPTR, $16
+// lane numbers 0-3, for the avx2 tail mask
+DATA eluIota<>+0(SB)/8, $0
+DATA eluIota<>+8(SB)/8, $1
+DATA eluIota<>+16(SB)/8, $2
+DATA eluIota<>+24(SB)/8, $3
+GLOBL eluIota<>(SB), RODATA|NOPTR, $32
 
-// ELU4 is math.archExp's FMA path on four lanes, then -1 and the v > 0
-// identity blend. v holds the input (kept for the blend), t/k/r are
-// scratch; the result is left in r. Instruction for instruction:
+// EXPM1Y is Elu's sequence on four ymm lanes, from w = max(v, eluClamp)
+// to fma(s, e, s − 1); the caller then selects v where !(v <= 0). b holds
+// the input and is clobbered; the result is left in c; a and d are
+// scratch. Instruction by step of Elu:
 //
-//	archExp (scalar)                      here
-//	MULSD  LOG2E                          VMULPD
-//	CVTSD2SL / CVTSL2SD                   VCVTPD2DQY / VCVTDQ2PD
-//	2x VFNMADD231SD (LN2U, LN2L)          2x VFNMADD231PD
-//	MULSD  0.0625                         VMULPD
-//	7x VFMADD213SD (Taylor)               7x VFMADD213PD
-//	MULSD, 4x (VADDSD 2.0, MULSD|FMA 1.0) the same, packed
-//	ADDL 0x3FF, SHLQ 52, MULSD            VPADDD, VPMOVZXDQ, VPSLLQ, VMULPD
+//	w  = max(v, clamp)                 VMAXPD
+//	kd = fma(w, log2e, shifter)        VMOVUPD shifter; VFMADD231PD
+//	t  = kd − shifter                  VSUBPD
+//	r  = fma(−t, ln2Hi|Lo, ·)          2x VFNMADD231PD (−(t·c) + x: the same exact value)
+//	q  = fma(q, r, Qj)                 VMOVUPD Q11; 11x VFMADD213PD
+//	e  = fma(q, r·r, r)                VMULPD; VFMADD213PD
+//	s  = (bits(kd) + 1023) << 52       VPADDQ; VPSLLQ
+//	fma(s, e, s − 1)                   VSUBPD; VFMADD213PD
 //
-// Every one of those is a correctly rounded IEEE operation under the
-// same MXCSR, so a lane's bits are the scalar's. Positive lanes run the
-// sequence on garbage and the blend discards it. Y12-Y15 are the caller's
-// constants: 0, LOG2E, LN2U, LN2L.
-#define ELU4(v, t, k, kx, r) \
-	VMULPD       Y13, v, t; \
-	VCVTPD2DQY   t, kx; \
-	VCVTDQ2PD    kx, t; \
-	VMOVAPD      v, r; \
-	VFNMADD231PD Y14, t, r; \
-	VFNMADD231PD Y15, t, r; \
-	VMULPD       exp64Sixteenth<>(SB), r, r; \
-	VMOVUPD      exp64C8<>(SB), t; \
-	VFMADD213PD  exp64C7<>(SB), r, t; \
-	VFMADD213PD  exp64C6<>(SB), r, t; \
-	VFMADD213PD  exp64C5<>(SB), r, t; \
-	VFMADD213PD  exp64C4<>(SB), r, t; \
-	VFMADD213PD  exp64C3<>(SB), r, t; \
-	VFMADD213PD  exp64Half<>(SB), r, t; \
-	VFMADD213PD  exp64One<>(SB), r, t; \
-	VMULPD       t, r, r; \
-	VADDPD       exp64Two<>(SB), r, t; \
-	VMULPD       t, r, r; \
-	VADDPD       exp64Two<>(SB), r, t; \
-	VMULPD       t, r, r; \
-	VADDPD       exp64Two<>(SB), r, t; \
-	VMULPD       t, r, r; \
-	VADDPD       exp64Two<>(SB), r, t; \
-	VFMADD213PD  exp64One<>(SB), t, r; \
-	VPADDD       exp64Bias<>(SB), kx, kx; \
-	VPMOVZXDQ    kx, k; \
-	VPSLLQ       $52, k, k; \
-	VMULPD       k, r, r; \
-	VSUBPD       exp64One<>(SB), r, r; \
-	VCMPPD       $0x1e, Y12, v, t; \
-	VBLENDVPD    t, v, r, r
+// Every constant is a memory operand, so four chains fit the sixteen ymm
+// registers.
+#define EXPM1Y(a, b, c, d) \
+	VMAXPD       eluClamp<>(SB), b, b; \
+	VMOVUPD      eluShifter<>(SB), a; \
+	VFMADD231PD  eluLog2e<>(SB), b, a; \
+	VSUBPD       eluShifter<>(SB), a, c; \
+	VFNMADD231PD eluLn2Hi<>(SB), c, b; \
+	VFNMADD231PD eluLn2Lo<>(SB), c, b; \
+	VMOVUPD      eluQ11<>(SB), c; \
+	VFMADD213PD  eluQ10<>(SB), b, c; \
+	VFMADD213PD  eluQ9<>(SB), b, c; \
+	VFMADD213PD  eluQ8<>(SB), b, c; \
+	VFMADD213PD  eluQ7<>(SB), b, c; \
+	VFMADD213PD  eluQ6<>(SB), b, c; \
+	VFMADD213PD  eluQ5<>(SB), b, c; \
+	VFMADD213PD  eluQ4<>(SB), b, c; \
+	VFMADD213PD  eluQ3<>(SB), b, c; \
+	VFMADD213PD  eluQ2<>(SB), b, c; \
+	VFMADD213PD  eluQ1<>(SB), b, c; \
+	VFMADD213PD  eluQ0<>(SB), b, c; \
+	VMULPD       b, b, d; \
+	VFMADD213PD  b, d, c; \
+	VPADDQ       eluBias<>(SB), a, a; \
+	VPSLLQ       $52, a, a; \
+	VSUBPD       one64<>(SB), a, b; \
+	VFMADD213PD  b, a, c
 
-// func eluBlock64(n int64, x, y *float64) (done int64)
+// SELECTY sets c = v where !(v <= 0) — positive, +Inf or NaN, bit for
+// bit — using m as the mask.
+#define SELECTY(v, m, c) \
+	VCMPPD    $0x16, zero64<>(SB), v, m; \
+	VBLENDVPD m, v, c, c
+
+// ELUY does the four elements at off(SI) into off(DI), reading x again
+// for the select rather than holding it in a fifth register.
+#define ELUY(off, a, b, c, d) \
+	VMOVUPD off(SI), b; \
+	EXPM1Y(a, b, c, d); \
+	VMOVUPD off(SI), d; \
+	SELECTY(d, b, c); \
+	VMOVUPD c, off(DI)
+
+// func eluBlock64(n int64, x, y *float64)
 //
-// y[i] = x[i] > 0 ? x[i] : math.Exp(x[i]) - 1. Stops at a block holding
-// a NaN, -Inf or v < -700: archExp leaves its straight-line path for
-// those. (+Inf needs no stop: like every positive lane it is blended to
-// the identity.) Eight elements per iteration while they last, as two
-// independent chains for the out-of-order core to overlap.
-TEXT ·eluBlock64(SB), NOSPLIT, $0-32
-	MOVQ n+0(FP), CX
+// n >= 1: sixteen elements per iteration as four independent chains,
+// then four at a time, then the remaining 1-3 through VMASKMOVPD. x and y
+// may alias: each chain reads its x before any store of the iteration.
+TEXT ·eluBlock64(SB), NOSPLIT, $0-24
+	MOVQ n+0(FP), AX
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DI
-	XORQ AX, AX // elements done
 
-	VXORPD  Y12, Y12, Y12
-	VMOVUPD exp64Log2e<>(SB), Y13
-	VMOVUPD exp64Ln2U<>(SB), Y14
-	VMOVUPD exp64Ln2L<>(SB), Y15
-	VMOVUPD exp64Floor<>(SB), Y11
+	CMPQ AX, $16
+	JLT  y4
 
-	CMPQ CX, $8
-	JLT  elu4
+y16:
+	// ELUY on four chains, interleaved step by step (chain i: the four
+	// elements at 32i(SI), a b c d = Y(4i) … Y(4i+3)). Every chain reads
+	// its x twice before the first store.
+	VMOVUPD      (SI), Y1
+	VMOVUPD      32(SI), Y5
+	VMOVUPD      64(SI), Y9
+	VMOVUPD      96(SI), Y13
+	VMAXPD       eluClamp<>(SB), Y1, Y1
+	VMAXPD       eluClamp<>(SB), Y5, Y5
+	VMAXPD       eluClamp<>(SB), Y9, Y9
+	VMAXPD       eluClamp<>(SB), Y13, Y13
+	VMOVUPD      eluShifter<>(SB), Y0
+	VMOVUPD      eluShifter<>(SB), Y4
+	VMOVUPD      eluShifter<>(SB), Y8
+	VMOVUPD      eluShifter<>(SB), Y12
+	VFMADD231PD  eluLog2e<>(SB), Y1, Y0
+	VFMADD231PD  eluLog2e<>(SB), Y5, Y4
+	VFMADD231PD  eluLog2e<>(SB), Y9, Y8
+	VFMADD231PD  eluLog2e<>(SB), Y13, Y12
+	VSUBPD       eluShifter<>(SB), Y0, Y2
+	VSUBPD       eluShifter<>(SB), Y4, Y6
+	VSUBPD       eluShifter<>(SB), Y8, Y10
+	VSUBPD       eluShifter<>(SB), Y12, Y14
+	VFNMADD231PD eluLn2Hi<>(SB), Y2, Y1
+	VFNMADD231PD eluLn2Hi<>(SB), Y6, Y5
+	VFNMADD231PD eluLn2Hi<>(SB), Y10, Y9
+	VFNMADD231PD eluLn2Hi<>(SB), Y14, Y13
+	VFNMADD231PD eluLn2Lo<>(SB), Y2, Y1
+	VFNMADD231PD eluLn2Lo<>(SB), Y6, Y5
+	VFNMADD231PD eluLn2Lo<>(SB), Y10, Y9
+	VFNMADD231PD eluLn2Lo<>(SB), Y14, Y13
+	VMOVUPD      eluQ11<>(SB), Y2
+	VMOVUPD      eluQ11<>(SB), Y6
+	VMOVUPD      eluQ11<>(SB), Y10
+	VMOVUPD      eluQ11<>(SB), Y14
+	VFMADD213PD  eluQ10<>(SB), Y1, Y2
+	VFMADD213PD  eluQ10<>(SB), Y5, Y6
+	VFMADD213PD  eluQ10<>(SB), Y9, Y10
+	VFMADD213PD  eluQ10<>(SB), Y13, Y14
+	VFMADD213PD  eluQ9<>(SB), Y1, Y2
+	VFMADD213PD  eluQ9<>(SB), Y5, Y6
+	VFMADD213PD  eluQ9<>(SB), Y9, Y10
+	VFMADD213PD  eluQ9<>(SB), Y13, Y14
+	VFMADD213PD  eluQ8<>(SB), Y1, Y2
+	VFMADD213PD  eluQ8<>(SB), Y5, Y6
+	VFMADD213PD  eluQ8<>(SB), Y9, Y10
+	VFMADD213PD  eluQ8<>(SB), Y13, Y14
+	VFMADD213PD  eluQ7<>(SB), Y1, Y2
+	VFMADD213PD  eluQ7<>(SB), Y5, Y6
+	VFMADD213PD  eluQ7<>(SB), Y9, Y10
+	VFMADD213PD  eluQ7<>(SB), Y13, Y14
+	VFMADD213PD  eluQ6<>(SB), Y1, Y2
+	VFMADD213PD  eluQ6<>(SB), Y5, Y6
+	VFMADD213PD  eluQ6<>(SB), Y9, Y10
+	VFMADD213PD  eluQ6<>(SB), Y13, Y14
+	VFMADD213PD  eluQ5<>(SB), Y1, Y2
+	VFMADD213PD  eluQ5<>(SB), Y5, Y6
+	VFMADD213PD  eluQ5<>(SB), Y9, Y10
+	VFMADD213PD  eluQ5<>(SB), Y13, Y14
+	VFMADD213PD  eluQ4<>(SB), Y1, Y2
+	VFMADD213PD  eluQ4<>(SB), Y5, Y6
+	VFMADD213PD  eluQ4<>(SB), Y9, Y10
+	VFMADD213PD  eluQ4<>(SB), Y13, Y14
+	VFMADD213PD  eluQ3<>(SB), Y1, Y2
+	VFMADD213PD  eluQ3<>(SB), Y5, Y6
+	VFMADD213PD  eluQ3<>(SB), Y9, Y10
+	VFMADD213PD  eluQ3<>(SB), Y13, Y14
+	VFMADD213PD  eluQ2<>(SB), Y1, Y2
+	VFMADD213PD  eluQ2<>(SB), Y5, Y6
+	VFMADD213PD  eluQ2<>(SB), Y9, Y10
+	VFMADD213PD  eluQ2<>(SB), Y13, Y14
+	VFMADD213PD  eluQ1<>(SB), Y1, Y2
+	VFMADD213PD  eluQ1<>(SB), Y5, Y6
+	VFMADD213PD  eluQ1<>(SB), Y9, Y10
+	VFMADD213PD  eluQ1<>(SB), Y13, Y14
+	VFMADD213PD  eluQ0<>(SB), Y1, Y2
+	VFMADD213PD  eluQ0<>(SB), Y5, Y6
+	VFMADD213PD  eluQ0<>(SB), Y9, Y10
+	VFMADD213PD  eluQ0<>(SB), Y13, Y14
+	VMULPD       Y1, Y1, Y3
+	VMULPD       Y5, Y5, Y7
+	VMULPD       Y9, Y9, Y11
+	VMULPD       Y13, Y13, Y15
+	VFMADD213PD  Y1, Y3, Y2
+	VFMADD213PD  Y5, Y7, Y6
+	VFMADD213PD  Y9, Y11, Y10
+	VFMADD213PD  Y13, Y15, Y14
+	VPADDQ       eluBias<>(SB), Y0, Y0
+	VPADDQ       eluBias<>(SB), Y4, Y4
+	VPADDQ       eluBias<>(SB), Y8, Y8
+	VPADDQ       eluBias<>(SB), Y12, Y12
+	VPSLLQ       $52, Y0, Y0
+	VPSLLQ       $52, Y4, Y4
+	VPSLLQ       $52, Y8, Y8
+	VPSLLQ       $52, Y12, Y12
+	VSUBPD       one64<>(SB), Y0, Y1
+	VSUBPD       one64<>(SB), Y4, Y5
+	VSUBPD       one64<>(SB), Y8, Y9
+	VSUBPD       one64<>(SB), Y12, Y13
+	VFMADD213PD  Y1, Y0, Y2
+	VFMADD213PD  Y5, Y4, Y6
+	VFMADD213PD  Y9, Y8, Y10
+	VFMADD213PD  Y13, Y12, Y14
+	VMOVUPD      (SI), Y3
+	VMOVUPD      32(SI), Y7
+	VMOVUPD      64(SI), Y11
+	VMOVUPD      96(SI), Y15
+	VCMPPD       $0x16, zero64<>(SB), Y3, Y1
+	VCMPPD       $0x16, zero64<>(SB), Y7, Y5
+	VCMPPD       $0x16, zero64<>(SB), Y11, Y9
+	VCMPPD       $0x16, zero64<>(SB), Y15, Y13
+	VBLENDVPD    Y1, Y3, Y2, Y2
+	VBLENDVPD    Y5, Y7, Y6, Y6
+	VBLENDVPD    Y9, Y11, Y10, Y10
+	VBLENDVPD    Y13, Y15, Y14, Y14
+	VMOVUPD      Y2, (DI)
+	VMOVUPD      Y6, 32(DI)
+	VMOVUPD      Y10, 64(DI)
+	VMOVUPD      Y14, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $16, AX
+	CMPQ AX, $16
+	JGE  y16
 
-elu8:
-	VMOVUPD   (SI)(AX*8), Y0
-	VMOVUPD   32(SI)(AX*8), Y1
-	VCMPPD    $0x19, Y11, Y0, Y2 // not (v >= -700): below the floor, or NaN
-	VCMPPD    $0x19, Y11, Y1, Y3
-	VORPD     Y3, Y2, Y2
-	VMOVMSKPD Y2, DX
-	TESTQ     DX, DX
-	JNZ       elu4 // one of the two blocks is slow; find out which below
-	ELU4(Y0, Y2, Y4, X4, Y6)
-	ELU4(Y1, Y3, Y5, X5, Y7)
-	VMOVUPD   Y6, (DI)(AX*8)
-	VMOVUPD   Y7, 32(DI)(AX*8)
-	ADDQ      $8, AX
-	SUBQ      $8, CX
-	CMPQ      CX, $8
-	JGE       elu8
+y4:
+	CMPQ AX, $4
+	JLT  ytail
+	ELUY(0, Y0, Y1, Y2, Y3)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, AX
+	JMP  y4
 
-elu4:
-	TESTQ     CX, CX
-	JZ        eludone
-	VMOVUPD   (SI)(AX*8), Y0
-	VCMPPD    $0x19, Y11, Y0, Y2
-	VMOVMSKPD Y2, DX
-	TESTQ     DX, DX
-	JNZ       eludone
-	ELU4(Y0, Y2, Y4, X4, Y6)
-	VMOVUPD   Y6, (DI)(AX*8)
-	ADDQ      $4, AX
-	SUBQ      $4, CX
-	JMP       elu4
+ytail:
+	TESTQ AX, AX
+	JZ    ydone
+	// Y5 = lane < AX: the masked load zeroes the other lanes, the masked
+	// store leaves them alone.
+	MOVQ         AX, X5
+	VPBROADCASTQ X5, Y5
+	VMOVDQU      eluIota<>(SB), Y6
+	VPCMPGTQ     Y6, Y5, Y5
+	VMASKMOVPD   (SI), Y5, Y4
+	VMOVAPD      Y4, Y1
+	EXPM1Y(Y0, Y1, Y2, Y3)
+	SELECTY(Y4, Y1, Y2)
+	VMASKMOVPD   Y2, Y5, (DI)
 
-eludone:
+ydone:
 	VZEROUPPER
-	MOVQ AX, done+24(FP)
 	RET
 
 // func eluGradBlock64(n int64, y, dy, dx *float64) (done int64)
@@ -164,7 +287,7 @@ TEXT ·eluGradBlock64(SB), NOSPLIT, $0-40
 	XORQ AX, AX
 
 	VXORPD  Y12, Y12, Y12
-	VMOVUPD exp64One<>(SB), Y13
+	VMOVUPD one64<>(SB), Y13
 
 grad4:
 	VMOVUPD   (SI)(AX*8), Y0
@@ -217,114 +340,208 @@ adddone:
 
 // --- AVX-512F: the same three maps on eight lanes --------------------------
 
-// ELU8 is ELU4 on eight zmm lanes, instruction for instruction; where
-// AVX-512 spells a step differently the operation is unchanged:
-//
-//	ELU4 (ymm)                 here (zmm)
-//	VCVTPD2DQY ymm -> xmm      VCVTPD2DQ zmm -> ymm   (MXCSR rounding both)
-//	VCVTDQ2PD  xmm -> ymm      VCVTDQ2PD ymm -> zmm
-//	VPADDD / VPMOVZXDQ xmm     the same on ymm -> zmm
-//	VCMPPD -> ymm, VBLENDVPD   VCMPPD -> opmask, VBLENDMPD
-//
-// and every constant is a register, broadcast by the caller from the same
-// literals: Z16 0, Z17 LOG2E, Z18 LN2U, Z19 LN2L, Z20 1/16, Z21-Z26 C8-C3,
-// Z27 0.5, Z28 1, Z29 2, Y15 the exponent bias 0x3ff in eight dwords. m is
-// a scratch opmask.
-#define ELU8(v, t, k, kx, r, m) \
-	VMULPD       Z17, v, t; \
-	VCVTPD2DQ    t, kx; \
-	VCVTDQ2PD    kx, t; \
-	VMOVAPD      v, r; \
-	VFNMADD231PD Z18, t, r; \
-	VFNMADD231PD Z19, t, r; \
-	VMULPD       Z20, r, r; \
-	VMOVAPD      Z21, t; \
-	VFMADD213PD  Z22, r, t; \
-	VFMADD213PD  Z23, r, t; \
-	VFMADD213PD  Z24, r, t; \
-	VFMADD213PD  Z25, r, t; \
-	VFMADD213PD  Z26, r, t; \
-	VFMADD213PD  Z27, r, t; \
-	VFMADD213PD  Z28, r, t; \
-	VMULPD       t, r, r; \
-	VADDPD       Z29, r, t; \
-	VMULPD       t, r, r; \
-	VADDPD       Z29, r, t; \
-	VMULPD       t, r, r; \
-	VADDPD       Z29, r, t; \
-	VMULPD       t, r, r; \
-	VADDPD       Z29, r, t; \
-	VFMADD213PD  Z28, t, r; \
-	VPADDD       Y15, kx, kx; \
-	VPMOVZXDQ    kx, k; \
-	VPSLLQ       $52, k, k; \
-	VMULPD       k, r, r; \
-	VSUBPD       Z28, r, r; \
-	VCMPPD       $0x1e, Z16, v, m; \
-	VBLENDMPD    v, r, m, r
+// ELUZ is EXPM1Y and SELECTY on eight zmm lanes, step for step, with two
+// AVX-512 spellings: 2^t is VSCALEFPD of 1 by t (the exact power of two
+// the exponent-field construction builds, t being an integer in
+// [−58, 0] wherever it is used), and the select is an opmask m = v <= 0
+// under which s − 1 and then the last fma are computed into v itself, so
+// the lanes where !(v <= 0) keep v's bits. The result is left in v; a, b,
+// c and d are scratch. Constants: Z20 0, Z21 eluClamp, Z22 shifter, Z23
+// log2e, Z24 ln2Hi, Z25 ln2Lo, Z26 1, Z27-Z31 Q11-Q7, each broadcast by
+// the caller; Q6-Q0 are embedded broadcasts from memory.
+#define ELUZ(v, a, b, c, d, m) \
+	VMAXPD           Z21, v, b; \
+	VMOVAPD          Z22, a; \
+	VFMADD231PD      Z23, b, a; \
+	VSUBPD           Z22, a, c; \
+	VFNMADD231PD     Z24, c, b; \
+	VFNMADD231PD     Z25, c, b; \
+	VSCALEFPD        c, Z26, a; \
+	VMOVAPD          Z27, c; \
+	VFMADD213PD      Z28, b, c; \
+	VFMADD213PD      Z29, b, c; \
+	VFMADD213PD      Z30, b, c; \
+	VFMADD213PD      Z31, b, c; \
+	VFMADD213PD.BCST eluQ6<>(SB), b, c; \
+	VFMADD213PD.BCST eluQ5<>(SB), b, c; \
+	VFMADD213PD.BCST eluQ4<>(SB), b, c; \
+	VFMADD213PD.BCST eluQ3<>(SB), b, c; \
+	VFMADD213PD.BCST eluQ2<>(SB), b, c; \
+	VFMADD213PD.BCST eluQ1<>(SB), b, c; \
+	VFMADD213PD.BCST eluQ0<>(SB), b, c; \
+	VMULPD           b, b, d; \
+	VFMADD213PD      b, d, c; \
+	VCMPPD           $0x12, Z20, v, m; \
+	VSUBPD           Z26, a, m, v; \
+	VFMADD231PD      c, a, m, v
 
-// func eluBlock64x8(n int64, x, y *float64) (done int64)
+// func eluBlock64x8(n int64, x, y *float64)
 //
-// eluBlock64 with 8-lane blocks: the same stop rule (a block holding a
-// NaN, -Inf or v < -700), sixteen elements per iteration while they last.
-TEXT ·eluBlock64x8(SB), NOSPLIT, $0-32
-	MOVQ n+0(FP), CX
+// eluBlock64 on eight zmm lanes: thirty-two elements per iteration as four
+// independent chains, then eight at a time, then the remaining 1-7 under
+// an opmask.
+TEXT ·eluBlock64x8(SB), NOSPLIT, $0-24
+	MOVQ n+0(FP), AX
 	MOVQ x+8(FP), SI
 	MOVQ y+16(FP), DI
-	XORQ AX, AX // elements done
 
-	VPXORQ       Z16, Z16, Z16
-	VBROADCASTSD exp64Log2e<>(SB), Z17
-	VBROADCASTSD exp64Ln2U<>(SB), Z18
-	VBROADCASTSD exp64Ln2L<>(SB), Z19
-	VBROADCASTSD exp64Sixteenth<>(SB), Z20
-	VBROADCASTSD exp64C8<>(SB), Z21
-	VBROADCASTSD exp64C7<>(SB), Z22
-	VBROADCASTSD exp64C6<>(SB), Z23
-	VBROADCASTSD exp64C5<>(SB), Z24
-	VBROADCASTSD exp64C4<>(SB), Z25
-	VBROADCASTSD exp64C3<>(SB), Z26
-	VBROADCASTSD exp64Half<>(SB), Z27
-	VBROADCASTSD exp64One<>(SB), Z28
-	VBROADCASTSD exp64Two<>(SB), Z29
-	VBROADCASTSD exp64Floor<>(SB), Z30
-	VPBROADCASTD exp64Bias<>(SB), Y15
+	VPXORQ       Z20, Z20, Z20
+	VBROADCASTSD eluClamp<>(SB), Z21
+	VBROADCASTSD eluShifter<>(SB), Z22
+	VBROADCASTSD eluLog2e<>(SB), Z23
+	VBROADCASTSD eluLn2Hi<>(SB), Z24
+	VBROADCASTSD eluLn2Lo<>(SB), Z25
+	VBROADCASTSD one64<>(SB), Z26
+	VBROADCASTSD eluQ11<>(SB), Z27
+	VBROADCASTSD eluQ10<>(SB), Z28
+	VBROADCASTSD eluQ9<>(SB), Z29
+	VBROADCASTSD eluQ8<>(SB), Z30
+	VBROADCASTSD eluQ7<>(SB), Z31
 
-	CMPQ CX, $16
-	JLT  elux8
+	CMPQ AX, $32
+	JLT  z8
 
-elux16:
-	VMOVUPD  (SI)(AX*8), Z0
-	VMOVUPD  64(SI)(AX*8), Z1
-	VCMPPD   $0x19, Z30, Z0, K1 // not (v >= -700): below the floor, or NaN
-	VCMPPD   $0x19, Z30, Z1, K2
-	KORTESTW K1, K2
-	JNZ      elux8 // one of the two blocks is slow; find out which below
-	ELU8(Z0, Z2, Z4, Y4, Z6, K3)
-	ELU8(Z1, Z3, Z5, Y5, Z7, K4)
-	VMOVUPD  Z6, (DI)(AX*8)
-	VMOVUPD  Z7, 64(DI)(AX*8)
-	ADDQ     $16, AX
-	SUBQ     $16, CX
-	CMPQ     CX, $16
-	JGE      elux16
+z32:
+	VMOVUPD (SI), Z0
+	VMOVUPD 64(SI), Z1
+	VMOVUPD 128(SI), Z2
+	VMOVUPD 192(SI), Z3
+	// ELUZ on four chains, interleaved step by step so that the scheduler
+	// always holds four independent operations (chain i: v Z(i), a Z(4+i),
+	// b Z(8+i), c Z(12+i), d Z(16+i), m K(1+i)).
+	VMAXPD           Z21, Z0, Z8
+	VMAXPD           Z21, Z1, Z9
+	VMAXPD           Z21, Z2, Z10
+	VMAXPD           Z21, Z3, Z11
+	VMOVAPD          Z22, Z4
+	VMOVAPD          Z22, Z5
+	VMOVAPD          Z22, Z6
+	VMOVAPD          Z22, Z7
+	VFMADD231PD      Z23, Z8, Z4
+	VFMADD231PD      Z23, Z9, Z5
+	VFMADD231PD      Z23, Z10, Z6
+	VFMADD231PD      Z23, Z11, Z7
+	VSUBPD           Z22, Z4, Z12
+	VSUBPD           Z22, Z5, Z13
+	VSUBPD           Z22, Z6, Z14
+	VSUBPD           Z22, Z7, Z15
+	VFNMADD231PD     Z24, Z12, Z8
+	VFNMADD231PD     Z24, Z13, Z9
+	VFNMADD231PD     Z24, Z14, Z10
+	VFNMADD231PD     Z24, Z15, Z11
+	VFNMADD231PD     Z25, Z12, Z8
+	VFNMADD231PD     Z25, Z13, Z9
+	VFNMADD231PD     Z25, Z14, Z10
+	VFNMADD231PD     Z25, Z15, Z11
+	VSCALEFPD        Z12, Z26, Z4
+	VSCALEFPD        Z13, Z26, Z5
+	VSCALEFPD        Z14, Z26, Z6
+	VSCALEFPD        Z15, Z26, Z7
+	VMOVAPD          Z27, Z12
+	VMOVAPD          Z27, Z13
+	VMOVAPD          Z27, Z14
+	VMOVAPD          Z27, Z15
+	VFMADD213PD      Z28, Z8, Z12
+	VFMADD213PD      Z28, Z9, Z13
+	VFMADD213PD      Z28, Z10, Z14
+	VFMADD213PD      Z28, Z11, Z15
+	VFMADD213PD      Z29, Z8, Z12
+	VFMADD213PD      Z29, Z9, Z13
+	VFMADD213PD      Z29, Z10, Z14
+	VFMADD213PD      Z29, Z11, Z15
+	VFMADD213PD      Z30, Z8, Z12
+	VFMADD213PD      Z30, Z9, Z13
+	VFMADD213PD      Z30, Z10, Z14
+	VFMADD213PD      Z30, Z11, Z15
+	VFMADD213PD      Z31, Z8, Z12
+	VFMADD213PD      Z31, Z9, Z13
+	VFMADD213PD      Z31, Z10, Z14
+	VFMADD213PD      Z31, Z11, Z15
+	VFMADD213PD.BCST eluQ6<>(SB), Z8, Z12
+	VFMADD213PD.BCST eluQ6<>(SB), Z9, Z13
+	VFMADD213PD.BCST eluQ6<>(SB), Z10, Z14
+	VFMADD213PD.BCST eluQ6<>(SB), Z11, Z15
+	VFMADD213PD.BCST eluQ5<>(SB), Z8, Z12
+	VFMADD213PD.BCST eluQ5<>(SB), Z9, Z13
+	VFMADD213PD.BCST eluQ5<>(SB), Z10, Z14
+	VFMADD213PD.BCST eluQ5<>(SB), Z11, Z15
+	VFMADD213PD.BCST eluQ4<>(SB), Z8, Z12
+	VFMADD213PD.BCST eluQ4<>(SB), Z9, Z13
+	VFMADD213PD.BCST eluQ4<>(SB), Z10, Z14
+	VFMADD213PD.BCST eluQ4<>(SB), Z11, Z15
+	VFMADD213PD.BCST eluQ3<>(SB), Z8, Z12
+	VFMADD213PD.BCST eluQ3<>(SB), Z9, Z13
+	VFMADD213PD.BCST eluQ3<>(SB), Z10, Z14
+	VFMADD213PD.BCST eluQ3<>(SB), Z11, Z15
+	VFMADD213PD.BCST eluQ2<>(SB), Z8, Z12
+	VFMADD213PD.BCST eluQ2<>(SB), Z9, Z13
+	VFMADD213PD.BCST eluQ2<>(SB), Z10, Z14
+	VFMADD213PD.BCST eluQ2<>(SB), Z11, Z15
+	VFMADD213PD.BCST eluQ1<>(SB), Z8, Z12
+	VFMADD213PD.BCST eluQ1<>(SB), Z9, Z13
+	VFMADD213PD.BCST eluQ1<>(SB), Z10, Z14
+	VFMADD213PD.BCST eluQ1<>(SB), Z11, Z15
+	VFMADD213PD.BCST eluQ0<>(SB), Z8, Z12
+	VFMADD213PD.BCST eluQ0<>(SB), Z9, Z13
+	VFMADD213PD.BCST eluQ0<>(SB), Z10, Z14
+	VFMADD213PD.BCST eluQ0<>(SB), Z11, Z15
+	VMULPD           Z8, Z8, Z16
+	VMULPD           Z9, Z9, Z17
+	VMULPD           Z10, Z10, Z18
+	VMULPD           Z11, Z11, Z19
+	VFMADD213PD      Z8, Z16, Z12
+	VFMADD213PD      Z9, Z17, Z13
+	VFMADD213PD      Z10, Z18, Z14
+	VFMADD213PD      Z11, Z19, Z15
+	VCMPPD           $0x12, Z20, Z0, K1
+	VCMPPD           $0x12, Z20, Z1, K2
+	VCMPPD           $0x12, Z20, Z2, K3
+	VCMPPD           $0x12, Z20, Z3, K4
+	VSUBPD           Z26, Z4, K1, Z0
+	VSUBPD           Z26, Z5, K2, Z1
+	VSUBPD           Z26, Z6, K3, Z2
+	VSUBPD           Z26, Z7, K4, Z3
+	VFMADD231PD      Z12, Z4, K1, Z0
+	VFMADD231PD      Z13, Z5, K2, Z1
+	VFMADD231PD      Z14, Z6, K3, Z2
+	VFMADD231PD      Z15, Z7, K4, Z3
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ    $256, SI
+	ADDQ    $256, DI
+	SUBQ    $32, AX
+	CMPQ    AX, $32
+	JGE     z32
 
-elux8:
-	TESTQ    CX, CX
-	JZ       eluxdone
-	VMOVUPD  (SI)(AX*8), Z0
-	VCMPPD   $0x19, Z30, Z0, K1
-	KORTESTW K1, K1
-	JNZ      eluxdone
-	ELU8(Z0, Z2, Z4, Y4, Z6, K3)
-	VMOVUPD  Z6, (DI)(AX*8)
-	ADDQ     $8, AX
-	SUBQ     $8, CX
-	JMP      elux8
+z8:
+	CMPQ AX, $8
+	JLT  ztail
+	VMOVUPD (SI), Z0
+	ELUZ(Z0, Z4, Z8, Z12, Z16, K1)
+	VMOVUPD Z0, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	SUBQ    $8, AX
+	JMP     z8
 
-eluxdone:
+ztail:
+	TESTQ AX, AX
+	JZ    zdone
+	// K5 = the low AX lanes: the masked load zeroes the others, the masked
+	// store leaves them alone.
+	MOVQ      AX, CX
+	MOVL      $1, BX
+	SHLL      CX, BX
+	DECL      BX
+	KMOVW     BX, K5
+	VMOVUPD.Z (SI), K5, Z0
+	ELUZ(Z0, Z4, Z8, Z12, Z16, K1)
+	VMOVUPD   Z0, K5, (DI)
+
+zdone:
 	VZEROUPPER
-	MOVQ AX, done+24(FP)
 	RET
 
 // func eluGradBlock64x8(n int64, y, dy, dx *float64) (done int64)
@@ -336,7 +553,7 @@ TEXT ·eluGradBlock64x8(SB), NOSPLIT, $0-40
 	XORQ AX, AX
 
 	VPXORQ       Z16, Z16, Z16
-	VBROADCASTSD exp64One<>(SB), Z28
+	VBROADCASTSD one64<>(SB), Z28
 
 gradx8:
 	VMOVUPD   (SI)(AX*8), Z0

@@ -95,12 +95,12 @@ var (
 //
 // The two SIMD rungs are bit-for-bit equal: an output element sees the
 // same ascending-k fused multiply-adds (below packMinKN, all three rungs
-// see the legacy unfused expression), every float64 exponential is
-// math.archExp's instruction sequence and every float32 one the same fused
-// sequence (elu32.go) on either, so a PackedB, a PackedB32, a golden file
-// and a checkpoint move between them freely. tierGo rounds differently
-// (no FMA: the packed tier and the float32 exponential, expM1Neg) and
-// packs narrower panels.
+// see the legacy unfused expression) and every float32 exponential the
+// same fused sequence (elu32.go) on either, so a PackedB, a PackedB32, a
+// golden file and a checkpoint move between them freely. The float64 ELU
+// is one definition on all three rungs (Elu, elu64.go). tierGo rounds the
+// rest differently (no FMA: the packed tier and the float32 exponential,
+// expM1Neg) and packs narrower panels.
 type kernelTier int
 
 const (

@@ -49,15 +49,21 @@ func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) (done int64)
 //go:noescape
 func gemmATB64(rows, in, n int64, x, dy, acc *float64) (done int64)
 
-// The float32 ELU kernels (elu32_amd64.s): any n >= 1, the elements past
-// the last whole group through masked lanes. Every input is done, so
-// neither stops.
+// The ELU kernels of both element types (elu32_amd64.s, elu64_amd64.s):
+// any n >= 1, the elements past the last whole vector through masked
+// lanes. Every input is done, so none stops.
 
 //go:noescape
 func eluBlock32(n int64, x, y *float32)
 
 //go:noescape
 func eluBlock32x16(n int64, x, y *float32)
+
+//go:noescape
+func eluBlock64(n int64, x, y *float64)
+
+//go:noescape
+func eluBlock64x8(n int64, x, y *float64)
 
 // The stop-and-fall-back elementwise kernels (elu64_amd64.s,
 // elu32_amd64.s). n is a positive multiple of the kernel's lane count (4
@@ -67,16 +73,10 @@ func eluBlock32x16(n int64, x, y *float32)
 // bit-exactly.
 
 //go:noescape
-func eluBlock64(n int64, x, y *float64) (done int64)
-
-//go:noescape
 func eluGradBlock64(n int64, y, dy, dx *float64) (done int64)
 
 //go:noescape
 func addBlock64(n int64, dst, v *float64) (done int64)
-
-//go:noescape
-func eluBlock64x8(n int64, x, y *float64) (done int64)
 
 //go:noescape
 func eluGradBlock64x8(n int64, y, dy, dx *float64) (done int64)

@@ -43,11 +43,11 @@ func gemmATB64(rows, in, n int64, x, dy, acc *float64) (done int64) { panic(noSI
 
 func eluBlock32(n int64, x, y *float32)    { panic(noSIMD) }
 func eluBlock32x16(n int64, x, y *float32) { panic(noSIMD) }
+func eluBlock64(n int64, x, y *float64)    { panic(noSIMD) }
+func eluBlock64x8(n int64, x, y *float64)  { panic(noSIMD) }
 
-func eluBlock64(n int64, x, y *float64) (done int64)            { panic(noSIMD) }
 func eluGradBlock64(n int64, y, dy, dx *float64) (done int64)   { panic(noSIMD) }
 func addBlock64(n int64, dst, v *float64) (done int64)          { panic(noSIMD) }
-func eluBlock64x8(n int64, x, y *float64) (done int64)          { panic(noSIMD) }
 func eluGradBlock64x8(n int64, y, dy, dx *float64) (done int64) { panic(noSIMD) }
 func addBlock64x8(n int64, dst, v *float64) (done int64)        { panic(noSIMD) }
 func addBlock32(n int64, dst, v *float32) (done int64)          { panic(noSIMD) }
