@@ -160,7 +160,7 @@ func BenchmarkFig8_RelativeThroughput(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md "key design decisions") ----------------
+// --- Ablation benches -------------------------------------------------
 
 // BenchmarkAblation_ExchangeModes times one full distributed training
 // iteration under each halo exchange implementation at R=8, isolating the
@@ -188,48 +188,6 @@ func BenchmarkAblation_ExchangeModes(b *testing.B) {
 					trainer := NewTrainer(model, NewSGD(0.01))
 					x := r.Sample(TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
 					trainer.Step(r.Ctx, x, x)
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_DegreeScaling compares the consistent degree-scaled
-// aggregation against the unscaled variant (which double-counts shared
-// edges): the scaling costs one multiply per edge and buys consistency.
-func BenchmarkAblation_DegreeScaling(b *testing.B) {
-	b.ReportAllocs()
-	for _, scaled := range []bool{true, false} {
-		name := "scaled"
-		if !scaled {
-			name = "unscaled"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			m, err := NewMesh(6, 6, 6, 2, NonPeriodic)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys, err := NewSystem(m, 4, Blocks)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				err := sys.Run(NeighborAllToAll, func(r *Rank) error {
-					model, err := NewModel(SmallConfig())
-					if err != nil {
-						return err
-					}
-					for _, l := range model.Layers {
-						l.DisableDegreeScaling = !scaled
-					}
-					x := r.Sample(TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
-					model.Forward(r.Ctx, x)
 					return nil
 				})
 				if err != nil {

@@ -1,9 +1,10 @@
-// Package cmdtest smoke-tests the cmd/ binaries end to end: each is
-// compiled with the local toolchain and run on a tiny mesh, including the
-// -procs multi-process launcher path and the cross-transport consistency
-// harness (the CI assertion behind the paper's consistency claim holding
-// across the process boundary). It also vets and tests the benchmark
-// module, which go test ./... does not otherwise reach.
+// Package cmdtest smoke-tests the cmd/ binaries and the examples end to
+// end: each is compiled with the local toolchain and run on a tiny mesh,
+// including the -procs multi-process launcher path and the cross-transport
+// consistency harness (the CI assertion behind the paper's consistency
+// claim holding across the process boundary); the examples' printed
+// results are held to what they demonstrate. It also vets and tests the
+// benchmark module, which go test ./... does not otherwise reach.
 package cmdtest
 
 import (
@@ -11,6 +12,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,10 +25,12 @@ var (
 	buildErr  error
 )
 
-// binaries compiled for the smoke tests.
-var commands = []string{"train", "scaling", "consistency", "meshinfo", "serve", "chaos"}
+// programs compiled for the smoke tests; each binary is named after the
+// last element of its package path.
+var programs = []string{"cmd/train", "cmd/scaling", "cmd/consistency", "cmd/meshinfo",
+	"cmd/serve", "cmd/chaos", "examples/quickstart", "examples/insitu"}
 
-// build compiles the cmd binaries once per test process.
+// build compiles the programs once per test process.
 func build(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
@@ -33,12 +38,12 @@ func build(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, name := range commands {
+		for _, pkg := range programs {
 			cmd := exec.Command("go", "build", "-o",
-				filepath.Join(buildDir, name), "./cmd/"+name)
+				filepath.Join(buildDir, filepath.Base(pkg)), "./"+pkg)
 			cmd.Dir = moduleRoot()
 			if out, err := cmd.CombinedOutput(); err != nil {
-				buildErr = &buildFailure{name: name, out: string(out), err: err}
+				buildErr = &buildFailure{pkg: pkg, out: string(out), err: err}
 				return
 			}
 		}
@@ -50,13 +55,13 @@ func build(t *testing.T) string {
 }
 
 type buildFailure struct {
-	name string
-	out  string
-	err  error
+	pkg string
+	out string
+	err error
 }
 
 func (b *buildFailure) Error() string {
-	return "building cmd/" + b.name + ": " + b.err.Error() + "\n" + b.out
+	return "building " + b.pkg + ": " + b.err.Error() + "\n" + b.out
 }
 
 // moduleRoot walks up from the working directory to the go.mod.
@@ -306,6 +311,52 @@ func TestMeshinfoSmoke(t *testing.T) {
 	out := runCmd(t, "meshinfo", "-ex", "2", "-ey", "2", "-ez", "2", "-p", "1", "-ranks", "2")
 	if len(strings.TrimSpace(out)) == 0 {
 		t.Fatal("meshinfo produced no output")
+	}
+}
+
+// number returns the float that re captures (its first group) in out.
+func number(t *testing.T, out string, re *regexp.Regexp) float64 {
+	t.Helper()
+	m := re.FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("output has no match for %s:\n%s", re, out)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatalf("%s: %v", re, err)
+	}
+	return v
+}
+
+// TestQuickstartExample runs examples/quickstart: the 4-rank outputs must
+// equal the single-rank ones to roundoff (paper Eq. 2), and the training
+// loss must fall.
+func TestQuickstartExample(t *testing.T) {
+	out := runCmd(t, "quickstart")
+	if d := number(t, out, regexp.MustCompile(`max \|Y\(R=4\) - Y\(R=1\)\| = (\S+)`)); d > 1e-12 {
+		t.Fatalf("partitioned outputs deviate by %g:\n%s", d, out)
+	}
+	iters := regexp.MustCompile(`(?m)^\s+iter\s+\d+: (\S+)$`).FindAllStringSubmatch(out, -1)
+	if len(iters) < 2 {
+		t.Fatalf("no loss curve in output:\n%s", out)
+	}
+	first, err1 := strconv.ParseFloat(iters[0][1], 64)
+	last, err2 := strconv.ParseFloat(iters[len(iters)-1][1], 64)
+	if err1 != nil || err2 != nil || !(last < first) {
+		t.Fatalf("loss did not fall (first %q, last %q):\n%s", iters[0][1], iters[len(iters)-1][1], out)
+	}
+}
+
+// TestInsituExample runs examples/insitu: the surrogate trained online on
+// the solver's stream must track the solver on a held-out step, and the
+// reloaded checkpoint must serve finite outputs on a finer mesh.
+func TestInsituExample(t *testing.T) {
+	out := runCmd(t, "insitu")
+	if e := number(t, out, regexp.MustCompile(`held-out surrogate-vs-solver relative L2: (\S+)`)); e > 0.05 {
+		t.Fatalf("held-out relative L2 %g above 0.05:\n%s", e, out)
+	}
+	if !strings.Contains(out, "finite=true") {
+		t.Fatalf("reloaded checkpoint served non-finite outputs:\n%s", out)
 	}
 }
 

@@ -116,9 +116,6 @@ func (p *FaultPlan) Add(rank int, ev FaultEvent) *FaultPlan {
 	return p
 }
 
-// Empty reports whether the plan schedules no faults at all.
-func (p *FaultPlan) Empty() bool { return len(p.events) == 0 }
-
 // Wrap is the per-rank transport wrapper realizing the plan: endpoints
 // with scheduled events are wrapped in a FaultTransport, the rest pass
 // through untouched. Pass it to RunWith, RunSocketsWith, or
@@ -197,9 +194,6 @@ func NewFaultTransport(inner Transport, evs []FaultEvent) *FaultTransport {
 		dead:  make(map[int]bool),
 	}
 }
-
-// Inner returns the wrapped endpoint.
-func (t *FaultTransport) Inner() Transport { return t.inner }
 
 // Ops returns the number of operations the endpoint has performed —
 // deterministic for a deterministic workload, which is how the chaos

@@ -133,16 +133,3 @@ func (k TransportKind) String() string {
 	}
 	return fmt.Sprintf("TransportKind(%d)", int(k))
 }
-
-// ParseTransportKind converts the CLI spelling of a transport kind.
-func ParseTransportKind(s string) (TransportKind, error) {
-	switch s {
-	case "inproc", "in-process", "goroutines":
-		return InProcess, nil
-	case "sockets", "socket":
-		return Sockets, nil
-	case "procs", "processes", "proc":
-		return Processes, nil
-	}
-	return 0, fmt.Errorf("comm: unknown transport %q (want inproc, sockets, or procs)", s)
-}

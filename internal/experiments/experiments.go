@@ -1,7 +1,7 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (Sec. III), producing the same rows and series the
-// paper reports. DESIGN.md carries the experiment index; EXPERIMENTS.md
-// records paper-vs-measured values.
+// paper reports; cmd/scaling, cmd/consistency and cmd/meshinfo print
+// them.
 //
 // Two tiers exist for the scaling studies:
 //

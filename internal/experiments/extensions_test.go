@@ -118,83 +118,3 @@ func TestExtensionRenderers(t *testing.T) {
 		}
 	}
 }
-
-func TestLayerSweepShape(t *testing.T) {
-	pts, err := LayerSweep(perfmodel.Frontier(), 5, Loading512k(), 512,
-		gnn.LargeConfig(), []int{2, 4, 8}, DefaultModes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 9 {
-		t.Fatalf("%d points", len(pts))
-	}
-	// At every depth the baseline is 1 by definition and A2A trails
-	// N-A2A (its per-exchange cost at 512 ranks dominates).
-	rel := func(m int, mode comm.ExchangeMode) float64 {
-		for _, p := range pts {
-			if p.MPLayers == m && p.Mode == mode {
-				return p.Relative
-			}
-		}
-		t.Fatalf("missing %d/%v", m, mode)
-		return 0
-	}
-	for _, m := range []int{2, 4, 8} {
-		if rel(m, comm.NoExchange) != 1 {
-			t.Fatal("baseline relative must be 1")
-		}
-		if rel(m, comm.AllToAllMode) >= rel(m, comm.NeighborAllToAll) {
-			t.Fatalf("M=%d: A2A should trail N-A2A", m)
-		}
-	}
-	var sb strings.Builder
-	RenderLayerSweep(&sb, pts)
-	if !strings.Contains(sb.String(), "exchanges/step") {
-		t.Fatal("render missing header")
-	}
-}
-
-func TestHaloVolumeAccounting(t *testing.T) {
-	rows, err := HaloVolume(5, Loading512k(), []int{8, 2048}, gnn.LargeConfig(), DefaultModes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(r int, mode comm.ExchangeMode) HaloVolumeRow {
-		for _, row := range rows {
-			if row.Ranks == r && row.Mode == mode {
-				return row
-			}
-		}
-		t.Fatalf("missing %d/%v", r, mode)
-		return HaloVolumeRow{}
-	}
-	if v := get(8, comm.NoExchange); v.BytesPerStep != 0 || v.MessagesPerStep != 0 {
-		t.Fatalf("no-exchange traffic %+v", v)
-	}
-	// N-A2A volume is loading-determined, not R-determined: identical
-	// useful bytes at 8 and 2048 ranks up to halo-count variation.
-	na8, na2048 := get(8, comm.NeighborAllToAll), get(2048, comm.NeighborAllToAll)
-	if na8.BytesPerStep <= 0 || na2048.BytesPerStep <= 0 {
-		t.Fatal("missing N-A2A traffic")
-	}
-	ratio := float64(na2048.BytesPerStep) / float64(na8.BytesPerStep)
-	if ratio > 4 {
-		t.Fatalf("N-A2A volume grew %vx from 8 to 2048 ranks", ratio)
-	}
-	// A2A volume explodes with R and is mostly dummy.
-	a8, a2048 := get(8, comm.AllToAllMode), get(2048, comm.AllToAllMode)
-	// Peers grow 256x from 8 to 2048 ranks; the per-peer uniform buffer
-	// shrinks somewhat as the partition switches from slabs to blocks,
-	// so the net growth is ~70x.
-	if a2048.BytesPerStep < 50*a8.BytesPerStep {
-		t.Fatalf("A2A volume should explode with R: %d -> %d", a8.BytesPerStep, a2048.BytesPerStep)
-	}
-	if a2048.DummyFraction < 0.9 {
-		t.Fatalf("A2A at 2048 ranks should be mostly dummy traffic: %v", a2048.DummyFraction)
-	}
-	var sb strings.Builder
-	RenderHaloVolume(&sb, rows)
-	if !strings.Contains(sb.String(), "dummy fraction") {
-		t.Fatal("render missing header")
-	}
-}

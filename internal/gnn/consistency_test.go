@@ -270,7 +270,10 @@ func TestGradientInconsistencyWithoutExchange(t *testing.T) {
 	}
 }
 
-// The degree-scaling ablation must break consistency (DESIGN.md §1).
+// Aggregation without the 1/d_ij factor of (4b) double-counts the edges
+// coincident copies share, so the degree scaling is what makes a
+// partitioned run equal the single-rank one: with every factor set to 1
+// the two-rank loss must differ.
 func TestUnscaledAggregationBreaksConsistency(t *testing.T) {
 	box, err := mesh.NewBox(4, 2, 2, 1, [3]bool{})
 	if err != nil {
@@ -284,6 +287,11 @@ func TestUnscaledAggregationBreaksConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, l := range locals {
+		for k := range l.InvEdgeDegree {
+			l.InvEdgeDegree[k] = 1
+		}
+	}
 	ref := runForwardLoss(t, box, 1, comm.SendRecvMode, tinyConfig(), false)
 	results, err := comm.RunCollect(2, func(c *comm.Comm) (float64, error) {
 		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
@@ -293,9 +301,6 @@ func TestUnscaledAggregationBreaksConsistency(t *testing.T) {
 		model, err := NewModel(tinyConfig())
 		if err != nil {
 			return 0, err
-		}
-		for _, l := range model.Layers {
-			l.DisableDegreeScaling = true
 		}
 		x := waveField(rc.Graph)
 		y := model.Forward(rc, x)

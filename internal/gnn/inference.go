@@ -112,7 +112,6 @@ type inferCore[P, M any] struct {
 // and node MLPs.
 type coreLayer[P any] struct {
 	edgeMLP, nodeMLP P
-	disableDeg       bool
 }
 
 func compileCore[P, M any](m *Model, compile func(*nn.MLP) P) *inferCore[P, M] {
@@ -123,9 +122,8 @@ func compileCore[P, M any](m *Model, compile func(*nn.MLP) P) *inferCore[P, M] {
 	}
 	for _, l := range m.Layers {
 		c.layers = append(c.layers, coreLayer[P]{
-			edgeMLP:    compile(l.EdgeMLP),
-			nodeMLP:    compile(l.NodeMLP),
-			disableDeg: l.DisableDegreeScaling,
+			edgeMLP: compile(l.EdgeMLP),
+			nodeMLP: compile(l.NodeMLP),
 		})
 	}
 	return c
@@ -414,7 +412,7 @@ func (u *pass64) encodeEdges(rc *RankContext, xs []*tensor.Matrix, static bool) 
 
 func (u *pass64) process(rc *RankContext, i int, x, e *tensor.Matrix, batch int, overlap bool) (xOut, eOut *tensor.Matrix) {
 	u.layer = &u.core.layers[i]
-	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap, u.layer.disableDeg)
+	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap)
 }
 
 func (u *pass64) runEdge(rows int, head, tail nn.RowMap[float64]) *tensor.Matrix {
@@ -508,7 +506,7 @@ func (u *pass32) encodeEdges(rc *RankContext, xs []*tensor.Matrix, static bool) 
 
 func (u *pass32) process(rc *RankContext, i int, x, e *tensor.Matrix32, batch int, overlap bool) (xOut, eOut *tensor.Matrix32) {
 	u.layer = &u.core.layers[i]
-	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap, u.layer.disableDeg)
+	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap)
 }
 
 func (u *pass32) decodeInto(dst *tensor.Matrix, x *tensor.Matrix32) {

@@ -219,13 +219,10 @@ func (t *residualTask[T]) Rows(p []T, r0, r1 int) {
 // once per edge. eo is the edge offset of the row's sample block. Both
 // loops that aggregate call it, so a row's bits do not depend on which one
 // it lands in.
-func aggRow[T elem](dst []T, g *graph.Local, eOut rowsOf[T], eo, i int, disableDeg bool) {
+func aggRow[T elem](dst []T, g *graph.Local, eOut rowsOf[T], eo, i int) {
 	clear(dst)
 	for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
-		inv := T(1)
-		if !disableDeg {
-			inv = T(g.InvEdgeDegree[k])
-		}
+		inv := T(g.InvEdgeDegree[k])
 		for j, v := range eOut.row(eo + k) {
 			dst[j] += inv * v
 		}
@@ -236,10 +233,9 @@ func aggRow[T elem](dst []T, g *graph.Local, eOut rowsOf[T], eo, i int, disableD
 // rows and aggregates them (aggRow) into the aggregate matrix, so the
 // result is the same for any thread count, batch and split.
 type aggTask[T elem] struct {
-	g          *graph.Local
-	eOut, agg  rowsOf[T]
-	disableDeg bool
-	rows       span
+	g         *graph.Local
+	eOut, agg rowsOf[T]
+	rows      span
 }
 
 func (t *aggTask[T]) Run(lo, hi int) { runBlocks(t, t.rows.n, lo, hi) }
@@ -249,7 +245,7 @@ func (t *aggTask[T]) block(b, lo, hi int) {
 	xo, eo := b*g.NumLocal(), b*g.NumEdges()
 	for q := lo; q < hi; q++ {
 		i := t.rows.at(q)
-		aggRow(t.agg.row(xo+i), g, t.eOut, eo, i, t.disableDeg)
+		aggRow(t.agg.row(xo+i), g, t.eOut, eo, i)
 	}
 }
 
@@ -268,7 +264,6 @@ type nodeInTask[T elem] struct {
 	g            *graph.Local
 	eOut         rowsOf[T]
 	agg, halo, x rowsOf[T]
-	disableDeg   bool
 	aggInterior  bool
 }
 
@@ -283,7 +278,7 @@ func (t *nodeInTask[T]) Rows(p []T, r0, r1 int) {
 			row := out.row(r - r0)
 			dst := row[:h]
 			if t.aggInterior && g.NodeDegree[i] <= 1 {
-				aggRow(dst, g, t.eOut, eo, i, t.disableDeg)
+				aggRow(dst, g, t.eOut, eo, i)
 			} else {
 				copy(dst, t.agg.row(r))
 				for c := g.HaloStart[i]; c < g.HaloStart[i+1]; c++ {
@@ -330,7 +325,7 @@ type nmpTasks[T elem] struct {
 // (batch·N_local)×H, e is (batch·N_edges)×H, and the returned pair the
 // updated features, drawn from u's workspaces.
 func forwardNMP[T elem, M any](u nmpUser[T, M], t *nmpTasks[T], rc *RankContext,
-	x, e M, batch int, overlap, disableDeg bool) (xOut, eOut M) {
+	x, e M, batch int, overlap bool) (xOut, eOut M) {
 	g := rc.Graph
 	xv, ev := u.view(x), u.view(e)
 	h := xv.cols
@@ -350,7 +345,7 @@ func forwardNMP[T elem, M any](u nmpUser[T, M], t *nmpTasks[T], rc *RankContext,
 	halo := u.get(batch*g.NumHalo(), h, true)
 	before, during := splitNodes(g, overlap)
 	eOutV := u.view(eOut)
-	t.aggT = aggTask[T]{g: g, eOut: eOutV, agg: u.view(agg), disableDeg: disableDeg, rows: before}
+	t.aggT = aggTask[T]{g: g, eOut: eOutV, agg: u.view(agg), rows: before}
 	parallel.ForTask(batch*before.n, grain, &t.aggT)
 	// The plan sends boundary rows only, and those are final here.
 	src, dst := u.toWire(g, agg, halo)
@@ -364,7 +359,7 @@ func forwardNMP[T elem, M any](u nmpUser[T, M], t *nmpTasks[T], rc *RankContext,
 	// the interior rows), concatenate → node MLP → residual, over all rows
 	// in storage order.
 	t.nodeInT = nodeInTask[T]{g: g, eOut: eOutV, agg: u.view(agg), halo: u.view(halo), x: xv,
-		disableDeg: disableDeg, aggInterior: !overlap}
+		aggInterior: !overlap}
 	t.resT = residualTask[T]{src: xv}
 	xOut = u.runNode(batch*nl, &t.nodeInT, &t.resT)
 	return xOut, eOut
@@ -398,11 +393,6 @@ func (*direct64) toWire(_ *graph.Local, agg, halo *tensor.Matrix) (src, dst *ten
 type NMPLayer struct {
 	EdgeMLP *nn.MLP // (x_dst ‖ x_src ‖ e) → H
 	NodeMLP *nn.MLP // (a* ‖ x) → H
-
-	// DisableDegreeScaling drops the 1/d_ij factor in (4b), an ablation
-	// that double-counts shared-face edges and breaks consistency; used
-	// to demonstrate why the scaling is load-bearing.
-	DisableDegreeScaling bool
 
 	// Overlap selects the phased split point (set from Config.Overlap by
 	// NewModel; bitwise-identical to the synchronous one).
@@ -459,7 +449,7 @@ func (l *NMPLayer) Forward(rc *RankContext, x, e *tensor.Matrix) (xOut, eOut *te
 // context and batch for Backward.
 func (l *NMPLayer) forward(rc *RankContext, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix) {
 	l.rc, l.batch = rc, batch
-	return forwardNMP(l, &l.fwd, rc, x, e, batch, l.Overlap, l.DisableDegreeScaling)
+	return forwardNMP(l, &l.fwd, rc, x, e, batch, l.Overlap)
 }
 
 // Backward propagates gradients dxOut, deOut through the layer after the
@@ -502,8 +492,7 @@ func (l *NMPLayer) Backward(dxOut, deOut *tensor.Matrix) (dx, de *tensor.Matrix)
 	dEOut := l.arena.Get(batch*ne, h)
 	during := edgesDuring(g, l.Overlap)
 	rc.Ex.Start(rc.Comm, comm.Adjoint, dHalo, dAgg, batch)
-	l.dEOutT = dEOutTask{g: g, dAgg: dAgg, deOut: deOut, dOut: dEOut,
-		disableDeg: l.DisableDegreeScaling, edges: during}
+	l.dEOutT = dEOutTask{g: g, dAgg: dAgg, deOut: deOut, dOut: dEOut, edges: during}
 	parallel.ForTask(batch*during.n, grain, &l.dEOutT)
 	rc.Ex.Finish(rc.Comm)
 	l.dEOutT.edges, l.dEOutT.boundaryOnly = span{n: ne}, l.Overlap
@@ -590,7 +579,6 @@ func (t *edgeGradTask) Rows(p []float64, r0, r1 int) {
 type dEOutTask struct {
 	g                 *graph.Local
 	dAgg, deOut, dOut *tensor.Matrix
-	disableDeg        bool
 	edges             span
 	boundaryOnly      bool
 }
@@ -611,10 +599,7 @@ func (t *dEOutTask) block(b, lo, hi int) {
 		}
 		src := t.dAgg.Row(xo + recv)
 		dst := t.dOut.Row(eo + k)
-		inv := 1.0
-		if !t.disableDeg {
-			inv = g.InvEdgeDegree[k]
-		}
+		inv := g.InvEdgeDegree[k]
 		for j, v := range src {
 			dst[j] = inv * v
 		}

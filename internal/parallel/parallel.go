@@ -1,8 +1,8 @@
 // Package parallel is the intra-rank compute engine: a persistent worker
-// pool with chunked For/Reduce primitives that the tensor, nn, and gnn
-// kernels run on. It is the second axis of parallelism in this library —
-// goroutine ranks provide the SPMD (inter-rank) axis, and this package
-// multiplies each rank's per-core throughput without changing any
+// pool with chunked loop and reduction primitives that the tensor, nn,
+// and gnn kernels run on. It is the second axis of parallelism in this
+// library — goroutine ranks provide the SPMD (inter-rank) axis, and this
+// package multiplies each rank's per-core throughput without changing any
 // numerical result.
 //
 // Determinism contract. The paper's consistency properties (Eqs. 2–3) are
@@ -11,28 +11,28 @@
 // engine therefore guarantees that, in deterministic mode (the default),
 // every result is bitwise-identical for any Threads setting:
 //
-//   - For partitions [0,n) into disjoint chunks where each index is
+//   - ForTask partitions [0,n) into disjoint chunks where each index is
 //     written by exactly one worker, so chunking cannot change results;
-//   - Reduce derives its chunk structure from the problem shape only
-//     (never from the thread count), gives every chunk a private partial
-//     accumulator, and merges the partials in ascending chunk order. The
-//     Threads=1 path executes the *same* chunk schedule sequentially, so
-//     serial and parallel runs agree bit-for-bit.
+//   - ReduceWith and ReduceAll derive their chunk structure from the
+//     problem shape only (never from the thread count), give every chunk a
+//     private partial accumulator, and merge the partials in ascending
+//     chunk order. The Threads=1 path executes the *same* chunk schedule
+//     sequentially, so serial and parallel runs agree bit-for-bit.
 //
 // This is the fixed-schedule reduction discipline: floating-point addition
 // is not associative, so reproducibility requires the summation tree to be
 // a function of the data layout alone. SetDeterministic(false) relaxes
-// Reduce to thread-count-dependent chunking (fewer, larger partials —
-// slightly faster, still race-free and run-to-run stable for a fixed
-// Threads value, but not reproducible across different Threads settings).
+// the reductions to thread-count-dependent chunking (fewer, larger
+// partials — slightly faster, still race-free and run-to-run stable for a
+// fixed Threads value, but not reproducible across different Threads
+// settings).
 //
 // Allocation contract. The dispatch machinery itself allocates nothing in
 // steady state: jobs, reduction runners, and partial accumulators are all
-// recycled through pools. Hot kernels reach the zero-allocation path by
-// using the Task/Reducer forms (ForTask, ReduceWith, ReduceAll) with
-// reusable bound argument structs instead of fresh closures; the closure
-// forms (For, Reduce) remain for cold call sites and cost one adapter
-// allocation when a region actually goes parallel.
+// recycled through pools. Regions are dispatched through the Task,
+// Reducer and MultiReducer interfaces (ForTask, ReduceWith, ReduceAll),
+// implemented by reusable bound argument structs, so no region allocates
+// a closure.
 //
 // Region granularity. A region that goes parallel is handed to parked
 // workers through a channel, and a parked worker does not start at once:
@@ -62,8 +62,8 @@
 // nothing else.
 //
 // The pool is process-wide and shared by all goroutine ranks: concurrent
-// For/Reduce calls from different ranks interleave their chunks over the
-// same workers. Each calling rank also executes chunks itself, so R ranks
+// regions from different ranks interleave their chunks over the same
+// workers. Each calling rank also executes chunks itself, so R ranks
 // at Threads = T run on at most R + (T-1) goroutines — the pool adds at
 // most T-1 workers on top of the SPMD ranks, never R×T.
 package parallel
@@ -85,8 +85,7 @@ type Task interface {
 	Run(lo, hi int)
 }
 
-// Reducer is a chunked-reduction body bound to its arguments, the
-// allocation-free counterpart of the Reduce closure pair.
+// Reducer is a chunked-reduction body bound to its arguments.
 type Reducer interface {
 	// Body accumulates the contribution of rows [lo, hi) into acc, a
 	// private zeroed accumulator. It may be called concurrently on
@@ -241,9 +240,9 @@ func Clamp(n int) int {
 }
 
 // SetDeterministic toggles the fixed-schedule reduction discipline
-// (default true). When false, Reduce may choose chunk sizes from the
-// thread count, trading cross-Threads bitwise reproducibility for fewer
-// partial buffers.
+// (default true). When false, the reductions may choose chunk sizes from
+// the thread count, trading cross-Threads bitwise reproducibility for
+// fewer partial buffers.
 func SetDeterministic(det bool) { nonDeterministic.Store(!det) }
 
 // Deterministic reports whether fixed-schedule reductions are active.
@@ -257,7 +256,7 @@ func Configure(threads int, deterministic bool) {
 
 // Counters is a snapshot of the engine's process-wide region counters.
 // They only ever increase; read them by delta around the code of interest,
-// like comm.Stats. A region is one For/ForTask/Reduce/ReduceWith/ReduceAll
+// like comm.Stats. A region is one ForTask/ReduceWith/ReduceAll
 // call with work to do.
 type Counters struct {
 	// Dispatched counts regions offered to the worker pool (Threads > 1
@@ -330,8 +329,8 @@ offer:
 	j.release()
 }
 
-// chunkFor returns the For chunk length: at least grain, enlarged so each
-// participant sees ~4 chunks for straggler rebalancing.
+// chunkFor returns the ForTask chunk length: at least grain, enlarged so
+// each participant sees ~4 chunks for straggler rebalancing.
 func chunkFor(n, grain, t int) int {
 	if grain < 1 {
 		grain = 1
@@ -362,29 +361,6 @@ func ForTask(n, grain int, task Task) {
 		return
 	}
 	runJob(n, chunk, numChunks, t, task)
-}
-
-// funcTask adapts the closure form onto Task for the cold-path For.
-type funcTask struct{ fn func(lo, hi int) }
-
-func (t *funcTask) Run(lo, hi int) { t.fn(lo, hi) }
-
-// For is the closure form of ForTask, kept for call sites outside the
-// zero-allocation hot path (it allocates one small adapter when the
-// region actually goes parallel).
-func For(n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	t := loadThreads()
-	chunk := chunkFor(n, grain, t)
-	numChunks := (n + chunk - 1) / chunk
-	if t == 1 || numChunks == 1 {
-		counters.inline.Add(1)
-		fn(0, n)
-		return
-	}
-	runJob(n, chunk, numChunks, t, &funcTask{fn: fn})
 }
 
 // bufPool recycles partial accumulators between reductions. It traffics in
@@ -441,7 +417,7 @@ func (rr *reduceRun) Run(lo, hi int) {
 
 var reducePool = sync.Pool{New: func() any { return new(reduceRun) }}
 
-// reduceChunk returns the Reduce chunk length under the active mode.
+// reduceChunk returns the ReduceWith chunk length under the active mode.
 func reduceChunk(n, grain, t int) int {
 	if grain < 1 {
 		grain = 1
@@ -475,7 +451,7 @@ func ReduceWith(n, grain, accLen int, r Reducer) {
 	numChunks := (n + chunk - 1) / chunk
 	if t == 1 || numChunks == 1 {
 		counters.inline.Add(1)
-		reduceSerial(n, chunk, numChunks, accLen, r.Body, r.Merge)
+		reduceSerial(n, chunk, numChunks, accLen, r)
 		return
 	}
 	reduceParallel(n, chunk, numChunks, t, accLen, r)
@@ -507,7 +483,7 @@ func reduceParallel(n, chunk, numChunks, t, accLen int, r Reducer) {
 // reduceSerial executes the reduction's chunk schedule sequentially:
 // partials are formed and merged in the same order as the parallel path,
 // so the two are bitwise interchangeable.
-func reduceSerial(n, chunk, numChunks, accLen int, body func(lo, hi int, acc []float64), merge func(acc []float64)) {
+func reduceSerial(n, chunk, numChunks, accLen int, r Reducer) {
 	p := getBuf(accLen)
 	acc := *p
 	for c := 0; c < numChunks; c++ {
@@ -519,39 +495,10 @@ func reduceSerial(n, chunk, numChunks, accLen int, body func(lo, hi int, acc []f
 		if c > 0 {
 			clear(acc)
 		}
-		body(lo, hi, acc)
-		merge(acc)
+		r.Body(lo, hi, acc)
+		r.Merge(acc)
 	}
 	putBuf(p)
-}
-
-// funcReducer adapts the closure pair onto Reducer for the cold-path
-// Reduce.
-type funcReducer struct {
-	body  func(lo, hi int, acc []float64)
-	merge func(acc []float64)
-}
-
-func (fr *funcReducer) Body(lo, hi int, acc []float64) { fr.body(lo, hi, acc) }
-func (fr *funcReducer) Merge(acc []float64)            { fr.merge(acc) }
-
-// Reduce is the closure form of ReduceWith, kept for call sites outside
-// the zero-allocation hot path. Like For, it takes the serial shortcut
-// before constructing the adapter, so it allocates only when the region
-// actually goes parallel.
-func Reduce(n, grain, accLen int, body func(lo, hi int, acc []float64), merge func(acc []float64)) {
-	if n <= 0 {
-		return
-	}
-	t := loadThreads()
-	chunk := reduceChunk(n, grain, t)
-	numChunks := (n + chunk - 1) / chunk
-	if t == 1 || numChunks == 1 {
-		counters.inline.Add(1)
-		reduceSerial(n, chunk, numChunks, accLen, body, merge)
-		return
-	}
-	reduceParallel(n, chunk, numChunks, t, accLen, &funcReducer{body: body, merge: merge})
 }
 
 // Reduction is one member of a ReduceAll region: N rows reduced in chunks

@@ -17,6 +17,20 @@ func withThreads(t *testing.T, n int, f func()) {
 	f()
 }
 
+// taskFunc adapts a closure onto Task.
+type taskFunc func(lo, hi int)
+
+func (f taskFunc) Run(lo, hi int) { f(lo, hi) }
+
+// reducerFuncs adapts a body/merge closure pair onto Reducer.
+type reducerFuncs struct {
+	body  func(lo, hi int, acc []float64)
+	merge func(acc []float64)
+}
+
+func (r reducerFuncs) Body(lo, hi int, acc []float64) { r.body(lo, hi, acc) }
+func (r reducerFuncs) Merge(acc []float64)            { r.merge(acc) }
+
 // TestForCoversRangeOnce asserts every index in [0,n) is visited exactly
 // once for a spread of sizes, grains, and thread counts — including the
 // degenerate empty and single-element inputs.
@@ -26,14 +40,14 @@ func TestForCoversRangeOnce(t *testing.T) {
 			for _, grain := range []int{1, 7, 64} {
 				visits := make([]int32, n)
 				withThreads(t, threads, func() {
-					For(n, grain, func(lo, hi int) {
+					ForTask(n, grain, taskFunc(func(lo, hi int) {
 						if lo < 0 || hi > n || lo > hi {
 							t.Errorf("chunk [%d,%d) outside [0,%d)", lo, hi, n)
 						}
 						for i := lo; i < hi; i++ {
 							atomic.AddInt32(&visits[i], 1)
 						}
-					})
+					}))
 				})
 				for i, v := range visits {
 					if v != 1 {
@@ -49,7 +63,7 @@ func TestForCoversRangeOnce(t *testing.T) {
 // TestForEmptyNeverCalls asserts n<=0 never invokes the body.
 func TestForEmptyNeverCalls(t *testing.T) {
 	for _, n := range []int{0, -1} {
-		For(n, 1, func(lo, hi int) { t.Fatalf("body called for n=%d", n) })
+		ForTask(n, 1, taskFunc(func(lo, hi int) { t.Fatalf("body called for n=%d", n) }))
 	}
 }
 
@@ -66,11 +80,11 @@ func TestReduceBitwiseAcrossThreads(t *testing.T) {
 		}
 		sum := func() float64 {
 			var total float64
-			Reduce(n, 64, 1, func(lo, hi int, acc []float64) {
+			ReduceWith(n, 64, 1, reducerFuncs{func(lo, hi int, acc []float64) {
 				for i := lo; i < hi; i++ {
 					acc[0] += data[i]
 				}
-			}, func(acc []float64) { total += acc[0] })
+			}, func(acc []float64) { total += acc[0] }})
 			return total
 		}
 		var ref float64
@@ -102,7 +116,7 @@ func TestReduceMultiColumn(t *testing.T) {
 	}
 	withThreads(t, 4, func() {
 		got := make([]float64, cols)
-		Reduce(n, 32, cols, func(lo, hi int, acc []float64) {
+		ReduceWith(n, 32, cols, reducerFuncs{func(lo, hi int, acc []float64) {
 			for r := lo; r < hi; r++ {
 				for c := 0; c < cols; c++ {
 					acc[c] += data[r*cols+c]
@@ -112,7 +126,7 @@ func TestReduceMultiColumn(t *testing.T) {
 			for c, v := range acc {
 				got[c] += v
 			}
-		})
+		}})
 		for c := range want {
 			d := got[c] - want[c]
 			if d < -1e-9 || d > 1e-9 {
@@ -124,9 +138,9 @@ func TestReduceMultiColumn(t *testing.T) {
 
 // TestReduceEmpty asserts n<=0 invokes neither body nor merge.
 func TestReduceEmpty(t *testing.T) {
-	Reduce(0, 8, 4,
+	ReduceWith(0, 8, 4, reducerFuncs{
 		func(lo, hi int, acc []float64) { t.Fatal("body called") },
-		func(acc []float64) { t.Fatal("merge called") })
+		func(acc []float64) { t.Fatal("merge called") }})
 }
 
 // TestReduceAccumulatorZeroed asserts every chunk sees a zeroed
@@ -134,7 +148,7 @@ func TestReduceEmpty(t *testing.T) {
 func TestReduceAccumulatorZeroed(t *testing.T) {
 	withThreads(t, 4, func() {
 		for iter := 0; iter < 10; iter++ {
-			Reduce(512, 16, 8, func(lo, hi int, acc []float64) {
+			ReduceWith(512, 16, 8, reducerFuncs{func(lo, hi int, acc []float64) {
 				for _, v := range acc {
 					if v != 0 {
 						t.Errorf("dirty accumulator: %v", acc)
@@ -142,7 +156,7 @@ func TestReduceAccumulatorZeroed(t *testing.T) {
 					}
 				}
 				acc[0] = 1e30 // poison for the next reuse
-			}, func(acc []float64) {})
+			}, func(acc []float64) {}})
 		}
 	})
 }
@@ -181,17 +195,17 @@ func TestConcurrentCallers(t *testing.T) {
 			go func(r int) {
 				defer wg.Done()
 				out := make([]float64, n)
-				For(n, 64, func(lo, hi int) {
+				ForTask(n, 64, taskFunc(func(lo, hi int) {
 					for i := lo; i < hi; i++ {
 						out[i] = float64(i + r)
 					}
-				})
+				}))
 				var total float64
-				Reduce(n, 64, 1, func(lo, hi int, acc []float64) {
+				ReduceWith(n, 64, 1, reducerFuncs{func(lo, hi int, acc []float64) {
 					for i := lo; i < hi; i++ {
 						acc[0] += out[i]
 					}
-				}, func(acc []float64) { total += acc[0] })
+				}, func(acc []float64) { total += acc[0] }})
 				results[r] = total
 			}(r)
 		}
@@ -219,11 +233,11 @@ func TestNonDeterministicModeStillCorrect(t *testing.T) {
 	}
 	Configure(4, false)
 	var got float64
-	Reduce(n, 8, 1, func(lo, hi int, acc []float64) {
+	ReduceWith(n, 8, 1, reducerFuncs{func(lo, hi int, acc []float64) {
 		for i := lo; i < hi; i++ {
 			acc[0] += data[i]
 		}
-	}, func(acc []float64) { got += acc[0] })
+	}, func(acc []float64) { got += acc[0] }})
 	d := got - want
 	if d < -1e-9 || d > 1e-9 {
 		t.Fatalf("got %v want %v", got, want)
@@ -239,8 +253,8 @@ func (t *countTask) Run(lo, hi int) {
 	}
 }
 
-// TestForTaskCoversRangeOnce mirrors the closure-form coverage test for
-// the allocation-free Task API.
+// TestForTaskCoversRangeOnce covers the range with one pointer Task
+// reused across calls, the way the kernels bind theirs.
 func TestForTaskCoversRangeOnce(t *testing.T) {
 	for _, threads := range []int{1, 3, 8} {
 		for _, n := range []int{0, 1, 7, 1000} {
@@ -270,34 +284,6 @@ func (r *sumReducer) Body(lo, hi int, acc []float64) {
 }
 
 func (r *sumReducer) Merge(acc []float64) { r.total += acc[0] }
-
-// TestReduceWithBitwiseMatchesReduce pins the Reducer form against the
-// closure form bit-for-bit across thread counts.
-func TestReduceWithBitwiseMatchesReduce(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const n = 4321
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = rng.NormFloat64() * float64(int64(1)<<uint(rng.Intn(40)))
-	}
-	var ref float64
-	withThreads(t, 1, func() {
-		Reduce(n, 64, 1, func(lo, hi int, acc []float64) {
-			for i := lo; i < hi; i++ {
-				acc[0] += data[i]
-			}
-		}, func(acc []float64) { ref += acc[0] })
-	})
-	for _, threads := range []int{1, 2, 8} {
-		r := &sumReducer{data: data}
-		withThreads(t, threads, func() {
-			ReduceWith(n, 64, 1, r)
-		})
-		if r.total != ref {
-			t.Fatalf("threads=%d: ReduceWith %x != Reduce %x", threads, r.total, ref)
-		}
-	}
-}
 
 // TestTaskDispatchZeroAlloc asserts the pooled dispatch machinery itself
 // performs no steady-state allocation, serial and parallel.

@@ -2,8 +2,8 @@
 // the Frontier supercomputer's interconnect to regenerate the paper's
 // weak-scaling experiments (Figs. 7 and 8) at 8–2048 ranks.
 //
-// The substitution this makes is documented in DESIGN.md: we have one
-// CPU-only machine, not 256 Frontier nodes. What the paper's Figs. 7–8
+// The substitution this makes: we have one CPU-only machine, not 256
+// Frontier nodes. What the paper's Figs. 7–8
 // actually measure is the *communication pattern* cost of the halo
 // exchange implementations relative to compute — A2A's O(R) uniform
 // messages versus N-A2A's O(neighbors) messages versus no exchange. Those

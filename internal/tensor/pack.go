@@ -21,8 +21,8 @@ import (
 // The A operand is deliberately NOT packed in the drivers: it is the
 // row-major streaming operand, each row is read with unit stride, and a
 // tile's slice of A (4·K or 8·K floats) stays L1-resident across its
-// panel sweep, so a pack pass would only add traffic. PackB/PackBWith exist for
-// weight matrices reused across calls (serving engines pack once at
+// panel sweep, so a pack pass would only add traffic. PackB/PackBT exist
+// for weight matrices reused across calls (serving engines pack once at
 // compile time); the in-driver pack path re-packs per call, which for the
 // shapes in this system costs under 0.1% of the multiply's flops.
 //
@@ -272,26 +272,6 @@ func PackBT(b *Matrix) *PackedB {
 	p := &PackedB{trans: true}
 	p.sizeFor(b.Cols, b.Rows, packNR())
 	p.packFromT(b)
-	return p
-}
-
-// PackBWith is PackB with the packed storage carved from an arena, so a
-// per-epoch workspace records the pack buffer alongside the activations
-// it feeds: pack once per arena epoch, replay for free.
-func PackBWith(ar *Arena, b *Matrix) *PackedB {
-	if ar == nil {
-		return PackB(b)
-	}
-	p := &PackedB{}
-	nr := packNR()
-	np := b.Cols / nr
-	needP := np * b.Rows * nr
-	needT := (b.Cols - np*nr) * b.Rows
-	backing := ar.Get(1, needP+needT)
-	p.K, p.N, p.NR = b.Rows, b.Cols, nr
-	p.panels = backing.Data[:needP:needP]
-	p.tail = backing.Data[needP : needP+needT : needP+needT]
-	p.packFrom(b)
 	return p
 }
 

@@ -275,29 +275,6 @@ func TestPackedMatMulATBMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestPackBWithArenaReplays(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	ar := NewArena()
-	b := randomMatrix(rng, 96, 32)
-	pb := PackBWith(ar, b)
-	slots := ar.Slots()
-	ar.Reset()
-	pb2 := PackBWith(ar, b)
-	if ar.Slots() != slots {
-		t.Fatalf("replayed pack grew the arena: %d -> %d slots", slots, ar.Slots())
-	}
-	if len(pb.panels) > 0 && len(pb2.panels) > 0 && &pb.panels[0] != &pb2.panels[0] {
-		t.Error("replayed pack did not reuse the arena slab")
-	}
-	a := randomMatrix(rng, 9, 96)
-	dst, dst2 := New(9, 32), New(9, 32)
-	MatMulPackedRows(dst, a, pb2, 0, 9)
-	MatMul(dst2, a, b)
-	if !dst.Equal(dst2) {
-		t.Error("arena-packed product differs from per-call pack")
-	}
-}
-
 func TestPackedZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")

@@ -68,7 +68,6 @@ func TestLoweredToAVX2(t *testing.T) {
 		{"PackedRowPartitionInvariance", TestPackedRowPartitionInvariance},
 		{"PackedMatMulABTMatchesNaive", TestPackedMatMulABTMatchesNaive},
 		{"PackedMatMulATBMatchesNaive", TestPackedMatMulATBMatchesNaive},
-		{"PackBWithArenaReplays", TestPackBWithArenaReplays},
 		{"PackedZeroAllocSteadyState", TestPackedZeroAllocSteadyState},
 		{"RowBodiesIgnoreRangeBoundaries", TestRowBodiesIgnoreRangeBoundaries},
 		{"RepackTransposed", TestRepackTransposed},

@@ -37,7 +37,6 @@ package meshgnn
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"meshgnn/internal/comm"
@@ -50,7 +49,6 @@ import (
 	"meshgnn/internal/partition"
 	"meshgnn/internal/solver"
 	"meshgnn/internal/tensor"
-	"meshgnn/internal/vtkio"
 )
 
 // Re-exported core types. Aliases keep the public API and the internal
@@ -111,17 +109,8 @@ type (
 	Mapping = mesh.Mapping
 	// ElementMask carves elements out of the box (holes, L-shapes).
 	ElementMask = mesh.ElementMask
-	// VTKField names a node-attribute matrix for VTK output.
-	VTKField = vtkio.FieldData
-	// SyntheticTurbulence is a divergence-free random-Fourier velocity
-	// field with a Kolmogorov-like spectrum.
-	SyntheticTurbulence = field.SyntheticTurbulence
 	// Schedule maps a step index to a learning rate.
 	Schedule = nn.Schedule
-	// CosineSchedule decays the learning rate along a cosine with warmup.
-	CosineSchedule = nn.CosineSchedule
-	// StepDecay multiplies the rate by Gamma every Every steps.
-	StepDecay = nn.StepDecay
 	// Dataset holds per-rank (input, target) snapshot pairs.
 	Dataset = gnn.Dataset
 	// FitOptions configures multi-epoch training with consistent
@@ -254,10 +243,6 @@ var (
 	NewSGD = nn.NewSGD
 	// SampleField fills a node matrix from an analytic field.
 	SampleField = field.Sample
-	// KineticEnergy is the volume-averaged kinetic energy diagnostic.
-	KineticEnergy = field.KineticEnergy
-	// GlobalOutputs assembles per-rank outputs by global node ID.
-	GlobalOutputs = gnn.GlobalOutputs
 	// SaveModel serializes a model (architecture + parameters).
 	SaveModel = gnn.SaveModel
 	// LoadModel reconstructs a model saved with SaveModel.
@@ -272,23 +257,10 @@ var (
 	NoiseField = gnn.NoiseField
 	// AnnulusSector maps the box onto a cylindrical annulus sector.
 	AnnulusSector = mesh.AnnulusSector
-	// WavyChannel perturbs the box walls sinusoidally.
-	WavyChannel = mesh.WavyChannel
-	// Stretched grades node spacing toward the y=0 wall.
-	Stretched = mesh.Stretched
-	// NewSyntheticTurbulence builds a synthetic turbulence field.
-	NewSyntheticTurbulence = field.NewSyntheticTurbulence
 	// Rollout applies a model autoregressively over its own outputs.
 	Rollout = gnn.Rollout
-	// RolloutError scores a rollout against a reference trajectory.
-	RolloutError = gnn.RolloutError
-	// ClipGradNorm rescales gradients to a maximum global norm.
-	ClipGradNorm = nn.ClipGradNorm
 	// Evaluate computes consistent error metrics collectively.
 	Evaluate = gnn.Evaluate
-	// ParseTransportKind converts the CLI spelling of a transport
-	// ("inproc", "sockets", "procs").
-	ParseTransportKind = comm.ParseTransportKind
 	// IsWorker reports whether this process was spawned by the -procs
 	// launcher (MESHGNN_RANK set); commands use it to mute duplicate
 	// output in worker ranks.
@@ -443,12 +415,6 @@ func (r *Rank) Assemble(y *Matrix) (*Matrix, float64) {
 // collectively.
 func (r *Rank) NewDiffusion(alpha, dt float64) (*Diffusion, error) {
 	return solver.NewDiffusion(r.Ctx.Comm, r.System.Mesh, r.Graph, r.Ctx.Ex.Mode, alpha, dt)
-}
-
-// WriteVTK writes this rank's sub-graph with the given point-data fields
-// as a legacy-VTK unstructured grid for ParaView/VisIt inspection.
-func (r *Rank) WriteVTK(w io.Writer, fields ...VTKField) error {
-	return vtkio.WriteLocal(w, r.System.Mesh, r.Graph, fields...)
 }
 
 // Run executes fn on every rank concurrently (SPMD): each rank gets its

@@ -602,10 +602,6 @@ func (ses *serveSession) serveBatchOn(r *Rank, eng *gnn.Inference, b *serveBatch
 	return nil
 }
 
-// Ranks returns the number of serving ranks per session; Predict and
-// Rollout take one snapshot per rank.
-func (srv *Server) Ranks() int { return srv.ranks }
-
 // Sessions returns the number of serving sessions behind the front door.
 func (srv *Server) Sessions() int { return len(srv.sessions) }
 

@@ -282,6 +282,51 @@ func TestServePredictTimeoutStalledRank(t *testing.T) {
 	}
 }
 
+// TestServeRolloutTimeoutStalledRank pins the per-call deadline of a
+// rollout: with one rank stalled, RolloutTimeout returns ErrTimeout at
+// its own deadline instead of waiting out the stall. The deadline bounds
+// the caller's wait only: the stall stays inside the step-scaled receive
+// deadline, so the abandoned rollout completes, its result is discarded,
+// and the server keeps serving and closes cleanly.
+func TestServeRolloutTimeoutStalledRank(t *testing.T) {
+	setupOps := calibrateServeSetupOps(t)
+	sys, model, inputs := serveSystem(t)
+	const steps, stall = 4, 500 * time.Millisecond
+	plan := NewFaultPlan().Add(0, FaultEvent{
+		AfterOps: setupOps, Kind: FaultDelay, Peer: -1, Delay: stall,
+	})
+	srv, err := sys.ServeWith(InProcess, NeighborAllToAll, model, ServeOptions{
+		RecvTimeout:   250 * time.Millisecond, // 4 steps: 1s per receive
+		WrapTransport: plan.Wrap,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	trajs, err := srv.RolloutTimeout(inputs, steps, 100*time.Millisecond)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("stalled rollout: want ErrTimeout, got %v", err)
+	}
+	if trajs != nil {
+		t.Fatal("timed-out rollout returned trajectories")
+	}
+	if elapsed := time.Since(start); elapsed >= stall-50*time.Millisecond {
+		t.Fatalf("RolloutTimeout returned after %v: it waited out the %v stall", elapsed, stall)
+	}
+	trajs, err = srv.Rollout(inputs, steps)
+	if err != nil {
+		t.Fatalf("rollout after an abandoned one: %v", err)
+	}
+	for r, traj := range trajs {
+		if len(traj) != steps+1 {
+			t.Fatalf("rank %d: trajectory has %d states, want %d", r, len(traj), steps+1)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}
+
 // TestSystemPredictOneShot covers the one-shot convenience wrapper.
 func TestSystemPredictOneShot(t *testing.T) {
 	sys, model, inputs := serveSystem(t)
