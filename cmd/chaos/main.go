@@ -282,7 +282,9 @@ func (h *harness) peerDown() error {
 }
 
 // dropTimeout: a swallowed send leaves its receiver waiting; with a
-// receive deadline armed the wait ends in ErrTimeout, not a hang.
+// receive deadline armed the wait ends in ErrTimeout, not a hang. The
+// sender stays up until the wait is over: a sender that had exited would
+// release the wait with ErrPeerDown instead (peer-down covers that).
 func (h *harness) dropTimeout() error {
 	plan := comm.NewFaultPlan().
 		Add(0, comm.FaultEvent{AfterOps: 0, Kind: comm.FaultDropSend, Peer: 1})
@@ -290,8 +292,11 @@ func (h *harness) dropTimeout() error {
 		c.SetRecvTimeout(300 * time.Millisecond)
 		if c.Rank() == 0 {
 			c.Send(1, comm.TagUser, []float64{1, 2, 3}) // swallowed
+			c.SetRecvTimeout(5 * time.Second)
+			c.Recv(1, comm.TagUser+1)
 		} else {
-			c.Recv(0, comm.TagUser) // nothing arrives
+			defer c.Send(0, comm.TagUser+1, nil) // the wait is over
+			c.Recv(0, comm.TagUser)              // nothing arrives
 		}
 		return nil
 	})

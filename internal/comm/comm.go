@@ -19,6 +19,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -79,6 +80,9 @@ type World struct {
 	// steady-state traffic on the channel fabric allocates nothing — the
 	// same discipline the socket fabric's per-peer free lists implement.
 	pools [][]bufPool
+	// down[src] closes every mailbox src sends into, once, when src's
+	// endpoint closes (worldTransport.Close).
+	down []sync.Once
 }
 
 // mailboxDepth bounds the number of in-flight messages per (src,dst) pair.
@@ -93,7 +97,8 @@ func NewWorld(size int) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("comm: world size must be >= 1, got %d", size))
 	}
-	w := &World{size: size, mail: make([][]chan message, size), pools: make([][]bufPool, size)}
+	w := &World{size: size, mail: make([][]chan message, size), pools: make([][]bufPool, size),
+		down: make([]sync.Once, size)}
 	for dst := range w.mail {
 		w.mail[dst] = make([]chan message, size)
 		w.pools[dst] = make([]bufPool, size)
@@ -138,16 +143,41 @@ func (w *World) Transport(rank int) Transport {
 func (t *worldTransport) Rank() int                      { return t.rank }
 func (t *worldTransport) Size() int                      { return t.w.size }
 func (t *worldTransport) Kind() TransportKind            { return InProcess }
-func (t *worldTransport) Close() error                   { return nil }
 func (t *worldTransport) SetRecvTimeout(d time.Duration) { t.recvTimeout = d }
 
+// Close marks the rank down: it closes every mailbox the rank sends into,
+// so a peer waiting on one — or arriving later — receives what the rank
+// sent before it closed and then fails with ErrPeerDown, the error the
+// socket fabric reports for a closed stream, instead of waiting out its
+// receive deadline. The rank runners close an endpoint when its rank
+// returns or panics. Close is idempotent; the endpoint must not send after
+// it.
+func (t *worldTransport) Close() error {
+	t.w.down[t.rank].Do(func() {
+		for dst := range t.w.mail {
+			close(t.w.mail[dst][t.rank])
+		}
+	})
+	return nil
+}
+
+// peerDown is the classified failure of a receive from a closed rank
+// whose mailbox is drained.
+func (t *worldTransport) peerDown(src int) error {
+	return fmt.Errorf("comm: rank %d recv from %d: %w", t.rank, src, ErrPeerClosed)
+}
+
 // recvMsg pulls the next message from src under the endpoint's receive
-// deadline, panicking with a classified error on expiry.
+// deadline, panicking with a classified error on expiry or once a closed
+// src's mailbox is drained.
 func (t *worldTransport) recvMsg(src int) message {
-	m, _, timedOut := timedRecv(t.w.mail[t.rank][src], &t.timer, t.recvTimeout)
+	m, ok, timedOut := timedRecv(t.w.mail[t.rank][src], &t.timer, t.recvTimeout)
 	if timedOut {
 		panic(fmt.Errorf("comm: rank %d recv from %d: %w after %v",
 			t.rank, src, ErrTimeout, t.recvTimeout))
+	}
+	if !ok {
+		panic(t.peerDown(src))
 	}
 	return m
 }
@@ -232,10 +262,14 @@ func (t *worldTransport) progress(r *Request, block bool) bool {
 	if block {
 		m = t.recvMsg(r.peer)
 	} else {
+		ok := true
 		select {
-		case m = <-t.w.mail[t.rank][r.peer]:
+		case m, ok = <-t.w.mail[t.rank][r.peer]:
 		default:
 			return false
+		}
+		if !ok {
+			panic(t.peerDown(r.peer))
 		}
 	}
 	t.completeRecv(r, m)
@@ -248,9 +282,12 @@ func (t *worldTransport) progressTimeout(r *Request, d time.Duration) (bool, err
 	if !r.recv || r.done {
 		return true, nil
 	}
-	m, _, timedOut := timedRecv(t.w.mail[t.rank][r.peer], &t.timer, d)
+	m, ok, timedOut := timedRecv(t.w.mail[t.rank][r.peer], &t.timer, d)
 	if timedOut {
 		return false, nil
+	}
+	if !ok {
+		return false, t.peerDown(r.peer)
 	}
 	t.completeRecv(r, m)
 	return true, nil
@@ -591,10 +628,22 @@ func runRanks[T any](size int, transport func(rank int) (Transport, error), fn f
 		}(r)
 	}
 	wg.Wait()
+	// The first failing rank's error, skipping those that only report a
+	// closed peer (ErrPeerClosed) where another rank's error explains them.
+	first := -1
 	for r, err := range errs {
-		if err != nil {
+		if err == nil {
+			continue
+		}
+		if first < 0 {
+			first = r
+		}
+		if !errors.Is(err, ErrPeerClosed) {
 			return results, fmt.Errorf("rank %d: %w", r, err)
 		}
+	}
+	if first >= 0 {
+		return results, fmt.Errorf("rank %d: %w", first, errs[first])
 	}
 	return results, nil
 }

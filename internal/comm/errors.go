@@ -30,6 +30,12 @@ var (
 	// checking: CRC mismatch, unknown frame kind, out-of-range tag, or a
 	// count exceeding the frame budget.
 	ErrCorruptFrame = errors.New("corrupt frame")
+	// ErrPeerClosed is the ErrPeerDown an in-process receive reports once
+	// the peer's endpoint has closed — its rank returned or failed — and
+	// everything it sent has been received. It is a consequence of that
+	// rank's own outcome, so whoever collects a world's failures reports
+	// the peer's error in its place where there is one.
+	ErrPeerClosed = fmt.Errorf("endpoint closed: %w", ErrPeerDown)
 	// ErrFault marks a failure manufactured by FaultTransport — injected
 	// panics and injected peer deaths wrap it in addition to their
 	// observable class, so tests can tell injected faults from real ones.

@@ -246,6 +246,62 @@ func TestRecvTimeoutClassified(t *testing.T) {
 	}
 }
 
+// TestClosedRankReleasesPeers pins what a rank of an in-process world
+// that returns or panics leaves its peers: a peer blocked in a receive
+// from it — a plain Recv, a blocking Wait, a polling Test, a bounded
+// WaitTimeout — first gets every message the rank sent before it closed,
+// then an ErrPeerDown, within 2 s although its receive deadline is 30 s
+// (the socket fabric reports a closed stream the same way).
+func TestClosedRankReleasesPeers(t *testing.T) {
+	for _, exit := range []string{"return", "panic"} {
+		for _, recv := range []string{"Recv", "Wait", "Test", "WaitTimeout"} {
+			t.Run(exit+"/"+recv, func(t *testing.T) {
+				start := time.Now()
+				var peerErr error // rank 1's outcome; Run reports the lowest failing rank
+				Run(2, func(c *Comm) (err error) {
+					if c.Rank() == 0 {
+						c.Send(1, TagUser, []float64{7})
+						if exit == "panic" {
+							panic("rank 0 fails")
+						}
+						return nil
+					}
+					defer func() {
+						if p := recover(); p != nil {
+							err = PanicError(p)
+						}
+						peerErr = err
+					}()
+					c.SetRecvTimeout(30 * time.Second)
+					if got := c.Recv(0, TagUser); len(got) != 1 || got[0] != 7 {
+						return fmt.Errorf("message sent before the close: got %v", got)
+					}
+					switch recv {
+					case "Recv":
+						c.Recv(0, TagUser)
+					case "Wait":
+						c.Irecv(0, TagUser).Wait()
+					case "Test":
+						for r := c.Irecv(0, TagUser); !r.Test(); {
+							time.Sleep(time.Millisecond)
+						}
+					case "WaitTimeout":
+						_, err := c.Irecv(0, TagUser).WaitTimeout(30 * time.Second)
+						return err
+					}
+					return fmt.Errorf("a receive from a closed rank returned")
+				})
+				if !errors.Is(peerErr, ErrPeerDown) {
+					t.Fatalf("want rank 1 to fail with ErrPeerDown, got %v", peerErr)
+				}
+				if elapsed := time.Since(start); elapsed > 2*time.Second {
+					t.Fatalf("the peer was released after %v, want < 2s", elapsed)
+				}
+			})
+		}
+	}
+}
+
 // TestRequestWaitTimeout covers the bounded Wait on both fabrics: expiry
 // returns an ErrTimeout error and leaves the request pending (a later
 // Wait still collects the payload); completion within the bound behaves
@@ -423,7 +479,9 @@ func TestFaultPeerDownClassified(t *testing.T) {
 
 // TestFaultDropSendIsend covers the nonblocking drop path: the swallowed
 // Isend hands back a working born-complete request (Test, Wait, handle
-// release), while the receiver's bounded wait reports ErrTimeout.
+// release), while the receiver's bounded wait reports ErrTimeout. The
+// sender stays up until the receiver's wait is over (a closed sender
+// would report ErrPeerDown instead, TestClosedRankReleasesPeers).
 func TestFaultDropSendIsend(t *testing.T) {
 	plan := NewFaultPlan().
 		Add(0, FaultEvent{AfterOps: 0, Kind: FaultDropSend, Peer: 1})
@@ -436,10 +494,13 @@ func TestFaultDropSendIsend(t *testing.T) {
 			if data := r.Wait(); data != nil {
 				return fmt.Errorf("send Wait returned data %v", data)
 			}
+			c.Recv(1, TagUser+1)
 			return nil
 		}
 		r := c.Irecv(0, TagUser)
-		if _, err := r.WaitTimeout(200 * time.Millisecond); !errors.Is(err, ErrTimeout) {
+		_, err := r.WaitTimeout(200 * time.Millisecond)
+		c.Send(0, TagUser+1, nil)
+		if !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("receiver of dropped send: want ErrTimeout, got %v", err)
 		}
 		return nil

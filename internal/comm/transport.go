@@ -71,8 +71,9 @@ type Transport interface {
 	SetRecvTimeout(d time.Duration)
 	// Kind reports which fabric this transport realizes.
 	Kind() TransportKind
-	// Close releases the transport's resources (connections, listeners).
-	// The in-process fabric is GC-managed and Close is a no-op.
+	// Close releases the transport's resources (connections, listeners)
+	// and marks the rank down: once what it sent is received, its peers'
+	// receives from it fail with ErrPeerDown on every fabric.
 	Close() error
 }
 

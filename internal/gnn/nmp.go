@@ -67,6 +67,13 @@ import (
 //	tails        residualTask (+ e, + x); backward: nodeGradTask (dAgg and
 //	             dx from the node-MLP input gradient), edgeGradTask (de)
 //
+// and which kernels run a row's arithmetic: every CSR span sum — aggRow
+// (4b), absorbHalo (4d) and scatterTask's receiver and sender spans — is
+// one tensor.SpanAcc call per span, the row held in registers, its Go loop
+// the definition and the fallback for a sum holding a NaN; every plain row
+// add (residualTask, nodeGradTask, edgeGradTask, dEOutTask's deOut) is
+// tensor.AddTo.
+//
 // A head or tail has to be a row map — rows [r0, r1) computed from inputs
 // no other panel of the same region writes — because panels run in any
 // order on any thread; that is what makes fusing it a change of schedule
@@ -216,15 +223,23 @@ func (t *residualTask[T]) Rows(p []T, r0, r1 int) {
 // Σ_k e_k / d_k over row i's incoming edges, summed from +0 in canonical
 // CSR order — the per-row summation order of a serial edge sweep — with
 // the 1/d factor (g.InvEdgeDegree, divided once at build) rounded to T
-// once per edge. eo is the edge offset of the row's sample block. Both
-// loops that aggregate call it, so a row's bits do not depend on which one
-// it lands in.
+// once per edge and the product rounded before its add. eo is the edge
+// offset of the row's sample block. Both loops that aggregate call it, so
+// a row's bits do not depend on which one it lands in. The loop is the
+// definition; tensor.SpanAcc runs it on the SIMD rungs and leaves the
+// loop the columns it hands back (none, unless a sum holds a NaN).
 func aggRow[T elem](dst []T, g *graph.Local, eOut rowsOf[T], eo, i int) {
 	clear(dst)
-	for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
+	k0, k1 := g.RecvStart[i], g.RecvStart[i+1]
+	c := tensor.SpanAcc(dst, eOut.data, eOut.cols, eo+k0, nil, k1-k0, g.InvEdgeDegree[k0:k1])
+	if c == len(dst) {
+		return
+	}
+	d := dst[c:]
+	for k := k0; k < k1; k++ {
 		inv := T(g.InvEdgeDegree[k])
-		for j, v := range eOut.row(eo + k) {
-			dst[j] += inv * v
+		for j, v := range eOut.row(eo + k)[c:] {
+			d[j] += T(inv * v)
 		}
 	}
 }
@@ -281,15 +296,29 @@ func (t *nodeInTask[T]) Rows(p []T, r0, r1 int) {
 				aggRow(dst, g, t.eOut, eo, i)
 			} else {
 				copy(dst, t.agg.row(r))
-				for c := g.HaloStart[i]; c < g.HaloStart[i+1]; c++ {
-					for j, v := range t.halo.row(ho + g.HaloPerm[c]) {
-						dst[j] += v
-					}
+				if c0, c1 := g.HaloStart[i], g.HaloStart[i+1]; c1 > c0 {
+					absorbHalo(dst, g, t.halo, ho, c0, c1)
 				}
 			}
 			copy(row[h:], t.x.row(r))
 		}
 		lo += m
+	}
+}
+
+// absorbHalo adds an owner row's halo copies c0 … c1−1 (halo CSR order,
+// rows of the sample block at ho) into dst, one rounded add each: the
+// loop is the definition, tensor.SpanAcc its SIMD rung.
+func absorbHalo[T elem](dst []T, g *graph.Local, halo rowsOf[T], ho, c0, c1 int) {
+	c := tensor.SpanAcc(dst, halo.data, halo.cols, ho, g.HaloPerm[c0:c1], c1-c0, nil)
+	if c == len(dst) {
+		return
+	}
+	d := dst[c:]
+	for hc := c0; hc < c1; hc++ {
+		for j, v := range halo.row(ho + g.HaloPerm[hc])[c:] {
+			d[j] += v
+		}
 	}
 }
 
@@ -546,9 +575,7 @@ func (t *nodeGradTask) Rows(p []float64, r0, r1 int) {
 		copy(t.dAgg.Row(r), d[:h])
 		dst := t.dx.Row(r)
 		copy(dst, t.dxOut.Row(r))
-		for j, v := range d[h:] {
-			dst[j] += v
-		}
+		tensor.AddTo(dst, d[h:])
 	}
 }
 
@@ -562,9 +589,7 @@ func (t *edgeGradTask) Rows(p []float64, r0, r1 int) {
 	for r := r0; r < r1; r++ {
 		dst := t.de.Row(r)
 		copy(dst, t.dEOut.Row(r))
-		for j, v := range p[(r-r0)*3*h+2*h : (r-r0+1)*3*h] {
-			dst[j] += v
-		}
+		tensor.AddTo(dst, p[(r-r0)*3*h+2*h:(r-r0+1)*3*h])
 	}
 }
 
@@ -603,9 +628,7 @@ func (t *dEOutTask) block(b, lo, hi int) {
 		for j, v := range src {
 			dst[j] = inv * v
 		}
-		for j, v := range t.deOut.Row(eo + k) {
-			dst[j] += v
-		}
+		tensor.AddTo(dst, t.deOut.Row(eo+k))
 	}
 }
 
@@ -627,16 +650,25 @@ func (t *scatterTask) Run(lo, hi int) { runBlocks(t, t.g.NumLocal(), lo, hi) }
 func (t *scatterTask) block(b, lo, hi int) {
 	g, h := t.g, t.dst.Cols
 	xo, eo := b*g.NumLocal(), b*g.NumEdges()
+	src := t.dEdgeIn.Data
 	for i := lo; i < hi; i++ {
 		dst := t.dst.Row(xo + i)
-		for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
-			for j, v := range t.dEdgeIn.Row(eo + k)[:h] {
-				dst[j] += v
+		k0, k1 := g.RecvStart[i], g.RecvStart[i+1]
+		if c := tensor.SpanAcc(dst, src, 3*h, eo+k0, nil, k1-k0, nil); c < h {
+			d := dst[c:]
+			for k := k0; k < k1; k++ {
+				for j, v := range t.dEdgeIn.Row(eo + k)[c:h] {
+					d[j] += v
+				}
 			}
 		}
-		for p := g.SendStart[i]; p < g.SendStart[i+1]; p++ {
-			for j, v := range t.dEdgeIn.Row(eo + g.SendPerm[p])[h : 2*h] {
-				dst[j] += v
+		p0, p1 := g.SendStart[i], g.SendStart[i+1]
+		if c := tensor.SpanAcc(dst, src[h:], 3*h, eo, g.SendPerm[p0:p1], p1-p0, nil); c < h {
+			d := dst[c:]
+			for p := p0; p < p1; p++ {
+				for j, v := range t.dEdgeIn.Row(eo + g.SendPerm[p])[h+c : 2*h] {
+					d[j] += v
+				}
 			}
 		}
 	}

@@ -495,10 +495,10 @@ func TestStandaloneLayersAreChainsOfOne(t *testing.T) {
 	}
 }
 
-// TestLayerNormInterleaveMatchesOneRow: the float64 LayerNorm forward
-// hands whole groups of eight rows to the tensor kernel (avx512), then
-// carries lnRows rows' reductions at a time, then one; the backward
-// passes carry lnRows. Against the one-row-at-a-time reference above,
+// TestLayerNormInterleaveMatchesOneRow: the float64 LayerNorm forward and
+// input gradient hand whole groups of eight rows to their tensor kernels
+// (avx512), then carry lnRows rows' reductions at a time, then one; the
+// gain/shift reduction runs on the column kernel (avx2, avx512). Against the one-row-at-a-time reference above,
 // every row count up to 2·8+lnRows+1 (zero to two kernel groups, each
 // followed by every number of lnRows groups and rows left over) and
 // widths {1, 8, 16, 32, 33} — either side of lnInterleaveMin, below which

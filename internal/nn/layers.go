@@ -231,19 +231,12 @@ func (l *Linear) reduceBody(which, lo, hi int, acc []float64) {
 // the gradient directly.
 func (l *Linear) reduceMerge(which int, acc []float64, last bool) {
 	if which == redBias {
-		for j, v := range acc {
-			l.Bias.G.Data[j] += v
-		}
+		tensor.AddTo(l.Bias.G.Data, acc)
 		return
 	}
-	for i, v := range acc {
-		l.dw.Data[i] += v
-	}
+	tensor.AddTo(l.dw.Data, acc)
 	if last {
-		g := l.Weight.G.Data
-		for i, v := range l.dw.Data {
-			g[i] += v
-		}
+		tensor.AddTo(l.Weight.G.Data, l.dw.Data)
 		l.dw.Zero()
 	}
 }
@@ -380,9 +373,9 @@ func (ln *LayerNorm) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // out-of-order core overlaps consecutive rows by itself, and the four-row
 // set-up is pure cost (64 rows, in place: 22 % slower at 8 columns, level
 // at 12, 5 % faster at 16, 27 % at 32, 46 % at 96). The gate rules the
-// backward pass and reduction on every rung, and the forward pass on the
-// rungs below avx512 and for the rows the kernel leaves: the fewer than
-// eight at a range's end and the groups it hands back (layerNormRows).
+// forward and backward passes on the rungs below avx512 and, on avx512,
+// the rows the kernels leave: the fewer than eight at a range's end and
+// the groups they hand back (layerNormRows, backwardRows).
 const (
 	lnRows          = 4
 	lnInterleaveMin = 16
@@ -523,9 +516,30 @@ func (ln *LayerNorm) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
 }
 
 // backwardRows is the input gradient, a pure row map:
-// dx = invStd/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)),
-// the two sums of lnRows rows interleaved.
+// dx = invStd/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)), dxhat =
+// dy*gain. Whole groups of eight rows go to tensor.LayerNormGradRows
+// (avx512 only; it does none elsewhere): a group it hands back, one with a
+// row whose sums or invStd are not finite, goes through backwardLoops and
+// the kernel resumes after it; backwardLoops finishes the rows it leaves.
+// Each row's own operation sequence either way, so no bit depends on the
+// rung or on which rows share a group.
 func (ln *LayerNorm) backwardRows(lo, hi int) {
+	for {
+		i, stopped := tensor.LayerNormGradRows(ln.dx, ln.dy, ln.xhat, ln.invStd, ln.Gain.W.Data, lo, hi)
+		if !stopped {
+			ln.backwardLoops(i, hi)
+			return
+		}
+		ln.backwardLoops(i, i+8)
+		lo = i + 8
+	}
+}
+
+// backwardLoops is backwardRows' scalar definition over rows [lo, hi), the
+// two sums of lnRows rows interleaved. The explicit conversions round each
+// product before its add, so no build can fuse the sequence the kernel is
+// held to.
+func (ln *LayerNorm) backwardLoops(lo, hi int) {
 	gain := ln.Gain.W.Data
 	c := ln.Dim
 	dyd, xhd := ln.dy.Data, ln.xhat.Data
@@ -537,18 +551,18 @@ func (ln *LayerNorm) backwardRows(lo, hi int) {
 		g3, x3 := dyd[(i+3)*c:(i+4)*c], xhd[(i+3)*c:(i+4)*c]
 		var a0, a1, a2, a3, b0, b1, b2, b3 float64
 		for j, gn := range gain[:c] {
-			d0 := g0[j] * gn
+			d0 := float64(g0[j] * gn)
 			a0 += d0
-			b0 += d0 * x0[j]
-			d1 := g1[j] * gn
+			b0 += float64(d0 * x0[j])
+			d1 := float64(g1[j] * gn)
 			a1 += d1
-			b1 += d1 * x1[j]
-			d2 := g2[j] * gn
+			b1 += float64(d1 * x1[j])
+			d2 := float64(g2[j] * gn)
 			a2 += d2
-			b2 += d2 * x2[j]
-			d3 := g3[j] * gn
+			b2 += float64(d2 * x2[j])
+			d3 := float64(g3[j] * gn)
 			a3 += d3
-			b3 += d3 * x3[j]
+			b3 += float64(d3 * x3[j])
 		}
 		ln.inputGradRow(i, a0, b0)
 		ln.inputGradRow(i+1, a1, b1)
@@ -559,9 +573,9 @@ func (ln *LayerNorm) backwardRows(lo, hi int) {
 		xh := ln.xhat.Row(i)
 		var sum1, sum2 float64
 		for j, g := range ln.dy.Row(i) {
-			dxh := g * gain[j]
+			dxh := float64(g * gain[j])
 			sum1 += dxh
-			sum2 += dxh * xh[j]
+			sum2 += float64(dxh * xh[j])
 		}
 		ln.inputGradRow(i, sum1, sum2)
 	}
@@ -574,8 +588,8 @@ func (ln *LayerNorm) inputGradRow(i int, sum1, sum2 float64) {
 	gain, xh, out := ln.Gain.W.Data[:len(dyr)], ln.xhat.Row(i)[:len(dyr)], ln.dx.Row(i)[:len(dyr)]
 	scale := ln.invStd[i] / n // the same quotient for every element: divide once
 	for j, g := range dyr {
-		dxh := g * gain[j]
-		out[j] = scale * (n*dxh - sum1 - xh[j]*sum2)
+		dxh := float64(g * gain[j])
+		out[j] = scale * (float64(n*dxh) - sum1 - float64(xh[j]*sum2))
 	}
 }
 
@@ -585,28 +599,23 @@ func (ln *LayerNorm) reductions(rs []parallel.Reduction, rows int) []parallel.Re
 	return append(rs, parallel.Reduction{N: rows, Grain: 256, AccLen: 2 * ln.Dim})
 }
 
-// reduceBody takes lnRows rows per pass over the accumulators, a quarter of
-// the accumulator traffic; each column still adds its rows in ascending
-// order, one rounded add per row.
+// reduceBody is the gain and shift gradients' chunk body. Its definition
+// is the loop below: per column, rows ascending, dGain += dy·xhat (the
+// product rounded) and dShift += dy. On the SIMD rungs
+// tensor.LayerNormParamGradAcc runs both chains with the accumulators in
+// registers and returns the columns it finished, all of them unless a
+// result holds a NaN; the loop does the rest.
 func (ln *LayerNorm) reduceBody(_, lo, hi int, acc []float64) {
 	c := ln.Dim
-	dGain, dShift := acc[:c], acc[c:2*c]
-	dyd, xhd := ln.dy.Data, ln.xhat.Data
-	i := lo
-	for end := lnGroupEnd(lo, hi, c); i < end; i += lnRows {
-		g0, x0 := dyd[i*c:(i+1)*c], xhd[i*c:(i+1)*c]
-		g1, x1 := dyd[(i+1)*c:(i+2)*c], xhd[(i+1)*c:(i+2)*c]
-		g2, x2 := dyd[(i+2)*c:(i+3)*c], xhd[(i+2)*c:(i+3)*c]
-		g3, x3 := dyd[(i+3)*c:(i+4)*c], xhd[(i+3)*c:(i+4)*c]
-		for j := range dGain {
-			dGain[j] = dGain[j] + g0[j]*x0[j] + g1[j]*x1[j] + g2[j]*x2[j] + g3[j]*x3[j]
-			dShift[j] = dShift[j] + g0[j] + g1[j] + g2[j] + g3[j]
-		}
+	j0 := tensor.LayerNormParamGradAcc(acc, ln.dy, ln.xhat, lo, hi)
+	if j0 == c {
+		return
 	}
-	for ; i < hi; i++ {
-		xh := ln.xhat.Row(i)
-		for j, g := range ln.dy.Row(i) {
-			dGain[j] += g * xh[j]
+	dGain, dShift := acc[j0:c], acc[c+j0:2*c]
+	for i := lo; i < hi; i++ {
+		xh := ln.xhat.Row(i)[j0:]
+		for j, g := range ln.dy.Row(i)[j0:] {
+			dGain[j] += float64(g * xh[j])
 			dShift[j] += g
 		}
 	}
@@ -614,10 +623,8 @@ func (ln *LayerNorm) reduceBody(_, lo, hi int, acc []float64) {
 
 func (ln *LayerNorm) reduceMerge(_ int, acc []float64, _ bool) {
 	dim := ln.Dim
-	for j := 0; j < dim; j++ {
-		ln.Gain.G.Data[j] += acc[j]
-		ln.Shift.G.Data[j] += acc[dim+j]
-	}
+	tensor.AddTo(ln.Gain.G.Data, acc[:dim])
+	tensor.AddTo(ln.Shift.G.Data, acc[dim:2*dim])
 }
 
 // Params implements Layer.

@@ -51,6 +51,12 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	assertZeroAlloc(t, "MatMulATBAcc", func() { MatMulATBAcc(dw.Data, a, dy, 0, rows) })
 	assertZeroAlloc(t, "AddRowVectorRows", func() { AddRowVectorRows(y, bias, 0, rows) })
 	assertZeroAlloc(t, "ColSumsAcc", func() { ColSumsAcc(bias, dy, 0, rows) })
+	xhat, lnAcc, inv := New(rows, out), make([]float64, 2*out), make([]float64, rows)
+	for i := range inv {
+		inv[i] = 1
+	}
+	assertZeroAlloc(t, "LayerNormParamGradAcc", func() { LayerNormParamGradAcc(lnAcc, dy, xhat, 0, rows) })
+	assertZeroAlloc(t, "LayerNormGradRows", func() { LayerNormGradRows(y, dy, xhat, inv, bias, 0, rows) })
 	assertZeroAlloc(t, "Add", func() { Add(y, y, y) })
 	assertZeroAlloc(t, "AddScaled", func() { AddScaled(y, 1, dy) })
 	assertZeroAlloc(t, "AddTo", func() { AddTo(y.Data, dy.Data) })
@@ -67,6 +73,10 @@ func TestKernelsZeroAllocSteadyState(t *testing.T) {
 	}
 	g := New(rows, in)
 	assertZeroAlloc(t, "GatherRows", func() { GatherRows(g, a, idx) })
+	scale := make([]float64, rows)
+	assertZeroAlloc(t, "SpanAcc", func() { SpanAcc(dx.Row(0), a.Data, in, 0, idx, rows, scale) })
+	a32, dx32 := Demote32(a), Demote32(dx)
+	assertZeroAlloc(t, "SpanAcc float32", func() { SpanAcc(dx32.Row(0), a32.Data, in, 0, idx, rows, scale) })
 
 	// Receiver-grouped scatter: every source row lands on row k/2.
 	start := make([]int, rows+1)

@@ -4,7 +4,7 @@ import "math"
 
 // Float64 elementwise tier: the ELU forward and derivative maps every MLP
 // block runs between its GEMMs (training, both float64 inference engines,
-// serving), plus the add kernel behind AddRowVectorRows and ColSumsAcc in
+// serving), plus the add kernel behind AddRowVectorRows and AddTo in
 // ops.go. Every path is BITWISE-IDENTICAL per element, so results do not
 // depend on chunk boundaries, thread count, which rung of the kernel tier
 // runs, or the architecture.

@@ -46,3 +46,61 @@ func LayerNormRows(dst, xhat *Matrix, invStd []float64, src *Matrix, gain, shift
 	n := int(lnBlock64x8(int64(groups), int64(cols), &s[0], &d[0], xp, ip, &gain.v[0], &shift.v[0], eps))
 	return lo + 8*n, n < groups
 }
+
+// LayerNormGradRows is the avx512 rung of the float64 LayerNorm's input
+// gradient. Its scalar definition lives with its user (internal/nn's
+// LayerNorm.backwardLoops): per row, from the forward's caches xh and inv,
+//
+//	d    = dy·gain                          the product rounded
+//	sum1 = Σ d,  sum2 = Σ d·xh              ascending columns, each product rounded
+//	dx   = inv/n · ((n·d − sum1) − xh·sum2)
+//
+// It runs the leading whole groups of eight rows of [lo, hi) through
+// lnGrad64x8 (ln32_amd64.s), LayerNormRows' layout — the lanes hold rows
+// for the two sums, the second pass runs along each row — and returns the
+// first row it left, reporting stopped where it handed back the group
+// there, one with a row whose sum1, sum2 or inv is not finite: the caller
+// runs those eight rows through the scalar definition and calls again
+// from done+8. Otherwise the caller finishes [done, hi), fewer than eight
+// rows on avx512; on the other rungs and for zero columns it returns lo,
+// not stopped. A lane performs its row's scalar sequence of correctly
+// rounded operations, so no bit depends on which rows share a group, and
+// finite sums leave no NaN operand that could meet another. dx may not
+// alias dy or xhat.
+func LayerNormGradRows(dx, dy, xhat *Matrix, invStd, gain []float64, lo, hi int) (done int, stopped bool) {
+	cols := dy.Cols
+	if dx.Cols != cols || xhat.Cols != cols || len(gain) != cols {
+		panic("tensor: LayerNormGradRows width mismatch")
+	}
+	groups := (hi - lo) / 8
+	if tier != tierAVX512 || cols == 0 || groups == 0 {
+		return lo, false
+	}
+	end := lo + 8*groups
+	// The kernel reads and writes rows [lo, end) unchecked.
+	g, x, d := dy.Data[lo*cols:end*cols], xhat.Data[lo*cols:end*cols], dx.Data[lo*cols:end*cols]
+	inv := invStd[lo:end]
+	n := int(lnGrad64x8(int64(groups), int64(cols), &g[0], &x[0], &inv[0], &gain[0], &d[0]))
+	return lo + 8*n, n < groups
+}
+
+// LayerNormParamGradAcc is the SIMD rung of the float64 LayerNorm's
+// parameter-gradient chunk body, whose scalar definition is internal/nn's
+// (LayerNorm.reduceBody): over rows [lo, hi) ascending, per column j,
+//
+//	acc[j]      += dy[i][j]·xhat[i][j]     the gain gradient, the product rounded
+//	acc[cols+j] += dy[i][j]                the shift gradient
+//
+// It runs the column-accumulate kernel (colacc_amd64.s), the two chains
+// of up to 32 columns a pass in registers down the whole range, and
+// returns the leading columns it finished: all of them, or, where a
+// pass's result holds a NaN, the columns before that pass, both halves of
+// acc unwritten from there for the caller's loop. It returns 0 on the go
+// rung.
+func LayerNormParamGradAcc(acc []float64, dy, xhat *Matrix, lo, hi int) (done int) {
+	cols := dy.Cols
+	if xhat.Cols != cols || len(acc) < 2*cols {
+		panic("tensor: LayerNormParamGradAcc width mismatch")
+	}
+	return colAcc(dy.Data, xhat.Data, acc[cols:2*cols], acc[:cols], cols, lo, hi)
+}

@@ -476,3 +476,200 @@ ddone:
 	VZEROUPPER
 	MOVQ R10, done+72(FP)
 	RET
+
+// LOADT loads columns (p)…+7 of the group's eight rows — rows 0-3 at
+// p + {0, 1, 2, 3}·R13 with 3·R13 in R14, rows 4-7 the same from
+// p + 4·R13, through DX — and transposes them into Z19…Z26.
+#define LOADT(p) \
+	LEAQ    (p)(R13*4), DX; \
+	VMOVUPD (p), Z6; \
+	VMOVUPD (p)(R13*1), Z7; \
+	VMOVUPD (p)(R13*2), Z8; \
+	VMOVUPD (p)(R14*1), Z9; \
+	VMOVUPD (DX), Z10; \
+	VMOVUPD (DX)(R13*1), Z11; \
+	VMOVUPD (DX)(R13*2), Z12; \
+	VMOVUPD (DX)(R14*1), Z13; \
+	TRANSPOSE8
+
+// GRADD is column c of the backward's first sum, its dy in col: h =
+// dy·gain (Z31 the broadcast gain), Z0 += h.
+#define GRADD(c, col, h) \
+	VBROADCASTSD c*8(R8)(CX*8), Z31; \
+	VMULPD       Z31, col, h; \
+	VADDPD       h, Z0, Z0
+
+// GRADX is the same column of the second: Z3 += h·xh, xh in x.
+#define GRADX(h, x) \
+	VMULPD x, h, x; \
+	VADDPD x, Z3, Z3
+
+// func lnGrad64x8(groups, cols int64, dy, xhat, invStd, gain, dx *float64) (done int64)
+//
+// The float64 LayerNorm's input gradient of groups × 8 consecutive rows of
+// cols columns, rows contiguous in dy, xhat and dx: per row, in lane r of
+// Z0 and Z3,
+//
+//	sum1 = Σ dy·gain,  sum2 = Σ (dy·gain)·xhat     ascending columns
+//
+// (dy columns transposed as in pass 1 of lnBlock64x8, multiplied by the
+// broadcast gain into eight held registers, then the xhat columns), and
+// then along each row, eight columns per step,
+//
+//	dx = invStd/n · ((n·(dy·gain) − sum1) − xhat·sum2)
+//
+// every operation unfused as the scalar definition spells it. It returns
+// at the first group where a row's sum1, sum2 or invStd is not finite,
+// having written nothing of it: finite sums leave every operand of the
+// second pass finite, so no NaN operand can meet another there.
+TEXT ·lnGrad64x8(SB), NOSPLIT, $0-64
+	MOVQ groups+0(FP), AX
+	MOVQ cols+8(FP), BX
+	MOVQ dy+16(FP), SI
+	MOVQ xhat+24(FP), R12
+	MOVQ invStd+32(FP), R15
+	MOVQ gain+40(FP), R8
+	MOVQ dx+48(FP), DI
+
+	VMOVQ        BX, X14
+	VPBROADCASTD X14, Y14
+	VPMULLD      lnIota<>(SB), Y14, Y15 // row r of a group starts r·cols elements in
+	VCVTSI2SDQ   BX, X0, X0
+	VBROADCASTSD X0, Z16                // n = float64(cols)
+
+	MOVQ  BX, R13
+	SHLQ  $3, R13        // row stride in bytes
+	LEAQ  (R13)(R13*2), R14
+	MOVQ  BX, R11
+	ANDQ  $-8, R11 // columns in whole blocks of 8
+	MOVQ  BX, CX
+	ANDQ  $7, CX
+	MOVQ  $1, DX
+	SHLQ  CX, DX
+	DECQ  DX
+	KMOVW DX, K2 // the cols mod 8 tail columns
+
+ggroup:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z3, Z3, Z3
+	MOVQ   SI, R10
+	MOVQ   R12, R9
+	XORQ   CX, CX
+	TESTQ  R11, R11
+	JZ     gsumtail
+
+gsum8:
+	LOADT(R10)
+	GRADD(0, Z19, Z1)
+	GRADD(1, Z20, Z2)
+	GRADD(2, Z21, Z4)
+	GRADD(3, Z22, Z5)
+	GRADD(4, Z23, Z27)
+	GRADD(5, Z24, Z28)
+	GRADD(6, Z25, Z29)
+	GRADD(7, Z26, Z30)
+	LOADT(R9)
+	GRADX(Z1, Z19)
+	GRADX(Z2, Z20)
+	GRADX(Z4, Z21)
+	GRADX(Z5, Z22)
+	GRADX(Z27, Z23)
+	GRADX(Z28, Z24)
+	GRADX(Z29, Z25)
+	GRADX(Z30, Z26)
+	ADDQ $64, R10
+	ADDQ $64, R9
+	ADDQ $8, CX
+	CMPQ CX, R11
+	JLT  gsum8
+
+gsumtail:
+	CMPQ CX, BX
+	JGE  gcheck
+
+gsum1:
+	KXNORW       K3, K3, K3
+	VGATHERDPD   (R10)(Y15*8), K3, Z19
+	VBROADCASTSD (R8)(CX*8), Z31
+	VMULPD       Z31, Z19, Z1
+	VADDPD       Z1, Z0, Z0
+	KXNORW       K3, K3, K3
+	VGATHERDPD   (R9)(Y15*8), K3, Z19
+	GRADX(Z1, Z19)
+	ADDQ         $8, R10
+	ADDQ         $8, R9
+	INCQ         CX
+	CMPQ         CX, BX
+	JLT          gsum1
+
+gcheck:
+	// every row's sum1, sum2 and invStd finite: x − x is 0, else NaN
+	VMOVUPD  (R15), Z4
+	VSUBPD   Z0, Z0, Z1
+	VCMPPD   $3, Z1, Z1, K1
+	VSUBPD   Z3, Z3, Z1
+	VCMPPD   $3, Z1, Z1, K3
+	KORW     K3, K1, K1
+	VSUBPD   Z4, Z4, Z1
+	VCMPPD   $3, Z1, Z1, K3
+	KORW     K3, K1, K1
+	KORTESTW K1, K1
+	JNZ      gdone
+	VDIVPD   Z16, Z4, Z4 // invStd/n, once per row
+	XORQ     DX, DX      // row of the group
+
+grow:
+	// lane DX of sum1, sum2 and invStd/n, broadcast
+	VPBROADCASTQ DX, Z28
+	VPERMPD      Z0, Z28, Z5
+	VPERMPD      Z3, Z28, Z6
+	VPERMPD      Z4, Z28, Z7
+	XORQ         CX, CX
+	TESTQ        R11, R11
+	JZ           gtail
+
+gcol8:
+	VMOVUPD (SI)(CX*8), Z9
+	VMULPD  (R8)(CX*8), Z9, Z9
+	VMULPD  Z16, Z9, Z9
+	VSUBPD  Z5, Z9, Z9
+	VMULPD  (R12)(CX*8), Z6, Z10
+	VSUBPD  Z10, Z9, Z9
+	VMULPD  Z9, Z7, Z9
+	VMOVUPD Z9, (DI)(CX*8)
+	ADDQ    $8, CX
+	CMPQ    CX, R11
+	JLT     gcol8
+
+gtail:
+	CMPQ      CX, BX
+	JGE       gnext
+	VMOVUPD.Z (SI)(CX*8), K2, Z9
+	VMOVUPD.Z (R8)(CX*8), K2, Z11
+	VMOVUPD.Z (R12)(CX*8), K2, Z10
+	VMULPD    Z11, Z9, Z9
+	VMULPD    Z16, Z9, Z9
+	VSUBPD    Z5, Z9, Z9
+	VMULPD    Z6, Z10, Z10
+	VSUBPD    Z10, Z9, Z9
+	VMULPD    Z9, Z7, Z9
+	VMOVUPD   Z9, K2, (DI)(CX*8)
+
+gnext:
+	ADDQ R13, SI
+	ADDQ R13, R12
+	ADDQ R13, DI
+	INCQ DX
+	CMPQ DX, $8
+	JLT  grow
+
+	ADDQ $64, R15
+	DECQ AX
+	JNZ  ggroup
+
+gdone:
+	MOVQ groups+0(FP), R10
+	SUBQ AX, R10 // groups finished
+	VZEROUPPER
+	MOVQ R10, done+56(FP)
+	RET

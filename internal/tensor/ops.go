@@ -346,44 +346,47 @@ func AddRowVectorRows(m *Matrix, v []float64, lo, hi int) {
 	}
 }
 
-// colSumKernelMin is the narrowest row ColSumsAcc hands to the add kernel.
-// The kernel costs a call per row and a store-to-load round trip through
-// acc; 32 columns (four to eight vector adds) amortize that, 8 do not:
-// over 256 rows the kernel takes twice the scalar loop's time at 8 columns
-// and about three quarters of it at 32. The path never shows in a bit.
-const colSumKernelMin = 32
-
 // ColSumsAcc accumulates the column sums of rows [lo, hi) of m into acc:
 // the chunk body of a bias-gradient reduction, chunked by
-// ReduceGrain(m.Cols). Wide rows go row by row through the add kernel, so
-// every column still sums its rows in ascending order; a block the kernel
-// hands back (a NaN operand) and the column tail go to colSumScalar, the
-// loop narrow rows and the pure-Go rung run throughout.
+// ReduceGrain(m.Cols). Its definition is colSumScalar row by row, rows
+// ascending: per column one chain of rounded adds. On the SIMD rungs the
+// column-accumulate kernel (colacc_amd64.s) runs that chain with the
+// accumulators in registers down the whole range, up to 32 columns a
+// pass; a pass whose result holds a NaN is handed back unstored, and
+// colSumScalar does the columns from there. The pure-Go rung runs
+// colSumScalar throughout.
 func ColSumsAcc(acc []float64, m *Matrix, lo, hi int) {
 	cols := m.Cols
-	w := vecLanes()
-	if w == 0 || cols < colSumKernelMin {
-		for i := lo; i < hi; i++ {
-			colSumScalar(acc, m.Data[i*cols:(i+1)*cols])
-		}
+	acc = acc[:cols]
+	done := colAcc(m.Data, nil, acc, nil, cols, lo, hi)
+	if done == cols {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		row := m.Data[i*cols : (i+1)*cols]
-		j := 0
-		for cols-j >= w {
-			if n := int64((cols - j) &^ (w - 1)); w == 8 {
-				j += int(addBlock64x8(n, &acc[j], &row[j]))
-			} else {
-				j += int(addBlock64(n, &acc[j], &row[j]))
-			}
-			if cols-j >= w {
-				colSumScalar(acc[j:], row[j:j+w])
-				j += w
-			}
-		}
-		colSumScalar(acc[j:], row[j:])
+		colSumScalar(acc[done:], m.Data[i*cols+done:(i+1)*cols])
 	}
+}
+
+// colAcc runs the column-accumulate kernel of the rung over rows [lo, hi)
+// of a (cols wide): sum[j] += a[i][j] and, where b is not nil, dot[j] +=
+// a[i][j]·b[i][j]. It returns the leading columns finished: 0 on the go
+// rung and for an empty range.
+func colAcc(a, b, sum, dot []float64, cols, lo, hi int) int {
+	if tier < tierAVX2 || hi <= lo || cols == 0 {
+		return 0
+	}
+	// The kernel reads and writes these unchecked.
+	_, _ = a[lo*cols:hi*cols], sum[cols-1]
+	pa, ps := &a[lo*cols], &sum[0]
+	var pb, pd *float64
+	if b != nil {
+		_, _ = b[lo*cols:hi*cols], dot[cols-1]
+		pb, pd = &b[lo*cols], &dot[0]
+	}
+	if tier == tierAVX512 {
+		return int(colAcc64x8(int64(hi-lo), int64(cols), pa, pb, ps, pd))
+	}
+	return int(colAcc64(int64(hi-lo), int64(cols), pa, pb, ps, pd))
 }
 
 // colSumScalar is acc[j] += row[j] spelled as ColSumsAcc's scalar loop

@@ -4,7 +4,7 @@ import "unsafe"
 
 // CPU feature detection and declarations for the assembly kernels in
 // simd_amd64.s, gemmrows_amd64.s, elu64_amd64.s, elu32_amd64.s,
-// ln32_amd64.s and gather_amd64.s. detectSIMD reads CPUID
+// ln32_amd64.s, gather_amd64.s and colacc_amd64.s. detectSIMD reads CPUID
 // and XCR0 alone and reports the highest rung of the kernel tier
 // (pack.go) the machine can run.
 
@@ -101,6 +101,43 @@ func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64
 
 //go:noescape
 func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64) (done int64)
+
+// lnGrad64x8 is the float64 LayerNorm's input gradient of groups × 8
+// contiguous rows (ln32_amd64.s); it returns how many leading groups it
+// finished, stopping at one where a row's sums or invStd are not finite.
+//
+//go:noescape
+func lnGrad64x8(groups, cols int64, dy, xhat, invStd, gain, dx *float64) (done int64)
+
+// colAcc64 (avx2) and colAcc64x8 (avx512) add rows rows of a (cols
+// columns, contiguous) into sum, column by column, and where b is not nil
+// the products a·b into dot (colacc_amd64.s); each returns how many
+// leading columns it finished, stopping at a pass whose result holds a
+// NaN, which it does not store.
+//
+//go:noescape
+func colAcc64(rows, cols int64, a, b, sum, dot *float64) (done int64)
+
+//go:noescape
+func colAcc64x8(rows, cols int64, a, b, sum, dot *float64) (done int64)
+
+// The span-accumulate kernels of SpanAcc (colacc_amd64.s): dst += Σ_k
+// scale[k]·src row r_k over n terms, r_k = idx[k] or k, rows stride
+// elements apart; scale nil for no multiply. Each returns how many
+// leading columns of dst it finished, stopping at a pass whose result
+// holds a NaN, and at once when an index is not below rows.
+//
+//go:noescape
+func spanAcc64(n, cols, stride, rows int64, src *float64, idx *int, scale, dst *float64) (done int64)
+
+//go:noescape
+func spanAcc64x8(n, cols, stride, rows int64, src *float64, idx *int, scale, dst *float64) (done int64)
+
+//go:noescape
+func spanAcc32(n, cols, stride, rows int64, src *float32, idx *int, scale *float64, dst *float32) (done int64)
+
+//go:noescape
+func spanAcc32x16(n, cols, stride, rows int64, src *float32, idx *int, scale *float64, dst *float32) (done int64)
 
 // edgeRowsCopy (avx2) and edgeRowsCopyx16 (avx512) are the edge-row
 // gather of GatherEdgeRows (gather_amd64.s), rowBytes a multiple of 4;

@@ -61,6 +61,29 @@ func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float6
 	panic(noSIMD)
 }
 
+func lnGrad64x8(groups, cols int64, dy, xhat, invStd, gain, dx *float64) (done int64) {
+	panic(noSIMD)
+}
+
+func colAcc64(rows, cols int64, a, b, sum, dot *float64) (done int64)   { panic(noSIMD) }
+func colAcc64x8(rows, cols int64, a, b, sum, dot *float64) (done int64) { panic(noSIMD) }
+
+func spanAcc64(n, cols, stride, rows int64, src *float64, idx *int, scale, dst *float64) (done int64) {
+	panic(noSIMD)
+}
+
+func spanAcc64x8(n, cols, stride, rows int64, src *float64, idx *int, scale, dst *float64) (done int64) {
+	panic(noSIMD)
+}
+
+func spanAcc32(n, cols, stride, rows int64, src *float32, idx *int, scale *float64, dst *float32) (done int64) {
+	panic(noSIMD)
+}
+
+func spanAcc32x16(n, cols, stride, rows int64, src *float32, idx *int, scale *float64, dst *float32) (done int64) {
+	panic(noSIMD)
+}
+
 func edgeRowsCopy(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64) {
 	panic(noSIMD)
 }

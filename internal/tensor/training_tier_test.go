@@ -1,6 +1,8 @@
 package tensor_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"os"
 	"strconv"
@@ -131,4 +133,80 @@ func readGoldenLosses(t *testing.T, path string) []uint64 {
 		t.Fatalf("%s holds no losses", path)
 	}
 	return bits
+}
+
+// largeParamsFNV is the FNV-64a hash of every parameter rank 0 holds after
+// largeTraining, recorded before the large model's backward moved onto
+// the SIMD kernels (column sums, span accumulations, the LayerNorm
+// backward); both SIMD rungs train to it.
+const largeParamsFNV = 0x99025dcd8afc70d9
+
+// largeTraining trains LargeConfig (H = 32) for three Adam steps on the
+// 4×4×4-element p = 2 periodic box cut into two slab ranks, and returns
+// the FNV-64a hash of rank 0's parameters, each value's little-endian bits
+// in Params order.
+func largeTraining(t *testing.T) uint64 {
+	t.Helper()
+	parallel.Configure(1, true)
+	defer parallel.Configure(0, true)
+	box, err := mesh.NewBox(4, 4, 4, 2, [3]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.NewCartesian(box, 2, partition.Slabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals, err := graph.BuildAll(box, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := comm.RunCollect(2, func(c *comm.Comm) (uint64, error) {
+		rc, err := gnn.NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
+		if err != nil {
+			return 0, err
+		}
+		model, err := gnn.NewModel(gnn.LargeConfig())
+		if err != nil {
+			return 0, err
+		}
+		tr := gnn.NewTrainer(model, nn.NewAdam(1e-3))
+		x := waveField(rc.Graph)
+		for range 3 {
+			tr.Step(rc, x, x)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		for _, p := range model.Params() {
+			for _, v := range p.W.Data {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
+			}
+		}
+		return h.Sum64(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
+}
+
+// TestLargeTrainingBitsOnSIMDRungs pins the large model's training bits
+// the way golden_losses.txt pins the small model's (H = 8): every
+// parameter after largeTraining, hashed, on each SIMD rung this machine
+// has. The go rung is not run: its packed GEMM (the large model's layers
+// are past the packing gate) sums in another order than the SIMD tiles,
+// so it trains to other bits.
+func TestLargeTrainingBitsOnSIMDRungs(t *testing.T) {
+	if tensor.CPUTier() < tensor.TierAVX2 {
+		t.Skip("no SIMD rung on this CPU")
+	}
+	for k := tensor.CPUTier(); k >= tensor.TierAVX2; k-- {
+		prev := tensor.SetKernelTier(k)
+		got := largeTraining(t)
+		tensor.SetKernelTier(prev)
+		if got != largeParamsFNV {
+			t.Errorf("rung %v: parameters hash to %#016x, want %#016x", k, got, uint64(largeParamsFNV))
+		}
+	}
 }

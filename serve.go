@@ -850,8 +850,9 @@ func (srv *Server) terminalError() error {
 
 // rootCause picks the most informative error from a set of concurrent
 // rank failures: the first (by order) error that is not a secondary
-// ErrTimeout — when one rank dies, its peers time out waiting on it, and
-// those timeouts point at the symptom, not the cause. All-timeout (or
+// ErrTimeout or comm.ErrPeerClosed — when one rank dies, its peers time
+// out waiting on it or, in process, are released by its closed endpoint,
+// and those errors point at the symptom, not the cause. All-secondary (or
 // all-nil) sets fall back to the first non-nil entry.
 func rootCause(errs []error) error {
 	var first error
@@ -862,7 +863,7 @@ func rootCause(errs []error) error {
 		if first == nil {
 			first = err
 		}
-		if !errors.Is(err, comm.ErrTimeout) {
+		if !errors.Is(err, comm.ErrTimeout) && !errors.Is(err, comm.ErrPeerClosed) {
 			return err
 		}
 	}
