@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section. Absolute times reflect this host, not Frontier; the
-// artifacts themselves (consistency rows, partition statistics, projected
+// evaluation section. Absolute times reflect the host, not Frontier; the
+// artifacts themselves (consistency rows, partition statistics, measured
 // scaling series) are produced inside the bench bodies and asserted for
 // the paper's qualitative findings. Run with:
 //
@@ -13,7 +13,6 @@ import (
 	"meshgnn/internal/comm"
 	"meshgnn/internal/experiments"
 	"meshgnn/internal/gnn"
-	"meshgnn/internal/perfmodel"
 )
 
 // BenchmarkTable1_ModelConfigs regenerates Table I: it constructs both
@@ -91,30 +90,9 @@ func BenchmarkTable2_PartitionStats(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7_WeakScalingProjection regenerates Fig. 7: projected total
-// throughput and weak-scaling efficiency for both model sizes, both
-// loadings, and all three exchange modes from 8 to 2048 ranks on the
-// Frontier machine model.
-func BenchmarkFig7_WeakScalingProjection(b *testing.B) {
-	m := perfmodel.Frontier()
-	rs := []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048}
-	loadings := []experiments.Loading{experiments.Loading256k(), experiments.Loading512k()}
-	cfgs := []gnn.Config{gnn.SmallConfig(), gnn.LargeConfig()}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig7Frontier(m, 5, rs, loadings, cfgs, experiments.DefaultModes())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) != len(rs)*len(loadings)*len(cfgs)*3 {
-			b.Fatalf("%d points", len(pts))
-		}
-	}
-}
-
-// BenchmarkFig7_WeakScalingMeasured runs the measured tier: real
-// goroutine-rank training iterations with wall-clock timing and exact
-// message counts across exchange modes.
+// BenchmarkFig7_WeakScalingMeasured regenerates Fig. 7 and Fig. 8 on real
+// goroutine ranks: training iterations with wall-clock timing, exact
+// message counts, and throughput relative to no exchange for each mode.
 func BenchmarkFig7_WeakScalingMeasured(b *testing.B) {
 	b.ReportAllocs()
 	cfg := gnn.SmallConfig()
@@ -126,36 +104,6 @@ func BenchmarkFig7_WeakScalingMeasured(b *testing.B) {
 		}
 		if len(pts) == 0 {
 			b.Fatal("no measured points")
-		}
-	}
-}
-
-// BenchmarkFig8_RelativeThroughput regenerates Fig. 8: consistent-model
-// throughput normalized by the no-exchange baseline across the sweep,
-// asserting the paper's headline ordering (N-A2A marginal, A2A
-// impractical at scale).
-func BenchmarkFig8_RelativeThroughput(b *testing.B) {
-	b.ReportAllocs()
-	m := perfmodel.Frontier()
-	rs := []int{8, 64, 512, 2048}
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Fig7Frontier(m, 5, rs,
-			[]experiments.Loading{experiments.Loading512k()},
-			[]gnn.Config{gnn.LargeConfig()}, experiments.DefaultModes())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var na2aAt64, a2aAt2048 float64
-		for _, p := range pts {
-			if p.Mode == comm.NeighborAllToAll && p.Ranks == 64 {
-				na2aAt64 = p.Relative
-			}
-			if p.Mode == comm.AllToAllMode && p.Ranks == 2048 {
-				a2aAt2048 = p.Relative
-			}
-		}
-		if na2aAt64 < 0.9 || a2aAt2048 > 0.5 {
-			b.Fatalf("Fig. 8 shape broken: N-A2A@64 %.3f, A2A@2048 %.3f", na2aAt64, a2aAt2048)
 		}
 	}
 }
@@ -231,23 +179,6 @@ func BenchmarkAblation_ModelSize(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkExtension_StrongScaling regenerates the strong-scaling
-// extension sweep (fixed global mesh, growing R).
-func BenchmarkExtension_StrongScaling(b *testing.B) {
-	b.ReportAllocs()
-	m := perfmodel.Frontier()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.StrongScaling(m, 5, 64, []int{8, 64, 512}, gnn.LargeConfig(),
-			experiments.DefaultModes())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(pts) == 0 {
-			b.Fatal("no points")
-		}
 	}
 }
 

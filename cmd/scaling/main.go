@@ -1,24 +1,19 @@
-// Command scaling regenerates the paper's weak-scaling evaluation:
-// Table I (model settings), Fig. 7 (total training throughput and
-// weak-scaling efficiency, 8–2048 ranks), and Fig. 8 (throughput of the
-// consistent model relative to the inconsistent baseline).
-//
-// Two tiers are reported:
-//
-//   - projected: the Frontier machine model driven by exact partition
-//     statistics at the paper's scale (default);
-//   - measured (-measured): real goroutine-rank training iterations on
-//     this host with wall-clock timing and per-iteration message counts.
+// Command scaling regenerates the paper's weak-scaling evaluation on this
+// host: Table I (model settings), then Fig. 7 measured on real goroutine
+// ranks at R = 1, 2, 4, 8, with wall-clock timing and exact
+// per-iteration message counts. The relative column (throughput against
+// the no-exchange model at the same R) is Fig. 8 measured.
 //
 // Usage:
 //
-//	scaling [-measured] [-rmax 2048] [-iters 3] [-calibrate]
+//	scaling [-iters 3] [-elems 2] [-p 3] [-overlap] [-reduced]
 //
-// A third tier runs the measured trainer with real OS-process ranks over
-// the socket transport (-procs N): the command re-execs itself once per
-// worker rank (MESHGNN_RANK/MESHGNN_WORLD environment), rank 0
-// coordinates, and the row reports wall time plus exact per-iteration
-// traffic crossing the process boundary.
+// -procs N measures one point with real OS-process ranks over the socket
+// transport instead: the command re-execs itself once per worker rank
+// (MESHGNN_RANK/MESHGNN_WORLD environment), rank 0 coordinates, and the
+// row reports wall time plus exact per-iteration traffic crossing the
+// process boundary. -reduced adds the reduced-graph ablation, computed
+// analytically at 8–2048 ranks.
 package main
 
 import (
@@ -26,37 +21,37 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"meshgnn/internal/comm"
 	"meshgnn/internal/experiments"
 	"meshgnn/internal/gnn"
 	"meshgnn/internal/parallel"
-	"meshgnn/internal/perfmodel"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("scaling: ")
 	var (
-		measured  = flag.Bool("measured", false, "run the measured goroutine-rank tier instead of the projection")
-		rmax      = flag.Int("rmax", 2048, "largest projected rank count (powers of two from 8)")
-		iters     = flag.Int("iters", 3, "timed iterations per measured point")
-		elems     = flag.Int("elems", 2, "elements per rank per axis for the measured tier")
-		p         = flag.Int("p", 3, "polynomial order for the measured tier (paper: 5)")
-		calibrate = flag.Bool("calibrate", false, "calibrate the machine model from a local kernel measurement")
-		strong    = flag.Bool("strong", false, "also project a strong-scaling sweep (fixed 64^3-element mesh)")
-		inference = flag.Bool("inference", false, "also project inference-only (forward pass) throughput")
-		reduced   = flag.Bool("reduced", false, "also report the reduced-graph (coincident collapse) ablation")
-		threads   = flag.Int("threads", 0, "intra-rank worker threads per kernel (0 = GOMAXPROCS, 1 = serial)")
-		det       = flag.Bool("deterministic", true, "fixed-schedule reductions: results bitwise-identical for any -threads")
-		procs     = flag.Int("procs", 0, "measure one point with this many OS-process ranks over sockets")
-		procMode  = flag.String("procmode", "na2a", "halo exchange for -procs: none, a2a, na2a, sendrecv")
-		overlap   = flag.Bool("overlap", false, "measured tiers: overlap halo communication with interior compute (bitwise-identical results)")
+		iters    = flag.Int("iters", 3, "timed iterations per measured point")
+		elems    = flag.Int("elems", 2, "elements per rank per axis (>= 2: the mesh is periodic)")
+		p        = flag.Int("p", 3, "polynomial order (paper: 5)")
+		reduced  = flag.Bool("reduced", false, "also report the reduced-graph (coincident collapse) ablation")
+		threads  = flag.Int("threads", 0, "intra-rank worker threads per kernel (0 = GOMAXPROCS, 1 = serial)")
+		det      = flag.Bool("deterministic", true, "fixed-schedule reductions: results bitwise-identical for any -threads")
+		procs    = flag.Int("procs", 0, "measure one point with this many OS-process ranks over sockets")
+		procMode = flag.String("procmode", "na2a", "halo exchange for -procs: none, a2a, na2a, sendrecv")
+		overlap  = flag.Bool("overlap", false, "overlap halo communication with interior compute (bitwise-identical results)")
 	)
 	flag.Parse()
-	if *threads < 0 {
+	switch {
+	case *threads < 0:
 		log.Fatalf("-threads must be >= 0, got %d", *threads)
+	case *iters < 1:
+		log.Fatalf("-iters must be >= 1, got %d", *iters)
+	case *p < 1:
+		log.Fatalf("-p must be >= 1, got %d", *p)
+	case *elems < 2:
+		log.Fatalf("-elems must be >= 2 (the mesh is periodic), got %d", *elems)
 	}
 	parallel.Configure(*threads, *det)
 
@@ -69,53 +64,13 @@ func main() {
 	fmt.Println()
 	experiments.RenderTable1(os.Stdout, experiments.Table1())
 
-	if *measured {
-		runMeasured(*p, *elems, *iters, *overlap)
-		return
-	}
+	runMeasured(*p, *elems, *iters, *overlap)
 
-	machine := perfmodel.Frontier()
-	if *calibrate {
-		machine = calibrateMachine(machine)
-	}
-	var rs []int
-	for r := 8; r <= *rmax; r *= 2 {
-		rs = append(rs, r)
-	}
-	fmt.Printf("\nFig. 7 / Fig. 8 (projected on %s machine model): weak scaling, p=5 periodic mesh\n",
-		machine.Name)
-	pts, err := experiments.Fig7Frontier(machine, 5, rs,
-		[]experiments.Loading{experiments.Loading256k(), experiments.Loading512k()},
-		[]gnn.Config{gnn.SmallConfig(), gnn.LargeConfig()},
-		experiments.DefaultModes())
-	if err != nil {
-		log.Fatal(err)
-	}
-	experiments.RenderFig7(os.Stdout, pts)
-	fmt.Println("\nThe A2A rows collapse with R (dummy uniform buffers); N-A2A stays near the")
-	fmt.Println("no-exchange baseline — the paper's Fig. 7/8 finding.")
-
-	if *strong {
-		fmt.Println("\nStrong scaling (extension): fixed 64^3-element p=5 periodic mesh, large model")
-		fmt.Println()
-		ss, err := experiments.StrongScaling(machine, 5, 64, rs, gnn.LargeConfig(),
-			experiments.DefaultModes())
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.RenderStrongScaling(os.Stdout, ss)
-	}
-	if *inference {
-		fmt.Println("\nInference-only projection (extension): forward pass, 512k loading, large model")
-		fmt.Println()
-		inf, err := experiments.InferenceThroughput(machine, 5, experiments.Loading512k(),
-			rs, gnn.LargeConfig(), experiments.DefaultModes())
-		if err != nil {
-			log.Fatal(err)
-		}
-		experiments.RenderInference(os.Stdout, inf)
-	}
 	if *reduced {
+		var rs []int
+		for r := 8; r <= 2048; r *= 2 {
+			rs = append(rs, r)
+		}
 		fmt.Println("\nReduced-graph ablation (paper Fig. 3(c)): local coincident collapse savings")
 		fmt.Println()
 		rg, err := experiments.ReducedGraphAblation(5, 16, rs)
@@ -166,31 +121,4 @@ func runMeasured(p, elems, iters int, overlap bool) {
 		log.Fatal(err)
 	}
 	experiments.RenderMeasured(os.Stdout, pts)
-}
-
-// calibrateMachine anchors the projection's compute rate to a measured
-// local kernel time, scaled by a nominal CPU→GCD speedup.
-func calibrateMachine(m perfmodel.Machine) perfmodel.Machine {
-	const gcdSpeedup = 200 // nominal MI250X-GCD over one CPU core on small GEMMs
-	cfg := gnn.SmallConfig()
-	sec, _, nodes, err := measureLocal(cfg)
-	if err != nil {
-		log.Printf("calibration failed (%v); using defaults", err)
-		return m
-	}
-	flops := perfmodel.ModelFlops(cfg, nodes, 3*nodes)
-	cal := m.Calibrate(flops, sec, gcdSpeedup)
-	fmt.Printf("\ncalibrated compute rate: %.3g flop/s per rank (measured %.3fs/iter on %d nodes)\n",
-		cal.ComputeRate, sec, nodes)
-	return cal
-}
-
-func measureLocal(cfg gnn.Config) (secPerIter float64, iters int, nodes int64, err error) {
-	pts, err := experiments.Fig7Measured(3, 2, []int{1}, cfg, nil, 3)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	start := time.Now()
-	_ = start
-	return pts[0].SecPerIter, 3, pts[0].NodesPerRank, nil
 }

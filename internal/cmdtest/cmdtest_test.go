@@ -139,10 +139,50 @@ func TestTrainSaveLoadCheckpoint(t *testing.T) {
 	}
 }
 
-func TestScalingProjectedSmoke(t *testing.T) {
-	out := runCmd(t, "scaling", "-rmax", "8")
-	if !strings.Contains(out, "Table I") || !strings.Contains(out, "weak scaling") {
-		t.Fatalf("unexpected scaling output:\n%s", out)
+// TestScalingMeasuredSmoke runs the default scaling command: Table I,
+// then the measured tier's none / A2A / N-A2A rows at R = 1, 2, 4, 8.
+func TestScalingMeasuredSmoke(t *testing.T) {
+	out := runCmd(t, "scaling", "-elems", "2", "-p", "1", "-iters", "1")
+	for _, want := range []string{"Table I", "| small | 8 | 4 | 2 | 3979 |", "| large | 32 | 4 | 5 | 91459 |",
+		"Fig. 7 (measured tier)"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("scaling output missing %q:\n%s", want, out)
+		}
+	}
+	for _, r := range []string{"1", "2", "4", "8"} {
+		for _, mode := range []string{"none", "A2A", "N-A2A"} {
+			if row := "| small | " + mode + " | off | " + r + " | "; !strings.Contains(out, row) {
+				t.Fatalf("scaling output missing the %s row at R=%s:\n%s", mode, r, out)
+			}
+		}
+	}
+}
+
+// TestScalingRejectsBadSizes: -iters, -p and -elems below their minimum
+// fail with a message naming the flag, before any table is printed.
+func TestScalingRejectsBadSizes(t *testing.T) {
+	bin := filepath.Join(build(t), "scaling")
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-iters", []string{"-iters", "0", "-elems", "2", "-p", "1"}},
+		{"-iters", []string{"-procs", "2", "-iters", "0", "-elems", "2", "-p", "1"}},
+		{"-p", []string{"-p", "0", "-elems", "2", "-iters", "1"}},
+		{"-elems", []string{"-elems", "1", "-p", "1", "-iters", "1"}},
+	} {
+		cmd := exec.Command(bin, c.args...)
+		cmd.Dir = t.TempDir()
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("scaling %s succeeded:\n%s", strings.Join(c.args, " "), out)
+			continue
+		}
+		if s := string(out); !strings.Contains(s, c.flag+" must be") || strings.Contains(s, "Table I") ||
+			strings.Contains(s, "panic") {
+			t.Errorf("scaling %s: want a %s refusal before any output, got:\n%s",
+				strings.Join(c.args, " "), c.flag, out)
+		}
 	}
 }
 

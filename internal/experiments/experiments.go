@@ -3,13 +3,11 @@
 // paper reports; cmd/scaling, cmd/consistency and cmd/meshinfo print
 // them.
 //
-// Two tiers exist for the scaling studies:
-//
-//   - measured: real goroutine-rank runs of the full distributed GNN at
-//     laptop scale, with wall-clock timing and exact traffic counters;
-//   - projected: the perfmodel machine description evaluated on workloads
-//     whose graph statistics (nodes, halos, neighbors, buffer sizes) are
-//     computed exactly from the real partition geometry at 8–2048 ranks.
+// Table II and the reduced-graph ablation are computed exactly from the
+// partition geometry, analytically, up to the paper's 2048 ranks and
+// 1.1e9 nodes. Fig. 7 and Fig. 8 are measured: real goroutine (or OS
+// process) ranks train the full distributed GNN at laptop scale, timed by
+// the wall clock, with exact per-iteration traffic counters.
 package experiments
 
 import (
@@ -212,19 +210,15 @@ type Table2Row struct {
 
 // Table2 computes per-rank statistics for a fully periodic TGV-style mesh
 // at order p with elemsPerRank³ elements of loading per rank, for each
-// rank count. Following the paper's footnote, R <= 8 uses slab ("vertical
-// chunk") decomposition and larger R uses sub-cube blocks. All statistics
-// come from the analytic fast path (validated against materialized
-// graphs), which is what makes the 2048-rank / 1.1e9-node row tractable
-// on one machine.
+// rank count. Following the paper's footnote, the partition is
+// partition.Auto: slab ("vertical chunk") decomposition for R <= 8 and
+// sub-cube blocks beyond. All statistics come from the analytic fast path
+// (validated against materialized graphs), which is what makes the
+// 2048-rank / 1.1e9-node row tractable on one machine.
 func Table2(p, elemsPerRank int, rs []int) ([]Table2Row, error) {
 	rows := make([]Table2Row, 0, len(rs))
 	for _, r := range rs {
-		strat := partition.Blocks
-		if r <= 8 {
-			strat = partition.Slabs
-		}
-		box, cart, err := weakScalingMesh(p, elemsPerRank, r, strat)
+		box, cart, err := weakScalingMesh(p, elemsPerRank, r)
 		if err != nil {
 			return nil, err
 		}
@@ -241,17 +235,21 @@ func Table2(p, elemsPerRank int, rs []int) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// weakScalingMesh builds the global periodic mesh for a weak-scaling
-// configuration: the rank grid (from the strategy) times elemsPerRank
-// elements per rank along each split axis.
-func weakScalingMesh(p, elemsPerRank, r int, strat partition.Strategy) (*mesh.Box, *partition.Cartesian, error) {
-	rx, ry, rz := rankGrid(r, strat)
+// weakScalingMesh builds the global periodic mesh of a weak-scaling
+// configuration and its partition.Auto partition: the rank grid times
+// elemsPerRank elements per rank along each axis, so every rank holds
+// elemsPerRank³ elements.
+func weakScalingMesh(p, elemsPerRank, r int) (*mesh.Box, *partition.Cartesian, error) {
+	rx, ry, rz, err := rankGrid(r)
+	if err != nil {
+		return nil, nil, err
+	}
 	box, err := mesh.NewBox(rx*elemsPerRank, ry*elemsPerRank, rz*elemsPerRank, p,
 		[3]bool{true, true, true})
 	if err != nil {
 		return nil, nil, err
 	}
-	cart, err := partition.NewCartesian(box, r, strat)
+	cart, err := partition.NewCartesian(box, r, partition.Auto)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -262,61 +260,100 @@ func weakScalingMesh(p, elemsPerRank, r int, strat partition.Strategy) (*mesh.Bo
 	return box, cart, nil
 }
 
-// rankGrid factorizes r into a process grid per the strategy: slabs are
-// r×1×1; blocks use the most cubic factorization.
-func rankGrid(r int, strat partition.Strategy) (rx, ry, rz int) {
-	if strat == partition.Slabs {
-		return r, 1, 1
+// rankGrid is the process grid partition.Auto chooses for r ranks on a
+// cube of r³ elements, where no axis is longer than another: r×1×1 slabs
+// up to 8 ranks, the most cubic blocks beyond.
+func rankGrid(r int) (rx, ry, rz int, err error) {
+	cube, err := mesh.NewBox(r, r, r, 1, [3]bool{})
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	best := [3]int{r, 1, 1}
-	bestCost := 1 << 62
-	for a := 1; a <= r; a++ {
-		if r%a != 0 {
-			continue
-		}
-		ra := r / a
-		for b := 1; b <= ra; b++ {
-			if ra%b != 0 {
-				continue
-			}
-			c := ra / b
-			// Cost: spread between largest and smallest factor.
-			hi, lo := a, a
-			for _, v := range []int{b, c} {
-				if v > hi {
-					hi = v
-				}
-				if v < lo {
-					lo = v
-				}
-			}
-			if cost := hi - lo; cost < bestCost {
-				bestCost = cost
-				best = [3]int{a, b, c}
-			}
-		}
+	cart, err := partition.NewCartesian(cube, r, partition.Auto)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	return best[0], best[1], best[2]
+	return cart.Rx, cart.Ry, cart.Rz, nil
 }
 
 // ---------------------------------------------------------------------------
-// Shared helpers for the measured tier.
+// Fig. 7 / Fig. 8: the measured weak-scaling tier.
 
-// measuredMesh builds the weak-scaling box and per-rank sub-graphs for a
-// measured point (elemsPerRank³ elements per rank; slab grid up to 8
-// ranks, blocks beyond), shared by the goroutine and process tiers.
-func measuredMesh(p, elemsPerRank, r int) (*mesh.Box, []*graph.Local, error) {
-	strat := partition.Blocks
-	if r <= 8 {
-		strat = partition.Slabs
+// MeasuredPoint is one point of the measured tier.
+type MeasuredPoint struct {
+	Model string
+	Mode  comm.ExchangeMode
+	// Overlap records whether the phased (overlapped) NMP pipeline was
+	// active for this point.
+	Overlap      bool
+	Ranks        int
+	NodesPerRank int64
+	SecPerIter   float64
+	// Throughput is total nodes/sec across ranks. On a single host the
+	// ranks time-share cores, so absolute weak scaling is not
+	// meaningful; the Relative column (vs no-exchange at the same R) is.
+	Throughput float64
+	Relative   float64
+	// Messages and Floats are rank 0's sends per iteration, as the
+	// fabric counted them.
+	Messages int64
+	Floats   int64
+	// HaloSecPerIter is rank 0's wall time inside halo exchanges per
+	// iteration; ExposedPerIter is the subset spent blocked on messages
+	// that had not yet arrived (the communication cost not hidden behind
+	// compute — the quantity the overlapped pipeline shrinks).
+	HaloSecPerIter float64
+	ExposedPerIter float64
+}
+
+// Fig7Measured runs the real distributed trainer on goroutine ranks over
+// a small weak-scaling sweep, recording wall time and exact traffic for
+// the no-exchange baseline and each of modes at every R. The relative
+// column is Fig. 8 measured: throughput against no exchange at the same
+// R. Each R's sub-graphs are built once and shared by its modes.
+func Fig7Measured(p, elemsPerRank int, rs []int, cfg gnn.Config, modes []comm.ExchangeMode, iters int) ([]MeasuredPoint, error) {
+	if err := checkIters(iters); err != nil {
+		return nil, err
 	}
-	rx, ry, rz := rankGrid(r, strat)
-	box, err := mesh.NewBox(rx*elemsPerRank, ry*elemsPerRank, rz*elemsPerRank, p,
-		[3]bool{true, true, true})
+	var out []MeasuredPoint
+	for _, r := range rs {
+		box, locals, err := measuredMesh(p, elemsPerRank, r)
+		if err != nil {
+			return nil, err
+		}
+		var noneTP float64
+		for _, mode := range append([]comm.ExchangeMode{comm.NoExchange}, modes...) {
+			sec, stats, nodes, err := measuredStep(box, locals, mode, cfg, iters)
+			if err != nil {
+				return nil, fmt.Errorf("R=%d mode %v: %w", r, mode, err)
+			}
+			pt := measuredPoint(cfg, mode, r, nodes, sec, stats, iters)
+			if mode == comm.NoExchange {
+				noneTP = pt.Throughput
+			}
+			pt.Relative = pt.Throughput / noneTP
+			out = append(out, pt)
+		}
+	}
+	return out, nil
+}
+
+// checkIters rejects a measurement with no timed iteration, whose
+// per-iteration figures would divide by zero.
+func checkIters(iters int) error {
+	if iters < 1 {
+		return fmt.Errorf("experiments: need >= 1 timed iteration, got %d", iters)
+	}
+	return nil
+}
+
+// measuredMesh builds the weak-scaling box and every rank's sub-graph for
+// a measured point, shared by the goroutine and process tiers.
+func measuredMesh(p, elemsPerRank, r int) (*mesh.Box, []*graph.Local, error) {
+	box, cart, err := weakScalingMesh(p, elemsPerRank, r)
 	if err != nil {
 		return nil, nil, err
 	}
-	locals, err := buildLocals(box, r, partition.Auto)
+	locals, err := graph.BuildAll(box, cart)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -382,6 +419,9 @@ func measuredPoint(cfg gnn.Config, mode comm.ExchangeMode, r int, nodes int64, s
 // worker process the training runs collectively but the returned point is
 // zero — only the coordinator reports.
 func MeasuredProcs(p, elemsPerRank, procs int, cfg gnn.Config, mode comm.ExchangeMode, iters int) (MeasuredPoint, error) {
+	if err := checkIters(iters); err != nil {
+		return MeasuredPoint{}, err
+	}
 	box, locals, err := measuredMesh(p, elemsPerRank, procs)
 	if err != nil {
 		return MeasuredPoint{}, err
@@ -398,20 +438,16 @@ func MeasuredProcs(p, elemsPerRank, procs int, cfg gnn.Config, mode comm.Exchang
 	return pt, err
 }
 
-// measuredStep runs iters full training iterations on r goroutine ranks
-// and returns the per-iteration wall time (slowest rank) and rank-0
-// traffic counters.
-func measuredStep(box *mesh.Box, r int, mode comm.ExchangeMode, cfg gnn.Config, iters int) (secPerIter float64, stats comm.Stats, nodesPerRank int64, err error) {
-	locals, err := buildLocals(box, r, partition.Auto)
-	if err != nil {
-		return 0, comm.Stats{}, 0, err
-	}
+// measuredStep runs iters full training iterations on one goroutine rank
+// per sub-graph and returns the per-iteration wall time (slowest rank)
+// and rank-0 traffic counters.
+func measuredStep(box *mesh.Box, locals []*graph.Local, mode comm.ExchangeMode, cfg gnn.Config, iters int) (secPerIter float64, stats comm.Stats, nodesPerRank int64, err error) {
 	type out struct {
 		d     time.Duration
 		stats comm.Stats
 		nodes int64
 	}
-	results, err := comm.RunCollect(r, func(c *comm.Comm) (out, error) {
+	results, err := comm.RunCollect(len(locals), func(c *comm.Comm) (out, error) {
 		elapsed, perRun, nodes, err := measuredRankBody(c, box, locals[c.Rank()], mode, cfg, iters)
 		if err != nil {
 			return out{}, err

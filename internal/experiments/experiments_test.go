@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 
 	"meshgnn/internal/comm"
 	"meshgnn/internal/gnn"
-	"meshgnn/internal/perfmodel"
 )
 
 // fastConfig shrinks the model so experiment smoke tests stay quick.
@@ -105,55 +103,22 @@ func TestTable2PaperScale(t *testing.T) {
 	}
 }
 
-func TestFig7FrontierShape(t *testing.T) {
-	pts, err := Fig7Frontier(perfmodel.Frontier(), 5,
-		[]int{8, 64, 512, 2048},
-		[]Loading{Loading512k()},
-		[]gnn.Config{gnn.SmallConfig(), gnn.LargeConfig()},
-		DefaultModes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := func(model string, mode comm.ExchangeMode, r int) ScalingPoint {
-		for _, p := range pts {
-			if p.Model == model && p.Mode == mode && p.Ranks == r {
-				return p
-			}
-		}
-		t.Fatalf("missing point %s/%v/%d", model, mode, r)
-		return ScalingPoint{}
-	}
-	// Paper findings encoded as assertions:
-	// (1) no-exchange keeps >90% efficiency at 2048 ranks, 512k loading.
-	if e := byKey("large", comm.NoExchange, 2048).Efficiency; e < 90 {
-		t.Fatalf("no-exchange efficiency %v, want > 90", e)
-	}
-	// (2) N-A2A stays within a modest penalty (>70% efficiency).
-	if e := byKey("large", comm.NeighborAllToAll, 2048).Efficiency; e < 70 {
-		t.Fatalf("N-A2A efficiency %v, want > 70", e)
-	}
-	// (3) standard A2A collapses at scale.
-	if e := byKey("large", comm.AllToAllMode, 2048).Efficiency; e > 50 {
-		t.Fatalf("A2A efficiency %v, want collapse", e)
-	}
-	// (4) Fig. 8: large-model N-A2A relative throughput > 0.9 at 1024-.
-	if rel := byKey("large", comm.NeighborAllToAll, 64).Relative; rel < 0.9 {
-		t.Fatalf("N-A2A relative %v at 64 ranks, want > 0.9", rel)
-	}
-	// (5) total graph nodes reach O(1e9).
-	if n := byKey("small", comm.NoExchange, 2048).TotalNodes; n < 1e9 {
-		t.Fatalf("total nodes %d", n)
-	}
-}
-
+// TestFig7MeasuredSmoke holds the paper's A2A / N-A2A traffic claim to
+// what the fabric counted (SmallConfig, M = 4, p = 1, 2³ elements per
+// rank). Per iteration, rank 0's halo exchanges (M forward, M backward)
+// add 2·M·(R−1) messages to the no-exchange baseline under A2A, a buffer
+// to every other rank, and 2·M·neighbours under N-A2A. A slab has at most
+// two neighbours, so A2A grows linearly with R while N-A2A stays flat.
 func TestFig7MeasuredSmoke(t *testing.T) {
-	pts, err := Fig7Measured(2, 2, []int{1, 2, 4}, fastConfig(),
-		[]comm.ExchangeMode{comm.AllToAllMode, comm.NeighborAllToAll}, 2)
+	cfg := gnn.SmallConfig()
+	rs := []int{2, 4, 8}
+	pts, err := Fig7Measured(1, 2, rs, cfg,
+		[]comm.ExchangeMode{comm.AllToAllMode, comm.NeighborAllToAll}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 3 rank counts × (none + 2 modes).
-	if len(pts) != 9 {
+	if len(pts) != 3*len(rs) {
 		t.Fatalf("%d points", len(pts))
 	}
 	for _, p := range pts {
@@ -164,18 +129,40 @@ func TestFig7MeasuredSmoke(t *testing.T) {
 			t.Fatalf("baseline relative %v", p.Relative)
 		}
 	}
-	// At R=4, A2A must send at least as many messages as N-A2A.
-	var a2a, na2a MeasuredPoint
-	for _, p := range pts {
-		if p.Ranks == 4 && p.Mode == comm.AllToAllMode {
-			a2a = p
+	m := int64(cfg.MessagePassingLayers)
+	for i, r := range rs {
+		none, a2a, na2a := pts[3*i], pts[3*i+1], pts[3*i+2]
+		if none.Ranks != r || none.Mode != comm.NoExchange || a2a.Mode != comm.AllToAllMode ||
+			na2a.Mode != comm.NeighborAllToAll {
+			t.Fatalf("R=%d: rows out of order: %v %v %v", r, none.Mode, a2a.Mode, na2a.Mode)
 		}
-		if p.Ranks == 4 && p.Mode == comm.NeighborAllToAll {
-			na2a = p
+		_, locals, err := measuredMesh(1, 2, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nbrs := int64(len(locals[0].Plan.Neighbors))
+		if nbrs < 1 || nbrs > 2 {
+			t.Fatalf("R=%d: rank 0 has %d neighbours, want 1 or 2", r, nbrs)
+		}
+		if got, want := a2a.Messages-none.Messages, 2*m*int64(r-1); got != want {
+			t.Errorf("R=%d: A2A adds %d msgs/iter, want 2·M·(R−1) = %d", r, got, want)
+		}
+		if got, want := na2a.Messages-none.Messages, 2*m*nbrs; got != want {
+			t.Errorf("R=%d: N-A2A adds %d msgs/iter, want 2·M·neighbours = %d", r, got, want)
 		}
 	}
-	if a2a.Messages < na2a.Messages {
-		t.Fatalf("A2A msgs %d < N-A2A msgs %d", a2a.Messages, na2a.Messages)
+}
+
+// TestMeasuredRejectsZeroIters: the per-iteration columns divide by the
+// timed iterations, so both measured tiers refuse a run with none.
+func TestMeasuredRejectsZeroIters(t *testing.T) {
+	for _, iters := range []int{0, -1} {
+		if _, err := Fig7Measured(1, 2, []int{1}, fastConfig(), nil, iters); err == nil {
+			t.Errorf("Fig7Measured accepted iters=%d", iters)
+		}
+		if _, err := MeasuredProcs(1, 2, 1, fastConfig(), comm.NoExchange, iters); err == nil {
+			t.Errorf("MeasuredProcs accepted iters=%d", iters)
+		}
 	}
 }
 
@@ -192,48 +179,47 @@ func TestRenderersProduceTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	RenderTable2(&sb, t2)
-	pts, err := Fig7Frontier(perfmodel.Frontier(), 5, []int{8, 64}, []Loading{Loading512k()},
-		[]gnn.Config{gnn.SmallConfig()}, DefaultModes())
+	pts, err := Fig7Measured(1, 2, []int{2}, fastConfig(), []comm.ExchangeMode{comm.NeighborAllToAll}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	RenderFig7(&sb, pts)
+	RenderMeasured(&sb, pts)
 	out := sb.String()
-	for _, want := range []string{"| R |", "| GNN |", "| ranks |", "512k nodes per sub-graph"} {
+	for _, want := range []string{"| R |", "| GNN |", "| ranks |", "| small | N-A2A | off | 2 |"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in rendered output", want)
 		}
 	}
 }
 
+// TestRankGrid pins the weak-scaling process grids: r×1×1 slabs up to 8
+// ranks, the most cubic blocks beyond (partition.Auto on a cube).
 func TestRankGrid(t *testing.T) {
-	sort3 := func(a, b, c int) [3]int {
-		v := []int{a, b, c}
-		sort.Ints(v)
-		return [3]int{v[0], v[1], v[2]}
-	}
 	cases := []struct {
-		r       int
-		strat   string
-		factors [3]int // sorted
+		r    int
+		grid [3]int
 	}{
-		{8, "slabs", [3]int{1, 1, 8}},
-		{64, "blocks", [3]int{4, 4, 4}},
-		{512, "blocks", [3]int{8, 8, 8}},
-		{2048, "blocks", [3]int{8, 16, 16}},
+		{1, [3]int{1, 1, 1}},
+		{8, [3]int{8, 1, 1}},
+		{16, [3]int{2, 2, 4}},
+		{64, [3]int{4, 4, 4}},
+		{512, [3]int{8, 8, 8}},
+		{2048, [3]int{8, 16, 16}},
 	}
 	for _, c := range cases {
-		var rx, ry, rz int
-		if c.strat == "slabs" {
-			rx, ry, rz = rankGrid(c.r, 0) // partition.Slabs == 0
-		} else {
-			rx, ry, rz = rankGrid(c.r, 2) // partition.Blocks == 2
+		rx, ry, rz, err := rankGrid(c.r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rx*ry*rz != c.r {
-			t.Fatalf("rankGrid(%d) product %d", c.r, rx*ry*rz)
+		if got := [3]int{rx, ry, rz}; got != c.grid {
+			t.Fatalf("rankGrid(%d) = %v, want %v", c.r, got, c.grid)
 		}
-		if got := sort3(rx, ry, rz); got != c.factors {
-			t.Fatalf("rankGrid(%d,%s) = %v, want factors %v", c.r, c.strat, got, c.factors)
+	}
+	// The partitioner splits every weak-scaling mesh on the grid it was
+	// sized for, at any rank count (weakScalingMesh checks it).
+	for r := 1; r <= 64; r++ {
+		if _, _, err := weakScalingMesh(1, 2, r); err != nil {
+			t.Fatalf("R=%d: %v", r, err)
 		}
 	}
 }

@@ -4,138 +4,11 @@ import (
 	"fmt"
 	"io"
 
-	"meshgnn/internal/comm"
-	"meshgnn/internal/gnn"
-	"meshgnn/internal/mesh"
 	"meshgnn/internal/partition"
-	"meshgnn/internal/perfmodel"
 )
 
-// This file holds experiments beyond the paper's figures: strong scaling,
-// inference-only throughput, and the reduced-graph ablation. The paper
-// proposes the consistent-GNN workload "offers a unique and complex
-// benchmark for comparing performance across many HPC platforms"; these
-// drivers widen the benchmark surface in the directions its conclusion
-// sketches.
-
-// StrongScalingPoint is one point of a fixed-global-size sweep.
-type StrongScalingPoint struct {
-	Mode       comm.ExchangeMode
-	Ranks      int
-	IterTime   float64
-	Speedup    float64 // vs the smallest rank count
-	Efficiency float64 // Speedup / (R/R0) in percent
-}
-
-// StrongScaling projects a strong-scaling sweep: the global mesh is fixed
-// (globalElems³ at order p, periodic) while R grows, so per-rank loading
-// shrinks and communication fractions rise — the regime where the A2A and
-// N-A2A curves separate fastest.
-func StrongScaling(m perfmodel.Machine, p, globalElems int, rs []int, cfg gnn.Config, modes []comm.ExchangeMode) ([]StrongScalingPoint, error) {
-	box, err := mesh.NewBox(globalElems, globalElems, globalElems, p, [3]bool{true, true, true})
-	if err != nil {
-		return nil, err
-	}
-	var out []StrongScalingPoint
-	for _, mode := range modes {
-		var base float64
-		for i, r := range rs {
-			cart, err := partition.NewCartesian(box, r, partition.Blocks)
-			if err != nil {
-				return nil, fmt.Errorf("R=%d: %w", r, err)
-			}
-			stats := cart.CartesianStats()
-			edges := cart.CartesianEdgeCounts()
-			sum := partition.Summarize(box, stats)
-			maxSend := int64(0)
-			for _, st := range stats {
-				if st.Neighbors > 0 {
-					if v := st.HaloNodes / int64(st.Neighbors); v > maxSend {
-						maxSend = v
-					}
-				}
-			}
-			w := perfmodel.Workload{
-				Ranks:        r,
-				NodesPerRank: int64(sum.NodesAvg),
-				EdgesPerRank: edges[0],
-				HaloPerRank:  int64(sum.HaloAvg),
-				Neighbors:    int(sum.NeighborsAvg + 0.5),
-				MaxSendCount: maxSend,
-				Hidden:       cfg.HiddenDim,
-				MPLayers:     cfg.MessagePassingLayers,
-				Params:       cfg.ParamCount(),
-				FlopsPerIter: perfmodel.ModelFlops(cfg, int64(sum.NodesAvg), edges[0]),
-			}
-			t := m.IterTime(w, mode)
-			if i == 0 {
-				base = t * float64(r)
-			}
-			speedup := base / (t * float64(rs[0]))
-			out = append(out, StrongScalingPoint{
-				Mode:       mode,
-				Ranks:      r,
-				IterTime:   t,
-				Speedup:    speedup,
-				Efficiency: 100 * speedup / (float64(r) / float64(rs[0])),
-			})
-		}
-	}
-	return out, nil
-}
-
-// RenderStrongScaling writes the strong-scaling table.
-func RenderStrongScaling(w io.Writer, pts []StrongScalingPoint) {
-	fmt.Fprintln(w, "| mode | ranks | s/iter | speedup | parallel efficiency % |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
-	for _, p := range pts {
-		fmt.Fprintf(w, "| %s | %d | %.5f | %.2f | %.1f |\n",
-			p.Mode, p.Ranks, p.IterTime, p.Speedup, p.Efficiency)
-	}
-}
-
-// InferencePoint is one point of the inference-only projection: forward
-// pass only (M halo exchanges, no backward, no gradient AllReduce).
-type InferencePoint struct {
-	Mode       comm.ExchangeMode
-	Ranks      int
-	Throughput float64
-	Relative   float64 // vs no-exchange
-}
-
-// InferenceThroughput projects forward-only throughput for the
-// weak-scaling workloads — the deployment regime where the trained
-// surrogate runs inside a solver loop.
-func InferenceThroughput(m perfmodel.Machine, p int, load Loading, rs []int, cfg gnn.Config, modes []comm.ExchangeMode) ([]InferencePoint, error) {
-	var out []InferencePoint
-	for _, r := range rs {
-		w, _, err := scalingWorkload(p, load, r, cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Forward-only: one third of the fwd+bwd flops, half the
-		// exchanges, no gradient AllReduce.
-		w.FlopsPerIter /= 3
-		w.MPLayers = (w.MPLayers + 1) / 2 // HaloTime charges 2*MPLayers
-		w.Params = 0
-		base := float64(r) * float64(w.NodesPerRank) / (m.ComputeTime(w) + m.HaloTime(w, comm.NoExchange))
-		for _, mode := range modes {
-			t := m.ComputeTime(w) + m.HaloTime(w, mode)
-			tp := float64(r) * float64(w.NodesPerRank) / t
-			out = append(out, InferencePoint{Mode: mode, Ranks: r, Throughput: tp, Relative: tp / base})
-		}
-	}
-	return out, nil
-}
-
-// RenderInference writes the inference projection table.
-func RenderInference(w io.Writer, pts []InferencePoint) {
-	fmt.Fprintln(w, "| mode | ranks | inference throughput (nodes/s) | relative |")
-	fmt.Fprintln(w, "|---|---|---|---|")
-	for _, p := range pts {
-		fmt.Fprintf(w, "| %s | %d | %.3g | %.3f |\n", p.Mode, p.Ranks, p.Throughput, p.Relative)
-	}
-}
+// This file holds the reduced-graph ablation, an experiment beyond the
+// paper's figures: how much the local coincident-node collapse saves.
 
 // ReducedGraphRow quantifies the local-coincident-collapse ablation.
 type ReducedGraphRow struct {
@@ -153,11 +26,7 @@ type ReducedGraphRow struct {
 func ReducedGraphAblation(p, elemsPerRank int, rs []int) ([]ReducedGraphRow, error) {
 	rows := make([]ReducedGraphRow, 0, len(rs))
 	for _, r := range rs {
-		strat := partition.Blocks
-		if r <= 8 {
-			strat = partition.Slabs
-		}
-		box, cart, err := weakScalingMesh(p, elemsPerRank, r, strat)
+		box, cart, err := weakScalingMesh(p, elemsPerRank, r)
 		if err != nil {
 			return nil, err
 		}

@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
-
-	"meshgnn/internal/comm"
 )
 
 // RenderFig6Left writes the Fig. 6 (left) rows as a markdown table.
@@ -58,30 +55,6 @@ func RenderTable2(w io.Writer, rows []Table2Row) {
 	}
 }
 
-// RenderFig7 writes the projected scaling series grouped by model and
-// loading, one row per (mode, R).
-func RenderFig7(w io.Writer, pts []ScalingPoint) {
-	groups := make(map[string][]ScalingPoint)
-	var keys []string
-	for _, p := range pts {
-		k := p.Model + " / " + p.Loading + " nodes per sub-graph"
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], p)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "\n**%s**\n\n", k)
-		fmt.Fprintln(w, "| mode | ranks | total graph nodes | throughput (nodes/s) | weak-scaling efficiency % | relative to no-exchange |")
-		fmt.Fprintln(w, "|---|---|---|---|---|---|")
-		for _, p := range groups[k] {
-			fmt.Fprintf(w, "| %s | %d | %.3g | %.3g | %.1f | %.3f |\n",
-				p.Mode, p.Ranks, float64(p.TotalNodes), p.Throughput, p.Efficiency, p.Relative)
-		}
-	}
-}
-
 // RenderMeasured writes the measured tier table, including the per-phase
 // halo time and its exposed (not hidden behind compute) subset.
 func RenderMeasured(w io.Writer, pts []MeasuredPoint) {
@@ -96,11 +69,6 @@ func RenderMeasured(w io.Writer, pts []MeasuredPoint) {
 			p.Model, p.Mode, overlap, p.Ranks, p.NodesPerRank, p.SecPerIter, p.Throughput,
 			p.Relative, p.HaloSecPerIter, p.ExposedPerIter, p.Messages, p.Floats)
 	}
-}
-
-// DefaultModes returns the exchange modes compared in the paper's figures.
-func DefaultModes() []comm.ExchangeMode {
-	return []comm.ExchangeMode{comm.NoExchange, comm.AllToAllMode, comm.NeighborAllToAll}
 }
 
 func abs(x float64) float64 {

@@ -123,16 +123,3 @@ func Divergence(f Field, x, y, z, t, h float64) float64 {
 	_, _, wm := f.Eval(x, y, z-h, t)
 	return (up-um)/(2*h) + (vp-vm)/(2*h) + (wp-wm)/(2*h)
 }
-
-// KineticEnergy returns the volume-averaged kinetic energy of a sampled
-// node-attribute matrix, ½⟨|u|²⟩ — the headline diagnostic of TGV decay.
-func KineticEnergy(x *tensor.Matrix) float64 {
-	if x.Rows == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x.Data {
-		s += v * v
-	}
-	return 0.5 * s / float64(x.Rows)
-}

@@ -116,13 +116,3 @@ func TestGaussianPulseSpreadsAndDecays(t *testing.T) {
 		t.Fatalf("gradient sign wrong: %v", gx)
 	}
 }
-
-func TestKineticEnergy(t *testing.T) {
-	box, _ := mesh.NewBox(4, 4, 4, 2, [3]bool{true, true, true})
-	l, _ := graph.BuildSingle(box)
-	e0 := KineticEnergy(Sample(tgv(), l, 0))
-	e1 := KineticEnergy(Sample(tgv(), l, 2))
-	if e0 <= 0 || e1 >= e0 {
-		t.Fatalf("kinetic energy must decay: %v -> %v", e0, e1)
-	}
-}

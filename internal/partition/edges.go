@@ -4,8 +4,8 @@ package partition
 // computed analytically from the block lattice: every pair of consecutive
 // lattice points along an axis inside a contiguous block is connected
 // (intra-element GLL edges), and a block spanning a full periodic axis
-// additionally wraps. Used by the performance model to size the per-rank
-// compute without building graphs at scale.
+// additionally wraps. Uncollapsed uses it to count edges at the paper's
+// scale without building graphs.
 func (c *Cartesian) CartesianEdgeCounts() []int64 {
 	box := c.Box
 	p := box.P
