@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// fabrics are the two ways the tests in this file run a rank world.
+// fabrics are the two ways the tests run a rank world.
 var fabrics = []struct {
 	name string
 	run  func(size int, wrap func(Transport) Transport, fn func(c *Comm) error) error

@@ -12,10 +12,9 @@
 // unpartitioned arithmetic) testable to machine precision — including
 // across the process boundary.
 //
-// Every operation is instrumented with message and byte counters. The
-// counters feed the performance model that projects the measured kernel
-// rates onto the Frontier interconnect when regenerating the paper's
-// scaling figures.
+// Every operation is instrumented with message and byte counters
+// (Stats), which the measured scaling tier and the repository benchmark
+// read.
 package comm
 
 import (
@@ -38,12 +37,6 @@ const (
 	TagSetup
 	TagUser Tag = 100 // first tag available to applications
 )
-
-type message struct {
-	tag  Tag
-	data []float64
-	ints []int64
-}
 
 // Stats accumulates per-rank communication counters.
 type Stats struct {
@@ -71,60 +64,33 @@ func (s *Stats) BytesSent() int64 { return 8 * s.FloatsSent }
 // the InProcess implementation of Transport (one endpoint per rank).
 type World struct {
 	size int
-	// mail[dst][src] carries messages from src to dst. Buffered so that
-	// all ranks can post their sends before any receives complete.
-	mail [][]chan message
-	// pools[dst][src] recycles payload buffers flowing src→dst: the
-	// sender draws its copy from the pair's pool and the receiver returns
-	// it once the ownership window closes (its next receive from src), so
-	// steady-state traffic on the channel fabric allocates nothing — the
-	// same discipline the socket fabric's per-peer free lists implement.
-	pools [][]bufPool
-	// down[src] closes every mailbox src sends into, once, when src's
+	// boxes[dst][src] carries messages from src to dst, buffered so that
+	// all ranks can post their sends before any receives complete; rank
+	// dst's endpoint receives from row boxes[dst].
+	boxes [][]inbox
+	// down[src] closes every inbox src sends into, once, when src's
 	// endpoint closes (worldTransport.Close).
 	down []sync.Once
 }
-
-// mailboxDepth bounds the number of in-flight messages per (src,dst) pair.
-// Halo exchanges post at most a handful of messages per pair per layer, so
-// a small constant suffices; it is generous to keep the collectives from
-// serializing. The socket fabric uses the same bound for its per-peer
-// inbox so both transports backpressure identically.
-const mailboxDepth = 128
 
 // NewWorld creates the fabric for size ranks.
 func NewWorld(size int) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("comm: world size must be >= 1, got %d", size))
 	}
-	w := &World{size: size, mail: make([][]chan message, size), pools: make([][]bufPool, size),
-		down: make([]sync.Once, size)}
-	for dst := range w.mail {
-		w.mail[dst] = make([]chan message, size)
-		w.pools[dst] = make([]bufPool, size)
-		for src := range w.mail[dst] {
-			w.mail[dst][src] = make(chan message, mailboxDepth)
-		}
+	w := &World{size: size, boxes: make([][]inbox, size), down: make([]sync.Once, size)}
+	for dst := range w.boxes {
+		w.boxes[dst] = newInboxes(size)
 	}
 	return w
 }
 
-// worldTransport is one rank's endpoint onto the channel fabric. lastF
-// and lastI track, per source, the payload most recently handed to the
-// caller; it is returned to the pair's pool when the next receive from
-// that source runs, realizing the Transport ownership contract.
+// worldTransport is one rank's endpoint onto the channel fabric: the
+// shared receive half over its row of inboxes, and a send that posts a
+// pooled copy straight into the peer's inbox.
 type worldTransport struct {
-	w     *World
-	rank  int
-	lastF [][]float64 // indexed by src
-	lastI [][]int64
-	reqs  requestPool
-
-	// recvTimeout bounds blocking receives (SetRecvTimeout); the timer
-	// realizing it is reused across waits so a bounded steady state stays
-	// allocation-free.
-	recvTimeout time.Duration
-	timer       *time.Timer
+	receiver
+	w *World
 }
 
 // Transport returns the in-process transport endpoint for the given rank.
@@ -132,182 +98,43 @@ func (w *World) Transport(rank int) Transport {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", rank, w.size))
 	}
-	return &worldTransport{
-		w:     w,
-		rank:  rank,
-		lastF: make([][]float64, w.size),
-		lastI: make([][]int64, w.size),
-	}
+	return &worldTransport{receiver: receiver{rank: rank, size: w.size, boxes: w.boxes[rank]}, w: w}
 }
 
-func (t *worldTransport) Rank() int                      { return t.rank }
-func (t *worldTransport) Size() int                      { return t.w.size }
-func (t *worldTransport) Kind() TransportKind            { return InProcess }
-func (t *worldTransport) SetRecvTimeout(d time.Duration) { t.recvTimeout = d }
+func (t *worldTransport) Kind() TransportKind { return InProcess }
 
-// Close marks the rank down: it closes every mailbox the rank sends into,
+// Close marks the rank down: it closes every inbox the rank sends into,
 // so a peer waiting on one — or arriving later — receives what the rank
-// sent before it closed and then fails with ErrPeerDown, the error the
-// socket fabric reports for a closed stream, instead of waiting out its
-// receive deadline. The rank runners close an endpoint when its rank
+// sent before it closed and then fails with ErrPeerClosed, as it does on
+// the socket fabric when the rank's stream ends, instead of waiting out
+// its receive deadline. The rank runners close an endpoint when its rank
 // returns or panics. Close is idempotent; the endpoint must not send after
 // it.
 func (t *worldTransport) Close() error {
 	t.w.down[t.rank].Do(func() {
-		for dst := range t.w.mail {
-			close(t.w.mail[dst][t.rank])
+		for dst := range t.w.boxes {
+			t.w.boxes[dst][t.rank].close(ErrPeerClosed)
 		}
 	})
 	return nil
 }
 
-// peerDown is the classified failure of a receive from a closed rank
-// whose mailbox is drained.
-func (t *worldTransport) peerDown(src int) error {
-	return fmt.Errorf("comm: rank %d recv from %d: %w", t.rank, src, ErrPeerClosed)
-}
-
-// recvMsg pulls the next message from src under the endpoint's receive
-// deadline, panicking with a classified error on expiry or once a closed
-// src's mailbox is drained.
-func (t *worldTransport) recvMsg(src int) message {
-	m, ok, timedOut := timedRecv(t.w.mail[t.rank][src], &t.timer, t.recvTimeout)
-	if timedOut {
-		panic(fmt.Errorf("comm: rank %d recv from %d: %w after %v",
-			t.rank, src, ErrTimeout, t.recvTimeout))
-	}
-	if !ok {
-		panic(t.peerDown(src))
-	}
-	return m
-}
-
-// Send transmits a copy of data (the channel hands the same backing array
-// to the receiver, so the copy realizes the non-retention contract). The
-// copy comes from the pair's recycling pool, so steady-state traffic
-// allocates nothing. Send never blocks as long as fewer than mailboxDepth
-// messages are in flight between the pair.
+// Send posts a pooled copy of data into dst's inbox, so steady-state
+// traffic allocates nothing.
 func (t *worldTransport) Send(dst int, tag Tag, data []float64) {
-	cp := t.w.pools[dst][t.rank].getFloats(len(data))
-	copy(cp, data)
-	t.w.mail[dst][t.rank] <- message{tag: tag, data: cp}
-}
-
-// recycleF closes the ownership window of the previous float payload from
-// src, returning it to the pair's pool for the sender to reuse.
-func (t *worldTransport) recycleF(src int) {
-	if b := t.lastF[src]; b != nil {
-		t.lastF[src] = nil
-		t.w.pools[t.rank][src].putFloats(b)
-	}
-}
-
-func (t *worldTransport) recycleI(src int) {
-	if b := t.lastI[src]; b != nil {
-		t.lastI[src] = nil
-		t.w.pools[t.rank][src].putInts(b)
-	}
-}
-
-func (t *worldTransport) Recv(src int, tag Tag) []float64 {
-	t.recycleF(src)
-	m := t.recvMsg(src)
-	if m.tag != tag {
-		panic(fmt.Sprintf("comm: rank %d expected tag %d from %d, got %d",
-			t.rank, tag, src, m.tag))
-	}
-	t.lastF[src] = m.data
-	return m.data
+	t.w.boxes[dst][t.rank].postFloats(tag, data)
 }
 
 func (t *worldTransport) SendInts(dst int, tag Tag, data []int64) {
-	cp := t.w.pools[dst][t.rank].getInts(len(data))
-	copy(cp, data)
-	t.w.mail[dst][t.rank] <- message{tag: tag, ints: cp}
+	t.w.boxes[dst][t.rank].postInts(tag, data)
 }
 
-func (t *worldTransport) RecvInts(src int, tag Tag) []int64 {
-	t.recycleI(src)
-	m := t.recvMsg(src)
-	if m.tag != tag {
-		panic(fmt.Sprintf("comm: rank %d expected int tag %d from %d, got %d",
-			t.rank, tag, src, m.tag))
-	}
-	t.lastI[src] = m.ints
-	return m.ints
-}
-
-// IsendF64 is the nonblocking send: the channel fabric sends eagerly (the
-// pooled copy decouples the caller's buffer immediately), so the returned
-// request is born complete.
+// IsendF64 is the nonblocking send: the pooled copy decouples the caller's
+// buffer at once, so the returned request is born complete.
 func (t *worldTransport) IsendF64(dst int, tag Tag, data []float64) *Request {
 	t.Send(dst, tag, data)
-	return t.reqs.get(t, false, dst, tag)
+	return t.reqs.get(nil, dst, tag)
 }
-
-// IrecvF64 posts a nonblocking receive; the message is pulled from the
-// pair's channel on Wait/Test.
-func (t *worldTransport) IrecvF64(src int, tag Tag) *Request {
-	return t.reqs.get(t, true, src, tag)
-}
-
-// progress implements reqOwner: it pulls the next message from the
-// request's source, blocking (under the endpoint's receive deadline) or
-// polling.
-func (t *worldTransport) progress(r *Request, block bool) bool {
-	if !r.recv {
-		return true
-	}
-	var m message
-	if block {
-		m = t.recvMsg(r.peer)
-	} else {
-		ok := true
-		select {
-		case m, ok = <-t.w.mail[t.rank][r.peer]:
-		default:
-			return false
-		}
-		if !ok {
-			panic(t.peerDown(r.peer))
-		}
-	}
-	t.completeRecv(r, m)
-	return true
-}
-
-// progressTimeout is the non-panicking bounded wait behind
-// Request.WaitTimeout.
-func (t *worldTransport) progressTimeout(r *Request, d time.Duration) (bool, error) {
-	if !r.recv || r.done {
-		return true, nil
-	}
-	m, ok, timedOut := timedRecv(t.w.mail[t.rank][r.peer], &t.timer, d)
-	if timedOut {
-		return false, nil
-	}
-	if !ok {
-		return false, t.peerDown(r.peer)
-	}
-	t.completeRecv(r, m)
-	return true, nil
-}
-
-// completeRecv validates the pulled message against the request and hands
-// its payload over under the ownership contract.
-func (t *worldTransport) completeRecv(r *Request, m message) {
-	if m.tag != r.tag || m.data == nil && m.ints != nil {
-		panic(fmt.Sprintf("comm: rank %d expected tag %d (floats) from %d, got tag %d",
-			t.rank, r.tag, r.peer, m.tag))
-	}
-	// The previous payload's ownership window closes as this receive
-	// completes.
-	t.recycleF(r.peer)
-	t.lastF[r.peer] = m.data
-	r.data = m.data
-}
-
-func (t *worldTransport) releaseRequest(r *Request) { t.reqs.put(r) }
 
 // Comm is one rank's handle onto the world: a Transport endpoint plus the
 // collective algorithms and traffic counters. A Comm must only be used
@@ -505,51 +332,6 @@ func (c *Comm) AllReduceMax(buf []float64) {
 			}
 		}
 	})
-}
-
-// AllToAll sends send[j] to rank j and returns recv where recv[i] is the
-// buffer received from rank i. nil entries are treated as empty: no
-// message is exchanged for a nil pair (mirroring the collective-library
-// behaviour the paper exploits for its Neighbor-AllToAll mode, where
-// torch.empty(0) buffers skip communication entirely). Received buffers
-// follow the transport ownership contract: each recv[i] is valid until
-// the next Recv from rank i (the next AllToAll at the earliest).
-//
-// The halo Exchanger no longer calls this collective: its Start/Finish
-// halves post the identical A2A / N-A2A wire pattern (same tag, same
-// per-pair message order, same AllToAlls counter) through the
-// nonblocking request primitives so the wait can overlap with compute.
-// This blocking spelling remains the collective API; the cross-transport
-// and overlap consistency harnesses pin the two spellings to the same
-// wire behavior.
-func (c *Comm) AllToAll(send [][]float64) [][]float64 {
-	if len(send) != c.Size() {
-		panic(fmt.Sprintf("comm: AllToAll needs %d buffers, got %d", c.Size(), len(send)))
-	}
-	c.Stats.AllToAlls++
-	recv := make([][]float64, c.Size())
-	// Self-exchange without touching the fabric.
-	if send[c.rank] != nil {
-		cp := make([]float64, len(send[c.rank]))
-		copy(cp, send[c.rank])
-		recv[c.rank] = cp
-	}
-	for dst := 0; dst < c.Size(); dst++ {
-		if dst == c.rank || send[dst] == nil {
-			continue
-		}
-		c.Send(dst, TagAllToAll, send[dst])
-	}
-	for src := 0; src < c.Size(); src++ {
-		if src == c.rank || send[src] == nil {
-			// Symmetric pattern assumption: pair (r,s) exchanges iff
-			// both directions are non-nil. The halo plans constructed
-			// by the graph package are symmetric by construction.
-			continue
-		}
-		recv[src] = c.Recv(src, TagAllToAll)
-	}
-	return recv
 }
 
 // Run executes fn on every rank of a fresh size-rank in-process world and

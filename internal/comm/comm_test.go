@@ -154,56 +154,6 @@ func TestAllReduceMax(t *testing.T) {
 	}
 }
 
-func TestAllToAllFull(t *testing.T) {
-	size := 4
-	results, err := RunCollect(size, func(c *Comm) ([][]float64, error) {
-		send := make([][]float64, size)
-		for dst := range send {
-			send[dst] = []float64{float64(c.Rank()*100 + dst)}
-		}
-		return c.AllToAll(send), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, recv := range results {
-		for src, buf := range recv {
-			want := float64(src*100 + r)
-			if len(buf) != 1 || buf[0] != want {
-				t.Fatalf("rank %d from %d: %v, want %v", r, src, buf, want)
-			}
-		}
-	}
-}
-
-func TestAllToAllSparseSymmetric(t *testing.T) {
-	// Ring pattern: rank r exchanges only with r±1 (no wrap), nil elsewhere.
-	size := 5
-	results, err := RunCollect(size, func(c *Comm) ([][]float64, error) {
-		send := make([][]float64, size)
-		for _, nb := range []int{c.Rank() - 1, c.Rank() + 1} {
-			if nb >= 0 && nb < size {
-				send[nb] = []float64{float64(c.Rank())}
-			}
-		}
-		return c.AllToAll(send), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, recv := range results {
-		for src, buf := range recv {
-			adj := src == r-1 || src == r+1
-			if adj && (len(buf) != 1 || buf[0] != float64(src)) {
-				t.Fatalf("rank %d: missing buffer from %d: %v", r, src, buf)
-			}
-			if !adj && buf != nil {
-				t.Fatalf("rank %d: unexpected buffer from %d", r, src)
-			}
-		}
-	}
-}
-
 func TestRunCollectErrorPropagation(t *testing.T) {
 	err := Run(3, func(c *Comm) error {
 		if c.Rank() == 1 {
@@ -535,15 +485,5 @@ func TestStatsBytesSent(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAllToAllWrongLengthPanics(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		c.AllToAll(make([][]float64, 1)) // wrong size
-		return nil
-	})
-	if err == nil {
-		t.Fatal("expected panic-derived error")
 	}
 }

@@ -23,16 +23,17 @@ var (
 	// injected peer death.
 	ErrPeerDown = errors.New("peer down")
 	// ErrTimeout marks a bounded wait that expired: a receive deadline
-	// (SetRecvTimeout), a Request.WaitTimeout, or a mid-frame socket
-	// read/write deadline (SocketOptions.IOTimeout).
+	// (SetRecvTimeout) or a socket dial that timed out.
 	ErrTimeout = errors.New("timeout")
 	// ErrCorruptFrame marks a socket frame rejected by integrity
 	// checking: CRC mismatch, unknown frame kind, out-of-range tag, or a
 	// count exceeding the frame budget.
 	ErrCorruptFrame = errors.New("corrupt frame")
-	// ErrPeerClosed is the ErrPeerDown an in-process receive reports once
-	// the peer's endpoint has closed — its rank returned or failed — and
-	// everything it sent has been received. It is a consequence of that
+	// ErrPeerClosed is the ErrPeerDown a receive reports once the peer's
+	// endpoint has closed — its rank returned or failed, closing its
+	// inboxes on the channel fabric or ending its streams at a frame
+	// boundary on the socket fabric — and everything it sent has been
+	// received. It is a consequence of that
 	// rank's own outcome, so whoever collects a world's failures reports
 	// the peer's error in its place where there is one.
 	ErrPeerClosed = fmt.Errorf("endpoint closed: %w", ErrPeerDown)
@@ -58,9 +59,6 @@ func PanicError(p any) error {
 func classifyIOError(err error) error {
 	if err == nil {
 		return nil
-	}
-	if errors.Is(err, ErrTimeout) || errors.Is(err, ErrPeerDown) || errors.Is(err, ErrCorruptFrame) {
-		return err // already classified
 	}
 	var nerr net.Error
 	if errors.As(err, &nerr) && nerr.Timeout() {

@@ -46,9 +46,9 @@ const (
 	FaultCorruptFrame
 	// FaultPanic makes the faulted operation panic with an
 	// ErrFault-classified error — a rank blowing up mid-collective. The
-	// rank runner's recover converts it into the run's error; peers
-	// blocked on the dead rank unwind via their receive deadlines
-	// (channel fabric) or the closed stream (socket fabric).
+	// rank runner's recover converts it into the run's error and closes the
+	// rank's endpoint, which releases every peer blocked on it with
+	// ErrPeerClosed on both fabrics.
 	FaultPanic
 )
 
@@ -302,17 +302,17 @@ func (t *FaultTransport) RecvInts(src int, tag Tag) []int64 {
 }
 
 // IsendF64 applies send faults at post time. A swallowed send returns a
-// born-complete handle from the wrapper's own pool — Wait and Test behave
+// born-complete handle from the wrapper's own pool — Wait behaves
 // normally, the peer just never hears about it.
 func (t *FaultTransport) IsendF64(dst int, tag Tag, data []float64) *Request {
 	if ev := t.tick(dst, true); ev != nil {
 		if ev.Kind == FaultDropSend {
-			return t.reqs.get(t, false, dst, tag)
+			return t.reqs.get(nil, dst, tag)
 		}
 		var last *Request
 		t.sendFaulted(ev, dst, tag, func(tg Tag) { last = t.inner.IsendF64(dst, tg, data) })
 		if last == nil { // defensive: every non-drop path posts at least once
-			return t.reqs.get(t, false, dst, tag)
+			return t.reqs.get(nil, dst, tag)
 		}
 		return last
 	}
@@ -323,11 +323,3 @@ func (t *FaultTransport) IrecvF64(src int, tag Tag) *Request {
 	t.tick(src, false)
 	return t.inner.IrecvF64(src, tag)
 }
-
-// reqOwner for the wrapper's own born-complete send handles (swallowed
-// IsendF64s). Inner-posted requests keep their inner owner.
-func (t *FaultTransport) progress(r *Request, block bool) bool { return true }
-func (t *FaultTransport) progressTimeout(r *Request, d time.Duration) (bool, error) {
-	return true, nil
-}
-func (t *FaultTransport) releaseRequest(r *Request) { t.reqs.put(r) }

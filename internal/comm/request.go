@@ -1,10 +1,5 @@
 package comm
 
-import (
-	"fmt"
-	"time"
-)
-
 // Request is the handle of a nonblocking point-to-point operation
 // (Transport.IsendF64 / Transport.IrecvF64) — the library's stand-in for
 // MPI_Request in the paper's custom isend/irecv halo implementation.
@@ -15,64 +10,29 @@ import (
 //     to its endpoint's free list, so a steady-state exchange pattern
 //     (post, compute, Wait, repeat) performs no heap allocation. A Request
 //     must not be touched after Wait returns.
-//   - Test polls for completion without blocking and without releasing the
-//     handle; it may be called any number of times, and Wait must still be
-//     called afterwards to collect the payload and release the handle
-//     ("Wait-after-Test" is the normal completion sequence for pollers).
-//   - For receives, Wait returns the message payload under the same
-//     ownership rule as blocking Recv: the slice belongs to the transport
-//     and stays valid until the next receive — blocking or nonblocking —
-//     completes from the same source. For sends, Wait returns nil.
+//   - A pending receive takes nothing from its source until Wait, which
+//     returns the message payload under the same ownership rule as
+//     blocking Recv: the slice belongs to the transport and stays valid
+//     until the next receive — blocking or nonblocking — completes from the
+//     same source. For sends, Wait returns nil.
 //   - Both shipped transports complete sends eagerly (the channel fabric
 //     copies into a pooled buffer; the socket fabric writes the frame to
 //     the kernel before returning), so a send Request is born complete and
 //     the data buffer may be reused as soon as IsendF64 returns. The
 //     Request is still returned so callers can treat both directions
-//     uniformly, and so future transports may defer the copy.
+//     uniformly.
 //   - At most one receive may be outstanding per source at a time, and a
 //     pending IrecvF64 must not be interleaved with a blocking Recv from
-//     the same source: per-pair delivery is FIFO, so the next frame from
+//     the same source: per-pair delivery is FIFO, so the next message from
 //     that source answers whichever receive runs first.
-//   - Requests are not goroutine-safe: they must be posted, tested, and
-//     waited on the goroutine that owns the transport endpoint (the rank
-//     goroutine), like every other Transport operation.
+//   - Requests are not goroutine-safe: they must be posted and waited on
+//     the goroutine that owns the transport endpoint (the rank goroutine),
+//     like every other Transport operation.
 type Request struct {
-	owner reqOwner
-	recv  bool
-	peer  int
-	tag   Tag
-	data  []float64
-	done  bool
-}
-
-// reqOwner is the transport-side completion engine behind a Request.
-type reqOwner interface {
-	// progress attempts to complete the request, blocking if block is
-	// set. It returns whether the request is now complete, filling
-	// r.data for receives. With block=true it must complete or panic
-	// (blocking waits honor the endpoint's SetRecvTimeout bound and
-	// panic with an ErrTimeout-classified error when it expires).
-	progress(r *Request, block bool) bool
-	// progressTimeout blocks for at most d (always > 0: WaitTimeout
-	// handles d <= 0 as a poll) attempting to complete the request. It
-	// returns (true, nil) on completion, filling r.data for receives;
-	// (false, nil) on expiry; and (false, err) with an ErrPeerDown- or
-	// ErrCorruptFrame-classified error if the fabric failed underneath.
-	progressTimeout(r *Request, d time.Duration) (bool, error)
-	// releaseRequest resets the handle and returns it to the endpoint's
-	// free list.
-	releaseRequest(r *Request)
-}
-
-// Test reports whether the operation has completed, without blocking and
-// without releasing the handle. Once Test has returned true, Wait returns
-// immediately.
-func (r *Request) Test() bool {
-	if r.done {
-		return true
-	}
-	r.done = r.owner.progress(r, false)
-	return r.done
+	pool *requestPool // the endpoint's free list Wait returns the handle to
+	rx   *receiver    // the receiving endpoint; nil for a send
+	peer int
+	tag  Tag
 }
 
 // Wait blocks until the operation completes, releases the handle back to
@@ -82,42 +42,12 @@ func (r *Request) Test() bool {
 // with an ErrTimeout-classified error — the mechanism that unwinds a rank
 // stuck in a collective whose peer died.
 func (r *Request) Wait() []float64 {
-	if !r.done {
-		r.owner.progress(r, true)
-		r.done = true
+	var data []float64
+	if r.rx != nil {
+		data = r.rx.Recv(r.peer, r.tag)
 	}
-	data := r.data
-	r.owner.releaseRequest(r)
+	r.pool.put(r)
 	return data
-}
-
-// WaitTimeout is Wait with an explicit per-call deadline. On completion
-// within d it behaves exactly like Wait: the payload is returned and the
-// handle is released. On expiry it returns an ErrTimeout-classified error
-// and the request stays pending — like a false Test, the caller may keep
-// polling, call Wait/WaitTimeout again, or abandon the handle (an
-// abandoned handle is garbage collected but never returns to the
-// endpoint's pool). d <= 0 is an immediate poll, like Test.
-func (r *Request) WaitTimeout(d time.Duration) ([]float64, error) {
-	if !r.done {
-		var done bool
-		if d <= 0 {
-			done = r.owner.progress(r, false)
-		} else {
-			var err error
-			done, err = r.owner.progressTimeout(r, d)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !done {
-			return nil, fmt.Errorf("comm: request to/from rank %d %w after %v", r.peer, ErrTimeout, d)
-		}
-		r.done = true
-	}
-	data := r.data
-	r.owner.releaseRequest(r)
-	return data, nil
 }
 
 // requestPool is a per-endpoint free list of Request handles. Endpoints
@@ -126,10 +56,9 @@ type requestPool struct {
 	free []*Request
 }
 
-// get pops (or makes) a handle and initializes it for one operation.
-// Send requests (recv=false) are born complete under the eager-send
-// semantics of the shipped transports.
-func (p *requestPool) get(owner reqOwner, recv bool, peer int, tag Tag) *Request {
+// get pops (or makes) a handle for one operation: a receive from peer on
+// rx, or a born-complete send to peer when rx is nil.
+func (p *requestPool) get(rx *receiver, peer int, tag Tag) *Request {
 	var r *Request
 	if n := len(p.free); n > 0 {
 		r = p.free[n-1]
@@ -137,18 +66,12 @@ func (p *requestPool) get(owner reqOwner, recv bool, peer int, tag Tag) *Request
 	} else {
 		r = new(Request)
 	}
-	r.owner = owner
-	r.recv = recv
-	r.peer = peer
-	r.tag = tag
-	r.data = nil
-	r.done = !recv
+	*r = Request{pool: p, rx: rx, peer: peer, tag: tag}
 	return r
 }
 
 // put resets a handle and returns it to the free list.
 func (p *requestPool) put(r *Request) {
-	r.owner = nil
-	r.data = nil
+	r.rx = nil
 	p.free = append(p.free, r)
 }

@@ -11,107 +11,47 @@ import (
 // eachFabric runs the script on the channel fabric and the socket fabric.
 func eachFabric(t *testing.T, size int, fn func(c *Comm) error) {
 	t.Helper()
-	t.Run("channel", func(t *testing.T) {
-		if err := Run(size, fn); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("socket", func(t *testing.T) {
-		if err := RunSockets(size, fn); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestRequestWaitAfterTest pins the poll-then-collect sequence: Test spins
-// until the message arrives, and the subsequent Wait returns the payload
-// immediately. Send requests are born complete on both transports.
-func TestRequestWaitAfterTest(t *testing.T) {
-	eachFabric(t, 2, func(c *Comm) error {
-		peer := 1 - c.Rank()
-		payload := []float64{math.Pi * float64(1+c.Rank()), math.Copysign(0, -1), float64(c.Rank())}
-		sreq := c.Isend(peer, TagUser, payload)
-		if !sreq.Test() {
-			return fmt.Errorf("send request not complete after Isend")
-		}
-		if got := sreq.Wait(); got != nil {
-			return fmt.Errorf("send Wait returned a payload: %v", got)
-		}
-		rreq := c.Irecv(peer, TagUser)
-		for !rreq.Test() {
-		}
-		// Wait after a successful Test must not block and must hand out
-		// the payload.
-		got := rreq.Wait()
-		if len(got) != 3 || got[0] != math.Pi*float64(1+peer) {
-			return fmt.Errorf("payload corrupted: %v", got)
-		}
-		if math.Float64bits(got[1]) != math.Float64bits(math.Copysign(0, -1)) {
-			return fmt.Errorf("-0.0 not preserved bitwise")
-		}
-		return nil
-	})
-}
-
-// TestRequestTestDoesNotConsumeEarly asserts a Test that returns false has
-// no side effects: the message posted afterwards still completes the
-// request. Rank 2 relays rank 0's "I have tested" token to the sender, so
-// no other traffic shares the (1→0) stream while the receive is pending
-// (per-pair delivery is FIFO across tags — an interleaved message would
-// mispair).
-func TestRequestTestDoesNotConsumeEarly(t *testing.T) {
-	eachFabric(t, 3, func(c *Comm) error {
-		switch c.Rank() {
-		case 0:
-			req := c.Irecv(1, TagUser)
-			if req.Test() {
-				return fmt.Errorf("request complete before any send")
+	for _, f := range fabrics {
+		t.Run(f.name, func(t *testing.T) {
+			if err := f.run(size, nil, fn); err != nil {
+				t.Fatal(err)
 			}
-			c.Send(2, TagSetup, nil) // token: "I have tested, and it was false"
-			if got := req.Wait(); got[0] != 42 {
-				return fmt.Errorf("payload %v after failed Test", got)
-			}
-		case 1:
-			c.Recv(2, TagSetup) // wait for the relayed token
-			c.Send(0, TagUser, []float64{42})
-		case 2:
-			c.Recv(0, TagSetup)
-			c.Send(1, TagSetup, nil)
-		}
-		return nil
-	})
+		})
+	}
 }
 
 // TestRequestOutOfOrderCompletion posts receives from two sources and
-// completes them in the reverse of their arrival order: completion across
-// different sources is unconstrained, and waiting on the later arrival
-// first must not disturb the earlier one.
+// completes them in the reverse of their posting order: completion across
+// different sources is unconstrained, and a pending receive is untouched
+// until its message arrives — rank 1 sends only once rank 0 has waited on
+// rank 2's message, long after r1 was posted. Both payloads carry -0.0,
+// which both fabrics deliver bit for bit, and the release is an Isend
+// whose Wait returns nil.
 func TestRequestOutOfOrderCompletion(t *testing.T) {
+	negZero := math.Copysign(0, -1)
 	eachFabric(t, 3, func(c *Comm) error {
-		if c.Rank() == 0 {
+		switch c.Rank() {
+		case 0:
 			r1 := c.Irecv(1, TagUser)
 			r2 := c.Irecv(2, TagUser)
-			// Rank 2 sends immediately; rank 1 sends only after rank 0
-			// confirms it has already consumed rank 2's message. So r2's
-			// message is guaranteed in first — and r1 is Waited first
-			// below only after its own send is released, proving Wait
-			// order is free of arrival order.
-			for !r2.Test() {
-			}
-			c.Send(1, TagSetup, nil) // release rank 1's send
-			got1 := r1.Wait()
 			got2 := r2.Wait()
-			if got1[0] != 100 || got2[0] != 200 {
+			if got := c.Isend(1, TagSetup, nil).Wait(); got != nil {
+				return fmt.Errorf("send Wait returned a payload: %v", got)
+			}
+			got1 := r1.Wait()
+			if len(got1) != 2 || got1[0] != 100 || len(got2) != 2 || got2[0] != 200 {
 				return fmt.Errorf("payloads %v %v", got1, got2)
 			}
-			return nil
-		}
-		if c.Rank() == 1 {
+			if math.Float64bits(got1[1]) != math.Float64bits(negZero) ||
+				math.Float64bits(got2[1]) != math.Float64bits(negZero) {
+				return fmt.Errorf("-0.0 not preserved bitwise: %v %v", got1, got2)
+			}
+		case 1:
 			c.Recv(0, TagSetup) // wait until rank 2's message was consumed
-			c.Send(0, TagUser, []float64{100})
-			return nil
+			c.Send(0, TagUser, []float64{100, negZero})
+		case 2:
+			c.Send(0, TagUser, []float64{200, negZero})
 		}
-		c.Send(0, TagUser, []float64{200})
 		return nil
 	})
 }

@@ -70,14 +70,14 @@ func dialRank0(t *testing.T, opts SocketOptions) net.Conn {
 	}
 }
 
-// recvErr runs a blocking Recv and converts its panic into an error.
-func recvErr(tr *SocketTransport, src int, tag Tag) (err error) {
+// caught runs f and converts its panic into an error.
+func caught(f func()) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = PanicError(p)
 		}
 	}()
-	tr.Recv(src, tag)
+	f()
 	return nil
 }
 
@@ -139,7 +139,7 @@ func TestSocketRejectsMalformedFrames(t *testing.T) {
 			if tc.close {
 				conn.Close()
 			}
-			err := recvErr(tr, 1, TagUser)
+			err := caught(func() { tr.Recv(1, TagUser) })
 			if err == nil {
 				t.Fatal("malformed frame was accepted")
 			}
@@ -246,120 +246,76 @@ func TestRecvTimeoutClassified(t *testing.T) {
 	}
 }
 
-// TestClosedRankReleasesPeers pins what a rank of an in-process world
-// that returns or panics leaves its peers: a peer blocked in a receive
-// from it — a plain Recv, a blocking Wait, a polling Test, a bounded
-// WaitTimeout — first gets every message the rank sent before it closed,
-// then an ErrPeerDown, within 2 s although its receive deadline is 30 s
-// (the socket fabric reports a closed stream the same way).
+// TestClosedRankReleasesPeers pins what a rank that returns or panics
+// leaves its peers, on both fabrics: a peer blocked in a receive from it —
+// a plain Recv or a receive Request's Wait — first gets every message the
+// rank sent before it closed, then ErrPeerClosed, within 2 s although its
+// receive deadline is 30 s.
 func TestClosedRankReleasesPeers(t *testing.T) {
 	for _, exit := range []string{"return", "panic"} {
-		for _, recv := range []string{"Recv", "Wait", "Test", "WaitTimeout"} {
+		for _, recv := range []string{"Recv", "Wait"} {
 			t.Run(exit+"/"+recv, func(t *testing.T) {
-				start := time.Now()
-				var peerErr error // rank 1's outcome; Run reports the lowest failing rank
-				Run(2, func(c *Comm) (err error) {
-					if c.Rank() == 0 {
-						c.Send(1, TagUser, []float64{7})
-						if exit == "panic" {
-							panic("rank 0 fails")
+				for _, f := range fabrics {
+					t.Run(f.name, func(t *testing.T) {
+						start := time.Now()
+						var peerErr error // rank 1's outcome; the run reports rank 0's
+						f.run(2, nil, func(c *Comm) (err error) {
+							if c.Rank() == 0 {
+								c.Send(1, TagUser, []float64{7})
+								if exit == "panic" {
+									panic("rank 0 fails")
+								}
+								return nil
+							}
+							defer func() { peerErr = err }()
+							c.SetRecvTimeout(30 * time.Second)
+							if got := c.Recv(0, TagUser); len(got) != 1 || got[0] != 7 {
+								return fmt.Errorf("message sent before the close: got %v", got)
+							}
+							err = caught(func() {
+								if recv == "Recv" {
+									c.Recv(0, TagUser)
+								} else {
+									c.Irecv(0, TagUser).Wait()
+								}
+							})
+							if err == nil {
+								return fmt.Errorf("a receive from a closed rank returned")
+							}
+							return err
+						})
+						if !errors.Is(peerErr, ErrPeerClosed) {
+							t.Fatalf("want rank 1 to fail with ErrPeerClosed, got %v", peerErr)
 						}
-						return nil
-					}
-					defer func() {
-						if p := recover(); p != nil {
-							err = PanicError(p)
+						if elapsed := time.Since(start); elapsed > 2*time.Second {
+							t.Fatalf("the peer was released after %v, want < 2s", elapsed)
 						}
-						peerErr = err
-					}()
-					c.SetRecvTimeout(30 * time.Second)
-					if got := c.Recv(0, TagUser); len(got) != 1 || got[0] != 7 {
-						return fmt.Errorf("message sent before the close: got %v", got)
-					}
-					switch recv {
-					case "Recv":
-						c.Recv(0, TagUser)
-					case "Wait":
-						c.Irecv(0, TagUser).Wait()
-					case "Test":
-						for r := c.Irecv(0, TagUser); !r.Test(); {
-							time.Sleep(time.Millisecond)
-						}
-					case "WaitTimeout":
-						_, err := c.Irecv(0, TagUser).WaitTimeout(30 * time.Second)
-						return err
-					}
-					return fmt.Errorf("a receive from a closed rank returned")
-				})
-				if !errors.Is(peerErr, ErrPeerDown) {
-					t.Fatalf("want rank 1 to fail with ErrPeerDown, got %v", peerErr)
-				}
-				if elapsed := time.Since(start); elapsed > 2*time.Second {
-					t.Fatalf("the peer was released after %v, want < 2s", elapsed)
+					})
 				}
 			})
 		}
 	}
 }
 
-// TestRequestWaitTimeout covers the bounded Wait on both fabrics: expiry
-// returns an ErrTimeout error and leaves the request pending (a later
-// Wait still collects the payload); completion within the bound behaves
-// like Wait.
-func TestRequestWaitTimeout(t *testing.T) {
-	script := func(c *Comm) error {
-		if c.Rank() == 1 {
-			time.Sleep(150 * time.Millisecond)
-			c.Send(0, TagUser, []float64{42})
-			return nil
-		}
-		r := c.Irecv(1, TagUser)
-		if _, err := r.WaitTimeout(20 * time.Millisecond); !errors.Is(err, ErrTimeout) {
-			return fmt.Errorf("early WaitTimeout: want ErrTimeout, got %v", err)
-		}
-		// The request stayed pending: a patient wait still completes it.
-		data, err := r.WaitTimeout(5 * time.Second)
-		if err != nil {
-			return fmt.Errorf("late WaitTimeout: %v", err)
-		}
-		if len(data) != 1 || data[0] != 42 {
-			return fmt.Errorf("payload corrupted: %v", data)
-		}
-		return nil
-	}
-	if err := Run(2, script); err != nil {
-		t.Fatalf("inproc: %v", err)
-	}
-	if err := RunSockets(2, script); err != nil {
-		t.Fatalf("sockets: %v", err)
-	}
-}
-
-// TestRequestWaitTimeoutPolls pins the d <= 0 spelling: an immediate poll
-// like Test — a pending receive reports ErrTimeout without blocking, a
-// born-complete send releases instantly.
-func TestRequestWaitTimeoutPolls(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() != 0 {
-			c.Recv(0, TagUser+1) // consume the handshake send below
-			return nil
-		}
-		r := c.Irecv(1, TagUser)
-		start := time.Now()
-		if _, err := r.WaitTimeout(0); !errors.Is(err, ErrTimeout) {
-			return fmt.Errorf("poll on pending recv: want ErrTimeout, got %v", err)
-		}
-		if time.Since(start) > time.Second {
-			return fmt.Errorf("WaitTimeout(0) blocked")
-		}
-		s := c.Isend(1, TagUser+1, []float64{1})
-		if _, err := s.WaitTimeout(0); err != nil {
-			return fmt.Errorf("poll on complete send: %v", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestRunReportsFailingRank pins the runners' root cause on both fabrics:
+// rank 1 returns an error while rank 0 waits on it, rank 0's receive then
+// fails with ErrPeerClosed, and the run reports rank 1's own error in its
+// place.
+func TestRunReportsFailingRank(t *testing.T) {
+	for _, f := range fabrics {
+		t.Run(f.name, func(t *testing.T) {
+			err := f.run(2, nil, func(c *Comm) error {
+				if c.Rank() == 1 {
+					return errors.New("boom")
+				}
+				c.SetRecvTimeout(30 * time.Second)
+				c.Recv(1, TagUser)
+				return nil
+			})
+			if err == nil || err.Error() != "rank 1: boom" {
+				t.Fatalf("want \"rank 1: boom\", got %v", err)
+			}
+		})
 	}
 }
 
@@ -478,27 +434,25 @@ func TestFaultPeerDownClassified(t *testing.T) {
 }
 
 // TestFaultDropSendIsend covers the nonblocking drop path: the swallowed
-// Isend hands back a working born-complete request (Test, Wait, handle
-// release), while the receiver's bounded wait reports ErrTimeout. The
-// sender stays up until the receiver's wait is over (a closed sender
-// would report ErrPeerDown instead, TestClosedRankReleasesPeers).
+// Isend hands back a working born-complete request (Wait returns nil and
+// releases the handle), while the receiver's Wait under its receive
+// deadline panics with ErrTimeout. The sender stays up until the
+// receiver's wait is over (a closed sender would report ErrPeerClosed
+// instead, TestClosedRankReleasesPeers).
 func TestFaultDropSendIsend(t *testing.T) {
 	plan := NewFaultPlan().
 		Add(0, FaultEvent{AfterOps: 0, Kind: FaultDropSend, Peer: 1})
 	err := RunWith(2, plan.Wrap, func(c *Comm) error {
 		if c.Rank() == 0 {
-			r := c.Isend(1, TagUser, []float64{1})
-			if !r.Test() {
-				return fmt.Errorf("swallowed send not born complete")
-			}
-			if data := r.Wait(); data != nil {
+			if data := c.Isend(1, TagUser, []float64{1}).Wait(); data != nil {
 				return fmt.Errorf("send Wait returned data %v", data)
 			}
 			c.Recv(1, TagUser+1)
 			return nil
 		}
+		c.SetRecvTimeout(200 * time.Millisecond)
 		r := c.Irecv(0, TagUser)
-		_, err := r.WaitTimeout(200 * time.Millisecond)
+		err := caught(func() { r.Wait() })
 		c.Send(0, TagUser+1, nil)
 		if !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("receiver of dropped send: want ErrTimeout, got %v", err)

@@ -26,7 +26,7 @@ import (
 // Frame integrity: the trailer is a CRC-32C (Castagnoli) over the header
 // and payload bytes, and the header is validated strictly before any
 // allocation — the kind must be known, the tag in [0, maxWireTag], and
-// the count within the frame budget (SocketOptions.MaxFrameElems). A
+// the count within the frame budget (defaultMaxFrameElems). A
 // frame failing any check is rejected with an ErrCorruptFrame-classified
 // diagnostic and the stream is torn down: a corrupt or malicious frame
 // can neither trigger a multi-GB allocation nor silently deliver flipped
@@ -42,9 +42,11 @@ const (
 	// maxWireTag bounds the tag field of a valid frame. Application tags
 	// start at TagUser (100); anything near the int32 range is garbage.
 	maxWireTag = 1 << 20
-	// defaultMaxFrameElems is the default frame budget: 1<<24 elements
-	// (128 MiB of payload), comfortably above any halo or gradient
-	// message while keeping a forged count from allocating gigabytes.
+	// defaultMaxFrameElems is the frame budget: the largest element count
+	// a received frame header may claim before it is rejected as corrupt
+	// instead of allocating payload space for it — 1<<24 elements (128 MiB
+	// of payload), comfortably above any halo or gradient message while
+	// keeping a forged count from allocating gigabytes.
 	defaultMaxFrameElems = 1 << 24
 )
 
@@ -68,18 +70,6 @@ type SocketOptions struct {
 	// listener setup). Retries back off exponentially from 1ms to 50ms
 	// between attempts. Defaults to 30s.
 	DialTimeout time.Duration
-	// IOTimeout bounds steady-state stream operations: each frame write,
-	// and the read of a frame's remaining bytes once its header has begun
-	// arriving (a partially delivered frame signals a wedged or dying
-	// peer; idle connections with no traffic are never timed out).
-	// Violations surface as ErrTimeout-classified failures. 0 disables
-	// (the default).
-	IOTimeout time.Duration
-	// MaxFrameElems is the frame budget: the largest element count a
-	// received frame header may claim before it is rejected as corrupt
-	// (ErrCorruptFrame) instead of allocating payload space for it.
-	// 0 means defaultMaxFrameElems (1<<24 elements, 128 MiB).
-	MaxFrameElems int
 }
 
 func (o SocketOptions) network() string {
@@ -107,94 +97,8 @@ func (o SocketOptions) dialTimeout() time.Duration {
 	return o.DialTimeout
 }
 
-func (o SocketOptions) maxFrameElems() int {
-	if o.MaxFrameElems <= 0 {
-		return defaultMaxFrameElems
-	}
-	return o.MaxFrameElems
-}
-
-// frame is one decoded message as delivered to a peer's inbox.
-type frame struct {
-	kind byte
-	tag  Tag
-	f    []float64
-	i    []int64
-}
-
-// bufPool recycles payload slices between a producer (a peer's reader
-// goroutine on the socket fabric, the sending rank on the channel
-// fabric) and the receiving rank. It hands out the best-fitting buffer —
-// the smallest with sufficient capacity — so mixed message sizes flowing
-// through the same pool (halo payloads interleaved with loss scalars and
-// gradient chunks) each settle on their own reused buffer instead of
-// stealing across size classes and thrashing the allocator.
-type bufPool struct {
-	mu sync.Mutex
-	f  [][]float64
-	i  [][]int64
-}
-
-func (bp *bufPool) getFloats(n int) []float64 {
-	bp.mu.Lock()
-	best := -1
-	for k := len(bp.f) - 1; k >= 0; k-- {
-		if c := cap(bp.f[k]); c >= n && (best < 0 || c < cap(bp.f[best])) {
-			best = k
-		}
-	}
-	if best >= 0 {
-		b := bp.f[best]
-		bp.f[best] = bp.f[len(bp.f)-1]
-		bp.f = bp.f[:len(bp.f)-1]
-		bp.mu.Unlock()
-		return b[:n]
-	}
-	bp.mu.Unlock()
-	return make([]float64, n)
-}
-
-func (bp *bufPool) putFloats(b []float64) {
-	bp.mu.Lock()
-	if len(bp.f) < mailboxDepth {
-		bp.f = append(bp.f, b)
-	}
-	bp.mu.Unlock()
-}
-
-func (bp *bufPool) getInts(n int) []int64 {
-	bp.mu.Lock()
-	best := -1
-	for k := len(bp.i) - 1; k >= 0; k-- {
-		if c := cap(bp.i[k]); c >= n && (best < 0 || c < cap(bp.i[best])) {
-			best = k
-		}
-	}
-	if best >= 0 {
-		b := bp.i[best]
-		bp.i[best] = bp.i[len(bp.i)-1]
-		bp.i = bp.i[:len(bp.i)-1]
-		bp.mu.Unlock()
-		return b[:n]
-	}
-	bp.mu.Unlock()
-	return make([]int64, n)
-}
-
-func (bp *bufPool) putInts(b []int64) {
-	bp.mu.Lock()
-	if len(bp.i) < mailboxDepth {
-		bp.i = append(bp.i, b)
-	}
-	bp.mu.Unlock()
-}
-
-// peer is the endpoint state for one remote rank: the stream, a reader
-// goroutine feeding the inbox, and a pool recycling payload buffers.
-// Payload recycling is what keeps the socket transport allocation-free in
-// steady state: a buffer returned by Recv is recycled when the *next*
-// payload of the same kind from the same peer is received, realizing the
-// Transport ownership contract.
+// peer is the stream to one remote rank. Frames it carries in are
+// decoded by the endpoint's readLoop into the rank's inbox from that peer.
 type peer struct {
 	conn net.Conn
 	rd   *bufio.Reader
@@ -204,14 +108,6 @@ type peer struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
-	inbox chan frame
-	pool  bufPool
-	// lastF/lastI are the payloads most recently handed to the caller,
-	// returned to the pool on the next Recv/RecvInts.
-	lastF []float64
-	lastI []int64
-
-	readErr error
 	scratch []byte // reader-owned payload byte staging
 }
 
@@ -222,20 +118,10 @@ type peer struct {
 // recorded by the constructor for diagnostics only — the wire behaviour
 // is identical.
 type SocketTransport struct {
-	rank  int
-	size  int
+	receiver
 	kind  TransportKind
 	ln    net.Listener
-	peers []*peer // indexed by rank; peers[rank] is the loopback
-	reqs  requestPool
-
-	ioTimeout time.Duration // per-write / mid-frame read deadline
-	maxElems  int           // frame budget (header count validation)
-
-	// recvTimeout bounds blocking inbox waits (SetRecvTimeout); timer is
-	// the reused deadline timer behind it.
-	recvTimeout time.Duration
-	timer       *time.Timer
+	peers []*peer // indexed by rank; nil at the own rank, whose sends post to its own inbox
 
 	// corruptBit, when >= 0, flips that bit (mod frame length) of the
 	// next outbound wire frame after its CRC trailer is sealed — the
@@ -260,10 +146,11 @@ func newSocketTransport(opts SocketOptions, rank, size int, kind TransportKind) 
 		return nil, fmt.Errorf("comm: rank %d out of range [0,%d)", rank, size)
 	}
 	t := &SocketTransport{
-		rank: rank, size: size, kind: kind, peers: make([]*peer, size),
-		ioTimeout: opts.IOTimeout, maxElems: opts.maxFrameElems(), corruptBit: -1,
+		receiver:   receiver{rank: rank, size: size, boxes: newInboxes(size)},
+		kind:       kind,
+		peers:      make([]*peer, size),
+		corruptBit: -1,
 	}
-	t.peers[rank] = newPeer(nil) // loopback: inbox only, no stream
 	if size == 1 {
 		return t, nil
 	}
@@ -308,14 +195,7 @@ func newSocketTransport(opts SocketOptions, rank, size int, kind TransportKind) 
 }
 
 func newPeer(conn net.Conn) *peer {
-	p := &peer{
-		conn:  conn,
-		inbox: make(chan frame, mailboxDepth),
-	}
-	if conn != nil {
-		p.rd = bufio.NewReaderSize(conn, 1<<16)
-	}
-	return p
+	return &peer{conn: conn, rd: bufio.NewReaderSize(conn, 1<<16)}
 }
 
 // dialPeers connects to every lower rank, retrying with exponential
@@ -396,22 +276,26 @@ func (t *SocketTransport) acceptPeers(timeout time.Duration) error {
 	return nil
 }
 
-// readLoop decodes frames from one peer's stream into its inbox. Payload
-// slices come from the peer's free lists, so steady-state traffic (fixed
-// message sizes, as in training) allocates nothing. Every frame passes
-// strict validation before its payload is staged: known kind, in-range
-// tag, count within the frame budget, and a matching CRC-32C trailer. On
-// stream error or a rejected frame the classified error is recorded and
-// the inbox is closed; a Recv blocked on it reports the error.
+// readLoop decodes frames from one peer's stream into the rank's inbox
+// from it. Payload slices come from the inbox's free lists, so
+// steady-state traffic (fixed message sizes, as in training) allocates
+// nothing. Every frame passes strict validation before its payload is
+// staged: known kind, in-range tag, count within the frame budget, and a
+// matching CRC-32C trailer. The stream ending at a frame boundary is the
+// peer's orderly close and ends the inbox with ErrPeerClosed, as the
+// channel fabric's Close does; a stream that fails otherwise (mid-frame,
+// reset) ends it with ErrPeerDown, and a rejected frame with
+// ErrCorruptFrame. A receive blocked on the inbox reports that error.
 func (t *SocketTransport) readLoop(src int, p *peer) {
-	fail := func(err error) {
-		p.readErr = err
-		close(p.inbox)
-	}
+	in := &t.boxes[src]
 	var hdr [frameHeaderLen]byte
 	for {
 		if _, err := io.ReadFull(p.rd, hdr[:]); err != nil {
-			fail(classifyIOError(err))
+			if err == io.EOF {
+				in.close(ErrPeerClosed)
+			} else {
+				in.close(classifyIOError(err))
+			}
 			return
 		}
 		kind := hdr[0]
@@ -421,92 +305,61 @@ func (t *SocketTransport) readLoop(src int, p *peer) {
 		// Header validation happens before any allocation: a forged or
 		// corrupted count must not be trusted with memory.
 		if kind != frameFloats && kind != frameInts {
-			fail(fmt.Errorf("comm: unknown frame kind %q from rank %d: %w", kind, src, ErrCorruptFrame))
+			in.close(fmt.Errorf("comm: unknown frame kind %q from rank %d: %w", kind, src, ErrCorruptFrame))
 			return
 		}
 		if tag < 0 || tag > maxWireTag {
-			fail(fmt.Errorf("comm: frame tag %d from rank %d outside [0,%d]: %w",
+			in.close(fmt.Errorf("comm: frame tag %d from rank %d outside [0,%d]: %w",
 				tag, src, maxWireTag, ErrCorruptFrame))
 			return
 		}
-		if count > uint64(t.maxElems) {
-			fail(fmt.Errorf("comm: frame count %d from rank %d exceeds budget %d: %w",
-				count, src, t.maxElems, ErrCorruptFrame))
+		if count > defaultMaxFrameElems {
+			in.close(fmt.Errorf("comm: frame count %d from rank %d exceeds budget %d: %w",
+				count, src, defaultMaxFrameElems, ErrCorruptFrame))
 			return
 		}
 		n := int(count)
 
-		// The header arrived, so the rest of the frame is in flight: a
-		// peer that stalls mid-frame is wedged or dying, which the
-		// mid-frame deadline turns into a classified error.
-		if t.ioTimeout > 0 {
-			p.conn.SetReadDeadline(time.Now().Add(t.ioTimeout))
-		}
 		need := n*8 + frameTrailerLen
 		if cap(p.scratch) < need {
 			p.scratch = make([]byte, need)
 		}
 		buf := p.scratch[:need]
 		if _, err := io.ReadFull(p.rd, buf); err != nil {
-			fail(classifyIOError(err))
+			in.close(classifyIOError(err))
 			return
-		}
-		if t.ioTimeout > 0 {
-			p.conn.SetReadDeadline(time.Time{})
 		}
 
 		crc := crc32.Checksum(hdr[:], crcTable)
 		crc = crc32.Update(crc, crcTable, buf[:n*8])
 		if got := binary.LittleEndian.Uint32(buf[n*8:]); got != crc {
-			fail(fmt.Errorf("comm: frame CRC mismatch from rank %d (kind %q tag %d count %d: got %08x want %08x): %w",
+			in.close(fmt.Errorf("comm: frame CRC mismatch from rank %d (kind %q tag %d count %d: got %08x want %08x): %w",
 				src, kind, tag, n, got, crc, ErrCorruptFrame))
 			return
 		}
 
-		fr := frame{kind: kind, tag: tag}
+		m := message{kind: kind, tag: tag}
 		switch kind {
 		case frameFloats:
-			fr.f = p.pool.getFloats(n)
-			for i := range fr.f {
-				fr.f[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+			m.f = in.f.get(n)
+			for i := range m.f {
+				m.f[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 			}
 		case frameInts:
-			fr.i = p.pool.getInts(n)
-			for i := range fr.i {
-				fr.i[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
+			m.i = in.i.get(n)
+			for i := range m.i {
+				m.i[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
 			}
 		}
-		p.inbox <- fr
+		in.ch <- m
 	}
 }
 
-func (t *SocketTransport) Rank() int                      { return t.rank }
-func (t *SocketTransport) Size() int                      { return t.size }
-func (t *SocketTransport) Kind() TransportKind            { return t.kind }
-func (t *SocketTransport) SetRecvTimeout(d time.Duration) { t.recvTimeout = d }
+func (t *SocketTransport) Kind() TransportKind { return t.kind }
 
-// recvFrame pulls the next frame from a peer's inbox under the endpoint's
-// receive deadline, panicking with a classified error on expiry or a
-// closed (failed) stream.
-func (t *SocketTransport) recvFrame(src int, p *peer) frame {
-	fr, ok, timedOut := timedRecv(p.inbox, &t.timer, t.recvTimeout)
-	if timedOut {
-		panic(fmt.Errorf("comm: rank %d recv from %d: %w after %v",
-			t.rank, src, ErrTimeout, t.recvTimeout))
-	}
-	if !ok {
-		cause := classifyIOError(p.readErr)
-		if cause == nil {
-			cause = ErrPeerDown
-		}
-		panic(fmt.Errorf("comm: rank %d recv from %d: connection closed: %w",
-			t.rank, src, cause))
-	}
-	return fr
-}
-
-// Close shuts the listener and all peer streams. Blocked receives on any
-// rank observe the shutdown as a closed-connection panic.
+// Close shuts the listener and all peer streams. Each peer's next receive
+// from this rank, once what it sent is received, fails with
+// ErrPeerClosed.
 func (t *SocketTransport) Close() error {
 	var first error
 	if t.ln != nil {
@@ -520,8 +373,8 @@ func (t *SocketTransport) Close() error {
 
 func (t *SocketTransport) closeConns() error {
 	var first error
-	for r, p := range t.peers {
-		if r == t.rank || p == nil || p.conn == nil {
+	for _, p := range t.peers {
+		if p == nil {
 			continue
 		}
 		if err := p.conn.Close(); err != nil && first == nil {
@@ -531,18 +384,16 @@ func (t *SocketTransport) closeConns() error {
 	return first
 }
 
-// Send frames data onto the stream to dst (loopback for dst == rank). The
-// staging buffer is per-peer and reused, so a steady-state exchange
-// pattern allocates nothing. A failed or timed-out write panics with a
-// classified error (ErrPeerDown / ErrTimeout).
+// Send frames data onto the stream to dst (a pooled copy into the own
+// inbox for dst == rank). The staging buffer is per-peer and reused, so a
+// steady-state exchange pattern allocates nothing. A failed write panics
+// with an ErrPeerDown-classified error.
 func (t *SocketTransport) Send(dst int, tag Tag, data []float64) {
-	p := t.peer(dst)
 	if dst == t.rank {
-		buf := p.pool.getFloats(len(data))
-		copy(buf, data)
-		p.inbox <- frame{kind: frameFloats, tag: tag, f: buf}
+		t.boxes[dst].postFloats(tag, data)
 		return
 	}
+	p := t.peers[dst]
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	buf := p.stage(frameFloats, tag, len(data))
@@ -554,13 +405,11 @@ func (t *SocketTransport) Send(dst int, tag Tag, data []float64) {
 
 // SendInts is Send for int64 payloads.
 func (t *SocketTransport) SendInts(dst int, tag Tag, data []int64) {
-	p := t.peer(dst)
 	if dst == t.rank {
-		buf := p.pool.getInts(len(data))
-		copy(buf, data)
-		p.inbox <- frame{kind: frameInts, tag: tag, i: buf}
+		t.boxes[dst].postInts(tag, data)
 		return
 	}
+	p := t.peers[dst]
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	buf := p.stage(frameInts, tag, len(data))
@@ -586,8 +435,8 @@ func (p *peer) stage(kind byte, tag Tag, n int) []byte {
 }
 
 // writeFrame seals the staged frame with its CRC-32C trailer, applies the
-// fault-injection corruption hook if armed, and writes it under the
-// configured IO deadline, panicking with a classified error on failure.
+// fault-injection corruption hook if armed, and writes it, panicking with
+// a classified error on failure.
 func (t *SocketTransport) writeFrame(p *peer, dst int, buf []byte) {
 	body := len(buf) - frameTrailerLen
 	binary.LittleEndian.PutUint32(buf[body:], crc32.Checksum(buf[:body], crcTable))
@@ -596,14 +445,8 @@ func (t *SocketTransport) writeFrame(p *peer, dst int, buf []byte) {
 		buf[bit/8] ^= 1 << (bit % 8)
 		t.corruptBit = -1
 	}
-	if t.ioTimeout > 0 {
-		p.conn.SetWriteDeadline(time.Now().Add(t.ioTimeout))
-	}
 	if _, err := p.conn.Write(buf); err != nil {
 		panic(fmt.Errorf("comm: rank %d send to %d: %w", t.rank, dst, classifyIOError(err)))
-	}
-	if t.ioTimeout > 0 {
-		p.conn.SetWriteDeadline(time.Time{})
 	}
 }
 
@@ -618,131 +461,14 @@ func (t *SocketTransport) corruptNextFrame(bit int) {
 	t.corruptBit = bit
 }
 
-// Recv returns the next float payload from src, recycling the previously
-// returned buffer.
-func (t *SocketTransport) Recv(src int, tag Tag) []float64 {
-	p := t.peer(src)
-	if p.lastF != nil {
-		p.pool.putFloats(p.lastF)
-		p.lastF = nil
-	}
-	fr := t.recvFrame(src, p)
-	if fr.kind != frameFloats || fr.tag != tag {
-		panic(fmt.Sprintf("comm: rank %d expected tag %d (floats) from %d, got tag %d kind %q",
-			t.rank, tag, src, fr.tag, fr.kind))
-	}
-	p.lastF = fr.f
-	return fr.f
-}
-
-// RecvInts returns the next int payload from src.
-func (t *SocketTransport) RecvInts(src int, tag Tag) []int64 {
-	p := t.peer(src)
-	if p.lastI != nil {
-		p.pool.putInts(p.lastI)
-		p.lastI = nil
-	}
-	fr := t.recvFrame(src, p)
-	if fr.kind != frameInts || fr.tag != tag {
-		panic(fmt.Sprintf("comm: rank %d expected tag %d (ints) from %d, got tag %d kind %q",
-			t.rank, tag, src, fr.tag, fr.kind))
-	}
-	p.lastI = fr.i
-	return fr.i
-}
-
 // IsendF64 is the nonblocking send. The frame is written to the stream
-// (or the loopback inbox) before returning — the kernel's socket buffer
-// plus the remote peer's dedicated reader goroutine make the write
-// effectively asynchronous — so the returned request is born complete and
-// data may be reused immediately.
+// (or the own inbox) before returning — the kernel's socket buffer plus
+// the remote peer's dedicated reader goroutine make the write effectively
+// asynchronous — so the returned request is born complete and data may be
+// reused immediately.
 func (t *SocketTransport) IsendF64(dst int, tag Tag, data []float64) *Request {
 	t.Send(dst, tag, data)
-	return t.reqs.get(t, false, dst, tag)
-}
-
-// IrecvF64 posts a nonblocking receive: the per-peer reader goroutine
-// decodes the frame into the peer's inbox concurrently with the caller's
-// compute, and Wait/Test pull it out.
-func (t *SocketTransport) IrecvF64(src int, tag Tag) *Request {
-	return t.reqs.get(t, true, src, tag)
-}
-
-// progress implements reqOwner: it pulls the next frame from the
-// request's source inbox, blocking or polling, and recycles the
-// previously returned payload exactly as blocking Recv does.
-func (t *SocketTransport) progress(r *Request, block bool) bool {
-	if !r.recv {
-		return true
-	}
-	p := t.peer(r.peer)
-	var fr frame
-	if block {
-		fr = t.recvFrame(r.peer, p)
-	} else {
-		var ok bool
-		select {
-		case fr, ok = <-p.inbox:
-			if !ok {
-				cause := classifyIOError(p.readErr)
-				if cause == nil {
-					cause = ErrPeerDown
-				}
-				panic(fmt.Errorf("comm: rank %d recv from %d: connection closed: %w",
-					t.rank, r.peer, cause))
-			}
-		default:
-			return false
-		}
-	}
-	t.completeRecv(r, p, fr)
-	return true
-}
-
-// progressTimeout is the non-panicking bounded wait behind
-// Request.WaitTimeout.
-func (t *SocketTransport) progressTimeout(r *Request, d time.Duration) (bool, error) {
-	if !r.recv || r.done {
-		return true, nil
-	}
-	p := t.peer(r.peer)
-	fr, ok, timedOut := timedRecv(p.inbox, &t.timer, d)
-	if timedOut {
-		return false, nil
-	}
-	if !ok {
-		cause := classifyIOError(p.readErr)
-		if cause == nil {
-			cause = ErrPeerDown
-		}
-		return false, fmt.Errorf("comm: rank %d recv from %d: connection closed: %w",
-			t.rank, r.peer, cause)
-	}
-	t.completeRecv(r, p, fr)
-	return true, nil
-}
-
-// completeRecv validates the pulled frame against the request and hands
-// its payload over under the ownership contract.
-func (t *SocketTransport) completeRecv(r *Request, p *peer, fr frame) {
-	if fr.kind != frameFloats || fr.tag != r.tag {
-		panic(fmt.Sprintf("comm: rank %d expected tag %d (floats) from %d, got tag %d kind %q",
-			t.rank, r.tag, r.peer, fr.tag, fr.kind))
-	}
-	if p.lastF != nil {
-		p.pool.putFloats(p.lastF)
-	}
-	p.lastF = fr.f
-	r.data = fr.f
-}
-
-func (t *SocketTransport) releaseRequest(r *Request) { t.reqs.put(r) }
-
-func (t *SocketTransport) peer(r int) *peer {
-	if r < 0 || r >= t.size {
-		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", r, t.size))
-	}
-	return t.peers[r]
+	return t.reqs.get(nil, dst, tag)
 }
 
 // RunSockets executes fn on every rank as a goroutine, connected through

@@ -14,7 +14,9 @@ import (
 //     Unix-domain or TCP sockets with length-prefixed binary frames and
 //     may live in separate OS processes.
 //
-// Because every collective (Barrier, AllReduce*, AllToAll) is
+// Both share one receive half (receiver: a per-source inbox, the receive
+// deadline and the request wait) and differ only in how a payload reaches
+// the peer's inbox. Because every collective (Barrier, AllReduce*) is
 // implemented in Comm purely in terms of Send/Recv, the deterministic
 // rank-ordered reduction semantics — and hence the paper's bitwise
 // consistency property — are transport-independent. The cross-transport
@@ -62,7 +64,7 @@ type Transport interface {
 	// Request's Wait; at most one receive may be outstanding per source.
 	IrecvF64(src int, tag Tag) *Request
 	// SetRecvTimeout bounds every subsequent blocking receive — Recv,
-	// RecvInts, and a receive Request's blocking Wait — on this endpoint:
+	// RecvInts, and a receive Request's Wait — on this endpoint:
 	// a wait that exceeds d panics with an ErrTimeout-classified error
 	// instead of blocking forever on a dead or desynchronized peer.
 	// d <= 0 restores unbounded waits (the default). The bound is
@@ -73,38 +75,8 @@ type Transport interface {
 	Kind() TransportKind
 	// Close releases the transport's resources (connections, listeners)
 	// and marks the rank down: once what it sent is received, its peers'
-	// receives from it fail with ErrPeerDown on every fabric.
+	// receives from it fail with ErrPeerClosed on every fabric.
 	Close() error
-}
-
-// timedRecv receives from ch with an optional bound d (d <= 0 blocks
-// unboundedly). The timer behind the bound is owned by the caller through
-// tp and reused across calls — allocated lazily on the first bounded
-// receive, then armed and disarmed with Reset/Stop — so a steady-state
-// receive loop with a deadline configured performs no allocation.
-// Endpoints are single-goroutine (see Transport), which makes the
-// Reset/Stop/drain sequence race-free.
-func timedRecv[T any](ch <-chan T, tp **time.Timer, d time.Duration) (v T, ok bool, timedOut bool) {
-	if d <= 0 {
-		v, ok = <-ch
-		return v, ok, false
-	}
-	t := *tp
-	if t == nil {
-		t = time.NewTimer(d)
-		*tp = t
-	} else {
-		t.Reset(d)
-	}
-	select {
-	case v, ok = <-ch:
-		if !t.Stop() {
-			<-t.C // drain a concurrent expiry so the next Reset is clean
-		}
-		return v, ok, false
-	case <-t.C:
-		return v, false, true
-	}
 }
 
 // TransportKind names the available rank fabrics.

@@ -68,25 +68,8 @@ func TestSocketCollectivesMatchInProcessBitwise(t *testing.T) {
 				}
 				c.AllReduceMax(mx)
 
-				send := make([][]float64, c.Size())
-				for dst := 0; dst < c.Size(); dst++ {
-					buf := make([]float64, 5)
-					for i := range buf {
-						buf[i] = float64(c.Rank()*31+dst) + rng.Float64()
-					}
-					send[dst] = buf
-				}
-				var a2a []float64
-				for _, r := range c.AllToAll(send) {
-					a2a = append(a2a, r...)
-				}
 				c.Barrier()
-
-				var out []float64
-				out = append(out, sum...)
-				out = append(out, mx...)
-				out = append(out, a2a...)
-				return out, nil
+				return append(sum, mx...), nil
 			}
 			inproc, sockets := runBoth(t, size, script)
 			for r := range inproc {

@@ -13,9 +13,8 @@
 //   - consistent neural message passing GNNs with differentiable halo
 //     exchanges (None / A2A / Neighbor-A2A / Send-Recv modes) and the
 //     consistent MSE loss;
-//   - an in-process SPMD runtime (goroutine ranks, deterministic
-//     collectives) plus a Frontier machine model for paper-scale
-//     projections.
+//   - an SPMD runtime with deterministic collectives whose ranks are
+//     goroutines over channels or sockets, or OS processes over sockets.
 //
 // A minimal session:
 //
@@ -75,8 +74,8 @@ type (
 	// it with transport-independent, bitwise-deterministic reductions.
 	Transport = comm.Transport
 	// Request is the pooled handle of a nonblocking transport operation
-	// (Isend/Irecv), with MPI-style Wait/Test completion — the primitive
-	// the overlapped halo pipeline is built on.
+	// (Isend/Irecv), completed by Wait — the primitive the overlapped
+	// halo pipeline is built on.
 	Request = comm.Request
 	// StepTiming is the per-phase training-step breakdown (forward, halo
 	// — with its exposed-communication subset — loss, backward,
