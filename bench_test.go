@@ -133,7 +133,7 @@ func BenchmarkAblation_ExchangeModes(b *testing.B) {
 					if err != nil {
 						return err
 					}
-					trainer := NewTrainer(model, NewSGD(0.01))
+					trainer := NewTrainer(model, NewAdam(1e-3))
 					x := r.Sample(TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
 					trainer.Step(r.Ctx, x, x)
 					return nil
@@ -169,7 +169,7 @@ func BenchmarkAblation_ModelSize(b *testing.B) {
 					if err != nil {
 						return err
 					}
-					trainer := NewTrainer(model, NewSGD(0.01))
+					trainer := NewTrainer(model, NewAdam(1e-3))
 					x := r.Sample(TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
 					trainer.Step(r.Ctx, x, x)
 					return nil

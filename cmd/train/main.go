@@ -90,7 +90,6 @@ func main() {
 		cfg = meshgnn.LargeConfig()
 	}
 	cfg.Overlap = *overlap
-	cfg.TrainBatch = *batchSz
 	// Parallelism is configured once, above, via SetParallelism; the
 	// Config knob stays zero so model construction (and checkpoint
 	// loading) cannot re-apply a second, divergent setting.
@@ -156,12 +155,7 @@ func main() {
 			return err
 		}
 		trainer := meshgnn.NewTrainer(mdl, meshgnn.NewAdam(*lr))
-		if *batchSz > 1 {
-			// Checkpoint-loaded models carry the checkpoint's Config; the
-			// flag, not the checkpoint, decides the batching.
-			trainer.Batch = *batchSz
-		}
-		tm := trainer.EnableTiming()
+		trainer.Batch = *batchSz
 		var ds meshgnn.Dataset
 		// With -train-batch B the dataset holds B time-shifted snapshot
 		// pairs so a full epoch is one row-block stacked optimizer step.
@@ -188,7 +182,7 @@ func main() {
 			return nil
 		}
 		curve = epochLosses
-		timing = *tm
+		timing = trainer.Timing()
 		if *saveTo != "" {
 			var buf bytes.Buffer
 			if err := meshgnn.SaveModel(&buf, mdl); err != nil {

@@ -68,9 +68,10 @@ type World struct {
 	// all ranks can post their sends before any receives complete; rank
 	// dst's endpoint receives from row boxes[dst].
 	boxes [][]inbox
-	// down[src] closes every inbox src sends into, once, when src's
-	// endpoint closes (worldTransport.Close).
-	down []sync.Once
+	// down[src] closes every inbox src sends into, and closed[src], once,
+	// when src's endpoint closes (worldTransport.Close).
+	down   []sync.Once
+	closed []chan struct{}
 }
 
 // NewWorld creates the fabric for size ranks.
@@ -78,9 +79,11 @@ func NewWorld(size int) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("comm: world size must be >= 1, got %d", size))
 	}
-	w := &World{size: size, boxes: make([][]inbox, size), down: make([]sync.Once, size)}
+	w := &World{size: size, boxes: make([][]inbox, size), down: make([]sync.Once, size),
+		closed: make([]chan struct{}, size)}
 	for dst := range w.boxes {
-		w.boxes[dst] = newInboxes(size)
+		w.closed[dst] = make(chan struct{})
+		w.boxes[dst] = newInboxes(size, w.closed[dst])
 	}
 	return w
 }
@@ -107,11 +110,13 @@ func (t *worldTransport) Kind() TransportKind { return InProcess }
 // so a peer waiting on one — or arriving later — receives what the rank
 // sent before it closed and then fails with ErrPeerClosed, as it does on
 // the socket fabric when the rank's stream ends, instead of waiting out
-// its receive deadline. The rank runners close an endpoint when its rank
-// returns or panics. Close is idempotent; the endpoint must not send after
-// it.
+// its receive deadline. A peer sending to the rank afterwards fails with
+// ErrPeerClosed too, instead of blocking once the rank's inbox is full. The
+// rank runners close an endpoint when its rank returns or panics. Close is
+// idempotent; the endpoint must not send after it.
 func (t *worldTransport) Close() error {
 	t.w.down[t.rank].Do(func() {
+		close(t.w.closed[t.rank])
 		for dst := range t.w.boxes {
 			t.w.boxes[dst][t.rank].close(ErrPeerClosed)
 		}
@@ -120,13 +125,22 @@ func (t *worldTransport) Close() error {
 }
 
 // Send posts a pooled copy of data into dst's inbox, so steady-state
-// traffic allocates nothing.
+// traffic allocates nothing. A send to a closed rank panics with
+// ErrPeerClosed.
 func (t *worldTransport) Send(dst int, tag Tag, data []float64) {
-	t.w.boxes[dst][t.rank].postFloats(tag, data)
+	if !t.w.boxes[dst][t.rank].postFloats(tag, data) {
+		t.peerClosed(dst)
+	}
 }
 
 func (t *worldTransport) SendInts(dst int, tag Tag, data []int64) {
-	t.w.boxes[dst][t.rank].postInts(tag, data)
+	if !t.w.boxes[dst][t.rank].postInts(tag, data) {
+		t.peerClosed(dst)
+	}
+}
+
+func (t *worldTransport) peerClosed(dst int) {
+	panic(fmt.Errorf("comm: rank %d send to %d: %w", t.rank, dst, ErrPeerClosed))
 }
 
 // IsendF64 is the nonblocking send: the pooled copy decouples the caller's

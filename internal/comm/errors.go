@@ -33,9 +33,10 @@ var (
 	// endpoint has closed — its rank returned or failed, closing its
 	// inboxes on the channel fabric or ending its streams at a frame
 	// boundary on the socket fabric — and everything it sent has been
-	// received. It is a consequence of that
-	// rank's own outcome, so whoever collects a world's failures reports
-	// the peer's error in its place where there is one.
+	// received. On the channel fabric a send to the closed rank reports it
+	// too, at the latest once the rank's inbox is full. It is a
+	// consequence of that rank's own outcome, so whoever collects a world's
+	// failures reports the peer's error in its place where there is one.
 	ErrPeerClosed = fmt.Errorf("endpoint closed: %w", ErrPeerDown)
 	// ErrFault marks a failure manufactured by FaultTransport — injected
 	// panics and injected peer deaths wrap it in addition to their

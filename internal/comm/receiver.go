@@ -67,7 +67,10 @@ func (l *freeList[T]) put(b []T) {
 // receive of the same kind from src runs — the Transport ownership
 // contract, and what keeps steady-state traffic allocation-free.
 type inbox struct {
-	ch    chan message
+	ch chan message
+	// owner is closed when the receiving rank's endpoint closes: nothing
+	// will take from ch again, so a post must not wait on it.
+	owner <-chan struct{}
 	f     freeList[float64]
 	i     freeList[int64]
 	lastF []float64
@@ -77,29 +80,43 @@ type inbox struct {
 	err error
 }
 
-func newInboxes(n int) []inbox {
+// newInboxes returns the n inboxes of one receiving rank, whose endpoint
+// closes owner.
+func newInboxes(n int, owner <-chan struct{}) []inbox {
 	boxes := make([]inbox, n)
 	for k := range boxes {
 		boxes[k].ch = make(chan message, mailboxDepth)
+		boxes[k].owner = owner
 	}
 	return boxes
 }
 
-// postFloats delivers a pooled copy of data — the channel fabric's send,
-// and a socket endpoint's send to itself. The copy realizes the
-// non-retention contract (the channel hands the same backing array to the
-// receiver). It never blocks while fewer than mailboxDepth messages are in
-// flight on the pair.
-func (in *inbox) postFloats(tag Tag, data []float64) {
-	cp := in.f.get(len(data))
-	copy(cp, data)
-	in.ch <- message{kind: frameFloats, tag: tag, f: cp}
+// post queues m for the receiving rank and reports whether it did: a post
+// to a rank whose endpoint has closed is dropped (false) instead of
+// blocking on a queue nobody drains. It never blocks while fewer than
+// mailboxDepth messages are in flight on the pair.
+func (in *inbox) post(m message) bool {
+	select {
+	case in.ch <- m:
+		return true
+	case <-in.owner:
+		return false
+	}
 }
 
-func (in *inbox) postInts(tag Tag, data []int64) {
+// postFloats posts a pooled copy of data — the channel fabric's send, and
+// a socket endpoint's send to itself. The copy realizes the non-retention
+// contract (the channel hands the same backing array to the receiver).
+func (in *inbox) postFloats(tag Tag, data []float64) bool {
+	cp := in.f.get(len(data))
+	copy(cp, data)
+	return in.post(message{kind: frameFloats, tag: tag, f: cp})
+}
+
+func (in *inbox) postInts(tag Tag, data []int64) bool {
 	cp := in.i.get(len(data))
 	copy(cp, data)
-	in.ch <- message{kind: frameInts, tag: tag, i: cp}
+	return in.post(message{kind: frameInts, tag: tag, i: cp})
 }
 
 // close ends the pair: once everything posted before it is received, the

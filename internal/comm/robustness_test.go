@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -51,7 +52,9 @@ func dialAsRank1(t *testing.T) (*SocketTransport, net.Conn) {
 	if res.err != nil {
 		t.Fatalf("rank 0 setup: %v", res.err)
 	}
-	t.Cleanup(func() { res.tr.Close(); conn.Close() })
+	// The hand-rolled peer ends its side first, so the endpoint's Close
+	// finds its stream drained instead of waiting out closeDrainTimeout.
+	t.Cleanup(func() { conn.Close(); res.tr.Close() })
 	return res.tr, conn
 }
 
@@ -316,6 +319,67 @@ func TestRunReportsFailingRank(t *testing.T) {
 				t.Fatalf("want \"rank 1: boom\", got %v", err)
 			}
 		})
+	}
+}
+
+// TestSendToClosedRankFails: on the channel fabric rank 1 returns at once
+// while rank 0 sends it 300 messages, more than an inbox holds. The send
+// that finds the closed rank's inbox full fails with ErrPeerClosed instead
+// of blocking forever, so the run returns within 2 s and reports rank 1's
+// own error.
+func TestSendToClosedRankFails(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWith(2, nil, func(c *Comm) error {
+			if c.Rank() == 1 {
+				return errors.New("boom")
+			}
+			for i := 0; i < 300; i++ {
+				c.Send(1, TagUser, []float64{float64(i)})
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || err.Error() != "rank 1: boom" {
+			t.Fatalf("want \"rank 1: boom\", got %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a sender to a closed rank is still blocked after 2 s")
+	}
+}
+
+// TestSocketRankExitsWithUnreadFrames: rank 0 sends rank 1 300 frames and
+// then waits on it; rank 1 returns an error 20 ms later without reading
+// them. Rank 1's endpoint drains the stream while it closes, so rank 0
+// sees an orderly close (ErrPeerClosed), not a connection reset, and every
+// run reports rank 1's own error. The endpoints' reader goroutines end
+// with the runs.
+func TestSocketRankExitsWithUnreadFrames(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for run := 0; run < 20; run++ {
+		err := RunSocketsWith(2, nil, func(c *Comm) error {
+			if c.Rank() == 1 {
+				time.Sleep(20 * time.Millisecond)
+				return errors.New("boom")
+			}
+			for i := 0; i < 300; i++ {
+				c.Send(1, TagUser, []float64{float64(i)})
+			}
+			c.Recv(1, TagUser)
+			return nil
+		})
+		if err == nil || err.Error() != "rank 1: boom" {
+			t.Fatalf("run %d: want \"rank 1: boom\", got %v", run, err)
+		}
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after 20 runs, %d before", n, base)
 	}
 }
 

@@ -109,6 +109,11 @@ type peer struct {
 	wbuf []byte
 
 	scratch []byte // reader-owned payload byte staging
+
+	// drained is closed when the endpoint's readLoop on this stream
+	// returns: the peer's side ended (or failed), everything before it
+	// read.
+	drained chan struct{}
 }
 
 // SocketTransport connects size ranks through a full mesh of stream
@@ -122,6 +127,10 @@ type SocketTransport struct {
 	kind  TransportKind
 	ln    net.Listener
 	peers []*peer // indexed by rank; nil at the own rank, whose sends post to its own inbox
+
+	// closed is closed by Close; the readers then discard what arrives.
+	closed    chan struct{}
+	closeOnce sync.Once
 
 	// corruptBit, when >= 0, flips that bit (mod frame length) of the
 	// next outbound wire frame after its CRC trailer is sealed — the
@@ -145,10 +154,12 @@ func newSocketTransport(opts SocketOptions, rank, size int, kind TransportKind) 
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("comm: rank %d out of range [0,%d)", rank, size)
 	}
+	closed := make(chan struct{})
 	t := &SocketTransport{
-		receiver:   receiver{rank: rank, size: size, boxes: newInboxes(size)},
+		receiver:   receiver{rank: rank, size: size, boxes: newInboxes(size, closed)},
 		kind:       kind,
 		peers:      make([]*peer, size),
+		closed:     closed,
 		corruptBit: -1,
 	}
 	if size == 1 {
@@ -195,7 +206,7 @@ func newSocketTransport(opts SocketOptions, rank, size int, kind TransportKind) 
 }
 
 func newPeer(conn net.Conn) *peer {
-	return &peer{conn: conn, rd: bufio.NewReaderSize(conn, 1<<16)}
+	return &peer{conn: conn, rd: bufio.NewReaderSize(conn, 1<<16), drained: make(chan struct{})}
 }
 
 // dialPeers connects to every lower rank, retrying with exponential
@@ -285,8 +296,11 @@ func (t *SocketTransport) acceptPeers(timeout time.Duration) error {
 // peer's orderly close and ends the inbox with ErrPeerClosed, as the
 // channel fabric's Close does; a stream that fails otherwise (mid-frame,
 // reset) ends it with ErrPeerDown, and a rejected frame with
-// ErrCorruptFrame. A receive blocked on the inbox reports that error.
+// ErrCorruptFrame. A receive blocked on the inbox reports that error. Once
+// the endpoint has closed, frames are read and discarded, so the stream
+// drains to the peer's end instead of stalling on a full inbox.
 func (t *SocketTransport) readLoop(src int, p *peer) {
+	defer close(p.drained)
 	in := &t.boxes[src]
 	var hdr [frameHeaderLen]byte
 	for {
@@ -351,23 +365,57 @@ func (t *SocketTransport) readLoop(src int, p *peer) {
 				m.i[i] = int64(binary.LittleEndian.Uint64(buf[i*8:]))
 			}
 		}
-		in.ch <- m
+		in.post(m)
 	}
 }
 
 func (t *SocketTransport) Kind() TransportKind { return t.kind }
 
-// Close shuts the listener and all peer streams. Each peer's next receive
-// from this rank, once what it sent is received, fails with
-// ErrPeerClosed.
+// closeDrainTimeout bounds how long Close waits for the peers to end their
+// side of the streams.
+const closeDrainTimeout = time.Second
+
+// Close shuts the listener and half-closes every peer stream, so each
+// peer's next receive from this rank, once what it sent is received,
+// fails with ErrPeerClosed. The readers meanwhile discard what still
+// arrives, and each stream is closed once the peer has ended its side (or
+// after closeDrainTimeout): a stream closed with unread bytes is reset by
+// the kernel, and the peer would read the reset as this rank's crash.
+// Close is idempotent.
 func (t *SocketTransport) Close() error {
 	var first error
-	if t.ln != nil {
-		first = t.ln.Close()
-	}
-	if err := t.closeConns(); err != nil && first == nil {
-		first = err
-	}
+	t.closeOnce.Do(func() {
+		close(t.closed)
+		if t.ln != nil {
+			first = t.ln.Close()
+		}
+		for _, p := range t.peers {
+			if p == nil {
+				continue
+			}
+			if cw, ok := p.conn.(interface{ CloseWrite() error }); ok {
+				// A failed half-close leaves the peer to see the full
+				// close below instead.
+				_ = cw.CloseWrite()
+			}
+		}
+		timer := time.NewTimer(closeDrainTimeout)
+		defer timer.Stop()
+	wait:
+		for _, p := range t.peers {
+			if p == nil {
+				continue
+			}
+			select {
+			case <-p.drained:
+			case <-timer.C:
+				break wait
+			}
+		}
+		if err := t.closeConns(); err != nil && first == nil {
+			first = err
+		}
+	})
 	return first
 }
 

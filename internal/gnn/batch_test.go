@@ -155,10 +155,10 @@ func TestPredictBatchBitwiseParitySweep(t *testing.T) {
 	}
 }
 
-// TestPredictBatchAllExchangeModes covers the four halo exchange modes
-// and both edge-feature modes at both precisions with a thread sweep: the
-// batched frames must not change a bit under any packing/collective
-// spelling.
+// TestPredictBatchAllExchangeModes covers the four halo exchange modes at
+// both precisions with a thread sweep (subtests keep the edge4 label of the
+// 4-column edge input): the batched frames must not change a bit under any
+// packing/collective spelling.
 func TestPredictBatchAllExchangeModes(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
@@ -174,38 +174,35 @@ func TestPredictBatchAllExchangeModes(t *testing.T) {
 	}
 	defer parallel.Configure(0, true)
 	for _, mode := range []comm.ExchangeMode{comm.NoExchange, comm.AllToAllMode, comm.NeighborAllToAll, comm.SendRecvMode} {
-		for _, edgeMode := range []EdgeFeatureMode{EdgeFeatures4, EdgeFeatures7} {
-			for _, threads := range []int{1, 4} {
-				for _, prec := range precisions {
-					t.Run(fmt.Sprintf("%s/%v/edge%d/t%d", precName(prec), mode, edgeMode, threads), func(t *testing.T) {
-						parallel.Configure(threads, true)
-						cfg := precisionConfig(prec)
-						cfg.EdgeMode = edgeMode
-						res, err := comm.RunCollect(2, func(c *comm.Comm) (int, error) {
-							rc, err := NewRankContext(c, box, locals[c.Rank()], mode)
-							if err != nil {
-								return 0, err
-							}
-							model, err := NewModel(cfg)
-							if err != nil {
-								return 0, err
-							}
-							eng, err := NewInference(model)
-							if err != nil {
-								return 0, err
-							}
-							return batchParity(rc, eng, batchInputs(rc.Graph, 3)), nil
-						})
+		for _, threads := range []int{1, 4} {
+			for _, prec := range precisions {
+				t.Run(fmt.Sprintf("%s/%v/edge4/t%d", precName(prec), mode, threads), func(t *testing.T) {
+					parallel.Configure(threads, true)
+					cfg := precisionConfig(prec)
+					res, err := comm.RunCollect(2, func(c *comm.Comm) (int, error) {
+						rc, err := NewRankContext(c, box, locals[c.Rank()], mode)
 						if err != nil {
-							t.Fatal(err)
+							return 0, err
 						}
-						for r, d := range res {
-							if d != 0 {
-								t.Errorf("rank %d: %d values differ bitwise", r, d)
-							}
+						model, err := NewModel(cfg)
+						if err != nil {
+							return 0, err
 						}
+						eng, err := NewInference(model)
+						if err != nil {
+							return 0, err
+						}
+						return batchParity(rc, eng, batchInputs(rc.Graph, 3)), nil
 					})
-				}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for r, d := range res {
+						if d != 0 {
+							t.Errorf("rank %d: %d values differ bitwise", r, d)
+						}
+					}
+				})
 			}
 		}
 	}

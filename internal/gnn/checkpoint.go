@@ -8,23 +8,20 @@ import (
 	"meshgnn/internal/nn"
 )
 
-// savedTraining extends the model checkpoint with the optimizer's
-// internal state and the trainer's step counter, enabling *exact*
-// training resumption: a run checkpointed at step k and resumed matches
-// an uninterrupted run bit for bit (given the same data stream).
+// savedTraining extends the model checkpoint with the Adam optimizer's
+// moments and step count, enabling *exact* training resumption: a run
+// checkpointed at step k and resumed matches an uninterrupted run bit for
+// bit (given the same data stream).
 type savedTraining struct {
 	FormatVersion int
 	Model         savedModel
 	OptVectors    [][]float64
 	OptStep       int
-	TrainerStep   int
 }
 
-// SaveTrainingState serializes the trainer's model, optimizer state
-// (for nn.Stateful optimizers: Adam moments, SGD momentum), and step
-// counter.
+// SaveTrainingState serializes the trainer's model and optimizer state.
 func SaveTrainingState(w io.Writer, t *Trainer) error {
-	st := savedTraining{FormatVersion: formatVersion, TrainerStep: t.step}
+	st := savedTraining{FormatVersion: formatVersion}
 	st.Model.FormatVersion = formatVersion
 	st.Model.Config = t.Model.Config
 	for _, p := range t.Model.Params() {
@@ -32,9 +29,7 @@ func SaveTrainingState(w io.Writer, t *Trainer) error {
 			Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols, Data: p.W.Data,
 		})
 	}
-	if s, ok := t.Opt.(nn.Stateful); ok {
-		st.OptVectors, st.OptStep = s.State()
-	}
+	st.OptVectors, st.OptStep = t.Opt.State()
 	if err := gob.NewEncoder(w).Encode(st); err != nil {
 		return fmt.Errorf("gnn: encoding training state: %w", err)
 	}
@@ -42,9 +37,9 @@ func SaveTrainingState(w io.Writer, t *Trainer) error {
 }
 
 // LoadTrainingState reconstructs a trainer saved by SaveTrainingState,
-// pairing the restored model with the provided optimizer (whose state is
-// restored when it implements nn.Stateful).
-func LoadTrainingState(r io.Reader, opt nn.Optimizer) (*Trainer, error) {
+// pairing the restored model with the provided optimizer, whose moments
+// and step count are restored.
+func LoadTrainingState(r io.Reader, opt *nn.Adam) (*Trainer, error) {
 	var st savedTraining
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("gnn: decoding training state: %w", err)
@@ -57,40 +52,8 @@ func LoadTrainingState(r io.Reader, opt nn.Optimizer) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := NewTrainer(model, opt)
-	t.step = st.TrainerStep
-	if s, ok := opt.(nn.Stateful); ok && st.OptVectors != nil {
-		if err := s.Restore(st.OptVectors, st.OptStep); err != nil {
-			return nil, fmt.Errorf("gnn: restoring optimizer: %w", err)
-		}
+	if err := opt.Restore(st.OptVectors, st.OptStep); err != nil {
+		return nil, fmt.Errorf("gnn: restoring optimizer: %w", err)
 	}
-	return t, nil
-}
-
-// restoreModel rebuilds a model from its saved form (shared with
-// LoadModel).
-func restoreModel(sm savedModel) (*Model, error) {
-	m, err := NewModel(sm.Config)
-	if err != nil {
-		return nil, fmt.Errorf("gnn: rebuilding model: %w", err)
-	}
-	params := m.Params()
-	if len(params) != len(sm.Params) {
-		return nil, fmt.Errorf("gnn: checkpoint has %d tensors, model has %d",
-			len(sm.Params), len(params))
-	}
-	for i, sp := range sm.Params {
-		p := params[i]
-		if p.Name != sp.Name || p.W.Rows != sp.Rows || p.W.Cols != sp.Cols {
-			return nil, fmt.Errorf("gnn: tensor %d mismatch: checkpoint %s %dx%d, model %s %dx%d",
-				i, sp.Name, sp.Rows, sp.Cols, p.Name, p.W.Rows, p.W.Cols)
-		}
-		if len(sp.Data) != sp.Rows*sp.Cols {
-			return nil, fmt.Errorf("gnn: tensor %s has %d values, want %d",
-				sp.Name, len(sp.Data), sp.Rows*sp.Cols)
-		}
-		copy(p.W.Data, sp.Data)
-		p.Bump()
-	}
-	return m, nil
+	return NewTrainer(model, opt), nil
 }

@@ -17,19 +17,6 @@ import (
 	"math/rand"
 )
 
-// EdgeFeatureMode selects the width of the raw edge attributes.
-type EdgeFeatureMode int
-
-const (
-	// EdgeFeatures4 uses the distance vector and its magnitude
-	// (4 columns). This is the default: it reproduces the paper's
-	// Table I trainable-parameter counts exactly.
-	EdgeFeatures4 EdgeFeatureMode = 4
-	// EdgeFeatures7 prepends the relative input node features
-	// (3 columns) as the paper's text describes, for 7 columns total.
-	EdgeFeatures7 EdgeFeatureMode = 7
-)
-
 // Precision selects the numeric representation of the serving engine
 // compiled by NewInference. Training always runs in float64 regardless.
 type Precision int
@@ -53,7 +40,14 @@ const (
 	Float32
 )
 
-// Config describes a GNN instance (paper Table I).
+// edgeInputCols is the raw edge-attribute width: the static geometry
+// columns [dx, dy, dz, |d|] of graph.StaticEdgeFeatures. With it the
+// configurations reproduce Table I's trainable-parameter counts exactly.
+const edgeInputCols = 4
+
+// Config describes a GNN instance (paper Table I). The edge encoder reads
+// the 4 static geometry columns of each directed edge; the node encoder
+// reads InputNodeFeatures per node.
 type Config struct {
 	// Name labels the configuration in reports ("small", "large", ...).
 	Name string
@@ -67,8 +61,6 @@ type Config struct {
 	MessagePassingLayers int
 	// MLPHiddenLayers is the number of H→H inner linears per MLP.
 	MLPHiddenLayers int
-	// EdgeMode selects the raw edge-feature width.
-	EdgeMode EdgeFeatureMode
 	// Overlap selects the phased NMP pipeline: each layer aggregates its
 	// boundary (shared) rows first, puts the halo payloads on the wire,
 	// and computes the interior aggregation while the messages fly,
@@ -98,14 +90,6 @@ type Config struct {
 	// Float32 compiles the tolerance-gated single-precision twin).
 	// Training paths ignore it.
 	Precision Precision
-	// TrainBatch, when > 1, trains B same-mesh samples per optimizer step
-	// as row blocks of one stacked matrix (Trainer.StepBatch; Fit groups
-	// epochs accordingly). The accumulated B-sample gradient is
-	// bitwise-equal to B sequential accumulation passes — batching buys
-	// amortization (one AllReduce, one optimizer step, one pack-cache
-	// invalidation per B samples), not different arithmetic. 0 and 1 train
-	// per sample.
-	TrainBatch int
 }
 
 // SmallConfig returns the paper's "small" model: N_H=8, M=4, 2 MLP hidden
@@ -118,7 +102,6 @@ func SmallConfig() Config {
 		HiddenDim:            8,
 		MessagePassingLayers: 4,
 		MLPHiddenLayers:      2,
-		EdgeMode:             EdgeFeatures4,
 		Seed:                 1,
 	}
 }
@@ -133,7 +116,6 @@ func LargeConfig() Config {
 		HiddenDim:            32,
 		MessagePassingLayers: 4,
 		MLPHiddenLayers:      5,
-		EdgeMode:             EdgeFeatures4,
 		Seed:                 1,
 	}
 }
@@ -153,11 +135,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gnn: MLPHiddenLayers must be >= 0, got %d", c.MLPHiddenLayers)
 	case c.Threads < 0:
 		return fmt.Errorf("gnn: Threads must be >= 0, got %d", c.Threads)
-	case c.TrainBatch < 0:
-		return fmt.Errorf("gnn: TrainBatch must be >= 0, got %d", c.TrainBatch)
-	}
-	if c.EdgeMode != EdgeFeatures4 && c.EdgeMode != EdgeFeatures7 {
-		return fmt.Errorf("gnn: unsupported EdgeMode %d", c.EdgeMode)
 	}
 	if c.Precision != Float64 && c.Precision != Float32 {
 		return fmt.Errorf("gnn: unsupported Precision %d", c.Precision)
@@ -177,7 +154,7 @@ func (c Config) ParamCount() int {
 		return n
 	}
 	total := mlp(c.InputNodeFeatures, h, true) // node encoder
-	total += mlp(int(c.EdgeMode), h, true)     // edge encoder
+	total += mlp(edgeInputCols, h, true)       // edge encoder
 	total += c.MessagePassingLayers * (mlp(3*h, h, true) + mlp(2*h, h, true))
 	total += mlp(h, c.OutputNodeFeatures, false) // decoder
 	return total

@@ -125,7 +125,7 @@ func TestFitNoisyTrajectoryConsistency(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			tr := NewTrainer(model, nn.NewSGD(0.03))
+			tr := NewTrainer(model, nn.NewAdam(1e-2))
 			var ds Dataset
 			x := waveField(rc.Graph)
 			scaled := x.Clone()
@@ -167,7 +167,7 @@ func TestFitEmptyDataset(t *testing.T) {
 			return err
 		}
 		model, _ := NewModel(tinyConfig())
-		tr := NewTrainer(model, nn.NewSGD(0.01))
+		tr := NewTrainer(model, nn.NewAdam(1e-3))
 		if out := tr.Fit(rc, &Dataset{}, FitOptions{Epochs: 3}); out != nil {
 			t.Errorf("empty dataset returned %v", out)
 		}

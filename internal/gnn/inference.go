@@ -20,16 +20,16 @@ import (
 // exist one row panel at a time, gathered by the head of the panel loop
 // into the evaluator's scratch (nn.InferMLP carries a row panel from that
 // head through the block to a residual-add tail as one parallel region),
-// never as (B·N_edges)×3H and (B·N_local)×2H workspaces — and with the
-// default static edge features (EdgeFeatures4) no edge encoder on the
-// request path: its output does not depend on the node snapshot, so it is
-// encoded once per (graph, parameters) and reused.
+// never as (B·N_edges)×3H and (B·N_local)×2H workspaces — and no edge
+// encoder on the request path: the edge attributes are the static
+// geometry columns, so its output does not depend on the node snapshot and
+// is encoded once per (graph, parameters) and reused.
 //
 // One pass. There is one engine-level forward, runPass: stage the B
-// samples in → node encoder → static-edge encoding (tiled) or edge encoder
-// → processors → decoder → stage out. B is len(xs): Predict is PredictBatch
-// of one and Rollout is RolloutBatch of one, as Model.Forward is forward of
-// one. The samples stack vertically into a (B·N_local)×F matrix — batch as
+// samples in → node encoder → static-edge encoding (tiled) → processors →
+// decoder → stage out. B is len(xs): Predict is PredictBatch of one and
+// Rollout is RolloutBatch of one, as Model.Forward is forward of one. The
+// samples stack vertically into a (B·N_local)×F matrix — batch as
 // a leading row-block dimension, not a loop — and every kernel is
 // row-wise, so sample b of a stacked pass is bitwise a pass over sample b
 // alone; stacking buys one GEMM sweep per layer, one dispatch round and
@@ -196,12 +196,12 @@ func (e *Inference) Session() *Inference {
 // WorkspaceFootprint reports the session's arena storage in float64s — the
 // steady-state per-request workspace (compare Model.WorkspaceFootprint,
 // which also carries the backward epoch). For a Float32 engine the
-// activation arena is counted at half a float64 per element, alongside the
-// float64 staging arena. Arenas keep their slabs, so the figure stops moving
-// once the largest batch has been served.
+// activation arena is counted at half a float64 per element. Arenas keep
+// their slabs, so the figure stops moving once the largest batch has been
+// served.
 func (e *Inference) WorkspaceFootprint() int {
 	if e.p32 != nil {
-		return e.p32.stage.Footprint() + (e.p32.arena.Footprint()+1)/2
+		return (e.p32.arena.Footprint() + 1) / 2
 	}
 	return e.p64.arena.Footprint()
 }
@@ -309,18 +309,17 @@ func (o *stackedOut) size(batch, per, cols int) {
 // nothing.
 type enginePass[M any] interface {
 	// bind re-records the session for a (graph, batch) pair: clear the
-	// arenas and, for static edge features, view batch copies of the
-	// graph's cached encoding (fetched, and on a miss computed, when the
-	// graph is new).
-	bind(rc *RankContext, batch int, static, newGraph bool)
-	// begin rewinds the arenas for the next pass.
+	// arena and view batch copies of the graph's cached static-edge
+	// encoding (fetched, and on a miss computed, when the graph is new).
+	bind(rc *RankContext, batch int, newGraph bool)
+	// begin rewinds the arena for the next pass.
 	begin()
 	// encodeNodes stages the samples in — stacked, in the element type —
 	// and lifts them to hidden node features.
 	encodeNodes(xs []*tensor.Matrix) M
-	// encodeEdges returns the stacked hidden edge features: the static tile,
-	// or the edge encoder over the samples' EdgeFeatures7 attributes.
-	encodeEdges(rc *RankContext, xs []*tensor.Matrix, static bool) M
+	// encodeEdges returns the stacked hidden edge features: the batch's
+	// copies of the static-edge encoding.
+	encodeEdges() M
 	// process applies processor layer i.
 	process(rc *RankContext, i int, x, e M, batch int, overlap bool) (xOut, eOut M)
 	// decodeInto decodes x and stages the float64 prediction out into dst.
@@ -340,18 +339,16 @@ func (e *Inference) pass(rc *RankContext, xs []*tensor.Matrix, dst *tensor.Matri
 // through encode → Eq. 4 × M → decode into dst ((len(xs)·N_local) rows).
 func runPass[M any](e *Inference, u enginePass[M], rc *RankContext, xs []*tensor.Matrix, dst *tensor.Matrix) {
 	batch := len(xs)
-	// With static edge features the edge encoder's input does not depend
-	// on the snapshot: its output is a per-graph constant of the core,
-	// bitwise what a per-request evaluation would produce, so caching it
-	// is invisible to the results.
-	static := e.Config.EdgeMode == EdgeFeatures4
+	// The edge encoder's input does not depend on the snapshot: its output
+	// is a per-graph constant of the core, bitwise what a per-request
+	// evaluation would produce, so caching it is invisible to the results.
 	if rc.Graph != e.graph || batch != e.batch {
-		u.bind(rc, batch, static, rc.Graph != e.graph)
+		u.bind(rc, batch, rc.Graph != e.graph)
 		e.graph, e.batch = rc.Graph, batch
 	}
 	u.begin()
 	hx := u.encodeNodes(xs)
-	he := u.encodeEdges(rc, xs, static)
+	he := u.encodeEdges()
 	for i := 0; i < e.Config.MessagePassingLayers; i++ {
 		hx, he = u.process(rc, i, hx, he, batch, e.Config.Overlap)
 	}
@@ -376,11 +373,8 @@ func newPass64(core *inferCore[*nn.InferMLP, *tensor.Matrix]) *pass64 {
 	return &pass64{direct64: direct64{arena: tensor.NewArena()}, core: core}
 }
 
-func (u *pass64) bind(rc *RankContext, batch int, static, newGraph bool) {
+func (u *pass64) bind(rc *RankContext, batch int, newGraph bool) {
 	u.arena.Clear()
-	if !static {
-		return
-	}
 	if newGraph {
 		u.tile.drop()
 		// Encoded outside the arena, so the per-request replay sequence
@@ -403,12 +397,7 @@ func (u *pass64) encodeNodes(xs []*tensor.Matrix) *tensor.Matrix {
 	return u.core.nodeEnc.InferForward(u.arena, x)
 }
 
-func (u *pass64) encodeEdges(rc *RankContext, xs []*tensor.Matrix, static bool) *tensor.Matrix {
-	if static {
-		return &u.staticB
-	}
-	return u.core.edgeEnc.InferForward(u.arena, rc.edgeInputs7(xs, u.arena))
-}
+func (u *pass64) encodeEdges() *tensor.Matrix { return &u.staticB }
 
 func (u *pass64) process(rc *RankContext, i int, x, e *tensor.Matrix, batch int, overlap bool) (xOut, eOut *tensor.Matrix) {
 	u.layer = &u.core.layers[i]
@@ -429,16 +418,14 @@ func (u *pass64) decodeInto(dst, x *tensor.Matrix) {
 
 // pass32 is a float32 session: activations in a float32 arena (half the
 // bytes, half the memory traffic on the GEMM-bound path), and float64
-// staging for everything that meets a float64 interface — the
-// EdgeFeatures7 assembly (stage arena) and the halo wire (aggStage,
-// haloStage, sized by the batch like every other stacked matrix).
+// staging for the halo wire (aggStage, haloStage, sized by the batch like
+// every other stacked matrix).
 type pass32 struct {
 	core  *inferCore[*nn.InferMLP32, *tensor.Matrix32]
 	layer *coreLayer[*nn.InferMLP32]
 	fwd   nmpTasks[float32]
 
 	arena *tensor.Arena32
-	stage *tensor.Arena
 	blk   tensor.Matrix32 // header over one sample's block of the stacked input
 
 	// haloStage is only ever written by the exchanger, so a NoExchange run
@@ -453,21 +440,17 @@ type pass32 struct {
 }
 
 func newPass32(core *inferCore[*nn.InferMLP32, *tensor.Matrix32]) *pass32 {
-	return &pass32{core: core, arena: tensor.NewArena32(), stage: tensor.NewArena()}
+	return &pass32{core: core, arena: tensor.NewArena32()}
 }
 
-func (u *pass32) bind(rc *RankContext, batch int, static, newGraph bool) {
+func (u *pass32) bind(rc *RankContext, batch int, newGraph bool) {
 	u.arena.Clear()
-	u.stage.Clear()
 	g, h := rc.Graph, u.core.nodeEnc.Out
 	if newGraph {
 		u.haloStage = tensor.Matrix{}
 	}
 	u.aggStage.Resize(batch*g.NumLocal(), h)
 	u.haloStage.Resize(batch*g.NumHalo(), h)
-	if !static {
-		return
-	}
 	if newGraph {
 		u.tile.drop()
 		u.he = u.core.staticFor(g, func() *tensor.Matrix32 {
@@ -477,10 +460,7 @@ func (u *pass32) bind(rc *RankContext, batch int, static, newGraph bool) {
 	u.staticB = tensor.Matrix32{Rows: batch * u.he.Rows, Cols: u.he.Cols, Data: u.tile.of(u.he.Data, batch)}
 }
 
-func (u *pass32) begin() {
-	u.arena.Reset()
-	u.stage.Reset()
-}
+func (u *pass32) begin() { u.arena.Reset() }
 
 func (u *pass32) encodeNodes(xs []*tensor.Matrix) *tensor.Matrix32 {
 	per := xs[0].Rows
@@ -492,17 +472,7 @@ func (u *pass32) encodeNodes(xs []*tensor.Matrix) *tensor.Matrix32 {
 	return u.core.nodeEnc.InferForward32(u.arena, x)
 }
 
-func (u *pass32) encodeEdges(rc *RankContext, xs []*tensor.Matrix, static bool) *tensor.Matrix32 {
-	if static {
-		return &u.staticB
-	}
-	// Assembled in float64 from the float64 samples, then demoted: the
-	// attributes are differences of inputs, rounded once.
-	ein64 := rc.edgeInputs7(xs, u.stage)
-	ein := u.arena.Get(ein64.Rows, ein64.Cols)
-	tensor.DemoteInto32(ein, ein64)
-	return u.core.edgeEnc.InferForward32(u.arena, ein)
-}
+func (u *pass32) encodeEdges() *tensor.Matrix32 { return &u.staticB }
 
 func (u *pass32) process(rc *RankContext, i int, x, e *tensor.Matrix32, batch int, overlap bool) (xOut, eOut *tensor.Matrix32) {
 	u.layer = &u.core.layers[i]

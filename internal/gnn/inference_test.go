@@ -451,7 +451,7 @@ func TestInferenceRefreshTracksTraining(t *testing.T) {
 		x := waveField(rc.Graph)
 		eng.Predict(rc, x) // bind against the initial parameters
 
-		tr := NewTrainer(model, nn.NewSGD(0.05))
+		tr := NewTrainer(model, nn.NewAdam(1e-2))
 		for step := 0; step < 2; step++ {
 			tr.Step(rc, x, x)
 			if eng, err = NewInference(model); err != nil {
@@ -536,7 +536,7 @@ func snapshotContract(t *testing.T, prec Precision) {
 			}
 		}()
 		<-started
-		tr := NewTrainer(model, nn.NewSGD(0.05))
+		tr := NewTrainer(model, nn.NewAdam(1e-2))
 		for i := 0; i < 3; i++ {
 			tr.Step(rc, x, x)
 		}

@@ -65,10 +65,10 @@ type Model struct {
 	lastGraph *graph.Local // arena shape signature; Backward reads it too
 	lastBatch int
 
-	// staticEdge is the batch-tiled static-edge attributes (EdgeFeatures4),
-	// stacked like every other activation because the edge encoder's
-	// backward slices its cached input per block; staticEdgeB is the header
-	// over the current batch's copies. one is Forward's batch of one.
+	// staticEdge is the batch-tiled static-edge attributes, stacked like
+	// every other activation because the edge encoder's backward slices its
+	// cached input per block; staticEdgeB is the header over the current
+	// batch's copies. one is Forward's batch of one.
 	staticEdge  rowTile[float64]
 	staticEdgeB tensor.Matrix
 	one         [1]*tensor.Matrix
@@ -121,7 +121,7 @@ func NewModel(cfg Config) (*Model, error) {
 	h := cfg.HiddenDim
 	m := &Model{Config: cfg}
 	m.NodeEncoder = nn.NewMLP("enc.node", cfg.InputNodeFeatures, h, h, cfg.MLPHiddenLayers, true, rng)
-	m.EdgeEncoder = nn.NewMLP("enc.edge", int(cfg.EdgeMode), h, h, cfg.MLPHiddenLayers, true, rng)
+	m.EdgeEncoder = nn.NewMLP("enc.edge", edgeInputCols, h, h, cfg.MLPHiddenLayers, true, rng)
 	for i := 0; i < cfg.MessagePassingLayers; i++ {
 		l := NewNMPLayer(fmt.Sprintf("nmp%d", i), h, cfg.MLPHiddenLayers, rng)
 		l.Overlap = cfg.Overlap
@@ -218,9 +218,8 @@ func (m *Model) forward(rc *RankContext, xs []*tensor.Matrix) *tensor.Matrix {
 		}
 		m.arena.Clear()
 		m.lastGraph, m.lastBatch = rc.Graph, batch
-		if se := rc.StaticEdge; m.Config.EdgeMode == EdgeFeatures4 {
-			m.staticEdgeB = tensor.Matrix{Rows: batch * se.Rows, Cols: se.Cols, Data: m.staticEdge.of(se.Data, batch)}
-		}
+		se := rc.StaticEdge
+		m.staticEdgeB = tensor.Matrix{Rows: batch * se.Rows, Cols: se.Cols, Data: m.staticEdge.of(se.Data, batch)}
 	}
 	m.arena.Reset()
 	// The stacked input is the epoch's first workspace (the node encoder
@@ -231,13 +230,7 @@ func (m *Model) forward(rc *RankContext, xs []*tensor.Matrix) *tensor.Matrix {
 		copy(xb.Data[i*n:(i+1)*n], x.Data)
 	}
 	hx := m.NodeEncoder.Forward(xb)
-	var ei *tensor.Matrix
-	if m.Config.EdgeMode == EdgeFeatures4 {
-		ei = &m.staticEdgeB
-	} else {
-		ei = rc.edgeInputs7(xs, m.arena)
-	}
-	he := m.EdgeEncoder.Forward(ei)
+	he := m.EdgeEncoder.Forward(&m.staticEdgeB)
 	for _, l := range m.Layers {
 		hx, he = l.forward(rc, hx, he, batch)
 	}
@@ -247,10 +240,9 @@ func (m *Model) forward(rc *RankContext, xs []*tensor.Matrix) *tensor.Matrix {
 // Backward propagates the output gradient dy — stacked like the most
 // recent forward pass's prediction — through the model, accumulating
 // parameter gradients. Gradients with respect to the raw inputs are not
-// returned: inputs are data, and the edge-feature dependence on x
-// (EdgeFeatures7 mode) is likewise treated as constant. All ranks must
-// call Backward collectively, after the matching forward (the workspace
-// epoch spans the forward and backward pass).
+// returned: inputs are data. All ranks must call Backward collectively,
+// after the matching forward (the workspace epoch spans the forward and
+// backward pass).
 func (m *Model) Backward(dy *tensor.Matrix) {
 	batch := m.lastBatch
 	dhx := m.Decoder.BackwardBatched(dy, batch)

@@ -256,33 +256,3 @@ func TestLossBackwardBeforeForwardPanics(t *testing.T) {
 	var loss ConsistentMSE
 	loss.Backward()
 }
-
-func TestEdgeInputs7IncludesRelativeFeatures(t *testing.T) {
-	box, l := singleRankSetup(t, tinyConfig())
-	err := comm.Run(1, func(c *comm.Comm) error {
-		rc, err := NewRankContext(c, box, l, comm.NoExchange)
-		if err != nil {
-			return err
-		}
-		x := waveField(rc.Graph)
-		e7 := rc.EdgeInputs(EdgeFeatures7, x)
-		if e7.Cols != 7 || e7.Rows != rc.Graph.NumEdges() {
-			t.Errorf("7-mode edges %dx%d", e7.Rows, e7.Cols)
-		}
-		k := 0
-		ed := rc.Graph.Edges[k]
-		if math.Abs(e7.At(k, 0)-(x.At(ed[1], 0)-x.At(ed[0], 0))) > 1e-12 {
-			t.Error("relative feature column 0 wrong")
-		}
-		e4 := rc.EdgeInputs(EdgeFeatures4, x)
-		for j := 0; j < 4; j++ {
-			if e7.At(k, 3+j) != e4.At(k, j) {
-				t.Error("static columns mismatch between modes")
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

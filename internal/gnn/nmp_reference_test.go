@@ -178,12 +178,12 @@ func servingMatchesSerial(rc *RankContext, cfg Config, batch int, overlap bool, 
 	}
 
 	u64 := eng64.p64
-	u64.bind(rc, batch, false, true)
+	u64.bind(rc, batch, true)
 	u64.begin()
 	xOut, eOut := u64.process(rc, 0, x, e, batch, overlap)
 	l64 := &u64.core.layers[0]
 	u32 := eng32.p32
-	u32.bind(rc, batch, false, true)
+	u32.bind(rc, batch, true)
 	u32.begin()
 	x32, e32 := tensor.Demote32(x), tensor.Demote32(e)
 	xOut32, eOut32 := u32.process(rc, 0, x32, e32, batch, overlap)

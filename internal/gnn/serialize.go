@@ -55,6 +55,14 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("gnn: checkpoint format %d, library supports %d",
 			sm.FormatVersion, formatVersion)
 	}
+	return restoreModel(sm)
+}
+
+// restoreModel rebuilds a model from its saved form (shared with
+// LoadTrainingState). A tensor whose name or shape differs from what the
+// stored Config builds is refused, so a checkpoint of another architecture
+// never loads as this one.
+func restoreModel(sm savedModel) (*Model, error) {
 	m, err := NewModel(sm.Config)
 	if err != nil {
 		return nil, fmt.Errorf("gnn: rebuilding model: %w", err)

@@ -68,7 +68,7 @@ func TestLoadModelRejectsAttentionCheckpoint(t *testing.T) {
 		HiddenDim            int
 		MessagePassingLayers int
 		MLPHiddenLayers      int
-		EdgeMode             EdgeFeatureMode
+		EdgeMode             int
 		Attention            bool
 		Seed                 int64
 	}
@@ -77,7 +77,7 @@ func TestLoadModelRejectsAttentionCheckpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mlps := []*nn.MLP{
 		nn.NewMLP("enc.node", cfg.InputNodeFeatures, h, h, k, true, rng),
-		nn.NewMLP("enc.edge", int(cfg.EdgeMode), h, h, k, true, rng),
+		nn.NewMLP("enc.edge", edgeInputCols, h, h, k, true, rng),
 	}
 	for i := 0; i < cfg.MessagePassingLayers; i++ {
 		name := fmt.Sprintf("att%d", i)
@@ -106,7 +106,7 @@ func TestLoadModelRejectsAttentionCheckpoint(t *testing.T) {
 			HiddenDim:            h,
 			MessagePassingLayers: cfg.MessagePassingLayers,
 			MLPHiddenLayers:      k,
-			EdgeMode:             cfg.EdgeMode,
+			EdgeMode:             edgeInputCols,
 			Attention:            true,
 			Seed:                 cfg.Seed,
 		},
@@ -123,6 +123,109 @@ func TestLoadModelRejectsAttentionCheckpoint(t *testing.T) {
 	if !strings.Contains(err.Error(), "tensor") {
 		t.Fatalf("LoadModel failed before the tensor check: %v", err)
 	}
+}
+
+// legacyConfig is Config as checkpoints wrote it while the edge input had
+// a second, 7-column mode (EdgeMode) and the Config carried the trainer's
+// batch size (TrainBatch).
+type legacyConfig struct {
+	Name                 string
+	InputNodeFeatures    int
+	OutputNodeFeatures   int
+	HiddenDim            int
+	MessagePassingLayers int
+	MLPHiddenLayers      int
+	EdgeMode             int
+	Overlap              bool
+	Seed                 int64
+	Threads              int
+	Precision            Precision
+	TrainBatch           int
+}
+
+// TestLoadModelAcrossConfigChange loads checkpoints written with the
+// legacy Config: a 4-column one loads bit for bit whatever TrainBatch it
+// recorded, and a 7-column one (its enc.edge input weight has 7 rows) is
+// refused by the tensor-shape check instead of loading as a 4-column model.
+func TestLoadModelAcrossConfigChange(t *testing.T) {
+	cfg := tinyConfig()
+	h, k := cfg.HiddenDim, cfg.MLPHiddenLayers
+	legacy := func(edgeMode int, params []savedParam) *bytes.Buffer {
+		checkpoint := struct {
+			FormatVersion int
+			Config        legacyConfig
+			Params        []savedParam
+		}{
+			FormatVersion: formatVersion,
+			Config: legacyConfig{
+				Name:                 cfg.Name,
+				InputNodeFeatures:    cfg.InputNodeFeatures,
+				OutputNodeFeatures:   cfg.OutputNodeFeatures,
+				HiddenDim:            h,
+				MessagePassingLayers: cfg.MessagePassingLayers,
+				MLPHiddenLayers:      k,
+				EdgeMode:             edgeMode,
+				Seed:                 cfg.Seed,
+				TrainBatch:           3,
+			},
+			Params: params,
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(checkpoint); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	saved := func(params []*nn.Param) []savedParam {
+		var out []savedParam
+		for _, p := range params {
+			out = append(out, savedParam{Name: p.Name, Rows: p.W.Rows, Cols: p.W.Cols, Data: p.W.Data})
+		}
+		return out
+	}
+
+	t.Run("edge4", func(t *testing.T) {
+		m1, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		for _, p := range m1.Params() {
+			for i := range p.W.Data {
+				p.W.Data[i] += 0.01 * rng.NormFloat64()
+			}
+		}
+		m2, err := LoadModel(legacy(4, saved(m1.Params())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m2.Config != cfg {
+			t.Fatalf("config %+v, want %+v", m2.Config, cfg)
+		}
+		p1, p2 := m1.Params(), m2.Params()
+		for i := range p1 {
+			if d := floatBitDiff(p1[i].W.Data, p2[i].W.Data); d != 0 {
+				t.Fatalf("parameter %s: %d values differ bitwise", p1[i].Name, d)
+			}
+		}
+	})
+
+	t.Run("edge7", func(t *testing.T) {
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The legacy 7-column model: the same tensors, but an edge encoder
+		// that reads 7 columns.
+		edge7 := nn.NewMLP("enc.edge", 7, h, h, k, true, rand.New(rand.NewSource(cfg.Seed)))
+		params := append(append(append([]*nn.Param(nil), m.NodeEncoder.Params()...),
+			edge7.Params()...), m.Params()[len(m.NodeEncoder.Params())+len(edge7.Params()):]...)
+		if _, err := LoadModel(legacy(7, saved(params))); err == nil {
+			t.Fatal("LoadModel accepted a 7-column checkpoint")
+		} else if !strings.Contains(err.Error(), "tensor") || !strings.Contains(err.Error(), "enc.edge") {
+			t.Fatalf("LoadModel refused the 7-column checkpoint, but not by the tensor-shape check: %v", err)
+		}
+	})
 }
 
 // Cross-mesh transfer: a model trained (well, perturbed) on one mesh must

@@ -18,11 +18,11 @@ func TestStepTimingAccumulates(t *testing.T) {
 			return err
 		}
 		model, _ := NewModel(tinyConfig())
-		tr := NewTrainer(model, nn.NewSGD(0.01))
-		timing := tr.EnableTiming()
+		tr := NewTrainer(model, nn.NewAdam(1e-3))
 		x := waveField(rc.Graph)
 		tr.Step(rc, x, x)
 		tr.Step(rc, x, x)
+		timing := tr.Timing()
 		if timing.Steps != 2 {
 			t.Errorf("Steps = %d", timing.Steps)
 		}
@@ -59,7 +59,7 @@ func TestHaloSecondsCounted(t *testing.T) {
 				return 0, err
 			}
 			model, _ := NewModel(tinyConfig())
-			tr := NewTrainer(model, nn.NewSGD(0.01))
+			tr := NewTrainer(model, nn.NewAdam(1e-3))
 			x := waveField(rc.Graph)
 			tr.Step(rc, x, x)
 			return c.Stats.HaloSeconds, nil
@@ -96,18 +96,17 @@ func TestStepTimingHaloSplit(t *testing.T) {
 		for _, mode := range []comm.ExchangeMode{comm.NoExchange, comm.SendRecvMode} {
 			cfg := tinyConfig()
 			cfg.Overlap = overlap
-			results, err := comm.RunCollect(2, func(c *comm.Comm) (*StepTiming, error) {
+			results, err := comm.RunCollect(2, func(c *comm.Comm) (StepTiming, error) {
 				rc, err := NewRankContext(c, box, locals[c.Rank()], mode)
 				if err != nil {
-					return nil, err
+					return StepTiming{}, err
 				}
 				model, _ := NewModel(cfg)
-				tr := NewTrainer(model, nn.NewSGD(0.01))
-				timing := tr.EnableTiming()
+				tr := NewTrainer(model, nn.NewAdam(1e-3))
 				x := waveField(rc.Graph)
 				tr.Step(rc, x, x)
 				tr.Step(rc, x, x)
-				return timing, nil
+				return tr.Timing(), nil
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -47,7 +47,7 @@ func paramBitDiff(a, b *Model) int {
 // gradient AllReduce, one optimizer step — the semantics StepBatch claims
 // to reproduce bitwise. Returns the per-sample losses.
 func oracleAccumulate(rc *RankContext, ref *Model, loss *ConsistentMSE,
-	opt nn.Optimizer, xs, ts []*tensor.Matrix) []float64 {
+	opt *nn.Adam, xs, ts []*tensor.Matrix) []float64 {
 	ref.ZeroGrads()
 	want := make([]float64, len(xs))
 	for i := range xs {
@@ -74,12 +74,12 @@ func stepBatchOracleDiff(rc *RankContext, cfg Config, batch int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	tr := NewTrainer(mdl, nn.NewSGD(0.05))
+	tr := NewTrainer(mdl, nn.NewAdam(1e-2))
 	ref, err := NewModel(cfg)
 	if err != nil {
 		return 0, err
 	}
-	refOpt := nn.NewSGD(0.05)
+	refOpt := nn.NewAdam(1e-2)
 	var refLoss ConsistentMSE
 	all := batchInputs(rc.Graph, 2*batch)
 	xs, ts := all[:batch], all[batch:]
@@ -171,10 +171,14 @@ func TestStepBatchBitwiseOracleSweep(t *testing.T) {
 }
 
 // TestStepBatchSizesEdgeModesAndRebind sweeps batch sizes (including the
-// B=1 delegation to Step) and both edge-feature modes on one trainer, with
-// batch-size changes in between: every re-record must stay bitwise equal
-// to the oracle.
+// B=1 delegation to Step) on one trainer, with batch-size changes in
+// between: every re-record must stay bitwise equal to the oracle. The
+// subtest keeps the edge4 label of the 4-column edge inputs.
 func TestStepBatchSizesEdgeModesAndRebind(t *testing.T) {
+	t.Run("edge4", testStepBatchSizesAndRebind)
+}
+
+func testStepBatchSizesAndRebind(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
 		t.Fatal(err)
@@ -187,49 +191,44 @@ func TestStepBatchSizesEdgeModesAndRebind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, edgeMode := range []EdgeFeatureMode{EdgeFeatures4, EdgeFeatures7} {
-		t.Run(fmt.Sprintf("edge%d", edgeMode), func(t *testing.T) {
-			cfg := tinyConfig()
-			cfg.EdgeMode = edgeMode
-			res, err := comm.RunCollect(2, func(c *comm.Comm) (int, error) {
-				rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
-				if err != nil {
-					return 0, err
-				}
-				mdl, err := NewModel(cfg)
-				if err != nil {
-					return 0, err
-				}
-				tr := NewTrainer(mdl, nn.NewSGD(0.05))
-				ref, err := NewModel(cfg)
-				if err != nil {
-					return 0, err
-				}
-				refOpt := nn.NewSGD(0.05)
-				var refLoss ConsistentMSE
-				all := batchInputs(rc.Graph, 16)
-				diff := 0
-				// B=3 records, B=1 delegates to Step, B=2 and B=8 re-record,
-				// B=3 re-records again — every transition from the same
-				// trainer must track the oracle bitwise.
-				for _, batch := range []int{3, 1, 2, 8, 3} {
-					xs, ts := all[:batch], all[8:8+batch]
-					want := oracleAccumulate(rc, ref, &refLoss, refOpt, xs, ts)
-					got := tr.StepBatch(rc, xs, ts)
-					diff += floatBitDiff(want, got)
-					diff += paramBitDiff(ref, mdl)
-				}
-				return diff, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r, d := range res {
-				if d != 0 {
-					t.Errorf("rank %d: %d values differ bitwise across batch-size changes", r, d)
-				}
-			}
-		})
+	cfg := tinyConfig()
+	res, err := comm.RunCollect(2, func(c *comm.Comm) (int, error) {
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		if err != nil {
+			return 0, err
+		}
+		mdl, err := NewModel(cfg)
+		if err != nil {
+			return 0, err
+		}
+		tr := NewTrainer(mdl, nn.NewAdam(1e-2))
+		ref, err := NewModel(cfg)
+		if err != nil {
+			return 0, err
+		}
+		refOpt := nn.NewAdam(1e-2)
+		var refLoss ConsistentMSE
+		all := batchInputs(rc.Graph, 16)
+		diff := 0
+		// B=3 records, B=1 delegates to Step, B=2 and B=8 re-record,
+		// B=3 re-records again — every transition from the same
+		// trainer must track the oracle bitwise.
+		for _, batch := range []int{3, 1, 2, 8, 3} {
+			xs, ts := all[:batch], all[8:8+batch]
+			want := oracleAccumulate(rc, ref, &refLoss, refOpt, xs, ts)
+			got := tr.StepBatch(rc, xs, ts)
+			diff += floatBitDiff(want, got)
+			diff += paramBitDiff(ref, mdl)
+		}
+		return diff, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, d := range res {
+		if d != 0 {
+			t.Errorf("rank %d: %d values differ bitwise across batch-size changes", r, d)
+		}
 	}
 }
 
@@ -268,12 +267,12 @@ func TestFitBatchedGroupsShuffledOrder(t *testing.T) {
 			return out{}, err
 		}
 		cfg := tinyConfig()
-		cfg.TrainBatch = batch
 		mdl, err := NewModel(cfg)
 		if err != nil {
 			return out{}, err
 		}
-		tr := NewTrainer(mdl, nn.NewSGD(0.05))
+		tr := NewTrainer(mdl, nn.NewAdam(1e-2))
+		tr.Batch = batch
 		samples := batchInputs(rc.Graph, 2*nSamples)
 		var ds Dataset
 		for i := 0; i < nSamples; i++ {
@@ -287,7 +286,7 @@ func TestFitBatchedGroupsShuffledOrder(t *testing.T) {
 		if err != nil {
 			return out{}, err
 		}
-		refTr := NewTrainer(ref, nn.NewSGD(0.05))
+		refTr := NewTrainer(ref, nn.NewAdam(1e-2))
 		order := make([]int, nSamples)
 		for i := range order {
 			order[i] = i
@@ -367,7 +366,7 @@ func TestStepBatchSteadyStateZeroAlloc(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		tr := NewTrainer(model, nn.NewSGD(0.01))
+		tr := NewTrainer(model, nn.NewAdam(1e-3))
 		all := batchInputs(rc.Graph, 8)
 		xs, ts := all[:4], all[4:]
 		tr.StepBatch(rc, xs, ts) // bind: record the batched arena

@@ -17,28 +17,19 @@ import (
 // partitioning (paper Fig. 6, right).
 type Trainer struct {
 	Model *Model
-	Opt   nn.Optimizer
+	Opt   *nn.Adam
 	Loss  ConsistentMSE
-
-	// ClipNorm, when positive, clips the global gradient norm after the
-	// AllReduce (every rank computes the identical factor, so clipping
-	// preserves consistency).
-	ClipNorm float64
-	// Schedule, when non-nil, drives the optimizer's learning rate per
-	// step (the optimizer must implement nn.LRSettable).
-	Schedule nn.Schedule
-
-	// Timing, when non-nil, accumulates a per-phase wall-time breakdown
-	// across Step calls (enable with EnableTiming).
-	Timing *StepTiming
 
 	// Batch, when > 1, makes Fit group each epoch's shuffled visit order
 	// into runs of Batch consecutive samples and train each run with one
 	// StepBatch — same sample stream, same noise stream, 1/Batch as many
-	// optimizer steps. NewTrainer seeds it from Config.TrainBatch.
+	// optimizer steps. The accumulated B-sample gradient is bitwise-equal
+	// to B sequential accumulation passes: batching buys amortization (one
+	// AllReduce, one optimizer step, one pack-cache invalidation per B
+	// samples), not different arithmetic. 0 and 1 train per sample.
 	Batch int
 
-	step      int
+	timing    StepTiming
 	gradBuf   []float64
 	batchLoss []float64
 	xsBuf     []*tensor.Matrix
@@ -63,22 +54,20 @@ type StepTiming struct {
 	Steps                                                            int
 }
 
-// EnableTiming switches on per-phase timing and returns the accumulator.
-func (t *Trainer) EnableTiming() *StepTiming {
-	t.Timing = &StepTiming{}
-	return t.Timing
-}
-
 // Total returns the summed time across phases. HaloExposed is a subset of
 // Halo, not an additional phase.
-func (st *StepTiming) Total() time.Duration {
+func (st StepTiming) Total() time.Duration {
 	return st.Forward + st.Halo + st.Loss + st.Backward + st.AllReduce + st.Optimizer
 }
 
-// NewTrainer pairs a model with an optimizer.
-func NewTrainer(m *Model, opt nn.Optimizer) *Trainer {
-	return &Trainer{Model: m, Opt: opt, Batch: m.Config.TrainBatch}
+// NewTrainer pairs a model with an Adam optimizer.
+func NewTrainer(m *Model, opt *nn.Adam) *Trainer {
+	return &Trainer{Model: m, Opt: opt}
 }
+
+// Timing returns the per-phase breakdown accumulated over every step the
+// trainer has taken.
+func (t *Trainer) Timing() StepTiming { return t.timing }
 
 // Step executes one training iteration on one sample — StepBatch's batch
 // of one — and returns the consistent loss value. All ranks must call
@@ -91,76 +80,52 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 // StepBatch executes one training iteration over len(xs) stacked samples:
 // one fused forward, the local loss sums, one row-block backward, one
 // AllReduce (the gradients with the B local loss sums in the buffer's
-// tail), one clip, ONE optimizer step (and hence one Param.Bump — the pack
-// caches invalidate once per step, not once per sample). The accumulated
-// gradient is bitwise-equal to the sequential oracle that runs ZeroGrads
-// once and then Forward/Loss/Backward per sample before the same single
-// AllReduce + clip + optimizer step. Returns the per-sample consistent
-// losses in a trainer-owned buffer, valid until the next step. All ranks
-// must call StepBatch collectively with the same batch size.
+// tail), ONE optimizer step (and hence one Param.Bump — the pack caches
+// invalidate once per step, not once per sample). The accumulated gradient
+// is bitwise-equal to the sequential oracle that runs ZeroGrads once and
+// then Forward/Loss/Backward per sample before the same single AllReduce +
+// optimizer step. Returns the per-sample consistent losses in a
+// trainer-owned buffer, valid until the next step. All ranks must call
+// StepBatch collectively with the same batch size.
 func (t *Trainer) StepBatch(rc *RankContext, xs, targets []*tensor.Matrix) []float64 {
 	if len(xs) == 0 || len(xs) != len(targets) {
 		panic(fmt.Sprintf("gnn: StepBatch with %d inputs, %d targets", len(xs), len(targets)))
 	}
 	mark := time.Now()
-	var haloBase, exposedBase float64
-	if t.Timing != nil {
-		haloBase = rc.Comm.Stats.HaloSeconds
-		exposedBase = rc.Comm.Stats.HaloExposedSeconds
-	}
+	haloBase := rc.Comm.Stats.HaloSeconds
+	exposedBase := rc.Comm.Stats.HaloExposedSeconds
 	// lap books the phase's wall time, first peeling off any halo time the
 	// comm layer accumulated during it (Forward/Backward run the
 	// exchanges), so compute phases report compute only.
 	lap := func(dst *time.Duration) {
-		if t.Timing != nil {
-			now := time.Now()
-			d := now.Sub(mark)
-			if h := rc.Comm.Stats.HaloSeconds; h > haloBase {
-				hd := time.Duration((h - haloBase) * float64(time.Second))
-				t.Timing.Halo += hd
-				d -= hd
-				haloBase = h
-			}
-			if d > 0 {
-				*dst += d
-			}
-			mark = now
+		now := time.Now()
+		d := now.Sub(mark)
+		if h := rc.Comm.Stats.HaloSeconds; h > haloBase {
+			hd := time.Duration((h - haloBase) * float64(time.Second))
+			t.timing.Halo += hd
+			d -= hd
+			haloBase = h
 		}
+		if d > 0 {
+			*dst += d
+		}
+		mark = now
 	}
 	t.Model.ZeroGrads()
 	y := t.Model.forward(rc, xs)
-	if t.Timing != nil {
-		lap(&t.Timing.Forward)
-	}
+	lap(&t.timing.Forward)
 	sums := t.Loss.localSums(rc, y, targets)
-	if t.Timing != nil {
-		lap(&t.Timing.Loss)
-	}
+	lap(&t.timing.Loss)
 	t.Model.Backward(t.Loss.Backward())
-	if t.Timing != nil {
-		lap(&t.Timing.Backward)
-	}
+	lap(&t.timing.Backward)
 	losses := t.Loss.normalise(t.reduceGrads(rc, sums))
-	if t.Timing != nil {
-		lap(&t.Timing.AllReduce)
-	}
-	if t.ClipNorm > 0 {
-		nn.ClipGradNorm(t.Model.Params(), t.ClipNorm)
-	}
-	if t.Schedule != nil {
-		if s, ok := t.Opt.(nn.LRSettable); ok {
-			s.SetLR(t.Schedule.LR(t.step))
-		}
-	}
+	lap(&t.timing.AllReduce)
 	t.Opt.Step(t.Model.Params())
-	if t.Timing != nil {
-		lap(&t.Timing.Optimizer)
-		if e := rc.Comm.Stats.HaloExposedSeconds; e > exposedBase {
-			t.Timing.HaloExposed += time.Duration((e - exposedBase) * float64(time.Second))
-		}
-		t.Timing.Steps++
+	lap(&t.timing.Optimizer)
+	if e := rc.Comm.Stats.HaloExposedSeconds; e > exposedBase {
+		t.timing.HaloExposed += time.Duration((e - exposedBase) * float64(time.Second))
 	}
-	t.step++
+	t.timing.Steps++
 	t.batchLoss = append(t.batchLoss[:0], losses...)
 	return t.batchLoss
 }

@@ -200,30 +200,6 @@ func TestFlattenUnflattenRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := newParam("p", 1, 2)
-	p.W.Data[0], p.W.Data[1] = 1, 2
-	p.G.Data[0], p.G.Data[1] = 0.5, -0.5
-	NewSGD(0.1).Step([]*Param{p})
-	if math.Abs(p.W.Data[0]-0.95) > 1e-12 || math.Abs(p.W.Data[1]-2.05) > 1e-12 {
-		t.Fatalf("SGD step = %v", p.W.Data)
-	}
-}
-
-func TestSGDMomentumAccelerates(t *testing.T) {
-	p := newParam("p", 1, 1)
-	s := &SGD{LR: 0.1, Momentum: 0.9}
-	p.G.Data[0] = 1
-	s.Step([]*Param{p})
-	first := -p.W.Data[0]
-	prev := p.W.Data[0]
-	s.Step([]*Param{p})
-	second := prev - p.W.Data[0]
-	if second <= first {
-		t.Fatalf("momentum must accelerate: %v then %v", first, second)
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 with gradient 2(w-3).
 	p := newParam("p", 1, 1)

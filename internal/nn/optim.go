@@ -8,44 +8,6 @@ import (
 	"meshgnn/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity []*tensor.Matrix
-}
-
-// NewSGD returns plain SGD (momentum 0) at the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	if s.Momentum != 0 && s.velocity == nil {
-		s.velocity = make([]*tensor.Matrix, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.W.Rows, p.W.Cols)
-		}
-	}
-	for i, p := range params {
-		p.Bump()
-		if s.Momentum == 0 {
-			tensor.AddScaled(p.W, -s.LR, p.G)
-			continue
-		}
-		v := s.velocity[i]
-		for j := range v.Data {
-			v.Data[j] = s.Momentum*v.Data[j] + p.G.Data[j]
-			p.W.Data[j] -= s.LR * v.Data[j]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer with the standard bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
@@ -60,7 +22,8 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one Adam update to every parameter from its accumulated
+// gradient.
 func (a *Adam) Step(params []*Param) {
 	if a.m == nil {
 		a.m = make([]*tensor.Matrix, len(params))
@@ -84,53 +47,9 @@ func (a *Adam) Step(params []*Param) {
 	}
 }
 
-// Stateful is implemented by optimizers whose internal state (momentum,
-// moment estimates) can be checkpointed and restored, enabling exact
-// training resumption.
-type Stateful interface {
-	// State returns the optimizer's internal vectors (one slice per
-	// parameter tensor, possibly nil before the first step) and its
-	// step counter.
-	State() (vectors [][]float64, step int)
-	// Restore replaces the internal state; the vector layout must match
-	// a previous State call on an identically shaped parameter list.
-	Restore(vectors [][]float64, step int) error
-}
-
-// State implements Stateful: [velocity...] (empty before first step).
-func (s *SGD) State() ([][]float64, int) {
-	var out [][]float64
-	for _, v := range s.velocity {
-		out = append(out, append([]float64(nil), v.Data...))
-	}
-	return out, 0
-}
-
-// Restore implements Stateful.
-func (s *SGD) Restore(vectors [][]float64, _ int) error {
-	if len(vectors) == 0 {
-		s.velocity = nil
-		return nil
-	}
-	if s.velocity == nil {
-		s.velocity = make([]*tensor.Matrix, len(vectors))
-		for i, v := range vectors {
-			s.velocity[i] = tensor.New(1, len(v))
-		}
-	}
-	if len(s.velocity) != len(vectors) {
-		return fmt.Errorf("nn: SGD restore got %d velocity tensors, have %d", len(vectors), len(s.velocity))
-	}
-	for i, v := range vectors {
-		if len(v) != len(s.velocity[i].Data) {
-			return fmt.Errorf("nn: SGD velocity %d length %d, want %d", i, len(v), len(s.velocity[i].Data))
-		}
-		copy(s.velocity[i].Data, v)
-	}
-	return nil
-}
-
-// State implements Stateful: [m..., v...] interleaved per parameter.
+// State returns the optimizer's moments, [m, v] interleaved per parameter
+// (nil before the first step), and its step count: what a checkpoint needs
+// for exact training resumption.
 func (a *Adam) State() ([][]float64, int) {
 	var out [][]float64
 	for i := range a.m {
@@ -140,7 +59,8 @@ func (a *Adam) State() ([][]float64, int) {
 	return out, a.t
 }
 
-// Restore implements Stateful.
+// Restore replaces the moments and step count with a State result taken on
+// an identically shaped parameter list.
 func (a *Adam) Restore(vectors [][]float64, step int) error {
 	if len(vectors) == 0 {
 		a.m, a.v, a.t = nil, nil, step

@@ -74,7 +74,7 @@ func TestLinearPackCacheInvalidation(t *testing.T) {
 	for i := range l.Weight.G.Data {
 		l.Weight.G.Data[i] = rng.NormFloat64()
 	}
-	NewSGD(0.1).Step(l.Params())
+	NewAdam(0.1).Step(l.Params())
 	if l.Weight.Version() == ver {
 		t.Fatal("optimizer step did not bump the parameter version")
 	}

@@ -177,7 +177,7 @@ etail:
 	JZ    edone
 	// Y1 = lane < AX: the masked load zeroes the other lanes, the masked
 	// store leaves them alone.
-	MOVQ         AX, X1
+	VMOVQ        AX, X1
 	VPBROADCASTD X1, Y1
 	VMOVDQU      eluIota<>(SB), Y3
 	VPCMPGTD     Y3, Y1, Y1

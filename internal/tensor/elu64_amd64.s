@@ -259,7 +259,7 @@ ytail:
 	JZ    ydone
 	// Y5 = lane < AX: the masked load zeroes the other lanes, the masked
 	// store leaves them alone.
-	MOVQ         AX, X5
+	VMOVQ        AX, X5
 	VPBROADCASTQ X5, Y5
 	VMOVDQU      eluIota<>(SB), Y6
 	VPCMPGTQ     Y6, Y5, Y5

@@ -79,7 +79,8 @@ type (
 	Request = comm.Request
 	// StepTiming is the per-phase training-step breakdown (forward, halo
 	// — with its exposed-communication subset — loss, backward,
-	// allreduce, optimizer), enabled by Trainer.EnableTiming.
+	// allreduce, optimizer), accumulated on every step and read with
+	// Trainer.Timing.
 	StepTiming = gnn.StepTiming
 	// TransportKind selects how ranks are realized and connected:
 	// goroutines over channels, goroutines over sockets, or OS processes
@@ -99,8 +100,6 @@ type (
 	ShearLayer = field.ShearLayer
 	// GaussianPulse is a diffusing heat-pulse field.
 	GaussianPulse = field.GaussianPulse
-	// Optimizer updates parameters from gradients.
-	Optimizer = nn.Optimizer
 	// Diffusion is the distributed explicit diffusion solver sharing
 	// the GNN's halo machinery (the in-situ data generator).
 	Diffusion = solver.Diffusion
@@ -108,8 +107,6 @@ type (
 	Mapping = mesh.Mapping
 	// ElementMask carves elements out of the box (holes, L-shapes).
 	ElementMask = mesh.ElementMask
-	// Schedule maps a step index to a learning rate.
-	Schedule = nn.Schedule
 	// Dataset holds per-rank (input, target) snapshot pairs.
 	Dataset = gnn.Dataset
 	// FitOptions configures multi-epoch training with consistent
@@ -236,18 +233,16 @@ var (
 	NewModel = gnn.NewModel
 	// NewTrainer pairs a model with an optimizer.
 	NewTrainer = gnn.NewTrainer
-	// NewAdam returns an Adam optimizer.
+	// NewAdam returns the Adam optimizer a Trainer steps with.
 	NewAdam = nn.NewAdam
-	// NewSGD returns plain stochastic gradient descent.
-	NewSGD = nn.NewSGD
 	// SampleField fills a node matrix from an analytic field.
 	SampleField = field.Sample
 	// SaveModel serializes a model (architecture + parameters).
 	SaveModel = gnn.SaveModel
 	// LoadModel reconstructs a model saved with SaveModel.
 	LoadModel = gnn.LoadModel
-	// SaveTrainingState checkpoints model + optimizer state + step
-	// counter for bitwise-exact training resumption.
+	// SaveTrainingState checkpoints model + Adam state for bitwise-exact
+	// training resumption.
 	SaveTrainingState = gnn.SaveTrainingState
 	// LoadTrainingState restores a trainer saved with SaveTrainingState.
 	LoadTrainingState = gnn.LoadTrainingState
