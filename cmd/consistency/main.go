@@ -15,8 +15,9 @@
 // boundary. With -transport=both the same seeded training runs twice —
 // once on R goroutine ranks over the in-process channel fabric, once on R
 // separate OS processes over the socket transport (-procs, default 4) —
-// and the per-step losses, final parameters, and serialized checkpoints
-// are compared bit for bit. The command exits non-zero on any deviation:
+// and the per-step losses, final parameters, serialized checkpoints and
+// served predictions are compared bit for bit. The command exits non-zero
+// on any deviation:
 //
 //	consistency -transport=both [-procs 4] [-elems 4] [-p 1] [-iters 20]
 //
@@ -26,10 +27,21 @@
 // A third mode pins the overlapped halo pipeline: -overlap=both trains
 // the same seeded model with the synchronous and the phased (overlapped)
 // NMP pipeline — the overlapped side on both the channel and the socket
-// fabric — and asserts the losses, parameters, and checkpoints agree bit
-// for bit. Overlap must be a pure scheduling change:
+// fabric — and asserts the same four artifacts agree bit for bit. Overlap
+// must be a pure scheduling change:
 //
 //	consistency -overlap=both [-procs 4] [-elems 4] [-p 1] [-iters 20]
+//
+// Every run of both modes also checks the serving engine on every rank,
+// after its artifacts are saved: the engine compiled from the trained
+// model (meshgnn.NewInference) must predict bit for bit what
+// Model.Forward does, on two Predicts, and a Float32 compile of the same
+// parameters must stay within experiments.F32Tolerance of that float64
+// oracle on Predict and on the first experiments.F32RolloutGateSteps
+// rollout states. So -transport=both checks the served engine on
+// goroutine and OS-process ranks, and -overlap=both on the channel and
+// the socket fabric, both pipelines. A rank that fails exits the
+// command with an error naming it.
 package main
 
 import (
@@ -39,6 +51,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"strings"
 
 	"meshgnn"
 	"meshgnn/internal/experiments"
@@ -72,12 +85,12 @@ func main() {
 	if *transport != "" && *overlapCk != "" {
 		log.Fatal("-transport and -overlap are separate harnesses; pass one at a time")
 	}
-	if *transport != "" {
-		runTransportCheck(*transport, *procs, *elems, *p, *iters, *lr, *modeFlag, cfg)
-		return
-	}
+	h, which := transportCheck, *transport
 	if *overlapCk != "" {
-		runOverlapCheck(*overlapCk, *procs, *elems, *p, *iters, *lr, *modeFlag, cfg)
+		h, which = overlapCheck, *overlapCk
+	}
+	if which != "" {
+		h.run(which, *procs, *elems, *p, *iters, *lr, *modeFlag, cfg)
 		return
 	}
 
@@ -110,135 +123,65 @@ func main() {
 // for the bitwise comparison.
 type runArtifacts struct {
 	losses     []float64
-	modelBytes []byte // SaveModel: architecture + final parameters
-	ckptBytes  []byte // SaveTrainingState: model + optimizer moments + step
+	modelBytes []byte    // SaveModel: architecture + final parameters
+	ckptBytes  []byte    // SaveTrainingState: model + optimizer moments + step
+	served     []float64 // the float64 engine's prediction on the training input
+	// The served check's worst rank: float64 values that differ from
+	// Model.Forward, and the float32 engine's relative error.
+	servedBits int
+	servedRel  float64
 }
 
-// runTransportCheck trains the same seeded model on the selected
-// transports and asserts the trajectories are bitwise identical: the
-// paper's consistency property must survive the process boundary, not
-// just the partitioning.
-func runTransportCheck(which string, procs, elems, p, iters int, lr float64, modeName string, cfg meshgnn.Config) {
-	switch which {
-	case "inproc", "procs", "both":
-	default:
-		log.Fatalf("unknown -transport %q (want inproc, procs, or both)", which)
-	}
-	if iters < 1 {
-		log.Fatalf("-iters must be >= 1 for -transport, got %d", iters)
-	}
-	mode, err := parseMode(modeName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := meshgnn.NewMesh(elems, elems, elems, p, meshgnn.FullyPeriodic)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys, err := meshgnn.NewSystem(m, procs, meshgnn.Blocks)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// The seeded training every rank executes. Model init, data, and
-	// shuffling derive from fixed seeds, so process ranks reconstruct the
-	// identical state without any out-of-band exchange.
-	field := meshgnn.TaylorGreen{V0: 1, L: 1, Nu: 0.01}
-	run := func(kind meshgnn.TransportKind) (runArtifacts, error) {
-		var art runArtifacts
-		err := sys.RunOn(kind, mode, func(r *meshgnn.Rank) error {
-			mdl, err := meshgnn.NewModel(cfg)
-			if err != nil {
-				return err
-			}
-			trainer := meshgnn.NewTrainer(mdl, meshgnn.NewAdam(lr))
-			x := r.Sample(field, 0)
-			losses := make([]float64, 0, iters)
-			for it := 0; it < iters; it++ {
-				losses = append(losses, trainer.Step(r.Ctx, x, x))
-			}
-			if r.ID() != 0 {
-				return nil
-			}
-			art.losses = losses
-			var mb, cb bytes.Buffer
-			if err := meshgnn.SaveModel(&mb, mdl); err != nil {
-				return err
-			}
-			if err := meshgnn.SaveTrainingState(&cb, trainer); err != nil {
-				return err
-			}
-			art.modelBytes = mb.Bytes()
-			art.ckptBytes = cb.Bytes()
-			return nil
-		})
-		return art, err
-	}
-
-	// A re-exec'd worker only participates in the socket run; the
-	// coordinator owns the in-process run and the comparison.
-	if meshgnn.IsWorker() {
-		if _, err := run(meshgnn.Processes); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	fmt.Printf("cross-transport consistency: %d^3-element p=%d mesh, R=%d, %s exchange, %s model, %d iterations\n",
-		elems, p, procs, mode, cfg.Name, iters)
-
-	var inproc, sock runArtifacts
-	haveIn, haveSock := false, false
-	if which == "inproc" || which == "both" {
-		if inproc, err = run(meshgnn.InProcess); err != nil {
-			log.Fatal(err)
-		}
-		haveIn = true
-		fmt.Printf("  in-process ranks : final loss %.12g after %d steps\n",
-			inproc.losses[len(inproc.losses)-1], len(inproc.losses))
-	}
-	if which == "procs" || which == "both" {
-		if sock, err = run(meshgnn.Processes); err != nil {
-			log.Fatal(err)
-		}
-		haveSock = true
-		fmt.Printf("  socket processes : final loss %.12g after %d steps\n",
-			sock.losses[len(sock.losses)-1], len(sock.losses))
-	}
-	if !haveIn || !haveSock {
-		return // single-transport debugging run: the trace above is the output
-	}
-
-	lossDiff, lossBits := maxAbsDiff(inproc.losses, sock.losses)
-	paramDiff, paramBits := compareModels(inproc.modelBytes, sock.modelBytes)
-	ckptEqual := bytes.Equal(inproc.ckptBytes, sock.ckptBytes)
-
-	fmt.Printf("\nmax |Δ| losses      = %g (%d differing bit patterns of %d)\n",
-		lossDiff, lossBits, len(inproc.losses))
-	fmt.Printf("max |Δ| parameters  = %g (%d differing bit patterns)\n", paramDiff, paramBits)
-	fmt.Printf("checkpoint bytes    : %d vs %d, identical=%v\n",
-		len(inproc.ckptBytes), len(sock.ckptBytes), ckptEqual)
-
-	if lossBits != 0 || paramBits != 0 || !ckptEqual {
-		log.Fatal("TRANSPORT INCONSISTENCY: in-process and socket-process runs diverged")
-	}
-	fmt.Println("\nin-process and socket-process training are bitwise identical (losses, parameters, checkpoints).")
+// side is one seeded training run of a harness: the rank transport it
+// runs on and whether its NMP layers overlap the halo exchange with
+// interior compute.
+type side struct {
+	label   string
+	kind    meshgnn.TransportKind
+	overlap bool
 }
 
-// runOverlapCheck trains the same seeded model with the synchronous and
-// the overlapped (phased) NMP pipeline and asserts the trajectories are
-// bitwise identical: overlapping halo communication with interior compute
-// is a scheduling change, not an arithmetic one. The overlapped side is
-// additionally run over the socket fabric, so one invocation pins the
-// property on both transports.
-func runOverlapCheck(which string, ranks, elems, p, iters int, lr float64, modeName string, cfg meshgnn.Config) {
+// harness is a cross-run check, selected by its flag. The value both
+// runs every side; solo[0] or solo[1] runs the first or the second side
+// alone (a debugging run that prints its trace and compares nothing).
+// The first side is the reference the others must match bit for bit.
+type harness struct {
+	name, flag string
+	solo       [2]string
+	sides      []side
+}
+
+var (
+	transportCheck = harness{"cross-transport", "-transport", [2]string{"inproc", "procs"}, []side{
+		{"in-process ranks", meshgnn.InProcess, false},
+		{"socket processes", meshgnn.Processes, false},
+	}}
+	overlapCheck = harness{"overlap", "-overlap", [2]string{"off", "on"}, []side{
+		{"synchronous (inproc)", meshgnn.InProcess, false},
+		{"overlapped (inproc)", meshgnn.InProcess, true},
+		{"overlapped (sockets)", meshgnn.Sockets, true},
+	}}
+)
+
+// run trains the same seeded model on every selected side and asserts
+// the runs are bitwise identical — losses, final parameters, serialized
+// checkpoints and the served prediction — after each run has held its
+// own served engine to Model.Forward on every rank (checkServed). The
+// paper's consistency property must survive the process boundary and
+// the overlapped pipeline, not just the partitioning.
+func (h harness) run(which string, ranks, elems, p, iters int, lr float64, modeName string, cfg meshgnn.Config) {
+	sides := h.sides
 	switch which {
-	case "on", "off", "both":
+	case "both":
+	case h.solo[0]:
+		sides = sides[:1]
+	case h.solo[1]:
+		sides = sides[1:2]
 	default:
-		log.Fatalf("unknown -overlap %q (want on, off, or both)", which)
+		log.Fatalf("unknown %s %q (want %s, %s, or both)", h.flag, which, h.solo[0], h.solo[1])
 	}
 	if iters < 1 {
-		log.Fatalf("-iters must be >= 1 for -overlap, got %d", iters)
+		log.Fatalf("-iters must be >= 1 for %s, got %d", h.flag, iters)
 	}
 	mode, err := parseMode(modeName)
 	if err != nil {
@@ -253,100 +196,174 @@ func runOverlapCheck(which string, ranks, elems, p, iters int, lr float64, modeN
 		log.Fatal(err)
 	}
 
-	field := meshgnn.TaylorGreen{V0: 1, L: 1, Nu: 0.01}
-	run := func(kind meshgnn.TransportKind, overlap bool) (runArtifacts, error) {
-		runCfg := cfg
-		runCfg.Overlap = overlap
-		var art runArtifacts
-		err := sys.RunOn(kind, mode, func(r *meshgnn.Rank) error {
-			mdl, err := meshgnn.NewModel(runCfg)
-			if err != nil {
-				return err
+	// A re-exec'd worker only joins the process-rank runs; the
+	// coordinator owns every other run and the comparison.
+	if meshgnn.IsWorker() {
+		for _, s := range sides {
+			if s.kind != meshgnn.Processes {
+				continue
 			}
-			trainer := meshgnn.NewTrainer(mdl, meshgnn.NewAdam(lr))
-			x := r.Sample(field, 0)
-			losses := make([]float64, 0, iters)
-			for it := 0; it < iters; it++ {
-				losses = append(losses, trainer.Step(r.Ctx, x, x))
+			if _, err := train(sys, mode, s, cfg, iters, lr); err != nil {
+				log.Fatal(err)
 			}
-			if r.ID() != 0 {
-				return nil
-			}
-			art.losses = losses
-			// The serialized Config records the Overlap knob, which
-			// legitimately differs between the two pipelines; normalize
-			// it before saving so checkpoint bytes — parameters and
-			// optimizer moments included — must match exactly.
-			mdl.SetOverlap(false)
-			var mb, cb bytes.Buffer
-			if err := meshgnn.SaveModel(&mb, mdl); err != nil {
-				return err
-			}
-			if err := meshgnn.SaveTrainingState(&cb, trainer); err != nil {
-				return err
-			}
-			art.modelBytes = mb.Bytes()
-			art.ckptBytes = cb.Bytes()
-			return nil
-		})
-		return art, err
-	}
-
-	fmt.Printf("overlap consistency: %d^3-element p=%d mesh, R=%d goroutine ranks, %s exchange, %s model, %d iterations\n",
-		elems, p, ranks, mode, cfg.Name, iters)
-
-	if which != "both" {
-		art, err := run(meshgnn.InProcess, which == "on")
-		if err != nil {
-			log.Fatal(err)
 		}
-		fmt.Printf("  overlap=%s : final loss %.12g after %d steps\n",
-			which, art.losses[len(art.losses)-1], len(art.losses))
 		return
 	}
 
-	sync, err := run(meshgnn.InProcess, false)
-	if err != nil {
-		log.Fatal(err)
+	fmt.Printf("%s consistency: %d^3-element p=%d mesh, R=%d, %s exchange, %s model, %d iterations\n",
+		h.name, elems, p, ranks, mode, cfg.Name, iters)
+	width := 0
+	for _, s := range sides {
+		width = max(width, len(s.label)+1)
 	}
-	fmt.Printf("  synchronous (inproc)  : final loss %.12g after %d steps\n",
-		sync.losses[len(sync.losses)-1], len(sync.losses))
-	over, err := run(meshgnn.InProcess, true)
-	if err != nil {
-		log.Fatal(err)
+	arts := make([]runArtifacts, len(sides))
+	for i, s := range sides {
+		if arts[i], err = train(sys, mode, s, cfg, iters, lr); err != nil {
+			log.Fatal(err)
+		}
+		a := arts[i]
+		fmt.Printf("  %-*s: final loss %.12g after %d steps\n", width, s.label, a.losses[len(a.losses)-1], len(a.losses))
+		fmt.Printf("  %-*s: served %d differing float64 bits vs Model.Forward, float32 max rel error %.3g (gate %g)\n",
+			width, s.label, a.servedBits, a.servedRel, experiments.F32Tolerance)
 	}
-	fmt.Printf("  overlapped  (inproc)  : final loss %.12g\n", over.losses[len(over.losses)-1])
-	overSock, err := run(meshgnn.Sockets, true)
-	if err != nil {
-		log.Fatal(err)
+	if len(sides) == 1 {
+		return // single-side debugging run: the trace above is the output
 	}
-	fmt.Printf("  overlapped  (sockets) : final loss %.12g\n", overSock.losses[len(overSock.losses)-1])
 
-	bad := false
-	for _, cmp := range []struct {
-		name string
-		art  runArtifacts
-	}{
-		{"overlapped (inproc)", over},
-		{"overlapped (sockets)", overSock},
-	} {
-		lossDiff, lossBits := maxAbsDiff(sync.losses, cmp.art.losses)
-		paramDiff, paramBits := compareModels(sync.modelBytes, cmp.art.modelBytes)
-		ckptEqual := bytes.Equal(sync.ckptBytes, cmp.art.ckptBytes)
-		fmt.Printf("\n%s vs synchronous:\n", cmp.name)
-		fmt.Printf("  max |Δ| losses      = %g (%d differing bit patterns of %d)\n",
-			lossDiff, lossBits, len(sync.losses))
-		fmt.Printf("  max |Δ| parameters  = %g (%d differing bit patterns)\n", paramDiff, paramBits)
-		fmt.Printf("  checkpoint bytes    : %d vs %d, identical=%v\n",
-			len(sync.ckptBytes), len(cmp.art.ckptBytes), ckptEqual)
-		if lossBits != 0 || paramBits != 0 || !ckptEqual {
+	ref, bad := arts[0], false
+	for i, cmp := range arts[1:] {
+		// One comparison needs no heading; several are each headed and
+		// indented under it.
+		indent := ""
+		if len(arts) > 2 {
+			indent = "  "
+			fmt.Printf("\n%s vs %s:\n", sides[i+1].label, sides[0].label)
+		} else {
+			fmt.Println()
+		}
+		lossDiff, lossBits := maxAbsDiff(ref.losses, cmp.losses)
+		paramDiff, paramBits := compareModels(ref.modelBytes, cmp.modelBytes)
+		ckptEqual := bytes.Equal(ref.ckptBytes, cmp.ckptBytes)
+		servedDiff, servedBits := maxAbsDiff(ref.served, cmp.served)
+		fmt.Printf("%smax |Δ| losses      = %g (%d differing bit patterns of %d)\n",
+			indent, lossDiff, lossBits, len(ref.losses))
+		fmt.Printf("%smax |Δ| parameters  = %g (%d differing bit patterns)\n", indent, paramDiff, paramBits)
+		fmt.Printf("%scheckpoint bytes    : %d vs %d, identical=%v\n",
+			indent, len(ref.ckptBytes), len(cmp.ckptBytes), ckptEqual)
+		fmt.Printf("%smax |Δ| served      = %g (%d differing bit patterns of %d)\n",
+			indent, servedDiff, servedBits, len(ref.served))
+		if lossBits != 0 || paramBits != 0 || !ckptEqual || servedBits != 0 {
 			bad = true
 		}
 	}
 	if bad {
-		log.Fatal("OVERLAP INCONSISTENCY: overlapped and synchronous training diverged")
+		log.Fatalf("%s INCONSISTENCY: the runs diverged from %s", strings.ToUpper(h.name), sides[0].label)
 	}
-	fmt.Println("\noverlapped and synchronous training are bitwise identical (losses, parameters, checkpoints — both transports).")
+	fmt.Printf("\nevery %s run is bitwise identical to %s (losses, parameters, checkpoints, served outputs).\n",
+		h.name, sides[0].label)
+}
+
+// train runs one side's seeded training on every rank, saves the model
+// and the training state, then checks the engine compiled from the
+// trained model (checkServed). Model init, data and shuffling derive
+// from fixed seeds, so process ranks reconstruct the identical state
+// without any out-of-band exchange. Rank 0's artifacts are returned.
+func train(sys *meshgnn.System, mode meshgnn.ExchangeMode, s side, cfg meshgnn.Config, iters int, lr float64) (runArtifacts, error) {
+	cfg.Overlap = s.overlap
+	field := meshgnn.TaylorGreen{V0: 1, L: 1, Nu: 0.01}
+	var art runArtifacts
+	err := sys.RunOn(s.kind, mode, func(r *meshgnn.Rank) error {
+		mdl, err := meshgnn.NewModel(cfg)
+		if err != nil {
+			return err
+		}
+		trainer := meshgnn.NewTrainer(mdl, meshgnn.NewAdam(lr))
+		x := r.Sample(field, 0)
+		a := runArtifacts{losses: make([]float64, 0, iters)}
+		for it := 0; it < iters; it++ {
+			a.losses = append(a.losses, trainer.Step(r.Ctx, x, x))
+		}
+		// The serialized Config records the Overlap knob, which
+		// legitimately differs between the two pipelines; normalize it
+		// for the save so checkpoint bytes — parameters and optimizer
+		// moments included — must match exactly, then serve with this
+		// side's pipeline.
+		mdl.SetOverlap(false)
+		var mb, cb bytes.Buffer
+		if err := meshgnn.SaveModel(&mb, mdl); err != nil {
+			return err
+		}
+		if err := meshgnn.SaveTrainingState(&cb, trainer); err != nil {
+			return err
+		}
+		a.modelBytes, a.ckptBytes = mb.Bytes(), cb.Bytes()
+		mdl.SetOverlap(s.overlap)
+		if err := checkServed(r, mdl, x, &a); err != nil {
+			return err
+		}
+		if r.ID() == 0 {
+			art = a
+		}
+		return nil
+	})
+	return art, err
+}
+
+// checkServed compiles the serving engine from the trained model and
+// holds it to Model.Forward on this rank: the float64 engine bit for bit
+// on two Predicts (the second replays the bound arena and the
+// static-edge cache), and a Float32 compile of the same parameters
+// within experiments.F32Tolerance, as |y32−y64|/(1+|y64|), on those
+// Predicts and on the first experiments.F32RolloutGateSteps states of a
+// rollout. A rank outside either bound returns an error naming it. It
+// records this rank's float64 prediction and the worst rank's differing
+// bits and float32 error in a.
+func checkServed(r *meshgnn.Rank, mdl *meshgnn.Model, x *meshgnn.Matrix, a *runArtifacts) error {
+	eng, err := meshgnn.NewInference(mdl)
+	if err != nil {
+		return err
+	}
+	// The engine's precision is read from the model's Config at compile.
+	mdl.Config.Precision = meshgnn.Float32
+	eng32, err := meshgnn.NewInference(mdl)
+	mdl.Config.Precision = meshgnn.Float64
+	if err != nil {
+		return err
+	}
+	relErr := func(y32, y64 float64) float64 { return math.Abs(y32-y64) / (1 + math.Abs(y64)) }
+	bits, rel := 0, 0.0
+	for pass := 0; pass < 2; pass++ {
+		want := mdl.Forward(r.Ctx, x)
+		got, got32 := eng.Predict(r.Ctx, x), eng32.Predict(r.Ctx, x)
+		for i, w := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+				bits++
+			}
+			rel = max(rel, relErr(got32.Data[i], w))
+		}
+		a.served = append(a.served[:0], got.Data...)
+	}
+	steps := experiments.F32RolloutGateSteps
+	ref, traj := meshgnn.Rollout(mdl, r.Ctx, x, steps), eng32.Rollout(r.Ctx, x, steps)
+	for s := 1; s <= steps; s++ {
+		for i, w := range ref[s].Data {
+			rel = max(rel, relErr(traj[s].Data[i], w))
+		}
+	}
+
+	// Rank 0 reports the worst rank; every rank finishes this collective
+	// before any of them refuses.
+	worst := []float64{float64(bits), rel}
+	r.Ctx.Comm.AllReduceMax(worst)
+	if bits != 0 {
+		return fmt.Errorf("served engine on rank %d: %d float64 values differ from Model.Forward", r.ID(), bits)
+	}
+	if !(rel <= experiments.F32Tolerance) {
+		return fmt.Errorf("float32 engine on rank %d: relative error %.3g above the %g tolerance",
+			r.ID(), rel, experiments.F32Tolerance)
+	}
+	a.servedBits, a.servedRel = int(worst[0]), worst[1]
+	return nil
 }
 
 // maxAbsDiff returns the largest |a-b| and the count of elements whose

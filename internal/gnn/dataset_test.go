@@ -129,7 +129,9 @@ func TestFitNoisyTrajectoryConsistency(t *testing.T) {
 			var ds Dataset
 			x := waveField(rc.Graph)
 			scaled := x.Clone()
-			tensor.Scale(scaled, 0.8)
+			for i := range scaled.Data {
+				scaled.Data[i] *= 0.8
+			}
 			ds.Add(x, x)
 			ds.Add(scaled, scaled)
 			return tr.Fit(rc, &ds, FitOptions{

@@ -42,7 +42,9 @@ func TestModelGradientsFiniteDifference(t *testing.T) {
 		}
 		x := waveField(rc.Graph)
 		target := x.Clone()
-		tensor.Scale(target, 0.7) // non-trivial residual
+		for i := range target.Data { // non-trivial residual
+			target.Data[i] *= 0.7
+		}
 
 		var loss ConsistentMSE
 		model.ZeroGrads()

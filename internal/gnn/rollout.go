@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"fmt"
-	"math"
 
 	"meshgnn/internal/tensor"
 )
@@ -24,38 +23,6 @@ func Rollout(model *Model, rc *RankContext, x0 *tensor.Matrix, steps int) []*ten
 		// overwrites; each trajectory entry needs its own copy.
 		state = model.Forward(rc, state).Clone()
 		out = append(out, state)
-	}
-	return out
-}
-
-// RolloutError returns the consistent relative L2 error of each rollout
-// state against the reference trajectory: ||y - ŷ|| / ||ŷ|| under the
-// degree-weighted node metric, AllReduced so every rank sees the global
-// values. ref must have the same length as traj.
-func RolloutError(rc *RankContext, traj, ref []*tensor.Matrix) []float64 {
-	if len(traj) != len(ref) {
-		panic(fmt.Sprintf("gnn: rollout error lengths %d vs %d", len(traj), len(ref)))
-	}
-	out := make([]float64, len(traj))
-	for s := range traj {
-		var num, den float64
-		y, want := traj[s], ref[s]
-		for i := 0; i < y.Rows; i++ {
-			inv := 1 / rc.Graph.NodeDegree[i]
-			yr, wr := y.Row(i), want.Row(i)
-			for j := range yr {
-				d := yr[j] - wr[j]
-				num += inv * d * d
-				den += inv * wr[j] * wr[j]
-			}
-		}
-		buf := []float64{num, den}
-		rc.Comm.AllReduceSum(buf)
-		if buf[1] == 0 {
-			out[s] = 0
-			continue
-		}
-		out[s] = math.Sqrt(buf[0] / buf[1])
 	}
 	return out
 }

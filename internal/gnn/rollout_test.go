@@ -8,7 +8,6 @@ import (
 	"meshgnn/internal/graph"
 	"meshgnn/internal/mesh"
 	"meshgnn/internal/partition"
-	"meshgnn/internal/tensor"
 )
 
 func TestRolloutLengthAndChaining(t *testing.T) {
@@ -68,37 +67,6 @@ func TestRolloutMismatchedWidthsPanics(t *testing.T) {
 	}
 }
 
-func TestRolloutErrorValues(t *testing.T) {
-	box, l := singleRankSetup(t, tinyConfig())
-	err := comm.Run(1, func(c *comm.Comm) error {
-		rc, err := NewRankContext(c, box, l, comm.NoExchange)
-		if err != nil {
-			return err
-		}
-		x := waveField(rc.Graph)
-		half := x.Clone()
-		tensor.Scale(half, 0.5)
-		errs := RolloutError(rc, []*tensor.Matrix{x, half}, []*tensor.Matrix{x, x})
-		if errs[0] != 0 {
-			t.Errorf("identical states error %v", errs[0])
-		}
-		// ||x/2 - x|| / ||x|| = 0.5 exactly.
-		if math.Abs(errs[1]-0.5) > 1e-12 {
-			t.Errorf("half-scale error %v, want 0.5", errs[1])
-		}
-		// Zero reference yields zero (guarded division).
-		zero := tensor.New(x.Rows, x.Cols)
-		z := RolloutError(rc, []*tensor.Matrix{x}, []*tensor.Matrix{zero})
-		if z[0] != 0 {
-			t.Errorf("zero-reference error %v", z[0])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Rollouts of a consistent model are partition-invariant trajectory-wide.
 func TestRolloutConsistency(t *testing.T) {
 	box, err := mesh.NewBox(4, 2, 2, 1, [3]bool{true, false, false})
@@ -129,11 +97,13 @@ func TestRolloutConsistency(t *testing.T) {
 			}
 			x0 := waveField(rc.Graph)
 			traj := Rollout(model, rc, x0, 4)
-			ref := make([]*tensor.Matrix, len(traj))
-			for i := range ref {
-				ref[i] = x0
+			// Each state's consistent distance from the initial one.
+			var loss ConsistentMSE
+			dist := make([]float64, len(traj))
+			for i, y := range traj {
+				dist[i] = loss.Forward(rc, y, x0)
 			}
-			return RolloutError(rc, traj, ref), nil
+			return dist, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +114,7 @@ func TestRolloutConsistency(t *testing.T) {
 	got := run(4)
 	for s := range ref {
 		if rel := math.Abs(got[s]-ref[s]) / (1 + ref[s]); rel > 1e-10 {
-			t.Fatalf("step %d: rollout errors deviate rel %g", s, rel)
+			t.Fatalf("step %d: rollout distances deviate rel %g", s, rel)
 		}
 	}
 }

@@ -18,7 +18,13 @@ func randInput(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 
 // scalarLoss is 0.5*||y||^2; its gradient w.r.t. y is y itself, giving a
 // convenient pairing for finite-difference checks.
-func scalarLoss(y *tensor.Matrix) float64 { return 0.5 * tensor.Dot(y, y) }
+func scalarLoss(y *tensor.Matrix) float64 {
+	var s float64
+	for _, v := range y.Data {
+		s += v * v
+	}
+	return 0.5 * s
+}
 
 // checkLayerGradients verifies analytic parameter and input gradients of
 // layer against central finite differences of scalarLoss(Forward(x)).

@@ -200,7 +200,7 @@ func TestAddAndAddScaledAndScale(t *testing.T) {
 	if dst.Data[0] != 13 {
 		t.Fatalf("AddScaled = %v", dst.Data)
 	}
-	Scale(dst, 0.5)
+	AddScaled(dst, -0.5, dst) // scales in place: 13 - 6.5, exactly
 	if dst.Data[0] != 6.5 {
 		t.Fatalf("Scale = %v", dst.Data)
 	}
@@ -239,8 +239,8 @@ func TestGatherScatterAdjointProperty(t *testing.T) {
 		GatherRows(gx, x, idx)
 		sy := New(nSrc, 3)
 		ScatterAddRows(sy, y, idx)
-		lhs := Dot(gx, y)
-		rhs := Dot(x, sy)
+		lhs := dot(gx, y)
+		rhs := dot(x, sy)
 		return math.Abs(lhs-rhs) <= 1e-9*(1+math.Abs(lhs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -273,10 +273,19 @@ func TestFrobeniusAndDot(t *testing.T) {
 	if Frobenius(m) != 5 {
 		t.Fatalf("Frobenius = %v", Frobenius(m))
 	}
-	n := FromSlice(1, 2, []float64{2, 1})
-	if Dot(m, n) != 10 {
-		t.Fatalf("Dot = %v", Dot(m, n))
+	if f := Frobenius(m); f*f != dot(m, m) {
+		t.Fatalf("Frobenius² = %v, <m, m> = %v", f*f, dot(m, m))
 	}
+}
+
+// dot is the Frobenius inner product <a, b> of two equal-shape matrices,
+// the pairing of the adjoint identities.
+func dot(a, b *Matrix) float64 {
+	var s float64
+	for i, v := range a.Data {
+		s += v * b.Data[i]
+	}
+	return s
 }
 
 // Property: (A·B)ᵀ contraction identity — Frobenius inner products match:
@@ -292,9 +301,9 @@ func TestGEMMAdjointIdentities(t *testing.T) {
 		MatMulATB(atc, a, c)
 		cbt := New(m, k)
 		matMulABT(cbt, c, b)
-		l1 := Dot(ab, c)
-		l2 := Dot(b, atc)
-		l3 := Dot(a, cbt)
+		l1 := dot(ab, c)
+		l2 := dot(b, atc)
+		l3 := dot(a, cbt)
 		tol := 1e-9 * (1 + math.Abs(l1))
 		return math.Abs(l1-l2) <= tol && math.Abs(l1-l3) <= tol
 	}

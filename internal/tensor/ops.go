@@ -502,29 +502,6 @@ func add64(dst, v []float64, w int) {
 	addScalar(dst, v, j, len(v))
 }
 
-type scaleTask struct {
-	m     *Matrix
-	alpha float64
-}
-
-func (t *scaleTask) Run(lo, hi int) {
-	d, alpha := t.m.Data, t.alpha
-	for i := lo; i < hi; i++ {
-		d[i] *= alpha
-	}
-}
-
-var scalePool = sync.Pool{New: func() any { return new(scaleTask) }}
-
-// Scale multiplies every entry of m by alpha in place.
-func Scale(m *Matrix, alpha float64) {
-	t := scalePool.Get().(*scaleTask)
-	t.m, t.alpha = m, alpha
-	parallel.ForTask(len(m.Data), elemGrain, t)
-	*t = scaleTask{}
-	scalePool.Put(t)
-}
-
 // --- Copy / gather / scatter kernels -------------------------------------
 
 type cloneIntoTask struct{ dst, src *Matrix }
@@ -830,34 +807,4 @@ func Frobenius(m *Matrix) float64 {
 	*t = frobeniusTask{}
 	frobeniusPool.Put(t)
 	return math.Sqrt(s)
-}
-
-type dotTask struct {
-	a, b *Matrix
-	s    float64
-}
-
-func (t *dotTask) Body(lo, hi int, acc []float64) {
-	ad, bd := t.a.Data, t.b.Data
-	for i := lo; i < hi; i++ {
-		acc[0] += ad[i] * bd[i]
-	}
-}
-
-func (t *dotTask) Merge(acc []float64) { t.s += acc[0] }
-
-var dotPool = sync.Pool{New: func() any { return new(dotTask) }}
-
-// Dot returns the inner product of the flattened matrices.
-func Dot(a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("tensor: Dot shape mismatch")
-	}
-	t := dotPool.Get().(*dotTask)
-	t.a, t.b, t.s = a, b, 0
-	parallel.ReduceWith(len(a.Data), ReduceGrain(2), 1, t)
-	s := t.s
-	*t = dotTask{}
-	dotPool.Put(t)
-	return s
 }

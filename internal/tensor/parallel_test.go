@@ -63,20 +63,10 @@ func TestKernelsBitwiseAcrossThreads(t *testing.T) {
 			AddScaled(dst, 0.37, d)
 			return dst
 		},
-		"Scale": func() *Matrix {
-			dst := a.Clone()
-			Scale(dst, 1.0/3.0)
-			return dst
-		},
 		"HCat": func() *Matrix { return HCat(a, d, c) },
 		"Frobenius": func() *Matrix {
 			dst := New(1, 1)
 			dst.Data[0] = Frobenius(a)
-			return dst
-		},
-		"Dot": func() *Matrix {
-			dst := New(1, 1)
-			dst.Data[0] = Dot(a, d)
 			return dst
 		},
 	}
@@ -212,7 +202,4 @@ func TestKernelsEmptyInputs(t *testing.T) {
 	GatherRows(New(0, 5), empty, nil)
 	ScatterAddRows(New(3, 5), New(0, 5), nil)
 	ScatterAddRowsGrouped(New(0, 5), empty, []int{0}, nil)
-	if Dot(empty, empty) != 0 {
-		t.Error("Dot over empty matrices should be 0")
-	}
 }

@@ -345,7 +345,7 @@ func (s *System) Serve(kind TransportKind, mode ExchangeMode, model *Model) (*Se
 // transports are InProcess and Sockets (goroutine ranks — request matrices
 // cross no process boundary); Processes ranks cannot receive in-memory
 // requests, so drive the engine directly inside RunOn for that case (as
-// cmd/serve -procs does).
+// cmd/consistency -transport=both does).
 //
 // Close the server to release the rank goroutines of every session.
 func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, opts ServeOptions) (*Server, error) {
