@@ -4,7 +4,8 @@
 // consistency harness (the CI assertion behind the paper's consistency
 // claim holding across the process boundary); the examples' printed
 // results are held to what they demonstrate. It also vets and tests the
-// benchmark module, which go test ./... does not otherwise reach.
+// benchmark module, which go test ./... does not otherwise reach, and holds
+// every -run pattern of the CI workflow to the tests it names.
 package cmdtest
 
 import (

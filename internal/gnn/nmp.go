@@ -70,8 +70,8 @@ import (
 // and which kernels run a row's arithmetic: every CSR span sum — aggRow
 // (4b), absorbHalo (4d) and scatterTask's receiver and sender spans — is
 // one tensor.SpanAcc call per span, the row held in registers, its Go loop
-// the definition and the fallback for a sum holding a NaN; every plain row
-// add (residualTask, nodeGradTask, edgeGradTask, dEOutTask's deOut) is
+// the definition and the go rung's kernel; every plain row add
+// (residualTask, nodeGradTask, edgeGradTask, dEOutTask's deOut) is
 // tensor.AddTo.
 //
 // A head or tail has to be a row map — rows [r0, r1) computed from inputs
@@ -226,20 +226,17 @@ func (t *residualTask[T]) Rows(p []T, r0, r1 int) {
 // once per edge and the product rounded before its add. eo is the edge
 // offset of the row's sample block. Both loops that aggregate call it, so
 // a row's bits do not depend on which one it lands in. The loop is the
-// definition; tensor.SpanAcc runs it on the SIMD rungs and leaves the
-// loop the columns it hands back (none, unless a sum holds a NaN).
+// definition; tensor.SpanAcc runs it on the SIMD rungs.
 func aggRow[T elem](dst []T, g *graph.Local, eOut rowsOf[T], eo, i int) {
 	clear(dst)
 	k0, k1 := g.RecvStart[i], g.RecvStart[i+1]
-	c := tensor.SpanAcc(dst, eOut.data, eOut.cols, eo+k0, nil, k1-k0, g.InvEdgeDegree[k0:k1])
-	if c == len(dst) {
+	if tensor.SpanAcc(dst, eOut.data, eOut.cols, eo+k0, nil, k1-k0, g.InvEdgeDegree[k0:k1]) {
 		return
 	}
-	d := dst[c:]
 	for k := k0; k < k1; k++ {
 		inv := T(g.InvEdgeDegree[k])
-		for j, v := range eOut.row(eo + k)[c:] {
-			d[j] += T(inv * v)
+		for j, v := range eOut.row(eo + k) {
+			dst[j] += T(inv * v)
 		}
 	}
 }
@@ -310,14 +307,12 @@ func (t *nodeInTask[T]) Rows(p []T, r0, r1 int) {
 // rows of the sample block at ho) into dst, one rounded add each: the
 // loop is the definition, tensor.SpanAcc its SIMD rung.
 func absorbHalo[T elem](dst []T, g *graph.Local, halo rowsOf[T], ho, c0, c1 int) {
-	c := tensor.SpanAcc(dst, halo.data, halo.cols, ho, g.HaloPerm[c0:c1], c1-c0, nil)
-	if c == len(dst) {
+	if tensor.SpanAcc(dst, halo.data, halo.cols, ho, g.HaloPerm[c0:c1], c1-c0, nil) {
 		return
 	}
-	d := dst[c:]
 	for hc := c0; hc < c1; hc++ {
-		for j, v := range halo.row(ho + g.HaloPerm[hc])[c:] {
-			d[j] += v
+		for j, v := range halo.row(ho + g.HaloPerm[hc]) {
+			dst[j] += v
 		}
 	}
 }
@@ -654,20 +649,18 @@ func (t *scatterTask) block(b, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		dst := t.dst.Row(xo + i)
 		k0, k1 := g.RecvStart[i], g.RecvStart[i+1]
-		if c := tensor.SpanAcc(dst, src, 3*h, eo+k0, nil, k1-k0, nil); c < h {
-			d := dst[c:]
+		if !tensor.SpanAcc(dst, src, 3*h, eo+k0, nil, k1-k0, nil) {
 			for k := k0; k < k1; k++ {
-				for j, v := range t.dEdgeIn.Row(eo + k)[c:h] {
-					d[j] += v
+				for j, v := range t.dEdgeIn.Row(eo + k)[:h] {
+					dst[j] += v
 				}
 			}
 		}
 		p0, p1 := g.SendStart[i], g.SendStart[i+1]
-		if c := tensor.SpanAcc(dst, src[h:], 3*h, eo, g.SendPerm[p0:p1], p1-p0, nil); c < h {
-			d := dst[c:]
+		if !tensor.SpanAcc(dst, src[h:], 3*h, eo, g.SendPerm[p0:p1], p1-p0, nil) {
 			for p := p0; p < p1; p++ {
-				for j, v := range t.dEdgeIn.Row(eo + g.SendPerm[p])[h+c : 2*h] {
-					d[j] += v
+				for j, v := range t.dEdgeIn.Row(eo + g.SendPerm[p])[h : 2*h] {
+					dst[j] += v
 				}
 			}
 		}

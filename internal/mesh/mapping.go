@@ -37,24 +37,3 @@ func AnnulusSector(r0, r1, theta float64) Mapping {
 		return r * math.Cos(a), r * math.Sin(a), z
 	}
 }
-
-// WavyChannel perturbs the box walls sinusoidally: the y coordinate is
-// compressed toward a wavy bottom wall of amplitude amp and wavenumber
-// waves along x — a minimal "complex geometry" test case for flow
-// surrogates.
-func WavyChannel(amp float64, waves int) Mapping {
-	return func(x, y, z float64) (float64, float64, float64) {
-		wall := amp * math.Sin(2*math.Pi*float64(waves)*x)
-		return x, wall + y*(1-wall), z
-	}
-}
-
-// Stretched applies smooth tanh grading toward the y=0 wall (boundary-
-// layer clustering), with strength beta > 0: node spacing is smallest at
-// the wall and grows monotonically away from it.
-func Stretched(beta float64) Mapping {
-	norm := math.Tanh(beta)
-	return func(x, y, z float64) (float64, float64, float64) {
-		return x, 1 - math.Tanh(beta*(1-y))/norm, z
-	}
-}

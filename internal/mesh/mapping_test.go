@@ -7,7 +7,7 @@ import (
 
 func TestSetMappingRejectsPeriodic(t *testing.T) {
 	b := mustBox(t, 2, 2, 2, 1, [3]bool{true, false, false})
-	if err := b.SetMapping(Stretched(2)); err == nil {
+	if err := b.SetMapping(AnnulusSector(1, 2, 1)); err == nil {
 		t.Fatal("expected error on periodic mesh")
 	}
 	if b.Mapped() {
@@ -34,62 +34,6 @@ func TestAnnulusSectorGeometry(t *testing.T) {
 		if x < -1e-12 || y < -1e-12 {
 			t.Fatalf("node %d at (%v,%v) outside the sector", id, x, y)
 		}
-	}
-}
-
-func TestWavyChannelWall(t *testing.T) {
-	b := mustBox(t, 8, 4, 2, 1, [3]bool{})
-	if err := b.SetMapping(WavyChannel(0.1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	// Bottom-wall nodes (reference y=0) must trace the sine wall.
-	wavy := false
-	for id := int64(0); id < b.NumNodes(); id++ {
-		ix, iy, _ := b.NodeLattice(id)
-		if iy != 0 {
-			continue
-		}
-		x, y, _ := b.NodeCoord(id)
-		want := 0.1 * math.Sin(2*math.Pi*2*x)
-		if math.Abs(y-want) > 1e-12 {
-			t.Fatalf("wall node %d (ix=%d): y=%v want %v", id, ix, y, want)
-		}
-		if math.Abs(y) > 1e-9 {
-			wavy = true
-		}
-	}
-	if !wavy {
-		t.Fatal("wall is flat; mapping not applied")
-	}
-}
-
-func TestStretchedClustersAtWall(t *testing.T) {
-	b := mustBox(t, 1, 8, 1, 1, [3]bool{})
-	if err := b.SetMapping(Stretched(3)); err != nil {
-		t.Fatal(err)
-	}
-	// Spacing must increase monotonically away from y=0.
-	var prev float64
-	var prevGap float64
-	for iy := 0; iy <= 8; iy++ {
-		_, y, _ := b.NodeCoord(int64(iy) * 2) // lattice stride along y is nx=2
-		if iy > 0 {
-			gap := y - prev
-			if gap <= 0 {
-				t.Fatalf("non-monotone mapped coordinates at iy=%d", iy)
-			}
-			if iy > 1 && gap < prevGap {
-				t.Fatalf("spacing must grow away from the wall: %v then %v", prevGap, gap)
-			}
-			prevGap = gap
-		}
-		prev = y
-	}
-	// Domain endpoints preserved.
-	_, y0, _ := b.NodeCoord(0)
-	_, y1, _ := b.NodeCoord(b.NumNodes() - 2)
-	if y0 != 0 || math.Abs(y1-1) > 0.2 {
-		t.Fatalf("endpoints y0=%v yTop=%v", y0, y1)
 	}
 }
 

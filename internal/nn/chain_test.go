@@ -174,14 +174,14 @@ func refForward32(im *InferMLP32, x *tensor.Matrix32) *tensor.Matrix32 {
 		case *linear32:
 			y = tensor.New32(x.Rows, t.out)
 			tensor.MatMul32(y, x, t.w)
-			tensor.AddRowVector32Rows(y, t.b.Data(), 0, y.Rows)
+			tensor.AddRowVector32Rows(y, t.b, 0, y.Rows)
 		case elu32:
 			y = tensor.New32(x.Rows, x.Cols)
 			tensor.EluRange32(y.Data, x.Data, 0, len(x.Data))
 		case *ln32:
 			y = tensor.New32(x.Rows, x.Cols)
 			for i := 0; i < x.Rows; i++ {
-				lnOneRow32(y.Row(i), x.Row(i), t.gain.Data(), t.shift.Data())
+				lnOneRow32(y.Row(i), x.Row(i), t.gain, t.shift)
 			}
 		}
 		x = y
@@ -214,14 +214,17 @@ func lnOneRow32(out, row, gain, shift []float32) {
 	}
 }
 
-func sameBits(t *testing.T, what string, got, want []float64) {
+func sameBits[T float32 | float64](t *testing.T, what string, got, want []T) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
 	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: element %d is %v, want %v (bitwise)", what, i, got[i], want[i])
+	// The bitwise contract (internal/tensor, pack.go): the same bits where
+	// want is not NaN, a NaN where it is — which one is unspecified. A
+	// float32 widens exactly, so its float64 bits tell values apart.
+	for i, w := range want {
+		if g := got[i]; w != w && g == g || w == w && math.Float64bits(float64(g)) != math.Float64bits(float64(w)) {
+			t.Fatalf("%s: element %d is %v, want %v (bitwise)", what, i, g, w)
 		}
 	}
 }
@@ -324,12 +327,7 @@ func checkBlock(t *testing.T, per int, sh [3]int, norm bool, batch int) {
 		}
 
 		sameBits(t, what("InferForward"), im.InferForward(nil, x).Data, ref.y.Data)
-		got32 := im32.InferForward32(nil, x32)
-		for i, v := range want32.Data {
-			if math.Float32bits(got32.Data[i]) != math.Float32bits(v) {
-				t.Fatalf("%s: element %d is %v, want %v (bitwise)", what("InferForward32"), i, got32.Data[i], v)
-			}
-		}
+		sameBits(t, what("InferForward32"), im32.InferForward32(nil, x32).Data, want32.Data)
 	}
 }
 
@@ -465,11 +463,7 @@ func checkBlockHeadTail(t *testing.T, per int, sh [3]int, batch int) {
 		got32 := im32.InferRows32(nil, rows,
 			&gatherRows[float32]{src: src32.Data, cols: sh[0], idx: idx},
 			&addRows[float32]{src: res32.Data, cols: sh[2]})
-		for i, v := range want32.Data {
-			if math.Float32bits(got32.Data[i]) != math.Float32bits(v) {
-				t.Fatalf("%s: element %d is %v, want %v (bitwise)", what("InferRows32"), i, got32.Data[i], v)
-			}
-		}
+		sameBits(t, what("InferRows32"), got32.Data, want32.Data)
 	}
 }
 
@@ -538,7 +532,8 @@ func TestLayerNormInterleaveMatchesOneRow(t *testing.T) {
 }
 
 // TestLayerNorm32MatchesOneRow holds the compiled float32 LayerNorm, on
-// the rung this machine runs, to the one-row scalar loop above: rows 1…19
+// the rung this machine runs, to the one-row scalar loop above (its bits
+// where it is not NaN, a NaN where it is): rows 1…19
 // (zero to two groups of the kernel's eight rows and every remainder) and
 // the same behind whole groups of filler rows, so that the call is large
 // enough for the vector kernel whatever the width; widths either side of
@@ -556,7 +551,7 @@ func TestLayerNorm32MatchesOneRow(t *testing.T) {
 			gain[j] = float32(1 + 0.3*rng.NormFloat64())
 			shift[j] = float32(0.3 * rng.NormFloat64())
 		}
-		ln := &ln32{dim: width, gain: tensor.Check(gain), shift: tensor.Check(shift)}
+		ln := &ln32{dim: width, gain: gain, shift: shift}
 		for rows := 1; rows <= 19; rows++ {
 			for _, filler := range []int{0, 2 * panelRows} {
 				for _, plant := range []string{"", "zeros", "huge", "tiny", "NaN", "Inf", "NaN+Inf"} {
@@ -593,12 +588,7 @@ func TestLayerNorm32MatchesOneRow(t *testing.T) {
 						lnOneRow32(want.Row(i), x.Row(i), gain, shift)
 					}
 					ln.inferRows(panel[float32]{n, width, got.Data}, panel[float32]{n, width, x.Data})
-					for i, v := range want.Data {
-						if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
-							t.Fatalf("rows=%d (+%d) width=%d %s: element %d (row %d) is %#x, want %#x",
-								rows, filler, width, plant, i, i/width, math.Float32bits(got.Data[i]), math.Float32bits(v))
-						}
-					}
+					sameBits(t, fmt.Sprintf("rows=%d (+%d) width=%d %s", rows, filler, width, plant), got.Data, want.Data)
 				}
 			}
 		}

@@ -186,7 +186,7 @@ func (m *MLP) Compile() *InferMLP {
 	for _, l := range m.block.layers {
 		switch t := l.(type) {
 		case *Linear:
-			li := &linearInfer{in: t.In, out: t.Out, w: t.Weight.W.Clone(), b: tensor.Check(t.Bias.W.Clone().Data)}
+			li := &linearInfer{in: t.In, out: t.Out, w: t.Weight.W.Clone(), b: t.Bias.W.Clone().Data}
 			if tensor.ShouldPack(t.In, t.Out) {
 				li.pb = tensor.PackB(li.w)
 			}
@@ -195,7 +195,7 @@ func (m *MLP) Compile() *InferMLP {
 		case *ELU:
 			ls = append(ls, eluInfer{})
 		case *LayerNorm:
-			ls = append(ls, &lnInfer{dim: t.Dim, gain: tensor.Check(t.Gain.W.Clone().Data), shift: tensor.Check(t.Shift.W.Clone().Data)})
+			ls = append(ls, &lnInfer{dim: t.Dim, gain: t.Gain.W.Clone().Data, shift: t.Shift.W.Clone().Data})
 		default:
 			panic(fmt.Sprintf("nn: cannot compile layer %T for inference", l))
 		}
@@ -233,12 +233,11 @@ func (m *InferMLP) infer(a *tensor.Arena, rows int, x []float64, head, tail RowM
 
 // linearInfer is y = x·W + b over copied parameters, without the input
 // cache Linear keeps for its backward. Above the packed-GEMM threshold
-// the weight panels are packed once at compile (pb) instead of per call,
-// and the bias's NaN scan is done once with them.
+// the weight panels are packed once at compile (pb) instead of per call.
 type linearInfer struct {
 	in, out int
 	w       *tensor.Matrix
-	b       tensor.Checked[float64]
+	b       []float64
 	pb      *tensor.PackedB // compile-time packed W, nil below threshold
 }
 
@@ -260,7 +259,7 @@ func (l *linearInfer) inferRows(dst, src panel[float64]) {
 		tensor.MatMulPackedBiasRows(&d, &s, l.pb, l.b, 0, s.Rows)
 		return
 	}
-	tensor.MatMulBiasRows(&d, &s, l.w, l.b.Data(), 0, s.Rows)
+	tensor.MatMulBiasRows(&d, &s, l.w, l.b, 0, s.Rows)
 }
 
 // eluInfer applies the ELU, in place on the evaluator's scratch.
@@ -273,14 +272,14 @@ func (eluInfer) inferRows(dst, src panel[float64]) {
 	tensor.EluRange(dst.data, src.data, 0, len(src.data))
 }
 
-// lnInfer is the forward-only LayerNorm over copied gain/shift, scanned
-// for NaN at compile. It normalizes rows exactly like
+// lnInfer is the forward-only LayerNorm over copied gain/shift. It
+// normalizes rows exactly like
 // LayerNorm.forwardRows — the same layerNormRows — but writes only the
 // output: the xhat matrix and the invStd column exist solely for the
 // backward pass, so the inference twin passes nil for both.
 type lnInfer struct {
 	dim         int
-	gain, shift tensor.Checked[float64]
+	gain, shift []float64
 }
 
 func (ln *lnInfer) outWidth(in int) int { return in }

@@ -31,8 +31,7 @@ func (m *MLP) Compile32() *InferMLP32 {
 	for _, l := range m.block.layers {
 		switch t := l.(type) {
 		case *Linear:
-			li := &linear32{in: t.In, out: t.Out, w: tensor.Demote32(t.Weight.W)}
-			li.b = tensor.Check(tensor.Demote32(t.Bias.W).Data)
+			li := &linear32{in: t.In, out: t.Out, w: tensor.Demote32(t.Weight.W), b: tensor.Demote32(t.Bias.W).Data}
 			if tensor.ShouldPack32(t.In, t.Out) {
 				li.pb = tensor.PackB32(li.w)
 			}
@@ -42,8 +41,8 @@ func (m *MLP) Compile32() *InferMLP32 {
 		case *LayerNorm:
 			ls = append(ls, &ln32{
 				dim:   t.Dim,
-				gain:  tensor.Check(tensor.Demote32(t.Gain.W).Data),
-				shift: tensor.Check(tensor.Demote32(t.Shift.W).Data),
+				gain:  tensor.Demote32(t.Gain.W).Data,
+				shift: tensor.Demote32(t.Shift.W).Data,
 			})
 		default:
 			panic(fmt.Sprintf("nn: cannot compile layer %T for f32 inference", l))
@@ -76,11 +75,11 @@ func (m *InferMLP32) InferRows32(a *tensor.Arena32, rows int, head, tail RowMap[
 // linear32 is y = x·W + b over snapshotted float32 parameters. When the
 // weight shape clears the packed-tier threshold on SIMD hardware, pb
 // holds the compile-time-packed operand, the GEMM skips packing and the
-// bias add is its tiles' epilogue; the bias's NaN scan is done at compile.
+// bias add is its tiles' epilogue.
 type linear32 struct {
 	in, out int
 	w       *tensor.Matrix32
-	b       tensor.Checked[float32]
+	b       []float32
 	pb      *tensor.PackedB32
 }
 
@@ -94,7 +93,7 @@ func (l *linear32) inferRows(dst, src panel[float32]) {
 		return
 	}
 	tensor.MatMul32Rows(&d, &s, l.w, 0, s.Rows)
-	tensor.AddRowVector32Rows(&d, l.b.Data(), 0, s.Rows)
+	tensor.AddRowVector32Rows(&d, l.b, 0, s.Rows)
 }
 
 // elu32 is y = v for v > 0, exp(v)-1 otherwise, in place on the
@@ -113,8 +112,7 @@ func (elu32) inferRows(dst, src panel[float32]) {
 	tensor.EluRange32(dst.data, src.data, 0, len(src.data))
 }
 
-// ln32 is the forward-only float32 LayerNorm over snapshotted gain/shift,
-// scanned for NaN at compile.
+// ln32 is the forward-only float32 LayerNorm over snapshotted gain/shift.
 // It normalizes rows like lnInfer with the moment sums accumulated in
 // float64: the mean/variance reductions are where f32 accumulation would
 // visibly drift at the row widths this system uses. The definition and its
@@ -124,7 +122,7 @@ func (elu32) inferRows(dst, src panel[float32]) {
 // which rows share a group, the panel boundaries or the rung.
 type ln32 struct {
 	dim         int
-	gain, shift tensor.Checked[float32]
+	gain, shift []float32
 }
 
 func (ln *ln32) outWidth(in int) int { return in }

@@ -170,7 +170,7 @@ func (l *Linear) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 func (l *Linear) forwardRows(lo, hi int) {
 	if tensor.ShouldPack(l.In, l.Out) {
 		// Fully overwrites the rows; the bias add is the GEMM's epilogue.
-		tensor.MatMulPackedBiasRows(l.y, l.x, l.pw.pb, tensor.Check(l.Bias.W.Data), lo, hi)
+		tensor.MatMulPackedBiasRows(l.y, l.x, l.pw.pb, l.Bias.W.Data, lo, hi)
 		return
 	}
 	tensor.MatMulBiasRows(l.y, l.x, l.Weight.W, l.Bias.W.Data, lo, hi)
@@ -374,8 +374,8 @@ func (ln *LayerNorm) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // set-up is pure cost (64 rows, in place: 22 % slower at 8 columns, level
 // at 12, 5 % faster at 16, 27 % at 32, 46 % at 96). The gate rules the
 // forward and backward passes on the rungs below avx512 and, on avx512,
-// the rows the kernels leave: the fewer than eight at a range's end and
-// the groups they hand back (layerNormRows, backwardRows).
+// the fewer than eight rows the kernels leave at a range's end
+// (layerNormRows, backwardRows).
 const (
 	lnRows          = 4
 	lnInterleaveMin = 16
@@ -451,34 +451,20 @@ func rowStats4(x *tensor.Matrix, i int) (mu, inv [lnRows]float64) {
 // held to.
 //
 // Whole groups of eight rows go to tensor.LayerNormRows (avx512 only; it
-// does none elsewhere): a group it hands back, one holding a NaN or an
-// infinity, goes through the loops below and the kernel resumes after it.
-// The rows it leaves go lnRows at a time, then one: each row's own
-// operation sequence either way, so no bit depends on the rung or on which
-// rows share a group.
-func layerNormRows(y, xhat *tensor.Matrix, invStd []float64, x *tensor.Matrix, gain, shift tensor.Checked[float64], lo, hi int) {
-	for {
-		i, stopped := tensor.LayerNormRows(y, xhat, invStd, x, gain, shift, Epsilon, lo, hi)
-		if !stopped {
-			layerNormLoops(y, xhat, invStd, x, gain, shift, i, hi)
-			return
-		}
-		layerNormLoops(y, xhat, invStd, x, gain, shift, i, i+8)
-		lo = i + 8
-	}
-}
-
-// layerNormLoops is layerNormRows' scalar definition over rows [i, hi).
-func layerNormLoops(y, xhat *tensor.Matrix, invStd []float64, x *tensor.Matrix, gain, shift tensor.Checked[float64], i, hi int) {
+// does none elsewhere). The rows it leaves go lnRows at a time, then one:
+// each row's own operation sequence either way, so no bit depends on the
+// rung or on which rows share a group.
+func layerNormRows(y, xhat *tensor.Matrix, invStd []float64, x *tensor.Matrix, gain, shift []float64, lo, hi int) {
+	i := tensor.LayerNormRows(y, xhat, invStd, x, gain, shift, Epsilon, lo, hi)
 	for end := lnGroupEnd(i, hi, x.Cols); i < end; i += lnRows {
 		mu, inv := rowStats4(x, i)
 		for r := range mu {
-			normalizeRow(y, xhat, invStd, x, gain.Data(), shift.Data(), i+r, mu[r], inv[r])
+			normalizeRow(y, xhat, invStd, x, gain, shift, i+r, mu[r], inv[r])
 		}
 	}
 	for ; i < hi; i++ {
 		mu, inv := rowStats(x.Row(i))
-		normalizeRow(y, xhat, invStd, x, gain.Data(), shift.Data(), i, mu, inv)
+		normalizeRow(y, xhat, invStd, x, gain, shift, i, mu, inv)
 	}
 }
 
@@ -503,10 +489,9 @@ func normalizeRow(y, xhat *tensor.Matrix, invStd []float64, x *tensor.Matrix, ga
 }
 
 // forwardRows normalizes each row independently, caching xhat and the
-// inverse standard deviation for the backward pass. gain and shift are
-// scanned for NaN per call, as Linear scans its bias.
+// inverse standard deviation for the backward pass.
 func (ln *LayerNorm) forwardRows(lo, hi int) {
-	layerNormRows(ln.y, ln.xhat, ln.invStd, ln.x, tensor.Check(ln.Gain.W.Data), tensor.Check(ln.Shift.W.Data), lo, hi)
+	layerNormRows(ln.y, ln.xhat, ln.invStd, ln.x, ln.Gain.W.Data, ln.Shift.W.Data, lo, hi)
 }
 
 func (ln *LayerNorm) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
@@ -518,21 +503,11 @@ func (ln *LayerNorm) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
 // backwardRows is the input gradient, a pure row map:
 // dx = invStd/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)), dxhat =
 // dy*gain. Whole groups of eight rows go to tensor.LayerNormGradRows
-// (avx512 only; it does none elsewhere): a group it hands back, one with a
-// row whose sums or invStd are not finite, goes through backwardLoops and
-// the kernel resumes after it; backwardLoops finishes the rows it leaves.
-// Each row's own operation sequence either way, so no bit depends on the
-// rung or on which rows share a group.
+// (avx512 only; it does none elsewhere); backwardLoops finishes the rows
+// it leaves. Each row's own operation sequence either way, so no bit
+// depends on the rung or on which rows share a group.
 func (ln *LayerNorm) backwardRows(lo, hi int) {
-	for {
-		i, stopped := tensor.LayerNormGradRows(ln.dx, ln.dy, ln.xhat, ln.invStd, ln.Gain.W.Data, lo, hi)
-		if !stopped {
-			ln.backwardLoops(i, hi)
-			return
-		}
-		ln.backwardLoops(i, i+8)
-		lo = i + 8
-	}
+	ln.backwardLoops(tensor.LayerNormGradRows(ln.dx, ln.dy, ln.xhat, ln.invStd, ln.Gain.W.Data, lo, hi), hi)
 }
 
 // backwardLoops is backwardRows' scalar definition over rows [lo, hi), the
@@ -603,18 +578,16 @@ func (ln *LayerNorm) reductions(rs []parallel.Reduction, rows int) []parallel.Re
 // is the loop below: per column, rows ascending, dGain += dy·xhat (the
 // product rounded) and dShift += dy. On the SIMD rungs
 // tensor.LayerNormParamGradAcc runs both chains with the accumulators in
-// registers and returns the columns it finished, all of them unless a
-// result holds a NaN; the loop does the rest.
+// registers; on the go rung the loop does.
 func (ln *LayerNorm) reduceBody(_, lo, hi int, acc []float64) {
-	c := ln.Dim
-	j0 := tensor.LayerNormParamGradAcc(acc, ln.dy, ln.xhat, lo, hi)
-	if j0 == c {
+	if tensor.LayerNormParamGradAcc(acc, ln.dy, ln.xhat, lo, hi) {
 		return
 	}
-	dGain, dShift := acc[j0:c], acc[c+j0:2*c]
+	c := ln.Dim
+	dGain, dShift := acc[:c], acc[c:2*c]
 	for i := lo; i < hi; i++ {
-		xh := ln.xhat.Row(i)[j0:]
-		for j, g := range ln.dy.Row(i)[j0:] {
+		xh := ln.xhat.Row(i)
+		for j, g := range ln.dy.Row(i) {
 			dGain[j] += float64(g * xh[j])
 			dShift[j] += g
 		}

@@ -11,7 +11,7 @@ import (
 // accumulations (ColSumsAcc, LayerNormParamGradAcc), the span
 // accumulation (SpanAcc) and the LayerNorm input gradient
 // (LayerNormGradRows) — each held to its scalar definition, written out
-// again below, bit for bit on every rung.
+// again below, under the contract mismatch checks on every rung.
 
 // backwardWidths are the column counts every sweep runs: either side of
 // one vector of each element type and of a four-vector pass.
@@ -45,41 +45,15 @@ func plant[T float](rng *rand.Rand, v []T, every int) {
 	}
 }
 
-// firstNaN returns the first index of v holding a NaN, len(v) for none.
-func firstNaN[T float](v []T) int {
-	for i, x := range v {
-		if x != x {
-			return i
-		}
-	}
-	return len(v)
-}
-
-// passDone is where a column kernel of pass width pw (0: no kernel) must
-// stop over a result whose first NaN column is nan: the start of the pass
-// holding it.
-func passDone(pw, nan, cols int) int {
-	if pw == 0 {
-		return 0
-	}
-	if nan >= cols {
-		return cols
-	}
-	return nan / pw * pw
-}
-
-// colPass is the column-accumulate kernels' pass width (float64 columns).
-func colPass() int { return [...]int{tierGo: 0, tierAVX2: 16, tierAVX512: 32}[tier] }
-
-// lnParamScalar is LayerNorm.reduceBody's definition over columns
-// [j0, cols) of rows [lo, hi), written out again: the gain gradient in
-// acc[:cols], the shift gradient in acc[cols:].
-func lnParamScalar(acc []float64, dy, xh *Matrix, j0, lo, hi int) {
+// lnParamScalar is LayerNorm.reduceBody's definition over rows [lo, hi),
+// written out again: the gain gradient in acc[:cols], the shift gradient
+// in acc[cols:].
+func lnParamScalar(acc []float64, dy, xh *Matrix, lo, hi int) {
 	c := dy.Cols
-	dGain, dShift := acc[j0:c], acc[c+j0:2*c]
+	dGain, dShift := acc[:c], acc[c:2*c]
 	for i := lo; i < hi; i++ {
-		x := xh.Row(i)[j0:]
-		for j, g := range dy.Row(i)[j0:] {
+		x := xh.Row(i)
+		for j, g := range dy.Row(i) {
 			dGain[j] += float64(g * x[j])
 			dShift[j] += g
 		}
@@ -90,9 +64,9 @@ func lnParamScalar(acc []float64, dy, xh *Matrix, j0, lo, hi int) {
 // LayerNormParamGradAcc to their scalar definitions: rows 1…20 from an odd
 // first row, every width of backwardWidths, finite inputs and inputs with
 // ±0, ±Inf and NaN payloads planted, with NaN rows outside the range (a
-// read of one would show). The kernel must finish exactly the passes
-// before the first one whose result holds a NaN, leave the columns after
-// it untouched, and write nothing past the accumulator (guard words).
+// read of one would show). LayerNormParamGradAcc must do the chunk on
+// exactly the SIMD rungs, and neither may write past the accumulator
+// (guard words).
 func TestColumnAccumulationsMatchScalar(t *testing.T) {
 	const guard = 0x7ff4dead0000beef // a signalling NaN no sum produces
 	atEachTier(t, func(t *testing.T) {
@@ -123,38 +97,32 @@ func TestColumnAccumulationsMatchScalar(t *testing.T) {
 					copy(got, sweepSlice[float64](rng, cols, 0))
 					want := append([]float64(nil), got...)
 					for i := lo; i < hi; i++ {
-						colSumScalar(want, dy.Row(i))
+						addScalar(want, dy.Row(i), 0, cols)
 					}
 					ColSumsAcc(got, dy, lo, hi)
-					if j := bitsEqual(got, want); j >= 0 {
+					if j := mismatch(got, want); j >= 0 {
 						t.Fatalf("ColSumsAcc %s: column %d is %#x, want %#x", what, j, bitsOf(got[j]), bitsOf(want[j]))
 					}
 					if bitsOf(buf[0]) != guard || bitsOf(buf[cols+1]) != guard {
 						t.Fatalf("ColSumsAcc %s: wrote past the accumulator", what)
 					}
 
-					// LayerNormParamGradAcc: the kernel alone, then the
-					// caller's loop from where it stopped.
+					// LayerNormParamGradAcc: the kernel, or on the go rung the
+					// caller's loop.
 					buf = make([]float64, 2*cols+2)
 					buf[0], buf[2*cols+1] = math.Float64frombits(guard), math.Float64frombits(guard)
 					acc := buf[1 : 2*cols+1]
 					copy(acc, sweepSlice[float64](rng, 2*cols, 0))
-					entry := append([]float64(nil), acc...)
 					wantAcc := append([]float64(nil), acc...)
-					lnParamScalar(wantAcc, dy, xh, 0, lo, hi)
-					done := LayerNormParamGradAcc(acc, dy, xh, lo, hi)
-					nan := min(firstNaN(wantAcc[:cols]), firstNaN(wantAcc[cols:]))
-					if want := passDone(colPass(), nan, cols); done != want {
-						t.Fatalf("LayerNormParamGradAcc %s: finished %d columns, want %d (first NaN %d)", what, done, want, nan)
+					lnParamScalar(wantAcc, dy, xh, lo, hi)
+					did := LayerNormParamGradAcc(acc, dy, xh, lo, hi)
+					if did != (tier >= tierAVX2) {
+						t.Fatalf("LayerNormParamGradAcc %s on %v: did the chunk: %v", what, tier, did)
 					}
-					if j := bitsEqual(acc[done:cols], entry[done:cols]); j >= 0 {
-						t.Fatalf("LayerNormParamGradAcc %s: wrote gain column %d it handed back", what, done+j)
+					if !did {
+						lnParamScalar(acc, dy, xh, lo, hi)
 					}
-					if j := bitsEqual(acc[cols+done:], entry[cols+done:]); j >= 0 {
-						t.Fatalf("LayerNormParamGradAcc %s: wrote shift column %d it handed back", what, done+j)
-					}
-					lnParamScalar(acc, dy, xh, done, lo, hi)
-					if j := bitsEqual(acc, wantAcc); j >= 0 {
+					if j := mismatch(acc, wantAcc); j >= 0 {
 						t.Fatalf("LayerNormParamGradAcc %s: element %d is %#x, want %#x", what, j, bitsOf(acc[j]), bitsOf(wantAcc[j]))
 					}
 					if bitsOf(buf[0]) != guard || bitsOf(buf[2*cols+1]) != guard {
@@ -166,37 +134,26 @@ func TestColumnAccumulationsMatchScalar(t *testing.T) {
 	})
 }
 
-// spanScalar is SpanAcc's definition over columns [j0, len(dst)), written
-// out again.
-func spanScalar[T float](dst, src []T, stride, base int, idx []int, n int, scale []float64, j0 int) {
+// spanScalar is SpanAcc's definition, written out again.
+func spanScalar[T float](dst, src []T, stride, base int, idx []int, n int, scale []float64) {
 	w := len(dst)
-	d := dst[j0:]
 	for k := 0; k < n; k++ {
 		r := base + k
 		if idx != nil {
 			r = base + idx[k]
 		}
-		row := src[r*stride+j0 : r*stride+w]
+		row := src[r*stride : r*stride+w]
 		if scale == nil {
 			for j, v := range row {
-				d[j] += v
+				dst[j] += v
 			}
 			continue
 		}
 		s := T(scale[k])
 		for j, v := range row {
-			d[j] += T(s * v)
+			dst[j] += T(s * v)
 		}
 	}
-}
-
-// spanPass is SpanAcc's pass width in columns of T.
-func spanPass[T float]() int {
-	var e T
-	if _, single := any(e).(float32); single {
-		return 2 * colPass()
-	}
-	return colPass()
 }
 
 func TestSpanAccMatchesScalar(t *testing.T) {
@@ -209,10 +166,9 @@ func TestSpanAccMatchesScalar(t *testing.T) {
 // rows stored alone (stride w) or as the middle third of wider rows
 // (stride 3w, as the edge-input gradient's sender third), contiguous or
 // indexed, with a scale or without, finite and with ±0, ±Inf and NaN
-// payloads planted in src, scale and dst. The kernel must finish exactly
-// the passes before the first whose result holds a NaN, leave the rest of
-// dst as it was, write nothing outside dst (guard words), and do nothing
-// where an index leaves src.
+// payloads planted in src, scale and dst. SpanAcc must do the span on
+// exactly the SIMD rungs (and an empty one on every rung), write nothing
+// outside dst (guard words), and do nothing where an index leaves src.
 func testSpanAcc[T float](t *testing.T) {
 	atEachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
@@ -251,22 +207,17 @@ func testSpanAcc[T float](t *testing.T) {
 								plant(rng, dst, 2*every)
 								entry := append([]T(nil), dst...)
 								want := append([]T(nil), dst...)
-								spanScalar(want, src[off:], stride, base, idx, n, scale, 0)
+								spanScalar(want, src[off:], stride, base, idx, n, scale)
 
 								what := fmt.Sprintf("w %d stride %d n %d indexed %v scaled %v plants 1/%d", w, stride, n, indexed, scaled, every)
-								done := SpanAcc(dst, src[off:], stride, base, idx, n, scale)
-								wantDone := passDone(spanPass[T](), firstNaN(want), w)
-								if n == 0 {
-									wantDone = w
+								did := SpanAcc(dst, src[off:], stride, base, idx, n, scale)
+								if did != (n == 0 || tier >= tierAVX2) {
+									t.Fatalf("%s on %v: did the span: %v", what, tier, did)
 								}
-								if done != wantDone {
-									t.Fatalf("%s: finished %d columns, want %d", what, done, wantDone)
+								if !did {
+									spanScalar(dst, src[off:], stride, base, idx, n, scale)
 								}
-								if j := bitsEqual(dst[done:], entry[done:]); j >= 0 {
-									t.Fatalf("%s: wrote column %d it handed back", what, done+j)
-								}
-								spanScalar(dst, src[off:], stride, base, idx, n, scale, done)
-								if j := bitsEqual(dst, want); j >= 0 {
+								if j := mismatch(dst, want); j >= 0 {
 									t.Fatalf("%s: column %d is %#x, want %#x", what, j, bitsOf(dst[j]), bitsOf(want[j]))
 								}
 								if bitsOf(buf[0]) != bitsOf(guard) || bitsOf(buf[w+1]) != bitsOf(guard) {
@@ -277,8 +228,8 @@ func testSpanAcc[T float](t *testing.T) {
 									bad := append([]int(nil), idx...)
 									bad[rng.Intn(n)] = nrows + rng.Intn(3)*1000
 									copy(dst, entry)
-									if done := SpanAcc(dst, src[off:], stride, base, bad, n, scale); done != 0 {
-										t.Fatalf("%s: finished %d columns over an index outside src", what, done)
+									if SpanAcc(dst, src[off:], stride, base, bad, n, scale) {
+										t.Fatalf("%s: did a span over an index outside src", what)
 									}
 									if j := bitsEqual(dst, entry); j >= 0 {
 										t.Fatalf("%s: wrote column %d over an index outside src", what, j)
@@ -295,9 +246,9 @@ func testSpanAcc[T float](t *testing.T) {
 
 // lnGradOneRow64 is the float64 LayerNorm input gradient's scalar
 // definition written out again, sharing no code with internal/nn: row out
-// from dy, the forward's xh and inv, and the gain; it also returns the
-// row's two sums.
-func lnGradOneRow64(out, dy, xh, gain []float64, inv float64) (sum1, sum2 float64) {
+// from dy, the forward's xh and inv, and the gain.
+func lnGradOneRow64(out, dy, xh, gain []float64, inv float64) {
+	var sum1, sum2 float64
 	for j := 0; j < len(dy); j++ {
 		d := float64(dy[j] * gain[j])
 		sum1 = sum1 + d
@@ -309,19 +260,17 @@ func lnGradOneRow64(out, dy, xh, gain []float64, inv float64) (sum1, sum2 float6
 		d := float64(dy[j] * gain[j])
 		out[j] = scale * (float64(n*d) - sum1 - float64(xh[j]*sum2))
 	}
-	return sum1, sum2
 }
 
 // TestLayerNormGradRowsMatchesOneRow holds LayerNormGradRows to the one-row
-// definition, bit for bit and on every rung: rows 1…40 (zero to five
-// groups of eight and every remainder) from an odd first row, every width
-// of backwardWidths, each case with one plant: none, a row of ±0, a
-// gradient so large that n·d overflows (∞ − ∞ inside the second pass), a
-// NaN or an infinity in dy, a NaN in the gain or xhat, an infinite invStd.
-// The call must do exactly the whole groups the rung allows — on avx512
-// up to the first group with a row whose sums or invStd are not finite,
-// none elsewhere — report whether it stopped there, and write nothing
-// else; finished as internal/nn finishes it, every row must be the
+// definition under the contract mismatch checks, on every rung: rows 1…40
+// (zero to five groups of eight and every remainder) from an odd first
+// row, every width of backwardWidths, each case with one plant: none, a
+// row of ±0, a gradient so large that n·d overflows (∞ − ∞ inside the
+// second pass), a NaN or an infinity in dy, a NaN in the gain or xhat, an
+// infinite invStd. The call must do exactly the whole groups the rung
+// allows — all of them on avx512, none elsewhere — and write nothing else;
+// finished as internal/nn finishes it, every row must be the
 // definition's.
 func TestLayerNormGradRowsMatchesOneRow(t *testing.T) {
 	negZero := math.Copysign(0, -1)
@@ -363,31 +312,12 @@ func TestLayerNormGradRowsMatchesOneRow(t *testing.T) {
 					inv[victim] = math.Inf(1)
 				}
 				want := New(total, cols)
-				finite := make([]bool, total)
 				for i := lo; i < hi; i++ {
-					s1, s2 := lnGradOneRow64(want.Row(i), dy.Row(i), xh.Row(i), gain, inv[i])
-					finite[i] = !math.IsInf(s1, 0) && !math.IsNaN(s1) && !math.IsInf(s2, 0) && !math.IsNaN(s2) &&
-						!math.IsInf(inv[i], 0) && !math.IsNaN(inv[i])
+					lnGradOneRow64(want.Row(i), dy.Row(i), xh.Row(i), gain, inv[i])
 				}
-				wantDone, wantStopped := lo, false
-				var wantScalar []int
-				for g := lo; g < hi; g += 8 {
-					ok := g+8 <= hi && tier == tierAVX512 && cols > 0
-					for i := g; ok && i < g+8; i++ {
-						ok = finite[i]
-					}
-					if !ok {
-						if g+8 <= hi && tier == tierAVX512 && !wantStopped && wantDone == g {
-							wantStopped = true
-						}
-						for i := g; i < min(g+8, hi); i++ {
-							wantScalar = append(wantScalar, i)
-						}
-						continue
-					}
-					if !wantStopped && wantDone == g {
-						wantDone = g + 8
-					}
+				wantDone := lo
+				if tier == tierAVX512 {
+					wantDone += (hi - lo) &^ 7
 				}
 				name := fmt.Sprintf("cols %d rows %d plant %q", cols, rows, what)
 
@@ -396,10 +326,9 @@ func TestLayerNormGradRowsMatchesOneRow(t *testing.T) {
 					got.Data[i] = math.Float64frombits(0x7ff4dead0000beef)
 				}
 				sentinel := append([]float64(nil), got.Data...)
-				done, stopped := LayerNormGradRows(got, dy, xh, inv, gain, lo, hi)
-				if done != wantDone || stopped != wantStopped {
-					t.Fatalf("%s: first call did rows [%d, %d), stopped %v; want [%d, %d), stopped %v",
-						name, lo, done, stopped, lo, wantDone, wantStopped)
+				done := LayerNormGradRows(got, dy, xh, inv, gain, lo, hi)
+				if done != wantDone {
+					t.Fatalf("%s: did rows [%d, %d), want [%d, %d)", name, lo, done, lo, wantDone)
 				}
 				if j := bitsEqual(got.Data[:lo*cols], sentinel[:lo*cols]); j >= 0 {
 					t.Fatalf("%s: wrote element %d before lo", name, j)
@@ -407,31 +336,15 @@ func TestLayerNormGradRowsMatchesOneRow(t *testing.T) {
 				if j := bitsEqual(got.Data[done*cols:], sentinel[done*cols:]); j >= 0 {
 					t.Fatalf("%s: wrote element %d past the rows it did", name, done*cols+j)
 				}
-				// Finish as internal/nn does: the handed-back group by the
-				// definition, then resume; the rest by the definition.
-				var scalar []int
-				finish := func(a, b int) {
-					for i := a; i < b; i++ {
-						lnGradOneRow64(got.Row(i), dy.Row(i), xh.Row(i), gain, inv[i])
-						scalar = append(scalar, i)
-					}
-				}
-				for d, s := done, stopped; ; {
-					if !s {
-						finish(d, hi)
-						break
-					}
-					finish(d, d+8)
-					d, s = LayerNormGradRows(got, dy, xh, inv, gain, d+8, hi)
-				}
-				if fmt.Sprint(scalar) != fmt.Sprint(wantScalar) {
-					t.Fatalf("%s: the kernel left rows %v, want %v", name, scalar, wantScalar)
+				// Finish as internal/nn does: the rest by the definition.
+				for i := done; i < hi; i++ {
+					lnGradOneRow64(got.Row(i), dy.Row(i), xh.Row(i), gain, inv[i])
 				}
 				if j := bitsEqual(got.Data[hi*cols:], sentinel[hi*cols:]); j >= 0 {
 					t.Fatalf("%s: wrote element %d past hi", name, hi*cols+j)
 				}
 				for i := lo; i < hi; i++ {
-					if j := bitsEqual(got.Row(i), want.Row(i)); j >= 0 {
+					if j := mismatch(got.Row(i), want.Row(i)); j >= 0 {
 						t.Fatalf("%s: row %d (victim %d) column %d is %#x, want %#x",
 							name, i, victim, j, bitsOf(got.Row(i)[j]), bitsOf(want.Row(i)[j]))
 					}
@@ -473,8 +386,7 @@ func BenchmarkColSumsAcc(b *testing.B) {
 }
 
 // BenchmarkLayerNormParamGradAcc times the LayerNorm gain/shift gradient
-// chunk (256 rows) the same way, the columns a rung leaves done by the
-// definition.
+// chunk (256 rows) the same way, by the definition where a rung leaves it.
 func BenchmarkLayerNormParamGradAcc(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
 	const rows = 256
@@ -482,8 +394,8 @@ func BenchmarkLayerNormParamGradAcc(b *testing.B) {
 		dy, xh, acc := randomMatrix(rng, rows, cols), randomMatrix(rng, rows, cols), make([]float64, 2*cols)
 		eachRung(b, cols, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if j := LayerNormParamGradAcc(acc, dy, xh, 0, rows); j < cols {
-					lnParamScalar(acc, dy, xh, j, 0, rows)
+				if !LayerNormParamGradAcc(acc, dy, xh, 0, rows) {
+					lnParamScalar(acc, dy, xh, 0, rows)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
@@ -504,8 +416,7 @@ func BenchmarkLayerNormGradRows(b *testing.B) {
 		}
 		eachRung(b, cols, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				k, _ := LayerNormGradRows(dx, dy, xh, inv, gain, 0, rows)
-				for ; k < rows; k++ {
+				for k := LayerNormGradRows(dx, dy, xh, inv, gain, 0, rows); k < rows; k++ {
 					lnGradOneRow64(dx.Row(k), dy.Row(k), xh.Row(k), gain, inv[k])
 				}
 			}
@@ -534,8 +445,8 @@ func benchSpanAcc[T float](b *testing.B) {
 		eachRung(b, w, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				clear(dst)
-				if j := SpanAcc(dst, src, w, 0, idx, n, scale); j < w {
-					spanScalar(dst, src, w, 0, idx, n, scale, j)
+				if !SpanAcc(dst, src, w, 0, idx, n, scale) {
+					spanScalar(dst, src, w, 0, idx, n, scale)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")

@@ -15,14 +15,9 @@
 // before its add — so no bit depends on the pass a column lands in. The
 // columns past the last whole vector take lanes of the pass's last vector
 // under a mask, whose loads never touch memory and whose stores leave the
-// rest alone.
-//
-// A pass STOPS, storing nothing, when a result it would store holds a NaN:
-// where two NaN operands meet, the payload x86 propagates depends on the
-// operand order, which the Go compiler picks for the scalar loop. NaN is
-// sticky under + and ·, so a NaN result is the only trace any NaN operand
-// — or an ∞ − ∞ on the way — can leave. Each kernel returns the number of
-// leading columns it finished; the caller's scalar loop does the rest.
+// rest alone. A lane is NaN exactly where its column's scalar chain is;
+// which NaN, where two meet, depends on an operand order and is not part
+// of the contract (pack.go), so the kernels finish every column.
 
 #include "textflag.h"
 
@@ -76,23 +71,11 @@ GLOBL colIota<>(SB), RODATA|NOPTR, $256
 	VADDPD    Z8, s, s; \
 	VADDPD    Z9, d, d
 
-// ZNAN sets K1 to the lanes of Z0…Z3 (and, in the dot passes, Z4…Z7) that
-// hold a NaN.
-#define ZNAN4(a, b, c, d) \
-	VCMPPD $3, a, a, K2; \
-	KORW   K2, K1, K1; \
-	VCMPPD $3, b, b, K2; \
-	KORW   K2, K1, K1; \
-	VCMPPD $3, c, c, K2; \
-	KORW   K2, K1, K1; \
-	VCMPPD $3, d, d, K2; \
-	KORW   K2, K1, K1
-
-// func colAcc64x8(rows, cols int64, a, b, sum, dot *float64) (done int64)
+// func colAcc64x8(rows, cols int64, a, b, sum, dot *float64)
 //
 // rows >= 1 rows of cols columns, contiguous in a (and b). b and dot are
 // both nil or both not.
-TEXT ·colAcc64x8(SB), NOSPLIT, $0-56
+TEXT ·colAcc64x8(SB), NOSPLIT, $0-48
 	MOVQ rows+0(FP), CX
 	MOVQ cols+8(FP), BX
 	MOVQ a+16(FP), SI
@@ -142,7 +125,7 @@ zsum4:
 	ADDQ R13, R10
 	DECQ R12
 	JNZ  zsum4
-	JMP  zsumcheck
+	JMP  zstore
 
 zsum3:
 	ZSUM(0, K4, Z0)
@@ -151,7 +134,7 @@ zsum3:
 	ADDQ R13, R10
 	DECQ R12
 	JNZ  zsum3
-	JMP  zsumcheck
+	JMP  zstore
 
 zsum2:
 	ZSUM(0, K4, Z0)
@@ -159,20 +142,14 @@ zsum2:
 	ADDQ R13, R10
 	DECQ R12
 	JNZ  zsum2
-	JMP  zsumcheck
+	JMP  zstore
 
 zsum1:
 	ZSUM(0, K4, Z0)
 	ADDQ R13, R10
 	DECQ R12
 	JNZ  zsum1
-
-zsumcheck:
-	KXORW    K1, K1, K1
-	ZNAN4(Z0, Z1, Z2, Z3)
-	KORTESTW K1, K1
-	JNZ      zdone
-	JMP      zstore
+	JMP  zstore
 
 zdotpass:
 	LEAQ      (R8)(AX*8), R15
@@ -197,7 +174,7 @@ zdot4:
 	ADDQ R13, R14
 	DECQ R12
 	JNZ  zdot4
-	JMP  zdotcheck
+	JMP  zdotstore
 
 zdot3:
 	ZDOT(0, K4, Z0, Z4)
@@ -207,7 +184,7 @@ zdot3:
 	ADDQ R13, R14
 	DECQ R12
 	JNZ  zdot3
-	JMP  zdotcheck
+	JMP  zdotstore
 
 zdot2:
 	ZDOT(0, K4, Z0, Z4)
@@ -216,7 +193,7 @@ zdot2:
 	ADDQ R13, R14
 	DECQ R12
 	JNZ  zdot2
-	JMP  zdotcheck
+	JMP  zdotstore
 
 zdot1:
 	ZDOT(0, K4, Z0, Z4)
@@ -225,16 +202,11 @@ zdot1:
 	DECQ R12
 	JNZ  zdot1
 
-zdotcheck:
-	KXORW    K1, K1, K1
-	ZNAN4(Z0, Z1, Z2, Z3)
-	ZNAN4(Z4, Z5, Z6, Z7)
-	KORTESTW K1, K1
-	JNZ      zdone
-	VMOVUPD  Z4, K4, (R15)
-	VMOVUPD  Z5, K5, 64(R15)
-	VMOVUPD  Z6, K6, 128(R15)
-	VMOVUPD  Z7, K7, 192(R15)
+zdotstore:
+	VMOVUPD Z4, K4, (R15)
+	VMOVUPD Z5, K5, 64(R15)
+	VMOVUPD Z6, K6, 128(R15)
+	VMOVUPD Z7, K7, 192(R15)
 
 zstore:
 	VMOVUPD Z0, K4, (R11)
@@ -246,7 +218,6 @@ zstore:
 
 zdone:
 	VZEROUPPER
-	MOVQ AX, done+48(FP)
 	RET
 
 // --- AVX2: four columns per ymm, up to 16 per pass ----------------------------
@@ -264,21 +235,10 @@ zdone:
 	VADDPD     Y8, s, s; \
 	VADDPD     Y9, d, d
 
-// YNAN4 ORs into Y10 the lanes of a…d that hold a NaN.
-#define YNAN4(a, b, c, d) \
-	VCMPPD $3, a, a, Y11; \
-	VORPD  Y11, Y10, Y10; \
-	VCMPPD $3, b, b, Y11; \
-	VORPD  Y11, Y10, Y10; \
-	VCMPPD $3, c, c, Y11; \
-	VORPD  Y11, Y10, Y10; \
-	VCMPPD $3, d, d, Y11; \
-	VORPD  Y11, Y10, Y10
-
-// func colAcc64(rows, cols int64, a, b, sum, dot *float64) (done int64)
+// func colAcc64(rows, cols int64, a, b, sum, dot *float64)
 //
 // colAcc64x8 on the avx2 rung.
-TEXT ·colAcc64(SB), NOSPLIT, $0-56
+TEXT ·colAcc64(SB), NOSPLIT, $0-48
 	MOVQ rows+0(FP), CX
 	MOVQ cols+8(FP), BX
 	MOVQ a+16(FP), SI
@@ -329,7 +289,7 @@ ysum4:
 	ADDQ R13, R10
 	DECQ R12
 	JNZ  ysum4
-	JMP  ysumcheck
+	JMP  ystore
 
 ysum3:
 	YSUM(0, Y12, Y0)
@@ -338,7 +298,7 @@ ysum3:
 	ADDQ R13, R10
 	DECQ R12
 	JNZ  ysum3
-	JMP  ysumcheck
+	JMP  ystore
 
 ysum2:
 	YSUM(0, Y12, Y0)
@@ -346,20 +306,14 @@ ysum2:
 	ADDQ R13, R10
 	DECQ R12
 	JNZ  ysum2
-	JMP  ysumcheck
+	JMP  ystore
 
 ysum1:
 	YSUM(0, Y12, Y0)
 	ADDQ R13, R10
 	DECQ R12
 	JNZ  ysum1
-
-ysumcheck:
-	VXORPD Y10, Y10, Y10
-	YNAN4(Y0, Y1, Y2, Y3)
-	VPTEST Y10, Y10
-	JNZ    ydone
-	JMP    ystore
+	JMP  ystore
 
 ydotpass:
 	LEAQ       (R8)(AX*8), R15
@@ -384,7 +338,7 @@ ydot4:
 	ADDQ R13, R14
 	DECQ R12
 	JNZ  ydot4
-	JMP  ydotcheck
+	JMP  ydotstore
 
 ydot3:
 	YDOT(0, Y12, Y0, Y4)
@@ -394,7 +348,7 @@ ydot3:
 	ADDQ R13, R14
 	DECQ R12
 	JNZ  ydot3
-	JMP  ydotcheck
+	JMP  ydotstore
 
 ydot2:
 	YDOT(0, Y12, Y0, Y4)
@@ -403,7 +357,7 @@ ydot2:
 	ADDQ R13, R14
 	DECQ R12
 	JNZ  ydot2
-	JMP  ydotcheck
+	JMP  ydotstore
 
 ydot1:
 	YDOT(0, Y12, Y0, Y4)
@@ -412,12 +366,7 @@ ydot1:
 	DECQ R12
 	JNZ  ydot1
 
-ydotcheck:
-	VXORPD     Y10, Y10, Y10
-	YNAN4(Y0, Y1, Y2, Y3)
-	YNAN4(Y4, Y5, Y6, Y7)
-	VPTEST     Y10, Y10
-	JNZ        ydone
+ydotstore:
 	VMASKMOVPD Y4, Y12, (R15)
 	VMASKMOVPD Y5, Y13, 32(R15)
 	VMASKMOVPD Y6, Y14, 64(R15)
@@ -433,7 +382,6 @@ ystore:
 
 ydone:
 	VZEROUPPER
-	MOVQ AX, done+48(FP)
 	RET
 
 // --- SpanAcc (span.go), both element types ---------------------------------
@@ -450,10 +398,9 @@ ydone:
 // lane performing its column's scalar sequence, the product rounded before
 // its add. The columns past the last whole vector take masked lanes.
 //
-// A pass stops, storing nothing, when a result it would store holds a NaN
-// (for the reason above), and at the first pass when an index is
-// not below rows; each kernel returns the number of leading columns it
-// finished.
+// A kernel returns the number of leading columns it finished: cols, or 0
+// when an index is not below rows, which its first pass meets before it
+// stores anything.
 
 
 // column numbers 0-63 (dwords), for the float32 lane masks
@@ -629,7 +576,7 @@ d8v4next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  d8v4
-	JMP  d8check
+	JMP  d8store
 
 d8v3:
 	SPANROW(d8v3row, d8done)
@@ -651,7 +598,7 @@ d8v3next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  d8v3
-	JMP  d8check
+	JMP  d8store
 
 d8v2:
 	SPANROW(d8v2row, d8done)
@@ -671,7 +618,7 @@ d8v2next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  d8v2
-	JMP  d8check
+	JMP  d8store
 
 d8v1:
 	SPANROW(d8v1row, d8done)
@@ -690,22 +637,13 @@ d8v1next:
 	CMPQ R12, CX
 	JLT  d8v1
 
-d8check:
-	VCMPPD   $3, Z0, Z0, K1
-	VCMPPD   $3, Z1, Z1, K2
-	KORW     K2, K1, K1
-	VCMPPD   $3, Z2, Z2, K2
-	KORW     K2, K1, K1
-	VCMPPD   $3, Z3, Z3, K2
-	KORW     K2, K1, K1
-	KORTESTW K1, K1
-	JNZ      d8done
-	VMOVUPD  Z0, K4, (R14)
-	VMOVUPD  Z1, K5, 64(R14)
-	VMOVUPD  Z2, K6, 128(R14)
-	VMOVUPD  Z3, K7, 192(R14)
-	ADDQ     R11, AX
-	JMP      d8pass
+d8store:
+	VMOVUPD Z0, K4, (R14)
+	VMOVUPD Z1, K5, 64(R14)
+	VMOVUPD Z2, K6, 128(R14)
+	VMOVUPD Z3, K7, 192(R14)
+	ADDQ    R11, AX
+	JMP     d8pass
 
 d8done:
 	VZEROUPPER
@@ -770,7 +708,7 @@ s16v4next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  s16v4
-	JMP  s16check
+	JMP  s16store
 
 s16v3:
 	SPANROW(s16v3row, s16done)
@@ -793,7 +731,7 @@ s16v3next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  s16v3
-	JMP  s16check
+	JMP  s16store
 
 s16v2:
 	SPANROW(s16v2row, s16done)
@@ -814,7 +752,7 @@ s16v2next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  s16v2
-	JMP  s16check
+	JMP  s16store
 
 s16v1:
 	SPANROW(s16v1row, s16done)
@@ -834,22 +772,13 @@ s16v1next:
 	CMPQ R12, CX
 	JLT  s16v1
 
-s16check:
-	VCMPPS   $3, Z0, Z0, K1
-	VCMPPS   $3, Z1, Z1, K2
-	KORW     K2, K1, K1
-	VCMPPS   $3, Z2, Z2, K2
-	KORW     K2, K1, K1
-	VCMPPS   $3, Z3, Z3, K2
-	KORW     K2, K1, K1
-	KORTESTW K1, K1
-	JNZ      s16done
-	VMOVUPS  Z0, K4, (R14)
-	VMOVUPS  Z1, K5, 64(R14)
-	VMOVUPS  Z2, K6, 128(R14)
-	VMOVUPS  Z3, K7, 192(R14)
-	ADDQ     R11, AX
-	JMP      s16pass
+s16store:
+	VMOVUPS Z0, K4, (R14)
+	VMOVUPS Z1, K5, 64(R14)
+	VMOVUPS Z2, K6, 128(R14)
+	VMOVUPS Z3, K7, 192(R14)
+	ADDQ    R11, AX
+	JMP     s16pass
 
 s16done:
 	VZEROUPPER
@@ -877,22 +806,6 @@ s16done:
 #define YADD32(off, m, acc) \
 	VMASKMOVPS off(R10), m, Y8; \
 	VADDPS     Y8, acc, acc
-
-// YSPANNAN sets Y10 to the NaN lanes of Y0…Y3 (cmp is VCMPPD or VCMPPS)
-// among the live ones: a dead lane's 0 times an infinite scale is a NaN
-// no column holds.
-#define YSPANNAN(cmp) \
-	cmp    $3, Y0, Y0, Y10; \
-	VANDPD Y12, Y10, Y10; \
-	cmp    $3, Y1, Y1, Y9; \
-	VANDPD Y13, Y9, Y9; \
-	VORPD  Y9, Y10, Y10; \
-	cmp    $3, Y2, Y2, Y9; \
-	VANDPD Y14, Y9, Y9; \
-	VORPD  Y9, Y10, Y10; \
-	cmp    $3, Y3, Y3, Y9; \
-	VANDPD Y15, Y9, Y9; \
-	VORPD  Y9, Y10, Y10
 
 // func spanAcc64(n, cols, stride, rows int64, src *float64, idx *int, scale, dst *float64) (done int64)
 //
@@ -951,7 +864,7 @@ d4v4next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  d4v4
-	JMP  d4check
+	JMP  d4store
 
 d4v3:
 	SPANROW(d4v3row, d4done)
@@ -973,7 +886,7 @@ d4v3next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  d4v3
-	JMP  d4check
+	JMP  d4store
 
 d4v2:
 	SPANROW(d4v2row, d4done)
@@ -993,7 +906,7 @@ d4v2next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  d4v2
-	JMP  d4check
+	JMP  d4store
 
 d4v1:
 	SPANROW(d4v1row, d4done)
@@ -1012,10 +925,7 @@ d4v1next:
 	CMPQ R12, CX
 	JLT  d4v1
 
-d4check:
-	YSPANNAN(VCMPPD)
-	VPTEST     Y10, Y10
-	JNZ        d4done
+d4store:
 	VMASKMOVPD Y0, Y12, (R14)
 	VMASKMOVPD Y1, Y13, 32(R14)
 	VMASKMOVPD Y2, Y14, 64(R14)
@@ -1086,7 +996,7 @@ s8v4next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  s8v4
-	JMP  s8check
+	JMP  s8store
 
 s8v3:
 	SPANROW(s8v3row, s8done)
@@ -1109,7 +1019,7 @@ s8v3next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  s8v3
-	JMP  s8check
+	JMP  s8store
 
 s8v2:
 	SPANROW(s8v2row, s8done)
@@ -1130,7 +1040,7 @@ s8v2next:
 	INCQ R12
 	CMPQ R12, CX
 	JLT  s8v2
-	JMP  s8check
+	JMP  s8store
 
 s8v1:
 	SPANROW(s8v1row, s8done)
@@ -1150,10 +1060,7 @@ s8v1next:
 	CMPQ R12, CX
 	JLT  s8v1
 
-s8check:
-	YSPANNAN(VCMPPS)
-	VPTEST     Y10, Y10
-	JNZ        s8done
+s8store:
 	VMASKMOVPS Y0, Y12, (R14)
 	VMASKMOVPS Y1, Y13, 32(R14)
 	VMASKMOVPS Y2, Y14, 64(R14)

@@ -281,59 +281,43 @@ zdone:
 	VZEROUPPER
 	RET
 
-// func addBlock32(n int64, dst, v *float32) (done int64)
+// func addBlock32(n int64, dst, v *float32)
 //
 // dst[i] += v[i], eight lanes at a time: the float32 twin of addBlock64
-// (elu64_amd64.s) on the same contract. n is a positive multiple of 8; it
-// stops at a block where dst or v is NaN, because with two NaN operands
-// the payload x86 propagates depends on the operand order, which the Go
-// compiler picks for the scalar loop.
-TEXT ·addBlock32(SB), NOSPLIT, $0-32
+// (elu64_amd64.s) on the same contract. n is a positive multiple of 8.
+TEXT ·addBlock32(SB), NOSPLIT, $0-24
 	MOVQ n+0(FP), CX
 	MOVQ dst+8(FP), DI
 	MOVQ v+16(FP), SI
 	XORQ AX, AX
 
 add32:
-	VMOVUPS   (DI)(AX*4), Y0
-	VMOVUPS   (SI)(AX*4), Y1
-	VCMPPS    $3, Y1, Y0, Y2
-	VMOVMSKPS Y2, DX
-	TESTQ     DX, DX
-	JNZ       add32done
-	VADDPS    Y1, Y0, Y0
-	VMOVUPS   Y0, (DI)(AX*4)
-	ADDQ      $8, AX
-	SUBQ      $8, CX
-	JNZ       add32
+	VMOVUPS (DI)(AX*4), Y0
+	VADDPS  (SI)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	SUBQ    $8, CX
+	JNZ     add32
 
-add32done:
 	VZEROUPPER
-	MOVQ AX, done+24(FP)
 	RET
 
-// func addBlock32x16(n int64, dst, v *float32) (done int64)
+// func addBlock32x16(n int64, dst, v *float32)
 //
 // addBlock32 on sixteen zmm lanes; n is a positive multiple of 16.
-TEXT ·addBlock32x16(SB), NOSPLIT, $0-32
+TEXT ·addBlock32x16(SB), NOSPLIT, $0-24
 	MOVQ n+0(FP), CX
 	MOVQ dst+8(FP), DI
 	MOVQ v+16(FP), SI
 	XORQ AX, AX
 
 add32x16:
-	VMOVUPS  (DI)(AX*4), Z0
-	VMOVUPS  (SI)(AX*4), Z1
-	VCMPPS   $3, Z1, Z0, K1
-	KORTESTW K1, K1
-	JNZ      add32x16done
-	VADDPS   Z1, Z0, Z0
-	VMOVUPS  Z0, (DI)(AX*4)
-	ADDQ     $16, AX
-	SUBQ     $16, CX
-	JNZ      add32x16
+	VMOVUPS (DI)(AX*4), Z0
+	VADDPS  (SI)(AX*4), Z0, Z0
+	VMOVUPS Z0, (DI)(AX*4)
+	ADDQ    $16, AX
+	SUBQ    $16, CX
+	JNZ     add32x16
 
-add32x16done:
 	VZEROUPPER
-	MOVQ AX, done+24(FP)
 	RET

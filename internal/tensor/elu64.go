@@ -18,9 +18,8 @@ import "math"
 // the last partial vector through masked lanes. Every input is theirs —
 // NaN and ±Inf included — so EluRange is one kernel call per range.
 //
-// The ELU′ and add kernels are plain IEEE adds and multiplies; they stop
-// at a block holding a NaN operand (whose payload x86 would propagate in
-// an order the Go compiler picks) and the scalar loop does that block.
+// The ELU′ and add kernels are plain IEEE adds and multiplies over the
+// leading whole vectors of a range, the scalar loop doing the rest.
 
 // The constants of Elu; elu64_amd64.s holds the same bits.
 const (
@@ -92,15 +91,6 @@ var tierLanes = [...]int{tierGo: 0, tierAVX2: 4, tierAVX512: 8}
 // vecLanes is the block width of the add and ELU′ kernels.
 func vecLanes() int { return tierLanes[tier] }
 
-// eluGradBlock is the ELU′ kernel by block width w (4 or 8); n is a
-// multiple of w.
-func eluGradBlock(w int, n int64, y, dy, dx *float64) int64 {
-	if w == 8 {
-		return eluGradBlock64x8(n, y, dy, dx)
-	}
-	return eluGradBlock64(n, y, dy, dx)
-}
-
 // EluRange writes y[i] = Elu(x[i]) for i in [lo, hi). x and y may alias.
 func EluRange(y, x []float64, lo, hi int) {
 	if hi <= lo {
@@ -125,13 +115,13 @@ func EluRange(y, x []float64, lo, hi int) {
 // d/dx (e^x - 1) = e^x = y + 1. dx and g may alias.
 func EluGradRange(dx, g, y []float64, lo, hi int) {
 	i := lo
-	if w := vecLanes(); w > 0 {
-		for hi-i >= w {
-			i += int(eluGradBlock(w, int64((hi-i)&^(w-1)), &y[i], &g[i], &dx[i]))
-			if hi-i >= w {
-				eluGradScalar(dx, g, y, i, i+w)
-				i += w
-			}
+	if w := vecLanes(); w > 0 && hi-lo >= w {
+		i += (hi - lo) &^ (w - 1)
+		_, _, _ = y[i-1], g[i-1], dx[i-1] // the kernels read and write up to i unchecked
+		if n := int64(i - lo); w == 8 {
+			eluGradBlock64x8(n, &y[lo], &g[lo], &dx[lo])
+		} else {
+			eluGradBlock64(n, &y[lo], &g[lo], &dx[lo])
 		}
 	}
 	eluGradScalar(dx, g, y, i, hi)

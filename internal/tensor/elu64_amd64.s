@@ -4,12 +4,10 @@
 //
 // The ELU kernels replay Elu (elu64.go) and take any n >= 1: every input
 // is theirs, the elements past the last whole vector through masked
-// lanes. The ELU′ and add kernels share another contract: n is a positive
-// multiple of the lane count, the kernel walks lane-wide blocks from the
-// front, and it STOPS at the first block whose scalar result it cannot
-// reproduce bit for bit (a NaN operand), returning the number of elements
-// it finished. The Go caller does that block with the scalar loop and
-// re-enters.
+// lanes. The ELU′ and add kernels take n a positive multiple of the lane
+// count and leave the rest to the Go caller's scalar loop; each lane is
+// the scalar's operations, so its bits are the scalar's, and its NaNs,
+// though where two NaN operands meet not always the same NaN.
 
 #include "textflag.h"
 
@@ -273,13 +271,11 @@ ydone:
 	VZEROUPPER
 	RET
 
-// func eluGradBlock64(n int64, y, dy, dx *float64) (done int64)
+// func eluGradBlock64(n int64, y, dy, dx *float64)
 //
 // dx[i] = y[i] > 0 ? dy[i] : dy[i]*(y[i]+1): one VADDPD, one VMULPD, one
-// blend, each the scalar's operation. Stops at a block where y or dy is
-// NaN: with two NaN operands the payload x86 propagates depends on the
-// operand order, which the Go compiler picks for the scalar loop.
-TEXT ·eluGradBlock64(SB), NOSPLIT, $0-40
+// blend, each the scalar's operation.
+TEXT ·eluGradBlock64(SB), NOSPLIT, $0-32
 	MOVQ n+0(FP), CX
 	MOVQ y+8(FP), SI
 	MOVQ dy+16(FP), BX
@@ -292,10 +288,6 @@ TEXT ·eluGradBlock64(SB), NOSPLIT, $0-40
 grad4:
 	VMOVUPD   (SI)(AX*8), Y0
 	VMOVUPD   (BX)(AX*8), Y1
-	VCMPPD    $3, Y1, Y0, Y2 // unordered: either is NaN
-	VMOVMSKPD Y2, DX
-	TESTQ     DX, DX
-	JNZ       graddone
 	VADDPD    Y13, Y0, Y2
 	VMULPD    Y2, Y1, Y2
 	VCMPPD    $0x1e, Y12, Y0, Y3 // y > 0
@@ -305,37 +297,27 @@ grad4:
 	SUBQ      $4, CX
 	JNZ       grad4
 
-graddone:
 	VZEROUPPER
-	MOVQ AX, done+32(FP)
 	RET
 
-// func addBlock64(n int64, dst, v *float64) (done int64)
+// func addBlock64(n int64, dst, v *float64)
 //
-// dst[i] += v[i]. Stops at a block where dst or v is NaN, for the
-// reason given at eluGradBlock64.
-TEXT ·addBlock64(SB), NOSPLIT, $0-32
+// dst[i] += v[i].
+TEXT ·addBlock64(SB), NOSPLIT, $0-24
 	MOVQ n+0(FP), CX
 	MOVQ dst+8(FP), DI
 	MOVQ v+16(FP), SI
 	XORQ AX, AX
 
 add4:
-	VMOVUPD   (DI)(AX*8), Y0
-	VMOVUPD   (SI)(AX*8), Y1
-	VCMPPD    $3, Y1, Y0, Y2
-	VMOVMSKPD Y2, DX
-	TESTQ     DX, DX
-	JNZ       adddone
-	VADDPD    Y1, Y0, Y0
-	VMOVUPD   Y0, (DI)(AX*8)
-	ADDQ      $4, AX
-	SUBQ      $4, CX
-	JNZ       add4
+	VMOVUPD (DI)(AX*8), Y0
+	VADDPD  (SI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	SUBQ    $4, CX
+	JNZ     add4
 
-adddone:
 	VZEROUPPER
-	MOVQ AX, done+24(FP)
 	RET
 
 // --- AVX-512F: the same three maps on eight lanes --------------------------
@@ -544,8 +526,8 @@ zdone:
 	VZEROUPPER
 	RET
 
-// func eluGradBlock64x8(n int64, y, dy, dx *float64) (done int64)
-TEXT ·eluGradBlock64x8(SB), NOSPLIT, $0-40
+// func eluGradBlock64x8(n int64, y, dy, dx *float64)
+TEXT ·eluGradBlock64x8(SB), NOSPLIT, $0-32
 	MOVQ n+0(FP), CX
 	MOVQ y+8(FP), SI
 	MOVQ dy+16(FP), BX
@@ -558,9 +540,6 @@ TEXT ·eluGradBlock64x8(SB), NOSPLIT, $0-40
 gradx8:
 	VMOVUPD   (SI)(AX*8), Z0
 	VMOVUPD   (BX)(AX*8), Z1
-	VCMPPD    $3, Z1, Z0, K1 // unordered: either is NaN
-	KORTESTW  K1, K1
-	JNZ       gradxdone
 	VADDPD    Z28, Z0, Z2
 	VMULPD    Z2, Z1, Z2
 	VCMPPD    $0x1e, Z16, Z0, K2 // y > 0
@@ -570,31 +549,23 @@ gradx8:
 	SUBQ      $8, CX
 	JNZ       gradx8
 
-gradxdone:
 	VZEROUPPER
-	MOVQ AX, done+32(FP)
 	RET
 
-// func addBlock64x8(n int64, dst, v *float64) (done int64)
-TEXT ·addBlock64x8(SB), NOSPLIT, $0-32
+// func addBlock64x8(n int64, dst, v *float64)
+TEXT ·addBlock64x8(SB), NOSPLIT, $0-24
 	MOVQ n+0(FP), CX
 	MOVQ dst+8(FP), DI
 	MOVQ v+16(FP), SI
 	XORQ AX, AX
 
 addx8:
-	VMOVUPD  (DI)(AX*8), Z0
-	VMOVUPD  (SI)(AX*8), Z1
-	VCMPPD   $3, Z1, Z0, K1
-	KORTESTW K1, K1
-	JNZ      addxdone
-	VADDPD   Z1, Z0, Z0
-	VMOVUPD  Z0, (DI)(AX*8)
-	ADDQ     $8, AX
-	SUBQ     $8, CX
-	JNZ      addx8
+	VMOVUPD (DI)(AX*8), Z0
+	VADDPD  (SI)(AX*8), Z0, Z0
+	VMOVUPD Z0, (DI)(AX*8)
+	ADDQ    $8, AX
+	SUBQ    $8, CX
+	JNZ     addx8
 
-addxdone:
 	VZEROUPPER
-	MOVQ AX, done+24(FP)
 	RET

@@ -17,7 +17,7 @@ import (
 type packedMM32Task struct {
 	dst, a *Matrix32
 	pb     *PackedB32
-	bias   Checked[float32]
+	bias   []float32
 }
 
 func (t *packedMM32Task) Run(lo, hi int) {
@@ -26,9 +26,9 @@ func (t *packedMM32Task) Run(lo, hi int) {
 	if pb.N%packNR32 != 0 {
 		t.scalarTail(lo, hi)
 	}
-	if t.bias.v != nil && fused < pb.N {
+	if t.bias != nil && fused < pb.N {
 		for i := lo; i < hi; i++ {
-			addScalar32(t.dst.Row(i), t.bias.v, fused, pb.N)
+			addScalar32(t.dst.Row(i), t.bias, fused, pb.N)
 		}
 	}
 }
@@ -76,18 +76,18 @@ func matMul32Packed(dst, a *Matrix32, pb *PackedB32) {
 // ShouldPack32 reported true at pack time. dst and a are indexed by the
 // same row numbers and may be row-block headers.
 func MatMul32PackedRows(dst, a *Matrix32, pb *PackedB32, lo, hi int) {
-	MatMul32PackedBiasRows(dst, a, pb, Checked[float32]{}, lo, hi)
+	MatMul32PackedBiasRows(dst, a, pb, nil, lo, hi)
 }
 
 // MatMul32PackedBiasRows computes rows [lo, hi) of dst = a·B + bias, the
 // float32 linear layer in one pass: bitwise MatMul32PackedRows followed by
-// AddRowVector32Rows(dst, bias.Data(), lo, hi), with the add done on the
-// tile while it is still in registers (see MatMulPackedBiasRows). An empty
-// bias adds nothing.
-func MatMul32PackedBiasRows(dst, a *Matrix32, pb *PackedB32, bias Checked[float32], lo, hi int) {
-	if a.Cols != pb.K || dst.Cols != pb.N || (bias.v != nil && len(bias.v) != pb.N) {
+// AddRowVector32Rows(dst, bias, lo, hi), with the add done on the tile
+// while it is still in registers (see MatMulPackedBiasRows). A nil bias
+// adds nothing.
+func MatMul32PackedBiasRows(dst, a *Matrix32, pb *PackedB32, bias []float32, lo, hi int) {
+	if a.Cols != pb.K || dst.Cols != pb.N || (bias != nil && len(bias) != pb.N) {
 		panic(fmt.Sprintf("tensor: MatMul32PackedRows shape mismatch (%dx%d)·packed(%dx%d)+bias(%d)->(%dx%d)",
-			a.Rows, a.Cols, pb.K, pb.N, len(bias.v), dst.Rows, dst.Cols))
+			a.Rows, a.Cols, pb.K, pb.N, len(bias), dst.Rows, dst.Cols))
 	}
 	if tier < tierAVX2 {
 		panic("tensor: MatMul32PackedRows requires the SIMD kernel tier")

@@ -36,7 +36,7 @@ func ncPanels(kcLen, bytesPerK int) int {
 type packedMMTask struct {
 	dst, a *Matrix
 	pb     *PackedB
-	bias   Checked[float64]
+	bias   []float64
 }
 
 func (t *packedMMTask) Run(lo, hi int) {
@@ -49,9 +49,9 @@ func (t *packedMMTask) Run(lo, hi int) {
 	if t.pb.N%t.pb.NR != 0 {
 		t.scalarTail(lo, hi)
 	}
-	if t.bias.v != nil && fused < t.pb.N {
+	if t.bias != nil && fused < t.pb.N {
 		for i := lo; i < hi; i++ {
-			addScalar(t.dst.Row(i), t.bias.v, fused, t.pb.N)
+			addScalar(t.dst.Row(i), t.bias, fused, t.pb.N)
 		}
 	}
 }
@@ -151,53 +151,17 @@ func (g *tileGrid[T]) tile(h, r, p int) {
 	}
 }
 
-// hasNaN reports whether v holds a NaN: what keeps a bias, a gain or a
-// shift out of the vector kernels, whose single add or multiply could then
-// meet two NaN operands.
-func hasNaN[T float](v []T) bool {
-	for _, x := range v {
-		if x != x {
-			return true
-		}
-	}
-	return false
-}
-
-// Checked is a parameter vector — a bias, a LayerNorm gain or shift — with
-// its NaN scan (hasNaN) done once, when it is made, which is what a vector
-// kernel must know before it takes the vector. A compiled layer's
-// parameters never change, so it checks them at compile; a training layer,
-// whose parameters move every step, checks per call. The zero value is the
-// empty vector: no bias.
-type Checked[T float] struct {
-	v   []T
-	nan bool
-}
-
-// Check scans v for NaN.
-func Check[T float](v []T) Checked[T] { return Checked[T]{v: v, nan: hasNaN(v)} }
-
-// Data is the vector itself.
-func (c Checked[T]) Data() []T { return c.v }
-
 // sweepPacked computes rows [lo, hi) of the full panels of c = a·B (+
 // bias) from k-major packed panels (K × lanes each, N/lanes of them): the
 // FMA tiles swept Kc block by Kc block and, within one, panel group by
 // panel group — the one driver loop of MatMul, MatMulABT and MatMul32. The
-// bias rides the last Kc block as the tiles' epilogue unless it holds a
-// NaN: then the single add could meet two NaN operands, where the payload
-// x86 keeps depends on the operand order, so the tiles store the plain
-// sums and the caller adds with the scalar loop, as AddRowVectorRows
-// would. Returns how many leading columns got their bias here; the N mod
-// lanes tail columns are the caller's.
-func sweepPacked[T float](c []T, ldc int, a []T, lda int, panels []T, k, n int, checked Checked[T], lo, hi int) (fused int) {
+// bias rides the last Kc block as the tiles' epilogue. Returns how many
+// leading columns got their bias here; the N mod lanes tail columns, and
+// every column where K is 0, are the caller's.
+func sweepPacked[T float](c []T, ldc int, a []T, lda int, panels []T, k, n int, bias []T, lo, hi int) (fused int) {
 	var e T
 	lanes := panelBytes / int(unsafe.Sizeof(e))
 	np := n / lanes
-	bias := checked.v
-	if checked.nan {
-		bias = nil
-	}
 	if np == 0 || lo >= hi {
 		return 0
 	}
@@ -384,18 +348,18 @@ func matMulPacked(dst, a, b *Matrix) {
 // it still runs the packed kernels (the caller opted in by packing). dst
 // and a are indexed by the same row numbers and may be row-block headers.
 func MatMulPackedRows(dst, a *Matrix, pb *PackedB, lo, hi int) {
-	MatMulPackedBiasRows(dst, a, pb, Checked[float64]{}, lo, hi)
+	MatMulPackedBiasRows(dst, a, pb, nil, lo, hi)
 }
 
 // MatMulPackedBiasRows computes rows [lo, hi) of dst = a·B + bias, the
 // linear layer in one pass: bitwise MatMulPackedRows followed by
-// AddRowVectorRows(dst, bias.Data(), lo, hi) — each element is the finished
-// sum plus its column's bias, rounded once — with the add done on the tile
-// while it is still in registers. An empty bias adds nothing.
-func MatMulPackedBiasRows(dst, a *Matrix, pb *PackedB, bias Checked[float64], lo, hi int) {
-	if a.Cols != pb.K || dst.Cols != pb.N || (bias.v != nil && len(bias.v) != pb.N) {
+// AddRowVectorRows(dst, bias, lo, hi) — each element is the finished sum
+// plus its column's bias, rounded once — with the add done on the tile
+// while it is still in registers. A nil bias adds nothing.
+func MatMulPackedBiasRows(dst, a *Matrix, pb *PackedB, bias []float64, lo, hi int) {
+	if a.Cols != pb.K || dst.Cols != pb.N || (bias != nil && len(bias) != pb.N) {
 		panic(fmt.Sprintf("tensor: MatMulPackedRows shape mismatch (%dx%d)·packed(%dx%d)+bias(%d)->(%dx%d)",
-			a.Rows, a.Cols, pb.K, pb.N, len(bias.v), dst.Rows, dst.Cols))
+			a.Rows, a.Cols, pb.K, pb.N, len(bias), dst.Rows, dst.Cols))
 	}
 	if pb.NR != packNR() {
 		panic(fmt.Sprintf("tensor: MatMulPackedRows panel width %d, kernel tier wants %d (re-pack after a tier change)",

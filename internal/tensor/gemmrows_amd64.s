@@ -16,15 +16,12 @@
 //	acc = acc + bias                            (bias != nil)
 //
 // A skipped group is not the same as adding 0·b: 0·Inf is a NaN. Every
-// step is a correctly rounded IEEE operation, and without NaN operands
-// x + y and x·y do not depend on the order of their operands, so a column
-// gets the scalar's bits whatever block or rung computes it. Where two
-// NaNs meet, x86 keeps the first operand's payload and the Go compiler
-// picks the scalar loop's order, so the kernels STOP at the first row
-// whose result holds a NaN and return the number of rows finished; the Go
-// caller recomputes that row with the scalar loops and re-enters. Columns
-// past the last full block take masked lanes, whose loads never leave b,
-// the bias or c.
+// step is a correctly rounded IEEE operation, and x + y and x·y do not
+// depend on the order of their operands except in which NaN payload
+// survives, so a column gets the scalar's bits, and its NaNs where the
+// scalar has them, whatever block or rung computes it; the kernels run
+// every row. Columns past the last full block take masked lanes, whose
+// loads never leave b, the bias or c.
 //
 // Both kernels: a is rows×k, b is k×n, c is rows×n, all row-major and
 // dense; bias is nil or n values; n ≥ 1, k ≥ 1.
@@ -80,7 +77,7 @@ GLOBL gemmLaneMask<>(SB), RODATA|NOPTR, $128
 	JGE   full; \
 	KMOVW K2, K3
 
-// func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) (done int64)
+// func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64)
 //
 // avx512: a block is one zmm under the opmask K3 — K1 (all eight lanes)
 // for a full block, K2 (the n mod 8 lanes) for the last, partial one.
@@ -90,11 +87,12 @@ GLOBL gemmLaneMask<>(SB), RODATA|NOPTR, $128
 // loop. A pair adds every group and every single k, zeros included. That
 // changes no bit: with b finite there, a zero group's t is ±0, and acc + ±0
 // is acc, since acc starts at +0 and so is never −0. With an Inf or a NaN
-// of b there, 0·b is a NaN, and a pair whose result holds a NaN is done
-// again by the one-row loop, which skips zeros as the scalar loop does,
-// and stops at a NaN that is the scalar's too. An odd last row takes the
-// one-row loop as well.
-TEXT ·gemmRows64x8(SB), NOSPLIT, $0-64
+// of b there, 0·b is a NaN the scalar loop never computes, so a pair whose
+// result holds a NaN in a live lane is done again, row i alone, by the
+// one-row loop, which skips zeros as the scalar loop does: the one NaN
+// test left in the kernels, and it keeps where the NaNs are, not which.
+// An odd last row takes the one-row loop as well.
+TEXT ·gemmRows64x8(SB), NOSPLIT, $0-56
 	MOVQ rows+0(FP), R8
 	MOVQ k+8(FP), R9
 	MOVQ n+16(FP), R10
@@ -182,7 +180,7 @@ zpbias:
 	VADDPD    Z2, Z1, Z1
 
 zpstore:
-	VCMPPD   $3, Z0, Z0, K3, K4 // a NaN in a live lane
+	VCMPPD   $3, Z0, Z0, K3, K4 // a NaN in a live lane: maybe a 0·b
 	VCMPPD   $3, Z1, Z1, K3, K5
 	KORTESTW K4, K5
 	JNZ      zrow               // row i alone
@@ -261,13 +259,10 @@ zbias:
 	VADDPD    Z2, Z0, Z0
 
 zstore:
-	VCMPPD   $3, Z0, Z0, K3, K4
-	KORTESTW K4, K4
-	JNZ      zdone
-	VMOVUPD  Z0, K3, (DI)(CX*1)
-	ADDQ     $64, CX
-	CMPQ     CX, R10
-	JLT      zblock
+	VMOVUPD Z0, K3, (DI)(CX*1)
+	ADDQ    $64, CX
+	CMPQ    CX, R10
+	JLT     zblock
 
 	ADDQ R10, DI
 	LEAQ (SI)(R9*8), SI
@@ -276,9 +271,6 @@ zstore:
 
 zdone:
 	VZEROUPPER
-	MOVQ rows+0(FP), AX
-	SUBQ R8, AX
-	MOVQ AX, done+56(FP)
 	RET
 
 // avx2: a block is Y0 (columns 0-3) and Y1 (columns 4-7). YMUL and YMULM
@@ -321,20 +313,11 @@ zdone:
 	VADDPD       Y2, Y0, Y0; \
 	VADDPD       Y3, Y1, Y1
 
-// YNAN sets R14 non-zero when Y0:Y1 hold a NaN in a lane of mlo:mhi.
-#define YNAN(mlo, mhi) \
-	VCMPPD    $3, Y0, Y0, Y2; \
-	VCMPPD    $3, Y1, Y1, Y3; \
-	VANDPD    mlo, Y2, Y2; \
-	VANDPD    mhi, Y3, Y3; \
-	VORPD     Y3, Y2, Y2; \
-	VMOVMSKPD Y2, R14
-
-// func gemmRows64(rows, k, n int64, a, b, c, bias *float64) (done int64)
+// func gemmRows64(rows, k, n int64, a, b, c, bias *float64)
 //
 // avx2. Full blocks take unmasked loads and stores; the last, partial
 // block (n mod 8 columns) has its own copy of the loops, with VMASKMOVPD.
-TEXT ·gemmRows64(SB), NOSPLIT, $0-64
+TEXT ·gemmRows64(SB), NOSPLIT, $0-56
 	MOVQ rows+0(FP), R8
 	MOVQ k+8(FP), R9
 	MOVQ n+16(FP), R10
@@ -350,7 +333,6 @@ TEXT ·gemmRows64(SB), NOSPLIT, $0-64
 	LEAQ    gemmLaneMask<>(SB), R13
 	VMOVUPD (R13)(R14*8), Y13
 	VMOVUPD 32(R13)(R14*8), Y14
-	VPCMPEQQ Y12, Y12, Y12 // all lanes, for a full block's NaN test
 	SHLQ    $3, R10
 	VXORPD  Y15, Y15, Y15
 
@@ -404,9 +386,6 @@ ybias:
 	VADDPD 32(DX)(CX*1), Y1, Y1
 
 ystore:
-	YNAN(Y12, Y12)
-	TESTL   R14, R14
-	JNZ     ydone
 	VMOVUPD Y0, (DI)(CX*1)
 	VMOVUPD Y1, 32(DI)(CX*1)
 	ADDQ    $64, CX
@@ -453,9 +432,6 @@ ymbias:
 	VADDPD     Y3, Y1, Y1
 
 ymstore:
-	YNAN(Y13, Y14)
-	TESTL      R14, R14
-	JNZ        ydone
 	VMASKMOVPD Y0, Y13, (DI)(CX*1)
 	VMASKMOVPD Y1, Y14, 32(DI)(CX*1)
 
@@ -467,9 +443,6 @@ ynext:
 
 ydone:
 	VZEROUPPER
-	MOVQ rows+0(FP), AX
-	SUBQ R8, AX
-	MOVQ AX, done+56(FP)
 	RET
 
 // The weight gradient's chunk body under the packed tier's threshold
@@ -486,11 +459,8 @@ ydone:
 //	per remaining row, unless x[r][i] == ±0:
 //	    acc = acc + x·dy
 //
-// A block whose result holds a NaN is not stored: the kernel stops there
-// and returns how many leading elements of acc (row-major) it finished,
-// and the Go caller redoes the chunk with the scalar loop from the entry
-// acc it saved. x is rows×in, dy rows×n, acc in×n, all row-major and
-// dense; rows, in, n ≥ 1.
+// x is rows×in, dy rows×n, acc in×n, all row-major and dense; rows, in,
+// n ≥ 1.
 //
 // Register use: R8 rows of acc left, R9 rows, R10 n·8, AX in·8, DX 3·in·8,
 // SI column i of x, DI row i of acc, BX dy, CX the block's byte offset,
@@ -507,14 +477,14 @@ ydone:
 	SHLQ $1, R14; \
 	JZ   skip
 
-// func gemmATB64(rows, in, n int64, x, dy, acc *float64) (done int64)
+// func gemmATB64(rows, in, n int64, x, dy, acc *float64)
 //
 // One row of acc at a time, as gemmRows64: full blocks take unmasked loads
 // and stores, the last, partial block the lane masks Y13:Y14. Both rungs
 // run this one: on a 2-vCPU AVX-512F Xeon guest a zmm twin that paired
 // rows ran a 64 × 24 · 64 × 8 chunk 1.8 times as fast, and the train_halo
 // benchmark no faster (7 of 10 pairs, +0.7 %).
-TEXT ·gemmATB64(SB), NOSPLIT, $0-56
+TEXT ·gemmATB64(SB), NOSPLIT, $0-48
 	MOVQ rows+0(FP), R9
 	MOVQ in+8(FP), R8
 	MOVQ n+16(FP), R10
@@ -529,7 +499,6 @@ TEXT ·gemmATB64(SB), NOSPLIT, $0-56
 	LEAQ     gemmLaneMask<>(SB), R13
 	VMOVUPD  (R13)(R14*8), Y13
 	VMOVUPD  32(R13)(R14*8), Y14
-	VPCMPEQQ Y12, Y12, Y12
 	MOVQ     R8, AX
 	SHLQ     $3, AX
 	LEAQ     (AX)(AX*2), DX
@@ -579,9 +548,6 @@ boneskip:
 	JNZ  bone
 
 bstore:
-	YNAN(Y12, Y12)
-	TESTL   R14, R14
-	JNZ     bdone
 	VMOVUPD Y0, (DI)(CX*1)
 	VMOVUPD Y1, 32(DI)(CX*1)
 	ADDQ    $64, CX
@@ -622,9 +588,6 @@ bmoneskip:
 	JNZ  bmone
 
 bmstore:
-	YNAN(Y13, Y14)
-	TESTL      R14, R14
-	JNZ        bdone
 	VMASKMOVPD Y0, Y13, (DI)(CX*1)
 	VMASKMOVPD Y1, Y14, 32(DI)(CX*1)
 
@@ -636,10 +599,4 @@ bnext:
 
 bdone:
 	VZEROUPPER
-	MOVQ  in+8(FP), AX
-	SUBQ  R8, AX
-	IMULQ n+16(FP), AX
-	SHRQ  $3, CX
-	ADDQ  CX, AX
-	MOVQ  AX, done+48(FP)
 	RET

@@ -18,28 +18,18 @@ import "math"
 // rows, not columns, in the vector lanes: a lane performs exactly its
 // row's scalar sequence of correctly rounded operations, so which rows
 // share a group — and with it lo, hi, the rung and the thread count —
-// never shows in a bit.
-// The kernel hands back a group holding a NaN or an infinity, and is not
-// used at all when gain or shift holds a NaN (which their Check decided
-// once): only there could two NaN operands meet, where the payload x86
-// keeps depends on an operand order the Go compiler picks for the scalar
-// loop. dst and src may alias.
-func LayerNorm32Rows(dst, src *Matrix32, checkedGain, checkedShift Checked[float32], eps float64, lo, hi int) {
-	gain, shift := checkedGain.v, checkedShift.v
+// never shows in a bit. dst and src may alias.
+func LayerNorm32Rows(dst, src *Matrix32, gain, shift []float32, eps float64, lo, hi int) {
 	cols := src.Cols
 	if dst.Cols != cols || len(gain) != cols || len(shift) != cols {
 		panic("tensor: LayerNorm32Rows width mismatch")
 	}
 	i := lo
-	if cols > 0 && tier == tierAVX512 && !checkedGain.nan && !checkedShift.nan {
-		for hi-i >= 8 {
-			i += 8 * int(lnBlock32x8(int64((hi-i)/8), int64(cols), &src.Data[i*cols], &dst.Data[i*cols], &gain[0], &shift[0], eps))
-			if hi-i >= 8 { // the kernel stopped at this group
-				for end := i + 8; i < end; i++ {
-					layerNorm32Row(dst.Row(i), src.Row(i), gain, shift, eps)
-				}
-			}
-		}
+	if groups := (hi - lo) / 8; cols > 0 && tier == tierAVX512 && groups > 0 {
+		end := lo + 8*groups
+		_, _ = src.Data[end*cols-1], dst.Data[end*cols-1] // the kernel reads and writes rows [lo, end) unchecked
+		lnBlock32x8(int64(groups), int64(cols), &src.Data[lo*cols], &dst.Data[lo*cols], &gain[0], &shift[0], eps)
+		i = end
 	}
 	for ; i < hi; i++ {
 		layerNorm32Row(dst.Row(i), src.Row(i), gain, shift, eps)

@@ -11,27 +11,21 @@ package tensor
 //
 // LayerNormRows normalises the leading whole groups of eight rows of
 // [lo, hi) through lnBlock64x8 (ln32_amd64.s), writing xh to xhat and inv
-// to invStd[i] where they are not nil, and returns the first row it left.
-// It stops early, before the group, where a row of a group holds a NaN or
-// an infinity, and then reports stopped: the caller runs that group's
-// eight rows [done, done+8) through the scalar definition and calls again
-// from done+8, as LayerNorm32Rows does within itself. Otherwise the caller
-// finishes [done, hi), fewer than eight rows on avx512. On the other
-// rungs, for a gain or shift holding a NaN and for zero columns it returns
-// lo, not stopped, at once. The reasons are lnBlock32x8's (see
-// LayerNorm32Rows): a lane performs exactly its row's scalar sequence of
-// correctly rounded operations, so which rows share a group never shows in
-// a bit, and only where two NaN operands could meet would the payload
-// depend on an operand order. dst and src may alias; xhat may not alias
+// to invStd[i] where they are not nil, and returns the first row it left:
+// the caller finishes [done, hi), fewer than eight rows on avx512. On the
+// other rungs and for zero columns it returns lo at once. The reasons are
+// lnBlock32x8's (see LayerNorm32Rows): a lane performs exactly its row's
+// scalar sequence of correctly rounded operations, so which rows share a
+// group never shows in a bit. dst and src may alias; xhat may not alias
 // either.
-func LayerNormRows(dst, xhat *Matrix, invStd []float64, src *Matrix, gain, shift Checked[float64], eps float64, lo, hi int) (done int, stopped bool) {
+func LayerNormRows(dst, xhat *Matrix, invStd []float64, src *Matrix, gain, shift []float64, eps float64, lo, hi int) (done int) {
 	cols := src.Cols
-	if dst.Cols != cols || len(gain.v) != cols || len(shift.v) != cols || (xhat != nil && xhat.Cols != cols) {
+	if dst.Cols != cols || len(gain) != cols || len(shift) != cols || (xhat != nil && xhat.Cols != cols) {
 		panic("tensor: LayerNormRows width mismatch")
 	}
 	groups := (hi - lo) / 8
-	if tier != tierAVX512 || cols == 0 || groups == 0 || gain.nan || shift.nan {
-		return lo, false
+	if tier != tierAVX512 || cols == 0 || groups == 0 {
+		return lo
 	}
 	end := lo + 8*groups
 	// The kernel reads and writes rows [lo, end) unchecked.
@@ -43,8 +37,8 @@ func LayerNormRows(dst, xhat *Matrix, invStd []float64, src *Matrix, gain, shift
 	if invStd != nil {
 		ip = &invStd[lo:end][0]
 	}
-	n := int(lnBlock64x8(int64(groups), int64(cols), &s[0], &d[0], xp, ip, &gain.v[0], &shift.v[0], eps))
-	return lo + 8*n, n < groups
+	lnBlock64x8(int64(groups), int64(cols), &s[0], &d[0], xp, ip, &gain[0], &shift[0], eps)
+	return end
 }
 
 // LayerNormGradRows is the avx512 rung of the float64 LayerNorm's input
@@ -58,30 +52,26 @@ func LayerNormRows(dst, xhat *Matrix, invStd []float64, src *Matrix, gain, shift
 // It runs the leading whole groups of eight rows of [lo, hi) through
 // lnGrad64x8 (ln32_amd64.s), LayerNormRows' layout — the lanes hold rows
 // for the two sums, the second pass runs along each row — and returns the
-// first row it left, reporting stopped where it handed back the group
-// there, one with a row whose sum1, sum2 or inv is not finite: the caller
-// runs those eight rows through the scalar definition and calls again
-// from done+8. Otherwise the caller finishes [done, hi), fewer than eight
-// rows on avx512; on the other rungs and for zero columns it returns lo,
-// not stopped. A lane performs its row's scalar sequence of correctly
-// rounded operations, so no bit depends on which rows share a group, and
-// finite sums leave no NaN operand that could meet another. dx may not
-// alias dy or xhat.
-func LayerNormGradRows(dx, dy, xhat *Matrix, invStd, gain []float64, lo, hi int) (done int, stopped bool) {
+// first row it left: the caller finishes [done, hi), fewer than eight rows
+// on avx512; on the other rungs and for zero columns it returns lo. A lane
+// performs its row's scalar sequence of correctly rounded operations, so
+// no bit depends on which rows share a group. dx may not alias dy or
+// xhat.
+func LayerNormGradRows(dx, dy, xhat *Matrix, invStd, gain []float64, lo, hi int) (done int) {
 	cols := dy.Cols
 	if dx.Cols != cols || xhat.Cols != cols || len(gain) != cols {
 		panic("tensor: LayerNormGradRows width mismatch")
 	}
 	groups := (hi - lo) / 8
 	if tier != tierAVX512 || cols == 0 || groups == 0 {
-		return lo, false
+		return lo
 	}
 	end := lo + 8*groups
 	// The kernel reads and writes rows [lo, end) unchecked.
 	g, x, d := dy.Data[lo*cols:end*cols], xhat.Data[lo*cols:end*cols], dx.Data[lo*cols:end*cols]
 	inv := invStd[lo:end]
-	n := int(lnGrad64x8(int64(groups), int64(cols), &g[0], &x[0], &inv[0], &gain[0], &d[0]))
-	return lo + 8*n, n < groups
+	lnGrad64x8(int64(groups), int64(cols), &g[0], &x[0], &inv[0], &gain[0], &d[0])
+	return end
 }
 
 // LayerNormParamGradAcc is the SIMD rung of the float64 LayerNorm's
@@ -93,11 +83,9 @@ func LayerNormGradRows(dx, dy, xhat *Matrix, invStd, gain []float64, lo, hi int)
 //
 // It runs the column-accumulate kernel (colacc_amd64.s), the two chains
 // of up to 32 columns a pass in registers down the whole range, and
-// returns the leading columns it finished: all of them, or, where a
-// pass's result holds a NaN, the columns before that pass, both halves of
-// acc unwritten from there for the caller's loop. It returns 0 on the go
-// rung.
-func LayerNormParamGradAcc(acc []float64, dy, xhat *Matrix, lo, hi int) (done int) {
+// reports whether it did the chunk: false on the go rung, where the
+// caller's loop does it.
+func LayerNormParamGradAcc(acc []float64, dy, xhat *Matrix, lo, hi int) bool {
 	cols := dy.Cols
 	if xhat.Cols != cols || len(acc) < 2*cols {
 		panic("tensor: LayerNormParamGradAcc width mismatch")

@@ -19,6 +19,9 @@
 // runs along each row, eight columns per step, every operation unfused as
 // the scalar definition spells it: for float32, -> float64, −μ, ·inv,
 // -> float32, ·gain, +shift; for float64, −μ, ·inv, ·gain, +shift.
+// So a lane is NaN exactly where its row's scalar sequence is, whatever
+// the data — which NaN is not part of the contract (pack.go) — and every
+// kernel finishes every group it is given.
 
 #include "textflag.h"
 
@@ -144,22 +147,17 @@ GLOBL lnOne<>(SB), RODATA|NOPTR, $8
 	VMULPS    g, Y1, Y1; \
 	VADDPS    s, Y1, Y1
 
-// func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64) (done int64)
+// func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64)
 //
 // LayerNorm of groups × 8 consecutive rows of cols columns, rows
-// contiguous in src and dst (which may alias). Stops at the first group
-// where a row's sum is not finite — it holds a NaN or an infinity, and a
-// second NaN could then meet the first in an operand order the scalar loop
-// does not share — and returns the number of groups finished. gain and
-// shift must hold no NaN, for the same reason.
-TEXT ·lnBlock32x8(SB), NOSPLIT, $128-64
+// contiguous in src and dst (which may alias).
+TEXT ·lnBlock32x8(SB), NOSPLIT, $128-56
 	MOVQ groups+0(FP), AX
 	MOVQ cols+8(FP), BX
 	MOVQ src+16(FP), SI
 	MOVQ dst+24(FP), DI
 	MOVQ gain+32(FP), R8
 	MOVQ shift+40(FP), R9
-	XORQ R12, R12 // groups done
 
 	MOVQ         BX, X14
 	VPBROADCASTD X14, Y14
@@ -211,12 +209,7 @@ lnsum1:
 	JLT    lnsum1
 
 lnmean:
-
-	VSUBPD   Z0, Z0, Z1 // 0 where the sum is finite, NaN elsewhere
-	VCMPPD   $3, Z1, Z1, K1
-	KORTESTW K1, K1
-	JNZ      lndone
-	VDIVPD   Z16, Z0, Z0
+	VDIVPD Z16, Z0, Z0
 
 	// Σ (v − μ)²
 	VPXORQ Z3, Z3, Z3
@@ -289,25 +282,20 @@ lnnext:
 	CMPQ DX, $8
 	JLT  lnrow
 
-	INCQ R12
 	DECQ AX
 	JNZ  lngroup
 
-lndone:
 	VZEROUPPER
-	MOVQ R12, done+56(FP)
 	RET
 
-// func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64) (done int64)
+// func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64)
 //
 // The float64 LayerNorm of groups × 8 consecutive rows of cols columns,
 // rows contiguous in src, dst and xhat (dst may alias src). xhat, if not
 // nil, receives each row's (v − μ)·inv and invStd, if not nil, each row's
-// inv. The stop rule is lnBlock32x8's: it returns at the first group where
-// a row's sum is not finite, having written nothing of it, and gain and
-// shift must hold no NaN. There is no conversion, so per column the loads
-// of pass 1 and 2 are whole zmm and pass 3 is −μ, ·inv, ·gain, +shift.
-TEXT ·lnBlock64x8(SB), NOSPLIT, $0-80
+// inv. There is no conversion, so per column the loads of pass 1 and 2
+// are whole zmm and pass 3 is −μ, ·inv, ·gain, +shift.
+TEXT ·lnBlock64x8(SB), NOSPLIT, $0-72
 	MOVQ groups+0(FP), AX
 	MOVQ cols+8(FP), BX
 	MOVQ src+16(FP), SI
@@ -366,11 +354,7 @@ dsum1:
 	JLT    dsum1
 
 dmean:
-	VSUBPD   Z0, Z0, Z1 // 0 where the sum is finite, NaN elsewhere
-	VCMPPD   $3, Z1, Z1, K1
-	KORTESTW K1, K1
-	JNZ      ddone
-	VDIVPD   Z16, Z0, Z0
+	VDIVPD Z16, Z0, Z0
 
 	// Σ (v − μ)²
 	VPXORQ Z3, Z3, Z3
@@ -470,11 +454,7 @@ dnextrow:
 	DECQ AX
 	JNZ  dgroup
 
-ddone:
-	MOVQ groups+0(FP), R10
-	SUBQ AX, R10 // groups finished
 	VZEROUPPER
-	MOVQ R10, done+72(FP)
 	RET
 
 // LOADT loads columns (p)…+7 of the group's eight rows — rows 0-3 at
@@ -504,7 +484,7 @@ ddone:
 	VMULPD x, h, x; \
 	VADDPD x, Z3, Z3
 
-// func lnGrad64x8(groups, cols int64, dy, xhat, invStd, gain, dx *float64) (done int64)
+// func lnGrad64x8(groups, cols int64, dy, xhat, invStd, gain, dx *float64)
 //
 // The float64 LayerNorm's input gradient of groups × 8 consecutive rows of
 // cols columns, rows contiguous in dy, xhat and dx: per row, in lane r of
@@ -518,11 +498,8 @@ ddone:
 //
 //	dx = invStd/n · ((n·(dy·gain) − sum1) − xhat·sum2)
 //
-// every operation unfused as the scalar definition spells it. It returns
-// at the first group where a row's sum1, sum2 or invStd is not finite,
-// having written nothing of it: finite sums leave every operand of the
-// second pass finite, so no NaN operand can meet another there.
-TEXT ·lnGrad64x8(SB), NOSPLIT, $0-64
+// every operation unfused as the scalar definition spells it.
+TEXT ·lnGrad64x8(SB), NOSPLIT, $0-56
 	MOVQ groups+0(FP), AX
 	MOVQ cols+8(FP), BX
 	MOVQ dy+16(FP), SI
@@ -585,7 +562,7 @@ gsum8:
 
 gsumtail:
 	CMPQ CX, BX
-	JGE  gcheck
+	JGE  gstats
 
 gsum1:
 	KXNORW       K3, K3, K3
@@ -602,21 +579,10 @@ gsum1:
 	CMPQ         CX, BX
 	JLT          gsum1
 
-gcheck:
-	// every row's sum1, sum2 and invStd finite: x − x is 0, else NaN
-	VMOVUPD  (R15), Z4
-	VSUBPD   Z0, Z0, Z1
-	VCMPPD   $3, Z1, Z1, K1
-	VSUBPD   Z3, Z3, Z1
-	VCMPPD   $3, Z1, Z1, K3
-	KORW     K3, K1, K1
-	VSUBPD   Z4, Z4, Z1
-	VCMPPD   $3, Z1, Z1, K3
-	KORW     K3, K1, K1
-	KORTESTW K1, K1
-	JNZ      gdone
-	VDIVPD   Z16, Z4, Z4 // invStd/n, once per row
-	XORQ     DX, DX      // row of the group
+gstats:
+	VMOVUPD (R15), Z4
+	VDIVPD  Z16, Z4, Z4 // invStd/n, once per row
+	XORQ    DX, DX      // row of the group
 
 grow:
 	// lane DX of sum1, sum2 and invStd/n, broadcast
@@ -667,9 +633,5 @@ gnext:
 	DECQ AX
 	JNZ  ggroup
 
-gdone:
-	MOVQ groups+0(FP), R10
-	SUBQ AX, R10 // groups finished
 	VZEROUPPER
-	MOVQ R10, done+56(FP)
 	RET

@@ -76,8 +76,7 @@ func (t *matMulTask) Run(lo, hi int) { MatMulBiasRows(t.dst, t.a, t.b, nil, lo, 
 // itself routes the shape by ShouldPack to keep MatMul's bits. On the SIMD
 // rungs product and add are one assembly pass (gemmrows_amd64.s) that
 // replays the scalar expression with each row's accumulators in
-// registers; a row whose result holds a NaN is redone by the scalar
-// loops, whose operand order picks the payload that survives.
+// registers.
 func MatMulBiasRows(dst, a, b *Matrix, bias []float64, lo, hi int) {
 	k, n := a.Cols, b.Cols
 	if k != b.Rows || dst.Cols != n || (bias != nil && len(bias) != n) {
@@ -97,24 +96,15 @@ func MatMulBiasRows(dst, a, b *Matrix, bias []float64, lo, hi int) {
 	if bias != nil {
 		bp = &bias[0]
 	}
-	for i := lo; i < hi; i++ {
-		i += int(gemmRows(int64(hi-i), int64(k), int64(n), &a.Data[i*k], &b.Data[0], &dst.Data[i*n], bp))
-		if i < hi { // the kernel stopped at this row: it holds a NaN
-			matMulBiasScalar(dst, a, b, bias, i, i+1)
-		}
-	}
-}
-
-// gemmRows is the current SIMD rung's MatMulBiasRows kernel.
-func gemmRows(rows, k, n int64, a, b, c, bias *float64) (done int64) {
 	if tier >= tierAVX512 {
-		return gemmRows64x8(rows, k, n, a, b, c, bias)
+		gemmRows64x8(int64(hi-lo), int64(k), int64(n), &a.Data[lo*k], &b.Data[0], &dst.Data[lo*n], bp)
+	} else {
+		gemmRows64(int64(hi-lo), int64(k), int64(n), &a.Data[lo*k], &b.Data[0], &dst.Data[lo*n], bp)
 	}
-	return gemmRows64(rows, k, n, a, b, c, bias)
 }
 
-// matMulBiasScalar is MatMulBiasRows' definition: the pure-Go rung's
-// kernel, and the NaN fallback of the SIMD ones.
+// matMulBiasScalar is MatMulBiasRows' definition and the pure-Go rung's
+// kernel.
 func matMulBiasScalar(dst, a, b *Matrix, bias []float64, lo, hi int) {
 	matMulRows(dst, a, b, lo, hi)
 	if bias != nil {
@@ -206,8 +196,7 @@ func (t *matMulATBTask) Body(lo, hi int, acc []float64) { MatMulATBAcc(acc, t.a,
 // ascending order. Under the packed tier's threshold the bits are
 // matMulATBScalar's on every rung, whatever acc holds on entry: on both
 // SIMD rungs an assembly kernel (gemmATB64) replays that loop with each
-// block of acc in registers, and a chunk whose result holds a NaN is
-// redone by the loop from the saved entry acc.
+// block of acc in registers.
 func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 	in, n := a.Cols, b.Cols
 	if a.Rows != b.Rows || len(acc) != in*n {
@@ -230,18 +219,11 @@ func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 		matMulATBScalar(acc, a, b, lo, hi)
 		return
 	}
-	// The kernel stores no block whose result holds a NaN and stops there;
-	// the loop's operand order picks the payload that survives.
-	var entry [packMinKN]float64
-	copy(entry[:], acc)
-	if int(gemmATB64(int64(hi-lo), int64(in), int64(n), &a.Data[lo*in], &b.Data[lo*n], &acc[0])) < in*n {
-		copy(acc, entry[:])
-		matMulATBScalar(acc, a, b, lo, hi)
-	}
+	gemmATB64(int64(hi-lo), int64(in), int64(n), &a.Data[lo*in], &b.Data[lo*n], &acc[0])
 }
 
-// matMulATBScalar is MatMulATBAcc's definition below the packed tier: the
-// pure-Go rung's kernel, and the NaN fallback of the SIMD ones.
+// matMulATBScalar is MatMulATBAcc's definition below the packed tier and
+// the pure-Go rung's kernel.
 func matMulATBScalar(acc []float64, a, b *Matrix, lo, hi int) {
 	in, n := a.Cols, b.Cols
 	// Rank-4 blocking over input rows: four (a-row, b-row) pairs stream
@@ -320,60 +302,39 @@ func AddRowVectorRows(m *Matrix, v []float64, lo, hi int) {
 	if len(v) != m.Cols {
 		panic("tensor: AddRowVectorRows length mismatch")
 	}
-	cols := m.Cols
 	w := vecLanes()
 	for i := lo; i < hi; i++ {
-		row := m.Data[i*cols : (i+1)*cols]
-		j := 0
-		if w > 0 {
-			// The add kernel of the elementwise tier (elu64.go): w lanes of
-			// the same addition; it hands back a block holding a NaN.
-			for cols-j >= w {
-				// Called per row: the two kernels are named here, not behind
-				// a helper, to spare narrow rows a second call.
-				if n := int64((cols - j) &^ (w - 1)); w == 8 {
-					j += int(addBlock64x8(n, &row[j], &v[j]))
-				} else {
-					j += int(addBlock64(n, &row[j], &v[j]))
-				}
-				if cols-j >= w {
-					addScalar(row, v, j, j+w)
-					j += w
-				}
-			}
-		}
-		addScalar(row, v, j, cols)
+		add64(m.Data[i*m.Cols:(i+1)*m.Cols], v, w)
 	}
 }
 
 // ColSumsAcc accumulates the column sums of rows [lo, hi) of m into acc:
 // the chunk body of a bias-gradient reduction, chunked by
-// ReduceGrain(m.Cols). Its definition is colSumScalar row by row, rows
+// ReduceGrain(m.Cols). Its definition is addScalar row by row, rows
 // ascending: per column one chain of rounded adds. On the SIMD rungs the
 // column-accumulate kernel (colacc_amd64.s) runs that chain with the
 // accumulators in registers down the whole range, up to 32 columns a
-// pass; a pass whose result holds a NaN is handed back unstored, and
-// colSumScalar does the columns from there. The pure-Go rung runs
-// colSumScalar throughout.
+// pass; the pure-Go rung runs addScalar.
 func ColSumsAcc(acc []float64, m *Matrix, lo, hi int) {
 	cols := m.Cols
 	acc = acc[:cols]
-	done := colAcc(m.Data, nil, acc, nil, cols, lo, hi)
-	if done == cols {
+	if colAcc(m.Data, nil, acc, nil, cols, lo, hi) {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		colSumScalar(acc[done:], m.Data[i*cols+done:(i+1)*cols])
+		addScalar(acc, m.Data[i*cols:(i+1)*cols], 0, cols)
 	}
 }
 
 // colAcc runs the column-accumulate kernel of the rung over rows [lo, hi)
 // of a (cols wide): sum[j] += a[i][j] and, where b is not nil, dot[j] +=
-// a[i][j]·b[i][j]. It returns the leading columns finished: 0 on the go
-// rung and for an empty range.
-func colAcc(a, b, sum, dot []float64, cols, lo, hi int) int {
-	if tier < tierAVX2 || hi <= lo || cols == 0 {
-		return 0
+// a[i][j]·b[i][j]. It reports false, having done nothing, on the go rung.
+func colAcc(a, b, sum, dot []float64, cols, lo, hi int) bool {
+	if tier < tierAVX2 {
+		return false
+	}
+	if hi <= lo || cols == 0 {
+		return true
 	}
 	// The kernel reads and writes these unchecked.
 	_, _ = a[lo*cols:hi*cols], sum[cols-1]
@@ -384,19 +345,11 @@ func colAcc(a, b, sum, dot []float64, cols, lo, hi int) int {
 		pb, pd = &b[lo*cols], &dot[0]
 	}
 	if tier == tierAVX512 {
-		return int(colAcc64x8(int64(hi-lo), int64(cols), pa, pb, ps, pd))
+		colAcc64x8(int64(hi-lo), int64(cols), pa, pb, ps, pd)
+	} else {
+		colAcc64(int64(hi-lo), int64(cols), pa, pb, ps, pd)
 	}
-	return int(colAcc64(int64(hi-lo), int64(cols), pa, pb, ps, pd))
-}
-
-// colSumScalar is acc[j] += row[j] spelled as ColSumsAcc's scalar loop
-// has always been: where two NaNs meet, the payload that survives follows
-// the operand order the compiler picks for this spelling, which is not
-// the one it picks for addScalar's.
-func colSumScalar(acc, row []float64) {
-	for j, v := range row {
-		acc[j] += v
-	}
+	return true
 }
 
 // --- Element-wise kernels ------------------------------------------------
@@ -469,8 +422,8 @@ func AddScaled(dst *Matrix, alpha float64, src *Matrix) {
 // residual add as a row-range body, for callers that fold it into a region
 // of their own (a row panel of an MLP block) instead of dispatching
 // AddScaled over the whole matrix. It runs on the add kernels of the
-// elementwise tier, which hand back any block where a NaN meets anything,
-// so the bits are the scalar loop's wherever a caller cuts the slices.
+// elementwise tier, one rounded add per element, so the bits are the
+// scalar loop's wherever a caller cuts the slices.
 func AddTo[T float32 | float64](dst, src []T) {
 	if len(dst) != len(src) {
 		panic("tensor: AddTo length mismatch")
@@ -486,17 +439,12 @@ func AddTo[T float32 | float64](dst, src []T) {
 // add64 is add32 for float64 (addBlock64, addBlock64x8).
 func add64(dst, v []float64, w int) {
 	j := 0
-	if w > 0 {
-		for len(v)-j >= w {
-			if n := int64((len(v) - j) &^ (w - 1)); w == 8 {
-				j += int(addBlock64x8(n, &dst[j], &v[j]))
-			} else {
-				j += int(addBlock64(n, &dst[j], &v[j]))
-			}
-			if len(v)-j >= w {
-				addScalar(dst, v, j, j+w)
-				j += w
-			}
+	if w > 0 && len(v) >= w {
+		j = len(v) &^ (w - 1)
+		if w == 8 {
+			addBlock64x8(int64(j), &dst[0], &v[0])
+		} else {
+			addBlock64(int64(j), &dst[0], &v[0])
 		}
 	}
 	addScalar(dst, v, j, len(v))

@@ -97,23 +97,18 @@ func AddRowVector32Rows(m *Matrix32, v []float32, lo, hi int) {
 func vecLanes32() int { return 2 * vecLanes() }
 
 // add32 is dst[j] += v[j] over two slices of one length. With w > 0 the
-// body is the w-lane add kernel (addBlock32, addBlock32x16) on addBlock64's
-// terms: a block where a NaN meets anything is handed back and done by the
-// scalar loop, so neither w nor where a caller cut the slices shows in a
-// bit.
+// leading whole blocks go to the w-lane add kernel (addBlock32,
+// addBlock32x16) and the rest to the scalar loop: one rounded add per
+// element either way, so neither w nor where a caller cut the slices
+// shows in a bit.
 func add32(dst, v []float32, w int) {
 	j := 0
-	if w > 0 {
-		for len(v)-j >= w {
-			if n := int64((len(v) - j) &^ (w - 1)); w == 16 {
-				j += int(addBlock32x16(n, &dst[j], &v[j]))
-			} else {
-				j += int(addBlock32(n, &dst[j], &v[j]))
-			}
-			if len(v)-j >= w {
-				addScalar32(dst, v, j, j+w)
-				j += w
-			}
+	if w > 0 && len(v) >= w {
+		j = len(v) &^ (w - 1)
+		if w == 16 {
+			addBlock32x16(int64(j), &dst[0], &v[0])
+		} else {
+			addBlock32(int64(j), &dst[0], &v[0])
 		}
 	}
 	addScalar32(dst, v, j, len(v))

@@ -101,6 +101,15 @@ var (
 // is one definition on all three rungs (Elu, elu64.go). tierGo rounds the
 // rest differently (no FMA: the packed tier and the float32 exponential,
 // expM1Neg) and packs narrower panels.
+//
+// Every bitwise contract of this package — across rungs where the above
+// says so, threads, ranks, transports and batch sizes, and of a kernel
+// against its scalar definition — holds at every element that is not NaN:
+// there the bits are equal, and an element is NaN on one side exactly
+// where it is NaN on the other. Which NaN it is, is unspecified. IEEE 754
+// does not say which payload survives where two NaNs meet, and x86 keeps
+// an operand's by an order the Go compiler picks per loop, so every kernel
+// runs to the end of its range whatever its data hold.
 type kernelTier int
 
 const (

@@ -137,7 +137,7 @@ func packBTIsMatMulOfTranspose(t *testing.T) {
 			want, got := New(23, in), New(23, in)
 			MatMul(want, dy, transposed(w))
 			MatMulPackedRows(got, dy, PackBT(w), 0, 23)
-			if i := bitsEqual(got.Data, want.Data); i >= 0 {
+			if i := mismatch(got.Data, want.Data); i >= 0 {
 				t.Fatalf("w %dx%d: element %d (column %d) is %#x through PackBT, %#x through MatMul",
 					in, out, i, i%in, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 			}
@@ -146,11 +146,10 @@ func packBTIsMatMulOfTranspose(t *testing.T) {
 }
 
 // addRowVectorRowsMatchesScalar: the add map's vector bodies (4 and 8
-// lanes), its column tail and the blocks it hands back (NaN meeting NaN,
-// where the payload that survives depends on operand order) are the
-// scalar loop's bits, for any row range, on every rung — as the bias add,
-// as the column-sum reduction and as the residual add (AddTo, whole and cut
-// at the same rows).
+// lanes) and its column tail are the scalar loop's bits and NaNs (one
+// value in twelve is a NaN, so NaN meets NaN), for any row range, on every
+// rung — as the bias add, as the column-sum reduction and as the residual
+// add (AddTo, whole and cut at the same rows).
 func addRowVectorRowsMatchesScalar(t *testing.T) {
 	atEachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(75)) // the same data on every rung
@@ -179,12 +178,13 @@ func addRowVectorRowsMatchesScalar(t *testing.T) {
 			for i := 0; i+1 < len(cuts); i++ {
 				AddRowVectorRows(pieces, bias, cuts[i], cuts[i+1])
 			}
-			for i := range want.Data {
-				w := math.Float64bits(want.Data[i])
-				if math.Float64bits(whole.Data[i]) != w || math.Float64bits(pieces.Data[i]) != w {
-					t.Fatalf("cols=%d: element %d is %#x whole, %#x in pieces, want %#x", cols, i,
-						math.Float64bits(whole.Data[i]), math.Float64bits(pieces.Data[i]), w)
-				}
+			if i := mismatch(whole.Data, want.Data); i >= 0 {
+				t.Fatalf("cols=%d: element %d is %#x, want %#x", cols, i,
+					math.Float64bits(whole.Data[i]), math.Float64bits(want.Data[i]))
+			}
+			if i := mismatch(pieces.Data, want.Data); i >= 0 {
+				t.Fatalf("cols=%d: in pieces, element %d is %#x, want %#x", cols, i,
+					math.Float64bits(pieces.Data[i]), math.Float64bits(want.Data[i]))
 			}
 			// The residual add of a row panel: src += other, whole and by
 			// row ranges.
@@ -200,16 +200,15 @@ func addRowVectorRowsMatchesScalar(t *testing.T) {
 				lo, hi := cuts[i]*cols, cuts[i+1]*cols
 				AddTo(pieces.Data[lo:hi], other.Data[lo:hi])
 			}
-			if i := bitsEqual(whole.Data, sum.Data); i >= 0 {
+			if i := mismatch(whole.Data, sum.Data); i >= 0 {
 				t.Fatalf("cols=%d: AddTo element %d is %#x, want %#x", cols, i,
 					math.Float64bits(whole.Data[i]), math.Float64bits(sum.Data[i]))
 			}
-			if i := bitsEqual(pieces.Data, sum.Data); i >= 0 {
+			if i := mismatch(pieces.Data, sum.Data); i >= 0 {
 				t.Fatalf("cols=%d: AddTo in pieces, element %d is %#x, want %#x", cols, i,
 					math.Float64bits(pieces.Data[i]), math.Float64bits(sum.Data[i]))
 			}
-			// The bias-gradient reduction goes through the same kernel,
-			// against the scalar loop ColSumsAcc has always been: every
+			// The bias-gradient reduction, against its scalar loop: every
 			// column sums its rows in ascending order, NaNs included.
 			got, ref := make([]float64, cols), make([]float64, cols)
 			ColSumsAcc(got, src, 1, rows)
@@ -218,7 +217,7 @@ func addRowVectorRowsMatchesScalar(t *testing.T) {
 					ref[j] += v
 				}
 			}
-			if j := bitsEqual(got, ref); j >= 0 {
+			if j := mismatch(got, ref); j >= 0 {
 				t.Fatalf("cols=%d: ColSumsAcc column %d is %#x, want %#x", cols, j,
 					math.Float64bits(got[j]), math.Float64bits(ref[j]))
 			}

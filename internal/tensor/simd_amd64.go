@@ -31,27 +31,24 @@ func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStri
 
 // The unpacked GEMM with its bias add (gemmrows_amd64.s): rows of c = a·b
 // + bias (bias nil for none), eight output columns per block — one zmm
-// on avx512 (x8), two ymm on avx2. Each returns how many leading rows it
-// finished, stopping at the first row whose result holds a NaN.
+// on avx512 (x8), two ymm on avx2.
 
 //go:noescape
-func gemmRows64(rows, k, n int64, a, b, c, bias *float64) (done int64)
+func gemmRows64(rows, k, n int64, a, b, c, bias *float64)
 
 //go:noescape
-func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) (done int64)
+func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64)
 
 // gemmATB64 is the weight gradient's chunk body on both SIMD rungs
 // (gemmrows_amd64.s): acc (in×n) += xᵀ·dy over rows rows of x and dy,
-// eight columns of acc per block in two ymm. It returns how many leading
-// elements of acc it finished, stopping at the first block whose result
-// holds a NaN, which it does not store.
+// eight columns of acc per block in two ymm.
 //
 //go:noescape
-func gemmATB64(rows, in, n int64, x, dy, acc *float64) (done int64)
+func gemmATB64(rows, in, n int64, x, dy, acc *float64)
 
 // The ELU kernels of both element types (elu32_amd64.s, elu64_amd64.s):
 // any n >= 1, the elements past the last whole vector through masked
-// lanes. Every input is done, so none stops.
+// lanes.
 
 //go:noescape
 func eluBlock32(n int64, x, y *float32)
@@ -65,67 +62,60 @@ func eluBlock64(n int64, x, y *float64)
 //go:noescape
 func eluBlock64x8(n int64, x, y *float64)
 
-// The stop-and-fall-back elementwise kernels (elu64_amd64.s,
-// elu32_amd64.s). n is a positive multiple of the kernel's lane count (4
-// for the float64 AVX2 kernels, 8 for their x8 AVX-512 twins and for
-// addBlock32, 16 for addBlock32x16); each returns how many leading
-// elements it finished, stopping at the first block it cannot do
-// bit-exactly.
+// The ELU′ and add kernels (elu64_amd64.s, elu32_amd64.s). n is a
+// positive multiple of the kernel's lane count: 4 for the float64 AVX2
+// kernels, 8 for their x8 AVX-512 twins and for addBlock32, 16 for
+// addBlock32x16.
 
 //go:noescape
-func eluGradBlock64(n int64, y, dy, dx *float64) (done int64)
+func eluGradBlock64(n int64, y, dy, dx *float64)
 
 //go:noescape
-func addBlock64(n int64, dst, v *float64) (done int64)
+func addBlock64(n int64, dst, v *float64)
 
 //go:noescape
-func eluGradBlock64x8(n int64, y, dy, dx *float64) (done int64)
+func eluGradBlock64x8(n int64, y, dy, dx *float64)
 
 //go:noescape
-func addBlock64x8(n int64, dst, v *float64) (done int64)
+func addBlock64x8(n int64, dst, v *float64)
 
 //go:noescape
-func addBlock32(n int64, dst, v *float32) (done int64)
+func addBlock32(n int64, dst, v *float32)
 
 //go:noescape
-func addBlock32x16(n int64, dst, v *float32) (done int64)
+func addBlock32x16(n int64, dst, v *float32)
 
 // lnBlock32x8 and lnBlock64x8 are the LayerNorm of groups × 8 contiguous
-// rows (ln32_amd64.s) for each element type; each returns how many leading
-// groups it finished, stopping at one that holds a NaN or an infinity.
-// lnBlock64x8 also writes the backward pass's caches, xhat and invStd,
-// where they are not nil.
+// rows (ln32_amd64.s) for each element type. lnBlock64x8 also writes the
+// backward pass's caches, xhat and invStd, where they are not nil.
 //
 //go:noescape
-func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64) (done int64)
+func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64)
 
 //go:noescape
-func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64) (done int64)
+func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64)
 
 // lnGrad64x8 is the float64 LayerNorm's input gradient of groups × 8
-// contiguous rows (ln32_amd64.s); it returns how many leading groups it
-// finished, stopping at one where a row's sums or invStd are not finite.
+// contiguous rows (ln32_amd64.s).
 //
 //go:noescape
-func lnGrad64x8(groups, cols int64, dy, xhat, invStd, gain, dx *float64) (done int64)
+func lnGrad64x8(groups, cols int64, dy, xhat, invStd, gain, dx *float64)
 
 // colAcc64 (avx2) and colAcc64x8 (avx512) add rows rows of a (cols
 // columns, contiguous) into sum, column by column, and where b is not nil
-// the products a·b into dot (colacc_amd64.s); each returns how many
-// leading columns it finished, stopping at a pass whose result holds a
-// NaN, which it does not store.
+// the products a·b into dot (colacc_amd64.s).
 //
 //go:noescape
-func colAcc64(rows, cols int64, a, b, sum, dot *float64) (done int64)
+func colAcc64(rows, cols int64, a, b, sum, dot *float64)
 
 //go:noescape
-func colAcc64x8(rows, cols int64, a, b, sum, dot *float64) (done int64)
+func colAcc64x8(rows, cols int64, a, b, sum, dot *float64)
 
 // The span-accumulate kernels of SpanAcc (colacc_amd64.s): dst += Σ_k
 // scale[k]·src row r_k over n terms, r_k = idx[k] or k, rows stride
 // elements apart; scale nil for no multiply. Each returns how many
-// leading columns of dst it finished, stopping at a pass whose result
-// holds a NaN, and at once when an index is not below rows.
+// leading columns of dst it finished: all of them, or none when an index
+// is not below rows.
 //
 //go:noescape
 func spanAcc64(n, cols, stride, rows int64, src *float64, idx *int, scale, dst *float64) (done int64)

@@ -38,10 +38,9 @@
 // Kc blocks beyond the first resume the accumulation without changing
 // the per-element order. bias != nil adds the 64 bytes of bias per panel
 // to every tile row before the store: the linear layer's bias add as the
-// epilogue of the last Kc block. The caller passes a bias only when it
-// holds no NaN — then sum + b has at most one NaN operand and x86 returns
-// the same bits whichever way round a scalar loop would have written the
-// add.
+// epilogue of the last Kc block: sum + b is one rounded add, the same
+// bits whichever way round a scalar loop writes it, and NaN where it is —
+// which NaN, where two meet, is not part of the contract (pack.go).
 
 #include "textflag.h"
 

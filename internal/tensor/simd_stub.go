@@ -36,37 +36,35 @@ func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStri
 	panic(noSIMD)
 }
 
-func gemmRows64(rows, k, n int64, a, b, c, bias *float64) (done int64)   { panic(noSIMD) }
-func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) (done int64) { panic(noSIMD) }
+func gemmRows64(rows, k, n int64, a, b, c, bias *float64)   { panic(noSIMD) }
+func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) { panic(noSIMD) }
 
-func gemmATB64(rows, in, n int64, x, dy, acc *float64) (done int64) { panic(noSIMD) }
+func gemmATB64(rows, in, n int64, x, dy, acc *float64) { panic(noSIMD) }
 
 func eluBlock32(n int64, x, y *float32)    { panic(noSIMD) }
 func eluBlock32x16(n int64, x, y *float32) { panic(noSIMD) }
 func eluBlock64(n int64, x, y *float64)    { panic(noSIMD) }
 func eluBlock64x8(n int64, x, y *float64)  { panic(noSIMD) }
 
-func eluGradBlock64(n int64, y, dy, dx *float64) (done int64)   { panic(noSIMD) }
-func addBlock64(n int64, dst, v *float64) (done int64)          { panic(noSIMD) }
-func eluGradBlock64x8(n int64, y, dy, dx *float64) (done int64) { panic(noSIMD) }
-func addBlock64x8(n int64, dst, v *float64) (done int64)        { panic(noSIMD) }
-func addBlock32(n int64, dst, v *float32) (done int64)          { panic(noSIMD) }
-func addBlock32x16(n int64, dst, v *float32) (done int64)       { panic(noSIMD) }
+func eluGradBlock64(n int64, y, dy, dx *float64)   { panic(noSIMD) }
+func addBlock64(n int64, dst, v *float64)          { panic(noSIMD) }
+func eluGradBlock64x8(n int64, y, dy, dx *float64) { panic(noSIMD) }
+func addBlock64x8(n int64, dst, v *float64)        { panic(noSIMD) }
+func addBlock32(n int64, dst, v *float32)          { panic(noSIMD) }
+func addBlock32x16(n int64, dst, v *float32)       { panic(noSIMD) }
 
-func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64) (done int64) {
+func lnBlock32x8(groups, cols int64, src, dst, gain, shift *float32, eps float64) {
 	panic(noSIMD)
 }
 
-func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64) (done int64) {
+func lnBlock64x8(groups, cols int64, src, dst, xhat, invStd, gain, shift *float64, eps float64) {
 	panic(noSIMD)
 }
 
-func lnGrad64x8(groups, cols int64, dy, xhat, invStd, gain, dx *float64) (done int64) {
-	panic(noSIMD)
-}
+func lnGrad64x8(groups, cols int64, dy, xhat, invStd, gain, dx *float64) { panic(noSIMD) }
 
-func colAcc64(rows, cols int64, a, b, sum, dot *float64) (done int64)   { panic(noSIMD) }
-func colAcc64x8(rows, cols int64, a, b, sum, dot *float64) (done int64) { panic(noSIMD) }
+func colAcc64(rows, cols int64, a, b, sum, dot *float64)   { panic(noSIMD) }
+func colAcc64x8(rows, cols int64, a, b, sum, dot *float64) { panic(noSIMD) }
 
 func spanAcc64(n, cols, stride, rows int64, src *float64, idx *int, scale, dst *float64) (done int64) {
 	panic(noSIMD)

@@ -13,20 +13,17 @@ package tensor
 // aggRow, absorbHalo and scatterTask); SpanAcc is its SIMD rung. The
 // kernel (colacc_amd64.s) holds up to four vectors of dst in registers
 // through the whole span, the columns past the last whole vector in
-// masked lanes, and returns the number of leading columns it finished:
-// all of them, or where a pass's result holds a NaN (whose payload the
-// scalar loop's operand order decides), the columns before that pass,
-// which it leaves unwritten for the caller's loop. On the go rung, and
-// wherever an index or the span leaves src, it returns 0 and the caller's
-// loop does everything (and panics where it should). An empty span is
-// finished at once.
-func SpanAcc[T float](dst, src []T, stride, base int, idx []int, n int, scale []float64) (done int) {
+// masked lanes, and reports whether it did the span. On the go rung, and
+// wherever an index or the span leaves src, it does nothing and reports
+// false: the caller's loop does everything (and panics where it should).
+// An empty span is done at once.
+func SpanAcc[T float](dst, src []T, stride, base int, idx []int, n int, scale []float64) bool {
 	w := len(dst)
 	if n == 0 {
-		return w
+		return true
 	}
 	if tier < tierAVX2 || w == 0 || stride <= 0 || base < 0 || base*stride > len(src) {
-		return 0
+		return false
 	}
 	var ip *int
 	if idx != nil {
@@ -38,27 +35,30 @@ func SpanAcc[T float](dst, src []T, stride, base int, idx []int, n int, scale []
 	}
 	src = src[base*stride:]
 	if len(src) < w {
-		return 0
+		return false
 	}
 	// Rows r with r·stride + w <= len(src): the kernel reads no other, and
 	// stops at an index past them.
 	rows := (len(src)-w)/stride + 1
 	if idx == nil && n > rows {
-		return 0
+		return false
 	}
+	var done int64
 	switch d := any(dst).(type) {
 	case []float64:
 		s := any(src).([]float64)
 		if tier == tierAVX512 {
-			return int(spanAcc64x8(int64(n), int64(w), int64(stride), int64(rows), &s[0], ip, sp, &d[0]))
+			done = spanAcc64x8(int64(n), int64(w), int64(stride), int64(rows), &s[0], ip, sp, &d[0])
+		} else {
+			done = spanAcc64(int64(n), int64(w), int64(stride), int64(rows), &s[0], ip, sp, &d[0])
 		}
-		return int(spanAcc64(int64(n), int64(w), int64(stride), int64(rows), &s[0], ip, sp, &d[0]))
 	case []float32:
 		s := any(src).([]float32)
 		if tier == tierAVX512 {
-			return int(spanAcc32x16(int64(n), int64(w), int64(stride), int64(rows), &s[0], ip, sp, &d[0]))
+			done = spanAcc32x16(int64(n), int64(w), int64(stride), int64(rows), &s[0], ip, sp, &d[0])
+		} else {
+			done = spanAcc32(int64(n), int64(w), int64(stride), int64(rows), &s[0], ip, sp, &d[0])
 		}
-		return int(spanAcc32(int64(n), int64(w), int64(stride), int64(rows), &s[0], ip, sp, &d[0]))
 	}
-	return 0
+	return done == int64(w)
 }

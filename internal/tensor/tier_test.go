@@ -110,10 +110,24 @@ func bitsOf[T float](v T) uint64 {
 }
 
 // bitsEqual returns the first index where a and b differ in a bit, -1 for
-// none.
+// none: for memory a call must leave as it was.
 func bitsEqual[T float](a, b []T) int {
 	for i := range a {
 		if bitsOf(a[i]) != bitsOf(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// mismatch returns the first index where got breaks the package's bitwise
+// contract with def (pack.go) — different bits where def is not NaN, not a
+// NaN where it is — and -1 for none. Which NaN is not compared. Every
+// kernel sweep holds a kernel to its definition, and one rung to another,
+// with it.
+func mismatch[T float](got, def []T) int {
+	for i, d := range def {
+		if g := got[i]; d != d && g == g || d == d && bitsOf(g) != bitsOf(d) {
 			return i
 		}
 	}
@@ -158,7 +172,7 @@ func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
 	pb, pbt := PackB(w), PackBT(wT)
 	for _, r := range ranges {
 		MatMulPackedRows(mm, x, pb, r[0], r[1])
-		MatMulPackedBiasRows(mb, x, pb, Check(o.bias), r[0], r[1])
+		MatMulPackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
 		MatMulPackedRows(abt, x, pbt, r[0], r[1])
 		MatMulBiasRows(lin, x, w, o.bias, r[0], r[1])
 	}
@@ -183,7 +197,7 @@ func run32(o *gemmOperands[float32], ranges [][2]int) map[string][]float32 {
 	pb := PackB32(w)
 	for _, r := range ranges {
 		MatMul32PackedRows(mm, x, pb, r[0], r[1])
-		MatMul32PackedBiasRows(mb, x, pb, Check(o.bias), r[0], r[1])
+		MatMul32PackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
 	}
 	def := New32(rows, n)
 	copy(def.Data, mm.Data)
@@ -200,7 +214,7 @@ func run32(o *gemmOperands[float32], ranges [][2]int) map[string][]float32 {
 // column tail, on K from 1 to 96 and with packKc shrunk so that K spans
 // several accumulate passes; and on every rung from lowest up the bias
 // epilogue equals its definition, NaNs in the sums and in the bias
-// included.
+// included — all under the contract mismatch checks.
 func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func(*gemmOperands[T], [][2]int) map[string][]T) {
 	rng := rand.New(rand.NewSource(512))
 	check := func(t *testing.T, what string, o *gemmOperands[T], ranges [][2]int) {
@@ -211,7 +225,7 @@ func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func
 			r := run(o, ranges)
 			setKernelTier(prev)
 			byTier[k] = r
-			if i := bitsEqual(r["bias"], r["definition"]); i >= 0 {
+			if i := mismatch(r["bias"], r["definition"]); i >= 0 {
 				t.Fatalf("%s, rung %v: bias epilogue differs from the product then the row-vector add at element %d: %#x vs %#x",
 					what, k, i, bitsOf(r["bias"][i]), bitsOf(r["definition"][i]))
 			}
@@ -220,7 +234,7 @@ func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func
 			return
 		}
 		for form, want := range byTier[tierAVX2] {
-			if i := bitsEqual(byTier[tierAVX512][form], want); i >= 0 {
+			if i := mismatch(byTier[tierAVX512][form], want); i >= 0 {
 				t.Fatalf("%s: %s differs between avx512 and avx2 at element %d: %#x vs %#x",
 					what, form, i, bitsOf(byTier[tierAVX512][form][i]), bitsOf(want[i]))
 			}
@@ -288,8 +302,9 @@ func TestKernelRungsBitwise(t *testing.T) {
 }
 
 // TestMatMulBiasRowsBitwise holds the unpacked linear layer to its
-// definition — matMulRows, then AddRowVectorRows — bit for bit on every
-// rung, the pure-Go one included: over every row count 0…70 and 64-row
+// definition — matMulRows, then AddRowVectorRows — under the contract
+// mismatch checks on every rung, the pure-Go one included: over every row
+// count 0…70 and 64-row
 // panels at odd offsets, widths either side of the kernels' 4-lane and
 // 8-column blocks, depths either side of their groups of four, with and
 // without a bias; on plain data and on data planted with what the
@@ -297,9 +312,9 @@ func TestKernelRungsBitwise(t *testing.T) {
 // values (skipped, never 0·b), signed zeros, ±Inf in a and b (so 0·Inf
 // meets both a skipped and a computed group), and NaNs with random
 // payloads in a, in b and in the bias, alone and together. The
-// definition is computed on the pure-Go rung once per case. On the SIMD
-// rungs the kernel alone must stop at exactly the rows whose definition
-// holds a NaN, the rows its caller hands to the scalar loops.
+// definition is computed on the pure-Go rung once per case. A kernel that
+// added 0·Inf where a group is all zeros would leave a NaN the definition
+// does not have.
 func TestMatMulBiasRowsBitwise(t *testing.T) {
 	widths := []int{1, 3, 4, 5, 8, 13, 16, 32}
 	depths := []int{1, 3, 4, 7, 8, 16, 24}
@@ -408,33 +423,9 @@ func TestMatMulBiasRowsBitwise(t *testing.T) {
 			for _, r := range c.ranges {
 				MatMulBiasRows(got, c.a, c.b, c.bias, r[0], r[1])
 			}
-			if i := bitsEqual(got.Data, c.wantOut.Data); i >= 0 {
+			if i := mismatch(got.Data, c.wantOut.Data); i >= 0 {
 				t.Fatalf("%s: element %d (row %d) is %#x, want %#x", c.what, i, i/c.b.Cols,
 					math.Float64bits(got.Data[i]), math.Float64bits(c.wantOut.Data[i]))
-			}
-			if tier < tierAVX2 {
-				continue
-			}
-			// The scalar fallback would hide a kernel that stops too often
-			// (one that adds 0·Inf where a group is all zeros, say), so the
-			// kernel is also called alone: it must stop at exactly the rows
-			// whose definition holds a NaN.
-			k, n := c.a.Cols, c.b.Cols
-			var bp *float64
-			if c.bias != nil {
-				bp = &c.bias[0]
-			}
-			stops := make([]bool, c.rows)
-			for i := 0; i < c.rows; i++ {
-				i += int(gemmRows(int64(c.rows-i), int64(k), int64(n), &c.a.Data[i*k], &c.b.Data[0], &got.Data[i*n], bp))
-				if i < c.rows {
-					stops[i] = true
-				}
-			}
-			for i, stopped := range stops {
-				if nan := hasNaN(c.wantOut.Row(i)); stopped != nan {
-					t.Fatalf("%s: row %d: the kernel stopped: %v; its definition holds a NaN: %v", c.what, i, stopped, nan)
-				}
 			}
 		}
 	})
@@ -487,7 +478,7 @@ func TestPanelGroupSplitInvisible(t *testing.T) {
 			whole64 := run64(o64, [][2]int{{0, 21}})
 			split(func() {
 				for form, got := range run64(o64, [][2]int{{0, 21}}) {
-					if i := bitsEqual(got, whole64[form]); i >= 0 {
+					if i := mismatch(got, whole64[form]); i >= 0 {
 						t.Fatalf("float64 %s, width %d: the panel-group split shows at element %d", form, n, i)
 					}
 				}
@@ -499,7 +490,7 @@ func TestPanelGroupSplitInvisible(t *testing.T) {
 			whole32 := run32(o32, [][2]int{{0, 21}})
 			split(func() {
 				for form, got := range run32(o32, [][2]int{{0, 21}}) {
-					if i := bitsEqual(got, whole32[form]); i >= 0 {
+					if i := mismatch(got, whole32[form]); i >= 0 {
 						t.Fatalf("float32 %s, width %d: the panel-group split shows at element %d", form, n, i)
 					}
 				}
@@ -509,12 +500,11 @@ func TestPanelGroupSplitInvisible(t *testing.T) {
 }
 
 // TestAddRowVector32RowsMatchesScalar: the float32 add kernels' 8- and
-// 16-lane bodies, their tails and the blocks they hand back are the scalar
-// loop's bits on every rung — behind the bias add (AddRowVector32Rows, by
-// row ranges) and behind the residual add (AddTo, whole and by odd element
-// ranges, as a row panel would cut it). One value
-// in twelve is a NaN with a random payload, so NaN meets NaN in both
-// operand orders.
+// 16-lane bodies and their tails are the scalar loop's bits and NaNs on
+// every rung — behind the bias add (AddRowVector32Rows, by row ranges) and
+// behind the residual add (AddTo, whole and by odd element ranges, as a
+// row panel would cut it). One value in twelve is a NaN with a random
+// payload, so NaN meets NaN in both operand orders.
 func TestAddRowVector32RowsMatchesScalar(t *testing.T) {
 	const rows = 40 // added in two calls, cut at row 4
 	atEachTier(t, func(t *testing.T) {
@@ -533,7 +523,7 @@ func TestAddRowVector32RowsMatchesScalar(t *testing.T) {
 			{
 				same := func(what string, got, want *Matrix32) {
 					t.Helper()
-					if i := bitsEqual(got.Data, want.Data); i >= 0 {
+					if i := mismatch(got.Data, want.Data); i >= 0 {
 						t.Fatalf("cols=%d %s: element %d is %#x, want %#x", cols, what, i, bitsOf(got.Data[i]), bitsOf(want.Data[i]))
 					}
 				}
@@ -581,14 +571,15 @@ func lnOneRow(out, row, gain, shift []float32, eps float64) {
 }
 
 // TestLayerNorm32RowsMatchesOneRow holds LayerNorm32Rows to the one-row
-// scalar loop, bit for bit and on every rung: rows 1…19 (zero to two
-// groups of eight and every remainder) × widths either side of the
-// kernel's 8-column blocks, from row offsets that are not multiples of 8,
+// scalar loop under the contract mismatch checks, on every rung: rows 1…19
+// (zero to two groups of eight and every remainder) × widths either side
+// of the kernel's 8-column blocks, from row offsets that are not multiples
+// of 8,
 // in place and out of place, on ordinary data, on rows whose sum is all
 // cancellation (so the order of the adds shows in the float32 output) and
-// on rows of ±0, huge and tiny magnitudes — and with a NaN, an infinity or both planted in ONE
-// row of a group, whose other rows must come out as if it were not there.
-// NaNs in gain and shift take the whole call off the kernel.
+// on rows of ±0, huge and tiny magnitudes — and with a NaN, an infinity or
+// both planted in ONE row of a group, whose other rows must come out as if
+// it were not there, or NaNs in gain and shift.
 func TestLayerNorm32RowsMatchesOneRow(t *testing.T) {
 	const eps = 1e-5
 	negZero := float32(math.Copysign(0, -1))
@@ -655,12 +646,12 @@ func TestLayerNorm32RowsMatchesOneRow(t *testing.T) {
 
 					got := New32(total, cols) // rows outside [lo, lo+rows) must stay as they were
 					copy(got.Data, src.Data)
-					LayerNorm32Rows(got, src, Check(gain), Check(shift), eps, lo, lo+rows)
-					if i := bitsEqual(got.Data, want.Data); i >= 0 {
+					LayerNorm32Rows(got, src, gain, shift, eps, lo, lo+rows)
+					if i := mismatch(got.Data, want.Data); i >= 0 {
 						t.Fatalf("%s: element %d (row %d, victim row %d) is %#x, want %#x", what, i, i/cols, victim, bitsOf(got.Data[i]), bitsOf(want.Data[i]))
 					}
-					LayerNorm32Rows(src, src, Check(gain), Check(shift), eps, lo, lo+rows)
-					if i := bitsEqual(src.Data, want.Data); i >= 0 {
+					LayerNorm32Rows(src, src, gain, shift, eps, lo, lo+rows)
+					if i := mismatch(src.Data, want.Data); i >= 0 {
 						t.Fatalf("%s, in place: element %d is %#x, want %#x", what, i, bitsOf(src.Data[i]), bitsOf(want.Data[i]))
 					}
 				}
