@@ -28,9 +28,11 @@ import (
 // the aggregate before the exchange is empty and dispatches nothing, and
 // under the synchronous split the interior rows are aggregated by the node
 // stage's head, not by a region of their own (14 while they were); a Step
-// is 11 forward (it also encodes the edges), then per layer two chains
-// with their two reductions and the scatter, and two regions for each of
-// the three encoder/decoder blocks: 11 + 4 × 5 + 6 = 37.
+// is 11 forward (it also encodes the edges), then per layer two chains,
+// each carrying its parameter reductions in its one region, and the
+// scatter, and one region for each of the three encoder/decoder blocks:
+// 11 + 4 × 3 + 3 = 26 (37 while every chain's reductions were a region of
+// their own).
 //
 // The engine's arenas are part of the same budget: a forward-only pass
 // holds no (B·N_edges)×3H edge input and no (B·N_local)×2H node input —
@@ -89,8 +91,8 @@ func TestParallelDispatchBudget(t *testing.T) {
 			return err
 		}
 		tr := NewTrainer(model, nn.NewAdam(1e-3))
-		if n := dispatched(func() { tr.Step(rc, x, x) }); n > 37 {
-			t.Errorf("Step dispatches %d regions, budget 37", n)
+		if n := dispatched(func() { tr.Step(rc, x, x) }); n > 26 {
+			t.Errorf("Step dispatches %d regions, budget 26", n)
 		}
 		return nil
 	})
@@ -100,15 +102,15 @@ func TestParallelDispatchBudget(t *testing.T) {
 }
 
 // TestParallelDispatchBudgetPerSplit pins the regions of one message-passing layer —
-// every ForTask/ReduceAll with work to do, dispatched or inline — on two
+// every ForTask/Panels.For with work to do, dispatched or inline — on two
 // ranks, for both split points. Forward: edge stage, the aggregate of the
 // boundary prefix (every rank here has one; at this width it is shorter
 // than its grain and runs inline), node stage, plus the during-exchange
 // aggregate of the interior rows only under the phased split — under the
 // synchronous one those rows are summed by the node stage's head, so the
 // boundary prefix is the only aggregate region left and the count stays 3
-// (an empty span dispatches nothing). Backward: the node chain and its
-// reductions, the halo-gradient gather, the edge chain and its reductions,
+// (an empty span dispatches nothing). Backward: the node chain (its
+// reductions ride its region), the halo-gradient gather, the edge chain,
 // the scatter, plus the during-exchange edge gather only under the phased
 // split. The
 // counters are process-wide, so the two ranks bracket the layer with
@@ -132,7 +134,7 @@ func TestParallelDispatchBudgetPerSplit(t *testing.T) {
 	for _, tc := range []struct {
 		overlap  bool
 		fwd, bwd uint64 // per rank
-	}{{false, 3, 6}, {true, 4, 7}} {
+	}{{false, 3, 4}, {true, 4, 5}} {
 		var fwd, bwd uint64
 		err := comm.Run(ranks, func(c *comm.Comm) error {
 			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)

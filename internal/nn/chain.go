@@ -60,20 +60,25 @@ type rowLayer interface {
 	backwardRows(lo, hi int)
 	// reductions appends the layer's parameter-gradient reductions over a
 	// block of rows rows, each with the chunk grain the layer has always
-	// reduced with. reduceBody and reduceMerge address them by position
-	// (which) and take absolute row numbers.
+	// reduced with and whether its body may take a chunk in pieces
+	// (Resumable); the chain sets the block's offset. reduceBody and
+	// reduceMerge address them by position (which) and take absolute row
+	// numbers.
 	reductions(rs []parallel.Reduction, rows int) []parallel.Reduction
 	reduceBody(which, lo, hi int, acc []float64)
 	reduceMerge(which int, acc []float64, last bool)
 }
 
-// chain evaluates a sequence of row layers as a fused block: the forward
-// pass is ONE parallel region over row panels, the backward pass two —
-// the input-gradient chain (again a row map, panel by panel in reverse
-// layer order, leaving each layer's output gradient in place) and then
-// every parameter reduction of the block together (parallel.ReduceAll).
-// A region costs a worker wake (see package parallel, "region
-// granularity") and one layer over a few thousand rows is tens of
+// chain evaluates a sequence of row layers as a fused block: each pass is
+// ONE parallel region over row panels. The forward pass carries a panel
+// through every layer; the backward pass carries it back through every
+// layer in reverse order (the input gradient is again a row map, leaving
+// each layer's output gradient in place) and carries the block's
+// parameter reductions in the same region (parallel.Panels): a reduction
+// chunk advances over its rows as their panels complete, reading the
+// layer inputs and output gradients the panel just touched while they are
+// still in cache. A region costs a worker wake (see package parallel,
+// "region granularity") and one layer over a few thousand rows is tens of
 // microseconds: dispatched per layer, the workers arrive after the caller
 // has done the work.
 //
@@ -81,14 +86,15 @@ type rowLayer interface {
 // before its first layer and after its last, inside the same region. The
 // matrices they address stay at full height here — the forward head fills
 // the block's cached input and the backward head the output gradient,
-// which the parameter reductions read back — so what a head or tail saves
-// a training pass is its region and the second trip through memory, not
-// the matrix.
+// which the parameter reductions read — so what a head or tail saves a
+// training pass is its region and the second trip through memory, not the
+// matrix.
 //
 // Nothing here changes a bit relative to evaluating layer by layer. The
 // forward and input-gradient passes are row maps; each reduction keeps
-// its own chunk grain, runs per sample block, and merges in ascending
-// chunk order.
+// its own chunk grain, runs per sample block, advances a chunk in pieces
+// only where its body allows it (Reduction.Resumable), and merges in
+// ascending chunk order.
 type chain struct {
 	layers []rowLayer
 	rows   int
@@ -98,17 +104,19 @@ type chain struct {
 	head, tail RowMap[float64]
 	in, out    *tensor.Matrix
 
-	// The block's reductions, (sample block, layer, which) by index.
-	rs   []parallel.Reduction
-	refs []redRef
+	// The block's reductions, (sample block, layer, which) by index, and
+	// the region state that carries them, accumulators included: kept
+	// across steps, so a steady-state backward allocates nothing.
+	rs     []parallel.Reduction
+	refs   []redRef
+	panels parallel.Panels
 }
 
 // redRef locates one reduction of the block: which reduction of which
-// layer, over the sample block starting at row off.
+// layer.
 type redRef struct {
 	l     rowLayer
 	which int
-	off   int
 }
 
 func newChain(layers ...rowLayer) *chain { return &chain{layers: layers} }
@@ -130,16 +138,10 @@ func (c *chain) forward(x *tensor.Matrix, head, tail RowMap[float64]) *tensor.Ma
 		_, readsBack := l.(*ELU)
 		owned = !readsBack
 	}
-	c.run((*chainForward)(c), x, head, tail)
-	return x
-}
-
-// run dispatches one pass over the row panels as a region, out being the
-// matrix its last layer writes.
-func (c *chain) run(pass parallel.Task, out *tensor.Matrix, head, tail RowMap[float64]) {
-	c.out, c.head, c.tail = out, head, tail
-	parallel.ForTask(panels(c.rows), 1, pass)
+	c.out, c.head, c.tail = x, head, tail
+	parallel.ForTask(panels(c.rows), 1, (*chainForward)(c))
 	c.in, c.out, c.head, c.tail = nil, nil, nil, nil
+	return x
 }
 
 // headRows and tailRows hand rows [r0, r1) of the pass's first input and
@@ -171,8 +173,8 @@ func (c *chainForward) Run(lo, hi int) {
 // backward propagates dy, batch vertically stacked sample gradients,
 // through the block. The input gradient is a row map over the full stack;
 // the parameter reductions — whose fixed chunk schedule derives from the
-// row count — run per sample block in ascending order, so each block's
-// reduction geometry, and hence every accumulated bit, matches the
+// row count — run per sample block, merged in ascending order, so each
+// block's reduction geometry, and hence every accumulated bit, matches the
 // sequential per-sample oracle exactly. A head fills rows of dy (all of
 // them, or those the caller has not already written) before the panel's
 // layers read them; a tail is handed the input-gradient rows.
@@ -186,7 +188,6 @@ func (c *chain) backward(dy *tensor.Matrix, batch int, head, tail RowMap[float64
 		dy = c.layers[i].bindBackward(dy, owned)
 		owned = true
 	}
-	c.run((*chainBackward)(c), dy, head, tail)
 
 	per := c.rows / batch
 	c.rs, c.refs = c.rs[:0], c.refs[:0]
@@ -195,11 +196,14 @@ func (c *chain) backward(dy *tensor.Matrix, batch int, head, tail RowMap[float64
 			n := len(c.rs)
 			c.rs = l.reductions(c.rs, per)
 			for which := range c.rs[n:] {
-				c.refs = append(c.refs, redRef{l: l, which: which, off: b * per})
+				c.rs[n+which].Off = b * per
+				c.refs = append(c.refs, redRef{l: l, which: which})
 			}
 		}
 	}
-	parallel.ReduceAll(c.rs, c)
+	c.out, c.head, c.tail = dy, head, tail
+	c.panels.For(c.rows, panelRows, c.rs, (*chainBackward)(c))
+	c.in, c.out, c.head, c.tail = nil, nil, nil, nil
 	return dy
 }
 
@@ -216,14 +220,14 @@ func (c *chainBackward) Run(lo, hi int) {
 	}
 }
 
-// Body implements parallel.MultiReducer.
-func (c *chain) Body(k, lo, hi int, acc []float64) {
+// Body implements parallel.PanelReducer.
+func (c *chainBackward) Body(k, lo, hi int, acc []float64) {
 	r := c.refs[k]
-	r.l.reduceBody(r.which, r.off+lo, r.off+hi, acc)
+	r.l.reduceBody(r.which, lo, hi, acc)
 }
 
-// Merge implements parallel.MultiReducer.
-func (c *chain) Merge(k int, acc []float64, last bool) {
+// Merge implements parallel.PanelReducer.
+func (c *chainBackward) Merge(k int, acc []float64, last bool) {
 	r := c.refs[k]
 	r.l.reduceMerge(r.which, acc, last)
 }

@@ -230,11 +230,16 @@ func sameBits[T float32 | float64](t *testing.T, what string, got, want []T) {
 }
 
 // TestBlockMatchesLayerAtATime: the fused block — training forward with
-// its backward caches, the two-region backward with per-block reductions,
-// and both compiled evaluators — is bitwise the layer-at-a-time evaluation,
-// for row counts either side of the panel height, widths either side of
-// the packed-GEMM threshold, with and without the norm, at every thread
-// count, for 1, 2 and 4 stacked sample blocks; and the same block with a
+// its backward caches, the one-region backward whose per-block reductions
+// advance as their panels complete, and both compiled evaluators — is
+// bitwise the layer-at-a-time evaluation, for row counts either side of
+// the panel height, widths either side of the packed-GEMM threshold, with
+// and without the norm, at every thread count, for 1, 2 and 4 stacked
+// sample blocks; the edge-shaped blocks (5 hidden layers, LargeConfig's
+// 96 → 32 and SmallConfig's 24 → 8: packed and unpacked weight
+// gradients) at 85 rows a block, the 96-wide weight's chunk grain against
+// the 64-row panels, at 200, which is no multiple of the panel, and at the
+// benchmark's 3 072 edges, for 1 and 3 blocks; and the same block with a
 // gather head and a residual tail in its panel loop is bitwise
 // materialise-then-block-then-add (the headtail subtests).
 func TestBlockMatchesLayerAtATime(t *testing.T) {
@@ -261,16 +266,28 @@ func TestBlockMatchesLayerAtATime(t *testing.T) {
 			for _, norm := range []bool{true, false} {
 				for _, batch := range []int{1, 2, 4} {
 					name := fmt.Sprintf("rows%d/%dx%dx%d/norm=%v/B%d", rows, sh[0], sh[1], sh[2], norm, batch)
-					t.Run(name, func(t *testing.T) { checkBlock(t, rows, sh, norm, batch) })
+					t.Run(name, func(t *testing.T) { checkBlock(t, rows, sh, 2, norm, batch) })
 				}
+			}
+		}
+	}
+	edgeRows := []int{85, 200}
+	if !testing.Short() && !raceEnabled {
+		edgeRows = append(edgeRows, 3072)
+	}
+	for _, rows := range edgeRows {
+		for _, sh := range [][3]int{{96, 32, 32}, {24, 8, 8}} {
+			for _, batch := range []int{1, 3} {
+				name := fmt.Sprintf("edge/rows%d/%dx%dx%d/B%d", rows, sh[0], sh[1], sh[2], batch)
+				t.Run(name, func(t *testing.T) { checkBlock(t, rows, sh, 5, true, batch) })
 			}
 		}
 	}
 }
 
-func checkBlock(t *testing.T, per int, sh [3]int, norm bool, batch int) {
+func checkBlock(t *testing.T, per int, sh [3]int, hidden int, norm bool, batch int) {
 	rng := rand.New(rand.NewSource(int64(per*31 + sh[1]*7 + batch)))
-	m := NewMLP("t", sh[0], sh[1], sh[2], 2, norm, rng)
+	m := NewMLP("t", sh[0], sh[1], sh[2], hidden, norm, rng)
 	arena := tensor.NewArena()
 	m.SetArena(arena)
 	for _, p := range m.Params() {

@@ -205,7 +205,9 @@ func (l *Linear) backwardRows(lo, hi int) {
 }
 
 // The two parameter reductions of a Linear, per sample block: the weight
-// gradient xᵀ·dy and the bias gradient (column sums of dy).
+// gradient xᵀ·dy and the bias gradient (column sums of dy). The column
+// sums may take a chunk in pieces on every rung; the weight gradient
+// where tensor.MatMulATBAccResumes says so.
 const (
 	redWeight = iota
 	redBias
@@ -213,8 +215,9 @@ const (
 
 func (l *Linear) reductions(rs []parallel.Reduction, rows int) []parallel.Reduction {
 	return append(rs,
-		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.In * l.Out), AccLen: l.In * l.Out},
-		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.Out), AccLen: l.Out})
+		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.In * l.Out), AccLen: l.In * l.Out,
+			Resumable: tensor.MatMulATBAccResumes(l.In, l.Out)},
+		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.Out), AccLen: l.Out, Resumable: true})
 }
 
 func (l *Linear) reduceBody(which, lo, hi int, acc []float64) {
@@ -225,10 +228,11 @@ func (l *Linear) reduceBody(which, lo, hi int, acc []float64) {
 	}
 }
 
-// reduceMerge folds chunk partials in the order the kernels it replaces
-// did: weight partials sum into the zeroed dw scratch, which is added to
-// the gradient once the block's last chunk is in; bias partials add to
-// the gradient directly.
+// reduceMerge folds chunk partials after the backward's region, on the
+// caller, sample blocks ascending and each block's chunks ascending — the
+// order MatMulATB and ReduceWith fold them: weight partials sum into the
+// zeroed dw scratch, which is added to the gradient once the block's last
+// chunk is in; bias partials add to the gradient directly.
 func (l *Linear) reduceMerge(which int, acc []float64, last bool) {
 	if which == redBias {
 		tensor.AddTo(l.Bias.G.Data, acc)
@@ -569,9 +573,10 @@ func (ln *LayerNorm) inputGradRow(i int, sum1, sum2 float64) {
 }
 
 // reductions: the gain and shift gradients reduce over the rows together,
-// one 2·Dim accumulator per chunk of 256 rows.
+// one 2·Dim accumulator per chunk of 256 rows, which the body may take in
+// pieces (each column's two chains are per row, rows ascending).
 func (ln *LayerNorm) reductions(rs []parallel.Reduction, rows int) []parallel.Reduction {
-	return append(rs, parallel.Reduction{N: rows, Grain: 256, AccLen: 2 * ln.Dim})
+	return append(rs, parallel.Reduction{N: rows, Grain: 256, AccLen: 2 * ln.Dim, Resumable: true})
 }
 
 // reduceBody is the gain and shift gradients' chunk body. Its definition

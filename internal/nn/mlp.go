@@ -65,8 +65,8 @@ func (m *MLP) ForwardRows(rows int, head, tail RowMap[float64]) *tensor.Matrix {
 	return m.block.forward(m.arena.Get(rows, m.In), head, tail)
 }
 
-// Backward implements Layer: one region for the input gradient through
-// all layers, one for every parameter-gradient reduction of the block.
+// Backward implements Layer: one region carries the input gradient
+// through all layers and every parameter-gradient reduction of the block.
 func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix { return m.BackwardRows(dy, 1, nil, nil) }
 
 // BackwardBatched propagates a stacked gradient of batch samples through

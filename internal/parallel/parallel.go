@@ -13,11 +13,16 @@
 //
 //   - ForTask partitions [0,n) into disjoint chunks where each index is
 //     written by exactly one worker, so chunking cannot change results;
-//   - ReduceWith and ReduceAll derive their chunk structure from the
-//     problem shape only (never from the thread count), give every chunk a
-//     private partial accumulator, and merge the partials in ascending
-//     chunk order. The Threads=1 path executes the *same* chunk schedule
-//     sequentially, so serial and parallel runs agree bit-for-bit.
+//   - ReduceWith and the reductions a Panels region carries derive their
+//     chunk structure from the problem shape only (never from the thread
+//     count), give every chunk a private partial accumulator, and merge the
+//     partials in ascending chunk order on the caller. Within a chunk the
+//     rows are accumulated in ascending order by one participant at a
+//     time; a Panels region advances a chunk in pieces, as its rows
+//     complete, only where the body declares that splitting a chunk moves
+//     no bit (Reduction.Resumable). The Threads=1 path executes the *same*
+//     chunk schedule sequentially, so serial and parallel runs agree
+//     bit-for-bit.
 //
 // This is the fixed-schedule reduction discipline: floating-point addition
 // is not associative, so reproducibility requires the summation tree to be
@@ -28,11 +33,12 @@
 // settings).
 //
 // Allocation contract. The dispatch machinery itself allocates nothing in
-// steady state: jobs, reduction runners, and partial accumulators are all
-// recycled through pools. Regions are dispatched through the Task,
-// Reducer and MultiReducer interfaces (ForTask, ReduceWith, ReduceAll),
-// implemented by reusable bound argument structs, so no region allocates
-// a closure.
+// steady state: jobs, reduction runners, and ReduceWith's partial
+// accumulators are recycled through pools, and a Panels region's
+// accumulators live in the Panels value its caller keeps. Regions are
+// dispatched through the Task, Reducer and PanelReducer interfaces
+// (ForTask, ReduceWith, Panels.For), implemented by reusable bound
+// argument structs, so no region allocates a closure.
 //
 // Region granularity. A region that goes parallel is handed to parked
 // workers through a channel, and a parked worker does not start at once:
@@ -44,9 +50,10 @@
 // the rule for callers is: dispatch per layer stage, not per kernel. A
 // region should carry hundreds of microseconds. internal/nn evaluates a
 // whole MLP block (every Linear, ELU and LayerNorm of it, a row panel at a
-// time) as one ForTask and all of a block's parameter-gradient reductions
-// as one ReduceAll, and lets its caller put a row map at the head and the
-// tail of the panel loop; internal/gnn uses that to make the gather or
+// time) as one ForTask forward and one Panels.For backward, which carries
+// all of the block's parameter-gradient reductions in the same region, and
+// lets its caller put a row map at the head and the tail of the panel
+// loop; internal/gnn uses that to make the gather or
 // concatenation that feeds a block and the residual add that follows it
 // part of the block's region, so a message-passing layer is at most three
 // regions (edge stage, aggregation of the rows the halo exchange sends,
@@ -54,7 +61,7 @@
 // head aggregates the other rows, so on one rank a layer is two. A
 // LargeConfig prediction went from 191 dispatched regions (one per kernel
 // call) to 34 (one per block and per loop around it) to 14 to 10, a
-// training step from 468 to 81 to 41 to 37; internal/gnn's
+// training step from 468 to 81 to 41 to 37 to 26; internal/gnn's
 // TestParallelDispatchBudget pins both. Stats counts dispatched and inline
 // regions and who ran the chunks; a caller share of the chunks near 1 is
 // the sign of regions that are too small. The engine never spins waiting
@@ -69,8 +76,8 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -256,7 +263,7 @@ func Configure(threads int, deterministic bool) {
 
 // Counters is a snapshot of the engine's process-wide region counters.
 // They only ever increase; read them by delta around the code of interest,
-// like comm.Stats. A region is one ForTask/ReduceWith/ReduceAll
+// like comm.Stats. A region is one ForTask/ReduceWith/Panels.For
 // call with work to do.
 type Counters struct {
 	// Dispatched counts regions offered to the worker pool (Threads > 1
@@ -501,104 +508,182 @@ func reduceSerial(n, chunk, numChunks, accLen int, r Reducer) {
 	putBuf(p)
 }
 
-// Reduction is one member of a ReduceAll region: N rows reduced in chunks
-// of Grain rows into private accumulators of length AccLen, exactly as
-// ReduceWith(N, Grain, AccLen, ·) would chunk them.
-type Reduction struct{ N, Grain, AccLen int }
+// Reduction is one row reduction a Panels region carries: rows [Off,
+// Off+N) of the region's rows, cut into chunks of Grain rows exactly as
+// ReduceWith(N, Grain, AccLen, ·) cuts [0, N), each chunk reduced into a
+// private zeroed accumulator of length AccLen. Resumable says the body
+// may take a chunk in pieces — its bits for rows [lo, m) then [m, hi) into
+// one accumulator are those of [lo, hi) in one call, for every m — so the
+// chunk advances as its rows complete; otherwise the chunk runs in one
+// call once all of its rows have.
+type Reduction struct {
+	Off, N, Grain, AccLen int
+	Resumable             bool
+}
 
-// MultiReducer is the body of a ReduceAll region: Reducer with the index
-// k of the reduction a call belongs to.
-type MultiReducer interface {
-	// Body accumulates rows [lo, hi) of reduction k into acc, a private
-	// zeroed accumulator. It may be called concurrently.
+// PanelReducer is the body of a Panels region.
+type PanelReducer interface {
+	// Run processes panels [lo, hi), as Task.Run does indices; panel q is
+	// rows [q·panel, (q+1)·panel) of the region's rows.
+	Task
+	// Body accumulates rows [lo, hi) of reduction k into acc, its chunk's
+	// accumulator, zeroed before the chunk's first call. It is called
+	// only on rows whose panels have completed; the calls for one chunk
+	// are sequential, in ascending row order, and cover it once.
 	Body(k, lo, hi int, acc []float64)
 	// Merge folds one accumulator of reduction k into its destination.
-	// Merge calls are sequential on the calling goroutine: reductions in
-	// ascending k, each reduction's chunks in ascending order; last marks
-	// a reduction's final chunk.
+	// Merge calls are sequential on the calling goroutine after the
+	// panels: reductions in ascending k, each reduction's chunks in
+	// ascending order; last marks a reduction's final chunk.
 	Merge(k int, acc []float64, last bool)
 }
 
-// multiRun carries one ReduceAll region: task index i is chunk
-// i-first[k] of reduction k, for the k whose range contains i.
-type multiRun struct {
-	r        MultiReducer
-	rs       []Reduction
-	chunk    []int // chunk length per reduction
-	first    []int // first task index per reduction
-	partials []*[]float64
+// Panels is the state of a panel region that carries reductions: per
+// chunk its accumulator, its row cursor and its token, per panel whether
+// it has completed. A caller keeps one across calls and runs one region
+// on it at a time; it grows to the largest region it has carried, after
+// which a region allocates nothing. The zero value is ready.
+type Panels struct {
+	r           PanelReducer
+	rs          []Reduction
+	rows, panel int
+	chunk       []int // chunk length per reduction
+	first       []int // index in chunks of each reduction's first chunk
+	chunks      []panelChunk
+	done        []atomic.Bool // per panel
+	acc         []float64
 }
 
-func (mr *multiRun) Run(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		k := sort.SearchInts(mr.first, i+1) - 1
-		s := mr.rs[k]
-		rlo := (i - mr.first[k]) * mr.chunk[k]
-		p := getBuf(s.AccLen)
-		mr.r.Body(k, rlo, min(rlo+mr.chunk[k], s.N), *p)
-		mr.partials[i] = p
+// panelChunk is one chunk of one reduction: rows [lo, hi), the first cur
+// of them accumulated. cur and acc belong to whoever holds busy.
+type panelChunk struct {
+	k, lo, hi, cur int
+	acc            []float64
+	busy           atomic.Bool
+}
+
+type panelTask Panels
+
+// For runs r over the panels of rows rows, panel rows each, as ForTask
+// runs a Task over them — one region — and carries the reductions rs in
+// the same region: when a panel completes, every chunk its rows belong to
+// advances over the longest completed run of rows from its cursor, while
+// those rows are still in the cache of whoever finished them. One
+// participant advances a chunk at a time. The merges follow the region on
+// the caller in ReduceWith's order, so every reduction's summation tree —
+// chunk boundaries, the ascending row order within a chunk, the merge
+// order — is ReduceWith's, whatever the thread count and whichever
+// participant advanced what: bitwise, given that a Resumable body is what
+// Reduction says it is. The chunk grains, as for ReduceWith, must derive
+// from the problem shape only.
+func (p *Panels) For(rows, panel int, rs []Reduction, r PanelReducer) {
+	if rows <= 0 {
+		return
 	}
-}
-
-var multiPool = sync.Pool{New: func() any { return new(multiRun) }}
-
-// ReduceAll runs several chunked reductions as ONE region: the task list
-// is the concatenation of every reduction's own chunk schedule, so each
-// reduction keeps the summation tree ReduceWith would give it — bitwise —
-// while the block of them costs a single dispatch. A layer's backward
-// pass has one such reduction per parameter tensor, each too small to pay
-// for a worker wake of its own (see the package comment). Dispatch
-// performs no heap allocation in steady state.
-func ReduceAll(rs []Reduction, r MultiReducer) {
 	t := loadThreads()
-	mr := multiPool.Get().(*multiRun)
-	mr.chunk, mr.first = mr.chunk[:0], mr.first[:0]
-	total := 0
+	p.r, p.rs, p.rows, p.panel = r, rs, rows, panel
+	p.chunk, p.first = p.chunk[:0], p.first[:0]
+	total, accLen := 0, 0
 	for _, s := range rs {
+		if s.Off < 0 || s.N < 0 || s.Off+s.N > rows {
+			panic(fmt.Sprintf("parallel: reduction over rows [%d, %d) outside the region's %d", s.Off, s.Off+s.N, rows))
+		}
 		c := reduceChunk(s.N, s.Grain, t)
-		mr.chunk = append(mr.chunk, c)
-		mr.first = append(mr.first, total)
+		p.chunk = append(p.chunk, c)
+		p.first = append(p.first, total)
 		if s.N > 0 {
-			total += (s.N + c - 1) / c
+			n := (s.N + c - 1) / c
+			total += n
+			accLen += n * s.AccLen
 		}
 	}
-	switch {
-	case total == 0:
-	case t == 1 || total == 1:
-		counters.inline.Add(1)
-		for k, s := range rs {
-			if s.N <= 0 {
+	if cap(p.chunks) < total {
+		p.chunks = make([]panelChunk, total)
+	}
+	p.chunks = p.chunks[:total]
+	if cap(p.acc) < accLen {
+		p.acc = make([]float64, accLen)
+	}
+	np := (rows + panel - 1) / panel
+	if cap(p.done) < np {
+		p.done = make([]atomic.Bool, np)
+	}
+	p.done = p.done[:np]
+	for q := range p.done {
+		p.done[q].Store(false)
+	}
+	i, off := 0, 0
+	for k, s := range rs {
+		for lo := 0; lo < s.N; lo += p.chunk[k] {
+			ch := &p.chunks[i]
+			ch.k, ch.lo, ch.hi = k, s.Off+lo, s.Off+min(lo+p.chunk[k], s.N)
+			ch.cur = ch.lo
+			ch.acc = p.acc[off : off+s.AccLen]
+			off += s.AccLen
+			i++
+		}
+	}
+	ForTask(np, 1, (*panelTask)(p))
+	i = 0
+	for k, s := range rs {
+		for lo := 0; lo < s.N; lo += p.chunk[k] {
+			r.Merge(k, p.chunks[i].acc, lo+p.chunk[k] >= s.N)
+			i++
+		}
+	}
+	p.r, p.rs = nil, nil
+}
+
+// Run completes panels [lo, hi) one at a time, advancing after each every
+// chunk it holds rows of.
+func (t *panelTask) Run(lo, hi int) {
+	p := (*Panels)(t)
+	for q := lo; q < hi; q++ {
+		p.r.Run(q, q+1)
+		p.done[q].Store(true)
+		r0, r1 := q*p.panel, min((q+1)*p.panel, p.rows)
+		for k, s := range p.rs {
+			a, b := max(r0, s.Off), min(r1, s.Off+s.N)
+			if a >= b {
 				continue
 			}
-			p := getBuf(s.AccLen)
-			for lo := 0; lo < s.N; lo += mr.chunk[k] {
-				if lo > 0 {
-					clear(*p)
-				}
-				hi := min(lo+mr.chunk[k], s.N)
-				r.Body(k, lo, hi, *p)
-				r.Merge(k, *p, hi == s.N)
-			}
-			putBuf(p)
-		}
-	default:
-		if cap(mr.partials) < total {
-			mr.partials = make([]*[]float64, total)
-		}
-		mr.partials = mr.partials[:total]
-		mr.r, mr.rs = r, rs
-		runJob(total, 1, total, t, mr)
-		mr.r, mr.rs = nil, nil
-		i := 0
-		for k, s := range rs {
-			for lo := 0; lo < s.N; lo += mr.chunk[k] {
-				p := mr.partials[i]
-				r.Merge(k, *p, lo+mr.chunk[k] >= s.N)
-				putBuf(p)
-				mr.partials[i] = nil
-				i++
+			for c := (a - s.Off) / p.chunk[k]; c <= (b-1-s.Off)/p.chunk[k]; c++ {
+				p.advance(p.first[k] + c)
 			}
 		}
 	}
-	multiPool.Put(mr)
+}
+
+// advance takes chunk i as far as its completed rows allow, if no one else
+// holds it. A panel that completes while the chunk is held finds it taken
+// and leaves its rows to the holder, which therefore looks again after
+// letting go: the completion was stored before the failed take, so the
+// second look sees it.
+func (p *Panels) advance(i int) {
+	ch := &p.chunks[i]
+	resumable := p.rs[ch.k].Resumable
+	for ch.busy.CompareAndSwap(false, true) {
+		cur := ch.cur
+		end := p.reach(cur, ch.hi)
+		if end > cur && (resumable || end == ch.hi) {
+			if cur == ch.lo {
+				clear(ch.acc)
+			}
+			p.r.Body(ch.k, cur, end, ch.acc)
+			ch.cur, cur = end, end
+		}
+		ch.busy.Store(false)
+		if end = p.reach(cur, ch.hi); end == cur || !resumable && end < ch.hi {
+			return
+		}
+	}
+}
+
+// reach returns how far the rows from cur are complete: the first row at
+// or after cur whose panel has not completed, or hi.
+func (p *Panels) reach(cur, hi int) int {
+	for cur < hi && p.done[cur/p.panel].Load() {
+		cur = (cur/p.panel + 1) * p.panel
+	}
+	return min(cur, hi)
 }

@@ -1,8 +1,10 @@
 package parallel
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,100 +343,179 @@ func TestClampPolicy(t *testing.T) {
 	}
 }
 
-// dotsReducer is a MultiReducer of k independent column-weighted sums:
-// reduction k sums data[k][i]*(i%7) over its rows into one accumulator
-// slot per column, recording the merge sequence it sees.
-type dotsReducer struct {
-	data   [][]float64
-	cols   []int
-	totals [][]float64
-	merges []int // reduction index of each Merge call, in call order
-	lasts  []int // reductions whose final chunk was flagged, in call order
+// panelSums is a PanelReducer over a rows×cols table. Run "computes" the
+// rows of its panels — copies them from src into out and marks them — and
+// reduction k sums out's rows weighted by (row+k) mod 7 into its first
+// AccLen columns. A Resumable reduction adds row by row, rows ascending: a
+// chain per column that may be cut anywhere. Any other adds the rows in
+// pairs from the first row of the call, so its bits depend on where a
+// chunk is cut and only the whole chunk gives ReduceWith's. Body reports a
+// row it is handed before its panel completed, and records its calls.
+type panelSums struct {
+	t          *testing.T
+	rs         []Reduction
+	panel      int
+	cols       int
+	src, out   []float64
+	written    []atomic.Bool
+	mu         sync.Mutex
+	calls      [][][2]int // per reduction, the row ranges Body was called on
+	totals     [][]float64
+	merges     []int // reduction index of each Merge call, in call order
+	lasts      []int // reductions whose final chunk was flagged, in call order
+	recordOnly bool  // skip the checks (the zero-allocation run)
 }
 
-func (r *dotsReducer) Body(k, lo, hi int, acc []float64) {
-	c := r.cols[k]
-	for i := lo; i < hi; i++ {
-		for j := 0; j < c; j++ {
-			acc[j] += r.data[k][i*c+j] * float64(i%7)
+func (p *panelSums) Run(lo, hi int) {
+	rows := len(p.src) / p.cols
+	for q := lo; q < hi; q++ {
+		for i := q * p.panel; i < min((q+1)*p.panel, rows); i++ {
+			copy(p.out[i*p.cols:(i+1)*p.cols], p.src[i*p.cols:(i+1)*p.cols])
+			p.written[i].Store(true)
 		}
 	}
 }
 
-func (r *dotsReducer) Merge(k int, acc []float64, last bool) {
+// sumRows is reduction k's body over rows [lo, hi) of data.
+func sumRows(data []float64, cols, k int, resumable bool, lo, hi int, acc []float64) {
+	w := func(i int) float64 { return float64((i + k) % 7) }
+	i := lo
+	if !resumable {
+		for ; i+2 <= hi; i += 2 {
+			for j := range acc {
+				acc[j] += data[i*cols+j]*w(i) + data[(i+1)*cols+j]*w(i+1)
+			}
+		}
+	}
+	for ; i < hi; i++ {
+		for j := range acc {
+			acc[j] += data[i*cols+j] * w(i)
+		}
+	}
+}
+
+func (p *panelSums) Body(k, lo, hi int, acc []float64) {
+	if !p.recordOnly {
+		for i := lo; i < hi; i++ {
+			if !p.written[i].Load() {
+				p.t.Errorf("reduction %d handed row %d before its panel completed", k, i)
+				return
+			}
+		}
+		p.mu.Lock()
+		p.calls[k] = append(p.calls[k], [2]int{lo, hi})
+		p.mu.Unlock()
+	}
+	sumRows(p.out, p.cols, k, p.rs[k].Resumable, lo, hi, acc)
+}
+
+func (p *panelSums) Merge(k int, acc []float64, last bool) {
 	for j, v := range acc {
-		r.totals[k][j] += v
+		p.totals[k][j] += v
 	}
-	r.merges = append(r.merges, k)
+	p.merges = append(p.merges, k)
 	if last {
-		r.lasts = append(r.lasts, k)
+		p.lasts = append(p.lasts, k)
 	}
 }
 
-// one adapts reduction k of a dotsReducer to the single-reduction form.
-type one struct {
-	r *dotsReducer
-	k int
+func newPanelSums(t *testing.T, rows, cols, panel int, rs []Reduction, src []float64) *panelSums {
+	p := &panelSums{t: t, rs: rs, panel: panel, cols: cols, src: src,
+		out: make([]float64, rows*cols), written: make([]atomic.Bool, rows), calls: make([][][2]int, len(rs))}
+	for _, s := range rs {
+		p.totals = append(p.totals, make([]float64, s.AccLen))
+	}
+	return p
 }
 
-func (o one) Body(lo, hi int, acc []float64) { o.r.Body(o.k, lo, hi, acc) }
-func (o one) Merge(acc []float64)            { o.r.Merge(o.k, acc, false) }
+// TestPanelsMatchReduceWith: carrying reductions in a panel region — each
+// chunk advanced by whoever completes its rows, a Resumable one in pieces
+// — changes no bit of any of them against ReduceWith over the same rows,
+// for 1, 2 and 4 threads; the merges arrive reduction by reduction with
+// the final chunk flagged; every Body call is on completed rows, and a
+// chunk's calls cover it once, ascending, in one call where the body is
+// not Resumable. The cases: chunks straddling 64-row panels at both ends
+// (grain 85) or not at all (64), a chunk longer than its reduction (a
+// whole sample block: grain 8 192), reductions that start mid-panel, an
+// empty one, three sample blocks of 200 rows, and a region of one panel.
+// One Panels value carries every region, growing and shrinking.
+func TestPanelsMatchReduceWith(t *testing.T) {
+	const panel, cols = 64, 8
+	type region struct {
+		rows int
+		rs   []Reduction
+	}
+	regions := []region{
+		{1000, []Reduction{{N: 1000, Grain: 85, AccLen: 3, Resumable: true}, {N: 1000, Grain: 64, AccLen: 2},
+			{Off: 10}, {Off: 100, N: 77, Grain: 100, AccLen: 5, Resumable: true},
+			{Off: 3, N: 513, Grain: 7, AccLen: 1}, {Off: 936, N: 64, Grain: 64, AccLen: 4, Resumable: true},
+			{Off: 30, N: 900, Grain: 85, AccLen: 8}}},
+		{37, []Reduction{{N: 37, Grain: 85, AccLen: 3, Resumable: true}, {N: 37, Grain: 8, AccLen: 2}}},
+	}
+	var batched []Reduction
+	for b := 0; b < 3; b++ {
+		batched = append(batched,
+			Reduction{Off: 200 * b, N: 200, Grain: 85, AccLen: 8, Resumable: true},
+			Reduction{Off: 200 * b, N: 200, Grain: 8192, AccLen: 3, Resumable: true},
+			Reduction{Off: 200 * b, N: 200, Grain: 85, AccLen: 5},
+			Reduction{Off: 200 * b, N: 200, Grain: 256, AccLen: 6, Resumable: true},
+			Reduction{Off: 200 * b, N: 200, Grain: 8192, AccLen: 2})
+	}
+	regions = append(regions, region{600, batched})
 
-// TestReduceAllMatchesReduceWith: fusing several reductions into one
-// region changes no bit of any of them, for any thread count — each keeps
-// the chunk schedule and ascending merge order ReduceWith gives it — and
-// the merges arrive reduction by reduction with the final chunk flagged.
-func TestReduceAllMatchesReduceWith(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	rs := []Reduction{{N: 1000, Grain: 64, AccLen: 3}, {N: 0, Grain: 8, AccLen: 2},
-		{N: 77, Grain: 100, AccLen: 5}, {N: 513, Grain: 7, AccLen: 1}, {N: 64, Grain: 64, AccLen: 4}}
-	fresh := func() *dotsReducer {
-		r := &dotsReducer{}
-		for _, s := range rs {
-			r.cols = append(r.cols, s.AccLen)
-			r.totals = append(r.totals, make([]float64, s.AccLen))
+	var panels Panels
+	for _, reg := range regions {
+		src := make([]float64, reg.rows*cols)
+		for i := range src {
+			src[i] = rng.NormFloat64() * float64(int64(1)<<uint(rng.Intn(30)))
 		}
-		return r
-	}
-	data := make([][]float64, len(rs))
-	for k, s := range rs {
-		data[k] = make([]float64, s.N*s.AccLen)
-		for i := range data[k] {
-			data[k][i] = rng.NormFloat64()
-		}
-	}
-	want := fresh()
-	want.data = data
-	withThreads(t, 1, func() {
-		for k, s := range rs {
-			ReduceWith(s.N, s.Grain, s.AccLen, one{want, k})
-		}
-	})
-	for _, threads := range []int{1, 2, 3, 8} {
-		got := fresh()
-		got.data = data
-		withThreads(t, threads, func() { ReduceAll(rs, got) })
-		for k := range rs {
-			for j, v := range want.totals[k] {
-				if got.totals[k][j] != v {
-					t.Fatalf("threads=%d reduction %d col %d: %x != %x", threads, k, j, got.totals[k][j], v)
+		want := newPanelSums(t, reg.rows, cols, panel, reg.rs, src)
+		var wantLasts []int
+		withThreads(t, 1, func() {
+			for k, s := range reg.rs {
+				ReduceWith(s.N, s.Grain, s.AccLen, reducerFuncs{func(lo, hi int, acc []float64) {
+					sumRows(src, cols, k, s.Resumable, s.Off+lo, s.Off+hi, acc)
+				}, func(acc []float64) { want.Merge(k, acc, false) }})
+				if s.N > 0 {
+					wantLasts = append(wantLasts, k)
 				}
 			}
-		}
-		if len(got.merges) != len(want.merges) {
-			t.Fatalf("threads=%d: %d merges, want %d", threads, len(got.merges), len(want.merges))
-		}
-		for i, k := range want.merges {
-			if got.merges[i] != k {
-				t.Fatalf("threads=%d: merge %d belongs to reduction %d, want %d", threads, i, got.merges[i], k)
-			}
-		}
-		if wantLasts := []int{0, 2, 3, 4}; len(got.lasts) != len(wantLasts) {
-			t.Fatalf("threads=%d: final chunks flagged for %v, want %v", threads, got.lasts, wantLasts)
-		} else {
-			for i, k := range wantLasts {
-				if got.lasts[i] != k {
-					t.Fatalf("threads=%d: final chunks flagged for %v, want %v", threads, got.lasts, wantLasts)
+		})
+		for _, threads := range []int{1, 2, 4} {
+			for rep := 0; rep < 4; rep++ {
+				got := newPanelSums(t, reg.rows, cols, panel, reg.rs, src)
+				withThreads(t, threads, func() { panels.For(reg.rows, panel, reg.rs, got) })
+				what := fmt.Sprintf("rows=%d threads=%d rep %d", reg.rows, threads, rep)
+				for k, s := range reg.rs {
+					for j, v := range want.totals[k] {
+						if got.totals[k][j] != v {
+							t.Fatalf("%s reduction %d col %d: %x != %x", what, k, j, got.totals[k][j], v)
+						}
+					}
+					calls := got.calls[k]
+					slices.SortFunc(calls, func(a, b [2]int) int { return a[0] - b[0] })
+					for i, c := range calls {
+						chunkLo := s.Off + (c[0]-s.Off)/s.Grain*s.Grain
+						chunkHi := min(chunkLo+s.Grain, s.Off+s.N)
+						switch {
+						case c[1] > chunkHi || c[0] >= c[1]:
+							t.Fatalf("%s reduction %d: call %v is not inside chunk [%d, %d)", what, k, c, chunkLo, chunkHi)
+						case c[0] != chunkLo && (i == 0 || calls[i-1][1] != c[0]):
+							t.Fatalf("%s reduction %d: call %v does not continue the chunk's previous calls %v", what, k, c, calls[:i])
+						case !s.Resumable && (c[0] != chunkLo || c[1] != chunkHi):
+							t.Fatalf("%s reduction %d: call %v on part of chunk [%d, %d), which is not Resumable", what, k, c, chunkLo, chunkHi)
+						}
+					}
+					if covered := len(calls) > 0 && calls[len(calls)-1][1] == s.Off+s.N; s.N > 0 && !covered {
+						t.Fatalf("%s reduction %d: calls %v do not reach row %d", what, k, calls, s.Off+s.N)
+					}
+				}
+				if !slices.Equal(got.merges, want.merges) {
+					t.Fatalf("%s: merges by reduction %v, want %v", what, got.merges, want.merges)
+				}
+				if !slices.Equal(got.lasts, wantLasts) {
+					t.Fatalf("%s: final chunks flagged for %v, want %v", what, got.lasts, wantLasts)
 				}
 			}
 		}
@@ -471,21 +552,25 @@ func TestStatsCountRegionsAndChunks(t *testing.T) {
 	})
 }
 
-// TestReduceAllZeroAlloc: the fused reduction dispatches without
-// allocating in steady state, like the primitives it fuses.
-func TestReduceAllZeroAlloc(t *testing.T) {
+// TestPanelsZeroAlloc: a region that carries reductions runs without
+// allocating once its Panels value has grown to the region, like the
+// primitives it replaces (serially; a dispatched region's job descriptor
+// is TestTaskDispatchZeroAlloc's).
+func TestPanelsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	rs := []Reduction{{N: 4096, Grain: 64, AccLen: 8}, {N: 512, Grain: 16, AccLen: 2}}
-	r := &dotsReducer{cols: []int{8, 2}, totals: [][]float64{make([]float64, 8), make([]float64, 2)},
-		data: [][]float64{make([]float64, 4096*8), make([]float64, 512*2)}}
+	const rows, cols = 4096, 8
+	rs := []Reduction{{N: rows, Grain: 85, AccLen: 8, Resumable: true}, {Off: 512, N: 512, Grain: 16, AccLen: 2}}
+	r := newPanelSums(t, rows, cols, 64, rs, make([]float64, rows*cols))
+	r.recordOnly = true
 	r.merges = make([]int, 0, 1<<16)
+	var panels Panels
 	withThreads(t, 1, func() {
-		run := func() { r.merges = r.merges[:0]; ReduceAll(rs, r) }
+		run := func() { r.merges = r.merges[:0]; panels.For(rows, 64, rs, r) }
 		run()
 		if n := testing.AllocsPerRun(20, run); n != 0 {
-			t.Errorf("threads=1 ReduceAll allocates %v times", n)
+			t.Errorf("threads=1 Panels.For allocates %v times", n)
 		}
 	})
 }

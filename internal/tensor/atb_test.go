@@ -146,6 +146,62 @@ func TestMatMulATBAccBitwise(t *testing.T) {
 	})
 }
 
+// TestMatMulATBAccResumes: a chunk of the weight gradient taken in pieces
+// into one accumulator is bitwise the chunk in one call, from an entry
+// value that is not zero — split at any row where MatMulATBAccResumes
+// holds (the packed tiles on the SIMD rungs, their n mod 8 tail columns
+// included), and at rows ≡ lo mod 4 where it does not (below the packed
+// threshold, and on the go rung, the scalar definition groups the rows by
+// four from lo). MatMulATBAccResumes holds exactly on the SIMD rungs'
+// packed shapes.
+func TestMatMulATBAccResumes(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	shapes := [][2]int{{96, 32}, {32, 32}, {64, 36}, {32, 33}, {16, 72}, {24, 8}, {16, 8}, {8, 8}, {32, 3}, {3, 32}, {7, 9}}
+	atEachTier(t, func(t *testing.T) {
+		for _, sh := range shapes {
+			in, n := sh[0], sh[1]
+			packed := tier >= tierAVX2 && n >= 8 && in*n >= packMinKN
+			if got := MatMulATBAccResumes(in, n); got != packed {
+				t.Fatalf("%dx%d: MatMulATBAccResumes = %v, want %v", in, n, got, packed)
+			}
+			step, odds := 4, 4
+			if packed {
+				step, odds = 1, 16
+			}
+			for trial := 0; trial < 12; trial++ {
+				rows, lo := 1+rng.Intn(200), rng.Intn(5)
+				x, dy := randomMatrix(rng, lo+rows+3, in), randomMatrix(rng, lo+rows+3, n)
+				for i := range x.Data {
+					if rng.Intn(8) == 0 {
+						x.Data[i] = 0
+					}
+				}
+				entry := make([]float64, in*n)
+				for i := range entry {
+					entry[i] = 1000 * rng.NormFloat64()
+				}
+				want := slices.Clone(entry)
+				MatMulATBAcc(want, x, dy, lo, lo+rows)
+				got, from := slices.Clone(entry), lo
+				var cuts []int
+				for m := lo + step; m < lo+rows; m += step {
+					if rng.Intn(odds) == 0 {
+						cuts = append(cuts, m)
+					}
+				}
+				for _, m := range append(cuts, lo+rows) {
+					MatMulATBAcc(got, x, dy, from, m)
+					from = m
+				}
+				if i := mismatch(got, want); i >= 0 {
+					t.Fatalf("%dx%d rows [%d, %d) cut at %v: element %d is %v, want %v",
+						in, n, lo, lo+rows, cuts, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkSmallBackward times SmallConfig's backward GEMMs per rung on a
 // 64-row panel: the input gradient dy·Wᵀ — MatMulBiasRows on the
 // transpose, no bias — of its 8 → 24, 8 → 16 and 8 → 8 layers, and the

@@ -375,7 +375,9 @@ func MatMulPackedBiasRows(dst, a *Matrix, pb *PackedB, bias []float64, lo, hi in
 // accumulator layout, and merge order of the surrounding ReduceWith are
 // untouched, so determinism across thread counts is inherited; within a
 // chunk every a-column meets the identical per-column sequence whatever
-// tile it lands in.
+// tile it lands in. The tiles load acc (acc = 1) and the n mod 8 tail
+// columns add to it, so every element continues its chain from its entry
+// value: a chunk taken in pieces is bitwise the chunk in one call.
 func matMulATBAccSIMD(acc []float64, a, b *Matrix, lo, hi int) {
 	in, n := a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
@@ -385,7 +387,7 @@ func matMulATBAccSIMD(acc []float64, a, b *Matrix, lo, hi int) {
 			kc: int64(hi - lo),
 			a:  ad[lo*in:], lda: 1, astride: in,
 			b: bd[lo*n:], panelStride: 8, bstride: n,
-			c: acc, ldc: n,
+			c: acc, ldc: n, acc: 1,
 		}
 		g.sweep(0, in, 0, n/8)
 	}

@@ -197,6 +197,12 @@ func (t *matMulATBTask) Body(lo, hi int, acc []float64) { MatMulATBAcc(acc, t.a,
 // matMulATBScalar's on every rung, whatever acc holds on entry: on both
 // SIMD rungs an assembly kernel (gemmATB64) replays that loop with each
 // block of acc in registers.
+//
+// Which splits of a chunk are exact — calls over [lo, m) then [m, hi)
+// into one acc giving the bits of one call over [lo, hi): any m where
+// MatMulATBAccResumes holds (every element is one ascending-row chain
+// onto its entry value), and otherwise every m ≡ lo mod 4 (the scalar
+// definition groups the rows by four from lo).
 func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 	in, n := a.Cols, b.Cols
 	if a.Rows != b.Rows || len(acc) != in*n {
@@ -211,7 +217,7 @@ func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 	// Packed tier: same chunk schedule and merge order, SIMD tile sweep
 	// inside the chunk (gemm_packed.go). Gated on the reduction shape
 	// (in·n) only, so engagement is independent of the row partition.
-	if tier >= tierAVX2 && n >= 8 && usePacked(in, n) {
+	if MatMulATBAccResumes(in, n) {
 		matMulATBAccSIMD(acc, a, b, lo, hi)
 		return
 	}
@@ -220,6 +226,14 @@ func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 		return
 	}
 	gemmATB64(int64(hi-lo), int64(in), int64(n), &a.Data[lo*in], &b.Data[lo*n], &acc[0])
+}
+
+// MatMulATBAccResumes reports whether MatMulATBAcc, for an in-column a and
+// an n-column b on the current rung, runs the packed tier's tiles: one
+// fused multiply-add chain per element, rows ascending, onto what acc
+// holds — so a chunk may be split at any row without moving a bit.
+func MatMulATBAccResumes(in, n int) bool {
+	return tier >= tierAVX2 && n >= 8 && usePacked(in, n)
 }
 
 // matMulATBScalar is MatMulATBAcc's definition below the packed tier and
