@@ -115,7 +115,7 @@ func BenchmarkFig7_WeakScalingMeasured(b *testing.B) {
 // per-mode communication cost on real sub-graphs.
 func BenchmarkAblation_ExchangeModes(b *testing.B) {
 	b.ReportAllocs()
-	for _, mode := range []ExchangeMode{NoExchange, AllToAll, NeighborAllToAll, SendRecv} {
+	for _, mode := range []ExchangeMode{NoExchange, AllToAll, NeighborAllToAll} {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			m, err := NewMesh(8, 4, 4, 2, FullyPeriodic)

@@ -54,6 +54,7 @@ import (
 	"strings"
 
 	"meshgnn"
+	"meshgnn/internal/comm"
 	"meshgnn/internal/experiments"
 	"meshgnn/internal/gnn"
 )
@@ -72,7 +73,7 @@ func main() {
 		lr        = flag.Float64("lr", 1e-3, "Adam learning rate for -train")
 		transport = flag.String("transport", "", "cross-transport check: inproc, procs, or both")
 		procs     = flag.Int("procs", 4, "rank/process count for -transport and -overlap")
-		modeFlag  = flag.String("mode", "na2a", "halo exchange for -transport/-overlap: a2a, na2a, sendrecv")
+		modeFlag  = flag.String("mode", "na2a", "halo exchange for -transport/-overlap: a2a, na2a")
 		overlapCk = flag.String("overlap", "", "overlap check: on, off, or both (both trains synchronous vs overlapped — and overlapped over sockets — and asserts bitwise equality)")
 	)
 	flag.Parse()
@@ -183,9 +184,12 @@ func (h harness) run(which string, ranks, elems, p, iters int, lr float64, modeN
 	if iters < 1 {
 		log.Fatalf("-iters must be >= 1 for %s, got %d", h.flag, iters)
 	}
-	mode, err := parseMode(modeName)
+	mode, err := comm.ParseExchangeMode(modeName)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if mode == meshgnn.NoExchange {
+		log.Fatalf("-mode none is inconsistent by design; %s needs a2a or na2a", h.flag)
 	}
 	m, err := meshgnn.NewMesh(elems, elems, elems, p, meshgnn.FullyPeriodic)
 	if err != nil {
@@ -408,18 +412,6 @@ func compareModels(a, b []byte) (float64, int) {
 		bits += n
 	}
 	return maxD, bits
-}
-
-func parseMode(s string) (meshgnn.ExchangeMode, error) {
-	switch s {
-	case "a2a":
-		return meshgnn.AllToAll, nil
-	case "na2a":
-		return meshgnn.NeighborAllToAll, nil
-	case "sendrecv":
-		return meshgnn.SendRecv, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 func configByName(name string) (gnn.Config, error) {

@@ -39,7 +39,7 @@ func main() {
 		threads  = flag.Int("threads", 0, "intra-rank worker threads per kernel (0 = GOMAXPROCS, 1 = serial)")
 		det      = flag.Bool("deterministic", true, "fixed-schedule reductions: results bitwise-identical for any -threads")
 		procs    = flag.Int("procs", 0, "measure one point with this many OS-process ranks over sockets")
-		procMode = flag.String("procmode", "na2a", "halo exchange for -procs: none, a2a, na2a, sendrecv")
+		procMode = flag.String("procmode", "na2a", "halo exchange for -procs: none, a2a, na2a")
 		overlap  = flag.Bool("overlap", false, "overlap halo communication with interior compute (bitwise-identical results)")
 	)
 	flag.Parse()

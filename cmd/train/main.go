@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"meshgnn"
+	"meshgnn/internal/comm"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 		p        = flag.Int("p", 2, "polynomial order")
 		ranks    = flag.Int("ranks", 8, "number of goroutine ranks")
 		procs    = flag.Int("procs", 0, "run this many OS-process ranks over sockets (overrides -ranks)")
-		modeFlag = flag.String("mode", "na2a", "halo exchange: none, a2a, na2a, sendrecv")
+		modeFlag = flag.String("mode", "na2a", "halo exchange: none, a2a, na2a")
 		model    = flag.String("model", "small", "model configuration: small or large")
 		fieldSel = flag.String("field", "tgv", "training data: tgv, shear, pulse")
 		iters    = flag.Int("iters", 100, "training iterations")
@@ -66,7 +67,7 @@ func main() {
 		log.Fatalf("-procs must be >= 0, got %d", *procs)
 	}
 	meshgnn.SetParallelism(*threads, *det)
-	mode, err := parseMode(*modeFlag)
+	mode, err := comm.ParseExchangeMode(*modeFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -229,20 +230,6 @@ func main() {
 		fmt.Printf("  optimizer %8.3f ms\n", ms(timing.Optimizer))
 		fmt.Printf("  total     %8.3f ms\n", ms(timing.Total()))
 	}
-}
-
-func parseMode(s string) (meshgnn.ExchangeMode, error) {
-	switch s {
-	case "none":
-		return meshgnn.NoExchange, nil
-	case "a2a":
-		return meshgnn.AllToAll, nil
-	case "na2a":
-		return meshgnn.NeighborAllToAll, nil
-	case "sendrecv":
-		return meshgnn.SendRecv, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q", s)
 }
 
 func fieldByName(s string) (meshgnn.Field, error) {

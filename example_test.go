@@ -33,7 +33,7 @@ func Example() {
 func Example_training() {
 	m, _ := meshgnn.NewMesh(4, 2, 2, 1, meshgnn.NonPeriodic)
 	sys, _ := meshgnn.NewSystem(m, 2, meshgnn.Slabs)
-	losses, err := meshgnn.RunCollect(sys, meshgnn.SendRecv, func(r *meshgnn.Rank) (float64, error) {
+	losses, err := meshgnn.RunCollect(sys, meshgnn.NeighborAllToAll, func(r *meshgnn.Rank) (float64, error) {
 		model, err := meshgnn.NewModel(meshgnn.SmallConfig())
 		if err != nil {
 			return 0, err
@@ -52,23 +52,4 @@ func Example_training() {
 	fmt.Printf("ranks agree: %v\n", losses[0] == losses[1])
 	// Output:
 	// ranks agree: true
-}
-
-// Example_complexGeometry builds a curvilinear, masked domain — the
-// complex-geometry capability mesh-based GNNs exist for.
-func Example_complexGeometry() {
-	m, _ := meshgnn.NewMesh(6, 4, 2, 1, meshgnn.NonPeriodic)
-	// Carve out an obstacle, then the remaining elements still form one
-	// connected spectral-element mesh.
-	err := m.SetMask(func(e, f, g int) bool { return !(e == 2 && f == 1) })
-	if err != nil {
-		panic(err)
-	}
-	sys, err := meshgnn.NewSystemRCB(m, 3)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("active elements: %d, ranks: %d\n", m.NumActiveElements(), sys.Ranks)
-	// Output:
-	// active elements: 46, ranks: 3
 }

@@ -21,7 +21,7 @@ func TestNewSystemRCB(t *testing.T) {
 	if sys.Ranks != 5 {
 		t.Fatalf("ranks = %d", sys.Ranks)
 	}
-	diff, err := VerifyConsistency(sys, SmallConfig(), SendRecv, TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
+	diff, err := VerifyConsistency(sys, SmallConfig(), NeighborAllToAll, TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFitWithNoiseThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves, err := RunCollect(sys, SendRecv, func(r *Rank) ([]float64, error) {
+	curves, err := RunCollect(sys, NeighborAllToAll, func(r *Rank) ([]float64, error) {
 		model, err := NewModel(SmallConfig())
 		if err != nil {
 			return nil, err
@@ -171,7 +171,7 @@ func TestTrainingStateThroughFacade(t *testing.T) {
 func TestEvaluateThroughFacade(t *testing.T) {
 	m, _ := NewMesh(2, 2, 2, 1, NonPeriodic)
 	sys, _ := NewSystem(m, 2, Slabs)
-	err := sys.Run(SendRecv, func(r *Rank) error {
+	err := sys.Run(NeighborAllToAll, func(r *Rank) error {
 		x := r.Sample(TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
 		metrics := Evaluate(r.Ctx, x, x)
 		if metrics.MSE != 0 || metrics.MaxAbs != 0 {
@@ -207,23 +207,5 @@ func TestNewSystemErrors(t *testing.T) {
 	}
 	if _, err := NewSystemRCB(m, 100); err == nil {
 		t.Fatal("expected error for too many RCB ranks")
-	}
-}
-
-func TestMappedSystemThroughFacade(t *testing.T) {
-	m, _ := NewMesh(4, 3, 2, 1, NonPeriodic)
-	if err := m.SetMapping(AnnulusSector(1, 2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem(m, 2, Slabs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff, err := VerifyConsistency(sys, SmallConfig(), SendRecv, TaylorGreen{V0: 1, L: 1, Nu: 0.01}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff > 1e-11 {
-		t.Fatalf("mapped facade system inconsistent: %g", diff)
 	}
 }

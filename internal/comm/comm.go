@@ -31,7 +31,6 @@ type Tag int
 // Reserved tags for the collective algorithms and halo exchange.
 const (
 	TagReduce Tag = iota + 1
-	TagAllToAll
 	TagHaloForward
 	TagHaloAdjoint
 	TagSetup
@@ -43,7 +42,6 @@ type Stats struct {
 	MessagesSent  int64
 	FloatsSent    int64 // float64 payload elements sent point-to-point
 	AllReduces    int64
-	AllToAlls     int64
 	HaloExchanges int64
 	// HaloSeconds accumulates wall time spent inside halo exchanges
 	// (pack, post, wait, unpack), for time-breakdown reporting.

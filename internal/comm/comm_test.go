@@ -3,8 +3,10 @@ package comm
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"meshgnn/internal/tensor"
 )
@@ -217,7 +219,7 @@ func runHaloForward(t *testing.T, mode ExchangeMode) ([]*tensor.Matrix, []Stats)
 }
 
 func TestHaloForwardAllModes(t *testing.T) {
-	for _, mode := range []ExchangeMode{AllToAllMode, NeighborAllToAll, SendRecvMode} {
+	for _, mode := range []ExchangeMode{AllToAllMode, NeighborAllToAll} {
 		halos, _ := runHaloForward(t, mode)
 		// Rank 0's halo rows must hold rank 1's local rows 1,2 and vice versa.
 		if halos[0].At(0, 0) != 11 || halos[0].At(1, 0) != 12 || halos[0].At(0, 1) != 11.5 {
@@ -225,6 +227,39 @@ func TestHaloForwardAllModes(t *testing.T) {
 		}
 		if halos[1].At(0, 0) != 1 || halos[1].At(1, 0) != 2 {
 			t.Fatalf("%v: rank 1 halo = %v", mode, halos[1].Data)
+		}
+	}
+}
+
+// TestHaloTagsByDirection pins that a halo frame says which way it moves:
+// rank 0 runs the forward exchange while rank 1 runs the adjoint, so each
+// receives a frame of the other direction, and the receive must refuse it
+// on the tag instead of scattering gradients into activations (or the
+// reverse) without an error.
+func TestHaloTagsByDirection(t *testing.T) {
+	for _, mode := range []ExchangeMode{AllToAllMode, NeighborAllToAll} {
+		for _, f := range fabrics {
+			t.Run(mode.String()+"/"+f.name, func(t *testing.T) {
+				err := f.run(2, nil, func(c *Comm) error {
+					c.SetRecvTimeout(5 * time.Second)
+					plan := twoRankPlan(c.Rank())
+					FinalizePlan(c, plan)
+					ex, err := NewExchanger(mode, plan)
+					if err != nil {
+						return err
+					}
+					local, halo := tensor.New(3, 2), tensor.New(2, 2)
+					if c.Rank() == 0 {
+						ex.Exchange(c, Forward, local, halo, 1)
+					} else {
+						ex.Exchange(c, Adjoint, halo, local, 1)
+					}
+					return nil
+				})
+				if err == nil || !strings.Contains(err.Error(), "expected tag") {
+					t.Fatalf("mixed-direction exchange: want a tag mismatch, got %v", err)
+				}
+			})
 		}
 	}
 }
@@ -243,7 +278,7 @@ func TestHaloNoExchangeLeavesHaloZero(t *testing.T) {
 // The adjoint property: for the linear map F (halo forward exchange) and
 // its adjoint F^T, <F(x), y> summed over ranks equals <x, F^T(y)>.
 func TestHaloAdjointProperty(t *testing.T) {
-	for _, mode := range []ExchangeMode{AllToAllMode, NeighborAllToAll, SendRecvMode} {
+	for _, mode := range []ExchangeMode{AllToAllMode, NeighborAllToAll} {
 		vals, err := RunCollect(2, func(c *Comm) ([2]float64, error) {
 			rng := rand.New(rand.NewSource(int64(c.Rank()) + 7))
 			plan := twoRankPlan(c.Rank())
@@ -293,7 +328,7 @@ func dot(a, b *tensor.Matrix) float64 {
 func TestHaloAdjointAccumulates(t *testing.T) {
 	results, err := RunCollect(2, func(c *Comm) (*tensor.Matrix, error) {
 		plan := twoRankPlan(c.Rank())
-		ex, err := NewExchanger(SendRecvMode, plan)
+		ex, err := NewExchanger(NeighborAllToAll, plan)
 		if err != nil {
 			return nil, err
 		}
@@ -372,7 +407,7 @@ func TestHaloTrafficCounters(t *testing.T) {
 }
 
 func TestNewExchangerValidation(t *testing.T) {
-	if _, err := NewExchanger(SendRecvMode, &HaloPlan{
+	if _, err := NewExchanger(NeighborAllToAll, &HaloPlan{
 		Neighbors: []int{1},
 		SendIdx:   [][]int{{0}},
 		RecvIdx:   [][]int{{0, 1}},
@@ -397,7 +432,7 @@ func TestParseExchangeMode(t *testing.T) {
 		{"none", NoExchange, true},
 		{"a2a", AllToAllMode, true},
 		{"N-A2A", NeighborAllToAll, true},
-		{"sendrecv", SendRecvMode, true},
+		{"sendrecv", 0, false},
 		{"bogus", 0, false},
 	} {
 		m, err := ParseExchangeMode(c.s)
@@ -408,7 +443,7 @@ func TestParseExchangeMode(t *testing.T) {
 			t.Fatalf("ParseExchangeMode(%q) should fail", c.s)
 		}
 	}
-	for _, m := range []ExchangeMode{NoExchange, AllToAllMode, NeighborAllToAll, SendRecvMode} {
+	for _, m := range []ExchangeMode{NoExchange, AllToAllMode, NeighborAllToAll} {
 		if m.String() == "" {
 			t.Fatal("empty String()")
 		}
@@ -434,7 +469,7 @@ func BenchmarkAllReduce64k8Ranks(b *testing.B) {
 func TestExchangerReusesBuffers(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		plan := twoRankPlan(c.Rank())
-		ex, err := NewExchanger(SendRecvMode, plan)
+		ex, err := NewExchanger(NeighborAllToAll, plan)
 		if err != nil {
 			return err
 		}

@@ -71,8 +71,11 @@ func FinalizePlan(c *Comm, p *HaloPlan) {
 	p.finalizeOnce.Do(func() { p.MaxSendCount = int(buf[0]) })
 }
 
-// ExchangeMode selects the halo exchange implementation, matching the four
-// modes compared in the paper's Sec. III.
+// ExchangeMode selects the halo exchange implementation. The paper's
+// Sec. III compares four modes; its Send-Recv mode (custom isend/irecv
+// with each neighbor) puts the same payloads to the same ranks as N-A2A,
+// and the two differ only by MPI implementation, which no fabric here
+// models — so N-A2A stands for both.
 type ExchangeMode int
 
 const (
@@ -86,9 +89,6 @@ const (
 	// the collective degenerates to neighbor-only send/receives (the
 	// paper's N-A2A mode).
 	NeighborAllToAll
-	// SendRecvMode exchanges point-to-point messages with each neighbor
-	// (the paper's custom isend/irecv implementation).
-	SendRecvMode
 )
 
 func (m ExchangeMode) String() string {
@@ -99,8 +99,6 @@ func (m ExchangeMode) String() string {
 		return "A2A"
 	case NeighborAllToAll:
 		return "N-A2A"
-	case SendRecvMode:
-		return "Send-Recv"
 	}
 	return fmt.Sprintf("ExchangeMode(%d)", int(m))
 }
@@ -114,8 +112,6 @@ func ParseExchangeMode(s string) (ExchangeMode, error) {
 		return AllToAllMode, nil
 	case "na2a", "n-a2a", "N-A2A":
 		return NeighborAllToAll, nil
-	case "sendrecv", "send-recv", "Send-Recv":
-		return SendRecvMode, nil
 	}
 	return 0, fmt.Errorf("comm: unknown exchange mode %q", s)
 }
@@ -135,7 +131,7 @@ const (
 	Adjoint
 )
 
-// Exchanger executes differentiable halo exchanges under one of the four
+// Exchanger executes differentiable halo exchanges under one of the three
 // modes. There is one exchange, parameterised by direction and batch:
 // Start packs and posts every send and receive on the transports'
 // nonblocking requests, Finish waits for the receives (in ascending
@@ -143,6 +139,11 @@ const (
 // hence every output bit — is independent of arrival order) and unpacks.
 // Exchange is the synchronous composition Start-then-Finish; the phased
 // NMP pipeline calls the halves and runs interior compute between them.
+//
+// Every frame is tagged by direction (TagHaloForward or TagHaloAdjoint)
+// in both A2A and N-A2A, so a rank running the forward exchange against
+// a peer running the adjoint fails loudly on the tag instead of
+// scattering a gradient frame into activations.
 //
 // src and dst are stacks of batch equal row blocks (batch 1 is the plain
 // exchange). Each neighbor receives a single frame carrying all batch
@@ -177,8 +178,8 @@ type Exchanger struct {
 	uniformWidth int
 
 	// In-flight exchange state. sendReqs/recvReqs are the recycled
-	// request slot tables: indexed by neighbor for the neighbor-only
-	// modes, by rank for AllToAllMode (nil for self). nbOf maps a rank to
+	// request slot tables: indexed by neighbor for NeighborAllToAll, by
+	// rank for AllToAllMode (nil for self). nbOf maps a rank to
 	// its neighbor index (-1 for dummy A2A peers), built lazily.
 	sendReqs []*Request
 	recvReqs []*Request
@@ -308,28 +309,18 @@ func (e *Exchanger) Start(c *Comm, dir Direction, a, b *tensor.Matrix, batch int
 	start := time.Now()
 	defer func() { c.Stats.HaloSeconds += time.Since(start).Seconds() }()
 
-	gatherIdx := plan.SendIdx
+	gatherIdx, tag := plan.SendIdx, TagHaloForward
 	if adjoint {
-		gatherIdx = plan.RecvIdx
+		gatherIdx, tag = plan.RecvIdx, TagHaloAdjoint
 	}
 	if e.packBuf == nil {
 		e.packBuf = make([][]float64, len(plan.Neighbors))
 	}
 
 	switch e.Mode {
-	case SendRecvMode, NeighborAllToAll:
-		// Both modes exchange only real neighbor payloads; N-A2A is the
-		// collective spelling (empty buffers between non-neighbors skip
-		// communication entirely), so it degenerates to the same wire
-		// traffic under a collective tag and counter.
-		tag := TagHaloForward
-		if adjoint {
-			tag = TagHaloAdjoint
-		}
-		if e.Mode == NeighborAllToAll {
-			tag = TagAllToAll
-			c.Stats.AllToAlls++
-		}
+	case NeighborAllToAll:
+		// Only real neighbor payloads move: empty buffers between
+		// non-neighbors skip communication entirely.
 		e.sizeReqs(len(plan.Neighbors))
 		for k, nb := range plan.Neighbors {
 			e.sendReqs[k] = c.Isend(nb, tag, e.pack(k, a, gatherIdx[k], cols, batch, srcStride))
@@ -346,7 +337,6 @@ func (e *Exchanger) Start(c *Comm, dir Direction, a, b *tensor.Matrix, batch int
 		// exchanges: each neighbor's payload length is fixed by the
 		// plan, so overwriting the payload prefix leaves the zero
 		// padding intact.
-		c.Stats.AllToAlls++
 		width := batch * plan.MaxSendCount * cols
 		size := c.Size()
 		if e.uniformBuf == nil || len(e.uniformBuf) != size || e.uniformWidth != width {
@@ -377,14 +367,14 @@ func (e *Exchanger) Start(c *Comm, dir Direction, a, b *tensor.Matrix, batch int
 				e.sendReqs[dst] = nil
 				continue
 			}
-			e.sendReqs[dst] = c.Isend(dst, TagAllToAll, e.uniformBuf[dst])
+			e.sendReqs[dst] = c.Isend(dst, tag, e.uniformBuf[dst])
 		}
 		for src := 0; src < size; src++ {
 			if src == c.rank {
 				e.recvReqs[src] = nil
 				continue
 			}
-			e.recvReqs[src] = c.Irecv(src, TagAllToAll)
+			e.recvReqs[src] = c.Irecv(src, tag)
 		}
 	}
 }

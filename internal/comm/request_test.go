@@ -109,7 +109,7 @@ func TestRequestRecvBufferRecycled(t *testing.T) {
 // race-detector shard's overlapped wire test) and checks forward and
 // adjoint results match the synchronous composition bitwise.
 func TestOverlappedExchange(t *testing.T) {
-	for _, mode := range []ExchangeMode{SendRecvMode, NeighborAllToAll, AllToAllMode} {
+	for _, mode := range []ExchangeMode{NeighborAllToAll, AllToAllMode} {
 		t.Run(mode.String(), func(t *testing.T) {
 			script := func(split bool) func(c *Comm) ([]float64, error) {
 				return func(c *Comm) ([]float64, error) {
@@ -184,7 +184,7 @@ func TestExchangerStartWithoutFinishPanics(t *testing.T) {
 			SendIdx:   [][]int{{0}},
 			RecvIdx:   [][]int{{0}},
 		}
-		ex, err := NewExchanger(SendRecvMode, plan)
+		ex, err := NewExchanger(NeighborAllToAll, plan)
 		if err != nil {
 			return err
 		}

@@ -180,7 +180,7 @@ func TestTrainStepZeroAllocMultiRank(t *testing.T) {
 			cfg := SmallConfig()
 			cfg.Overlap = tc.overlap
 			body := func(c *comm.Comm) error {
-				rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+				rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 				if err != nil {
 					return err
 				}

@@ -119,7 +119,7 @@ func TestPredictBatchBitwiseParitySweep(t *testing.T) {
 							cfg := precisionConfig(prec)
 							cfg.Overlap = overlap
 							body := func(c *comm.Comm) (int, error) {
-								rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+								rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 								if err != nil {
 									return 0, err
 								}
@@ -173,7 +173,7 @@ func TestPredictBatchAllExchangeModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer parallel.Configure(0, true)
-	for _, mode := range []comm.ExchangeMode{comm.NoExchange, comm.AllToAllMode, comm.NeighborAllToAll, comm.SendRecvMode} {
+	for _, mode := range []comm.ExchangeMode{comm.NoExchange, comm.AllToAllMode, comm.NeighborAllToAll} {
 		for _, threads := range []int{1, 4} {
 			for _, prec := range precisions {
 				t.Run(fmt.Sprintf("%s/%v/edge4/t%d", precName(prec), mode, threads), func(t *testing.T) {
@@ -227,7 +227,7 @@ func TestRolloutBatchMatchesSequentialRollout(t *testing.T) {
 	const batch, steps = 3, 3
 	for _, prec := range precisions {
 		err = comm.Run(2, func(c *comm.Comm) error {
-			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 			if err != nil {
 				return err
 			}
@@ -374,7 +374,7 @@ func TestPredictBatchRebind(t *testing.T) {
 	for _, prec := range precisions {
 		t.Run(precName(prec)+"/R2", func(t *testing.T) {
 			err := comm.Run(2, func(c *comm.Comm) error {
-				rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+				rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 				if err != nil {
 					return err
 				}
@@ -482,7 +482,7 @@ func TestPredictBatchOutputLifetimeContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = comm.Run(2, func(c *comm.Comm) error {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 		if err != nil {
 			return err
 		}

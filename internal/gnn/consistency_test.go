@@ -164,7 +164,7 @@ func TestOutputConsistencyEq2(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := runForwardLoss(t, box, 1, comm.NeighborAllToAll, tinyConfig(), false)
-	for _, mode := range []comm.ExchangeMode{comm.AllToAllMode, comm.NeighborAllToAll, comm.SendRecvMode} {
+	for _, mode := range []comm.ExchangeMode{comm.AllToAllMode, comm.NeighborAllToAll} {
 		for _, r := range []int{2, 4, 8} {
 			got := runForwardLoss(t, box, r, mode, tinyConfig(), false)
 			if d := got.output.MaxAbsDiff(ref.output); d > 1e-11 {
@@ -205,9 +205,9 @@ func TestLossConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := runForwardLoss(t, box, 1, comm.SendRecvMode, tinyConfig(), false)
+	ref := runForwardLoss(t, box, 1, comm.NeighborAllToAll, tinyConfig(), false)
 	for _, r := range []int{2, 4, 8} {
-		got := runForwardLoss(t, box, r, comm.SendRecvMode, tinyConfig(), false)
+		got := runForwardLoss(t, box, r, comm.NeighborAllToAll, tinyConfig(), false)
 		if rel := math.Abs(got.loss-ref.loss) / (1 + math.Abs(ref.loss)); rel > 1e-12 {
 			t.Fatalf("R=%d: loss %v vs R=1 %v (rel %g)", r, got.loss, ref.loss, rel)
 		}
@@ -230,7 +230,7 @@ func TestGradientConsistencyEq3(t *testing.T) {
 	if refNorm == 0 {
 		t.Fatal("reference gradient is zero; test is vacuous")
 	}
-	for _, mode := range []comm.ExchangeMode{comm.AllToAllMode, comm.NeighborAllToAll, comm.SendRecvMode} {
+	for _, mode := range []comm.ExchangeMode{comm.AllToAllMode, comm.NeighborAllToAll} {
 		for _, r := range []int{2, 4, 8} {
 			got := runForwardLoss(t, box, r, mode, tinyConfig(), true)
 			var diff float64
@@ -287,9 +287,9 @@ func TestUnscaledAggregationBreaksConsistency(t *testing.T) {
 			l.InvEdgeDegree[k] = 1
 		}
 	}
-	ref := runForwardLoss(t, box, 1, comm.SendRecvMode, tinyConfig(), false)
+	ref := runForwardLoss(t, box, 1, comm.NeighborAllToAll, tinyConfig(), false)
 	results, err := comm.RunCollect(2, func(c *comm.Comm) (float64, error) {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 		if err != nil {
 			return 0, err
 		}
@@ -327,7 +327,7 @@ func TestLocalMSEInconsistent(t *testing.T) {
 	}
 	type pair struct{ consistent, local float64 }
 	results, err := comm.RunCollect(4, func(c *comm.Comm) (pair, error) {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 		if err != nil {
 			return pair{}, err
 		}

@@ -117,7 +117,7 @@ func TestFitNoisyTrajectoryConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		results, err := comm.RunCollect(r, func(c *comm.Comm) ([]float64, error) {
-			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 			if err != nil {
 				return nil, err
 			}

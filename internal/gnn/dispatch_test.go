@@ -137,7 +137,7 @@ func TestParallelDispatchBudgetPerSplit(t *testing.T) {
 	}{{false, 3, 4}, {true, 4, 5}} {
 		var fwd, bwd uint64
 		err := comm.Run(ranks, func(c *comm.Comm) error {
-			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 			if err != nil {
 				return err
 			}

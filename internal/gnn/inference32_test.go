@@ -52,7 +52,7 @@ func TestInferenceF32ToleranceAcrossRanks(t *testing.T) {
 				cfg := f32Config()
 				cfg.Overlap = overlap
 				body := func(c *comm.Comm) (float64, error) {
-					rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+					rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 					if err != nil {
 						return 0, err
 					}
@@ -126,7 +126,7 @@ func TestInferenceF32BitwiseAcrossThreads(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
 		parallel.Configure(threads, true)
 		body := func(c *comm.Comm) (*tensor.Matrix, error) {
-			rc, err := NewRankContext(c, box, locals[0], comm.SendRecvMode)
+			rc, err := NewRankContext(c, box, locals[0], comm.NeighborAllToAll)
 			if err != nil {
 				return nil, err
 			}
@@ -176,7 +176,7 @@ func TestInferenceF32RolloutTolerance(t *testing.T) {
 	}
 	const steps = 5
 	body := func(c *comm.Comm) (float64, error) {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 		if err != nil {
 			return 0, err
 		}

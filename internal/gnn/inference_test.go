@@ -76,7 +76,7 @@ func TestInferenceBitwiseMatchesTrainForward(t *testing.T) {
 						cfg := tinyConfig()
 						cfg.Overlap = overlap
 						body := func(c *comm.Comm) (int, error) {
-							rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+							rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 							if err != nil {
 								return 0, err
 							}
@@ -255,7 +255,7 @@ func TestInferenceZeroAllocMultiRank(t *testing.T) {
 			cfg := SmallConfig()
 			cfg.Overlap = tc.overlap
 			body := func(c *comm.Comm) error {
-				rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+				rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 				if err != nil {
 					return err
 				}
@@ -335,7 +335,7 @@ func TestInferenceRolloutBitwiseMatchesModel(t *testing.T) {
 	}
 	const steps = 5
 	err = comm.Run(2, func(c *comm.Comm) error {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 		if err != nil {
 			return err
 		}

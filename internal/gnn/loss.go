@@ -185,8 +185,6 @@ func GlobalOutputs(rc *RankContext, y *tensor.Matrix, globalNodes int64) (*tenso
 	for src := 1; src < c.Size(); src++ {
 		absorb(c.Recv(src, comm.TagUser))
 	}
-	// Masked meshes leave lattice IDs with no owning element; their rows
-	// stay zero, which compares equal across assemblies of the same mesh.
 	return out, maxDisc
 }
 

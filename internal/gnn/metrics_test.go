@@ -61,7 +61,7 @@ func TestEvaluateConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		results, err := comm.RunCollect(r, func(c *comm.Comm) (Metrics, error) {
-			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 			if err != nil {
 				return Metrics{}, err
 			}

@@ -101,7 +101,7 @@ func TestDistributedGradientsFiniteDifference(t *testing.T) {
 	// evalAt evaluates the loss with parameter index (pi, i) offset by d.
 	evalAt := func(pi, i int, d float64) float64 {
 		results, err := comm.RunCollect(2, func(c *comm.Comm) (float64, error) {
-			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 			if err != nil {
 				return 0, err
 			}
@@ -123,7 +123,7 @@ func TestDistributedGradientsFiniteDifference(t *testing.T) {
 
 	// Analytic gradient.
 	grads, err := comm.RunCollect(2, func(c *comm.Comm) ([]float64, error) {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 		if err != nil {
 			return nil, err
 		}

@@ -282,7 +282,7 @@ func TestNMPLayerMatchesSerialReference(t *testing.T) {
 				for _, batch := range batches {
 					name := fmt.Sprintf("R%d/T%d/overlap=%v/B%d", ranks, threads, overlap, batch)
 					err := comm.Run(ranks, func(c *comm.Comm) error {
-						rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+						rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 						if err != nil {
 							return err
 						}

@@ -76,7 +76,7 @@ func runOverlapTraining(t *testing.T, sockets bool, mode comm.ExchangeMode, over
 // arithmetic one.
 func TestOverlapBitwiseIdentical(t *testing.T) {
 	for _, sockets := range []bool{false, true} {
-		for _, mode := range []comm.ExchangeMode{comm.SendRecvMode, comm.NeighborAllToAll, comm.AllToAllMode, comm.NoExchange} {
+		for _, mode := range []comm.ExchangeMode{comm.NeighborAllToAll, comm.AllToAllMode, comm.NoExchange} {
 			name := fmt.Sprintf("inproc/%v", mode)
 			if sockets {
 				name = fmt.Sprintf("sockets/%v", mode)
@@ -114,7 +114,7 @@ func TestOverlapMatchesUnpartitioned(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Overlap = true
 	ref := runForwardLoss(t, box, 1, comm.NeighborAllToAll, cfg, false)
-	got := runForwardLoss(t, box, 4, comm.SendRecvMode, cfg, false)
+	got := runForwardLoss(t, box, 4, comm.NeighborAllToAll, cfg, false)
 	if d := math.Abs(ref.loss - got.loss); d > 1e-12 {
 		t.Errorf("overlapped partitioned loss deviates from R=1: |Δ| = %g", d)
 	}

@@ -25,7 +25,7 @@ func evalWithPartition(t *testing.T, box *mesh.Box, part partition.Partition, cf
 	}
 	r := part.NumRanks()
 	results, err := comm.RunCollect(r, func(c *comm.Comm) (float64, error) {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 		if err != nil {
 			return 0, err
 		}
@@ -121,7 +121,7 @@ func TestRCBGradientConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		results, err := comm.RunCollect(part.NumRanks(), func(c *comm.Comm) ([]float64, error) {
-			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 			if err != nil {
 				return nil, err
 			}

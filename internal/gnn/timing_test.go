@@ -52,7 +52,7 @@ func TestHaloSecondsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []comm.ExchangeMode{comm.NoExchange, comm.SendRecvMode} {
+	for _, mode := range []comm.ExchangeMode{comm.NoExchange, comm.NeighborAllToAll} {
 		results, err := comm.RunCollect(2, func(c *comm.Comm) (float64, error) {
 			rc, err := NewRankContext(c, box, locals[c.Rank()], mode)
 			if err != nil {
@@ -70,7 +70,7 @@ func TestHaloSecondsCounted(t *testing.T) {
 		if mode == comm.NoExchange && results[0] != 0 {
 			t.Errorf("no-exchange run accumulated halo time %v", results[0])
 		}
-		if mode == comm.SendRecvMode && results[0] <= 0 {
+		if mode == comm.NeighborAllToAll && results[0] <= 0 {
 			t.Errorf("exchange run has zero halo time")
 		}
 	}
@@ -93,7 +93,7 @@ func TestStepTimingHaloSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, overlap := range []bool{false, true} {
-		for _, mode := range []comm.ExchangeMode{comm.NoExchange, comm.SendRecvMode} {
+		for _, mode := range []comm.ExchangeMode{comm.NoExchange, comm.NeighborAllToAll} {
 			cfg := tinyConfig()
 			cfg.Overlap = overlap
 			results, err := comm.RunCollect(2, func(c *comm.Comm) (StepTiming, error) {

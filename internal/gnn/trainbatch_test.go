@@ -135,7 +135,7 @@ func TestStepBatchBitwiseOracleSweep(t *testing.T) {
 						cfg := tinyConfig()
 						cfg.Overlap = overlap
 						body := func(c *comm.Comm) (int, error) {
-							rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+							rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 							if err != nil {
 								return 0, err
 							}
@@ -193,7 +193,7 @@ func testStepBatchSizesAndRebind(t *testing.T) {
 	}
 	cfg := tinyConfig()
 	res, err := comm.RunCollect(2, func(c *comm.Comm) (int, error) {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 		if err != nil {
 			return 0, err
 		}
@@ -262,7 +262,7 @@ func TestFitBatchedGroupsShuffledOrder(t *testing.T) {
 		Params []float64
 	}
 	res, err := comm.RunCollect(2, func(c *comm.Comm) (out, error) {
-		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+		rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 		if err != nil {
 			return out{}, err
 		}

@@ -343,20 +343,19 @@ func (l *Local) buildCSR() {
 	}
 }
 
-// BuildSingle constructs the unpartitioned R=1 graph (mask-aware).
+// BuildSingle constructs the unpartitioned R=1 graph: RCB at R=1 puts
+// every element on rank 0, in element-ID order.
 func BuildSingle(box *mesh.Box) (*Local, error) {
-	locals, err := BuildAll(box, singlePartition{box})
+	p, err := partition.NewRCB(box, 1)
+	if err != nil {
+		return nil, err
+	}
+	locals, err := BuildAll(box, p)
 	if err != nil {
 		return nil, err
 	}
 	return locals[0], nil
 }
-
-// singlePartition assigns every active element to rank 0.
-type singlePartition struct{ box *mesh.Box }
-
-func (s singlePartition) NumRanks() int      { return 1 }
-func (s singlePartition) Elements(int) []int { return s.box.ActiveElements() }
 
 // Stats converts the local graph into the partition statistics format,
 // used to cross-validate the analytic Table II fast path.

@@ -42,14 +42,6 @@ type Box struct {
 
 	// gll holds the order-P GLL nodes on [-1,1], precomputed once.
 	gll []float64
-	// mapping optionally deforms the reference box (see SetMapping).
-	mapping Mapping
-	// active lists the existing element IDs when a mask is installed
-	// (see SetMask); nil means not yet computed (all elements).
-	active []int
-	// masked records whether SetMask was applied (active alone cannot
-	// distinguish a cached full list from a mask).
-	masked bool
 	// nx, ny, nz are the global GLL-lattice dimensions (unique nodes
 	// along each axis after collapse).
 	nx, ny, nz int
@@ -159,18 +151,12 @@ func (b *Box) ElementNodeIDs(dst []int64, e, f, g int) []int64 {
 
 // NodeCoord returns the physical coordinates of a global node. Within each
 // element the GLL points are non-uniformly spaced per the quadrature rule;
-// globally the position follows from the element origin plus the mapped
-// GLL offset. Lattice index i decomposes as i = e*P + a with a in [0,P)
-// (a == P only at the final bounded endpoint).
+// globally the position follows from the element origin plus the GLL
+// offset scaled to the element. Lattice index i decomposes as i = e*P + a
+// with a in [0,P) (a == P only at the final bounded endpoint).
 func (b *Box) NodeCoord(id int64) (x, y, z float64) {
 	ix, iy, iz := b.NodeLattice(id)
-	x = b.axisCoord(ix, b.Ex, b.Lx)
-	y = b.axisCoord(iy, b.Ey, b.Ly)
-	z = b.axisCoord(iz, b.Ez, b.Lz)
-	if b.mapping != nil {
-		return b.mapping(x, y, z)
-	}
-	return x, y, z
+	return b.axisCoord(ix, b.Ex, b.Lx), b.axisCoord(iy, b.Ey, b.Ly), b.axisCoord(iz, b.Ez, b.Lz)
 }
 
 func (b *Box) axisCoord(i, e int, l float64) float64 {

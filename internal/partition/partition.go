@@ -95,9 +95,6 @@ func NewCartesian(box *mesh.Box, r int, strat Strategy) (*Cartesian, error) {
 		return nil, fmt.Errorf("partition: grid %dx%dx%d exceeds element grid %dx%dx%d",
 			rx, ry, rz, box.Ex, box.Ey, box.Ez)
 	}
-	if box.Masked() {
-		return nil, fmt.Errorf("partition: Cartesian partitions require an unmasked mesh; use RCB")
-	}
 	return &Cartesian{Box: box, Rx: rx, Ry: ry, Rz: rz}, nil
 }
 

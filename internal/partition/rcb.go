@@ -22,10 +22,14 @@ func NewRCB(box *mesh.Box, r int) (*RCB, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("partition: need >= 1 ranks, got %d", r)
 	}
-	if r > box.NumActiveElements() {
-		return nil, fmt.Errorf("partition: %d ranks exceed %d elements", r, box.NumActiveElements())
+	n := box.NumElements()
+	if r > n {
+		return nil, fmt.Errorf("partition: %d ranks exceed %d elements", r, n)
 	}
-	all := append([]int(nil), box.ActiveElements()...)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
 	p := &RCB{box: box, elems: make([][]int, 0, r)}
 	p.bisect(all, r)
 	if len(p.elems) != r {

@@ -179,7 +179,7 @@ func TestDiffusionPartitionConsistency(t *testing.T) {
 	box, _ := mesh.NewBox(4, 4, 2, 2, [3]bool{true, false, false})
 	ref, erefEnergy := runTrajectory(t, box, 1, comm.NeighborAllToAll, 15)
 	for _, r := range []int{2, 4, 8} {
-		for _, mode := range []comm.ExchangeMode{comm.NeighborAllToAll, comm.SendRecvMode, comm.AllToAllMode} {
+		for _, mode := range []comm.ExchangeMode{comm.NeighborAllToAll, comm.AllToAllMode} {
 			got, energy := runTrajectory(t, box, r, mode, 15)
 			var maxDiff float64
 			for i := range ref {

@@ -57,7 +57,7 @@ func TestEngine32OnEverySIMDRung(t *testing.T) {
 		answers := func() [][2][]float64 {
 			res, err := comm.RunCollect(ranks, func(c *comm.Comm) ([2][]float64, error) {
 				var out [2][]float64
-				rc, err := gnn.NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+				rc, err := gnn.NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)
 				if err != nil {
 					return out, err
 				}

@@ -11,7 +11,7 @@
 //   - distributed mesh-based graph generation with local coincident-node
 //     collapse, halo plans, and consistency degree factors;
 //   - consistent neural message passing GNNs with differentiable halo
-//     exchanges (None / A2A / Neighbor-A2A / Send-Recv modes) and the
+//     exchanges (None / A2A / Neighbor-A2A modes) and the
 //     consistent MSE loss;
 //   - an SPMD runtime with deterministic collectives whose ranks are
 //     goroutines over channels or sockets, or OS processes over sockets.
@@ -103,10 +103,6 @@ type (
 	// Diffusion is the distributed explicit diffusion solver sharing
 	// the GNN's halo machinery (the in-situ data generator).
 	Diffusion = solver.Diffusion
-	// Mapping deforms the reference box into a curvilinear domain.
-	Mapping = mesh.Mapping
-	// ElementMask carves elements out of the box (holes, L-shapes).
-	ElementMask = mesh.ElementMask
 	// Dataset holds per-rank (input, target) snapshot pairs.
 	Dataset = gnn.Dataset
 	// FitOptions configures multi-epoch training with consistent
@@ -187,8 +183,6 @@ const (
 	AllToAll = comm.AllToAllMode
 	// NeighborAllToAll exchanges only with true neighbors (N-A2A).
 	NeighborAllToAll = comm.NeighborAllToAll
-	// SendRecv uses pairwise point-to-point exchanges.
-	SendRecv = comm.SendRecvMode
 )
 
 // Rank transports (see RunOn).
@@ -211,8 +205,6 @@ const (
 	Pencils = partition.Pencils
 	// Blocks splits all three axes near-cubically.
 	Blocks = partition.Blocks
-	// AutoStrategy uses slabs up to 8 ranks and blocks beyond.
-	AutoStrategy = partition.Auto
 )
 
 // Periodicity presets.
@@ -249,8 +241,6 @@ var (
 	// NoiseField draws partition-consistent Gaussian training noise
 	// keyed by global node IDs.
 	NoiseField = gnn.NoiseField
-	// AnnulusSector maps the box onto a cylindrical annulus sector.
-	AnnulusSector = mesh.AnnulusSector
 	// Rollout applies a model autoregressively over its own outputs.
 	Rollout = gnn.Rollout
 	// Evaluate computes consistent error metrics collectively.
@@ -497,8 +487,7 @@ func VerifyConsistency(s *System, cfg Config, mode ExchangeMode, f Field, t floa
 		}
 		return res[0], nil
 	}
-	// RCB at R=1 is the trivial partition and, unlike Cartesian blocks,
-	// also handles masked meshes.
+	// RCB at R=1 is the trivial partition of any box.
 	single, err := NewSystemRCB(s.Mesh, 1)
 	if err != nil {
 		return 0, err

@@ -96,7 +96,7 @@ func TestSystemStats(t *testing.T) {
 func TestRankHelpers(t *testing.T) {
 	m, _ := NewMesh(2, 2, 2, 1, NonPeriodic)
 	sys, _ := NewSystem(m, 2, Slabs)
-	err := sys.Run(SendRecv, func(r *Rank) error {
+	err := sys.Run(NeighborAllToAll, func(r *Rank) error {
 		if r.ID() != r.Ctx.Comm.Rank() {
 			t.Error("ID mismatch")
 		}

@@ -127,8 +127,7 @@ type ServeOptions struct {
 	MaxBatch int
 	// BatchWindow is how long a dispatcher holds an admitted request
 	// open for co-travelers before dispatching a partial batch. 0 means
-	// a 200µs default when MaxBatch > 1; negative disables the window
-	// (only requests already queued coalesce).
+	// a 200µs default when MaxBatch > 1.
 	BatchWindow time.Duration
 	// Sessions is the number of independent serving sessions behind the
 	// front door — S full collective groups referencing one compiled
@@ -352,6 +351,9 @@ func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, 
 	if kind == Processes {
 		return nil, fmt.Errorf("meshgnn: Serve needs in-memory requests; run the engine inside RunOn for process ranks")
 	}
+	if opts.BatchWindow < 0 {
+		return nil, fmt.Errorf("meshgnn: negative BatchWindow %v", opts.BatchWindow)
+	}
 	// Compile synchronously: the rank goroutines start after ServeWith
 	// returns, and the caller may immediately resume training the model.
 	core, err := gnn.NewInference(model)
@@ -365,9 +367,6 @@ func (s *System) ServeWith(kind TransportKind, mode ExchangeMode, model *Model, 
 	window := opts.BatchWindow
 	if window == 0 && maxBatch > 1 {
 		window = defaultBatchWindow
-	}
-	if window < 0 {
-		window = 0
 	}
 	nsess := opts.Sessions
 	if nsess < 1 {
@@ -481,49 +480,25 @@ func (ses *serveSession) dispatch() {
 		}
 		b := srv.getBatch(first)
 		if srv.maxBatch > 1 {
-			var timer *time.Timer
-			var timerC <-chan time.Time
-			if srv.window > 0 {
-				timer = getTimer(srv.window)
-				timerC = timer.C
-			}
+			timer := getTimer(srv.window)
 		fill:
 			for len(b.members) < srv.maxBatch {
-				if timerC != nil {
-					select {
-					case req, ok := <-ses.queue:
-						if !ok {
-							open = false
-							break fill
-						}
-						if req.steps != b.steps {
-							held = req
-							break fill
-						}
-						b.addMember(req)
-					case <-timerC:
+				select {
+				case req, ok := <-ses.queue:
+					if !ok {
+						open = false
 						break fill
 					}
-				} else {
-					select {
-					case req, ok := <-ses.queue:
-						if !ok {
-							open = false
-							break fill
-						}
-						if req.steps != b.steps {
-							held = req
-							break fill
-						}
-						b.addMember(req)
-					default:
+					if req.steps != b.steps {
+						held = req
 						break fill
 					}
+					b.addMember(req)
+				case <-timer.C:
+					break fill
 				}
 			}
-			if timer != nil {
-				putTimer(timer)
-			}
+			putTimer(timer)
 		}
 		ses.deliver(b)
 	}

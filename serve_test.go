@@ -179,6 +179,9 @@ func TestServeRequestValidation(t *testing.T) {
 	if _, err := sys.Serve(Processes, NeighborAllToAll, model); err == nil {
 		t.Error("Serve over Processes accepted (requests cannot cross the process boundary)")
 	}
+	if _, err := sys.ServeWith(InProcess, NeighborAllToAll, model, ServeOptions{BatchWindow: -time.Millisecond}); err == nil {
+		t.Error("negative BatchWindow accepted")
+	}
 }
 
 // calibrateServeSetupOps measures how many transport operations rank 0
