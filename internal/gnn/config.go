@@ -33,10 +33,10 @@ const (
 	// layer's element type). Predictions approximate the float64 engine
 	// to a tolerance instead of bitwise — see the f32 parity tests — and
 	// remain bitwise-reproducible across thread counts, transports and
-	// batch sizes. Like the packed GEMM, the float32 arithmetic is defined
-	// per "SIMD or not": on the AVX2 and AVX-512 rungs the GEMM tiles and
-	// the ELU's exponential use fused multiply-adds and agree bit for bit
-	// with each other; the pure-Go rung rounds without them.
+	// batch sizes. Unlike the float64 products, the float32 arithmetic is
+	// defined per "SIMD or not": on the AVX2 and AVX-512 rungs the GEMM
+	// tiles and the ELU's exponential use fused multiply-adds and agree
+	// bit for bit with each other; the pure-Go rung rounds without them.
 	Float32
 )
 

@@ -83,17 +83,16 @@ func goldenRun(t *testing.T, overlap, sockets bool) []float64 {
 //
 //	go test ./internal/gnn -run TestGoldenLossesBitwise -update
 //
-// and commit the new golden alongside the kernel change. The golden
-// records amd64/go1.24 arithmetic; a legitimately differing platform
-// (e.g. FMA contraction on another architecture) should regenerate too.
-// The last change redefined the float64 ELU's exponential: e^v − 1 is
-// tensor.Elu's own fused multiply-add sequence (within 1 ulp of
-// math.Expm1) where it had been math.Exp(v) − 1. The forward moves, so
-// step 1 moved too (6.5e-16 relative); over the 12 steps the largest
-// change was 3.5e-15 relative (step 10). The same file holds on every
-// kernel rung (internal/tensor's TestTrainingBitwiseOnEveryRung) and,
-// since no step of the ELU depends on the architecture, needs no
-// regeneration for it.
+// and commit the new golden alongside the kernel change. The last change
+// gave every float64 product one definition — per element a math.FMA per
+// k, k ascending, then the bias — where the small model's GEMMs had been
+// a rank-4 grouped unfused sum: step 1 moved by 6.5e-16 relative, and over
+// the 12 steps the largest change was 2.0e-15 relative (step 8). The same
+// file holds on every kernel rung (internal/tensor's
+// TestTrainingBitwiseOnEveryRung). Neither the products nor the float64
+// ELU (tensor.Elu) depend on the architecture, and the float64 code that
+// defines nothing fused spells its products with rounding conversions, so
+// another GOARCH should not need a regeneration either.
 //
 // The same golden must hold with the overlapped pipeline on either
 // transport — overlap is bitwise-invisible — which the (overlap,

@@ -87,7 +87,7 @@ func (l *ConsistentMSE) localSums(rc *RankContext, y *tensor.Matrix, targets []*
 			for j := range yr {
 				d := yr[j] - tr[j]
 				dr[j] = d
-				s += inv * d * d
+				s += float64(inv * d * d)
 			}
 		}
 		sums[b] = s

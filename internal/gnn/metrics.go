@@ -32,9 +32,9 @@ func Evaluate(rc *RankContext, y, target *tensor.Matrix) Metrics {
 		yr, tr := y.Row(i), target.Row(i)
 		for j := range yr {
 			d := yr[j] - tr[j]
-			sq += inv * d * d
-			abssum += inv * math.Abs(d)
-			refsq += inv * tr[j] * tr[j]
+			sq += float64(inv * d * d)
+			abssum += float64(inv * math.Abs(d))
+			refsq += float64(inv * tr[j] * tr[j])
 			if a := math.Abs(d); a > maxabs {
 				maxabs = a
 			}

@@ -390,7 +390,7 @@ func (l *Local) StaticEdgeFeatures(box *mesh.Box) *tensor.Matrix {
 				}
 			}
 			row[d] = delta
-			mag += delta * delta
+			mag += float64(delta * delta)
 		}
 		row[3] = math.Sqrt(mag)
 	}

@@ -167,7 +167,7 @@ func (b *Box) axisCoord(i, e int, l float64) float64 {
 		elem, a = e-1, p
 	}
 	h := l / float64(e)
-	return (float64(elem) + (b.gll[a]+1)/2) * h
+	return (float64(elem) + float64((b.gll[a]+1)/2)) * h
 }
 
 // localIndex maps intra-element lattice coordinates to the local node

@@ -60,8 +60,7 @@ type rowLayer interface {
 	backwardRows(lo, hi int)
 	// reductions appends the layer's parameter-gradient reductions over a
 	// block of rows rows, each with the chunk grain the layer has always
-	// reduced with and whether its body may take a chunk in pieces
-	// (Resumable); the chain sets the block's offset. reduceBody and
+	// reduced with; the chain sets the block's offset. reduceBody and
 	// reduceMerge address them by position (which) and take absolute row
 	// numbers.
 	reductions(rs []parallel.Reduction, rows int) []parallel.Reduction
@@ -93,8 +92,8 @@ type rowLayer interface {
 // Nothing here changes a bit relative to evaluating layer by layer. The
 // forward and input-gradient passes are row maps; each reduction keeps
 // its own chunk grain, runs per sample block, advances a chunk in pieces
-// only where its body allows it (Reduction.Resumable), and merges in
-// ascending chunk order.
+// (every body is one chain per element, rows ascending, onto its
+// accumulator), and merges in ascending chunk order.
 type chain struct {
 	layers []rowLayer
 	rows   int

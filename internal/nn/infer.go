@@ -171,15 +171,15 @@ func (r *inferRun[T]) Run(lo, hi int) {
 // float64 over its own copy of the parameters.
 type InferMLP struct {
 	compiled[float64]
-	lins []*linearInfer // the linear layers, whose panels checkTier guards
 }
 
 // Compile builds the forward-only twin of the block from a copy of its
 // parameters (the bits they hold now; training the source afterwards
 // changes nothing here — compile again). It holds no arena — callers pass
 // one per forward (nil allocates). Weight matrices above the packed-GEMM
-// threshold are packed ONCE here (bitwise-invisible — MatMul would pack
-// the identical panels per call).
+// threshold are packed ONCE here (bitwise-invisible — packed panels and
+// the row-major operand give the same bits on every kernel rung, so a
+// compile outlives a rung change).
 func (m *MLP) Compile() *InferMLP {
 	out := &InferMLP{compiled: compiled[float64]{In: m.In, Out: m.Out, pools: &pools64}}
 	var ls []inferLayer[float64]
@@ -190,7 +190,6 @@ func (m *MLP) Compile() *InferMLP {
 			if tensor.ShouldPack(t.In, t.Out) {
 				li.pb = tensor.PackB(li.w)
 			}
-			out.lins = append(out.lins, li)
 			ls = append(ls, li)
 		case *ELU:
 			ls = append(ls, eluInfer{})
@@ -223,9 +222,6 @@ func (m *InferMLP) InferRows(a *tensor.Arena, rows int, head, tail RowMap[float6
 }
 
 func (m *InferMLP) infer(a *tensor.Arena, rows int, x []float64, head, tail RowMap[float64]) *tensor.Matrix {
-	for _, l := range m.lins {
-		l.checkTier()
-	}
 	y := a.Get(rows, m.Out)
 	m.eval(rows, x, y.Data, head, tail)
 	return y
@@ -243,15 +239,6 @@ type linearInfer struct {
 
 func (l *linearInfer) outWidth(int) int { return l.out }
 func (l *linearInfer) inPlace() bool    { return false }
-
-// checkTier panics unless the layer is packed exactly as MatMul would pack
-// it under the current kernel tier — the condition for its bits to be
-// MatMul's. It runs on the caller, before the region is dispatched.
-func (l *linearInfer) checkTier() {
-	if (l.pb != nil) != tensor.ShouldPack(l.in, l.out) || (l.pb != nil && l.pb.NR != tensor.PackWidth()) {
-		panic("nn: compiled weight panels predate a kernel-tier change; compile again")
-	}
-}
 
 func (l *linearInfer) inferRows(dst, src panel[float64]) {
 	d, s := mat64(dst), mat64(src)

@@ -109,10 +109,10 @@ type packCache struct {
 }
 
 // panels returns the cached panels of w (of its transpose when trans),
-// re-packing after a parameter update or a kernel-tier toggle.
+// re-packing after a parameter update.
 func (c *packCache) panels(w *Param, trans bool) *tensor.PackedB {
 	switch {
-	case c.pb == nil || c.pb.NR != tensor.PackWidth():
+	case c.pb == nil:
 		if trans {
 			c.pb = tensor.PackBT(w.W)
 		} else {
@@ -137,7 +137,7 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := range l.Weight.W.Data {
-		l.Weight.W.Data[i] = (2*rng.Float64() - 1) * limit
+		l.Weight.W.Data[i] = (2*float64(rng.Float64()) - 1) * limit
 	}
 	return l
 }
@@ -205,9 +205,7 @@ func (l *Linear) backwardRows(lo, hi int) {
 }
 
 // The two parameter reductions of a Linear, per sample block: the weight
-// gradient xᵀ·dy and the bias gradient (column sums of dy). The column
-// sums may take a chunk in pieces on every rung; the weight gradient
-// where tensor.MatMulATBAccResumes says so.
+// gradient xᵀ·dy and the bias gradient (column sums of dy).
 const (
 	redWeight = iota
 	redBias
@@ -215,9 +213,8 @@ const (
 
 func (l *Linear) reductions(rs []parallel.Reduction, rows int) []parallel.Reduction {
 	return append(rs,
-		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.In * l.Out), AccLen: l.In * l.Out,
-			Resumable: tensor.MatMulATBAccResumes(l.In, l.Out)},
-		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.Out), AccLen: l.Out, Resumable: true})
+		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.In * l.Out), AccLen: l.In * l.Out},
+		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.Out), AccLen: l.Out})
 }
 
 func (l *Linear) reduceBody(which, lo, hi int, acc []float64) {
@@ -573,10 +570,10 @@ func (ln *LayerNorm) inputGradRow(i int, sum1, sum2 float64) {
 }
 
 // reductions: the gain and shift gradients reduce over the rows together,
-// one 2·Dim accumulator per chunk of 256 rows, which the body may take in
-// pieces (each column's two chains are per row, rows ascending).
+// one 2·Dim accumulator per chunk of 256 rows (each column's two chains
+// are per row, rows ascending).
 func (ln *LayerNorm) reductions(rs []parallel.Reduction, rows int) []parallel.Reduction {
-	return append(rs, parallel.Reduction{N: rows, Grain: 256, AccLen: 2 * ln.Dim, Resumable: true})
+	return append(rs, parallel.Reduction{N: rows, Grain: 256, AccLen: 2 * ln.Dim})
 }
 
 // reduceBody is the gain and shift gradients' chunk body. Its definition

@@ -40,8 +40,8 @@ func (a *Adam) Step(params []*Param) {
 		p.Bump()
 		m, v := a.m[i], a.v[i]
 		for j, g := range p.G.Data {
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*g
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*g*g
+			m.Data[j] = float64(a.Beta1*m.Data[j]) + float64((1-a.Beta1)*g)
+			v.Data[j] = float64(a.Beta2*v.Data[j]) + float64((1-a.Beta2)*g*g)
 			p.W.Data[j] -= a.LR * (m.Data[j] / c1) / (math.Sqrt(v.Data[j]/c2) + a.Eps)
 		}
 	}

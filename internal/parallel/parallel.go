@@ -19,10 +19,10 @@
 //     partials in ascending chunk order on the caller. Within a chunk the
 //     rows are accumulated in ascending order by one participant at a
 //     time; a Panels region advances a chunk in pieces, as its rows
-//     complete, only where the body declares that splitting a chunk moves
-//     no bit (Reduction.Resumable). The Threads=1 path executes the *same*
-//     chunk schedule sequentially, so serial and parallel runs agree
-//     bit-for-bit.
+//     complete, so its bodies must be such that splitting a chunk moves no
+//     bit (one chain per accumulator element, rows ascending). The
+//     Threads=1 path executes the *same* chunk schedule sequentially, so
+//     serial and parallel runs agree bit-for-bit.
 //
 // This is the fixed-schedule reduction discipline: floating-point addition
 // is not associative, so reproducibility requires the summation tree to be
@@ -511,14 +511,12 @@ func reduceSerial(n, chunk, numChunks, accLen int, r Reducer) {
 // Reduction is one row reduction a Panels region carries: rows [Off,
 // Off+N) of the region's rows, cut into chunks of Grain rows exactly as
 // ReduceWith(N, Grain, AccLen, ·) cuts [0, N), each chunk reduced into a
-// private zeroed accumulator of length AccLen. Resumable says the body
-// may take a chunk in pieces — its bits for rows [lo, m) then [m, hi) into
-// one accumulator are those of [lo, hi) in one call, for every m — so the
-// chunk advances as its rows complete; otherwise the chunk runs in one
-// call once all of its rows have.
+// private zeroed accumulator of length AccLen. The chunk advances as its
+// rows complete, so the body must take it in pieces exactly: its bits for
+// rows [lo, m) then [m, hi) into one accumulator are those of [lo, hi) in
+// one call, for every m.
 type Reduction struct {
 	Off, N, Grain, AccLen int
-	Resumable             bool
 }
 
 // PanelReducer is the body of a Panels region.
@@ -573,9 +571,9 @@ type panelTask Panels
 // the caller in ReduceWith's order, so every reduction's summation tree —
 // chunk boundaries, the ascending row order within a chunk, the merge
 // order — is ReduceWith's, whatever the thread count and whichever
-// participant advanced what: bitwise, given that a Resumable body is what
-// Reduction says it is. The chunk grains, as for ReduceWith, must derive
-// from the problem shape only.
+// participant advanced what: bitwise, given that a body is what Reduction
+// says it must be. The chunk grains, as for ReduceWith, must derive from
+// the problem shape only.
 func (p *Panels) For(rows, panel int, rs []Reduction, r PanelReducer) {
 	if rows <= 0 {
 		return
@@ -661,11 +659,9 @@ func (t *panelTask) Run(lo, hi int) {
 // second look sees it.
 func (p *Panels) advance(i int) {
 	ch := &p.chunks[i]
-	resumable := p.rs[ch.k].Resumable
 	for ch.busy.CompareAndSwap(false, true) {
 		cur := ch.cur
-		end := p.reach(cur, ch.hi)
-		if end > cur && (resumable || end == ch.hi) {
+		if end := p.reach(cur, ch.hi); end > cur {
 			if cur == ch.lo {
 				clear(ch.acc)
 			}
@@ -673,7 +669,7 @@ func (p *Panels) advance(i int) {
 			ch.cur, cur = end, end
 		}
 		ch.busy.Store(false)
-		if end = p.reach(cur, ch.hi); end == cur || !resumable && end < ch.hi {
+		if p.reach(cur, ch.hi) == cur {
 			return
 		}
 	}

@@ -346,11 +346,9 @@ func TestClampPolicy(t *testing.T) {
 // panelSums is a PanelReducer over a rows×cols table. Run "computes" the
 // rows of its panels — copies them from src into out and marks them — and
 // reduction k sums out's rows weighted by (row+k) mod 7 into its first
-// AccLen columns. A Resumable reduction adds row by row, rows ascending: a
-// chain per column that may be cut anywhere. Any other adds the rows in
-// pairs from the first row of the call, so its bits depend on where a
-// chunk is cut and only the whole chunk gives ReduceWith's. Body reports a
-// row it is handed before its panel completed, and records its calls.
+// AccLen columns, row by row, rows ascending: a chain per column that may
+// be cut anywhere. Body reports a row it is handed before its panel
+// completed, and records its calls.
 type panelSums struct {
 	t          *testing.T
 	rs         []Reduction
@@ -377,17 +375,9 @@ func (p *panelSums) Run(lo, hi int) {
 }
 
 // sumRows is reduction k's body over rows [lo, hi) of data.
-func sumRows(data []float64, cols, k int, resumable bool, lo, hi int, acc []float64) {
+func sumRows(data []float64, cols, k int, lo, hi int, acc []float64) {
 	w := func(i int) float64 { return float64((i + k) % 7) }
-	i := lo
-	if !resumable {
-		for ; i+2 <= hi; i += 2 {
-			for j := range acc {
-				acc[j] += data[i*cols+j]*w(i) + data[(i+1)*cols+j]*w(i+1)
-			}
-		}
-	}
-	for ; i < hi; i++ {
+	for i := lo; i < hi; i++ {
 		for j := range acc {
 			acc[j] += data[i*cols+j] * w(i)
 		}
@@ -406,7 +396,7 @@ func (p *panelSums) Body(k, lo, hi int, acc []float64) {
 		p.calls[k] = append(p.calls[k], [2]int{lo, hi})
 		p.mu.Unlock()
 	}
-	sumRows(p.out, p.cols, k, p.rs[k].Resumable, lo, hi, acc)
+	sumRows(p.out, p.cols, k, lo, hi, acc)
 }
 
 func (p *panelSums) Merge(k int, acc []float64, last bool) {
@@ -429,12 +419,11 @@ func newPanelSums(t *testing.T, rows, cols, panel int, rs []Reduction, src []flo
 }
 
 // TestPanelsMatchReduceWith: carrying reductions in a panel region — each
-// chunk advanced by whoever completes its rows, a Resumable one in pieces
-// — changes no bit of any of them against ReduceWith over the same rows,
-// for 1, 2 and 4 threads; the merges arrive reduction by reduction with
-// the final chunk flagged; every Body call is on completed rows, and a
-// chunk's calls cover it once, ascending, in one call where the body is
-// not Resumable. The cases: chunks straddling 64-row panels at both ends
+// chunk advanced in pieces by whoever completes its rows — changes no bit
+// of any of them against ReduceWith over the same rows, for 1, 2 and 4
+// threads; the merges arrive reduction by reduction with the final chunk
+// flagged; every Body call is on completed rows, and a chunk's calls cover
+// it once, ascending. The cases: chunks straddling 64-row panels at both ends
 // (grain 85) or not at all (64), a chunk longer than its reduction (a
 // whole sample block: grain 8 192), reductions that start mid-panel, an
 // empty one, three sample blocks of 200 rows, and a region of one panel.
@@ -446,19 +435,19 @@ func TestPanelsMatchReduceWith(t *testing.T) {
 		rs   []Reduction
 	}
 	regions := []region{
-		{1000, []Reduction{{N: 1000, Grain: 85, AccLen: 3, Resumable: true}, {N: 1000, Grain: 64, AccLen: 2},
-			{Off: 10}, {Off: 100, N: 77, Grain: 100, AccLen: 5, Resumable: true},
-			{Off: 3, N: 513, Grain: 7, AccLen: 1}, {Off: 936, N: 64, Grain: 64, AccLen: 4, Resumable: true},
+		{1000, []Reduction{{N: 1000, Grain: 85, AccLen: 3}, {N: 1000, Grain: 64, AccLen: 2},
+			{Off: 10}, {Off: 100, N: 77, Grain: 100, AccLen: 5},
+			{Off: 3, N: 513, Grain: 7, AccLen: 1}, {Off: 936, N: 64, Grain: 64, AccLen: 4},
 			{Off: 30, N: 900, Grain: 85, AccLen: 8}}},
-		{37, []Reduction{{N: 37, Grain: 85, AccLen: 3, Resumable: true}, {N: 37, Grain: 8, AccLen: 2}}},
+		{37, []Reduction{{N: 37, Grain: 85, AccLen: 3}, {N: 37, Grain: 8, AccLen: 2}}},
 	}
 	var batched []Reduction
 	for b := 0; b < 3; b++ {
 		batched = append(batched,
-			Reduction{Off: 200 * b, N: 200, Grain: 85, AccLen: 8, Resumable: true},
-			Reduction{Off: 200 * b, N: 200, Grain: 8192, AccLen: 3, Resumable: true},
+			Reduction{Off: 200 * b, N: 200, Grain: 85, AccLen: 8},
+			Reduction{Off: 200 * b, N: 200, Grain: 8192, AccLen: 3},
 			Reduction{Off: 200 * b, N: 200, Grain: 85, AccLen: 5},
-			Reduction{Off: 200 * b, N: 200, Grain: 256, AccLen: 6, Resumable: true},
+			Reduction{Off: 200 * b, N: 200, Grain: 256, AccLen: 6},
 			Reduction{Off: 200 * b, N: 200, Grain: 8192, AccLen: 2})
 	}
 	regions = append(regions, region{600, batched})
@@ -475,7 +464,7 @@ func TestPanelsMatchReduceWith(t *testing.T) {
 		withThreads(t, 1, func() {
 			for k, s := range reg.rs {
 				ReduceWith(s.N, s.Grain, s.AccLen, reducerFuncs{func(lo, hi int, acc []float64) {
-					sumRows(src, cols, k, s.Resumable, s.Off+lo, s.Off+hi, acc)
+					sumRows(src, cols, k, s.Off+lo, s.Off+hi, acc)
 				}, func(acc []float64) { want.Merge(k, acc, false) }})
 				if s.N > 0 {
 					wantLasts = append(wantLasts, k)
@@ -503,8 +492,6 @@ func TestPanelsMatchReduceWith(t *testing.T) {
 							t.Fatalf("%s reduction %d: call %v is not inside chunk [%d, %d)", what, k, c, chunkLo, chunkHi)
 						case c[0] != chunkLo && (i == 0 || calls[i-1][1] != c[0]):
 							t.Fatalf("%s reduction %d: call %v does not continue the chunk's previous calls %v", what, k, c, calls[:i])
-						case !s.Resumable && (c[0] != chunkLo || c[1] != chunkHi):
-							t.Fatalf("%s reduction %d: call %v on part of chunk [%d, %d), which is not Resumable", what, k, c, chunkLo, chunkHi)
 						}
 					}
 					if covered := len(calls) > 0 && calls[len(calls)-1][1] == s.Off+s.N; s.N > 0 && !covered {
@@ -561,7 +548,7 @@ func TestPanelsZeroAlloc(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	const rows, cols = 4096, 8
-	rs := []Reduction{{N: rows, Grain: 85, AccLen: 8, Resumable: true}, {Off: 512, N: 512, Grain: 16, AccLen: 2}}
+	rs := []Reduction{{N: rows, Grain: 85, AccLen: 8}, {Off: 512, N: 512, Grain: 16, AccLen: 2}}
 	r := newPanelSums(t, rows, cols, 64, rs, make([]float64, rows*cols))
 	r.recordOnly = true
 	r.merges = make([]int, 0, 1<<16)

@@ -179,7 +179,7 @@ func threeFactor(box *mesh.Box, r int) (rx, ry, rz int, err error) {
 			bx := float64(box.Ex) / float64(a)
 			by := float64(box.Ey) / float64(b)
 			bz := float64(box.Ez) / float64(c)
-			cost := bx*by + by*bz + bx*bz // half-surface per block
+			cost := float64(bx*by) + float64(by*bz) + float64(bx*bz) // half-surface per block
 			if bestCost < 0 || cost < bestCost {
 				bestCost, rx, ry, rz = cost, a, b, c
 			}

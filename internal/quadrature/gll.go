@@ -27,7 +27,7 @@ func Legendre(n int, x float64) (p, dp float64) {
 	}
 	pm1, p := 1.0, x // P_0, P_1
 	for k := 2; k <= n; k++ {
-		pm1, p = p, ((2*float64(k)-1)*x*p-(float64(k)-1)*pm1)/float64(k)
+		pm1, p = p, (float64((float64(2*float64(k))-1)*x*p)-float64((float64(k)-1)*pm1))/float64(k)
 	}
 	// Derivative from the standard identity
 	// (1-x^2) P'_n = n (P_{n-1} - x P_n), guarded at the endpoints.
@@ -35,7 +35,7 @@ func Legendre(n int, x float64) (p, dp float64) {
 		dp = math.Pow(x, float64(n+1)) * float64(n) * float64(n+1) / 2
 		return p, dp
 	}
-	dp = float64(n) * (pm1 - x*p) / (1 - x*x)
+	dp = float64(n) * (pm1 - float64(x*p)) / (1 - float64(x*x))
 	return p, dp
 }
 
@@ -57,7 +57,7 @@ func Nodes(p int) []float64 {
 		xi := -math.Cos(math.Pi * float64(i) / float64(p))
 		for iter := 0; iter < 100; iter++ {
 			pp, dpp := Legendre(p, xi)
-			d2 := (2*xi*dpp - float64(p)*float64(p+1)*pp) / (1 - xi*xi)
+			d2 := (float64(2*xi*dpp) - float64(float64(p)*float64(p+1)*pp)) / (1 - float64(xi*xi))
 			step := dpp / d2
 			xi -= step
 			if math.Abs(step) < 1e-15 {

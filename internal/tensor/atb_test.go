@@ -8,15 +8,15 @@ import (
 	"testing"
 )
 
-// TestMatMulATBAccBitwise holds the weight gradient's chunk body under the
-// packed threshold to its definition, the scalar loop matMulATBScalar,
-// under the contract mismatch checks on every rung: x widths in and dy
-// widths n from {1, 3, 4, 7, 8, 9, 16, 24, 32} with in·n < 1024 (blocks
-// of eight columns and their masked tails), chunks of 0…70 rows and of 1 365 (the ReduceGrain of
-// SmallConfig's 24×8 weight), all from odd first rows, into an acc that
-// enters holding values, −0 among them; on plain data and on data planted
-// with aligned groups of four zero x values (skipped, never 0·dy), signed
-// zeros, ±Inf, and NaN payloads in x, in dy and in the entry acc. Nothing
+// TestMatMulATBAccBitwise holds the weight gradient's chunk body to the
+// float64 product's definition under the contract mismatch checks on
+// every rung: x widths in and dy widths n from {1, 3, 4, 7, 8, 9, 16, 24,
+// 32} with in·n < 1024 (whole panels of eight columns and partial ones),
+// chunks of 0…70 rows and of 1 365 (the ReduceGrain of SmallConfig's 24×8
+// weight), all from odd first rows, into an acc that enters holding
+// values, −0 among them; on plain data and on data planted with groups of
+// four zero x values, signed zeros, ±Inf (so 0·Inf, a NaN, meets the
+// sums), and NaN payloads in x, in dy and in the entry acc. Nothing
 // outside acc is written. A shape that does not match, and rows outside
 // the operands, panic before a kernel reads memory.
 func TestMatMulATBAccBitwise(t *testing.T) {
@@ -56,8 +56,8 @@ func TestMatMulATBAccBitwise(t *testing.T) {
 			dy.Data[i] = value(plant == "NaN in dy" || everything)
 		}
 		if plant != "plain" {
-			// Aligned groups of four zero x values of either sign down a
-			// third of the columns; the groups start at lo.
+			// Groups of four zero x values of either sign down a third of
+			// the columns, from lo.
 			for r := lo; r+4 <= lo+rows; r += 4 {
 				for i := 0; i < in; i++ {
 					if rng.Intn(3) == 0 {
@@ -73,7 +73,7 @@ func TestMatMulATBAccBitwise(t *testing.T) {
 			entry[i] = value(plant == "NaN in acc" || everything)
 		}
 		want := slices.Clone(entry)
-		matMulATBScalar(want, x, dy, lo, lo+rows)
+		definition(want, n, x.Data[lo*in:], 1, in, dy.Data[lo*n:], n, rows, n, nil, 1, 0, in)
 		return atbCase{
 			what: fmt.Sprintf("%d rows from %d, %dx%d, %s", rows, lo, in, n, plant),
 			x:    x, dy: dy, lo: lo, hi: lo + rows, entry: entry, want: want,
@@ -146,28 +146,19 @@ func TestMatMulATBAccBitwise(t *testing.T) {
 	})
 }
 
-// TestMatMulATBAccResumes: a chunk of the weight gradient taken in pieces
-// into one accumulator is bitwise the chunk in one call, from an entry
-// value that is not zero — split at any row where MatMulATBAccResumes
-// holds (the packed tiles on the SIMD rungs, their n mod 8 tail columns
-// included), and at rows ≡ lo mod 4 where it does not (below the packed
-// threshold, and on the go rung, the scalar definition groups the rows by
-// four from lo). MatMulATBAccResumes holds exactly on the SIMD rungs'
-// packed shapes.
+// TestMatMulATBAccResumes: on every rung and for every shape, a chunk of
+// the weight gradient taken in pieces into one accumulator is bitwise the
+// chunk in one call, from an entry value that is not zero, wherever the
+// cuts fall — each element is one fused multiply-add chain, rows
+// ascending, onto what acc holds, so a parallel.Panels region may advance
+// a chunk as its rows complete. The shapes take whole and partial panels
+// on both sides of the packed threshold.
 func TestMatMulATBAccResumes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	shapes := [][2]int{{96, 32}, {32, 32}, {64, 36}, {32, 33}, {16, 72}, {24, 8}, {16, 8}, {8, 8}, {32, 3}, {3, 32}, {7, 9}}
+	shapes := [][2]int{{96, 32}, {32, 32}, {64, 36}, {32, 33}, {16, 72}, {24, 8}, {16, 8}, {8, 8}, {32, 3}, {3, 32}, {7, 9}, {3, 8}}
 	atEachTier(t, func(t *testing.T) {
 		for _, sh := range shapes {
 			in, n := sh[0], sh[1]
-			packed := tier >= tierAVX2 && n >= 8 && in*n >= packMinKN
-			if got := MatMulATBAccResumes(in, n); got != packed {
-				t.Fatalf("%dx%d: MatMulATBAccResumes = %v, want %v", in, n, got, packed)
-			}
-			step, odds := 4, 4
-			if packed {
-				step, odds = 1, 16
-			}
 			for trial := 0; trial < 12; trial++ {
 				rows, lo := 1+rng.Intn(200), rng.Intn(5)
 				x, dy := randomMatrix(rng, lo+rows+3, in), randomMatrix(rng, lo+rows+3, n)
@@ -184,8 +175,8 @@ func TestMatMulATBAccResumes(t *testing.T) {
 				MatMulATBAcc(want, x, dy, lo, lo+rows)
 				got, from := slices.Clone(entry), lo
 				var cuts []int
-				for m := lo + step; m < lo+rows; m += step {
-					if rng.Intn(odds) == 0 {
+				for m := lo + 1; m < lo+rows; m++ {
+					if rng.Intn(16) == 0 {
 						cuts = append(cuts, m)
 					}
 				}

@@ -22,7 +22,11 @@ type packedMM32Task struct {
 
 func (t *packedMM32Task) Run(lo, hi int) {
 	pb := t.pb
-	fused := sweepPacked(t.dst.Data, t.dst.Cols, t.a.Data, t.a.Cols, pb.panels, pb.K, pb.N, t.bias, lo, hi)
+	fused := 0 // leading columns whose bias the tiles already added
+	if pb.K > 0 {
+		fused = pb.N / packNR32 * packNR32
+		sweepPacked(t.dst.Data, t.dst.Cols, t.a.Data, t.a.Cols, pb.panels, pb.K, fused, t.bias, lo, hi)
+	}
 	if pb.N%packNR32 != 0 {
 		t.scalarTail(lo, hi)
 	}

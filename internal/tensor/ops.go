@@ -69,111 +69,49 @@ func (t *matMulTask) Run(lo, hi int) { MatMulBiasRows(t.dst, t.a, t.b, nil, lo, 
 
 // MatMulBiasRows computes rows [lo, hi) of dst = a·b + bias (a nil bias
 // adds nothing): the unpacked linear layer, which MatMul and the layers of
-// internal/nn run where !ShouldPack. On every rung and for every input its
-// bits are matMulRows followed by AddRowVectorRows(dst, bias, lo, hi) —
-// the contract MatMulPackedBiasRows states for the packed tier, whose FMA
-// tiles round differently, so a caller tiling a product over row ranges
-// itself routes the shape by ShouldPack to keep MatMul's bits. On the SIMD
-// rungs product and add are one assembly pass (gemmrows_amd64.s) that
-// replays the scalar expression with each row's accumulators in
-// registers.
+// internal/nn run where !ShouldPack. Its bits are the float64 product's
+// one definition (pack.go) on every rung and for every input, those of
+// MatMulPackedBiasRows on PackB(b): the tiles read b's rows in place
+// instead of packed panels.
 func MatMulBiasRows(dst, a, b *Matrix, bias []float64, lo, hi int) {
 	k, n := a.Cols, b.Cols
 	if k != b.Rows || dst.Cols != n || (bias != nil && len(bias) != n) {
 		panic(fmt.Sprintf("tensor: MatMulBiasRows shape mismatch (%dx%d)·(%dx%d)+bias(%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, len(bias), dst.Rows, dst.Cols))
 	}
-	if tier < tierAVX2 || k == 0 || n == 0 || lo >= hi {
-		matMulBiasScalar(dst, a, b, bias, lo, hi)
+	if n == 0 || lo >= hi {
 		return
 	}
-	// The kernel indexes raw memory: hold it to the slices' bounds first.
+	// The tiles index raw memory: hold them to the slices' bounds first.
 	if lo < 0 || hi*k > len(a.Data) || hi*n > len(dst.Data) || k*n > len(b.Data) {
 		panic(fmt.Sprintf("tensor: MatMulBiasRows rows [%d, %d) outside (%dx%d)·(%dx%d)->(%dx%d)",
 			lo, hi, a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	var bp *float64
-	if bias != nil {
-		bp = &bias[0]
+	if k == 0 {
+		emptyProduct(dst, bias, lo, hi)
+		return
 	}
-	if tier >= tierAVX512 {
-		gemmRows64x8(int64(hi-lo), int64(k), int64(n), &a.Data[lo*k], &b.Data[0], &dst.Data[lo*n], bp)
-	} else {
-		gemmRows64(int64(hi-lo), int64(k), int64(n), &a.Data[lo*k], &b.Data[0], &dst.Data[lo*n], bp)
+	g := tileGrid[float64]{
+		kc: int64(k),
+		a:  a.Data, lda: k, astride: 1,
+		b: b.Data, panelStride: packNR, bstride: n,
+		c: dst.Data, ldc: n, n: n, bias: bias,
 	}
-}
-
-// matMulBiasScalar is MatMulBiasRows' definition and the pure-Go rung's
-// kernel.
-func matMulBiasScalar(dst, a, b *Matrix, bias []float64, lo, hi int) {
-	matMulRows(dst, a, b, lo, hi)
-	if bias != nil {
-		AddRowVectorRows(dst, bias, lo, hi)
-	}
-}
-
-// matMulRows computes rows [lo, hi) of dst = a·b with the legacy
-// register-blocked loops: the definition MatMulBiasRows replays.
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	ka := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*ka : (i+1)*ka]
-		drow := dst.Data[i*n : (i+1)*n]
-		clear(drow)
-		// Rank-4 register blocking over the inner dimension: each pass
-		// streams four b rows against one dst row, quartering the dst
-		// load/store traffic that otherwise dominates narrow-row GEMMs.
-		// Four products are summed before touching dst (and the zero
-		// skip applies per group of four, not per term), so results
-		// differ in rounding from the unblocked per-k accumulation —
-		// but identically for every thread count and every caller, so
-		// the determinism and consistency contracts are unaffected.
-		k := 0
-		for ; k+4 <= ka; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			b0 := b.Data[k*n : (k+1)*n]
-			b1 := b.Data[(k+1)*n : (k+2)*n]
-			b2 := b.Data[(k+2)*n : (k+3)*n]
-			b3 := b.Data[(k+3)*n : (k+4)*n]
-			for j, bv := range b0 {
-				drow[j] += float64(a0*bv) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
-			}
-		}
-		for ; k < ka; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				drow[j] += float64(av * bv)
-			}
-		}
-	}
+	g.sweep(lo, hi, 0, (n+packNR-1)/packNR)
 }
 
 var matMulPool = sync.Pool{New: func() any { return new(matMulTask) }}
 
 // MatMul computes dst = a·b. dst must be a.Rows×b.Cols and must not alias
-// a or b. The inner loops are ordered (i,k,j) so the b and dst accesses
-// are unit-stride, which is the cache-friendly form for row-major storage;
-// the outer loop is partitioned over dst rows, each written by exactly one
-// worker.
+// a or b. The rows are partitioned over workers, each dst row written by
+// exactly one.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	// Above the K·N threshold the packed cache-blocked tier takes over
-	// (pack.go). The threshold never involves the row count, so a row's
-	// kernel is the same however rows are partitioned across ranks and
-	// threads; the pure-Go packed kernels are bitwise-identical to this
-	// one, and the SIMD kernels are bitwise-reproducible across thread
-	// counts (per-row FMA order fixed by shape alone).
+	// Above the K·N threshold b is packed into panels first (pack.go): a
+	// memory layout, not an arithmetic, so both paths give the same bits.
 	if usePacked(a.Cols, b.Cols) {
 		matMulPacked(dst, a, b)
 		return
@@ -193,93 +131,34 @@ func (t *matMulATBTask) Body(lo, hi int, acc []float64) { MatMulATBAcc(acc, t.a,
 // acc (a.Cols×b.Cols, row-major): the chunk body of MatMulATB's reduction.
 // A caller reproducing MatMulATB's bits chunks the rows by
 // ReduceGrain(a.Cols·b.Cols) and merges zeroed per-chunk accumulators in
-// ascending order. Under the packed tier's threshold the bits are
-// matMulATBScalar's on every rung, whatever acc holds on entry: on both
-// SIMD rungs an assembly kernel (gemmATB64) replays that loop with each
-// block of acc in registers.
-//
-// Which splits of a chunk are exact — calls over [lo, m) then [m, hi)
-// into one acc giving the bits of one call over [lo, hi): any m where
-// MatMulATBAccResumes holds (every element is one ascending-row chain
-// onto its entry value), and otherwise every m ≡ lo mod 4 (the scalar
-// definition groups the rows by four from lo).
+// ascending order. Per element its bits are the float64 product's one
+// definition (pack.go): one fused multiply-add per row, rows ascending,
+// onto whatever acc holds on entry — on every rung, through the tiles
+// walking DOWN the rows via strides (a's columns become tile rows, b's
+// rows are already panel-shaped). So a chunk may be split at any row:
+// calls over [lo, m) then [m, hi) into one acc give the bits of one call
+// over [lo, hi).
 func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 	in, n := a.Cols, b.Cols
 	if a.Rows != b.Rows || len(acc) != in*n {
 		panic(fmt.Sprintf("tensor: MatMulATBAcc shape mismatch (%dx%d)ᵀ·(%dx%d)->acc(%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, len(acc)))
 	}
-	// The kernels index raw memory: hold them to the slices' bounds first.
+	// The tiles index raw memory: hold them to the slices' bounds first.
 	if lo < 0 || lo > hi || hi > a.Rows || hi*in > len(a.Data) || hi*n > len(b.Data) {
 		panic(fmt.Sprintf("tensor: MatMulATBAcc rows [%d, %d) outside (%dx%d)ᵀ·(%dx%d)",
 			lo, hi, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	// Packed tier: same chunk schedule and merge order, SIMD tile sweep
-	// inside the chunk (gemm_packed.go). Gated on the reduction shape
-	// (in·n) only, so engagement is independent of the row partition.
-	if MatMulATBAccResumes(in, n) {
-		matMulATBAccSIMD(acc, a, b, lo, hi)
+	if lo == hi || in == 0 || n == 0 {
 		return
 	}
-	if tier < tierAVX2 || in*n == 0 || in*n >= packMinKN || lo == hi {
-		matMulATBScalar(acc, a, b, lo, hi)
-		return
+	g := tileGrid[float64]{
+		kc: int64(hi - lo),
+		a:  a.Data[lo*in:], lda: 1, astride: in,
+		b: b.Data[lo*n:], panelStride: packNR, bstride: n,
+		c: acc, ldc: n, n: n, acc: 1,
 	}
-	gemmATB64(int64(hi-lo), int64(in), int64(n), &a.Data[lo*in], &b.Data[lo*n], &acc[0])
-}
-
-// MatMulATBAccResumes reports whether MatMulATBAcc, for an in-column a and
-// an n-column b on the current rung, runs the packed tier's tiles: one
-// fused multiply-add chain per element, rows ascending, onto what acc
-// holds — so a chunk may be split at any row without moving a bit.
-func MatMulATBAccResumes(in, n int) bool {
-	return tier >= tierAVX2 && n >= 8 && usePacked(in, n)
-}
-
-// matMulATBScalar is MatMulATBAcc's definition below the packed tier and
-// the pure-Go rung's kernel.
-func matMulATBScalar(acc []float64, a, b *Matrix, lo, hi int) {
-	in, n := a.Cols, b.Cols
-	// Rank-4 blocking over input rows: four (a-row, b-row) pairs stream
-	// against the accumulator per pass, quartering the accumulator
-	// traffic. The chunk schedule is unchanged, so the summation tree is
-	// still a function of the problem shape alone; within a chunk the
-	// four-term grouping rounds differently from the unblocked per-row
-	// accumulation, identically for every thread count.
-	r := lo
-	for ; r+4 <= hi; r += 4 {
-		a0 := a.Data[r*in : (r+1)*in]
-		a1 := a.Data[(r+1)*in : (r+2)*in]
-		a2 := a.Data[(r+2)*in : (r+3)*in]
-		a3 := a.Data[(r+3)*in : (r+4)*in]
-		b0 := b.Data[r*n : (r+1)*n]
-		b1 := b.Data[(r+1)*n : (r+2)*n]
-		b2 := b.Data[(r+2)*n : (r+3)*n]
-		b3 := b.Data[(r+3)*n : (r+4)*n]
-		for i := 0; i < in; i++ {
-			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			accRow := acc[i*n : (i+1)*n]
-			for j, bv := range b0 {
-				accRow[j] += float64(v0*bv) + float64(v1*b1[j]) + float64(v2*b2[j]) + float64(v3*b3[j])
-			}
-		}
-	}
-	for ; r < hi; r++ {
-		arow := a.Data[r*in : (r+1)*in]
-		brow := b.Data[r*n : (r+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			accRow := acc[i*n : (i+1)*n]
-			for j, bv := range brow {
-				accRow[j] += float64(av * bv)
-			}
-		}
-	}
+	g.sweep(0, in, 0, (n+packNR-1)/packNR)
 }
 
 func (t *matMulATBTask) Merge(acc []float64) {
@@ -413,7 +292,7 @@ func (t *addScaledTask) Run(lo, hi int) {
 	}
 	alpha := t.alpha
 	for i := lo; i < hi; i++ {
-		d[i] += alpha * s[i]
+		d[i] += float64(alpha * s[i])
 	}
 }
 
@@ -752,7 +631,7 @@ func (t *frobeniusTask) Body(lo, hi int, acc []float64) {
 	d := t.m.Data
 	for i := lo; i < hi; i++ {
 		v := d[i]
-		acc[0] += v * v
+		acc[0] += float64(v * v)
 	}
 }
 

@@ -5,18 +5,36 @@ import (
 	"sync"
 )
 
-// Packed cache-blocked GEMM tier.
+// The float64 products and the packed cache-blocked GEMM tier.
 //
-// Layout. A B operand (K×N) is packed BLIS-style into NR-wide k-major
-// column panels: panel p holds columns [p·NR, (p+1)·NR) as K contiguous
-// NR-vectors, so the register microkernel streams exactly one vector load
+// Arithmetic. Every float64 product — a·b + bias (MatMulBiasRows,
+// MatMulPackedBiasRows, MatMul), the accumulated aᵀ·b (MatMulATBAcc,
+// MatMulATB) and a·bᵀ (PackBT panels, or a·b on the transpose) — has one
+// definition: per output element
+//
+//	acc = +0, or the entry accumulator (MatMulATBAcc)
+//	acc = math.FMA(a_k, b_k, acc)   for k ascending (rows, for aᵀ·b)
+//	acc = acc + bias                (a bias, where there is one)
+//
+// written once in Go (fmaRows, gemm_packed.go). On the go rung that loop
+// is the kernel; on both SIMD rungs the FMA tiles (simd_amd64.s) run it
+// for every shape, each element in its own lane. So a float64 product's
+// bits depend on no rung, tile, row range, thread count or layout: the
+// packed tier and the unpacked operand are two memory layouts of one
+// arithmetic, and a golden file or a checkpoint moves between rungs
+// freely.
+//
+// Layout. A B operand (K×N) is packed BLIS-style into 8-wide k-major
+// column panels: panel p holds columns [p·8, (p+1)·8) as K contiguous
+// 8-vectors, so the register microkernel streams exactly one vector load
 // sequence per k step regardless of N or the operand's leading dimension.
-// The N mod NR remainder columns are packed as K-long contiguous column
-// strips consumed by a scalar tail loop. PackBT routes the transpose of
-// an N×K row-major matrix through the same layout, which is how a·bᵀ
-// reuses the identical microkernel; for MatMulATB the packed layout
-// degenerates to the natural row-major layout of B (every row IS an
-// N-wide k-step), so that path streams B directly.
+// The last panel of an N that is not a multiple of 8 is partial: the
+// tiles take its N mod 8 live lanes through masks, and never read the
+// others. PackBT routes the transpose of an N×K row-major matrix through
+// the same layout, which is how a·bᵀ reuses the identical microkernel.
+// Below packMinKN the tiles read the row-major operand itself (panel
+// stride 8, k stride N), as aᵀ·b does for every shape: there every row of
+// b already is an N-wide k step.
 //
 // The A operand is deliberately NOT packed in the drivers: it is the
 // row-major streaming operand, each row is read with unit stride, and a
@@ -29,48 +47,38 @@ import (
 // Blocking. Mc is the caller's row range — MatMul's parallel.ForTask
 // chunk, or a row panel of an nn block — split freely across workers. Kc
 // (packKc) bounds the inner-dimension extent per kernel pass, with the
-// accumulate flag resuming the same per-element summation order across
-// blocks. Nc bounds the packed-panel
-// bytes live per (kc, nc) block (packNcBudget) so the streamed panel
-// group stays cache-resident.
+// accumulate flag resuming each element's chain across blocks. Nc bounds
+// the packed-panel bytes live per (kc, nc) block (packNcBudget) so the
+// streamed panel group stays cache-resident.
 //
-// Determinism. The tier engages on a threshold over K·N ONLY — never the
-// row count — so the kernel a given row meets is independent of how rows
-// are partitioned across ranks, chunks, or threads. Within the tier,
-// every tile performs the exact per-element operation sequence of every
-// other tile of its kind (the SIMD tiles — 8 rows × 2 panels in zmm, 4 × 1
-// and 1 × 1 in ymm — are all ascending-k fused multiply-adds into the
-// element's own lane; the pure-Go 1-row kernel mirrors the 2-row
-// kernel's), so a row's bits never depend on which tile computed it, and
-// the drivers cover a row range with whatever mix of tiles fits
-// (tileGrid.sweep). The pure-Go packed kernels keep the legacy rank-4
-// grouped expression and are bitwise-identical to the legacy kernels on
-// finite data; the SIMD tiles use fused multiply-add and round differently
-// — identically for every thread count, partitioning and SIMD rung.
+// Tiles. Every tile performs the exact per-element sequence of every
+// other (the SIMD tiles — 8 rows × 2 panels and 8 × 1 in zmm, 4 × 1 and
+// 1 × 1 in ymm — are all ascending-k fused multiply-adds into the
+// element's own lane), so the drivers cover a row range with whatever mix
+// of tiles fits (tileGrid.sweep).
 //
 // Rungs. Which kernels run is one ordered value, kernelTier below: pure
 // Go, AVX2+FMA, or AVX-512F, detected from CPUID and XCR0 (detectSIMD) and
-// lowered only by tests. The f64 panel width NR is 4 on the pure-Go rung
-// and 8 on both SIMD rungs, so a PackedB outlives a toggle between the
-// SIMD rungs and must be re-packed only across the pure-Go boundary
-// (PackWidth, Repack); a PackedB32 exists on the SIMD rungs only and is
-// 16 wide on both.
+// lowered only by tests. The float64 panels are 8 wide on every rung, so a
+// PackedB outlives any toggle; a PackedB32 exists on the SIMD rungs only
+// and is 16 wide on both.
 
 const (
-	// packMinKN engages the packed tier when K*N >= packMinKN. Small
-	// shapes (the SmallConfig model, scalar heads) keep the legacy rank-4
-	// grouped expression, whose bits they have golden files against:
-	// MatMulBiasRows (ops.go), which on the SIMD rungs replays it without
-	// FMA in an unpacked assembly kernel.
+	// packMinKN engages the packed tier when K*N >= packMinKN: it picks a
+	// memory layout (PackB panels, or the row-major operand), never an
+	// arithmetic. For float32 it also picks the kernel: below it the f32
+	// ops keep their scalar loops (MatMul32Rows).
 	packMinKN = 1024
+
+	// packNR is the float64 panel width: 8 columns, one zmm vector or two
+	// ymm.
+	packNR = 8
 )
 
 // Vars so tests can shrink them to exercise block remainders and panel
 // groups; nothing else writes them.
 var (
-	// packKc is the Kc inner-dimension block. It is a multiple of 4 so the
-	// pure-Go kernels' rank-4 group boundaries are identical with and
-	// without the split.
+	// packKc is the Kc inner-dimension block.
 	packKc = 2048
 	// packNcBudget caps the packed-panel bytes streamed per (kc, nc)
 	// block at roughly the L2 working set alongside A tiles and C rows.
@@ -80,27 +88,22 @@ var (
 // kernelTier is the rung of the assembly kernels in use, ordered: a rung
 // runs everything the rungs below it run, only wider.
 //
-//	tierGo      pure Go everywhere: the packed kernels keep the legacy
-//	            rank-4 grouped expression, NR = 4; no float32 packed tier.
+//	tierGo      pure Go everywhere: the float64 products run their
+//	            definition (fmaRows); no float32 packed tier.
 //	tierAVX2    AVX2+FMA: 4-row × 1-panel GEMM tiles over 64-byte panels
-//	            (NR = 8 float64 or 16 float32 columns), the unpacked
-//	            float64 GEMM on two ymm per 8 columns, 4-lane float64 and
+//	            (8 float64 or 16 float32 columns), 4-lane float64 and
 //	            8-lane float32 elementwise kernels.
-//	tierAVX512  AVX-512F under both element types: an 8-row × 2-panel zmm
-//	            GEMM tile over the same panels (heads, tails and an odd
-//	            last panel fall to the AVX2 tiles), the unpacked float64
-//	            GEMM on one zmm per 8 columns, elementwise kernels of
-//	            twice the lanes and the float32 LayerNorm kernel
-//	            (layernorm32.go).
+//	tierAVX512  AVX-512F under both element types: 8-row zmm GEMM tiles
+//	            over the same panels, two panels wide or one (heads and
+//	            tails fall to the AVX2 tiles), elementwise kernels of twice
+//	            the lanes and the float32 LayerNorm kernel (layernorm32.go).
 //
-// The two SIMD rungs are bit-for-bit equal: an output element sees the
-// same ascending-k fused multiply-adds (below packMinKN, all three rungs
-// see the legacy unfused expression) and every float32 exponential the
-// same fused sequence (elu32.go) on either, so a PackedB, a PackedB32, a
-// golden file and a checkpoint move between them freely. The float64 ELU
-// is one definition on all three rungs (Elu, elu64.go). tierGo rounds the
-// rest differently (no FMA: the packed tier and the float32 exponential,
-// expM1Neg) and packs narrower panels.
+// Every float64 product and the float64 ELU (Elu, elu64.go) have one
+// definition on all three rungs. The two SIMD rungs are also bit-for-bit
+// equal under float32: an output element sees the same ascending-k fused
+// multiply-adds and every float32 exponential the same fused sequence
+// (elu32.go) on either; tierGo rounds the float32 exponential differently
+// (expM1Neg).
 //
 // Every bitwise contract of this package — across rungs where the above
 // says so, threads, ranks, transports and batch sizes, and of a kernel
@@ -150,15 +153,6 @@ func setKernelTier(t kernelTier) kernelTier {
 	return prev
 }
 
-// packNR is the f64 panel width: 8 columns for both SIMD rungs (one zmm
-// vector, or two ymm), 4 for the pure-Go rank-4 kernels.
-func packNR() int {
-	if tier >= tierAVX2 {
-		return 8
-	}
-	return 4
-}
-
 // packNR32 is the f32 panel width: 16 columns, the same 64 bytes per k
 // step as the f64 panel, on both SIMD rungs. The f32 tier is SIMD-only;
 // without AVX2 the f32 ops use their scalar kernels unpacked.
@@ -180,64 +174,39 @@ func usePacked32(k, n int) bool {
 func ShouldPack32(k, n int) bool { return usePacked32(k, n) }
 
 // ShouldPack is the f64 twin of ShouldPack32: it reports whether MatMul
-// itself would route a (·,k)·(k,n) product through the packed tier.
-// Pre-packing a weight matrix (PackB) and calling MatMulPackedRows is then
-// bitwise-identical to MatMul on the unpacked operand — the caching
-// predicate the compiled serving twins and the training-side epoch pack
-// cache share. Below the threshold the legacy kernels win (and have
-// golden files against their bits), so callers must not pre-pack. The same
-// predicate routes an a·bᵀ product (b n×k, the input gradient dy·Wᵀ): it is
-// by definition MatMul(a, bᵀ), which PackBT(b) panels give where ShouldPack
-// holds and MatMulBiasRows on the transpose gives where it does not.
+// itself would route a (·,k)·(k,n) product through packed panels, which
+// is where pre-packing a weight matrix (PackB, PackBT) pays. It chooses a
+// memory layout only: MatMulPackedRows on packed panels and MatMulBiasRows
+// on the row-major operand give the same bits for every shape.
 func ShouldPack(k, n int) bool { return usePacked(k, n) }
 
-// PackWidth reports the current f64 panel width NR. A PackedB whose NR
-// differs (packed on the other side of the pure-Go boundary: both SIMD
-// rungs pack 8 columns) must be re-packed before the next
-// MatMulPackedRows; long-lived caches validate against this.
-func PackWidth() int { return packNR() }
-
-// PackedB is a B operand packed for the f64 GEMM tier: full NR-wide
-// panels plus column strips for the N mod NR remainder.
+// PackedB is a B operand packed for the f64 GEMM tier: ⌈N/8⌉ panels of
+// K×8, the last one partial where N is not a multiple of 8.
 type PackedB struct {
-	K, N, NR int
-	panels   []float64 // (N/NR) panels of K×NR, k-major
-	tail     []float64 // (N mod NR) column strips of K
+	K, N   int
+	panels []float64
 	// trans marks an operand packed from its transpose (PackBT), which
 	// Repack packs the same way.
 	trans bool
 }
 
-func (p *PackedB) sizeFor(k, n, nr int) {
-	p.K, p.N, p.NR = k, n, nr
-	np := n / nr
-	needP := np * k * nr
-	needT := (n - np*nr) * k
-	if cap(p.panels) < needP {
-		p.panels = make([]float64, needP)
+func (p *PackedB) sizeFor(k, n int) {
+	p.K, p.N = k, n
+	need := (n + packNR - 1) / packNR * k * packNR
+	if cap(p.panels) < need {
+		p.panels = make([]float64, need)
 	}
-	p.panels = p.panels[:needP]
-	if cap(p.tail) < needT {
-		p.tail = make([]float64, needT)
-	}
-	p.tail = p.tail[:needT]
+	p.panels = p.panels[:need]
 }
 
 // packFrom fills the panels from a K×N row-major source.
 func (p *PackedB) packFrom(b *Matrix) {
-	k, n, nr := p.K, p.N, p.NR
-	np := n / nr
-	for pn := 0; pn < np; pn++ {
-		dst := p.panels[pn*k*nr : (pn+1)*k*nr]
+	k, n := p.K, p.N
+	for j0 := 0; j0 < n; j0 += packNR {
+		dst := p.panels[j0*k:]
+		w := min(packNR, n-j0)
 		for kk := 0; kk < k; kk++ {
-			copy(dst[kk*nr:(kk+1)*nr], b.Data[kk*n+pn*nr:kk*n+(pn+1)*nr])
-		}
-	}
-	for jt := 0; jt < n-np*nr; jt++ {
-		strip := p.tail[jt*k : (jt+1)*k]
-		j := np*nr + jt
-		for kk := 0; kk < k; kk++ {
-			strip[kk] = b.Data[kk*n+j]
+			copy(dst[kk*packNR:kk*packNR+w], b.Data[kk*n+j0:kk*n+j0+w])
 		}
 	}
 }
@@ -245,41 +214,35 @@ func (p *PackedB) packFrom(b *Matrix) {
 // packFromT fills the panels from the TRANSPOSE of an N×K row-major
 // source (the a·bᵀ operand): packed column j is source row j.
 func (p *PackedB) packFromT(b *Matrix) {
-	k, n, nr := p.K, p.N, p.NR
-	np := n / nr
-	for pn := 0; pn < np; pn++ {
-		dst := p.panels[pn*k*nr : (pn+1)*k*nr]
-		for jr := 0; jr < nr; jr++ {
-			row := b.Data[(pn*nr+jr)*k : (pn*nr+jr+1)*k]
-			for kk, v := range row {
-				dst[kk*nr+jr] = v
-			}
-		}
+	k, n := p.K, p.N
+	if k == 0 {
+		return
 	}
-	for jt := 0; jt < n-np*nr; jt++ {
-		copy(p.tail[jt*k:(jt+1)*k], b.Data[(np*nr+jt)*k:(np*nr+jt+1)*k])
+	for j := 0; j < n; j++ {
+		dst := p.panels[j/packNR*k*packNR+j%packNR:]
+		for kk, v := range b.Data[j*k : (j+1)*k] {
+			dst[kk*packNR] = v
+		}
 	}
 }
 
 // PackB packs b (K×N) for reuse across MatMulPackedRows calls — the
 // pack-once form for weight matrices that are multiplied many times
-// (serving engines pack at compile time). The panel width is the current
-// kernel tier's, so a PackedB must not outlive a toggle that changes it.
+// (serving engines pack at compile time).
 func PackB(b *Matrix) *PackedB {
 	p := &PackedB{}
-	p.sizeFor(b.Rows, b.Cols, packNR())
+	p.sizeFor(b.Rows, b.Cols)
 	p.packFrom(b)
 	return p
 }
 
 // PackBT packs the TRANSPOSE of b (N×K row-major) as the K×N operand of
 // dst = a·bᵀ — the input-gradient product, whose weight matrix is then
-// packed once per parameter version instead of once per call. Callers
-// pack only where ShouldPack(K, N) holds; MatMulPackedRows on the panels is
-// then bitwise MatMul(a, bᵀ).
+// packed once per parameter version instead of once per call.
+// MatMulPackedRows on the panels is bitwise MatMul(a, bᵀ).
 func PackBT(b *Matrix) *PackedB {
 	p := &PackedB{trans: true}
-	p.sizeFor(b.Cols, b.Rows, packNR())
+	p.sizeFor(b.Cols, b.Rows)
 	p.packFromT(b)
 	return p
 }
@@ -306,9 +269,9 @@ func (p *PackedB) Repack(b *Matrix) {
 // recycle, so steady state performs no heap allocation).
 var packScratch = sync.Pool{New: func() any { return new(PackedB) }}
 
-func getPackScratch(k, n, nr int) *PackedB {
+func getPackScratch(k, n int) *PackedB {
 	p := packScratch.Get().(*PackedB)
-	p.sizeFor(k, n, nr)
+	p.sizeFor(k, n)
 	return p
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // Naive references: plain ascending-k accumulation, no blocking, no
-// parallelism — the semantic ground truth the packed tier is checked
-// against (to tolerance for the FMA kernels, bitwise for the pure-Go
-// packed kernels vs the legacy kernels).
+// parallelism and no FMA — the semantic ground truth the products are
+// checked against to a tolerance (their bits are held to the definition,
+// fmaRows, by the sweeps of tier_test.go and atb_test.go).
 
 func naiveMatMul(a, b *Matrix) *Matrix {
 	dst := New(a.Rows, b.Cols)
@@ -67,9 +67,8 @@ func maxRel(got, want *Matrix) float64 {
 	return worst
 }
 
-// withPlantedZeros zeroes a scattering of entries (and whole rank-4
-// groups) so the legacy kernels' zero-skip branches are on the compared
-// path.
+// withPlantedZeros zeroes a scattering of entries and a whole leading run
+// of them, which the products multiply like any other value.
 func withPlantedZeros(rng *rand.Rand, m *Matrix) {
 	for i := range m.Data {
 		if rng.Intn(5) == 0 {
@@ -82,9 +81,9 @@ func withPlantedZeros(rng *rand.Rand, m *Matrix) {
 }
 
 // packedShapes are (M, K, N) triples chosen to hit every remainder path:
-// row tails mod 4, column tails mod NR (4, 8 and 16), Kc block edges
-// (packKc is shrunk in the tests that need K > Kc), and the threshold
-// boundary itself.
+// row tails mod 4 and 8, partial last panels (N mod 8, and mod 16 for
+// float32), Kc block edges (packKc is shrunk in the tests that need K >
+// Kc), and the threshold boundary itself.
 var packedShapes = [][3]int{
 	{1, 32, 32},   // single row
 	{2, 64, 16},   // pair, exact panels
@@ -127,10 +126,11 @@ func TestPackedMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPackedPureGoBitwiseLegacy pins the fallback contract: with SIMD
-// forced off, the packed kernels produce bit-for-bit the legacy kernel's
-// output (same rank-4 grouped expression), so non-AVX2 platforms keep
-// every golden file.
+// TestPackedPureGoBitwiseLegacy pins the go rung to the layout contract:
+// with SIMD forced off, MatMul through packed panels (above the threshold)
+// is bit for bit MatMul with the packed tier switched off, which reads the
+// row-major operand in place — one arithmetic, so a platform without the
+// SIMD kernels keeps every golden file.
 func TestPackedPureGoBitwiseLegacy(t *testing.T) {
 	defer setKernelTier(setKernelTier(tierGo))
 	rng := rand.New(rand.NewSource(11))
@@ -141,15 +141,15 @@ func TestPackedPureGoBitwiseLegacy(t *testing.T) {
 		withPlantedZeros(rng, a)
 
 		dst := New(m, n)
-		MatMul(dst, a, b) // pure-Go packed when above threshold
+		MatMul(dst, a, b) // packed panels when above threshold
 
 		prevPacked := setPackedGEMM(false)
 		want := New(m, n)
-		MatMul(want, a, b) // legacy kernel
+		MatMul(want, a, b) // the row-major operand in place
 		setPackedGEMM(prevPacked)
 
 		if !dst.Equal(want) {
-			t.Errorf("pure-Go packed %dx%dx%d not bitwise legacy (maxAbsDiff %g)",
+			t.Errorf("go rung, packed %dx%dx%d not bitwise unpacked (maxAbsDiff %g)",
 				m, k, n, dst.MaxAbsDiff(want))
 		}
 	}

@@ -123,7 +123,7 @@ func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
 }
 
 // packBTIsMatMulOfTranspose: on every rung, the transpose's packed panels
-// give MatMul(a, bᵀ)'s bits, the N mod NR tail columns included — what lets
+// give MatMul(a, bᵀ)'s bits, a partial last panel included — what lets
 // internal/nn route its input gradient by ShouldPack alone.
 func packBTIsMatMulOfTranspose(t *testing.T) {
 	atEachTier(t, func(t *testing.T) {

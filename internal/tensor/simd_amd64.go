@@ -3,22 +3,27 @@ package tensor
 import "unsafe"
 
 // CPU feature detection and declarations for the assembly kernels in
-// simd_amd64.s, gemmrows_amd64.s, elu64_amd64.s, elu32_amd64.s,
+// simd_amd64.s, elu64_amd64.s, elu32_amd64.s,
 // ln32_amd64.s, gather_amd64.s and colacc_amd64.s. detectSIMD reads CPUID
 // and XCR0 alone and reports the highest rung of the kernel tier
 // (pack.go) the machine can run.
 
 // The GEMM tiles share one signature (see simd_amd64.s): strides in bytes,
-// bias nil for no epilogue, acc != 0 to resume an accumulation.
+// bias nil for no epilogue, acc != 0 to resume an accumulation. The
+// one-panel float64 tiles also take the panel's live lanes, 1 to 8, and
+// dgemmTile8x1 the number of 8-row stripes it walks.
 
 //go:noescape
 func dgemmTile8(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
 
 //go:noescape
-func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
+func dgemmTile8x1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes, stripes int64)
 
 //go:noescape
-func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
+func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes int64)
+
+//go:noescape
+func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes int64)
 
 //go:noescape
 func sgemmTile8(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
@@ -28,23 +33,6 @@ func sgemmTile4(kc int64, a *float32, lda, astride int64, bp *float32, panelStri
 
 //go:noescape
 func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
-
-// The unpacked GEMM with its bias add (gemmrows_amd64.s): rows of c = a·b
-// + bias (bias nil for none), eight output columns per block — one zmm
-// on avx512 (x8), two ymm on avx2.
-
-//go:noescape
-func gemmRows64(rows, k, n int64, a, b, c, bias *float64)
-
-//go:noescape
-func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64)
-
-// gemmATB64 is the weight gradient's chunk body on both SIMD rungs
-// (gemmrows_amd64.s): acc (in×n) += xᵀ·dy over rows rows of x and dy,
-// eight columns of acc per block in two ymm.
-//
-//go:noescape
-func gemmATB64(rows, in, n int64, x, dy, acc *float64)
 
 // The ELU kernels of both element types (elu32_amd64.s, elu64_amd64.s):
 // any n >= 1, the elements past the last whole vector through masked

@@ -13,36 +13,81 @@
 // either element type.
 //
 //   dgemmTile8 / sgemmTile8   8 rows × 2 panels   16 zmm accumulators   AVX-512F
+//   dgemmTile8x1              8 rows × 1 panel     8 zmm accumulators   AVX-512F
+//                             (any number of 8-row stripes per call)
 //   dgemmTile4 / sgemmTile4   4 rows × 1 panel     8 ymm accumulators   AVX2
 //   dgemmTile1 / sgemmTile1   1 row  × 1 panel     2 ymm accumulators   AVX2
 //
+// The one-panel float64 tiles take the panel's live lanes (1 to 8): a
+// partial last panel — N mod 8 columns — is loaded, stored and given its
+// bias through lane masks, and no load or store leaves its live lanes, so
+// the row-major operands below the packed threshold (a b row is N wide)
+// are read in place.
+//
 // Whatever the tile, an output element sees the same sequence: plain
 // ascending-k fused multiply-adds into its own lane, then (bias != nil)
-// one rounded add of its column's bias. So an element's bits are a
-// function of its row, its column panel and the Kc split alone — never of
-// the tile that held it, the rung, the chunk boundaries or the thread
-// count — and the one driver (tileGrid.sweep, gemm_packed.go) is free to
-// cover a row range with the tallest tiles that fit and finish heads,
-// tails and an odd last panel with the narrower ones.
+// one rounded add of its column's bias — for float64, the definition
+// fmaRows (gemm_packed.go) spells in Go. So an element's bits are a
+// function of its row and column alone — never of the tile that held it,
+// the rung, the chunk boundaries or the thread count — and the one driver
+// (tileGrid.sweep, gemm_packed.go) is free to cover a row range with the
+// tallest tiles that fit and finish heads, tails and a last panel with the
+// narrower ones.
 //
-// The strides make one tile serve all three GEMM forms (byte counts for
+// The strides make one tile serve every GEMM form (byte counts for
 // float64; MatMul32 is the first line with 4·K and the same 64s):
 //   MatMul    dst = a·b    a rows (lda = 8·K, astride 8), packed B panels
 //                          (panelStride = 64·K, bstride 64)
 //   MatMulABT dst = a·bᵀ   the same, on transposed-packed panels
+//   MatMulBiasRows         a rows, raw b rows (panelStride 64, bstride =
+//                          8·N): packing degenerates to the natural layout
 //   MatMulATB dst = aᵀ·b   a columns (lda 8, astride = 8·lda of a), raw b
-//                          rows (panelStride 64, bstride = 8·ldb) —
-//                          packing degenerates to the natural layout
+//                          rows (panelStride 64, bstride = 8·ldb)
 //
 // acc != 0 loads the existing C tile instead of zeroing it, which is how
-// Kc blocks beyond the first resume the accumulation without changing
-// the per-element order. bias != nil adds the 64 bytes of bias per panel
-// to every tile row before the store: the linear layer's bias add as the
-// epilogue of the last Kc block: sum + b is one rounded add, the same
-// bits whichever way round a scalar loop writes it, and NaN where it is —
-// which NaN, where two meet, is not part of the contract (pack.go).
+// Kc blocks beyond the first, and a weight-gradient chunk taken in pieces,
+// resume the accumulation without changing the per-element order. bias !=
+// nil adds the 64 bytes of bias per panel to every tile row before the
+// store: the linear layer's bias add as the epilogue of the last Kc block:
+// sum + b is one rounded add, the same bits whichever way round a scalar
+// loop writes it, and NaN where it is — which NaN, where two meet, is not
+// part of the contract (pack.go).
 
 #include "textflag.h"
+
+// Lane indexes 0…7: lane j of a panel with lanes live lanes is live where
+// j < lanes.
+DATA gemmIota<>+0(SB)/8, $0
+DATA gemmIota<>+8(SB)/8, $1
+DATA gemmIota<>+16(SB)/8, $2
+DATA gemmIota<>+24(SB)/8, $3
+DATA gemmIota<>+32(SB)/8, $4
+DATA gemmIota<>+40(SB)/8, $5
+DATA gemmIota<>+48(SB)/8, $6
+DATA gemmIota<>+56(SB)/8, $7
+GLOBL gemmIota<>(SB), RODATA|NOPTR, $64
+
+// YMASK sets Y14 (lanes 0–3) and Y15 (lanes 4–7) to the live lanes of a
+// panel whose live-lane count is at m.
+#define YMASK(m) \
+	VPBROADCASTQ m, Y15; \
+	VPCMPGTQ     gemmIota<>+0(SB), Y15, Y14; \
+	VPCMPGTQ     gemmIota<>+32(SB), Y15, Y15
+
+// D4FMA is one k step of the 4-row tile on the panel vector in Y8, Y9.
+#define D4FMA \
+	VBROADCASTSD (R8), Y10; \
+	VFMADD231PD  Y8, Y10, Y0; \
+	VFMADD231PD  Y9, Y10, Y1; \
+	VBROADCASTSD (R8)(R9*1), Y11; \
+	VFMADD231PD  Y8, Y11, Y2; \
+	VFMADD231PD  Y9, Y11, Y3; \
+	VBROADCASTSD (R8)(R9*2), Y12; \
+	VFMADD231PD  Y8, Y12, Y4; \
+	VFMADD231PD  Y9, Y12, Y5; \
+	VBROADCASTSD (R8)(R10*1), Y13; \
+	VFMADD231PD  Y8, Y13, Y6; \
+	VFMADD231PD  Y9, Y13, Y7
 
 // func dgemmTile8(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
 TEXT ·dgemmTile8(SB), NOSPLIT, $0-88
@@ -204,12 +249,129 @@ store8:
 	VZEROUPPER
 	RET
 
-// func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
+// func dgemmTile8x1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes, stripes int64)
+//
+// Eight rows of one panel, whole or partial — a single or a last partial
+// panel under 8-row stripes — for stripes stripes one after the other: a
+// and c advance 8·lda and 8·ldc bytes per stripe, so one call walks every
+// stripe of a range down the panel. Every load and store of b, c and the
+// bias is masked to the live lanes (K1), which costs a zmm nothing;
+// panelStride is not read.
+TEXT ·dgemmTile8x1(SB), NOSPLIT, $0-104
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R9
+	MOVQ astride+24(FP), CX
+	MOVQ bstride+48(FP), R13
+	MOVQ c+56(FP), R14
+	MOVQ ldc+64(FP), DI
+	LEAQ (R9)(R9*2), R10  // 3·lda
+	LEAQ (R9)(R9*4), R11  // 5·lda
+	LEAQ (R10)(R9*4), R12 // 7·lda
+
+	VPBROADCASTQ lanes+88(FP), Z16
+	VPCMPQ       $6, gemmIota<>+0(SB), Z16, K1
+
+stripe8x1:
+	MOVQ  kc+0(FP), AX
+	MOVQ  SI, R8
+	MOVQ  bp+32(FP), BX
+	MOVQ  acc+80(FP), DX
+	TESTQ DX, DX
+	JNZ   load8x1
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	JMP    body8x1
+
+load8x1:
+	MOVQ      R14, DX
+	VMOVUPD.Z (DX), K1, Z0
+	ADDQ      DI, DX
+	VMOVUPD.Z (DX), K1, Z1
+	ADDQ      DI, DX
+	VMOVUPD.Z (DX), K1, Z2
+	ADDQ      DI, DX
+	VMOVUPD.Z (DX), K1, Z3
+	ADDQ      DI, DX
+	VMOVUPD.Z (DX), K1, Z4
+	ADDQ      DI, DX
+	VMOVUPD.Z (DX), K1, Z5
+	ADDQ      DI, DX
+	VMOVUPD.Z (DX), K1, Z6
+	ADDQ      DI, DX
+	VMOVUPD.Z (DX), K1, Z7
+
+body8x1:
+	TESTQ AX, AX
+	JZ    bias8x1
+
+loop8x1:
+	VMOVUPD.Z        (BX), K1, Z16
+	VFMADD231PD.BCST (R8), Z16, Z0
+	VFMADD231PD.BCST (R8)(R9*1), Z16, Z1
+	VFMADD231PD.BCST (R8)(R9*2), Z16, Z2
+	VFMADD231PD.BCST (R8)(R10*1), Z16, Z3
+	VFMADD231PD.BCST (R8)(R9*4), Z16, Z4
+	VFMADD231PD.BCST (R8)(R11*1), Z16, Z5
+	VFMADD231PD.BCST (R8)(R10*2), Z16, Z6
+	VFMADD231PD.BCST (R8)(R12*1), Z16, Z7
+	ADDQ             R13, BX
+	ADDQ             CX, R8
+	DECQ             AX
+	JNZ              loop8x1
+
+bias8x1:
+	MOVQ      bias+72(FP), DX
+	TESTQ     DX, DX
+	JZ        store8x1
+	VMOVUPD.Z (DX), K1, Z16
+	VADDPD    Z16, Z0, Z0
+	VADDPD    Z16, Z1, Z1
+	VADDPD    Z16, Z2, Z2
+	VADDPD    Z16, Z3, Z3
+	VADDPD    Z16, Z4, Z4
+	VADDPD    Z16, Z5, Z5
+	VADDPD    Z16, Z6, Z6
+	VADDPD    Z16, Z7, Z7
+
+store8x1:
+	MOVQ    R14, DX
+	VMOVUPD Z0, K1, (DX)
+	ADDQ    DI, DX
+	VMOVUPD Z1, K1, (DX)
+	ADDQ    DI, DX
+	VMOVUPD Z2, K1, (DX)
+	ADDQ    DI, DX
+	VMOVUPD Z3, K1, (DX)
+	ADDQ    DI, DX
+	VMOVUPD Z4, K1, (DX)
+	ADDQ    DI, DX
+	VMOVUPD Z5, K1, (DX)
+	ADDQ    DI, DX
+	VMOVUPD Z6, K1, (DX)
+	ADDQ    DI, DX
+	VMOVUPD Z7, K1, (DX)
+
+	LEAQ (SI)(R9*8), SI
+	LEAQ (R14)(DI*8), R14
+	DECQ stripes+96(FP)
+	JNZ  stripe8x1
+	VZEROUPPER
+	RET
+
+// func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes int64)
 //
 // The AVX2 rung's full tile, and on the AVX-512 rung the tile for four-row
-// heads and tails and for an odd last panel. One panel: panelStride is
-// not read.
-TEXT ·dgemmTile4(SB), NOSPLIT, $0-88
+// heads and tails. One panel: panelStride is not read. A whole panel takes
+// plain loads and stores; a partial one (lanes < 8) the same steps through
+// the lane masks in Y14, Y15.
+TEXT ·dgemmTile4(SB), NOSPLIT, $0-96
 	MOVQ kc+0(FP), AX
 	MOVQ a+8(FP), R8
 	MOVQ lda+16(FP), R9
@@ -218,6 +380,10 @@ TEXT ·dgemmTile4(SB), NOSPLIT, $0-88
 	MOVQ bstride+48(FP), R13
 	MOVQ ldc+64(FP), DI
 	LEAQ (R9)(R9*2), R10 // 3·lda
+
+	MOVQ lanes+88(FP), DX
+	CMPQ DX, $8
+	JNE  masked4
 
 	MOVQ  acc+80(FP), DX
 	TESTQ DX, DX
@@ -254,27 +420,11 @@ body4:
 loop4:
 	VMOVUPD (BX), Y8
 	VMOVUPD 32(BX), Y9
-
-	VBROADCASTSD (R8), Y10
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-
-	VBROADCASTSD (R8)(R9*1), Y11
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-
-	VBROADCASTSD (R8)(R9*2), Y12
-	VFMADD231PD  Y8, Y12, Y4
-	VFMADD231PD  Y9, Y12, Y5
-
-	VBROADCASTSD (R8)(R10*1), Y13
-	VFMADD231PD  Y8, Y13, Y6
-	VFMADD231PD  Y9, Y13, Y7
-
-	ADDQ R13, BX
-	ADDQ CX, R8
-	DECQ AX
-	JNZ  loop4
+	D4FMA
+	ADDQ    R13, BX
+	ADDQ    CX, R8
+	DECQ    AX
+	JNZ     loop4
 
 bias4:
 	MOVQ  bias+72(FP), DX
@@ -307,17 +457,93 @@ store4:
 	VZEROUPPER
 	RET
 
-// func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
+masked4:
+	YMASK(lanes+88(FP))
+	MOVQ  acc+80(FP), DX
+	TESTQ DX, DX
+	JNZ   mload4
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	JMP    mbody4
+
+mload4:
+	MOVQ       c+56(FP), DX
+	VMASKMOVPD (DX), Y14, Y0
+	VMASKMOVPD 32(DX), Y15, Y1
+	ADDQ       DI, DX
+	VMASKMOVPD (DX), Y14, Y2
+	VMASKMOVPD 32(DX), Y15, Y3
+	ADDQ       DI, DX
+	VMASKMOVPD (DX), Y14, Y4
+	VMASKMOVPD 32(DX), Y15, Y5
+	ADDQ       DI, DX
+	VMASKMOVPD (DX), Y14, Y6
+	VMASKMOVPD 32(DX), Y15, Y7
+
+mbody4:
+	TESTQ AX, AX
+	JZ    mbias4
+
+mloop4:
+	VMASKMOVPD (BX), Y14, Y8
+	VMASKMOVPD 32(BX), Y15, Y9
+	D4FMA
+	ADDQ       R13, BX
+	ADDQ       CX, R8
+	DECQ       AX
+	JNZ        mloop4
+
+mbias4:
+	MOVQ       bias+72(FP), DX
+	TESTQ      DX, DX
+	JZ         mstore4
+	VMASKMOVPD (DX), Y14, Y8
+	VMASKMOVPD 32(DX), Y15, Y9
+	VADDPD     Y8, Y0, Y0
+	VADDPD     Y9, Y1, Y1
+	VADDPD     Y8, Y2, Y2
+	VADDPD     Y9, Y3, Y3
+	VADDPD     Y8, Y4, Y4
+	VADDPD     Y9, Y5, Y5
+	VADDPD     Y8, Y6, Y6
+	VADDPD     Y9, Y7, Y7
+
+mstore4:
+	MOVQ       c+56(FP), DX
+	VMASKMOVPD Y0, Y14, (DX)
+	VMASKMOVPD Y1, Y15, 32(DX)
+	ADDQ       DI, DX
+	VMASKMOVPD Y2, Y14, (DX)
+	VMASKMOVPD Y3, Y15, 32(DX)
+	ADDQ       DI, DX
+	VMASKMOVPD Y4, Y14, (DX)
+	VMASKMOVPD Y5, Y15, 32(DX)
+	ADDQ       DI, DX
+	VMASKMOVPD Y6, Y14, (DX)
+	VMASKMOVPD Y7, Y15, 32(DX)
+	VZEROUPPER
+	RET
+
+// func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes int64)
 //
 // One row, one panel (lda, panelStride and ldc are not read): the rows
-// left over when a range is not a multiple of four.
-TEXT ·dgemmTile1(SB), NOSPLIT, $0-88
+// left over when a range is not a multiple of four. Every load and store
+// goes through the lane masks, whole panel or partial.
+TEXT ·dgemmTile1(SB), NOSPLIT, $0-96
 	MOVQ kc+0(FP), AX
 	MOVQ a+8(FP), R8
 	MOVQ astride+24(FP), CX
 	MOVQ bp+32(FP), BX
 	MOVQ bstride+48(FP), R13
 	MOVQ c+56(FP), DI
+	YMASK(lanes+88(FP))
 
 	MOVQ  acc+80(FP), DX
 	TESTQ DX, DX
@@ -328,16 +554,16 @@ TEXT ·dgemmTile1(SB), NOSPLIT, $0-88
 	JMP    body1
 
 load1:
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
+	VMASKMOVPD (DI), Y14, Y0
+	VMASKMOVPD 32(DI), Y15, Y1
 
 body1:
 	TESTQ AX, AX
 	JZ    bias1
 
 loop1:
-	VMOVUPD      (BX), Y8
-	VMOVUPD      32(BX), Y9
+	VMASKMOVPD   (BX), Y14, Y8
+	VMASKMOVPD   32(BX), Y15, Y9
 	VBROADCASTSD (R8), Y10
 	VFMADD231PD  Y8, Y10, Y0
 	VFMADD231PD  Y9, Y10, Y1
@@ -347,15 +573,17 @@ loop1:
 	JNZ          loop1
 
 bias1:
-	MOVQ  bias+72(FP), DX
-	TESTQ DX, DX
-	JZ    store1
-	VADDPD (DX), Y0, Y0
-	VADDPD 32(DX), Y1, Y1
+	MOVQ       bias+72(FP), DX
+	TESTQ      DX, DX
+	JZ         store1
+	VMASKMOVPD (DX), Y14, Y8
+	VMASKMOVPD 32(DX), Y15, Y9
+	VADDPD     Y8, Y0, Y0
+	VADDPD     Y9, Y1, Y1
 
 store1:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
+	VMASKMOVPD Y0, Y14, (DI)
+	VMASKMOVPD Y1, Y15, 32(DI)
 	VZEROUPPER
 	RET
 

@@ -16,11 +16,15 @@ func dgemmTile8(kc int64, a *float64, lda, astride int64, bp *float64, panelStri
 	panic(noSIMD)
 }
 
-func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64) {
+func dgemmTile8x1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes, stripes int64) {
 	panic(noSIMD)
 }
 
-func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64) {
+func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes int64) {
+	panic(noSIMD)
+}
+
+func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes int64) {
 	panic(noSIMD)
 }
 
@@ -35,11 +39,6 @@ func sgemmTile4(kc int64, a *float32, lda, astride int64, bp *float32, panelStri
 func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64) {
 	panic(noSIMD)
 }
-
-func gemmRows64(rows, k, n int64, a, b, c, bias *float64)   { panic(noSIMD) }
-func gemmRows64x8(rows, k, n int64, a, b, c, bias *float64) { panic(noSIMD) }
-
-func gemmATB64(rows, in, n int64, x, dy, acc *float64) { panic(noSIMD) }
 
 func eluBlock32(n int64, x, y *float32)    { panic(noSIMD) }
 func eluBlock32x16(n int64, x, y *float32) { panic(noSIMD) }

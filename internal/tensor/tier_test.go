@@ -23,8 +23,7 @@ func atEachTier(t *testing.T, body func(t *testing.T)) {
 }
 
 // TestKernelTier reports the rung this machine runs (-v) and pins the
-// hook's contract: it lowers, it never raises past the CPU, and the
-// float64 panel width is 8 on both SIMD rungs.
+// hook's contract: it lowers, and it never raises past the CPU.
 func TestKernelTier(t *testing.T) {
 	t.Logf("kernel tier: %v (CPU supports %v)", tier, cpuTier)
 	if tier != cpuTier {
@@ -34,13 +33,6 @@ func TestKernelTier(t *testing.T) {
 		prev := setKernelTier(k)
 		if want := min(k, cpuTier); tier != want {
 			t.Errorf("setKernelTier(%v) on a %v CPU left tier %v, want %v", k, cpuTier, tier, want)
-		}
-		want := 4
-		if tier >= tierAVX2 {
-			want = 8
-		}
-		if PackWidth() != want {
-			t.Errorf("tier %v: panel width %d, want %d", tier, PackWidth(), want)
 		}
 		setKernelTier(prev)
 	}
@@ -134,6 +126,20 @@ func mismatch[T float](got, def []T) int {
 	return -1
 }
 
+// definition computes rows [lo, hi) of c = a·b + bias (acc == 0; bias nil
+// for none) or c += a·b (acc == 1) with the float64 product's one
+// definition, fmaRows — the go rung's kernel and every test's oracle —
+// over the grid the arguments describe, whatever the rung.
+func definition(c []float64, ldc int, a []float64, lda, astride int, b []float64, bstride, k, n int, bias []float64, acc int64, lo, hi int) {
+	g := tileGrid[float64]{
+		kc: int64(k), acc: acc,
+		a: a, lda: lda, astride: astride,
+		b: b, panelStride: packNR, bstride: bstride,
+		c: c, ldc: ldc, n: n, bias: bias,
+	}
+	fmaRows(&g, lo, hi, 0, (n+packNR-1)/packNR)
+}
+
 // gemmOperands are the inputs of every product the tiles serve for one
 // shape in one element type. run computes, on the current rung and over
 // the row ranges given (the bodies are row-range kernels), each form by
@@ -163,18 +169,21 @@ func newGemmOperands[T float](rng *rand.Rand, rows, k, n, nanEvery int, nanBias 
 }
 
 // run64: MatMul through pre-packed panels, the same with the bias
-// epilogue, MatMulABT through PackBT, MatMulATBAcc over the rows as one
-// reduction chunk, and the unpacked linear layer (MatMulBiasRows).
+// epilogue, MatMulABT through PackBT and the same product on the
+// transpose, MatMulATBAcc over the rows as one reduction chunk, and the
+// unpacked linear layer (MatMulBiasRows) — which, with the row-major
+// operands read in place, must be the packed panels' bits.
 func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
 	rows, k, n := o.rows, o.k, o.n
 	x, w, wT, dy := FromSlice(rows, k, o.x), FromSlice(k, n, o.w), FromSlice(n, k, o.wT), FromSlice(rows, n, o.dy)
-	mm, mb, abt, lin := New(rows, n), New(rows, n), New(rows, n), New(rows, n)
-	pb, pbt := PackB(w), PackBT(wT)
+	mm, mb, abt, lin, linT := New(rows, n), New(rows, n), New(rows, n), New(rows, n), New(rows, n)
+	pb, pbt, w2 := PackB(w), PackBT(wT), transposed(wT)
 	for _, r := range ranges {
 		MatMulPackedRows(mm, x, pb, r[0], r[1])
 		MatMulPackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
 		MatMulPackedRows(abt, x, pbt, r[0], r[1])
 		MatMulBiasRows(lin, x, w, o.bias, r[0], r[1])
+		MatMulBiasRows(linT, x, w2, nil, r[0], r[1])
 	}
 	acc := make([]float64, k*n)
 	MatMulATBAcc(acc, x, dy, 0, rows)
@@ -183,8 +192,13 @@ func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
 		AddRowVectorRows(def, o.bias, r[0], r[1])
 	}
 	return map[string][]float64{"MatMul": mm.Data, "bias": mb.Data, "MatMulABT": abt.Data, "MatMulATBAcc": acc, "definition": def.Data,
-		"MatMulBiasRows": lin.Data}
+		"MatMulBiasRows": lin.Data, "MatMulBiasRowsT": linT.Data}
 }
+
+// gemmPairs pairs each form with the one it must equal bit for bit on every
+// rung: the bias epilogue with the product then the row-vector add, and
+// the unpacked layer with the packed panels (a layout, not an arithmetic).
+var gemmPairs = [][2]string{{"bias", "definition"}, {"MatMulBiasRows", "bias"}, {"MatMulBiasRowsT", "MatMulABT"}}
 
 // run32: MatMul32 (whole matrix, packing per call where the shape clears
 // the threshold), MatMul32PackedRows through pre-packed panels and the
@@ -207,13 +221,13 @@ func run32(o *gemmOperands[float32], ranges [][2]int) map[string][]float32 {
 	return map[string][]float32{"MatMul32": whole.Data, "MatMul32PackedRows": mm.Data, "bias": mb.Data, "definition": def.Data}
 }
 
-// sweepRungs is the premise of the AVX-512 rung for one element type,
-// shown rather than assumed: for every GEMM form run computes, avx512 ==
-// avx2 bit for bit, on every row count 1…70 (tile heads and tails), on
-// 64-row panels at odd offsets, on even and odd panel counts and a scalar
-// column tail, on K from 1 to 96 and with packKc shrunk so that K spans
-// several accumulate passes; and on every rung from lowest up the bias
-// epilogue equals its definition, NaNs in the sums and in the bias
+// sweepRungs shows, rather than assumes, that the rungs from lowest up
+// compute one arithmetic for one element type: for every GEMM form run
+// computes, each rung == lowest bit for bit, on every row count 1…70
+// (tile heads and tails), on 64-row panels at odd offsets, on even and
+// odd panel counts and a partial last panel, on K from 1 to 96 and with
+// packKc shrunk so that K spans several accumulate passes; and on every
+// rung the pairs of gemmPairs agree, NaNs in the sums and in the bias
 // included — all under the contract mismatch checks.
 func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func(*gemmOperands[T], [][2]int) map[string][]T) {
 	rng := rand.New(rand.NewSource(512))
@@ -225,18 +239,23 @@ func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func
 			r := run(o, ranges)
 			setKernelTier(prev)
 			byTier[k] = r
-			if i := mismatch(r["bias"], r["definition"]); i >= 0 {
-				t.Fatalf("%s, rung %v: bias epilogue differs from the product then the row-vector add at element %d: %#x vs %#x",
-					what, k, i, bitsOf(r["bias"][i]), bitsOf(r["definition"][i]))
+			for _, pair := range gemmPairs {
+				got, ok := r[pair[0]]
+				if !ok {
+					continue
+				}
+				if i := mismatch(got, r[pair[1]]); i >= 0 {
+					t.Fatalf("%s, rung %v: %s differs from %s at element %d: %#x vs %#x",
+						what, k, pair[0], pair[1], i, bitsOf(got[i]), bitsOf(r[pair[1]][i]))
+				}
 			}
 		}
-		if cpuTier < tierAVX512 {
-			return
-		}
-		for form, want := range byTier[tierAVX2] {
-			if i := mismatch(byTier[tierAVX512][form], want); i >= 0 {
-				t.Fatalf("%s: %s differs between avx512 and avx2 at element %d: %#x vs %#x",
-					what, form, i, bitsOf(byTier[tierAVX512][form][i]), bitsOf(want[i]))
+		for k := lowest + 1; k <= cpuTier; k++ {
+			for form, want := range byTier[lowest] {
+				if i := mismatch(byTier[k][form], want); i >= 0 {
+					t.Fatalf("%s: %s differs between %v and %v at element %d: %#x vs %#x",
+						what, form, k, lowest, i, bitsOf(byTier[k][form][i]), bitsOf(want[i]))
+				}
 			}
 		}
 	}
@@ -289,32 +308,26 @@ func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func
 	})
 }
 
-// TestKernelRungsBitwise runs sweepRungs for both element types. (The
-// pure-Go rung rounds float64 differently — no FMA — so it is held to its
-// own definition here and to the legacy kernels, bitwise, by
-// TestPackedPureGoBitwiseLegacy; it has no float32 packed tier at all.)
+// TestKernelRungsBitwise runs sweepRungs for both element types: float64
+// go == avx2 == avx512, float32 avx2 == avx512 (the go rung has no
+// float32 packed tier).
 func TestKernelRungsBitwise(t *testing.T) {
 	if cpuTier < tierAVX2 {
 		t.Skipf("rungs avx2 and avx512 not run: this CPU's top rung is %v", cpuTier)
 	}
-	t.Run("float64", func(t *testing.T) { sweepRungs(t, tierGo, []int{8, 16, 24, 32, 40, 37}, run64) })
+	t.Run("float64", func(t *testing.T) { sweepRungs(t, tierGo, []int{3, 8, 16, 24, 32, 40, 37}, run64) })
 	t.Run("float32", func(t *testing.T) { sweepRungs(t, tierAVX2, []int{16, 32, 48, 64, 37}, run32) })
 }
 
-// TestMatMulBiasRowsBitwise holds the unpacked linear layer to its
-// definition — matMulRows, then AddRowVectorRows — under the contract
-// mismatch checks on every rung, the pure-Go one included: over every row
-// count 0…70 and 64-row
-// panels at odd offsets, widths either side of the kernels' 4-lane and
-// 8-column blocks, depths either side of their groups of four, with and
-// without a bias; on plain data and on data planted with what the
-// kernels' arithmetic must not get wrong — aligned groups of four zero a
-// values (skipped, never 0·b), signed zeros, ±Inf in a and b (so 0·Inf
-// meets both a skipped and a computed group), and NaNs with random
-// payloads in a, in b and in the bias, alone and together. The
-// definition is computed on the pure-Go rung once per case. A kernel that
-// added 0·Inf where a group is all zeros would leave a NaN the definition
-// does not have.
+// TestMatMulBiasRowsBitwise holds the unpacked linear layer to the
+// float64 product's definition under the contract mismatch checks on every
+// rung, the pure-Go one included: over every row count 0…70 and 64-row
+// panels at odd offsets, widths either side of the tiles' 4-lane halves
+// and 8-column panels, depths either side of 4 and 8, with and without a
+// bias; on plain data and on data planted with what the kernels'
+// arithmetic must not get wrong — groups of four zero a values, signed
+// zeros, ±Inf in a and b (so 0·Inf, a NaN, meets the sums), and NaNs with
+// random payloads in a, in b and in the bias, alone and together.
 func TestMatMulBiasRowsBitwise(t *testing.T) {
 	widths := []int{1, 3, 4, 5, 8, 13, 16, 32}
 	depths := []int{1, 3, 4, 7, 8, 16, 24}
@@ -382,12 +395,7 @@ func TestMatMulBiasRowsBitwise(t *testing.T) {
 			}
 		}
 		want := New(rows, n)
-		prev := setKernelTier(tierGo)
-		matMulRows(want, a, b, 0, rows)
-		if bias != nil {
-			AddRowVectorRows(want, bias, 0, rows)
-		}
-		setKernelTier(prev)
+		definition(want.Data, n, a.Data, k, 1, b.Data, n, k, n, bias, 0, 0, rows)
 		return linCase{
 			what: fmt.Sprintf("%dx%d·%d %s, bias %v, ranges %v", rows, k, n, plant, withBias, ranges),
 			a:    a, b: b, bias: bias, rows: rows, ranges: ranges, wantOut: want,

@@ -11,13 +11,12 @@ import (
 )
 
 // TestCompiledPanelsAcrossTierToggle: a compiled block packs its weight
-// panels once, at the width of the kernel tier it was compiled on. Between
-// the two SIMD rungs the width does not change and neither does a bit, so
-// that toggle needs no recompile — of the float64 block or of its float32
-// twin, whose panels are 16 wide on both. A toggle that changes the width
-// (pure Go packs 4 columns, both SIMD rungs 8) leaves the compile stale: it
-// must refuse rather than answer in the other tier's bits, and a fresh
-// Compile on the new tier must be bitwise the training forward there.
+// panels once. The float64 panels are 8 wide on every rung and every rung
+// computes one arithmetic, so a toggle to any rung — the go rung included
+// — needs no recompile: the compile answers with the bits it answered
+// with on the top rung, which are the training forward's there. The
+// float32 twin's panels are 16 wide on both SIMD rungs, so it survives the
+// toggle between them too.
 func TestCompiledPanelsAcrossTierToggle(t *testing.T) {
 	if !tensor.SIMDEnabled() {
 		t.Skip("one kernel tier only: nothing to toggle")
@@ -53,36 +52,15 @@ func TestCompiledPanelsAcrossTierToggle(t *testing.T) {
 		}
 	}
 
-	if tensor.CPUTier() >= tensor.TierAVX512 {
-		// avx512 -> avx2 and back: same panels, no recompile, same bits as
-		// the top rung produced.
-		prev := tensor.SetKernelTier(tensor.TierAVX2)
-		if tensor.PackWidth() != 8 {
-			t.Errorf("panel width %d on the avx2 rung, want 8", tensor.PackWidth())
-		}
-		agree("lowered to avx2 without a recompile", asCompiled)
-		agree("training forward on avx2", m.Forward(x))
-		agree32("lowered to avx2 without a recompile")
-		tensor.SetKernelTier(prev)
-		agree("back on avx512 without a recompile", asCompiled)
-		agree32("back on avx512 without a recompile")
-	} else {
-		t.Logf("avx512 <-> avx2 toggle not run: this CPU's top rung is %v", tensor.CPUTier())
-	}
-
-	for _, k := range []tensor.KernelTier{tensor.TierGo, tensor.CPUTier()} {
+	for k := tensor.CPUTier() - 1; k >= tensor.TierGo; k-- {
 		prev := tensor.SetKernelTier(k)
-		defer tensor.SetKernelTier(prev)
-		func() {
-			// Stale panels must refuse, not answer in the other tier's bits.
-			defer func() {
-				if recover() == nil {
-					t.Errorf("tier %v: evaluation on panels of the other width did not panic", k)
-				}
-			}()
-			compiled.InferForward(nil, x)
-		}()
-		compiled = m.Compile()
-		agree(fmt.Sprintf("fresh compile on tier %v", k), m.Forward(x))
+		agree(fmt.Sprintf("lowered to %v without a recompile", k), asCompiled)
+		agree(fmt.Sprintf("training forward on %v", k), m.Forward(x))
+		if k >= tensor.TierAVX2 {
+			agree32(fmt.Sprintf("lowered to %v without a recompile", k))
+		}
+		tensor.SetKernelTier(prev)
+		agree(fmt.Sprintf("back from %v without a recompile", k), asCompiled)
+		agree32(fmt.Sprintf("back from %v without a recompile", k))
 	}
 }
