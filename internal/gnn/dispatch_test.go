@@ -3,6 +3,7 @@ package gnn
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"meshgnn/internal/comm"
@@ -17,8 +18,10 @@ import (
 // TestParallelDispatchBudget pins how many parallel regions one evaluation
 // and one training step hand to the worker pool, on the benchmark's
 // compute-bound shape (LargeConfig, 512 nodes, 3 072 edges, 2 threads). A
-// dispatched region costs a worker wake of 100–200 µs on a small host
-// (package parallel, "region granularity"), so a layer stage is the unit of
+// dispatched region costs a channel send, and a worker wake of 100–200 µs
+// on a small host unless the worker is polling for it, which it does only
+// between the regions of a lone op (package parallel, "region
+// granularity" and "op brackets"), so a layer stage is the unit of
 // dispatch: per-kernel regions — 191 per Predict and 468 per Step before
 // the MLP blocks were fused, 34 and 81 while the gathers, concatenations
 // and residual adds around the blocks were still regions of their own —
@@ -173,5 +176,77 @@ func TestParallelDispatchBudgetPerSplit(t *testing.T) {
 			t.Errorf("overlap=%v: %d forward and %d backward regions over %d ranks, want %d and %d",
 				tc.overlap, fwd, bwd, ranks, ranks*tc.fwd, ranks*tc.bwd)
 		}
+	}
+}
+
+// TestOpsHoldOnePoolBracket: a prediction, a rollout and a training step
+// each hold the worker pool's op bracket exactly once (parallel.Begin), as
+// the pool's workers read it between the op's regions: at 2 threads a
+// worker joins the op's regions from the poll (parallel.Counters.Polled),
+// which it does only while exactly one bracket is open. An op that did not
+// bracket, or a rollout whose steps opened a bracket of their own inside
+// its one (a count of two), would leave Polled still; a bracket left open
+// would silence the ops after it, so they run in sequence and the first
+// runs again last. A rollout of S steps must be joined from the poll at
+// least S times in one call: with nested brackets a worker can slip in at
+// most once per gap between two steps, S−1 in all.
+func TestOpsHoldOnePoolBracket(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("a worker polls beside the caller only with GOMAXPROCS >= 2")
+	}
+	parallel.Configure(2, true)
+	defer parallel.Configure(0, true)
+	box, err := mesh.NewBox(4, 4, 4, 2, [3]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := graph.BuildSingle(box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 4
+	err = comm.Run(1, func(c *comm.Comm) error {
+		rc, err := NewRankContext(c, box, l, comm.NoExchange)
+		if err != nil {
+			return err
+		}
+		x := waveField(rc.Graph)
+		model, err := NewModel(LargeConfig())
+		if err != nil {
+			return err
+		}
+		eng, err := NewInference(model)
+		if err != nil {
+			return err
+		}
+		tr := NewTrainer(model, nn.NewAdam(1e-3))
+		predict := func() { eng.Predict(rc, x) }
+		for _, op := range []struct {
+			name string
+			min  uint64 // regions joined from the poll in one call
+			run  func()
+		}{
+			{"Predict", 1, predict},
+			{"PredictBatch", 1, func() { eng.PredictBatch(rc, []*tensor.Matrix{x, x}) }},
+			{"RolloutBatch", steps, func() { eng.RolloutBatch(rc, []*tensor.Matrix{x, x}, steps) }},
+			{"StepBatch", 1, func() { tr.StepBatch(rc, []*tensor.Matrix{x}, []*tensor.Matrix{x}) }},
+			{"Predict again", 1, predict},
+		} {
+			op.run() // warm: bind, record the arena, pack
+			var best uint64
+			for try := 0; try < 20 && best < op.min; try++ {
+				before := parallel.Stats().Polled
+				op.run()
+				best = max(best, parallel.Stats().Polled-before)
+			}
+			if best < op.min {
+				t.Errorf("%s: at most %d regions of one call joined from the poll, want >= %d: the op does not hold exactly one bracket",
+					op.name, best, op.min)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"meshgnn/internal/graph"
 	"meshgnn/internal/nn"
+	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -228,7 +229,17 @@ func (e *Inference) Predict(rc *RankContext, x *tensor.Matrix) *tensor.Matrix {
 // subsequent Predict, PredictBatch, Rollout or RolloutBatch step on this
 // engine, of any batch size — the pushforward contract of Model.Forward.
 // Clone what must live longer, as the rollouts do.
+//
+// The call is one op bracket of the worker pool (parallel.Begin).
 func (e *Inference) PredictBatch(rc *RankContext, xs []*tensor.Matrix) []*tensor.Matrix {
+	parallel.Begin()
+	defer parallel.End()
+	return e.predictBatch(rc, xs)
+}
+
+// predictBatch is PredictBatch without the op bracket, for the rollouts'
+// steps inside theirs.
+func (e *Inference) predictBatch(rc *RankContext, xs []*tensor.Matrix) []*tensor.Matrix {
 	batch := len(xs)
 	if batch == 0 {
 		panic("gnn: PredictBatch with an empty batch")
@@ -259,7 +270,8 @@ func (e *Inference) Rollout(rc *RankContext, x0 *tensor.Matrix, steps int) []*te
 // RolloutBatch applies the engine autoregressively to B initial states,
 // returning one trajectory per sample (steps+1 independent matrices each,
 // including the initial state) — per sample bitwise-equal to e.Rollout.
-// All ranks must call collectively.
+// All ranks must call collectively. The whole rollout is one op bracket of
+// the worker pool (parallel.Begin).
 func (e *Inference) RolloutBatch(rc *RankContext, x0s []*tensor.Matrix, steps int) [][]*tensor.Matrix {
 	if e.Config.InputNodeFeatures != e.Config.OutputNodeFeatures {
 		panic(fmt.Sprintf("gnn: rollout needs matching widths, have %d -> %d",
@@ -268,6 +280,8 @@ func (e *Inference) RolloutBatch(rc *RankContext, x0s []*tensor.Matrix, steps in
 	if len(x0s) == 0 {
 		panic("gnn: RolloutBatch with an empty batch")
 	}
+	parallel.Begin()
+	defer parallel.End()
 	trajs := make([][]*tensor.Matrix, len(x0s))
 	cur := make([]*tensor.Matrix, len(x0s))
 	for i, x0 := range x0s {
@@ -275,7 +289,7 @@ func (e *Inference) RolloutBatch(rc *RankContext, x0s []*tensor.Matrix, steps in
 		trajs[i] = append(make([]*tensor.Matrix, 0, steps+1), cur[i])
 	}
 	for s := 0; s < steps; s++ {
-		for i, y := range e.PredictBatch(rc, cur) {
+		for i, y := range e.predictBatch(rc, cur) {
 			cur[i] = y.Clone()
 			trajs[i] = append(trajs[i], cur[i])
 		}

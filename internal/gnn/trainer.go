@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"meshgnn/internal/nn"
+	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -86,11 +87,14 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 // then Forward/Loss/Backward per sample before the same single AllReduce +
 // optimizer step. Returns the per-sample consistent losses in a
 // trainer-owned buffer, valid until the next step. All ranks must call
-// StepBatch collectively with the same batch size.
+// StepBatch collectively with the same batch size. The step is one op
+// bracket of the worker pool (parallel.Begin).
 func (t *Trainer) StepBatch(rc *RankContext, xs, targets []*tensor.Matrix) []float64 {
 	if len(xs) == 0 || len(xs) != len(targets) {
 		panic(fmt.Sprintf("gnn: StepBatch with %d inputs, %d targets", len(xs), len(targets)))
 	}
+	parallel.Begin()
+	defer parallel.End()
 	mark := time.Now()
 	haloBase := rc.Comm.Stats.HaloSeconds
 	exposedBase := rc.Comm.Stats.HaloExposedSeconds

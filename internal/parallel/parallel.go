@@ -40,7 +40,7 @@
 // (ForTask, ReduceWith, Panels.For), implemented by reusable bound
 // argument structs, so no region allocates a closure.
 //
-// Region granularity. A region that goes parallel is handed to parked
+// Region granularity. A region that goes parallel is handed to the
 // workers through a channel, and a parked worker does not start at once:
 // on the 2-processor KVM guest this repository is measured on it joins
 // 100–200 µs after the send (a ForTask of 8 chunks × 20 µs takes 146 µs on
@@ -64,9 +64,22 @@
 // training step from 468 to 81 to 41 to 37 to 26; internal/gnn's
 // TestParallelDispatchBudget pins both. Stats counts dispatched and inline
 // regions and who ran the chunks; a caller share of the chunks near 1 is
-// the sign of regions that are too small. The engine never spins waiting
-// for work or for completion: an idle worker costs a parked goroutine,
-// nothing else.
+// the sign of regions that are too small.
+//
+// Op brackets. An op of ten such regions still pays ten wakes, so an op —
+// one prediction, rollout or training step, the unit a caller waits for —
+// is bracketed by Begin and End. While exactly one bracket is open in the
+// process, a worker that has finished a job does not park: it polls the
+// queue, yielding its processor (runtime.Gosched) between polls, so the
+// op's next region finds it awake (Stats' Polled). At most
+// min(GOMAXPROCS, Threads) − 1 workers poll at once, and each keeps a CPU
+// busy for the rest of the op, its serial code and exchange waits
+// included; a runnable goroutine still gets the processor at the next
+// yield. With no bracket open, with two or more (goroutine ranks, concurrent sessions:
+// their regions already keep the processors busy), or at Threads = 1, an
+// idle worker parks on the channel and costs a parked goroutine, nothing
+// else; a poller notices within one poll and parks too. The engine never
+// spins waiting for a region to complete.
 //
 // The pool is process-wide and shared by all goroutine ranks: concurrent
 // regions from different ranks interleave their chunks over the same
@@ -159,12 +172,16 @@ var (
 	nonDeterministic atomic.Bool
 
 	// queue feeds jobs to the persistent workers. Workers are spawned
-	// lazily and live for the process lifetime; idle workers cost only a
-	// parked goroutine.
+	// lazily and live for the process lifetime; an idle worker is a parked
+	// goroutine, or a polling one while a lone op is open (Begin).
 	queue     chan *job
 	workerMu  sync.Mutex
 	workers   int
 	queueOnce sync.Once
+
+	// held counts the open op brackets (Begin without its End); polling
+	// counts the workers in next's poll loop.
+	held, polling atomic.Int32
 
 	// jobPool recycles job descriptors (with their reusable completion
 	// channels) between parallel regions.
@@ -186,7 +203,8 @@ func ensureWorkers(n int) {
 	workerMu.Lock()
 	for workers < n {
 		go func() {
-			for j := range queue {
+			for {
+				j := next()
 				j.run(&counters.workerChunks)
 				j.release()
 			}
@@ -195,6 +213,40 @@ func ensureWorkers(n int) {
 	}
 	workerMu.Unlock()
 }
+
+// next returns a worker's next job. It polls the queue, yielding between
+// polls, while exactly one op bracket is open and Threads > 1, if fewer
+// than min(GOMAXPROCS, Threads) − 1 workers already poll; otherwise it
+// parks on the queue until a region's send wakes it.
+func next() *job {
+	if int(polling.Add(1)) < min(runtime.GOMAXPROCS(0), int(threads.Load())) {
+		for held.Load() == 1 && threads.Load() > 1 {
+			select {
+			case j := <-queue:
+				polling.Add(-1)
+				counters.polled.Add(1)
+				return j
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+	polling.Add(-1)
+	return <-queue
+}
+
+// Begin opens an op bracket and End closes it (package comment, "Op
+// brackets"): while exactly one is open in the process, the workers poll
+// for its regions instead of parking between them. Call End by defer, so
+// that a panic closes the bracket too, and close it before the op hands
+// its result on, so no worker polls while another goroutine continues the
+// work. An op that runs another bracketed op inside it calls that op's
+// unbracketed body: a nested bracket counts two and stops the polling.
+// Neither call allocates.
+func Begin() { held.Add(1) }
+
+// End closes the bracket Begin opened.
+func End() { held.Add(-1) }
 
 // loadThreads returns the active thread bound, initializing it to
 // GOMAXPROCS on first use.
@@ -267,9 +319,9 @@ func Configure(threads int, deterministic bool) {
 // call with work to do.
 type Counters struct {
 	// Dispatched counts regions offered to the worker pool (Threads > 1
-	// and more than one chunk): each costs a channel send and a worker
-	// wake, which is what the region-granularity rule in the package
-	// comment budgets.
+	// and more than one chunk): each costs a channel send and, unless a
+	// worker is polling for it, a worker wake, which is what the
+	// region-granularity rule in the package comment budgets.
 	Dispatched uint64
 	// Inline counts regions run entirely on the caller (Threads == 1, or
 	// a single chunk).
@@ -278,10 +330,13 @@ type Counters struct {
 	// by who ran them. A caller share near 1 means the workers arrive
 	// after the work is done — the regions are too small.
 	CallerChunks, WorkerChunks uint64
+	// Polled counts the regions a worker joined from the poll of an op
+	// bracket, without a wake.
+	Polled uint64
 }
 
 var counters struct {
-	dispatched, inline, callerChunks, workerChunks atomic.Uint64
+	dispatched, inline, callerChunks, workerChunks, polled atomic.Uint64
 }
 
 // Stats returns the current counters. It takes no lock and allocates
@@ -292,6 +347,7 @@ func Stats() Counters {
 		Inline:       counters.inline.Load(),
 		CallerChunks: counters.callerChunks.Load(),
 		WorkerChunks: counters.workerChunks.Load(),
+		Polled:       counters.polled.Load(),
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withThreads runs f under a given Threads setting and restores the
@@ -560,4 +561,121 @@ func TestPanelsZeroAlloc(t *testing.T) {
 			t.Errorf("threads=1 Panels.For allocates %v times", n)
 		}
 	})
+}
+
+// busyTask gives each index a few microseconds of arithmetic, so a region
+// of a handful of chunks lasts long enough for a worker to join it.
+type busyTask struct{ out []float64 }
+
+func (b *busyTask) Run(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		x := float64(i)
+		for k := 0; k < 2000; k++ {
+			x = x*0.999 + 1
+		}
+		b.out[i] = x
+	}
+}
+
+// waitParked waits until no worker is in the poll loop.
+func waitParked(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for polling.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers still poll 5 s after the bracket count left 1 (held %d)", polling.Load(), held.Load())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// polledOver runs up to n dispatched regions and returns how many of them
+// a worker joined from the poll; it stops early once one has, when stop
+// says so.
+func polledOver(n int, stop bool) uint64 {
+	task := &busyTask{out: make([]float64, 8)}
+	before := Stats().Polled
+	for i := 0; i < n; i++ {
+		ForTask(len(task.out), 1, task)
+		if stop && Stats().Polled > before {
+			break
+		}
+	}
+	return Stats().Polled - before
+}
+
+// TestPolledOnlyUnderOneBracket: the workers poll for regions only while
+// exactly one op bracket is open at Threads > 1. With no bracket, at
+// Threads = 1, or with two brackets open, no region is joined from the
+// poll; with one bracket at Threads = 2 (and two processors to run the
+// worker beside the caller) the regions after the first find the worker
+// polling.
+func TestPolledOnlyUnderOneBracket(t *testing.T) {
+	withThreads(t, 2, func() {
+		waitParked(t)
+		if n := polledOver(50, false); n != 0 {
+			t.Errorf("no bracket: %d regions joined from the poll", n)
+		}
+		Begin()
+		Begin()
+		waitParked(t)
+		if n := polledOver(50, false); n != 0 {
+			t.Errorf("two brackets: %d regions joined from the poll", n)
+		}
+		End()
+		SetThreads(1)
+		waitParked(t)
+		if n := polledOver(50, false); n != 0 {
+			t.Errorf("threads=1: %d regions joined from the poll", n)
+		}
+		SetThreads(2)
+		if runtime.GOMAXPROCS(0) >= 2 {
+			if n := polledOver(1000, true); n == 0 {
+				t.Error("one bracket at threads=2: no region of 1000 joined from the poll")
+			}
+		}
+		End()
+		waitParked(t)
+	})
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("one bracket polls only with GOMAXPROCS >= 2; the cases that must not poll passed")
+	}
+}
+
+// TestBracketClosedByPanic: a bracket closed by defer is closed when the
+// op panics, so a failed op leaves no worker polling for the next one.
+func TestBracketClosedByPanic(t *testing.T) {
+	func() {
+		defer func() { _ = recover() }()
+		Begin()
+		defer End()
+		withThreads(t, 2, func() {
+			polledOver(10, false)
+			panic("op failed")
+		})
+	}()
+	if n := held.Load(); n != 0 {
+		t.Fatalf("%d brackets open after the op panicked, want 0", n)
+	}
+}
+
+// TestPollersParkAfterEnd: once the bracket closes, every polling worker
+// parks again within a bounded wait.
+func TestPollersParkAfterEnd(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("one bracket polls only with GOMAXPROCS >= 2")
+	}
+	withThreads(t, 2, func() {
+		Begin()
+		polledOver(1000, true)
+		End()
+		waitParked(t)
+	})
+}
+
+// TestBracketZeroAlloc: opening and closing a bracket allocates nothing.
+func TestBracketZeroAlloc(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Begin(); End() }); n != 0 {
+		t.Errorf("Begin/End allocate %v times", n)
+	}
 }

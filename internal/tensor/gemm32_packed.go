@@ -22,10 +22,14 @@ type packedMM32Task struct {
 
 func (t *packedMM32Task) Run(lo, hi int) {
 	pb := t.pb
-	fused := 0 // leading columns whose bias the tiles already added
+	fused := 0 // leading columns the tiles wrote, bias included
 	if pb.K > 0 {
 		fused = pb.N / packNR32 * packNR32
 		sweepPacked(t.dst.Data, t.dst.Cols, t.a.Data, t.a.Cols, pb.panels, pb.K, fused, t.bias, lo, hi)
+	} else {
+		// An empty product: the definition's +0 on every column (the
+		// scalar tail rewrites its own), plus the bias below.
+		clear(t.dst.Data[lo*t.dst.Cols : hi*t.dst.Cols])
 	}
 	if pb.N%packNR32 != 0 {
 		t.scalarTail(lo, hi)

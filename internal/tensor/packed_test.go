@@ -192,6 +192,47 @@ func TestPackedEmptyShapes(t *testing.T) {
 	}
 }
 
+// TestMatMul32PackedEmptyProduct: with K = 0 the float32 packed product is
+// the definition's +0 on every column, plus the column's bias when there
+// is one — as float64's emptyProduct writes it — whatever the destination
+// held before, on every SIMD rung; the full 16-column panels included, not
+// only the N mod 16 tail.
+func TestMatMul32PackedEmptyProduct(t *testing.T) {
+	atEachTier(t, func(t *testing.T) {
+		if tier < tierAVX2 {
+			t.Skip("the f32 packed tier runs on the SIMD rungs only")
+		}
+		for _, n := range []int{16, 37, 48} {
+			bias := make([]float32, n)
+			for j := range bias {
+				bias[j] = float32(j) - 7.5
+			}
+			bias[3] = float32(math.Copysign(0, -1))
+			pb := PackB32(New32(0, n))
+			for _, b := range [][]float32{nil, bias} {
+				const m = 5
+				dst := New32(m, n)
+				for i := range dst.Data {
+					dst.Data[i] = float32(math.NaN())
+				}
+				MatMul32PackedBiasRows(dst, New32(m, 0), pb, b, 0, m)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						want := float32(0)
+						if b != nil {
+							want += b[j]
+						}
+						if got := dst.Data[i*n+j]; math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("n=%d bias=%v: element (%d, %d) = %v (%#x), want %v (%#x)",
+								n, b != nil, i, j, got, math.Float32bits(got), want, math.Float32bits(want))
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestPackedMatMulBitwiseAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const m, k, n = 515, 96, 33 // above threshold, ragged everywhere

@@ -280,7 +280,11 @@ var (
 // schedule. Intra-rank workers compose with goroutine ranks: the
 // pool workers are shared, so R ranks running kernels concurrently add
 // at most threads-1 pool goroutines on top of the R rank goroutines
-// (each rank also executes chunks itself), rather than R×threads.
+// (each rank also executes chunks itself), rather than R×threads. While
+// a lone op runs — one Predict, Rollout or training step, with no other
+// op open in the process — threads > 1 keeps that many CPUs busy for the
+// op's whole duration, its exchange waits included: the pool's workers
+// poll for the op's next region instead of parking between regions.
 //
 // Requests beyond runtime.NumCPU() are clamped to the core count: the
 // kernels are compute-bound, so extra workers only time-slice against
