@@ -54,7 +54,7 @@ func TestParallelDispatchBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	dispatched := func(op func()) uint64 {
-		op() // warm: bind, record the arena, pack
+		op() // warm: bind, record the arena
 		before := parallel.Stats()
 		op()
 		after := parallel.Stats()
@@ -232,7 +232,7 @@ func TestOpsHoldOnePoolBracket(t *testing.T) {
 			{"StepBatch", 1, func() { tr.StepBatch(rc, []*tensor.Matrix{x}, []*tensor.Matrix{x}) }},
 			{"Predict again", 1, predict},
 		} {
-			op.run() // warm: bind, record the arena, pack
+			op.run() // warm: bind, record the arena
 			var best uint64
 			for try := 0; try < 20 && best < op.min; try++ {
 				before := parallel.Stats().Polled

@@ -51,7 +51,7 @@ import (
 // overlap split point are those of the float64 users.
 //
 // Core and session. A compile produces an inferCore — the MLP twins with
-// their pre-packed weight panels and the per-graph static-edge cache —
+// their parameter copies and the per-graph static-edge cache —
 // which is a snapshot of the model's parameters at compile, immutable
 // (but for the cache, filled under its lock) and shared by pointer. The
 // source model may train on, even while the engine serves, and nothing
@@ -94,8 +94,8 @@ type Inference struct {
 }
 
 // inferCore is what a compile produces and every session of it shares: the
-// forward-only MLP twins of one precision (P; their own parameter copies
-// and pre-packed panels — an evaluation keeps no state in them) and the
+// forward-only MLP twins of one precision (P; their own parameter copies,
+// packed once at Float32 — an evaluation keeps no state in them) and the
 // static-edge encodings, one per bound rank graph (M). Entries of the cache
 // are computed once, under the lock, into ordinary (non-arena) storage,
 // and only read afterwards — the kernels are deterministic, so whichever
@@ -149,9 +149,9 @@ func (c *inferCore[P, M]) staticFor(g *graph.Local, encode func() M) M {
 // NewInference compiles a forward-only engine from the model: a snapshot
 // of its parameters, at Config.Precision — copied as they are at the
 // default Float64 (nn.Compile), demoted to single precision at Float32
-// (nn.Compile32) — with weight matrices above the packed-GEMM threshold
-// packed once. The model is only read, and updates to it after the call
-// are not visible to the engine; compile again to serve them.
+// (nn.Compile32, which packs its weight matrices above the packed-GEMM
+// threshold once). The model is only read, and updates to it after the
+// call are not visible to the engine; compile again to serve them.
 func NewInference(m *Model) (*Inference, error) {
 	if err := m.Config.Validate(); err != nil {
 		return nil, err
@@ -176,7 +176,7 @@ func LoadInference(r io.Reader) (*Inference, error) {
 }
 
 // Session returns a new pass over the same core: the MLP twins (their
-// parameters and pre-packed weight panels) and the static-edge cache are
+// parameter copies) and the static-edge cache are
 // shared by pointer, one compile referenced by S sessions of either
 // precision; the arenas, wire staging, static-edge tile, output
 // double-buffer, binding and message-passing task scaffolding are fresh.

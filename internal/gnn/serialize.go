@@ -83,7 +83,6 @@ func restoreModel(sm savedModel) (*Model, error) {
 				sp.Name, len(sp.Data), sp.Rows*sp.Cols)
 		}
 		copy(p.W.Data, sp.Data)
-		p.Bump()
 	}
 	return m, nil
 }

@@ -26,8 +26,8 @@ type Trainer struct {
 	// StepBatch — same sample stream, same noise stream, 1/Batch as many
 	// optimizer steps. The accumulated B-sample gradient is bitwise-equal
 	// to B sequential accumulation passes: batching buys amortization (one
-	// AllReduce, one optimizer step, one pack-cache invalidation per B
-	// samples), not different arithmetic. 0 and 1 train per sample.
+	// AllReduce and one optimizer step per B samples), not different
+	// arithmetic. 0 and 1 train per sample.
 	Batch int
 
 	timing    StepTiming
@@ -81,8 +81,7 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 // StepBatch executes one training iteration over len(xs) stacked samples:
 // one fused forward, the local loss sums, one row-block backward, one
 // AllReduce (the gradients with the B local loss sums in the buffer's
-// tail), ONE optimizer step (and hence one Param.Bump — the pack caches
-// invalidate once per step, not once per sample). The accumulated gradient
+// tail), ONE optimizer step. The accumulated gradient
 // is bitwise-equal to the sequential oracle that runs ZeroGrads once and
 // then Forward/Loss/Backward per sample before the same single AllReduce +
 // optimizer step. Returns the per-sample consistent losses in a

@@ -11,7 +11,7 @@ import (
 // panel goes through every layer of the block before the next panel
 // starts, so a layer reads what the previous one just wrote while it is
 // still in cache (two 64×32 float64 scratch panels are 32 KiB). A multiple
-// of 4, the row tile of the packed GEMM microkernels. Any height yields
+// of 4, the row tile of the GEMM microkernels. Any height yields
 // the same bits — every layer is a row map whose per-row operation
 // sequence is fixed; 32, 64 and 128 measure within 3 % of each other, and
 // the smaller panels split a 512-row node block over more threads.
@@ -42,9 +42,9 @@ type RowMap[T elem] interface {
 
 // rowLayer is a Layer that is a pure row map with row-reduced parameter
 // gradients, split into the pieces a chain schedules: a serial bind on
-// the caller (shape checks, arena requests, weight packing), the row-range
-// bodies that run inside the chain's region, and the layer's parameter
-// reductions.
+// the caller (shape checks, arena requests, the weight transpose), the
+// row-range bodies that run inside the chain's region, and the layer's
+// parameter reductions.
 type rowLayer interface {
 	Layer
 	// bindForward acquires the output (and backward caches) for input x

@@ -233,11 +233,10 @@ func sameBits[T float32 | float64](t *testing.T, what string, got, want []T) {
 // its backward caches, the one-region backward whose per-block reductions
 // advance as their panels complete, and both compiled evaluators — is
 // bitwise the layer-at-a-time evaluation, for row counts either side of
-// the panel height, widths either side of the packed-GEMM threshold, with
-// and without the norm, at every thread count, for 1, 2 and 4 stacked
-// sample blocks; the edge-shaped blocks (5 hidden layers, LargeConfig's
-// 96 → 32 and SmallConfig's 24 → 8: packed and unpacked weight
-// gradients) at 85 rows a block, the 96-wide weight's chunk grain against
+// the panel height, widths either side of the float32 packed-GEMM
+// threshold, with and without the norm, at every thread count, for 1, 2
+// and 4 stacked sample blocks; the edge-shaped blocks (5 hidden layers,
+// LargeConfig's 96 → 32 and SmallConfig's 24 → 8) at 85 rows a block, the 96-wide weight's chunk grain against
 // the 64-row panels, at 200, which is no multiple of the panel, and at the
 // benchmark's 3 072 edges, for 1 and 3 blocks; and the same block with a
 // gather head and a residual tail in its panel loop is bitwise
@@ -294,7 +293,6 @@ func checkBlock(t *testing.T, per int, sh [3]int, hidden int, norm bool, batch i
 		for i := range p.W.Data {
 			p.W.Data[i] += 0.1 * rng.NormFloat64()
 		}
-		p.Bump()
 	}
 	rows := per * batch
 	x, dy := randInput(rng, rows, sh[0]), randInput(rng, rows, sh[2])
@@ -393,7 +391,6 @@ func checkBlockHeadTail(t *testing.T, per int, sh [3]int, batch int) {
 		for i := range p.W.Data {
 			p.W.Data[i] += 0.1 * rng.NormFloat64()
 		}
-		p.Bump()
 	}
 	rows := per * batch
 	perm := func() []int {

@@ -176,21 +176,16 @@ type InferMLP struct {
 // Compile builds the forward-only twin of the block from a copy of its
 // parameters (the bits they hold now; training the source afterwards
 // changes nothing here — compile again). It holds no arena — callers pass
-// one per forward (nil allocates). Weight matrices above the packed-GEMM
-// threshold are packed ONCE here (bitwise-invisible — packed panels and
-// the row-major operand give the same bits on every kernel rung, so a
-// compile outlives a rung change).
+// one per forward (nil allocates). The weights keep their row-major
+// layout, which every kernel rung reads in place with one arithmetic, so
+// a compile outlives a rung change.
 func (m *MLP) Compile() *InferMLP {
 	out := &InferMLP{compiled: compiled[float64]{In: m.In, Out: m.Out, pools: &pools64}}
 	var ls []inferLayer[float64]
 	for _, l := range m.block.layers {
 		switch t := l.(type) {
 		case *Linear:
-			li := &linearInfer{in: t.In, out: t.Out, w: t.Weight.W.Clone(), b: t.Bias.W.Clone().Data}
-			if tensor.ShouldPack(t.In, t.Out) {
-				li.pb = tensor.PackB(li.w)
-			}
-			ls = append(ls, li)
+			ls = append(ls, &linearInfer{in: t.In, out: t.Out, w: t.Weight.W.Clone(), b: t.Bias.W.Clone().Data})
 		case *ELU:
 			ls = append(ls, eluInfer{})
 		case *LayerNorm:
@@ -228,13 +223,11 @@ func (m *InferMLP) infer(a *tensor.Arena, rows int, x []float64, head, tail RowM
 }
 
 // linearInfer is y = x·W + b over copied parameters, without the input
-// cache Linear keeps for its backward. Above the packed-GEMM threshold
-// the weight panels are packed once at compile (pb) instead of per call.
+// cache Linear keeps for its backward.
 type linearInfer struct {
 	in, out int
 	w       *tensor.Matrix
 	b       []float64
-	pb      *tensor.PackedB // compile-time packed W, nil below threshold
 }
 
 func (l *linearInfer) outWidth(int) int { return l.out }
@@ -242,10 +235,6 @@ func (l *linearInfer) inPlace() bool    { return false }
 
 func (l *linearInfer) inferRows(dst, src panel[float64]) {
 	d, s := mat64(dst), mat64(src)
-	if l.pb != nil {
-		tensor.MatMulPackedBiasRows(&d, &s, l.pb, l.b, 0, s.Rows)
-		return
-	}
 	tensor.MatMulBiasRows(&d, &s, l.w, l.b, 0, s.Rows)
 }
 

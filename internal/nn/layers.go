@@ -26,28 +26,16 @@ import (
 	"meshgnn/internal/tensor"
 )
 
-// Param is one trainable tensor with its gradient accumulator.
-//
-// version counts the mutations of W since construction: every optimizer
-// step and checkpoint/deserialize restore calls Bump. Derived caches
-// keyed on a parameter's contents — the training-forward packed-GEMM
-// panels, most prominently — validate against Version instead of
-// re-deriving per call, so an epoch of forwards between two optimizer
-// steps packs each weight matrix exactly once. Code that writes W.Data
-// directly must Bump, or stale panels serve the old weights.
+// Param is one trainable tensor with its gradient accumulator. Training
+// keeps nothing derived from W between passes — every pass reads the
+// weights where they are — so code may write W.Data directly (the
+// optimizer, a checkpoint restore). A compile (MLP.Compile) is a snapshot
+// and does not see later writes.
 type Param struct {
 	Name string
 	W    *tensor.Matrix
 	G    *tensor.Matrix
-
-	version uint64
 }
-
-// Bump records a mutation of W, invalidating version-keyed caches.
-func (p *Param) Bump() { p.version++ }
-
-// Version returns the mutation counter of W.
-func (p *Param) Version() uint64 { return p.version }
 
 func newParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, W: tensor.New(rows, cols), G: tensor.New(rows, cols)}
@@ -91,38 +79,7 @@ type Linear struct {
 	dy    *tensor.Matrix // output gradient, kept for the parameter reductions
 	dx    *tensor.Matrix
 	dw    *tensor.Matrix // scratch for the weight-gradient reduction
-	wT    *tensor.Matrix // Weightᵀ, the unpacked input gradient's operand
-
-	// pw caches the packed-GEMM panels of Weight.W for the training
-	// forward, pwT those of its transpose for the backward's dx = dy·Wᵀ.
-	pw, pwT packCache
-}
-
-// packCache holds the packed panels of a weight matrix, keyed by the
-// parameter version: without it every pass above the packed threshold
-// re-packs the identical panels. An epoch of passes between optimizer
-// steps packs once; Step's Bump invalidates. Bitwise-invisible — the
-// packed kernels consume identical panels either way.
-type packCache struct {
-	pb  *tensor.PackedB
-	ver uint64
-}
-
-// panels returns the cached panels of w (of its transpose when trans),
-// re-packing after a parameter update.
-func (c *packCache) panels(w *Param, trans bool) *tensor.PackedB {
-	switch {
-	case c.pb == nil:
-		if trans {
-			c.pb = tensor.PackBT(w.W)
-		} else {
-			c.pb = tensor.PackB(w.W)
-		}
-	case c.ver != w.Version():
-		c.pb.Repack(w.W)
-	}
-	c.ver = w.Version()
-	return c.pb
+	wT    *tensor.Matrix // Weightᵀ, refilled per backward: the operand of dx = dy·Wᵀ
 }
 
 // NewLinear creates a linear layer with Glorot-uniform weights drawn from
@@ -161,18 +118,12 @@ func (l *Linear) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	}
 	l.x = x
 	l.y = l.arena.Get(x.Rows, l.Out)
-	if tensor.ShouldPack(l.In, l.Out) {
-		l.pw.panels(l.Weight, false)
-	}
 	return l.y
 }
 
+// forwardRows fully overwrites rows [lo, hi) of y; the bias add is the
+// GEMM's epilogue.
 func (l *Linear) forwardRows(lo, hi int) {
-	if tensor.ShouldPack(l.In, l.Out) {
-		// Fully overwrites the rows; the bias add is the GEMM's epilogue.
-		tensor.MatMulPackedBiasRows(l.y, l.x, l.pw.pb, l.Bias.W.Data, lo, hi)
-		return
-	}
 	tensor.MatMulBiasRows(l.y, l.x, l.Weight.W, l.Bias.W.Data, lo, hi)
 }
 
@@ -186,21 +137,13 @@ func (l *Linear) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
 	}
 	l.dy = dy
 	l.dx = l.arena.Get(dy.Rows, l.In)
-	if tensor.ShouldPack(l.Out, l.In) {
-		l.pwT.panels(l.Weight, true)
-	} else {
-		tensor.TransposeInto(l.wT, l.Weight.W)
-	}
+	tensor.TransposeInto(l.wT, l.Weight.W)
 	return l.dx
 }
 
 // backwardRows computes rows [lo, hi) of dx = dy·Wᵀ, which is by
-// definition MatMul(dy, Wᵀ): the forward's kernels, on the transpose.
+// definition MatMul(dy, Wᵀ): the forward's kernel, on the transpose.
 func (l *Linear) backwardRows(lo, hi int) {
-	if tensor.ShouldPack(l.Out, l.In) {
-		tensor.MatMulPackedRows(l.dx, l.dy, l.pwT.pb, lo, hi)
-		return
-	}
 	tensor.MatMulBiasRows(l.dx, l.dy, l.wT, nil, lo, hi)
 }
 

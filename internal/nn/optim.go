@@ -37,7 +37,6 @@ func (a *Adam) Step(params []*Param) {
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, p := range params {
-		p.Bump()
 		m, v := a.m[i], a.v[i]
 		for j, g := range p.G.Data {
 			m.Data[j] = float64(a.Beta1*m.Data[j]) + float64((1-a.Beta1)*g)

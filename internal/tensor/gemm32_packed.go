@@ -90,7 +90,7 @@ func MatMul32PackedRows(dst, a *Matrix32, pb *PackedB32, lo, hi int) {
 // MatMul32PackedBiasRows computes rows [lo, hi) of dst = a·B + bias, the
 // float32 linear layer in one pass: bitwise MatMul32PackedRows followed by
 // AddRowVector32Rows(dst, bias, lo, hi), with the add done on the tile
-// while it is still in registers (see MatMulPackedBiasRows). A nil bias
+// while it is still in registers (see MatMulBiasRows). A nil bias
 // adds nothing.
 func MatMul32PackedBiasRows(dst, a *Matrix32, pb *PackedB32, bias []float32, lo, hi int) {
 	if a.Cols != pb.K || dst.Cols != pb.N || (bias != nil && len(bias) != pb.N) {
@@ -99,6 +99,14 @@ func MatMul32PackedBiasRows(dst, a *Matrix32, pb *PackedB32, bias []float32, lo,
 	}
 	if tier < tierAVX2 {
 		panic("tensor: MatMul32PackedRows requires the SIMD kernel tier")
+	}
+	if lo >= hi {
+		return
+	}
+	// The tiles index raw memory: hold them to the slices' bounds first.
+	if lo < 0 || hi*pb.K > len(a.Data) || hi*pb.N > len(dst.Data) {
+		panic(fmt.Sprintf("tensor: MatMul32PackedRows rows [%d, %d) outside (%dx%d)·packed(%dx%d)->(%dx%d)",
+			lo, hi, a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
 	}
 	t := packedMM32Task{dst: dst, a: a, pb: pb, bias: bias}
 	t.Run(lo, hi)

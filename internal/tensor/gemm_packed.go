@@ -1,23 +1,19 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"unsafe"
-
-	"meshgnn/internal/parallel"
 )
 
-// Packed GEMM drivers: the float64 ones, and the tile grid and panel sweep
-// both element types share. See pack.go for the one float64 arithmetic,
-// the tier's layout and its blocking.
+// The tile grid both element types' GEMMs run on, the float64 product's
+// definition (fmaRows) and the float32 packed tier's panel sweep. See
+// pack.go for the one float64 arithmetic, the layouts and the blocking.
 
-// panelBytes is what one k step of one packed panel occupies on the SIMD
+// panelBytes is what one k step of one tile panel occupies on the SIMD
 // rungs, whatever the element type: 8 float64 or 16 float32 lanes.
 const panelBytes = 64
 
-// ncPanels bounds how many panels of bytesPerK bytes per k step are
+// ncPanels bounds how many packed panels of bytesPerK bytes per k step are
 // streamed per (kc, nc) block so the live panel group stays within
 // packNcBudget bytes.
 func ncPanels(kcLen, bytesPerK int) int {
@@ -32,31 +28,6 @@ func ncPanels(kcLen, bytesPerK int) int {
 	return g
 }
 
-// packedMMTask computes dst[lo:hi] = a[lo:hi]·B (+ bias, when set) from a
-// packed B operand.
-type packedMMTask struct {
-	dst, a *Matrix
-	pb     *PackedB
-	bias   []float64
-}
-
-func (t *packedMMTask) Run(lo, hi int) {
-	if t.pb.K == 0 {
-		emptyProduct(t.dst, t.bias, lo, hi)
-		return
-	}
-	sweepPacked(t.dst.Data, t.dst.Cols, t.a.Data, t.a.Cols, t.pb.panels, t.pb.K, t.pb.N, t.bias, lo, hi)
-}
-
-// emptyProduct writes rows [lo, hi) of a product whose inner dimension is
-// 0: every element is the definition's +0, plus its column's bias.
-func emptyProduct(dst *Matrix, bias []float64, lo, hi int) {
-	clear(dst.Data[lo*dst.Cols : hi*dst.Cols])
-	if bias != nil {
-		AddRowVectorRows(dst, bias, lo, hi)
-	}
-}
-
 // float is the element type of a GEMM tile: the d-tiles' or the s-tiles'.
 type float interface{ float32 | float64 }
 
@@ -65,9 +36,9 @@ type float interface{ float32 | float64 }
 // k, 64-byte panel p of B (8 float64 or 16 float32 columns) starts at
 // b[p·panelStride] and steps bstride per k, and C row r is c[r·ldc:], with
 // panel p at columns [p·lanes, min((p+1)·lanes, n)) — all in elements.
-// MatMul, MatMul32 and MatMulABT (rows of a, packed panels), MatMulBiasRows
-// (rows of a, raw rows of b) and MatMulATBAcc (columns of a, raw rows of
-// b) differ only in these numbers; the element type picks the d- or the
+// MatMul32 (rows of a, packed panels), MatMulBiasRows (rows of a, raw rows
+// of b: every float64 a·b, and a·bᵀ on the transpose) and MatMulATBAcc
+// (columns of a, raw rows of b) differ only in these numbers; the element type picks the d- or the
 // s-tiles and the lanes per panel, nothing else. Only float64 has partial
 // panels: a float32 n is a multiple of 16.
 type tileGrid[T float] struct {
@@ -205,23 +176,22 @@ func fmaRows(g *tileGrid[float64], r0, r1, p0, p1 int) {
 }
 
 // sweepPacked computes rows [lo, hi) of columns [0, n) of c = a·B (+
-// bias) from k-major packed panels (K × lanes each, ⌈n/lanes⌉ of them):
-// the tile grid swept Kc block by Kc block and, within one, panel group by
-// panel group — the one driver loop of MatMul, MatMulABT and MatMul32. The
-// bias rides the last Kc block as the tiles' epilogue. k must not be 0.
-func sweepPacked[T float](c []T, ldc int, a []T, lda int, panels []T, k, n int, bias []T, lo, hi int) {
-	var e T
-	lanes := panelBytes / int(unsafe.Sizeof(e))
-	np := (n + lanes - 1) / lanes
+// bias) from k-major packed panels (K × 16 each, n/16 of them): the tile
+// grid swept Kc block by Kc block and, within one, panel group by panel
+// group — the driver loop of the float32 packed tier (MatMul32,
+// MatMul32PackedBiasRows). The bias rides the last Kc block as the tiles'
+// epilogue. k must not be 0.
+func sweepPacked(c []float32, ldc int, a []float32, lda int, panels []float32, k, n int, bias []float32, lo, hi int) {
+	np := n / packNR32
 	if np == 0 || lo >= hi {
 		return
 	}
 	for kc0 := 0; kc0 < k; kc0 += packKc {
 		kcLen := min(packKc, k-kc0)
-		g := tileGrid[T]{
+		g := tileGrid[float32]{
 			kc: int64(kcLen),
 			a:  a[kc0:], lda: lda, astride: 1,
-			b: panels[kc0*lanes:], panelStride: k * lanes, bstride: lanes,
+			b: panels[kc0*packNR32:], panelStride: k * packNR32, bstride: packNR32,
 			c: c, ldc: ldc, n: n,
 		}
 		if kc0 > 0 {
@@ -235,42 +205,4 @@ func sweepPacked[T float](c []T, ldc int, a []T, lda int, panels []T, k, n int, 
 			g.sweep(lo, hi, p0, min(p0+group, np))
 		}
 	}
-}
-
-var packedMMPool = sync.Pool{New: func() any { return new(packedMMTask) }}
-
-// matMulPacked runs dst = a·b through the packed tier, packing b into
-// pooled scratch first.
-func matMulPacked(dst, a, b *Matrix) {
-	pb := getPackScratch(a.Cols, b.Cols)
-	pb.packFrom(b)
-	t := packedMMPool.Get().(*packedMMTask)
-	t.dst, t.a, t.pb = dst, a, pb
-	parallel.ForTask(a.Rows, forGrain(a.Cols*b.Cols), t)
-	*t = packedMMTask{}
-	packedMMPool.Put(t)
-	putPackScratch(pb)
-}
-
-// MatMulPackedRows computes rows [lo, hi) of dst = a·B from a pre-packed B
-// operand (PackB, PackBT): the pack-once form for weights reused across
-// many calls and row ranges. The result is bitwise MatMul on the unpacked
-// operand — on its transpose, for a PackBT operand — for every shape. dst
-// and a are indexed by the same row numbers and may be row-block headers.
-func MatMulPackedRows(dst, a *Matrix, pb *PackedB, lo, hi int) {
-	MatMulPackedBiasRows(dst, a, pb, nil, lo, hi)
-}
-
-// MatMulPackedBiasRows computes rows [lo, hi) of dst = a·B + bias, the
-// linear layer in one pass: bitwise MatMulPackedRows followed by
-// AddRowVectorRows(dst, bias, lo, hi) — each element is the finished sum
-// plus its column's bias, rounded once — with the add done on the tile
-// while it is still in registers. A nil bias adds nothing.
-func MatMulPackedBiasRows(dst, a *Matrix, pb *PackedB, bias []float64, lo, hi int) {
-	if a.Cols != pb.K || dst.Cols != pb.N || (bias != nil && len(bias) != pb.N) {
-		panic(fmt.Sprintf("tensor: MatMulPackedRows shape mismatch (%dx%d)·packed(%dx%d)+bias(%d)->(%dx%d)",
-			a.Rows, a.Cols, pb.K, pb.N, len(bias), dst.Rows, dst.Cols))
-	}
-	t := packedMMTask{dst: dst, a: a, pb: pb, bias: bias}
-	t.Run(lo, hi)
 }

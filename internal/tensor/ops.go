@@ -16,13 +16,13 @@ import (
 // reduce many input rows into one output (MatMulATB) use
 // parallel.ReduceWith, whose fixed chunk schedule and in-order partial
 // merge keep them bitwise-reproducible across thread counts in
-// deterministic mode. A row-range body (MatMulBiasRows, MatMulPackedRows,
-// AddRowVectorRows, the *Acc reduction bodies) is the serial
-// work of rows [lo, hi) and dispatches nothing: a region costs a worker
-// wake (see package parallel, "region granularity"), so internal/nn
-// composes the bodies of a whole MLP block into one region of its own
-// instead of paying one per kernel. A row's bits never depend on which
-// range it was computed in, so the two forms agree bitwise.
+// deterministic mode. A row-range body (MatMulBiasRows, AddRowVectorRows,
+// the *Acc reduction bodies) is the serial work of rows [lo, hi) and
+// dispatches nothing: a region costs a worker wake (see package parallel,
+// "region granularity"), so internal/nn composes the bodies of a whole MLP
+// block into one region of its own instead of paying one per kernel. A
+// row's bits never depend on which range it was computed in, so the two
+// forms agree bitwise.
 //
 // Allocation discipline. Every kernel takes its destination as an argument
 // (the "*Into" convention — MatMul, GatherRows, and friends have always
@@ -68,11 +68,11 @@ type matMulTask struct{ dst, a, b *Matrix }
 func (t *matMulTask) Run(lo, hi int) { MatMulBiasRows(t.dst, t.a, t.b, nil, lo, hi) }
 
 // MatMulBiasRows computes rows [lo, hi) of dst = a·b + bias (a nil bias
-// adds nothing): the unpacked linear layer, which MatMul and the layers of
-// internal/nn run where !ShouldPack. Its bits are the float64 product's
-// one definition (pack.go) on every rung and for every input, those of
-// MatMulPackedBiasRows on PackB(b): the tiles read b's rows in place
-// instead of packed panels.
+// adds nothing): the linear layer, which MatMul and the layers of
+// internal/nn run for every shape — dy·Wᵀ on the transpose. Its bits are
+// the float64 product's one definition (pack.go) on every rung and for
+// every input; the tiles read b's rows in place (panel stride 8, k stride
+// N).
 func MatMulBiasRows(dst, a, b *Matrix, bias []float64, lo, hi int) {
 	k, n := a.Cols, b.Cols
 	if k != b.Rows || dst.Cols != n || (bias != nil && len(bias) != n) {
@@ -100,6 +100,15 @@ func MatMulBiasRows(dst, a, b *Matrix, bias []float64, lo, hi int) {
 	g.sweep(lo, hi, 0, (n+packNR-1)/packNR)
 }
 
+// emptyProduct writes rows [lo, hi) of a product whose inner dimension is
+// 0: every element is the definition's +0, plus its column's bias.
+func emptyProduct(dst *Matrix, bias []float64, lo, hi int) {
+	clear(dst.Data[lo*dst.Cols : hi*dst.Cols])
+	if bias != nil {
+		AddRowVectorRows(dst, bias, lo, hi)
+	}
+}
+
 var matMulPool = sync.Pool{New: func() any { return new(matMulTask) }}
 
 // MatMul computes dst = a·b. dst must be a.Rows×b.Cols and must not alias
@@ -109,12 +118,6 @@ func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	// Above the K·N threshold b is packed into panels first (pack.go): a
-	// memory layout, not an arithmetic, so both paths give the same bits.
-	if usePacked(a.Cols, b.Cols) {
-		matMulPacked(dst, a, b)
-		return
 	}
 	t := matMulPool.Get().(*matMulTask)
 	t.dst, t.a, t.b = dst, a, b

@@ -1,16 +1,12 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
-// The float64 products and the packed cache-blocked GEMM tier.
+// The float64 products, and the float32 packed cache-blocked GEMM tier.
 //
-// Arithmetic. Every float64 product — a·b + bias (MatMulBiasRows,
-// MatMulPackedBiasRows, MatMul), the accumulated aᵀ·b (MatMulATBAcc,
-// MatMulATB) and a·bᵀ (PackBT panels, or a·b on the transpose) — has one
-// definition: per output element
+// Arithmetic. Every float64 product — a·b + bias (MatMulBiasRows, MatMul),
+// the accumulated aᵀ·b (MatMulATBAcc, MatMulATB) and a·bᵀ (a·b on the
+// transpose) — has one definition: per output element
 //
 //	acc = +0, or the entry accumulator (MatMulATBAcc)
 //	acc = math.FMA(a_k, b_k, acc)   for k ascending (rows, for aᵀ·b)
@@ -19,37 +15,31 @@ import (
 // written once in Go (fmaRows, gemm_packed.go). On the go rung that loop
 // is the kernel; on both SIMD rungs the FMA tiles (simd_amd64.s) run it
 // for every shape, each element in its own lane. So a float64 product's
-// bits depend on no rung, tile, row range, thread count or layout: the
-// packed tier and the unpacked operand are two memory layouts of one
-// arithmetic, and a golden file or a checkpoint moves between rungs
-// freely.
+// bits depend on no rung, tile, row range or thread count, and a golden
+// file or a checkpoint moves between rungs freely.
 //
-// Layout. A B operand (K×N) is packed BLIS-style into 8-wide k-major
-// column panels: panel p holds columns [p·8, (p+1)·8) as K contiguous
-// 8-vectors, so the register microkernel streams exactly one vector load
-// sequence per k step regardless of N or the operand's leading dimension.
-// The last panel of an N that is not a multiple of 8 is partial: the
-// tiles take its N mod 8 live lanes through masks, and never read the
-// others. PackBT routes the transpose of an N×K row-major matrix through
-// the same layout, which is how a·bᵀ reuses the identical microkernel.
-// Below packMinKN the tiles read the row-major operand itself (panel
-// stride 8, k stride N), as aᵀ·b does for every shape: there every row of
-// b already is an N-wide k step.
+// Layout. A float64 B operand has one layout, its own: the tiles read the
+// row-major K×N matrix in place as 8-wide column panels (panel stride 8,
+// k stride N), every row of b already an N-wide k step, and aᵀ·b reads b
+// the same way. The last panel of an N that is not a multiple of 8 is
+// partial: the tiles take its N mod 8 live lanes through masks, and never
+// read the others. Packed panels exist for float32 only: at K·N >=
+// packMinKN on the SIMD rungs, B is packed BLIS-style into 16-wide k-major
+// column panels (PackedB32) — per call in MatMul32, once at compile for a
+// serving engine's weights (PackB32).
 //
-// The A operand is deliberately NOT packed in the drivers: it is the
-// row-major streaming operand, each row is read with unit stride, and a
-// tile's slice of A (4·K or 8·K floats) stays L1-resident across its
-// panel sweep, so a pack pass would only add traffic. PackB/PackBT exist
-// for weight matrices reused across calls (serving engines pack once at
-// compile time); the in-driver pack path re-packs per call, which for the
-// shapes in this system costs under 0.1% of the multiply's flops.
+// The A operand is deliberately NOT packed: it is the row-major streaming
+// operand, each row is read with unit stride, and a tile's slice of A (4·K
+// or 8·K elements) stays L1-resident across its panel sweep, so a pack
+// pass would only add traffic.
 //
-// Blocking. Mc is the caller's row range — MatMul's parallel.ForTask
-// chunk, or a row panel of an nn block — split freely across workers. Kc
-// (packKc) bounds the inner-dimension extent per kernel pass, with the
-// accumulate flag resuming each element's chain across blocks. Nc bounds
-// the packed-panel bytes live per (kc, nc) block (packNcBudget) so the
-// streamed panel group stays cache-resident.
+// Blocking. Mc is the caller's row range — a parallel.ForTask chunk, or a
+// row panel of an nn block — split freely across workers. The float32
+// packed tier also blocks the rest: Kc (packKc) bounds the inner-dimension
+// extent per kernel pass, with the accumulate flag resuming each element's
+// chain across blocks, and Nc bounds the packed-panel bytes live per (kc,
+// nc) block (packNcBudget) so the streamed panel group stays
+// cache-resident. A float64 product is one pass over the whole K.
 //
 // Tiles. Every tile performs the exact per-element sequence of every
 // other (the SIMD tiles — 8 rows × 2 panels and 8 × 1 in zmm, 4 × 1 and
@@ -59,24 +49,24 @@ import (
 //
 // Rungs. Which kernels run is one ordered value, kernelTier below: pure
 // Go, AVX2+FMA, or AVX-512F, detected from CPUID and XCR0 (detectSIMD) and
-// lowered only by tests. The float64 panels are 8 wide on every rung, so a
-// PackedB outlives any toggle; a PackedB32 exists on the SIMD rungs only
+// lowered only by tests. A float64 product keeps no derived operand, so a
+// toggle leaves nothing stale; a PackedB32 exists on the SIMD rungs only
 // and is 16 wide on both.
 
 const (
-	// packMinKN engages the packed tier when K*N >= packMinKN: it picks a
-	// memory layout (PackB panels, or the row-major operand), never an
-	// arithmetic. For float32 it also picks the kernel: below it the f32
-	// ops keep their scalar loops (MatMul32Rows).
+	// packMinKN engages the float32 packed tier when K*N >= packMinKN on
+	// a SIMD rung: below it the f32 ops keep their scalar loops
+	// (MatMul32Rows). Float64 has no threshold: every shape reads the
+	// row-major operand in place.
 	packMinKN = 1024
 
-	// packNR is the float64 panel width: 8 columns, one zmm vector or two
-	// ymm.
+	// packNR is the float64 panel width: 8 columns of the row-major
+	// operand, one zmm vector or two ymm.
 	packNR = 8
 )
 
-// Vars so tests can shrink them to exercise block remainders and panel
-// groups; nothing else writes them.
+// The float32 packed tier's blocking. Vars so tests can shrink them to
+// exercise block remainders and panel groups; nothing else writes them.
 var (
 	// packKc is the Kc inner-dimension block.
 	packKc = 2048
@@ -135,8 +125,8 @@ var (
 // SIMD rung).
 func SIMDEnabled() bool { return tier >= tierAVX2 }
 
-// setPackedGEMM toggles the packed tier entirely (test hook); returns the
-// previous setting.
+// setPackedGEMM toggles the float32 packed tier entirely (test hook);
+// returns the previous setting.
 func setPackedGEMM(on bool) bool {
 	prev := packedGEMM
 	packedGEMM = on
@@ -158,10 +148,6 @@ func setKernelTier(t kernelTier) kernelTier {
 // without AVX2 the f32 ops use their scalar kernels unpacked.
 const packNR32 = 16
 
-func usePacked(k, n int) bool {
-	return packedGEMM && k > 0 && k*n >= packMinKN
-}
-
 func usePacked32(k, n int) bool {
 	return packedGEMM && tier >= tierAVX2 && k > 0 && k*n >= packMinKN
 }
@@ -173,111 +159,8 @@ func usePacked32(k, n int) bool {
 // tier or below the blocking threshold, where the scalar f32 kernel wins.
 func ShouldPack32(k, n int) bool { return usePacked32(k, n) }
 
-// ShouldPack is the f64 twin of ShouldPack32: it reports whether MatMul
-// itself would route a (·,k)·(k,n) product through packed panels, which
-// is where pre-packing a weight matrix (PackB, PackBT) pays. It chooses a
-// memory layout only: MatMulPackedRows on packed panels and MatMulBiasRows
-// on the row-major operand give the same bits for every shape.
-func ShouldPack(k, n int) bool { return usePacked(k, n) }
-
-// PackedB is a B operand packed for the f64 GEMM tier: ⌈N/8⌉ panels of
-// K×8, the last one partial where N is not a multiple of 8.
-type PackedB struct {
-	K, N   int
-	panels []float64
-	// trans marks an operand packed from its transpose (PackBT), which
-	// Repack packs the same way.
-	trans bool
-}
-
-func (p *PackedB) sizeFor(k, n int) {
-	p.K, p.N = k, n
-	need := (n + packNR - 1) / packNR * k * packNR
-	if cap(p.panels) < need {
-		p.panels = make([]float64, need)
-	}
-	p.panels = p.panels[:need]
-}
-
-// packFrom fills the panels from a K×N row-major source.
-func (p *PackedB) packFrom(b *Matrix) {
-	k, n := p.K, p.N
-	for j0 := 0; j0 < n; j0 += packNR {
-		dst := p.panels[j0*k:]
-		w := min(packNR, n-j0)
-		for kk := 0; kk < k; kk++ {
-			copy(dst[kk*packNR:kk*packNR+w], b.Data[kk*n+j0:kk*n+j0+w])
-		}
-	}
-}
-
-// packFromT fills the panels from the TRANSPOSE of an N×K row-major
-// source (the a·bᵀ operand): packed column j is source row j.
-func (p *PackedB) packFromT(b *Matrix) {
-	k, n := p.K, p.N
-	if k == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		dst := p.panels[j/packNR*k*packNR+j%packNR:]
-		for kk, v := range b.Data[j*k : (j+1)*k] {
-			dst[kk*packNR] = v
-		}
-	}
-}
-
-// PackB packs b (K×N) for reuse across MatMulPackedRows calls — the
-// pack-once form for weight matrices that are multiplied many times
-// (serving engines pack at compile time).
-func PackB(b *Matrix) *PackedB {
-	p := &PackedB{}
-	p.sizeFor(b.Rows, b.Cols)
-	p.packFrom(b)
-	return p
-}
-
-// PackBT packs the TRANSPOSE of b (N×K row-major) as the K×N operand of
-// dst = a·bᵀ — the input-gradient product, whose weight matrix is then
-// packed once per parameter version instead of once per call.
-// MatMulPackedRows on the panels is bitwise MatMul(a, bᵀ).
-func PackBT(b *Matrix) *PackedB {
-	p := &PackedB{trans: true}
-	p.sizeFor(b.Cols, b.Rows)
-	p.packFromT(b)
-	return p
-}
-
-// Repack refreshes the packed contents from b, which must have the shape
-// of the matrix the PackedB was built from.
-func (p *PackedB) Repack(b *Matrix) {
-	k, n := b.Rows, b.Cols
-	if p.trans {
-		k, n = n, k
-	}
-	if k != p.K || n != p.N {
-		panic(fmt.Sprintf("tensor: Repack shape %dx%d, packed for %dx%d", k, n, p.K, p.N))
-	}
-	if p.trans {
-		p.packFromT(b)
-	} else {
-		p.packFrom(b)
-	}
-}
-
-// packScratch pools per-call pack buffers (activation-side operands and
-// training weights are re-packed per call; the buffers grow in place and
-// recycle, so steady state performs no heap allocation).
-var packScratch = sync.Pool{New: func() any { return new(PackedB) }}
-
-func getPackScratch(k, n int) *PackedB {
-	p := packScratch.Get().(*PackedB)
-	p.sizeFor(k, n)
-	return p
-}
-
-func putPackScratch(p *PackedB) { packScratch.Put(p) }
-
-// PackedB32 is the float32 twin of PackedB (panel width packNR32).
+// PackedB32 is a B operand packed for the f32 GEMM tier: N/16 panels of
+// K×16, and the N mod 16 remainder columns as K-long strips.
 type PackedB32 struct {
 	K, N, NR int
 	panels   []float32

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,8 +81,8 @@ func withPlantedZeros(rng *rand.Rand, m *Matrix) {
 
 // packedShapes are (M, K, N) triples chosen to hit every remainder path:
 // row tails mod 4 and 8, partial last panels (N mod 8, and mod 16 for
-// float32), Kc block edges (packKc is shrunk in the tests that need K >
-// Kc), and the threshold boundary itself.
+// float32), float32 Kc block edges (TestPackedKcBlocking shrinks packKc)
+// and the float32 threshold boundary itself.
 var packedShapes = [][3]int{
 	{1, 32, 32},   // single row
 	{2, 64, 16},   // pair, exact panels
@@ -108,55 +107,16 @@ func TestPackedMatMulMatchesNaive(t *testing.T) {
 		want := naiveMatMul(a, b)
 
 		dst := New(m, n)
-		MatMul(dst, a, b) // whichever tier the shape selects
+		MatMul(dst, a, b)
 		if rel := maxRel(dst, want); rel > 1e-12 {
 			t.Errorf("MatMul %dx%dx%d diverges from naive: rel %g", m, k, n, rel)
-		}
-
-		// Pre-packed form must match the per-call packed form bitwise
-		// when the shape engages the tier.
-		if usePacked(k, n) {
-			pb := PackB(b)
-			dst2 := New(m, n)
-			MatMulPackedRows(dst2, a, pb, 0, m)
-			if !dst2.Equal(dst) {
-				t.Errorf("MatMulPackedRows %dx%dx%d not bitwise MatMul", m, k, n)
-			}
-		}
-	}
-}
-
-// TestPackedPureGoBitwiseLegacy pins the go rung to the layout contract:
-// with SIMD forced off, MatMul through packed panels (above the threshold)
-// is bit for bit MatMul with the packed tier switched off, which reads the
-// row-major operand in place — one arithmetic, so a platform without the
-// SIMD kernels keeps every golden file.
-func TestPackedPureGoBitwiseLegacy(t *testing.T) {
-	defer setKernelTier(setKernelTier(tierGo))
-	rng := rand.New(rand.NewSource(11))
-	for _, sh := range packedShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randomMatrix(rng, m, k)
-		b := randomMatrix(rng, k, n)
-		withPlantedZeros(rng, a)
-
-		dst := New(m, n)
-		MatMul(dst, a, b) // packed panels when above threshold
-
-		prevPacked := setPackedGEMM(false)
-		want := New(m, n)
-		MatMul(want, a, b) // the row-major operand in place
-		setPackedGEMM(prevPacked)
-
-		if !dst.Equal(want) {
-			t.Errorf("go rung, packed %dx%dx%d not bitwise unpacked (maxAbsDiff %g)",
-				m, k, n, dst.MaxAbsDiff(want))
 		}
 	}
 }
 
 // TestPackedKcBlocking shrinks packKc so every shape spans multiple Kc
-// blocks, exercising the accumulate-resume path of both kernel tiers.
+// blocks, exercising the accumulate-resume path of the float32 packed tier
+// on both SIMD rungs (the go rung runs MatMul32's scalar loop).
 func TestPackedKcBlocking(t *testing.T) {
 	prevKc := packKc
 	packKc = 16
@@ -166,13 +126,12 @@ func TestPackedKcBlocking(t *testing.T) {
 	atEachTier(t, func(t *testing.T) {
 		for _, sh := range packedShapes {
 			m, k, n := sh[0], sh[1], sh[2]
-			a := randomMatrix(rng, m, k)
-			b := randomMatrix(rng, k, n)
-			want := naiveMatMul(a, b)
-			dst := New(m, n)
-			pb := PackB(b)
-			MatMulPackedRows(dst, a, pb, 0, m) // forced through the tier, any shape
-			if rel := maxRel(dst, want); rel > 1e-12 {
+			a32, a64 := randomMatrix32(rng, m, k)
+			b32, b64 := randomMatrix32(rng, k, n)
+			want := naiveMatMul(a64, b64)
+			dst := New32(m, n)
+			MatMul32(dst, a32, b32)
+			if rel := dst.MaxRelDiff64(want); rel > 1e-4*math.Sqrt(float64(k)) {
 				t.Errorf("Kc=16 %dx%dx%d rel %g", m, k, n, rel)
 			}
 		}
@@ -182,13 +141,8 @@ func TestPackedKcBlocking(t *testing.T) {
 func TestPackedEmptyShapes(t *testing.T) {
 	for _, sh := range [][3]int{{0, 32, 64}, {4, 0, 64}, {4, 32, 0}, {0, 0, 0}} {
 		m, k, n := sh[0], sh[1], sh[2]
-		a := New(m, k)
-		b := New(k, n)
 		dst := New(m, n)
-		MatMul(dst, a, b) // must not panic
-		pb := PackB(b)
-		dst2 := New(m, n)
-		MatMulPackedRows(dst2, a, pb, 0, m)
+		MatMul(dst, New(m, k), New(k, n)) // must not panic
 	}
 }
 
@@ -233,14 +187,62 @@ func TestMatMul32PackedEmptyProduct(t *testing.T) {
 	})
 }
 
+// TestMatMul32PackedRowsOutsideHeaders: the float32 packed tiles index raw
+// memory, so a row range past the operands' headers panics before a kernel
+// runs — a header over a longer backing array (a row block of a stacked
+// batch) is no licence to read or write the rows beyond it. The backing
+// beyond the destination's header is still all 7s afterwards.
+func TestMatMul32PackedRowsOutsideHeaders(t *testing.T) {
+	sevens := func(rows, cols int) []float32 {
+		v := make([]float32, rows*cols)
+		for i := range v {
+			v[i] = 7
+		}
+		return v
+	}
+	atEachTier(t, func(t *testing.T) {
+		if tier < tierAVX2 {
+			t.Skip("the f32 packed tier runs on the SIMD rungs only")
+		}
+		rng := rand.New(rand.NewSource(59))
+		const header, backing, k = 5, 16, 64
+		for _, n := range []int{32, 37} {
+			aBack, dBack := sevens(backing, k), sevens(backing, n)
+			a := &Matrix32{Rows: header, Cols: k, Data: aBack[:header*k]}
+			dst := &Matrix32{Rows: header, Cols: n, Data: dBack[:header*n]}
+			w, _ := randomMatrix32(rng, k, n)
+			pb, bias := PackB32(w), sevens(1, n)
+			calls := map[string]func(lo, hi int){
+				"MatMul32PackedRows":     func(lo, hi int) { MatMul32PackedRows(dst, a, pb, lo, hi) },
+				"MatMul32PackedBiasRows": func(lo, hi int) { MatMul32PackedBiasRows(dst, a, pb, bias, lo, hi) },
+			}
+			for name, call := range calls {
+				for _, r := range [][2]int{{0, 8}, {header, header + 1}, {-1, 2}} {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("%s n=%d, rows [%d, %d) of %d-row headers: no panic", name, n, r[0], r[1], header)
+							}
+						}()
+						call(r[0], r[1])
+					}()
+					for i, v := range dBack[header*n:] {
+						if v != 7 {
+							t.Fatalf("%s n=%d, rows [%d, %d): backing element %d beyond the header is %v, want 7",
+								name, n, r[0], r[1], header*n+i, v)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestPackedMatMulBitwiseAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	const m, k, n = 515, 96, 33 // above threshold, ragged everywhere
+	const m, k, n = 515, 96, 33 // ragged everywhere
 	a := randomMatrix(rng, m, k)
 	b := randomMatrix(rng, k, n)
-	if !usePacked(k, n) {
-		t.Fatal("shape must engage the packed tier")
-	}
 	outs := runAtThreads(t, []int{1, 2, 3, 8}, func() *Matrix {
 		dst := New(m, n)
 		MatMul(dst, a, b)
@@ -248,15 +250,14 @@ func TestPackedMatMulBitwiseAcrossThreads(t *testing.T) {
 	})
 	for i := 1; i < len(outs); i++ {
 		if !outs[i].Equal(outs[0]) {
-			t.Errorf("packed MatMul differs between thread settings (case %d)", i)
+			t.Errorf("MatMul differs between thread settings (case %d)", i)
 		}
 	}
 }
 
 // TestPackedRowPartitionInvariance pins the property the partition suites
-// rely on: because tier selection depends only on (K, N), computing a row
-// block in isolation gives bitwise the rows of the full product — however
-// the mesh is split across ranks.
+// rely on: computing a row block in isolation gives bitwise the rows of
+// the full product — however the mesh is split across ranks.
 func TestPackedRowPartitionInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const m, k, n = 37, 96, 32
@@ -326,17 +327,16 @@ func TestPackedZeroAllocSteadyState(t *testing.T) {
 	a := randomMatrix(rng, 64, 96)
 	b := randomMatrix(rng, 96, 32)
 	dst := New(64, 32)
-	if !usePacked(96, 32) {
-		t.Fatal("shape must engage the packed tier")
-	}
-	assertZeroAlloc(t, "MatMul(packed)", func() { MatMul(dst, a, b) })
-	w := randomMatrix(rng, 33, 96)
+	assertZeroAlloc(t, "MatMul", func() { MatMul(dst, a, b) })
+	w, wT := randomMatrix(rng, 33, 96), New(96, 33)
 	dabt := New(64, 33)
-	pbt := PackBT(w)
-	assertZeroAlloc(t, "MatMulPackedRows(PackBT)", func() { MatMulPackedRows(dabt, a, pbt, 0, 64) })
+	assertZeroAlloc(t, "MatMulBiasRows(dy·wᵀ)", func() {
+		TransposeInto(wT, w)
+		MatMulBiasRows(dabt, a, wT, nil, 0, 64)
+	})
 	datb := New(96, 32)
 	bb := randomMatrix(rng, 64, 32)
-	assertZeroAlloc(t, "MatMulATB(packed)", func() { MatMulATB(datb, a, bb) })
+	assertZeroAlloc(t, "MatMulATB", func() { MatMulATB(datb, a, bb) })
 }
 
 // --- float32 tier ---------------------------------------------------------
@@ -431,8 +431,8 @@ func TestDemotePromoteRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzPackedMatMul drives random shapes and data through whichever tier
-// the shape selects and cross-checks the naive reference.
+// FuzzPackedMatMul drives random shapes and data through MatMul and
+// cross-checks the naive reference.
 func FuzzPackedMatMul(f *testing.F) {
 	f.Add(uint16(5), uint16(96), uint16(32), int64(1))
 	f.Add(uint16(1), uint16(33), uint16(31), int64(2))
@@ -451,28 +451,11 @@ func FuzzPackedMatMul(f *testing.F) {
 		if rel := maxRel(dst, want); rel > 1e-11 {
 			t.Fatalf("MatMul %dx%dx%d rel %g", m, k, n, rel)
 		}
-		if n > 0 {
-			wantABT := naiveMatMulABT(a, b2T(b))
-			dabt := New(m, k)
-			_ = wantABT
-			_ = dabt
-		}
 	})
 }
 
-// b2T returns bᵀ as a concrete matrix (fuzz helper).
-func b2T(b *Matrix) *Matrix {
-	out := New(b.Cols, b.Rows)
-	for i := 0; i < b.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			out.Set(j, i, b.At(i, j))
-		}
-	}
-	return out
-}
-
-// FuzzPackedDeterminism re-runs one packed product at several thread
-// counts and demands bitwise equality — the packed tier's core contract.
+// FuzzPackedDeterminism re-runs one product at several thread counts and
+// demands bitwise equality — MatMul's core contract.
 func FuzzPackedDeterminism(f *testing.F) {
 	f.Add(uint16(19), int64(1))
 	f.Fuzz(func(t *testing.T, mRaw uint16, seed int64) {
@@ -489,10 +472,8 @@ func FuzzPackedDeterminism(f *testing.F) {
 			got := New(m, 24)
 			MatMul(got, a, b)
 			if !got.Equal(base) {
-				t.Fatalf("threads=%d changes packed MatMul bits (m=%d)", th, m)
+				t.Fatalf("threads=%d changes MatMul bits (m=%d)", th, m)
 			}
 		}
 	})
 }
-
-var _ = binary.LittleEndian // keep encoding/binary available for future corpus decoding

@@ -12,15 +12,10 @@ import (
 // reductions.
 
 // matMulABT is dst = a·bᵀ the way internal/nn's Linear computes its input
-// gradient: through the transpose's packed panels where ShouldPack holds,
-// else the unpacked layer on the transpose itself.
+// gradient: the linear layer on the transpose.
 func matMulABT(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows {
 		panic("tensor: matMulABT row mismatch")
-	}
-	if ShouldPack(a.Cols, b.Rows) {
-		MatMulPackedRows(dst, a, PackBT(b), 0, a.Rows)
-		return
 	}
 	MatMulBiasRows(dst, a, transposed(b), nil, 0, a.Rows)
 }
@@ -62,10 +57,6 @@ func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
 
 		bodies := map[string]func(dst *Matrix, lo, hi int){
 			"MatMulBiasRows": func(dst *Matrix, lo, hi int) { MatMulBiasRows(dst, x, w, bias, lo, hi) },
-			"MatMulPackedRows": func() func(*Matrix, int, int) {
-				pb := PackB(w)
-				return func(dst *Matrix, lo, hi int) { MatMulPackedRows(dst, x, pb, lo, hi) }
-			}(),
 			"AddRowVectorRows": func(dst *Matrix, lo, hi int) {
 				copy(dst.Data[lo*out:hi*out], dy.Data[lo*out:hi*out])
 				AddRowVectorRows(dst, bias, lo, hi)
@@ -82,19 +73,13 @@ func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
 			}
 		}
 
-		// dx = dy·wᵀ is MatMul(dy, wᵀ): by row ranges, through the
-		// transpose's packed panels where the tier engages, else the
-		// unpacked layer on the transpose.
+		// dx = dy·wᵀ is MatMul(dy, wᵀ): by row ranges, the linear layer on
+		// the transpose.
 		wT := transposed(w)
 		whole, pieces := New(rows, in), New(rows, in)
 		MatMul(whole, dy, wT)
-		pbt := PackBT(w)
 		for i := 0; i+1 < len(cuts); i++ {
-			if ShouldPack(out, in) {
-				MatMulPackedRows(pieces, dy, pbt, cuts[i], cuts[i+1])
-			} else {
-				MatMulBiasRows(pieces, dy, wT, nil, cuts[i], cuts[i+1])
-			}
+			MatMulBiasRows(pieces, dy, wT, nil, cuts[i], cuts[i+1])
 		}
 		if !whole.Equal(pieces) {
 			t.Errorf("dy·wᵀ %dx%d: by row ranges it is not MatMul(dy, wᵀ)", in, out)
@@ -119,26 +104,40 @@ func TestRowBodiesIgnoreRangeBoundaries(t *testing.T) {
 		}
 	}
 	t.Run("AddRowVectorRowsMatchesScalar", addRowVectorRowsMatchesScalar)
-	t.Run("PackBTIsMatMulOfTranspose", packBTIsMatMulOfTranspose)
+	t.Run("PackBTIsMatMulOfTranspose", transposeProductIsDefinition)
 }
 
-// packBTIsMatMulOfTranspose: on every rung, the transpose's packed panels
-// give MatMul(a, bᵀ)'s bits, a partial last panel included — what lets
-// internal/nn route its input gradient by ShouldPack alone.
-func packBTIsMatMulOfTranspose(t *testing.T) {
+// transposeProductIsDefinition: on every rung, dx = dy·Wᵀ the way
+// internal/nn's Linear computes it — TransposeInto a buffer, then
+// MatMulBiasRows by row ranges — is the float64 product's definition on a
+// transpose written out element by element, a partial last panel
+// included, at LargeConfig's 32×96 and 96×32 weights and ragged shapes.
+// It runs under the subtest name PackBTIsMatMulOfTranspose.
+func transposeProductIsDefinition(t *testing.T) {
 	atEachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(77))
-		for _, sh := range [][2]int{{96, 32}, {33, 37}, {37, 33}, {130, 9}} {
+		for _, sh := range [][2]int{{96, 32}, {32, 96}, {33, 37}, {37, 33}, {130, 9}} {
 			in, out := sh[0], sh[1] // w is in×out; dy·wᵀ is 23×in
-			if !ShouldPack(out, in) {
-				t.Fatalf("%dx%d does not engage the packed tier", out, in)
-			}
 			w, dy := randomMatrix(rng, in, out), randomMatrix(rng, 23, out)
-			want, got := New(23, in), New(23, in)
-			MatMul(want, dy, transposed(w))
-			MatMulPackedRows(got, dy, PackBT(w), 0, 23)
+			wT := New(out, in)
+			for i := 0; i < in; i++ {
+				for j := 0; j < out; j++ {
+					wT.Data[j*in+i] = w.Data[i*out+j]
+				}
+			}
+			want := New(23, in)
+			definition(want.Data, in, dy.Data, out, 1, wT.Data, in, out, in, nil, 0, 0, 23)
+
+			buf, got := New(out, in), New(23, in)
+			for i := range buf.Data {
+				buf.Data[i] = math.NaN() // every element must be refilled
+			}
+			TransposeInto(buf, w)
+			for _, r := range [][2]int{{0, 5}, {5, 8}, {8, 23}} {
+				MatMulBiasRows(got, dy, buf, nil, r[0], r[1])
+			}
 			if i := mismatch(got.Data, want.Data); i >= 0 {
-				t.Fatalf("w %dx%d: element %d (column %d) is %#x through PackBT, %#x through MatMul",
+				t.Fatalf("w %dx%d: element %d (column %d) is %#x, want %#x",
 					in, out, i, i%in, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 			}
 		}
@@ -223,25 +222,4 @@ func addRowVectorRowsMatchesScalar(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestRepackTransposed: Repack on a PackBT operand re-packs the transpose.
-func TestRepackTransposed(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	w := randomMatrix(rng, 96, 32) // dx = dy·wᵀ: K = 32, N = 96
-	dy := randomMatrix(rng, 9, 32)
-	pbt := PackBT(w)
-	for i := range w.Data {
-		w.Data[i] = rng.NormFloat64()
-	}
-	pbt.Repack(w)
-	got, want := New(9, 96), New(9, 96)
-	MatMulPackedRows(got, dy, pbt, 0, 9)
-	MatMulPackedRows(want, dy, PackBT(w), 0, 9)
-	if !got.Equal(want) {
-		t.Error("Repack of a transposed operand differs from a fresh PackBT")
-	}
-	if rel := maxRel(got, naiveMatMulABT(dy, w)); rel > 1e-12 {
-		t.Errorf("repacked a·bᵀ diverges from naive: rel %g", rel)
-	}
 }

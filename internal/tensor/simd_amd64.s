@@ -1,6 +1,5 @@
-// FMA microkernels for the packed cache-blocked GEMM tier: one tile
-// contract, two element types (float64 d-tiles, float32 s-tiles), two
-// rungs (AVX-512F zmm, AVX2 ymm).
+// FMA microkernels of the GEMMs: one tile contract, two element types
+// (float64 d-tiles, float32 s-tiles), two rungs (AVX-512F zmm, AVX2 ymm).
 //
 // Every tile computes "rows × panels" of one shape: a register tile of C,
 // MR rows by one or two adjacent 64-byte panels (8 float64 or 16 float32
@@ -21,8 +20,7 @@
 // The one-panel float64 tiles take the panel's live lanes (1 to 8): a
 // partial last panel — N mod 8 columns — is loaded, stored and given its
 // bias through lane masks, and no load or store leaves its live lanes, so
-// the row-major operands below the packed threshold (a b row is N wide)
-// are read in place.
+// the row-major float64 operands (a b row is N wide) are read in place.
 //
 // Whatever the tile, an output element sees the same sequence: plain
 // ascending-k fused multiply-adds into its own lane, then (bias != nil)
@@ -34,24 +32,23 @@
 // tallest tiles that fit and finish heads, tails and a last panel with the
 // narrower ones.
 //
-// The strides make one tile serve every GEMM form (byte counts for
-// float64; MatMul32 is the first line with 4·K and the same 64s):
-//   MatMul    dst = a·b    a rows (lda = 8·K, astride 8), packed B panels
-//                          (panelStride = 64·K, bstride 64)
-//   MatMulABT dst = a·bᵀ   the same, on transposed-packed panels
-//   MatMulBiasRows         a rows, raw b rows (panelStride 64, bstride =
-//                          8·N): packing degenerates to the natural layout
-//   MatMulATB dst = aᵀ·b   a columns (lda 8, astride = 8·lda of a), raw b
-//                          rows (panelStride 64, bstride = 8·ldb)
+// The strides make one tile serve every GEMM form (byte counts):
+//   MatMul32       dst = a·b     a rows (lda = 4·K, astride 4), packed B
+//                                panels (panelStride = 64·K, bstride 64)
+//   MatMulBiasRows dst = a·b     a rows (lda = 8·K, astride 8), raw b rows
+//                                (panelStride 64, bstride = 8·N): every
+//                                float64 a·b, and a·bᵀ on the transpose
+//   MatMulATBAcc   acc += aᵀ·b   a columns (lda 8, astride = 8·lda of a),
+//                                raw b rows (panelStride 64, bstride = 8·ldb)
 //
 // acc != 0 loads the existing C tile instead of zeroing it, which is how
-// Kc blocks beyond the first, and a weight-gradient chunk taken in pieces,
-// resume the accumulation without changing the per-element order. bias !=
-// nil adds the 64 bytes of bias per panel to every tile row before the
-// store: the linear layer's bias add as the epilogue of the last Kc block:
-// sum + b is one rounded add, the same bits whichever way round a scalar
-// loop writes it, and NaN where it is — which NaN, where two meet, is not
-// part of the contract (pack.go).
+// float32 Kc blocks beyond the first, and a weight-gradient chunk taken in
+// pieces, resume the accumulation without changing the per-element order.
+// bias != nil adds the 64 bytes of bias per panel to every tile row before
+// the store: the linear layer's bias add as the epilogue of the last Kc
+// block: sum + b is one rounded add, the same bits whichever way round a
+// scalar loop writes it, and NaN where it is — which NaN, where two meet,
+// is not part of the contract (pack.go).
 
 #include "textflag.h"
 

@@ -62,7 +62,6 @@ func TestLoweredToAVX2(t *testing.T) {
 		{"PackedMatMulATBMatchesNaive", TestPackedMatMulATBMatchesNaive},
 		{"PackedZeroAllocSteadyState", TestPackedZeroAllocSteadyState},
 		{"RowBodiesIgnoreRangeBoundaries", TestRowBodiesIgnoreRangeBoundaries},
-		{"RepackTransposed", TestRepackTransposed},
 		{"MatMul32MatchesF64Oracle", TestMatMul32MatchesF64Oracle},
 		{"MatMul32PackedMatchesScalar", TestMatMul32PackedMatchesScalar},
 		{"MatMul32BitwiseAcrossThreads", TestMatMul32BitwiseAcrossThreads},
@@ -144,8 +143,8 @@ func definition(c []float64, ldc int, a []float64, lda, astride int, b []float64
 // shape in one element type. run computes, on the current rung and over
 // the row ranges given (the bodies are row-range kernels), each form by
 // name; among them "bias" — the product with the bias epilogue — and
-// "definition" — the plain packed product followed by the row-vector add,
-// which the epilogue must equal bit for bit.
+// "definition" — the plain product followed by the row-vector add, which
+// the epilogue must equal bit for bit.
 type gemmOperands[T float] struct {
 	rows, k, n int
 	x, w       []T // x rows×k, w k×n
@@ -168,21 +167,18 @@ func newGemmOperands[T float](rng *rand.Rand, rows, k, n, nanEvery int, nanBias 
 	}
 }
 
-// run64: MatMul through pre-packed panels, the same with the bias
-// epilogue, MatMulABT through PackBT and the same product on the
-// transpose, MatMulATBAcc over the rows as one reduction chunk, and the
-// unpacked linear layer (MatMulBiasRows) — which, with the row-major
-// operands read in place, must be the packed panels' bits.
+// run64: the product by row ranges (MatMulBiasRows without a bias), the
+// same with the bias epilogue, the product on a transpose (dy·Wᵀ the way
+// internal/nn computes it) and MatMulATBAcc over the rows as one reduction
+// chunk.
 func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
 	rows, k, n := o.rows, o.k, o.n
 	x, w, wT, dy := FromSlice(rows, k, o.x), FromSlice(k, n, o.w), FromSlice(n, k, o.wT), FromSlice(rows, n, o.dy)
-	mm, mb, abt, lin, linT := New(rows, n), New(rows, n), New(rows, n), New(rows, n), New(rows, n)
-	pb, pbt, w2 := PackB(w), PackBT(wT), transposed(wT)
+	mm, mb, linT := New(rows, n), New(rows, n), New(rows, n)
+	w2 := transposed(wT)
 	for _, r := range ranges {
-		MatMulPackedRows(mm, x, pb, r[0], r[1])
-		MatMulPackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
-		MatMulPackedRows(abt, x, pbt, r[0], r[1])
-		MatMulBiasRows(lin, x, w, o.bias, r[0], r[1])
+		MatMulBiasRows(mm, x, w, nil, r[0], r[1])
+		MatMulBiasRows(mb, x, w, o.bias, r[0], r[1])
 		MatMulBiasRows(linT, x, w2, nil, r[0], r[1])
 	}
 	acc := make([]float64, k*n)
@@ -191,18 +187,18 @@ func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
 	for _, r := range ranges {
 		AddRowVectorRows(def, o.bias, r[0], r[1])
 	}
-	return map[string][]float64{"MatMul": mm.Data, "bias": mb.Data, "MatMulABT": abt.Data, "MatMulATBAcc": acc, "definition": def.Data,
-		"MatMulBiasRows": lin.Data, "MatMulBiasRowsT": linT.Data}
+	return map[string][]float64{"MatMul": mm.Data, "bias": mb.Data, "MatMulATBAcc": acc, "definition": def.Data,
+		"MatMulBiasRowsT": linT.Data}
 }
 
 // gemmPairs pairs each form with the one it must equal bit for bit on every
-// rung: the bias epilogue with the product then the row-vector add, and
-// the unpacked layer with the packed panels (a layout, not an arithmetic).
-var gemmPairs = [][2]string{{"bias", "definition"}, {"MatMulBiasRows", "bias"}, {"MatMulBiasRowsT", "MatMulABT"}}
+// rung: the bias epilogue with the product then the row-vector add.
+var gemmPairs = [][2]string{{"bias", "definition"}}
 
 // run32: MatMul32 (whole matrix, packing per call where the shape clears
 // the threshold), MatMul32PackedRows through pre-packed panels and the
-// same with the bias epilogue.
+// same with the bias epilogue — paired with its "definition", the packed
+// product then the row-vector add.
 func run32(o *gemmOperands[float32], ranges [][2]int) map[string][]float32 {
 	rows, k, n := o.rows, o.k, o.n
 	x, w := &Matrix32{Rows: rows, Cols: k, Data: o.x}, &Matrix32{Rows: k, Cols: n, Data: o.w}
@@ -319,7 +315,7 @@ func TestKernelRungsBitwise(t *testing.T) {
 	t.Run("float32", func(t *testing.T) { sweepRungs(t, tierAVX2, []int{16, 32, 48, 64, 37}, run32) })
 }
 
-// TestMatMulBiasRowsBitwise holds the unpacked linear layer to the
+// TestMatMulBiasRowsBitwise holds the linear layer to the
 // float64 product's definition under the contract mismatch checks on every
 // rung, the pure-Go one included: over every row count 0…70 and 64-row
 // panels at odd offsets, widths either side of the tiles' 4-lane halves
@@ -343,9 +339,6 @@ func TestMatMulBiasRowsBitwise(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1024))
 	newCase := func(rows, k, n int, plant string, withBias bool, ranges [][2]int) linCase {
-		if k*n >= packMinKN {
-			t.Fatalf("%dx%d is not under packMinKN", k, n)
-		}
 		value := func(inf, nan bool) float64 {
 			switch r := rng.Intn(64); {
 			case r < 4 && plant != "plain":
@@ -439,7 +432,7 @@ func TestMatMulBiasRowsBitwise(t *testing.T) {
 	})
 }
 
-// BenchmarkMatMulBiasRows times the unpacked linear layer per rung on a
+// BenchmarkMatMulBiasRows times the linear layer per rung on a
 // 64-row panel of SmallConfig's widest GEMM (24 → 8) and of its 8 → 8 ones.
 func BenchmarkMatMulBiasRows(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
@@ -462,9 +455,10 @@ func BenchmarkMatMulBiasRows(b *testing.B) {
 
 // TestPanelGroupSplitInvisible: with the Nc budget shrunk to two panels
 // per group (and packKc with it, so every group is resumed across Kc
-// blocks), a product is the bits it is with every panel in one group — for
-// both element types, which stream the same bytes per panel and so split
-// at the same panel counts.
+// blocks), a float32 packed product is the bits it is with every panel in
+// one group; a float64 product, which reads its row-major operand in one
+// pass, does not see the budgets at all. Both element types stream the
+// same bytes per panel, so a budget splits them at the same panel counts.
 func TestPanelGroupSplitInvisible(t *testing.T) {
 	if cpuTier < tierAVX2 {
 		t.Skipf("no SIMD tiles to sweep: this CPU's top rung is %v", cpuTier)

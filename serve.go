@@ -24,9 +24,8 @@ import (
 // runs S independent serving sessions — each a full collective group with
 // its own rank goroutines, fabric, halo exchangers, admission queue, and
 // coalescing dispatcher — behind one front door. All sessions reference
-// ONE compiled engine core, at either precision (the parameter twins,
-// pre-packed weight panels, and static-edge cache are immutable after
-// compile; only the per-session arenas, staging, output buffers and task
+// ONE compiled engine core, at either precision (the parameter twins and
+// the static-edge cache are immutable after compile; only the per-session arenas, staging, output buffers and task
 // scaffolding are private), so S sessions cost one compile plus S working
 // sets. Each submitted request is routed to the least-loaded live session;
 // up to S requests evaluate concurrently, and every result is
@@ -335,7 +334,7 @@ func (s *System) Serve(kind TransportKind, mode ExchangeMode, model *Model) (*Se
 // ServeWith starts persistent serving ranks over the given transport and
 // exchange mode. The model is compiled ONCE before ServeWith returns —
 // NewInference, a snapshot: one immutable engine core (parameter copies of
-// the configured precision, pre-packed weight panels, static-edge cache)
+// the configured precision, static-edge cache)
 // referenced by every rank of every session — so the caller's model stays
 // free for further training and S sessions cost one compile. Each
 // session's admission queue holds 2*MaxBatch requests; a submitter finding
