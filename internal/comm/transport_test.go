@@ -215,7 +215,10 @@ func TestSocketHandshakeTimesOutOnMissingPeer(t *testing.T) {
 // instead of Unix sockets.
 func TestSocketTransportTCP(t *testing.T) {
 	const size = 3
-	base := 40000 + rand.Intn(10000)
+	// Below Linux's ephemeral range (32768–60999 by default), where the
+	// kernel hands out the local ports of outgoing connections: a base
+	// drawn there can meet a port some other socket on the host holds.
+	base := 20000 + rand.Intn(10000)
 	opts := SocketOptions{Network: "tcp", BasePort: base}
 	results, err := runRanks(size, func(rank int) (Transport, error) {
 		return NewSocketTransport(opts, rank, size)

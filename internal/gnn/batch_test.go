@@ -76,7 +76,7 @@ func precName(p Precision) string {
 }
 
 // precisionConfig is tinyConfig at Float64 and, at Float32, f32Config —
-// widened so the processor GEMMs run the packed tier.
+// widened so the processor GEMMs take whole and partial panels.
 func precisionConfig(p Precision) Config {
 	if p == Float32 {
 		return f32Config()

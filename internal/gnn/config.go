@@ -28,7 +28,7 @@ const (
 	Float64 Precision = iota
 	// Float32 compiles the single-precision serving twin: parameters and
 	// the static-edge encoding down-convert once at compile/bind time,
-	// activations and GEMMs run in float32 (pre-packed on SIMD hardware),
+	// activations and GEMMs run in float32,
 	// and only the halo exchange stages through float64 (the transport
 	// layer's element type). Predictions approximate the float64 engine
 	// to a tolerance instead of bitwise — see the f32 parity tests — and

@@ -95,7 +95,7 @@ type Inference struct {
 
 // inferCore is what a compile produces and every session of it shares: the
 // forward-only MLP twins of one precision (P; their own parameter copies,
-// packed once at Float32 — an evaluation keeps no state in them) and the
+// demoted once at Float32 — an evaluation keeps no state in them) and the
 // static-edge encodings, one per bound rank graph (M). Entries of the cache
 // are computed once, under the lock, into ordinary (non-arena) storage,
 // and only read afterwards — the kernels are deterministic, so whichever
@@ -148,9 +148,8 @@ func (c *inferCore[P, M]) staticFor(g *graph.Local, encode func() M) M {
 
 // NewInference compiles a forward-only engine from the model: a snapshot
 // of its parameters, at Config.Precision — copied as they are at the
-// default Float64 (nn.Compile), demoted to single precision at Float32
-// (nn.Compile32, which packs its weight matrices above the packed-GEMM
-// threshold once). The model is only read, and updates to it after the
+// default Float64 (nn.Compile), demoted to single precision once at
+// Float32 (nn.Compile32). The model is only read, and updates to it after the
 // call are not visible to the engine; compile again to serve them.
 func NewInference(m *Model) (*Inference, error) {
 	if err := m.Config.Validate(); err != nil {

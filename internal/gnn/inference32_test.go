@@ -13,9 +13,9 @@ import (
 	"meshgnn/internal/tensor"
 )
 
-// f32Config is tinyConfig widened so the processor GEMMs clear the packed
-// tier threshold (3·24×24 = 1728 ≥ 1024) — the serving twin's production
-// shape regime — while staying fast.
+// f32Config is tinyConfig widened so the processor GEMMs take a whole
+// 16-wide panel and a partial one (24 columns) at an inner dimension of
+// 3·24 — nearer the serving twin's production shapes — while staying fast.
 func f32Config() Config {
 	cfg := tinyConfig()
 	cfg.HiddenDim = 24

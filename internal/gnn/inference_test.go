@@ -477,10 +477,9 @@ func TestInferenceRefreshTracksTraining(t *testing.T) {
 // the source model afterwards — even while a session of the engine serves —
 // moves no bit the engine or any Session of it predicts, and serving the
 // new parameters takes a fresh NewInference, which at Float64 is bitwise
-// the updated Model.Forward. The width H = 32 gives the core both kinds of
-// linear layer (the 32×32 weights are pre-packed at compile, the 3→32
-// ones are read where they lie), and the default static edge features give
-// it a cached edge encoding: all three must be copies, not views. Under
+// the updated Model.Forward. At width H = 32 the core's weights are read
+// where they lie, and the default static edge features give it a cached
+// edge encoding: both must be copies, not views. Under
 // -race the session predicts concurrently with the trainer's steps.
 func TestInferenceIsASnapshot(t *testing.T) {
 	for _, prec := range precisions {

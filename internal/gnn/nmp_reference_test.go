@@ -235,7 +235,7 @@ func sliceBitDiff[T elem](a, b []T) int {
 // TestNMPLayerMatchesSerialReference holds the one NMP layer — outputs,
 // input gradients and accumulated parameter gradients of the training
 // layer, and the outputs of both serving adapters at SmallConfig width and
-// at LargeConfig width (float32 weights packed) — bitwise against the serial
+// at LargeConfig width — bitwise against the serial
 // reference, over batch (1–4) × split point × threads (1, 2, 4) × ranks.
 // The other sweeps compare the layer with itself at other settings; this
 // one compares it with something that shares none of its schedule: no

@@ -233,8 +233,7 @@ func sameBits[T float32 | float64](t *testing.T, what string, got, want []T) {
 // its backward caches, the one-region backward whose per-block reductions
 // advance as their panels complete, and both compiled evaluators — is
 // bitwise the layer-at-a-time evaluation, for row counts either side of
-// the panel height, widths either side of the float32 packed-GEMM
-// threshold, with and without the norm, at every thread count, for 1, 2
+// the panel height, widths of whole and partial float32 panels, with and without the norm, at every thread count, for 1, 2
 // and 4 stacked sample blocks; the edge-shaped blocks (5 hidden layers,
 // LargeConfig's 96 → 32 and SmallConfig's 24 → 8) at 85 rows a block, the 96-wide weight's chunk grain against
 // the 64-row panels, at 200, which is no multiple of the panel, and at the

@@ -9,9 +9,8 @@ import (
 // Float32 serving twins. Both compiles are snapshots: where Compile copies
 // the trained float64 parameters as they are (bitwise train/infer
 // parity), Compile32 down-converts every weight, bias, gain and shift to
-// float32 once at compile time, and weight matrices above the
-// packed-tier threshold are pre-packed (tensor.PackB32) so the serving
-// GEMMs skip the per-call pack pass entirely. The twin is a
+// float32 once at compile time, and the serving GEMMs read those weights
+// where they lie (tensor.MatMul32BiasRows). The twin is a
 // tolerance-gated approximation of the float64 oracle, not a bitwise
 // peer — callers that need exact parity stay on InferMLP. Like InferMLP,
 // it does not see parameter updates made after it was compiled.
@@ -24,18 +23,14 @@ type InferMLP32 struct {
 }
 
 // Compile32 builds the float32 serving twin of the block, down-converting
-// (and, where profitable, pre-packing) its parameters once.
+// its parameters once.
 func (m *MLP) Compile32() *InferMLP32 {
 	out := &InferMLP32{compiled[float32]{In: m.In, Out: m.Out, pools: &pools32}}
 	var ls []inferLayer[float32]
 	for _, l := range m.block.layers {
 		switch t := l.(type) {
 		case *Linear:
-			li := &linear32{in: t.In, out: t.Out, w: tensor.Demote32(t.Weight.W), b: tensor.Demote32(t.Bias.W).Data}
-			if tensor.ShouldPack32(t.In, t.Out) {
-				li.pb = tensor.PackB32(li.w)
-			}
-			ls = append(ls, li)
+			ls = append(ls, &linear32{in: t.In, out: t.Out, w: tensor.Demote32(t.Weight.W), b: tensor.Demote32(t.Bias.W).Data})
 		case *ELU:
 			ls = append(ls, elu32{})
 		case *LayerNorm:
@@ -72,15 +67,12 @@ func (m *InferMLP32) InferRows32(a *tensor.Arena32, rows int, head, tail RowMap[
 	return y
 }
 
-// linear32 is y = x·W + b over snapshotted float32 parameters. When the
-// weight shape clears the packed-tier threshold on SIMD hardware, pb
-// holds the compile-time-packed operand, the GEMM skips packing and the
-// bias add is its tiles' epilogue.
+// linear32 is y = x·W + b over snapshotted float32 parameters, the bias
+// add the GEMM tiles' epilogue.
 type linear32 struct {
 	in, out int
 	w       *tensor.Matrix32
 	b       []float32
-	pb      *tensor.PackedB32
 }
 
 func (l *linear32) outWidth(int) int { return l.out }
@@ -88,12 +80,7 @@ func (l *linear32) inPlace() bool    { return false }
 
 func (l *linear32) inferRows(dst, src panel[float32]) {
 	d, s := mat32(dst), mat32(src)
-	if l.pb != nil {
-		tensor.MatMul32PackedBiasRows(&d, &s, l.pb, l.b, 0, s.Rows)
-		return
-	}
-	tensor.MatMul32Rows(&d, &s, l.w, 0, s.Rows)
-	tensor.AddRowVector32Rows(&d, l.b, 0, s.Rows)
+	tensor.MatMul32BiasRows(&d, &s, l.w, l.b, 0, s.Rows)
 }
 
 // elu32 is y = v for v > 0, exp(v)-1 otherwise, in place on the

@@ -8,8 +8,8 @@ import (
 )
 
 // TestCompile32MatchesOracle gates the f32 serving twin against the f64
-// compiled path: over MLP shapes that both engage and miss the packed
-// GEMM tier, the relative error of the float32 forward must stay within
+// compiled path: over MLP shapes of whole and partial 16-wide panels, the
+// relative error of the float32 forward must stay within
 // what single-precision rounding through a few layers can produce.
 func TestCompile32MatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -17,9 +17,9 @@ func TestCompile32MatchesOracle(t *testing.T) {
 		in, hidden, out, depth int
 		norm                   bool
 	}{
-		{12, 96, 32, 2, true}, // packed-tier shapes
-		{7, 24, 8, 1, false},  // below threshold: scalar f32 kernels
-		{33, 64, 17, 0, true}, // odd widths, tail columns
+		{12, 96, 32, 2, true}, // whole panels
+		{7, 24, 8, 1, false},  // lone partial panels
+		{33, 64, 17, 0, true}, // odd widths, a partial last panel
 	} {
 		m := NewMLP("m", sh.in, sh.hidden, sh.out, sh.depth, sh.norm, rng)
 		f64 := m.Compile()
@@ -70,7 +70,7 @@ func TestCompile32ArenaReplay(t *testing.T) {
 // TestCompile32Snapshot documents the compile semantics: Compile32, like
 // Compile, snapshots the parameters, so a post-compile update to any of
 // them (weights, biases, LayerNorm gain and shift) must NOT leak into the
-// compiled block. The widths reach the packed tier, whose panels are the
+// compiled block. The weights are read where they lie, so they are the
 // copy most easily left shared.
 func TestCompile32Snapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

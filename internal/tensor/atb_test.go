@@ -11,7 +11,7 @@ import (
 // TestMatMulATBAccBitwise holds the weight gradient's chunk body to the
 // float64 product's definition under the contract mismatch checks on
 // every rung: x widths in and dy widths n from {1, 3, 4, 7, 8, 9, 16, 24,
-// 32} with in·n < 1024 (whole panels of eight columns and partial ones),
+// 32} (whole panels of eight columns and partial ones),
 // chunks of 0…70 rows and of 1 365 (the ReduceGrain of SmallConfig's 24×8
 // weight), all from odd first rows, into an acc that enters holding
 // values, −0 among them; on plain data and on data planted with groups of
@@ -31,9 +31,6 @@ func TestMatMulATBAccBitwise(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1365))
 	newCase := func(rows, in, n int, plant string) atbCase {
-		if in*n >= packMinKN {
-			t.Fatalf("%dx%d is not under packMinKN", in, n)
-		}
 		everything := plant == "everything"
 		infs := plant == "Inf" || everything
 		value := func(nan bool) float64 {
@@ -82,9 +79,7 @@ func TestMatMulATBAccBitwise(t *testing.T) {
 	var shapes [][2]int
 	for _, in := range sizes {
 		for _, n := range sizes {
-			if in*n < packMinKN {
-				shapes = append(shapes, [2]int{in, n})
-			}
+			shapes = append(shapes, [2]int{in, n})
 		}
 	}
 	var cases []atbCase
@@ -151,8 +146,8 @@ func TestMatMulATBAccBitwise(t *testing.T) {
 // chunk in one call, from an entry value that is not zero, wherever the
 // cuts fall — each element is one fused multiply-add chain, rows
 // ascending, onto what acc holds, so a parallel.Panels region may advance
-// a chunk as its rows complete. The shapes take whole and partial panels
-// on both sides of the packed threshold.
+// a chunk as its rows complete. The shapes take whole and partial panels,
+// small and large.
 func TestMatMulATBAccResumes(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	shapes := [][2]int{{96, 32}, {32, 32}, {64, 36}, {32, 33}, {16, 72}, {24, 8}, {16, 8}, {8, 8}, {32, 3}, {3, 32}, {7, 9}, {3, 8}}

@@ -22,7 +22,7 @@ import "math"
 // boundaries nor the thread count show in a bit. The go rung has no FMA:
 // expM1Neg4 and expM1Neg replay the unfused sequence below and agree with
 // each other element for element. The two sides round differently, as the
-// packed GEMM's do (pack.go); both are within 2 ulp of exp(v)−1.
+// float32 GEMM's do (pack.go); both are within 2 ulp of exp(v)−1.
 
 // EluRange32 writes y[i] = ELU(x[i]) for i in [lo, hi). x and y may
 // alias. The exponential is evaluated entirely in single precision — below

@@ -15,7 +15,8 @@ import (
 )
 
 // TestEngine32OnEverySIMDRung runs the float32 serving engine — LargeConfig,
-// whose 32-wide layers clear the packed threshold, on one
+// whose layers take whole 16-wide panels (32 wide) and a lone partial one
+// (the 3-wide decoder), on one
 // rank and across a 2-rank halo exchange — on each SIMD rung this machine
 // has, through the tier hook that only this directory's tests can reach:
 // Predict, a stacked PredictBatch of three and a two-step Rollout must

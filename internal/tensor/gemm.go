@@ -5,42 +5,28 @@ import (
 	"unsafe"
 )
 
-// The tile grid both element types' GEMMs run on, the float64 product's
-// definition (fmaRows) and the float32 packed tier's panel sweep. See
-// pack.go for the one float64 arithmetic, the layouts and the blocking.
+// The tile grid both element types' GEMMs run on, and the go rung's two
+// products: the float64 definition (fmaRows) and the float32 loop
+// (mulRows32). See pack.go for the arithmetic and the one layout.
 
 // panelBytes is what one k step of one tile panel occupies on the SIMD
 // rungs, whatever the element type: 8 float64 or 16 float32 lanes.
 const panelBytes = 64
 
-// ncPanels bounds how many packed panels of bytesPerK bytes per k step are
-// streamed per (kc, nc) block so the live panel group stays within
-// packNcBudget bytes.
-func ncPanels(kcLen, bytesPerK int) int {
-	per := kcLen * bytesPerK
-	if per <= 0 {
-		return 1
-	}
-	g := packNcBudget / per
-	if g < 1 {
-		g = 1
-	}
-	return g
-}
-
 // float is the element type of a GEMM tile: the d-tiles' or the s-tiles'.
 type float interface{ float32 | float64 }
 
-// tileGrid is one Kc block of a GEMM as the microkernels see it (see
-// simd_amd64.s): tile row r of A starts at a[r·lda] and steps astride per
-// k, 64-byte panel p of B (8 float64 or 16 float32 columns) starts at
-// b[p·panelStride] and steps bstride per k, and C row r is c[r·ldc:], with
-// panel p at columns [p·lanes, min((p+1)·lanes, n)) — all in elements.
-// MatMul32 (rows of a, packed panels), MatMulBiasRows (rows of a, raw rows
-// of b: every float64 a·b, and a·bᵀ on the transpose) and MatMulATBAcc
-// (columns of a, raw rows of b) differ only in these numbers; the element type picks the d- or the
-// s-tiles and the lanes per panel, nothing else. Only float64 has partial
-// panels: a float32 n is a multiple of 16.
+// tileGrid is one GEMM as the microkernels see it (see simd_amd64.s): tile
+// row r of A starts at a[r·lda] and steps astride per k, 64-byte panel p of
+// B (8 float64 or 16 float32 columns) starts at b[p·panelStride] and steps
+// bstride per k, and C row r is c[r·ldc:], with panel p at columns
+// [p·lanes, min((p+1)·lanes, n)) — all in elements. The last panel is
+// partial where n is not a multiple of the lanes. MatMulBiasRows and
+// MatMul32BiasRows (rows of a, raw rows of b: every a·b, and float64's
+// a·bᵀ on the transpose) and MatMulATBAcc (columns of a, raw rows of b)
+// differ only in these numbers; the element type picks the d- or the
+// s-tiles and the lanes per panel, nothing else. acc != 0 resumes an
+// accumulation onto what c holds: MatMulATBAcc's, so float64 only.
 type tileGrid[T float] struct {
 	kc, acc                   int64
 	a, b, c                   []T
@@ -51,17 +37,23 @@ type tileGrid[T float] struct {
 }
 
 // sweep covers rows [r0, r1) × panels [p0, p1). On the go rung that is
-// the float64 definition itself (fmaRows); on the SIMD rungs, the tallest
-// tiles of the rung that fit: on avx512 the 8-row stripes between the
-// range's first and last GLOBAL multiple of 8 — two whole panels wide, or
-// one panel, a float64 one walking every stripe in one call and a float32
-// one taken as two 4-row tiles — and around them (or on avx2 throughout)
-// 4-row tiles on multiples of 4, then single rows. Every tile performs
-// the same per-element sequence, so the cover chosen — and with it r0, r1
-// and the rung — never shows in a bit.
+// the float64 definition itself (fmaRows) or the float32 loop (mulRows32);
+// on the SIMD rungs, the tallest tiles of the rung that fit: on avx512 the
+// 8-row stripes between the range's first and last GLOBAL multiple of 8 —
+// two whole panels wide, or one panel (a lone or partial one), a float64
+// one walking every stripe in one call and a float32 one taken as two
+// 4-row tiles — and around them (or on avx2 throughout) 4-row tiles on
+// multiples of 4, then single rows. Every tile performs the same
+// per-element sequence, so the cover chosen — and with it r0, r1 and the
+// SIMD rung — never shows in a bit.
 func (g *tileGrid[T]) sweep(r0, r1, p0, p1 int) {
-	if g64, ok := any(g).(*tileGrid[float64]); ok && tier < tierAVX2 {
-		fmaRows(g64, r0, r1, p0, p1)
+	if tier < tierAVX2 {
+		switch g := any(g).(type) {
+		case *tileGrid[float64]:
+			fmaRows(g, r0, r1, p0, p1)
+		case *tileGrid[float32]:
+			mulRows32(g, r0, r1, p0, p1)
+		}
 		return
 	}
 	if s0, s1 := (r0+7)&^7, r1&^7; tier >= tierAVX512 && s0 < s1 {
@@ -119,9 +111,9 @@ func (g *tileGrid[T]) tile(h, w, r, p, stripes int) {
 	}
 	lda, astride := int64(g.lda*size), int64(g.astride*size)
 	panelStride, bstride, ldc := int64(g.panelStride*size), int64(g.bstride*size), int64(g.ldc*size)
+	live := int64(min(lanes, g.n-p*lanes))
 	if size == 8 {
 		a, b, c, bias := (*float64)(a), (*float64)(b), (*float64)(c), (*float64)(bias)
-		live := int64(min(lanes, g.n-p*lanes))
 		switch {
 		case w == 2:
 			dgemmTile8(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
@@ -136,11 +128,11 @@ func (g *tileGrid[T]) tile(h, w, r, p, stripes int) {
 		a, b, c, bias := (*float32)(a), (*float32)(b), (*float32)(c), (*float32)(bias)
 		switch h {
 		case 8:
-			sgemmTile8(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+			sgemmTile8(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias)
 		case 4:
-			sgemmTile4(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+			sgemmTile4(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, live)
 		default:
-			sgemmTile1(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, g.acc)
+			sgemmTile1(g.kc, a, lda, astride, b, panelStride, bstride, c, ldc, bias, live)
 		}
 	}
 }
@@ -175,34 +167,30 @@ func fmaRows(g *tileGrid[float64], r0, r1, p0, p1 int) {
 	}
 }
 
-// sweepPacked computes rows [lo, hi) of columns [0, n) of c = a·B (+
-// bias) from k-major packed panels (K × 16 each, n/16 of them): the tile
-// grid swept Kc block by Kc block and, within one, panel group by panel
-// group — the driver loop of the float32 packed tier (MatMul32,
-// MatMul32PackedBiasRows). The bias rides the last Kc block as the tiles'
-// epilogue. k must not be 0.
-func sweepPacked(c []float32, ldc int, a []float32, lda int, panels []float32, k, n int, bias []float32, lo, hi int) {
-	np := n / packNR32
-	if np == 0 || lo >= hi {
-		return
-	}
-	for kc0 := 0; kc0 < k; kc0 += packKc {
-		kcLen := min(packKc, k-kc0)
-		g := tileGrid[float32]{
-			kc: int64(kcLen),
-			a:  a[kc0:], lda: lda, astride: 1,
-			b: panels[kc0*packNR32:], panelStride: k * packNR32, bstride: packNR32,
-			c: c, ldc: ldc, n: n,
-		}
-		if kc0 > 0 {
-			g.acc = 1
-		}
-		if kc0+kcLen == k {
-			g.bias = bias
-		}
-		group := ncPanels(kcLen, panelBytes)
-		for p0 := 0; p0 < np; p0 += group {
-			g.sweep(lo, hi, p0, min(p0+group, np))
+// mulRows32 is the go rung's float32 product: rows [r0, r1) × panels [p0,
+// p1) of g, each element a product rounded to float32 then added, per k,
+// k ascending, onto +0, then one rounded add of its column's bias — the
+// order of the s-tiles without their fused multiply-add, so it is held to
+// them within a tolerance, not bitwise. The conversion keeps a build from
+// fusing it.
+func mulRows32(g *tileGrid[float32], r0, r1, p0, p1 int) {
+	for r := r0; r < r1; r++ {
+		for p := p0; p < p1; p++ {
+			j0 := p * packNR32
+			c := g.c[r*g.ldc+j0 : r*g.ldc+min(j0+packNR32, g.n)]
+			var acc [packNR32]float32
+			for k := 0; k < int(g.kc); k++ {
+				av := g.a[r*g.lda+k*g.astride]
+				for j, bv := range g.b[p*g.panelStride+k*g.bstride:][:len(c)] {
+					acc[j] += float32(av * bv)
+				}
+			}
+			if g.bias != nil {
+				for j, bv := range g.bias[j0 : j0+len(c)] {
+					acc[j] += bv
+				}
+			}
+			copy(c, acc[:])
 		}
 	}
 }

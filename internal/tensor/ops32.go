@@ -19,58 +19,53 @@ import (
 
 type matMul32Task struct{ dst, a, b *Matrix32 }
 
-func (t *matMul32Task) Run(lo, hi int) { MatMul32Rows(t.dst, t.a, t.b, lo, hi) }
+func (t *matMul32Task) Run(lo, hi int) { MatMul32BiasRows(t.dst, t.a, t.b, nil, lo, hi) }
 
-// MatMul32Rows computes rows [lo, hi) of dst = a·b with the scalar f32
-// kernel — the one MatMul32 runs where ShouldPack32 is false.
-func MatMul32Rows(dst, a, b *Matrix32, lo, hi int) {
-	if a.Cols != b.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul32Rows shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
-			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+// MatMul32BiasRows computes rows [lo, hi) of dst = a·b + bias (a nil bias
+// adds nothing): the float32 linear layer, for every shape. On the SIMD
+// rungs it is the s-tiles' one sequence per element (pack.go), reading b's
+// rows in place (panel stride 16, k stride N); the go rung runs mulRows32.
+// dst and a are indexed by the same row numbers and may be row-block
+// headers.
+func MatMul32BiasRows(dst, a, b *Matrix32, bias []float32, lo, hi int) {
+	k, n := a.Cols, b.Cols
+	if k != b.Rows || dst.Cols != n || (bias != nil && len(bias) != n) {
+		panic(fmt.Sprintf("tensor: MatMul32BiasRows shape mismatch (%dx%d)·(%dx%d)+bias(%d)->(%dx%d)",
+			a.Rows, a.Cols, b.Rows, b.Cols, len(bias), dst.Rows, dst.Cols))
 	}
-	n := b.Cols
-	ka := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*ka : (i+1)*ka]
-		drow := dst.Data[i*n : (i+1)*n]
-		clear(drow)
-		k := 0
-		for ; k+4 <= ka; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			b0 := b.Data[k*n : (k+1)*n]
-			b1 := b.Data[(k+1)*n : (k+2)*n]
-			b2 := b.Data[(k+2)*n : (k+3)*n]
-			b3 := b.Data[(k+3)*n : (k+4)*n]
-			for j, bv := range b0 {
-				drow[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; k < ka; k++ {
-			av := arow[k]
-			brow := b.Data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
+	if n == 0 || lo >= hi {
+		return
 	}
+	// The tiles index raw memory: hold them to the slices' bounds first.
+	if lo < 0 || hi*k > len(a.Data) || hi*n > len(dst.Data) || k*n > len(b.Data) {
+		panic(fmt.Sprintf("tensor: MatMul32BiasRows rows [%d, %d) outside (%dx%d)·(%dx%d)->(%dx%d)",
+			lo, hi, a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	if k == 0 {
+		// An empty product: +0 on every column, plus its bias.
+		clear(dst.Data[lo*n : hi*n])
+		if bias != nil {
+			AddRowVector32Rows(dst, bias, lo, hi)
+		}
+		return
+	}
+	g := tileGrid[float32]{
+		kc: int64(k),
+		a:  a.Data, lda: k, astride: 1,
+		b: b.Data, panelStride: packNR32, bstride: n,
+		c: dst.Data, ldc: n, n: n, bias: bias,
+	}
+	g.sweep(lo, hi, 0, (n+packNR32-1)/packNR32)
 }
 
 var matMul32Pool = sync.Pool{New: func() any { return new(matMul32Task) }}
 
-// MatMul32 computes dst = a·b in float32. Above the K·N threshold, on
-// AVX2 hardware, the packed f32 tier takes over (gemm32_packed.go);
-// otherwise the rank-4 scalar kernel runs.
+// MatMul32 computes dst = a·b in float32: MatMul32BiasRows over the rows,
+// partitioned over workers, each dst row written by exactly one.
 func MatMul32(dst, a, b *Matrix32) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul32 shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
-	}
-	if usePacked32(a.Cols, b.Cols) {
-		pb := getPackScratch32(a.Cols, b.Cols, packNR32)
-		pb.packFrom(b)
-		matMul32Packed(dst, a, pb)
-		putPackScratch32(pb)
-		return
 	}
 	t := matMul32Pool.Get().(*matMul32Task)
 	t.dst, t.a, t.b = dst, a, b
@@ -80,8 +75,9 @@ func MatMul32(dst, a, b *Matrix32) {
 }
 
 // AddRowVector32Rows adds the length-Cols vector v to rows [lo, hi) of m
-// in place: the bias add of a linear layer below the packed threshold
-// (above it the add is the GEMM tile's epilogue, MatMul32PackedBiasRows).
+// in place: the bias add of an empty product (the tiles' epilogue adds it
+// everywhere else, MatMul32BiasRows), and of MatMul32's output where a
+// caller adds it after.
 func AddRowVector32Rows(m *Matrix32, v []float32, lo, hi int) {
 	if len(v) != m.Cols {
 		panic("tensor: AddRowVector32Rows length mismatch")
@@ -118,25 +114,4 @@ func addScalar32(dst, v []float32, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		dst[j] += v[j]
 	}
-}
-
-type cloneInto32Task struct{ dst, src *Matrix32 }
-
-func (t *cloneInto32Task) Run(lo, hi int) {
-	copy(t.dst.Data[lo:hi], t.src.Data[lo:hi])
-}
-
-var cloneInto32Pool = sync.Pool{New: func() any { return new(cloneInto32Task) }}
-
-// CloneInto32 copies src into dst (shapes must match).
-func CloneInto32(dst, src *Matrix32) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: CloneInto32 shape mismatch %dx%d vs %dx%d",
-			dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	t := cloneInto32Pool.Get().(*cloneInto32Task)
-	t.dst, t.src = dst, src
-	parallel.ForTask(len(dst.Data), elemGrain, t)
-	*t = cloneInto32Task{}
-	cloneInto32Pool.Put(t)
 }

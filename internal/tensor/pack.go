@@ -1,8 +1,7 @@
 package tensor
 
-import "sync"
-
-// The float64 products, and the float32 packed cache-blocked GEMM tier.
+// The products of both element types: one arithmetic per element type, one
+// layout, one tile grid.
 //
 // Arithmetic. Every float64 product — a·b + bias (MatMulBiasRows, MatMul),
 // the accumulated aᵀ·b (MatMulATBAcc, MatMulATB) and a·bᵀ (a·b on the
@@ -12,34 +11,36 @@ import "sync"
 //	acc = math.FMA(a_k, b_k, acc)   for k ascending (rows, for aᵀ·b)
 //	acc = acc + bias                (a bias, where there is one)
 //
-// written once in Go (fmaRows, gemm_packed.go). On the go rung that loop
-// is the kernel; on both SIMD rungs the FMA tiles (simd_amd64.s) run it
-// for every shape, each element in its own lane. So a float64 product's
-// bits depend on no rung, tile, row range or thread count, and a golden
-// file or a checkpoint moves between rungs freely.
+// written once in Go (fmaRows, gemm.go). On the go rung that loop is the
+// kernel; on both SIMD rungs the FMA tiles (simd_amd64.s) run it for every
+// shape, each element in its own lane. So a float64 product's bits depend
+// on no rung, tile, row range or thread count, and a golden file or a
+// checkpoint moves between rungs freely.
 //
-// Layout. A float64 B operand has one layout, its own: the tiles read the
-// row-major K×N matrix in place as 8-wide column panels (panel stride 8,
-// k stride N), every row of b already an N-wide k step, and aᵀ·b reads b
-// the same way. The last panel of an N that is not a multiple of 8 is
-// partial: the tiles take its N mod 8 live lanes through masks, and never
-// read the others. Packed panels exist for float32 only: at K·N >=
-// packMinKN on the SIMD rungs, B is packed BLIS-style into 16-wide k-major
-// column panels (PackedB32) — per call in MatMul32, once at compile for a
-// serving engine's weights (PackB32).
+// Every float32 product (MatMul32BiasRows, MatMul32) runs the same
+// sequence in float32 on both SIMD rungs: +0, one fused multiply-add per
+// k, k ascending, then the bias, on the s-tiles, whatever the shape. Go
+// has no float32 fused multiply-add, so the go rung's loop (mulRows32,
+// gemm.go) rounds each product before it adds it: the same order, held to
+// the tiles within a tolerance, as the go rung's float32 exponential
+// (expM1Neg) is to theirs.
 //
-// The A operand is deliberately NOT packed: it is the row-major streaming
+// Layout. A B operand has one layout, its own, for both element types: the
+// tiles read the row-major K×N matrix in place as 64-byte column panels —
+// 8 float64 or 16 float32 columns, panel stride 8 or 16, k stride N —
+// every row of b already an N-wide k step, and aᵀ·b reads b the same way.
+// The last panel of an N that is not a multiple of the lanes is partial:
+// the tiles take its live lanes through masks, and never read the others.
+// Nothing is packed, so nothing derived from a weight can go stale.
+//
+// The A operand is not packed either: it is the row-major streaming
 // operand, each row is read with unit stride, and a tile's slice of A (4·K
 // or 8·K elements) stays L1-resident across its panel sweep, so a pack
 // pass would only add traffic.
 //
 // Blocking. Mc is the caller's row range — a parallel.ForTask chunk, or a
-// row panel of an nn block — split freely across workers. The float32
-// packed tier also blocks the rest: Kc (packKc) bounds the inner-dimension
-// extent per kernel pass, with the accumulate flag resuming each element's
-// chain across blocks, and Nc bounds the packed-panel bytes live per (kc,
-// nc) block (packNcBudget) so the streamed panel group stays
-// cache-resident. A float64 product is one pass over the whole K.
+// row panel of an nn block — split freely across workers. Nothing blocks K
+// or N: a product is one pass over the whole K, panel by panel.
 //
 // Tiles. Every tile performs the exact per-element sequence of every
 // other (the SIMD tiles — 8 rows × 2 panels and 8 × 1 in zmm, 4 × 1 and
@@ -49,37 +50,24 @@ import "sync"
 //
 // Rungs. Which kernels run is one ordered value, kernelTier below: pure
 // Go, AVX2+FMA, or AVX-512F, detected from CPUID and XCR0 (detectSIMD) and
-// lowered only by tests. A float64 product keeps no derived operand, so a
-// toggle leaves nothing stale; a PackedB32 exists on the SIMD rungs only
-// and is 16 wide on both.
+// lowered only by tests. No product keeps a derived operand, so a toggle
+// leaves nothing stale.
 
 const (
-	// packMinKN engages the float32 packed tier when K*N >= packMinKN on
-	// a SIMD rung: below it the f32 ops keep their scalar loops
-	// (MatMul32Rows). Float64 has no threshold: every shape reads the
-	// row-major operand in place.
-	packMinKN = 1024
-
 	// packNR is the float64 panel width: 8 columns of the row-major
 	// operand, one zmm vector or two ymm.
 	packNR = 8
-)
 
-// The float32 packed tier's blocking. Vars so tests can shrink them to
-// exercise block remainders and panel groups; nothing else writes them.
-var (
-	// packKc is the Kc inner-dimension block.
-	packKc = 2048
-	// packNcBudget caps the packed-panel bytes streamed per (kc, nc)
-	// block at roughly the L2 working set alongside A tiles and C rows.
-	packNcBudget = 192 << 10
+	// packNR32 is the float32 panel width: 16 columns, the same 64 bytes
+	// per k step, on both SIMD rungs.
+	packNR32 = 16
 )
 
 // kernelTier is the rung of the assembly kernels in use, ordered: a rung
 // runs everything the rungs below it run, only wider.
 //
 //	tierGo      pure Go everywhere: the float64 products run their
-//	            definition (fmaRows); no float32 packed tier.
+//	            definition (fmaRows), the float32 ones mulRows32.
 //	tierAVX2    AVX2+FMA: 4-row × 1-panel GEMM tiles over 64-byte panels
 //	            (8 float64 or 16 float32 columns), 4-lane float64 and
 //	            8-lane float32 elementwise kernels.
@@ -92,8 +80,8 @@ var (
 // definition on all three rungs. The two SIMD rungs are also bit-for-bit
 // equal under float32: an output element sees the same ascending-k fused
 // multiply-adds and every float32 exponential the same fused sequence
-// (elu32.go) on either; tierGo rounds the float32 exponential differently
-// (expM1Neg).
+// (elu32.go) on either; tierGo rounds the float32 products (mulRows32) and
+// the float32 exponential (expM1Neg) differently.
 //
 // Every bitwise contract of this package — across rungs where the above
 // says so, threads, ranks, transports and batch sizes, and of a kernel
@@ -116,22 +104,13 @@ func (t kernelTier) String() string { return [...]string{"go", "avx2", "avx512"}
 var (
 	// cpuTier is the highest rung the CPU and OS support, from CPUID and
 	// XCR0 alone; tier is the rung in use, which only tests move.
-	cpuTier    = detectSIMD()
-	tier       = cpuTier
-	packedGEMM = true
+	cpuTier = detectSIMD()
+	tier    = cpuTier
 )
 
 // SIMDEnabled reports whether the assembly kernels are in use (either
 // SIMD rung).
 func SIMDEnabled() bool { return tier >= tierAVX2 }
-
-// setPackedGEMM toggles the float32 packed tier entirely (test hook);
-// returns the previous setting.
-func setPackedGEMM(on bool) bool {
-	prev := packedGEMM
-	packedGEMM = on
-	return prev
-}
 
 // setKernelTier lowers the kernel tier to t (test hook). It can only
 // lower: a request above what the CPU supports lands on cpuTier, which is
@@ -142,79 +121,3 @@ func setKernelTier(t kernelTier) kernelTier {
 	tier = min(t, cpuTier)
 	return prev
 }
-
-// packNR32 is the f32 panel width: 16 columns, the same 64 bytes per k
-// step as the f64 panel, on both SIMD rungs. The f32 tier is SIMD-only;
-// without AVX2 the f32 ops use their scalar kernels unpacked.
-const packNR32 = 16
-
-func usePacked32(k, n int) bool {
-	return packedGEMM && tier >= tierAVX2 && k > 0 && k*n >= packMinKN
-}
-
-// ShouldPack32 reports whether the f32 packed tier would engage for a
-// GEMM with inner dimension k and output width n — the compile-time
-// predicate serving engines use to decide whether pre-packing a weight
-// matrix (PackB32) is worthwhile. False on hardware without the SIMD
-// tier or below the blocking threshold, where the scalar f32 kernel wins.
-func ShouldPack32(k, n int) bool { return usePacked32(k, n) }
-
-// PackedB32 is a B operand packed for the f32 GEMM tier: N/16 panels of
-// K×16, and the N mod 16 remainder columns as K-long strips.
-type PackedB32 struct {
-	K, N, NR int
-	panels   []float32
-	tail     []float32
-}
-
-func (p *PackedB32) sizeFor(k, n, nr int) {
-	p.K, p.N, p.NR = k, n, nr
-	np := n / nr
-	needP := np * k * nr
-	needT := (n - np*nr) * k
-	if cap(p.panels) < needP {
-		p.panels = make([]float32, needP)
-	}
-	p.panels = p.panels[:needP]
-	if cap(p.tail) < needT {
-		p.tail = make([]float32, needT)
-	}
-	p.tail = p.tail[:needT]
-}
-
-func (p *PackedB32) packFrom(b *Matrix32) {
-	k, n, nr := p.K, p.N, p.NR
-	np := n / nr
-	for pn := 0; pn < np; pn++ {
-		dst := p.panels[pn*k*nr : (pn+1)*k*nr]
-		for kk := 0; kk < k; kk++ {
-			copy(dst[kk*nr:(kk+1)*nr], b.Data[kk*n+pn*nr:kk*n+(pn+1)*nr])
-		}
-	}
-	for jt := 0; jt < n-np*nr; jt++ {
-		strip := p.tail[jt*k : (jt+1)*k]
-		j := np*nr + jt
-		for kk := 0; kk < k; kk++ {
-			strip[kk] = b.Data[kk*n+j]
-		}
-	}
-}
-
-// PackB32 packs b (K×N) for reuse across MatMul32PackedRows calls — the
-// compile-time pack for the float32 serving twin's weights.
-func PackB32(b *Matrix32) *PackedB32 {
-	p := &PackedB32{}
-	p.sizeFor(b.Rows, b.Cols, packNR32)
-	p.packFrom(b)
-	return p
-}
-
-var packScratch32 = sync.Pool{New: func() any { return new(PackedB32) }}
-
-func getPackScratch32(k, n, nr int) *PackedB32 {
-	p := packScratch32.Get().(*PackedB32)
-	p.sizeFor(k, n, nr)
-	return p
-}
-
-func putPackScratch32(p *PackedB32) { packScratch32.Put(p) }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"meshgnn/internal/parallel"
@@ -80,9 +81,8 @@ func withPlantedZeros(rng *rand.Rand, m *Matrix) {
 }
 
 // packedShapes are (M, K, N) triples chosen to hit every remainder path:
-// row tails mod 4 and 8, partial last panels (N mod 8, and mod 16 for
-// float32), float32 Kc block edges (TestPackedKcBlocking shrinks packKc)
-// and the float32 threshold boundary itself.
+// row tails mod 4 and 8, and partial last panels (N mod 8, and mod 16 for
+// float32).
 var packedShapes = [][3]int{
 	{1, 32, 32},   // single row
 	{2, 64, 16},   // pair, exact panels
@@ -114,17 +114,15 @@ func TestPackedMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPackedKcBlocking shrinks packKc so every shape spans multiple Kc
-// blocks, exercising the accumulate-resume path of the float32 packed tier
-// on both SIMD rungs (the go rung runs MatMul32's scalar loop).
+// TestPackedKcBlocking: a float32 product is one pass over the whole K,
+// with no Kc blocks to resume across, so on every rung — at the ragged
+// shapes and at a K deeper than any cache block (2 100) — MatMul32 stays
+// within tolerance of the float64 naive product.
 func TestPackedKcBlocking(t *testing.T) {
-	prevKc := packKc
-	packKc = 16
-	defer func() { packKc = prevKc }()
-
 	rng := rand.New(rand.NewSource(13))
+	shapes := append(slices.Clone(packedShapes), [3]int{9, 2100, 21})
 	atEachTier(t, func(t *testing.T) {
-		for _, sh := range packedShapes {
+		for _, sh := range shapes {
 			m, k, n := sh[0], sh[1], sh[2]
 			a32, a64 := randomMatrix32(rng, m, k)
 			b32, b64 := randomMatrix32(rng, k, n)
@@ -132,7 +130,7 @@ func TestPackedKcBlocking(t *testing.T) {
 			dst := New32(m, n)
 			MatMul32(dst, a32, b32)
 			if rel := dst.MaxRelDiff64(want); rel > 1e-4*math.Sqrt(float64(k)) {
-				t.Errorf("Kc=16 %dx%dx%d rel %g", m, k, n, rel)
+				t.Errorf("%dx%dx%d rel %g", m, k, n, rel)
 			}
 		}
 	})
@@ -146,30 +144,26 @@ func TestPackedEmptyShapes(t *testing.T) {
 	}
 }
 
-// TestMatMul32PackedEmptyProduct: with K = 0 the float32 packed product is
-// the definition's +0 on every column, plus the column's bias when there
-// is one — as float64's emptyProduct writes it — whatever the destination
-// held before, on every SIMD rung; the full 16-column panels included, not
-// only the N mod 16 tail.
+// TestMatMul32PackedEmptyProduct: with K = 0 the float32 product
+// (MatMul32BiasRows) is +0 on every column, plus the column's bias when
+// there is one — as float64's emptyProduct writes it — whatever the
+// destination held before, on every rung; a lone partial panel, whole
+// panels and a partial last one.
 func TestMatMul32PackedEmptyProduct(t *testing.T) {
 	atEachTier(t, func(t *testing.T) {
-		if tier < tierAVX2 {
-			t.Skip("the f32 packed tier runs on the SIMD rungs only")
-		}
-		for _, n := range []int{16, 37, 48} {
+		for _, n := range []int{3, 16, 37} {
 			bias := make([]float32, n)
 			for j := range bias {
 				bias[j] = float32(j) - 7.5
 			}
-			bias[3] = float32(math.Copysign(0, -1))
-			pb := PackB32(New32(0, n))
+			bias[2] = float32(math.Copysign(0, -1))
 			for _, b := range [][]float32{nil, bias} {
 				const m = 5
 				dst := New32(m, n)
 				for i := range dst.Data {
 					dst.Data[i] = float32(math.NaN())
 				}
-				MatMul32PackedBiasRows(dst, New32(m, 0), pb, b, 0, m)
+				MatMul32BiasRows(dst, New32(m, 0), New32(0, n), b, 0, m)
 				for i := 0; i < m; i++ {
 					for j := 0; j < n; j++ {
 						want := float32(0)
@@ -187,7 +181,7 @@ func TestMatMul32PackedEmptyProduct(t *testing.T) {
 	})
 }
 
-// TestMatMul32PackedRowsOutsideHeaders: the float32 packed tiles index raw
+// TestMatMul32PackedRowsOutsideHeaders: the float32 tiles index raw
 // memory, so a row range past the operands' headers panics before a kernel
 // runs — a header over a longer backing array (a row block of a stacked
 // batch) is no licence to read or write the rows beyond it. The backing
@@ -201,9 +195,6 @@ func TestMatMul32PackedRowsOutsideHeaders(t *testing.T) {
 		return v
 	}
 	atEachTier(t, func(t *testing.T) {
-		if tier < tierAVX2 {
-			t.Skip("the f32 packed tier runs on the SIMD rungs only")
-		}
 		rng := rand.New(rand.NewSource(59))
 		const header, backing, k = 5, 16, 64
 		for _, n := range []int{32, 37} {
@@ -211,26 +202,60 @@ func TestMatMul32PackedRowsOutsideHeaders(t *testing.T) {
 			a := &Matrix32{Rows: header, Cols: k, Data: aBack[:header*k]}
 			dst := &Matrix32{Rows: header, Cols: n, Data: dBack[:header*n]}
 			w, _ := randomMatrix32(rng, k, n)
-			pb, bias := PackB32(w), sevens(1, n)
-			calls := map[string]func(lo, hi int){
-				"MatMul32PackedRows":     func(lo, hi int) { MatMul32PackedRows(dst, a, pb, lo, hi) },
-				"MatMul32PackedBiasRows": func(lo, hi int) { MatMul32PackedBiasRows(dst, a, pb, bias, lo, hi) },
-			}
-			for name, call := range calls {
+			bias := sevens(1, n)
+			for _, b := range [][]float32{nil, bias} {
 				for _, r := range [][2]int{{0, 8}, {header, header + 1}, {-1, 2}} {
 					func() {
 						defer func() {
 							if recover() == nil {
-								t.Errorf("%s n=%d, rows [%d, %d) of %d-row headers: no panic", name, n, r[0], r[1], header)
+								t.Errorf("n=%d, bias %v, rows [%d, %d) of %d-row headers: no panic", n, b != nil, r[0], r[1], header)
 							}
 						}()
-						call(r[0], r[1])
+						MatMul32BiasRows(dst, a, w, b, r[0], r[1])
 					}()
 					for i, v := range dBack[header*n:] {
 						if v != 7 {
-							t.Fatalf("%s n=%d, rows [%d, %d): backing element %d beyond the header is %v, want 7",
-								name, n, r[0], r[1], header*n+i, v)
+							t.Fatalf("n=%d, bias %v, rows [%d, %d): backing element %d beyond the header is %v, want 7",
+								n, b != nil, r[0], r[1], header*n+i, v)
 						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestMatMul32BiasRowsStoresOnlyItsColumns: a partial last panel is
+// stored through lane masks, so a product whose destination ends exactly
+// at column N of its last row — a Matrix32 over a prefix of a longer
+// backing array — leaves every element past it as it was, on every rung,
+// at widths that end in a lone partial panel, a whole one and a partial
+// one after whole ones, at heights of every 4- and 8-row tile remainder.
+func TestMatMul32BiasRowsStoresOnlyItsColumns(t *testing.T) {
+	const guard = 64
+	sentinel := math.Float32frombits(0x7fc0beef)
+	atEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(61))
+		for _, n := range []int{1, 3, 8, 13, 16, 17, 37} {
+			for _, rows := range []int{1, 3, 4, 5, 8, 9, 13, 17} {
+				x, _ := randomMatrix32(rng, rows, 24)
+				w, _ := randomMatrix32(rng, 24, n)
+				bias, _ := randomMatrix32(rng, 1, n)
+				back := make([]float32, rows*n+guard)
+				for i := range back {
+					back[i] = sentinel
+				}
+				dst := &Matrix32{Rows: rows, Cols: n, Data: back[:rows*n]}
+				MatMul32BiasRows(dst, x, w, bias.Data, 0, rows)
+				want := New32(rows, n)
+				MatMul32BiasRows(want, x, w, bias.Data, 0, rows)
+				if i := mismatch(dst.Data, want.Data); i >= 0 {
+					t.Fatalf("%dx24·%d: element %d is %#x, want %#x", rows, n, i, bitsOf(dst.Data[i]), bitsOf(want.Data[i]))
+				}
+				for i, v := range back[rows*n:] {
+					if math.Float32bits(v) != math.Float32bits(sentinel) {
+						t.Fatalf("%dx24·%d: element %d past the last row's column %d is %#x, want the sentinel",
+							rows, n, i, n, math.Float32bits(v))
 					}
 				}
 			}
@@ -361,33 +386,37 @@ func TestMatMul32MatchesF64Oracle(t *testing.T) {
 	}
 }
 
+// TestMatMul32PackedMatchesScalar holds the s-tiles of the current rung
+// and the go rung's float32 loop (mulRows32) to each other within a
+// tolerance, bias included: the same order per element, the tiles fused,
+// the loop not.
 func TestMatMul32PackedMatchesScalar(t *testing.T) {
 	if !SIMDEnabled() {
-		t.Skip("f32 packed tier requires AVX2")
+		t.Skip("the s-tiles need a SIMD rung")
 	}
 	rng := rand.New(rand.NewSource(43))
-	for _, sh := range [][3]int{{5, 96, 32}, {64, 64, 48}, {7, 40, 37}, {33, 96, 16}} {
+	for _, sh := range [][3]int{{5, 96, 32}, {64, 64, 48}, {7, 40, 37}, {33, 96, 16}, {70, 3, 32}, {70, 32, 3}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		a32, _ := randomMatrix32(rng, m, k)
 		b32, _ := randomMatrix32(rng, k, n)
-		packed := New32(m, n)
-		pb := PackB32(b32)
-		MatMul32PackedRows(packed, a32, pb, 0, m)
+		bias, _ := randomMatrix32(rng, 1, n)
+		tiles := New32(m, n)
+		MatMul32BiasRows(tiles, a32, b32, bias.Data, 0, m)
 
 		scalar := New32(m, n)
-		prev := setPackedGEMM(false)
-		MatMul32(scalar, a32, b32)
-		setPackedGEMM(prev)
+		prev := setKernelTier(tierGo)
+		MatMul32BiasRows(scalar, a32, b32, bias.Data, 0, m)
+		setKernelTier(prev)
 
 		var worst float64
-		for i := range packed.Data {
-			d := math.Abs(float64(packed.Data[i]) - float64(scalar.Data[i]))
+		for i := range tiles.Data {
+			d := math.Abs(float64(tiles.Data[i]) - float64(scalar.Data[i]))
 			if r := d / (1 + math.Abs(float64(scalar.Data[i]))); r > worst {
 				worst = r
 			}
 		}
 		if worst > 1e-5 {
-			t.Errorf("f32 packed vs scalar %v rel %g", sh, worst)
+			t.Errorf("f32 tiles vs scalar %v rel %g", sh, worst)
 		}
 	}
 }

@@ -9,9 +9,10 @@ import "unsafe"
 // (pack.go) the machine can run.
 
 // The GEMM tiles share one signature (see simd_amd64.s): strides in bytes,
-// bias nil for no epilogue, acc != 0 to resume an accumulation. The
-// one-panel float64 tiles also take the panel's live lanes, 1 to 8, and
-// dgemmTile8x1 the number of 8-row stripes it walks.
+// bias nil for no epilogue, and for the d-tiles acc != 0 to resume an
+// accumulation. The one-panel tiles also take the panel's live lanes, 1 to
+// 8 float64 or 1 to 16 float32, and dgemmTile8x1 the number of 8-row
+// stripes it walks.
 
 //go:noescape
 func dgemmTile8(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc int64)
@@ -26,13 +27,13 @@ func dgemmTile4(kc int64, a *float64, lda, astride int64, bp *float64, panelStri
 func dgemmTile1(kc int64, a *float64, lda, astride int64, bp *float64, panelStride, bstride int64, c *float64, ldc int64, bias *float64, acc, lanes int64)
 
 //go:noescape
-func sgemmTile8(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
+func sgemmTile8(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32)
 
 //go:noescape
-func sgemmTile4(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
+func sgemmTile4(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, lanes int64)
 
 //go:noescape
-func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
+func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, lanes int64)
 
 // The ELU kernels of both element types (elu32_amd64.s, elu64_amd64.s):
 // any n >= 1, the elements past the last whole vector through masked

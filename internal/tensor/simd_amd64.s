@@ -17,38 +17,41 @@
 //   dgemmTile4 / sgemmTile4   4 rows × 1 panel     8 ymm accumulators   AVX2
 //   dgemmTile1 / sgemmTile1   1 row  × 1 panel     2 ymm accumulators   AVX2
 //
-// The one-panel float64 tiles take the panel's live lanes (1 to 8): a
-// partial last panel — N mod 8 columns — is loaded, stored and given its
-// bias through lane masks, and no load or store leaves its live lanes, so
-// the row-major float64 operands (a b row is N wide) are read in place.
+// The one-panel tiles take the panel's live lanes (1 to 8 float64, 1 to
+// 16 float32): a partial last panel — N mod 8 or N mod 16 columns — is
+// loaded, stored and given its bias through lane masks, and no load or
+// store leaves its live lanes, so the row-major B operands (a b row is N
+// wide) are read in place. The two-panel tiles are given whole panels only.
 //
 // Whatever the tile, an output element sees the same sequence: plain
 // ascending-k fused multiply-adds into its own lane, then (bias != nil)
 // one rounded add of its column's bias — for float64, the definition
-// fmaRows (gemm_packed.go) spells in Go. So an element's bits are a
+// fmaRows (gemm.go) spells in Go. So an element's bits are a
 // function of its row and column alone — never of the tile that held it,
-// the rung, the chunk boundaries or the thread count — and the one driver
-// (tileGrid.sweep, gemm_packed.go) is free to cover a row range with the
-// tallest tiles that fit and finish heads, tails and a last panel with the
-// narrower ones.
+// the SIMD rung, the chunk boundaries or the thread count — and the one
+// driver (tileGrid.sweep, gemm.go) is free to cover a row range
+// with the tallest tiles that fit and finish heads, tails and a last panel
+// with the narrower ones.
 //
 // The strides make one tile serve every GEMM form (byte counts):
-//   MatMul32       dst = a·b     a rows (lda = 4·K, astride 4), packed B
-//                                panels (panelStride = 64·K, bstride 64)
-//   MatMulBiasRows dst = a·b     a rows (lda = 8·K, astride 8), raw b rows
-//                                (panelStride 64, bstride = 8·N): every
-//                                float64 a·b, and a·bᵀ on the transpose
-//   MatMulATBAcc   acc += aᵀ·b   a columns (lda 8, astride = 8·lda of a),
-//                                raw b rows (panelStride 64, bstride = 8·ldb)
+//   MatMulBiasRows   dst = a·b     a rows (lda = 8·K, astride 8), raw b
+//                                  rows (panelStride 64, bstride = 8·N):
+//                                  every float64 a·b, and a·bᵀ on the
+//                                  transpose
+//   MatMul32BiasRows dst = a·b     a rows (lda = 4·K, astride 4), raw b
+//                                  rows (panelStride 64, bstride = 4·N):
+//                                  every float32 a·b
+//   MatMulATBAcc     acc += aᵀ·b   a columns (lda 8, astride = 8·lda of a),
+//                                  raw b rows (panelStride 64, bstride = 8·ldb)
 //
-// acc != 0 loads the existing C tile instead of zeroing it, which is how
-// float32 Kc blocks beyond the first, and a weight-gradient chunk taken in
-// pieces, resume the accumulation without changing the per-element order.
-// bias != nil adds the 64 bytes of bias per panel to every tile row before
-// the store: the linear layer's bias add as the epilogue of the last Kc
-// block: sum + b is one rounded add, the same bits whichever way round a
-// scalar loop writes it, and NaN where it is — which NaN, where two meet,
-// is not part of the contract (pack.go).
+// acc != 0 (the d-tiles only) loads the existing C tile instead of zeroing
+// it, which is how a weight-gradient chunk taken in pieces resumes the
+// accumulation without changing the per-element order. bias != nil adds
+// the 64 bytes of bias per panel to every tile row before the store: the
+// linear layer's bias add as the tile's epilogue: sum + b is one rounded
+// add, the same bits whichever way round a scalar loop writes it, and NaN
+// where it is — which NaN, where two meet, is not part of the contract
+// (pack.go).
 
 #include "textflag.h"
 
@@ -586,13 +589,72 @@ store1:
 
 // --- float32: the same three tiles on 16-lane panels ------------------------
 //
-// Each is its float64 namesake with PD -> PS and SD -> SS and nothing else:
-// a float32 panel step is 16 lanes = 64 bytes, as a float64 one is 8 lanes =
-// 64 bytes, so the byte strides, the accumulator layout and the bias
-// epilogue carry over unchanged.
+// Each is its float64 namesake with PD -> PS, SD -> SS and Q -> D in the
+// lane masks: a float32 panel step is 16 lanes = 64 bytes, as a float64 one
+// is 8 lanes = 64 bytes, so the byte strides, the accumulator layout and the
+// bias epilogue carry over unchanged. Two things differ. No float32 product
+// resumes an accumulation, so the s-tiles take no acc and always start from
+// +0. And there is no float32 8 × 1 tile: tileGrid.sweep covers a lone or
+// partial float32 panel with the 4-row and 1-row tiles, which take the
+// panel's live lanes, 1 to 16, as dgemmTile4 and dgemmTile1 do.
 
-// func sgemmTile8(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
-TEXT ·sgemmTile8(SB), NOSPLIT, $0-88
+// Lane indexes 0…15 of a float32 panel, as dwords.
+DATA gemmIota32<>+0(SB)/4, $0
+DATA gemmIota32<>+4(SB)/4, $1
+DATA gemmIota32<>+8(SB)/4, $2
+DATA gemmIota32<>+12(SB)/4, $3
+DATA gemmIota32<>+16(SB)/4, $4
+DATA gemmIota32<>+20(SB)/4, $5
+DATA gemmIota32<>+24(SB)/4, $6
+DATA gemmIota32<>+28(SB)/4, $7
+DATA gemmIota32<>+32(SB)/4, $8
+DATA gemmIota32<>+36(SB)/4, $9
+DATA gemmIota32<>+40(SB)/4, $10
+DATA gemmIota32<>+44(SB)/4, $11
+DATA gemmIota32<>+48(SB)/4, $12
+DATA gemmIota32<>+52(SB)/4, $13
+DATA gemmIota32<>+56(SB)/4, $14
+DATA gemmIota32<>+60(SB)/4, $15
+GLOBL gemmIota32<>(SB), RODATA|NOPTR, $64
+
+// SMASK sets Y14 (lanes 0–7) and Y15 (lanes 8–15) to the live lanes of a
+// float32 panel whose live-lane count is at m.
+#define SMASK(m) \
+	VPBROADCASTD m, Y15; \
+	VPCMPGTD     gemmIota32<>+0(SB), Y15, Y14; \
+	VPCMPGTD     gemmIota32<>+32(SB), Y15, Y15
+
+// S4FMA is one k step of the float32 4-row tile on the panel vector in Y8,
+// Y9.
+#define S4FMA \
+	VBROADCASTSS (R8), Y10; \
+	VFMADD231PS  Y8, Y10, Y0; \
+	VFMADD231PS  Y9, Y10, Y1; \
+	VBROADCASTSS (R8)(R9*1), Y11; \
+	VFMADD231PS  Y8, Y11, Y2; \
+	VFMADD231PS  Y9, Y11, Y3; \
+	VBROADCASTSS (R8)(R9*2), Y12; \
+	VFMADD231PS  Y8, Y12, Y4; \
+	VFMADD231PS  Y9, Y12, Y5; \
+	VBROADCASTSS (R8)(R10*1), Y13; \
+	VFMADD231PS  Y8, Y13, Y6; \
+	VFMADD231PS  Y9, Y13, Y7
+
+// S4BIAS adds the panel's bias, in Y8 and Y9, to the 4-row tile.
+#define S4BIAS \
+	VADDPS Y8, Y0, Y0; \
+	VADDPS Y9, Y1, Y1; \
+	VADDPS Y8, Y2, Y2; \
+	VADDPS Y9, Y3, Y3; \
+	VADDPS Y8, Y4, Y4; \
+	VADDPS Y9, Y5, Y5; \
+	VADDPS Y8, Y6, Y6; \
+	VADDPS Y9, Y7, Y7
+
+// func sgemmTile8(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32)
+//
+// Two whole panels: tileGrid.sweep gives it nothing partial.
+TEXT ·sgemmTile8(SB), NOSPLIT, $0-80
 	MOVQ kc+0(FP), AX
 	MOVQ a+8(FP), R8
 	MOVQ lda+16(FP), R9
@@ -605,10 +667,6 @@ TEXT ·sgemmTile8(SB), NOSPLIT, $0-88
 	LEAQ (R9)(R9*2), R10      // 3·lda
 	LEAQ (R9)(R9*4), R11      // 5·lda
 	LEAQ (R10)(R9*4), R12     // 7·lda
-
-	MOVQ  acc+80(FP), DX
-	TESTQ DX, DX
-	JNZ   sload8
 
 	VPXORD Z0, Z0, Z0
 	VPXORD Z1, Z1, Z1
@@ -626,37 +684,8 @@ TEXT ·sgemmTile8(SB), NOSPLIT, $0-88
 	VPXORD Z13, Z13, Z13
 	VPXORD Z14, Z14, Z14
 	VPXORD Z15, Z15, Z15
-	JMP    sbody8
-
-sload8:
-	MOVQ    c+56(FP), DX
-	VMOVUPS (DX), Z0
-	VMOVUPS 64(DX), Z1
-	ADDQ    DI, DX
-	VMOVUPS (DX), Z2
-	VMOVUPS 64(DX), Z3
-	ADDQ    DI, DX
-	VMOVUPS (DX), Z4
-	VMOVUPS 64(DX), Z5
-	ADDQ    DI, DX
-	VMOVUPS (DX), Z6
-	VMOVUPS 64(DX), Z7
-	ADDQ    DI, DX
-	VMOVUPS (DX), Z8
-	VMOVUPS 64(DX), Z9
-	ADDQ    DI, DX
-	VMOVUPS (DX), Z10
-	VMOVUPS 64(DX), Z11
-	ADDQ    DI, DX
-	VMOVUPS (DX), Z12
-	VMOVUPS 64(DX), Z13
-	ADDQ    DI, DX
-	VMOVUPS (DX), Z14
-	VMOVUPS 64(DX), Z15
-
-sbody8:
-	TESTQ AX, AX
-	JZ    sbias8
+	TESTQ  AX, AX
+	JZ     sbias8
 
 sloop8:
 	VMOVUPS (BX), Z16
@@ -751,11 +780,13 @@ sstore8:
 	VZEROUPPER
 	RET
 
-// func sgemmTile4(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
+// func sgemmTile4(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, lanes int64)
 //
 // The AVX2 rung's full tile, and on the AVX-512 rung the tile for four-row
-// heads and tails and for an odd last panel. One panel: panelStride is
-// not read.
+// heads and tails and for a lone or partial last panel. One panel:
+// panelStride is not read. A whole panel takes plain loads and stores; a
+// partial one (lanes < 16) the same steps through the lane masks in Y14,
+// Y15.
 TEXT ·sgemmTile4(SB), NOSPLIT, $0-88
 	MOVQ kc+0(FP), AX
 	MOVQ a+8(FP), R8
@@ -766,10 +797,6 @@ TEXT ·sgemmTile4(SB), NOSPLIT, $0-88
 	MOVQ ldc+64(FP), DI
 	LEAQ (R9)(R9*2), R10 // 3·lda
 
-	MOVQ  acc+80(FP), DX
-	TESTQ DX, DX
-	JNZ   sload4
-
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -778,50 +805,21 @@ TEXT ·sgemmTile4(SB), NOSPLIT, $0-88
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	JMP    sbody4
 
-sload4:
-	MOVQ    c+56(FP), DX
-	VMOVUPS (DX), Y0
-	VMOVUPS 32(DX), Y1
-	ADDQ    DI, DX
-	VMOVUPS (DX), Y2
-	VMOVUPS 32(DX), Y3
-	ADDQ    DI, DX
-	VMOVUPS (DX), Y4
-	VMOVUPS 32(DX), Y5
-	ADDQ    DI, DX
-	VMOVUPS (DX), Y6
-	VMOVUPS 32(DX), Y7
-
-sbody4:
+	MOVQ lanes+80(FP), DX
+	CMPQ DX, $16
+	JNE  smasked4
 	TESTQ AX, AX
 	JZ    sbias4
 
 sloop4:
 	VMOVUPS (BX), Y8
 	VMOVUPS 32(BX), Y9
-
-	VBROADCASTSS (R8), Y10
-	VFMADD231PS  Y8, Y10, Y0
-	VFMADD231PS  Y9, Y10, Y1
-
-	VBROADCASTSS (R8)(R9*1), Y11
-	VFMADD231PS  Y8, Y11, Y2
-	VFMADD231PS  Y9, Y11, Y3
-
-	VBROADCASTSS (R8)(R9*2), Y12
-	VFMADD231PS  Y8, Y12, Y4
-	VFMADD231PS  Y9, Y12, Y5
-
-	VBROADCASTSS (R8)(R10*1), Y13
-	VFMADD231PS  Y8, Y13, Y6
-	VFMADD231PS  Y9, Y13, Y7
-
-	ADDQ R13, BX
-	ADDQ CX, R8
-	DECQ AX
-	JNZ  sloop4
+	S4FMA
+	ADDQ    R13, BX
+	ADDQ    CX, R8
+	DECQ    AX
+	JNZ     sloop4
 
 sbias4:
 	MOVQ  bias+72(FP), DX
@@ -829,14 +827,7 @@ sbias4:
 	JZ    sstore4
 	VMOVUPS (DX), Y8
 	VMOVUPS 32(DX), Y9
-	VADDPS  Y8, Y0, Y0
-	VADDPS  Y9, Y1, Y1
-	VADDPS  Y8, Y2, Y2
-	VADDPS  Y9, Y3, Y3
-	VADDPS  Y8, Y4, Y4
-	VADDPS  Y9, Y5, Y5
-	VADDPS  Y8, Y6, Y6
-	VADDPS  Y9, Y7, Y7
+	S4BIAS
 
 sstore4:
 	MOVQ    c+56(FP), DX
@@ -854,10 +845,49 @@ sstore4:
 	VZEROUPPER
 	RET
 
-// func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, acc int64)
+smasked4:
+	SMASK(lanes+80(FP))
+	TESTQ AX, AX
+	JZ    smbias4
+
+smloop4:
+	VMASKMOVPS (BX), Y14, Y8
+	VMASKMOVPS 32(BX), Y15, Y9
+	S4FMA
+	ADDQ       R13, BX
+	ADDQ       CX, R8
+	DECQ       AX
+	JNZ        smloop4
+
+smbias4:
+	MOVQ       bias+72(FP), DX
+	TESTQ      DX, DX
+	JZ         smstore4
+	VMASKMOVPS (DX), Y14, Y8
+	VMASKMOVPS 32(DX), Y15, Y9
+	S4BIAS
+
+smstore4:
+	MOVQ       c+56(FP), DX
+	VMASKMOVPS Y0, Y14, (DX)
+	VMASKMOVPS Y1, Y15, 32(DX)
+	ADDQ       DI, DX
+	VMASKMOVPS Y2, Y14, (DX)
+	VMASKMOVPS Y3, Y15, 32(DX)
+	ADDQ       DI, DX
+	VMASKMOVPS Y4, Y14, (DX)
+	VMASKMOVPS Y5, Y15, 32(DX)
+	ADDQ       DI, DX
+	VMASKMOVPS Y6, Y14, (DX)
+	VMASKMOVPS Y7, Y15, 32(DX)
+	VZEROUPPER
+	RET
+
+// func sgemmTile1(kc int64, a *float32, lda, astride int64, bp *float32, panelStride, bstride int64, c *float32, ldc int64, bias *float32, lanes int64)
 //
 // One row, one panel (lda, panelStride and ldc are not read): the rows
-// left over when a range is not a multiple of four.
+// left over when a range is not a multiple of four. Every load and store
+// goes through the lane masks, whole panel or partial.
 TEXT ·sgemmTile1(SB), NOSPLIT, $0-88
 	MOVQ kc+0(FP), AX
 	MOVQ a+8(FP), R8
@@ -865,26 +895,16 @@ TEXT ·sgemmTile1(SB), NOSPLIT, $0-88
 	MOVQ bp+32(FP), BX
 	MOVQ bstride+48(FP), R13
 	MOVQ c+56(FP), DI
-
-	MOVQ  acc+80(FP), DX
-	TESTQ DX, DX
-	JNZ   sload1
+	SMASK(lanes+80(FP))
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
-	JMP    sbody1
-
-sload1:
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-
-sbody1:
-	TESTQ AX, AX
-	JZ    sbias1
+	TESTQ  AX, AX
+	JZ     sbias1
 
 sloop1:
-	VMOVUPS      (BX), Y8
-	VMOVUPS      32(BX), Y9
+	VMASKMOVPS   (BX), Y14, Y8
+	VMASKMOVPS   32(BX), Y15, Y9
 	VBROADCASTSS (R8), Y10
 	VFMADD231PS  Y8, Y10, Y0
 	VFMADD231PS  Y9, Y10, Y1
@@ -894,15 +914,17 @@ sloop1:
 	JNZ          sloop1
 
 sbias1:
-	MOVQ  bias+72(FP), DX
-	TESTQ DX, DX
-	JZ    sstore1
-	VADDPS (DX), Y0, Y0
-	VADDPS 32(DX), Y1, Y1
+	MOVQ       bias+72(FP), DX
+	TESTQ      DX, DX
+	JZ         sstore1
+	VMASKMOVPS (DX), Y14, Y8
+	VMASKMOVPS 32(DX), Y15, Y9
+	VADDPS     Y8, Y0, Y0
+	VADDPS     Y9, Y1, Y1
 
 sstore1:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
+	VMASKMOVPS Y0, Y14, (DI)
+	VMASKMOVPS Y1, Y15, 32(DI)
 	VZEROUPPER
 	RET
 

@@ -44,7 +44,7 @@ func TestKernelTier(t *testing.T) {
 // TestLoweredToAVX2 re-runs, with the tier lowered to avx2, the tests of
 // this package that run on whatever rung is current: on an AVX-512 machine
 // every one of them otherwise meets the AVX2 tiles only at heads, tails
-// and odd panels — float64 and float32 alike. (The sweeps that walk the
+// and lone or partial panels — float64 and float32 alike. (The sweeps that walk the
 // rungs themselves need no second run.)
 func TestLoweredToAVX2(t *testing.T) {
 	if cpuTier < tierAVX512 {
@@ -195,36 +195,33 @@ func run64(o *gemmOperands[float64], ranges [][2]int) map[string][]float64 {
 // rung: the bias epilogue with the product then the row-vector add.
 var gemmPairs = [][2]string{{"bias", "definition"}}
 
-// run32: MatMul32 (whole matrix, packing per call where the shape clears
-// the threshold), MatMul32PackedRows through pre-packed panels and the
-// same with the bias epilogue — paired with its "definition", the packed
-// product then the row-vector add.
+// run32: MatMul32 (whole matrix), MatMul32BiasRows by row ranges without
+// and with the bias epilogue — paired with its "definition", the product
+// then the row-vector add.
 func run32(o *gemmOperands[float32], ranges [][2]int) map[string][]float32 {
 	rows, k, n := o.rows, o.k, o.n
 	x, w := &Matrix32{Rows: rows, Cols: k, Data: o.x}, &Matrix32{Rows: k, Cols: n, Data: o.w}
 	whole, mm, mb := New32(rows, n), New32(rows, n), New32(rows, n)
 	MatMul32(whole, x, w)
-	pb := PackB32(w)
 	for _, r := range ranges {
-		MatMul32PackedRows(mm, x, pb, r[0], r[1])
-		MatMul32PackedBiasRows(mb, x, pb, o.bias, r[0], r[1])
+		MatMul32BiasRows(mm, x, w, nil, r[0], r[1])
+		MatMul32BiasRows(mb, x, w, o.bias, r[0], r[1])
 	}
 	def := New32(rows, n)
 	copy(def.Data, mm.Data)
 	for _, r := range ranges {
 		AddRowVector32Rows(def, o.bias, r[0], r[1])
 	}
-	return map[string][]float32{"MatMul32": whole.Data, "MatMul32PackedRows": mm.Data, "bias": mb.Data, "definition": def.Data}
+	return map[string][]float32{"MatMul32": whole.Data, "MatMul32BiasRows": mm.Data, "bias": mb.Data, "definition": def.Data}
 }
 
 // sweepRungs shows, rather than assumes, that the rungs from lowest up
 // compute one arithmetic for one element type: for every GEMM form run
 // computes, each rung == lowest bit for bit, on every row count 1…70
 // (tile heads and tails), on 64-row panels at odd offsets, on even and
-// odd panel counts and a partial last panel, on K from 1 to 96 and with
-// packKc shrunk so that K spans several accumulate passes; and on every
-// rung the pairs of gemmPairs agree, NaNs in the sums and in the bias
-// included — all under the contract mismatch checks.
+// odd panel counts and a partial last panel, on K from 1 to 96; and on
+// every rung the pairs of gemmPairs agree, NaNs in the sums and in the
+// bias included — all under the contract mismatch checks.
 func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func(*gemmOperands[T], [][2]int) map[string][]T) {
 	rng := rand.New(rand.NewSource(512))
 	check := func(t *testing.T, what string, o *gemmOperands[T], ranges [][2]int) {
@@ -285,16 +282,6 @@ func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func
 			}
 		}
 	})
-	t.Run("accumulatePath", func(t *testing.T) {
-		prevKc := packKc
-		packKc = 16
-		defer func() { packKc = prevKc }()
-		for _, n := range widths {
-			for _, k := range []int{3, 32, 96, 37} {
-				check(t, fmt.Sprintf("Kc=16 21x%d·%d", k, n), operands(21, k, n, 0, false), [][2]int{{0, 9}, {9, 21}})
-			}
-		}
-	})
 	t.Run("NaNs", func(t *testing.T) {
 		for _, n := range widths {
 			check(t, fmt.Sprintf("NaN in the sums, width %d", n), operands(19, 32, n, 40, false), [][2]int{{0, 19}})
@@ -305,14 +292,15 @@ func sweepRungs[T float](t *testing.T, lowest kernelTier, widths []int, run func
 }
 
 // TestKernelRungsBitwise runs sweepRungs for both element types: float64
-// go == avx2 == avx512, float32 avx2 == avx512 (the go rung has no
-// float32 packed tier).
+// go == avx2 == avx512, float32 avx2 == avx512 (the go rung's float32 loop
+// is not fused: TestMatMul32PackedMatchesScalar holds it to a tolerance),
+// the float32 widths with lone, whole and partial last panels.
 func TestKernelRungsBitwise(t *testing.T) {
 	if cpuTier < tierAVX2 {
 		t.Skipf("rungs avx2 and avx512 not run: this CPU's top rung is %v", cpuTier)
 	}
 	t.Run("float64", func(t *testing.T) { sweepRungs(t, tierGo, []int{3, 8, 16, 24, 32, 40, 37}, run64) })
-	t.Run("float32", func(t *testing.T) { sweepRungs(t, tierAVX2, []int{16, 32, 48, 64, 37}, run32) })
+	t.Run("float32", func(t *testing.T) { sweepRungs(t, tierAVX2, []int{1, 3, 8, 13, 16, 32, 48, 64, 17, 37}, run32) })
 }
 
 // TestMatMulBiasRowsBitwise holds the linear layer to the
@@ -451,54 +439,6 @@ func BenchmarkMatMulBiasRows(b *testing.B) {
 			})
 		}
 	}
-}
-
-// TestPanelGroupSplitInvisible: with the Nc budget shrunk to two panels
-// per group (and packKc with it, so every group is resumed across Kc
-// blocks), a float32 packed product is the bits it is with every panel in
-// one group; a float64 product, which reads its row-major operand in one
-// pass, does not see the budgets at all. Both element types stream the
-// same bytes per panel, so a budget splits them at the same panel counts.
-func TestPanelGroupSplitInvisible(t *testing.T) {
-	if cpuTier < tierAVX2 {
-		t.Skipf("no SIMD tiles to sweep: this CPU's top rung is %v", cpuTier)
-	}
-	if g32, g64 := ncPanels(96, 16*4), ncPanels(96, 8*8); g32 != g64 || g64 != packNcBudget/(96*panelBytes) {
-		t.Fatalf("a 96-deep block streams %d float32 and %d float64 panels per group, want %d for both",
-			g32, g64, packNcBudget/(96*panelBytes))
-	}
-	rng := rand.New(rand.NewSource(64))
-	split := func(body func()) {
-		prevKc, prevNc := packKc, packNcBudget
-		packKc, packNcBudget = 16, 2*16*panelBytes
-		defer func() { packKc, packNcBudget = prevKc, prevNc }()
-		body()
-	}
-	atEachTier(t, func(t *testing.T) {
-		for _, n := range []int{64, 80, 77} {
-			o64 := newGemmOperands[float64](rng, 21, 40, n, 0, false)
-			whole64 := run64(o64, [][2]int{{0, 21}})
-			split(func() {
-				for form, got := range run64(o64, [][2]int{{0, 21}}) {
-					if i := mismatch(got, whole64[form]); i >= 0 {
-						t.Fatalf("float64 %s, width %d: the panel-group split shows at element %d", form, n, i)
-					}
-				}
-			})
-			if tier < tierAVX2 {
-				continue
-			}
-			o32 := newGemmOperands[float32](rng, 21, 40, n, 0, false)
-			whole32 := run32(o32, [][2]int{{0, 21}})
-			split(func() {
-				for form, got := range run32(o32, [][2]int{{0, 21}}) {
-					if i := mismatch(got, whole32[form]); i >= 0 {
-						t.Fatalf("float32 %s, width %d: the panel-group split shows at element %d", form, n, i)
-					}
-				}
-			})
-		}
-	})
 }
 
 // TestAddRowVector32RowsMatchesScalar: the float32 add kernels' 8- and

@@ -14,15 +14,15 @@ import (
 // arithmetic on the weights where they are, so a toggle to any rung — the
 // go rung included — needs no recompile: the compile answers with the bits
 // it answered with on the top rung, which are the training forward's
-// there. The float32 twin packs its weight panels once at compile; they
-// are 16 wide on both SIMD rungs, so it survives the toggle between them
-// too.
+// there. The float32 twin reads its weights where they are too, and its
+// two SIMD rungs compute one arithmetic, so it survives the toggle between
+// them.
 func TestCompiledPanelsAcrossTierToggle(t *testing.T) {
 	if !tensor.SIMDEnabled() {
 		t.Skip("one kernel tier only: nothing to toggle")
 	}
 	rng := rand.New(rand.NewSource(5))
-	m := nn.NewMLP("t", 96, 32, 32, 2, true, rng) // every weight above the float32 packed threshold
+	m := nn.NewMLP("t", 96, 32, 32, 2, true, rng)
 	x := tensor.New(200, 96)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()

@@ -169,7 +169,7 @@ const (
 	// Float64 keeps bitwise train/infer parity (the default).
 	Float64 = gnn.Float64
 	// Float32 compiles the single-precision serving twin: parameters
-	// down-convert and pre-pack once, activations and GEMMs run in
+	// down-convert once, activations and GEMMs run in
 	// float32, predictions track the float64 engine to a tested
 	// tolerance and stay bitwise-reproducible across thread counts.
 	Float32 = gnn.Float32
