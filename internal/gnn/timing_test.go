@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"testing"
+	"time"
 
 	"meshgnn/internal/comm"
 	"meshgnn/internal/graph"
@@ -20,8 +21,10 @@ func TestStepTimingAccumulates(t *testing.T) {
 		model, _ := NewModel(tinyConfig())
 		tr := NewTrainer(model, nn.NewAdam(1e-3))
 		x := waveField(rc.Graph)
+		start := time.Now()
 		tr.Step(rc, x, x)
 		tr.Step(rc, x, x)
+		wall := time.Since(start)
 		timing := tr.Timing()
 		if timing.Steps != 2 {
 			t.Errorf("Steps = %d", timing.Steps)
@@ -29,8 +32,10 @@ func TestStepTimingAccumulates(t *testing.T) {
 		if timing.Forward <= 0 || timing.Backward <= 0 || timing.Total() <= 0 {
 			t.Errorf("non-positive phases: %+v", timing)
 		}
-		if timing.Forward+timing.Backward < timing.Optimizer {
-			t.Errorf("suspicious breakdown: %+v", timing)
+		// The phases are disjoint laps inside the steps, so together they
+		// cannot outlast the steps.
+		if timing.Total() > wall {
+			t.Errorf("phases total %v over the %v the two steps took: %+v", timing.Total(), wall, timing)
 		}
 		return nil
 	})

@@ -3,6 +3,7 @@ package meshgnn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,7 +127,12 @@ type ServeOptions struct {
 	MaxBatch int
 	// BatchWindow is how long a dispatcher holds an admitted request
 	// open for co-travelers before dispatching a partial batch. 0 means
-	// a 200µs default when MaxBatch > 1.
+	// a 200µs default when MaxBatch > 1. The window is kept to within a
+	// scheduler yield: its last millisecond is polled, which holds one
+	// CPU while it lasts, and a longer window blocks until then. A
+	// partial batch whose window has passed while the session's ranks
+	// still evaluate the previous one keeps taking requests until they
+	// can take it.
 	BatchWindow time.Duration
 	// Sessions is the number of independent serving sessions behind the
 	// front door — S full collective groups referencing one compiled
@@ -152,7 +158,8 @@ const defaultServeRecvTimeout = 30 * time.Second
 
 // defaultBatchWindow is how long a batching server waits for co-travelers
 // when ServeOptions doesn't say otherwise: long enough for concurrent
-// submitters to meet in the queue, short against request latency.
+// submitters to meet in the queue, short against request latency. It is
+// below timerGranularity, so a default window is polled whole.
 const defaultBatchWindow = 200 * time.Microsecond
 
 func (o ServeOptions) recvTimeout() time.Duration {
@@ -452,10 +459,12 @@ func (ses *serveSession) alive() bool {
 
 // dispatch is a session's admission loop: it pulls requests off the
 // session queue, coalesces compatible neighbors into batches up to
-// MaxBatch within the batching window, and fans each batch out to every
-// rank in a single consistent order — the collective serialization the
-// evaluation needs. It exits when the queue closes, dispatching whatever
-// a pending window holds so Close always drains admitted requests.
+// MaxBatch within the batching window (fill), and fans each batch out to
+// every rank in a single consistent order — the collective serialization
+// the evaluation needs. With MaxBatch <= 1 every request is dispatched as
+// it arrives and no window opens. It exits when the queue closes,
+// dispatching whatever a pending window holds so Close always drains
+// admitted requests.
 func (ses *serveSession) dispatch() {
 	srv := ses.srv
 	defer close(ses.dispDone)
@@ -478,39 +487,105 @@ func (ses *serveSession) dispatch() {
 			first = req
 		}
 		b := srv.getBatch(first)
+		sent := 0
 		if srv.maxBatch > 1 {
-			timer := getTimer(srv.window)
-		fill:
-			for len(b.members) < srv.maxBatch {
-				select {
-				case req, ok := <-ses.queue:
-					if !ok {
-						open = false
-						break fill
-					}
-					if req.steps != b.steps {
-						held = req
-						break fill
-					}
-					b.addMember(req)
-				case <-timer.C:
-					break fill
-				}
-			}
-			putTimer(timer)
+			held, open, sent = ses.fill(b)
 		}
-		ses.deliver(b)
+		ses.deliver(b, sent)
 	}
 }
 
-// deliver fans a batch out to every rank of the session. The rank
-// channels are unbuffered, so delivery blocks until the previous
-// evaluation was picked up; the fatal latch unblocks a delivery to a dead
+// timerGranularity is the shortest wait a runtime timer keeps: on an idle
+// process the netpoller rounds every timer wait under a millisecond up to
+// a whole one (runtime/netpoll_epoll.go: delay < 1e6 → waitms = 1), and
+// the halted CPU then has to wake: a 200µs timer wait took 1.1 ms in the
+// median on an idle 2-vCPU KVM guest. fill polls the last
+// timerGranularity of a window instead.
+const timerGranularity = time.Millisecond
+
+// fill adds queued steps-compatible requests to b until it holds
+// MaxBatch, the window opened with its first member has passed and rank
+// 0 takes the batch (sent 1), or the queue closes (open false). A
+// steps-incompatible request ends the batch and is returned as held, to
+// open the next one. While the ranks still evaluate the previous batch,
+// this one could not leave sooner, so requests arriving after its window
+// still join it.
+//
+// The window ends within one scheduler yield of its deadline, as long as
+// a timer fires less than timerGranularity late. While more than
+// timerGranularity is left the dispatcher parks on the queue and a timer
+// set to end timerGranularity early, so a long window costs no CPU; the
+// rest is polled. The poll holds one CPU for at most one window per
+// partial batch (the whole of the 200µs default); under saturation
+// batches fill from the queue and nothing polls.
+func (ses *serveSession) fill(b *serveBatch) (held *serveReq, open bool, sent int) {
+	srv := ses.srv
+	deadline := time.Now().Add(srv.window)
+	for len(b.members) < srv.maxBatch {
+		req, ok, late := ses.await(deadline)
+		if late {
+			// The window has passed: the batch leaves as soon as rank 0
+			// takes it, and takes co-travelers until then.
+			select {
+			case req, ok = <-ses.queue:
+			case ses.batches[0] <- b:
+				return nil, true, 1
+			case <-ses.fatal:
+				return nil, true, 0
+			}
+		}
+		switch {
+		case !ok:
+			return nil, false, 0
+		case req.steps != b.steps:
+			return req, true, 0
+		}
+		b.addMember(req)
+	}
+	return nil, true, 0
+}
+
+// await takes the next request off the queue (ok false: the queue
+// closed), or reports late once the deadline has passed with the queue
+// empty.
+func (ses *serveSession) await(deadline time.Time) (req *serveReq, ok, late bool) {
+	for {
+		select {
+		case req, ok = <-ses.queue:
+			return req, ok, false
+		default:
+		}
+		left := time.Until(deadline)
+		if left <= 0 {
+			return nil, false, true
+		}
+		if left <= timerGranularity {
+			// The poll needs the clock to move while it yields. In a
+			// testing/synctest bubble the clock moves only when every
+			// goroutine blocks, so a virtual-time server must bound it.
+			runtime.Gosched()
+			continue
+		}
+		timer := getTimer(left - timerGranularity)
+		select {
+		case req, ok = <-ses.queue:
+			putTimer(timer)
+			return req, ok, false
+		case <-timer.C:
+		}
+		putTimer(timer)
+	}
+}
+
+// deliver fans a batch out to the session's ranks from rank from on (fill
+// may have handed it to rank 0 already). The rank channels are
+// unbuffered, so delivery blocks until the previous evaluation was
+// picked up; the fatal latch unblocks a delivery to a dead
 // world (ranks that already took the batch finish every member slot, and
 // submitters of the rest unblock through the latch — the partial fan-out
 // is harmless).
-func (ses *serveSession) deliver(b *serveBatch) {
-	for _, ch := range ses.batches {
+func (ses *serveSession) deliver(b *serveBatch, from int) {
+	for _, ch := range ses.batches[from:] {
 		select {
 		case ch <- b:
 		case <-ses.fatal:

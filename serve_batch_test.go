@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -252,6 +253,139 @@ func TestServeCloseDrainsPendingWindow(t *testing.T) {
 				t.Errorf("request %d rank %d: drained result differs bitwise from the model forward", i, r)
 			}
 		}
+	}
+}
+
+// TestServeBatchWindowCostsItsLength holds a partial batch's window to
+// its length: a lone Predict on a MaxBatch 8 server with a 200µs window
+// takes, in the median, less than 0.7 ms longer than on a MaxBatch 1
+// server, which opens no window. A runtime timer rounds a wait under a
+// millisecond up to a whole one on an idle process, so a window kept on
+// a timer reads about 1 ms here.
+func TestServeBatchWindowCostsItsLength(t *testing.T) {
+	if raceEnabled {
+		// Under the race detector a polled 200µs window adds 0.9–1.5 ms
+		// to a lone Predict in most runs (a 1ns window adds nothing), so
+		// the bound cannot tell a kept window from a timer-kept one.
+		t.Skip("race-detector instrumentation distorts the latency")
+	}
+	sys, model, inputs := serveSystem(t)
+	const window = 200 * time.Microsecond
+	solo, err := sys.ServeWith(InProcess, NeighborAllToAll, model, ServeOptions{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solo.Close()
+	batched, err := sys.ServeWith(InProcess, NeighborAllToAll, model, ServeOptions{MaxBatch: 8, BatchWindow: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batched.Close()
+	timed := func(srv *Server) time.Duration {
+		start := time.Now()
+		if _, err := srv.Predict(inputs); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	timed(solo) // warm-up: the sessions' first evaluations
+	timed(batched)
+	const n = 41
+	var soloT, batchedT []time.Duration
+	for i := 0; i < n; i++ { // alternate which server goes first
+		if i%2 == 0 {
+			soloT = append(soloT, timed(solo))
+			batchedT = append(batchedT, timed(batched))
+		} else {
+			batchedT = append(batchedT, timed(batched))
+			soloT = append(soloT, timed(solo))
+		}
+	}
+	median := func(ds []time.Duration) time.Duration {
+		slices.Sort(ds)
+		return ds[len(ds)/2]
+	}
+	ms, mb := median(soloT), median(batchedT)
+	t.Logf("lone Predict median: MaxBatch 1 %v, MaxBatch 8 with a %v window %v", ms, window, mb)
+	if mb-ms >= 700*time.Microsecond {
+		t.Errorf("a %v window costs a lone Predict %v in the median (MaxBatch 1 %v, MaxBatch 8 %v); want < 0.7 ms",
+			window, mb-ms, ms, mb)
+	}
+}
+
+// TestServeBatchFillsWhileRanksBusy pins what a partial batch does when
+// its window has passed while the ranks still evaluate the previous
+// batch: it cannot leave yet, so a request arriving in the meantime joins
+// it. Rank 0 stalls 150ms in the first evaluation; a second request opens
+// a window in that time and a third arrives long after the window ended.
+// The two share one collective evaluation, and every answer is bitwise
+// the model forward.
+func TestServeBatchFillsWhileRanksBusy(t *testing.T) {
+	setupOps := calibrateServeSetupOps(t)
+	sys, model, inputs := serveSystem(t)
+	reqs := [][]*Matrix{inputs, perturbed(inputs, 0.1), perturbed(inputs, 0.2)}
+	wants := make([][]*Matrix, len(reqs))
+	for i, in := range reqs {
+		wants[i] = refForward(t, sys, in)
+	}
+	fts := make([]*FaultTransport, sys.Ranks)
+	srv, err := sys.ServeWith(InProcess, NeighborAllToAll, model, ServeOptions{
+		MaxBatch: 8, // the default 200µs window
+		WrapTransport: func(tr Transport) Transport {
+			var evs []FaultEvent
+			if tr.Rank() == 0 {
+				evs = []FaultEvent{{AfterOps: setupOps, Kind: FaultDelay, Peer: -1, Delay: 150 * time.Millisecond}}
+			}
+			ft := NewFaultTransport(tr, evs)
+			fts[ft.Rank()] = ft
+			return ft
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses := srv.sessions[0]
+	var wg sync.WaitGroup
+	outs := make([][]*Matrix, len(reqs))
+	errs := make([]error, len(reqs))
+	for i, in := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = srv.Predict(in)
+		}()
+		if i == len(reqs)-1 {
+			break
+		}
+		// The request is admitted and taken into a window, and that
+		// window has passed. Rank 0's stall keeps the first one in
+		// flight meanwhile.
+		for ses.inflight.Load() < int64(i+1) || len(ses.queue) > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	wg.Wait()
+	for i := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		for r := range outs[i] {
+			if !bitEqual(outs[i][r], wants[i][r]) {
+				t.Errorf("request %d rank %d: result differs bitwise from the model forward", i, r)
+			}
+		}
+	}
+	served := fts[0].Ops() - setupOps
+	if _, err := srv.Predict(inputs); err != nil {
+		t.Fatal(err)
+	}
+	solo := fts[0].Ops() - setupOps - served
+	if served != 2*solo {
+		t.Errorf("3 requests cost %d transport ops, one evaluation costs %d: want 2 evaluations, the last two requests fused", served, solo)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 
