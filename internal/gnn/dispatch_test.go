@@ -38,10 +38,15 @@ import (
 // their own).
 //
 // The engine's arenas are part of the same budget: a forward-only pass
-// holds no (B·N_edges)×3H edge input and no (B·N_local)×2H node input —
-// they exist one row panel at a time in the evaluator's scratch — so its
-// footprint stays below half of what it was when they were workspaces
-// (2 129 920 float64s at float64, 1 064 960 at float32, B = 1).
+// holds no (B·N_edges)×3H edge input — not even a row panel of one: the
+// edge head writes the first Linear's H-wide output from the node
+// projections — and no (B·N_local)×2H node input, which exists one row
+// panel at a time in the evaluator's scratch, so its footprint stays below
+// half of what it was when they were workspaces (2 129 920 float64s at
+// float64, 1 064 960 at float32, B = 1). The projections themselves, P and
+// Q of each layer's x, are workspaces, 2·B·N_local×H a layer; the arena's
+// slabs absorbed them here, and the footprint read 983 040 and 491 520
+// with and without them.
 func TestParallelDispatchBudget(t *testing.T) {
 	parallel.Configure(2, true)
 	defer parallel.Configure(0, true)
@@ -106,13 +111,17 @@ func TestParallelDispatchBudget(t *testing.T) {
 
 // TestParallelDispatchBudgetPerSplit pins the regions of one message-passing layer —
 // every ForTask/Panels.For with work to do, dispatched or inline — on two
-// ranks, for both split points. Forward: edge stage, the aggregate of the
-// boundary prefix (every rank here has one; at this width it is shorter
-// than its grain and runs inline), node stage, plus the during-exchange
-// aggregate of the interior rows only under the phased split — under the
-// synchronous one those rows are summed by the node stage's head, so the
-// boundary prefix is the only aggregate region left and the count stays 3
-// (an empty span dispatches nothing). Backward: the node chain (its
+// ranks, for both split points. Forward: the projection of x for the edge
+// stage's head (a standalone layer has no stage before it whose tail
+// could project x, so NMPLayer.Forward runs it as a region of its own;
+// in a model it rides the node encoder's or the previous node stage's
+// region), edge stage, the aggregate of the boundary prefix (every rank
+// here has one; at this width it is shorter than its grain and runs
+// inline), node stage, plus the during-exchange aggregate of the interior
+// rows only under the phased split — under the synchronous one those rows
+// are summed by the node stage's head, so the boundary prefix is the only
+// aggregate region left and the count stays 4 (an empty span dispatches
+// nothing). Backward: the node chain (its
 // reductions ride its region), the halo-gradient gather, the edge chain,
 // the scatter, plus the during-exchange edge gather only under the phased
 // split. The
@@ -137,7 +146,7 @@ func TestParallelDispatchBudgetPerSplit(t *testing.T) {
 	for _, tc := range []struct {
 		overlap  bool
 		fwd, bwd uint64 // per rank
-	}{{false, 3, 4}, {true, 4, 5}} {
+	}{{false, 4, 4}, {true, 5, 5}} {
 		var fwd, bwd uint64
 		err := comm.Run(ranks, func(c *comm.Comm) error {
 			rc, err := NewRankContext(c, box, locals[c.Rank()], comm.NeighborAllToAll)

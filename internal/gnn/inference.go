@@ -17,11 +17,13 @@ import (
 // exists only for training: no gradient accumulators, no backward
 // workspaces, no activation between the layers of an MLP block — and that
 // includes the block's input wherever something assembles it: the
-// (x_i ‖ x_j ‖ e_ij) edge inputs and (a* ‖ x) node inputs of a processor
-// exist one row panel at a time, gathered by the head of the panel loop
-// into the evaluator's scratch (nn.InferMLP carries a row panel from that
-// head through the block to a residual-add tail as one parallel region),
-// never as (B·N_edges)×3H and (B·N_local)×2H workspaces — and no edge
+// (a* ‖ x) node inputs of a processor exist one row panel at a time,
+// gathered by the head of the panel loop into the evaluator's scratch
+// (nn.InferMLP carries a row panel from that head through the block to a
+// residual-add tail as one parallel region), never as a (B·N_local)×2H
+// workspace, and the (x_i ‖ x_j ‖ e_ij) edge inputs not at all: the edge
+// block's head writes its first Linear's output from the node projections
+// (nmp.go) and the block runs from its first ELU on — and no edge
 // encoder on the request path: the edge attributes are the static
 // geometry columns, so its output does not depend on the node snapshot and
 // is encoded once per (graph, parameters) and reused.
@@ -328,13 +330,15 @@ type enginePass[M any] interface {
 	// begin rewinds the arena for the next pass.
 	begin()
 	// encodeNodes stages the samples in — stacked, in the element type —
-	// and lifts them to hidden node features.
-	encodeNodes(xs []*tensor.Matrix) M
+	// and lifts them to hidden node features, projected through the first
+	// processor's edge MLP (see forwardNMP) in the encoder's tail.
+	encodeNodes(xs []*tensor.Matrix) (x, pq M)
 	// encodeEdges returns the stacked hidden edge features: the batch's
 	// copies of the static-edge encoding.
 	encodeEdges() M
-	// process applies processor layer i.
-	process(rc *RankContext, i int, x, e M, batch int, overlap bool) (xOut, eOut M)
+	// process applies processor layer i to x projected in pq, projecting
+	// xOut for the next processor if there is one.
+	process(rc *RankContext, i int, x, e, pq M, batch int, overlap bool) (xOut, eOut, pqOut M)
 	// decodeInto decodes x and stages the float64 prediction out into dst.
 	decodeInto(dst *tensor.Matrix, x M)
 }
@@ -360,10 +364,10 @@ func runPass[M any](e *Inference, u enginePass[M], rc *RankContext, xs []*tensor
 		e.graph, e.batch = rc.Graph, batch
 	}
 	u.begin()
-	hx := u.encodeNodes(xs)
+	hx, pq := u.encodeNodes(xs)
 	he := u.encodeEdges()
 	for i := 0; i < e.Config.MessagePassingLayers; i++ {
-		hx, he = u.process(rc, i, hx, he, batch, e.Config.Overlap)
+		hx, he, pq = u.process(rc, i, hx, he, pq, batch, e.Config.Overlap)
 	}
 	u.decodeInto(dst, hx)
 }
@@ -376,6 +380,7 @@ type pass64 struct {
 	core  *inferCore[*nn.InferMLP, *tensor.Matrix]
 	layer *coreLayer[*nn.InferMLP] // the processor forwardNMP is running
 	fwd   nmpTasks[float64]
+	encT  projectTask[float64] // the node encoder's tail
 
 	he      *tensor.Matrix // the bound graph's static-edge encoding (core-owned)
 	tile    rowTile[float64]
@@ -401,24 +406,38 @@ func (u *pass64) bind(rc *RankContext, batch int, newGraph bool) {
 
 func (u *pass64) begin() { u.arena.Reset() }
 
-func (u *pass64) encodeNodes(xs []*tensor.Matrix) *tensor.Matrix {
+func (u *pass64) encodeNodes(xs []*tensor.Matrix) (*tensor.Matrix, *tensor.Matrix) {
 	n := len(xs[0].Data)
 	x := u.arena.Get(len(xs)*xs[0].Rows, xs[0].Cols)
 	for i, s := range xs {
 		copy(x.Data[i*n:(i+1)*n], s.Data)
 	}
-	return u.core.nodeEnc.InferForward(u.arena, x)
+	pq := u.arena.Get(2*x.Rows, u.core.nodeEnc.Out)
+	u.encT = projectTask[float64]{next: edgeFirstOf[float64](u.core.layers, 0)}
+	u.encT.p, u.encT.q = projViews(u.view(pq))
+	return u.core.nodeEnc.InferForwardTail(u.arena, x, &u.encT), pq
 }
 
 func (u *pass64) encodeEdges() *tensor.Matrix { return &u.staticB }
 
-func (u *pass64) process(rc *RankContext, i int, x, e *tensor.Matrix, batch int, overlap bool) (xOut, eOut *tensor.Matrix) {
+func (u *pass64) process(rc *RankContext, i int, x, e, pq *tensor.Matrix, batch int, overlap bool) (xOut, eOut, pqOut *tensor.Matrix) {
 	u.layer = &u.core.layers[i]
-	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap)
+	return forwardNMP(u, &u.fwd, rc, x, e, pq, batch, overlap, edgeFirstOf[float64](u.core.layers, i+1))
 }
 
-func (u *pass64) runEdge(rows int, head, tail nn.RowMap[float64]) *tensor.Matrix {
-	return u.layer.edgeMLP.InferRows(u.arena, rows, head, tail)
+// edgeFirstOf is processor i's edge-MLP first Linear as its input parts,
+// the zero SplitLinear past the last (see Model.edgeFirst).
+func edgeFirstOf[T elem, P interface{ SplitFirst(int) nn.SplitLinear[T] }](layers []coreLayer[P], i int) nn.SplitLinear[T] {
+	if i == len(layers) {
+		return nn.SplitLinear[T]{}
+	}
+	return layers[i].edgeMLP.SplitFirst(edgeParts)
+}
+
+func (u *pass64) edgeFirst() nn.SplitLinear[float64] { return u.layer.edgeMLP.SplitFirst(edgeParts) }
+
+func (u *pass64) runEdge(rows int, head nn.PreHead[float64], tail nn.RowMap[float64]) *tensor.Matrix {
+	return u.layer.edgeMLP.InferPre(u.arena, rows, head, tail)
 }
 
 func (u *pass64) runNode(rows int, head, tail nn.RowMap[float64]) *tensor.Matrix {
@@ -437,6 +456,7 @@ type pass32 struct {
 	core  *inferCore[*nn.InferMLP32, *tensor.Matrix32]
 	layer *coreLayer[*nn.InferMLP32]
 	fwd   nmpTasks[float32]
+	encT  projectTask[float32]
 
 	arena *tensor.Arena32
 	blk   tensor.Matrix32 // header over one sample's block of the stacked input
@@ -475,22 +495,27 @@ func (u *pass32) bind(rc *RankContext, batch int, newGraph bool) {
 
 func (u *pass32) begin() { u.arena.Reset() }
 
-func (u *pass32) encodeNodes(xs []*tensor.Matrix) *tensor.Matrix32 {
+func (u *pass32) encodeNodes(xs []*tensor.Matrix) (*tensor.Matrix32, *tensor.Matrix32) {
 	per := xs[0].Rows
 	x := u.arena.Get(len(xs)*per, xs[0].Cols)
 	for i, s := range xs {
 		x.SliceRows(&u.blk, i*per, (i+1)*per)
 		tensor.DemoteInto32(&u.blk, s)
 	}
-	return u.core.nodeEnc.InferForward32(u.arena, x)
+	pq := u.arena.Get(2*x.Rows, u.core.nodeEnc.Out)
+	u.encT = projectTask[float32]{next: edgeFirstOf[float32](u.core.layers, 0)}
+	u.encT.p, u.encT.q = projViews(u.view(pq))
+	return u.core.nodeEnc.InferForward32Tail(u.arena, x, &u.encT), pq
 }
 
 func (u *pass32) encodeEdges() *tensor.Matrix32 { return &u.staticB }
 
-func (u *pass32) process(rc *RankContext, i int, x, e *tensor.Matrix32, batch int, overlap bool) (xOut, eOut *tensor.Matrix32) {
+func (u *pass32) process(rc *RankContext, i int, x, e, pq *tensor.Matrix32, batch int, overlap bool) (xOut, eOut, pqOut *tensor.Matrix32) {
 	u.layer = &u.core.layers[i]
-	return forwardNMP(u, &u.fwd, rc, x, e, batch, overlap)
+	return forwardNMP(u, &u.fwd, rc, x, e, pq, batch, overlap, edgeFirstOf[float32](u.core.layers, i+1))
 }
+
+func (u *pass32) edgeFirst() nn.SplitLinear[float32] { return u.layer.edgeMLP.SplitFirst(edgeParts) }
 
 func (u *pass32) decodeInto(dst *tensor.Matrix, x *tensor.Matrix32) {
 	tensor.PromoteInto64(dst, u.core.dec.InferForward32(u.arena, x))
@@ -505,8 +530,8 @@ func (u *pass32) get(rows, cols int, zeroed bool) *tensor.Matrix32 {
 
 func (*pass32) view(m *tensor.Matrix32) rowsOf[float32] { return rowsOf[float32]{m.Data, m.Cols} }
 
-func (u *pass32) runEdge(rows int, head, tail nn.RowMap[float32]) *tensor.Matrix32 {
-	return u.layer.edgeMLP.InferRows32(u.arena, rows, head, tail)
+func (u *pass32) runEdge(rows int, head nn.PreHead[float32], tail nn.RowMap[float32]) *tensor.Matrix32 {
+	return u.layer.edgeMLP.InferPre32(u.arena, rows, head, tail)
 }
 
 func (u *pass32) runNode(rows int, head, tail nn.RowMap[float32]) *tensor.Matrix32 {

@@ -72,6 +72,10 @@ type Model struct {
 	staticEdge  rowTile[float64]
 	staticEdgeB tensor.Matrix
 	one         [1]*tensor.Matrix
+
+	// encT is the node encoder's tail: the first layer's projection of the
+	// encoded rows.
+	encT projectTask[float64]
 }
 
 // rowTile is a grow-only stack of copies of one row block — the static-edge
@@ -229,12 +233,27 @@ func (m *Model) forward(rc *RankContext, xs []*tensor.Matrix) *tensor.Matrix {
 	for i, x := range xs {
 		copy(xb.Data[i*n:(i+1)*n], x.Data)
 	}
-	hx := m.NodeEncoder.Forward(xb)
+	// The node encoder's tail projects its rows for the first edge stage,
+	// each node stage's tail for the next (projectTask).
+	pq := m.arena.Get(2*batch*rows, m.Config.HiddenDim)
+	m.encT = projectTask[float64]{next: m.edgeFirst(0)}
+	m.encT.p, m.encT.q = projViews(rowsOf[float64]{pq.Data, pq.Cols})
+	hx := m.NodeEncoder.ForwardTail(xb, &m.encT)
 	he := m.EdgeEncoder.Forward(&m.staticEdgeB)
-	for _, l := range m.Layers {
-		hx, he = l.forward(rc, hx, he, batch)
+	for i, l := range m.Layers {
+		hx, he, pq = l.forward(rc, hx, he, pq, batch, m.edgeFirst(i+1))
 	}
 	return m.Decoder.Forward(hx)
+}
+
+// edgeFirst is layer i's edge-MLP first Linear as its input parts, the
+// zero SplitLinear past the last layer: what the stage producing layer
+// i's node features projects them through.
+func (m *Model) edgeFirst(i int) nn.SplitLinear[float64] {
+	if i == len(m.Layers) {
+		return nn.SplitLinear[float64]{}
+	}
+	return m.Layers[i].edgeFirst()
 }
 
 // Backward propagates the output gradient dy — stacked like the most

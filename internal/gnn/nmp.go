@@ -21,8 +21,9 @@ import (
 // is written once in this file: forwardNMP is the one forward schedule,
 // NMPLayer.Backward the one backward schedule, and the tasks below the only
 // hot loops. Three things differ between the layer's users and are supplied
-// by an nmpUser adapter — which MLP flavour runs, where the workspaces come
-// from, and how aggregates reach the float64 wire:
+// by an nmpUser adapter — which MLP flavour runs (and so whose copy of the
+// edge MLP's first-Linear weights the projections read), where the
+// workspaces come from, and how aggregates reach the float64 wire:
 //
 //	train    *NMPLayer  nn.MLP (keeps backward caches)  tensor.Arena    direct
 //	infer64  *pass64    nn.InferMLP                     tensor.Arena    direct
@@ -42,45 +43,71 @@ import (
 // Residual connections wrap both MLPs, matching the encode-process-decode
 // processors of the MeshGraphNets lineage the paper builds on.
 //
+// The edge MLP's first Linear is linear in its concatenated input, so it
+// is evaluated as the sum of the parts' products,
+//
+//	(x_i ‖ x_j ‖ e_ij)·W + b = (e_ij·W_2 + b) + (x_i·W_0 + x_j·W_1)
+//
+// with W_0, W_1, W_2 the row blocks of W (nn.SplitLinear): the node parts
+// P = x·W_0 and Q = x·W_1 once per node, by the stage that produced x,
+// instead of once per edge the node is on (six at p = 2), and the edge
+// head adds P_i + Q_j to the edge part. In exact arithmetic that is the
+// paper's product; rounded, it is grouped differently, the same way for
+// every user. The weights keep their 3H×H shape, so checkpoints do not
+// change.
+//
 // A layer is at most three regions. Aggregation (edges → nodes) and the
 // halo exchange are the only true barriers of Eq. 4, so the forward pass is
 //
-//	edge stage   [gather (x_i ‖ x_j ‖ e_ij) → edge MLP → + e_ij]   one region
+//	edge stage   [(e_ij·W_2 + b) + (P_i + Q_j) → rest of the edge   one region
+//	             MLP → + e_ij]
 //	aggregate    (4b) over the rows the plan sends → Start         one region, none on one rank
 //	             (4b) over the interior rows → Finish              phased split only
 //	node stage   [absorb halo copies; (4b) over the interior rows  one region
-//	             when synchronous; (a* ‖ x) → node MLP → + x]
+//	             when synchronous; (a* ‖ x) → node MLP → + x →
+//	             P, Q of x for the next layer (not after the last)]
 //
-// and the gather, the concatenation, the interior aggregate of the
-// synchronous split and the two residual adds are not loops of their own:
-// they are the head and the tail (nn.RowMap) of the MLP block's row
-// panels, run by whichever thread carries the panel through the block, on
-// rows that are in its cache. Which loops are what:
+// (P and Q of the first layer ride the node encoder's region the same
+// way), and the first Linear, the concatenation, the interior aggregate of
+// the synchronous split, the two residual adds and the projection are not
+// loops of their own: they are the head and the tail (nn.PreHead,
+// nn.RowMap) of the MLP block's row panels, run by whichever thread
+// carries the panel through the block, on rows that are in its cache.
+// Which loops are what:
 //
 //	regions      aggTask; backward: dHaloTask, dEOutTask over the
 //	             during-exchange span, scatterTask
-//	heads        edgeInTask (4a gather: a tensor.GatherEdgeRows kernel
-//	             call per sample block of the panel), nodeInTask (4d
+//	heads        edgeHeadTask (4a first Linear: the edge part's product
+//	             over the panel, then a tensor.GatherAddEdgeRows call per
+//	             sample block; in training also the (x_i ‖ x_j ‖ e_ij)
+//	             cache, a tensor.GatherEdgeRows call), nodeInTask (4d
 //	             absorb, 4b of the interior rows when synchronous, 4e
 //	             concat); backward: dEOutTask over the edges gathered
 //	             after Finish
-//	tails        residualTask (+ e, + x); backward: nodeGradTask (dAgg and
-//	             dx from the node-MLP input gradient), edgeGradTask (de)
+//	tails        residualTask (+ e), projectTask (+ x, then P and Q);
+//	             backward: nodeGradTask (dAgg and dx from the node-MLP
+//	             input gradient), edgeGradTask (de)
 //
 // and which kernels run a row's arithmetic: every CSR span sum — aggRow
 // (4b), absorbHalo (4d) and scatterTask's receiver and sender spans — is
 // one tensor.SpanAcc call per span, the row held in registers, its Go loop
 // the definition and the go rung's kernel; every plain row add
-// (residualTask, nodeGradTask, edgeGradTask, dEOutTask's deOut) is
-// tensor.AddTo.
+// (residualTask, projectTask, nodeGradTask, edgeGradTask, dEOutTask's
+// deOut) is tensor.AddTo; every product is the linear layer's own kernel.
 //
 // A head or tail has to be a row map — rows [r0, r1) computed from inputs
 // no other panel of the same region writes — because panels run in any
 // order on any thread; that is what makes fusing it a change of schedule
 // and not of arithmetic: every row still sees its own operation sequence.
-// The forward-only users never hold the N_edges×3H and N_local×2H inputs
-// at all (a panel of them lives in the evaluator's scratch); the training
-// layer keeps them, because its parameter reductions read them back.
+// The forward-only users never build an N_edges×3H edge input, not even a
+// panel of one — the edge head writes the first Linear's H-wide output —
+// nor hold the N_local×2H node input (a panel of it lives in the
+// evaluator's scratch); what they hold instead is P and Q, 2·N_local×H per
+// layer. The training layer keeps both inputs at full height, because its
+// parameter reductions read them back: its edge head fills the 3H-wide
+// cache beside the pre-activation, and the backward is unchanged — the
+// concatenated row's gradient formulas are the exact gradient of the
+// split map.
 //
 // The region tasks and the heads that gather across rows partition over
 // edges or over *receiver* (resp. sender, owner) rows through the graph's
@@ -188,35 +215,106 @@ func runBlocks(t blockRunner, n, lo, hi int) {
 	}
 }
 
-// edgeInTask is the head of the edge stage (4a): it assembles the
-// (x_i ‖ x_j ‖ e_ij) input rows of one panel of edges, gathering within
-// each row's own sample block — one tensor.GatherEdgeRows kernel call per
-// block segment of the panel. Its panel argument is per call and its own
-// state read-only, so it walks the sample blocks itself (splitBlock)
-// instead of through runBlocks.
-type edgeInTask[T elem] struct {
-	g    *graph.Local
-	x, e rowsOf[T]
+// The parts of the edge MLP's input, in the order it concatenates them:
+// (x_i ‖ x_j ‖ e_ij), the receiver's features, the sender's, the edge's.
+const (
+	recvPart = iota
+	sendPart
+	edgePart
+	edgeParts
+)
+
+// edgeHeadTask is the head of the edge stage (4a). The edge MLP's first
+// Linear is linear in its concatenated input, (x_i ‖ x_j ‖ e_ij)·W =
+// x_i·W_0 + x_j·W_1 + e_ij·W_2 (nn.SplitLinear), and the stage that
+// produced x has already multiplied every node row by the two node parts
+// (projectTask): P = x·W_0, Q = x·W_1, once per node instead of once per
+// edge the node is on. The head writes the Linear's output, the
+// pre-activation, for one panel of edges,
+//
+//	pre_k = (e_k·W_2 + b) + (P_i + Q_j)      i the receiver, j the sender
+//
+// — one product over the panel's edge rows, then one
+// tensor.GatherAddEdgeRows call per sample block segment of the panel,
+// which indexes P and Q within that block — and the block runs from its
+// first ELU on. In training it also gathers the (x_i ‖ x_j ‖ e_ij) rows
+// into the Linear's input cache, which the weight gradient reads
+// (tensor.GatherEdgeRows); the forward-only users have none to fill. Its
+// panel arguments are per call and its own state read-only, so it walks
+// the sample blocks itself (splitBlock) instead of through runBlocks.
+type edgeHeadTask[T elem] struct {
+	g     *graph.Local
+	x, e  rowsOf[T]
+	p, q  rowsOf[T]
+	first nn.SplitLinear[T]
 }
 
-func (t *edgeInTask[T]) Rows(p []T, r0, r1 int) {
-	g, h := t.g, t.x.cols
-	nl := g.NumLocal()
+func (t *edgeHeadTask[T]) PreRows(in, pre []T, r0, r1 int) {
+	g, h := t.g, t.e.cols
+	blk := g.NumLocal() * h
+	t.first.MulRows(pre, t.e.data[r0*h:r1*h], r1-r0, edgePart, true)
 	for lo := r0; lo < r1; {
 		b, q, m := splitBlock(g.NumEdges(), lo, r1)
-		tensor.GatherEdgeRows(p[3*h*(lo-r0):3*h*(lo-r0+m)], t.x.data[b*nl*h:(b+1)*nl*h],
-			t.e.data[lo*h:(lo+m)*h], g.Edges[q:q+m], h)
+		edges := g.Edges[q : q+m]
+		if in != nil {
+			tensor.GatherEdgeRows(in[3*h*(lo-r0):3*h*(lo-r0+m)], t.x.data[b*blk:(b+1)*blk],
+				t.e.data[lo*h:(lo+m)*h], edges, h)
+		}
+		tensor.GatherAddEdgeRows(pre[h*(lo-r0):h*(lo-r0+m)], t.p.data[b*blk:(b+1)*blk],
+			t.q.data[b*blk:(b+1)*blk], edges, h)
 		lo += m
 	}
 }
 
-// residualTask is the tail of both stages, the residual connection: the
-// block's output rows += the stage's input rows (e_ij, x_i).
+// residualTask is the tail of the edge stage, the residual connection: the
+// block's output rows += the stage's input rows e_ij.
 type residualTask[T elem] struct{ src rowsOf[T] }
 
 func (t *residualTask[T]) Rows(p []T, r0, r1 int) {
 	c := t.src.cols
 	tensor.AddTo(p, t.src.data[r0*c:r1*c])
+}
+
+// projectTask finishes node rows for the next edge stage: the residual
+// connection first where src is set (+ x_i, the node stage's), then the
+// projection of the finished rows through the next layer's edge MLP, P =
+// x·W_0 and Q = x·W_1 (no bias), into the stacked projection (projViews).
+// It is the tail of the region that produced the rows — the node encoder
+// for the first layer, the node stage for the others; the last layer's
+// node stage has no next and projects nothing — and, for a caller with no
+// such region (project), a region of its own over x. Every local row is
+// projected, shared copies included, so the rank and overlap logic never
+// sees it.
+type projectTask[T elem] struct {
+	src, x rowsOf[T]
+	next   nn.SplitLinear[T]
+	p, q   rowsOf[T]
+}
+
+func (t *projectTask[T]) Rows(out []T, r0, r1 int) {
+	if t.src.data != nil {
+		c := t.src.cols
+		tensor.AddTo(out, t.src.data[r0*c:r1*c])
+	}
+	if t.next.Valid() {
+		h := t.p.cols
+		t.next.MulRows(t.p.data[r0*h:r1*h], out, r1-r0, recvPart, false)
+		t.next.MulRows(t.q.data[r0*h:r1*h], out, r1-r0, sendPart, false)
+	}
+}
+
+// Run projects rows [lo, hi) of x.
+func (t *projectTask[T]) Run(lo, hi int) {
+	c := t.x.cols
+	t.Rows(t.x.data[lo*c:hi*c], lo, hi)
+}
+
+// projViews splits a stacked projection, 2·rows rows of H, into its
+// halves: P = x·W_0 over rows [0, rows) and Q = x·W_1 over the rest, each
+// stacked by sample like x.
+func projViews[T elem](pq rowsOf[T]) (p, q rowsOf[T]) {
+	n := len(pq.data) / 2
+	return rowsOf[T]{pq.data[:n], pq.cols}, rowsOf[T]{pq.data[n:], pq.cols}
 }
 
 // aggRow is the degree-scaled receiver aggregation (4b) of one row: dst =
@@ -326,10 +424,13 @@ type nmpUser[T elem, M any] interface {
 	get(rows, cols int, zeroed bool) M
 	view(m M) rowsOf[T]
 	// runEdge and runNode evaluate the layer's two MLPs over rows rows as
-	// one region each: head fills the block's input a panel at a time and
-	// tail finishes each panel of the returned output.
-	runEdge(rows int, head, tail nn.RowMap[T]) M
+	// one region each: head fills the block's input a panel at a time — for
+	// the edge MLP, the first Linear's output and the block runs from its
+	// first ELU on — and tail finishes each panel of the returned output.
+	runEdge(rows int, head nn.PreHead[T], tail nn.RowMap[T]) M
 	runNode(rows int, head, tail nn.RowMap[T]) M
+	// edgeFirst is the layer's edge-MLP first Linear as its input parts.
+	edgeFirst() nn.SplitLinear[T]
 	// toWire returns the float64 matrices the halo exchange gathers the
 	// aggregates of g's stacked samples from and scatters the halo copies
 	// into; fromWire lands what arrived in halo.
@@ -339,27 +440,33 @@ type nmpUser[T elem, M any] interface {
 
 // nmpTasks holds the forward schedule's bound tasks, reused across calls.
 type nmpTasks[T elem] struct {
-	edgeInT edgeInTask[T]
+	edgeT   edgeHeadTask[T]
 	aggT    aggTask[T]
 	nodeInT nodeInTask[T]
 	resT    residualTask[T]
+	projT   projectTask[T]
 }
 
 // forwardNMP applies Eq. 4 to batch stacked samples: x is
-// (batch·N_local)×H, e is (batch·N_edges)×H, and the returned pair the
-// updated features, drawn from u's workspaces.
+// (batch·N_local)×H, e is (batch·N_edges)×H and pq is x's projection
+// through this layer's edge MLP (projViews). The returned triple is the
+// updated features and xOut's projection through next, the next layer's
+// edge-MLP first Linear — M's zero value where next is the zero
+// SplitLinear, after the last layer — all drawn from u's workspaces.
 func forwardNMP[T elem, M any](u nmpUser[T, M], t *nmpTasks[T], rc *RankContext,
-	x, e M, batch int, overlap bool) (xOut, eOut M) {
+	x, e, pq M, batch int, overlap bool, next nn.SplitLinear[T]) (xOut, eOut, pqOut M) {
 	g := rc.Graph
 	xv, ev := u.view(x), u.view(e)
 	h := xv.cols
 	nl, ne := g.NumLocal(), g.NumEdges()
 	grain := edgeGrain(h)
 
-	// (4a) edge stage: gather → edge MLP → residual.
-	t.edgeInT = edgeInTask[T]{g: g, x: xv, e: ev}
+	// (4a) edge stage: first Linear from the projections → rest of the
+	// edge MLP → residual.
+	p, q := projViews(u.view(pq))
+	t.edgeT = edgeHeadTask[T]{g: g, x: xv, e: ev, p: p, q: q, first: u.edgeFirst()}
 	t.resT = residualTask[T]{src: ev}
-	eOut = u.runEdge(batch*ne, &t.edgeInT, &t.resT)
+	eOut = u.runEdge(batch*ne, &t.edgeT, &t.resT)
 
 	// (4b)–(4c): degree-scaled receiver aggregation and halo swap. Every
 	// aggregate row is written by aggRow before it is read, so the matrix
@@ -380,13 +487,30 @@ func forwardNMP[T elem, M any](u nmpUser[T, M], t *nmpTasks[T], rc *RankContext,
 	u.fromWire(halo)
 
 	// (4d)–(4e) node stage: absorb halo copies (synchronous split: aggregate
-	// the interior rows), concatenate → node MLP → residual, over all rows
-	// in storage order.
+	// the interior rows), concatenate → node MLP → residual → the next
+	// layer's projection, over all rows in storage order.
 	t.nodeInT = nodeInTask[T]{g: g, eOut: eOutV, agg: u.view(agg), halo: u.view(halo), x: xv,
 		aggInterior: !overlap}
-	t.resT = residualTask[T]{src: xv}
-	xOut = u.runNode(batch*nl, &t.nodeInT, &t.resT)
-	return xOut, eOut
+	t.projT = projectTask[T]{src: xv, next: next}
+	if next.Valid() {
+		pqOut = u.get(2*batch*nl, h, false)
+		t.projT.p, t.projT.q = projViews(u.view(pqOut))
+	}
+	xOut = u.runNode(batch*nl, &t.nodeInT, &t.projT)
+	return xOut, eOut, pqOut
+}
+
+// project returns x's projection through first (see projectTask),
+// computed as a region of its own: for a caller with no stage producing x
+// whose tail could — the standalone layer.
+func project[T elem, M any](u nmpUser[T, M], t *projectTask[T], x M, first nn.SplitLinear[T]) M {
+	xv := u.view(x)
+	rows := len(xv.data) / xv.cols
+	pq := u.get(2*rows, xv.cols, false)
+	*t = projectTask[T]{x: xv, next: first}
+	t.p, t.q = projViews(u.view(pq))
+	parallel.ForTask(rows, edgeGrain(xv.cols), t)
+	return pq
 }
 
 // direct64 is the adapter half the two float64 users share: workspaces
@@ -430,6 +554,7 @@ type NMPLayer struct {
 
 	// bound tasks, reused across steps
 	fwd       nmpTasks[float64]
+	projT     projectTask[float64]
 	nodeGradT nodeGradTask
 	dHaloT    dHaloTask
 	dEOutT    dEOutTask
@@ -453,9 +578,11 @@ func (l *NMPLayer) SetArena(a *tensor.Arena) {
 	l.NodeMLP.SetArena(a)
 }
 
-func (l *NMPLayer) runEdge(rows int, head, tail nn.RowMap[float64]) *tensor.Matrix {
-	return l.EdgeMLP.ForwardRows(rows, head, tail)
+func (l *NMPLayer) runEdge(rows int, head nn.PreHead[float64], tail nn.RowMap[float64]) *tensor.Matrix {
+	return l.EdgeMLP.ForwardPre(rows, head, tail)
 }
+
+func (l *NMPLayer) edgeFirst() nn.SplitLinear[float64] { return l.EdgeMLP.SplitFirst(edgeParts) }
 
 func (l *NMPLayer) runNode(rows int, head, tail nn.RowMap[float64]) *tensor.Matrix {
 	return l.NodeMLP.ForwardRows(rows, head, tail)
@@ -464,16 +591,21 @@ func (l *NMPLayer) runNode(rows int, head, tail nn.RowMap[float64]) *tensor.Matr
 // Forward applies the layer to one sample: x (Nlocal×H) and e (Ne×H) are
 // the hidden node and edge features; the returned pair are the updated
 // features (arena-owned when an arena is set — valid until the owning
-// model's next forward pass).
+// model's next forward pass). Alone, the layer has no stage before it to
+// project x for its edge head, so it projects x in a region of its own:
+// the one place a model's projection is computed twice, bitwise the same.
 func (l *NMPLayer) Forward(rc *RankContext, x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix) {
-	return l.forward(rc, x, e, 1)
+	pq := project(l, &l.projT, x, l.edgeFirst())
+	xOut, eOut, _ = l.forward(rc, x, e, pq, 1, nn.SplitLinear[float64]{})
+	return xOut, eOut
 }
 
-// forward applies the layer to batch stacked samples and remembers the
-// context and batch for Backward.
-func (l *NMPLayer) forward(rc *RankContext, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix) {
+// forward applies the layer to batch stacked samples, x projected in pq,
+// returning xOut projected through next as well (see forwardNMP), and
+// remembers the context and batch for Backward.
+func (l *NMPLayer) forward(rc *RankContext, x, e, pq *tensor.Matrix, batch int, next nn.SplitLinear[float64]) (xOut, eOut, pqOut *tensor.Matrix) {
 	l.rc, l.batch = rc, batch
-	return forwardNMP(l, &l.fwd, rc, x, e, batch, l.Overlap)
+	return forwardNMP(l, &l.fwd, rc, x, e, pq, batch, l.Overlap, next)
 }
 
 // Backward propagates gradients dxOut, deOut through the layer after the

@@ -19,6 +19,12 @@ import (
 // adjoint: plain loops over g.Edges, one nn.MLP pass per sample, one
 // batch-1 exchange per sample. It is what the layer's schedule, tasks,
 // batching and split point must reproduce bit for bit.
+//
+// Its (4a) is the edge MLP with the first Linear written out by its
+// definition — the sum of the input parts' products, the node parts
+// multiplied once per node (serialPre) — not the Linear on the
+// concatenated row: the layer evaluates it that way, which equals the
+// concatenation's product in exact arithmetic but rounds differently.
 type serialNMP struct {
 	edge, node *nn.MLP
 	rc         *RankContext
@@ -26,14 +32,19 @@ type serialNMP struct {
 
 func (s *serialNMP) forward(x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix) {
 	g, h := s.rc.Graph, x.Cols
-	edgeIn := tensor.New(g.NumEdges(), 3*h)
+	ne := g.NumEdges()
+	edgeIn := tensor.New(ne, 3*h)
 	for k, ed := range g.Edges {
 		row := edgeIn.Row(k)
 		copy(row[:h], x.Row(ed[1]))
 		copy(row[h:2*h], x.Row(ed[0]))
 		copy(row[2*h:], e.Row(k))
 	}
-	eOut = s.edge.Forward(edgeIn).Clone() // (4a)
+	w, b := s.edge.Params()[0].W, s.edge.Params()[1].W // the first Linear
+	pre := serialPre(g, h, x.Data, e.Data, w.Data, b.Data)
+	// (4a): the block from its first ELU on; the input rows are only the
+	// weight gradient's cache.
+	eOut = s.edge.ForwardPre(ne, &fullPre[float64]{in: edgeIn.Data, pre: pre, h: h}, nil).Clone()
 	for i, v := range e.Data {
 		eOut.Data[i] += v
 	}
@@ -97,24 +108,64 @@ func (s *serialNMP) backward(dxOut, deOut *tensor.Matrix) (dx, de *tensor.Matrix
 	return dx, de
 }
 
-// serialInferNMP is the forward half of serialNMP for the serving adapters,
-// one sample at a time in element type T: the (x_i ‖ x_j ‖ e_ij) and
-// (a* ‖ x) inputs are materialised at full height with plain loops and
-// handed to edge and node — the compiled blocks' head-less whole-matrix
-// entry points — and the aggregates cross the float64 wire the way a
-// float32 session stages them (convert, exchange, convert back; the
-// identity at float64).
-func serialInferNMP[T elem](rc *RankContext, h int, x, e []T, edge, node func(in []T, cols int) []T) (xOut, eOut []T) {
-	g := rc.Graph
-	nl, ne, nh := g.NumLocal(), g.NumEdges(), g.NumHalo()
-	edgeIn := make([]T, ne*3*h)
-	for k, ed := range g.Edges {
-		row := edgeIn[k*3*h : (k+1)*3*h]
-		copy(row[:h], x[ed[1]*h:(ed[1]+1)*h])
-		copy(row[h:2*h], x[ed[0]*h:(ed[0]+1)*h])
-		copy(row[2*h:], e[k*h:(k+1)*h])
+// serialPre is the edge MLP's first Linear over one sample by its
+// definition: with W_0, W_1, W_2 the row blocks of w that multiply x_i, x_j
+// and e_ij, the whole-matrix products P = x·W_0, Q = x·W_1 and e·W_2
+// (tensor's one product definition), the bias added to the last, then per
+// edge and element pre = (e·W_2 + b) + (P_i + Q_j), i the receiver and j
+// the sender — two rounded adds in that order, plain loops.
+func serialPre[T elem](g *graph.Local, h int, x, e, w, b []T) []T {
+	nl, ne := g.NumLocal(), g.NumEdges()
+	product := func(a []T, rows, part int) []T {
+		out, wp := make([]T, rows*h), w[part*h*h:(part+1)*h*h]
+		switch o := any(out).(type) {
+		case []float64:
+			tensor.MatMul(tensor.FromSlice(rows, h, o), tensor.FromSlice(rows, h, any(a).([]float64)),
+				tensor.FromSlice(h, h, any(wp).([]float64)))
+		case []float32:
+			tensor.MatMul32(&tensor.Matrix32{Rows: rows, Cols: h, Data: o},
+				&tensor.Matrix32{Rows: rows, Cols: h, Data: any(a).([]float32)},
+				&tensor.Matrix32{Rows: h, Cols: h, Data: any(wp).([]float32)})
+		}
+		return out
 	}
-	eOut = edge(edgeIn, 3*h) // (4a)
+	p, q, pre := product(x, nl, 0), product(x, nl, 1), product(e, ne, 2)
+	for k, ed := range g.Edges {
+		for j := 0; j < h; j++ {
+			pre[k*h+j] += b[j]
+			pre[k*h+j] += p[ed[1]*h+j] + q[ed[0]*h+j]
+		}
+	}
+	return pre
+}
+
+// fullPre is a PreHead over full-height matrices: rows of the serial
+// reference's first-Linear output pre and, where the block caches it, of
+// the Linear's input in (3h wide).
+type fullPre[T elem] struct {
+	in, pre []T
+	h       int
+}
+
+func (f *fullPre[T]) PreRows(x, y []T, r0, r1 int) {
+	if x != nil {
+		copy(x, f.in[r0*3*f.h:r1*3*f.h])
+	}
+	copy(y, f.pre[r0*f.h:r1*f.h])
+}
+
+// serialInferNMP is the forward half of serialNMP for the serving adapters,
+// one sample at a time in element type T: the first Linear's output of the
+// edge MLP (serialPre over w and b, the compile's weights in T) and the
+// (a* ‖ x) input are materialised at full height with plain loops and
+// handed to edge — the compiled edge block from its first ELU on — and
+// node — the compiled block's head-less whole-matrix entry point — and the
+// aggregates cross the float64 wire the way a float32 session stages them
+// (convert, exchange, convert back; the identity at float64).
+func serialInferNMP[T elem](rc *RankContext, h int, x, e, w, b []T, edge func(pre []T) []T, node func(in []T, cols int) []T) (xOut, eOut []T) {
+	g := rc.Graph
+	nl, nh := g.NumLocal(), g.NumHalo()
+	eOut = edge(serialPre(g, h, x, e, w, b)) // (4a)
 	for i, v := range e {
 		eOut[i] += v
 	}
@@ -160,46 +211,49 @@ func servingMatchesSerial(rc *RankContext, cfg Config, batch int, overlap bool, 
 			m.Data[i] = rng.NormFloat64()
 		}
 	}
-	engine := func(prec Precision) (*Inference, error) {
-		cfg.Precision = prec
-		model, err := NewModel(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewInference(model)
-	}
-	eng64, err := engine(Float64)
+	model, err := NewModel(cfg)
 	if err != nil {
 		return err
 	}
-	eng32, err := engine(Float32)
+	eng64, err := NewInference(model)
 	if err != nil {
 		return err
 	}
+	model.Config.Precision = Float32
+	eng32, err := NewInference(model)
+	if err != nil {
+		return err
+	}
+	w, bias := model.Layers[0].EdgeMLP.Params()[0].W, model.Layers[0].EdgeMLP.Params()[1].W
+	w32, bias32 := tensor.Demote32(w), tensor.Demote32(bias)
 
+	// The adapters as the engine drives them, but for the projection of
+	// the random x, which no encoder produced here: the standalone region.
 	u64 := eng64.p64
 	u64.bind(rc, batch, true)
 	u64.begin()
-	xOut, eOut := u64.process(rc, 0, x, e, batch, overlap)
+	pq := project(u64, new(projectTask[float64]), x, edgeFirstOf[float64](u64.core.layers, 0))
+	xOut, eOut, _ := u64.process(rc, 0, x, e, pq, batch, overlap)
 	l64 := &u64.core.layers[0]
 	u32 := eng32.p32
 	u32.bind(rc, batch, true)
 	u32.begin()
 	x32, e32 := tensor.Demote32(x), tensor.Demote32(e)
-	xOut32, eOut32 := u32.process(rc, 0, x32, e32, batch, overlap)
+	pq32 := project(u32, new(projectTask[float32]), x32, edgeFirstOf[float32](u32.core.layers, 0))
+	xOut32, eOut32, _ := u32.process(rc, 0, x32, e32, pq32, batch, overlap)
 	l32 := &u32.core.layers[0]
 
 	for b := 0; b < batch; b++ {
-		rx, re := serialInferNMP(rc, h, x.Data[b*nl*h:(b+1)*nl*h], e.Data[b*ne*h:(b+1)*ne*h],
-			func(in []float64, cols int) []float64 {
-				return l64.edgeMLP.InferForward(nil, tensor.FromSlice(len(in)/cols, cols, in)).Data
+		rx, re := serialInferNMP(rc, h, x.Data[b*nl*h:(b+1)*nl*h], e.Data[b*ne*h:(b+1)*ne*h], w.Data, bias.Data,
+			func(pre []float64) []float64 {
+				return l64.edgeMLP.InferPre(nil, ne, &fullPre[float64]{pre: pre, h: h}, nil).Data
 			},
 			func(in []float64, cols int) []float64 {
 				return l64.nodeMLP.InferForward(nil, tensor.FromSlice(len(in)/cols, cols, in)).Data
 			})
-		rx32, re32 := serialInferNMP(rc, h, x32.Data[b*nl*h:(b+1)*nl*h], e32.Data[b*ne*h:(b+1)*ne*h],
-			func(in []float32, cols int) []float32 {
-				return l32.edgeMLP.InferForward32(nil, &tensor.Matrix32{Rows: len(in) / cols, Cols: cols, Data: in}).Data
+		rx32, re32 := serialInferNMP(rc, h, x32.Data[b*nl*h:(b+1)*nl*h], e32.Data[b*ne*h:(b+1)*ne*h], w32.Data, bias32.Data,
+			func(pre []float32) []float32 {
+				return l32.edgeMLP.InferPre32(nil, ne, &fullPre[float32]{pre: pre, h: h}, nil).Data
 			},
 			func(in []float32, cols int) []float32 {
 				return l32.nodeMLP.InferForward32(nil, &tensor.Matrix32{Rows: len(in) / cols, Cols: cols, Data: in}).Data
@@ -297,7 +351,8 @@ func TestNMPLayerMatchesSerialReference(t *testing.T) {
 						x, e := random(rng, batch*nl), random(rng, batch*ne)
 						dxOut, deOut := random(rng, batch*nl), random(rng, batch*ne)
 
-						xOut, eOut := layer.forward(rc, x, e, batch)
+						pq := project(layer, &layer.projT, x, layer.edgeFirst())
+						xOut, eOut, _ := layer.forward(rc, x, e, pq, batch, nn.SplitLinear[float64]{})
 						dx, de := layer.Backward(dxOut, deOut)
 						for b := 0; b < batch; b++ {
 							node := func(m *tensor.Matrix) *tensor.Matrix { return m.RowBlock(b*nl, (b+1)*nl) }

@@ -40,6 +40,18 @@ type RowMap[T elem] interface {
 	Rows(p []T, r0, r1 int)
 }
 
+// PreHead is the head of a block run from its first activation on
+// (MLP.ForwardPre, InferMLP.InferPre): the caller evaluates the block's
+// first Linear itself, by whatever decomposition of x·W + b it has (see
+// SplitLinear). PreRows writes rows [r0, r1) of that Linear's output y,
+// its pre-activation, and — where x is not nil, which is in training only
+// — the same rows of the Linear's input, which the block caches for its
+// weight gradient. The RowMap rules hold: rows [r0, r1) depend on nothing
+// another panel writes, and the head's state is shared by every panel.
+type PreHead[T elem] interface {
+	PreRows(x, y []T, r0, r1 int)
+}
+
 // rowLayer is a Layer that is a pure row map with row-reduced parameter
 // gradients, split into the pieces a chain schedules: a serial bind on
 // the caller (shape checks, arena requests, the weight transpose), the
@@ -99,9 +111,13 @@ type chain struct {
 	rows   int
 
 	// The pass in flight: its head and tail, and the full-height matrices
-	// they are handed rows of (the pass's first input and last output).
+	// they are handed rows of (the pass's first input and last output);
+	// for a forward from the first activation on, the head that writes the
+	// first layer's input and output (first) in its place.
 	head, tail RowMap[float64]
+	pre        PreHead[float64]
 	in, out    *tensor.Matrix
+	first      *tensor.Matrix
 
 	// The block's reductions, (sample block, layer, which) by index, and
 	// the region state that carries them, accumulators included: kept
@@ -128,18 +144,36 @@ type (
 // forward evaluates the block on x. With a head, x is the full-height
 // input the head fills panel by panel.
 func (c *chain) forward(x *tensor.Matrix, head, tail RowMap[float64]) *tensor.Matrix {
+	c.head = head
+	return c.run(x, tail)
+}
+
+// forwardPre evaluates the block with its first layer's rows written by
+// pre instead of computed: x is the full-height input pre fills beside the
+// first layer's output, both caches the backward reads.
+func (c *chain) forwardPre(x *tensor.Matrix, pre PreHead[float64], tail RowMap[float64]) *tensor.Matrix {
+	c.pre = pre
+	return c.run(x, tail)
+}
+
+// run binds every layer on x and carries the panels through the pass the
+// caller set up.
+func (c *chain) run(x *tensor.Matrix, tail RowMap[float64]) *tensor.Matrix {
 	c.rows, c.in = x.Rows, x
 	owned := false
-	for _, l := range c.layers {
+	for i, l := range c.layers {
 		x = l.bindForward(x, owned)
+		if i == 0 {
+			c.first = x
+		}
 		// A layer's output is the chain's to overwrite unless the layer's
 		// own backward reads it back, as an ELU's does.
 		_, readsBack := l.(*ELU)
 		owned = !readsBack
 	}
-	c.out, c.head, c.tail = x, head, tail
+	c.out, c.tail = x, tail
 	parallel.ForTask(panels(c.rows), 1, (*chainForward)(c))
-	c.in, c.out, c.head, c.tail = nil, nil, nil, nil
+	c.in, c.out, c.first, c.head, c.pre, c.tail = nil, nil, nil, nil, nil, nil
 	return x
 }
 
@@ -157,12 +191,22 @@ func (c *chain) tailRows(r0, r1 int) {
 	}
 }
 
-// Run carries panels [lo, hi) through the head, every layer and the tail.
+// Run carries panels [lo, hi) through the head, every layer and the tail;
+// with a PreHead, through it and every layer after the first.
 func (c *chainForward) Run(lo, hi int) {
+	layers := c.layers
+	if c.pre != nil {
+		layers = layers[1:]
+	}
 	for p := lo; p < hi; p++ {
 		r0, r1 := p*panelRows, min((p+1)*panelRows, c.rows)
-		(*chain)(c).headRows(r0, r1)
-		for _, l := range c.layers {
+		if c.pre != nil {
+			in, k := c.in.Cols, c.first.Cols
+			c.pre.PreRows(c.in.Data[r0*in:r1*in], c.first.Data[r0*k:r1*k], r0, r1)
+		} else {
+			(*chain)(c).headRows(r0, r1)
+		}
+		for _, l := range layers {
 			l.forwardRows(r0, r1)
 		}
 		(*chain)(c).tailRows(r0, r1)

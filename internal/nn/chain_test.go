@@ -441,43 +441,77 @@ func checkBlockHeadTail(t *testing.T, per int, sh [3]int, batch int) {
 	dsum := tensor.New(rows, sh[0])
 	dhead := &gatherRows[float64]{src: dsrc.Data, cols: sh[2], idx: didx}
 	dtail := &addRows[float64]{src: dres.Data, dst: dsum.Data, cols: sh[0]}
+	head32 := &gatherRows[float32]{src: src32.Data, cols: sh[0], idx: idx}
+	tail32 := &addRows[float32]{src: res32.Data, cols: sh[2]}
 	for _, threads := range []int{1, 2, 4} {
 		parallel.Configure(threads, true)
-		what := func(s string) string { return fmt.Sprintf("threads=%d %s", threads, s) }
-		resetGrads()
-		arena.Reset()
-		y := m.ForwardRows(rows, head, tail)
-		sameBits(t, what("forward output"), y.Data, wantY.Data)
-		li, ei := 0, 0
-		for _, l := range m.block.layers {
-			switch c := l.(type) {
-			case *Linear:
-				sameBits(t, what(fmt.Sprintf("linear %d input cache", li)), c.x.Data, ref.linIn[li].Data)
-				li++
-			case *ELU:
-				sameBits(t, what(fmt.Sprintf("elu %d output cache", ei)), c.y.Data, ref.eluOut[ei].Data)
-				ei++
-			case *LayerNorm:
-				sameBits(t, what("xhat cache"), c.xhat.Data, ref.xhat.Data)
-				sameBits(t, what("invStd cache"), c.invStd, ref.invStd)
+		// Forward and backward through the block, its input gathered by a
+		// head (ForwardRows) or its first Linear evaluated by one
+		// (ForwardPre, the Linear as one part — bitwise the Linear).
+		for _, pass := range []struct {
+			name    string
+			forward func() *tensor.Matrix
+		}{
+			{"ForwardRows", func() *tensor.Matrix { return m.ForwardRows(rows, head, tail) }},
+			{"ForwardPre", func() *tensor.Matrix {
+				return m.ForwardPre(rows, &preRows[float64]{gatherRows: head, split: m.SplitFirst(1)}, tail)
+			}},
+		} {
+			what := func(s string) string { return fmt.Sprintf("threads=%d %s %s", threads, pass.name, s) }
+			resetGrads()
+			arena.Reset()
+			y := pass.forward()
+			sameBits(t, what("forward output"), y.Data, wantY.Data)
+			li, ei := 0, 0
+			for _, l := range m.block.layers {
+				switch c := l.(type) {
+				case *Linear:
+					sameBits(t, what(fmt.Sprintf("linear %d input cache", li)), c.x.Data, ref.linIn[li].Data)
+					li++
+				case *ELU:
+					sameBits(t, what(fmt.Sprintf("elu %d output cache", ei)), c.y.Data, ref.eluOut[ei].Data)
+					ei++
+				case *LayerNorm:
+					sameBits(t, what("xhat cache"), c.xhat.Data, ref.xhat.Data)
+					sameBits(t, what("invStd cache"), c.invStd, ref.invStd)
+				}
+			}
+			dyFill := tensor.New(rows, sh[2]) // the head writes every row
+			dsum.Zero()
+			dx := m.BackwardRows(dyFill, batch, dhead, dtail)
+			sameBits(t, what("head-filled output gradient"), dyFill.Data, dy.Data)
+			sameBits(t, what("input gradient"), dx.Data, ref.dx.Data)
+			sameBits(t, what("tail of the input gradient"), dsum.Data, wantSum.Data)
+			for i, p := range m.Params() {
+				sameBits(t, what("gradient "+p.Name), p.G.Data, ref.grads[i].Data)
 			}
 		}
-		dyFill := tensor.New(rows, sh[2]) // the head writes every row
-		dsum.Zero()
-		dx := m.BackwardRows(dyFill, batch, dhead, dtail)
-		sameBits(t, what("head-filled output gradient"), dyFill.Data, dy.Data)
-		sameBits(t, what("input gradient"), dx.Data, ref.dx.Data)
-		sameBits(t, what("tail of the input gradient"), dsum.Data, wantSum.Data)
-		for i, p := range m.Params() {
-			sameBits(t, what("gradient "+p.Name), p.G.Data, ref.grads[i].Data)
-		}
 
+		what := func(s string) string { return fmt.Sprintf("threads=%d %s", threads, s) }
 		sameBits(t, what("InferRows"), im.InferRows(nil, rows, head, tail).Data, wantY.Data)
-		got32 := im32.InferRows32(nil, rows,
-			&gatherRows[float32]{src: src32.Data, cols: sh[0], idx: idx},
-			&addRows[float32]{src: res32.Data, cols: sh[2]})
-		sameBits(t, what("InferRows32"), got32.Data, want32.Data)
+		sameBits(t, what("InferPre"), im.InferPre(nil, rows,
+			&preRows[float64]{gatherRows: head, split: im.SplitFirst(1)}, tail).Data, wantY.Data)
+		sameBits(t, what("InferRows32"), im32.InferRows32(nil, rows, head32, tail32).Data, want32.Data)
+		sameBits(t, what("InferPre32"), im32.InferPre32(nil, rows,
+			&preRows[float32]{gatherRows: head32, split: im32.SplitFirst(1)}, tail32).Data, want32.Data)
 	}
+}
+
+// preRows is a test PreHead: the first Linear's input rows gathered like
+// gatherRows does — into the block's input cache in training, into scratch
+// of its own for the forward-only evaluators, which cache nothing — and its
+// output computed from them through split.
+type preRows[T elem] struct {
+	*gatherRows[T]
+	split SplitLinear[T]
+}
+
+func (h *preRows[T]) PreRows(x, y []T, r0, r1 int) {
+	if x == nil {
+		x = make([]T, (r1-r0)*h.cols)
+	}
+	h.Rows(x, r0, r1)
+	h.split.MulRows(y, x, r1-r0, 0, true)
 }
 
 // TestStandaloneLayersAreChainsOfOne: a layer's own Forward/Backward and

@@ -78,12 +78,14 @@ func (c *compiled[T]) setLayers(ls []inferLayer[T]) {
 }
 
 // inferRun is one evaluation in flight: the region's task. x is the
-// full-height input, nil when a head produces it.
+// full-height input, nil when a head produces it; with pre, the first
+// layer's output comes from it and the block runs from the second layer.
 type inferRun[T elem] struct {
 	c          *compiled[T]
 	rows       int
 	x, y       []T
 	head, tail RowMap[T]
+	pre        PreHead[T]
 }
 
 // inferScratch is the working state of one chunk of an evaluation: the
@@ -106,13 +108,15 @@ var pools64, pools32 inferPools
 // each chunk carries its row panels through the head, every layer and the
 // tail, intermediate activations living in per-chunk scratch panels. With
 // a head the input exists one panel at a time, in that scratch, and x is
-// nil; a block without head or tail reads x and writes y and nothing else.
-func (c *compiled[T]) eval(rows int, x, y []T, head, tail RowMap[T]) {
+// nil; with pre instead, so does the first layer's output, and the panel
+// goes through the layers after it. A block without head or tail reads x
+// and writes y and nothing else.
+func (c *compiled[T]) eval(rows int, x, y []T, head RowMap[T], pre PreHead[T], tail RowMap[T]) {
 	r, _ := c.pools.run.Get().(*inferRun[T])
 	if r == nil {
 		r = new(inferRun[T])
 	}
-	*r = inferRun[T]{c: c, rows: rows, x: x, y: y, head: head, tail: tail}
+	*r = inferRun[T]{c: c, rows: rows, x: x, y: y, head: head, pre: pre, tail: tail}
 	parallel.ForTask(panels(rows), 1, r)
 	*r = inferRun[T]{}
 	c.pools.run.Put(r)
@@ -128,26 +132,35 @@ func (r *inferRun[T]) Run(lo, hi int) {
 	if need := panelRows * c.width; cap(s.buf[0]) < need {
 		s.buf[0], s.buf[1] = make([]T, need), make([]T, need)
 	}
-	if need := panelRows * c.In; r.head != nil && cap(s.in) < need {
+	in, from := c.In, 0
+	if r.pre != nil {
+		in, from = c.layers[0].outWidth(c.In), 1
+	}
+	if need := panelRows * in; (r.head != nil || r.pre != nil) && cap(s.in) < need {
 		s.in = make([]T, need)
 	}
 	last := len(c.layers) - 1
 	for p := lo; p < hi; p++ {
 		r0, r1 := p*panelRows, min((p+1)*panelRows, r.rows)
 		rows := r1 - r0
-		src := panel[T]{rows: rows, cols: c.In}
+		src := panel[T]{rows: rows, cols: in}
 		// The caller's input is read-only; a head's panel is scratch like
 		// any other.
-		owned := r.head != nil
-		if owned {
-			src.data = s.in[:rows*c.In]
+		owned := r.head != nil || r.pre != nil
+		switch {
+		case r.pre != nil:
+			src.data = s.in[:rows*in]
+			r.pre.PreRows(nil, src.data, r0, r1)
+		case owned:
+			src.data = s.in[:rows*in]
 			r.head.Rows(src.data, r0, r1)
-		} else {
-			src.data = r.x[r0*c.In : r1*c.In]
+		default:
+			src.data = r.x[r0*in : r1*in]
 		}
 		out := panel[T]{rows: rows, cols: c.Out, data: r.y[r0*c.Out : r1*c.Out]}
-		w, k := c.In, 0
-		for i, l := range c.layers {
+		w, k := in, 0
+		for i := from; i <= last; i++ {
+			l := c.layers[i]
 			w = l.outWidth(w)
 			dst := src
 			switch {
@@ -205,7 +218,17 @@ func (m *InferMLP) InferForward(a *tensor.Arena, x *tensor.Matrix) *tensor.Matri
 	if x.Cols != m.In {
 		panic(fmt.Sprintf("nn: inference MLP input width %d, want %d", x.Cols, m.In))
 	}
-	return m.infer(a, x.Rows, x.Data, nil, nil)
+	return m.infer(a, x.Rows, x.Data, nil, nil, nil)
+}
+
+// InferForwardTail is InferForward with a tail, which finishes each panel
+// of the output in place inside the block's one region. Bitwise
+// InferForward followed by the tail over all rows.
+func (m *InferMLP) InferForwardTail(a *tensor.Arena, x *tensor.Matrix, tail RowMap[float64]) *tensor.Matrix {
+	if x.Cols != m.In {
+		panic(fmt.Sprintf("nn: inference MLP input width %d, want %d", x.Cols, m.In))
+	}
+	return m.infer(a, x.Rows, x.Data, nil, nil, tail)
 }
 
 // InferRows is InferForward on an input that is never assembled: head
@@ -213,12 +236,27 @@ func (m *InferMLP) InferForward(a *tensor.Arena, x *tensor.Matrix) *tensor.Matri
 // any, finishes each panel of the output in place. Bitwise InferForward on
 // the assembled input followed by the tail over all rows.
 func (m *InferMLP) InferRows(a *tensor.Arena, rows int, head, tail RowMap[float64]) *tensor.Matrix {
-	return m.infer(a, rows, nil, head, tail)
+	return m.infer(a, rows, nil, head, nil, tail)
 }
 
-func (m *InferMLP) infer(a *tensor.Arena, rows int, x []float64, head, tail RowMap[float64]) *tensor.Matrix {
+// InferPre is the forward-only MLP.ForwardPre: head writes each panel of
+// the first Linear's output (its x argument is nil — nothing is cached)
+// in the evaluator's scratch, and the block runs from its first ELU on.
+// Bitwise MLP.ForwardPre with the same head.
+func (m *InferMLP) InferPre(a *tensor.Arena, rows int, head PreHead[float64], tail RowMap[float64]) *tensor.Matrix {
+	return m.infer(a, rows, nil, nil, head, tail)
+}
+
+// SplitFirst is the compiled block's first Linear as parts equal-width
+// input parts (see SplitLinear), over the compile's own copy of it.
+func (m *InferMLP) SplitFirst(parts int) SplitLinear[float64] {
+	l := m.layers[0].(*linearInfer)
+	return splitLinear(l.w.Data, l.b, l.in, l.out, parts)
+}
+
+func (m *InferMLP) infer(a *tensor.Arena, rows int, x []float64, head RowMap[float64], pre PreHead[float64], tail RowMap[float64]) *tensor.Matrix {
 	y := a.Get(rows, m.Out)
-	m.eval(rows, x, y.Data, head, tail)
+	m.eval(rows, x, y.Data, head, pre, tail)
 	return y
 }
 

@@ -55,7 +55,18 @@ func (m *InferMLP32) InferForward32(a *tensor.Arena32, x *tensor.Matrix32) *tens
 		panic(fmt.Sprintf("nn: f32 inference MLP input width %d, want %d", x.Cols, m.In))
 	}
 	y := a.Get(x.Rows, m.Out)
-	m.eval(x.Rows, x.Data, y.Data, nil, nil)
+	m.eval(x.Rows, x.Data, y.Data, nil, nil, nil)
+	return y
+}
+
+// InferForward32Tail is InferForward32 with a tail (see
+// InferMLP.InferForwardTail).
+func (m *InferMLP32) InferForward32Tail(a *tensor.Arena32, x *tensor.Matrix32, tail RowMap[float32]) *tensor.Matrix32 {
+	if x.Cols != m.In {
+		panic(fmt.Sprintf("nn: f32 inference MLP input width %d, want %d", x.Cols, m.In))
+	}
+	y := a.Get(x.Rows, m.Out)
+	m.eval(x.Rows, x.Data, y.Data, nil, nil, tail)
 	return y
 }
 
@@ -63,8 +74,23 @@ func (m *InferMLP32) InferForward32(a *tensor.Arena32, x *tensor.Matrix32) *tens
 // InferMLP.InferRows).
 func (m *InferMLP32) InferRows32(a *tensor.Arena32, rows int, head, tail RowMap[float32]) *tensor.Matrix32 {
 	y := a.Get(rows, m.Out)
-	m.eval(rows, nil, y.Data, head, tail)
+	m.eval(rows, nil, y.Data, head, nil, tail)
 	return y
+}
+
+// InferPre32 is InferPre in float32: head writes each panel of the first
+// Linear's output, and the block runs from its first ELU on.
+func (m *InferMLP32) InferPre32(a *tensor.Arena32, rows int, head PreHead[float32], tail RowMap[float32]) *tensor.Matrix32 {
+	y := a.Get(rows, m.Out)
+	m.eval(rows, nil, y.Data, nil, head, tail)
+	return y
+}
+
+// SplitFirst is the compiled block's first Linear as parts equal-width
+// input parts (see SplitLinear), over the compile's demoted copy of it.
+func (m *InferMLP32) SplitFirst(parts int) SplitLinear[float32] {
+	l := m.layers[0].(*linear32)
+	return splitLinear(l.w.Data, l.b, l.in, l.out, parts)
 }
 
 // linear32 is y = x·W + b over snapshotted float32 parameters, the bias

@@ -65,6 +65,31 @@ func (m *MLP) ForwardRows(rows int, head, tail RowMap[float64]) *tensor.Matrix {
 	return m.block.forward(m.arena.Get(rows, m.In), head, tail)
 }
 
+// ForwardTail is Forward with a tail: tail, if any, finishes each panel of
+// the output in place inside the block's one region. Bitwise Forward
+// followed by the tail over all rows.
+func (m *MLP) ForwardTail(x *tensor.Matrix, tail RowMap[float64]) *tensor.Matrix {
+	return m.block.forward(x, nil, tail)
+}
+
+// ForwardPre is ForwardRows with the first Linear evaluated by the caller:
+// head writes, panel by panel, the Linear's rows×In input (cached for the
+// weight gradient, as ForwardRows' head does) and its rows×Hidden output,
+// the pre-activation, and the block runs from its first ELU on. Bitwise
+// ForwardRows on the same input wherever the head's output is bitwise
+// x·W + b; the backward is Backward's, the exact gradient of that map.
+func (m *MLP) ForwardPre(rows int, head PreHead[float64], tail RowMap[float64]) *tensor.Matrix {
+	return m.block.forwardPre(m.arena.Get(rows, m.In), head, tail)
+}
+
+// SplitFirst is the block's first Linear as parts equal-width input parts
+// (see SplitLinear), over the parameters themselves: a product through it
+// reads the weights as they are when it runs.
+func (m *MLP) SplitFirst(parts int) SplitLinear[float64] {
+	l := m.block.layers[0].(*Linear)
+	return splitLinear(l.Weight.W.Data, l.Bias.W.Data, l.In, l.Out, parts)
+}
+
 // Backward implements Layer: one region carries the input gradient
 // through all layers and every parameter-gradient reduction of the block.
 func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix { return m.BackwardRows(dy, 1, nil, nil) }

@@ -129,6 +129,24 @@ func edgeRowsCopy(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer
 //go:noescape
 func edgeRowsCopyx16(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64)
 
+// The edge-row gather-adds of GatherAddEdgeRows (gather_amd64.s), one per
+// element type and SIMD rung: edgeRowsAdd64 and edgeRowsAdd32 (avx2),
+// edgeRowsAdd64x8 and edgeRowsAdd32x16 (avx512). rowBytes is h times the
+// element size; each returns how many leading edges it did, stopping at
+// one whose indexes are not below nx.
+//
+//go:noescape
+func edgeRowsAdd64(n, rowBytes, nx int64, edges *[2]int, p, q, dst unsafe.Pointer) (done int64)
+
+//go:noescape
+func edgeRowsAdd64x8(n, rowBytes, nx int64, edges *[2]int, p, q, dst unsafe.Pointer) (done int64)
+
+//go:noescape
+func edgeRowsAdd32(n, rowBytes, nx int64, edges *[2]int, p, q, dst unsafe.Pointer) (done int64)
+
+//go:noescape
+func edgeRowsAdd32x16(n, rowBytes, nx int64, edges *[2]int, p, q, dst unsafe.Pointer) (done int64)
+
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
