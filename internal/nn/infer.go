@@ -151,7 +151,7 @@ func (r *inferRun[T]) Run(lo, hi int) {
 		case r.pre != nil:
 			src.data = s.in[:rows*in]
 			r.pre.PreRows(nil, src.data, r0, r1)
-		case owned:
+		case r.head != nil:
 			src.data = s.in[:rows*in]
 			r.head.Rows(src.data, r0, r1)
 		default:
@@ -215,10 +215,7 @@ func (m *MLP) Compile() *InferMLP {
 // compiled.eval); only the result is drawn from a (nil allocates).
 // Bitwise-equal to the training Forward.
 func (m *InferMLP) InferForward(a *tensor.Arena, x *tensor.Matrix) *tensor.Matrix {
-	if x.Cols != m.In {
-		panic(fmt.Sprintf("nn: inference MLP input width %d, want %d", x.Cols, m.In))
-	}
-	return m.infer(a, x.Rows, x.Data, nil, nil, nil)
+	return m.InferForwardTail(a, x, nil)
 }
 
 // InferForwardTail is InferForward with a tail, which finishes each panel

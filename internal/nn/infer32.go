@@ -51,12 +51,7 @@ func (m *MLP) Compile32() *InferMLP32 {
 // over row panels (see compiled.eval), drawing the result from a (nil
 // allocates).
 func (m *InferMLP32) InferForward32(a *tensor.Arena32, x *tensor.Matrix32) *tensor.Matrix32 {
-	if x.Cols != m.In {
-		panic(fmt.Sprintf("nn: f32 inference MLP input width %d, want %d", x.Cols, m.In))
-	}
-	y := a.Get(x.Rows, m.Out)
-	m.eval(x.Rows, x.Data, y.Data, nil, nil, nil)
-	return y
+	return m.InferForward32Tail(a, x, nil)
 }
 
 // InferForward32Tail is InferForward32 with a tail (see
