@@ -57,6 +57,7 @@ import (
 	"meshgnn/internal/comm"
 	"meshgnn/internal/experiments"
 	"meshgnn/internal/gnn"
+	"meshgnn/internal/tensor"
 )
 
 func main() {
@@ -370,9 +371,10 @@ func checkServed(r *meshgnn.Rank, mdl *meshgnn.Model, x *meshgnn.Matrix, a *runA
 	return nil
 }
 
-// maxAbsDiff returns the largest |a-b| and the count of elements whose
-// float64 bit patterns differ (so opposite-sign NaNs or -0 vs +0 cannot
-// hide behind a zero numeric difference).
+// maxAbsDiff returns the largest tensor.AbsDiff of a and b (+Inf where a
+// NaN meets a number) and the count of elements whose float64 bit patterns
+// differ (so opposite-sign NaNs or -0 vs +0 cannot hide behind a zero
+// numeric difference).
 func maxAbsDiff(a, b []float64) (float64, int) {
 	if len(a) != len(b) {
 		return math.Inf(1), len(a) + len(b)
@@ -383,7 +385,7 @@ func maxAbsDiff(a, b []float64) (float64, int) {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			bits++
 		}
-		if d := math.Abs(a[i] - b[i]); d > maxD {
+		if d := tensor.AbsDiff(a[i], b[i]); d > maxD {
 			maxD = d
 		}
 	}

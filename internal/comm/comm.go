@@ -55,9 +55,6 @@ type Stats struct {
 	HaloExposedSeconds float64
 }
 
-// BytesSent returns the total point-to-point payload volume in bytes.
-func (s *Stats) BytesSent() int64 { return 8 * s.FloatsSent }
-
 // World owns the channel fabric connecting size in-process ranks. It is
 // the InProcess implementation of Transport (one endpoint per rank).
 type World struct {
@@ -167,19 +164,11 @@ func NewComm(t Transport) *Comm {
 	return &Comm{t: t, rank: t.Rank(), size: t.Size()}
 }
 
-// Comm returns the handle for the given rank of the in-process fabric.
-func (w *World) Comm(rank int) *Comm {
-	return NewComm(w.Transport(rank))
-}
-
 // Rank returns this rank's index.
 func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the world size R.
 func (c *Comm) Size() int { return c.size }
-
-// Transport exposes the underlying fabric endpoint.
-func (c *Comm) Transport() Transport { return c.t }
 
 // TransportKind reports which fabric carries this rank's traffic.
 func (c *Comm) TransportKind() TransportKind { return c.t.Kind() }

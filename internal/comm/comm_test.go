@@ -512,22 +512,5 @@ func TestCommRankOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	w.Comm(5)
-}
-
-func TestStatsBytesSent(t *testing.T) {
-	err := Run(2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			c.Send(1, TagUser, make([]float64, 10))
-			if c.Stats.BytesSent() != 80 {
-				t.Errorf("BytesSent = %d, want 80", c.Stats.BytesSent())
-			}
-		} else {
-			c.Recv(0, TagUser)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w.Transport(5)
 }

@@ -111,15 +111,3 @@ func (g GaussianPulse) Eval(x, y, z, t float64) (u, v, w float64) {
 	val := amp * math.Exp(-r2/(2*s2))
 	return val, -dx / s2 * val, -dy / s2 * val
 }
-
-// Divergence numerically estimates ∇·f at a point via central
-// differences, used by tests and examples to verify incompressibility.
-func Divergence(f Field, x, y, z, t, h float64) float64 {
-	up, _, _ := f.Eval(x+h, y, z, t)
-	um, _, _ := f.Eval(x-h, y, z, t)
-	_, vp, _ := f.Eval(x, y+h, z, t)
-	_, vm, _ := f.Eval(x, y-h, z, t)
-	_, _, wp := f.Eval(x, y, z+h, t)
-	_, _, wm := f.Eval(x, y, z-h, t)
-	return (up-um)/(2*h) + (vp-vm)/(2*h) + (wp-wm)/(2*h)
-}

@@ -310,7 +310,7 @@ func TestUnscaledAggregationBreaksConsistency(t *testing.T) {
 	}
 }
 
-// LocalMSE (the inconsistent loss) must differ from the consistent loss on
+// localMSE (the inconsistent loss) must differ from the consistent loss on
 // partitioned graphs — it double-counts coincident nodes.
 func TestLocalMSEInconsistent(t *testing.T) {
 	box, err := mesh.NewBox(4, 2, 2, 1, [3]bool{})
@@ -340,7 +340,7 @@ func TestLocalMSEInconsistent(t *testing.T) {
 		var loss ConsistentMSE
 		cv := loss.Forward(rc, y, x)
 		// Average the local MSEs like plain DDP would.
-		lv := []float64{LocalMSE(y, x)}
+		lv := []float64{localMSE(y, x)}
 		c.AllReduceSum(lv)
 		return pair{consistent: cv, local: lv[0] / float64(c.Size())}, nil
 	})
@@ -350,6 +350,21 @@ func TestLocalMSEInconsistent(t *testing.T) {
 	if math.Abs(results[0].consistent-results[0].local) < 1e-12 {
 		t.Fatal("local MSE coincided with consistent loss; expected inconsistency")
 	}
+}
+
+// localMSE is the standard per-rank mean-squared error (paper Eq. 5
+// evaluated independently per sub-graph) — the *inconsistent* formulation
+// used to demonstrate what degree scaling fixes.
+func localMSE(y, target *tensor.Matrix) float64 {
+	if y.Rows != target.Rows || y.Cols != target.Cols {
+		panic("gnn: localMSE shape mismatch")
+	}
+	var s float64
+	for i, v := range y.Data {
+		d := v - target.Data[i]
+		s += d * d
+	}
+	return s / float64(len(y.Data))
 }
 
 // Training trajectories (paper Fig. 6 right): R=4 consistent training must

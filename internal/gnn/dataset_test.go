@@ -27,7 +27,7 @@ func TestNoiseFieldDeterministic(t *testing.T) {
 	if a.Equal(c) {
 		t.Fatal("different seeds must give different noise")
 	}
-	if z := NoiseField(l, 3, 0, 42); tensor.Frobenius(z) != 0 {
+	if z := NoiseField(l, 3, 0, 42); !z.Equal(tensor.New(z.Rows, z.Cols)) {
 		t.Fatal("sigma=0 must give zero noise")
 	}
 }

@@ -127,27 +127,13 @@ func (l *ConsistentMSE) Backward() *tensor.Matrix {
 	return dy
 }
 
-// LocalMSE is the standard per-rank mean-squared error (paper Eq. 5
-// evaluated independently per sub-graph) — the *inconsistent* formulation
-// used to demonstrate what degree scaling fixes. Exposed for ablations.
-func LocalMSE(y, target *tensor.Matrix) float64 {
-	if y.Rows != target.Rows || y.Cols != target.Cols {
-		panic("gnn: LocalMSE shape mismatch")
-	}
-	var s float64
-	for i, v := range y.Data {
-		d := v - target.Data[i]
-		s += d * d
-	}
-	return s / float64(len(y.Data))
-}
-
 // GlobalOutputs concatenates per-rank outputs by global node ID with
 // coincident duplicates collapsed, reconstructing the unpartitioned
 // output matrix (the "cat" of paper Eq. 2). Rank 0 returns the assembled
 // matrix (rows indexed by global ID); other ranks return nil. Coincident
-// copies must agree; the maximum discrepancy across duplicates is
-// returned on rank 0 as a consistency diagnostic.
+// copies must agree; the maximum discrepancy across duplicates
+// (tensor.AbsDiff, so a NaN against a number reads +Inf) is returned on
+// rank 0 as a consistency diagnostic.
 func GlobalOutputs(rc *RankContext, y *tensor.Matrix, globalNodes int64) (*tensor.Matrix, float64) {
 	c := rc.Comm
 	cols := y.Cols
@@ -171,7 +157,7 @@ func GlobalOutputs(rc *RankContext, y *tensor.Matrix, globalNodes int64) (*tenso
 			dst := out.Row(gid)
 			if filled[gid] {
 				for j, v := range row {
-					if d := abs(v - dst[j]); d > maxDisc {
+					if d := tensor.AbsDiff(v, dst[j]); d > maxDisc {
 						maxDisc = d
 					}
 				}
@@ -186,11 +172,4 @@ func GlobalOutputs(rc *RankContext, y *tensor.Matrix, globalNodes int64) (*tenso
 		absorb(c.Recv(src, comm.TagUser))
 	}
 	return out, maxDisc
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -61,7 +61,12 @@ func (s *serialNMP) forward(x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix) {
 			agg.Row(owner)[j] += v
 		}
 	}
-	xOut = s.node.Forward(tensor.HCat(agg, x)).Clone() // (4e)
+	nodeIn := tensor.New(g.NumLocal(), 2*h)
+	for i := 0; i < g.NumLocal(); i++ {
+		copy(nodeIn.Row(i), agg.Row(i))
+		copy(nodeIn.Row(i)[h:], x.Row(i))
+	}
+	xOut = s.node.Forward(nodeIn).Clone() // (4e)
 	for i, v := range x.Data {
 		xOut.Data[i] += v
 	}

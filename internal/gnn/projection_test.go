@@ -176,7 +176,9 @@ func TestStandaloneLayerMatchesModelPath(t *testing.T) {
 					l0, l1 := model.Layers[0], model.Layers[1]
 					twin := NewNMPLayer("twin", h, cfg.MLPHiddenLayers, rand.New(rand.NewSource(1)))
 					twin.Overlap = overlap
-					nn.CopyParams(twin.Params(), l1.Params())
+					for i, p := range l1.Params() {
+						twin.Params()[i].W.CopyFrom(p.W)
+					}
 
 					rng := rand.New(rand.NewSource(int64(3 + c.Rank())))
 					x, e := tensor.New(g.NumLocal(), h), tensor.New(g.NumEdges(), h)

@@ -207,10 +207,3 @@ func (b *Box) ElementEdges() [][2]int {
 	}
 	return edges
 }
-
-// NumElementEdges returns the number of directed intra-element edges:
-// 6 p (p+1)^2.
-func (b *Box) NumElementEdges() int {
-	n := b.P + 1
-	return 6 * b.P * n * n
-}

@@ -198,8 +198,9 @@ func TestElementEdgeCountsMatchPaperFig2(t *testing.T) {
 			t.Fatalf("p=%d: nodes %d, want %d", c.p, b.NodesPerElement(), c.nodes)
 		}
 		edges := b.ElementEdges()
-		if len(edges) != c.edges || b.NumElementEdges() != c.edges {
-			t.Fatalf("p=%d: edges %d (formula %d), want %d", c.p, len(edges), b.NumElementEdges(), c.edges)
+		// 6 p (p+1)^2 directed intra-element edges.
+		if formula := 6 * c.p * (c.p + 1) * (c.p + 1); len(edges) != c.edges || formula != c.edges {
+			t.Fatalf("p=%d: edges %d (formula %d), want %d", c.p, len(edges), formula, c.edges)
 		}
 	}
 }

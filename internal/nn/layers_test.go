@@ -232,19 +232,6 @@ func TestAdamFirstStepSize(t *testing.T) {
 	}
 }
 
-func TestCopyParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := NewMLP("a", 3, 4, 2, 1, true, rng)
-	b := NewMLP("b", 3, 4, 2, 1, true, rng)
-	CopyParams(b.Params(), a.Params())
-	pa, pb := a.Params(), b.Params()
-	for i := range pa {
-		if !pa[i].W.Equal(pb[i].W) {
-			t.Fatal("CopyParams mismatch")
-		}
-	}
-}
-
 func BenchmarkMLPForwardBackwardLarge(b *testing.B) {
 	// Edge-update MLP of the "large" model on a 4096-edge batch.
 	rng := rand.New(rand.NewSource(1))

@@ -162,14 +162,3 @@ func UnflattenGrads(params []*Param, buf []float64) {
 		off += p.Count()
 	}
 }
-
-// CopyParams copies parameter values from src to dst (shapes must match);
-// used to clone a model across configurations for consistency tests.
-func CopyParams(dst, src []*Param) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("nn: CopyParams length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i := range dst {
-		dst[i].W.CopyFrom(src[i].W)
-	}
-}

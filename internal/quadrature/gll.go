@@ -76,21 +76,3 @@ func Nodes(p int) []float64 {
 	}
 	return x
 }
-
-// Weights returns the GLL quadrature weights matching Nodes(p):
-// w_i = 2 / (p (p+1) [P_p(x_i)]^2).
-func Weights(p int) []float64 {
-	xs := Nodes(p)
-	w := make([]float64, len(xs))
-	c := 2 / (float64(p) * float64(p+1))
-	for i, xi := range xs {
-		pp, _ := Legendre(p, xi)
-		w[i] = c / (pp * pp)
-	}
-	return w
-}
-
-// NodesAndWeights returns both GLL nodes and weights for order p.
-func NodesAndWeights(p int) (nodes, weights []float64) {
-	return Nodes(p), Weights(p)
-}

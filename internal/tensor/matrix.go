@@ -2,13 +2,16 @@
 // set of BLAS-like kernels needed by the neural-network and GNN layers.
 //
 // The package is deliberately minimal: the distributed-GNN workload only
-// requires GEMM (with transpose variants), row-wise gather/scatter, and a
-// few element-wise maps and reductions. Everything is written against
+// requires GEMM (with transpose variants), the edge-row gathers, and a few
+// element-wise maps and reductions. Everything is written against
 // contiguous []float64 storage so the kernels vectorize well and can be
 // benchmarked in isolation.
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Matrix is a dense row-major matrix. The zero value is an empty matrix.
 type Matrix struct {
@@ -51,34 +54,6 @@ func (m *Matrix) Clone() *Matrix {
 
 // Zero sets every entry of m to zero.
 func (m *Matrix) Zero() { clear(m.Data) }
-
-// View is a window onto a contiguous block of columns of a backing
-// matrix: columns [off, off+Cols) of every row, sharing storage with the
-// parent. Views are small values (no heap allocation) and let kernels
-// consume a column slice of a wide matrix — e.g. one logical output of a
-// fused HCat gradient — without materializing a copy.
-type View struct {
-	Rows, Cols  int
-	off, stride int
-	data        []float64
-}
-
-// View returns the window onto columns [off, off+cols) of m.
-func (m *Matrix) View(off, cols int) View {
-	if off < 0 || cols < 0 || off+cols > m.Cols {
-		panic(fmt.Sprintf("tensor: View columns [%d,%d) outside 0..%d", off, off+cols, m.Cols))
-	}
-	return View{Rows: m.Rows, Cols: cols, off: off, stride: m.Cols, data: m.Data}
-}
-
-// Full returns the view spanning all of m.
-func (m *Matrix) Full() View { return m.View(0, m.Cols) }
-
-// Row returns the i-th row of the view, aliasing the parent's storage.
-func (v View) Row(i int) []float64 {
-	base := i*v.stride + v.off
-	return v.data[base : base+v.Cols]
-}
 
 // SliceRows points dst at rows [r0, r1) of m: dst's header is rewritten
 // to alias the row block's storage (row-major rows are contiguous, so a
@@ -153,23 +128,34 @@ func (m *Matrix) Equal(other *Matrix) bool {
 	return true
 }
 
-// MaxAbsDiff returns the maximum absolute element-wise difference between
-// m and other, which must have the same shape.
+// MaxAbsDiff returns the maximum of AbsDiff over the element pairs of m
+// and other, which must have the same shape: +Inf if a NaN meets a number.
 func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 	if m.Rows != other.Rows || m.Cols != other.Cols {
 		panic("tensor: MaxAbsDiff shape mismatch")
 	}
 	var max float64
 	for i, v := range m.Data {
-		d := v - other.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
+		if d := AbsDiff(v, other.Data[i]); d > max {
 			max = d
 		}
 	}
 	return max
+}
+
+// AbsDiff is the distance every comparison of outputs reports for one
+// pair of entries: 0 when v == w or both are NaN, |v − w| otherwise, and
+// +Inf where that difference is NaN. A NaN against a number is then the
+// largest difference there is, where a plain |v − w| > max test would
+// skip it.
+func AbsDiff(v, w float64) float64 {
+	if v == w || v != v && w != w {
+		return 0
+	}
+	if d := math.Abs(v - w); d == d {
+		return d
+	}
+	return math.Inf(1)
 }
 
 // String renders small matrices for debugging.

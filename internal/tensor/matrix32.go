@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Matrix32 is the dense row-major float32 twin of Matrix, used by the
 // forward-only serving engine: parameters and activations down-convert
@@ -20,17 +23,8 @@ func New32(rows, cols int) *Matrix32 {
 	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// At returns the element at row i, column j.
-func (m *Matrix32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set stores v at row i, column j.
-func (m *Matrix32) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Row returns the i-th row as a slice aliasing the matrix storage.
 func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Zero sets every entry of m to zero.
-func (m *Matrix32) Zero() { clear(m.Data) }
 
 // SliceRows points dst at rows [r0, r1) of m, like Matrix.SliceRows.
 func (m *Matrix32) SliceRows(dst *Matrix32, r0, r1 int) {
@@ -81,23 +75,20 @@ func PromoteInto64(dst *Matrix, src *Matrix32) {
 }
 
 // MaxRelDiff64 returns the maximum element-wise relative difference
-// |m32 - m64| / (1 + |m64|) against a float64 oracle of the same shape —
-// the tolerance-gate metric for the serving twin.
+// AbsDiff(m32, m64) / (1 + |m64|) against a float64 oracle of the same
+// shape — the tolerance-gate metric for the serving twin. A pair whose
+// AbsDiff is +Inf reads +Inf.
 func (m *Matrix32) MaxRelDiff64(oracle *Matrix) float64 {
 	if m.Rows != oracle.Rows || m.Cols != oracle.Cols {
 		panic("tensor: MaxRelDiff64 shape mismatch")
 	}
 	var worst float64
 	for i, v := range oracle.Data {
-		d := float64(m.Data[i]) - v
-		if d < 0 {
-			d = -d
+		r := AbsDiff(float64(m.Data[i]), v)
+		if !math.IsInf(r, 1) {
+			r /= 1 + math.Abs(v)
 		}
-		av := v
-		if av < 0 {
-			av = -av
-		}
-		if r := d / (1 + av); r > worst {
+		if r > worst {
 			worst = r
 		}
 	}

@@ -2,14 +2,13 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"meshgnn/internal/parallel"
 )
 
 // Kernel parallelization. The kernels come in two forms. A whole-matrix
-// kernel (MatMul, MatMulATB, GatherRows, AddScaled, …) is one region on the
+// kernel (MatMul, MatMulATB, AddScaled, CloneInto) is one region on the
 // intra-rank worker pool (internal/parallel): those whose iterations write
 // disjoint output rows or elements use parallel.ForTask and are
 // bitwise-identical to their serial forms for any thread count; those that
@@ -25,12 +24,10 @@ import (
 // forms agree bitwise.
 //
 // Allocation discipline. Every kernel takes its destination as an argument
-// (the "*Into" convention — MatMul, GatherRows, and friends have always
-// been Into-style); the whole-matrix kernels bind their arguments to a
-// pooled task struct rather than a closure, so a kernel call performs no
-// heap allocation in steady state. Matrix-returning conveniences (HCat,
-// SplitCols, Clone) remain as thin allocating wrappers over the Into
-// kernels for cold call sites.
+// (the "*Into" convention); the whole-matrix kernels bind their arguments
+// to a pooled task struct rather than a closure, so a kernel call performs
+// no heap allocation in steady state. Matrix.Clone is the one
+// Matrix-returning convenience, for cold call sites.
 
 // forGrain returns a For grain targeting ~16k flops per chunk so chunk
 // dispatch overhead stays negligible for narrow rows.
@@ -253,30 +250,6 @@ func colAcc(a, b, sum, dot []float64, cols, lo, hi int) bool {
 // elemGrain is the For grain for 1-flop element-wise kernels.
 const elemGrain = 8192
 
-type addTask struct{ dst, a, b *Matrix }
-
-func (t *addTask) Run(lo, hi int) {
-	d, a, b := t.dst.Data, t.a.Data, t.b.Data
-	for i := lo; i < hi; i++ {
-		d[i] = a[i] + b[i]
-	}
-}
-
-var addPool = sync.Pool{New: func() any { return new(addTask) }}
-
-// Add computes dst = a + b element-wise; all three must share a shape.
-// dst may alias a or b.
-func Add(dst, a, b *Matrix) {
-	if a.Rows != b.Rows || a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic("tensor: Add shape mismatch")
-	}
-	t := addPool.Get().(*addTask)
-	t.dst, t.a, t.b = dst, a, b
-	parallel.ForTask(len(dst.Data), elemGrain, t)
-	*t = addTask{}
-	addPool.Put(t)
-}
-
 type addScaledTask struct {
 	dst, src *Matrix
 	alpha    float64
@@ -346,7 +319,7 @@ func add64(dst, v []float64, w int) {
 	addScalar(dst, v, j, len(v))
 }
 
-// --- Copy / gather / scatter kernels -------------------------------------
+// --- Copy kernels --------------------------------------------------------
 
 type cloneIntoTask struct{ dst, src *Matrix }
 
@@ -368,287 +341,4 @@ func CloneInto(dst, src *Matrix) {
 	parallel.ForTask(len(dst.Data), elemGrain, t)
 	*t = cloneIntoTask{}
 	cloneIntoPool.Put(t)
-}
-
-type copyViewIntoTask struct {
-	dst *Matrix
-	src View
-}
-
-func (t *copyViewIntoTask) Run(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		copy(t.dst.Row(i), t.src.Row(i))
-	}
-}
-
-var copyViewIntoPool = sync.Pool{New: func() any { return new(copyViewIntoTask) }}
-
-// CopyViewInto materializes a column view into dst (shapes must match) —
-// the Into form of one SplitCols output.
-func CopyViewInto(dst *Matrix, src View) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: CopyViewInto shape mismatch %dx%d vs %dx%d",
-			dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	t := copyViewIntoPool.Get().(*copyViewIntoTask)
-	t.dst, t.src = dst, src
-	parallel.ForTask(dst.Rows, forGrain(dst.Cols), t)
-	*t = copyViewIntoTask{}
-	copyViewIntoPool.Put(t)
-}
-
-type gatherRowsTask struct {
-	dst, src *Matrix
-	idx      []int
-}
-
-func (t *gatherRowsTask) Run(lo, hi int) {
-	for k := lo; k < hi; k++ {
-		copy(t.dst.Row(k), t.src.Row(t.idx[k]))
-	}
-}
-
-var gatherRowsPool = sync.Pool{New: func() any { return new(gatherRowsTask) }}
-
-// GatherRows copies rows src[idx[k]] into dst[k] for each k.
-// dst must have len(idx) rows and src.Cols columns. Indices are validated
-// up front so a bad index fails with a diagnosable error instead of a
-// slice panic inside a worker.
-func GatherRows(dst, src *Matrix, idx []int) {
-	if dst.Rows != len(idx) || dst.Cols != src.Cols {
-		panic("tensor: GatherRows shape mismatch")
-	}
-	for k, i := range idx {
-		if i < 0 || i >= src.Rows {
-			panic(fmt.Sprintf("tensor: GatherRows index %d out of range [0,%d) at position %d",
-				i, src.Rows, k))
-		}
-	}
-	t := gatherRowsPool.Get().(*gatherRowsTask)
-	t.dst, t.src, t.idx = dst, src, idx
-	parallel.ForTask(len(idx), forGrain(src.Cols), t)
-	*t = gatherRowsTask{}
-	gatherRowsPool.Put(t)
-}
-
-// ScatterAddRows adds src[k] into dst[idx[k]] for each k: the adjoint of
-// GatherRows. Arbitrary idx values may collide on a destination row, so
-// this general form runs serially in k order; receiver-grouped workloads
-// should use ScatterAddRowsGrouped, which parallelizes without atomics.
-func ScatterAddRows(dst, src *Matrix, idx []int) {
-	if src.Rows != len(idx) || dst.Cols != src.Cols {
-		panic("tensor: ScatterAddRows shape mismatch")
-	}
-	for k, i := range idx {
-		if i < 0 || i >= dst.Rows {
-			panic(fmt.Sprintf("tensor: ScatterAddRows index %d out of range [0,%d) at position %d",
-				i, dst.Rows, k))
-		}
-	}
-	for k, i := range idx {
-		drow := dst.Row(i)
-		srow := src.Row(k)
-		for j, v := range srow {
-			drow[j] += v
-		}
-	}
-}
-
-type scatterGroupedTask struct {
-	dst          *Matrix
-	src          View
-	start, order []int
-}
-
-func (t *scatterGroupedTask) Run(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		drow := t.dst.Row(i)
-		for p := t.start[i]; p < t.start[i+1]; p++ {
-			k := p
-			if t.order != nil {
-				k = t.order[p]
-			}
-			srow := t.src.Row(k)
-			for j, v := range srow {
-				drow[j] += v
-			}
-		}
-	}
-}
-
-var scatterGroupedPool = sync.Pool{New: func() any { return new(scatterGroupedTask) }}
-
-// ScatterAddRowsGrouped adds src rows into dst following a receiver-grouped
-// CSR layout: for destination row i, the source rows order[start[i]:start[i+1]]
-// accumulate into dst[i] in listed order. order == nil means the identity
-// (source rows start[i]..start[i+1] are already receiver-contiguous).
-//
-// Because each destination row is owned by exactly one worker, the scatter
-// parallelizes without atomics, and because each row's contributions apply
-// in listed order, the result is bitwise-identical to the equivalent
-// serial ScatterAddRows whenever order lists source rows in ascending
-// order per receiver.
-func ScatterAddRowsGrouped(dst, src *Matrix, start, order []int) {
-	ScatterAddRowsGroupedView(dst, src.Full(), start, order)
-}
-
-// ScatterAddRowsGroupedView is ScatterAddRowsGrouped with a column view as
-// the source, so a column block of a wide gradient matrix scatters without
-// being copied out first.
-func ScatterAddRowsGroupedView(dst *Matrix, src View, start, order []int) {
-	if len(start) != dst.Rows+1 {
-		panic(fmt.Sprintf("tensor: ScatterAddRowsGrouped start length %d, want %d",
-			len(start), dst.Rows+1))
-	}
-	if src.Cols != dst.Cols {
-		panic(fmt.Sprintf("tensor: ScatterAddRowsGrouped width %d vs %d", src.Cols, dst.Cols))
-	}
-	limit := src.Rows
-	if order != nil {
-		limit = len(order)
-		for p, k := range order {
-			if k < 0 || k >= src.Rows {
-				panic(fmt.Sprintf("tensor: ScatterAddRowsGrouped order index %d out of range [0,%d) at position %d",
-					k, src.Rows, p))
-			}
-		}
-	}
-	if start[0] < 0 || start[dst.Rows] > limit {
-		panic(fmt.Sprintf("tensor: ScatterAddRowsGrouped start range [%d,%d] outside %d source entries",
-			start[0], start[dst.Rows], limit))
-	}
-	for i := 0; i < dst.Rows; i++ {
-		if start[i] > start[i+1] {
-			panic(fmt.Sprintf("tensor: ScatterAddRowsGrouped start not monotonic at row %d (%d > %d)",
-				i, start[i], start[i+1]))
-		}
-	}
-	t := scatterGroupedPool.Get().(*scatterGroupedTask)
-	t.dst, t.src, t.start, t.order = dst, src, start, order
-	parallel.ForTask(dst.Rows, forGrain(2*dst.Cols), t)
-	*t = scatterGroupedTask{}
-	scatterGroupedPool.Put(t)
-}
-
-// --- Concatenation / splitting -------------------------------------------
-
-type hcatTask struct {
-	dst *Matrix
-	// ms is a pooled copy of the source table, so the caller's variadic
-	// slice never escapes and the kernel stays allocation-free.
-	ms []*Matrix
-}
-
-func (t *hcatTask) Run(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		drow := t.dst.Row(i)
-		off := 0
-		for _, m := range t.ms {
-			copy(drow[off:off+m.Cols], m.Row(i))
-			off += m.Cols
-		}
-	}
-}
-
-var hcatPool = sync.Pool{New: func() any { return new(hcatTask) }}
-
-// HCatInto concatenates the given matrices horizontally into dst, which
-// must have the shared row count and the summed column count.
-func HCatInto(dst *Matrix, ms ...*Matrix) {
-	cols := 0
-	for _, m := range ms {
-		if m.Rows != dst.Rows {
-			panic("tensor: HCatInto row mismatch")
-		}
-		cols += m.Cols
-	}
-	if cols != dst.Cols {
-		panic(fmt.Sprintf("tensor: HCatInto columns %d, want %d", dst.Cols, cols))
-	}
-	t := hcatPool.Get().(*hcatTask)
-	t.dst = dst
-	t.ms = append(t.ms[:0], ms...)
-	parallel.ForTask(dst.Rows, forGrain(dst.Cols), t)
-	t.dst = nil
-	clear(t.ms)
-	t.ms = t.ms[:0]
-	hcatPool.Put(t)
-}
-
-// HCat concatenates the given matrices horizontally (all must share Rows),
-// allocating the result.
-func HCat(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	rows := ms[0].Rows
-	cols := 0
-	for _, m := range ms {
-		cols += m.Cols
-	}
-	out := New(rows, cols)
-	HCatInto(out, ms...)
-	return out
-}
-
-// SplitColsView splits m horizontally into len(widths) column views; the
-// zero-copy inverse of HCat. The views alias m.
-func SplitColsView(m *Matrix, widths ...int) []View {
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	if total != m.Cols {
-		panic("tensor: SplitColsView widths do not sum to Cols")
-	}
-	out := make([]View, len(widths))
-	off := 0
-	for k, w := range widths {
-		out[k] = m.View(off, w)
-		off += w
-	}
-	return out
-}
-
-// SplitCols splits m horizontally into len(widths) freshly allocated
-// matrices whose column counts are widths[i]; the copying inverse of HCat.
-// Hot paths use Matrix.View / SplitColsView instead.
-func SplitCols(m *Matrix, widths ...int) []*Matrix {
-	views := SplitColsView(m, widths...)
-	out := make([]*Matrix, len(views))
-	for k, v := range views {
-		out[k] = New(v.Rows, v.Cols)
-		CopyViewInto(out[k], v)
-	}
-	return out
-}
-
-// --- Reductions to scalars -----------------------------------------------
-
-type frobeniusTask struct {
-	m *Matrix
-	s float64
-}
-
-func (t *frobeniusTask) Body(lo, hi int, acc []float64) {
-	d := t.m.Data
-	for i := lo; i < hi; i++ {
-		v := d[i]
-		acc[0] += float64(v * v)
-	}
-}
-
-func (t *frobeniusTask) Merge(acc []float64) { t.s += acc[0] }
-
-var frobeniusPool = sync.Pool{New: func() any { return new(frobeniusTask) }}
-
-// Frobenius returns the Frobenius norm of m.
-func Frobenius(m *Matrix) float64 {
-	t := frobeniusPool.Get().(*frobeniusTask)
-	t.m, t.s = m, 0
-	parallel.ReduceWith(len(m.Data), ReduceGrain(2), 1, t)
-	s := t.s
-	*t = frobeniusTask{}
-	frobeniusPool.Put(t)
-	return math.Sqrt(s)
 }

@@ -107,17 +107,3 @@ var (
 	cpuTier = detectSIMD()
 	tier    = cpuTier
 )
-
-// SIMDEnabled reports whether the assembly kernels are in use (either
-// SIMD rung).
-func SIMDEnabled() bool { return tier >= tierAVX2 }
-
-// setKernelTier lowers the kernel tier to t (test hook). It can only
-// lower: a request above what the CPU supports lands on cpuTier, which is
-// also how a test restores the value it was handed back. Returns the
-// previous tier.
-func setKernelTier(t kernelTier) kernelTier {
-	prev := tier
-	tier = min(t, cpuTier)
-	return prev
-}

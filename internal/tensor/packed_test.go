@@ -391,7 +391,7 @@ func TestMatMul32MatchesF64Oracle(t *testing.T) {
 // tolerance, bias included: the same order per element, the tiles fused,
 // the loop not.
 func TestMatMul32PackedMatchesScalar(t *testing.T) {
-	if !SIMDEnabled() {
+	if tier < tierAVX2 {
 		t.Skip("the s-tiles need a SIMD rung")
 	}
 	rng := rand.New(rand.NewSource(43))

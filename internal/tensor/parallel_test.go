@@ -53,20 +53,9 @@ func TestKernelsBitwiseAcrossThreads(t *testing.T) {
 			MatMulATB(dst, a, c)
 			return dst
 		},
-		"Add": func() *Matrix {
-			dst := New(n, in)
-			Add(dst, a, d)
-			return dst
-		},
 		"AddScaled": func() *Matrix {
 			dst := a.Clone()
 			AddScaled(dst, 0.37, d)
-			return dst
-		},
-		"HCat": func() *Matrix { return HCat(a, d, c) },
-		"Frobenius": func() *Matrix {
-			dst := New(1, 1)
-			dst.Data[0] = Frobenius(a)
 			return dst
 		},
 	}
@@ -78,61 +67,6 @@ func TestKernelsBitwiseAcrossThreads(t *testing.T) {
 					name, threads[i], threads[0], results[i].MaxAbsDiff(results[0]))
 			}
 		}
-	}
-}
-
-// TestGatherScatterAcrossThreads covers the indexed kernels with a
-// receiver-grouped index set, against both the serial general scatter and
-// across thread counts.
-func TestGatherScatterAcrossThreads(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const nDst, nSrc, cols = 101, 997, 7
-	src := randomMatrix(rng, nSrc, cols)
-	// Receiver-grouped index list (ascending): CSR over destinations.
-	idx := make([]int, nSrc)
-	start := make([]int, nDst+1)
-	for k := range idx {
-		idx[k] = k * nDst / nSrc // non-uniform, monotone ascending
-	}
-	for _, i := range idx {
-		start[i+1]++
-	}
-	for i := 0; i < nDst; i++ {
-		start[i+1] += start[i]
-	}
-
-	ref := New(nDst, cols)
-	ScatterAddRows(ref, src, idx) // serial reference
-
-	results := runAtThreads(t, []int{1, 2, 8}, func() *Matrix {
-		dst := New(nDst, cols)
-		ScatterAddRowsGrouped(dst, src, start, nil)
-		return dst
-	})
-	for i, got := range results {
-		if !got.Equal(ref) {
-			t.Errorf("ScatterAddRowsGrouped at threads index %d differs from serial ScatterAddRows", i)
-		}
-	}
-
-	// Explicit order permutation (identity here) must match too.
-	order := make([]int, nSrc)
-	for k := range order {
-		order[k] = k
-	}
-	got := New(nDst, cols)
-	ScatterAddRowsGrouped(got, src, start, order)
-	if !got.Equal(ref) {
-		t.Error("ScatterAddRowsGrouped with explicit order differs")
-	}
-
-	gathers := runAtThreads(t, []int{1, 8}, func() *Matrix {
-		dst := New(nSrc, cols)
-		GatherRows(dst, ref, idx)
-		return dst
-	})
-	if !gathers[1].Equal(gathers[0]) {
-		t.Error("GatherRows differs across thread counts")
 	}
 }
 
@@ -153,36 +87,18 @@ func expectPanic(t *testing.T, name string, fn func()) {
 	fn()
 }
 
-// TestIndexValidation asserts out-of-range gather/scatter indices fail
-// with diagnosable tensor:-prefixed messages rather than bare slice
-// panics.
+// TestIndexValidation asserts that row indices outside a matrix fail with
+// diagnosable tensor:-prefixed messages rather than bare slice panics.
 func TestIndexValidation(t *testing.T) {
-	src := New(4, 3)
-	dst := New(2, 3)
-	expectPanic(t, "GatherRows high", func() {
-		GatherRows(dst, src, []int{0, 4})
-	})
-	expectPanic(t, "GatherRows negative", func() {
-		GatherRows(dst, src, []int{-1, 0})
-	})
-	expectPanic(t, "ScatterAddRows high", func() {
-		ScatterAddRows(dst, src, []int{0, 1, 2, 0})
-	})
-	expectPanic(t, "ScatterAddRows negative", func() {
-		ScatterAddRows(dst, src, []int{0, -2, 1, 0})
-	})
-	expectPanic(t, "ScatterAddRowsGrouped order", func() {
-		ScatterAddRowsGrouped(dst, src, []int{0, 1, 2}, []int{0, 9})
-	})
-	expectPanic(t, "ScatterAddRowsGrouped start", func() {
-		ScatterAddRowsGrouped(dst, src, []int{0, 3, 9}, nil)
-	})
-	expectPanic(t, "ScatterAddRowsGrouped start vs order", func() {
-		ScatterAddRowsGrouped(dst, src, []int{0, 2, 3}, []int{0, 1})
-	})
-	expectPanic(t, "ScatterAddRowsGrouped non-monotonic", func() {
-		ScatterAddRowsGrouped(dst, src, []int{3, 0, 4}, nil)
-	})
+	m, m32 := New(4, 3), New32(4, 3)
+	var dst Matrix
+	var dst32 Matrix32
+	expectPanic(t, "SliceRows high", func() { m.SliceRows(&dst, 2, 5) })
+	expectPanic(t, "SliceRows negative", func() { m.SliceRows(&dst, -1, 2) })
+	expectPanic(t, "SliceRows reversed", func() { m.SliceRows(&dst, 3, 2) })
+	expectPanic(t, "Matrix32 SliceRows high", func() { m32.SliceRows(&dst32, 0, 5) })
+	expectPanic(t, "MatMulBiasRows high", func() { MatMulBiasRows(New(4, 2), m, New(3, 2), nil, 0, 5) })
+	expectPanic(t, "MatMulBiasRows negative", func() { MatMulBiasRows(New(4, 2), m, New(3, 2), nil, -1, 2) })
 }
 
 // TestKernelsEmptyInputs exercises the degenerate shapes where chunking
@@ -196,10 +112,9 @@ func TestKernelsEmptyInputs(t *testing.T) {
 	MatMul(dst, empty, b) // must not panic or dispatch
 	atb := New(5, 3)
 	MatMulATB(atb, empty, New(0, 3))
-	if Frobenius(atb) != 0 {
+	if !atb.Equal(New(5, 3)) {
 		t.Error("MatMulATB over zero rows should leave dst zero")
 	}
-	GatherRows(New(0, 5), empty, nil)
-	ScatterAddRows(New(3, 5), New(0, 5), nil)
-	ScatterAddRowsGrouped(New(0, 5), empty, []int{0}, nil)
+	GatherEdgeRows[float64](nil, nil, nil, nil, 5)
+	GatherAddEdgeRows[float64](nil, nil, nil, nil, 5)
 }

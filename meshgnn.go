@@ -474,7 +474,9 @@ func RunCollect[T any](s *System, mode ExchangeMode, fn func(r *Rank) (T, error)
 // VerifyConsistency runs the model on the partitioned system and on the
 // equivalent single-rank system, returning the maximum absolute
 // difference between the assembled outputs — a direct check of the
-// paper's Eq. 2 for arbitrary user configurations.
+// paper's Eq. 2 for arbitrary user configurations. A NaN on one side
+// against a number on the other reads as +Inf; NaN on both sides reads
+// as no difference.
 func VerifyConsistency(s *System, cfg Config, mode ExchangeMode, f Field, t float64) (float64, error) {
 	outputs := func(sys *System, m ExchangeMode) (*Matrix, error) {
 		res, err := RunCollect(sys, m, func(r *Rank) (*Matrix, error) {
