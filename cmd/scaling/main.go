@@ -37,7 +37,6 @@ func main() {
 		p        = flag.Int("p", 3, "polynomial order (paper: 5)")
 		reduced  = flag.Bool("reduced", false, "also report the reduced-graph (coincident collapse) ablation")
 		threads  = flag.Int("threads", 0, "intra-rank worker threads per kernel (0 = GOMAXPROCS, 1 = serial)")
-		det      = flag.Bool("deterministic", true, "fixed-schedule reductions: results bitwise-identical for any -threads")
 		procs    = flag.Int("procs", 0, "measure one point with this many OS-process ranks over sockets")
 		procMode = flag.String("procmode", "na2a", "halo exchange for -procs: none, a2a, na2a")
 		overlap  = flag.Bool("overlap", false, "overlap halo communication with interior compute (bitwise-identical results)")
@@ -53,7 +52,7 @@ func main() {
 	case *elems < 2:
 		log.Fatalf("-elems must be >= 2 (the mesh is periodic), got %d", *elems)
 	}
-	parallel.Configure(*threads, *det)
+	parallel.SetThreads(parallel.Clamp(*threads))
 
 	if *procs > 0 {
 		runProcs(*p, *elems, *procs, *procMode, *iters, *overlap)

@@ -51,7 +51,6 @@ func main() {
 		saveTo   = flag.String("save", "", "write the trained model checkpoint to this path")
 		loadFrom = flag.String("load", "", "initialize the model from this checkpoint")
 		threads  = flag.Int("threads", 0, "intra-rank worker threads per kernel (0 = GOMAXPROCS, 1 = serial)")
-		det      = flag.Bool("deterministic", true, "fixed-schedule reductions: results bitwise-identical for any -threads")
 		overlap  = flag.Bool("overlap", false, "phased NMP pipeline: overlap halo communication with interior compute (bitwise-identical results)")
 		batchSz  = flag.Int("train-batch", 1, "samples per optimizer step, stacked as row blocks (gradient bitwise-equal to sequential accumulation)")
 	)
@@ -66,7 +65,7 @@ func main() {
 	if *procs < 0 {
 		log.Fatalf("-procs must be >= 0, got %d", *procs)
 	}
-	meshgnn.SetParallelism(*threads, *det)
+	meshgnn.SetParallelism(*threads)
 	mode, err := comm.ParseExchangeMode(*modeFlag)
 	if err != nil {
 		log.Fatal(err)
@@ -107,7 +106,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	effThreads, _ := meshgnn.Parallelism()
+	effThreads := meshgnn.Parallelism()
 	overlapLabel := "sync"
 	if *overlap {
 		overlapLabel = "overlapped"

@@ -9,10 +9,12 @@
 package cmdtest
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -140,11 +142,13 @@ func TestTrainSaveLoadCheckpoint(t *testing.T) {
 }
 
 // TestScalingMeasuredSmoke runs the default scaling command: Table I,
-// then the measured tier's none / A2A / N-A2A rows at R = 1, 2, 4, 8.
+// then the measured tier's none / A2A / N-A2A rows at R = 1, 2, 4, 8. A
+// -threads request beyond the core count runs at the core count.
 func TestScalingMeasuredSmoke(t *testing.T) {
-	out := runCmd(t, "scaling", "-elems", "2", "-p", "1", "-iters", "1")
+	ncpu := runtime.NumCPU()
+	out := runCmd(t, "scaling", "-elems", "2", "-p", "1", "-iters", "1", "-threads", strconv.Itoa(ncpu+1))
 	for _, want := range []string{"Table I", "| small | 8 | 4 | 2 | 3979 |", "| large | 32 | 4 | 5 | 91459 |",
-		"Fig. 7 (measured tier)"} {
+		"Fig. 7 (measured tier)", fmt.Sprintf(", %d intra-rank threads,", ncpu)} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("scaling output missing %q:\n%s", want, out)
 		}

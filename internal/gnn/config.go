@@ -76,14 +76,12 @@ type Config struct {
 	// Threads, when positive, pins the process-wide intra-rank worker
 	// count used by the parallel compute kernels (tensor GEMMs, NMP
 	// gather/scatter, MLP forward/backward), capped at runtime.NumCPU()
-	// (the kernels are compute-bound, so extra workers only time-slice),
-	// and selects the deterministic fixed-schedule reductions. 0 leaves
-	// the engine at its current setting (GOMAXPROCS and deterministic by
-	// default) entirely untouched. The knob is process-wide because the
-	// worker pool is shared across goroutine ranks; NewModel applies it.
-	// Callers that want to configure the engine without building a model —
-	// or want the relaxed, thread-count-dependent reductions — use
-	// meshgnn.SetParallelism (parallel.Configure) directly.
+	// (the kernels are compute-bound, so extra workers only time-slice).
+	// The count never changes a bit. 0 leaves the engine at its current
+	// setting (GOMAXPROCS by default) untouched. The knob is process-wide
+	// because the worker pool is shared across goroutine ranks; NewModel
+	// applies it. Callers that want to configure the engine without
+	// building a model use meshgnn.SetParallelism directly.
 	Threads int
 	// Precision selects the serving engine's numeric representation
 	// (NewInference only; Float64 keeps bitwise train/infer parity,

@@ -119,7 +119,7 @@ func NewModel(cfg Config) (*Model, error) {
 		// shared by all goroutine ranks), so the knob configures it
 		// globally rather than per model. The request is clamped to the
 		// core count.
-		parallel.Configure(parallel.Clamp(cfg.Threads), true)
+		parallel.SetThreads(parallel.Clamp(cfg.Threads))
 	}
 	rng := cfg.newRNG()
 	h := cfg.HiddenDim

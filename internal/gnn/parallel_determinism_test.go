@@ -59,10 +59,9 @@ func trainRun(t *testing.T, box *mesh.Box, ranks, steps int, cfg Config) (losses
 }
 
 // TestTrainingBitwiseDeterministicAcrossThreads is the acceptance check
-// for the intra-rank engine: with deterministic mode on, full distributed
-// training steps — GEMMs, NMP gather/scatter, halo exchanges, gradient
-// AllReduce, optimizer updates — must be bitwise-identical for any
-// Threads setting. Losses, final outputs, and final parameters are all
+// for the intra-rank engine: full distributed training steps — GEMMs, NMP
+// gather/scatter, halo exchanges, gradient AllReduce, optimizer updates —
+// must be bitwise-identical for any Threads setting. Losses, final outputs, and final parameters are all
 // compared exactly against the Threads=1 run.
 func TestTrainingBitwiseDeterministicAcrossThreads(t *testing.T) {
 	defer parallel.Configure(0, true)
@@ -98,12 +97,11 @@ func TestTrainingBitwiseDeterministicAcrossThreads(t *testing.T) {
 }
 
 // TestConfigThreadsKnob verifies the Config wiring: NewModel applies a
-// positive Threads value to the engine — clamped to the core count, with
-// the fixed-schedule reductions — leaves the engine alone at 0, and
-// rejects a negative value.
+// positive Threads value to the engine, clamped to the core count, leaves
+// the engine alone at 0, and rejects a negative value.
 func TestConfigThreadsKnob(t *testing.T) {
-	defer parallel.Configure(0, true)
-	parallel.Configure(1, false)
+	defer parallel.SetThreads(0)
+	parallel.SetThreads(1)
 	cfg := tinyConfig()
 	cfg.Threads = 3
 	if _, err := NewModel(cfg); err != nil {
@@ -113,16 +111,13 @@ func TestConfigThreadsKnob(t *testing.T) {
 	if got := parallel.Threads(); got != want {
 		t.Fatalf("NewModel left Threads() = %d, want %d (clamped from 3)", got, want)
 	}
-	if !parallel.Deterministic() {
-		t.Fatal("NewModel with Threads > 0 should select the deterministic reductions")
-	}
-	parallel.Configure(1, false)
+	parallel.SetThreads(1)
 	cfg.Threads = 0
 	if _, err := NewModel(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got, det := parallel.Threads(), parallel.Deterministic(); got != 1 || det {
-		t.Fatalf("NewModel with Threads = 0 changed the engine to (%d, %v), want (1, false)", got, det)
+	if got := parallel.Threads(); got != 1 {
+		t.Fatalf("NewModel with Threads = 0 changed the engine to %d threads, want 1", got)
 	}
 	cfg.Threads = -1
 	if err := cfg.Validate(); err == nil {

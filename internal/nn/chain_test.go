@@ -74,14 +74,18 @@ func refForward(m *MLP, x *tensor.Matrix) *layerAtATime {
 	return ref
 }
 
-// reducerFuncs adapts a body/merge closure pair onto parallel.Reducer.
-type reducerFuncs struct {
-	body  func(lo, hi int, acc []float64)
-	merge func(acc []float64)
+// chunkFold is the fixed reduction schedule parallel.Panels carries its
+// reductions in, written out serially: rows [0, n) in chunks of grain
+// rows, each chunk's body on a freshly zeroed accumulator, the merges in
+// ascending chunk order.
+func chunkFold(n, grain, accLen int, body func(lo, hi int, acc []float64), merge func(acc []float64)) {
+	acc := make([]float64, accLen)
+	for lo := 0; lo < n; lo += grain {
+		clear(acc)
+		body(lo, min(lo+grain, n), acc)
+		merge(acc)
+	}
 }
-
-func (r reducerFuncs) Body(lo, hi int, acc []float64) { r.body(lo, hi, acc) }
-func (r reducerFuncs) Merge(acc []float64)            { r.merge(acc) }
 
 // refBackward continues refForward with the backward pass over batch
 // stacked sample blocks, accumulating onto clones of the current G.
@@ -103,7 +107,7 @@ func (ref *layerAtATime) refBackward(m *MLP, dy *tensor.Matrix, batch int) {
 			for b := 0; b < batch; b++ {
 				off := b * per
 				cur := dy
-				parallel.ReduceWith(per, 256, 2*dim, reducerFuncs{func(lo, hi int, acc []float64) {
+				chunkFold(per, 256, 2*dim, func(lo, hi int, acc []float64) {
 					for i := off + lo; i < off+hi; i++ {
 						dyr, xh := cur.Row(i), ref.xhat.Row(i)
 						var sum1, sum2 float64
@@ -124,7 +128,7 @@ func (ref *layerAtATime) refBackward(m *MLP, dy *tensor.Matrix, batch int) {
 						gGain[j] += acc[j]
 						gShift[j] += acc[dim+j]
 					}
-				}})
+				})
 			}
 			dy = dx
 		case *Linear:
@@ -136,13 +140,13 @@ func (ref *layerAtATime) refBackward(m *MLP, dy *tensor.Matrix, batch int) {
 				xb, dyb := x.RowBlock(b*per, (b+1)*per), dy.RowBlock(b*per, (b+1)*per)
 				tensor.MatMulATB(dw, xb, dyb)
 				tensor.AddScaled(grad[t.Weight], 1, dw)
-				parallel.ReduceWith(per, tensor.ReduceGrain(t.Out), t.Out, reducerFuncs{func(lo, hi int, acc []float64) {
+				chunkFold(per, tensor.ReduceGrain(t.Out), t.Out, func(lo, hi int, acc []float64) {
 					tensor.ColSumsAcc(acc, dyb, lo, hi)
 				}, func(acc []float64) {
 					for j, v := range acc {
 						gB[j] += v
 					}
-				}})
+				})
 			}
 			dx, wT := tensor.New(dy.Rows, t.In), tensor.New(t.Out, t.In)
 			tensor.TransposeInto(wT, t.Weight.W)

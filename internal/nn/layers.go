@@ -170,9 +170,9 @@ func (l *Linear) reduceBody(which, lo, hi int, acc []float64) {
 
 // reduceMerge folds chunk partials after the backward's region, on the
 // caller, sample blocks ascending and each block's chunks ascending — the
-// order MatMulATB and ReduceWith fold them: weight partials sum into the
-// zeroed dw scratch, which is added to the gradient once the block's last
-// chunk is in; bias partials add to the gradient directly.
+// order MatMulATB folds them: weight partials sum into the zeroed dw
+// scratch, which is added to the gradient once the block's last chunk is
+// in; bias partials add to the gradient directly.
 func (l *Linear) reduceMerge(which int, acc []float64, last bool) {
 	if which == redBias {
 		tensor.AddTo(l.Bias.G.Data, acc)

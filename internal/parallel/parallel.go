@@ -8,37 +8,32 @@
 // Determinism contract. The paper's consistency properties (Eqs. 2–3) are
 // asserted to near machine precision, and the partition-invariance and
 // checkpoint-resumption tests require bitwise-reproducible arithmetic. The
-// engine therefore guarantees that, in deterministic mode (the default),
-// every result is bitwise-identical for any Threads setting:
+// engine therefore guarantees that every result is bitwise-identical for
+// any Threads setting:
 //
 //   - ForTask partitions [0,n) into disjoint chunks where each index is
 //     written by exactly one worker, so chunking cannot change results;
-//   - ReduceWith and the reductions a Panels region carries derive their
-//     chunk structure from the problem shape only (never from the thread
-//     count), give every chunk a private partial accumulator, and merge the
-//     partials in ascending chunk order on the caller. Within a chunk the
-//     rows are accumulated in ascending order by one participant at a
-//     time; a Panels region advances a chunk in pieces, as its rows
-//     complete, so its bodies must be such that splitting a chunk moves no
-//     bit (one chain per accumulator element, rows ascending). The
-//     Threads=1 path executes the *same* chunk schedule sequentially, so
-//     serial and parallel runs agree bit-for-bit.
+//   - the reductions a Panels region carries derive their chunk structure
+//     from the problem shape only (never from the thread count), give
+//     every chunk a private partial accumulator, and merge the partials in
+//     ascending chunk order on the caller. Within a chunk the rows are
+//     accumulated in ascending order by one participant at a time; a
+//     region advances a chunk in pieces, as its rows complete, so its
+//     bodies must be such that splitting a chunk moves no bit (one chain
+//     per accumulator element, rows ascending). The Threads=1 path
+//     executes the *same* chunk schedule sequentially, so serial and
+//     parallel runs agree bit-for-bit.
 //
 // This is the fixed-schedule reduction discipline: floating-point addition
 // is not associative, so reproducibility requires the summation tree to be
-// a function of the data layout alone. SetDeterministic(false) relaxes
-// the reductions to thread-count-dependent chunking (fewer, larger
-// partials — slightly faster, still race-free and run-to-run stable for a
-// fixed Threads value, but not reproducible across different Threads
-// settings).
+// a function of the data layout alone.
 //
 // Allocation contract. The dispatch machinery itself allocates nothing in
-// steady state: jobs, reduction runners, and ReduceWith's partial
-// accumulators are recycled through pools, and a Panels region's
+// steady state: jobs are recycled through a pool, and a Panels region's
 // accumulators live in the Panels value its caller keeps. Regions are
-// dispatched through the Task, Reducer and PanelReducer interfaces
-// (ForTask, ReduceWith, Panels.For), implemented by reusable bound
-// argument structs, so no region allocates a closure.
+// dispatched through the Task and PanelReducer interfaces (ForTask,
+// Panels.For), implemented by reusable bound argument structs, so no
+// region allocates a closure.
 //
 // Region granularity. A region that goes parallel is handed to the
 // workers through a channel, and a parked worker does not start at once:
@@ -105,18 +100,6 @@ type Task interface {
 	Run(lo, hi int)
 }
 
-// Reducer is a chunked-reduction body bound to its arguments.
-type Reducer interface {
-	// Body accumulates the contribution of rows [lo, hi) into acc, a
-	// private zeroed accumulator. It may be called concurrently on
-	// disjoint ranges with distinct accumulators.
-	Body(lo, hi int, acc []float64)
-	// Merge folds one accumulator into the caller's destination. Merge
-	// calls are sequential, in ascending chunk order, on the calling
-	// goroutine.
-	Merge(acc []float64)
-}
-
 // job is one parallel region: a Task plus the chunk geometry and the
 // bookkeeping that lets any number of workers claim chunks until none
 // remain. Jobs are pooled; refs counts the caller plus every queued
@@ -168,8 +151,6 @@ var (
 	// threads is the current participant bound per parallel region
 	// (caller + pool workers); 0 means "not yet initialized".
 	threads atomic.Int32
-	// nonDeterministic relaxes the Reduce chunk schedule.
-	nonDeterministic atomic.Bool
 
 	// queue feeds jobs to the persistent workers. Workers are spawned
 	// lazily and live for the process lifetime; an idle worker is a parked
@@ -265,10 +246,10 @@ func loadThreads() int {
 // schedule, executed sequentially.
 //
 // SetThreads applies the requested count verbatim. User-facing entry
-// points (meshgnn.SetParallelism, gnn.Config.Threads) first pass their
-// request through Clamp, which caps it at runtime.NumCPU() — the
-// engine-level setter stays exact so determinism tests can sweep thread
-// counts past the core count.
+// points (meshgnn.SetParallelism, gnn.Config.Threads, the commands'
+// -threads) first pass their request through Clamp, which caps it at
+// runtime.NumCPU() — the engine-level setter stays exact so determinism
+// tests can sweep thread counts past the core count.
 func SetThreads(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -298,25 +279,27 @@ func Clamp(n int) int {
 	return n
 }
 
-// SetDeterministic toggles the fixed-schedule reduction discipline
-// (default true). When false, the reductions may choose chunk sizes from
-// the thread count, trading cross-Threads bitwise reproducibility for
-// fewer partial buffers.
-func SetDeterministic(det bool) { nonDeterministic.Store(!det) }
+// Deterministic reports whether the reductions run the fixed schedule.
+// They always do, so it returns true. It and Configure's deterministic
+// parameter stay only because the repository benchmark
+// (benchmark/layers.go) saves and restores them; ROADMAP item 12, which
+// edits that benchmark, deletes them.
+func Deterministic() bool { return true }
 
-// Deterministic reports whether fixed-schedule reductions are active.
-func Deterministic() bool { return !nonDeterministic.Load() }
-
-// Configure sets both knobs at once; threads <= 0 resets to GOMAXPROCS.
+// Configure is SetThreads(threads) for callers that still pass the
+// reduction mode (see Deterministic): deterministic must be true, as the
+// fixed schedule is the only one, and false panics.
 func Configure(threads int, deterministic bool) {
+	if !deterministic {
+		panic("parallel: Configure with deterministic = false: the fixed-schedule reductions are the only ones")
+	}
 	SetThreads(threads)
-	SetDeterministic(deterministic)
 }
 
 // Counters is a snapshot of the engine's process-wide region counters.
 // They only ever increase; read them by delta around the code of interest,
-// like comm.Stats. A region is one ForTask/ReduceWith/Panels.For
-// call with work to do.
+// like comm.Stats. A region is one ForTask or Panels.For call with
+// work to do.
 type Counters struct {
 	// Dispatched counts regions offered to the worker pool (Threads > 1
 	// and more than one chunk): each costs a channel send and, unless a
@@ -426,151 +409,13 @@ func ForTask(n, grain int, task Task) {
 	runJob(n, chunk, numChunks, t, task)
 }
 
-// bufPool recycles partial accumulators between reductions. It traffics in
-// stable *[]float64 boxes so Put never re-boxes (and never allocates).
-var bufPool sync.Pool
-
-func getBuf(n int) *[]float64 {
-	if v := bufPool.Get(); v != nil {
-		p := v.(*[]float64)
-		if cap(*p) < n {
-			// Grow the pooled box in place instead of discarding it:
-			// reductions of different accumulator widths share this pool,
-			// and concurrent ranks interleave their get/put sequences, so
-			// a too-small pop would otherwise recur indefinitely (pop
-			// small, drop it, allocate big, repeat). Growing converges —
-			// every box monotonically reaches the largest width it ever
-			// serves — and the donated spare provisions the pool for two
-			// goroutines demanding this width at once (a rank preempted
-			// mid-reduction while another rank reduces), so the first
-			// *sequential* use of a width already covers the concurrent
-			// peak and steady state stops allocating.
-			*p = make([]float64, n)
-			spare := make([]float64, n)
-			bufPool.Put(&spare)
-		} else {
-			*p = (*p)[:n]
-			clear(*p)
-		}
-		return p
-	}
-	b := make([]float64, n)
-	spare := make([]float64, n)
-	bufPool.Put(&spare)
-	return &b
-}
-
-func putBuf(p *[]float64) { bufPool.Put(p) }
-
-// reduceRun carries one parallel reduction: the Reducer plus the partial
-// accumulator table indexed by chunk. Pooled so ReduceWith allocates
-// nothing in steady state.
-type reduceRun struct {
-	r        Reducer
-	accLen   int
-	chunk    int
-	partials []*[]float64
-}
-
-func (rr *reduceRun) Run(lo, hi int) {
-	p := getBuf(rr.accLen)
-	rr.r.Body(lo, hi, *p)
-	rr.partials[lo/rr.chunk] = p
-}
-
-var reducePool = sync.Pool{New: func() any { return new(reduceRun) }}
-
-// reduceChunk returns the ReduceWith chunk length under the active mode.
-func reduceChunk(n, grain, t int) int {
-	if grain < 1 {
-		grain = 1
-	}
-	chunk := grain
-	if nonDeterministic.Load() {
-		// Relaxed mode: one chunk per participant when that is coarser.
-		if c := (n + t - 1) / t; c > chunk {
-			chunk = c
-		}
-	}
-	return chunk
-}
-
-// ReduceWith performs a chunked reduction over [0, n) via a bound Reducer:
-// Body accumulates the contribution of rows [lo, hi) into a private,
-// zeroed accumulator of length accLen; Merge folds accumulators into the
-// caller's destination and is invoked sequentially in ascending chunk
-// order. Dispatch performs no heap allocation in steady state.
-//
-// In deterministic mode the chunk structure is ceil(n/grain) regardless of
-// the thread count, so the summation tree — and hence every output bit —
-// is a function of (n, grain, accLen, data) alone. grain must therefore be
-// derived from problem shape only, never from Threads().
-func ReduceWith(n, grain, accLen int, r Reducer) {
-	if n <= 0 {
-		return
-	}
-	t := loadThreads()
-	chunk := reduceChunk(n, grain, t)
-	numChunks := (n + chunk - 1) / chunk
-	if t == 1 || numChunks == 1 {
-		counters.inline.Add(1)
-		reduceSerial(n, chunk, numChunks, accLen, r)
-		return
-	}
-	reduceParallel(n, chunk, numChunks, t, accLen, r)
-}
-
-// reduceParallel runs the chunked reduction on the worker pool through a
-// pooled reduceRun, merging partials in ascending chunk order on the
-// calling goroutine.
-func reduceParallel(n, chunk, numChunks, t, accLen int, r Reducer) {
-	rr := reducePool.Get().(*reduceRun)
-	if cap(rr.partials) < numChunks {
-		rr.partials = make([]*[]float64, numChunks)
-	}
-	rr.partials = rr.partials[:numChunks]
-	rr.r = r
-	rr.accLen = accLen
-	rr.chunk = chunk
-	runJob(n, chunk, numChunks, t, rr)
-	for c := 0; c < numChunks; c++ {
-		p := rr.partials[c]
-		r.Merge(*p)
-		putBuf(p)
-		rr.partials[c] = nil
-	}
-	rr.r = nil
-	reducePool.Put(rr)
-}
-
-// reduceSerial executes the reduction's chunk schedule sequentially:
-// partials are formed and merged in the same order as the parallel path,
-// so the two are bitwise interchangeable.
-func reduceSerial(n, chunk, numChunks, accLen int, r Reducer) {
-	p := getBuf(accLen)
-	acc := *p
-	for c := 0; c < numChunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if c > 0 {
-			clear(acc)
-		}
-		r.Body(lo, hi, acc)
-		r.Merge(acc)
-	}
-	putBuf(p)
-}
-
 // Reduction is one row reduction a Panels region carries: rows [Off,
-// Off+N) of the region's rows, cut into chunks of Grain rows exactly as
-// ReduceWith(N, Grain, AccLen, ·) cuts [0, N), each chunk reduced into a
-// private zeroed accumulator of length AccLen. The chunk advances as its
-// rows complete, so the body must take it in pieces exactly: its bits for
-// rows [lo, m) then [m, hi) into one accumulator are those of [lo, hi) in
-// one call, for every m.
+// Off+N) of the region's rows, cut into chunks of Grain rows (at least
+// one) from row Off on, each chunk reduced into a private zeroed
+// accumulator of length AccLen. The chunk advances as its rows complete,
+// so the body must take it in pieces exactly: its bits for rows [lo, m)
+// then [m, hi) into one accumulator are those of [lo, hi) in one call,
+// for every m.
 type Reduction struct {
 	Off, N, Grain, AccLen int
 }
@@ -624,17 +469,16 @@ type panelTask Panels
 // advances over the longest completed run of rows from its cursor, while
 // those rows are still in the cache of whoever finished them. One
 // participant advances a chunk at a time. The merges follow the region on
-// the caller in ReduceWith's order, so every reduction's summation tree —
-// chunk boundaries, the ascending row order within a chunk, the merge
-// order — is ReduceWith's, whatever the thread count and whichever
-// participant advanced what: bitwise, given that a body is what Reduction
-// says it must be. The chunk grains, as for ReduceWith, must derive from
-// the problem shape only.
+// the caller, chunks ascending. So every reduction's summation tree is
+// fixed: its chunks of Grain rows, the rows ascending within a chunk, the
+// merges ascending — whatever the thread count and whichever participant
+// advanced what: bitwise, given that a body is what Reduction says it
+// must be. The grains must therefore derive from the problem shape only,
+// never from Threads().
 func (p *Panels) For(rows, panel int, rs []Reduction, r PanelReducer) {
 	if rows <= 0 {
 		return
 	}
-	t := loadThreads()
 	p.r, p.rs, p.rows, p.panel = r, rs, rows, panel
 	p.chunk, p.first = p.chunk[:0], p.first[:0]
 	total, accLen := 0, 0
@@ -642,7 +486,7 @@ func (p *Panels) For(rows, panel int, rs []Reduction, r PanelReducer) {
 		if s.Off < 0 || s.N < 0 || s.Off+s.N > rows {
 			panic(fmt.Sprintf("parallel: reduction over rows [%d, %d) outside the region's %d", s.Off, s.Off+s.N, rows))
 		}
-		c := reduceChunk(s.N, s.Grain, t)
+		c := max(s.Grain, 1)
 		p.chunk = append(p.chunk, c)
 		p.first = append(p.first, total)
 		if s.N > 0 {

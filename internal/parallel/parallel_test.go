@@ -25,14 +25,34 @@ type taskFunc func(lo, hi int)
 
 func (f taskFunc) Run(lo, hi int) { f(lo, hi) }
 
-// reducerFuncs adapts a body/merge closure pair onto Reducer.
+// reducerFuncs is a PanelReducer whose panels compute nothing and whose
+// one reduction runs a body/merge closure pair.
 type reducerFuncs struct {
 	body  func(lo, hi int, acc []float64)
 	merge func(acc []float64)
 }
 
-func (r reducerFuncs) Body(lo, hi int, acc []float64) { r.body(lo, hi, acc) }
-func (r reducerFuncs) Merge(acc []float64)            { r.merge(acc) }
+func (r reducerFuncs) Run(lo, hi int)                     {}
+func (r reducerFuncs) Body(_, lo, hi int, acc []float64)  { r.body(lo, hi, acc) }
+func (r reducerFuncs) Merge(_ int, acc []float64, _ bool) { r.merge(acc) }
+
+// reduce runs one reduction over rows [0, n) in chunks of grain rows as a
+// Panels region on p, a panel per chunk.
+func reduce(p *Panels, n, grain, accLen int, r reducerFuncs) {
+	p.For(n, grain, []Reduction{{N: n, Grain: grain, AccLen: accLen}}, r)
+}
+
+// chunkFold is the fixed reduction schedule written out serially: rows
+// [0, n) in chunks of grain rows, each chunk's body on a freshly zeroed
+// accumulator, the merges in ascending chunk order.
+func chunkFold(n, grain, accLen int, body func(lo, hi int, acc []float64), merge func(acc []float64)) {
+	acc := make([]float64, accLen)
+	for lo := 0; lo < n; lo += grain {
+		clear(acc)
+		body(lo, min(lo+grain, n), acc)
+		merge(acc)
+	}
+}
 
 // TestForCoversRangeOnce asserts every index in [0,n) is visited exactly
 // once for a spread of sizes, grains, and thread counts — including the
@@ -71,10 +91,11 @@ func TestForEmptyNeverCalls(t *testing.T) {
 }
 
 // TestReduceBitwiseAcrossThreads is the determinism contract: a
-// non-associative floating-point reduction must produce bitwise-identical
-// results for Threads in {1, 2, 8}.
+// non-associative floating-point reduction carried by a Panels region
+// must produce bitwise-identical results for Threads in {1, 2, 8}.
 func TestReduceBitwiseAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var p Panels
 	for _, n := range []int{1, 5, 100, 10000} {
 		// Wildly varying magnitudes make the sum order-sensitive.
 		data := make([]float64, n)
@@ -83,7 +104,7 @@ func TestReduceBitwiseAcrossThreads(t *testing.T) {
 		}
 		sum := func() float64 {
 			var total float64
-			ReduceWith(n, 64, 1, reducerFuncs{func(lo, hi int, acc []float64) {
+			reduce(&p, n, 64, 1, reducerFuncs{func(lo, hi int, acc []float64) {
 				for i := lo; i < hi; i++ {
 					acc[0] += data[i]
 				}
@@ -119,7 +140,8 @@ func TestReduceMultiColumn(t *testing.T) {
 	}
 	withThreads(t, 4, func() {
 		got := make([]float64, cols)
-		ReduceWith(n, 32, cols, reducerFuncs{func(lo, hi int, acc []float64) {
+		var p Panels
+		reduce(&p, n, 32, cols, reducerFuncs{func(lo, hi int, acc []float64) {
 			for r := lo; r < hi; r++ {
 				for c := 0; c < cols; c++ {
 					acc[c] += data[r*cols+c]
@@ -139,19 +161,21 @@ func TestReduceMultiColumn(t *testing.T) {
 	})
 }
 
-// TestReduceEmpty asserts n<=0 invokes neither body nor merge.
+// TestReduceEmpty asserts an empty region invokes neither body nor merge.
 func TestReduceEmpty(t *testing.T) {
-	ReduceWith(0, 8, 4, reducerFuncs{
+	var p Panels
+	reduce(&p, 0, 8, 4, reducerFuncs{
 		func(lo, hi int, acc []float64) { t.Fatal("body called") },
 		func(acc []float64) { t.Fatal("merge called") }})
 }
 
 // TestReduceAccumulatorZeroed asserts every chunk sees a zeroed
-// accumulator even when buffers are recycled across calls.
+// accumulator even when one Panels value recycles them across calls.
 func TestReduceAccumulatorZeroed(t *testing.T) {
 	withThreads(t, 4, func() {
+		var p Panels
 		for iter := 0; iter < 10; iter++ {
-			ReduceWith(512, 16, 8, reducerFuncs{func(lo, hi int, acc []float64) {
+			reduce(&p, 512, 16, 8, reducerFuncs{func(lo, hi int, acc []float64) {
 				for _, v := range acc {
 					if v != 0 {
 						t.Errorf("dirty accumulator: %v", acc)
@@ -164,7 +188,8 @@ func TestReduceAccumulatorZeroed(t *testing.T) {
 	})
 }
 
-// TestSetThreads covers the knob semantics: <=0 resets to GOMAXPROCS.
+// TestSetThreads covers the knob semantics: <=0 resets to GOMAXPROCS, and
+// Configure takes no reduction mode but the fixed schedule.
 func TestSetThreads(t *testing.T) {
 	defer Configure(0, true)
 	SetThreads(5)
@@ -175,13 +200,16 @@ func TestSetThreads(t *testing.T) {
 	if got, want := Threads(), runtime.GOMAXPROCS(0); got != want {
 		t.Fatalf("Threads() = %d, want GOMAXPROCS %d", got, want)
 	}
-	SetDeterministic(false)
-	if Deterministic() {
-		t.Fatal("Deterministic() after SetDeterministic(false)")
-	}
-	SetDeterministic(true)
-	if !Deterministic() {
-		t.Fatal("!Deterministic() after SetDeterministic(true)")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Configure(3, false) did not panic")
+			}
+		}()
+		Configure(3, false)
+	}()
+	if got, want := Threads(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Configure(3, false) left Threads() = %d, want %d", got, want)
 	}
 }
 
@@ -204,7 +232,8 @@ func TestConcurrentCallers(t *testing.T) {
 					}
 				}))
 				var total float64
-				ReduceWith(n, 64, 1, reducerFuncs{func(lo, hi int, acc []float64) {
+				var p Panels
+				reduce(&p, n, 64, 1, reducerFuncs{func(lo, hi int, acc []float64) {
 					for i := lo; i < hi; i++ {
 						acc[0] += out[i]
 					}
@@ -220,31 +249,6 @@ func TestConcurrentCallers(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestNonDeterministicModeStillCorrect verifies the relaxed mode computes
-// the same value up to roundoff (it only regroups the summation).
-func TestNonDeterministicModeStillCorrect(t *testing.T) {
-	defer Configure(0, true)
-	rng := rand.New(rand.NewSource(11))
-	const n = 5000
-	data := make([]float64, n)
-	var want float64
-	for i := range data {
-		data[i] = rng.NormFloat64()
-		want += data[i]
-	}
-	Configure(4, false)
-	var got float64
-	ReduceWith(n, 8, 1, reducerFuncs{func(lo, hi int, acc []float64) {
-		for i := lo; i < hi; i++ {
-			acc[0] += data[i]
-		}
-	}, func(acc []float64) { got += acc[0] }})
-	d := got - want
-	if d < -1e-9 || d > 1e-9 {
-		t.Fatalf("got %v want %v", got, want)
-	}
 }
 
 // countTask records visits per index through the Task interface.
@@ -274,19 +278,24 @@ func TestForTaskCoversRangeOnce(t *testing.T) {
 	}
 }
 
-// sumReducer sums data[lo:hi] through the Reducer interface.
+// sumReducer sums data in one Panels region, bound the way the kernels
+// bind theirs: a pointer that keeps its Reduction and Panels.
 type sumReducer struct {
-	data  []float64
-	total float64
+	data   []float64
+	total  float64
+	rs     [1]Reduction
+	panels Panels
 }
 
-func (r *sumReducer) Body(lo, hi int, acc []float64) {
+func (r *sumReducer) Run(lo, hi int) {}
+
+func (r *sumReducer) Body(_, lo, hi int, acc []float64) {
 	for i := lo; i < hi; i++ {
 		acc[0] += r.data[i]
 	}
 }
 
-func (r *sumReducer) Merge(acc []float64) { r.total += acc[0] }
+func (r *sumReducer) Merge(_ int, acc []float64, _ bool) { r.total += acc[0] }
 
 // TestTaskDispatchZeroAlloc asserts the pooled dispatch machinery itself
 // performs no steady-state allocation, serial and parallel.
@@ -296,11 +305,12 @@ func TestTaskDispatchZeroAlloc(t *testing.T) {
 	}
 	task := &countTask{visits: make([]int32, 4096)}
 	r := &sumReducer{data: make([]float64, 4096)}
+	r.rs[0] = Reduction{N: len(r.data), Grain: 16, AccLen: 8}
 	for _, threads := range []int{1, 4} {
 		withThreads(t, threads, func() {
 			run := func() {
 				ForTask(len(task.visits), 16, task)
-				ReduceWith(len(r.data), 16, 8, r)
+				r.panels.For(len(r.data), 16, r.rs[:], r)
 			}
 			for i := 0; i < 5; i++ {
 				run() // warm the pools
@@ -419,9 +429,9 @@ func newPanelSums(t *testing.T, rows, cols, panel int, rs []Reduction, src []flo
 	return p
 }
 
-// TestPanelsMatchReduceWith: carrying reductions in a panel region — each
+// TestPanelsMatchChunkFold: carrying reductions in a panel region — each
 // chunk advanced in pieces by whoever completes its rows — changes no bit
-// of any of them against ReduceWith over the same rows, for 1, 2 and 4
+// of any of them against a serial fold of the same chunks, for 1, 2 and 4
 // threads; the merges arrive reduction by reduction with the final chunk
 // flagged; every Body call is on completed rows, and a chunk's calls cover
 // it once, ascending. The cases: chunks straddling 64-row panels at both ends
@@ -429,7 +439,7 @@ func newPanelSums(t *testing.T, rows, cols, panel int, rs []Reduction, src []flo
 // whole sample block: grain 8 192), reductions that start mid-panel, an
 // empty one, three sample blocks of 200 rows, and a region of one panel.
 // One Panels value carries every region, growing and shrinking.
-func TestPanelsMatchReduceWith(t *testing.T) {
+func TestPanelsMatchChunkFold(t *testing.T) {
 	const panel, cols = 64, 8
 	type region struct {
 		rows int
@@ -462,16 +472,14 @@ func TestPanelsMatchReduceWith(t *testing.T) {
 		}
 		want := newPanelSums(t, reg.rows, cols, panel, reg.rs, src)
 		var wantLasts []int
-		withThreads(t, 1, func() {
-			for k, s := range reg.rs {
-				ReduceWith(s.N, s.Grain, s.AccLen, reducerFuncs{func(lo, hi int, acc []float64) {
-					sumRows(src, cols, k, s.Off+lo, s.Off+hi, acc)
-				}, func(acc []float64) { want.Merge(k, acc, false) }})
-				if s.N > 0 {
-					wantLasts = append(wantLasts, k)
-				}
+		for k, s := range reg.rs {
+			chunkFold(s.N, s.Grain, s.AccLen, func(lo, hi int, acc []float64) {
+				sumRows(src, cols, k, s.Off+lo, s.Off+hi, acc)
+			}, func(acc []float64) { want.Merge(k, acc, false) })
+			if s.N > 0 {
+				wantLasts = append(wantLasts, k)
 			}
-		})
+		}
 		for _, threads := range []int{1, 2, 4} {
 			for rep := 0; rep < 4; rep++ {
 				got := newPanelSums(t, reg.rows, cols, panel, reg.rs, src)

@@ -11,15 +11,15 @@ import (
 // kernel (MatMul, MatMulATB, AddScaled, CloneInto) is one region on the
 // intra-rank worker pool (internal/parallel): those whose iterations write
 // disjoint output rows or elements use parallel.ForTask and are
-// bitwise-identical to their serial forms for any thread count; those that
-// reduce many input rows into one output (MatMulATB) use
-// parallel.ReduceWith, whose fixed chunk schedule and in-order partial
-// merge keep them bitwise-reproducible across thread counts in
-// deterministic mode. A row-range body (MatMulBiasRows, AddRowVectorRows,
-// the *Acc reduction bodies) is the serial work of rows [lo, hi) and
-// dispatches nothing: a region costs a worker wake (see package parallel,
-// "region granularity"), so internal/nn composes the bodies of a whole MLP
-// block into one region of its own instead of paying one per kernel. A
+// bitwise-identical to their serial forms for any thread count; one that
+// reduces many input rows into one output (MatMulATB) is a parallel.Panels
+// region carrying the reduction, whose fixed chunk schedule and in-order
+// partial merge keep it bitwise-reproducible across thread counts. A
+// row-range body (MatMulBiasRows, AddRowVectorRows, the *Acc reduction
+// bodies) is the serial work of rows [lo, hi) and dispatches nothing: a
+// region costs a worker wake (see package parallel, "region
+// granularity"), so internal/nn composes the bodies of a whole MLP block
+// into one region of its own instead of paying one per kernel. A
 // row's bits never depend on which range it was computed in, so the two
 // forms agree bitwise.
 //
@@ -42,10 +42,10 @@ func forGrain(workPerItem int) int {
 	return g
 }
 
-// ReduceGrain returns the Reduce grain of a row reduction costing
+// ReduceGrain returns the chunk grain of a row reduction costing
 // workPerItem flops per row — in·n for MatMulATB, the column count for a
 // column sum — from the problem shape only (never the thread count), as
-// the deterministic schedule requires: ~256k flops per partial, at least
+// the fixed schedule requires: ~256k flops per partial, at least
 // 64 rows.
 func ReduceGrain(workPerItem int) int {
 	if workPerItem < 1 {
@@ -123,9 +123,17 @@ func MatMul(dst, a, b *Matrix) {
 	matMulPool.Put(t)
 }
 
-type matMulATBTask struct{ dst, a, b *Matrix }
+// matMulATBTask is MatMulATB's region: panels of one chunk each that
+// compute nothing, carrying the one reduction.
+type matMulATBTask struct {
+	dst, a, b *Matrix
+	rs        [1]parallel.Reduction
+	panels    parallel.Panels
+}
 
-func (t *matMulATBTask) Body(lo, hi int, acc []float64) { MatMulATBAcc(acc, t.a, t.b, lo, hi) }
+func (t *matMulATBTask) Run(lo, hi int)                     {}
+func (t *matMulATBTask) Body(_, lo, hi int, acc []float64)  { MatMulATBAcc(acc, t.a, t.b, lo, hi) }
+func (t *matMulATBTask) Merge(_ int, acc []float64, _ bool) { AddTo(t.dst.Data, acc) }
 
 // MatMulATBAcc accumulates the contribution of rows [lo, hi) to aᵀ·b into
 // acc (a.Cols×b.Cols, row-major): the chunk body of MatMulATB's reduction.
@@ -161,12 +169,6 @@ func MatMulATBAcc(acc []float64, a, b *Matrix, lo, hi int) {
 	g.sweep(0, in, 0, (n+packNR-1)/packNR)
 }
 
-func (t *matMulATBTask) Merge(acc []float64) {
-	for i, v := range acc {
-		t.dst.Data[i] += v
-	}
-}
-
 var matMulATBPool = sync.Pool{New: func() any { return new(matMulATBTask) }}
 
 // MatMulATB computes dst = aᵀ·b, used for weight gradients (dW = xᵀ·dy).
@@ -180,10 +182,12 @@ func MatMulATB(dst, a, b *Matrix) {
 	}
 	dst.Zero()
 	in, n := a.Cols, b.Cols
+	grain := ReduceGrain(in * n)
 	t := matMulATBPool.Get().(*matMulATBTask)
 	t.dst, t.a, t.b = dst, a, b
-	parallel.ReduceWith(a.Rows, ReduceGrain(in*n), in*n, t)
-	*t = matMulATBTask{}
+	t.rs[0] = parallel.Reduction{N: a.Rows, Grain: grain, AccLen: in * n}
+	t.panels.For(a.Rows, grain, t.rs[:], t)
+	t.dst, t.a, t.b = nil, nil, nil
 	matMulATBPool.Put(t)
 }
 

@@ -32,7 +32,8 @@ func runAtThreads(t *testing.T, counts []int, f func() *Matrix) []*Matrix {
 // TestKernelsBitwiseAcrossThreads pins the engine's core guarantee at the
 // kernel level: every tensor kernel produces bitwise-identical output for
 // Threads in {1, 2, 8}, including the reduction GEMMs whose naive
-// parallelization would reassociate sums.
+// parallelization would reassociate sums — MatMulATB also at the
+// benchmark probe's shape (3072×96)ᵀ·(3072×32), 37 chunks of 85 rows.
 func TestKernelsBitwiseAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n, in, out = 513, 33, 17 // odd sizes exercise ragged chunking
@@ -40,6 +41,7 @@ func TestKernelsBitwiseAcrossThreads(t *testing.T) {
 	b := randomMatrix(rng, in, out)
 	c := randomMatrix(rng, n, out)
 	d := randomMatrix(rng, n, in)
+	x, dy := randomMatrix(rng, 3072, 96), randomMatrix(rng, 3072, 32)
 	threads := []int{1, 2, 8}
 
 	kernels := map[string]func() *Matrix{
@@ -51,6 +53,11 @@ func TestKernelsBitwiseAcrossThreads(t *testing.T) {
 		"MatMulATB": func() *Matrix {
 			dst := New(in, out)
 			MatMulATB(dst, a, c)
+			return dst
+		},
+		"MatMulATB probe": func() *Matrix {
+			dst := New(96, 32)
+			MatMulATB(dst, x, dy)
 			return dst
 		},
 		"AddScaled": func() *Matrix {

@@ -272,15 +272,12 @@ var (
 
 // SetParallelism configures the process-wide intra-rank compute engine:
 // threads bounds the workers each kernel may use (<= 0 resets to
-// GOMAXPROCS; 1 runs every kernel inline), and deterministic selects the
-// fixed-schedule reductions that make results bitwise-identical for any
-// thread count. false is the only way to the relaxed reductions (chunking
-// may follow the thread count: marginally faster, no longer reproducible
-// across thread counts); Config.Threads always selects the fixed
-// schedule. Intra-rank workers compose with goroutine ranks: the
-// pool workers are shared, so R ranks running kernels concurrently add
-// at most threads-1 pool goroutines on top of the R rank goroutines
-// (each rank also executes chunks itself), rather than R×threads. While
+// GOMAXPROCS; 1 runs every kernel inline). The reductions follow a fixed
+// schedule, so results are bitwise-identical for any thread count.
+// Intra-rank workers compose with goroutine ranks: the pool workers are
+// shared, so R ranks running kernels concurrently add at most threads-1
+// pool goroutines on top of the R rank goroutines (each rank also
+// executes chunks itself), rather than R×threads. While
 // a lone op runs — one Predict, Rollout or training step, with no other
 // op open in the process — threads > 1 keeps that many CPUs busy for the
 // op's whole duration, its exchange waits included: the pool's workers
@@ -289,14 +286,13 @@ var (
 // Requests beyond runtime.NumCPU() are clamped to the core count: the
 // kernels are compute-bound, so extra workers only time-slice against
 // each other — slower, identical bits.
-func SetParallelism(threads int, deterministic bool) {
-	parallel.Configure(parallel.Clamp(threads), deterministic)
+func SetParallelism(threads int) {
+	parallel.SetThreads(parallel.Clamp(threads))
 }
 
-// Parallelism reports the engine's current (threads, deterministic)
-// setting.
-func Parallelism() (threads int, deterministic bool) {
-	return parallel.Threads(), parallel.Deterministic()
+// Parallelism reports the engine's current thread count.
+func Parallelism() int {
+	return parallel.Threads()
 }
 
 // NewMesh constructs a spectral-element box mesh with ex×ey×ez hexahedral

@@ -3,8 +3,11 @@ package meshgnn
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
+
+	"meshgnn/internal/parallel"
 )
 
 // serveSystem builds a small 2-rank system plus per-rank snapshots.
@@ -85,12 +88,13 @@ func TestServePredictMatchesModelForward(t *testing.T) {
 }
 
 // TestServeWithLeavesParallelismAlone: serving compiles the caller's model
-// and configures nothing process-wide. NewModel applies Config.Threads and
-// the deterministic reductions to the shared worker pool, so building a
-// model from the caller's Config inside ServeWith would undo the caller's
-// SetParallelism.
+// and configures nothing process-wide. NewModel applies Config.Threads to
+// the shared worker pool, so building a model from the caller's Config
+// inside ServeWith would undo the caller's setting. The engine runs at
+// NumCPU+1 threads, a count no clamped Config.Threads can produce, so a
+// re-applied Config shows whatever its Threads.
 func TestServeWithLeavesParallelismAlone(t *testing.T) {
-	defer SetParallelism(0, true)
+	defer SetParallelism(0)
 	sys, _, _ := serveSystem(t)
 	cfg := SmallConfig()
 	cfg.Threads = 1
@@ -98,14 +102,15 @@ func TestServeWithLeavesParallelismAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetParallelism(1, false)
+	want := runtime.NumCPU() + 1
+	parallel.SetThreads(want)
 	srv, err := sys.ServeWith(InProcess, NeighborAllToAll, model, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if threads, det := Parallelism(); threads != 1 || det {
-		t.Fatalf("after ServeWith Parallelism() = (%d, %v), want the caller's (1, false)", threads, det)
+	if got := Parallelism(); got != want {
+		t.Fatalf("after ServeWith Parallelism() = %d, want the caller's %d", got, want)
 	}
 }
 
