@@ -31,11 +31,14 @@ import (
 // the aggregate before the exchange is empty and dispatches nothing, and
 // under the synchronous split the interior rows are aggregated by the node
 // stage's head, not by a region of their own (14 while they were); a Step
-// is 11 forward (it also encodes the edges), then per layer two chains,
-// each carrying its parameter reductions in its one region, and the
-// scatter, and one region for each of the three encoder/decoder blocks:
-// 11 + 4 × 3 + 3 = 26 (37 while every chain's reductions were a region of
-// their own).
+// is 10 forward (it also encodes the edges, in the node encoder's region),
+// then per layer two chains, each carrying its parameter reductions in its
+// one region, and the node parts of the edge MLP's first Linear (their
+// input gradient and weight gradients, one region), one region for each
+// of the three encoder/decoder blocks, and the optimizer's update:
+// 10 + 4 × 3 + 3 + 1 = 26 (37 while every chain's reductions were a region
+// of their own; 26 too when the edges were encoded in a region of their
+// own and the optimizer ran on the caller alone).
 //
 // The engine's arenas are part of the same budget: a forward-only pass
 // holds no (B·N_edges)×3H edge input — not even a row panel of one: the
@@ -46,7 +49,10 @@ import (
 // float64, 1 064 960 at float32, B = 1). The projections themselves, P and
 // Q of each layer's x, are workspaces, 2·B·N_local×H a layer; the arena's
 // slabs absorbed them here, and the footprint read 983 040 and 491 520
-// with and without them.
+// with and without them. Training holds no 3H-wide edge row either — not
+// the first Linear's input cache, nor its input gradient: its backward
+// takes the node parts per node — so what it adds to a pass's workspace is
+// its backward caches at H width.
 func TestParallelDispatchBudget(t *testing.T) {
 	parallel.Configure(2, true)
 	defer parallel.Configure(0, true)
@@ -123,8 +129,8 @@ func TestParallelDispatchBudget(t *testing.T) {
 // aggregate region left and the count stays 4 (an empty span dispatches
 // nothing). Backward: the node chain (its
 // reductions ride its region), the halo-gradient gather, the edge chain,
-// the scatter, plus the during-exchange edge gather only under the phased
-// split. The
+// the node parts of the edge MLP's first Linear, plus the during-exchange
+// edge gather only under the phased split. The
 // counters are process-wide, so the two ranks bracket the layer with
 // barriers and the expected count is both ranks' regions.
 func TestParallelDispatchBudgetPerSplit(t *testing.T) {

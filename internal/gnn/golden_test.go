@@ -84,13 +84,17 @@ func goldenRun(t *testing.T, overlap, sockets bool) []float64 {
 //	go test ./internal/gnn -run TestGoldenLossesBitwise -update
 //
 // and commit the new golden alongside the kernel change. The last change
-// evaluated the edge MLP's first Linear as the sum of its input parts'
-// products, (e_k·W_2 + b) + (x_i·W_0 + x_j·W_1), the node parts once per
-// node, where it had been one product over the concatenated 3H row: step
-// 1 moved by 2.2e-16 relative, and over the 12 steps the largest change
-// was 2.2e-15 relative (step 10). The one before gave every float64
-// product one definition — per element a math.FMA per k, k ascending,
-// then the bias. The same
+// back-propagated that first Linear's node parts per node — the
+// pre-activation gradient summed over each node's receiver and sender
+// spans, then one product for the input gradient and one for the weight
+// gradient, where each edge had multiplied its 3H-wide row and scattered
+// it: steps 1, 4 and 10 kept their bits, and the largest change was
+// 3.8e-16 relative (step 9). The one before evaluated the edge MLP's first
+// Linear as the sum of its input parts' products, (e_k·W_2 + b) + (x_i·W_0
+// + x_j·W_1), the node parts once per node, where it had been one product
+// over the concatenated 3H row (largest change 2.2e-15 relative, step 10);
+// the one before that gave every float64 product one definition — per
+// element a math.FMA per k, k ascending, then the bias. The same
 // file holds on every kernel rung (internal/tensor's
 // TestTrainingBitwiseOnEveryRung). Neither the products nor the float64
 // ELU (tensor.Elu) depend on the architecture, and the float64 code that

@@ -234,12 +234,12 @@ func (m *Model) forward(rc *RankContext, xs []*tensor.Matrix) *tensor.Matrix {
 		copy(xb.Data[i*n:(i+1)*n], x.Data)
 	}
 	// The node encoder's tail projects its rows for the first edge stage,
-	// each node stage's tail for the next (projectTask).
+	// each node stage's tail for the next (projectTask). The two encoders
+	// read nothing of each other's: one region.
 	pq := m.arena.Get(2*batch*rows, m.Config.HiddenDim)
 	m.encT = projectTask[float64]{next: m.edgeFirst(0)}
 	m.encT.p, m.encT.q = projViews(rowsOf[float64]{pq.Data, pq.Cols})
-	hx := m.NodeEncoder.ForwardTail(xb, &m.encT)
-	he := m.EdgeEncoder.Forward(&m.staticEdgeB)
+	hx, he := nn.ForwardPair(m.NodeEncoder, xb, &m.encT, m.EdgeEncoder, &m.staticEdgeB)
 	for i, l := range m.Layers {
 		hx, he, pq = l.forward(rc, hx, he, pq, batch, m.edgeFirst(i+1))
 	}

@@ -76,38 +76,47 @@ import (
 // Which loops are what:
 //
 //	regions      aggTask; backward: dHaloTask, dEOutTask over the
-//	             during-exchange span, scatterTask
+//	             during-exchange span
 //	heads        edgeHeadTask (4a first Linear: the edge part's product
 //	             over the panel, then a tensor.GatherAddEdgeRows call per
-//	             sample block; in training also the (x_i ‖ x_j ‖ e_ij)
-//	             cache, a tensor.GatherEdgeRows call), nodeInTask (4d
-//	             absorb, 4b of the interior rows when synchronous, 4e
-//	             concat); backward: dEOutTask over the edges gathered
-//	             after Finish
+//	             sample block), nodeInTask (4d absorb, 4b of the interior
+//	             rows when synchronous, 4e concat); backward: dEOutTask
+//	             over the edges gathered after Finish, nodeSumTask (the
+//	             first Linear's node parts: dPre summed per node)
 //	tails        residualTask (+ e), projectTask (+ x, then P and Q);
 //	             backward: nodeGradTask (dAgg and dx from the node-MLP
-//	             input gradient), edgeGradTask (de)
+//	             input gradient), edgeGradTask (de), addToTask (dx from
+//	             the node parts)
 //
 // and which kernels run a row's arithmetic: every CSR span sum — aggRow
-// (4b), absorbHalo (4d) and scatterTask's receiver and sender spans — is
+// (4b), absorbHalo (4d) and nodeSumTask's receiver and sender spans — is
 // one tensor.SpanAcc call per span, the row held in registers, its Go loop
 // the definition and the go rung's kernel; every plain row add
-// (residualTask, projectTask, nodeGradTask, edgeGradTask, dEOutTask's
-// deOut) is tensor.AddTo; every product is the linear layer's own kernel.
+// (residualTask, projectTask, nodeGradTask, edgeGradTask, addToTask,
+// dEOutTask's deOut) is tensor.AddTo; every product is the linear layer's
+// own kernel.
 //
 // A head or tail has to be a row map — rows [r0, r1) computed from inputs
 // no other panel of the same region writes — because panels run in any
 // order on any thread; that is what makes fusing it a change of schedule
 // and not of arithmetic: every row still sees its own operation sequence.
-// The forward-only users never build an N_edges×3H edge input, not even a
-// panel of one — the edge head writes the first Linear's H-wide output —
-// nor hold the N_local×2H node input (a panel of it lives in the
-// evaluator's scratch); what they hold instead is P and Q, 2·N_local×H per
-// layer. The training layer keeps both inputs at full height, because its
-// parameter reductions read them back: its edge head fills the 3H-wide
-// cache beside the pre-activation, and the backward is unchanged — the
-// concatenated row's gradient formulas are the exact gradient of the
-// split map.
+// No user builds an N_edges×3H edge input, not even a panel of one — the
+// edge head writes the first Linear's H-wide output. What they hold
+// instead is P and Q, 2·N_local×H per layer. The forward-only users do not
+// hold the N_local×2H node input either (a panel of it lives in the
+// evaluator's scratch); the training layer does, because the node MLP's
+// weight gradient reads it back.
+//
+// The training backward is the exact adjoint of the split map, so it
+// never builds a 3H-wide row either. The edge MLP goes back to its first
+// Linear's pre-activation gradient dPre (nn.MLP.BackwardPre), and its edge
+// part runs per edge in the same region: de += dPre·W_2ᵀ, dW_2 += eᵀ·dPre
+// and the bias gradient. The node parts were multiplied per node, so their
+// gradients are per node, S_r[i] = Σ dPre_k over the edges k that node i
+// receives and S_s[j] = Σ dPre_k over those j sends, and one region over
+// the nodes (nn.MLP.BackwardParts) adds S_r·W_0ᵀ + S_s·W_1ᵀ to dx and
+// reduces dW_0 += xᵀ·S_r, dW_1 += xᵀ·S_s. The layer reads x and e back
+// for these: they are its inputs, which it holds anyway.
 //
 // The region tasks and the heads that gather across rows partition over
 // edges or over *receiver* (resp. sender, owner) rows through the graph's
@@ -237,31 +246,24 @@ const (
 // — one product over the panel's edge rows, then one
 // tensor.GatherAddEdgeRows call per sample block segment of the panel,
 // which indexes P and Q within that block — and the block runs from its
-// first ELU on. In training it also gathers the (x_i ‖ x_j ‖ e_ij) rows
-// into the Linear's input cache, which the weight gradient reads
-// (tensor.GatherEdgeRows); the forward-only users have none to fill. Its
-// panel arguments are per call and its own state read-only, so it walks
-// the sample blocks itself (splitBlock) instead of through runBlocks.
+// first ELU on. Its panel arguments are per call and its own state
+// read-only, so it walks the sample blocks itself (splitBlock) instead of
+// through runBlocks.
 type edgeHeadTask[T elem] struct {
 	g     *graph.Local
-	x, e  rowsOf[T]
+	e     rowsOf[T]
 	p, q  rowsOf[T]
 	first nn.SplitLinear[T]
 }
 
-func (t *edgeHeadTask[T]) PreRows(in, pre []T, r0, r1 int) {
+func (t *edgeHeadTask[T]) PreRows(pre []T, r0, r1 int) {
 	g, h := t.g, t.e.cols
 	blk := g.NumLocal() * h
 	t.first.MulRows(pre, t.e.data[r0*h:r1*h], r1-r0, edgePart, true)
 	for lo := r0; lo < r1; {
 		b, q, m := splitBlock(g.NumEdges(), lo, r1)
-		edges := g.Edges[q : q+m]
-		if in != nil {
-			tensor.GatherEdgeRows(in[3*h*(lo-r0):3*h*(lo-r0+m)], t.x.data[b*blk:(b+1)*blk],
-				t.e.data[lo*h:(lo+m)*h], edges, h)
-		}
 		tensor.GatherAddEdgeRows(pre[h*(lo-r0):h*(lo-r0+m)], t.p.data[b*blk:(b+1)*blk],
-			t.q.data[b*blk:(b+1)*blk], edges, h)
+			t.q.data[b*blk:(b+1)*blk], g.Edges[q:q+m], h)
 		lo += m
 	}
 }
@@ -464,7 +466,7 @@ func forwardNMP[T elem, M any](u nmpUser[T, M], t *nmpTasks[T], rc *RankContext,
 	// (4a) edge stage: first Linear from the projections → rest of the
 	// edge MLP → residual.
 	p, q := projViews(u.view(pq))
-	t.edgeT = edgeHeadTask[T]{g: g, x: xv, e: ev, p: p, q: q, first: u.edgeFirst()}
+	t.edgeT = edgeHeadTask[T]{g: g, e: ev, p: p, q: q, first: u.edgeFirst()}
 	t.resT = residualTask[T]{src: ev}
 	eOut = u.runEdge(batch*ne, &t.edgeT, &t.resT)
 
@@ -534,7 +536,7 @@ func (*direct64) toWire(_ *graph.Local, agg, halo *tensor.Matrix) (src, dst *ten
 // Eq. 4 schedule (its MLPs cache the stacked activations their backward
 // needs) plus the backward schedule.
 //
-// With SetArena, every per-step matrix (edge inputs, aggregates, halo
+// With SetArena, every per-step matrix (projections, aggregates, halo
 // staging, node inputs, and all backward intermediates) comes from the
 // shared workspace arena: after the first step the layer allocates
 // nothing.
@@ -548,9 +550,11 @@ type NMPLayer struct {
 
 	direct64
 
-	// the most recent forward's context and batch, for Backward
+	// the most recent forward's context, batch and inputs, for Backward:
+	// the first Linear's parts read x and e back
 	rc    *RankContext
 	batch int
+	x, e  *tensor.Matrix
 
 	// bound tasks, reused across steps
 	fwd       nmpTasks[float64]
@@ -559,7 +563,8 @@ type NMPLayer struct {
 	dHaloT    dHaloTask
 	dEOutT    dEOutTask
 	edgeGradT edgeGradTask
-	scatT     scatterTask
+	nodeSumT  nodeSumTask
+	dxT       addToTask
 }
 
 // NewNMPLayer builds the layer's MLPs.
@@ -591,7 +596,8 @@ func (l *NMPLayer) runNode(rows int, head, tail nn.RowMap[float64]) *tensor.Matr
 // Forward applies the layer to one sample: x (Nlocal×H) and e (Ne×H) are
 // the hidden node and edge features; the returned pair are the updated
 // features (arena-owned when an arena is set — valid until the owning
-// model's next forward pass). Alone, the layer has no stage before it to
+// model's next forward pass). Backward reads x and e again, so they must
+// be left as they are until it has run. Alone, the layer has no stage before it to
 // project x for its edge head, so it projects x in a region of its own:
 // the one place a model's projection is computed twice, bitwise the same.
 func (l *NMPLayer) Forward(rc *RankContext, x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix) {
@@ -604,7 +610,7 @@ func (l *NMPLayer) Forward(rc *RankContext, x, e *tensor.Matrix) (xOut, eOut *te
 // returning xOut projected through next as well (see forwardNMP), and
 // remembers the context and batch for Backward.
 func (l *NMPLayer) forward(rc *RankContext, x, e, pq *tensor.Matrix, batch int, next nn.SplitLinear[float64]) (xOut, eOut, pqOut *tensor.Matrix) {
-	l.rc, l.batch = rc, batch
+	l.rc, l.batch, l.x, l.e = rc, batch, x, e
 	return forwardNMP(l, &l.fwd, rc, x, e, pq, batch, l.Overlap, next)
 }
 
@@ -653,17 +659,21 @@ func (l *NMPLayer) Backward(dxOut, deOut *tensor.Matrix) (dx, de *tensor.Matrix)
 	rc.Ex.Finish(rc.Comm)
 	l.dEOutT.edges, l.dEOutT.boundaryOnly = span{n: ne}, l.Overlap
 
-	// (4a) edge update backward; residual passes dEOut to de (the chain's
-	// tail).
+	// (4a) edge update backward: the edge MLP back to its first Linear's
+	// pre-activation gradient dPre, and in the same region that Linear's
+	// edge part — de = dEOut (the residual) + dPre·W_2ᵀ in the chain's
+	// tail, dW_2 += eᵀ·dPre and the bias gradient.
 	de = l.arena.Get(batch*ne, h)
 	l.edgeGradT = edgeGradTask{dEOut: dEOut, de: de}
-	dEdgeIn := l.EdgeMLP.BackwardRows(dEOut, batch, &l.dEOutT, &l.edgeGradT)
-	// The receiver-side gradient scatters along the (dst,src)-sorted
-	// edges directly; the sender-side gradient scatters through the
-	// sender-grouped permutation. Both partition by destination row, so
-	// one region walks each row's receiver span and then its sender span.
-	l.scatT = scatterTask{g: g, dst: dx, dEdgeIn: dEdgeIn}
-	parallel.ForTask(batch*nl, grain, &l.scatT)
+	dPre, _ := l.EdgeMLP.BackwardPre(dEOut, batch, l.e, edgePart, &l.dEOutT, &l.edgeGradT)
+	// The node parts were multiplied once per node, P = x·W_0 and Q =
+	// x·W_1, so their gradients are dPre summed per node: S_r over each
+	// node's receiver span, S_s over its sender span (the head). One region
+	// over the nodes: dx += (S_r ‖ S_s)·(W_0ᵀ; W_1ᵀ) (the tail), dW_0 +=
+	// xᵀ·S_r and dW_1 += xᵀ·S_s.
+	l.nodeSumT = nodeSumTask{g: g, dPre: dPre}
+	l.dxT = addToTask{dst: dx}
+	l.EdgeMLP.BackwardParts(l.x, batch, recvPart, edgePart, &l.nodeSumT, &l.dxT)
 	return dx, de
 }
 
@@ -706,18 +716,24 @@ func (t *nodeGradTask) Rows(p []float64, r0, r1 int) {
 	}
 }
 
-// edgeGradTask is the tail of the edge-MLP input-gradient chain: de = dEOut
-// (the residual), then += the e_ij third of the (x_i ‖ x_j ‖ e_ij) input
-// gradient; the other two thirds wait for scatterTask.
+// edgeGradTask is the tail of the edge MLP's backward region: de = dEOut
+// (the residual), then += the panel of e's gradient, dPre·W_2ᵀ.
 type edgeGradTask struct{ dEOut, de *tensor.Matrix }
 
 func (t *edgeGradTask) Rows(p []float64, r0, r1 int) {
-	h := t.de.Cols
-	for r := r0; r < r1; r++ {
-		dst := t.de.Row(r)
-		copy(dst, t.dEOut.Row(r))
-		tensor.AddTo(dst, p[(r-r0)*3*h+2*h:(r-r0+1)*3*h])
-	}
+	c := t.de.Cols
+	dst := t.de.Data[r0*c : r1*c]
+	copy(dst, t.dEOut.Data[r0*c:r1*c])
+	tensor.AddTo(dst, p)
+}
+
+// addToTask is the tail of the node parts' backward region: dst's rows +=
+// the panel.
+type addToTask struct{ dst *tensor.Matrix }
+
+func (t *addToTask) Rows(p []float64, r0, r1 int) {
+	c := t.dst.Cols
+	tensor.AddTo(t.dst.Data[r0*c:r1*c], p)
 }
 
 // dEOutTask is the aggregation backward (4b adjoint) over a span of every
@@ -759,42 +775,46 @@ func (t *dEOutTask) block(b, lo, hi int) {
 	}
 }
 
-// scatterTask is the edge-input adjoint scatter: each destination node row
-// adds the x_i third of the edge-input gradient over its receiver span
-// (the (dst,src)-sorted edges directly) and then the x_j third over its
-// sender span (through the sender-grouped permutation), each in ascending
-// order within its own sample block, so no two workers touch one row and
-// every accumulation order is that of a serial receiver sweep followed by
-// a serial sender sweep.
-type scatterTask struct {
-	g       *graph.Local
-	dst     *tensor.Matrix // (batch·N_local)×h
-	dEdgeIn *tensor.Matrix // (batch·N_edges)×3h
+// nodeSumTask is the head of the node parts' backward region: for each
+// node row i of the panel (stacked by sample) it writes (S_r[i] ‖ S_s[i]),
+// the gradients of P_i and Q_i: dPre summed over i's receiver span (the
+// (dst,src)-sorted edges directly) and over its sender span (through the
+// sender-grouped permutation), each from +0 in ascending order within the
+// row's own sample block. A row is written by whoever owns its panel, so no
+// two workers touch one, and every sum is that of a serial receiver sweep
+// or a serial sender sweep over the sample.
+type nodeSumTask struct {
+	g    *graph.Local
+	dPre *tensor.Matrix // (batch·N_edges)×h
 }
 
-func (t *scatterTask) Run(lo, hi int) { runBlocks(t, t.g.NumLocal(), lo, hi) }
-
-func (t *scatterTask) block(b, lo, hi int) {
-	g, h := t.g, t.dst.Cols
-	xo, eo := b*g.NumLocal(), b*g.NumEdges()
-	src := t.dEdgeIn.Data
-	for i := lo; i < hi; i++ {
-		dst := t.dst.Row(xo + i)
-		k0, k1 := g.RecvStart[i], g.RecvStart[i+1]
-		if !tensor.SpanAcc(dst, src, 3*h, eo+k0, nil, k1-k0, nil) {
-			for k := k0; k < k1; k++ {
-				for j, v := range t.dEdgeIn.Row(eo + k)[:h] {
-					dst[j] += v
+func (t *nodeSumTask) Rows(p []float64, r0, r1 int) {
+	g, h := t.g, t.dPre.Cols
+	src := t.dPre.Data
+	for lo := r0; lo < r1; {
+		b, q, m := splitBlock(g.NumLocal(), lo, r1)
+		eo := b * g.NumEdges()
+		for i := q; i < q+m; i++ {
+			row := p[(lo+i-q-r0)*2*h : (lo+i-q-r0+1)*2*h]
+			clear(row)
+			sr, ss := row[:h], row[h:]
+			k0, k1 := g.RecvStart[i], g.RecvStart[i+1]
+			if !tensor.SpanAcc(sr, src, h, eo+k0, nil, k1-k0, nil) {
+				for k := k0; k < k1; k++ {
+					for j, v := range t.dPre.Row(eo + k) {
+						sr[j] += v
+					}
+				}
+			}
+			p0, p1 := g.SendStart[i], g.SendStart[i+1]
+			if !tensor.SpanAcc(ss, src, h, eo, g.SendPerm[p0:p1], p1-p0, nil) {
+				for s := p0; s < p1; s++ {
+					for j, v := range t.dPre.Row(eo + g.SendPerm[s]) {
+						ss[j] += v
+					}
 				}
 			}
 		}
-		p0, p1 := g.SendStart[i], g.SendStart[i+1]
-		if !tensor.SpanAcc(dst, src[h:], 3*h, eo, g.SendPerm[p0:p1], p1-p0, nil) {
-			for p := p0; p < p1; p++ {
-				for j, v := range t.dEdgeIn.Row(eo + g.SendPerm[p])[h : 2*h] {
-					dst[j] += v
-				}
-			}
-		}
+		lo += m
 	}
 }

@@ -24,27 +24,27 @@ import (
 // definition — the sum of the input parts' products, the node parts
 // multiplied once per node (serialPre) — not the Linear on the
 // concatenated row: the layer evaluates it that way, which equals the
-// concatenation's product in exact arithmetic but rounds differently.
+// concatenation's product in exact arithmetic but rounds differently. Its
+// backward is that map's: the edge MLP back to the pre-activation gradient
+// dPre with the edge part (MLP.BackwardPre), then the node parts from dPre
+// summed per node, written out with whole-matrix products (serialParts).
+// backward keeps its intermediates for TestEdgeBackwardDecomposition.
 type serialNMP struct {
 	edge, node *nn.MLP
 	rc         *RankContext
+
+	x, e                *tensor.Matrix // the last forward's inputs
+	dPre, dxBase, dEOut *tensor.Matrix // the last backward's intermediates
 }
 
 func (s *serialNMP) forward(x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix) {
 	g, h := s.rc.Graph, x.Cols
 	ne := g.NumEdges()
-	edgeIn := tensor.New(ne, 3*h)
-	for k, ed := range g.Edges {
-		row := edgeIn.Row(k)
-		copy(row[:h], x.Row(ed[1]))
-		copy(row[h:2*h], x.Row(ed[0]))
-		copy(row[2*h:], e.Row(k))
-	}
+	s.x, s.e = x, e
 	w, b := s.edge.Params()[0].W, s.edge.Params()[1].W // the first Linear
 	pre := serialPre(g, h, x.Data, e.Data, w.Data, b.Data)
-	// (4a): the block from its first ELU on; the input rows are only the
-	// weight gradient's cache.
-	eOut = s.edge.ForwardPre(ne, &fullPre[float64]{in: edgeIn.Data, pre: pre, h: h}, nil).Clone()
+	// (4a): the block from its first ELU on.
+	eOut = s.edge.ForwardPre(ne, &fullPre[float64]{pre: pre, h: h}, nil).Clone()
 	for i, v := range e.Data {
 		eOut.Data[i] += v
 	}
@@ -96,21 +96,55 @@ func (s *serialNMP) backward(dxOut, deOut *tensor.Matrix) (dx, de *tensor.Matrix
 			dEOut.Row(k)[j] += deOut.Row(k)[j]
 		}
 	}
-	dEdgeIn := s.edge.Backward(dEOut)
+	dPre, dEdge := s.edge.BackwardPre(dEOut, 1, s.e, edgePart, nil, nil)
 	de = tensor.New(g.NumEdges(), h)
-	for k := range g.Edges {
-		for j := range de.Row(k) {
-			de.Row(k)[j] = dEOut.Row(k)[j] + dEdgeIn.Row(k)[2*h+j]
-		}
+	for i := range de.Data {
+		de.Data[i] = dEOut.Data[i] + dEdge.Data[i]
 	}
-	for _, half := range []int{1, 0} { // receiver-side scatter, then sender-side
+	s.dPre, s.dxBase, s.dEOut = dPre.Clone(), dx.Clone(), dEOut
+	dParts := serialParts(g, s.x, dPre, s.edge.Params()[0])
+	for i, v := range dParts.Data {
+		dx.Data[i] += v
+	}
+	return dx, de
+}
+
+// serialParts is the backward of the first Linear's node parts over one
+// sample by its definition: S = (S_r ‖ S_s), dPre summed per node — S_r
+// over the edges the node receives, S_s over those it sends, each from +0
+// in edge order — then whole-matrix products: the input gradient
+// S·(W_0ᵀ; W_1ᵀ), which it returns, and the weight gradient dW = xᵀ·S
+// (tensor.MatMulATB), whose column blocks q = 0, 1 are added to W_q's row
+// block of the gradient w.G.
+func serialParts(g *graph.Local, x, dPre *tensor.Matrix, w *nn.Param) *tensor.Matrix {
+	nl, h := g.NumLocal(), x.Cols
+	sum := tensor.New(nl, 2*h)
+	for q, node := range []int{1, 0} { // receiver sums, then sender sums
 		for k, ed := range g.Edges {
-			for j := 0; j < h; j++ {
-				dx.Row(ed[half])[j] += dEdgeIn.Row(k)[(1-half)*h+j]
+			for j, v := range dPre.Row(k) {
+				sum.Row(ed[node])[q*h+j] += v
 			}
 		}
 	}
-	return dx, de
+	wT := tensor.New(2*h, h)
+	for q := 0; q < 2; q++ {
+		for o := 0; o < h; o++ {
+			for i := 0; i < h; i++ {
+				wT.Row(q*h + o)[i] = w.W.Row(q*h + i)[o]
+			}
+		}
+	}
+	dx, dw := tensor.New(nl, h), tensor.New(h, 2*h)
+	tensor.MatMul(dx, sum, wT)
+	tensor.MatMulATB(dw, x, sum)
+	for q := 0; q < 2; q++ {
+		for i := 0; i < h; i++ {
+			for o := 0; o < h; o++ {
+				w.G.Row(q*h + i)[o] += dw.Row(i)[q*h+o]
+			}
+		}
+	}
+	return dx
 }
 
 // serialPre is the edge MLP's first Linear over one sample by its
@@ -144,20 +178,14 @@ func serialPre[T elem](g *graph.Local, h int, x, e, w, b []T) []T {
 	return pre
 }
 
-// fullPre is a PreHead over full-height matrices: rows of the serial
-// reference's first-Linear output pre and, where the block caches it, of
-// the Linear's input in (3h wide).
+// fullPre is a PreHead over a full-height matrix: rows of the serial
+// reference's first-Linear output pre.
 type fullPre[T elem] struct {
-	in, pre []T
-	h       int
+	pre []T
+	h   int
 }
 
-func (f *fullPre[T]) PreRows(x, y []T, r0, r1 int) {
-	if x != nil {
-		copy(x, f.in[r0*3*f.h:r1*3*f.h])
-	}
-	copy(y, f.pre[r0*f.h:r1*f.h])
-}
+func (f *fullPre[T]) PreRows(y []T, r0, r1 int) { copy(y, f.pre[r0*f.h:r1*f.h]) }
 
 // serialInferNMP is the forward half of serialNMP for the serving adapters,
 // one sample at a time in element type T: the first Linear's output of the

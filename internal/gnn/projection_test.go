@@ -22,10 +22,22 @@ func splitPre[T elem](g *graph.Local, first nn.SplitLinear[T], x, e []T, h int) 
 	first.MulRows(p, x, nl, recvPart, false)
 	first.MulRows(q, x, nl, sendPart, false)
 	pre := make([]T, ne*h)
-	head := &edgeHeadTask[T]{g: g, x: rowsOf[T]{x, h}, e: rowsOf[T]{e, h},
-		p: rowsOf[T]{p, h}, q: rowsOf[T]{q, h}, first: first}
-	head.PreRows(nil, pre, 0, ne)
+	head := &edgeHeadTask[T]{g: g, e: rowsOf[T]{e, h}, p: rowsOf[T]{p, h}, q: rowsOf[T]{q, h}, first: first}
+	head.PreRows(pre, 0, ne)
 	return pre
+}
+
+// edgeInput gathers the paper's edge input rows, (x_i ‖ x_j ‖ e_ij) for
+// each edge k of g, i the receiver and j the sender.
+func edgeInput[T elem](g *graph.Local, x, e []T, h int) []T {
+	in := make([]T, g.NumEdges()*3*h)
+	for k, ed := range g.Edges {
+		row := in[k*3*h : (k+1)*3*h]
+		copy(row[:h], x[ed[1]*h:(ed[1]+1)*h])
+		copy(row[h:2*h], x[ed[0]*h:(ed[0]+1)*h])
+		copy(row[2*h:], e[k*h:(k+1)*h])
+	}
+	return in
 }
 
 // concatPre is the paper's first Linear: the (x_i ‖ x_j ‖ e_ij) rows
@@ -33,8 +45,7 @@ func splitPre[T elem](g *graph.Local, first nn.SplitLinear[T], x, e []T, h int) 
 // layer's kernel.
 func concatPre[T elem](g *graph.Local, w, b, x, e []T, h int) []T {
 	ne := g.NumEdges()
-	in, out := make([]T, ne*3*h), make([]T, ne*h)
-	tensor.GatherEdgeRows(in, x, e, g.Edges, h)
+	in, out := edgeInput(g, x, e, h), make([]T, ne*h)
 	switch o := any(out).(type) {
 	case []float64:
 		tensor.MatMulBiasRows(tensor.FromSlice(ne, h, o), tensor.FromSlice(ne, 3*h, any(in).([]float64)),
@@ -199,6 +210,157 @@ func TestStandaloneLayerMatchesModelPath(t *testing.T) {
 				if err != nil {
 					t.Errorf("%s: %v", name, err)
 				}
+			}
+		}
+	}
+}
+
+// TestEdgeBackwardDecomposition holds the layer's backward through the
+// edge MLP's first Linear — the edge part per edge (de += dPre·W_2ᵀ,
+// dW_2 += eᵀ·dPre, the bias), the node parts per node from dPre summed
+// over each node's receiver and sender spans (dx += S_r·W_0ᵀ + S_s·W_1ᵀ,
+// dW_0 += xᵀ·S_r, dW_1 += xᵀ·S_s) — to the concatenated per-edge backward
+// it replaced: dEdgeIn = dPre·Wᵀ over the (x_i ‖ x_j ‖ e_ij) rows, its
+// x_i and x_j thirds scattered to the receivers and senders, its e_ij
+// third into de, and dW = inᵀ·dPre (tensor.MatMulATB) per sample, the
+// bias by column sums. dPre, the node stage's part of dx and the residual
+// part of de come from the serial reference, whose backward is the
+// layer's bit for bit (TestNMPLayerMatchesSerialReference). At
+// SmallConfig's and LargeConfig's widths, for 1 and 3 stacked samples,
+// every element of dW_0, dW_1, dW_2, db, dx and de is within the rounding
+// bound 2·(n+2)·u·Σ|terms| of the concatenated one, u = 2⁻⁵³: the two are
+// the same sum of the same terms in exact arithmetic, and n bounds how
+// often either side rounds a term on its way — 2h + d_r + d_s + 1 for a dx
+// element of a node with d_r incoming and d_s outgoing edges, h + 1 for
+// de, and the number of terms, batch·N_edges, for the weight and bias
+// sums, which any summation tree of theirs is within. Not every element
+// may match bitwise: a backward that still scattered the 3H-wide rows
+// would, and this test would not be testing the decomposition.
+func TestEdgeBackwardDecomposition(t *testing.T) {
+	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := graph.BuildSingle(box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const u = 0x1p-53
+	for _, cfg := range []Config{SmallConfig(), LargeConfig()} {
+		for _, batch := range []int{1, 3} {
+			name := fmt.Sprintf("%s/B%d", cfg.Name, batch)
+			err := comm.Run(1, func(c *comm.Comm) error {
+				rc, err := NewRankContext(c, box, local, comm.NeighborAllToAll)
+				if err != nil {
+					return err
+				}
+				g, h := rc.Graph, cfg.HiddenDim
+				nl, ne := g.NumLocal(), g.NumEdges()
+				layer := NewNMPLayer("t", h, cfg.MLPHiddenLayers, rand.New(rand.NewSource(5)))
+				twin := NewNMPLayer("t", h, cfg.MLPHiddenLayers, rand.New(rand.NewSource(5)))
+				ref := &serialNMP{edge: twin.EdgeMLP, node: twin.NodeMLP, rc: rc}
+				rng := rand.New(rand.NewSource(17))
+				random := func(rows int) *tensor.Matrix {
+					m := tensor.New(rows, h)
+					for i := range m.Data {
+						m.Data[i] = rng.NormFloat64()
+					}
+					return m
+				}
+				x, e, dxOut, deOut := random(batch*nl), random(batch*ne), random(batch*nl), random(batch*ne)
+				pq := project(layer, &layer.projT, x, layer.edgeFirst())
+				layer.forward(rc, x, e, pq, batch, nn.SplitLinear[float64]{})
+				dx, de := layer.Backward(dxOut, deOut)
+
+				w := layer.EdgeMLP.Params()[0].W
+				wT := tensor.New(h, 3*h)
+				tensor.TransposeInto(wT, w)
+				dW, dWMag := tensor.New(3*h, h), tensor.New(3*h, h)
+				db, dbMag := make([]float64, h), make([]float64, h)
+				var worst float64
+				same, total := 0, 0
+				check := func(got, want, mag float64, n int) {
+					total++
+					if math.Float64bits(got) == math.Float64bits(want) {
+						same++
+						return
+					}
+					bound := 2 * float64(n+2) * u * mag
+					if bound == 0 {
+						worst = math.Inf(1)
+						return
+					}
+					worst = max(worst, math.Abs(got-want)/bound)
+				}
+				for b := 0; b < batch; b++ {
+					xb, eb := x.RowBlock(b*nl, (b+1)*nl), e.RowBlock(b*ne, (b+1)*ne)
+					ref.forward(xb, eb)
+					ref.backward(dxOut.RowBlock(b*nl, (b+1)*nl), deOut.RowBlock(b*ne, (b+1)*ne))
+					dPre := ref.dPre
+					in := tensor.FromSlice(ne, 3*h, edgeInput(g, xb.Data, eb.Data, h))
+					dEdgeIn, part := tensor.New(ne, 3*h), tensor.New(3*h, h)
+					tensor.MatMul(dEdgeIn, dPre, wT)
+					tensor.MatMulATB(part, in, dPre)
+					tensor.AddTo(dW.Data, part.Data)
+					for k := 0; k < ne; k++ {
+						for o, v := range dPre.Row(k) {
+							db[o] += v
+							dbMag[o] += math.Abs(v)
+							for i, a := range in.Row(k) {
+								dWMag.Row(i)[o] += math.Abs(a * v)
+							}
+						}
+					}
+					// dx: the node stage's part, then the receiver thirds,
+					// then the sender thirds, edge by edge.
+					cdx, dxMag := ref.dxBase.Clone(), ref.dxBase.Clone()
+					for i, v := range dxMag.Data {
+						dxMag.Data[i] = math.Abs(v)
+					}
+					for q, node := range []int{1, 0} {
+						for k, ed := range g.Edges {
+							for j := 0; j < h; j++ {
+								cdx.Row(ed[node])[j] += dEdgeIn.Row(k)[q*h+j]
+								for o, v := range dPre.Row(k) {
+									dxMag.Row(ed[node])[j] += math.Abs(v * wT.Row(o)[q*h+j])
+								}
+							}
+						}
+					}
+					for i := 0; i < nl; i++ {
+						n := 2*h + g.RecvStart[i+1] - g.RecvStart[i] + g.SendStart[i+1] - g.SendStart[i] + 1
+						for j := 0; j < h; j++ {
+							check(dx.Row(b*nl + i)[j], cdx.Row(i)[j], dxMag.Row(i)[j], n)
+						}
+					}
+					for k := 0; k < ne; k++ {
+						for j := 0; j < h; j++ {
+							want := ref.dEOut.Row(k)[j] + dEdgeIn.Row(k)[2*h+j]
+							mag := math.Abs(ref.dEOut.Row(k)[j])
+							for o, v := range dPre.Row(k) {
+								mag += math.Abs(v * wT.Row(o)[2*h+j])
+							}
+							check(de.Row(b*ne + k)[j], want, mag, h+1)
+						}
+					}
+				}
+				for i, v := range layer.EdgeMLP.Params()[0].G.Data {
+					check(v, dW.Data[i], dWMag.Data[i], batch*ne)
+				}
+				for o, v := range layer.EdgeMLP.Params()[1].G.Data {
+					check(v, db[o], dbMag[o], batch*ne)
+				}
+				t.Logf("%s: worst error %.3g of the bound, %d of %d elements bitwise equal", name, worst, same, total)
+				if worst > 1 {
+					return fmt.Errorf("the split backward is %.3g bounds from the concatenated one", worst)
+				}
+				if same == total {
+					return fmt.Errorf("every element equals the concatenated backward bitwise: the backward is not the decomposition")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
 			}
 		}
 	}

@@ -43,13 +43,14 @@ type RowMap[T elem] interface {
 // PreHead is the head of a block run from its first activation on
 // (MLP.ForwardPre, InferMLP.InferPre): the caller evaluates the block's
 // first Linear itself, by whatever decomposition of x·W + b it has (see
-// SplitLinear). PreRows writes rows [r0, r1) of that Linear's output y,
-// its pre-activation, and — where x is not nil, which is in training only
-// — the same rows of the Linear's input, which the block caches for its
-// weight gradient. The RowMap rules hold: rows [r0, r1) depend on nothing
-// another panel writes, and the head's state is shared by every panel.
+// SplitLinear), and PreRows writes rows [r0, r1) of that Linear's output y,
+// its pre-activation. Nothing holds the Linear's input: the training
+// block's backward (MLP.BackwardPre, MLP.BackwardParts) takes the inputs
+// of the parts from its caller. The RowMap rules hold: rows [r0, r1)
+// depend on nothing another panel writes, and the head's state is shared
+// by every panel.
 type PreHead[T elem] interface {
-	PreRows(x, y []T, r0, r1 int)
+	PreRows(y []T, r0, r1 int)
 }
 
 // rowLayer is a Layer that is a pure row map with row-reduced parameter
@@ -113,7 +114,7 @@ type chain struct {
 	// The pass in flight: its head and tail, and the full-height matrices
 	// they are handed rows of (the pass's first input and last output);
 	// for a forward from the first activation on, the head that writes the
-	// first layer's input and output (first) in its place.
+	// first layer's output (first) in its place.
 	head, tail RowMap[float64]
 	pre        PreHead[float64]
 	in, out    *tensor.Matrix
@@ -144,37 +145,58 @@ type (
 // forward evaluates the block on x. With a head, x is the full-height
 // input the head fills panel by panel.
 func (c *chain) forward(x *tensor.Matrix, head, tail RowMap[float64]) *tensor.Matrix {
-	c.head = head
-	return c.run(x, tail)
+	c.head, c.in = head, x
+	return c.run(c.bind(x, 0, false, tail))
 }
 
-// forwardPre evaluates the block with its first layer's rows written by
-// pre instead of computed: x is the full-height input pre fills beside the
-// first layer's output, both caches the backward reads.
-func (c *chain) forwardPre(x *tensor.Matrix, pre PreHead[float64], tail RowMap[float64]) *tensor.Matrix {
+// forwardPre evaluates the block from its second layer on, over the
+// rows×Out output of its first Linear, which pre writes panel by panel:
+// nothing holds the Linear's input.
+func (c *chain) forwardPre(rows int, pre PreHead[float64], tail RowMap[float64]) *tensor.Matrix {
 	c.pre = pre
-	return c.run(x, tail)
+	c.first = c.layers[0].(*Linear).bindPre(rows)
+	return c.run(c.bind(c.first, 1, true, tail))
 }
 
-// run binds every layer on x and carries the panels through the pass the
-// caller set up.
-func (c *chain) run(x *tensor.Matrix, tail RowMap[float64]) *tensor.Matrix {
-	c.rows, c.in = x.Rows, x
-	owned := false
-	for i, l := range c.layers {
+// bind binds layers[from:] on x — owned as in rowLayer.bindForward — and
+// sets up the pass the caller is about to run; it returns the output.
+func (c *chain) bind(x *tensor.Matrix, from int, owned bool, tail RowMap[float64]) *tensor.Matrix {
+	c.rows = x.Rows
+	for _, l := range c.layers[from:] {
 		x = l.bindForward(x, owned)
-		if i == 0 {
-			c.first = x
-		}
 		// A layer's output is the chain's to overwrite unless the layer's
 		// own backward reads it back, as an ELU's does.
 		_, readsBack := l.(*ELU)
 		owned = !readsBack
 	}
 	c.out, c.tail = x, tail
-	parallel.ForTask(panels(c.rows), 1, (*chainForward)(c))
-	c.in, c.out, c.first, c.head, c.pre, c.tail = nil, nil, nil, nil, nil, nil
 	return x
+}
+
+// run carries the panels through the bound pass as one region.
+func (c *chain) run(y *tensor.Matrix) *tensor.Matrix {
+	parallel.ForTask(panels(c.rows), 1, (*chainForward)(c))
+	c.done()
+	return y
+}
+
+// done drops the pass's matrices and stages.
+func (c *chain) done() {
+	c.in, c.out, c.first, c.head, c.pre, c.tail = nil, nil, nil, nil, nil, nil
+}
+
+// chainPair is two bound forward passes as one region: panels [0, n) of
+// the first block, then the second's.
+type chainPair struct{ a, b *chain }
+
+func (p *chainPair) Run(lo, hi int) {
+	n := panels(p.a.rows)
+	if lo < n {
+		(*chainForward)(p.a).Run(lo, min(hi, n))
+	}
+	if hi > n {
+		(*chainForward)(p.b).Run(max(lo, n)-n, hi-n)
+	}
 }
 
 // headRows and tailRows hand rows [r0, r1) of the pass's first input and
@@ -201,8 +223,8 @@ func (c *chainForward) Run(lo, hi int) {
 	for p := lo; p < hi; p++ {
 		r0, r1 := p*panelRows, min((p+1)*panelRows, c.rows)
 		if c.pre != nil {
-			in, k := c.in.Cols, c.first.Cols
-			c.pre.PreRows(c.in.Data[r0*in:r1*in], c.first.Data[r0*k:r1*k], r0, r1)
+			k := c.first.Cols
+			c.pre.PreRows(c.first.Data[r0*k:r1*k], r0, r1)
 		} else {
 			(*chain)(c).headRows(r0, r1)
 		}

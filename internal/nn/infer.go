@@ -150,7 +150,7 @@ func (r *inferRun[T]) Run(lo, hi int) {
 		switch {
 		case r.pre != nil:
 			src.data = s.in[:rows*in]
-			r.pre.PreRows(nil, src.data, r0, r1)
+			r.pre.PreRows(src.data, r0, r1)
 		case r.head != nil:
 			src.data = s.in[:rows*in]
 			r.head.Rows(src.data, r0, r1)
@@ -237,8 +237,8 @@ func (m *InferMLP) InferRows(a *tensor.Arena, rows int, head, tail RowMap[float6
 }
 
 // InferPre is the forward-only MLP.ForwardPre: head writes each panel of
-// the first Linear's output (its x argument is nil — nothing is cached)
-// in the evaluator's scratch, and the block runs from its first ELU on.
+// the first Linear's output in the evaluator's scratch, and the block runs
+// from its first ELU on.
 // Bitwise MLP.ForwardPre with the same head.
 func (m *InferMLP) InferPre(a *tensor.Arena, rows int, head PreHead[float64], tail RowMap[float64]) *tensor.Matrix {
 	return m.infer(a, rows, nil, nil, head, tail)

@@ -121,6 +121,16 @@ func (l *Linear) bindForward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 	return l.y
 }
 
+// bindPre binds the layer as the first of a block whose caller writes its
+// output (chain.forwardPre): the rows×Out output, no input cache. Its own
+// backward has nothing to read, so a block bound this way goes back
+// through its parts (partLinear).
+func (l *Linear) bindPre(rows int) *tensor.Matrix {
+	l.x = nil
+	l.y = l.arena.Get(rows, l.Out)
+	return l.y
+}
+
 // forwardRows fully overwrites rows [lo, hi) of y; the bias add is the
 // GEMM's epilogue.
 func (l *Linear) forwardRows(lo, hi int) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -20,6 +21,13 @@ type MLP struct {
 	In, Hidden, Out int
 	block           chain
 	arena           *tensor.Arena
+
+	// Built at their first use, each over the block's own layers: the
+	// backward of a ForwardPre (the first Linear's part that partLinear
+	// runs, then the rest of the block) and that of the first Linear's
+	// other parts (BackwardParts); and ForwardPair's region.
+	pre, parts chain
+	pair       chainPair
 }
 
 // NewMLP constructs the block. hidden is h (the number of H→H inner
@@ -73,20 +81,34 @@ func (m *MLP) ForwardTail(x *tensor.Matrix, tail RowMap[float64]) *tensor.Matrix
 }
 
 // ForwardPre is ForwardRows with the first Linear evaluated by the caller:
-// head writes, panel by panel, the Linear's rows×In input (cached for the
-// weight gradient, as ForwardRows' head does) and its rows×Hidden output,
-// the pre-activation, and the block runs from its first ELU on. Bitwise
-// ForwardRows on the same input wherever the head's output is bitwise
-// x·W + b; the backward is Backward's, the exact gradient of that map.
+// head writes, panel by panel, the Linear's rows×Hidden output, the
+// pre-activation, and the block runs from its first ELU on. Nothing holds
+// the Linear's input, so the backward of this pass is BackwardPre and
+// BackwardParts, which take the inputs of its parts from the caller.
+// Bitwise ForwardRows on the same input wherever the head's output is
+// bitwise x·W + b.
 func (m *MLP) ForwardPre(rows int, head PreHead[float64], tail RowMap[float64]) *tensor.Matrix {
-	return m.block.forwardPre(m.arena.Get(rows, m.In), head, tail)
+	return m.block.forwardPre(rows, head, tail)
+}
+
+// ForwardPair is a.ForwardTail(xa, tailA) and b.Forward(xb) as one
+// region — the row panels of a, then those of b — for two blocks that
+// read nothing of each other's: a region fewer than the two calls, and
+// their bits.
+func ForwardPair(a *MLP, xa *tensor.Matrix, tailA RowMap[float64], b *MLP, xb *tensor.Matrix) (ya, yb *tensor.Matrix) {
+	ya, yb = a.block.bind(xa, 0, false, tailA), b.block.bind(xb, 0, false, nil)
+	a.pair = chainPair{a: &a.block, b: &b.block}
+	parallel.ForTask(panels(xa.Rows)+panels(xb.Rows), 1, &a.pair)
+	a.block.done()
+	b.block.done()
+	return ya, yb
 }
 
 // SplitFirst is the block's first Linear as parts equal-width input parts
 // (see SplitLinear), over the parameters themselves: a product through it
 // reads the weights as they are when it runs.
 func (m *MLP) SplitFirst(parts int) SplitLinear[float64] {
-	l := m.block.layers[0].(*Linear)
+	l := m.first()
 	return splitLinear(l.Weight.W.Data, l.Bias.W.Data, l.In, l.Out, parts)
 }
 
@@ -111,6 +133,51 @@ func (m *MLP) BackwardBatched(dy *tensor.Matrix, batch int) *tensor.Matrix {
 func (m *MLP) BackwardRows(dy *tensor.Matrix, batch int, head, tail RowMap[float64]) *tensor.Matrix {
 	return m.block.backward(dy, batch, head, tail)
 }
+
+// BackwardPre is the backward of a ForwardPre, BackwardRows stopped at the
+// first Linear: dy goes back through the block to the Linear's
+// pre-activation gradient dPre (rows×Hidden), which it returns. Of the
+// Linear itself the same region runs one input part, part, whose input x
+// (rows × the part width) the caller holds: its input gradient dx =
+// dPre·W_partᵀ, handed to tail panel by panel and returned, its weight
+// gradient xᵀ·dPre into the part's row block of the Linear's gradient,
+// and the bias gradient. The other parts' are BackwardParts'. dPre is
+// valid until the next forward pass.
+func (m *MLP) BackwardPre(dy *tensor.Matrix, batch int, x *tensor.Matrix, part int, head, tail RowMap[float64]) (dPre, dx *tensor.Matrix) {
+	if m.pre.layers == nil {
+		m.pre.layers = append([]rowLayer{&partLinear{Linear: m.first(), m: 1, bias: true}}, m.block.layers[1:]...)
+	}
+	p := m.pre.layers[0].(*partLinear)
+	p.p0, p.x = part, x
+	dx = m.pre.backward(dy, batch, head, tail)
+	p.x = nil
+	return p.dy, dx
+}
+
+// BackwardParts is the backward of the first Linear's parts [p0, p1),
+// taken as the one map x → (x·W_p0 ‖ … ‖ x·W_{p1−1}) of an input x (rows
+// × the part width) whose rows the parts repeat: the message-passing
+// layer's x_i and x_j are rows of one node matrix, each in the input of
+// every edge at the node. head writes every row of the map's output
+// gradient dy, rows × (p1−p0)·Hidden: per part, the pre-activation
+// gradient summed over the inputs that repeat the row. In the same region
+// tail is handed each panel of the input gradient dy·(W_p0ᵀ; …;
+// W_{p1−1}ᵀ), and xᵀ·dy is reduced into the parts' row blocks of the
+// Linear's weight gradient, per sample block of batch. The returned input
+// gradient is valid until the next forward pass.
+func (m *MLP) BackwardParts(x *tensor.Matrix, batch, p0, p1 int, head, tail RowMap[float64]) *tensor.Matrix {
+	if m.parts.layers == nil {
+		m.parts.layers = []rowLayer{&partLinear{Linear: m.first()}}
+	}
+	p := m.parts.layers[0].(*partLinear)
+	p.p0, p.m, p.x = p0, p1-p0, x
+	dx := m.parts.backward(m.arena.Get(x.Rows, (p1-p0)*m.Hidden), batch, head, tail)
+	p.x = nil
+	return dx
+}
+
+// first is the block's first Linear.
+func (m *MLP) first() *Linear { return m.block.layers[0].(*Linear) }
 
 // Params implements Layer.
 func (m *MLP) Params() []*Param {

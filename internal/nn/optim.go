@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"meshgnn/internal/comm"
+	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -14,7 +15,19 @@ type Adam struct {
 
 	t    int
 	m, v []*tensor.Matrix
+
+	// The step in flight, for its region (adamStep): the parameters, their
+	// offsets in one flat index (computed at the first step; off[i] is
+	// where parameter i starts, off[len] the total) and the bias
+	// corrections.
+	params []*Param
+	off    []int
+	c1, c2 float64
 }
+
+// adamGrain is the least number of elements a chunk of the update takes:
+// one costs a few nanoseconds, so a chunk is some tens of microseconds.
+const adamGrain = 4096
 
 // NewAdam returns Adam with the conventional defaults (β1=0.9, β2=0.999,
 // ε=1e-8).
@@ -23,7 +36,9 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step applies one Adam update to every parameter from its accumulated
-// gradient.
+// gradient, as one parallel region over the parameters' elements in one
+// flat index: each element's update is its own, so how the index is cut
+// moves no bit.
 func (a *Adam) Step(params []*Param) {
 	if a.m == nil {
 		a.m = make([]*tensor.Matrix, len(params))
@@ -33,15 +48,36 @@ func (a *Adam) Step(params []*Param) {
 			a.v[i] = tensor.New(p.W.Rows, p.W.Cols)
 		}
 	}
+	if len(a.off) != len(params)+1 {
+		a.off = make([]int, len(params)+1)
+		for i, p := range params {
+			a.off[i+1] = a.off[i] + p.Count()
+		}
+	}
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, p := range params {
-		m, v := a.m[i], a.v[i]
-		for j, g := range p.G.Data {
-			m.Data[j] = float64(a.Beta1*m.Data[j]) + float64((1-a.Beta1)*g)
-			v.Data[j] = float64(a.Beta2*v.Data[j]) + float64((1-a.Beta2)*g*g)
-			p.W.Data[j] -= a.LR * (m.Data[j] / c1) / (math.Sqrt(v.Data[j]/c2) + a.Eps)
+	a.c1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.c2 = 1 - math.Pow(a.Beta2, float64(a.t))
+	a.params = params
+	parallel.ForTask(a.off[len(params)], adamGrain, (*adamStep)(a))
+	a.params = nil
+}
+
+// adamStep is the update's region: Run updates flat elements [lo, hi).
+type adamStep Adam
+
+func (s *adamStep) Run(lo, hi int) {
+	c1, c2 := s.c1, s.c2
+	for i, p := range s.params {
+		off, end := s.off[i], s.off[i+1]
+		if end <= lo || off >= hi {
+			continue
+		}
+		m, v := s.m[i], s.v[i]
+		for j := max(lo, off) - off; j < min(hi, end)-off; j++ {
+			g := p.G.Data[j]
+			m.Data[j] = float64(s.Beta1*m.Data[j]) + float64((1-s.Beta1)*g)
+			v.Data[j] = float64(s.Beta2*v.Data[j]) + float64((1-s.Beta2)*g*g)
+			p.W.Data[j] -= s.LR * (m.Data[j] / c1) / (math.Sqrt(v.Data[j]/c2) + s.Eps)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -56,4 +57,95 @@ func (s SplitLinear[T]) MulRows(dst, x []T, rows, part int, bias bool) {
 		wm := tensor.Matrix32{Rows: s.width, Cols: s.out, Data: any(wp).([]float32)}
 		tensor.MatMul32BiasRows(&dm, &xm, &wm, any(b).([]float32), 0, rows)
 	}
+}
+
+// partLinear is the backward of a Linear over m of its equal-width input
+// parts, p0 … p0+m−1, taken as one map of one input x (rows × width) that
+// is the caller's: x → (x·W_p0 ‖ … ‖ x·W_{p0+m−1}), plus the bias where
+// bias is set. Its output gradient dy is rows × m·Out; the input gradient
+// is dy·(W_p0ᵀ; …; W_{p0+m−1}ᵀ), the linear layer's kernel on the stacked
+// transposes of the parts; the weight gradient xᵀ·dy lands in the parts'
+// row blocks of the Linear's gradient, which keeps its In×Out shape.
+// With m = 1 that is the Linear's own backward restricted to one part,
+// and with one part in all (width = In) it is the Linear's backward bit for
+// bit. Only backward chains hold one (MLP.BackwardPre, BackwardParts); its
+// forward half is the embedded Linear's, unused, and its backward state
+// shadows the Linear's, which it leaves alone.
+type partLinear struct {
+	*Linear
+	p0, m int
+	bias  bool
+	x     *tensor.Matrix // the parts' input, set per backward
+
+	dy, dx *tensor.Matrix
+	wT     *tensor.Matrix // (m·Out)×width: W_p0ᵀ over … over W_{p0+m−1}ᵀ, refilled per backward
+	dw     *tensor.Matrix // width×(m·Out): the weight reduction's merge scratch
+}
+
+func (p *partLinear) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
+	w, out := p.x.Cols, p.m*p.Out
+	if w == 0 || p.In%w != 0 || p.p0 < 0 || (p.p0+p.m)*w > p.In || dy.Cols != out || dy.Rows != p.x.Rows {
+		panic(fmt.Sprintf("nn: parts [%d, %d) of %s over a %dx%d input, gradient %dx%d",
+			p.p0, p.p0+p.m, p.Weight.Name, p.x.Rows, w, dy.Rows, dy.Cols))
+	}
+	if p.wT == nil || p.wT.Rows != out || p.wT.Cols != w {
+		// Fixed parameter shapes: they persist across steps, outside the
+		// arena.
+		p.wT, p.dw = tensor.New(out, w), tensor.New(w, out)
+	}
+	p.dy = dy
+	p.dx = p.arena.Get(dy.Rows, w)
+	wd := p.Weight.W.Data[p.p0*w*p.Out:]
+	for q := 0; q < p.m; q++ {
+		for o := 0; o < p.Out; o++ {
+			row := p.wT.Row(q*p.Out + o)
+			for i := range row {
+				row[i] = wd[(q*w+i)*p.Out+o]
+			}
+		}
+	}
+	return p.dx
+}
+
+// backwardRows computes rows [lo, hi) of dx = dy·(W_p0ᵀ; …), the forward's
+// kernel on the stacked transposes.
+func (p *partLinear) backwardRows(lo, hi int) {
+	tensor.MatMulBiasRows(p.dx, p.dy, p.wT, nil, lo, hi)
+}
+
+func (p *partLinear) reductions(rs []parallel.Reduction, rows int) []parallel.Reduction {
+	n := p.x.Cols * p.m * p.Out
+	rs = append(rs, parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(n), AccLen: n})
+	if p.bias {
+		rs = append(rs, parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(p.Out), AccLen: p.Out})
+	}
+	return rs
+}
+
+func (p *partLinear) reduceBody(which, lo, hi int, acc []float64) {
+	if which == redWeight {
+		tensor.MatMulATBAcc(acc, p.x, p.dy, lo, hi)
+	} else {
+		tensor.ColSumsAcc(acc, p.dy, lo, hi)
+	}
+}
+
+// reduceMerge is Linear.reduceMerge with the weight scratch's columns
+// q·Out … (q+1)·Out−1 landing in part p0+q's row block.
+func (p *partLinear) reduceMerge(which int, acc []float64, last bool) {
+	if which == redBias {
+		tensor.AddTo(p.Bias.G.Data, acc)
+		return
+	}
+	tensor.AddTo(p.dw.Data, acc)
+	if !last {
+		return
+	}
+	w, g := p.x.Cols, p.Weight.G.Data[p.p0*p.x.Cols*p.Out:]
+	for q := 0; q < p.m; q++ {
+		for i := 0; i < w; i++ {
+			tensor.AddTo(g[(q*w+i)*p.Out:(q*w+i+1)*p.Out], p.dw.Row(i)[q*p.Out:(q+1)*p.Out])
+		}
+	}
+	p.dw.Zero()
 }

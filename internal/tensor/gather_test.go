@@ -7,120 +7,6 @@ import (
 	"testing"
 )
 
-// TestGatherEdgeRows holds GatherEdgeRows to three copies per edge, bit
-// for bit and on every rung, for both element types and every row width
-// 1…33 (so every masked tail of both vector widths, short rows and long)
-// and 64 and 96: three sample blocks of a stacked batch gathered one call
-// each into consecutive parts of one panel, as the edge stage does, with
-// NaN payloads and signed zeros in the data. A guard band of sentinel
-// bits either side of the panel must come through untouched, and an edge
-// index outside x must panic.
-func TestGatherEdgeRows(t *testing.T) {
-	atEachTier(t, func(t *testing.T) {
-		t.Run("float64", gatherEdgeRowsSweep[float64])
-		t.Run("float32", gatherEdgeRowsSweep[float32])
-	})
-}
-
-func gatherEdgeRowsSweep[T float](t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	widths := []int{64, 96}
-	for h := 1; h <= 33; h++ {
-		widths = append(widths, h)
-	}
-	const nodes, guard = 11, 40
-	negZero := T(math.Copysign(0, -1))
-	sentinel := sweepValue[T](rand.New(rand.NewSource(1)), 1)
-	for _, h := range widths {
-		blocks := []int{rng.Intn(4), 1 + rng.Intn(30), 1 + rng.Intn(30)} // edges per sample block
-		total := blocks[0] + blocks[1] + blocks[2]
-		x := sweepSlice[T](rng, len(blocks)*nodes*h, 5)
-		e := sweepSlice[T](rng, total*h, 5)
-		for i := range x {
-			if rng.Intn(7) == 0 {
-				x[i] = negZero
-			}
-		}
-		buf := make([]T, guard+3*h*total+guard)
-		for i := range buf {
-			buf[i] = sentinel
-		}
-		panel := buf[guard : guard+3*h*total]
-		want := make([]T, len(panel))
-		for r, b := 0, 0; b < len(blocks); b++ {
-			edges := make([][2]int, blocks[b])
-			for k := range edges {
-				edges[k] = [2]int{rng.Intn(nodes), rng.Intn(nodes)}
-			}
-			xb := x[b*nodes*h : (b+1)*nodes*h]
-			eb := e[r*h : (r+blocks[b])*h]
-			for k, ed := range edges {
-				row := want[3*h*(r+k) : 3*h*(r+k+1)]
-				copy(row[:h], xb[ed[1]*h:(ed[1]+1)*h])
-				copy(row[h:2*h], xb[ed[0]*h:(ed[0]+1)*h])
-				copy(row[2*h:], eb[k*h:(k+1)*h])
-			}
-			GatherEdgeRows(panel[3*h*r:3*h*(r+blocks[b])], xb, eb, edges, h)
-			r += blocks[b]
-		}
-		what := fmt.Sprintf("h=%d blocks=%v", h, blocks)
-		if i := bitsEqual(panel, want); i >= 0 {
-			t.Fatalf("%s: element %d (edge %d) is %#x, want %#x", what, i, i/(3*h), bitsOf(panel[i]), bitsOf(want[i]))
-		}
-		for _, band := range [][]T{buf[:guard], buf[guard+len(panel):]} {
-			for i, v := range band {
-				if bitsOf(v) != bitsOf(sentinel) {
-					t.Fatalf("%s: wrote guard element %d outside the panel", what, i)
-				}
-			}
-		}
-		for _, bad := range [][2]int{{0, nodes}, {nodes, 0}, {-1, 0}} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%s: edge %v outside %d nodes did not panic", what, bad, nodes)
-					}
-				}()
-				edges := [][2]int{{1, 2}, bad}
-				GatherEdgeRows(make([]T, 3*h*2), x[:nodes*h], e[:2*h], edges, h)
-			}()
-		}
-	}
-}
-
-// BenchmarkGatherEdgeRows times the edge gather per rung at SmallConfig's
-// width (8) and LargeConfig's (32), both element types: a 64-edge panel
-// from a 512-node block.
-func BenchmarkGatherEdgeRows(b *testing.B) {
-	b.Run("float64", benchGatherEdgeRows[float64])
-	b.Run("float32", benchGatherEdgeRows[float32])
-}
-
-func benchGatherEdgeRows[T float](b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	const nodes, rows = 512, 64
-	edges := make([][2]int, rows)
-	for k := range edges {
-		edges[k] = [2]int{rng.Intn(nodes), rng.Intn(nodes)}
-	}
-	for _, h := range []int{8, 32} {
-		x, e := sweepSlice[T](rng, nodes*h, 0), sweepSlice[T](rng, rows*h, 0)
-		dst := make([]T, 3*h*rows)
-		for r := tierAVX512; r >= tierGo; r-- {
-			b.Run(fmt.Sprintf("%d/%v", h, r), func(b *testing.B) {
-				if r > cpuTier {
-					b.Skipf("rung %v not run: this CPU's top rung is %v", r, cpuTier)
-				}
-				defer setKernelTier(setKernelTier(r))
-				for i := 0; i < b.N; i++ {
-					GatherEdgeRows(dst, x, e, edges, h)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-			})
-		}
-	}
-}
-
 // TestGatherAddEdgeRows holds GatherAddEdgeRows on every rung to its
 // definition — the go rung's loop, dst + (p[recv] + q[send]) per element —
 // under the package's NaN contract (mismatch), for both element types at

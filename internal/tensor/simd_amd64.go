@@ -118,17 +118,6 @@ func spanAcc32(n, cols, stride, rows int64, src *float32, idx *int, scale *float
 //go:noescape
 func spanAcc32x16(n, cols, stride, rows int64, src *float32, idx *int, scale *float64, dst *float32) (done int64)
 
-// edgeRowsCopy (avx2) and edgeRowsCopyx16 (avx512) are the edge-row
-// gather of GatherEdgeRows (gather_amd64.s), rowBytes a multiple of 4;
-// each returns how many leading edges it copied, stopping at one whose
-// indexes are not below nx.
-//
-//go:noescape
-func edgeRowsCopy(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64)
-
-//go:noescape
-func edgeRowsCopyx16(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64)
-
 // The edge-row gather-adds of GatherAddEdgeRows (gather_amd64.s), one per
 // element type and SIMD rung: edgeRowsAdd64 and edgeRowsAdd32 (avx2),
 // edgeRowsAdd64x8 and edgeRowsAdd32x16 (avx512). rowBytes is h times the

@@ -81,14 +81,6 @@ func spanAcc32x16(n, cols, stride, rows int64, src *float32, idx *int, scale *fl
 	panic(noSIMD)
 }
 
-func edgeRowsCopy(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64) {
-	panic(noSIMD)
-}
-
-func edgeRowsCopyx16(n, rowBytes, nx int64, edges *[2]int, x, e, dst unsafe.Pointer) (done int64) {
-	panic(noSIMD)
-}
-
 func edgeRowsAdd64(n, rowBytes, nx int64, edges *[2]int, p, q, dst unsafe.Pointer) (done int64) {
 	panic(noSIMD)
 }
