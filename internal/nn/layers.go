@@ -75,11 +75,10 @@ type Linear struct {
 	Bias    *Param // 1×Out
 
 	arena *tensor.Arena
-	x, y  *tensor.Matrix // cached input; output being written
-	dy    *tensor.Matrix // output gradient, kept for the parameter reductions
-	dx    *tensor.Matrix
-	dw    *tensor.Matrix // scratch for the weight-gradient reduction
-	wT    *tensor.Matrix // Weightᵀ, refilled per backward: the operand of dx = dy·Wᵀ
+	y     *tensor.Matrix // output being written
+	// The backward, the whole input as its one part; its x is the input
+	// the forward caches.
+	partLinear
 }
 
 // NewLinear creates a linear layer with Glorot-uniform weights drawn from
@@ -92,6 +91,7 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 		Weight: newParam(name+".weight", in, out),
 		Bias:   newParam(name+".bias", 1, out),
 	}
+	l.partLinear = partLinear{Linear: l, m: 1, bias: true}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	for i := range l.Weight.W.Data {
 		l.Weight.W.Data[i] = (2*float64(rng.Float64()) - 1) * limit
@@ -135,64 +135,6 @@ func (l *Linear) bindPre(rows int) *tensor.Matrix {
 // GEMM's epilogue.
 func (l *Linear) forwardRows(lo, hi int) {
 	tensor.MatMulBiasRows(l.y, l.x, l.Weight.W, l.Bias.W.Data, lo, hi)
-}
-
-func (l *Linear) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
-	if l.dw == nil {
-		// The weight-gradient scratch and the transpose persist across
-		// steps (they have fixed parameter shapes), so they live outside
-		// the arena.
-		l.dw = tensor.New(l.In, l.Out)
-		l.wT = tensor.New(l.Out, l.In)
-	}
-	l.dy = dy
-	l.dx = l.arena.Get(dy.Rows, l.In)
-	tensor.TransposeInto(l.wT, l.Weight.W)
-	return l.dx
-}
-
-// backwardRows computes rows [lo, hi) of dx = dy·Wᵀ, which is by
-// definition MatMul(dy, Wᵀ): the forward's kernel, on the transpose.
-func (l *Linear) backwardRows(lo, hi int) {
-	tensor.MatMulBiasRows(l.dx, l.dy, l.wT, nil, lo, hi)
-}
-
-// The two parameter reductions of a Linear, per sample block: the weight
-// gradient xᵀ·dy and the bias gradient (column sums of dy).
-const (
-	redWeight = iota
-	redBias
-)
-
-func (l *Linear) reductions(rs []parallel.Reduction, rows int) []parallel.Reduction {
-	return append(rs,
-		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.In * l.Out), AccLen: l.In * l.Out},
-		parallel.Reduction{N: rows, Grain: tensor.ReduceGrain(l.Out), AccLen: l.Out})
-}
-
-func (l *Linear) reduceBody(which, lo, hi int, acc []float64) {
-	if which == redWeight {
-		tensor.MatMulATBAcc(acc, l.x, l.dy, lo, hi)
-	} else {
-		tensor.ColSumsAcc(acc, l.dy, lo, hi)
-	}
-}
-
-// reduceMerge folds chunk partials after the backward's region, on the
-// caller, sample blocks ascending and each block's chunks ascending — the
-// order MatMulATB folds them: weight partials sum into the zeroed dw
-// scratch, which is added to the gradient once the block's last chunk is
-// in; bias partials add to the gradient directly.
-func (l *Linear) reduceMerge(which int, acc []float64, last bool) {
-	if which == redBias {
-		tensor.AddTo(l.Bias.G.Data, acc)
-		return
-	}
-	tensor.AddTo(l.dw.Data, acc)
-	if last {
-		tensor.AddTo(l.Weight.G.Data, l.dw.Data)
-		l.dw.Zero()
-	}
 }
 
 // Params implements Layer.

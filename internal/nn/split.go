@@ -60,27 +60,35 @@ func (s SplitLinear[T]) MulRows(dst, x []T, rows, part int, bias bool) {
 }
 
 // partLinear is the backward of a Linear over m of its equal-width input
-// parts, p0 … p0+m−1, taken as one map of one input x (rows × width) that
-// is the caller's: x → (x·W_p0 ‖ … ‖ x·W_{p0+m−1}), plus the bias where
-// bias is set. Its output gradient dy is rows × m·Out; the input gradient
-// is dy·(W_p0ᵀ; …; W_{p0+m−1}ᵀ), the linear layer's kernel on the stacked
+// parts, p0 … p0+m−1, taken as one map of one input x (rows × width):
+// x → (x·W_p0 ‖ … ‖ x·W_{p0+m−1}), plus the bias where bias is set. Its
+// output gradient dy is rows × m·Out; the input gradient is
+// dy·(W_p0ᵀ; …; W_{p0+m−1}ᵀ), the linear layer's kernel on the stacked
 // transposes of the parts; the weight gradient xᵀ·dy lands in the parts'
-// row blocks of the Linear's gradient, which keeps its In×Out shape.
-// With m = 1 that is the Linear's own backward restricted to one part,
-// and with one part in all (width = In) it is the Linear's backward bit for
-// bit. Only backward chains hold one (MLP.BackwardPre, BackwardParts); its
-// forward half is the embedded Linear's, unused, and its backward state
-// shadows the Linear's, which it leaves alone.
+// row blocks of the Linear's gradient, which keeps its In×Out shape. A
+// Linear's own backward is one, its whole input the one part; a block's
+// first Linear has two more, for the parts its caller evaluates
+// (MLP.BackwardPre, BackwardParts), whose inputs the caller sets. Only
+// backward chains hold those two; their forward half is the Linear's,
+// unused.
 type partLinear struct {
 	*Linear
 	p0, m int
 	bias  bool
-	x     *tensor.Matrix // the parts' input, set per backward
+	x     *tensor.Matrix // the parts' input
 
-	dy, dx *tensor.Matrix
+	dy, dx *tensor.Matrix // output gradient, kept for the reductions; input gradient
 	wT     *tensor.Matrix // (m·Out)×width: W_p0ᵀ over … over W_{p0+m−1}ᵀ, refilled per backward
 	dw     *tensor.Matrix // width×(m·Out): the weight reduction's merge scratch
 }
+
+// The two parameter reductions of a partLinear, per sample block: the
+// weight gradient xᵀ·dy and, with the bias, its gradient (column sums of
+// dy).
+const (
+	redWeight = iota
+	redBias
+)
 
 func (p *partLinear) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
 	w, out := p.x.Cols, p.m*p.Out
@@ -95,20 +103,16 @@ func (p *partLinear) bindBackward(dy *tensor.Matrix, _ bool) *tensor.Matrix {
 	}
 	p.dy = dy
 	p.dx = p.arena.Get(dy.Rows, w)
-	wd := p.Weight.W.Data[p.p0*w*p.Out:]
-	for q := 0; q < p.m; q++ {
-		for o := 0; o < p.Out; o++ {
-			row := p.wT.Row(q*p.Out + o)
-			for i := range row {
-				row[i] = wd[(q*w+i)*p.Out+o]
-			}
-		}
+	for q, n := 0, w*p.Out; q < p.m; q++ {
+		dst := tensor.Matrix{Rows: p.Out, Cols: w, Data: p.wT.Data[q*n : (q+1)*n]}
+		src := tensor.Matrix{Rows: w, Cols: p.Out, Data: p.Weight.W.Data[(p.p0+q)*n : (p.p0+q+1)*n]}
+		tensor.TransposeInto(&dst, &src)
 	}
 	return p.dx
 }
 
-// backwardRows computes rows [lo, hi) of dx = dy·(W_p0ᵀ; …), the forward's
-// kernel on the stacked transposes.
+// backwardRows computes rows [lo, hi) of dx = dy·(W_p0ᵀ; …), which is by
+// definition a product: the forward's kernel, on the stacked transposes.
 func (p *partLinear) backwardRows(lo, hi int) {
 	tensor.MatMulBiasRows(p.dx, p.dy, p.wT, nil, lo, hi)
 }
@@ -130,8 +134,12 @@ func (p *partLinear) reduceBody(which, lo, hi int, acc []float64) {
 	}
 }
 
-// reduceMerge is Linear.reduceMerge with the weight scratch's columns
-// q·Out … (q+1)·Out−1 landing in part p0+q's row block.
+// reduceMerge folds chunk partials after the backward's region, on the
+// caller, sample blocks ascending and each block's chunks ascending — the
+// order MatMulATB folds them: weight partials sum into the zeroed dw
+// scratch, whose columns q·Out … (q+1)·Out−1 are added to part p0+q's row
+// block of the gradient once the block's last chunk is in; bias partials
+// add to the gradient directly.
 func (p *partLinear) reduceMerge(which int, acc []float64, last bool) {
 	if which == redBias {
 		tensor.AddTo(p.Bias.G.Data, acc)
